@@ -14,6 +14,8 @@ mod macros;
 mod parse;
 mod print;
 
+pub use parse::Reader;
+
 /// JSON error (parse or data-shape mismatch).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Error(pub String);
@@ -464,6 +466,39 @@ mod tests {
         // top-level forms
         assert_eq!(json!([]), Value::Array(vec![]));
         assert_eq!(json!(7).as_i64(), Some(7));
+    }
+
+    #[test]
+    fn reader_walks_objects_member_by_member() {
+        let text = r#" {"a": 1, "deep": {"x": [1, {"y": null}], "z": {}}, "b": "s"} "#;
+        let whole: Value = from_str(text).unwrap();
+        let mut seen = Vec::new();
+        let mut reader = Reader::new(text);
+        reader
+            .object(|reader, key| {
+                if key == "deep" {
+                    return reader.object(|reader, inner| {
+                        seen.push((format!("deep.{inner}"), reader.value()?));
+                        Ok(())
+                    });
+                }
+                seen.push((key, reader.value()?));
+                Ok(())
+            })
+            .unwrap();
+        reader.end().unwrap();
+        let keys: Vec<&str> = seen.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["a", "deep.x", "deep.z", "b"]);
+        assert_eq!(content_to_value(&seen[1].1), whole["deep"]["x"]);
+
+        // A member left unconsumed, a non-object, and trailing text all fail.
+        assert!(Reader::new(text).object(|_, _| Ok(())).is_err());
+        assert!(Reader::new("[1]")
+            .object(|r, _| r.value().map(drop))
+            .is_err());
+        let mut reader = Reader::new("{} x");
+        reader.object(|r, _| r.value().map(drop)).unwrap();
+        assert!(reader.end().is_err());
     }
 
     #[test]

@@ -1,28 +1,44 @@
-//! Strict recursive-descent JSON parser producing a `Content` tree.
+//! Strict recursive-descent JSON parser producing a `Content` tree, whole
+//! or — through [`Reader`] — one object member at a time.
 
 use crate::Error;
 use serde::Content;
 
 pub(crate) fn parse(input: &str) -> Result<Content, Error> {
-    let mut p = Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
+    let mut p = Reader::new(input);
     let value = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing characters after JSON value"));
-    }
+    p.end()?;
     Ok(value)
 }
 
-struct Parser<'a> {
+/// A cursor over JSON text for documents too large to hold as one tree:
+/// [`Self::object`] walks an object member by member, and the caller
+/// decides per member whether to descend further or take the member's
+/// [`Self::value`] as a tree, build from it and drop it.
+pub struct Reader<'a> {
     bytes: &'a [u8],
     pos: usize,
 }
 
-impl<'a> Parser<'a> {
+impl<'a> Reader<'a> {
+    pub fn new(input: &'a str) -> Reader<'a> {
+        let mut reader = Reader {
+            bytes: input.as_bytes(),
+            pos: 0,
+        };
+        reader.skip_ws();
+        reader
+    }
+
+    /// Succeeds if only whitespace is left.
+    pub fn end(mut self) -> Result<(), Error> {
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(self.err("trailing characters after JSON value"));
+        }
+        Ok(())
+    }
+
     fn err(&self, msg: &str) -> Error {
         Error(format!("{msg} at byte {}", self.pos))
     }
@@ -61,14 +77,15 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<Content, Error> {
+    /// Parse the value at the cursor into a tree.
+    pub fn value(&mut self) -> Result<Content, Error> {
         match self.peek() {
             Some(b'n') => self.literal("null", Content::Null),
             Some(b't') => self.literal("true", Content::Bool(true)),
             Some(b'f') => self.literal("false", Content::Bool(false)),
             Some(b'"') => self.string().map(Content::Str),
             Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'{') => self.map(),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
@@ -95,13 +112,18 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn object(&mut self) -> Result<Content, Error> {
+    /// Parse the object at the cursor member by member: `member` is called
+    /// with each key, cursor on that member's value, and must consume it
+    /// (with [`Self::value`] or a nested [`Self::object`]).
+    pub fn object(
+        &mut self,
+        mut member: impl FnMut(&mut Self, String) -> Result<(), Error>,
+    ) -> Result<(), Error> {
         self.expect(b'{')?;
-        let mut entries = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Content::Map(entries));
+            return Ok(());
         }
         loop {
             self.skip_ws();
@@ -109,15 +131,23 @@ impl<'a> Parser<'a> {
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            let value = self.value()?;
-            entries.push((key, value));
+            member(self, key)?;
             self.skip_ws();
             match self.bump() {
                 Some(b',') => continue,
-                Some(b'}') => return Ok(Content::Map(entries)),
+                Some(b'}') => return Ok(()),
                 _ => return Err(self.err("expected ',' or '}' in object")),
             }
         }
+    }
+
+    fn map(&mut self) -> Result<Content, Error> {
+        let mut entries = Vec::new();
+        self.object(|reader, key| {
+            entries.push((key, reader.value()?));
+            Ok(())
+        })?;
+        Ok(Content::Map(entries))
     }
 
     fn string(&mut self) -> Result<String, Error> {

@@ -255,10 +255,20 @@ fn commit_job_batch(conn: &Connection, batch: &[GridJobRecord]) -> Result<(), Db
     })
 }
 
-/// Run one simulation's workflow step (phase 2), recording grid calls in
-/// `ops`. Returns the step outcome, or `Err(message)` when the owner
-/// lookup fails (a daemon-class error). Shared by both tick paths.
-#[allow(clippy::type_complexity)]
+/// A workflow step's result: the transition it made (if any), or
+/// `Err(message)` when the owner lookup failed (a daemon-class error).
+type StepOutcome = Result<Result<Option<SimStatus>, WorkflowError>, String>;
+
+/// Run one freshly loaded simulation's workflow step (phase 2), recording
+/// grid calls in `ops`, and persist the row if the step succeeded. Shared
+/// by both tick paths, so the save rule cannot drift between them: a step
+/// that left the row exactly as it was loaded — most ticks of a simulation
+/// waiting on the grid — commits nothing (no WAL record, no flush, no
+/// table version bump), and a transition clears the status message.
+///
+/// Returns the outcome and `Some(save result)` for `Ok` outcomes (`true`
+/// also when there was nothing to save); `None` means the step failed and
+/// [`GridAmp::apply_step_outcome`] decides what to write.
 fn step_sim_once(
     conn: &Connection,
     grid: &Grid,
@@ -267,9 +277,13 @@ fn step_sim_once(
     sim: &mut Simulation,
     ops: &mut OpsLog,
     lease_epoch: Option<i64>,
-) -> Result<Result<Option<SimStatus>, WorkflowError>, String> {
-    let username = owner_username(conn, sim).map_err(|e| e.to_string())?;
-    let mut ctx = StageCtx {
+) -> (StepOutcome, Option<bool>) {
+    let username = match owner_username(conn, sim) {
+        Ok(u) => u,
+        Err(e) => return (Err(e.to_string()), None),
+    };
+    let loaded = sim.clone();
+    let outcome = step(&mut StageCtx {
         grid,
         conn,
         config,
@@ -278,8 +292,14 @@ fn step_sim_once(
         owner_username: username,
         ops,
         lease_epoch,
-    };
-    Ok(step(&mut ctx))
+    });
+    let saved = outcome.as_ref().ok().map(|next| {
+        if next.is_some() {
+            sim.status_message.clear();
+        }
+        *sim == loaded || Manager::<Simulation>::new(conn.clone()).save(sim).is_ok()
+    });
+    (Ok(outcome), saved)
 }
 
 /// One worker's phase-2 product for one simulation, applied post-barrier
@@ -289,14 +309,13 @@ struct StepProduct {
     worker: usize,
     sim: Simulation,
     from: SimStatus,
-    outcome: Result<Result<Option<SimStatus>, WorkflowError>, String>,
+    outcome: StepOutcome,
     ops: OpsLog,
-    /// `Some(save result)` when the worker already persisted the stepped
-    /// simulation row (Ok outcomes only — the row belongs to this worker,
-    /// and saves of distinct rows commute, so doing them in the pool
-    /// keeps the post-barrier serial section small). `None` means the
-    /// merge step must save.
-    pre_saved: Option<bool>,
+    /// [`step_sim_once`]'s save result. The worker persists the stepped
+    /// row itself: it belongs to this worker alone, and saves of distinct
+    /// rows commute, so doing them in the pool keeps the post-barrier
+    /// serial section small.
+    saved: Option<bool>,
 }
 
 /// The workflow daemon.
@@ -647,7 +666,7 @@ impl GridAmp {
             };
             report.sims_stepped += 1;
             let from = sim.status;
-            let outcome = step_sim_once(
+            let (outcome, saved) = step_sim_once(
                 &self.conn,
                 grid,
                 &self.config,
@@ -657,27 +676,27 @@ impl GridAmp {
                 Some(epoch),
             );
             let now = grid.now().as_secs() as i64;
-            self.apply_step_outcome(&mut sim, from, outcome, now, report, None);
+            self.apply_step_outcome(&mut sim, from, outcome, now, report, saved);
             if let (Some(t), Some(p)) = (timer, self.profile.as_mut()) {
                 p.step_items.push((sim_id, t.elapsed()));
             }
         }
     }
 
-    /// Apply one simulation's step outcome: save the row, maintain the
-    /// transient streak and backoff schedule, hold on model failures, and
-    /// send the notifications. Runs on the daemon thread only — in the
-    /// parallel tick this is the post-barrier merge step, executed in
-    /// simulation-id order so its database side effects are identical to
-    /// the sequential daemon's.
+    /// Apply one simulation's step outcome (`saved` is [`step_sim_once`]'s
+    /// save result): maintain the transient streak and backoff schedule,
+    /// save and hold on failures, and send the notifications. Runs on the
+    /// daemon thread only — in the parallel tick this is the post-barrier
+    /// merge step, executed in simulation-id order so its database side
+    /// effects are identical to the sequential daemon's.
     fn apply_step_outcome(
         &mut self,
         sim: &mut Simulation,
         from: SimStatus,
-        outcome: Result<Result<Option<SimStatus>, WorkflowError>, String>,
+        outcome: StepOutcome,
         now: i64,
         report: &mut TickReport,
-        pre_saved: Option<bool>,
+        saved: Option<bool>,
     ) {
         let sim_id = sim.id.expect("saved sim");
         let outcome = match outcome {
@@ -691,11 +710,7 @@ impl GridAmp {
             Ok(Some(next)) => {
                 self.transient_streak.remove(&sim_id);
                 self.next_attempt.remove(&sim_id);
-                let saved = pre_saved.unwrap_or_else(|| {
-                    sim.status_message.clear();
-                    self.sims().save(sim).is_ok()
-                });
-                if !saved {
+                if saved != Some(true) {
                     return;
                 }
                 report.transitions.push((sim_id, from, next));
@@ -724,9 +739,6 @@ impl GridAmp {
             Ok(None) => {
                 self.transient_streak.remove(&sim_id);
                 self.next_attempt.remove(&sim_id);
-                if pre_saved.is_none() {
-                    let _ = self.sims().save(sim);
-                }
             }
             Err(WorkflowError::Transient(msg)) => {
                 report.transient_errors += 1;
@@ -892,7 +904,7 @@ impl GridAmp {
                                     report.sims_stepped += 1;
                                     let from = sim.status;
                                     let mut ops = OpsLog::new();
-                                    let outcome = step_sim_once(
+                                    let (outcome, saved) = step_sim_once(
                                         conn,
                                         grid,
                                         config,
@@ -901,21 +913,6 @@ impl GridAmp {
                                         &mut ops,
                                         Some(epoch),
                                     );
-                                    // Ok outcomes: persist here, in the
-                                    // pool — this row is ours alone and
-                                    // distinct-row saves commute.
-                                    let pre_saved = match &outcome {
-                                        Ok(Ok(Some(_))) => {
-                                            sim.status_message.clear();
-                                            let m: Manager<Simulation> = Manager::new(conn.clone());
-                                            Some(m.save(&sim).is_ok())
-                                        }
-                                        Ok(Ok(None)) => {
-                                            let m: Manager<Simulation> = Manager::new(conn.clone());
-                                            Some(m.save(&sim).is_ok())
-                                        }
-                                        _ => None,
-                                    };
                                     products.push(StepProduct {
                                         idx,
                                         worker,
@@ -923,7 +920,7 @@ impl GridAmp {
                                         from,
                                         outcome,
                                         ops,
-                                        pre_saved,
+                                        saved,
                                     });
                                 }
                                 products
@@ -951,7 +948,7 @@ impl GridAmp {
                         product.outcome,
                         now_secs,
                         &mut report,
-                        product.pre_saved,
+                        product.saved,
                     );
                     reports[product.worker] = report;
                 }

@@ -46,7 +46,7 @@ pub enum LogOp {
 }
 
 /// The in-memory relational engine.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct Database {
     tables: BTreeMap<String, Table>,
     /// Monotone per-table modification counters, bumped on every committed
@@ -68,6 +68,26 @@ pub struct Database {
 impl Database {
     pub fn new() -> Self {
         Database::default()
+    }
+
+    /// Decode a database straight from snapshot text, table by table and
+    /// row by row (see [`Table::read_snapshot`]). Indexes come back empty —
+    /// [`Self::rebuild_indexes`] loads them.
+    pub(crate) fn read_snapshot(reader: &mut serde_json::Reader) -> serde_json::Result<Database> {
+        let mut tables = BTreeMap::new();
+        reader.object(|reader, key| match key.as_str() {
+            "tables" => reader.object(|reader, name| {
+                let table = Table::read_snapshot(reader)
+                    .map_err(|e| serde_json::Error(format!("table `{name}`: {e}")))?;
+                tables.insert(name, table);
+                Ok(())
+            }),
+            _ => reader.value().map(drop),
+        })?;
+        Ok(Database {
+            tables,
+            ..Database::default()
+        })
     }
 
     pub fn create_table(&mut self, schema: TableSchema) -> Result<LogOp, DbError> {
@@ -429,7 +449,7 @@ pub(crate) mod ops {
         for (ref_table, ci, on_delete) in ts.referencing_columns(table) {
             let t = ts.table_ref(&ref_table)?;
             let refs: Vec<i64> = match t.find_indexed(ci, &Value::Int(id)) {
-                Some(hits) => hits.to_vec(),
+                Some(hits) => hits,
                 None => t
                     .iter()
                     .filter(|(_, r)| r[ci] == Value::Int(id))

@@ -10,7 +10,8 @@
 //! Layering:
 //!
 //! * [`value`] / [`schema`] — typed cells, columns, constraints, FKs;
-//! * [`table`] — row storage with unique and secondary indexes;
+//! * [`table`] — copy-on-write row storage and one ordered index per
+//!   indexed column;
 //! * [`db`] — the single-threaded engine + the shared mutation logic;
 //! * [`shard`] — per-table locks, lock-set planning, the live engine;
 //! * [`query`] — Django-queryset-flavoured filters/ordering/slicing;

@@ -24,6 +24,11 @@ pub(crate) struct SimdbMetrics {
     /// tracks rows *touched*; a regression to chunk-granularity copying
     /// shows up as a ~256x jump on point updates.
     pub rows_copied_per_write: Histogram,
+    /// Index entries materialized per committed write transaction: a
+    /// re-linked chunk's entries per index whose cell changed, so bounded
+    /// by the chunk cap whatever the table's size, and zero for a write
+    /// that changes no indexed cell.
+    pub index_entries_copied_per_write: Histogram,
 }
 
 pub(crate) fn metrics() -> &'static SimdbMetrics {
@@ -35,6 +40,8 @@ pub(crate) fn metrics() -> &'static SimdbMetrics {
             .histogram("simdb_group_commit_writers", Unit::Count),
         rows_copied_per_write: amp_obs::registry()
             .histogram("simdb_rows_copied_per_write", Unit::Count),
+        index_entries_copied_per_write: amp_obs::registry()
+            .histogram("simdb_index_entries_copied_per_write", Unit::Count),
     })
 }
 

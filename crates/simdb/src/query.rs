@@ -340,9 +340,9 @@ impl Query {
         Ok(paginate(out, self.offset, self.limit))
     }
 
-    /// Walk the ordered index over `ci` group by group (reversed for
-    /// descending), filtering each group and breaking ties with the
-    /// remaining sort keys. Only legal when `ci` is `NOT NULL` (null cells
+    /// Walk the index over `ci` group by group (backwards for descending),
+    /// filtering each group and breaking ties with the remaining sort
+    /// keys. Only legal when `ci` is `NOT NULL` (null cells
     /// are unindexed) — the planner enforces that.
     fn index_ordered_scan<'t>(
         &self,
@@ -351,47 +351,66 @@ impl Query {
         wanted: Option<usize>,
         matches: &dyn Fn(&Row) -> bool,
     ) -> Vec<(i64, &'t Row)> {
-        let index = table.ordered_index(ci).expect("planner checked index");
-        let keys = self.order_keys(&table.schema);
-        let descending = self.order_by[0].descending;
-        let mut out: Vec<(i64, &Row)> = Vec::new();
-        let groups: Box<dyn Iterator<Item = &Vec<i64>>> = if descending {
-            Box::new(index.values().rev())
+        let runs = table.index(ci).expect("planner checked index").runs();
+        let out = if self.order_by[0].descending {
+            self.collect_groups(runs.rev(), table, wanted, matches)
         } else {
-            Box::new(index.values())
+            self.collect_groups(runs, table, wanted, matches)
         };
-        for ids in groups {
+        paginate(out, self.offset, self.limit)
+    }
+
+    /// The matching rows of `runs` — an index's runs, in the order of the
+    /// leading sort key — in full sort order, up to `wanted` of them.
+    fn collect_groups<'t, 'i>(
+        &self,
+        runs: impl Iterator<Item = (&'i Value, &'i [i64])>,
+        table: &'t Table,
+        wanted: Option<usize>,
+        matches: &dyn Fn(&Row) -> bool,
+    ) -> Vec<(i64, &'t Row)> {
+        let keys = self.order_keys(&table.schema);
+        let mut out: Vec<(i64, &Row)> = Vec::new();
+        let mut runs = runs.peekable();
+        while let Some((key, mut ids)) = runs.next() {
+            // One group: every run sharing `key` (a key's entries may cross
+            // an index chunk boundary and arrive as consecutive runs).
             let start = out.len();
-            for &id in ids {
-                if let Some(r) = table.get(id) {
-                    if matches(r) {
-                        out.push((id, r));
-                    }
+            let mut pieces = 0;
+            loop {
+                out.extend(
+                    ids.iter()
+                        .filter_map(|&id| Some((id, table.get(id).filter(|r| matches(r))?))),
+                );
+                pieces += 1;
+                match runs.next_if(|(k, _)| *k == key) {
+                    Some((_, more)) => ids = more,
+                    None => break,
                 }
             }
             // Within a group the leading key ties, so the full comparator
-            // reduces to the remaining keys + id; group ids are already
-            // ascending, which is the single-key tie-break order.
-            if self.order_by.len() > 1 {
+            // reduces to the remaining keys + id. One run is already in
+            // ascending-id order, the single-key tie-break; several may
+            // have arrived last piece first.
+            if self.order_by.len() > 1 || pieces > 1 {
                 out[start..].sort_by(|a, b| cmp_rows(&keys, a, b));
             }
-            if let Some(k) = wanted {
-                if out.len() >= k {
-                    break;
-                }
+            if wanted.is_some_and(|k| out.len() >= k) {
+                break;
             }
         }
-        paginate(out, self.offset, self.limit)
+        out
     }
 
     /// The cost-based access-path planner.
     ///
-    /// Cost lattice (cheapest first): a unique `Eq` probe is O(1) and
-    /// yields ≤ 1 row, so it always wins. Otherwise every probe-drivable
-    /// filter (`Eq`/`In` over unique or secondary indexes, cost = posting
-    /// size) contributes a sorted candidate set; range-drivable filters
-    /// (`Lt`/`Le`/`Gt`/`Ge` over ordered indexes, cost = matching-key
-    /// volume) are materialized only when no probe set is already tiny.
+    /// Cost lattice (cheapest first): a unique `Eq` probe is one index
+    /// seek and yields ≤ 1 row, so it always wins. Otherwise every
+    /// probe-drivable filter (`Eq`/`In` over an indexed column, cost =
+    /// posting size) contributes a sorted candidate set; range-drivable
+    /// filters (`Lt`/`Le`/`Gt`/`Ge` over an indexed column, cost =
+    /// matching-key volume) are materialized only when no probe set is
+    /// already tiny.
     /// All collected sets are intersected, so each extra indexed filter
     /// only shrinks the rows that get touched. A filter proven empty at
     /// the index (unique miss, all-`In`-probes miss, inverted range)
@@ -417,33 +436,18 @@ impl Query {
         let mut sets: Vec<(String, Vec<i64>)> = Vec::new();
         for (f, &ci) in self.filters.iter().zip(idx.iter()) {
             match &f.op {
+                // A posting list comes back ascending by id.
                 Op::Eq => {
-                    if let Some(hits) = table.find_indexed(ci, &f.value) {
-                        let mut ids = hits.to_vec();
-                        ids.sort_unstable();
+                    if let Some(ids) = table.find_indexed(ci, &f.value) {
                         sets.push((f.column.clone(), ids));
                     }
                 }
                 // An `In` list containing NULL matches null cells, which no
-                // index covers — such filters are not index-drivable.
+                // index covers — such filters are not index-drivable. Every
+                // member missing the index ⇒ provably empty.
                 Op::In(vals) if !vals.iter().any(|v| v.is_null()) => {
-                    if table.schema.columns[ci].unique {
-                        // Satellite of the unique-miss shortcut: each member
-                        // is an O(1) probe; all missing ⇒ provably empty.
-                        let mut ids: Vec<i64> = vals
-                            .iter()
-                            .filter_map(|v| table.find_unique(ci, v))
-                            .collect();
-                        ids.sort_unstable();
-                        ids.dedup();
-                        sets.push((f.column.clone(), ids));
-                    } else if table.has_ordered_index(ci) {
-                        let mut ids: Vec<i64> = Vec::new();
-                        for v in vals {
-                            if let Some(hits) = table.find_indexed(ci, v) {
-                                ids.extend_from_slice(hits);
-                            }
-                        }
+                    if let Some(index) = table.index(ci) {
+                        let mut ids: Vec<i64> = vals.iter().flat_map(|v| index.ids_eq(v)).collect();
                         ids.sort_unstable();
                         ids.dedup();
                         sets.push((f.column.clone(), ids));
@@ -508,7 +512,7 @@ impl Query {
         // 4. Full scan; in index order if that serves the leading sort key.
         let index_order = self.order_by.first().and_then(|o| {
             let ci = table.schema.column_index(&o.column)?;
-            (table.has_ordered_index(ci) && table.schema.columns[ci].not_null).then_some(ci)
+            (table.has_index(ci) && table.schema.columns[ci].not_null).then_some(ci)
         });
         Planned {
             plan: match index_order {
@@ -522,7 +526,7 @@ impl Query {
         }
     }
 
-    /// Fold `Lt/Le/Gt/Ge` filters over ordered-indexed columns into one
+    /// Fold `Lt/Le/Gt/Ge` filters over indexed columns into one
     /// (lower, upper) bound pair per column, tightest bounds winning.
     fn range_bounds(
         &self,
@@ -532,7 +536,7 @@ impl Query {
         let mut out: Vec<(String, usize, Bound<Value>, Bound<Value>)> = Vec::new();
         for (f, &ci) in self.filters.iter().zip(idx.iter()) {
             let is_range = matches!(f.op, Op::Lt | Op::Le | Op::Gt | Op::Ge);
-            if !is_range || !table.has_ordered_index(ci) {
+            if !is_range || !table.has_index(ci) {
                 continue;
             }
             let entry = match out.iter_mut().find(|(_, c, _, _)| *c == ci) {
@@ -567,7 +571,7 @@ struct Planned {
     plan: Plan,
     /// Sorted ascending candidate ids; `None` = scan every row.
     candidates: Option<Vec<i64>>,
-    /// Drive a full scan through this column's ordered index.
+    /// Drive a full scan through this column's index.
     index_order: Option<usize>,
 }
 
@@ -615,12 +619,12 @@ pub enum Plan {
     Empty,
     /// Single unique-index probe (≤ 1 candidate).
     UniqueProbe { column: String },
-    /// Index probe sets (Eq/In over unique or secondary indexes, possibly
-    /// combined with range sets), intersected.
+    /// Index probe sets (Eq/In over indexed columns, possibly combined
+    /// with range sets), intersected.
     IndexProbe { columns: Vec<String> },
-    /// Ordered-index range scan(s) only.
+    /// Index range scan(s) only.
     RangeScan { columns: Vec<String> },
-    /// Full scan streamed in ordered-index order to serve `ORDER BY`.
+    /// Full scan streamed in index order to serve `ORDER BY`.
     IndexOrderedScan { column: String },
     /// Filter every row in primary-key order.
     FullScan,

@@ -93,6 +93,12 @@ impl Column {
         self
     }
 
+    /// Whether tables keep an index over this column: unique, indexed and
+    /// foreign-key columns get one.
+    pub(crate) fn has_index(&self) -> bool {
+        self.unique || self.indexed || self.foreign_key.is_some()
+    }
+
     /// Validate a candidate cell value against this column's constraints
     /// (type, nullability, text length). Uniqueness and FK existence are
     /// table/database-level checks.

@@ -763,9 +763,10 @@ impl LockedTables {
     /// publications run under the commit clock so concurrent `pin_cut`s
     /// either see all of the batch or none of it.
     ///
-    /// Also drains each dirty table's materialized-rows counter into the
-    /// `simdb_rows_copied_per_write` histogram: one observation per commit,
-    /// covering every row the write actually materialized.
+    /// Also drains each dirty table's write-amplification counters into the
+    /// `simdb_rows_copied_per_write` and
+    /// `simdb_index_entries_copied_per_write` histograms: one observation
+    /// per commit, covering everything the write actually materialized.
     pub fn commit(&mut self, last_seq: Option<u64>) {
         let dirty = self.writes.values().filter(|g| g.is_dirty()).count();
         if dirty == 0 {
@@ -778,22 +779,26 @@ impl LockedTables {
         } else {
             None
         };
-        let mut rows_copied = 0u64;
+        let (mut rows_copied, mut index_entries_copied) = (0u64, 0u64);
         for g in self.writes.values_mut() {
             if g.is_dirty() {
                 if last_seq.is_some() {
                     g.applied_seq = last_seq;
                 }
-                rows_copied += g.table.take_copied_rows();
+                let copied = g.table.take_copied();
+                rows_copied += copied.rows;
+                index_entries_copied += copied.index_entries;
                 g.publish();
             }
         }
         if dirty > 1 {
             self.commit.seq.fetch_add(1, SeqCst); // even: cut valid again
         }
-        crate::obs::metrics()
-            .rows_copied_per_write
-            .observe(rows_copied);
+        let metrics = crate::obs::metrics();
+        metrics.rows_copied_per_write.observe(rows_copied);
+        metrics
+            .index_entries_copied_per_write
+            .observe(index_entries_copied);
     }
 }
 

@@ -1,23 +1,35 @@
-//! In-memory table storage: rows, primary keys, unique & secondary indexes.
+//! In-memory table storage: rows, primary keys, and one ordered index per
+//! indexed column.
 //!
 //! Storage is **copy-on-write** so the MVCC layer ([`crate::shard`]) can
-//! publish immutable snapshots cheaply: rows live in fixed-span chunks
-//! behind `Arc`s, every row inside a chunk is behind its *own* `Arc`, and
-//! each per-column index map is itself behind an `Arc`. `Table::clone` is
-//! therefore a *structural* clone — chunk-map spine plus reference-count
-//! bumps — while a point mutation through `Arc::make_mut` re-links one
-//! chunk's row *pointers* (256 `Arc` bumps, no row data) and materializes
-//! exactly the row written. A point update against a 30k-row archive table
-//! copies one row, not a 256-row chunk: committed write cost is O(rows
-//! touched). The [`Rows::take_copied`] accumulator counts materialized
-//! rows per write so the `simdb_rows_copied_per_write` histogram can watch
-//! that invariant in production.
+//! publish immutable snapshots cheaply, and rows and indexes share one
+//! shape: a spine of `Arc`-shared chunks.
+//!
+//! * **Rows** live in fixed-span chunks behind `Arc`s, and every row inside
+//!   a chunk is behind its *own* `Arc`. A point mutation re-links one
+//!   chunk's row *pointers* (256 `Arc` bumps, no row data) and materializes
+//!   exactly the row written.
+//! * **Each indexed column** (unique, indexed, or foreign key) has one
+//!   [`Index`]: every non-NULL cell as a `(value, row id)` entry, globally
+//!   sorted, in chunks of at most [`INDEX_CHUNK_CAP`] entries. That one
+//!   structure answers the unique probe, the equality posting list (already
+//!   ascending by id), `Lt/Le/Gt/Ge` ranges and index-ordered scans in both
+//!   directions. A point mutation re-links the one chunk holding the entry,
+//!   and only in the indexes whose cell actually changed.
+//!
+//! `Table::clone` is therefore a *structural* clone — the row spine plus
+//! one `Arc` bump per index — and a committed write costs O(rows touched)
+//! for rows **and** indexes, whatever the table's size or a posting list's
+//! length. [`Table::take_copied`] drains what the mutations materialized so
+//! the `simdb_rows_copied_per_write` and
+//! `simdb_index_entries_copied_per_write` histograms can watch that
+//! invariant in production.
 
 use crate::error::DbError;
 use crate::schema::TableSchema;
-use crate::value::{Value, ValueKey};
-use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use crate::value::Value;
+use serde::{Content, Deserialize, MapKey, Serialize};
+use std::collections::BTreeMap;
 use std::ops::Bound;
 use std::sync::Arc;
 
@@ -38,26 +50,10 @@ type Chunk = BTreeMap<i64, Arc<Row>>;
 /// Because each row sits behind its own `Arc`, re-materializing a shared
 /// chunk via `Arc::make_mut` bumps reference counts instead of cloning row
 /// data; the only row ever materialized per mutation is the one written.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct Rows {
     chunks: BTreeMap<i64, Arc<Chunk>>,
     len: usize,
-    /// Rows materialized (allocated/deep-copied) by mutations since the
-    /// last [`Self::take_copied`] — the write-amplification numerator.
-    copied: u64,
-}
-
-impl Clone for Rows {
-    fn clone(&self) -> Self {
-        // Structural clone: spine + Arc bumps. The amplification counter is
-        // a property of *this* mutation stream, so a fresh copy (a
-        // transaction write-buffer, a snapshot) starts its own count.
-        Rows {
-            chunks: self.chunks.clone(),
-            len: self.len,
-            copied: 0,
-        }
-    }
 }
 
 impl Rows {
@@ -81,7 +77,7 @@ impl Rows {
     }
 
     /// The shared handle for `id`, for callers that need to keep the old
-    /// row alive (update's unindex step) without deep-copying it.
+    /// row alive (update's index diff) without deep-copying it.
     pub fn get_arc(&self, id: i64) -> Option<Arc<Row>> {
         self.chunks.get(&Self::chunk_key(id))?.get(&id).cloned()
     }
@@ -92,13 +88,12 @@ impl Rows {
 
     /// Insert or replace. A shared destination chunk is re-linked (`Arc`
     /// bumps per resident row, no data copies); exactly one row — the one
-    /// written — is materialized and counted.
+    /// written — is materialized.
     pub fn insert(&mut self, id: i64, row: Arc<Row>) -> Option<Arc<Row>> {
         let chunk = self
             .chunks
             .entry(Self::chunk_key(id))
             .or_insert_with(|| Arc::new(Chunk::new()));
-        self.copied += 1;
         let old = Arc::make_mut(chunk).insert(id, row);
         if old.is_none() {
             self.len += 1;
@@ -126,57 +121,297 @@ impl Rows {
             .values()
             .flat_map(|c| c.iter().map(|(id, r)| (*id, r.as_ref())))
     }
+}
 
-    /// Drain the materialized-rows counter. The commit path calls this once
-    /// per write transaction and feeds the `simdb_rows_copied_per_write`
-    /// histogram; a healthy engine reports ≈ rows touched, and any return
-    /// to chunk-granularity copying shows up as a 256x jump.
-    pub fn take_copied(&mut self) -> u64 {
-        std::mem::take(&mut self.copied)
+/// Entries per index chunk, at most. A point write re-links one chunk per
+/// index it changes, so this bounds the entries a write can materialize;
+/// the spine an index clone bumps is entries/cap long.
+pub(crate) const INDEX_CHUNK_CAP: usize = 512;
+
+/// One chunk of an [`Index`]: row ids sorted by `(cell, id)`, with the
+/// cells run-length encoded beside them. Re-linking a shared chunk clones
+/// one cell per *distinct* value in it and block-copies the ids, so a
+/// low-cardinality column (`status = "DONE"`) costs no more than an
+/// integer one.
+#[derive(Debug, Clone, Default)]
+struct IndexChunk {
+    /// Distinct cells, ascending, each with the end of its run in `ids`
+    /// (its start is the previous run's end). No run is empty.
+    runs: Vec<(Value, usize)>,
+    ids: Vec<i64>,
+}
+
+impl IndexChunk {
+    fn start(&self, run: usize) -> usize {
+        if run == 0 {
+            0
+        } else {
+            self.runs[run - 1].1
+        }
+    }
+
+    fn last(&self) -> (&Value, i64) {
+        let (cell, end) = self.runs.last().expect("index chunks are never empty");
+        (cell, self.ids[end - 1])
+    }
+
+    /// Runs from the `first`-th on, in ascending cell order, each with its
+    /// ascending ids.
+    fn runs_from(&self, first: usize) -> impl DoubleEndedIterator<Item = (&Value, &[i64])> {
+        (first..self.runs.len())
+            .map(|r| (&self.runs[r].0, &self.ids[self.start(r)..self.runs[r].1]))
+    }
+
+    /// The run holding `cell`, or where a run for it would go.
+    fn run_for(&self, cell: &Value) -> usize {
+        self.runs
+            .partition_point(|(c, _)| c.total_cmp(cell).is_lt())
+    }
+
+    /// Append an entry that sorts after every one present.
+    fn push(&mut self, cell: &Value, id: i64) {
+        match self.runs.last_mut() {
+            Some((last, end)) if last == cell => *end += 1,
+            _ => self.runs.push((cell.clone(), self.ids.len() + 1)),
+        }
+        self.ids.push(id);
+    }
+
+    /// `(run, offset in ids)` of the entry `(cell, id)`.
+    fn find(&self, cell: &Value, id: i64) -> Option<(usize, usize)> {
+        let run = self.run_for(cell);
+        let (_, end) = self.runs.get(run).filter(|(c, _)| c == cell)?;
+        let start = self.start(run);
+        let at = self.ids[start..*end].binary_search(&id).ok()?;
+        Some((run, start + at))
+    }
+
+    /// Add `(cell, id)`, which must not be present.
+    fn insert(&mut self, cell: &Value, id: i64) {
+        let run = self.run_for(cell);
+        if self.runs.get(run).is_none_or(|(c, _)| c != cell) {
+            self.runs.insert(run, (cell.clone(), self.start(run)));
+        }
+        let (start, end) = (self.start(run), self.runs[run].1);
+        let at = self.ids[start..end].partition_point(|&other| other < id);
+        debug_assert!(self.ids[start..end].get(at) != Some(&id));
+        self.ids.insert(start + at, id);
+        for (_, end) in &mut self.runs[run..] {
+            *end += 1;
+        }
+    }
+
+    /// Remove the entry [`Self::find`] located.
+    fn remove(&mut self, (run, at): (usize, usize)) {
+        self.ids.remove(at);
+        for (_, end) in &mut self.runs[run..] {
+            *end -= 1;
+        }
+        if self.runs[run].1 == self.start(run) {
+            self.runs.remove(run);
+        }
+    }
+
+    /// Keep the first half of the entries and return the rest; a run that
+    /// straddles the middle continues in the returned chunk.
+    fn split_off_half(&mut self) -> IndexChunk {
+        let mid = self.ids.len() / 2;
+        let run = self.runs.partition_point(|(_, end)| *end <= mid);
+        let tail = IndexChunk {
+            runs: self.runs[run..]
+                .iter()
+                .map(|(cell, end)| (cell.clone(), end - mid))
+                .collect(),
+            ids: self.ids.split_off(mid),
+        };
+        self.runs
+            .truncate(if self.start(run) < mid { run + 1 } else { run });
+        if let Some((_, end)) = self.runs.last_mut() {
+            *end = mid;
+        }
+        tail
+    }
+}
+
+/// Mutable access to a chunk, adding what re-linking a shared one
+/// materializes to `copied`.
+fn relink<'c>(chunk: &'c mut Arc<IndexChunk>, copied: &mut u64) -> &'c mut IndexChunk {
+    if Arc::get_mut(chunk).is_none() {
+        *copied += chunk.ids.len() as u64;
+    }
+    Arc::make_mut(chunk)
+}
+
+/// The persistent ordered index over one column: every non-NULL cell as a
+/// `(cell, row id)` entry, sorted by cell then id, in `Arc`-shared chunks
+/// that are never empty. Cloning shares every chunk; a mutation re-links
+/// the one chunk it lands in. Chunks split in half past
+/// [`INDEX_CHUNK_CAP`] and are dropped when their last entry goes; they are
+/// never merged, since AMP's tables grow and its deletes (finished work
+/// leaving a status, leases released) empty whole runs.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Index {
+    chunks: Vec<Arc<IndexChunk>>,
+}
+
+impl Index {
+    /// Bulk-load from entries already sorted by `(cell, id)`.
+    fn from_sorted<'a>(entries: impl IntoIterator<Item = (&'a Value, i64)>) -> Index {
+        let mut chunks = Vec::new();
+        let mut chunk = IndexChunk::default();
+        for (cell, id) in entries {
+            if chunk.ids.len() == INDEX_CHUNK_CAP {
+                chunks.push(Arc::new(std::mem::take(&mut chunk)));
+            }
+            chunk.push(cell, id);
+        }
+        if !chunk.ids.is_empty() {
+            chunks.push(Arc::new(chunk));
+        }
+        Index { chunks }
+    }
+
+    /// The chunk an entry `(cell, id)` is in, or would go into.
+    fn chunk_for(&self, cell: &Value, id: i64) -> usize {
+        let chunk = self.chunks.partition_point(|c| {
+            let (last, last_id) = c.last();
+            last.total_cmp(cell).then(last_id.cmp(&id)).is_lt()
+        });
+        // Past every entry: the last chunk takes it.
+        chunk.min(self.chunks.len().saturating_sub(1))
+    }
+
+    /// Every run in `(cell, id)` order: a cell with its ascending ids. A
+    /// cell whose entries cross a chunk boundary comes as consecutive runs.
+    pub fn runs(&self) -> impl DoubleEndedIterator<Item = (&Value, &[i64])> {
+        self.chunks.iter().flat_map(|c| c.runs_from(0))
+    }
+
+    /// [`Self::runs`] from the first run whose cell is not below `lower`.
+    fn runs_from<'a>(
+        &'a self,
+        lower: Bound<&'a Value>,
+    ) -> impl Iterator<Item = (&'a Value, &'a [i64])> {
+        let below = move |cell: &Value| match lower {
+            Bound::Included(v) => cell.total_cmp(v).is_lt(),
+            Bound::Excluded(v) => cell.total_cmp(v).is_le(),
+            Bound::Unbounded => false,
+        };
+        let first = self.chunks.partition_point(|c| below(c.last().0));
+        let skip = self
+            .chunks
+            .get(first)
+            .map_or(0, |c| c.runs.partition_point(|(cell, _)| below(cell)));
+        self.chunks[first..]
+            .iter()
+            .enumerate()
+            .flat_map(move |(i, c)| c.runs_from(if i == 0 { skip } else { 0 }))
+    }
+
+    /// Ids of the rows whose cell equals `cell`, ascending.
+    pub fn ids_eq<'a>(&'a self, cell: &'a Value) -> impl Iterator<Item = i64> + 'a {
+        self.ids_in(Bound::Included(cell), Bound::Included(cell))
+    }
+
+    /// Ids of the rows whose cell lies within the bounds, in `(cell, id)`
+    /// order.
+    pub fn ids_in<'a>(
+        &'a self,
+        lower: Bound<&'a Value>,
+        upper: Bound<&'a Value>,
+    ) -> impl Iterator<Item = i64> + 'a {
+        self.runs_from(lower)
+            .take_while(move |(cell, _)| match upper {
+                Bound::Included(v) => cell.total_cmp(v).is_le(),
+                Bound::Excluded(v) => cell.total_cmp(v).is_lt(),
+                Bound::Unbounded => true,
+            })
+            .flat_map(|(_, ids)| ids.iter().copied())
+    }
+
+    /// Add `(cell, id)`, which must not be present. Returns the entries
+    /// materialized: the new one, plus the chunk's if it was shared.
+    fn insert(&mut self, cell: &Value, id: i64) -> u64 {
+        if self.chunks.is_empty() {
+            self.chunks = Index::from_sorted([(cell, id)]).chunks;
+            return 1;
+        }
+        let at = self.chunk_for(cell, id);
+        let mut copied = 1;
+        let chunk = relink(&mut self.chunks[at], &mut copied);
+        chunk.insert(cell, id);
+        if chunk.ids.len() > INDEX_CHUNK_CAP {
+            let tail = chunk.split_off_half();
+            self.chunks.insert(at + 1, Arc::new(tail));
+        }
+        copied
+    }
+
+    /// Remove `(cell, id)` if present. Returns the entries materialized: a
+    /// shared chunk's, or none when the chunk's last entry goes with it.
+    fn remove(&mut self, cell: &Value, id: i64) -> u64 {
+        let at = self.chunk_for(cell, id);
+        let Some(found) = self.chunks.get(at).and_then(|c| c.find(cell, id)) else {
+            return 0;
+        };
+        if self.chunks[at].ids.len() == 1 {
+            self.chunks.remove(at);
+            return 0;
+        }
+        let mut copied = 0;
+        relink(&mut self.chunks[at], &mut copied).remove(found);
+        copied
+    }
+}
+
+/// What a table's mutations materialized since the last
+/// [`Table::take_copied`] — the write-amplification numerators. A property
+/// of one mutation stream, so a clone (a transaction write-buffer, a
+/// published snapshot) starts its own count.
+#[derive(Debug, Default)]
+pub(crate) struct Copied {
+    /// Rows allocated: ≈ rows touched; a return to chunk-granularity
+    /// copying shows up as a 256x jump.
+    pub rows: u64,
+    /// Index entries allocated or re-linked: at most two chunks' worth per
+    /// index whose cell changed, zero for a write that changes none.
+    pub index_entries: u64,
+}
+
+impl Clone for Copied {
+    fn clone(&self) -> Self {
+        Copied::default()
     }
 }
 
 /// A single table: schema, row storage, and indexes.
 ///
-/// Indexes are rebuilt on load; only schema + rows are serialized (via a
-/// flat-map proxy, so the on-disk format is identical to the pre-chunked
-/// layout). Cloning shares all chunks and index maps structurally — see
+/// Indexes are rebuilt on load; only schema + rows are serialized (as a
+/// flat map, so the on-disk format is identical to the pre-chunked
+/// layout). Cloning shares all row and index chunks structurally — see
 /// the module docs for the copy-on-write granularity.
 #[derive(Debug, Clone)]
 pub struct Table {
     pub schema: TableSchema,
     pub(crate) rows: Rows,
     pub(crate) next_id: i64,
-    /// unique column index -> value -> row id
-    pub(crate) unique: HashMap<usize, Arc<HashMap<ValueKey, i64>>>,
-    /// secondary column index -> value -> row ids
-    pub(crate) secondary: HashMap<usize, Arc<HashMap<ValueKey, Vec<i64>>>>,
-    /// Ordered companion index (every unique, indexed, or FK column):
-    /// column index -> value -> sorted row ids. Serves range scans
-    /// (`Lt`/`Le`/`Gt`/`Ge`) and index-ordered iteration; the hash maps
-    /// above stay the fast path for point probes.
-    pub(crate) ordered: HashMap<usize, Arc<BTreeMap<ValueKey, Vec<i64>>>>,
-}
-
-/// Serialization proxy matching the historic on-disk field layout
-/// (`schema`, flat `rows` map, `next_id`; indexes rebuilt on load).
-#[derive(Serialize, Deserialize)]
-struct TableSer {
-    schema: TableSchema,
-    rows: BTreeMap<i64, Row>,
-    next_id: i64,
+    /// Aligned with `schema.columns`: the index over each unique, indexed
+    /// or foreign-key column, `None` for the rest. Behind an `Arc` so a
+    /// write shares the spines of the indexes it leaves alone.
+    indexes: Vec<Option<Arc<Index>>>,
+    copied: Copied,
 }
 
 impl Serialize for Table {
-    fn to_content(&self) -> serde::Content {
-        // Built directly rather than through `TableSer` so encoding a
-        // snapshot never deep-copies row storage; must stay field-for-field
-        // identical to `TableSer`'s layout (asserted by test).
-        serde::Content::Map(vec![
+    fn to_content(&self) -> Content {
+        // Built directly so encoding a snapshot never deep-copies row
+        // storage; the field layout (`schema`, flat `rows` map, `next_id`)
+        // is the historic on-disk one (asserted by test).
+        Content::Map(vec![
             ("schema".to_string(), self.schema.to_content()),
             (
                 "rows".to_string(),
-                serde::Content::Map(
+                Content::Map(
                     self.rows
                         .iter()
                         .map(|(id, r)| (id.to_string(), r.to_content()))
@@ -188,64 +423,87 @@ impl Serialize for Table {
     }
 }
 
-impl Deserialize for Table {
-    fn from_content(c: &serde::Content) -> Result<Table, serde::DeError> {
-        let ser = TableSer::from_content(c)?;
-        let mut rows = Rows::default();
-        for (id, row) in ser.rows {
-            rows.insert(id, Arc::new(row));
-        }
-        rows.take_copied();
-        Ok(Table {
-            schema: ser.schema,
-            rows,
-            next_id: ser.next_id,
-            unique: HashMap::new(),
-            secondary: HashMap::new(),
-            ordered: HashMap::new(),
-        })
-    }
-}
-
 impl Table {
     pub fn new(schema: TableSchema) -> Result<Self, DbError> {
         schema.validate()?;
-        let mut t = Table {
+        let indexes = schema
+            .columns
+            .iter()
+            .map(|c| c.has_index().then(Arc::default))
+            .collect();
+        Ok(Table {
             schema,
             rows: Rows::default(),
             next_id: 1,
-            unique: HashMap::new(),
-            secondary: HashMap::new(),
-            ordered: HashMap::new(),
-        };
-        t.init_indexes();
-        Ok(t)
+            indexes,
+            copied: Copied::default(),
+        })
     }
 
-    fn init_indexes(&mut self) {
-        self.unique.clear();
-        self.secondary.clear();
-        self.ordered.clear();
-        for (i, c) in self.schema.columns.iter().enumerate() {
-            if c.unique {
-                self.unique.insert(i, Arc::new(HashMap::new()));
+    /// Decode a table straight from snapshot text, row by row: each row is
+    /// parsed, built and its parse tree dropped before the next, so loading
+    /// a large table never holds a tree of the whole of it. Indexes come
+    /// back empty — [`Self::rebuild_indexes`] loads them.
+    pub(crate) fn read_snapshot(reader: &mut serde_json::Reader) -> serde_json::Result<Table> {
+        let (mut schema, mut next_id, mut rows) = (None, None, Rows::default());
+        reader.object(|reader, key| {
+            match key.as_str() {
+                "schema" => schema = Some(TableSchema::from_content(&reader.value()?)?),
+                "next_id" => next_id = Some(i64::from_content(&reader.value()?)?),
+                "rows" => reader.object(|reader, id| {
+                    let row = Row::from_content(&reader.value()?)?;
+                    rows.insert(i64::from_key(&id)?, Arc::new(row));
+                    Ok(())
+                })?,
+                _ => drop(reader.value()?),
             }
-            if c.indexed || c.foreign_key.is_some() {
-                self.secondary.insert(i, Arc::new(HashMap::new()));
-            }
-            if c.unique || c.indexed || c.foreign_key.is_some() {
-                self.ordered.insert(i, Arc::new(BTreeMap::new()));
-            }
-        }
+            Ok(())
+        })?;
+        let missing = |field| serde_json::Error(format!("table: missing field `{field}`"));
+        let schema: TableSchema = schema.ok_or_else(|| missing("schema"))?;
+        Ok(Table {
+            indexes: vec![None; schema.columns.len()],
+            schema,
+            rows,
+            next_id: next_id.ok_or_else(|| missing("next_id"))?,
+            copied: Copied::default(),
+        })
     }
 
-    /// Rebuild all indexes from row storage (after deserialization).
+    /// Rebuild all indexes from row storage (after deserialization),
+    /// checking every row as an insert would: each index is bulk-loaded
+    /// from one sorted pass over its column.
     pub fn rebuild_indexes(&mut self) -> Result<(), DbError> {
-        self.init_indexes();
-        let pairs: Vec<(i64, Row)> = self.rows.iter().map(|(id, r)| (id, r.clone())).collect();
-        for (id, row) in pairs {
-            self.index_row(id, &row)?;
+        for (_, row) in self.rows.iter() {
+            self.check_cells(row)?;
         }
+        let mut indexes = Vec::with_capacity(self.schema.columns.len());
+        for (ci, col) in self.schema.columns.iter().enumerate() {
+            if !col.has_index() {
+                indexes.push(None);
+                continue;
+            }
+            let mut entries: Vec<(&Value, i64)> = self
+                .rows
+                .iter()
+                .filter(|(_, r)| !r[ci].is_null())
+                .map(|(id, r)| (&r[ci], id))
+                .collect();
+            // Rows iterate by ascending id, so a stable sort by cell alone
+            // yields `(cell, id)` order.
+            entries.sort_by(|a, b| a.0.total_cmp(b.0));
+            if col.unique {
+                if let Some(dup) = entries.windows(2).find(|w| w[0].0 == w[1].0) {
+                    return Err(DbError::UniqueViolation {
+                        table: self.schema.name.clone(),
+                        column: col.name.clone(),
+                        value: dup[1].0.clone(),
+                    });
+                }
+            }
+            indexes.push(Some(Arc::new(Index::from_sorted(entries))));
+        }
+        self.indexes = indexes;
         Ok(())
     }
 
@@ -265,9 +523,8 @@ impl Table {
         self.rows.iter()
     }
 
-    /// Validate per-column constraints and uniqueness for a candidate row,
-    /// excluding row `exclude` from uniqueness checks (for updates).
-    fn check_row(&self, row: &Row, exclude: Option<i64>) -> Result<(), DbError> {
+    /// Validate a candidate row's arity and per-column constraints.
+    fn check_cells(&self, row: &Row) -> Result<(), DbError> {
         if row.len() != self.schema.columns.len() {
             return Err(DbError::Schema(format!(
                 "table {}: row arity {} != schema arity {}",
@@ -276,14 +533,19 @@ impl Table {
                 self.schema.columns.len()
             )));
         }
-        for (i, (col, val)) in self.schema.columns.iter().zip(row.iter()).enumerate() {
+        for (col, val) in self.schema.columns.iter().zip(row.iter()) {
             col.check_value(&self.schema.name, val)?;
+        }
+        Ok(())
+    }
+
+    /// Validate per-column constraints and uniqueness for a candidate row,
+    /// excluding row `exclude` from uniqueness checks (for updates).
+    fn check_row(&self, row: &Row, exclude: Option<i64>) -> Result<(), DbError> {
+        self.check_cells(row)?;
+        for (i, (col, val)) in self.schema.columns.iter().zip(row.iter()).enumerate() {
             if col.unique && !val.is_null() {
-                if let Some(&other) = self
-                    .unique
-                    .get(&i)
-                    .and_then(|m| m.get(&ValueKey(val.clone())))
-                {
+                if let Some(other) = self.find_unique(i, val) {
                     if Some(other) != exclude {
                         return Err(DbError::UniqueViolation {
                             table: self.schema.name.clone(),
@@ -297,60 +559,11 @@ impl Table {
         Ok(())
     }
 
-    fn index_row(&mut self, id: i64, row: &Row) -> Result<(), DbError> {
-        self.check_row(row, Some(id))?;
-        for (i, val) in row.iter().enumerate() {
-            if val.is_null() {
-                continue;
-            }
-            if let Some(m) = self.unique.get_mut(&i) {
-                Arc::make_mut(m).insert(ValueKey(val.clone()), id);
-            }
-            if let Some(m) = self.secondary.get_mut(&i) {
-                Arc::make_mut(m)
-                    .entry(ValueKey(val.clone()))
-                    .or_default()
-                    .push(id);
-            }
-            if let Some(m) = self.ordered.get_mut(&i) {
-                let ids = Arc::make_mut(m).entry(ValueKey(val.clone())).or_default();
-                // Keep each posting list sorted so index-driven results are
-                // deterministic (ascending id) without a per-query sort.
-                if let Err(pos) = ids.binary_search(&id) {
-                    ids.insert(pos, id);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn unindex_row(&mut self, id: i64, row: &Row) {
-        for (i, val) in row.iter().enumerate() {
-            if val.is_null() {
-                continue;
-            }
-            if let Some(m) = self.unique.get_mut(&i) {
-                Arc::make_mut(m).remove(&ValueKey(val.clone()));
-            }
-            if let Some(m) = self.secondary.get_mut(&i) {
-                let m = Arc::make_mut(m);
-                if let Some(v) = m.get_mut(&ValueKey(val.clone())) {
-                    v.retain(|&x| x != id);
-                    if v.is_empty() {
-                        m.remove(&ValueKey(val.clone()));
-                    }
-                }
-            }
-            if let Some(m) = self.ordered.get_mut(&i) {
-                let m = Arc::make_mut(m);
-                if let Some(v) = m.get_mut(&ValueKey(val.clone())) {
-                    if let Ok(pos) = v.binary_search(&id) {
-                        v.remove(pos);
-                    }
-                    if v.is_empty() {
-                        m.remove(&ValueKey(val.clone()));
-                    }
-                }
+    /// Enter every non-NULL indexed cell of a (validated) row.
+    fn index_row(&mut self, id: i64, row: &Row) {
+        for (slot, val) in self.indexes.iter_mut().zip(row) {
+            if let (Some(index), false) = (slot, val.is_null()) {
+                self.copied.index_entries += Arc::make_mut(index).insert(val, id);
             }
         }
     }
@@ -358,13 +571,8 @@ impl Table {
     /// Insert a row, assigning a fresh primary key. FK existence is checked
     /// by the database layer before calling this.
     pub fn insert(&mut self, row: Row) -> Result<i64, DbError> {
-        self.check_row(&row, None)?;
         let id = self.next_id;
-        self.next_id += 1;
-        let row = Arc::new(row);
-        self.rows.insert(id, row.clone());
-        // check_row passed with exclude=None so indexing cannot fail.
-        self.index_row(id, &row).expect("validated row indexes");
+        self.insert_with_id(id, row)?;
         Ok(id)
     }
 
@@ -377,27 +585,39 @@ impl Table {
             )));
         }
         self.check_row(&row, None)?;
-        let row = Arc::new(row);
-        self.rows.insert(id, row.clone());
-        self.index_row(id, &row).expect("validated row indexes");
+        self.index_row(id, &row);
+        self.rows.insert(id, Arc::new(row));
+        self.copied.rows += 1;
         if id >= self.next_id {
             self.next_id = id + 1;
         }
         Ok(())
     }
 
-    /// Replace an entire row. The superseded row is held by `Arc` handle —
-    /// never deep-copied — for the unindex step.
+    /// Replace an entire row. Only the indexes whose cell changed are
+    /// touched; the superseded row is held by `Arc` handle — never
+    /// deep-copied — for that comparison.
     pub fn update(&mut self, id: i64, row: Row) -> Result<(), DbError> {
         let old = self.rows.get_arc(id).ok_or_else(|| DbError::NoSuchRow {
             table: self.schema.name.clone(),
             id,
         })?;
         self.check_row(&row, Some(id))?;
-        self.unindex_row(id, &old);
-        let row = Arc::new(row);
-        self.rows.insert(id, row.clone());
-        self.index_row(id, &row).expect("validated row indexes");
+        for ((slot, was), now) in self.indexes.iter_mut().zip(old.iter()).zip(&row) {
+            let Some(index) = slot else { continue };
+            if was == now {
+                continue;
+            }
+            let index = Arc::make_mut(index);
+            if !was.is_null() {
+                self.copied.index_entries += index.remove(was, id);
+            }
+            if !now.is_null() {
+                self.copied.index_entries += index.insert(now, id);
+            }
+        }
+        self.rows.insert(id, Arc::new(row));
+        self.copied.rows += 1;
         Ok(())
     }
 
@@ -408,68 +628,53 @@ impl Table {
             table: self.schema.name.clone(),
             id,
         })?;
-        self.unindex_row(id, &row);
+        for (slot, val) in self.indexes.iter_mut().zip(row.iter()) {
+            if let (Some(index), false) = (slot, val.is_null()) {
+                self.copied.index_entries += Arc::make_mut(index).remove(val, id);
+            }
+        }
         Ok(Arc::try_unwrap(row).unwrap_or_else(|shared| (*shared).clone()))
     }
 
-    /// Drain the write-amplification counter: rows materialized by
-    /// mutations since the last call. See [`Rows::take_copied`].
-    pub fn take_copied_rows(&mut self) -> u64 {
-        self.rows.take_copied()
+    /// Drain the write-amplification counters: what mutations materialized
+    /// since the last call. The commit path calls this once per write
+    /// transaction and feeds the two `simdb_*_copied_per_write` histograms.
+    pub(crate) fn take_copied(&mut self) -> Copied {
+        std::mem::take(&mut self.copied)
     }
 
-    /// Fast lookup by unique column value.
+    /// The index over `col` (unique, indexed, or FK columns have one).
+    pub(crate) fn index(&self, col: usize) -> Option<&Index> {
+        self.indexes.get(col)?.as_deref()
+    }
+
+    /// True if `col` is indexed.
+    pub fn has_index(&self, col: usize) -> bool {
+        self.index(col).is_some()
+    }
+
+    /// The lowest row id whose `col` cell equals `value` — on a unique
+    /// column, *the* row. `None` also when `col` has no index.
     pub fn find_unique(&self, col: usize, value: &Value) -> Option<i64> {
-        self.unique
-            .get(&col)
-            .and_then(|m| m.get(&ValueKey(value.clone())))
-            .copied()
+        self.index(col)?.ids_eq(value).next()
     }
 
-    /// Fast lookup by indexed column value; `None` means no index on col.
-    /// Returns a borrowed posting list — callers iterate or copy as needed,
-    /// so a planner probe allocates nothing.
-    pub fn find_indexed(&self, col: usize, value: &Value) -> Option<&[i64]> {
-        self.secondary.get(&col).map(|m| {
-            m.get(&ValueKey(value.clone()))
-                .map(|v| v.as_slice())
-                .unwrap_or(&[])
-        })
-    }
-
-    /// True if `col` has an ordered companion index (unique, indexed, or FK).
-    pub fn has_ordered_index(&self, col: usize) -> bool {
-        self.ordered.contains_key(&col)
+    /// Ids of the rows whose `col` cell equals `value`, ascending; `None`
+    /// means no index on `col`.
+    pub fn find_indexed(&self, col: usize, value: &Value) -> Option<Vec<i64>> {
+        Some(self.index(col)?.ids_eq(value).collect())
     }
 
     /// Row ids whose `col` value falls within the bounds, ascending by
-    /// `(value, id)`. `None` means `col` has no ordered index. NULL cells
-    /// are never indexed, matching SQL comparison semantics.
+    /// `(value, id)`. `None` means `col` has no index. NULL cells are
+    /// never indexed, matching SQL comparison semantics.
     pub fn range_indexed(
         &self,
         col: usize,
         lower: Bound<&Value>,
         upper: Bound<&Value>,
     ) -> Option<Vec<i64>> {
-        fn own(b: Bound<&Value>) -> Bound<ValueKey> {
-            match b {
-                Bound::Included(v) => Bound::Included(ValueKey(v.clone())),
-                Bound::Excluded(v) => Bound::Excluded(ValueKey(v.clone())),
-                Bound::Unbounded => Bound::Unbounded,
-            }
-        }
-        let m = self.ordered.get(&col)?;
-        let mut out = Vec::new();
-        for ids in m.range((own(lower), own(upper))).map(|(_, ids)| ids) {
-            out.extend_from_slice(ids);
-        }
-        Some(out)
-    }
-
-    /// The ordered index over `col` for index-ordered scans (value-sorted
-    /// groups of ascending row ids), if one exists.
-    pub(crate) fn ordered_index(&self, col: usize) -> Option<&BTreeMap<ValueKey, Vec<i64>>> {
-        self.ordered.get(&col).map(|m| &**m)
+        Some(self.index(col)?.ids_in(lower, upper).collect())
     }
 }
 
@@ -488,6 +693,15 @@ mod tests {
             ],
         ))
         .unwrap()
+    }
+
+    /// The historic on-disk field layout (`schema`, flat `rows` map,
+    /// `next_id`), written the obvious way.
+    #[derive(Serialize)]
+    struct TableSer {
+        schema: TableSchema,
+        rows: BTreeMap<i64, Row>,
+        next_id: i64,
     }
 
     #[test]
@@ -560,6 +774,9 @@ mod tests {
         assert_eq!(hits, [a, b]);
         t.delete(a).unwrap();
         assert_eq!(t.find_indexed(1, &Value::Int(30)).unwrap(), [b]);
+        t.update(b, vec!["b".into(), Value::Null]).unwrap();
+        assert!(t.find_indexed(1, &Value::Int(30)).unwrap().is_empty());
+        assert!(t.find_indexed(1, &Value::Null).unwrap().is_empty());
     }
 
     #[test]
@@ -576,9 +793,9 @@ mod tests {
         let mut t = table();
         t.insert(vec!["a".into(), Value::Int(1)]).unwrap();
         t.insert(vec!["b".into(), Value::Int(1)]).unwrap();
-        let mut t2 = t.clone();
-        t2.unique.clear();
-        t2.secondary.clear();
+        let text = serde_json::to_string(&t).unwrap();
+        let mut t2 = Table::read_snapshot(&mut serde_json::Reader::new(&text)).unwrap();
+        assert!(!t2.has_index(0), "decoded tables come back unindexed");
         t2.rebuild_indexes().unwrap();
         assert_eq!(
             t2.find_unique(0, &"a".into()),
@@ -635,8 +852,8 @@ mod tests {
         assert!(plain
             .range_indexed(0, Bound::Unbounded, Bound::Unbounded)
             .is_none());
-        assert!(!plain.has_ordered_index(0));
-        assert!(t.has_ordered_index(1));
+        assert!(!plain.has_index(0));
+        assert!(t.has_index(1));
     }
 
     #[test]
@@ -646,5 +863,400 @@ mod tests {
         let next = t.insert(vec!["b".into(), Value::Null]).unwrap();
         assert_eq!(next, 11);
         assert!(t.insert_with_id(10, vec!["c".into(), Value::Null]).is_err());
+    }
+
+    type Entries = Vec<(Value, i64)>;
+
+    /// Every entry of the index over `col`, in index order.
+    fn entries(t: &Table, col: usize) -> Entries {
+        let index = t.index(col).expect("indexed column");
+        index
+            .runs()
+            .flat_map(|(cell, ids)| ids.iter().map(move |&id| (cell.clone(), id)))
+            .collect()
+    }
+
+    /// Ids of the rows whose `col` cell satisfies `keep`, in `(cell, id)`
+    /// order, from a full scan.
+    fn scan(t: &Table, col: usize, keep: impl Fn(&Value) -> bool) -> Vec<i64> {
+        let mut hits: Vec<(&Value, i64)> = t
+            .iter()
+            .filter(|(_, r)| !r[col].is_null() && keep(&r[col]))
+            .map(|(id, r)| (&r[col], id))
+            .collect();
+        hits.sort_by(|a, b| a.0.total_cmp(b.0).then(a.1.cmp(&b.1)));
+        hits.into_iter().map(|(_, id)| id).collect()
+    }
+
+    /// Everything an index answers, held against a full scan of the same
+    /// table: structure, probes, ranges, and the planner's `In` and
+    /// index-ordered paths.
+    fn assert_indexes_match_scan(t: &Table) {
+        use crate::query::{Op, Plan, Query};
+        for (col, column) in t.schema.columns.iter().enumerate() {
+            let Some(index) = t.index(col) else { continue };
+            for chunk in &index.chunks {
+                assert!((1..=INDEX_CHUNK_CAP).contains(&chunk.ids.len()));
+                assert_eq!(chunk.runs.last().unwrap().1, chunk.ids.len());
+                assert!(chunk.runs.iter().all(|(_, end)| *end > 0));
+                assert!(chunk
+                    .runs
+                    .windows(2)
+                    .all(|w| w[0].0 != w[1].0 && w[0].1 < w[1].1));
+            }
+            // NULL cells stay unindexed; everything else is there, sorted.
+            let all = scan(t, col, |_| true);
+            assert_eq!(
+                entries(t, col).iter().map(|e| e.1).collect::<Vec<_>>(),
+                all,
+                "{}",
+                column.name
+            );
+            assert!(t.find_indexed(col, &Value::Null).unwrap().is_empty());
+
+            // A dozen of the distinct cells, evenly spread, and a miss.
+            let mut cells: Vec<Value> = entries(t, col).into_iter().map(|e| e.0).collect();
+            cells.dedup();
+            let mut cells: Vec<Value> = cells
+                .iter()
+                .step_by(cells.len() / 12 + 1)
+                .cloned()
+                .collect();
+            cells.push(Value::Int(i64::MAX)); // above or below every cell
+            for (i, cell) in cells.iter().enumerate() {
+                let eq = scan(t, col, |c| c == cell);
+                assert_eq!(t.find_indexed(col, cell).unwrap(), eq);
+                assert_eq!(t.find_unique(col, cell), eq.first().copied());
+                let hi = &cells[(i + 2).min(cells.len() - 1)];
+                for (lower, upper) in [
+                    (Bound::Included(cell), Bound::Excluded(hi)),
+                    (Bound::Excluded(cell), Bound::Included(hi)),
+                    (Bound::Unbounded, Bound::Excluded(cell)),
+                    (Bound::Included(cell), Bound::Unbounded),
+                ] {
+                    let within = |c: &Value| {
+                        (match lower {
+                            Bound::Included(v) => c.total_cmp(v).is_ge(),
+                            Bound::Excluded(v) => c.total_cmp(v).is_gt(),
+                            Bound::Unbounded => true,
+                        }) && (match upper {
+                            Bound::Included(v) => c.total_cmp(v).is_le(),
+                            Bound::Excluded(v) => c.total_cmp(v).is_lt(),
+                            Bound::Unbounded => true,
+                        })
+                    };
+                    assert_eq!(
+                        t.range_indexed(col, lower, upper).unwrap(),
+                        scan(t, col, within)
+                    );
+                }
+            }
+
+            let some: Vec<Value> = cells.iter().step_by(2).cloned().collect();
+            let mut expected = scan(t, col, |c| some.contains(c));
+            expected.sort_unstable();
+            let q = Query::new().filter(&column.name, Op::In(some), Value::Null);
+            let got: Vec<i64> = q.execute(t).unwrap().into_iter().map(|r| r.0).collect();
+            assert_eq!(got, expected);
+
+            if column.not_null {
+                for descending in [false, true] {
+                    let q = if descending {
+                        Query::new().order_by_desc(&column.name)
+                    } else {
+                        Query::new().order_by(&column.name)
+                    };
+                    let q = q.offset(3).limit(all.len() / 2 + 1);
+                    let name = column.name.clone();
+                    assert_eq!(
+                        q.explain(t).unwrap(),
+                        Plan::IndexOrderedScan { column: name }
+                    );
+                    let mut rows: Vec<(&Value, i64)> =
+                        t.iter().map(|(id, r)| (&r[col], id)).collect();
+                    rows.sort_by(|a, b| {
+                        let by_cell = a.0.total_cmp(b.0);
+                        (if descending {
+                            by_cell.reverse()
+                        } else {
+                            by_cell
+                        })
+                        .then(a.1.cmp(&b.1))
+                    });
+                    let expected: Vec<i64> = rows
+                        .iter()
+                        .map(|r| r.1)
+                        .skip(3)
+                        .take(all.len() / 2 + 1)
+                        .collect();
+                    let got: Vec<i64> = q.execute(t).unwrap().into_iter().map(|r| r.0).collect();
+                    assert_eq!(got, expected, "{} descending={descending}", column.name);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn index_chunks_split_past_the_cap_and_vanish_when_emptied() {
+        let mut t = table();
+        let chunks = |t: &Table| t.index(1).unwrap().chunks.len();
+        let ids: Vec<i64> = (0..INDEX_CHUNK_CAP)
+            .map(|i| {
+                t.insert(vec![format!("n{i}").into(), Value::Int(7)])
+                    .unwrap()
+            })
+            .collect();
+        assert_eq!(chunks(&t), 1, "exactly the cap fits one chunk");
+        let extra = t.insert(vec!["extra".into(), Value::Int(7)]).unwrap();
+        assert_eq!(chunks(&t), 2, "cap + 1 splits");
+        // One cell's entries now span both chunks.
+        let index = t.index(1).unwrap();
+        assert_eq!(index.chunks[0].last().0, &index.chunks[1].runs[0].0);
+        assert_eq!(
+            t.find_indexed(1, &Value::Int(7)).unwrap().len(),
+            INDEX_CHUNK_CAP + 1
+        );
+        assert_indexes_match_scan(&t);
+
+        // Emptying the first chunk drops it from the spine; a published
+        // clone keeps its own.
+        let published = t.clone();
+        let first_chunk = t.index(1).unwrap().chunks[0].ids.clone();
+        for id in &first_chunk {
+            t.delete(*id).unwrap();
+        }
+        assert_eq!(chunks(&t), 1);
+        assert_eq!(chunks(&published), 2);
+        assert_indexes_match_scan(&t);
+        assert_indexes_match_scan(&published);
+        for id in ids.into_iter().chain([extra]) {
+            if !first_chunk.contains(&id) {
+                t.delete(id).unwrap();
+            }
+        }
+        assert_eq!(chunks(&t), 0);
+        assert!(t.find_indexed(1, &Value::Int(7)).unwrap().is_empty());
+        assert_eq!(published.len(), INDEX_CHUNK_CAP + 1);
+        assert_indexes_match_scan(&published);
+    }
+
+    /// The write-cost invariant, on counts: with a published version
+    /// outstanding, a one-row write materializes at most two chunks' worth
+    /// of entries per index whose cell changed — the chunk it leaves and
+    /// the chunk it enters — whatever the table's size, and none when no
+    /// indexed cell changed.
+    #[test]
+    fn index_entries_copied_per_write_do_not_grow_with_the_table() {
+        for rows in [1_000, 30_000] {
+            let mut t = Table::new(TableSchema::new(
+                "job",
+                vec![
+                    Column::new("simulation_id", ValueType::Int)
+                        .not_null()
+                        .indexed(),
+                    Column::new("status", ValueType::Text).not_null().indexed(),
+                    Column::new("detail", ValueType::Text),
+                ],
+            ))
+            .unwrap();
+            for i in 0..rows {
+                let status = if i % 10 == 0 { "ACTIVE" } else { "DONE" };
+                t.insert(vec![Value::Int(i / 100), status.into(), Value::Null])
+                    .unwrap();
+            }
+            let id = rows / 2 + 2; // a DONE row in the middle of the table
+            let row = |status: &str, detail: &str| -> Row {
+                vec![Value::Int((id - 1) / 100), status.into(), detail.into()]
+            };
+            let per_index = 2 * INDEX_CHUNK_CAP as u64 + 1;
+
+            let published = t.clone();
+            t.take_copied();
+            t.update(id, row("ACTIVE", "")).unwrap();
+            let copied = t.take_copied();
+            assert_eq!(copied.rows, 1);
+            assert!(
+                (1..=per_index).contains(&copied.index_entries),
+                "{rows} rows: status update copied {} index entries",
+                copied.index_entries
+            );
+
+            // The same write again, now that its chunks are private: only
+            // the entry itself.
+            t.update(id, row("DONE", "")).unwrap();
+            assert_eq!(t.take_copied().index_entries, 1);
+
+            let published_again = t.clone();
+            t.update(id, row("DONE", "polled")).unwrap();
+            let copied = t.take_copied();
+            assert_eq!((copied.rows, copied.index_entries), (1, 0));
+
+            let republished = t.clone();
+            t.delete(id).unwrap();
+            assert!(t.take_copied().index_entries <= 2 * INDEX_CHUNK_CAP as u64);
+            t.insert(row("DONE", "")).unwrap();
+            assert!(t.take_copied().index_entries <= 2 * (INDEX_CHUNK_CAP as u64 + 1));
+
+            // The published versions never saw any of it.
+            let done = |t: &Table| t.find_indexed(1, &"DONE".into()).unwrap();
+            assert!(done(&published).contains(&id));
+            assert!(done(&published_again).contains(&id) && done(&republished).contains(&id));
+            assert!(!done(&t).contains(&id));
+        }
+    }
+
+    /// xorshift64: a seeded stream for the property test below.
+    struct Stream(u64);
+
+    impl Stream {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            (self.0 % n as u64) as usize
+        }
+    }
+
+    /// Index snapshot isolation: random insert / update / delete /
+    /// cascade-delete streams, with a clone taken every few hundred
+    /// operations. Each clone must answer as a full scan of *itself* does,
+    /// when taken, a few hundred writes later and at the end; unique
+    /// violations must
+    /// be reported exactly when a scan predicts one; and the stream must
+    /// have split chunks, spread one cell over two, and emptied some.
+    #[test]
+    fn index_snapshots_stay_isolated_under_random_writes() {
+        use crate::db::Database;
+        use crate::schema::OnDelete;
+        const CLONE_EVERY: usize = 400;
+
+        for seed in [1u64, 7919] {
+            let mut rng = Stream(seed);
+            let mut db = Database::new();
+            db.create_table(TableSchema::new(
+                "parent",
+                vec![Column::new("name", ValueType::Text).not_null().unique()],
+            ))
+            .unwrap();
+            db.create_table(TableSchema::new(
+                "child",
+                vec![
+                    Column::new("parent_id", ValueType::Int)
+                        .not_null()
+                        .references("parent", OnDelete::Cascade),
+                    Column::new("tag", ValueType::Text).indexed(),
+                    Column::new("serial", ValueType::Int).unique(),
+                ],
+            ))
+            .unwrap();
+            let ids = |db: &Database, table: &str| -> Vec<i64> {
+                db.table(table).unwrap().iter().map(|(id, _)| id).collect()
+            };
+            let child = |rng: &mut Stream, parents: &[i64]| -> Row {
+                let tag = match rng.below(5) {
+                    0 => Value::Null,
+                    n => format!("t{n}").into(),
+                };
+                let serial = match rng.below(4) {
+                    0 => Value::Null,
+                    _ => Value::Int(rng.below(4_000) as i64),
+                };
+                vec![Value::Int(parents[rng.below(parents.len())]), tag, serial]
+            };
+            // What a scan says about a candidate row's uniqueness.
+            let collides = |db: &Database, row: &Row, own: Option<i64>| {
+                !row[2].is_null()
+                    && db
+                        .table("child")
+                        .unwrap()
+                        .iter()
+                        .any(|(id, r)| r[2] == row[2] && Some(id) != own)
+            };
+
+            let mut clones: Vec<(Database, Vec<Entries>)> = Vec::new();
+            let (mut most_chunks, mut violations, mut straddles) = (0, 0, false);
+            for op in 0..6_000 {
+                let parents = ids(&db, "parent");
+                let children = ids(&db, "child");
+                match rng.below(200) {
+                    _ if parents.is_empty() => {
+                        db.insert("parent", &[("name", format!("p{op}").into())])
+                            .unwrap();
+                    }
+                    0..=5 => {
+                        db.insert("parent", &[("name", format!("p{op}").into())])
+                            .unwrap();
+                    }
+                    // Cascade: takes the parent's children with it.
+                    6 => {
+                        db.delete("parent", parents[rng.below(parents.len())])
+                            .unwrap();
+                    }
+                    7..=129 => {
+                        let row = child(&mut rng, &parents);
+                        let predicted = collides(&db, &row, None);
+                        let result = db.insert_row("child", row);
+                        assert_eq!(
+                            matches!(result, Err(DbError::UniqueViolation { .. })),
+                            predicted,
+                            "{result:?}"
+                        );
+                        violations += predicted as usize;
+                    }
+                    130..=169 if !children.is_empty() => {
+                        let id = children[rng.below(children.len())];
+                        let row = child(&mut rng, &parents);
+                        let predicted = collides(&db, &row, Some(id));
+                        let result = db.update_row("child", id, row);
+                        assert_eq!(
+                            matches!(result, Err(DbError::UniqueViolation { .. })),
+                            predicted,
+                            "{result:?}"
+                        );
+                        violations += predicted as usize;
+                    }
+                    _ if !children.is_empty() => {
+                        db.delete("child", children[rng.below(children.len())])
+                            .unwrap();
+                    }
+                    _ => {}
+                }
+
+                let table = db.table("child").unwrap();
+                let tags = &table.index(1).unwrap().chunks;
+                most_chunks = most_chunks.max(tags.len());
+                straddles |= tags.windows(2).any(|w| w[0].last().0 == &w[1].runs[0].0);
+                if op % CLONE_EVERY == CLONE_EVERY - 1 {
+                    assert_indexes_match_scan(table);
+                    let frozen = (0..3).map(|col| entries(table, col)).collect();
+                    // The clone before this one, after the writes since.
+                    if let Some((clone, frozen)) = clones.last() {
+                        let table = clone.table("child").unwrap();
+                        assert_indexes_match_scan(table);
+                        for (col, was) in frozen.iter().enumerate() {
+                            assert_eq!(&entries(table, col), was);
+                        }
+                    }
+                    clones.push((db.clone(), frozen));
+                }
+            }
+            assert!(most_chunks >= 3, "seed {seed}: no chunk ever split");
+            assert!(straddles, "seed {seed}: no cell ever spanned two chunks");
+            assert!(violations > 0, "seed {seed}: no unique violation met");
+
+            // Emptying the table empties every index, chunk by chunk, and
+            // leaves the clones whole.
+            for id in ids(&db, "parent") {
+                db.delete("parent", id).unwrap();
+            }
+            let table = db.table("child").unwrap();
+            assert!(table.is_empty());
+            assert!((0..3).all(|col| table.index(col).unwrap().chunks.is_empty()));
+            for (clone, frozen) in &clones {
+                let table = clone.table("child").unwrap();
+                assert_indexes_match_scan(table);
+                assert_eq!(&entries(table, 0), &frozen[0]);
+            }
+        }
     }
 }

@@ -207,54 +207,6 @@ impl<T: Into<Value>> From<Option<T>> for Value {
     }
 }
 
-/// Hash key wrapper so `Value` can key unique/secondary indexes.
-///
-/// Floats are hashed by bit pattern, consistent with `key_eq`. The `Ord`
-/// impl delegates to [`Value::total_cmp`], so the same wrapper also keys
-/// the ordered (`BTreeMap`) companion indexes used for range scans.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ValueKey(pub Value);
-
-impl PartialOrd for ValueKey {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for ValueKey {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.0.total_cmp(&other.0)
-    }
-}
-
-impl std::hash::Hash for ValueKey {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        match &self.0 {
-            Value::Null => 0u8.hash(state),
-            Value::Int(v) => {
-                1u8.hash(state);
-                v.hash(state);
-            }
-            Value::Float(v) => {
-                2u8.hash(state);
-                v.to_bits().hash(state);
-            }
-            Value::Bool(v) => {
-                3u8.hash(state);
-                v.hash(state);
-            }
-            Value::Text(v) => {
-                4u8.hash(state);
-                v.hash(state);
-            }
-            Value::Timestamp(v) => {
-                5u8.hash(state);
-                v.hash(state);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -587,20 +587,30 @@ impl Serialize for SnapshotFile {
     }
 }
 
-impl Deserialize for SnapshotFile {
-    fn from_content(c: &serde::Content) -> Result<Self, serde::DeError> {
-        let m = c
-            .as_map()
-            .ok_or_else(|| serde::DeError::custom("snapshot: expected map"))?;
-        let applied_seqs = if m.iter().any(|(k, _)| k == "applied_seqs") {
-            serde::de_field(m, "applied_seqs")?
-        } else {
-            BTreeMap::new() // legacy snapshot; see the field docs
-        };
+impl SnapshotFile {
+    /// Decode snapshot text without ever holding a parse tree of the whole
+    /// file: the database streams in row by row (see
+    /// [`Database::read_snapshot`]), so a reopen's peak is the text plus
+    /// the tables, not the text plus a tree several times their size.
+    fn read(text: &str) -> serde_json::Result<Self> {
+        let (mut covered_seq, mut applied_seqs, mut database) = (None, BTreeMap::new(), None);
+        let mut reader = serde_json::Reader::new(text);
+        reader.object(|reader, key| {
+            match key.as_str() {
+                "covered_seq" => covered_seq = Some(Option::from_content(&reader.value()?)?),
+                // Absent from legacy snapshots; see the field docs.
+                "applied_seqs" => applied_seqs = BTreeMap::from_content(&reader.value()?)?,
+                "database" => database = Some(Database::read_snapshot(reader)?),
+                _ => drop(reader.value()?),
+            }
+            Ok(())
+        })?;
+        reader.end()?;
+        let missing = |field| serde_json::Error(format!("snapshot: missing field `{field}`"));
         Ok(SnapshotFile {
-            covered_seq: serde::de_field(m, "covered_seq")?,
+            covered_seq: covered_seq.ok_or_else(|| missing("covered_seq"))?,
             applied_seqs,
-            database: serde::de_field(m, "database")?,
+            database: database.ok_or_else(|| missing("database"))?,
         })
     }
 }
@@ -691,9 +701,12 @@ impl Snapshot {
     /// WAL coverage seeded — from the recorded map, or from `covered_seq`
     /// for legacy snapshots) and the WAL seq it covers globally.
     pub fn load(path: impl AsRef<Path>) -> Result<(Database, Option<u64>), DbError> {
-        let data = std::fs::read(path.as_ref())?;
-        let file: SnapshotFile = serde_json::from_slice(&data)
-            .map_err(|e| DbError::Corrupt(format!("snapshot decode: {e}")))?;
+        let corrupt = |e: &dyn std::fmt::Display| DbError::Corrupt(format!("snapshot decode: {e}"));
+        let file = {
+            let data = std::fs::read(path.as_ref())?;
+            let text = std::str::from_utf8(&data).map_err(|e| corrupt(&e))?;
+            SnapshotFile::read(text).map_err(|e| corrupt(&e))?
+        };
         let mut db = file.database;
         db.rebuild_indexes()?;
         if file.applied_seqs.is_empty() {
@@ -963,5 +976,40 @@ mod tests {
         // unique index must be live after load
         assert!(loaded.insert("t", &[("name", "a".into())]).is_err());
         assert!(loaded.insert("t", &[("name", "b".into())]).is_ok());
+    }
+
+    #[test]
+    fn snapshot_load_takes_legacy_files_and_rejects_damage() {
+        let dir = tmpdir("shapes");
+        let path = dir.join("db.snap");
+        let mut db = Database::new();
+        seed_ops(&mut db);
+        Snapshot::save(&db, Some(6), &path).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+
+        // A snapshot from before per-table accounting: coverage is seeded
+        // from `covered_seq`.
+        let applied = "\"applied_seqs\":{\"t\":6},";
+        assert!(text.contains(applied));
+        std::fs::write(&path, text.replace(applied, "")).unwrap();
+        let (loaded, covered) = Snapshot::load(&path).unwrap();
+        assert_eq!((covered, loaded.applied_seq("t")), (Some(6), Some(6)));
+        assert_eq!(loaded.table("t").unwrap().len(), 5);
+
+        // A duplicated unique cell, a missing field, a torn file, stray text.
+        let unique = text.replace("\"unique\":false", "\"unique\":true");
+        let twin = unique.replace("{\"Int\":1}", "{\"Int\":0}");
+        std::fs::write(&path, unique).unwrap();
+        assert!(Snapshot::load(&path).is_ok());
+        for damaged in [
+            twin,
+            text.replace("\"covered_seq\":6,", ""),
+            text.replace("\"next_id\":6", "\"next\":6"),
+            text[..text.len() / 2].to_string(),
+            format!("{text}]"),
+        ] {
+            std::fs::write(&path, damaged).unwrap();
+            assert!(Snapshot::load(&path).is_err());
+        }
     }
 }

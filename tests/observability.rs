@@ -98,9 +98,10 @@ fn metrics_endpoint_covers_all_three_tiers() {
         "simdb_plan_total",
         "simdb_wal_fsync_total",
         "simdb_wal_commit_batch_records",
-        // write-path cost metrics: rows materialized per commit and
-        // writers covered per group-commit flush
+        // write-path cost metrics: rows and index entries materialized
+        // per commit, and writers covered per group-commit flush
         "simdb_rows_copied_per_write",
+        "simdb_index_entries_copied_per_write",
         "simdb_group_commit_writers",
         // per-table lock series (replaced the whole-engine hold timer);
         // every migrated table registers its own labelled pair

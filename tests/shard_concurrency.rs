@@ -20,7 +20,7 @@
 //! properties: frozen views, version retention, non-blocking compact).
 
 use amp::simdb::prelude::*;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Duration;
@@ -133,59 +133,82 @@ fn stress_disjoint_writers_readers_and_transactor() {
 /// transactor keeps `ledger_a` and `ledger_b` in lockstep (always inserts
 /// into both); concurrent views must always see equal counts and equal
 /// version stamps — a half-applied transaction would break both.
+///
+/// The transactor keeps committing until every checker has observed it
+/// `MIN_OBSERVATIONS` times, so the overlap is forced and does not depend
+/// on a fixed batch of transactions outlasting thread start-up.
 #[test]
 fn read_view_never_observes_torn_transactions() {
-    const TXNS: i64 = 400;
+    const MIN_TXNS: i64 = 400;
+    const MIN_OBSERVATIONS: u64 = 50;
+    const CHECKERS: usize = 3;
+
+    /// Signals the other side when dropped — on the normal path or while
+    /// unwinding from a failed assertion, so a panic on one side stops the
+    /// other and surfaces instead of hanging the suite.
+    struct OnDrop<F: FnMut()>(F);
+    impl<F: FnMut()> Drop for OnDrop<F> {
+        fn drop(&mut self) {
+            (self.0)()
+        }
+    }
+
     let db = setup();
-    let writer = {
-        let db = db.clone();
-        std::thread::spawn(move || {
+    let served = AtomicUsize::new(0);
+    let writer_done = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let _done = OnDrop(|| writer_done.store(true, Ordering::SeqCst));
             let c = db.connect("app").unwrap();
-            for i in 0..TXNS {
+            let mut i = 0;
+            while i < MIN_TXNS || served.load(Ordering::SeqCst) < CHECKERS {
                 c.transaction(&["ledger_a", "ledger_b"], |tx| {
                     tx.insert("ledger_a", &[("v", Value::Int(i))])?;
                     tx.insert("ledger_b", &[("v", Value::Int(i))])?;
                     Ok(())
                 })
                 .unwrap();
+                i += 1;
             }
-        })
-    };
+        });
 
-    let mut checkers = Vec::new();
-    for _ in 0..3 {
-        let db = db.clone();
-        checkers.push(std::thread::spawn(move || {
-            let c = db.connect("app").unwrap();
-            let mut last_stamp = vec![0u64, 0u64];
-            let mut observations = 0u64;
-            while !writer_done(&c, TXNS) {
-                let view = c.read_view(&["ledger_a", "ledger_b"]).unwrap();
-                let a = view.count("ledger_a", &Query::new()).unwrap();
-                let b = view.count("ledger_b", &Query::new()).unwrap();
-                assert_eq!(a, b, "torn view: ledger_a={a} ledger_b={b}");
-                let stamp = view.versions();
-                assert_eq!(
-                    stamp[0], stamp[1],
-                    "torn stamp: {stamp:?} (tables move only in lockstep)"
-                );
-                // Stamps from successive views are monotone (no time travel).
-                assert!(stamp[0] >= last_stamp[0] && stamp[1] >= last_stamp[1]);
-                last_stamp = stamp;
-                observations += 1;
-            }
-            observations
-        }));
-    }
-
-    writer.join().unwrap();
-    for ch in checkers {
-        assert!(ch.join().unwrap() > 0);
-    }
-}
-
-fn writer_done(c: &Connection, txns: i64) -> bool {
-    c.count("ledger_a", &Query::new()).unwrap() >= txns as usize
+        for _ in 0..CHECKERS {
+            scope.spawn(|| {
+                let c = db.connect("app").unwrap();
+                // Served after the quota of observations (or on a panic).
+                let mut quota = Some(OnDrop(|| {
+                    served.fetch_add(1, Ordering::SeqCst);
+                }));
+                let mut last_stamp = vec![0u64, 0u64];
+                let mut observations = 0u64;
+                loop {
+                    // Read the flag first: the last view is taken after the
+                    // final commit.
+                    let last = writer_done.load(Ordering::SeqCst);
+                    let view = c.read_view(&["ledger_a", "ledger_b"]).unwrap();
+                    let a = view.count("ledger_a", &Query::new()).unwrap();
+                    let b = view.count("ledger_b", &Query::new()).unwrap();
+                    assert_eq!(a, b, "torn view: ledger_a={a} ledger_b={b}");
+                    let stamp = view.versions();
+                    assert_eq!(
+                        stamp[0], stamp[1],
+                        "torn stamp: {stamp:?} (tables move only in lockstep)"
+                    );
+                    // Stamps from successive views are monotone (no time travel).
+                    assert!(stamp[0] >= last_stamp[0] && stamp[1] >= last_stamp[1]);
+                    last_stamp = stamp;
+                    observations += 1;
+                    if observations == MIN_OBSERVATIONS {
+                        quota.take();
+                    }
+                    if last {
+                        break;
+                    }
+                }
+                assert!(observations >= MIN_OBSERVATIONS);
+            });
+        }
+    });
 }
 
 /// Regression (snapshot/compact held the engine lock across file I/O):
