@@ -5,9 +5,11 @@
 //! engine is the per-table sharded catalog in [`crate::shard`]; both run
 //! the *same* mutation logic, which lives in [`ops`] and is generic over a
 //! [`TableSet`] — "some tables I may read and write, plus the schema-level
-//! reverse-FK edges". `Database` implements `TableSet` over all its
-//! tables; a sharded write set implements it over exactly the tables its
-//! ordered lock acquisition covered.
+//! reverse-FK edges". There are exactly two implementations: `Database`
+//! over all its tables, and the live engine's
+//! [`crate::shard::BufferedTables`] — every live write, one statement or a
+//! transaction — over the write set its ordered mutex acquisition covered
+//! plus the pinned versions of that set's FK targets.
 
 use crate::error::DbError;
 use crate::query::Query;
@@ -22,9 +24,9 @@ use std::collections::BTreeMap;
 /// `table_ref`/`table_mut` resolve tables the current operation is allowed
 /// to touch; `referencing_columns` answers the schema-level question "who
 /// holds a foreign key into `target`?" (needed to plan delete cascades),
-/// which must cover *every* table in the database, not just the locked
+/// which must cover *every* table in the database, not just the write
 /// set — FK edges are immutable after DDL, so implementations can serve it
-/// from a catalog snapshot without holding row locks.
+/// from a catalog snapshot without touching any table.
 pub(crate) trait TableSet {
     fn table_ref(&self, name: &str) -> Result<&Table, DbError>;
     fn table_mut(&mut self, name: &str) -> Result<&mut Table, DbError>;
@@ -140,6 +142,11 @@ impl Database {
 
     pub(crate) fn applied_seq(&self, table: &str) -> Option<u64> {
         self.applied_seqs.get(table).copied()
+    }
+
+    /// The highest WAL sequence number any table's state includes.
+    pub(crate) fn max_applied_seq(&self) -> Option<u64> {
+        self.applied_seqs.values().copied().max()
     }
 
     pub fn table(&self, name: &str) -> Result<&Table, DbError> {
@@ -308,7 +315,7 @@ impl TableSet for Database {
 
 /// The shared mutation engine: referential integrity, row construction and
 /// the cascade planner, generic over [`TableSet`]. The single-threaded
-/// [`Database`] and the sharded engine's ordered write sets both route
+/// [`Database`] and the sharded engine's buffered write sets both route
 /// every mutation through these functions, so the two cannot drift.
 pub(crate) mod ops {
     use super::*;

@@ -13,7 +13,8 @@
 //! * [`table`] — copy-on-write row storage and one ordered index per
 //!   indexed column;
 //! * [`db`] — the single-threaded engine + the shared mutation logic;
-//! * [`shard`] — per-table locks, lock-set planning, the live engine;
+//! * [`shard`] — published table versions, write-set planning, the live
+//!   engine's one write path;
 //! * [`query`] — Django-queryset-flavoured filters/ordering/slicing;
 //! * [`perm`] — role-based table grants (`web`, `daemon`, `admin`);
 //! * [`wal`] — durability: JSON-lines WAL + snapshots + recovery;
@@ -22,18 +23,20 @@
 //!
 //! # Concurrency model
 //!
-//! The engine is sharded per table with an MVCC read path. Writers take
-//! one writer-preferring lock per table they touch, computed as a lock
-//! *plan* (the target plus FK targets for existence checks, or the
-//! reverse-FK closure for deletes) and acquired in canonical sorted
-//! order, which makes deadlock structurally impossible (see [`shard`]
-//! for the proof sketch). Readers take **no locks at all**: every shard
-//! publishes an immutable version of its table that reads pin with a
-//! couple of atomic operations, so the portal's worker threads reading
-//! `star` never wait on anyone — not even the daemon writing `star`.
-//! Writers mutate a private copy-on-write working state and atomically
-//! install it as the new published version at commit; a rolled-back
-//! transaction simply never publishes.
+//! The engine is sharded per table with an MVCC read path. Readers take
+//! **no locks at all**: every shard publishes an immutable version of its
+//! table that reads pin with a couple of atomic operations, so the
+//! portal's worker threads reading `star` never wait on anyone — not even
+//! the daemon writing `star`. Every write, one statement or a
+//! transaction, takes the same path: one plain mutex per table it may
+//! mutate (the table itself, or the reverse-FK closure when a delete can
+//! cascade), acquired in canonical sorted order, which makes deadlock
+//! structurally impossible; then a pin of those tables' published versions
+//! and of their FK targets; mutations into copy-on-write buffers over
+//! those versions; and at commit one atomic install per dirty table. A
+//! rolled-back write simply drops its buffers. FK existence checks read
+//! the pinned parent and take no lock on it (see [`shard`] for why that is
+//! sound, and for the deadlock proof sketch).
 //!
 //! Multi-table consistency is explicit:
 //!
@@ -43,8 +46,8 @@
 //!   all. Page renders, daemon worklists, and cache version stamps read
 //!   multi-table state without tearing, and without blocking any writer;
 //! * [`Connection::transaction`] declares its table set up front, takes
-//!   the write locks in one ordered pass, and publishes-or-rolls-back, so
-//!   transactions on disjoint tables commit fully in parallel.
+//!   the writer mutexes in one ordered pass, and publishes-or-rolls-back,
+//!   so transactions on disjoint tables commit fully in parallel.
 //!
 //! Entry point: build a [`Db`], define roles, [`Db::connect`] per component.
 //!
@@ -114,9 +117,9 @@ type SnapCache = HashMap<String, (u64, Arc<Vec<u8>>)>;
 /// Shared state behind a [`Db`] handle.
 struct DbShared {
     /// The table directory. Its `RwLock` is the *catalog lock* — the top
-    /// of the locking hierarchy: read to resolve table names and plan lock
-    /// sets, write only for DDL. Row data lives behind each table's own
-    /// shard lock, so holding the catalog read lock blocks nobody's DML.
+    /// of the locking hierarchy: read to resolve table names and plan write
+    /// sets, write only for DDL. Row data lives in each table's own shard,
+    /// so holding the catalog read lock blocks nobody's DML.
     catalog: RwLock<shard::Catalog>,
     /// Roles are resolved once per [`Db::connect`] and shared by `Arc` —
     /// connections never re-enter this lock on the per-operation path.
@@ -163,10 +166,12 @@ impl Db {
         let wal_path = wal_path.into();
         // Recovery replays into the single-threaded engine, then the table
         // storage is moved (not copied) into the sharded runtime catalog.
-        let database = wal::recover(Some(&snapshot), Some(&wal_path))?;
+        // The log continues above every sequence number the recovered
+        // state has used, not merely above the file's last line.
+        let (database, last_seq) = wal::recover_with_last_seq(Some(&snapshot), Some(&wal_path))?;
         let (tables, versions, applied) = database.into_parts();
         let catalog = shard::Catalog::from_parts(tables, &versions, &applied);
-        let wal = wal::Wal::open(&wal_path)?;
+        let wal = wal::Wal::open_at(&wal_path, last_seq.map_or(0, |seq| seq + 1))?;
         Ok(Db {
             shared: Arc::new(DbShared {
                 catalog: RwLock::new(catalog),
@@ -372,8 +377,9 @@ impl Db {
     }
 
     /// Claim WAL sequence numbers for `ops` and buffer them. Must be
-    /// called while the table (or catalog, for DDL) write guards covering
-    /// the ops are still held, so WAL order matches apply order.
+    /// called while the table mutexes (or the catalog write lock, for DDL)
+    /// covering the ops are still held and before the ops are published,
+    /// so WAL order matches apply order.
     fn enqueue_wal(&self, ops: &[LogOp]) -> Result<Option<u64>, DbError> {
         match &self.shared.wal {
             Some(w) => w.enqueue(ops),
@@ -422,27 +428,12 @@ impl Connection {
                 action: "CREATE TABLE",
             });
         }
-        let last = {
-            let mut catalog = self.db.shared.catalog.write();
-            let op = catalog.create_table(schema)?;
-            let name = match &op {
-                LogOp::CreateTable { schema } => schema.name.clone(),
-                _ => unreachable!("create_table returns a CreateTable op"),
-            };
-            let last = self.db.enqueue_wal(&[op])?;
-            if let Some(seq) = last {
-                // Re-publish the freshly created (still empty) table with
-                // its CreateTable record's sequence number, so compaction
-                // can retire that record once a snapshot includes the
-                // table. Still under the catalog write lock, so nothing
-                // has touched the table yet.
-                let shard = Arc::clone(catalog.shard(&name)?);
-                let mut g = shard.write();
-                g.applied_seq = Some(seq);
-                g.publish();
-            }
-            last
-        };
+        let last = self
+            .db
+            .shared
+            .catalog
+            .write()
+            .create_table(schema, |op| self.db.enqueue_wal(std::slice::from_ref(op)))?;
         self.db.sync_wal(last)
     }
 
@@ -450,8 +441,8 @@ impl Connection {
         self.db.shared.catalog.read().has_table(name)
     }
 
-    /// Compute the shard set for a plan under the catalog read lock, then
-    /// release it before blocking on any table lock.
+    /// Compute the write set for a plan under the catalog read lock, then
+    /// release it before blocking on any table mutex.
     fn plan(
         &self,
         build: impl FnOnce(&shard::Catalog) -> Result<shard::LockPlan, DbError>,
@@ -460,20 +451,21 @@ impl Connection {
         build(&catalog)
     }
 
-    /// One single-statement write: acquire the plan's locks in order,
-    /// apply to the working state, claim WAL sequence numbers *under the
-    /// guards* (so WAL order matches apply order), publish the new
-    /// version(s), release, then group-commit the flush.
+    /// One single-statement write: acquire the plan's write set in order,
+    /// apply to its buffers, claim WAL sequence numbers *under the guards*
+    /// (so WAL order matches apply order), publish the new version(s) and
+    /// release, then group-commit the flush — so writers queued on the
+    /// same table share an fsync. A failed `apply` returns with the
+    /// buffers dropped: nothing was published and nothing is left behind.
     fn run_write<T>(
         &self,
         plan: shard::LockPlan,
-        apply: impl FnOnce(&mut shard::LockedTables) -> Result<(T, Vec<LogOp>), DbError>,
+        apply: impl FnOnce(&mut shard::BufferedTables<'_>) -> Result<(T, Vec<LogOp>), DbError>,
     ) -> Result<T, DbError> {
-        let mut locked = plan.acquire();
-        let (out, ops) = apply(&mut locked)?;
+        let mut set = plan.acquire();
+        let (out, ops) = apply(&mut set)?;
         let last = self.db.enqueue_wal(&ops)?;
-        locked.commit(last);
-        drop(locked);
+        set.commit(last);
         self.db.sync_wal(last)?;
         Ok(out)
     }
@@ -532,11 +524,12 @@ impl Connection {
 
     /// Delete a row. Referential actions (cascades, SET NULL) execute with
     /// definer rights, as in SQL — only the named table needs the grant.
-    /// The lock plan covers the table's whole reverse-FK closure, since
-    /// that is exactly the set of tables the cascade may mutate.
+    /// The write set is the table's whole reverse-FK closure, since that
+    /// is exactly the set of tables the cascade may mutate — the same plan
+    /// a transaction declaring the table gets.
     pub fn delete(&self, table: &str, id: i64) -> Result<(), DbError> {
         self.role.check(table, Action::Delete)?;
-        let plan = self.plan(|c| c.delete_plan(table))?;
+        let plan = self.plan(|c| c.txn_plan(&[table]))?;
         self.run_write(plan, |set| {
             let ops = db::ops::delete(set, table, id)?;
             Ok(((), ops))
@@ -605,52 +598,43 @@ impl Connection {
     ///
     /// `tables` declares what the transaction may touch; the engine
     /// expands it to the full write closure (FK cascades included) and
-    /// acquires all locks in one canonical-order pass — transactions over
-    /// disjoint tables run fully in parallel, and mutating an undeclared
-    /// table inside `f` fails with a descriptive error instead of
-    /// deadlocking. Readers of the involved tables see no intermediate
+    /// acquires all its mutexes in one canonical-order pass — transactions
+    /// over disjoint tables run fully in parallel, and mutating an
+    /// undeclared table inside `f` fails with a descriptive error instead
+    /// of deadlocking. Readers of the involved tables see no intermediate
     /// state.
     ///
-    /// Mutations accumulate in a per-transaction **delta write-buffer**
-    /// ([`shard::BufferedTables`]) layered over the locked working state:
-    /// reads inside `f` see buffer-or-base, commit installs the buffers
-    /// and publishes in one pass, and rollback — on `f`'s error or a
-    /// durability failure — just drops the buffers; the base working
-    /// state was never touched, so there is no journal to restore.
+    /// Mutations accumulate in the same **delta write-buffer**
+    /// ([`shard::BufferedTables`]) a single statement uses, layered over
+    /// the versions published when the transaction began: reads inside `f`
+    /// see buffer-or-base, commit moves the buffers into new published
+    /// versions in one pass, and rollback — on `f`'s error or a durability
+    /// failure — just drops the buffers; nothing shared was ever touched,
+    /// so there is no journal to restore. A foreign key may reference only
+    /// a *published* parent row: one inserted by another transaction that
+    /// has not committed yet fails the check, it is not waited for.
     pub fn transaction<T>(
         &self,
         tables: &[&str],
         f: impl FnOnce(&mut Txn<'_>) -> Result<T, DbError>,
     ) -> Result<T, DbError> {
         let plan = self.plan(|c| c.txn_plan(tables))?;
-        let mut locked = plan.acquire();
         let mut txn = Txn {
-            set: shard::BufferedTables::new(&mut locked),
+            set: plan.acquire(),
             role: &self.role,
             ops: Vec::new(),
         };
-        match f(&mut txn) {
-            Ok(v) => {
-                let Txn { set, ops, .. } = txn;
-                // Enqueue *and* flush while the write guards are held: if
-                // durability fails, the buffers are dropped unpublished —
-                // no reader (and no later writer of these tables) ever
-                // sees the aborted state. Publication happens only after
-                // the batch is durable, as one commit-clock-protected unit.
-                let res = self.db.enqueue_wal(&ops).and_then(|last| {
-                    self.db.sync_wal(last)?;
-                    Ok(last)
-                });
-                match res {
-                    Ok(last) => {
-                        set.commit(last);
-                        Ok(v)
-                    }
-                    Err(e) => Err(e), // `set` drops here: rollback
-                }
-            }
-            Err(e) => Err(e), // buffers drop with `txn`: rollback
-        }
+        let out = f(&mut txn)?; // on error the buffers drop with `txn`: rollback
+        let Txn { set, ops, .. } = txn;
+        // Enqueue *and* flush while the write guards are held: if
+        // durability fails, `set` drops unpublished — no reader (and no
+        // later writer of these tables) ever sees the aborted state.
+        // Publication happens only after the batch is durable, as one
+        // commit-clock-protected unit.
+        let last = self.db.enqueue_wal(&ops)?;
+        self.db.sync_wal(last)?;
+        set.commit(last);
+        Ok(out)
     }
 
     /// Compare-and-swap one row: atomically verify that row `id` of
@@ -663,8 +647,8 @@ impl Connection {
     /// rows — e.g. the daemon lease table, where concurrent claimers race
     /// on `(daemon_id, epoch)` and exactly one CAS per epoch can succeed.
     /// The check and the update run inside one declared-table-set
-    /// [`Connection::transaction`], i.e. under the table's write lock, so
-    /// no writer can interleave between them.
+    /// [`Connection::transaction`], i.e. under the table's writer mutex,
+    /// so no writer can interleave between them.
     pub fn compare_and_swap(
         &self,
         table: &str,
@@ -743,8 +727,8 @@ impl ReadView {
 
 /// In-flight transaction handle. Mutations accumulate in the transaction's
 /// delta write-buffer ([`shard::BufferedTables`]); reads see buffer-or-base.
-/// Rollback drops the buffers — the locked working state is never touched
-/// until commit installs them.
+/// Rollback drops the buffers — nothing is shared until commit publishes
+/// them.
 pub struct Txn<'a> {
     set: shard::BufferedTables<'a>,
     role: &'a Role,
@@ -890,6 +874,22 @@ mod tests {
         });
         assert!(res.is_err());
         assert_eq!(admin.count("star", &Query::new()).unwrap(), 1);
+    }
+
+    #[test]
+    fn panicking_transaction_rolls_back_and_leaves_the_table_writable() {
+        let db = setup();
+        let admin = db.connect("admin").unwrap();
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            admin.transaction::<()>(&["star"], |tx| {
+                tx.insert("star", &[("name", "A".into())])?;
+                panic!("closure panicked while holding star's writer mutex")
+            })
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(admin.count("star", &Query::new()).unwrap(), 0);
+        // The mutex was poisoned by the unwind; the next writer recovers it.
+        assert_eq!(admin.insert("star", &[("name", "B".into())]).unwrap(), 1);
     }
 
     #[test]

@@ -45,22 +45,21 @@ pub(crate) fn metrics() -> &'static SimdbMetrics {
     })
 }
 
-/// Per-table lock observability. The sharded engine replaced the seed's
-/// whole-engine `simdb_write_lock_hold_seconds` histogram: with one lock
-/// per table, "who is contended" is a per-table question, so each shard
-/// carries `{table}`-labeled wait and hold histograms.
+/// Per-table lock observability. With one writer mutex per table, "who is
+/// contended" is a per-table question, so each shard carries
+/// `{table}`-labeled wait and hold histograms.
 ///
-/// Since the MVCC read path landed, `lock_wait` and `lock_hold` are
-/// **writer-path** metrics only: plain reads pin a published version with
-/// two atomic ops and record nothing. `Shard::read` is still exercised by
-/// writer-side FK existence locks, so a nonzero `lock_wait` during a
-/// pure-read workload would mean a reader took a lock — the invariant the
-/// contention bench asserts.
+/// Both are **writer-only**: the mutex is taken by writers of the table
+/// and by nothing else. Plain reads, and a writer's FK existence checks
+/// against a parent table, pin a published version with two atomic ops
+/// and record nothing — so any `lock_wait` sample on a table nobody wrote
+/// means something took a lock it should not have; the contention bench
+/// and `tests/mvcc_props.rs` assert exactly that.
 pub(crate) struct ShardMetrics {
-    /// Time spent waiting to acquire the table's lock (read or write).
+    /// Time a writer spent waiting to acquire the table's mutex.
     pub lock_wait: Histogram,
-    /// Time the table's *exclusive* lock was held — the window during
-    /// which other writers of this table (and only this table) waited.
+    /// Time the table's mutex was held — the window during which other
+    /// writers of this table (and only this table) waited.
     pub lock_hold: Histogram,
     /// Published versions of this table still alive: the current one plus
     /// superseded versions kept reachable by long-lived `ReadView`s.

@@ -222,10 +222,14 @@ impl Wal {
     /// Streams the file to find the tail record — only the last line is
     /// actually parsed, so reopening a long log costs one pass of IO, not
     /// a full JSON decode of every record.
+    ///
+    /// The file alone does not say where numbering must continue once
+    /// compaction has truncated it: a database opens its log with
+    /// [`Self::open_at`], past everything its snapshot covers.
     pub fn open(path: impl AsRef<Path>) -> Result<Self, DbError> {
-        let path = path.as_ref().to_path_buf();
+        let path = path.as_ref();
         let next_seq = if path.exists() {
-            let f = File::open(&path)?;
+            let f = File::open(path)?;
             let mut last_line: Option<(usize, String)> = None;
             for (lineno, line) in BufReader::new(f).lines().enumerate() {
                 let line = line?;
@@ -244,6 +248,15 @@ impl Wal {
         } else {
             0
         };
+        Self::open_at(path, next_seq)
+    }
+
+    /// Open (or create) a WAL file whose next record is numbered
+    /// `next_seq`. The caller has read the file (see [`recover`]) and knows
+    /// that no record in it, and no record a snapshot already covers,
+    /// carries that number or a higher one.
+    pub(crate) fn open_at(path: impl AsRef<Path>, next_seq: u64) -> Result<Self, DbError> {
+        let path = path.as_ref().to_path_buf();
         let file = OpenOptions::new().create(true).append(true).open(&path)?;
         Ok(Wal {
             path,
@@ -420,27 +433,6 @@ impl Wal {
         out
     }
 
-    /// Truncate the log file (after a covering snapshot). The sequence
-    /// counter keeps increasing, so records appended later still sort
-    /// strictly after the snapshot's covered sequence number. Any
-    /// buffered-but-unflushed lines are discarded — the covering snapshot
-    /// already contains their effects.
-    pub fn truncate(&self) -> Result<(), DbError> {
-        // Wait out any in-flight leader, then hold the commit lock across
-        // the rewrite so no new leader can race the writer swap.
-        let mut st = self.wait_no_flush();
-        let mut file = self.file.lock().expect("wal file lock");
-        {
-            let mut q = self.queue.lock().expect("wal queue lock");
-            q.buf.clear();
-            q.pending = 0;
-            st.flushed_seq = q.next_seq.checked_sub(1);
-        }
-        file.writer = BufWriter::new(File::create(&self.path)?);
-        st.failed = None;
-        Ok(())
-    }
-
     /// Block until no flush is in flight, returning the commit-state guard.
     /// While the caller holds it, no leader can be elected.
     fn wait_no_flush(&self) -> std::sync::MutexGuard<'_, CommitState> {
@@ -453,11 +445,13 @@ impl Wal {
 
     /// Compaction truncation: drop every record whose effects the covering
     /// snapshot already contains *per table* — a record survives unless
-    /// `applied[table] >= seq`. Unlike [`Self::truncate`], this is safe
-    /// while writers are running: an in-flight op that claimed a sequence
-    /// number but was not yet published when the snapshot's versions were
-    /// pinned has `seq > applied[table]` (claims and publications of one
-    /// table are serialized by its write guard), so it is preserved.
+    /// `applied[table] >= seq`. Safe while writers are running: an
+    /// in-flight op that claimed a sequence number but was not yet
+    /// published when the snapshot's versions were pinned has
+    /// `seq > applied[table]` (claims and publications of one table are
+    /// serialized by its writer mutex), so it is preserved. The sequence
+    /// counter keeps increasing, so records appended later still sort
+    /// strictly after everything the snapshot covers.
     pub(crate) fn truncate_keeping(&self, applied: &BTreeMap<String, u64>) -> Result<(), DbError> {
         let mut st = self.wait_no_flush();
         if let Some(e) = &st.failed {
@@ -533,22 +527,12 @@ impl Wal {
         Ok(out)
     }
 
-    /// Replay records into a database, skipping those already covered:
-    /// globally (`seq <= after`) or per table (the database's recorded
-    /// per-table WAL coverage — seeded by [`Snapshot::load`] — already
-    /// includes the record). Refreshes the per-table coverage as it goes.
-    pub fn replay_into(
-        db: &mut Database,
-        records: &[WalRecord],
-        after: Option<u64>,
-    ) -> Result<usize, DbError> {
+    /// Replay records into a database, skipping those the database's
+    /// recorded per-table WAL coverage — seeded by [`Snapshot::load`] —
+    /// already includes. Refreshes the per-table coverage as it goes.
+    pub fn replay_into(db: &mut Database, records: &[WalRecord]) -> Result<usize, DbError> {
         let mut applied = 0;
         for rec in records {
-            if let Some(a) = after {
-                if rec.seq <= a {
-                    continue;
-                }
-            }
             let table = op_table(&rec.op).to_string();
             if db.applied_seq(&table).is_some_and(|s| s >= rec.seq) {
                 continue;
@@ -564,15 +548,14 @@ impl Wal {
 /// Full database snapshots.
 pub struct Snapshot;
 
-/// A snapshot file: database state, the WAL sequence number it covers
-/// globally, and (since per-table compaction) the per-table coverage.
+/// A snapshot file: database state, the highest WAL sequence number
+/// claimed when it was taken, and the per-table coverage.
 struct SnapshotFile {
     covered_seq: Option<u64>,
     /// Highest WAL seq whose effects each table's saved state includes.
-    /// Empty for snapshots written before per-table accounting existed;
-    /// [`Snapshot::load`] then falls back to `covered_seq` for every
-    /// table (sound there: legacy snapshots were taken under a full lock
-    /// cut, so no claimed-but-unpublished op could predate them).
+    /// Required: without it replay cannot tell which records the state
+    /// already contains, and applying the whole log over it would
+    /// double-apply them.
     applied_seqs: BTreeMap<String, u64>,
     database: Database,
 }
@@ -593,13 +576,12 @@ impl SnapshotFile {
     /// [`Database::read_snapshot`]), so a reopen's peak is the text plus
     /// the tables, not the text plus a tree several times their size.
     fn read(text: &str) -> serde_json::Result<Self> {
-        let (mut covered_seq, mut applied_seqs, mut database) = (None, BTreeMap::new(), None);
+        let (mut covered_seq, mut applied_seqs, mut database) = (None, None, None);
         let mut reader = serde_json::Reader::new(text);
         reader.object(|reader, key| {
             match key.as_str() {
                 "covered_seq" => covered_seq = Some(Option::from_content(&reader.value()?)?),
-                // Absent from legacy snapshots; see the field docs.
-                "applied_seqs" => applied_seqs = BTreeMap::from_content(&reader.value()?)?,
+                "applied_seqs" => applied_seqs = Some(BTreeMap::from_content(&reader.value()?)?),
                 "database" => database = Some(Database::read_snapshot(reader)?),
                 _ => drop(reader.value()?),
             }
@@ -609,7 +591,7 @@ impl SnapshotFile {
         let missing = |field| serde_json::Error(format!("snapshot: missing field `{field}`"));
         Ok(SnapshotFile {
             covered_seq: covered_seq.ok_or_else(|| missing("covered_seq"))?,
-            applied_seqs,
+            applied_seqs: applied_seqs.ok_or_else(|| missing("applied_seqs"))?,
             database: database.ok_or_else(|| missing("database"))?,
         })
     }
@@ -698,8 +680,8 @@ impl Snapshot {
     }
 
     /// Load a snapshot; returns the database (indexes rebuilt, per-table
-    /// WAL coverage seeded — from the recorded map, or from `covered_seq`
-    /// for legacy snapshots) and the WAL seq it covers globally.
+    /// WAL coverage seeded from the recorded map) and the highest WAL seq
+    /// claimed when it was taken.
     pub fn load(path: impl AsRef<Path>) -> Result<(Database, Option<u64>), DbError> {
         let corrupt = |e: &dyn std::fmt::Display| DbError::Corrupt(format!("snapshot decode: {e}"));
         let file = {
@@ -709,14 +691,7 @@ impl Snapshot {
         };
         let mut db = file.database;
         db.rebuild_indexes()?;
-        if file.applied_seqs.is_empty() {
-            if let Some(cov) = file.covered_seq {
-                let seeded = db.table_names().map(|t| (t.to_string(), cov)).collect();
-                db.set_applied_seqs(seeded);
-            }
-        } else {
-            db.set_applied_seqs(file.applied_seqs);
-        }
+        db.set_applied_seqs(file.applied_seqs);
         Ok((db, file.covered_seq))
     }
 }
@@ -727,17 +702,33 @@ impl Snapshot {
 /// [`Wal::truncate_keeping`] for why a global threshold would be unsound
 /// once compaction runs concurrently with writers).
 pub fn recover(snapshot: Option<&Path>, wal: Option<&Path>) -> Result<Database, DbError> {
-    let (mut db, _covered) = match snapshot {
+    recover_with_last_seq(snapshot, wal).map(|(db, _)| db)
+}
+
+/// [`recover`], plus the highest WAL sequence number the recovered state
+/// has ever used: the maximum over the log's records, the snapshot's
+/// `covered_seq` and every table's coverage. The log must continue above
+/// it. After a compaction the file can be empty, or hold only one table's
+/// tail, while the snapshot's coverage of other tables is higher; records
+/// numbered from the file alone would sit at or below that coverage and
+/// the next recovery would skip them as already applied.
+pub(crate) fn recover_with_last_seq(
+    snapshot: Option<&Path>,
+    wal: Option<&Path>,
+) -> Result<(Database, Option<u64>), DbError> {
+    let (mut db, mut last_seq) = match snapshot {
         Some(p) if p.exists() => Snapshot::load(p)?,
         _ => (Database::new(), None),
     };
     if let Some(w) = wal {
         if w.exists() {
             let records = Wal::read_records(w)?;
-            Wal::replay_into(&mut db, &records, None)?;
+            Wal::replay_into(&mut db, &records)?;
+            last_seq = last_seq.max(records.last().map(|r| r.seq));
         }
     }
-    Ok(db)
+    let last_seq = last_seq.max(db.max_applied_seq());
+    Ok((db, last_seq))
 }
 
 #[cfg(test)]
@@ -987,14 +978,20 @@ mod tests {
         Snapshot::save(&db, Some(6), &path).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
 
-        // A snapshot from before per-table accounting: coverage is seeded
-        // from `covered_seq`.
-        let applied = "\"applied_seqs\":{\"t\":6},";
-        assert!(text.contains(applied));
-        std::fs::write(&path, text.replace(applied, "")).unwrap();
         let (loaded, covered) = Snapshot::load(&path).unwrap();
         assert_eq!((covered, loaded.applied_seq("t")), (Some(6), Some(6)));
         assert_eq!(loaded.table("t").unwrap().len(), 5);
+
+        // A snapshot from before per-table accounting has a `covered_seq`
+        // but no coverage map: replaying the whole log over it would
+        // double-apply, so it is refused, naming the field.
+        let applied = "\"applied_seqs\":{\"t\":6},";
+        assert!(text.contains(applied));
+        std::fs::write(&path, text.replace(applied, "")).unwrap();
+        match Snapshot::load(&path) {
+            Err(DbError::Corrupt(why)) => assert!(why.contains("applied_seqs"), "{why}"),
+            other => panic!("legacy snapshot accepted: {:?}", other.map(|(_, seq)| seq)),
+        }
 
         // A duplicated unique cell, a missing field, a torn file, stray text.
         let unique = text.replace("\"unique\":false", "\"unique\":true");

@@ -15,12 +15,16 @@
 //!    transaction holds a table's write lock — and the in-flight
 //!    transaction's records survive the truncation and recover;
 //! 4. plain reads never touch the shard lock: the writer-path lock-wait
-//!    histogram records nothing during a pure-read phase;
+//!    histogram records nothing during a pure-read phase — and neither
+//!    does a writer's foreign-key check against a parent table, which a
+//!    long transaction on that parent therefore cannot delay;
 //! 5. the write side's delta buffer is semantically invisible: reads
 //!    inside a transaction see buffer-over-base, a commit publishes
 //!    exactly the merged state, and a rollback leaves the published spine
 //!    untouched — all equal to a single-threaded oracle applying the same
-//!    operations (property test over arbitrary transaction sequences).
+//!    operations (property test over arbitrary transaction sequences);
+//! 6. a single statement takes that same buffered path, so one that fails
+//!    part-way leaves nothing behind for the next commit to publish.
 
 use amp::simdb::prelude::*;
 use amp::simdb::Database;
@@ -333,7 +337,7 @@ fn compact_does_not_block_writers() {
     started_rx.recv().unwrap();
 
     // Compaction completes while the write lock is held: it reads pinned
-    // versions, not the locked working state. Run it on a helper thread
+    // versions, not the transaction's buffer. Run it on a helper thread
     // with a timeout so a regression fails instead of hanging the suite.
     let (done_tx, done_rx) = mpsc::channel();
     let compactor = {
@@ -374,6 +378,15 @@ fn compact_does_not_block_writers() {
     );
 }
 
+fn lock_wait_samples(table: &str) -> u64 {
+    amp::obs::registry()
+        .histogram(
+            &amp::obs::labeled("simdb_table_lock_wait_seconds", &[("table", table)]),
+            amp::obs::Unit::Seconds,
+        )
+        .count()
+}
+
 /// The read path takes no lock at all: a pure-read phase records nothing
 /// in the (writer-path-only) per-table lock-wait histogram.
 #[test]
@@ -384,16 +397,154 @@ fn pure_reads_never_touch_the_lock() {
     for i in 0..50 {
         c.insert(table, &[("v", Value::Int(i))]).unwrap();
     }
-    let wait = amp::obs::registry().histogram(
-        &amp::obs::labeled("simdb_table_lock_wait_seconds", &[("table", table)]),
-        amp::obs::Unit::Seconds,
-    );
-    let before = wait.count();
+    let before = lock_wait_samples(table);
     for _ in 0..500 {
         assert_eq!(c.count(table, &Query::new()).unwrap(), 50);
         let view = c.read_view(&[table]).unwrap();
         assert_eq!(view.versions().len(), 1);
         assert_eq!(db.table_version(table), 51);
     }
-    assert_eq!(wait.count(), before, "a plain read acquired a shard lock");
+    assert_eq!(
+        lock_wait_samples(table),
+        before,
+        "a plain read acquired a shard lock"
+    );
+}
+
+/// A foreign-key check reads the parent's pinned version and takes no lock
+/// on the parent: child inserts record no lock wait there, and a long
+/// transaction that merely *references* the parent (it writes a sibling
+/// child table) delays neither a writer of the parent nor, behind that
+/// writer, an insert into another child. Under the old reader/writer lock
+/// the transaction held the parent's read side, the parent's writer queued
+/// behind it, and — writer preference — every other FK check queued behind
+/// the writer. (A transaction declaring the parent itself still excludes
+/// child inserts, rightly: it may delete, so its write set holds the
+/// children.)
+#[test]
+fn foreign_key_checks_never_touch_the_parents_lock() {
+    let (parent, child, sibling) = ("mv_fk_parent", "mv_fk_child", "mv_fk_sibling");
+    let db = Db::in_memory();
+    db.define_role(Role::superuser("admin"));
+    let admin = db.connect("admin").unwrap();
+    admin
+        .create_table(TableSchema::new(
+            parent,
+            vec![Column::new("v", ValueType::Int)],
+        ))
+        .unwrap();
+    for t in [child, sibling] {
+        admin
+            .create_table(TableSchema::new(
+                t,
+                vec![Column::new("p", ValueType::Int)
+                    .not_null()
+                    .references(parent, OnDelete::Restrict)],
+            ))
+            .unwrap();
+    }
+    let pid = admin.insert(parent, &[("v", Value::Int(0))]).unwrap();
+
+    let before = lock_wait_samples(parent);
+    for _ in 0..50 {
+        admin.insert(child, &[("p", Value::Int(pid))]).unwrap();
+    }
+    assert_eq!(
+        lock_wait_samples(parent),
+        before,
+        "a child insert acquired its parent's lock"
+    );
+
+    // A transaction over `sibling` that has checked a key against the
+    // parent and then stays open until released.
+    let (started_tx, started_rx) = mpsc::channel();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+    let holder = {
+        let db = db.clone();
+        std::thread::spawn(move || {
+            let c = db.connect("admin").unwrap();
+            c.transaction(&[sibling], |tx| {
+                tx.insert(sibling, &[("p", Value::Int(pid))])?;
+                started_tx.send(()).unwrap();
+                release_rx.recv().unwrap();
+                Ok(())
+            })
+            .unwrap();
+        })
+    };
+    started_rx.recv().unwrap();
+    // On a helper thread with a timeout, so a regression fails instead of
+    // hanging the suite: write the parent, then reference the new row.
+    let (done_tx, done_rx) = mpsc::channel();
+    let writer = {
+        let db = db.clone();
+        std::thread::spawn(move || {
+            let c = db.connect("admin").unwrap();
+            let res = c
+                .insert(parent, &[("v", Value::Int(1))])
+                .and_then(|new_parent| c.insert(child, &[("p", Value::Int(new_parent))]));
+            let _ = done_tx.send(res);
+        })
+    };
+    let done = done_rx.recv_timeout(Duration::from_secs(30));
+    release_tx.send(()).unwrap();
+    holder.join().unwrap();
+    writer.join().unwrap();
+    done.expect("a transaction referencing the parent blocked the parent's writers")
+        .unwrap();
+    assert_eq!(admin.count(child, &Query::new()).unwrap(), 51);
+    assert_eq!(admin.count(sibling, &Query::new()).unwrap(), 1);
+}
+
+/// A statement that fails part-way is dropped with its buffer: the next
+/// good statement publishes exactly its own row and bumps the table's
+/// version by exactly one.
+#[test]
+fn failed_statements_leave_nothing_for_the_next_commit() {
+    let db = Db::in_memory();
+    db.define_role(Role::superuser("admin"));
+    let c = db.connect("admin").unwrap();
+    c.create_table(TableSchema::new(
+        "mv_fail_parent",
+        vec![Column::new("v", ValueType::Int)],
+    ))
+    .unwrap();
+    c.create_table(TableSchema::new(
+        "mv_fail",
+        vec![
+            Column::new("name", ValueType::Text).not_null().unique(),
+            Column::new("p", ValueType::Int).references("mv_fail_parent", OnDelete::Restrict),
+        ],
+    ))
+    .unwrap();
+    c.insert("mv_fail", &[("name", "taken".into())]).unwrap();
+    let version = db.table_version("mv_fail");
+
+    assert!(matches!(
+        c.insert("mv_fail", &[("name", "taken".into())]),
+        Err(DbError::UniqueViolation { .. })
+    ));
+    assert!(matches!(
+        c.insert(
+            "mv_fail",
+            &[("name", "orphan".into()), ("p", Value::Int(99))]
+        ),
+        Err(DbError::ForeignKeyViolation { .. })
+    ));
+    assert!(matches!(
+        c.update("mv_fail", 1, &[("p", Value::Int(99))]),
+        Err(DbError::ForeignKeyViolation { .. })
+    ));
+    assert_eq!(db.table_version("mv_fail"), version, "a failure published");
+
+    let id = c.insert("mv_fail", &[("name", "good".into())]).unwrap();
+    assert_eq!(db.table_version("mv_fail"), version + 1);
+    assert_eq!(id, 2, "a failed insert consumed a row id");
+    let names: Vec<Value> = c
+        .select("mv_fail", &Query::new())
+        .unwrap()
+        .into_iter()
+        .map(|(_, row)| row[0].clone())
+        .collect();
+    assert_eq!(names, vec!["taken".into(), "good".into()]);
 }

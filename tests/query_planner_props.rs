@@ -390,7 +390,7 @@ proptest! {
                 prop_assert_eq!(rec.seq, i as u64);
             }
             let mut replayed = fixture();
-            Wal::replay_into(&mut replayed, &records, None).unwrap();
+            Wal::replay_into(&mut replayed, &records).unwrap();
             if cut == lines.len() {
                 prop_assert_eq!(
                     db.select(TABLE, &Query::new()).unwrap(),
@@ -490,7 +490,7 @@ fn reopened_wal_resumes_sequence() {
     let records = Wal::read_records(&path).unwrap();
     assert_eq!(records.len(), 4);
     let mut replayed = fixture();
-    Wal::replay_into(&mut replayed, &records, None).unwrap();
+    Wal::replay_into(&mut replayed, &records).unwrap();
     assert_eq!(
         db.select(TABLE, &Query::new()).unwrap(),
         replayed.select(TABLE, &Query::new()).unwrap()

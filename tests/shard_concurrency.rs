@@ -1,6 +1,6 @@
 //! Concurrency tests for the sharded storage engine.
 //!
-//! The engine promises three things the old global `RwLock<Database>`
+//! The engine promises four things the old global `RwLock<Database>`
 //! could give only by serializing everyone:
 //!
 //! 1. writers to *disjoint* tables run in parallel, and readers are never
@@ -11,15 +11,21 @@
 //! 3. a multi-table `read_view` observes an untearable snapshot — a
 //!    transaction writing tables A and B together can never be seen
 //!    half-applied across them;
+//! 4. referential integrity without a lock on the parent — a child insert
+//!    checks its foreign key against the parent's *pinned* version, and
+//!    stays correct against racing parent deletes because every such
+//!    delete must first win the child table's writer mutex;
 //!
 //! plus (regression for the snapshot/compact fix) that snapshotting never
 //! blocks readers. Since the MVCC read path landed, readers don't take
-//! shard locks at all — they pin published table versions — so these
-//! properties now hold by construction; the tests keep them pinned down
-//! against regression (see `tests/mvcc_props.rs` for the MVCC-specific
+//! shard locks at all — they pin published table versions — so the first
+//! three hold by construction; the tests keep them pinned down against
+//! regression (see `tests/mvcc_props.rs` for the MVCC-specific
 //! properties: frozen views, version retention, non-blocking compact).
 
 use amp::simdb::prelude::*;
+use rand::{RngExt, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -129,6 +135,16 @@ fn stress_disjoint_writers_readers_and_transactor() {
     assert_eq!(db.table_version("ledger_b"), 1 + TXNS as u64);
 }
 
+/// Signals the other side when dropped — on the normal path or while
+/// unwinding from a failed assertion, so a panic on one side stops the
+/// other and surfaces instead of hanging the suite.
+struct OnDrop<F: FnMut()>(F);
+impl<F: FnMut()> Drop for OnDrop<F> {
+    fn drop(&mut self) {
+        (self.0)()
+    }
+}
+
 /// Property: `read_view` never observes torn multi-table state. A
 /// transactor keeps `ledger_a` and `ledger_b` in lockstep (always inserts
 /// into both); concurrent views must always see equal counts and equal
@@ -142,16 +158,6 @@ fn read_view_never_observes_torn_transactions() {
     const MIN_TXNS: i64 = 400;
     const MIN_OBSERVATIONS: u64 = 50;
     const CHECKERS: usize = 3;
-
-    /// Signals the other side when dropped — on the normal path or while
-    /// unwinding from a failed assertion, so a panic on one side stops the
-    /// other and surfaces instead of hanging the suite.
-    struct OnDrop<F: FnMut()>(F);
-    impl<F: FnMut()> Drop for OnDrop<F> {
-        fn drop(&mut self) {
-            (self.0)()
-        }
-    }
 
     let db = setup();
     let served = AtomicUsize::new(0);
@@ -323,4 +329,167 @@ fn opposite_order_transactions_cannot_deadlock() {
         2 * ROUNDS as usize
     );
     assert_eq!(c.count("beta", &Query::new()).unwrap(), 2 * ROUNDS as usize);
+}
+
+/// Race child inserts against parent deletes. Two inserters keep adding
+/// `child` rows under randomly chosen parents while a deleter walks every
+/// parent in a shuffled order, its deletes paced by the inserters' attempt
+/// count so they spread over the whole insert stream. The insert checks
+/// its foreign key against a pinned parent version, with no lock on
+/// `parent`; what keeps that sound is the delete's write set, which holds
+/// `child` too. Afterwards:
+///
+/// * no committed child references a missing parent;
+/// * an insert that returned `Ok` is still there, unless (Cascade only)
+///   its parent's delete took it;
+/// * a delete that returned `Ok` left no parent row, and under Restrict
+///   never removed a parent that had a child.
+fn race_child_inserts_against_parent_deletes(on_delete: OnDelete, seed: u64) {
+    const PARENTS: i64 = 48;
+    const INSERTERS: usize = 2;
+    const ATTEMPTS_PER_DELETE: usize = 8;
+
+    let db = Db::in_memory();
+    db.define_role(Role::superuser("admin"));
+    let admin = db.connect("admin").unwrap();
+    admin
+        .create_table(TableSchema::new(
+            "parent",
+            vec![Column::new("v", ValueType::Int)],
+        ))
+        .unwrap();
+    admin
+        .create_table(TableSchema::new(
+            "child",
+            vec![Column::new("p", ValueType::Int)
+                .not_null()
+                .references("parent", on_delete)],
+        ))
+        .unwrap();
+    for v in 0..PARENTS {
+        assert_eq!(
+            admin.insert("parent", &[("v", Value::Int(v))]).unwrap(),
+            v + 1
+        );
+    }
+
+    let attempts = AtomicUsize::new(0);
+    let inserters_done = AtomicUsize::new(0);
+    let deleter_done = AtomicBool::new(false);
+    let (accepted, deleted) = std::thread::scope(|scope| {
+        let inserters: Vec<_> = (0..INSERTERS)
+            .map(|i| {
+                let (db, attempts) = (&db, &attempts);
+                let (inserters_done, deleter_done) = (&inserters_done, &deleter_done);
+                scope.spawn(move || {
+                    let _done = OnDrop(|| {
+                        inserters_done.fetch_add(1, Ordering::SeqCst);
+                    });
+                    let c = db.connect("admin").unwrap();
+                    let mut rng = ChaCha8Rng::seed_from_u64(seed.wrapping_add(i as u64 + 1));
+                    let mut accepted = Vec::new();
+                    while !deleter_done.load(Ordering::SeqCst) {
+                        let parent = rng.random_range(1..=PARENTS);
+                        match c.insert("child", &[("p", Value::Int(parent))]) {
+                            Ok(child) => accepted.push((child, parent)),
+                            // The parent's delete won the race.
+                            Err(DbError::ForeignKeyViolation { .. }) => {}
+                            Err(e) => panic!("child insert under parent {parent}: {e}"),
+                        }
+                        attempts.fetch_add(1, Ordering::SeqCst);
+                        std::thread::yield_now();
+                    }
+                    accepted
+                })
+            })
+            .collect();
+        let deleter = {
+            let (db, attempts) = (&db, &attempts);
+            let (inserters_done, deleter_done) = (&inserters_done, &deleter_done);
+            scope.spawn(move || {
+                let _done = OnDrop(|| deleter_done.store(true, Ordering::SeqCst));
+                let c = db.connect("admin").unwrap();
+                let mut rng = ChaCha8Rng::seed_from_u64(seed);
+                let mut order: Vec<i64> = (1..=PARENTS).collect();
+                for i in (1..order.len()).rev() {
+                    order.swap(i, rng.random_range(0..=i));
+                }
+                let mut deleted = Vec::new();
+                for (i, parent) in order.into_iter().enumerate() {
+                    while attempts.load(Ordering::SeqCst) < (i + 1) * ATTEMPTS_PER_DELETE
+                        && inserters_done.load(Ordering::SeqCst) < INSERTERS
+                    {
+                        std::thread::yield_now();
+                    }
+                    match c.delete("parent", parent) {
+                        Ok(()) => deleted.push(parent),
+                        Err(DbError::ForeignKeyViolation { .. })
+                            if on_delete == OnDelete::Restrict => {}
+                        Err(e) => panic!("delete of parent {parent}: {e}"),
+                    }
+                }
+                deleted
+            })
+        };
+        let accepted: Vec<(i64, i64)> = inserters
+            .into_iter()
+            .flat_map(|h| h.join().unwrap())
+            .collect();
+        (accepted, deleter.join().unwrap())
+    });
+
+    let parent_alive = |id: i64| admin.get("parent", id).is_ok();
+    for (child, row) in admin.select("child", &Query::new()).unwrap() {
+        let parent = row[0].as_int().unwrap();
+        assert!(
+            parent_alive(parent),
+            "child {child} references missing parent {parent}"
+        );
+    }
+    for parent in &deleted {
+        assert!(!parent_alive(*parent), "deleted parent {parent} is back");
+    }
+    assert!(!accepted.is_empty(), "no insert ever won the race");
+    let mut taken_by_cascade = 0;
+    for (child, parent) in &accepted {
+        if admin.get("child", *child).is_ok() {
+            continue;
+        }
+        assert!(
+            on_delete == OnDelete::Cascade && !parent_alive(*parent),
+            "insert of child {child} under parent {parent} returned Ok but the row is gone"
+        );
+        taken_by_cascade += 1;
+    }
+    match on_delete {
+        // Every parent was deleted, and took its children with it.
+        OnDelete::Cascade => {
+            assert_eq!(deleted.len() as i64, PARENTS);
+            assert_eq!(taken_by_cascade, accepted.len());
+        }
+        // A parent with a child refused its delete and still has the child.
+        _ => {
+            assert_eq!(taken_by_cascade, 0);
+            for (_, parent) in &accepted {
+                assert!(
+                    !deleted.contains(parent),
+                    "parent {parent} deleted over a child"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn child_inserts_race_cascading_parent_deletes() {
+    for seed in [1, 7919] {
+        race_child_inserts_against_parent_deletes(OnDelete::Cascade, seed);
+    }
+}
+
+#[test]
+fn child_inserts_race_restricted_parent_deletes() {
+    for seed in [1, 7919] {
+        race_child_inserts_against_parent_deletes(OnDelete::Restrict, seed);
+    }
 }
