@@ -126,6 +126,24 @@ pub fn merge_reports<I: IntoIterator<Item = TickReport>>(parts: I) -> TickReport
     merged
 }
 
+/// The username a simulation's proxies carry — its owner's — looked up once
+/// per simulation per poll phase (`names` lives for one phase; one worker's
+/// chunk of it in the parallel engine, where a simulation's jobs all fall
+/// to one worker) instead of two row reads per polled job.
+fn proxy_username<'a>(
+    names: &'a mut HashMap<i64, String>,
+    conn: &Connection,
+    sim_id: i64,
+) -> &'a str {
+    names.entry(sim_id).or_insert_with(|| {
+        Manager::<Simulation>::new(conn.clone())
+            .get(sim_id)
+            .ok()
+            .and_then(|s| owner_username(conn, &s).ok())
+            .unwrap_or_else(|| "amp-gateway".to_string())
+    })
+}
+
 /// Outcome of polling one job record (phase 1).
 struct PollOutcome {
     polled: bool,
@@ -141,14 +159,13 @@ struct PollOutcome {
 ///
 /// Dirtied rows are *not* saved here: they are pushed onto `dirty`, and
 /// the caller commits the whole phase's rows as **one transaction** (one
-/// WAL batch, one durability flush) via [`commit_job_batch`] — the tick
-/// commit path's group write. The old shape paid one durable commit per
-/// transitioned job.
+/// WAL batch, one table version) via [`commit_job_batch`]. `username` names
+/// the proxy ([`proxy_username`]).
 fn poll_job_once(
-    conn: &Connection,
     grid: &Grid,
     config: &DaemonConfig,
     cred: &CommunityCredential,
+    username: &str,
     job: &mut GridJobRecord,
     now: SimTime,
     dirty: &mut Vec<GridJobRecord>,
@@ -163,13 +180,8 @@ fn poll_job_once(
         return outcome;
     };
     let handle = GramJobHandle(handle_str);
-    let username = Manager::<Simulation>::new(conn.clone())
-        .get(job.simulation_id)
-        .ok()
-        .and_then(|s| owner_username(conn, &s).ok())
-        .unwrap_or_else(|| "amp-gateway".to_string());
     let proxy = cred.issue_proxy(
-        &username,
+        username,
         now,
         SimDuration::from_hours(config.proxy_lifetime_hours),
     );
@@ -237,11 +249,13 @@ fn poll_job_once(
 }
 
 /// Commit a phase's dirtied job rows as one database transaction: one WAL
-/// batch, one durability point, regardless of how many jobs transitioned
-/// this tick. Rows are per-job disjoint (each job is polled at most once
-/// per tick), so folding them into a single commit changes durability
-/// granularity only — a crash loses at most one tick's poll results, which
-/// the next tick's poll re-derives from GRAM.
+/// batch and one new table version, regardless of how many jobs
+/// transitioned this tick. Rows are per-job disjoint (each job is polled
+/// at most once per tick). Like every daemon write but a job's creation,
+/// the batch waits for no flush of its own — the tick's closing flush (or
+/// an earlier submission's) makes it durable — because a crash loses at
+/// most one tick's poll results, which the next tick's poll re-derives
+/// from GRAM.
 fn commit_job_batch(conn: &Connection, batch: &[GridJobRecord]) -> Result<(), DbError> {
     if batch.is_empty() {
         return Ok(());
@@ -263,8 +277,10 @@ type StepOutcome = Result<Result<Option<SimStatus>, WorkflowError>, String>;
 /// grid calls in `ops`, and persist the row if the step succeeded. Shared
 /// by both tick paths, so the save rule cannot drift between them: a step
 /// that left the row exactly as it was loaded — most ticks of a simulation
-/// waiting on the grid — commits nothing (no WAL record, no flush, no
-/// table version bump), and a transition clears the status message.
+/// waiting on the grid — commits nothing (no WAL record, no table version
+/// bump), and a transition clears the status message. The save waits for
+/// no flush: a lost transition is re-derived by the next tick from the job
+/// records, which [`StageCtx`] flushes as it creates them.
 ///
 /// Returns the outcome and `Some(save result)` for `Ok` outcomes (`true`
 /// also when there was nothing to save); `None` means the step failed and
@@ -354,9 +370,11 @@ pub struct GridAmp {
 }
 
 impl GridAmp {
-    /// Connect to the central database with the daemon role.
+    /// Connect to the central database with the daemon role. The
+    /// connection defers its flushes: the tick is the daemon's commit
+    /// (see [`Self::tick`]).
     pub fn new(db: &Db, config: DaemonConfig) -> Result<Self, DbError> {
-        let conn = db.connect(amp_core::roles::ROLE_DAEMON)?;
+        let conn = db.connect(amp_core::roles::ROLE_DAEMON)?.deferred();
         Ok(GridAmp {
             db: db.clone(),
             conn,
@@ -484,7 +502,13 @@ impl GridAmp {
         let _ = lease::release(&self.conn, &self.config.daemon_id, sim_id);
     }
 
-    /// One daemon cycle.
+    /// One daemon cycle, and the daemon's unit of durability: its writes
+    /// are logged and visible as they happen but only two things flush the
+    /// log — a GRAM submission's job record, the moment it is written
+    /// (`StageCtx::record_submission`), and the end of the tick. Whatever
+    /// a crash takes with it since the last of those — lease renewals,
+    /// poll results, transitions, charges, notifications — the next tick
+    /// recomputes from the job records and GRAM (DESIGN §9.9).
     pub fn tick(&mut self, grid: &Grid) -> TickReport {
         self.ticks += 1;
         let mut claim_report = TickReport::default();
@@ -492,7 +516,7 @@ impl GridAmp {
         if let Some(hook) = self.pause_point.as_mut() {
             hook();
         }
-        let report = if self.config.workers > 1 {
+        let mut report = if self.config.workers > 1 {
             self.tick_parallel(grid, self.config.workers)
         } else {
             let started = self.profile.as_mut().map(|p| {
@@ -507,6 +531,9 @@ impl GridAmp {
             }
             report
         };
+        if let Err(e) = self.conn.flush() {
+            report.daemon_errors.push(format!("tick flush: {e}"));
+        }
         let report = merge_reports([claim_report, report]);
         self.last_heartbeat = Some(grid.now().as_secs() as i64 + self.clock_skew_secs);
         // Daemon-class errors are the flight recorder's reason to exist:
@@ -601,6 +628,7 @@ impl GridAmp {
         };
         let now = grid.now();
         let jobs = self.jobs();
+        let mut names = HashMap::new();
         let mut dirty = Vec::new();
         for (job_id, sim_id) in pending {
             // Only the lease holder polls a simulation's jobs.
@@ -612,10 +640,10 @@ impl GridAmp {
                 continue;
             };
             let outcome = poll_job_once(
-                &self.conn,
                 grid,
                 &self.config,
                 &self.cred,
+                proxy_username(&mut names, &self.conn, sim_id),
                 &mut job,
                 now,
                 &mut dirty,
@@ -787,16 +815,8 @@ impl GridAmp {
     /// threads (per-simulation ownership), then merge deterministically.
     fn tick_parallel(&mut self, grid: &Grid, workers: usize) -> TickReport {
         let mut reports: Vec<TickReport> = vec![TickReport::default(); workers];
-        let conns: Result<Vec<Connection>, DbError> = (0..workers)
-            .map(|_| self.db.connect(amp_core::roles::ROLE_DAEMON))
-            .collect();
-        let conns = match conns {
-            Ok(c) => c,
-            Err(e) => {
-                reports[0].daemon_errors.push(e.to_string());
-                return merge_reports(reports);
-            }
-        };
+        // The workers write through the daemon's own (deferring) handle.
+        let conn = &self.conn;
         let now = grid.now();
         let config = self.config.clone();
         let cred = self.cred.clone();
@@ -804,33 +824,39 @@ impl GridAmp {
         // ---- phase 1: generic job polling, sharded by owning sim ----
         match self.pending_job_ids() {
             Ok(pending) => {
-                let mut chunks: Vec<Vec<(usize, i64)>> = vec![Vec::new(); workers];
+                let mut chunks: Vec<Vec<(usize, i64, i64)>> = vec![Vec::new(); workers];
                 for (idx, (job_id, sim_id)) in pending.into_iter().enumerate() {
                     // Only the lease holder polls a simulation's jobs.
                     if !self.owned.contains_key(&sim_id) {
                         continue;
                     }
                     let w = sim_id.rem_euclid(workers as i64) as usize;
-                    chunks[w].push((idx, job_id));
+                    chunks[w].push((idx, job_id, sim_id));
                 }
                 let mut ops: Vec<(usize, OpsEntry)> = std::thread::scope(|scope| {
                     let handles: Vec<_> = chunks
                         .into_iter()
-                        .zip(conns.iter())
                         .zip(reports.iter_mut())
-                        .map(|((chunk, conn), report)| {
+                        .map(|(chunk, report)| {
                             let config = &config;
                             let cred = &cred;
                             scope.spawn(move || {
                                 let jobs: Manager<GridJobRecord> = Manager::new(conn.clone());
+                                let mut names = HashMap::new();
                                 let mut ops = Vec::new();
                                 let mut dirty = Vec::new();
-                                for (idx, job_id) in chunk {
+                                for (idx, job_id, sim_id) in chunk {
                                     let Ok(mut job) = jobs.get(job_id) else {
                                         continue;
                                     };
                                     let o = poll_job_once(
-                                        conn, grid, config, cred, &mut job, now, &mut dirty,
+                                        grid,
+                                        config,
+                                        cred,
+                                        proxy_username(&mut names, conn, sim_id),
+                                        &mut job,
+                                        now,
+                                        &mut dirty,
                                     );
                                     if o.polled {
                                         report.jobs_polled += 1;
@@ -845,9 +871,7 @@ impl GridAmp {
                                         ops.push((idx, entry));
                                     }
                                 }
-                                // One durable commit per worker chunk; the
-                                // concurrent chunks' fsyncs collapse further
-                                // via WAL group commit.
+                                // One commit per worker chunk.
                                 if let Err(e) = commit_job_batch(conn, &dirty) {
                                     report.daemon_errors.push(format!("job batch commit: {e}"));
                                 }
@@ -888,10 +912,9 @@ impl GridAmp {
                 let mut products: Vec<StepProduct> = std::thread::scope(|scope| {
                     let handles: Vec<_> = chunks
                         .into_iter()
-                        .zip(conns.iter())
                         .zip(reports.iter_mut())
                         .enumerate()
-                        .map(|(worker, ((chunk, conn), report))| {
+                        .map(|(worker, (chunk, report))| {
                             let config = &config;
                             let cred = &cred;
                             scope.spawn(move || {
@@ -984,7 +1007,8 @@ impl GridAmp {
 
     /// Administrator action: resume a held simulation from the state it
     /// was in ("once the problem has been resolved, the workflow resumes
-    /// automatically", §4.4).
+    /// automatically", §4.4). An acknowledged action, not tick work: it is
+    /// durable when this returns.
     pub fn resume_from_hold(&mut self, sim_id: i64) -> Result<SimStatus, DbError> {
         let mut sim = self.sims().get(sim_id)?;
         if sim.status != SimStatus::Hold {
@@ -1002,6 +1026,7 @@ impl GridAmp {
         sim.held_from = None;
         sim.status_message = "resumed by administrator".to_string();
         self.sims().save(&sim)?;
+        self.conn.flush()?;
         Ok(resume_to)
     }
 

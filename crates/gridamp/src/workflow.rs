@@ -215,7 +215,7 @@ impl StageCtx<'_> {
         };
         let proxy = self.proxy();
         let handle = self.log_gram_submit(&proxy, spec)?;
-        let mut rec = GridJobRecord::new(
+        let rec = GridJobRecord::new(
             self.sim.id.expect("saved"),
             -1,
             purpose,
@@ -224,11 +224,7 @@ impl StageCtx<'_> {
             0,
             &self.sim.app,
         );
-        rec.gram_handle = Some(handle.to_string());
-        rec.status = JobStatus::Pending;
-        rec.submitted_at = Some(self.now());
-        self.jobs().create(&mut rec)?;
-        Ok(rec)
+        self.record_submission(rec, &handle)
     }
 
     /// Submit a batch model job and record it. Idempotent on the job-state
@@ -281,7 +277,7 @@ impl StageCtx<'_> {
         };
         let proxy = self.proxy();
         let handle = self.log_gram_submit(&proxy, spec)?;
-        let mut rec = GridJobRecord::new(
+        let rec = GridJobRecord::new(
             self.sim.id.expect("saved"),
             ga_run,
             purpose,
@@ -290,10 +286,25 @@ impl StageCtx<'_> {
             cores as i64,
             &self.sim.app,
         );
+        self.record_submission(rec, &handle)
+    }
+
+    /// Record a GRAM submission's handle and make the record durable at
+    /// once. Of everything the daemon writes this alone cannot be
+    /// re-derived after a crash: the idempotent-submit checks above read
+    /// it, so losing it means submitting the job a second time. The flush
+    /// also covers whatever the tick logged before it — the log is durable
+    /// in commit order.
+    fn record_submission(
+        &self,
+        mut rec: GridJobRecord,
+        handle: &GramJobHandle,
+    ) -> Result<GridJobRecord, WorkflowError> {
         rec.gram_handle = Some(handle.to_string());
         rec.status = JobStatus::Pending;
         rec.submitted_at = Some(self.now());
         self.jobs().create(&mut rec)?;
+        self.conn.flush()?;
         Ok(rec)
     }
 

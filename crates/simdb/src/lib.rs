@@ -143,17 +143,21 @@ pub struct Db {
 }
 
 impl Db {
-    /// A purely in-memory database (no WAL, no snapshots).
-    pub fn in_memory() -> Self {
+    fn new(catalog: shard::Catalog, wal: Option<wal::Wal>, snapshot_path: Option<PathBuf>) -> Self {
         Db {
             shared: Arc::new(DbShared {
-                catalog: RwLock::new(shard::Catalog::new()),
+                catalog: RwLock::new(catalog),
                 roles: RwLock::new(HashMap::new()),
-                wal: None,
-                snapshot_path: None,
+                wal,
+                snapshot_path,
                 snap_cache: Mutex::new(HashMap::new()),
             }),
         }
+    }
+
+    /// A purely in-memory database (no WAL, no snapshots).
+    pub fn in_memory() -> Self {
+        Self::new(shard::Catalog::new(), None, None)
     }
 
     /// Open a durable database: recover from `snapshot` + `wal` if they
@@ -172,15 +176,7 @@ impl Db {
         let (tables, versions, applied) = database.into_parts();
         let catalog = shard::Catalog::from_parts(tables, &versions, &applied);
         let wal = wal::Wal::open_at(&wal_path, last_seq.map_or(0, |seq| seq + 1))?;
-        Ok(Db {
-            shared: Arc::new(DbShared {
-                catalog: RwLock::new(catalog),
-                roles: RwLock::new(HashMap::new()),
-                wal: Some(wal),
-                snapshot_path: Some(snapshot),
-                snap_cache: Mutex::new(HashMap::new()),
-            }),
-        })
+        Ok(Self::new(catalog, Some(wal), Some(snapshot)))
     }
 
     /// Register (or replace) a role.
@@ -203,6 +199,7 @@ impl Db {
         Ok(Connection {
             db: self.clone(),
             role,
+            deferred: false,
         })
     }
 
@@ -286,11 +283,12 @@ impl Db {
         wal.truncate_keeping(&applied)
     }
 
-    /// Durability policy: when `on`, every committed write is `fdatasync`'d
-    /// before the commit returns (group commit shares one fsync across the
-    /// batch the leader drains), so commits survive power loss rather than
-    /// just process death. Off by default — the historical behavior. No-op
-    /// on an in-memory database.
+    /// Durability policy: when `on`, every log flush ends in `fdatasync`
+    /// (group commit shares one across the batch the leader drains), so a
+    /// commit that has returned on a waiting connection — or been followed
+    /// by [`Connection::flush`] on a deferring one — survives power loss
+    /// rather than just process death. Off by default — the historical
+    /// behavior. No-op on an in-memory database.
     pub fn set_fsync(&self, on: bool) {
         if let Some(wal) = &self.shared.wal {
             wal.set_fsync(on);
@@ -400,15 +398,54 @@ impl Db {
 
 /// A role-scoped connection. All operations are permission-checked against
 /// the connection's role and (when the [`Db`] is durable) WAL-logged.
+///
+/// A connection either **waits** (the default: a commit returns once its
+/// records are flushed) or **defers** ([`Self::deferred`]: a commit is
+/// logged and published at once, and [`Self::flush`] is the caller's
+/// durability point). The log is one ordered buffer that any flush drains
+/// whole, so what is durable is always a prefix of commit order, whichever
+/// mix of connections wrote it.
 #[derive(Clone)]
 pub struct Connection {
     db: Db,
     role: Arc<Role>,
+    /// Commits on this handle (and its clones) wait for no flush.
+    deferred: bool,
 }
 
 impl Connection {
     pub fn role_name(&self) -> &str {
         &self.role.name
+    }
+
+    /// This connection, deferring: every commit is logged and published
+    /// before it returns but waits for no flush, so a crash may lose a
+    /// suffix of them — back to the last flush by *any* connection. For a
+    /// caller with a natural commit point of its own that can re-derive
+    /// what it wrote since (the workflow daemon: its tick). Clones inherit
+    /// the choice.
+    pub fn deferred(self) -> Self {
+        Connection {
+            deferred: true,
+            ..self
+        }
+    }
+
+    /// Make every commit logged so far — by this or any other connection —
+    /// durable: one group-commit flush, or none when the log is already
+    /// durable. On a waiting connection there is never anything left to do.
+    pub fn flush(&self) -> Result<(), DbError> {
+        let logged = self.db.shared.wal.as_ref().and_then(wal::Wal::last_seq);
+        self.db.sync_wal(logged)
+    }
+
+    /// The end of a commit: wait for the flush covering `last`, unless
+    /// this connection defers.
+    fn sync_wal(&self, last: Option<u64>) -> Result<(), DbError> {
+        if self.deferred {
+            return Ok(());
+        }
+        self.db.sync_wal(last)
     }
 
     pub(crate) fn db_handle(&self) -> &Db {
@@ -434,7 +471,7 @@ impl Connection {
             .catalog
             .write()
             .create_table(schema, |op| self.db.enqueue_wal(std::slice::from_ref(op)))?;
-        self.db.sync_wal(last)
+        self.sync_wal(last)
     }
 
     pub fn has_table(&self, name: &str) -> bool {
@@ -454,9 +491,10 @@ impl Connection {
     /// One single-statement write: acquire the plan's write set in order,
     /// apply to its buffers, claim WAL sequence numbers *under the guards*
     /// (so WAL order matches apply order), publish the new version(s) and
-    /// release, then group-commit the flush — so writers queued on the
-    /// same table share an fsync. A failed `apply` returns with the
-    /// buffers dropped: nothing was published and nothing is left behind.
+    /// release, then group-commit the flush (unless this connection
+    /// defers it) — so writers queued on the same table share an fsync. A
+    /// failed `apply` returns with the buffers dropped: nothing was
+    /// published and nothing is left behind.
     fn run_write<T>(
         &self,
         plan: shard::LockPlan,
@@ -466,7 +504,7 @@ impl Connection {
         let (out, ops) = apply(&mut set)?;
         let last = self.db.enqueue_wal(&ops)?;
         set.commit(last);
-        self.db.sync_wal(last)?;
+        self.sync_wal(last)?;
         Ok(out)
     }
 
@@ -630,9 +668,11 @@ impl Connection {
         // durability fails, `set` drops unpublished — no reader (and no
         // later writer of these tables) ever sees the aborted state.
         // Publication happens only after the batch is durable, as one
-        // commit-clock-protected unit.
+        // commit-clock-protected unit. (A deferring connection has no
+        // flush to wait for: it publishes after the enqueue, as a single
+        // statement does.)
         let last = self.db.enqueue_wal(&ops)?;
-        self.db.sync_wal(last)?;
+        self.sync_wal(last)?;
         set.commit(last);
         Ok(out)
     }
@@ -1008,6 +1048,75 @@ mod tests {
         // continue writing after recovery
         c.insert("t", &[("v", Value::Int(3))]).unwrap();
         assert_eq!(c.count("t", &Query::new()).unwrap(), 3);
+    }
+
+    /// The deferring connection's contract, read off the log file (the
+    /// flush counter is process-wide and other unit tests move it; its
+    /// side of the contract is asserted in `tests/observability.rs`).
+    #[test]
+    fn deferred_commits_are_visible_at_once_and_durable_at_the_next_flush() {
+        let dir = std::env::temp_dir().join(format!("simdb_deferred_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let (snap, walp, copy) = (
+            dir.join("db.snap"),
+            dir.join("db.wal"),
+            dir.join("copy.wal"),
+        );
+        let db = Db::open(&snap, &walp).unwrap();
+        db.define_role(Role::superuser("admin"));
+        let waiting = db.connect("admin").unwrap();
+        let int = |v| [("v", Value::Int(v))];
+        for t in ["a", "b"] {
+            waiting
+                .create_table(TableSchema::new(t, vec![Column::new("v", ValueType::Int)]))
+                .unwrap();
+        }
+        waiting.insert("a", &int(0)).unwrap();
+        // Rows of `a` and `b` a crash would leave behind right now.
+        let crash = || {
+            std::fs::copy(&walp, &copy).unwrap();
+            let recovered = wal::recover(None, Some(&copy)).unwrap();
+            ["a", "b"].map(|t| recovered.table(t).unwrap().len())
+        };
+        let flushed = std::fs::read(&walp).unwrap();
+        assert_eq!(crash(), [1, 0]);
+
+        // A statement and a transaction, the latter through a clone (which
+        // inherits the deferral): published before they return ...
+        let deferring = waiting.clone().deferred();
+        deferring.insert("a", &int(1)).unwrap();
+        deferring
+            .clone()
+            .transaction(&["a"], |tx| {
+                tx.insert("a", &int(2))?;
+                tx.insert("a", &int(3))
+            })
+            .unwrap();
+        assert_eq!(waiting.count("a", &Query::new()).unwrap(), 4);
+        let view = waiting.read_view(&["a", "b"]).unwrap();
+        assert_eq!(view.count("a", &Query::new()).unwrap(), 4);
+        // ... while the file has not moved: a crash keeps the last flushed
+        // state, whole records and nothing after them.
+        assert_eq!(std::fs::read(&walp).unwrap(), flushed);
+        assert_eq!(crash(), [1, 0]);
+
+        // The flush appends the whole suffix to what was there.
+        deferring.flush().unwrap();
+        let log = std::fs::read(&walp).unwrap();
+        assert!(log.len() > flushed.len() && log.starts_with(&flushed));
+        assert_eq!(crash(), [4, 0]);
+
+        // A waiting connection's commit, on another table, drains the one
+        // queue: the deferred record before it is durable with it, and the
+        // deferring connection's own flush finds nothing left to write.
+        deferring.insert("a", &int(4)).unwrap();
+        assert_eq!(crash(), [4, 0]);
+        waiting.insert("b", &int(0)).unwrap();
+        assert_eq!(crash(), [5, 1]);
+        let len = std::fs::metadata(&walp).unwrap().len();
+        deferring.flush().unwrap();
+        assert_eq!(std::fs::metadata(&walp).unwrap().len(), len);
     }
 
     /// Repeated compactions hit the clean-table encode cache; this pins

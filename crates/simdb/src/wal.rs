@@ -146,6 +146,12 @@ fn encode_op(buf: &mut Vec<u8>, op: &LogOp) -> Result<(), DbError> {
     Ok(())
 }
 
+/// The error every commit gets once a flush has failed (see
+/// `CommitState::failed`).
+fn dead_log(cause: &str) -> DbError {
+    DbError::Io(format!("wal unusable after failed flush: {cause}"))
+}
+
 /// One WAL record: a monotonically increasing sequence number plus the op.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct WalRecord {
@@ -331,6 +337,13 @@ impl Wal {
         if encoded.is_empty() {
             return Ok(None);
         }
+        // A failed flush lost records and nothing drains the buffer any
+        // more: refuse, so the caller publishes nothing that can never be
+        // made durable. (Records enqueued while the failing flush was in
+        // flight are already published; their `sync_to` reports the error.)
+        if let Some(e) = &self.commit.lock().expect("wal commit lock").failed {
+            return Err(dead_log(e));
+        }
 
         // Phase 2: claim sequence numbers and buffer the finished lines.
         let mut q = self.queue.lock().expect("wal queue lock");
@@ -370,7 +383,7 @@ impl Wal {
         let mut st = self.commit.lock().expect("wal commit lock");
         loop {
             if let Some(e) = &st.failed {
-                return Err(DbError::Io(format!("wal unusable after failed flush: {e}")));
+                return Err(dead_log(e));
             }
             if st.flushed_seq.is_some_and(|s| s >= target) {
                 return Ok(()); // a leader's flush already covered us
@@ -455,7 +468,7 @@ impl Wal {
     pub(crate) fn truncate_keeping(&self, applied: &BTreeMap<String, u64>) -> Result<(), DbError> {
         let mut st = self.wait_no_flush();
         if let Some(e) = &st.failed {
-            return Err(DbError::Io(format!("wal unusable after failed flush: {e}")));
+            return Err(dead_log(e));
         }
         let mut file = self.file.lock().expect("wal file lock");
         // Flush whatever is buffered so the rewrite below sees every
@@ -854,6 +867,44 @@ mod tests {
                 "encoder diverged for {op:?}"
             );
         }
+    }
+
+    /// After a failed flush the log is dead: nothing drains its buffer, so
+    /// a later commit must be refused before it is buffered or published.
+    /// (`/dev/full` opens like a file and fails every write with ENOSPC.)
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_dead_log_refuses_commits_instead_of_publishing_them() {
+        use crate::{query::Query, Db, Role};
+        let log = Wal::open_at("/dev/full", 0).unwrap();
+        let db = Db::new(crate::shard::Catalog::new(), Some(log), None);
+        db.define_role(Role::superuser("admin"));
+        let conn = db.connect("admin").unwrap();
+        // The first commit's flush fails. (DDL, like any single statement,
+        // publishes before its flush, so the table is there.)
+        let schema = TableSchema::new("t", vec![Column::new("v", ValueType::Int)]);
+        assert!(matches!(conn.create_table(schema), Err(DbError::Io(_))));
+
+        let buffered = || {
+            let log = db.shared.wal.as_ref().unwrap();
+            let q = log.queue.lock().unwrap();
+            (q.buf.len(), q.next_seq)
+        };
+        let (version, queue) = (db.table_version("t"), buffered());
+        for conn in [conn.clone(), conn.clone().deferred()] {
+            let one = conn.insert("t", &[("v", Value::Int(1))]);
+            assert!(matches!(one, Err(DbError::Io(_))), "{one:?}");
+            let txn = conn.transaction(&["t"], |tx| tx.insert("t", &[("v", Value::Int(2))]));
+            assert!(matches!(txn, Err(DbError::Io(_))), "{txn:?}");
+            assert!(conn.flush().is_err());
+        }
+        assert_eq!(
+            db.table_version("t"),
+            version,
+            "a refused commit was published"
+        );
+        assert_eq!(conn.count("t", &Query::new()).unwrap(), 0);
+        assert_eq!(buffered(), queue, "a refused commit was buffered");
     }
 
     #[test]

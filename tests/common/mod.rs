@@ -4,6 +4,8 @@
 
 #![allow(dead_code)]
 
+use std::collections::HashSet;
+
 use amp::prelude::*;
 use amp_grid::{DaemonFault, DaemonFaultEvent, DaemonFaultPlan};
 
@@ -30,6 +32,60 @@ pub fn deployment(walltime_hours: f64) -> amp::gridamp::Deployment {
         None,
     )
     .unwrap()
+}
+
+/// `(sim id, status, result)` for every simulation — the timing-free
+/// final state two runs of the same campaign must agree on.
+pub fn final_states(db: &Db) -> Vec<(i64, String, Option<String>)> {
+    let admin = db.connect(amp::core::roles::ROLE_ADMIN).unwrap();
+    let mut sims = Manager::<Simulation>::new(admin).all().unwrap();
+    sims.sort_by_key(|s| s.id);
+    sims.iter()
+        .map(|s| {
+            (
+                s.id.unwrap(),
+                s.status.as_str().to_string(),
+                s.result_json.clone(),
+            )
+        })
+        .collect()
+}
+
+/// The duplicate-submission oracle: job-state keys — including the
+/// science application — are unique, and the grid saw exactly one GRAM
+/// submit per recorded job handle.
+pub fn assert_no_duplicate_submissions(db: &Db, grid: &amp::grid::Grid) {
+    let admin = db.connect(amp::core::roles::ROLE_ADMIN).unwrap();
+    let jobs = Manager::<GridJobRecord>::new(admin).all().unwrap();
+    let mut keys = HashSet::new();
+    for j in &jobs {
+        assert!(
+            keys.insert((
+                j.app.as_str(),
+                j.simulation_id,
+                j.purpose.as_str(),
+                j.ga_run,
+                j.continuation
+            )),
+            "duplicate job-state row: app {} sim {} {} run {} cont {}",
+            j.app,
+            j.simulation_id,
+            j.purpose.as_str(),
+            j.ga_run,
+            j.continuation
+        );
+    }
+    let handles = jobs.iter().filter(|j| j.gram_handle.is_some()).count();
+    let audit = grid.audit();
+    let submits = audit
+        .records()
+        .iter()
+        .filter(|r| r.action == "submit")
+        .count();
+    assert_eq!(
+        submits, handles,
+        "every GRAM submit must map to exactly one job record handle"
+    );
 }
 
 /// Drives a fleet of daemons through kill / pause / restart / clock-skew

@@ -17,7 +17,7 @@ use std::sync::mpsc;
 
 use amp::gridamp::{deploy_cluster, seed_fixtures, ClusterDeployment};
 use amp::prelude::*;
-use common::{truth, ChaosScheduler};
+use common::{assert_no_duplicate_submissions, final_states, truth, ChaosScheduler};
 
 /// Shared config: short-ish leases so takeovers happen within a few
 /// rounds of a daemon dying, but several poll intervals long so one
@@ -63,60 +63,6 @@ fn all_settled(db: &Db) -> bool {
                 .all(|s| matches!(s.status, SimStatus::Done | SimStatus::Hold))
         })
         .unwrap_or(false)
-}
-
-/// `(sim id, status, result)` for every simulation — the timing-free
-/// final state two runs of the same campaign must agree on.
-fn final_states(db: &Db) -> Vec<(i64, String, Option<String>)> {
-    let admin = db.connect(amp::core::roles::ROLE_ADMIN).unwrap();
-    let mut sims = Manager::<Simulation>::new(admin).all().unwrap();
-    sims.sort_by_key(|s| s.id);
-    sims.iter()
-        .map(|s| {
-            (
-                s.id.unwrap(),
-                s.status.as_str().to_string(),
-                s.result_json.clone(),
-            )
-        })
-        .collect()
-}
-
-/// The duplicate-submission oracle: job-state keys — now including the
-/// science application — are unique, and the grid saw exactly one GRAM
-/// submit per recorded job handle.
-fn assert_no_duplicate_submissions(db: &Db, grid: &amp::grid::Grid) {
-    let admin = db.connect(amp::core::roles::ROLE_ADMIN).unwrap();
-    let jobs = Manager::<GridJobRecord>::new(admin).all().unwrap();
-    let mut keys = HashSet::new();
-    for j in &jobs {
-        assert!(
-            keys.insert((
-                j.app.as_str(),
-                j.simulation_id,
-                j.purpose.as_str(),
-                j.ga_run,
-                j.continuation
-            )),
-            "duplicate job-state row: app {} sim {} {} run {} cont {}",
-            j.app,
-            j.simulation_id,
-            j.purpose.as_str(),
-            j.ga_run,
-            j.continuation
-        );
-    }
-    let handles = jobs.iter().filter(|j| j.gram_handle.is_some()).count();
-    let audit = grid.audit();
-    let submits = audit
-        .records()
-        .iter()
-        .filter(|r| r.action == "submit")
-        .count();
-    assert_eq!(
-        submits, handles,
-        "every GRAM submit must map to exactly one job record handle"
-    );
 }
 
 /// Drive a daemon fleet round-robin under the chaos plan until every

@@ -6,7 +6,9 @@
 //! (idle timeout is bookkept as `idle_timeout`, never as an I/O error).
 //!
 //! Metrics are cumulative per process, so every assertion here is a
-//! "present / increased by" check, never an exact global count.
+//! "present / increased by" check, never an exact global count — except
+//! on the log-flush counter, which only the two tests that open a durable
+//! database move; they take turns on [`WAL_FLUSHES`].
 
 use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
@@ -30,6 +32,10 @@ fn truth() -> StellarParams {
     }
 }
 
+/// Held by a test while it flushes a write-ahead log, so that the other's
+/// deltas of `simdb_wal_fsync_total` are its own.
+static WAL_FLUSHES: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 fn tmpdir(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("amp_obs_{tag}_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&d);
@@ -44,6 +50,7 @@ fn metrics_endpoint_covers_all_three_tiers() {
     // --- simdb tier (durable): WAL fsyncs, commit batches, lock holds ---
     let dir = tmpdir("metrics");
     {
+        let _turn = WAL_FLUSHES.lock().unwrap_or_else(|e| e.into_inner());
         let db = Db::open(dir.join("amp.snap"), dir.join("amp.wal")).unwrap();
         amp::core::setup::initialize(&db).unwrap();
         let admin = db.connect(amp::core::roles::ROLE_ADMIN).unwrap();
@@ -128,6 +135,84 @@ fn metrics_endpoint_covers_all_three_tiers() {
     // The scrape itself must not be cached: two scrapes may differ.
     let again = portal.handle(&Request::get("/metrics"));
     assert_eq!(again.status, 200);
+}
+
+/// `simdb_wal_fsync_total` under a deferring connection, exactly: commits
+/// move it by nothing, `flush()` by one, a second `flush()` by nothing —
+/// and a daemon, whose connection defers, flushes at most once per GRAM
+/// submission it records plus once per tick, and not at all when idle.
+#[test]
+fn deferred_commits_flush_once_per_tick_plus_once_per_submission() {
+    let _turn = WAL_FLUSHES.lock().unwrap_or_else(|e| e.into_inner());
+    let flushes = obs::counter("simdb_wal_fsync_total");
+    let dir = tmpdir("flushes");
+    let db = Db::open(dir.join("amp.snap"), dir.join("amp.wal")).unwrap();
+    db.set_fsync(true);
+    amp::core::setup::initialize(&db).unwrap();
+
+    let admin = db.connect(amp::core::roles::ROLE_ADMIN).unwrap();
+    let deferring = admin.clone().deferred();
+    let before = flushes.get();
+    let stars = Manager::<Star>::new(deferring.clone());
+    for s in amp::stellar::famous_stars().iter().take(3) {
+        stars.create(&mut Star::from_catalog(s, "local")).unwrap();
+    }
+    assert_eq!(Manager::<Star>::new(admin.clone()).all().unwrap().len(), 3);
+    assert_eq!(flushes.get(), before, "a deferred commit flushed");
+    deferring.flush().unwrap();
+    assert_eq!(flushes.get(), before + 1);
+    deferring.flush().unwrap();
+    assert_eq!(flushes.get(), before + 1, "nothing was left to flush");
+
+    // A real daemon on the same durable database: one direct run and one
+    // small optimization, tick by tick.
+    let mut grid = amp::grid::Grid::new();
+    grid.add_site(amp::grid::systems::kraken());
+    amp::gridamp::apps::install_amp_stack(&mut grid, "kraken");
+    let mut daemon = GridAmp::new(&db, DaemonConfig::default()).unwrap();
+    grid.authorize("kraken", daemon.credential());
+    let (user, star, alloc, obs_id) =
+        amp::gridamp::seed_fixtures(&db, "kraken", &truth(), 1).unwrap();
+    let sims = Manager::<Simulation>::new(db.connect(amp::core::roles::ROLE_WEB).unwrap());
+    let mut direct = Simulation::new_direct(star, user, truth(), "kraken", alloc, 0);
+    sims.create(&mut direct).unwrap();
+    let spec = OptimizationSpec {
+        ga_runs: 1,
+        population: 10,
+        generations: 5,
+        cores_per_run: 128,
+        seed: 7,
+    };
+    let mut opt = Simulation::new_optimization(star, user, spec, obs_id, "kraken", alloc, 0);
+    sims.create(&mut opt).unwrap();
+
+    let jobs = Manager::<GridJobRecord>::new(admin.clone());
+    let settled = || {
+        let all = Manager::<Simulation>::new(admin.clone()).all().unwrap();
+        all.iter().all(|s| s.status == SimStatus::Done)
+    };
+    let (mut ticks, mut submitted) = (0, 0);
+    while !settled() {
+        ticks += 1;
+        assert!(ticks < 2_000, "campaign did not settle");
+        let (jobs_before, flushes_before) = (jobs.all().unwrap().len(), flushes.get());
+        let report = daemon.tick(&grid);
+        assert!(report.daemon_errors.is_empty(), "{report:?}");
+        let created = (jobs.all().unwrap().len() - jobs_before) as u64;
+        let spent = flushes.get() - flushes_before;
+        // Each record is flushed as it is written, then the tick once.
+        assert!(
+            created <= spent && spent <= created + 1,
+            "tick {ticks}: {spent} flushes for {created} job records"
+        );
+        submitted += created;
+        grid.advance(SimDuration::from_secs(300));
+    }
+    assert!(submitted >= 8, "only {submitted} job records");
+    // Nothing is live any more: the tick writes nothing and flushes nothing.
+    let idle = flushes.get();
+    daemon.tick(&grid);
+    assert_eq!(flushes.get(), idle, "an idle tick flushed");
 }
 
 /// A transient storm past the retry cap escalates to HOLD; the flight
