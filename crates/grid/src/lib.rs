@@ -158,8 +158,8 @@ struct ClockState {
 
 /// A locked view of one [`Site`].
 ///
-/// Concurrency model (the daemon's parallel tick engine shares one `Grid`
-/// across worker threads):
+/// Concurrency model (the shards of a daemon tick share one `Grid`, on
+/// threads when more than one has work):
 ///
 /// * every site sits behind its own mutex — the sharding unit;
 /// * the clock (now + event queue) is a second, independent lock;

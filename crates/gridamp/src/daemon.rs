@@ -10,23 +10,27 @@
 //! for model failures, and an externally monitored heartbeat for daemon
 //! failures.
 //!
-//! ## Parallel ticks
+//! ## The tick engine
 //!
-//! With [`DaemonConfig::workers`] > 1 both tick phases shard across a
-//! worker pool. The sharding rule is **per-simulation ownership**: a
-//! simulation — and every job record belonging to it — is handled by
-//! exactly one worker per tick (`simulation_id % workers`), so no two
-//! threads ever race on the same rows. Each worker drives grid client
-//! calls against the shared [`Grid`] (which synchronizes internally on
-//! per-site locks) through its own database [`Connection`], and produces
-//! its own partial [`TickReport`] plus an ops-log segment. After the
-//! workers join, outcomes are applied and reports merged in simulation-id
-//! order ([`merge_reports`]), so notifications, holds and the
-//! transient-streak accounting happen in exactly the order the sequential
-//! daemon produces. `workers == 1` bypasses the pool entirely and runs
-//! the legacy sequential loop.
+//! There is one engine, whatever [`DaemonConfig::workers`] says: claim
+//! leases → `pause_point` → poll phase → step phase → apply → closing
+//! flush. Both work phases shard their worklist by **per-simulation
+//! ownership** (`simulation_id % workers`): a simulation — and every job
+//! record belonging to it — falls to exactly one shard per tick, so no two
+//! threads ever race on the same rows. [`fan_out`] runs the shards: a lone
+//! non-empty shard (always the case at the default `workers: 1`, and on
+//! every quiet tick of a larger pool) runs inline on the caller's thread;
+//! otherwise each non-empty shard gets one scoped thread. All shards drive
+//! grid client calls against the shared [`Grid`] (which synchronizes
+//! internally on per-site locks) and write through the daemon's one
+//! deferring [`Connection`]. Side effects whose *order* is observable —
+//! streak/backoff accounting, holds, notifications, the ops log — are
+//! applied on the daemon thread after the phase's barrier, in worklist
+//! (simulation-id) order, and reports are merged by [`merge_reports`], so
+//! the database ends up the same at any pool size.
 
 use std::collections::HashMap;
+use std::time::Instant;
 
 use amp_core::models::{AmpUser, GridJobRecord, Lease, Notification, NotifyMode, Simulation};
 use amp_core::status::{JobStatus, SimStatus};
@@ -53,10 +57,33 @@ struct DaemonMetrics {
     lease_renewals: amp_obs::Counter,
     lease_takeovers: amp_obs::Counter,
     lease_losses: amp_obs::Counter,
+    /// `gridamp_tick_stage_seconds{stage=…}`: where a tick's wall time
+    /// goes. The five stages are contiguous, so their sums add up to the
+    /// time spent in [`GridAmp::tick`] (less a `pause_point` hook, which
+    /// belongs to no stage). `apply` is the post-barrier half of the step
+    /// phase.
+    stage_claim: amp_obs::Histogram,
+    stage_poll: amp_obs::Histogram,
+    stage_step: amp_obs::Histogram,
+    stage_apply: amp_obs::Histogram,
+    stage_flush: amp_obs::Histogram,
+}
+
+/// Close the tick stage that began at `since` and start the next one.
+fn lap(since: &mut Instant, stage: &amp_obs::Histogram) {
+    let now = Instant::now();
+    stage.observe_duration(now - *since);
+    *since = now;
 }
 
 fn obs_metrics() -> &'static DaemonMetrics {
     static METRICS: std::sync::OnceLock<DaemonMetrics> = std::sync::OnceLock::new();
+    let stage = |name| {
+        amp_obs::registry().histogram(
+            &amp_obs::labeled("gridamp_tick_stage_seconds", &[("stage", name)]),
+            amp_obs::Unit::Seconds,
+        )
+    };
     METRICS.get_or_init(|| DaemonMetrics {
         job_transitions: amp_obs::counter("daemon_job_transitions_total"),
         transient_retries: amp_obs::counter("daemon_transient_retries_total"),
@@ -67,27 +94,12 @@ fn obs_metrics() -> &'static DaemonMetrics {
         lease_renewals: amp_obs::counter("daemon_lease_renewals_total"),
         lease_takeovers: amp_obs::counter("daemon_lease_takeovers_total"),
         lease_losses: amp_obs::counter("daemon_lease_losses_total"),
+        stage_claim: stage("claim"),
+        stage_poll: stage("poll"),
+        stage_step: stage("step"),
+        stage_apply: stage("apply"),
+        stage_flush: stage("flush"),
     })
-}
-
-/// Opt-in per-tick profile of the sequential engine, for scalability
-/// reporting: the measured service time of every phase-1 poll and every
-/// phase-2 step, keyed by owning simulation, plus the whole tick's wall
-/// time. With these a bench can replay the parallel engine's sharding
-/// rule (`simulation_id % workers`) and compute the critical-path tick
-/// time a multi-core host would see — the only faithful way to report
-/// the pool's speedup from a single-core CI box. Only the sequential
-/// engine fills this in (`workers == 1`); its measurements are
-/// interleaving-free.
-#[derive(Debug, Clone, Default)]
-pub struct TickProfile {
-    /// (simulation id, service time) of each phase-1 job poll.
-    pub poll_items: Vec<(i64, std::time::Duration)>,
-    /// (simulation id, service time) of each phase-2 workflow step,
-    /// outcome application (the row save the pool also shards) included.
-    pub step_items: Vec<(i64, std::time::Duration)>,
-    /// Wall time of the whole tick (item work + serial bookkeeping).
-    pub total: std::time::Duration,
 }
 
 /// Summary of one daemon tick.
@@ -104,7 +116,7 @@ pub struct TickReport {
     pub daemon_errors: Vec<String>,
 }
 
-/// Merge per-worker tick reports into one tick summary: counts are
+/// Merge per-shard tick reports into one tick summary: counts are
 /// summed, transitions are ordered by simulation id, and daemon errors
 /// are sorted. Commutative and lossless — any permutation of the same
 /// parts merges to the same report, and nothing is dropped.
@@ -126,10 +138,33 @@ pub fn merge_reports<I: IntoIterator<Item = TickReport>>(parts: I) -> TickReport
     merged
 }
 
+/// Run `work` over every non-empty shard and collect what each returns, in
+/// shard order. With at most one non-empty shard it runs on the caller's
+/// thread — nothing is spawned; otherwise each non-empty shard gets a scoped
+/// thread. A panic in `work` leaves through the caller with its original
+/// payload either way, so a tick unwinds the same at any pool size.
+fn fan_out<T: Send, R: Send>(shards: Vec<Vec<T>>, work: impl Fn(Vec<T>) -> R + Sync) -> Vec<R> {
+    let mut busy: Vec<Vec<T>> = shards.into_iter().filter(|s| !s.is_empty()).collect();
+    if busy.len() <= 1 {
+        return busy.pop().map(&work).into_iter().collect();
+    }
+    std::thread::scope(|scope| {
+        let work = &work;
+        let handles: Vec<_> = busy
+            .into_iter()
+            .map(|shard| scope.spawn(move || work(shard)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
+    })
+}
+
 /// The username a simulation's proxies carry — its owner's — looked up once
-/// per simulation per poll phase (`names` lives for one phase; one worker's
-/// chunk of it in the parallel engine, where a simulation's jobs all fall
-/// to one worker) instead of two row reads per polled job.
+/// per simulation per poll phase (`names` lives for one shard of one phase,
+/// and a simulation's jobs all fall to one shard) instead of two row reads
+/// per polled job.
 fn proxy_username<'a>(
     names: &'a mut HashMap<i64, String>,
     conn: &Connection,
@@ -144,23 +179,24 @@ fn proxy_username<'a>(
     })
 }
 
-/// Outcome of polling one job record (phase 1).
-struct PollOutcome {
-    polled: bool,
-    transitioned: bool,
-    transient: bool,
-    ops: Option<OpsEntry>,
+/// What one shard of the poll phase (phase 1) produces.
+#[derive(Default)]
+struct PollShard {
+    /// The shard's part of the tick report.
+    report: TickReport,
+    /// Ops-log entries by job id, replayed post-barrier in that order.
+    ops: Vec<(i64, OpsEntry)>,
+    /// Dirtied job rows, for [`commit_job_batch`].
+    dirty: Vec<GridJobRecord>,
 }
 
 /// Poll one job's GRAM status — the §4.4 generic status update, identical
-/// for all jobs "regardless of purpose or execution method". Shared
-/// verbatim by the sequential and parallel paths so their per-job behavior
-/// cannot drift.
+/// for all jobs "regardless of purpose or execution method".
 ///
-/// Dirtied rows are *not* saved here: they are pushed onto `dirty`, and
-/// the caller commits the whole phase's rows as **one transaction** (one
-/// WAL batch, one table version) via [`commit_job_batch`]. `username` names
-/// the proxy ([`proxy_username`]).
+/// Dirtied rows are *not* saved here: they are pushed onto `shard.dirty`,
+/// and the caller commits its shard's rows as **one transaction** (one
+/// WAL batch, one table version) via [`commit_job_batch`]. `username`
+/// names the proxy ([`proxy_username`]).
 fn poll_job_once(
     grid: &Grid,
     config: &DaemonConfig,
@@ -168,16 +204,10 @@ fn poll_job_once(
     username: &str,
     job: &mut GridJobRecord,
     now: SimTime,
-    dirty: &mut Vec<GridJobRecord>,
-) -> PollOutcome {
-    let mut outcome = PollOutcome {
-        polled: false,
-        transitioned: false,
-        transient: false,
-        ops: None,
-    };
+    shard: &mut PollShard,
+) {
     let Some(handle_str) = job.gram_handle.clone() else {
-        return outcome;
+        return;
     };
     let handle = GramJobHandle(handle_str);
     let proxy = cred.issue_proxy(
@@ -185,7 +215,7 @@ fn poll_job_once(
         now,
         SimDuration::from_hours(config.proxy_lifetime_hours),
     );
-    outcome.polled = true;
+    shard.report.jobs_polled += 1;
     let poll_timer = std::time::Instant::now();
     let status = grid.gram_status(&job.site, &proxy, &handle);
     amp_obs::registry()
@@ -211,13 +241,13 @@ fn poll_job_once(
                     job.started_at = times.started_at.map(|t| t.as_secs() as i64);
                     job.ended_at = times.ended_at.map(|t| t.as_secs() as i64);
                 }
-                dirty.push(job.clone());
-                outcome.transitioned = true;
+                shard.dirty.push(job.clone());
+                shard.report.job_transitions += 1;
                 obs_metrics().job_transitions.inc();
             }
         }
         Err(e) if e.is_transient() => {
-            outcome.transient = true;
+            shard.report.transient_errors += 1;
             amp_obs::flight().record(
                 "grid_fault",
                 format!(
@@ -229,27 +259,29 @@ fn poll_job_once(
             );
             // Anticipated transient: administrators notified, the
             // user-visible display annotated, processing retried.
-            outcome.ops = Some(OpsEntry {
+            let entry = OpsEntry {
                 at: now.as_secs() as i64,
                 simulation_id: Some(job.simulation_id),
                 command: gram_status_cmdline(&handle.0),
                 outcome: OpOutcome::Transient(e.to_string()),
-            });
+            };
+            shard
+                .ops
+                .push((job.id().expect("polled jobs are persisted rows"), entry));
             job.detail = format!("transient: {e}");
-            dirty.push(job.clone());
+            shard.dirty.push(job.clone());
         }
         Err(e) => {
             job.status = JobStatus::Failed;
             job.detail = e.to_string();
-            dirty.push(job.clone());
-            outcome.transitioned = true;
+            shard.dirty.push(job.clone());
+            shard.report.job_transitions += 1;
         }
     }
-    outcome
 }
 
-/// Commit a phase's dirtied job rows as one database transaction: one WAL
-/// batch and one new table version, regardless of how many jobs
+/// Commit a shard's dirtied job rows as one database transaction: one WAL
+/// batch and one new table version, regardless of how many of its jobs
 /// transitioned this tick. Rows are per-job disjoint (each job is polled
 /// at most once per tick). Like every daemon write but a job's creation,
 /// the batch waits for no flush of its own — the tick's closing flush (or
@@ -269,69 +301,64 @@ fn commit_job_batch(conn: &Connection, batch: &[GridJobRecord]) -> Result<(), Db
     })
 }
 
-/// A workflow step's result: the transition it made (if any), or
-/// `Err(message)` when the owner lookup failed (a daemon-class error).
-type StepOutcome = Result<Result<Option<SimStatus>, WorkflowError>, String>;
+/// The step phase's product for one simulation, applied post-barrier on
+/// the daemon thread in simulation-id order.
+struct StepProduct {
+    sim: Simulation,
+    from: SimStatus,
+    /// The transition the step made, if any. A failed owner lookup is a
+    /// daemon-class error like any other database failure inside the step.
+    outcome: Result<Option<SimStatus>, WorkflowError>,
+    ops: OpsLog,
+    /// True when the step succeeded and the database holds the row as it
+    /// left it (also when there was nothing to save). After a failed step
+    /// [`GridAmp::apply_step_outcome`] decides what to write.
+    saved: bool,
+}
 
 /// Run one freshly loaded simulation's workflow step (phase 2), recording
-/// grid calls in `ops`, and persist the row if the step succeeded. Shared
-/// by both tick paths, so the save rule cannot drift between them: a step
+/// its grid calls, and persist the row if the step succeeded: it belongs
+/// to this shard alone, and saves of distinct rows commute, so the
+/// post-barrier serial section stays small. This is the save rule: a step
 /// that left the row exactly as it was loaded — most ticks of a simulation
 /// waiting on the grid — commits nothing (no WAL record, no table version
 /// bump), and a transition clears the status message. The save waits for
 /// no flush: a lost transition is re-derived by the next tick from the job
 /// records, which [`StageCtx`] flushes as it creates them.
-///
-/// Returns the outcome and `Some(save result)` for `Ok` outcomes (`true`
-/// also when there was nothing to save); `None` means the step failed and
-/// [`GridAmp::apply_step_outcome`] decides what to write.
 fn step_sim_once(
     conn: &Connection,
     grid: &Grid,
     config: &DaemonConfig,
     cred: &CommunityCredential,
-    sim: &mut Simulation,
-    ops: &mut OpsLog,
-    lease_epoch: Option<i64>,
-) -> (StepOutcome, Option<bool>) {
-    let username = match owner_username(conn, sim) {
-        Ok(u) => u,
-        Err(e) => return (Err(e.to_string()), None),
-    };
-    let loaded = sim.clone();
-    let outcome = step(&mut StageCtx {
-        grid,
-        conn,
-        config,
-        cred,
-        sim,
-        owner_username: username,
-        ops,
-        lease_epoch,
+    mut sim: Simulation,
+    lease_epoch: i64,
+) -> StepProduct {
+    let (from, loaded, mut ops) = (sim.status, sim.clone(), OpsLog::new());
+    let outcome = owner_username(conn, &sim).and_then(|owner_username| {
+        step(&mut StageCtx {
+            grid,
+            conn,
+            config,
+            cred,
+            sim: &mut sim,
+            owner_username,
+            ops: &mut ops,
+            lease_epoch: Some(lease_epoch),
+        })
     });
-    let saved = outcome.as_ref().ok().map(|next| {
+    let saved = outcome.as_ref().is_ok_and(|next| {
         if next.is_some() {
             sim.status_message.clear();
         }
-        *sim == loaded || Manager::<Simulation>::new(conn.clone()).save(sim).is_ok()
+        sim == loaded || Manager::<Simulation>::new(conn.clone()).save(&sim).is_ok()
     });
-    (Ok(outcome), saved)
-}
-
-/// One worker's phase-2 product for one simulation, applied post-barrier
-/// on the daemon thread in simulation-id order.
-struct StepProduct {
-    idx: usize,
-    worker: usize,
-    sim: Simulation,
-    from: SimStatus,
-    outcome: StepOutcome,
-    ops: OpsLog,
-    /// [`step_sim_once`]'s save result. The worker persists the stepped
-    /// row itself: it belongs to this worker alone, and saves of distinct
-    /// rows commute, so doing them in the pool keeps the post-barrier
-    /// serial section small.
-    saved: Option<bool>,
+    StepProduct {
+        sim,
+        from,
+        outcome,
+        ops,
+        saved,
+    }
 }
 
 /// The workflow daemon.
@@ -350,9 +377,6 @@ pub struct GridAmp {
     pub last_heartbeat: Option<i64>,
     /// §4.4: the command-line transparency log.
     ops_log: OpsLog,
-    /// Set to `Some` to profile sequential ticks (see [`TickProfile`]);
-    /// refreshed on every tick while enabled.
-    pub profile: Option<TickProfile>,
     /// Simulations this daemon currently holds leases on, with the held
     /// epoch — rebuilt by the claim phase of every tick. Both work phases
     /// step only owned simulations.
@@ -385,7 +409,6 @@ impl GridAmp {
             next_attempt: HashMap::new(),
             last_heartbeat: None,
             ops_log: OpsLog::new(),
-            profile: None,
             owned: HashMap::new(),
             clock_skew_secs: 0,
             pause_point: None,
@@ -427,10 +450,6 @@ impl GridAmp {
     }
 
     fn sims(&self) -> Manager<Simulation> {
-        Manager::new(self.conn.clone())
-    }
-
-    fn jobs(&self) -> Manager<GridJobRecord> {
         Manager::new(self.conn.clone())
     }
 
@@ -511,55 +530,59 @@ impl GridAmp {
     /// recomputes from the job records and GRAM (DESIGN §9.9).
     pub fn tick(&mut self, grid: &Grid) -> TickReport {
         self.ticks += 1;
-        let mut claim_report = TickReport::default();
-        self.claim_leases(grid, &mut claim_report);
+        let metrics = obs_metrics();
+        let mut since = Instant::now();
+        // The daemon thread's own part of the report; each poll shard
+        // brings one more.
+        let mut report = TickReport::default();
+        self.claim_leases(grid, &mut report);
+        lap(&mut since, &metrics.stage_claim);
         if let Some(hook) = self.pause_point.as_mut() {
             hook();
+            since = Instant::now();
         }
-        let mut report = if self.config.workers > 1 {
-            self.tick_parallel(grid, self.config.workers)
-        } else {
-            let started = self.profile.as_mut().map(|p| {
-                *p = TickProfile::default();
-                std::time::Instant::now()
-            });
-            let mut report = TickReport::default();
-            self.poll_jobs(grid, &mut report);
-            self.step_simulations(grid, &mut report);
-            if let (Some(t), Some(p)) = (started, self.profile.as_mut()) {
-                p.total = t.elapsed();
-            }
-            report
-        };
+        let mut parts = self.poll_phase(grid, &mut report);
+        lap(&mut since, &metrics.stage_poll);
+        let products = self.step_phase(grid, &mut report);
+        lap(&mut since, &metrics.stage_step);
+        // Post-barrier, in worklist (simulation-id) order: streaks, holds,
+        // saves, notifications and mail fire in the same sequence whatever
+        // the pool size.
+        let now = grid.now().as_secs() as i64;
+        for product in products {
+            self.apply_step_outcome(product, now, &mut report);
+        }
+        lap(&mut since, &metrics.stage_apply);
         if let Err(e) = self.conn.flush() {
             report.daemon_errors.push(format!("tick flush: {e}"));
         }
-        let report = merge_reports([claim_report, report]);
-        self.last_heartbeat = Some(grid.now().as_secs() as i64 + self.clock_skew_secs);
+        lap(&mut since, &metrics.stage_flush);
+        parts.push(report);
+        let report = merge_reports(parts);
+        self.last_heartbeat = Some(now + self.clock_skew_secs);
         // Daemon-class errors are the flight recorder's reason to exist:
         // count them and leave a breadcrumb trail for the failure dump.
-        let now = grid.now().as_secs();
         for msg in &report.daemon_errors {
-            obs_metrics().errors.inc();
+            metrics.errors.inc();
             amp_obs::flight().record("daemon_error", format!("t={now}: {msg}"));
         }
         report
     }
 
-    /// Phase 1's worklist: `(job id, owning simulation id)` of every
+    /// The poll phase's worklist: `(job id, owning simulation id)` of every
     /// pending/active job record, in primary-key order. A single
     /// `Op::In` projection: the planner unions the status-index postings
     /// for both values, so the ever-growing job table is never scanned
     /// and the result comes back already id-ordered. No row bodies are
-    /// cloned or decoded here — each engine fetches a job's row inside
-    /// the per-item work, which the pool shards.
+    /// cloned or decoded here — a job's row is fetched inside the per-item
+    /// work, which the pool shards.
     ///
     /// The worklist is built through a read view pinning both the job and
     /// simulation tables: the `(job, owning sim)` pairs are one coherent
     /// snapshot — a multi-table transaction (e.g. cancel: sim + its jobs)
     /// is either entirely visible to this tick or not at all. The view is
-    /// a lock-free MVCC pin: holding it never stalls the pool's engines
-    /// writing job status, no matter how long the tick takes.
+    /// a lock-free MVCC pin: holding it never stalls the shards writing
+    /// job status, no matter how long the tick takes.
     fn pending_job_ids(&self) -> Result<Vec<(i64, i64)>, DbError> {
         let statuses = vec![
             Value::from(JobStatus::Pending.as_str()),
@@ -582,31 +605,35 @@ impl GridAmp {
             .collect())
     }
 
-    /// Phase 2's worklist: ids of the live (non-terminal happy-path)
-    /// simulations, in primary-key order (same single-`In` projection
-    /// scheme and same coherent job+simulation read view as
-    /// [`Self::pending_job_ids`]).
-    /// Live (non-terminal, non-held) simulations as `(id, app)` pairs —
-    /// the app rides along so lease rows carry per-application ownership.
-    fn live_sims(&self) -> Result<Vec<(i64, String)>, DbError> {
+    /// Selects the live simulations: every Listing-1 state short of DONE
+    /// (HOLD is parked, not live).
+    fn live_query() -> Query {
         let statuses: Vec<Value> = SimStatus::happy_path()
             .iter()
             .filter(|s| !s.is_terminal())
             .map(|s| Value::from(s.as_str()))
             .collect();
+        Query::new().filter("status", Op::In(statuses), Value::Null)
+    }
+
+    /// The claim and step phases' worklist: `(id, app)` of every live
+    /// simulation, in primary-key order — the app rides along so lease
+    /// rows carry per-application ownership. The same single-`In`
+    /// projection over the status index and the same coherent
+    /// job+simulation read view as [`Self::pending_job_ids`]: no row body
+    /// is decoded.
+    fn live_sims(&self) -> Result<Vec<(i64, String)>, DbError> {
         let view = self
             .conn
             .read_view(&[GridJobRecord::TABLE, Simulation::TABLE])?;
-        let sims: Vec<Simulation> =
-            view.filter(&Query::new().filter("status", Op::In(statuses), Value::Null))?;
-        Ok(sims
+        Ok(view
+            .select_project(Simulation::TABLE, &Self::live_query(), "app")?
             .into_iter()
-            .map(|s| (s.id.expect("selected simulation has id"), s.app))
+            .filter_map(|(sim_id, app)| match app {
+                Value::Text(app) => Some((sim_id, app)),
+                _ => None,
+            })
             .collect())
-    }
-
-    fn live_sim_ids(&self) -> Result<Vec<i64>, DbError> {
-        Ok(self.live_sims()?.into_iter().map(|(id, _)| id).collect())
     }
 
     /// True while a simulation waits out its transient backoff window.
@@ -616,129 +643,116 @@ impl GridAmp {
             .is_some_and(|&t| self.ticks < t)
     }
 
+    /// The sharding rule, and the one reader of the pool size: an item
+    /// goes to shard `sim_of(item) % workers`, worklist order kept within
+    /// a shard. A pool of zero is a pool of one.
+    fn shards<T>(
+        &self,
+        items: impl IntoIterator<Item = T>,
+        sim_of: impl Fn(&T) -> i64,
+    ) -> Vec<Vec<T>> {
+        let workers = self.config.workers.max(1);
+        let mut shards: Vec<Vec<T>> = (0..workers).map(|_| Vec::new()).collect();
+        for item in items {
+            shards[sim_of(&item).rem_euclid(workers as i64) as usize].push(item);
+        }
+        shards
+    }
+
     /// Phase 1: generic grid-job status update (identical for all jobs
-    /// "regardless of purpose or execution method", §4.4).
-    fn poll_jobs(&mut self, grid: &Grid, report: &mut TickReport) {
+    /// "regardless of purpose or execution method", §4.4), sharded by
+    /// owning simulation, one commit per shard. Returns each shard's part
+    /// of the tick report.
+    fn poll_phase(&mut self, grid: &Grid, report: &mut TickReport) -> Vec<TickReport> {
         let pending = match self.pending_job_ids() {
             Ok(v) => v,
             Err(e) => {
                 report.daemon_errors.push(e.to_string());
-                return;
+                return Vec::new();
             }
         };
-        let now = grid.now();
-        let jobs = self.jobs();
-        let mut names = HashMap::new();
-        let mut dirty = Vec::new();
-        for (job_id, sim_id) in pending {
-            // Only the lease holder polls a simulation's jobs.
-            if !self.owned.contains_key(&sim_id) {
-                continue;
+        // Only the lease holder polls a simulation's jobs.
+        let mine = pending
+            .into_iter()
+            .filter(|(_, sim_id)| self.owned.contains_key(sim_id));
+        let shards = self.shards(mine, |&(_job_id, sim_id)| sim_id);
+        let (conn, config, cred, now) = (&self.conn, &self.config, &self.cred, grid.now());
+        let jobs: Manager<GridJobRecord> = Manager::new(conn.clone());
+        let parts = fan_out(shards, |worklist| {
+            let mut shard = PollShard::default();
+            let mut names = HashMap::new();
+            for (job_id, sim_id) in worklist {
+                let Ok(mut job) = jobs.get(job_id) else {
+                    continue;
+                };
+                let username = proxy_username(&mut names, conn, sim_id);
+                poll_job_once(grid, config, cred, username, &mut job, now, &mut shard);
             }
-            let timer = self.profile.is_some().then(std::time::Instant::now);
-            let Ok(mut job) = jobs.get(job_id) else {
-                continue;
-            };
-            let outcome = poll_job_once(
-                grid,
-                &self.config,
-                &self.cred,
-                proxy_username(&mut names, &self.conn, sim_id),
-                &mut job,
-                now,
-                &mut dirty,
-            );
-            if let (Some(t), Some(p)) = (timer, self.profile.as_mut()) {
-                p.poll_items.push((sim_id, t.elapsed()));
+            if let Err(e) = commit_job_batch(conn, &shard.dirty) {
+                let msg = format!("job batch commit: {e}");
+                shard.report.daemon_errors.push(msg);
             }
-            if outcome.polled {
-                report.jobs_polled += 1;
-            }
-            if outcome.transitioned {
-                report.job_transitions += 1;
-            }
-            if outcome.transient {
-                report.transient_errors += 1;
-            }
-            if let Some(entry) = outcome.ops {
-                self.ops_log.record(entry);
-            }
+            (shard.report, shard.ops)
+        });
+        // Replay the shards' ops-log segments in worklist (job-id) order.
+        let (reports, ops): (Vec<_>, Vec<_>) = parts.into_iter().unzip();
+        let mut ops: Vec<(i64, OpsEntry)> = ops.into_iter().flatten().collect();
+        ops.sort_by_key(|(job_id, _)| *job_id);
+        for (_, entry) in ops {
+            self.ops_log.record(entry);
         }
-        if let Err(e) = commit_job_batch(&self.conn, &dirty) {
-            report.daemon_errors.push(format!("job batch commit: {e}"));
-        }
+        reports
     }
 
-    /// Phase 2: step every live simulation's workflow.
-    fn step_simulations(&mut self, grid: &Grid, report: &mut TickReport) {
-        let live = match self.live_sim_ids() {
+    /// Phase 2: step every live simulation's workflow, sharded by
+    /// simulation. Returns the products in simulation-id order for
+    /// [`Self::tick`] to apply after the barrier.
+    fn step_phase(&self, grid: &Grid, report: &mut TickReport) -> Vec<StepProduct> {
+        let live = match self.live_sims() {
             Ok(v) => v,
             Err(e) => {
                 report.daemon_errors.push(e.to_string());
-                return;
+                return Vec::new();
             }
         };
-
-        let sims = self.sims();
-        for sim_id in live {
-            // Only the lease holder steps a simulation's workflow.
-            let Some(&epoch) = self.owned.get(&sim_id) else {
-                continue;
-            };
-            if self.backed_off(sim_id) {
-                continue;
-            }
-            let timer = self.profile.is_some().then(std::time::Instant::now);
-            let Ok(mut sim) = sims.get(sim_id) else {
-                continue;
-            };
-            report.sims_stepped += 1;
-            let from = sim.status;
-            let (outcome, saved) = step_sim_once(
-                &self.conn,
-                grid,
-                &self.config,
-                &self.cred,
-                &mut sim,
-                &mut self.ops_log,
-                Some(epoch),
-            );
-            let now = grid.now().as_secs() as i64;
-            self.apply_step_outcome(&mut sim, from, outcome, now, report, saved);
-            if let (Some(t), Some(p)) = (timer, self.profile.as_mut()) {
-                p.step_items.push((sim_id, t.elapsed()));
-            }
-        }
+        // Only the lease holder steps a simulation, and not while it
+        // waits out a backoff.
+        let due = live.into_iter().filter_map(|(sim_id, _app)| {
+            let epoch = *self.owned.get(&sim_id)?;
+            (!self.backed_off(sim_id)).then_some((sim_id, epoch))
+        });
+        let shards = self.shards(due, |&(sim_id, _epoch)| sim_id);
+        let (conn, config, cred) = (&self.conn, &self.config, &self.cred);
+        let sims: Manager<Simulation> = self.sims();
+        let parts = fan_out(shards, |shard| {
+            let stepped = shard.into_iter().filter_map(|(sim_id, epoch)| {
+                let sim = sims.get(sim_id).ok()?;
+                Some(step_sim_once(conn, grid, config, cred, sim, epoch))
+            });
+            stepped.collect::<Vec<StepProduct>>()
+        });
+        let mut products: Vec<StepProduct> = parts.into_iter().flatten().collect();
+        products.sort_by_key(|p| p.sim.id);
+        report.sims_stepped += products.len();
+        products
     }
 
-    /// Apply one simulation's step outcome (`saved` is [`step_sim_once`]'s
-    /// save result): maintain the transient streak and backoff schedule,
-    /// save and hold on failures, and send the notifications. Runs on the
-    /// daemon thread only — in the parallel tick this is the post-barrier
-    /// merge step, executed in simulation-id order so its database side
-    /// effects are identical to the sequential daemon's.
-    fn apply_step_outcome(
-        &mut self,
-        sim: &mut Simulation,
-        from: SimStatus,
-        outcome: StepOutcome,
-        now: i64,
-        report: &mut TickReport,
-        saved: Option<bool>,
-    ) {
+    /// Apply one simulation's step product: replay its ops-log segment,
+    /// maintain the transient streak and backoff schedule, save and hold
+    /// on failures, and send the notifications. Runs on the daemon thread
+    /// only, after the step phase's barrier, in simulation-id order, so
+    /// its database side effects do not depend on the pool size.
+    fn apply_step_outcome(&mut self, mut product: StepProduct, now: i64, report: &mut TickReport) {
+        for entry in product.ops.drain() {
+            self.ops_log.record(entry);
+        }
+        let (sim, from) = (&mut product.sim, product.from);
         let sim_id = sim.id.expect("saved sim");
-        let outcome = match outcome {
-            Ok(o) => o,
-            Err(msg) => {
-                report.daemon_errors.push(msg);
-                return;
-            }
-        };
-        match outcome {
+        match product.outcome {
             Ok(Some(next)) => {
                 self.transient_streak.remove(&sim_id);
                 self.next_attempt.remove(&sim_id);
-                if saved != Some(true) {
+                if !product.saved {
                     return;
                 }
                 report.transitions.push((sim_id, from, next));
@@ -809,177 +823,6 @@ impl GridAmp {
                 report.daemon_errors.push(format!("sim {sim_id}: {msg}"));
             }
         }
-    }
-
-    /// One parallel daemon cycle: shard both phases across `workers`
-    /// threads (per-simulation ownership), then merge deterministically.
-    fn tick_parallel(&mut self, grid: &Grid, workers: usize) -> TickReport {
-        let mut reports: Vec<TickReport> = vec![TickReport::default(); workers];
-        // The workers write through the daemon's own (deferring) handle.
-        let conn = &self.conn;
-        let now = grid.now();
-        let config = self.config.clone();
-        let cred = self.cred.clone();
-
-        // ---- phase 1: generic job polling, sharded by owning sim ----
-        match self.pending_job_ids() {
-            Ok(pending) => {
-                let mut chunks: Vec<Vec<(usize, i64, i64)>> = vec![Vec::new(); workers];
-                for (idx, (job_id, sim_id)) in pending.into_iter().enumerate() {
-                    // Only the lease holder polls a simulation's jobs.
-                    if !self.owned.contains_key(&sim_id) {
-                        continue;
-                    }
-                    let w = sim_id.rem_euclid(workers as i64) as usize;
-                    chunks[w].push((idx, job_id, sim_id));
-                }
-                let mut ops: Vec<(usize, OpsEntry)> = std::thread::scope(|scope| {
-                    let handles: Vec<_> = chunks
-                        .into_iter()
-                        .zip(reports.iter_mut())
-                        .map(|(chunk, report)| {
-                            let config = &config;
-                            let cred = &cred;
-                            scope.spawn(move || {
-                                let jobs: Manager<GridJobRecord> = Manager::new(conn.clone());
-                                let mut names = HashMap::new();
-                                let mut ops = Vec::new();
-                                let mut dirty = Vec::new();
-                                for (idx, job_id, sim_id) in chunk {
-                                    let Ok(mut job) = jobs.get(job_id) else {
-                                        continue;
-                                    };
-                                    let o = poll_job_once(
-                                        grid,
-                                        config,
-                                        cred,
-                                        proxy_username(&mut names, conn, sim_id),
-                                        &mut job,
-                                        now,
-                                        &mut dirty,
-                                    );
-                                    if o.polled {
-                                        report.jobs_polled += 1;
-                                    }
-                                    if o.transitioned {
-                                        report.job_transitions += 1;
-                                    }
-                                    if o.transient {
-                                        report.transient_errors += 1;
-                                    }
-                                    if let Some(entry) = o.ops {
-                                        ops.push((idx, entry));
-                                    }
-                                }
-                                // One commit per worker chunk.
-                                if let Err(e) = commit_job_batch(conn, &dirty) {
-                                    report.daemon_errors.push(format!("job batch commit: {e}"));
-                                }
-                                ops
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .flat_map(|h| h.join().unwrap_or_default())
-                        .collect()
-                });
-                // Worklist order == sequential order: replay the ops-log
-                // segments by worklist index.
-                ops.sort_by_key(|(idx, _)| *idx);
-                for (_, entry) in ops {
-                    self.ops_log.record(entry);
-                }
-            }
-            Err(e) => reports[0].daemon_errors.push(e.to_string()),
-        }
-
-        // ---- phase 2: workflow steps, sharded by simulation ----
-        match self.live_sim_ids() {
-            Ok(live) => {
-                let mut chunks: Vec<Vec<(usize, i64, i64)>> = vec![Vec::new(); workers];
-                for (idx, sim_id) in live.into_iter().enumerate() {
-                    // Only the lease holder steps a simulation.
-                    let Some(&epoch) = self.owned.get(&sim_id) else {
-                        continue;
-                    };
-                    if self.backed_off(sim_id) {
-                        continue;
-                    }
-                    let w = sim_id.rem_euclid(workers as i64) as usize;
-                    chunks[w].push((idx, sim_id, epoch));
-                }
-                let mut products: Vec<StepProduct> = std::thread::scope(|scope| {
-                    let handles: Vec<_> = chunks
-                        .into_iter()
-                        .zip(reports.iter_mut())
-                        .enumerate()
-                        .map(|(worker, (chunk, report))| {
-                            let config = &config;
-                            let cred = &cred;
-                            scope.spawn(move || {
-                                let sims: Manager<Simulation> = Manager::new(conn.clone());
-                                let mut products = Vec::with_capacity(chunk.len());
-                                for (idx, sim_id, epoch) in chunk {
-                                    let Ok(mut sim) = sims.get(sim_id) else {
-                                        continue;
-                                    };
-                                    report.sims_stepped += 1;
-                                    let from = sim.status;
-                                    let mut ops = OpsLog::new();
-                                    let (outcome, saved) = step_sim_once(
-                                        conn,
-                                        grid,
-                                        config,
-                                        cred,
-                                        &mut sim,
-                                        &mut ops,
-                                        Some(epoch),
-                                    );
-                                    products.push(StepProduct {
-                                        idx,
-                                        worker,
-                                        sim,
-                                        from,
-                                        outcome,
-                                        ops,
-                                        saved,
-                                    });
-                                }
-                                products
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .flat_map(|h| h.join().unwrap_or_default())
-                        .collect()
-                });
-                // Post-barrier merge in worklist (simulation-id) order:
-                // streaks, holds, saves, notifications and mail fire in
-                // exactly the sequence the sequential daemon uses.
-                products.sort_by_key(|p| p.idx);
-                let now_secs = now.as_secs() as i64;
-                for mut product in products {
-                    for entry in product.ops.drain() {
-                        self.ops_log.record(entry);
-                    }
-                    let mut report = std::mem::take(&mut reports[product.worker]);
-                    self.apply_step_outcome(
-                        &mut product.sim,
-                        product.from,
-                        product.outcome,
-                        now_secs,
-                        &mut report,
-                        product.saved,
-                    );
-                    reports[product.worker] = report;
-                }
-            }
-            Err(e) => reports[0].daemon_errors.push(e.to_string()),
-        }
-
-        merge_reports(reports)
     }
 
     /// Park a simulation in the hold state (§4.4 model-failure handling).
@@ -1078,12 +921,8 @@ impl GridAmp {
             ticks += 1;
             let all_settled = self
                 .sims()
-                .all()
-                .map(|sims| {
-                    sims.iter()
-                        .all(|s| matches!(s.status, SimStatus::Done | SimStatus::Hold))
-                })
-                .unwrap_or(true);
+                .count(&Self::live_query())
+                .map_or(true, |live| live == 0);
             if all_settled || grid.now() >= deadline {
                 return ticks;
             }
@@ -1160,38 +999,71 @@ impl DaemonMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use amp_core::models::{Allocation, AmpUser, Star};
     use amp_stellar::StellarParams;
+
+    /// Queue one direct run of the Sun on kraken; returns its id.
+    fn queue_sim(db: &Db) -> i64 {
+        let (user, star, alloc, _obs) =
+            crate::setup::seed_fixtures(db, "kraken", &StellarParams::sun(), 1).unwrap();
+        let web = db.connect(amp_core::roles::ROLE_WEB).unwrap();
+        let mut sim = Simulation::new_direct(star, user, StellarParams::sun(), "kraken", alloc, 0);
+        Manager::<Simulation>::new(web).create(&mut sim).unwrap()
+    }
 
     /// A database with one queued simulation, plus a daemon on it.
     fn fixture() -> (Db, GridAmp, i64) {
         let db = Db::in_memory();
         amp_core::setup::initialize(&db).unwrap();
-        let admin = db.connect(amp_core::roles::ROLE_ADMIN).unwrap();
-        let mut user = AmpUser::new("u", "u@x.edu", "h", 0);
-        Manager::<AmpUser>::new(admin.clone())
-            .create(&mut user)
-            .unwrap();
-        let sky = amp_stellar::synthetic_sky(1, 1);
-        let mut star = Star::from_catalog(&sky[0], "local");
-        Manager::<Star>::new(admin.clone())
-            .create(&mut star)
-            .unwrap();
-        let mut alloc = Allocation::new("kraken", "TG-1", 1000.0);
-        Manager::<Allocation>::new(admin.clone())
-            .create(&mut alloc)
-            .unwrap();
-        let mut sim = Simulation::new_direct(
-            star.id.unwrap(),
-            user.id.unwrap(),
-            StellarParams::sun(),
-            "kraken",
-            alloc.id.unwrap(),
-            0,
-        );
-        let sim_id = Manager::<Simulation>::new(admin).create(&mut sim).unwrap();
+        let sim_id = queue_sim(&db);
         let daemon = GridAmp::new(&db, DaemonConfig::default()).unwrap();
         (db, daemon, sim_id)
+    }
+
+    /// Runs `fan_out` and hands back the panic message it let through.
+    fn panic_message(shards: Vec<Vec<u32>>) -> String {
+        let work = |shard: Vec<u32>| {
+            assert!(!shard.contains(&13), "shard {shard:?} is unlucky");
+            shard.len()
+        };
+        let payload = std::panic::catch_unwind(|| fan_out(shards, work)).unwrap_err();
+        *payload.downcast::<String>().expect("a formatted message")
+    }
+
+    #[test]
+    fn fan_out_re_raises_a_shard_panic_inline_and_threaded() {
+        // Threaded: the other shard finishes, the panic still surfaces, and
+        // with the payload an inline shard raises.
+        let threaded = panic_message(vec![vec![1, 2], vec![13]]);
+        let inline = panic_message(vec![vec![], vec![13]]);
+        assert_eq!(threaded, "shard [13] is unlucky");
+        assert_eq!(inline, threaded);
+    }
+
+    #[test]
+    fn fan_out_spawns_nothing_for_a_lone_shard() {
+        let caller = std::thread::current().id();
+        let ran_on = |shards| fan_out(shards, |s: Vec<u8>| (s, std::thread::current().id()));
+        assert!(ran_on(vec![vec![], vec![]]).is_empty());
+        // One non-empty shard of an oversized pool: the caller's thread.
+        assert_eq!(
+            ran_on(vec![vec![], vec![7, 8], vec![]]),
+            vec![(vec![7, 8], caller)]
+        );
+        // Two: one thread each, results in shard order, empty ones skipped.
+        let two = ran_on(vec![vec![1], vec![], vec![2]]);
+        assert_eq!(two.len(), 2);
+        assert_eq!((&two[0].0, &two[1].0), (&vec![1], &vec![2]));
+        assert!(two[0].1 != caller && two[1].1 != caller && two[0].1 != two[1].1);
+    }
+
+    #[test]
+    fn a_pool_of_zero_shards_like_a_pool_of_one() {
+        let (_db, mut daemon, _sim) = fixture();
+        let shards = |daemon: &GridAmp| daemon.shards([5, -3, 8], |&sim_id| sim_id);
+        daemon.config.workers = 0;
+        assert_eq!(shards(&daemon), vec![vec![5, -3, 8]]);
+        daemon.config.workers = 4;
+        assert_eq!(shards(&daemon), vec![vec![8], vec![5, -3], vec![], vec![]]);
     }
 
     #[test]
@@ -1265,29 +1137,7 @@ mod tests {
             amp_grid::SimTime(0),
             amp_grid::SimTime(u64::MAX / 2),
         );
-        let admin = dep.db.connect(amp_core::roles::ROLE_ADMIN).unwrap();
-        let mut user = AmpUser::new("u", "u@x.edu", "h", 0);
-        Manager::<AmpUser>::new(admin.clone())
-            .create(&mut user)
-            .unwrap();
-        let sky = amp_stellar::synthetic_sky(1, 1);
-        let mut star = Star::from_catalog(&sky[0], "local");
-        Manager::<Star>::new(admin.clone())
-            .create(&mut star)
-            .unwrap();
-        let mut alloc = Allocation::new("kraken", "TG-1", 1000.0);
-        Manager::<Allocation>::new(admin.clone())
-            .create(&mut alloc)
-            .unwrap();
-        let mut sim = Simulation::new_direct(
-            star.id.unwrap(),
-            user.id.unwrap(),
-            StellarParams::sun(),
-            "kraken",
-            alloc.id.unwrap(),
-            0,
-        );
-        Manager::<Simulation>::new(admin).create(&mut sim).unwrap();
+        queue_sim(&dep.db);
         let ticks = dep.daemon.run_until_settled(&dep.grid, 48.0);
         assert!(
             (2..=1001).contains(&ticks),

@@ -64,10 +64,12 @@ pub struct DaemonConfig {
     pub max_transient_retries: u32,
     /// Daemon poll interval in simulated seconds.
     pub poll_interval_secs: u64,
-    /// Worker threads per tick. `1` (the default) runs the exact legacy
-    /// sequential tick — the configuration the paper's daemon had; `N > 1`
-    /// shards the per-tick work across `N` threads with per-simulation
-    /// ownership and a deterministic merge.
+    /// Size of the tick's worker pool: both work phases shard their
+    /// worklist by `simulation_id % workers` (`0` counts as `1`) and merge
+    /// deterministically, so the outcome is the same at any size. A lone
+    /// non-empty shard — always the case at the default of `1`, the
+    /// configuration the paper's daemon had — runs inline on the caller's
+    /// thread; otherwise each non-empty shard gets one thread.
     pub workers: usize,
     /// Exponential backoff base (in ticks) for the transient retry path:
     /// after `s` consecutive transient failures a simulation is next

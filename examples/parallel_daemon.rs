@@ -1,8 +1,9 @@
 //! Parallel daemon ticks: a four-site deployment (frost, kraken,
 //! lonestar, ranger) with sixteen direct model runs, driven by the
 //! GridAMP daemon's worker pool (`DaemonConfig::workers`). The same
-//! scenario is run sequentially and with 8 workers; both must settle in
-//! the same number of ticks with every simulation DONE.
+//! scenario is run with a pool of 1 (every shard inline on the caller's
+//! thread) and a pool of 8 (one thread per non-empty shard); both must
+//! settle in the same number of ticks with every simulation DONE.
 //!
 //! Run: `cargo run --release --example parallel_daemon`
 
@@ -68,14 +69,14 @@ fn run(workers: usize) -> (usize, BTreeMap<i64, String>) {
 }
 
 fn main() {
-    let (seq_ticks, seq) = run(1);
-    println!("sequential  (workers=1): settled in {seq_ticks} ticks");
-    let (par_ticks, par) = run(8);
-    println!("worker pool (workers=8): settled in {par_ticks} ticks");
+    let (inline_ticks, inline) = run(1);
+    println!("inline shard (workers=1): settled in {inline_ticks} ticks");
+    let (pool_ticks, pool) = run(8);
+    println!("worker pool  (workers=8): settled in {pool_ticks} ticks");
 
-    assert_eq!(seq, par, "parallel run diverged from sequential");
-    assert_eq!(seq_ticks, par_ticks, "tick counts diverged");
-    let done = par.values().filter(|s| *s == "DONE").count();
+    assert_eq!(inline, pool, "the pool size changed the outcome");
+    assert_eq!(inline_ticks, pool_ticks, "tick counts diverged");
+    let done = pool.values().filter(|s| *s == "DONE").count();
     println!(
         "identical outcomes, {done}/16 simulations DONE on {} sites",
         SYSTEMS.len()

@@ -7,8 +7,8 @@
 //!
 //! Metrics are cumulative per process, so every assertion here is a
 //! "present / increased by" check, never an exact global count — except
-//! on the log-flush counter, which only the two tests that open a durable
-//! database move; they take turns on [`WAL_FLUSHES`].
+//! on the log-flush counter and the tick stage timers; the tests that move
+//! either take turns on [`EXACT_DELTAS`].
 
 use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
@@ -20,7 +20,7 @@ use amp::grid::{Service, SimTime};
 use amp::obs;
 use amp::portal::Request;
 use amp::prelude::*;
-use amp::simdb::Db;
+use amp::simdb::{Db, Op};
 
 fn truth() -> StellarParams {
     StellarParams {
@@ -32,9 +32,10 @@ fn truth() -> StellarParams {
     }
 }
 
-/// Held by a test while it flushes a write-ahead log, so that the other's
-/// deltas of `simdb_wal_fsync_total` are its own.
-static WAL_FLUSHES: std::sync::Mutex<()> = std::sync::Mutex::new(());
+/// Held by a test while it flushes a write-ahead log or ticks a daemon, so
+/// that another's deltas of `simdb_wal_fsync_total` and of the
+/// `gridamp_tick_stage_seconds` sums are its own.
+static EXACT_DELTAS: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 fn tmpdir(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("amp_obs_{tag}_{}", std::process::id()));
@@ -47,10 +48,10 @@ fn tmpdir(tag: &str) -> PathBuf {
 /// portal's `/metrics` route renders series from each of them.
 #[test]
 fn metrics_endpoint_covers_all_three_tiers() {
+    let _turn = EXACT_DELTAS.lock().unwrap_or_else(|e| e.into_inner());
     // --- simdb tier (durable): WAL fsyncs, commit batches, lock holds ---
     let dir = tmpdir("metrics");
     {
-        let _turn = WAL_FLUSHES.lock().unwrap_or_else(|e| e.into_inner());
         let db = Db::open(dir.join("amp.snap"), dir.join("amp.wal")).unwrap();
         amp::core::setup::initialize(&db).unwrap();
         let admin = db.connect(amp::core::roles::ROLE_ADMIN).unwrap();
@@ -120,6 +121,13 @@ fn metrics_endpoint_covers_all_three_tiers() {
         // apart on one dashboard
         "daemon_transitions_total{app=\"stellar\",from=\"QUEUED\",to=\"PREJOB\"}",
         "daemon_gram_poll_seconds",
+        // where a tick's wall time went, one series per stage
+        "# TYPE gridamp_tick_stage_seconds histogram",
+        "gridamp_tick_stage_seconds_count{stage=\"claim\"}",
+        "gridamp_tick_stage_seconds_count{stage=\"poll\"}",
+        "gridamp_tick_stage_seconds_count{stage=\"step\"}",
+        "gridamp_tick_stage_seconds_count{stage=\"apply\"}",
+        "gridamp_tick_stage_seconds_count{stage=\"flush\"}",
         "ga_evals_total{app=\"stellar\"}",
         "ga_cached_skips_total{app=\"stellar\"}",
     ] {
@@ -143,7 +151,7 @@ fn metrics_endpoint_covers_all_three_tiers() {
 /// submission it records plus once per tick, and not at all when idle.
 #[test]
 fn deferred_commits_flush_once_per_tick_plus_once_per_submission() {
-    let _turn = WAL_FLUSHES.lock().unwrap_or_else(|e| e.into_inner());
+    let _turn = EXACT_DELTAS.lock().unwrap_or_else(|e| e.into_inner());
     let flushes = obs::counter("simdb_wal_fsync_total");
     let dir = tmpdir("flushes");
     let db = Db::open(dir.join("amp.snap"), dir.join("amp.wal")).unwrap();
@@ -215,11 +223,64 @@ fn deferred_commits_flush_once_per_tick_plus_once_per_submission() {
     assert_eq!(flushes.get(), idle, "an idle tick flushed");
 }
 
+/// The five stage timers are contiguous: over a 64-simulation drain their
+/// sums add up to the wall time spent inside `tick()`, with the shards
+/// inline (`workers: 1`) and on threads (`workers: 8`) alike.
+#[test]
+fn tick_stage_timers_add_up_to_the_tick() {
+    let _turn = EXACT_DELTAS.lock().unwrap_or_else(|e| e.into_inner());
+    let stage_nanos = || -> u64 {
+        ["claim", "poll", "step", "apply", "flush"]
+            .iter()
+            .map(|stage| {
+                let name = obs::labeled("gridamp_tick_stage_seconds", &[("stage", stage)]);
+                let series = obs::registry().histogram(&name, obs::Unit::Seconds);
+                series.snapshot().sum
+            })
+            .sum()
+    };
+    for workers in [1, 8] {
+        let config = DaemonConfig {
+            workers,
+            ..DaemonConfig::default()
+        };
+        let mut dep = amp::gridamp::deploy(amp::grid::systems::kraken(), config, None).unwrap();
+        let (user, star, alloc, _obs) =
+            amp::gridamp::seed_fixtures(&dep.db, "kraken", &truth(), 3).unwrap();
+        let sims = Manager::<Simulation>::new(dep.db.connect(amp::core::roles::ROLE_WEB).unwrap());
+        for i in 0..64 {
+            let params = StellarParams {
+                mass: 0.8 + 0.005 * i as f64,
+                ..StellarParams::sun()
+            };
+            let mut sim = Simulation::new_direct(star, user, params, "kraken", alloc, 0);
+            sims.create(&mut sim).unwrap();
+        }
+        let done = Query::new().filter("status", Op::Eq, SimStatus::Done.as_str());
+        let (staged_before, mut in_tick, mut ticks) = (stage_nanos(), Duration::ZERO, 0);
+        while sims.count(&done).unwrap() < 64 {
+            ticks += 1;
+            assert!(ticks < 2_000, "drain did not settle (workers={workers})");
+            let started = std::time::Instant::now();
+            dep.daemon.tick(&dep.grid);
+            in_tick += started.elapsed();
+            dep.grid.advance(SimDuration::from_secs(300));
+        }
+        let staged = Duration::from_nanos(stage_nanos() - staged_before);
+        let gap = in_tick.abs_diff(staged).as_secs_f64() / in_tick.as_secs_f64();
+        assert!(
+            gap <= 0.10,
+            "workers={workers}: stages sum to {staged:?} of {in_tick:?} in tick()"
+        );
+    }
+}
+
 /// A transient storm past the retry cap escalates to HOLD; the flight
 /// recorder retains the recent transient / hold event sequence and its
 /// dump names what went wrong.
 #[test]
 fn flight_recorder_dumps_recent_events_on_daemon_failure() {
+    let _turn = EXACT_DELTAS.lock().unwrap_or_else(|e| e.into_inner());
     let mut dep = amp::gridamp::deploy(
         amp::grid::systems::kraken(),
         DaemonConfig {

@@ -2,9 +2,10 @@
 //! (frost, kraken, lonestar, ranger) with injected faults — a permanent
 //! GRAM/GridFTP outage on ranger (escalating to HOLD through the
 //! transient-storm cap) and a recoverable outage window on lonestar.
-//! The parallel engine must reach quiescence in a bounded number of
-//! ticks (no deadlock), lose no transitions, duplicate no submissions,
-//! and account transients/holds exactly as the sequential engine does.
+//! With its shards on eight threads the tick engine must reach quiescence
+//! in a bounded number of ticks (no deadlock), lose no transitions,
+//! duplicate no submissions, and account transients/holds exactly as it
+//! does with every shard inline (`workers: 1`).
 
 use amp::prelude::*;
 use std::collections::{BTreeMap, HashSet};
@@ -201,15 +202,15 @@ fn sixty_four_sims_four_sites_with_faults_settle_correctly_in_parallel() {
 }
 
 #[test]
-fn parallel_hold_and_streak_accounting_matches_sequential() {
-    let sequential = run_stress(1);
-    let parallel = run_stress(8);
+fn hold_and_streak_accounting_is_the_same_inline_and_threaded() {
+    let inline = run_stress(1);
+    let threaded = run_stress(8);
 
-    assert_eq!(parallel.ticks, sequential.ticks, "tick counts diverged");
-    assert_eq!(parallel.statuses, sequential.statuses);
-    assert_eq!(parallel.transitions, sequential.transitions);
-    assert_eq!(parallel.new_holds, sequential.new_holds);
-    assert_eq!(parallel.transient_errors, sequential.transient_errors);
+    assert_eq!(threaded.ticks, inline.ticks, "tick counts diverged");
+    assert_eq!(threaded.statuses, inline.statuses);
+    assert_eq!(threaded.transitions, inline.transitions);
+    assert_eq!(threaded.new_holds, inline.new_holds);
+    assert_eq!(threaded.transient_errors, inline.transient_errors);
 }
 
 #[test]

@@ -1,9 +1,10 @@
-//! Sequential/parallel equivalence: a daemon configured with `workers = 8`
-//! must drive the exact same workflow as the legacy `workers = 1` tick —
-//! identical final simulation statuses, identical job records (up to row
-//! ids and GRAM handles, which depend on harmless submission interleaving),
-//! identical notification outbox, and identical per-simulation transition
-//! sequences tick by tick.
+//! Tick determinism: the daemon's one tick engine must drive the exact same
+//! workflow at any pool size (`DaemonConfig::workers`) — identical final
+//! simulation statuses, identical job records (up to row ids and GRAM
+//! handles, which depend on harmless submission interleaving), identical
+//! notification outbox, and identical per-simulation transition sequences
+//! tick by tick. A pool of one runs every shard inline on the caller's
+//! thread; larger pools spawn a thread per non-empty shard.
 
 use amp::prelude::*;
 use std::collections::BTreeMap;
@@ -55,7 +56,9 @@ struct Outcome {
     ticks: usize,
 }
 
-fn run_scenario(workers: usize) -> Outcome {
+/// Four direct runs plus (unless `direct_only`) two GA ensembles on kraken,
+/// through one 90-minute outage, ticked to quiescence.
+fn run_scenario(workers: usize, direct_only: bool) -> Outcome {
     let mut dep = amp::gridamp::deploy(
         amp::grid::systems::kraken(),
         DaemonConfig {
@@ -68,7 +71,7 @@ fn run_scenario(workers: usize) -> Outcome {
     .unwrap();
 
     // one 90-minute two-service outage so the transient/retry path is
-    // exercised identically by both engines
+    // exercised identically at every pool size
     dep.grid.faults.add_outage(
         "kraken",
         Service::Both,
@@ -91,7 +94,7 @@ fn run_scenario(workers: usize) -> Outcome {
         sims.create(&mut sim).unwrap();
     }
     // ...plus two GA ensembles
-    for seed in [11, 12] {
+    for seed in [11, 12].into_iter().filter(|_| !direct_only) {
         let mut sim = Simulation::new_optimization(
             star,
             user,
@@ -183,36 +186,64 @@ fn run_scenario(workers: usize) -> Outcome {
     }
 }
 
-#[test]
-fn eight_workers_reproduce_the_sequential_run_exactly() {
-    let sequential = run_scenario(1);
-    let parallel = run_scenario(8);
-
-    // sanity: the scenario exercised real work on both engines
-    assert!(sequential.statuses.len() == 6);
-    assert!(
-        sequential.statuses.values().all(|s| s == "DONE"),
-        "{:?}",
-        sequential.statuses
+/// Every observable of `other` equals `reference`'s.
+fn assert_same(reference: &Outcome, other: &Outcome, workers: usize) {
+    assert_eq!(
+        other.ticks, reference.ticks,
+        "tick counts diverged (workers={workers})"
     );
-    assert!(!sequential.jobs.is_empty());
-    assert!(!sequential.notifications.is_empty());
+    assert_eq!(other.statuses, reference.statuses, "workers={workers}");
+    assert_eq!(
+        other.transitions, reference.transitions,
+        "workers={workers}"
+    );
+    assert_eq!(other.jobs, reference.jobs, "workers={workers}");
+    assert_eq!(
+        other.notifications, reference.notifications,
+        "workers={workers}"
+    );
+}
 
-    assert_eq!(parallel.ticks, sequential.ticks, "tick counts diverged");
-    assert_eq!(parallel.statuses, sequential.statuses);
-    assert_eq!(parallel.transitions, sequential.transitions);
-    assert_eq!(parallel.jobs, sequential.jobs);
-    assert_eq!(parallel.notifications, sequential.notifications);
+#[test]
+fn any_worker_count_reproduces_the_same_run_exactly() {
+    let one = run_scenario(1, false);
+
+    // sanity: the scenario exercised real work
+    assert!(one.statuses.len() == 6);
+    assert!(
+        one.statuses.values().all(|s| s == "DONE"),
+        "{:?}",
+        one.statuses
+    );
+    assert!(!one.jobs.is_empty());
+    assert!(!one.notifications.is_empty());
+
+    for workers in [3, 8] {
+        assert_same(&one, &run_scenario(workers, false), workers);
+    }
+}
+
+/// The degenerate pool sizes on a cheaper scenario: a pool of zero is a
+/// pool of one, and a pool far larger than the live set (four simulations)
+/// leaves most shards empty.
+#[test]
+fn degenerate_pool_sizes_reproduce_the_same_run_exactly() {
+    let one = run_scenario(1, true);
+    assert_eq!(one.statuses.len(), 4);
+    assert!(one.statuses.values().all(|s| s == "DONE"));
+    for workers in [0, 64] {
+        assert_same(&one, &run_scenario(workers, true), workers);
+    }
 }
 
 #[test]
 fn every_simulation_walks_the_listing_1_chain_in_order() {
-    let parallel = run_scenario(8);
+    let pooled = run_scenario(8, false);
     let happy: Vec<(String, String)> = SimStatus::happy_path()
         .windows(2)
         .map(|w| (w[0].as_str().to_string(), w[1].as_str().to_string()))
         .collect();
-    for (sim, seq) in &parallel.transitions {
+    for (sim, seq) in &pooled.transitions {
         assert_eq!(seq, &happy, "sim {sim} transition sequence");
     }
 }
