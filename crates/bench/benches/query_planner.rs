@@ -1,19 +1,17 @@
-//! Storage-engine fast path: the cost-based query planner and the WAL
-//! group commit against seed-replica baselines.
+//! Storage-engine fast path: the cost-based query planner against a
+//! seed-replica baseline, and the WAL group commit.
 //!
 //! The `*/reference` ids reimplement the pre-planner engine inline — a
-//! full scan that clones every row before filtering, and a WAL writer
-//! that deep-clones each op, serializes a `WalRecord` wrapper, and does
-//! write+flush once per record. The `*/planner` and `*/group_commit` ids
-//! run the shipped code, so one `cargo bench --bench query_planner` run
-//! prints both sides of every headline ratio (see BENCH_simdb.json).
+//! full scan that clones every row before filtering. The `*/planner` and
+//! `*/group_commit` ids run the shipped code. (The seed's JSON-lines WAL
+//! writer used to be replicated here too; it went with the format it wrote,
+//! and `BENCH_simdb.json` keeps the last ratio measured against it.)
 
 use amp_simdb::db::LogOp;
 use amp_simdb::wal::Wal;
 use amp_simdb::{Column, Database, Op, Query, Row, TableSchema, Value, ValueType};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use std::io::Write;
 
 const N: i64 = 10_000;
 
@@ -140,38 +138,6 @@ fn bench_read_path(c: &mut Criterion) {
     g.finish();
 }
 
-/// The seed append strategy: per record, deep-clone the op into a
-/// `WalRecord` wrapper, serialize it, then two write calls and a flush.
-struct NaiveWal {
-    writer: std::io::BufWriter<std::fs::File>,
-    next_seq: u64,
-}
-
-#[derive(serde::Serialize)]
-struct NaiveRecord {
-    seq: u64,
-    op: LogOp,
-}
-
-impl NaiveWal {
-    fn append(&mut self, ops: &[LogOp]) -> u64 {
-        let mut last = self.next_seq;
-        for op in ops {
-            let rec = NaiveRecord {
-                seq: self.next_seq,
-                op: op.clone(),
-            };
-            let line = serde_json::to_string(&rec).unwrap();
-            self.writer.write_all(line.as_bytes()).unwrap();
-            self.writer.write_all(b"\n").unwrap();
-            last = self.next_seq;
-            self.next_seq += 1;
-        }
-        self.writer.flush().unwrap();
-        last
-    }
-}
-
 // An 8-op batch shaped like one transaction's worth of engine traffic:
 // inserts carrying the same fat payload the read-path fixture uses.
 fn sample_ops(n: usize) -> Vec<LogOp> {
@@ -195,36 +161,19 @@ fn bench_wal(c: &mut Criterion) {
     std::fs::create_dir_all(&dir).unwrap();
     let ops = sample_ops(8);
 
-    // Committing an 8-op batch. `group_commit` is the merged commit the
-    // leader performs for everyone queued behind it: one encode pass, one
-    // write, one flush. `reference` is how the seed engine durably
-    // committed the same 8 ops — every mutation appended (and flushed)
-    // individually, since nothing merged commits across callers.
+    // Committing an 8-op batch: one encode pass, one frame, one write, one
+    // flush.
     let mut g = c.benchmark_group("storage/wal_append_8ops");
     g.sample_size(200);
     let wal = Wal::open(dir.join("group.wal")).unwrap();
     g.bench_function("group_commit", |b| {
         b.iter(|| black_box(wal.append(black_box(&ops)).unwrap()))
     });
-    let mut naive = NaiveWal {
-        writer: std::io::BufWriter::new(std::fs::File::create(dir.join("naive.wal")).unwrap()),
-        next_seq: 0,
-    };
-    g.bench_function("reference", |b| {
-        b.iter(|| {
-            let mut last = 0;
-            for op in black_box(&ops) {
-                last = naive.append(std::slice::from_ref(op));
-            }
-            black_box(last)
-        })
-    });
     g.finish();
 
     // concurrent committers: 16 threads x 25 batches per iteration (thread
     // spawn cost amortized over 200 appends). The group-commit leader
-    // drains everyone's pre-encoded lines in one write+flush while the
-    // reference serializes, clones, and flushes inside its one big lock.
+    // drains everyone's pre-encoded frames in one write+flush.
     let mut g = c.benchmark_group("storage/wal_concurrent_16x25");
     g.sample_size(20);
     const BATCHES_PER_THREAD: usize = 25;
@@ -238,27 +187,6 @@ fn bench_wal(c: &mut Criterion) {
                 handles.push(std::thread::spawn(move || {
                     for _ in 0..BATCHES_PER_THREAD {
                         black_box(wal.append(&ops).unwrap());
-                    }
-                }));
-            }
-            for h in handles {
-                h.join().unwrap();
-            }
-        })
-    });
-    let naive = std::sync::Arc::new(std::sync::Mutex::new(NaiveWal {
-        writer: std::io::BufWriter::new(std::fs::File::create(dir.join("naive_mt.wal")).unwrap()),
-        next_seq: 0,
-    }));
-    g.bench_function("reference", |b| {
-        b.iter(|| {
-            let mut handles = Vec::new();
-            for _ in 0..16 {
-                let naive = naive.clone();
-                let ops = ops.clone();
-                handles.push(std::thread::spawn(move || {
-                    for _ in 0..BATCHES_PER_THREAD {
-                        black_box(naive.lock().unwrap().append(&ops));
                     }
                 }));
             }

@@ -57,8 +57,8 @@ pub fn parse_value(ty: ValueType, raw: &str) -> Result<Value, DbError> {
             let v: f64 = raw
                 .parse()
                 .map_err(|e: std::num::ParseFloatError| err(&e.to_string()))?;
-            if v.is_nan() {
-                return Err(err("NaN is not storable"));
+            if !v.is_finite() {
+                return Err(err("NaN and infinities are not storable"));
             }
             Ok(Value::Float(v))
         }

@@ -16,7 +16,7 @@ use crate::query::Query;
 use crate::schema::{OnDelete, TableSchema};
 use crate::table::{Row, Table};
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// Table access required by the shared mutation engine in [`ops`].
@@ -38,14 +38,20 @@ pub(crate) trait TableSet {
     fn bump_version(&mut self, table: &str);
 }
 
-/// A committed mutation, as recorded in the write-ahead log.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// A committed mutation, as recorded in the write-ahead log. An `Update`
+/// carries in `set` the cells that differ from the row it replaced and
+/// nothing else: replay applies them over the row the recovered state holds
+/// (see [`crate::wal`] for why that is the row the diff was taken against).
+#[derive(Debug, Clone, PartialEq)]
 pub enum LogOp {
     CreateTable { schema: TableSchema },
     Insert { table: String, id: i64, row: Row },
-    Update { table: String, id: i64, row: Row },
+    Update { table: String, id: i64, set: Cells },
     Delete { table: String, id: i64 },
 }
+
+/// Cells of one row, as `(column index, value)` pairs.
+pub type Cells = Vec<(usize, Value)>;
 
 /// The in-memory relational engine.
 #[derive(Debug, Clone, Default, Serialize)]
@@ -264,8 +270,13 @@ impl Database {
                 self.table_mut(table)?.insert_with_id(*id, row.clone())?;
                 self.bump_version(table);
             }
-            LogOp::Update { table, id, row } => {
-                self.table_mut(table)?.update(*id, row.clone())?;
+            LogOp::Update { table, id, set } => {
+                let mut row = self.get(table, *id)?;
+                for (ci, value) in set {
+                    let no_column = || DbError::Corrupt(format!("{table}[{id}]: no column {ci}"));
+                    *row.get_mut(*ci).ok_or_else(no_column)? = value.clone();
+                }
+                self.table_mut(table)?.update(*id, row)?;
                 self.bump_version(table);
             }
             LogOp::Delete { table, id } => {
@@ -406,12 +417,18 @@ pub(crate) mod ops {
         row: Row,
     ) -> Result<LogOp, DbError> {
         check_foreign_keys(ts, table, &row)?;
-        ts.table_mut(table)?.update(id, row.clone())?;
+        // The log takes the cells that change, not the row (see `LogOp`).
+        let old = ts.table_ref(table)?.get(id).map_or(&[][..], |old| &old[..]);
+        let set = (old.iter().zip(&row).enumerate())
+            .filter(|(_, (was, now))| was != now)
+            .map(|(ci, (_, now))| (ci, now.clone()))
+            .collect();
+        ts.table_mut(table)?.update(id, row)?;
         ts.bump_version(table);
         Ok(LogOp::Update {
             table: table.to_string(),
             id,
-            row,
+            set,
         })
     }
 
@@ -505,11 +522,11 @@ pub(crate) mod ops {
             }
             let mut row = ts.table_ref(&t)?.get(rid).cloned().expect("planned row");
             row[ci] = Value::Null;
-            ts.table_mut(&t)?.update(rid, row.clone())?;
+            ts.table_mut(&t)?.update(rid, row)?;
             log.push(LogOp::Update {
                 table: t,
                 id: rid,
-                row,
+                set: vec![(ci, Value::Null)],
             });
         }
         // Delete leaf-first (reverse plan order).

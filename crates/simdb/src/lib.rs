@@ -17,7 +17,7 @@
 //!   engine's one write path;
 //! * [`query`] — Django-queryset-flavoured filters/ordering/slicing;
 //! * [`perm`] — role-based table grants (`web`, `daemon`, `admin`);
-//! * [`wal`] — durability: JSON-lines WAL + snapshots + recovery;
+//! * [`wal`] — durability: framed binary commit log + snapshots + recovery;
 //! * [`orm`] — model trait, managers, migrations (the Django ORM analogue);
 //! * [`admin`] — schema/row introspection for the admin interface.
 //!
@@ -279,7 +279,7 @@ impl Db {
         let (tables, applied) = self.pin_all();
         let covered = wal.last_seq();
         let encoded = self.encode_cut(&tables);
-        wal::Snapshot::save_encoded(&encoded, covered, &applied, &path)?;
+        wal::Snapshot::save_encoded(&encoded, covered, &applied, &path, wal.fsync())?;
         wal.truncate_keeping(&applied)
     }
 
@@ -287,8 +287,10 @@ impl Db {
     /// (group commit shares one across the batch the leader drains), so a
     /// commit that has returned on a waiting connection — or been followed
     /// by [`Connection::flush`] on a deferring one — survives power loss
-    /// rather than just process death. Off by default — the historical
-    /// behavior. No-op on an in-memory database.
+    /// rather than just process death; and a snapshot or log rewrite syncs
+    /// its temporary file before the rename and the directory after it.
+    /// Off by default — the historical behavior. No-op on an in-memory
+    /// database.
     pub fn set_fsync(&self, on: bool) {
         if let Some(wal) = &self.shared.wal {
             wal.set_fsync(on);
@@ -308,9 +310,11 @@ impl Db {
             .clone()
             .ok_or_else(|| DbError::Io("no snapshot path configured".into()))?;
         let (tables, applied) = self.pin_all();
-        let covered = self.shared.wal.as_ref().and_then(|w| w.last_seq());
+        let wal = self.shared.wal.as_ref();
+        let covered = wal.and_then(|w| w.last_seq());
         let encoded = self.encode_cut(&tables);
-        wal::Snapshot::save_encoded(&encoded, covered, &applied, &path)
+        let durable = wal.is_some_and(|w| w.fsync());
+        wal::Snapshot::save_encoded(&encoded, covered, &applied, &path, durable)
     }
 
     /// Current modification counter for `table`. Monotone; bumped
@@ -1178,7 +1182,7 @@ mod tests {
             db.compact().unwrap();
             let after = std::fs::metadata(&walp).unwrap().len();
             assert!(before > 1000);
-            assert_eq!(after, 0, "WAL truncated");
+            assert_eq!(after, wal::MAGIC.len() as u64, "WAL truncated");
             // writes continue after compaction
             c.insert("t", &[("v", Value::Int(999))]).unwrap();
         }

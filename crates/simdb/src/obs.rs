@@ -12,6 +12,8 @@ use amp_obs::{Counter, Gauge, Histogram, Unit};
 pub(crate) struct SimdbMetrics {
     /// WAL flushes actually issued (group commit: one per leader drain).
     pub wal_fsyncs: Counter,
+    /// Bytes those flushes appended to the log file.
+    pub wal_bytes: Counter,
     /// Records made durable per group-commit drain.
     pub wal_batch: Histogram,
     /// Distinct writer threads whose commits one leader's fsync made
@@ -35,6 +37,7 @@ pub(crate) fn metrics() -> &'static SimdbMetrics {
     static METRICS: OnceLock<SimdbMetrics> = OnceLock::new();
     METRICS.get_or_init(|| SimdbMetrics {
         wal_fsyncs: amp_obs::counter("simdb_wal_fsync_total"),
+        wal_bytes: amp_obs::counter("simdb_wal_bytes_total"),
         wal_batch: amp_obs::registry().histogram("simdb_wal_commit_batch_records", Unit::Count),
         group_commit_writers: amp_obs::registry()
             .histogram("simdb_group_commit_writers", Unit::Count),

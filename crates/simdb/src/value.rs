@@ -15,7 +15,9 @@ use std::fmt;
 pub enum ValueType {
     /// 64-bit signed integer.
     Int,
-    /// 64-bit IEEE float. `NaN` is rejected at the door so ordering is total.
+    /// 64-bit IEEE float. NaN and ±∞ are rejected at the door
+    /// ([`Value::conforms_to`]): ordering stays total, and neither the log
+    /// nor the JSON snapshot (which has no spelling for them) ever holds one.
     Float,
     /// Boolean.
     Bool,
@@ -66,11 +68,12 @@ impl Value {
     }
 
     /// True if this value may be stored in a column of type `ty`
-    /// (ignoring nullability, which the schema checks separately).
+    /// (ignoring nullability, which the schema checks separately). A
+    /// non-finite float conforms to no type.
     pub fn conforms_to(&self, ty: ValueType) -> bool {
-        match self.value_type() {
-            None => true,
-            Some(t) => t == ty,
+        match self {
+            Value::Float(f) if !f.is_finite() => false,
+            _ => self.value_type().is_none_or(|t| t == ty),
         }
     }
 
@@ -218,6 +221,7 @@ mod tests {
         assert!(Value::Null.conforms_to(ValueType::Text));
         assert!(Value::Text("x".into()).conforms_to(ValueType::Text));
         assert!(!Value::Bool(true).conforms_to(ValueType::Int));
+        assert!(!Value::Float(f64::NAN).conforms_to(ValueType::Float));
     }
 
     #[test]

@@ -1,9 +1,37 @@
-//! Durability: JSON-lines write-ahead log and full snapshots.
+//! Durability: a framed binary commit log and full snapshots.
 //!
 //! The central database is the only channel between AMP's portal and the
-//! GridAMP daemon, so losing it loses all workflow state. The `Wal` appends
-//! each committed mutation as one JSON line; `Snapshot` serializes the whole
-//! database. Recovery = load latest snapshot, then replay the WAL suffix.
+//! GridAMP daemon, so losing it loses all workflow state. The [`Wal`]
+//! appends each commit as one checksummed frame; [`Snapshot`] serializes
+//! the whole database. Recovery = load latest snapshot, then replay the
+//! log's suffix.
+//!
+//! # The log file (DESIGN §9.13)
+//!
+//! [`MAGIC`], then frames: `[u32 body length][u32 CRC-32 of the body][body]`,
+//! little-endian. One frame is **one commit** — everything one
+//! [`Wal::enqueue`] call receives — so a recovered log is a prefix of whole
+//! commits. The body is the commit's ops, then the sequence number of the
+//! first of them as eight bytes: last, so that the CRC over the ops is taken
+//! before the queue lock and only finished under it.
+//!
+//! An op is a tag byte, the table name, the row id and typed values. Counts,
+//! lengths and column indexes are LEB128 varints; ids, `Int`s and
+//! `Timestamp`s zigzag varints; a `Float` its eight raw bytes; text
+//! length-prefixed UTF-8; each value leads with a type tag. An `Update`
+//! carries only the cells that changed ([`LogOp`]), which is sound because
+//! replay is an exact, per-table, sequence-ordered prefix over a snapshot
+//! that records each table's `applied_seq` and [`Wal::truncate_keeping`]
+//! keeps exactly the commits above it: the row a surviving `Update` finds is
+//! the row its diff was taken against. `CreateTable`, cold, keeps the
+//! schema's JSON as its body.
+//!
+//! A crash mid-append leaves a torn last frame: a short header, a short
+//! body or a CRC mismatch with no valid frame anywhere after it. Recovery
+//! ([`Wal::open`], `Db::open`) cuts the file back to its last whole frame and
+//! says so in the flight recorder; [`Wal::read_frames`] only leaves the tail
+//! out. A bad frame *followed by a valid one* is damage, never a torn tail,
+//! and answers `Corrupt` with its byte offset.
 
 use crate::db::{Database, LogOp};
 use crate::error::DbError;
@@ -11,9 +39,12 @@ use crate::value::Value;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Condvar, Mutex};
+
+/// The first bytes of every log file: format name and version.
+pub const MAGIC: &[u8; 8] = b"AMPLOG\x00\x01";
 
 /// The table a logged op targets (per-table WAL coverage accounting).
 pub(crate) fn op_table(op: &LogOp) -> &str {
@@ -25,125 +56,198 @@ pub(crate) fn op_table(op: &LogOp) -> &str {
     }
 }
 
-/// Byte-exact fast encoder for the hot `LogOp` variants. The generic
-/// serde path builds an intermediate content tree per record, which
-/// dominates append cost; this writes the identical JSON straight into
-/// the output buffer. `CreateTable` (cold: DDL only) falls back to serde.
-/// `encoder_matches_serde` pins byte equality against `serde_json`.
-fn encode_op(buf: &mut Vec<u8>, op: &LogOp) -> Result<(), DbError> {
-    fn encode_str(buf: &mut Vec<u8>, s: &str) {
-        buf.push(b'"');
-        let bytes = s.as_bytes();
-        let mut run = 0; // start of the current passthrough run
-        for (i, &b) in bytes.iter().enumerate() {
-            if b >= 0x20 && b != b'"' && b != b'\\' {
-                continue; // plain byte (incl. UTF-8 continuation): copied in bulk
-            }
-            buf.extend_from_slice(&bytes[run..i]);
-            run = i + 1;
-            match b {
-                b'"' => buf.extend_from_slice(b"\\\""),
-                b'\\' => buf.extend_from_slice(b"\\\\"),
-                b'\n' => buf.extend_from_slice(b"\\n"),
-                b'\t' => buf.extend_from_slice(b"\\t"),
-                b'\r' => buf.extend_from_slice(b"\\r"),
-                0x8 => buf.extend_from_slice(b"\\b"),
-                0xc => buf.extend_from_slice(b"\\f"),
-                c => buf.extend_from_slice(format!("\\u{:04x}", c as u32).as_bytes()),
-            }
+const CRC_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = (c >> 1) ^ (0xEDB8_8320 & (c & 1).wrapping_neg());
+            bit += 1;
         }
-        buf.extend_from_slice(&bytes[run..]);
-        buf.push(b'"');
+        table[i] = c;
+        i += 1;
     }
-    fn encode_i64(buf: &mut Vec<u8>, v: i64) {
-        let mut digits = [0u8; 20];
-        let mut i = digits.len();
-        let neg = v < 0;
-        let mut v = (v as i128).unsigned_abs();
-        loop {
-            i -= 1;
-            digits[i] = b'0' + (v % 10) as u8;
-            v /= 10;
-            if v == 0 {
-                break;
-            }
-        }
-        if neg {
-            buf.push(b'-');
-        }
-        buf.extend_from_slice(&digits[i..]);
+    table
+};
+
+/// CRC-32 (IEEE) state continued over `bytes`: start from `!0`, invert the
+/// final state.
+fn crc32_update(mut crc: u32, bytes: &[u8]) -> u32 {
+    for &b in bytes {
+        crc = CRC_TABLE[((crc ^ b as u32) & 0xff) as usize] ^ (crc >> 8);
     }
-    fn encode_f64(buf: &mut Vec<u8>, v: f64) {
-        if !v.is_finite() {
-            buf.extend_from_slice(b"null");
-            return;
-        }
-        let s = format!("{v}");
-        buf.extend_from_slice(s.as_bytes());
-        if !s.contains('.') && !s.contains('e') {
-            buf.extend_from_slice(b".0");
-        }
+    crc
+}
+
+fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        buf.push(v as u8 | 0x80);
+        v >>= 7;
     }
-    fn encode_value(buf: &mut Vec<u8>, v: &Value) {
-        match v {
-            Value::Null => buf.extend_from_slice(b"\"Null\""),
-            Value::Bool(true) => buf.extend_from_slice(b"{\"Bool\":true}"),
-            Value::Bool(false) => buf.extend_from_slice(b"{\"Bool\":false}"),
-            Value::Int(i) => {
-                buf.extend_from_slice(b"{\"Int\":");
-                encode_i64(buf, *i);
-                buf.push(b'}');
-            }
-            Value::Float(f) => {
-                buf.extend_from_slice(b"{\"Float\":");
-                encode_f64(buf, *f);
-                buf.push(b'}');
-            }
-            Value::Timestamp(t) => {
-                buf.extend_from_slice(b"{\"Timestamp\":");
-                encode_i64(buf, *t);
-                buf.push(b'}');
-            }
-            Value::Text(s) => {
-                buf.extend_from_slice(b"{\"Text\":");
-                encode_str(buf, s);
-                buf.push(b'}');
-            }
+    buf.push(v as u8);
+}
+
+fn put_int(buf: &mut Vec<u8>, v: i64) {
+    put_varint(buf, ((v << 1) ^ (v >> 63)) as u64);
+}
+
+fn put_bytes(buf: &mut Vec<u8>, bytes: &[u8]) {
+    put_varint(buf, bytes.len() as u64);
+    buf.extend_from_slice(bytes);
+}
+
+fn put_value(buf: &mut Vec<u8>, v: &Value) {
+    match v {
+        Value::Null => buf.push(0),
+        Value::Bool(b) => buf.push(1 + *b as u8),
+        Value::Int(i) => {
+            buf.push(3);
+            put_int(buf, *i);
+        }
+        Value::Float(f) => {
+            buf.push(4);
+            buf.extend_from_slice(&f.to_le_bytes());
+        }
+        Value::Timestamp(t) => {
+            buf.push(5);
+            put_int(buf, *t);
+        }
+        Value::Text(s) => {
+            buf.push(6);
+            put_bytes(buf, s.as_bytes());
         }
     }
-    fn encode_header(buf: &mut Vec<u8>, variant: &str, table: &str, id: i64) {
-        buf.push(b'{');
-        encode_str(buf, variant);
-        buf.extend_from_slice(b":{\"table\":");
-        encode_str(buf, table);
-        buf.extend_from_slice(b",\"id\":");
-        encode_i64(buf, id);
-    }
-    fn encode_row_op(buf: &mut Vec<u8>, variant: &str, table: &str, id: i64, row: &[Value]) {
-        encode_header(buf, variant, table, id);
-        buf.extend_from_slice(b",\"row\":[");
-        for (i, v) in row.iter().enumerate() {
-            if i > 0 {
-                buf.push(b',');
-            }
-            encode_value(buf, v);
-        }
-        buf.extend_from_slice(b"]}}");
-    }
+}
+
+fn put_op(buf: &mut Vec<u8>, op: &LogOp) {
+    let mut head = |tag: u8, table: &str, id: i64| {
+        buf.push(tag);
+        put_bytes(buf, table.as_bytes());
+        put_int(buf, id);
+    };
     match op {
-        LogOp::Insert { table, id, row } => encode_row_op(buf, "Insert", table, *id, row),
-        LogOp::Update { table, id, row } => encode_row_op(buf, "Update", table, *id, row),
-        LogOp::Delete { table, id } => {
-            encode_header(buf, "Delete", table, *id);
-            buf.extend_from_slice(b"}}");
+        LogOp::CreateTable { schema } => {
+            buf.push(0);
+            put_bytes(
+                buf,
+                &serde_json::to_vec(schema).expect("schema JSON encode is infallible"),
+            );
         }
-        LogOp::CreateTable { .. } => {
-            let body =
-                serde_json::to_string(op).map_err(|e| DbError::Io(format!("wal encode: {e}")))?;
-            buf.extend_from_slice(body.as_bytes());
+        LogOp::Insert { table, id, row } => {
+            head(1, table, *id);
+            put_varint(buf, row.len() as u64);
+            row.iter().for_each(|v| put_value(buf, v));
+        }
+        LogOp::Update { table, id, set } => {
+            head(2, table, *id);
+            put_varint(buf, set.len() as u64);
+            for (ci, v) in set {
+                put_varint(buf, *ci as u64);
+                put_value(buf, v);
+            }
+        }
+        LogOp::Delete { table, id } => head(3, table, *id),
+    }
+}
+
+fn get_varint(d: &mut &[u8]) -> Option<u64> {
+    let mut v = 0;
+    for shift in (0..64).step_by(7) {
+        let b = *d.split_off_first()?;
+        v |= u64::from(b & 0x7f) << shift;
+        if b < 0x80 {
+            return Some(v);
         }
     }
-    Ok(())
+    None
+}
+
+fn get_int(d: &mut &[u8]) -> Option<i64> {
+    let v = get_varint(d)?;
+    Some((v >> 1) as i64 ^ -((v & 1) as i64))
+}
+
+fn get_text(d: &mut &[u8]) -> Option<String> {
+    let len = usize::try_from(get_varint(d)?).ok()?;
+    String::from_utf8(d.split_off(..len)?.to_vec()).ok()
+}
+
+fn get_value(d: &mut &[u8]) -> Option<Value> {
+    Some(match *d.split_off_first()? {
+        0 => Value::Null,
+        tag @ 1..=2 => Value::Bool(tag == 2),
+        3 => Value::Int(get_int(d)?),
+        4 => Value::Float(f64::from_le_bytes(d.split_off(..8)?.try_into().ok()?)),
+        5 => Value::Timestamp(get_int(d)?),
+        6 => Value::Text(get_text(d)?),
+        _ => return None,
+    })
+}
+
+fn get_op(d: &mut &[u8]) -> Option<LogOp> {
+    let tag = *d.split_off_first()?;
+    if tag == 0 {
+        let schema = serde_json::from_str(&get_text(d)?).ok()?;
+        return Some(LogOp::CreateTable { schema });
+    }
+    let (table, id) = (get_text(d)?, get_int(d)?);
+    Some(match tag {
+        1 => {
+            let row = (0..get_varint(d)?)
+                .map(|_| get_value(d))
+                .collect::<Option<_>>()?;
+            LogOp::Insert { table, id, row }
+        }
+        2 => {
+            let set = (0..get_varint(d)?)
+                .map(|_| Some((usize::try_from(get_varint(d)?).ok()?, get_value(d)?)))
+                .collect::<Option<_>>()?;
+            LogOp::Update { table, id, set }
+        }
+        3 => LogOp::Delete { table, id },
+        _ => return None,
+    })
+}
+
+/// Encode a commit's ops and start the frame's CRC over them: everything
+/// of a frame that does not need the sequence number.
+fn encode_commit(ops: &[LogOp]) -> Result<(Vec<u8>, u32), DbError> {
+    let mut body = Vec::with_capacity(64 * ops.len());
+    ops.iter().for_each(|op| put_op(&mut body, op));
+    if u32::try_from(body.len() + 8).is_err() {
+        return Err(DbError::Io("wal encode: commit over 4 GiB".into()));
+    }
+    let crc = crc32_update(!0, &body);
+    Ok((body, crc))
+}
+
+/// Append the frame of a commit encoded by [`encode_commit`].
+fn push_frame(buf: &mut Vec<u8>, (ops, crc): &(Vec<u8>, u32), first_seq: u64) {
+    let seq = first_seq.to_le_bytes();
+    buf.extend_from_slice(&((ops.len() + seq.len()) as u32).to_le_bytes());
+    buf.extend_from_slice(&(!crc32_update(*crc, &seq)).to_le_bytes());
+    buf.extend_from_slice(ops);
+    buf.extend_from_slice(&seq);
+}
+
+/// One commit as the bytes of its frame, its ops numbered from `first_seq`:
+/// for tests and tools that build a log file by hand (after [`MAGIC`]).
+pub fn encode_frame(first_seq: u64, ops: &[LogOp]) -> Result<Vec<u8>, DbError> {
+    let mut frame = Vec::new();
+    push_frame(&mut frame, &encode_commit(ops)?, first_seq);
+    Ok(frame)
+}
+
+/// The body of the whole, checksum-clean, non-empty frame that starts at
+/// byte `at`.
+fn frame_at(data: &[u8], at: usize) -> Option<&[u8]> {
+    let mut rest = data.get(at..)?;
+    let len = u32::from_le_bytes(rest.split_off(..4)?.try_into().ok()?);
+    let crc = u32::from_le_bytes(rest.split_off(..4)?.try_into().ok()?);
+    let body = rest.split_off(..len as usize)?;
+    (len > 8 && !crc32_update(!0, body) == crc).then_some(body)
 }
 
 /// The error every commit gets once a flush has failed (see
@@ -153,23 +257,31 @@ fn dead_log(cause: &str) -> DbError {
 }
 
 /// One WAL record: a monotonically increasing sequence number plus the op.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WalRecord {
     pub seq: u64,
     pub op: LogOp,
 }
 
+/// One frame of a log file — one commit: its byte range and its records.
+#[derive(Debug, Clone)]
+pub struct Frame {
+    pub offset: usize,
+    pub end: usize,
+    pub records: Vec<WalRecord>,
+}
+
 /// An append-only write-ahead log backed by a file, with **cross-writer
 /// group commit**.
 ///
-/// A commit has three phases: (1) serialize the ops to JSON — the expensive
+/// A commit has three phases: (1) encode and checksum the ops — the expensive
 /// part — entirely outside any lock; (2) take the cheap `queue` lock just
-/// long enough to claim sequence numbers and splice the pre-encoded lines
+/// long enough to claim sequence numbers and splice the finished frame
 /// into the shared in-memory buffer; (3) make the batch durable through the
 /// leader/follower protocol in [`Self::sync_to`]. Phase 3 is the group
 /// commit: at most one thread — the *leader* — is elected per flush window
 /// under the `commit` mutex; it drains *everything* buffered so far
-/// (including lines from writers that arrived while the previous flush was
+/// (including frames from writers that arrived while the previous flush was
 /// in flight) with a single write + flush + optional `fdatasync`, while
 /// every other committer parks on the condvar instead of convoying on a
 /// file lock. When the leader publishes the new durable watermark, covered
@@ -198,7 +310,8 @@ pub struct Wal {
 #[derive(Debug)]
 struct WalQueue {
     next_seq: u64,
-    /// Encoded-but-unflushed records, in sequence order.
+    /// Encoded-but-unflushed frames, in sequence order (led by [`MAGIC`]
+    /// while the file is still empty).
     buf: Vec<u8>,
     /// Records currently in `buf` (group-commit batch-size metric).
     pending: usize,
@@ -225,36 +338,18 @@ struct WalFile {
 
 impl Wal {
     /// Open (or create) a WAL file, continuing after any existing records.
-    /// Streams the file to find the tail record — only the last line is
-    /// actually parsed, so reopening a long log costs one pass of IO, not
-    /// a full JSON decode of every record.
     ///
     /// The file alone does not say where numbering must continue once
     /// compaction has truncated it: a database opens its log with
     /// [`Self::open_at`], past everything its snapshot covers.
     pub fn open(path: impl AsRef<Path>) -> Result<Self, DbError> {
         let path = path.as_ref();
-        let next_seq = if path.exists() {
-            let f = File::open(path)?;
-            let mut last_line: Option<(usize, String)> = None;
-            for (lineno, line) in BufReader::new(f).lines().enumerate() {
-                let line = line?;
-                if !line.trim().is_empty() {
-                    last_line = Some((lineno, line));
-                }
-            }
-            match last_line {
-                Some((lineno, line)) => {
-                    let rec: WalRecord = serde_json::from_str(&line)
-                        .map_err(|e| DbError::Corrupt(format!("wal line {}: {e}", lineno + 1)))?;
-                    rec.seq + 1
-                }
-                None => 0,
-            }
+        let records = if path.exists() {
+            read_cutting_torn_tail(path)?
         } else {
-            0
+            Vec::new()
         };
-        Self::open_at(path, next_seq)
+        Self::open_at(path, records.last().map_or(0, |rec| rec.seq + 1))
     }
 
     /// Open (or create) a WAL file whose next record is numbered
@@ -264,11 +359,17 @@ impl Wal {
     pub(crate) fn open_at(path: impl AsRef<Path>, next_seq: u64) -> Result<Self, DbError> {
         let path = path.as_ref().to_path_buf();
         let file = OpenOptions::new().create(true).append(true).open(&path)?;
+        // The first flush of a new file starts it with the header.
+        let buf = if file.metadata()?.len() == 0 {
+            MAGIC.to_vec()
+        } else {
+            Vec::new()
+        };
         Ok(Wal {
             path,
             queue: Mutex::new(WalQueue {
                 next_seq,
-                buf: Vec::new(),
+                buf,
                 pending: 0,
             }),
             commit: Mutex::new(CommitState {
@@ -288,6 +389,10 @@ impl Wal {
     /// Enable or disable per-commit `fdatasync` (see the `fsync` field).
     pub fn set_fsync(&self, on: bool) {
         self.fsync.store(on, std::sync::atomic::Ordering::Relaxed);
+    }
+
+    pub(crate) fn fsync(&self) -> bool {
+        self.fsync.load(std::sync::atomic::Ordering::Relaxed)
     }
 
     pub fn path(&self) -> &Path {
@@ -317,7 +422,7 @@ impl Wal {
         }
     }
 
-    /// Claim sequence numbers for `ops` and buffer the encoded records
+    /// Claim sequence numbers for `ops` and buffer them as one frame
     /// (phases 1–2 of a commit; no durability yet). Returns the last
     /// claimed sequence number, or `None` for an empty batch.
     ///
@@ -327,16 +432,11 @@ impl Wal {
     /// The flush ([`Self::sync_to`]) happens after the guards are
     /// released, where it group-commits with other tables' writers.
     pub fn enqueue(&self, ops: &[LogOp]) -> Result<Option<u64>, DbError> {
-        // Phase 1: serialize before the queue lock (no serde tree).
-        let mut encoded = Vec::with_capacity(ops.len());
-        for op in ops {
-            let mut body = Vec::with_capacity(160);
-            encode_op(&mut body, op)?;
-            encoded.push(body);
-        }
-        if encoded.is_empty() {
+        if ops.is_empty() {
             return Ok(None);
         }
+        // Phase 1: encode and checksum before the queue lock.
+        let encoded = encode_commit(ops)?;
         // A failed flush lost records and nothing drains the buffer any
         // more: refuse, so the caller publishes nothing that can never be
         // made durable. (Records enqueued while the failing flush was in
@@ -345,21 +445,12 @@ impl Wal {
             return Err(dead_log(e));
         }
 
-        // Phase 2: claim sequence numbers and buffer the finished lines.
+        // Phase 2: claim sequence numbers and buffer the finished frame.
         let mut q = self.queue.lock().expect("wal queue lock");
-        for body in &encoded {
-            // `WalRecord` serializes as {"seq":N,"op":{...}} in field
-            // order; emit the identical bytes by splicing the
-            // pre-encoded op body around the freshly claimed seq.
-            let seq = q.next_seq;
-            q.buf.extend_from_slice(b"{\"seq\":");
-            q.buf.extend_from_slice(seq.to_string().as_bytes());
-            q.buf.extend_from_slice(b",\"op\":");
-            q.buf.extend_from_slice(body);
-            q.buf.extend_from_slice(b"}\n");
-            q.next_seq += 1;
-            q.pending += 1;
-        }
+        let first_seq = q.next_seq;
+        push_frame(&mut q.buf, &encoded, first_seq);
+        q.next_seq += ops.len() as u64;
+        q.pending += ops.len();
         Ok(Some(q.next_seq - 1))
     }
 
@@ -415,7 +506,7 @@ impl Wal {
                 .write_all(&chunk)
                 .and_then(|_| file.writer.flush())
                 .and_then(|_| {
-                    if self.fsync.load(std::sync::atomic::Ordering::Relaxed) {
+                    if self.fsync() {
                         file.writer.get_ref().sync_data()
                     } else {
                         Ok(())
@@ -430,6 +521,7 @@ impl Wal {
                 st.flushed_seq = Some(upto);
                 let m = crate::obs::metrics();
                 m.wal_fsyncs.inc();
+                m.wal_bytes.add(chunk.len() as u64);
                 if batch > 0 {
                     m.wal_batch.observe(batch as u64);
                 }
@@ -465,6 +557,10 @@ impl Wal {
     /// serialized by its writer mutex), so it is preserved. The sequence
     /// counter keeps increasing, so records appended later still sort
     /// strictly after everything the snapshot covers.
+    ///
+    /// Frames go or stay whole: a snapshot is cut from one untearable
+    /// `pin_cut`, so it holds all of a commit or none of it. A frame only
+    /// partly covered answers `Corrupt` and the file is left as it was.
     pub(crate) fn truncate_keeping(&self, applied: &BTreeMap<String, u64>) -> Result<(), DbError> {
         let mut st = self.wait_no_flush();
         if let Some(e) = &st.failed {
@@ -472,7 +568,7 @@ impl Wal {
         }
         let mut file = self.file.lock().expect("wal file lock");
         // Flush whatever is buffered so the rewrite below sees every
-        // claimed record. Lines enqueued after this point have sequence
+        // claimed record. Frames enqueued after this point have sequence
         // numbers above anything the snapshot covers and simply flush to
         // the rewritten file later.
         let (chunk, upto) = {
@@ -496,48 +592,37 @@ impl Wal {
         // be dropped as snapshot-covered; either way it needs no re-flush.
         st.flushed_seq = upto;
 
-        let mut out = Vec::new();
-        for rec in Self::read_records(&self.path)? {
-            let covered = applied
-                .get(op_table(&rec.op))
-                .is_some_and(|&s| s >= rec.seq);
-            if !covered {
-                let line = serde_json::to_string(&rec)
-                    .map_err(|e| DbError::Io(format!("wal rewrite: {e}")))?;
-                out.extend_from_slice(line.as_bytes());
-                out.push(b'\n');
+        let (data, frames, _) = scan(&self.path)?;
+        let mut out = MAGIC.to_vec();
+        let covered = |r: &WalRecord| applied.get(op_table(&r.op)).is_some_and(|&s| s >= r.seq);
+        for frame in frames {
+            let keep = !covered(&frame.records[0]);
+            if frame.records.iter().any(|rec| covered(rec) == keep) {
+                return Err(DbError::Corrupt(format!(
+                    "wal byte {}: frame partly covered by the snapshot",
+                    frame.offset
+                )));
+            }
+            if keep {
+                out.extend_from_slice(&data[frame.offset..frame.end]);
             }
         }
-        let tmp = self.path.with_extension("wal.tmp");
-        std::fs::write(&tmp, &out)?;
-        std::fs::rename(&tmp, &self.path)?;
+        replace_file(&self.path, "wal.tmp", &out, self.fsync())?;
         file.writer = BufWriter::new(OpenOptions::new().append(true).open(&self.path)?);
         Ok(())
     }
 
-    /// Read all records from a WAL file.
+    /// Read a log file's whole commits, touching nothing: a torn tail is
+    /// left out of the answer and left in the file (recovery is what cuts
+    /// it), damage before the tail is `Corrupt`. See the module docs.
+    pub fn read_frames(path: impl AsRef<Path>) -> Result<Vec<Frame>, DbError> {
+        scan(path.as_ref()).map(|(_, frames, _)| frames)
+    }
+
+    /// [`Self::read_frames`], as one flat list of records.
     pub fn read_records(path: impl AsRef<Path>) -> Result<Vec<WalRecord>, DbError> {
-        let f = File::open(path.as_ref())?;
-        let mut out = Vec::new();
-        for (lineno, line) in BufReader::new(f).lines().enumerate() {
-            let line = line?;
-            if line.trim().is_empty() {
-                continue;
-            }
-            let rec: WalRecord = serde_json::from_str(&line)
-                .map_err(|e| DbError::Corrupt(format!("wal line {}: {e}", lineno + 1)))?;
-            out.push(rec);
-        }
-        // Sequence numbers must be strictly increasing.
-        for w in out.windows(2) {
-            if w[1].seq <= w[0].seq {
-                return Err(DbError::Corrupt(format!(
-                    "wal sequence regression: {} then {}",
-                    w[0].seq, w[1].seq
-                )));
-            }
-        }
-        Ok(out)
+        let frames = Self::read_frames(path)?;
+        Ok(frames.into_iter().flat_map(|f| f.records).collect())
     }
 
     /// Replay records into a database, skipping those the database's
@@ -556,6 +641,86 @@ impl Wal {
         }
         Ok(applied)
     }
+}
+
+/// Decode a log file in one pass, returning its bytes, its frames and the
+/// length of its whole-frame prefix: anything after that is a torn tail.
+/// Damage before the tail is `Corrupt`. Reads only.
+fn scan(path: &Path) -> Result<(Vec<u8>, Vec<Frame>, usize), DbError> {
+    let data = std::fs::read(path)?;
+    let corrupt = |at: usize, why: &str| DbError::Corrupt(format!("wal byte {at}: {why}"));
+    let mut at = MAGIC.len().min(data.len());
+    if data[..at] != MAGIC[..at] {
+        return Err(corrupt(0, "not a framed log"));
+    }
+    let (mut frames, mut next_seq) = (Vec::new(), 0);
+    while let Some(body) = frame_at(&data, at) {
+        let (mut ops, seq) = body.split_at(body.len() - 8);
+        let first_seq = u64::from_le_bytes(seq.try_into().expect("eight bytes"));
+        if first_seq < next_seq {
+            return Err(corrupt(at, "sequence regression"));
+        }
+        let mut records = Vec::new();
+        while !ops.is_empty() {
+            let op = get_op(&mut ops).ok_or_else(|| corrupt(at, "undecodable op"))?;
+            let seq = first_seq + records.len() as u64;
+            records.push(WalRecord { seq, op });
+        }
+        next_seq = first_seq + records.len() as u64;
+        let (offset, end) = (at, at + 8 + body.len());
+        frames.push(Frame {
+            offset,
+            end,
+            records,
+        });
+        at = end;
+    }
+    // A header cut short holds nothing; otherwise `at` ends the last whole frame.
+    let whole = if data.len() < MAGIC.len() { 0 } else { at };
+    if whole < data.len() {
+        if let Some(later) = (at + 1..data.len()).find(|&p| frame_at(&data, p).is_some()) {
+            return Err(corrupt(
+                at,
+                &format!("bad frame; a valid one follows at {later}"),
+            ));
+        }
+    }
+    Ok((data, frames, whole))
+}
+
+/// Recovery's read of the log it is about to append to: the records of
+/// [`scan`], with a torn tail cut off the file and noted in the flight
+/// recorder. Only [`Wal::open`] and [`recover_with_last_seq`] come here.
+fn read_cutting_torn_tail(path: &Path) -> Result<Vec<WalRecord>, DbError> {
+    let (data, frames, whole) = scan(path)?;
+    if whole < data.len() {
+        let (name, len) = (path.display(), data.len());
+        amp_obs::flight().record(
+            "simdb",
+            format!("wal {name}: torn tail, {len} bytes cut to {whole}"),
+        );
+        let file = OpenOptions::new().write(true).open(path)?;
+        file.set_len(whole as u64)?;
+    }
+    Ok(frames.into_iter().flat_map(|f| f.records).collect())
+}
+
+/// Write-then-rename for atomicity. With `durable`, the new contents reach
+/// the device before the rename does, and the rename before this returns:
+/// `sync_all` on the temporary file, then on the directory.
+fn replace_file(path: &Path, tmp_ext: &str, data: &[u8], durable: bool) -> Result<(), DbError> {
+    let tmp = path.with_extension(tmp_ext);
+    let mut file = File::create(&tmp)?;
+    file.write_all(data)?;
+    if durable {
+        file.sync_all()?;
+    }
+    std::fs::rename(&tmp, path)?;
+    if durable {
+        let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+        File::open(dir.unwrap_or(Path::new(".")))?.sync_all()?;
+    }
+    Ok(())
 }
 
 /// Full database snapshots.
@@ -639,7 +804,7 @@ impl Snapshot {
         };
         let data =
             serde_json::to_vec(&file).map_err(|e| DbError::Io(format!("snapshot encode: {e}")))?;
-        Self::write_atomic(path, data)
+        replace_file(path.as_ref(), "tmp", &data, false)
     }
 
     /// Encode one table exactly as it appears as a value inside the
@@ -654,12 +819,14 @@ impl Snapshot {
     /// cut (asserted by test), but a table whose published version has not
     /// moved since the last snapshot costs one buffer copy instead of a
     /// full content-tree build and re-serialization — on archive-dominated
-    /// databases that is almost the entire snapshot.
+    /// databases that is almost the entire snapshot. `durable`: see
+    /// [`replace_file`].
     pub(crate) fn save_encoded(
         tables: &BTreeMap<String, std::sync::Arc<Vec<u8>>>,
         covered_seq: Option<u64>,
         applied_seqs: &BTreeMap<String, u64>,
         path: impl AsRef<Path>,
+        durable: bool,
     ) -> Result<(), DbError> {
         let enc = |e| DbError::Io(format!("snapshot encode: {e}"));
         let covered = serde_json::to_string(&covered_seq).map_err(enc)?;
@@ -681,15 +848,7 @@ impl Snapshot {
             data.extend_from_slice(bytes);
         }
         data.extend_from_slice(b"}}}");
-        Self::write_atomic(path, data)
-    }
-
-    /// Write-then-rename for atomicity.
-    fn write_atomic(path: impl AsRef<Path>, data: Vec<u8>) -> Result<(), DbError> {
-        let tmp = path.as_ref().with_extension("tmp");
-        std::fs::write(&tmp, data)?;
-        std::fs::rename(&tmp, path.as_ref())?;
-        Ok(())
+        replace_file(path.as_ref(), "tmp", &data, durable)
     }
 
     /// Load a snapshot; returns the database (indexes rebuilt, per-table
@@ -713,7 +872,8 @@ impl Snapshot {
 /// Replay filtering is per table: the snapshot's recorded coverage decides,
 /// table by table, which records are already included (see
 /// [`Wal::truncate_keeping`] for why a global threshold would be unsound
-/// once compaction runs concurrently with writers).
+/// once compaction runs concurrently with writers). A torn tail is cut off
+/// the log file (see the module docs).
 pub fn recover(snapshot: Option<&Path>, wal: Option<&Path>) -> Result<Database, DbError> {
     recover_with_last_seq(snapshot, wal).map(|(db, _)| db)
 }
@@ -735,7 +895,7 @@ pub(crate) fn recover_with_last_seq(
     };
     if let Some(w) = wal {
         if w.exists() {
-            let records = Wal::read_records(w)?;
+            let records = read_cutting_torn_tail(w)?;
             Wal::replay_into(&mut db, &records)?;
             last_seq = last_seq.max(records.last().map(|r| r.seq));
         }
@@ -747,6 +907,7 @@ pub(crate) fn recover_with_last_seq(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::db::Cells;
     use crate::schema::{Column, TableSchema};
     use crate::value::{Value, ValueType};
 
@@ -799,7 +960,7 @@ mod tests {
             .collect();
         let dir = tmpdir("assembled");
         let path = dir.join("snap.json");
-        Snapshot::save_encoded(&parts, covered, &applied, &path).unwrap();
+        Snapshot::save_encoded(&parts, covered, &applied, &path, false).unwrap();
         assert_eq!(
             std::fs::read(&path).unwrap(),
             reference,
@@ -815,58 +976,67 @@ mod tests {
         );
     }
 
+    /// Every op, every value type, the varint edges and text no escaping
+    /// would survive, as one commit of five ops and as five commits of one.
     #[test]
-    fn encoder_matches_serde() {
-        let ops = vec![
+    fn frames_round_trip_every_op_and_value_shape() {
+        let crc = !crc32_update(!0, b"123456789");
+        assert_eq!(crc, 0xCBF4_3926, "the CRC-32 check value");
+        let text = [
+            "",
+            "plain",
+            "quo\"te back\\slash\nnew\tline\r\u{1}",
+            "∑ßé日本語🌀",
+        ];
+        let mut row: Vec<Value> = text.iter().map(|s| Value::Text(s.to_string())).collect();
+        row.extend([Value::Null, Value::Bool(true), Value::Bool(false)]);
+        row.extend([0, 1, -1, 63, -64, 64, i64::MAX, i64::MIN].map(Value::Int));
+        row.extend([1.5, -0.0, 0.1, 1e300, f64::MIN_POSITIVE].map(Value::Float));
+        row.extend([-123456789, i64::MAX].map(Value::Timestamp));
+        let set: Cells = (row.iter().cloned().enumerate())
+            .map(|(i, v)| (i * 97, v))
+            .collect();
+        let schema = TableSchema::new("x", vec![Column::new("a", ValueType::Int).indexed()]);
+        let (table, id) = (String::from("a\"b"), i64::MIN);
+        let ops = [
+            LogOp::CreateTable { schema },
+            LogOp::Update {
+                table: table.clone(),
+                id,
+                set,
+            },
             LogOp::Insert {
-                table: "obs".into(),
+                table: String::new(),
                 id: i64::MAX,
-                row: vec![
-                    Value::Null,
-                    Value::Bool(true),
-                    Value::Bool(false),
-                    Value::Int(0),
-                    Value::Int(i64::MIN),
-                    Value::Float(1.5),
-                    Value::Float(-0.0),
-                    Value::Float(3.0),
-                    Value::Float(0.1),
-                    Value::Float(1e300),
-                    Value::Float(f64::NAN),
-                    Value::Float(f64::INFINITY),
-                    Value::Timestamp(-123456789),
-                    Value::Text(String::new()),
-                    Value::Text("plain".into()),
-                    Value::Text("quo\"te back\\slash\nnew\tline\r\u{8}\u{c}\u{1}".into()),
-                    Value::Text("unicode: ∑ßé日本語🌀".into()),
-                ],
+                row,
             },
             LogOp::Update {
-                table: "a\"b".into(),
+                table: table.clone(),
                 id: -7,
-                row: vec![],
+                set: vec![],
             },
-            LogOp::Delete {
-                table: "t".into(),
-                id: 42,
-            },
-            LogOp::CreateTable {
-                schema: TableSchema::new(
-                    "x",
-                    vec![Column::new("a", ValueType::Int).not_null().indexed()],
-                ),
-            },
+            LogOp::Delete { table, id: 42 },
         ];
-        for op in &ops {
-            let mut fast = Vec::new();
-            encode_op(&mut fast, op).unwrap();
-            let via_serde = serde_json::to_string(op).unwrap();
-            assert_eq!(
-                String::from_utf8(fast).unwrap(),
-                via_serde,
-                "encoder diverged for {op:?}"
-            );
+        let path = tmpdir("codec").join("db.wal");
+        let wal = Wal::open(&path).unwrap();
+        wal.append(&ops).unwrap();
+        for (i, op) in ops.iter().enumerate() {
+            assert_eq!(wal.append(std::slice::from_ref(op)).unwrap(), 5 + i as u64);
         }
+        let frames = Wal::read_frames(&path).unwrap();
+        let sizes: Vec<usize> = frames.iter().map(|f| f.records.len()).collect();
+        assert_eq!(sizes, [5, 1, 1, 1, 1, 1]);
+        assert_eq!(frames[0].offset, MAGIC.len());
+        assert_eq!(frames[5].end, std::fs::read(&path).unwrap().len());
+        for (i, rec) in Wal::read_records(&path).unwrap().iter().enumerate() {
+            assert_eq!((rec.seq, &rec.op), (i as u64, &ops[i % 5]));
+        }
+        // The public frame writer produces the same bytes.
+        let mut by_hand = [&MAGIC[..], &encode_frame(0, &ops).unwrap()].concat();
+        for (i, op) in ops.iter().enumerate() {
+            by_hand.extend(encode_frame(5 + i as u64, std::slice::from_ref(op)).unwrap());
+        }
+        assert_eq!(std::fs::read(&path).unwrap(), by_hand);
     }
 
     /// After a failed flush the log is dead: nothing drains its buffer, so
@@ -974,11 +1144,11 @@ mod tests {
     fn corrupt_wal_detected() {
         let dir = tmpdir("corrupt");
         let wal_path = dir.join("db.wal");
-        std::fs::write(&wal_path, "not json\n").unwrap();
-        assert!(matches!(
-            Wal::read_records(&wal_path),
-            Err(DbError::Corrupt(_))
-        ));
+        std::fs::write(&wal_path, "{\"seq\":0,\"op\":{}}\n").unwrap();
+        match Wal::read_records(&wal_path) {
+            Err(DbError::Corrupt(why)) => assert!(why.contains("not a framed log"), "{why}"),
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]
@@ -989,17 +1159,53 @@ mod tests {
             table: "t".into(),
             id: 1,
         };
-        let a = serde_json::to_string(&WalRecord {
-            seq: 5,
-            op: op.clone(),
-        })
-        .unwrap();
-        let b = serde_json::to_string(&WalRecord { seq: 5, op }).unwrap();
-        std::fs::write(&wal_path, format!("{a}\n{b}\n")).unwrap();
+        let frame = encode_frame(5, &[op]).unwrap();
+        std::fs::write(&wal_path, [&MAGIC[..], &frame, &frame].concat()).unwrap();
         assert!(matches!(
             Wal::read_records(&wal_path),
             Err(DbError::Corrupt(_))
         ));
+    }
+
+    /// Reading a log is free of side effects; opening it for appending is
+    /// what cuts a torn tail.
+    #[test]
+    fn only_opening_the_log_cuts_a_torn_tail() {
+        let wal_path = tmpdir("torn").join("db.wal");
+        let mut db = Database::new();
+        Wal::open(&wal_path)
+            .unwrap()
+            .append(&seed_ops(&mut db))
+            .unwrap();
+        let whole = std::fs::read(&wal_path).unwrap();
+        let torn = [&whole[..], &whole[MAGIC.len()..MAGIC.len() + 11]].concat();
+        std::fs::write(&wal_path, &torn).unwrap();
+        assert_eq!(Wal::read_frames(&wal_path).unwrap().len(), 1);
+        assert_eq!(std::fs::read(&wal_path).unwrap(), torn);
+        assert_eq!(Wal::open(&wal_path).unwrap().last_seq(), Some(5));
+        assert_eq!(std::fs::read(&wal_path).unwrap(), whole);
+    }
+
+    /// A snapshot cannot hold half a commit. Coverage that says it does is
+    /// refused before the log is touched, and the log stays usable.
+    #[test]
+    fn a_partly_covered_frame_is_refused_and_the_log_stays_usable() {
+        let wal_path = tmpdir("partial").join("db.wal");
+        let wal = Wal::open(&wal_path).unwrap();
+        let mut db = Database::new();
+        wal.append(&seed_ops(&mut db)).unwrap();
+        let before = std::fs::read(&wal_path).unwrap();
+        let half: BTreeMap<String, u64> = [("t".to_string(), 3)].into_iter().collect();
+        match wal.truncate_keeping(&half) {
+            Err(DbError::Corrupt(why)) => assert!(why.contains("wal byte 8"), "{why}"),
+            other => panic!("{other:?}"),
+        }
+        assert_eq!(std::fs::read(&wal_path).unwrap(), before);
+        let (_, op) = db.insert("t", &[("v", Value::Int(9))]).unwrap();
+        assert_eq!(wal.append(&[op]).unwrap(), 6);
+        wal.truncate_keeping(&[("t".to_string(), 6)].into_iter().collect())
+            .unwrap();
+        assert_eq!(std::fs::read(&wal_path).unwrap(), MAGIC);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //!
 //! Metrics are cumulative per process, so every assertion here is a
 //! "present / increased by" check, never an exact global count — except
-//! on the log-flush counter and the tick stage timers; the tests that move
-//! either take turns on [`EXACT_DELTAS`].
+//! on the log-flush and log-byte counters and the tick stage timers; the
+//! tests that move any of them take turns on [`EXACT_DELTAS`].
 
 use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
@@ -33,8 +33,8 @@ fn truth() -> StellarParams {
 }
 
 /// Held by a test while it flushes a write-ahead log or ticks a daemon, so
-/// that another's deltas of `simdb_wal_fsync_total` and of the
-/// `gridamp_tick_stage_seconds` sums are its own.
+/// that another's deltas of `simdb_wal_fsync_total`, `simdb_wal_bytes_total`
+/// and the `gridamp_tick_stage_seconds` sums are its own.
 static EXACT_DELTAS: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 fn tmpdir(tag: &str) -> PathBuf {
@@ -105,6 +105,7 @@ fn metrics_endpoint_covers_all_three_tiers() {
         // simdb
         "simdb_plan_total",
         "simdb_wal_fsync_total",
+        "simdb_wal_bytes_total",
         "simdb_wal_commit_batch_records",
         // write-path cost metrics: rows and index entries materialized
         // per commit, and writers covered per group-commit flush
@@ -221,6 +222,49 @@ fn deferred_commits_flush_once_per_tick_plus_once_per_submission() {
     let idle = flushes.get();
     daemon.tick(&grid);
     assert_eq!(flushes.get(), idle, "an idle tick flushed");
+}
+
+/// `simdb_wal_bytes_total` is the number the benchmark reports as
+/// `wal_bytes_per_op`: over a 64-simulation drain on a durable database it
+/// moves by exactly what the log file grew by.
+#[test]
+fn wal_bytes_counter_equals_the_logs_growth() {
+    let _turn = EXACT_DELTAS.lock().unwrap_or_else(|e| e.into_inner());
+    let logged = obs::counter("simdb_wal_bytes_total");
+    let dir = tmpdir("walbytes");
+    let log_len = || std::fs::metadata(dir.join("amp.wal")).unwrap().len();
+    let db = Db::open(dir.join("amp.snap"), dir.join("amp.wal")).unwrap();
+    db.set_fsync(true);
+    amp::core::setup::initialize(&db).unwrap();
+    let mut grid = amp::grid::Grid::new();
+    grid.add_site(amp::grid::systems::kraken());
+    amp::gridamp::apps::install_amp_stack(&mut grid, "kraken");
+    let mut daemon = GridAmp::new(&db, DaemonConfig::default()).unwrap();
+    grid.authorize("kraken", daemon.credential());
+    let (user, star, alloc, _obs) =
+        amp::gridamp::seed_fixtures(&db, "kraken", &truth(), 5).unwrap();
+    let sims = Manager::<Simulation>::new(db.connect(amp::core::roles::ROLE_WEB).unwrap());
+    for i in 0..64 {
+        let params = StellarParams {
+            mass: 0.8 + 0.005 * i as f64,
+            ..StellarParams::sun()
+        };
+        let mut sim = Simulation::new_direct(star, user, params, "kraken", alloc, 0);
+        sims.create(&mut sim).unwrap();
+    }
+    let (bytes_before, len_before) = (logged.get(), log_len());
+    let done = Query::new().filter("status", Op::Eq, SimStatus::Done.as_str());
+    let mut ticks = 0;
+    while sims.count(&done).unwrap() < 64 {
+        ticks += 1;
+        assert!(ticks < 2_000, "drain did not settle");
+        let report = daemon.tick(&grid);
+        assert!(report.daemon_errors.is_empty(), "{report:?}");
+        grid.advance(SimDuration::from_secs(300));
+    }
+    let (counted, grown) = (logged.get() - bytes_before, log_len() - len_before);
+    assert!(grown > 0, "the drain logged nothing");
+    assert_eq!(counted, grown, "counter vs file growth");
 }
 
 /// The five stage timers are contiguous: over a 64-simulation drain their

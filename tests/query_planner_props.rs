@@ -358,8 +358,8 @@ proptest! {
     }
 
     /// Group-committed WAL: batched appends produce contiguous seqs, and
-    /// every line prefix of the log replays into a consistent database —
-    /// the full prefix being exactly the live state.
+    /// every frame prefix of the log — one frame per batch — replays into a
+    /// consistent database, the full prefix being exactly the live state.
     #[test]
     fn every_wal_prefix_replays_consistently(
         batches in proptest::collection::vec(
@@ -378,20 +378,25 @@ proptest! {
                 wal.append(&ops).unwrap();
             }
         }
-        let raw = std::fs::read_to_string(wal.path()).unwrap();
-        let lines: Vec<&str> = raw.lines().filter(|l| !l.trim().is_empty()).collect();
-        for cut in 0..=lines.len() {
-            let prefix = lines[..cut].join("\n");
+        let raw = std::fs::read(wal.path()).unwrap();
+        let frames = Wal::read_frames(wal.path()).unwrap();
+        let mut cuts = vec![0, frames.first().map_or(raw.len(), |f| f.offset)];
+        cuts.extend(frames.iter().map(|f| f.end));
+        prop_assert_eq!(cuts.last(), Some(&raw.len()));
+        for (i, &cut) in cuts.iter().enumerate() {
             let pfile = dir.join(format!("prefix_{cut}.wal"));
-            std::fs::write(&pfile, &prefix).unwrap();
+            std::fs::write(&pfile, &raw[..cut]).unwrap();
             let records = Wal::read_records(&pfile).unwrap();
+            // whole commits only: the first `i - 1` batches' ops
+            let whole: usize = frames.iter().take(i.saturating_sub(1)).map(|f| f.records.len()).sum();
+            prop_assert_eq!(records.len(), whole);
             // contiguous seqs from 0: nothing torn, nothing reordered
             for (i, rec) in records.iter().enumerate() {
                 prop_assert_eq!(rec.seq, i as u64);
             }
             let mut replayed = fixture();
             Wal::replay_into(&mut replayed, &records).unwrap();
-            if cut == lines.len() {
+            if cut == raw.len() {
                 prop_assert_eq!(
                     db.select(TABLE, &Query::new()).unwrap(),
                     replayed.select(TABLE, &Query::new()).unwrap()

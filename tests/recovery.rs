@@ -158,8 +158,8 @@ fn int_table(name: &str) -> TableSchema {
     TableSchema::new(name, vec![Column::new("v", ValueType::Int)])
 }
 
-/// Regression (data loss): `compact()` leaves an empty WAL, and the log
-/// used to restart its numbering from the file's last line — 0 — on the
+/// Regression (data loss): `compact()` leaves a log with no commits, and the
+/// log used to restart its numbering from the file's last record — 0 — on the
 /// next open. Records written after that reopen then carried sequence
 /// numbers the snapshot's per-table coverage already claimed, and the
 /// following recovery skipped them as applied.
@@ -173,7 +173,12 @@ fn writes_after_compaction_and_reopen_survive_the_next_reopen() {
             c.insert("t", &[("v", Value::Int(v))]).unwrap();
         }
         db.compact().unwrap();
-        assert_eq!(std::fs::metadata(dir.join("db.wal")).unwrap().len(), 0);
+        let log = std::fs::read(dir.join("db.wal")).unwrap();
+        assert_eq!(
+            log,
+            amp::simdb::wal::MAGIC,
+            "compaction left commits in the log"
+        );
     }
     {
         let (_db, c) = open_plain(&dir);
@@ -188,10 +193,10 @@ fn writes_after_compaction_and_reopen_survive_the_next_reopen() {
 /// The same, for a log compaction truncated only in part: table `a`'s tail
 /// survives (its writer had claimed sequence 5 but not yet published when
 /// the compaction pinned its cut) while table `b`'s coverage reaches 12.
-/// The log's last line says 5; numbering must still continue past 12.
+/// The log's last record says 5; numbering must still continue past 12.
 #[test]
 fn writes_after_partial_truncation_and_reopen_survive_the_next_reopen() {
-    use amp::simdb::wal::WalRecord;
+    use amp::simdb::wal::{encode_frame, MAGIC};
 
     let dir = tmpdir("compact_partial");
     {
@@ -206,16 +211,13 @@ fn writes_after_partial_truncation_and_reopen_survive_the_next_reopen() {
     }
     // The record compaction would have kept for `a`: above `a`'s coverage
     // (2), below `b`'s (12).
-    let tail = WalRecord {
-        seq: 5,
-        op: LogOp::Insert {
-            table: "a".into(),
-            id: 2,
-            row: vec![Value::Int(1)],
-        },
+    let tail = LogOp::Insert {
+        table: "a".into(),
+        id: 2,
+        row: vec![Value::Int(1)],
     };
-    let line = serde_json::to_string(&tail).unwrap();
-    std::fs::write(dir.join("db.wal"), format!("{line}\n")).unwrap();
+    let frame = encode_frame(5, &[tail]).unwrap();
+    std::fs::write(dir.join("db.wal"), [&MAGIC[..], &frame].concat()).unwrap();
     {
         let (_db, c) = open_plain(&dir);
         assert_eq!(c.count("a", &Query::new()).unwrap(), 2, "tail replayed");
@@ -227,6 +229,46 @@ fn writes_after_partial_truncation_and_reopen_survive_the_next_reopen() {
     let (_db, c) = open_plain(&dir);
     assert_eq!(c.count("b", &Query::new()).unwrap(), 15);
     assert_eq!(c.count("a", &Query::new()).unwrap(), 3);
+}
+
+/// Regression: an acknowledged insert of `f64::INFINITY` wrote
+/// `{"Float":null}` to the log and the next open answered `Corrupt`; the
+/// JSON snapshot has no spelling for a non-finite float either. They are
+/// refused where column types are checked, so neither file ever holds one.
+#[test]
+fn non_finite_floats_are_refused_at_the_door_and_the_database_reopens() {
+    let dir = tmpdir("non_finite");
+    let schema = TableSchema::new("t", vec![Column::new("x", ValueType::Float)]);
+    {
+        let (db, c) = open_plain(&dir);
+        c.create_table(schema).unwrap();
+        let id = c.insert("t", &[("x", Value::Float(1.5))]).unwrap();
+        for bad in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            let cell = [("x", Value::Float(bad))];
+            for refused in [
+                c.insert("t", &cell).map(drop),
+                c.insert_row("t", vec![Value::Float(bad)]).map(drop),
+                c.update("t", id, &cell),
+                c.update_row("t", id, vec![Value::Float(bad)]),
+                c.transaction(&["t"], |tx| tx.update("t", id, &cell)),
+            ] {
+                assert!(
+                    matches!(refused, Err(DbError::TypeMismatch { .. })),
+                    "{bad}: {refused:?}"
+                );
+            }
+        }
+        assert_eq!(c.get("t", id).unwrap(), vec![Value::Float(1.5)]);
+        drop((db, c));
+        let (db, c) = open_plain(&dir); // the log replays ...
+        c.update("t", id, &[("x", Value::Float(-0.0))]).unwrap();
+        db.compact().unwrap();
+    }
+    let (_db, c) = open_plain(&dir); // ... and so does the snapshot
+    assert_eq!(
+        c.select("t", &Query::new()).unwrap(),
+        vec![(1, vec![Value::Float(-0.0)])]
+    );
 }
 
 #[test]

@@ -9,17 +9,21 @@
 //!   `pause_point`) opens, takes a write, and holds the job record of every
 //!   GRAM handle the grid had handed out by then;
 //! * **a tick boundary loses nothing** — a boundary copy's tables equal the
-//!   live database's, row for row, and a mid-tick copy is a whole-record
+//!   live database's, row for row, and a mid-tick copy is a whole-commit
 //!   prefix of the log at the boundary that follows;
+//! * **a power cut mid-append loses nothing either** — the same boundary
+//!   copy with part of one more frame after it recovers to the same tables;
 //! * **a mid-tick crash costs no submission** — abandon the deployment in
-//!   the middle of a tick, open fresh daemons on the copy against the same
-//!   grid, and the campaign drains to all-DONE with no job key submitted
-//!   twice and the same final state as the run nobody interrupted.
+//!   the middle of a tick, open fresh daemons on the copy (torn tail and
+//!   all) against the same grid, and the campaign drains to all-DONE with no
+//!   job key submitted twice and the same final state as the run nobody
+//!   interrupted.
 
 mod common;
 
 use std::collections::{BTreeMap, HashSet};
 use std::hash::{Hash, Hasher};
+use std::io::Write;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -27,6 +31,8 @@ use std::sync::Arc;
 
 use amp::gridamp::{seed_curvefit_fixtures, seed_fixtures};
 use amp::prelude::*;
+use amp::simdb::wal::{encode_frame, Wal, MAGIC};
+use amp::simdb::LogOp;
 use common::{assert_no_duplicate_submissions, final_states, truth};
 use rand::{RngExt, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -54,6 +60,23 @@ fn copy_files(from: &Path, to: &Path) {
             std::fs::copy(from.join(file), to.join(file)).unwrap();
         }
     }
+}
+
+/// Leave the first `keep % len` (at least one, never all) bytes of one more
+/// frame after the copy's log: what a power cut in the middle of an append
+/// leaves on the device.
+fn tear_tail(copy: &Path, keep: usize) {
+    let op = LogOp::Insert {
+        table: "notification".into(),
+        id: 1 << 40,
+        row: vec!["lost to the power cut ".repeat(8).into()],
+    };
+    let frame = encode_frame(1 << 40, &[op]).unwrap();
+    let keep = 1 + keep % (frame.len() - 1);
+    let log = std::fs::File::options()
+        .append(true)
+        .open(copy.join(FILES[1]));
+    log.unwrap().write_all(&frame[..keep]).unwrap();
 }
 
 fn daemons(db: &Db, grid: &mut Grid, generation: &str) -> Vec<GridAmp> {
@@ -267,10 +290,14 @@ impl Campaign {
                 let log = |dir: &Path| std::fs::read(dir.join(FILES[1])).unwrap();
                 let (early, late) = (log(&mid), log(&boundary));
                 assert!(late.starts_with(&early), "{at}: mid-tick log is no prefix");
-                assert!(
-                    early.last().is_none_or(|&b| b == b'\n'),
-                    "{at}: torn record"
-                );
+                let frames = Wal::read_frames(boundary.join(FILES[1])).unwrap();
+                let ends = frames.iter().map(|f| f.end);
+                let mut whole = [0, MAGIC.len()].into_iter().chain(ends);
+                assert!(whole.any(|end| end == early.len()), "{at}: torn commit");
+                tear_tail(&boundary, round * 31 + k * 17);
+                assert!(log(&boundary).len() > late.len());
+                let torn = recover_copy(&boundary, &submitted_handles(&self.grid), &at);
+                assert_eq!(torn, copied, "{at}: torn boundary copy != clean one");
             }
             if all_done(&self.db) {
                 return Ended::Drained;
@@ -311,8 +338,10 @@ fn tick_granular_recovery(seed: u64) {
         let mut crashed = Campaign::deploy(&tag, seed, Some(crash_at));
         assert!(matches!(crashed.run(seed, false), Ended::Crashed));
         assert_eq!(crashed.pauses.load(Ordering::SeqCst), crash_at);
-        // The deployment is gone; what survives is the grid and the files.
+        // The deployment is gone; what survives is the grid and the files,
+        // here with the append the crash interrupted.
         let Campaign { dir, mut grid, .. } = crashed;
+        tear_tail(&dir.join("mid"), crash_at);
         let db = open(&dir.join("mid"));
         let mut fresh = daemons(&db, &mut grid, "r");
         let mut rounds = 0;
