@@ -9,6 +9,9 @@ use crate::error::GridError;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
+/// First bytes of a results tar ([`SiteFs::tar`]).
+const TAR_MAGIC: &[u8] = b"AMPTAR\x01\n";
+
 /// An in-memory file tree keyed by absolute-ish string paths
 /// (`scratch/sim42/run1/input.txt`). Directories are implicit.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
@@ -100,25 +103,51 @@ impl SiteFs {
             .collect()
     }
 
-    /// Bundle a tree into a single file (the post-job stage "uses tar to
-    /// consolidate output and log files into a single file", §4.3).
-    /// Format: simple length-prefixed concatenation, JSON-encoded.
-    pub fn tar_tree(&mut self, prefix: &str, dest: &str) -> Result<usize, GridError> {
-        let paths = self.list_tree(prefix);
-        let mut entries: Vec<(String, Vec<u8>)> = Vec::with_capacity(paths.len());
-        for p in &paths {
-            entries.push((p.clone(), self.files[p].clone()));
+    /// Bundle files into one (the post-job stage "uses tar to consolidate
+    /// output and log files into a single file", §4.3). Format:
+    /// [`TAR_MAGIC`], then per entry `[u32 path length][u32 data length]`
+    /// (little-endian) followed by the path and the data, verbatim.
+    pub fn tar<'a>(entries: impl IntoIterator<Item = (&'a str, &'a [u8])>) -> Vec<u8> {
+        let mut out = TAR_MAGIC.to_vec();
+        let len = |n: usize| u32::try_from(n).expect("a tar entry is under 4 GiB");
+        for (path, data) in entries {
+            out.extend_from_slice(&len(path.len()).to_le_bytes());
+            out.extend_from_slice(&len(data.len()).to_le_bytes());
+            out.extend_from_slice(path.as_bytes());
+            out.extend_from_slice(data);
         }
-        let n = entries.len();
-        let data = serde_json::to_vec(&entries)
-            .map_err(|e| GridError::BadJobSpec(format!("tar encode: {e}")))?;
-        self.write(dest, data)?;
-        Ok(n)
+        out
     }
 
-    /// Unpack a tar file produced by [`SiteFs::tar_tree`] into entries.
-    pub fn untar(data: &[u8]) -> Result<Vec<(String, Vec<u8>)>, GridError> {
-        serde_json::from_slice(data).map_err(|e| GridError::BadJobSpec(format!("tar decode: {e}")))
+    /// Unpack a file produced by [`SiteFs::tar`] into `(path, data)`
+    /// entries borrowed from it. Anything but a whole, well-formed tar is
+    /// an error: nothing is skipped and nothing is cut short.
+    pub fn untar(tar: &[u8]) -> Result<Vec<(&str, &[u8])>, GridError> {
+        let bad = |what: String| GridError::BadJobSpec(format!("tar decode: {what}"));
+        let mut rest = tar
+            .strip_prefix(TAR_MAGIC)
+            .ok_or_else(|| bad("not a results tar (bad magic)".into()))?;
+        let mut entries = Vec::new();
+        while !rest.is_empty() {
+            let at = tar.len() - rest.len();
+            let Some((header, body)) = rest.split_first_chunk::<8>() else {
+                return Err(bad(format!("entry header cut short at byte {at}")));
+            };
+            let len = |b: &[u8]| u32::from_le_bytes(b.try_into().expect("4 bytes")) as usize;
+            let (path_len, data_len) = (len(&header[..4]), len(&header[4..]));
+            if body.len() < path_len || body.len() - path_len < data_len {
+                return Err(bad(format!(
+                    "entry at byte {at} runs past the end of the file"
+                )));
+            }
+            let (path, body) = body.split_at(path_len);
+            let (data, body) = body.split_at(data_len);
+            let path = std::str::from_utf8(path)
+                .map_err(|_| bad(format!("path of the entry at byte {at} is not UTF-8")))?;
+            entries.push((path, data));
+            rest = body;
+        }
+        Ok(entries)
     }
 
     pub fn file_count(&self) -> usize {
@@ -195,17 +224,64 @@ mod tests {
         let mut f = SiteFs::new("kraken", 10_000);
         f.write("run/out.dat", b"result".to_vec()).unwrap();
         f.write("run/model.log", b"log".to_vec()).unwrap();
-        let n = f.tar_tree("run", "results.tar").unwrap();
-        assert_eq!(n, 2);
-        let entries = SiteFs::untar(f.read("results.tar").unwrap()).unwrap();
-        assert_eq!(entries.len(), 2);
-        assert!(entries
-            .iter()
-            .any(|(p, d)| p == "run/out.dat" && d == b"result"));
+        f.write("run/empty", Vec::new()).unwrap();
+        let paths = f.list_tree("run");
+        let tar = SiteFs::tar(paths.iter().map(|p| (p.as_str(), f.read(p).unwrap())));
+        assert_eq!(
+            SiteFs::untar(&tar).unwrap(),
+            vec![
+                ("run/empty", &b""[..]),
+                ("run/model.log", &b"log"[..]),
+                ("run/out.dat", &b"result"[..]),
+            ]
+        );
+        // A tar of nothing is the magic alone and unpacks to nothing.
+        let none = SiteFs::tar([]);
+        assert_eq!(none, TAR_MAGIC);
+        assert_eq!(SiteFs::untar(&none).unwrap(), vec![]);
+    }
+
+    fn untar_error(tar: &[u8]) -> String {
+        match SiteFs::untar(tar) {
+            Err(GridError::BadJobSpec(msg)) => msg,
+            other => panic!("expected a tar decode error, got {other:?}"),
+        }
     }
 
     #[test]
     fn untar_rejects_garbage() {
-        assert!(SiteFs::untar(b"definitely not json").is_err());
+        assert!(untar_error(b"definitely not a tar").contains("tar decode: not a results tar"));
+        assert!(untar_error(b"").contains("bad magic"));
+        // The JSON array of numbers this format replaced.
+        assert!(untar_error(b"[[\"a\",[1,2]]]").contains("bad magic"));
+    }
+
+    #[test]
+    fn untar_rejects_a_damaged_tar_instead_of_cutting_it_short() {
+        let tar = SiteFs::tar([("a/b", &b"xyz"[..]), ("c", &b"0123456789"[..])]);
+        let second = TAR_MAGIC.len() + 8 + 3 + 3;
+        // A header shorter than 8 bytes, whichever entry it belongs to.
+        for cut in [TAR_MAGIC.len() + 1, second + 7] {
+            assert!(
+                untar_error(&tar[..cut]).contains("header cut short"),
+                "cut at {cut}"
+            );
+        }
+        // A length running past the end: data cut, then path cut, then a
+        // length field that cannot be added to the other without overflow.
+        assert!(untar_error(&tar[..tar.len() - 1]).contains("runs past the end"));
+        assert!(untar_error(&tar[..TAR_MAGIC.len() + 9]).contains("runs past the end"));
+        let mut huge = tar.clone();
+        huge[second..second + 8].fill(0xFF);
+        assert!(untar_error(&huge).contains(&format!("entry at byte {second} runs past")));
+        // A path that is not UTF-8.
+        let mut bad_path = tar.clone();
+        bad_path[TAR_MAGIC.len() + 8] = 0xFF;
+        assert!(untar_error(&bad_path).contains("not UTF-8"));
+        // Every whole-entry prefix is itself a tar; no other prefix is.
+        for cut in 0..tar.len() {
+            let whole = cut == TAR_MAGIC.len() || cut == second;
+            assert_eq!(SiteFs::untar(&tar[..cut]).is_ok(), whole, "cut at {cut}");
+        }
     }
 }

@@ -236,13 +236,11 @@ impl Application for PostJobScript {
         if paths.is_empty() {
             return AppRun::failed(0.02, &format!("nothing to tar under {root}"));
         }
-        let entries: Vec<(String, Vec<u8>)> = paths
+        let entries = paths
             .iter()
             .filter(|p| !p.ends_with(files::RESULTS_TAR))
-            .map(|p| (p.clone(), ctx.fs.read(p).expect("listed file").to_vec()))
-            .collect();
-        let data = serde_json::to_vec(&entries).expect("tar serializes");
-        AppRun::success(0.05).with_output(files::RESULTS_TAR, data)
+            .map(|p| (p.as_str(), ctx.fs.read(p).expect("listed file")));
+        AppRun::success(0.05).with_output(files::RESULTS_TAR, SiteFs::tar(entries))
     }
 }
 

@@ -29,7 +29,7 @@
 //! (simulation-id) order, and reports are merged by [`merge_reports`], so
 //! the database ends up the same at any pool size.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::time::Instant;
 
 use amp_core::models::{AmpUser, GridJobRecord, Lease, Notification, NotifyMode, Simulation};
@@ -41,12 +41,13 @@ use amp_simdb::{Connection, Db, DbError, Op, Query, Value};
 use crate::clilog::{gram_status_cmdline, OpOutcome, OpsEntry, OpsLog};
 use crate::error::WorkflowError;
 use crate::lease::{self, ClaimOutcome};
+use crate::optimize::PartialResults;
 use crate::workflow::{owner_username, step, DaemonConfig, StageCtx};
 
 /// Daemon-wide metric handles (global registry, resolved once). The
 /// per-state transition and per-site poll series are labelled, so those
-/// go through the registry at the call site; everything with a fixed name
-/// lives here.
+/// go through the registry at the call site (the poll series once per site
+/// per shard, [`PollShard`]); everything with a fixed name lives here.
 struct DaemonMetrics {
     job_transitions: amp_obs::Counter,
     transient_retries: amp_obs::Counter,
@@ -188,6 +189,9 @@ struct PollShard {
     ops: Vec<(i64, OpsEntry)>,
     /// Dirtied job rows, for [`commit_job_batch`].
     dirty: Vec<GridJobRecord>,
+    /// The `daemon_gram_poll_seconds{site=…}` series by site: a formatted
+    /// name and a registry lookup, so each is resolved once per shard.
+    poll_seconds: HashMap<String, amp_obs::Histogram>,
 }
 
 /// Poll one job's GRAM status — the §4.4 generic status update, identical
@@ -218,12 +222,13 @@ fn poll_job_once(
     shard.report.jobs_polled += 1;
     let poll_timer = std::time::Instant::now();
     let status = grid.gram_status(&job.site, &proxy, &handle);
-    amp_obs::registry()
-        .histogram(
-            &amp_obs::labeled("daemon_gram_poll_seconds", &[("site", &job.site)]),
-            amp_obs::Unit::Seconds,
-        )
-        .observe_duration(poll_timer.elapsed());
+    let elapsed = poll_timer.elapsed();
+    if !shard.poll_seconds.contains_key(&job.site) {
+        let series = amp_obs::labeled("daemon_gram_poll_seconds", &[("site", &job.site)]);
+        let series = amp_obs::registry().histogram(&series, amp_obs::Unit::Seconds);
+        shard.poll_seconds.insert(job.site.clone(), series);
+    }
+    shard.poll_seconds[&job.site].observe_duration(elapsed);
     match status {
         Ok(state) => {
             let new_status = match &state {
@@ -314,6 +319,9 @@ struct StepProduct {
     /// left it (also when there was nothing to save). After a failed step
     /// [`GridAmp::apply_step_outcome`] decides what to write.
     saved: bool,
+    /// What to remember of the simulation's partial results from here on:
+    /// what the step knew of them if it ended without error, else nothing.
+    partial: Option<PartialResults>,
 }
 
 /// Run one freshly loaded simulation's workflow step (phase 2), recording
@@ -332,10 +340,12 @@ fn step_sim_once(
     cred: &CommunityCredential,
     mut sim: Simulation,
     lease_epoch: i64,
+    remembered: Option<&PartialResults>,
 ) -> StepProduct {
     let (from, loaded, mut ops) = (sim.status, sim.clone(), OpsLog::new());
+    let mut partial = None;
     let outcome = owner_username(conn, &sim).and_then(|owner_username| {
-        step(&mut StageCtx {
+        let mut ctx = StageCtx {
             grid,
             conn,
             config,
@@ -344,7 +354,12 @@ fn step_sim_once(
             owner_username,
             ops: &mut ops,
             lease_epoch: Some(lease_epoch),
-        })
+            remembered,
+            learned: None,
+        };
+        let next = step(&mut ctx)?;
+        partial = ctx.learned;
+        Ok(next)
     });
     let saved = outcome.as_ref().is_ok_and(|next| {
         if next.is_some() {
@@ -358,6 +373,7 @@ fn step_sim_once(
         outcome,
         ops,
         saved,
+        partial,
     }
 }
 
@@ -379,8 +395,15 @@ pub struct GridAmp {
     ops_log: OpsLog,
     /// Simulations this daemon currently holds leases on, with the held
     /// epoch — rebuilt by the claim phase of every tick. Both work phases
-    /// step only owned simulations.
-    owned: HashMap<i64, i64>,
+    /// step only owned simulations; in id order it is the step phase's
+    /// worklist.
+    owned: BTreeMap<i64, i64>,
+    /// What the last step of each owned optimization simulation knew of its
+    /// partial results ([`PartialResults`]). Replaced or dropped after every
+    /// step of the simulation (the step that ends in DONE or HOLD leaves
+    /// nothing), dropped by the claim phase with a lease that is gone, never
+    /// written to the database: a daemon that remembers nothing fetches.
+    partial: HashMap<i64, PartialResults>,
     /// Clock-skew fault injection: offset (simulated seconds) added to
     /// this daemon's view of the clock for lease accounting. A daemon
     /// running fast sees peers' leases expire early and attempts takeovers
@@ -409,7 +432,8 @@ impl GridAmp {
             next_attempt: HashMap::new(),
             last_heartbeat: None,
             ops_log: OpsLog::new(),
-            owned: HashMap::new(),
+            owned: BTreeMap::new(),
+            partial: HashMap::new(),
             clock_skew_secs: 0,
             pause_point: None,
         })
@@ -422,9 +446,7 @@ impl GridAmp {
 
     /// The simulations this daemon owned as of its last claim phase.
     pub fn owned_sims(&self) -> Vec<i64> {
-        let mut ids: Vec<i64> = self.owned.keys().copied().collect();
-        ids.sort_unstable();
-        ids
+        self.owned.keys().copied().collect()
     }
 
     /// All lease rows currently naming this daemon as holder — the
@@ -481,7 +503,7 @@ impl GridAmp {
         // The daemon's own (possibly skewed) clock drives lease expiry.
         let now = grid.now().as_secs() as i64 + self.clock_skew_secs;
         let ttl = self.config.lease_ttl_secs;
-        let mut owned = HashMap::with_capacity(live.len());
+        let mut owned = BTreeMap::new();
         for (sim_id, app) in live {
             match lease::claim(&self.conn, &self.config.daemon_id, sim_id, &app, now, ttl) {
                 Ok(outcome) => {
@@ -499,7 +521,7 @@ impl GridAmp {
                             );
                         }
                         ClaimOutcome::Lost => obs_metrics().lease_losses.inc(),
-                        ClaimOutcome::Held { .. } => {}
+                        ClaimOutcome::Kept { .. } | ClaimOutcome::Held { .. } => {}
                     }
                     if let Some(epoch) = outcome.held_epoch() {
                         owned.insert(sim_id, epoch);
@@ -510,6 +532,7 @@ impl GridAmp {
                     .push(format!("lease claim sim {sim_id}: {e}")),
             }
         }
+        self.partial.retain(|sim_id, _| owned.contains_key(sim_id));
         self.owned = owned;
     }
 
@@ -616,9 +639,10 @@ impl GridAmp {
         Query::new().filter("status", Op::In(statuses), Value::Null)
     }
 
-    /// The claim and step phases' worklist: `(id, app)` of every live
-    /// simulation, in primary-key order — the app rides along so lease
-    /// rows carry per-application ownership. The same single-`In`
+    /// The claim phase's worklist (what it leaves in `owned` is the step
+    /// phase's): `(id, app)` of every live simulation, in primary-key
+    /// order — the app rides along so lease rows carry per-application
+    /// ownership. The same single-`In`
     /// projection over the status index and the same coherent
     /// job+simulation read view as [`Self::pending_job_ids`]: no row body
     /// is decoded.
@@ -704,30 +728,28 @@ impl GridAmp {
         reports
     }
 
-    /// Phase 2: step every live simulation's workflow, sharded by
-    /// simulation. Returns the products in simulation-id order for
+    /// Phase 2: step every owned simulation's workflow, sharded by
+    /// simulation. The worklist is the claim phase's: a simulation queued
+    /// since has no lease yet, and one deleted since fails its row read and
+    /// is skipped. Returns the products in simulation-id order for
     /// [`Self::tick`] to apply after the barrier.
     fn step_phase(&self, grid: &Grid, report: &mut TickReport) -> Vec<StepProduct> {
-        let live = match self.live_sims() {
-            Ok(v) => v,
-            Err(e) => {
-                report.daemon_errors.push(e.to_string());
-                return Vec::new();
-            }
-        };
-        // Only the lease holder steps a simulation, and not while it
-        // waits out a backoff.
-        let due = live.into_iter().filter_map(|(sim_id, _app)| {
-            let epoch = *self.owned.get(&sim_id)?;
-            (!self.backed_off(sim_id)).then_some((sim_id, epoch))
-        });
+        // Not while a simulation waits out a backoff.
+        let due = self
+            .owned
+            .iter()
+            .filter(|(&sim_id, _)| !self.backed_off(sim_id))
+            .map(|(&sim_id, &epoch)| (sim_id, epoch));
         let shards = self.shards(due, |&(sim_id, _epoch)| sim_id);
-        let (conn, config, cred) = (&self.conn, &self.config, &self.cred);
+        let (conn, config, cred, partial) = (&self.conn, &self.config, &self.cred, &self.partial);
         let sims: Manager<Simulation> = self.sims();
         let parts = fan_out(shards, |shard| {
             let stepped = shard.into_iter().filter_map(|(sim_id, epoch)| {
                 let sim = sims.get(sim_id).ok()?;
-                Some(step_sim_once(conn, grid, config, cred, sim, epoch))
+                let remembered = partial.get(&sim_id);
+                Some(step_sim_once(
+                    conn, grid, config, cred, sim, epoch, remembered,
+                ))
             });
             stepped.collect::<Vec<StepProduct>>()
         });
@@ -748,6 +770,10 @@ impl GridAmp {
         }
         let (sim, from) = (&mut product.sim, product.from);
         let sim_id = sim.id.expect("saved sim");
+        match product.partial {
+            Some(partial) => self.partial.insert(sim_id, partial),
+            None => self.partial.remove(&sim_id),
+        };
         match product.outcome {
             Ok(Some(next)) => {
                 self.transient_streak.remove(&sim_id);

@@ -89,7 +89,7 @@ pub fn postprocess(ctx: &mut StageCtx<'_>) -> Result<bool, WorkflowError> {
     let data = entries
         .iter()
         .find(|(p, _)| *p == out_path)
-        .map(|(_, d)| d)
+        .map(|&(_, d)| d)
         .ok_or_else(|| {
             // "the absence of a mandatory output file" is the paper's
             // canonical model failure (§4.4)

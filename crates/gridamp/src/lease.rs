@@ -11,8 +11,11 @@
 //! * **claim** — no row yet: plain insert at epoch 1. The unique
 //!   constraint on `simulation_id` linearizes concurrent first claimers —
 //!   the loser's insert fails and it backs off.
-//! * **renew** — own row: CAS on `(daemon_id, epoch)` pushing
-//!   `expires_at` forward. The epoch does not change.
+//! * **renew** — own row with half its TTL or less left: CAS on
+//!   `(daemon_id, epoch)` pushing `expires_at` forward. The epoch does not
+//!   change. With more than half left the row is read and nothing is
+//!   written, so a lease is always good for at least `ttl / 2` after its
+//!   holder's last tick, and for at most `ttl`.
 //! * **takeover** — somebody else's *expired* row: CAS on the old
 //!   `(daemon_id, epoch)` installing our identity at `epoch + 1`. Exactly
 //!   one peer can win each epoch bump.
@@ -35,6 +38,8 @@ pub enum ClaimOutcome {
     Claimed { epoch: i64 },
     /// Our own lease renewed; epoch unchanged.
     Renewed { epoch: i64 },
+    /// Our own lease, with more than half its TTL left: nothing written.
+    Kept { epoch: i64 },
     /// An expired peer lease taken over; epoch was bumped.
     TakenOver { epoch: i64, from: String },
     /// A peer holds a valid lease; leave the simulation alone.
@@ -49,6 +54,7 @@ impl ClaimOutcome {
         match self {
             ClaimOutcome::Claimed { epoch }
             | ClaimOutcome::Renewed { epoch }
+            | ClaimOutcome::Kept { epoch }
             | ClaimOutcome::TakenOver { epoch, .. } => Some(*epoch),
             ClaimOutcome::Held { .. } | ClaimOutcome::Lost => None,
         }
@@ -61,7 +67,7 @@ impl ClaimOutcome {
 /// operators can see per-application ownership at a glance. `now` is the
 /// claimer's *own* clock (simulated seconds) — daemons with skewed clocks
 /// disagree about expiry, which is exactly the hazard the epoch fencing
-/// absorbs. The new expiry is `now + ttl_secs`.
+/// absorbs. The new expiry, when one is written, is `now + ttl_secs`.
 pub fn claim(
     conn: &Connection,
     daemon_id: &str,
@@ -86,6 +92,9 @@ pub fn claim(
         Some(lease) => {
             let id = lease.id.expect("selected lease has id");
             if lease.daemon_id == daemon_id {
+                if lease.expires_at - now > ttl_secs / 2 {
+                    return Ok(ClaimOutcome::Kept { epoch: lease.epoch });
+                }
                 // Renewal CAS: if the row changed under us (a peer took
                 // over during our pause), the swap refuses and we have
                 // effectively lost the simulation.
@@ -218,11 +227,18 @@ mod tests {
                 until: 100
             }
         );
-        // the owner renews without an epoch bump
+        // with more than half the TTL left the owner writes nothing
         assert_eq!(
-            claim(&conn, "d0", sim, "stellar", 60, 100).unwrap(),
+            claim(&conn, "d0", sim, "stellar", 49, 100).unwrap(),
+            ClaimOutcome::Kept { epoch: 1 }
+        );
+        assert_eq!(current(&conn, sim).unwrap().unwrap().expires_at, 100);
+        // at half it renews, without an epoch bump
+        assert_eq!(
+            claim(&conn, "d0", sim, "stellar", 50, 100).unwrap(),
             ClaimOutcome::Renewed { epoch: 1 }
         );
+        assert_eq!(current(&conn, sim).unwrap().unwrap().expires_at, 150);
         // past expiry a peer takes over with a bumped epoch
         assert_eq!(
             claim(&conn, "d1", sim, "stellar", 200, 100).unwrap(),

@@ -41,6 +41,54 @@ pub struct OptimizationResult {
     pub runs: Vec<GaRunResult>,
 }
 
+/// What `check_work` learned of one GA run from its remote files.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum RunState {
+    /// A `final.json` exists.
+    Converged,
+    /// None yet; `progress` is the last staged-out restart file's (0 with
+    /// no restart file either).
+    Unfinished { progress: f64 },
+}
+
+impl RunState {
+    fn progress(self) -> f64 {
+        match self {
+            RunState::Converged => 1.0,
+            RunState::Unfinished { progress } => progress,
+        }
+    }
+}
+
+/// A simulation's partial results as the daemon remembers them between
+/// ticks: every GA run's [`RunState`], and the job chain they were read
+/// under. A run's `restart.json` and `final.json` are written only when one
+/// of its jobs ends, so while no Work job is added, removed or turns
+/// terminal the files say what they said, and [`check_work`] answers from
+/// here without a GridFTP call. Never stored in the database: a daemon that
+/// remembers nothing fetches.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PartialResults {
+    /// `(job id, terminal?)` of every Work job, in `jobs_of` order.
+    chain: Vec<(i64, bool)>,
+    /// One entry per GA run, in run order.
+    runs: Vec<RunState>,
+}
+
+/// `daemon_partial_results_total{outcome=…}`, counted per GA run per
+/// [`check_work`] pass: `(fetched, remembered)`.
+fn partial_results_counters() -> &'static (amp_obs::Counter, amp_obs::Counter) {
+    static COUNTERS: std::sync::OnceLock<(amp_obs::Counter, amp_obs::Counter)> =
+        std::sync::OnceLock::new();
+    let outcome = |outcome| {
+        amp_obs::counter(&amp_obs::labeled(
+            "daemon_partial_results_total",
+            &[("outcome", outcome)],
+        ))
+    };
+    COUNTERS.get_or_init(|| (outcome("fetched"), outcome("remembered")))
+}
+
 fn spec_of(ctx: &StageCtx<'_>) -> Result<(OptimizationSpec, i64), WorkflowError> {
     match ctx
         .sim
@@ -146,6 +194,11 @@ pub fn submit_work(ctx: &mut StageCtx<'_>) -> Result<bool, WorkflowError> {
 
 /// Interpret partial results, submit continuations, and run the solution
 /// evaluation once every GA run has converged.
+///
+/// The remote files are read only when `ctx.remembered` is missing or was
+/// taken under another job chain than the rows just loaded show; what this
+/// pass knows is left in `ctx.learned` unless it failed or submitted a
+/// continuation itself, so the pass after either looks afresh.
 pub fn check_work(ctx: &mut StageCtx<'_>) -> Result<bool, WorkflowError> {
     let app = ctx.app()?;
     let (spec, _) = spec_of(ctx)?;
@@ -156,76 +209,78 @@ pub fn check_work(ctx: &mut StageCtx<'_>) -> Result<bool, WorkflowError> {
         return Ok(false);
     }
 
-    let mut progress_sum = 0.0;
+    let chain: Vec<(i64, bool)> = work
+        .iter()
+        .map(|j| (j.id.expect("selected job has id"), j.status.is_terminal()))
+        .collect();
+    let remembered = ctx
+        .remembered
+        .filter(|m| m.chain == chain && m.runs.len() == spec.ga_runs as usize);
+    let (fetched_total, remembered_total) = partial_results_counters();
+    match remembered {
+        Some(_) => remembered_total.add(spec.ga_runs as u64),
+        None => fetched_total.add(spec.ga_runs as u64),
+    }
+
+    let mut runs = Vec::with_capacity(spec.ga_runs as usize);
+    let mut submitted = false;
     let mut all_converged = true;
     for r in 0..spec.ga_runs {
+        let known = remembered.map(|m| m.runs[r as usize]);
         let run_jobs: Vec<_> = work.iter().filter(|j| j.ga_run == r as i64).collect();
         let Some(last) = run_jobs.last() else {
             all_converged = false;
+            runs.push(RunState::Unfinished { progress: 0.0 });
             continue;
         };
-        let chain_settled = run_jobs.iter().all(|j| j.status.is_terminal());
 
         // Converged as soon as a final.json exists remotely.
         let dir = run_dir(ctx, r);
-        let final_path = format!("{dir}/{}", files::FINAL);
-        if try_stage_out(ctx, &final_path)?.is_some() {
-            progress_sum += 1.0;
+        let converged = match known {
+            Some(state) => state == RunState::Converged,
+            None => try_stage_out(ctx, &format!("{dir}/{}", files::FINAL))?.is_some(),
+        };
+        if converged {
+            runs.push(RunState::Converged);
             continue;
         }
         all_converged = false;
 
-        match last.status {
-            JobStatus::Unsubmitted | JobStatus::Pending | JobStatus::Active => {
-                // Partial progress from the last *finished* continuation.
-                progress_sum += run_progress(ctx, &dir, &spec)?;
-            }
-            JobStatus::Done => {
-                progress_sum += run_progress(ctx, &dir, &spec)?;
-                if chain_settled {
-                    // Chain exhausted without convergence: extend it.
-                    let next = last.continuation + 1;
-                    ctx.submit_batch(
-                        JobPurpose::Work,
-                        r as i64,
-                        next,
-                        &app.ga_path(),
-                        ga_args(&spec, r),
-                        spec.cores_per_run,
-                        dir.clone(),
-                        vec![],
-                    )?;
-                }
-            }
-            JobStatus::Failed => {
-                if last.detail.contains("walltime") {
-                    // Killed at the limit; the restart file survives —
-                    // submit the continuation.
-                    progress_sum += run_progress(ctx, &dir, &spec)?;
-                    if chain_settled {
-                        let next = last.continuation + 1;
-                        ctx.submit_batch(
-                            JobPurpose::Work,
-                            r as i64,
-                            next,
-                            &app.ga_path(),
-                            ga_args(&spec, r),
-                            spec.cores_per_run,
-                            dir.clone(),
-                            vec![],
-                        )?;
-                    }
-                } else {
-                    return Err(WorkflowError::ModelFailure(format!(
-                        "GA run {r} failed: {}",
-                        last.detail
-                    )));
-                }
-            }
+        // A job killed at the walltime limit leaves its restart file behind
+        // like one that ended in time; any other failure is the model's.
+        if last.status == JobStatus::Failed && !last.detail.contains("walltime") {
+            return Err(WorkflowError::ModelFailure(format!(
+                "GA run {r} failed: {}",
+                last.detail
+            )));
+        }
+        // Partial progress from the last *finished* continuation.
+        let progress = match known {
+            Some(RunState::Unfinished { progress }) => progress,
+            _ => run_progress(ctx, &dir)?,
+        };
+        runs.push(RunState::Unfinished { progress });
+        if run_jobs.iter().all(|j| j.status.is_terminal()) {
+            // Chain exhausted without convergence: extend it.
+            ctx.submit_batch(
+                JobPurpose::Work,
+                r as i64,
+                last.continuation + 1,
+                &app.ga_path(),
+                ga_args(&spec, r),
+                spec.cores_per_run,
+                dir,
+                vec![],
+            )?;
+            submitted = true;
         }
     }
+    let progress_sum: f64 = runs.iter().map(|run| run.progress()).sum();
     ctx.sim.progress = (progress_sum / spec.ga_runs as f64).clamp(0.0, 0.99);
 
+    if !submitted {
+        ctx.learned = Some(PartialResults { chain, runs });
+    }
     if !all_converged {
         return Ok(false);
     }
@@ -264,11 +319,7 @@ pub fn check_work(ctx: &mut StageCtx<'_>) -> Result<bool, WorkflowError> {
 }
 
 /// Progress of one GA run from its last staged-out restart file.
-fn run_progress(
-    ctx: &mut StageCtx<'_>,
-    dir: &str,
-    _spec: &OptimizationSpec,
-) -> Result<f64, WorkflowError> {
+fn run_progress(ctx: &mut StageCtx<'_>, dir: &str) -> Result<f64, WorkflowError> {
     let restart_path = format!("{dir}/{}", files::RESTART);
     match try_stage_out(ctx, &restart_path)? {
         None => Ok(0.0), // nothing staged out yet
@@ -318,9 +369,7 @@ pub fn postprocess(ctx: &mut StageCtx<'_>) -> Result<bool, WorkflowError> {
     let tar = ctx.stage_out(&format!("{}/{}", ctx.workdir(), files::RESULTS_TAR))?;
     let entries = SiteFs::untar(&tar)
         .map_err(|e| WorkflowError::ModelFailure(format!("corrupt results tar: {e}")))?;
-    let find = |path: &str| -> Option<&Vec<u8>> {
-        entries.iter().find(|(p, _)| p == path).map(|(_, d)| d)
-    };
+    let find = |path: &str| entries.iter().find(|(p, _)| *p == path).map(|&(_, d)| d);
 
     let detail_path = format!("{}/solution/{}", ctx.workdir(), files::MODEL_OUT);
     let detail = find(&detail_path).ok_or_else(|| {
@@ -329,7 +378,7 @@ pub fn postprocess(ctx: &mut StageCtx<'_>) -> Result<bool, WorkflowError> {
     app.check_model_output(detail)
         .map_err(|e| WorkflowError::ModelFailure(format!("solution output: {e}")))?;
 
-    let mut runs: Vec<&Vec<u8>> = Vec::with_capacity(spec.ga_runs as usize);
+    let mut runs: Vec<&[u8]> = Vec::with_capacity(spec.ga_runs as usize);
     let mut fitnesses = Vec::with_capacity(spec.ga_runs as usize);
     for r in 0..spec.ga_runs {
         let path = format!("{}/{}", run_dir(ctx, r), files::FINAL);

@@ -36,6 +36,7 @@ use amp_simdb::{Connection, Op, Query, Value};
 use crate::apps::paths;
 use crate::clilog::{ftp_cmdline, gram_submit_cmdline, OpOutcome, OpsEntry, OpsLog};
 use crate::error::WorkflowError;
+use crate::optimize::PartialResults;
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -44,8 +45,9 @@ pub struct DaemonConfig {
     /// a multi-daemon control plane needs a distinct id.
     pub daemon_id: String,
     /// Lease time-to-live in simulated seconds: how long a claimed
-    /// simulation stays fenced to this daemon without renewal. Should be
-    /// several poll intervals, so one missed tick never loses ownership.
+    /// simulation stays fenced to this daemon without renewal. A lease is
+    /// renewed once half of it is gone, so this should be at least four
+    /// poll intervals for one missed tick never to lose ownership.
     pub lease_ttl_secs: i64,
     /// Target system (AMP's production target was Kraken).
     pub site: String,
@@ -115,6 +117,13 @@ pub struct StageCtx<'a> {
     /// The lease epoch under which this step runs (fencing token). `None`
     /// disables fencing — direct invocations outside the daemon loop.
     pub lease_epoch: Option<i64>,
+    /// What the caller remembers of this simulation's partial results from
+    /// an earlier step, if anything ([`crate::optimize::check_work`]). With
+    /// `None` every look fetches.
+    pub remembered: Option<&'a PartialResults>,
+    /// What this step knows of them, for the caller to remember — but only
+    /// if the whole step then ends without error.
+    pub learned: Option<PartialResults>,
 }
 
 impl StageCtx<'_> {
@@ -439,95 +448,58 @@ pub struct StageDef {
     pub run: fn(&mut StageCtx<'_>) -> Result<bool, WorkflowError>,
 }
 
+/// One row of Listing 1: in this state, call these; if all return true,
+/// move to that state.
+pub type WorkflowRow = (SimStatus, &'static [StageDef], SimStatus);
+
+macro_rules! stages {
+    ($($f:ident),+) => {
+        &[$(StageDef { name: stringify!($f), run: $f }),+]
+    };
+}
+
 /// The workflow definition — Listing 1, verbatim.
-pub fn workflow_table() -> Vec<(SimStatus, Vec<StageDef>, SimStatus)> {
-    vec![
-        (
-            SimStatus::Queued,
-            vec![
-                StageDef {
-                    name: "check_queued_sim",
-                    run: check_queued_sim,
-                },
-                StageDef {
-                    name: "submit_pre_job",
-                    run: submit_pre_job,
-                },
-            ],
-            SimStatus::PreJob,
-        ),
-        (
-            SimStatus::PreJob,
-            vec![
-                StageDef {
-                    name: "check_pre_job",
-                    run: check_pre_job,
-                },
-                StageDef {
-                    name: "submit_workjob",
-                    run: submit_workjob,
-                },
-            ],
-            SimStatus::Running,
-        ),
-        (
-            SimStatus::Running,
-            vec![
-                StageDef {
-                    name: "check_workjob",
-                    run: check_workjob,
-                },
-                StageDef {
-                    name: "submit_post_job",
-                    run: submit_post_job,
-                },
-            ],
-            SimStatus::PostJob,
-        ),
-        (
-            SimStatus::PostJob,
-            vec![
-                StageDef {
-                    name: "check_post_job",
-                    run: check_post_job,
-                },
-                StageDef {
-                    name: "postprocess",
-                    run: postprocess,
-                },
-                StageDef {
-                    name: "submit_cleanup",
-                    run: submit_cleanup,
-                },
-            ],
-            SimStatus::Cleanup,
-        ),
-        (
-            SimStatus::Cleanup,
-            vec![
-                StageDef {
-                    name: "check_cleanup",
-                    run: check_cleanup,
-                },
-                StageDef {
-                    name: "close_simulation",
-                    run: close_simulation,
-                },
-            ],
-            SimStatus::Done,
-        ),
-    ]
+static WORKFLOW: [WorkflowRow; 5] = [
+    (
+        SimStatus::Queued,
+        stages![check_queued_sim, submit_pre_job],
+        SimStatus::PreJob,
+    ),
+    (
+        SimStatus::PreJob,
+        stages![check_pre_job, submit_workjob],
+        SimStatus::Running,
+    ),
+    (
+        SimStatus::Running,
+        stages![check_workjob, submit_post_job],
+        SimStatus::PostJob,
+    ),
+    (
+        SimStatus::PostJob,
+        stages![check_post_job, postprocess, submit_cleanup],
+        SimStatus::Cleanup,
+    ),
+    (
+        SimStatus::Cleanup,
+        stages![check_cleanup, close_simulation],
+        SimStatus::Done,
+    ),
+];
+
+/// The workflow definition ([`WORKFLOW`]).
+pub fn workflow_table() -> &'static [WorkflowRow] {
+    &WORKFLOW
 }
 
 /// Run one workflow step for a simulation: execute the stage list for its
 /// current state; if every function returns true, transition. Returns the
 /// new state on transition.
 pub fn step(ctx: &mut StageCtx<'_>) -> Result<Option<SimStatus>, WorkflowError> {
-    let table = workflow_table();
-    let Some((_, stages, next)) = table.into_iter().find(|(s, _, _)| *s == ctx.sim.status) else {
+    let Some(&(_, stages, next)) = WORKFLOW.iter().find(|(s, _, _)| *s == ctx.sim.status) else {
         return Ok(None); // DONE or HOLD: nothing to run
     };
-    for stage in &stages {
+    for stage in stages {
         if !(stage.run)(ctx)? {
             return Ok(None);
         }

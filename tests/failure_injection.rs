@@ -21,6 +21,15 @@ fn random_outage_storm_is_survived_silently() {
         amp_grid::SimTime(3 * 86_400),
         42,
     );
+    // ...and one the daemon cannot miss: a run waiting on its jobs touches
+    // GridFTP only when one of them ends, so the random windows may all pass
+    // over rounds with nothing to fetch; the first submission cannot wait.
+    dep.grid.faults.add_outage(
+        "kraken",
+        Service::Both,
+        amp_grid::SimTime(0),
+        amp_grid::SimTime(45 * 60),
+    );
     let (user, star, alloc, obs) =
         amp::gridamp::seed_fixtures(&dep.db, "kraken", &truth(), 1).unwrap();
     let web = dep.db.connect(amp::core::roles::ROLE_WEB).unwrap();

@@ -89,6 +89,7 @@ proptest! {
             match &outcome {
                 ClaimOutcome::Claimed { epoch }
                 | ClaimOutcome::Renewed { epoch }
+                | ClaimOutcome::Kept { epoch }
                 | ClaimOutcome::TakenOver { epoch, .. } => {
                     beliefs.insert(me.clone(), *epoch);
                 }
@@ -99,6 +100,11 @@ proptest! {
             }
 
             let row = current(&conn, sim_id).unwrap().expect("row exists after a claim");
+            // whoever was told it holds the lease holds it for at least
+            // half a TTL more (a renewal may have been skipped, not more)
+            if outcome.held_epoch().is_some() {
+                prop_assert!(row.expires_at - now >= TTL / 2, "short lease at t={now}");
+            }
             // epochs never move backwards
             prop_assert!(row.epoch >= last_epoch, "epoch went backwards");
             last_epoch = row.epoch;

@@ -77,10 +77,24 @@ fn metrics_endpoint_covers_all_three_tiers() {
     };
     let mut sim = Simulation::new_optimization(star, user, spec, obs_id, "kraken", alloc, 0);
     let sim_id = Manager::<Simulation>::new(web).create(&mut sim).unwrap();
+    let partial_results = |outcome| {
+        let name = obs::labeled("daemon_partial_results_total", &[("outcome", outcome)]);
+        obs::counter(&name).get()
+    };
+    let (fetched, remembered) = (partial_results("fetched"), partial_results("remembered"));
     dep.daemon.run_until_settled(&dep.grid, 24.0 * 30.0);
     let admin = dep.db.connect(amp::core::roles::ROLE_ADMIN).unwrap();
     let done = Manager::<Simulation>::new(admin).get(sim_id).unwrap();
     assert_eq!(done.status, SimStatus::Done, "{}", done.status_message);
+    // The GA run's files were read when its job chain changed and answered
+    // from memory on the rounds in between, which are most.
+    let fetched = partial_results("fetched") - fetched;
+    let remembered = partial_results("remembered") - remembered;
+    assert!(fetched >= 2, "{fetched} fetched");
+    assert!(
+        remembered > fetched,
+        "{remembered} remembered, {fetched} fetched"
+    );
 
     // --- portal tier: a few routed requests, then scrape /metrics ---
     let portal = Portal::new(&dep.db, PortalConfig::default()).unwrap();
@@ -122,6 +136,8 @@ fn metrics_endpoint_covers_all_three_tiers() {
         // apart on one dashboard
         "daemon_transitions_total{app=\"stellar\",from=\"QUEUED\",to=\"PREJOB\"}",
         "daemon_gram_poll_seconds",
+        "daemon_partial_results_total{outcome=\"fetched\"}",
+        "daemon_partial_results_total{outcome=\"remembered\"}",
         // where a tick's wall time went, one series per stage
         "# TYPE gridamp_tick_stage_seconds histogram",
         "gridamp_tick_stage_seconds_count{stage=\"claim\"}",

@@ -3,8 +3,11 @@
 //! simulation statuses, identical job records (up to row ids and GRAM
 //! handles, which depend on harmless submission interleaving), identical
 //! notification outbox, and identical per-simulation transition sequences
-//! tick by tick. A pool of one runs every shard inline on the caller's
-//! thread; larger pools spawn a thread per non-empty shard.
+//! and saved `progress` values tick by tick. A pool of one runs every shard
+//! inline on the caller's thread; larger pools spawn a thread per non-empty
+//! shard. Every scenario carries a GA ensemble, so what the daemon remembers
+//! of partial results between ticks (read by the shards, replaced after the
+//! barrier) is in play at every pool size.
 
 use amp::prelude::*;
 use std::collections::BTreeMap;
@@ -46,19 +49,22 @@ type NoteKey = (Option<i64>, Option<i64>, String, String, String, i64);
 ///   affecting behavior) and are sorted;
 /// * notifications drop row id and are sorted by content;
 /// * transitions are the per-simulation sequences accumulated across
-///   ticks, in tick order.
+///   ticks, in tick order;
+/// * progress is each simulation's stored `progress`, with the tick that
+///   first showed each new value.
 #[derive(Debug, PartialEq)]
 struct Outcome {
     statuses: BTreeMap<i64, String>,
     jobs: Vec<JobKey>,
     notifications: Vec<NoteKey>,
     transitions: BTreeMap<i64, Vec<(String, String)>>,
+    progress: BTreeMap<i64, Vec<(usize, f64)>>,
     ticks: usize,
 }
 
-/// Four direct runs plus (unless `direct_only`) two GA ensembles on kraken,
-/// through one 90-minute outage, ticked to quiescence.
-fn run_scenario(workers: usize, direct_only: bool) -> Outcome {
+/// Four direct runs plus `ensembles` GA ensembles on kraken, through one
+/// 90-minute outage, ticked to quiescence.
+fn run_scenario(workers: usize, ensembles: u64) -> Outcome {
     let mut dep = amp::gridamp::deploy(
         amp::grid::systems::kraken(),
         DaemonConfig {
@@ -94,7 +100,7 @@ fn run_scenario(workers: usize, direct_only: bool) -> Outcome {
         sims.create(&mut sim).unwrap();
     }
     // ...plus two GA ensembles
-    for seed in [11, 12].into_iter().filter(|_| !direct_only) {
+    for seed in 11..11 + ensembles {
         let mut sim = Simulation::new_optimization(
             star,
             user,
@@ -110,6 +116,7 @@ fn run_scenario(workers: usize, direct_only: bool) -> Outcome {
     let admin = dep.db.connect(amp::core::roles::ROLE_ADMIN).unwrap();
     let all_sims = Manager::<Simulation>::new(admin.clone());
     let mut transitions: BTreeMap<i64, Vec<(String, String)>> = BTreeMap::new();
+    let mut progress: BTreeMap<i64, Vec<(usize, f64)>> = BTreeMap::new();
     let mut ticks = 0;
     loop {
         let report = dep.daemon.tick(&dep.grid);
@@ -120,9 +127,14 @@ fn run_scenario(workers: usize, direct_only: bool) -> Outcome {
                 .or_default()
                 .push((from.as_str().into(), to.as_str().into()));
         }
-        let settled = all_sims
-            .all()
-            .unwrap()
+        let now = all_sims.all().unwrap();
+        for sim in &now {
+            let seen = progress.entry(sim.id.unwrap()).or_default();
+            if seen.last().map(|&(_, p)| p) != Some(sim.progress) {
+                seen.push((ticks, sim.progress));
+            }
+        }
+        let settled = now
             .iter()
             .all(|s| matches!(s.status, SimStatus::Done | SimStatus::Hold));
         if settled {
@@ -182,6 +194,7 @@ fn run_scenario(workers: usize, direct_only: bool) -> Outcome {
         jobs,
         notifications,
         transitions,
+        progress,
         ticks,
     }
 }
@@ -197,6 +210,7 @@ fn assert_same(reference: &Outcome, other: &Outcome, workers: usize) {
         other.transitions, reference.transitions,
         "workers={workers}"
     );
+    assert_eq!(other.progress, reference.progress, "workers={workers}");
     assert_eq!(other.jobs, reference.jobs, "workers={workers}");
     assert_eq!(
         other.notifications, reference.notifications,
@@ -206,7 +220,7 @@ fn assert_same(reference: &Outcome, other: &Outcome, workers: usize) {
 
 #[test]
 fn any_worker_count_reproduces_the_same_run_exactly() {
-    let one = run_scenario(1, false);
+    let one = run_scenario(1, 2);
 
     // sanity: the scenario exercised real work
     assert!(one.statuses.len() == 6);
@@ -219,26 +233,28 @@ fn any_worker_count_reproduces_the_same_run_exactly() {
     assert!(!one.notifications.is_empty());
 
     for workers in [3, 8] {
-        assert_same(&one, &run_scenario(workers, false), workers);
+        assert_same(&one, &run_scenario(workers, 2), workers);
     }
 }
 
 /// The degenerate pool sizes on a cheaper scenario: a pool of zero is a
-/// pool of one, and a pool far larger than the live set (four simulations)
+/// pool of one, and a pool far larger than the live set (five simulations)
 /// leaves most shards empty.
 #[test]
 fn degenerate_pool_sizes_reproduce_the_same_run_exactly() {
-    let one = run_scenario(1, true);
-    assert_eq!(one.statuses.len(), 4);
+    let one = run_scenario(1, 1);
+    assert_eq!(one.statuses.len(), 5);
     assert!(one.statuses.values().all(|s| s == "DONE"));
+    // The ensemble's progress was saved on its way, not only at the end.
+    assert!(one.progress.values().any(|seen| seen.len() > 3));
     for workers in [0, 64] {
-        assert_same(&one, &run_scenario(workers, true), workers);
+        assert_same(&one, &run_scenario(workers, 1), workers);
     }
 }
 
 #[test]
 fn every_simulation_walks_the_listing_1_chain_in_order() {
-    let pooled = run_scenario(8, false);
+    let pooled = run_scenario(8, 2);
     let happy: Vec<(String, String)> = SimStatus::happy_path()
         .windows(2)
         .map(|w| (w[0].as_str().to_string(), w[1].as_str().to_string()))
