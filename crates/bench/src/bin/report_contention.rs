@@ -38,11 +38,15 @@
 //!   engine sat at 0.88x here (readers paid a mutex+condvar handoff on
 //!   every shard acquire); lock-free reads must clear 1x.
 //! * `checkpointed` — the same plus the WAL-bounded checkpointer, with
-//!   each write batch also point-updating one archive row so every
-//!   checkpoint must genuinely re-encode the large table (the clean-table
-//!   snapshot cache would otherwise skip a static archive). This is where
-//!   the global lock collapses read throughput: every compaction of the
-//!   archive-dominated database stalls every reader.
+//!   each write batch also point-updating one archive row. Every
+//!   compaction of the archive-dominated database stalls every reader
+//!   behind the global lock for as long as it runs, and none beside the
+//!   MVCC engine. The gate is that absolute: the p99 of the reads issued
+//!   while a checkpoint runs. (Until the snapshot became a streamed binary
+//!   file the gate was the read-throughput ratio, 7–10x; a checkpoint that
+//!   takes a few milliseconds no longer collapses the global lock's reads,
+//!   so the ratio now says how fast a checkpoint is, not whether readers
+//!   wait for it.)
 //! * `read_mostly` — the portal's 95/5 profile: the writer threads
 //!   interleave 19 catalog reads per insert (closed-loop — the mix
 //!   itself sets the write share), so exclusive acquisitions are rare
@@ -67,8 +71,8 @@
 //! it also asserts its own wall-clock budget (< 120s) so the CI step
 //! can never quietly grow past its allowance. The full run writes
 //! `BENCH_concurrency.json` to the current directory and exits nonzero
-//! unless steady-state reads beat the global lock (> 1.0x), the
-//! checkpointed mixed workload holds >= 2.5x, **and** the write side
+//! unless steady-state reads beat the global lock (> 1.0x), a read beside
+//! a checkpoint stays under 1 ms at p99, **and** the write side
 //! keeps pace: every durable paced phase (steady, checkpointed,
 //! archive_update) must deliver >= 0.9x of the global-lock mode's write
 //! throughput — the read wins may not be bought by starving writers.
@@ -112,10 +116,8 @@ enum Workload {
     /// Writers insert into disjoint `journal_*` tables at `WRITE_RATE`.
     Mixed,
     /// `Mixed`, plus each batch point-updates one `archive` row in the
-    /// same transaction — the checkpointed phase's write stream. Keeping
-    /// the archive dirty means every checkpoint genuinely re-encodes it
-    /// (the clean-table snapshot cache cannot skip it), so the phase
-    /// keeps measuring what an expensive compaction costs readers.
+    /// same transaction — the checkpointed phase's write stream, so the
+    /// large table is part of what moves between checkpoints.
     MixedArchiveTouch,
     /// Writers interleave 19 catalog reads per journal insert (95/5),
     /// closed-loop: the mix itself sets the write share.
@@ -200,6 +202,9 @@ struct Measurement {
     writes: u64,
     checkpoints: u64,
     elapsed: Duration,
+    /// p99 of the reads issued while a checkpoint was running or waiting
+    /// for the global lock (zero in a phase without a checkpointer).
+    read_p99_beside_checkpoint: Duration,
 }
 
 impl Measurement {
@@ -228,12 +233,17 @@ fn run(
 ) -> Measurement {
     let stop = Arc::new(AtomicBool::new(false));
     let committed = Arc::new(AtomicU64::new(0));
+    let checkpointing = Arc::new(AtomicBool::new(false));
+    let beside_checkpoint =
+        amp_obs::Histogram::new(amp_obs::Unit::Seconds, amp_obs::latency_buckets());
 
     let mut readers = Vec::new();
     for r in 0..READERS {
         let db = db.clone();
         let stop = Arc::clone(&stop);
         let global = global.clone();
+        let (checkpointing, beside_checkpoint) =
+            (Arc::clone(&checkpointing), beside_checkpoint.clone());
         let (table, rows) = if workload == Workload::ArchiveUpdate {
             ("archive", archive_rows)
         } else {
@@ -249,6 +259,7 @@ fn run(
             // user row, one job's status) with a periodic band scan (a
             // listing page).
             while !stop.load(Ordering::Relaxed) {
+                let beside = checkpointing.load(Ordering::Relaxed).then(Instant::now);
                 let _shared = global.as_ref().map(|l| l.read().expect("read lock"));
                 if done % 16 == 15 {
                     let out = conn.select(table, &query).expect("select");
@@ -258,6 +269,9 @@ fn run(
                     conn.get(table, id).expect("get");
                 }
                 done += 1;
+                if let Some(issued) = beside {
+                    beside_checkpoint.observe_duration(issued.elapsed());
+                }
             }
             done
         }));
@@ -382,6 +396,7 @@ fn run(
         let stop = Arc::clone(&stop);
         let global = global.clone();
         let committed = Arc::clone(&committed);
+        let checkpointing = Arc::clone(&checkpointing);
         std::thread::spawn(move || {
             let mut last = 0u64;
             let mut done = 0u64;
@@ -392,8 +407,10 @@ fn run(
                     continue;
                 }
                 last = now;
+                checkpointing.store(true, Ordering::Relaxed);
                 let _excl = global.as_ref().map(|l| l.write().expect("write lock"));
                 db.compact().expect("compact");
+                checkpointing.store(false, Ordering::Relaxed);
                 done += 1;
             }
             done
@@ -416,6 +433,7 @@ fn run(
         writes,
         checkpoints,
         elapsed: start.elapsed(),
+        read_p99_beside_checkpoint: Duration::from_nanos(beside_checkpoint.p99()),
     }
 }
 
@@ -427,6 +445,12 @@ fn report(name: &str, m: &Measurement) {
         m.checkpoints,
         m.elapsed,
     );
+    if m.checkpoints > 0 {
+        println!(
+            "{name:<24} read p99 beside a checkpoint {:.1?}",
+            m.read_p99_beside_checkpoint
+        );
+    }
 }
 
 /// The acceptance invariant behind every ratio: plain reads and
@@ -471,6 +495,11 @@ fn assert_reads_lock_free(db: &Db) {
 /// a write ratio there measures the mix, not the engine).
 const WRITE_GATED_PHASES: [&str; 3] = ["steady", "checkpointed", "archive_update"];
 const WRITE_RATIO_FLOOR: f64 = 0.9;
+/// What "a checkpoint blocks no reader" means as a number: the p99 of the
+/// reads issued while one runs. Measured ~10 µs on the MVCC engine and the
+/// checkpoint's own duration behind the emulated global lock: 25–50 ms in
+/// the smoke run, 100 ms in the full one.
+const READ_BESIDE_CHECKPOINT_P99: Duration = Duration::from_millis(1);
 /// Noise floor for the same gate under sub-second smoke phases.
 const SMOKE_WRITE_RATIO_FLOOR: f64 = 0.7;
 /// The CI smoke step's wall-clock allowance.
@@ -547,6 +576,7 @@ fn main() {
         ),
     ];
     let mut ratios = Vec::new();
+    let mut beside_checkpoint = [Duration::ZERO; 2];
     let mut write_ratios: Vec<(&str, f64)> = Vec::new();
     let mut json_phases = String::new();
     for (phase, workload, checkpoints, archive_rows) in phases {
@@ -571,29 +601,46 @@ fn main() {
         println!("{phase:<24} read throughput {ratio:.2}x, write throughput {write_ratio:.2}x\n");
         ratios.push(ratio);
         write_ratios.push((phase, write_ratio));
+        if checkpoints {
+            beside_checkpoint = [&global, &mvcc].map(|m| m.read_p99_beside_checkpoint);
+        }
         json_phases.push_str(&format!(
             "    \"{phase}\": {{\n      \"global_lock\": {{ \"reads_per_sec\": {:.0}, \
-             \"writes_per_sec\": {:.0}, \"checkpoints\": {} }},\n      \"mvcc\": {{ \
-             \"reads_per_sec\": {:.0}, \"writes_per_sec\": {:.0}, \"checkpoints\": {} }},\n      \
+             \"writes_per_sec\": {:.0}, \"checkpoints\": {}, \
+             \"read_p99_beside_checkpoint_us\": {:.1} }},\n      \"mvcc\": {{ \
+             \"reads_per_sec\": {:.0}, \"writes_per_sec\": {:.0}, \"checkpoints\": {}, \
+             \"read_p99_beside_checkpoint_us\": {:.1} }},\n      \
              \"read_throughput_ratio\": {ratio:.2},\n      \
              \"write_throughput_ratio\": {write_ratio:.2}\n    }},\n",
             global.reads_per_sec(),
             global.writes_per_sec(),
             global.checkpoints,
+            global.read_p99_beside_checkpoint.as_secs_f64() * 1e6,
             mvcc.reads_per_sec(),
             mvcc.writes_per_sec(),
             mvcc.checkpoints,
+            mvcc.read_p99_beside_checkpoint.as_secs_f64() * 1e6,
         ));
     }
     let _ = std::fs::remove_dir_all(&root);
 
     let (steady_ratio, checkpointed_ratio) = (ratios[0], ratios[1]);
+    let [stalled_global, stalled_mvcc] = beside_checkpoint;
     println!(
         "steady read throughput, MVCC vs global lock:       {steady_ratio:.2}x  \
          [acceptance: > 1.0x]\n\
          checkpointed read throughput, MVCC vs global lock: {checkpointed_ratio:.2}x  \
-         [acceptance: >= 2.5x]"
+         [reported]\n\
+         read p99 beside a checkpoint, MVCC:                {stalled_mvcc:.1?}  \
+         [acceptance: <= {READ_BESIDE_CHECKPOINT_P99:?}; global lock: {stalled_global:.1?}]"
     );
+    let assert_no_reader_waits = || {
+        assert!(
+            stalled_mvcc <= READ_BESIDE_CHECKPOINT_P99,
+            "read p99 beside a checkpoint {stalled_mvcc:.1?} over {READ_BESIDE_CHECKPOINT_P99:?}: \
+             readers are waiting for the checkpoint"
+        )
+    };
     let write_floor = if smoke {
         SMOKE_WRITE_RATIO_FLOOR
     } else {
@@ -614,17 +661,14 @@ fn main() {
         // back under the global lock, compaction re-serialized, writers
         // starved behind the fsync leader) still fails the step.
         println!(
-            "(smoke run: thresholds relaxed to >0.9x steady / >=1.5x checkpointed reads, \
+            "(smoke run: thresholds relaxed to >0.9x steady reads, \
              >={SMOKE_WRITE_RATIO_FLOOR}x writes; no JSON dump)"
         );
         assert!(
             steady_ratio > 0.9,
             "smoke: steady read ratio {steady_ratio:.2}x below the 0.9x noise floor"
         );
-        assert!(
-            checkpointed_ratio >= 1.5,
-            "smoke: checkpointed read ratio {checkpointed_ratio:.2}x below the 1.5x noise floor"
-        );
+        assert_no_reader_waits();
         assert_write_ratios(&write_ratios, SMOKE_WRITE_RATIO_FLOOR);
         let elapsed = wall.elapsed();
         assert!(
@@ -638,12 +682,12 @@ fn main() {
     let json = format!(
         r#"{{
   "bench": "lock_contention",
-  "recorded": "2026-08-09",
+  "recorded": "2026-10-02",
   "command": "cargo run --release -p amp-bench --bin report_contention",
-  "machine": "1-core linux container (CI-class), ext4-backed temp dir for snapshot + WAL files",
-  "notes": "Closed-loop readers over a paced background write stream on a durable db: {READERS} reader threads each scan a 25-row band of a {CATALOG_ROWS}-row catalog table as fast as results return, while {WRITERS} writer threads apply a fixed write budget ({WRITE_RATE:.0} inserts/s total; {ARCHIVE_WRITE_RATE:.0}/s for archive point updates) modeling daemon traffic — pacing the writers is what makes reads/s comparable on a 1-core host, since with closed-loop writers the read share just inversely measures write-path speed. global_lock emulates the seed's RwLock<Database> with an external whole-process RwLock: exclusive around every write and around the whole compaction, shared around reads. mvcc is the engine as shipped: reads pin published table versions with atomic loads (no lock), writers serialize per table, and compaction snapshots pinned versions and truncates the WAL per table, blocking neither readers nor writers. Phases: steady (background inserts, no checkpointer), checkpointed (plus a checkpointer compacting every {CHECKPOINT_EVERY} committed writes over a database dominated by a large archive table, with each write batch also point-updating one archive row so every snapshot genuinely re-encodes the big table rather than reusing the engine's clean-table encode cache — where the seed's exclusive compaction collapses reads), read_mostly (writer threads interleave 19 catalog reads per insert, the portal's 95/5 profile, closed-loop), archive_update (paced point updates against the 30k-row archive — copy-on-write's worst case; each update clones one row chunk, not the table). The run also asserts the invariant behind the ratios directly: a pure-read burst leaves the writer-path lock-wait histogram untouched. The write side is gated, not just reported: each durable paced phase must hold write_throughput_ratio >= 0.9. Three mechanisms carry that bar — per-transaction delta write-buffers (a commit materializes only the rows it touched into per-row Arc'd chunks, so an archive point update copies one row, not a 256-row chunk; simdb_rows_copied_per_write tracks this), cross-writer group commit (a leader thread drains every queued WAL record and issues one fdatasync on behalf of all concurrently committing writers — simdb_group_commit_writers records how many each flush covered), and rollback-by-drop (an aborted transaction discards its buffer; the published spine was never touched). Before these landed the MVCC mode moved ~0.5x of the global mode's durable write budget because every writer paid its own fsync while readers, never blocked, kept the CPU busy.",
+  "machine": "2-core linux container (CI-class), temp dir for snapshot + WAL files",
+  "notes": "Closed-loop readers over a paced background write stream on a durable db: {READERS} reader threads each scan a 25-row band of a {CATALOG_ROWS}-row catalog table as fast as results return, while {WRITERS} writer threads apply a fixed write budget ({WRITE_RATE:.0} inserts/s total; {ARCHIVE_WRITE_RATE:.0}/s for archive point updates) modeling daemon traffic — pacing the writers is what makes reads/s comparable on a 1-core host, since with closed-loop writers the read share just inversely measures write-path speed. global_lock emulates the seed's RwLock<Database> with an external whole-process RwLock: exclusive around every write and around the whole compaction, shared around reads. mvcc is the engine as shipped: reads pin published table versions with atomic loads (no lock), writers serialize per table, and compaction snapshots pinned versions and truncates the WAL per table, blocking neither readers nor writers. Phases: steady (background inserts, no checkpointer), checkpointed (plus a checkpointer compacting every {CHECKPOINT_EVERY} committed writes over a database dominated by a large archive table, with each write batch also point-updating one archive row — where the seed's exclusive compaction stalls every reader for as long as it runs; read_p99_beside_checkpoint_us is the p99 of the reads issued while a checkpoint runs or waits for the global lock), read_mostly (writer threads interleave 19 catalog reads per insert, the portal's 95/5 profile, closed-loop), archive_update (paced point updates against the 30k-row archive — copy-on-write's worst case; each update clones one row chunk, not the table). The run also asserts the invariant behind the ratios directly: a pure-read burst leaves the writer-path lock-wait histogram untouched. The write side is gated, not just reported: each durable paced phase must hold write_throughput_ratio >= 0.9. Three mechanisms carry that bar — per-transaction delta write-buffers (a commit materializes only the rows it touched into per-row Arc'd chunks, so an archive point update copies one row, not a 256-row chunk; simdb_rows_copied_per_write tracks this), cross-writer group commit (a leader thread drains every queued WAL record and issues one fdatasync on behalf of all concurrently committing writers — simdb_group_commit_writers records how many each flush covered), and rollback-by-drop (an aborted transaction discards its buffer; the published spine was never touched). Before these landed the MVCC mode moved ~0.5x of the global mode's durable write budget because every writer paid its own fsync while readers, never blocked, kept the CPU busy.",
   "results": {{
-{json_phases}    "acceptance": "steady read_throughput_ratio > 1.0, checkpointed read_throughput_ratio >= 2.5, and write_throughput_ratio >= 0.9 in steady, checkpointed, and archive_update"
+{json_phases}    "acceptance": "steady read_throughput_ratio > 1.0, checkpointed mvcc read_p99_beside_checkpoint_us <= 1000, and write_throughput_ratio >= 0.9 in steady, checkpointed, and archive_update"
   }}
 }}
 "#
@@ -656,9 +700,6 @@ fn main() {
         "steady read-throughput ratio {steady_ratio:.2}x: lock-free reads must beat the emulated \
          global RwLock"
     );
-    assert!(
-        checkpointed_ratio >= 2.5,
-        "checkpointed read-throughput ratio {checkpointed_ratio:.1}x below the 2.5x acceptance bar"
-    );
+    assert_no_reader_waits();
     assert_write_ratios(&write_ratios, WRITE_RATIO_FLOOR);
 }

@@ -70,13 +70,6 @@ struct DaemonMetrics {
     stage_flush: amp_obs::Histogram,
 }
 
-/// Close the tick stage that began at `since` and start the next one.
-fn lap(since: &mut Instant, stage: &amp_obs::Histogram) {
-    let now = Instant::now();
-    stage.observe_duration(now - *since);
-    *since = now;
-}
-
 fn obs_metrics() -> &'static DaemonMetrics {
     static METRICS: std::sync::OnceLock<DaemonMetrics> = std::sync::OnceLock::new();
     let stage = |name| {
@@ -559,15 +552,15 @@ impl GridAmp {
         // brings one more.
         let mut report = TickReport::default();
         self.claim_leases(grid, &mut report);
-        lap(&mut since, &metrics.stage_claim);
+        metrics.stage_claim.lap(&mut since);
         if let Some(hook) = self.pause_point.as_mut() {
             hook();
             since = Instant::now();
         }
         let mut parts = self.poll_phase(grid, &mut report);
-        lap(&mut since, &metrics.stage_poll);
+        metrics.stage_poll.lap(&mut since);
         let products = self.step_phase(grid, &mut report);
-        lap(&mut since, &metrics.stage_step);
+        metrics.stage_step.lap(&mut since);
         // Post-barrier, in worklist (simulation-id) order: streaks, holds,
         // saves, notifications and mail fire in the same sequence whatever
         // the pool size.
@@ -575,11 +568,11 @@ impl GridAmp {
         for product in products {
             self.apply_step_outcome(product, now, &mut report);
         }
-        lap(&mut since, &metrics.stage_apply);
+        metrics.stage_apply.lap(&mut since);
         if let Err(e) = self.conn.flush() {
             report.daemon_errors.push(format!("tick flush: {e}"));
         }
-        lap(&mut since, &metrics.stage_flush);
+        metrics.stage_flush.lap(&mut since);
         parts.push(report);
         let report = merge_reports(parts);
         self.last_heartbeat = Some(now + self.clock_skew_secs);

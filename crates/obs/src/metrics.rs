@@ -9,7 +9,7 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A monotonically increasing counter.
 #[derive(Clone, Default)]
@@ -148,6 +148,14 @@ impl Histogram {
     #[inline]
     pub fn observe_duration(&self, d: Duration) {
         self.observe(d.as_nanos().min(u64::MAX as u128) as u64);
+    }
+
+    /// Record the time since `since` and move `since` to now: one call per
+    /// stage times contiguous stages whose sums add up to the whole.
+    pub fn lap(&self, since: &mut Instant) {
+        let now = Instant::now();
+        self.observe_duration(now - *since);
+        *since = now;
     }
 
     /// A point-in-time copy of the bucket counts.

@@ -1,7 +1,7 @@
 //! The database engine: tables, referential integrity, mutation log.
 //!
 //! `Database` is the single-threaded engine used for WAL replay, snapshot
-//! (de)serialization, and the property-test oracles. The live, concurrent
+//! loading, and the property-test oracles. The live, concurrent
 //! engine is the per-table sharded catalog in [`crate::shard`]; both run
 //! the *same* mutation logic, which lives in [`ops`] and is generic over a
 //! [`TableSet`] — "some tables I may read and write, plus the schema-level
@@ -16,7 +16,6 @@ use crate::query::Query;
 use crate::schema::{OnDelete, TableSchema};
 use crate::table::{Row, Table};
 use crate::value::Value;
-use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// Table access required by the shared mutation engine in [`ops`].
@@ -54,7 +53,7 @@ pub enum LogOp {
 pub type Cells = Vec<(usize, Value)>;
 
 /// The in-memory relational engine.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Database {
     tables: BTreeMap<String, Table>,
     /// Monotone per-table modification counters, bumped on every committed
@@ -62,14 +61,11 @@ pub struct Database {
     /// access as the data change itself. Consumers that stamp derived state
     /// (e.g. the portal's response cache) compare these to detect precisely
     /// which tables changed. Runtime-only: rebuilt from zero on load.
-    #[serde(skip)]
     versions: BTreeMap<String, u64>,
     /// Highest WAL sequence number applied per table during recovery.
     /// Runtime-only bookkeeping threaded from the snapshot's per-table
     /// coverage through replay into the sharded catalog, where commits
-    /// keep it current and compaction persists it again. Not serialized
-    /// here — the snapshot file carries it alongside the database.
-    #[serde(skip)]
+    /// keep it current and compaction persists it again.
     applied_seqs: BTreeMap<String, u64>,
 }
 
@@ -78,22 +74,19 @@ impl Database {
         Database::default()
     }
 
-    /// Decode a database straight from snapshot text, table by table and
-    /// row by row (see [`Table::read_snapshot`]). Indexes come back empty —
-    /// [`Self::rebuild_indexes`] loads them.
-    pub(crate) fn read_snapshot(reader: &mut serde_json::Reader) -> serde_json::Result<Database> {
-        let mut tables = BTreeMap::new();
-        reader.object(|reader, key| match key.as_str() {
-            "tables" => reader.object(|reader, name| {
-                let table = Table::read_snapshot(reader)
-                    .map_err(|e| serde_json::Error(format!("table `{name}`: {e}")))?;
-                tables.insert(name, table);
-                Ok(())
-            }),
-            _ => reader.value().map(drop),
-        })?;
+    /// The database a snapshot file holds: its tables as decoded, indexes
+    /// not yet built, and the per-table WAL coverage it recorded (which
+    /// replay then refines).
+    pub(crate) fn from_snapshot(
+        mut tables: BTreeMap<String, Table>,
+        applied_seqs: BTreeMap<String, u64>,
+    ) -> Result<Database, DbError> {
+        for table in tables.values_mut() {
+            table.rebuild_indexes()?;
+        }
         Ok(Database {
             tables,
+            applied_seqs,
             ..Database::default()
         })
     }
@@ -138,12 +131,6 @@ impl Database {
     pub(crate) fn note_applied(&mut self, table: &str, seq: u64) {
         let e = self.applied_seqs.entry(table.to_string()).or_insert(0);
         *e = (*e).max(seq);
-    }
-
-    /// Seed the per-table WAL coverage map wholesale (from a snapshot's
-    /// recorded coverage, before replay refines it).
-    pub(crate) fn set_applied_seqs(&mut self, applied: BTreeMap<String, u64>) {
-        self.applied_seqs = applied;
     }
 
     pub(crate) fn applied_seq(&self, table: &str) -> Option<u64> {
@@ -283,14 +270,6 @@ impl Database {
                 self.table_mut(table)?.delete(*id)?;
                 self.bump_version(table);
             }
-        }
-        Ok(())
-    }
-
-    /// Rebuild every table's indexes (after snapshot deserialization).
-    pub fn rebuild_indexes(&mut self) -> Result<(), DbError> {
-        for t in self.tables.values_mut() {
-            t.rebuild_indexes()?;
         }
         Ok(())
     }

@@ -105,14 +105,11 @@ pub mod prelude {
 }
 
 use crate::db::TableSet;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
 use std::sync::Arc;
-
-/// Per-table snapshot-encode cache entry: the published version last
-/// serialized, and its encoded JSON.
-type SnapCache = HashMap<String, (u64, Arc<Vec<u8>>)>;
+use std::time::Instant;
 
 /// Shared state behind a [`Db`] handle.
 struct DbShared {
@@ -126,14 +123,6 @@ struct DbShared {
     roles: RwLock<HashMap<String, Arc<Role>>>,
     wal: Option<wal::Wal>,
     snapshot_path: Option<PathBuf>,
-    /// Clean-table snapshot-encode cache: per table, the published version
-    /// last serialized and its encoded JSON. Compaction re-encodes only
-    /// tables whose version moved since the previous snapshot; on an
-    /// archive-dominated database that turns the dominant cost of a
-    /// checkpoint — re-serializing tens of thousands of static rows — into
-    /// a buffer copy. Bounded by the snapshot's own size; entries for
-    /// vanished tables are pruned at each use.
-    snap_cache: Mutex<SnapCache>,
 }
 
 /// A thread-safe database handle. Cheap to clone; all clones share state.
@@ -150,7 +139,6 @@ impl Db {
                 roles: RwLock::new(HashMap::new()),
                 wal,
                 snapshot_path,
-                snap_cache: Mutex::new(HashMap::new()),
             }),
         }
     }
@@ -203,11 +191,15 @@ impl Db {
         })
     }
 
-    /// Pin every table as one consistent cut and clone out the storage
-    /// (cheap: copy-on-write structural shares) plus each table's WAL
-    /// coverage. Lock-free except for the catalog read lock that resolves
-    /// the shard list (which blocks only DDL).
-    fn pin_all(&self) -> (BTreeMap<String, (u64, table::Table)>, BTreeMap<String, u64>) {
+    /// Write the snapshot file from one consistent cut of every table and
+    /// return that cut's per-table WAL coverage. Pinning takes no lock but
+    /// the catalog read lock that resolves the shard list (which blocks
+    /// only DDL), and the encoder then streams the pinned immutable
+    /// versions to the file chunk by chunk: neither readers nor writers
+    /// ever wait on it. `since` is moved to when it returned.
+    fn write_snapshot(&self, since: &mut Instant) -> Result<BTreeMap<String, u64>, DbError> {
+        let path = self.shared.snapshot_path.as_deref();
+        let path = path.ok_or_else(|| DbError::Io("no snapshot path configured".into()))?;
         let cut = {
             let catalog = self.shared.catalog.read();
             let shards: BTreeMap<String, Arc<shard::Shard>> = catalog
@@ -216,40 +208,19 @@ impl Db {
                 .collect();
             catalog.pin_cut(&shards)
         };
-        let mut tables = BTreeMap::new();
-        let mut applied = BTreeMap::new();
-        for (name, version) in cut {
-            tables.insert(name.clone(), (version.version, version.table.clone()));
-            if let Some(seq) = version.applied_seq {
-                applied.insert(name, seq);
-            }
-        }
-        (tables, applied)
-    }
-
-    /// Resolve a pinned cut to per-table encoded snapshot JSON through the
-    /// clean-table cache: a table whose published version is unchanged
-    /// since the last snapshot reuses its previous encoding; only dirty
-    /// tables are re-serialized.
-    fn encode_cut(
-        &self,
-        cut: &BTreeMap<String, (u64, table::Table)>,
-    ) -> BTreeMap<String, Arc<Vec<u8>>> {
-        let mut cache = self.shared.snap_cache.lock();
-        cache.retain(|name, _| cut.contains_key(name));
-        cut.iter()
-            .map(|(name, (version, table))| {
-                let bytes = match cache.get(name) {
-                    Some((v, bytes)) if v == version => Arc::clone(bytes),
-                    _ => {
-                        let bytes = Arc::new(wal::Snapshot::encode_table(table));
-                        cache.insert(name.clone(), (*version, Arc::clone(&bytes)));
-                        bytes
-                    }
-                };
-                (name.clone(), bytes)
-            })
-            .collect()
+        let applied = (cut.iter())
+            .filter_map(|(name, version)| Some((name.clone(), version.applied_seq?)))
+            .collect();
+        let metrics = obs::metrics();
+        metrics.checkpoint_pin.lap(since);
+        let wal = self.shared.wal.as_ref();
+        let covered = wal.and_then(|w| w.last_seq());
+        let durable = wal.is_some_and(|w| w.fsync());
+        let tables = cut.values().map(|version| &version.table);
+        let bytes = wal::Snapshot::write(tables, covered, &applied, path, durable)?;
+        metrics.snapshot_bytes.set(bytes as i64);
+        metrics.checkpoint_encode_write.lap(since);
+        Ok(applied)
     }
 
     /// Compact durability state: write a snapshot of a pinned consistent
@@ -265,22 +236,17 @@ impl Db {
     /// Writers racing the compaction keep appending; their records have
     /// sequence numbers above the pinned coverage and survive the
     /// truncation untouched (see [`wal::Wal::truncate_keeping`]).
+    ///
+    /// `simdb_checkpoint_seconds{stage=pin|encode_write|truncate}` say where
+    /// its time went, `simdb_snapshot_bytes` what it wrote.
     pub fn compact(&self) -> Result<(), DbError> {
-        let path = self
-            .shared
-            .snapshot_path
-            .clone()
-            .ok_or_else(|| DbError::Io("no snapshot path configured".into()))?;
-        let wal = self
-            .shared
-            .wal
-            .as_ref()
-            .ok_or_else(|| DbError::Io("no WAL configured".into()))?;
-        let (tables, applied) = self.pin_all();
-        let covered = wal.last_seq();
-        let encoded = self.encode_cut(&tables);
-        wal::Snapshot::save_encoded(&encoded, covered, &applied, &path, wal.fsync())?;
-        wal.truncate_keeping(&applied)
+        let mut since = Instant::now();
+        let wal = self.shared.wal.as_ref();
+        let wal = wal.ok_or_else(|| DbError::Io("no WAL configured".into()))?;
+        let applied = self.write_snapshot(&mut since)?;
+        wal.truncate_keeping(&applied)?;
+        obs::metrics().checkpoint_truncate.lap(&mut since);
+        Ok(())
     }
 
     /// Durability policy: when `on`, every log flush ends in `fdatasync`
@@ -297,24 +263,10 @@ impl Db {
         }
     }
 
-    /// Write a snapshot covering a pinned consistent cut of every table.
-    ///
-    /// Entirely lock-free against DML: pinning the cut is an atomic load
-    /// per table, and serialization plus file I/O run against the pinned
-    /// immutable versions — neither readers nor writers ever wait on the
-    /// disk.
+    /// Write a snapshot covering a pinned consistent cut of every table:
+    /// [`Self::compact`] without the log truncation, and as lock-free.
     pub fn snapshot(&self) -> Result<(), DbError> {
-        let path = self
-            .shared
-            .snapshot_path
-            .clone()
-            .ok_or_else(|| DbError::Io("no snapshot path configured".into()))?;
-        let (tables, applied) = self.pin_all();
-        let wal = self.shared.wal.as_ref();
-        let covered = wal.and_then(|w| w.last_seq());
-        let encoded = self.encode_cut(&tables);
-        let durable = wal.is_some_and(|w| w.fsync());
-        wal::Snapshot::save_encoded(&encoded, covered, &applied, &path, durable)
+        self.write_snapshot(&mut Instant::now()).map(drop)
     }
 
     /// Current modification counter for `table`. Monotone; bumped
@@ -1121,42 +1073,6 @@ mod tests {
         let len = std::fs::metadata(&walp).unwrap().len();
         deferring.flush().unwrap();
         assert_eq!(std::fs::metadata(&walp).unwrap().len(), len);
-    }
-
-    /// Repeated compactions hit the clean-table encode cache; this pins
-    /// down that the cache keys on the published version, so a table
-    /// mutated between compactions is re-encoded (no stale bytes served)
-    /// while recovery stays correct across the mix of cached and fresh
-    /// entries.
-    #[test]
-    fn snapshot_cache_never_serves_stale_tables() {
-        let dir = std::env::temp_dir().join(format!("simdb_snapcache_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let snap = dir.join("db.snap");
-        let walp = dir.join("db.wal");
-        {
-            let db = Db::open(&snap, &walp).unwrap();
-            db.define_role(Role::superuser("admin"));
-            let c = db.connect("admin").unwrap();
-            for t in ["hot", "cold"] {
-                c.create_table(TableSchema::new(t, vec![Column::new("v", ValueType::Int)]))
-                    .unwrap();
-                c.insert(t, &[("v", Value::Int(1))]).unwrap();
-            }
-            // First compact encodes both tables and seeds the cache.
-            db.compact().unwrap();
-            // Mutate only `hot`; `cold`'s cached encoding stays valid.
-            c.update("hot", 1, &[("v", Value::Int(42))]).unwrap();
-            db.compact().unwrap();
-            // Third compact: both tables clean, full cache reuse.
-            db.compact().unwrap();
-        }
-        let db = Db::open(&snap, &walp).unwrap();
-        db.define_role(Role::superuser("admin"));
-        let c = db.connect("admin").unwrap();
-        assert_eq!(c.get("hot", 1).unwrap()[0], Value::Int(42));
-        assert_eq!(c.get("cold", 1).unwrap()[0], Value::Int(1));
     }
 
     #[test]

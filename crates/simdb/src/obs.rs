@@ -31,10 +31,22 @@ pub(crate) struct SimdbMetrics {
     /// by the chunk cap whatever the table's size, and zero for a write
     /// that changes no indexed cell.
     pub index_entries_copied_per_write: Histogram,
+    /// `simdb_checkpoint_seconds{stage=…}`: where `Db::compact` spent its
+    /// time. The stages are contiguous, so their sums add up to the wall
+    /// time inside it; `Db::snapshot` observes the first two.
+    pub checkpoint_pin: Histogram,
+    pub checkpoint_encode_write: Histogram,
+    pub checkpoint_truncate: Histogram,
+    /// Length of the snapshot file the last checkpoint wrote.
+    pub snapshot_bytes: Gauge,
 }
 
 pub(crate) fn metrics() -> &'static SimdbMetrics {
     static METRICS: OnceLock<SimdbMetrics> = OnceLock::new();
+    let stage = |name| {
+        let series = amp_obs::labeled("simdb_checkpoint_seconds", &[("stage", name)]);
+        amp_obs::registry().histogram(&series, Unit::Seconds)
+    };
     METRICS.get_or_init(|| SimdbMetrics {
         wal_fsyncs: amp_obs::counter("simdb_wal_fsync_total"),
         wal_bytes: amp_obs::counter("simdb_wal_bytes_total"),
@@ -45,6 +57,10 @@ pub(crate) fn metrics() -> &'static SimdbMetrics {
             .histogram("simdb_rows_copied_per_write", Unit::Count),
         index_entries_copied_per_write: amp_obs::registry()
             .histogram("simdb_index_entries_copied_per_write", Unit::Count),
+        checkpoint_pin: stage("pin"),
+        checkpoint_encode_write: stage("encode_write"),
+        checkpoint_truncate: stage("truncate"),
+        snapshot_bytes: amp_obs::registry().gauge("simdb_snapshot_bytes"),
     })
 }
 

@@ -70,7 +70,11 @@ impl<M: Model> Manager<M> {
         &self.conn
     }
 
-    /// Insert a new instance; assigns and records its id.
+    /// Insert a new instance; assigns and records its id. A foreign key is
+    /// checked against the parent table's *published* version: one that
+    /// points at a row of another connection's still-uncommitted
+    /// transaction fails with a foreign-key violation instead of waiting
+    /// for that transaction.
     pub fn create(&self, m: &mut M) -> Result<i64, DbError> {
         let values = m.to_values();
         let id = self.conn.insert(M::TABLE, &values)?;

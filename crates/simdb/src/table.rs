@@ -28,7 +28,6 @@
 use crate::error::DbError;
 use crate::schema::TableSchema;
 use crate::value::Value;
-use serde::{Content, Deserialize, MapKey, Serialize};
 use std::collections::BTreeMap;
 use std::ops::Bound;
 use std::sync::Arc;
@@ -116,10 +115,16 @@ impl Rows {
         out
     }
 
-    pub fn iter(&self) -> impl Iterator<Item = (i64, &Row)> {
+    /// The storage chunks in id order, each its rows in id order: the unit
+    /// a snapshot writes at a time.
+    pub fn chunks(&self) -> impl Iterator<Item = impl Iterator<Item = (i64, &Row)>> {
         self.chunks
             .values()
-            .flat_map(|c| c.iter().map(|(id, r)| (*id, r.as_ref())))
+            .map(|c| c.iter().map(|(id, r)| (*id, r.as_ref())))
+    }
+
+    pub fn iter(&self) -> impl Iterator<Item = (i64, &Row)> {
+        self.chunks().flatten()
     }
 }
 
@@ -386,10 +391,9 @@ impl Clone for Copied {
 
 /// A single table: schema, row storage, and indexes.
 ///
-/// Indexes are rebuilt on load; only schema + rows are serialized (as a
-/// flat map, so the on-disk format is identical to the pre-chunked
-/// layout). Cloning shares all row and index chunks structurally — see
-/// the module docs for the copy-on-write granularity.
+/// Indexes are rebuilt on load; a snapshot holds only the schema, the rows
+/// and `next_id`. Cloning shares all row and index chunks structurally —
+/// see the module docs for the copy-on-write granularity.
 #[derive(Debug, Clone)]
 pub struct Table {
     pub schema: TableSchema,
@@ -400,27 +404,6 @@ pub struct Table {
     /// write shares the spines of the indexes it leaves alone.
     indexes: Vec<Option<Arc<Index>>>,
     copied: Copied,
-}
-
-impl Serialize for Table {
-    fn to_content(&self) -> Content {
-        // Built directly so encoding a snapshot never deep-copies row
-        // storage; the field layout (`schema`, flat `rows` map, `next_id`)
-        // is the historic on-disk one (asserted by test).
-        Content::Map(vec![
-            ("schema".to_string(), self.schema.to_content()),
-            (
-                "rows".to_string(),
-                Content::Map(
-                    self.rows
-                        .iter()
-                        .map(|(id, r)| (id.to_string(), r.to_content()))
-                        .collect(),
-                ),
-            ),
-            ("next_id".to_string(), self.next_id.to_content()),
-        ])
-    }
 }
 
 impl Table {
@@ -440,37 +423,19 @@ impl Table {
         })
     }
 
-    /// Decode a table straight from snapshot text, row by row: each row is
-    /// parsed, built and its parse tree dropped before the next, so loading
-    /// a large table never holds a tree of the whole of it. Indexes come
-    /// back empty — [`Self::rebuild_indexes`] loads them.
-    pub(crate) fn read_snapshot(reader: &mut serde_json::Reader) -> serde_json::Result<Table> {
-        let (mut schema, mut next_id, mut rows) = (None, None, Rows::default());
-        reader.object(|reader, key| {
-            match key.as_str() {
-                "schema" => schema = Some(TableSchema::from_content(&reader.value()?)?),
-                "next_id" => next_id = Some(i64::from_content(&reader.value()?)?),
-                "rows" => reader.object(|reader, id| {
-                    let row = Row::from_content(&reader.value()?)?;
-                    rows.insert(i64::from_key(&id)?, Arc::new(row));
-                    Ok(())
-                })?,
-                _ => drop(reader.value()?),
-            }
-            Ok(())
-        })?;
-        let missing = |field| serde_json::Error(format!("table: missing field `{field}`"));
-        let schema: TableSchema = schema.ok_or_else(|| missing("schema"))?;
-        Ok(Table {
+    /// A table as a snapshot holds it. Indexes come back empty —
+    /// [`Self::rebuild_indexes`] loads them, checking every row.
+    pub(crate) fn unindexed(schema: TableSchema, rows: Rows, next_id: i64) -> Table {
+        Table {
             indexes: vec![None; schema.columns.len()],
             schema,
             rows,
-            next_id: next_id.ok_or_else(|| missing("next_id"))?,
+            next_id,
             copied: Copied::default(),
-        })
+        }
     }
 
-    /// Rebuild all indexes from row storage (after deserialization),
+    /// Rebuild all indexes from row storage (after a snapshot load),
     /// checking every row as an insert would: each index is bulk-loaded
     /// from one sorted pass over its column.
     pub fn rebuild_indexes(&mut self) -> Result<(), DbError> {
@@ -695,35 +660,6 @@ mod tests {
         .unwrap()
     }
 
-    /// The historic on-disk field layout (`schema`, flat `rows` map,
-    /// `next_id`), written the obvious way.
-    #[derive(Serialize)]
-    struct TableSer {
-        schema: TableSchema,
-        rows: BTreeMap<i64, Row>,
-        next_id: i64,
-    }
-
-    #[test]
-    fn direct_table_serializer_matches_proxy_layout() {
-        let mut t = table();
-        // Span several chunks and leave a deletion hole so chunk
-        // boundaries are exercised, not just one dense map.
-        for i in 0..600 {
-            t.insert(vec![format!("n{i}").into(), Value::Int(i)])
-                .unwrap();
-        }
-        t.delete(300).unwrap();
-        let direct = serde_json::to_vec(&t).unwrap();
-        let proxy = serde_json::to_vec(&TableSer {
-            schema: t.schema.clone(),
-            rows: t.rows.iter().map(|(id, r)| (id, r.clone())).collect(),
-            next_id: t.next_id,
-        })
-        .unwrap();
-        assert_eq!(direct, proxy);
-    }
-
     #[test]
     fn insert_assigns_sequential_ids() {
         let mut t = table();
@@ -793,8 +729,7 @@ mod tests {
         let mut t = table();
         t.insert(vec!["a".into(), Value::Int(1)]).unwrap();
         t.insert(vec!["b".into(), Value::Int(1)]).unwrap();
-        let text = serde_json::to_string(&t).unwrap();
-        let mut t2 = Table::read_snapshot(&mut serde_json::Reader::new(&text)).unwrap();
+        let mut t2 = Table::unindexed(t.schema.clone(), t.rows.clone(), t.next_id);
         assert!(!t2.has_index(0), "decoded tables come back unindexed");
         t2.rebuild_indexes().unwrap();
         assert_eq!(

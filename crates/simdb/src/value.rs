@@ -17,7 +17,7 @@ pub enum ValueType {
     Int,
     /// 64-bit IEEE float. NaN and ±∞ are rejected at the door
     /// ([`Value::conforms_to`]): ordering stays total, and neither the log
-    /// nor the JSON snapshot (which has no spelling for them) ever holds one.
+    /// nor the snapshot ever holds one.
     Float,
     /// Boolean.
     Bool,

@@ -2,9 +2,9 @@
 //!
 //! The central database is the only channel between AMP's portal and the
 //! GridAMP daemon, so losing it loses all workflow state. The [`Wal`]
-//! appends each commit as one checksummed frame; [`Snapshot`] serializes
-//! the whole database. Recovery = load latest snapshot, then replay the
-//! log's suffix.
+//! appends each commit as one checksummed frame; [`Snapshot`] streams the
+//! whole database into a file of the same frames. Recovery = load latest
+//! snapshot, then replay the log's suffix.
 //!
 //! # The log file (DESIGN §9.13)
 //!
@@ -32,11 +32,26 @@
 //! says so in the flight recorder; [`Wal::read_frames`] only leaves the tail
 //! out. A bad frame *followed by a valid one* is damage, never a torn tail,
 //! and answers `Corrupt` with its byte offset.
+//!
+//! # The snapshot file (DESIGN §9.8)
+//!
+//! [`SNAPSHOT_MAGIC`], then the same frames with the same value codec, in a
+//! fixed order: one file header (`covered_seq`, the per-table `applied_seqs`,
+//! the table count); then per table a header (the schema's JSON, `next_id`,
+//! the row count) followed by its rows, one frame per storage chunk of at
+//! most 256 rows, a row being its zigzag id and one value per column.
+//! [`Snapshot::write`] streams those frames into the temporary file, so it
+//! never holds more than one chunk's bytes; [`Snapshot::load`] decodes them
+//! one by one. A snapshot only ever appears by rename, so it has no
+//! legitimate torn tail: a frame that fails its checksum, a file that ends
+//! short of the counts it declares and bytes after the last table are all
+//! `Corrupt`, with the byte offset.
 
 use crate::db::{Database, LogOp};
 use crate::error::DbError;
+use crate::schema::TableSchema;
+use crate::table::{Row, Rows, Table};
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Write};
@@ -45,6 +60,12 @@ use std::sync::{Condvar, Mutex};
 
 /// The first bytes of every log file: format name and version.
 pub const MAGIC: &[u8; 8] = b"AMPLOG\x00\x01";
+
+/// The first bytes of every snapshot file: format name and version.
+pub const SNAPSHOT_MAGIC: &[u8; 8] = b"AMPSNP\x00\x01";
+
+/// The shortest body of a log frame: one op's tag and the sequence number.
+const LOG_FRAME_MIN: usize = 9;
 
 /// The table a logged op targets (per-table WAL coverage accounting).
 pub(crate) fn op_table(op: &LogOp) -> &str {
@@ -121,6 +142,12 @@ fn put_value(buf: &mut Vec<u8>, v: &Value) {
     }
 }
 
+/// A schema, cold wherever it is written, keeps its JSON as its encoding.
+fn put_schema(buf: &mut Vec<u8>, schema: &TableSchema) {
+    let json = serde_json::to_vec(schema).expect("schema JSON encode is infallible");
+    put_bytes(buf, &json);
+}
+
 fn put_op(buf: &mut Vec<u8>, op: &LogOp) {
     let mut head = |tag: u8, table: &str, id: i64| {
         buf.push(tag);
@@ -130,10 +157,7 @@ fn put_op(buf: &mut Vec<u8>, op: &LogOp) {
     match op {
         LogOp::CreateTable { schema } => {
             buf.push(0);
-            put_bytes(
-                buf,
-                &serde_json::to_vec(schema).expect("schema JSON encode is infallible"),
-            );
+            put_schema(buf, schema);
         }
         LogOp::Insert { table, id, row } => {
             head(1, table, *id);
@@ -186,10 +210,14 @@ fn get_value(d: &mut &[u8]) -> Option<Value> {
     })
 }
 
+fn get_schema(d: &mut &[u8]) -> Option<TableSchema> {
+    serde_json::from_str(&get_text(d)?).ok()
+}
+
 fn get_op(d: &mut &[u8]) -> Option<LogOp> {
     let tag = *d.split_off_first()?;
     if tag == 0 {
-        let schema = serde_json::from_str(&get_text(d)?).ok()?;
+        let schema = get_schema(d)?;
         return Some(LogOp::CreateTable { schema });
     }
     let (table, id) = (get_text(d)?, get_int(d)?);
@@ -223,31 +251,32 @@ fn encode_commit(ops: &[LogOp]) -> Result<(Vec<u8>, u32), DbError> {
     Ok((body, crc))
 }
 
-/// Append the frame of a commit encoded by [`encode_commit`].
-fn push_frame(buf: &mut Vec<u8>, (ops, crc): &(Vec<u8>, u32), first_seq: u64) {
-    let seq = first_seq.to_le_bytes();
-    buf.extend_from_slice(&((ops.len() + seq.len()) as u32).to_le_bytes());
-    buf.extend_from_slice(&(!crc32_update(*crc, &seq)).to_le_bytes());
-    buf.extend_from_slice(ops);
-    buf.extend_from_slice(&seq);
+/// Append one frame whose body is `head` then `tail`; `crc` is the CRC
+/// state after `head` (a commit's comes from [`encode_commit`]). The
+/// caller has checked that the body's length fits the `u32`.
+fn push_frame(buf: &mut Vec<u8>, head: &[u8], crc: u32, tail: &[u8]) {
+    buf.extend_from_slice(&((head.len() + tail.len()) as u32).to_le_bytes());
+    buf.extend_from_slice(&(!crc32_update(crc, tail)).to_le_bytes());
+    buf.extend_from_slice(head);
+    buf.extend_from_slice(tail);
 }
 
 /// One commit as the bytes of its frame, its ops numbered from `first_seq`:
 /// for tests and tools that build a log file by hand (after [`MAGIC`]).
 pub fn encode_frame(first_seq: u64, ops: &[LogOp]) -> Result<Vec<u8>, DbError> {
-    let mut frame = Vec::new();
-    push_frame(&mut frame, &encode_commit(ops)?, first_seq);
+    let (mut frame, (body, crc)) = (Vec::new(), encode_commit(ops)?);
+    push_frame(&mut frame, &body, crc, &first_seq.to_le_bytes());
     Ok(frame)
 }
 
-/// The body of the whole, checksum-clean, non-empty frame that starts at
-/// byte `at`.
-fn frame_at(data: &[u8], at: usize) -> Option<&[u8]> {
+/// The body, at least `min` bytes of it, of the whole and checksum-clean
+/// frame that starts at byte `at`.
+fn frame_at(data: &[u8], at: usize, min: usize) -> Option<&[u8]> {
     let mut rest = data.get(at..)?;
     let len = u32::from_le_bytes(rest.split_off(..4)?.try_into().ok()?);
     let crc = u32::from_le_bytes(rest.split_off(..4)?.try_into().ok()?);
     let body = rest.split_off(..len as usize)?;
-    (len > 8 && !crc32_update(!0, body) == crc).then_some(body)
+    (body.len() >= min && !crc32_update(!0, body) == crc).then_some(body)
 }
 
 /// The error every commit gets once a flush has failed (see
@@ -334,6 +363,10 @@ struct CommitState {
 #[derive(Debug)]
 struct WalFile {
     writer: BufWriter<File>,
+    /// The file was created by this open: its directory entry is not known
+    /// to be durable until the first `fdatasync`ed flush has also synced
+    /// the directory ([`Wal::open_at`] runs before the fsync policy is set).
+    created: bool,
 }
 
 impl Wal {
@@ -360,11 +393,8 @@ impl Wal {
         let path = path.as_ref().to_path_buf();
         let file = OpenOptions::new().create(true).append(true).open(&path)?;
         // The first flush of a new file starts it with the header.
-        let buf = if file.metadata()?.len() == 0 {
-            MAGIC.to_vec()
-        } else {
-            Vec::new()
-        };
+        let created = file.metadata()?.len() == 0;
+        let buf = if created { MAGIC.to_vec() } else { Vec::new() };
         Ok(Wal {
             path,
             queue: Mutex::new(WalQueue {
@@ -381,6 +411,7 @@ impl Wal {
             commit_cond: Condvar::new(),
             file: Mutex::new(WalFile {
                 writer: BufWriter::new(file),
+                created,
             }),
             fsync: std::sync::atomic::AtomicBool::new(false),
         })
@@ -436,7 +467,7 @@ impl Wal {
             return Ok(None);
         }
         // Phase 1: encode and checksum before the queue lock.
-        let encoded = encode_commit(ops)?;
+        let (body, crc) = encode_commit(ops)?;
         // A failed flush lost records and nothing drains the buffer any
         // more: refuse, so the caller publishes nothing that can never be
         // made durable. (Records enqueued while the failing flush was in
@@ -448,7 +479,7 @@ impl Wal {
         // Phase 2: claim sequence numbers and buffer the finished frame.
         let mut q = self.queue.lock().expect("wal queue lock");
         let first_seq = q.next_seq;
-        push_frame(&mut q.buf, &encoded, first_seq);
+        push_frame(&mut q.buf, &body, crc, &first_seq.to_le_bytes());
         q.next_seq += ops.len() as u64;
         q.pending += ops.len();
         Ok(Some(q.next_seq - 1))
@@ -506,11 +537,14 @@ impl Wal {
                 .write_all(&chunk)
                 .and_then(|_| file.writer.flush())
                 .and_then(|_| {
-                    if self.fsync() {
-                        file.writer.get_ref().sync_data()
-                    } else {
-                        Ok(())
+                    if !self.fsync() {
+                        return Ok(());
                     }
+                    file.writer.get_ref().sync_data()?;
+                    if std::mem::take(&mut file.created) {
+                        sync_dir(&self.path)?;
+                    }
+                    Ok(())
                 })
         };
 
@@ -607,7 +641,9 @@ impl Wal {
                 out.extend_from_slice(&data[frame.offset..frame.end]);
             }
         }
-        replace_file(&self.path, "wal.tmp", &out, self.fsync())?;
+        replace_file(&self.path, "wal.tmp", self.fsync(), |file| {
+            Ok(file.write_all(&out)?)
+        })?;
         file.writer = BufWriter::new(OpenOptions::new().append(true).open(&self.path)?);
         Ok(())
     }
@@ -654,7 +690,7 @@ fn scan(path: &Path) -> Result<(Vec<u8>, Vec<Frame>, usize), DbError> {
         return Err(corrupt(0, "not a framed log"));
     }
     let (mut frames, mut next_seq) = (Vec::new(), 0);
-    while let Some(body) = frame_at(&data, at) {
+    while let Some(body) = frame_at(&data, at, LOG_FRAME_MIN) {
         let (mut ops, seq) = body.split_at(body.len() - 8);
         let first_seq = u64::from_le_bytes(seq.try_into().expect("eight bytes"));
         if first_seq < next_seq {
@@ -678,7 +714,9 @@ fn scan(path: &Path) -> Result<(Vec<u8>, Vec<Frame>, usize), DbError> {
     // A header cut short holds nothing; otherwise `at` ends the last whole frame.
     let whole = if data.len() < MAGIC.len() { 0 } else { at };
     if whole < data.len() {
-        if let Some(later) = (at + 1..data.len()).find(|&p| frame_at(&data, p).is_some()) {
+        if let Some(later) =
+            (at + 1..data.len()).find(|&p| frame_at(&data, p, LOG_FRAME_MIN).is_some())
+        {
             return Err(corrupt(
                 at,
                 &format!("bad frame; a valid one follows at {later}"),
@@ -705,166 +743,171 @@ fn read_cutting_torn_tail(path: &Path) -> Result<Vec<WalRecord>, DbError> {
     Ok(frames.into_iter().flat_map(|f| f.records).collect())
 }
 
-/// Write-then-rename for atomicity. With `durable`, the new contents reach
-/// the device before the rename does, and the rename before this returns:
-/// `sync_all` on the temporary file, then on the directory.
-fn replace_file(path: &Path, tmp_ext: &str, data: &[u8], durable: bool) -> Result<(), DbError> {
+#[cfg(test)]
+thread_local! {
+    /// Directory syncs issued by this thread (each test runs on its own).
+    static DIR_SYNCS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// `sync_all` on the directory holding `path`: what makes a file's creation
+/// there, or a rename into it, durable.
+fn sync_dir(path: &Path) -> std::io::Result<()> {
+    #[cfg(test)]
+    DIR_SYNCS.with(|n| n.set(n.get() + 1));
+    let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+    File::open(dir.unwrap_or(Path::new(".")))?.sync_all()
+}
+
+/// Write-then-rename for atomicity: `fill` writes the new contents into a
+/// temporary file beside `path`. With `durable`, they reach the device
+/// before the rename does, and the rename before this returns: `sync_all`
+/// on the temporary file, then on the directory.
+fn replace_file(
+    path: &Path,
+    tmp_ext: &str,
+    durable: bool,
+    fill: impl FnOnce(&mut BufWriter<File>) -> Result<(), DbError>,
+) -> Result<(), DbError> {
     let tmp = path.with_extension(tmp_ext);
-    let mut file = File::create(&tmp)?;
-    file.write_all(data)?;
+    let mut file = BufWriter::new(File::create(&tmp)?);
+    fill(&mut file)?;
+    file.flush()?;
     if durable {
-        file.sync_all()?;
+        file.get_ref().sync_all()?;
     }
     std::fs::rename(&tmp, path)?;
     if durable {
-        let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
-        File::open(dir.unwrap_or(Path::new(".")))?.sync_all()?;
+        sync_dir(path)?;
     }
     Ok(())
 }
 
-/// Full database snapshots.
+/// Decode the whole of a frame's body with `f`.
+fn whole<T>(mut body: &[u8], f: impl FnOnce(&mut &[u8]) -> Option<T>) -> Option<T> {
+    let out = f(&mut body)?;
+    body.is_empty().then_some(out)
+}
+
+/// Full database snapshots (the file layout is in the module docs).
 pub struct Snapshot;
 
-/// A snapshot file: database state, the highest WAL sequence number
-/// claimed when it was taken, and the per-table coverage.
-struct SnapshotFile {
-    covered_seq: Option<u64>,
-    /// Highest WAL seq whose effects each table's saved state includes.
-    /// Required: without it replay cannot tell which records the state
-    /// already contains, and applying the whole log over it would
-    /// double-apply them.
-    applied_seqs: BTreeMap<String, u64>,
-    database: Database,
-}
-
-impl Serialize for SnapshotFile {
-    fn to_content(&self) -> serde::Content {
-        serde::Content::Map(vec![
-            ("covered_seq".to_string(), self.covered_seq.to_content()),
-            ("applied_seqs".to_string(), self.applied_seqs.to_content()),
-            ("database".to_string(), self.database.to_content()),
-        ])
-    }
-}
-
-impl SnapshotFile {
-    /// Decode snapshot text without ever holding a parse tree of the whole
-    /// file: the database streams in row by row (see
-    /// [`Database::read_snapshot`]), so a reopen's peak is the text plus
-    /// the tables, not the text plus a tree several times their size.
-    fn read(text: &str) -> serde_json::Result<Self> {
-        let (mut covered_seq, mut applied_seqs, mut database) = (None, None, None);
-        let mut reader = serde_json::Reader::new(text);
-        reader.object(|reader, key| {
-            match key.as_str() {
-                "covered_seq" => covered_seq = Some(Option::from_content(&reader.value()?)?),
-                "applied_seqs" => applied_seqs = Some(BTreeMap::from_content(&reader.value()?)?),
-                "database" => database = Some(Database::read_snapshot(reader)?),
-                _ => drop(reader.value()?),
+impl Snapshot {
+    /// Stream `tables` — one consistent cut — into the snapshot file at
+    /// `path`, frame by frame, and return the file's length. `covered_seq`
+    /// is the highest WAL sequence number claimed when the cut was taken,
+    /// `applied_seqs` the highest whose effects each table's state includes:
+    /// without the latter replay could not tell which records the state
+    /// already contains. `durable`: see [`replace_file`].
+    pub(crate) fn write<'a>(
+        tables: impl ExactSizeIterator<Item = &'a Table>,
+        covered_seq: Option<u64>,
+        applied_seqs: &BTreeMap<String, u64>,
+        path: &Path,
+        durable: bool,
+    ) -> Result<u64, DbError> {
+        let mut bytes = SNAPSHOT_MAGIC.len() as u64;
+        replace_file(path, "tmp", durable, |file| {
+            file.write_all(SNAPSHOT_MAGIC)?;
+            let (mut body, mut frame) = (Vec::new(), Vec::new());
+            let mut emit = |body: &mut Vec<u8>| -> Result<(), DbError> {
+                if u32::try_from(body.len()).is_err() {
+                    return Err(DbError::Io("snapshot encode: frame over 4 GiB".into()));
+                }
+                frame.clear();
+                push_frame(&mut frame, body, crc32_update(!0, body), &[]);
+                body.clear();
+                bytes += frame.len() as u64;
+                Ok(file.write_all(&frame)?)
+            };
+            put_varint(&mut body, covered_seq.map_or(0, |seq| seq + 1));
+            put_varint(&mut body, applied_seqs.len() as u64);
+            for (table, seq) in applied_seqs {
+                put_bytes(&mut body, table.as_bytes());
+                put_varint(&mut body, *seq);
+            }
+            put_varint(&mut body, tables.len() as u64);
+            emit(&mut body)?;
+            for table in tables {
+                put_schema(&mut body, &table.schema);
+                put_int(&mut body, table.next_id);
+                put_varint(&mut body, table.len() as u64);
+                emit(&mut body)?;
+                for chunk in table.rows.chunks() {
+                    for (id, row) in chunk {
+                        put_int(&mut body, id);
+                        row.iter().for_each(|v| put_value(&mut body, v));
+                    }
+                    emit(&mut body)?;
+                }
             }
             Ok(())
         })?;
-        reader.end()?;
-        let missing = |field| serde_json::Error(format!("snapshot: missing field `{field}`"));
-        Ok(SnapshotFile {
-            covered_seq: covered_seq.ok_or_else(|| missing("covered_seq"))?,
-            applied_seqs: applied_seqs.ok_or_else(|| missing("applied_seqs"))?,
-            database: database.ok_or_else(|| missing("database"))?,
-        })
-    }
-}
-
-impl Snapshot {
-    /// Write the database (and the WAL seq it includes) to a file.
-    pub fn save(
-        db: &Database,
-        covered_seq: Option<u64>,
-        path: impl AsRef<Path>,
-    ) -> Result<(), DbError> {
-        // Single-threaded engine: everything is applied, so the global
-        // coverage is also every table's coverage.
-        let applied = match covered_seq {
-            Some(cov) => db.table_names().map(|t| (t.to_string(), cov)).collect(),
-            None => BTreeMap::new(),
-        };
-        Self::save_owned(db.clone(), covered_seq, applied, path)
-    }
-
-    fn save_owned(
-        database: Database,
-        covered_seq: Option<u64>,
-        applied_seqs: BTreeMap<String, u64>,
-        path: impl AsRef<Path>,
-    ) -> Result<(), DbError> {
-        let file = SnapshotFile {
-            covered_seq,
-            applied_seqs,
-            database,
-        };
-        let data =
-            serde_json::to_vec(&file).map_err(|e| DbError::Io(format!("snapshot encode: {e}")))?;
-        replace_file(path.as_ref(), "tmp", &data, false)
-    }
-
-    /// Encode one table exactly as it appears as a value inside the
-    /// snapshot file's `database.tables` map — the unit the compactor's
-    /// clean-table cache stores and reuses.
-    pub(crate) fn encode_table(table: &crate::table::Table) -> Vec<u8> {
-        serde_json::to_vec(table).expect("table JSON encode is infallible")
-    }
-
-    /// Assemble and write a snapshot from per-table pre-encoded JSON.
-    /// Byte-identical to encoding a whole [`SnapshotFile`] over the same
-    /// cut (asserted by test), but a table whose published version has not
-    /// moved since the last snapshot costs one buffer copy instead of a
-    /// full content-tree build and re-serialization — on archive-dominated
-    /// databases that is almost the entire snapshot. `durable`: see
-    /// [`replace_file`].
-    pub(crate) fn save_encoded(
-        tables: &BTreeMap<String, std::sync::Arc<Vec<u8>>>,
-        covered_seq: Option<u64>,
-        applied_seqs: &BTreeMap<String, u64>,
-        path: impl AsRef<Path>,
-        durable: bool,
-    ) -> Result<(), DbError> {
-        let enc = |e| DbError::Io(format!("snapshot encode: {e}"));
-        let covered = serde_json::to_string(&covered_seq).map_err(enc)?;
-        let applied = serde_json::to_string(applied_seqs).map_err(enc)?;
-        let body: usize = tables.iter().map(|(n, b)| n.len() + b.len() + 4).sum();
-        let mut data = Vec::with_capacity(64 + covered.len() + applied.len() + body);
-        data.extend_from_slice(b"{\"covered_seq\":");
-        data.extend_from_slice(covered.as_bytes());
-        data.extend_from_slice(b",\"applied_seqs\":");
-        data.extend_from_slice(applied.as_bytes());
-        data.extend_from_slice(b",\"database\":{\"tables\":{");
-        for (i, (name, bytes)) in tables.iter().enumerate() {
-            if i > 0 {
-                data.push(b',');
-            }
-            let key = serde_json::to_string(name).map_err(enc)?;
-            data.extend_from_slice(key.as_bytes());
-            data.push(b':');
-            data.extend_from_slice(bytes);
-        }
-        data.extend_from_slice(b"}}}");
-        replace_file(path.as_ref(), "tmp", &data, durable)
+        Ok(bytes)
     }
 
     /// Load a snapshot; returns the database (indexes rebuilt, per-table
     /// WAL coverage seeded from the recorded map) and the highest WAL seq
     /// claimed when it was taken.
     pub fn load(path: impl AsRef<Path>) -> Result<(Database, Option<u64>), DbError> {
-        let corrupt = |e: &dyn std::fmt::Display| DbError::Corrupt(format!("snapshot decode: {e}"));
-        let file = {
-            let data = std::fs::read(path.as_ref())?;
-            let text = std::str::from_utf8(&data).map_err(|e| corrupt(&e))?;
-            SnapshotFile::read(text).map_err(|e| corrupt(&e))?
+        let data = std::fs::read(path.as_ref())?;
+        let corrupt = |at: usize, why: &str| DbError::Corrupt(format!("snapshot byte {at}: {why}"));
+        if !data.starts_with(SNAPSHOT_MAGIC) {
+            return Err(corrupt(0, "not a snapshot"));
+        }
+        let mut at = SNAPSHOT_MAGIC.len();
+        // The next frame: where it starts, and its body.
+        let mut next_frame = || {
+            let start = at;
+            let body = frame_at(&data, start, 1)
+                .ok_or_else(|| corrupt(start, "damaged, or cut short of what it declares"))?;
+            at += 8 + body.len();
+            Ok::<_, DbError>((start, body))
         };
-        let mut db = file.database;
-        db.rebuild_indexes()?;
-        db.set_applied_seqs(file.applied_seqs);
-        Ok((db, file.covered_seq))
+
+        let (start, body) = next_frame()?;
+        let header = whole(body, |d| {
+            let covered_seq = get_varint(d)?.checked_sub(1);
+            let applied_seqs = (0..get_varint(d)?)
+                .map(|_| Some((get_text(d)?, get_varint(d)?)))
+                .collect::<Option<BTreeMap<_, _>>>()?;
+            Some((covered_seq, applied_seqs, get_varint(d)?))
+        });
+        let (covered_seq, applied_seqs, table_count) =
+            header.ok_or_else(|| corrupt(start, "undecodable file header"))?;
+
+        let mut tables = BTreeMap::new();
+        for _ in 0..table_count {
+            let (start, body) = next_frame()?;
+            let header = whole(body, |d| {
+                Some((get_schema(d)?, get_int(d)?, get_varint(d)?))
+            });
+            let (schema, next_id, row_count) =
+                header.ok_or_else(|| corrupt(start, "undecodable table header"))?;
+            let mut rows = Rows::default();
+            while (rows.len() as u64) < row_count {
+                let (start, mut body) = next_frame()?;
+                while !body.is_empty() {
+                    let id = get_int(&mut body);
+                    let cells = (0..schema.columns.len()).map(|_| get_value(&mut body));
+                    let row = id.zip(cells.collect::<Option<Row>>());
+                    let (id, row) = row.ok_or_else(|| corrupt(start, "undecodable row"))?;
+                    if rows.insert(id, std::sync::Arc::new(row)).is_some() {
+                        return Err(corrupt(start, "a row id twice"));
+                    }
+                }
+                if rows.len() as u64 > row_count {
+                    return Err(corrupt(start, "more rows than the table declares"));
+                }
+            }
+            let (name, table) = (schema.name.clone(), Table::unindexed(schema, rows, next_id));
+            if tables.insert(name, table).is_some() {
+                return Err(corrupt(start, "a table twice"));
+            }
+        }
+        if at < data.len() {
+            return Err(corrupt(at, "bytes after the last table"));
+        }
+        Ok((Database::from_snapshot(tables, applied_seqs)?, covered_seq))
     }
 }
 
@@ -918,6 +961,12 @@ mod tests {
         d
     }
 
+    /// Every table of `db`, in name order, as the snapshot writer takes them.
+    fn tables(db: &Database) -> std::vec::IntoIter<&Table> {
+        let tables: Vec<&Table> = db.table_names().map(|t| db.table(t).unwrap()).collect();
+        tables.into_iter()
+    }
+
     fn seed_ops(db: &mut Database) -> Vec<LogOp> {
         let mut ops = Vec::new();
         ops.push(
@@ -934,54 +983,8 @@ mod tests {
         ops
     }
 
-    #[test]
-    fn assembled_snapshot_matches_whole_file_encoding() {
-        let mut db = Database::new();
-        seed_ops(&mut db);
-        db.create_table(TableSchema::new(
-            "empty",
-            vec![Column::new("s", ValueType::Text)],
-        ))
-        .unwrap();
-        let covered = Some(9);
-        let applied: BTreeMap<String, u64> = [("t".to_string(), 7u64)].into_iter().collect();
-        let reference = serde_json::to_vec(&SnapshotFile {
-            covered_seq: covered,
-            applied_seqs: applied.clone(),
-            database: db.clone(),
-        })
-        .unwrap();
-        let parts: BTreeMap<String, std::sync::Arc<Vec<u8>>> = db
-            .table_names()
-            .map(|n| {
-                let bytes = Snapshot::encode_table(db.table(n).unwrap());
-                (n.to_string(), std::sync::Arc::new(bytes))
-            })
-            .collect();
-        let dir = tmpdir("assembled");
-        let path = dir.join("snap.json");
-        Snapshot::save_encoded(&parts, covered, &applied, &path, false).unwrap();
-        assert_eq!(
-            std::fs::read(&path).unwrap(),
-            reference,
-            "stitched per-table snapshot must be byte-identical to a whole-file encode"
-        );
-        // And it must round-trip through the normal loader.
-        let (loaded, cov) = Snapshot::load(&path).unwrap();
-        assert_eq!(cov, covered);
-        assert_eq!(loaded.count("t", &crate::query::Query::new()).unwrap(), 5);
-        assert_eq!(
-            loaded.count("empty", &crate::query::Query::new()).unwrap(),
-            0
-        );
-    }
-
-    /// Every op, every value type, the varint edges and text no escaping
-    /// would survive, as one commit of five ops and as five commits of one.
-    #[test]
-    fn frames_round_trip_every_op_and_value_shape() {
-        let crc = !crc32_update(!0, b"123456789");
-        assert_eq!(crc, 0xCBF4_3926, "the CRC-32 check value");
+    /// Every value type, the varint edges and text no escaping would survive.
+    fn every_value_shape() -> Vec<Value> {
         let text = [
             "",
             "plain",
@@ -993,6 +996,16 @@ mod tests {
         row.extend([0, 1, -1, 63, -64, 64, i64::MAX, i64::MIN].map(Value::Int));
         row.extend([1.5, -0.0, 0.1, 1e300, f64::MIN_POSITIVE].map(Value::Float));
         row.extend([-123456789, i64::MAX].map(Value::Timestamp));
+        row
+    }
+
+    /// Every op and every value shape, as one commit of five ops and as five
+    /// commits of one.
+    #[test]
+    fn frames_round_trip_every_op_and_value_shape() {
+        let crc = !crc32_update(!0, b"123456789");
+        assert_eq!(crc, 0xCBF4_3926, "the CRC-32 check value");
+        let row = every_value_shape();
         let set: Cells = (row.iter().cloned().enumerate())
             .map(|(i, v)| (i * 97, v))
             .collect();
@@ -1118,7 +1131,8 @@ mod tests {
         let mut db = Database::new();
         let ops = seed_ops(&mut db);
         let last = wal.append(&ops).unwrap();
-        Snapshot::save(&db, Some(last), &snap_path).unwrap();
+        let applied = [("t".to_string(), last)].into();
+        Snapshot::write(tables(&db), Some(last), &applied, &snap_path, false).unwrap();
 
         // post-snapshot activity
         let (_, op1) = db.insert("t", &[("v", Value::Int(100))]).unwrap();
@@ -1219,51 +1233,179 @@ mod tests {
         ))
         .unwrap();
         db.insert("t", &[("name", "a".into())]).unwrap();
-        Snapshot::save(&db, None, &snap_path).unwrap();
+        Snapshot::write(tables(&db), None, &BTreeMap::new(), &snap_path, false).unwrap();
         let (mut loaded, _) = Snapshot::load(&snap_path).unwrap();
         // unique index must be live after load
         assert!(loaded.insert("t", &[("name", "a".into())]).is_err());
         assert!(loaded.insert("t", &[("name", "b".into())]).is_ok());
     }
 
+    /// The encoder against the loader: every value shape in every column
+    /// type that takes it, an empty table, and a table of sparse ids over
+    /// several storage chunks whose last chunk is partial.
     #[test]
-    fn snapshot_load_takes_legacy_files_and_rejects_damage() {
-        let dir = tmpdir("shapes");
-        let path = dir.join("db.snap");
+    fn snapshot_round_trips_every_value_shape_and_chunking() {
+        let mut db = Database::new();
+        let wide = every_value_shape();
+        let typed = |v: &Value| match v {
+            Value::Null | Value::Text(_) => ValueType::Text,
+            Value::Bool(_) => ValueType::Bool,
+            Value::Int(_) => ValueType::Int,
+            Value::Float(_) => ValueType::Float,
+            Value::Timestamp(_) => ValueType::Timestamp,
+        };
+        let columns =
+            (wide.iter().enumerate()).map(|(i, v)| Column::new(&format!("c{i}"), typed(v)));
+        db.create_table(TableSchema::new("wide", columns.collect()))
+            .unwrap();
+        db.insert_row("wide", wide.clone()).unwrap();
+        db.insert_row("wide", vec![Value::Null; wide.len()])
+            .unwrap();
+        seed_ops(&mut db);
+        let text = |name| Column::new(name, ValueType::Text);
+        db.create_table(TableSchema::new("empty", vec![text("s")]))
+            .unwrap();
+        db.create_table(TableSchema::new("sparse", vec![text("s").unique()]))
+            .unwrap();
+        let sparse_ids: Vec<i64> = (0..300).map(|i| 1 + i * 7).chain([1 << 40]).collect();
+        for id in &sparse_ids {
+            let op = LogOp::Insert {
+                table: "sparse".into(),
+                id: *id,
+                row: vec![format!("row {id}").into()],
+            };
+            db.apply_log_op(&op).unwrap();
+        }
+        let chunks = db.table("sparse").unwrap().rows.chunks();
+        let sizes: Vec<usize> = chunks.map(Iterator::count).collect();
+        assert_eq!(
+            (sizes.len(), sizes.iter().sum::<usize>(), sizes[9]),
+            (10, 301, 1)
+        );
+
+        let path = tmpdir("snapcodec").join("db.snap");
+        let applied: BTreeMap<String, u64> = [("t".to_string(), 7), ("wide".to_string(), 0)].into();
+        let bytes = Snapshot::write(tables(&db), Some(9), &applied, &path, false).unwrap();
+        assert_eq!(bytes, std::fs::metadata(&path).unwrap().len());
+        let (loaded, covered) = Snapshot::load(&path).unwrap();
+        assert_eq!(covered, Some(9));
+        assert_eq!(
+            loaded.table_names().collect::<Vec<_>>(),
+            ["empty", "sparse", "t", "wide"]
+        );
+        for name in db.table_names() {
+            let (was, is) = (db.table(name).unwrap(), loaded.table(name).unwrap());
+            assert_eq!(is.schema, was.schema);
+            assert_eq!(is.next_id, was.next_id);
+            assert!(is.iter().eq(was.iter()), "{name}: rows differ");
+            assert_eq!(loaded.applied_seq(name), applied.get(name).copied());
+        }
+        let float = wide.iter().position(|v| *v == Value::Float(-0.0)).unwrap();
+        let zero = loaded.get("wide", 1).unwrap()[float].as_float().unwrap();
+        assert!(zero.is_sign_negative(), "-0.0 came back as 0.0");
+
+        // No coverage at all is not coverage of sequence number 0.
+        Snapshot::write(tables(&db), None, &BTreeMap::new(), &path, false).unwrap();
+        let (loaded, covered) = Snapshot::load(&path).unwrap();
+        assert_eq!((covered, loaded.applied_seq("t")), (None, None));
+    }
+
+    /// A snapshot has no legitimate torn tail and carries no unchecked
+    /// byte: every cut and every flipped bit answers `Corrupt` with a byte
+    /// offset, as do contents the checksums cannot vouch for.
+    #[test]
+    fn a_damaged_or_short_snapshot_is_corrupt() {
+        let path = tmpdir("snapdamage").join("db.snap");
         let mut db = Database::new();
         seed_ops(&mut db);
-        Snapshot::save(&db, Some(6), &path).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-
+        let applied = [("t".to_string(), 6)].into();
+        Snapshot::write(tables(&db), Some(6), &applied, &path, false).unwrap();
+        let good = std::fs::read(&path).unwrap();
         let (loaded, covered) = Snapshot::load(&path).unwrap();
         assert_eq!((covered, loaded.applied_seq("t")), (Some(6), Some(6)));
         assert_eq!(loaded.table("t").unwrap().len(), 5);
 
-        // A snapshot from before per-table accounting has a `covered_seq`
-        // but no coverage map: replaying the whole log over it would
-        // double-apply, so it is refused, naming the field.
-        let applied = "\"applied_seqs\":{\"t\":6},";
-        assert!(text.contains(applied));
-        std::fs::write(&path, text.replace(applied, "")).unwrap();
-        match Snapshot::load(&path) {
-            Err(DbError::Corrupt(why)) => assert!(why.contains("applied_seqs"), "{why}"),
-            other => panic!("legacy snapshot accepted: {:?}", other.map(|(_, seq)| seq)),
+        let corrupt = |bytes: &[u8], what: String| {
+            std::fs::write(&path, bytes).unwrap();
+            match Snapshot::load(&path) {
+                Err(DbError::Corrupt(why)) => assert!(why.starts_with("snapshot byte "), "{why}"),
+                other => panic!("{what}: {:?}", other.map(|(_, seq)| seq)),
+            }
+        };
+        for cut in 0..good.len() {
+            corrupt(&good[..cut], format!("cut at {cut}"));
         }
+        for at in 0..good.len() {
+            let mut flipped = good.clone();
+            flipped[at] ^= 1 << (at % 8);
+            corrupt(&flipped, format!("flip at {at}"));
+        }
+        corrupt(&[&good[..], &[0]].concat(), "a byte appended".into());
+        // Whole frames, but fewer than the headers declare: the file ends
+        // after the table header, and after the file header.
+        let frame_ends: Vec<usize> = {
+            let (mut at, mut ends) = (SNAPSHOT_MAGIC.len(), Vec::new());
+            while let Some(body) = frame_at(&good, at, 1) {
+                at += 8 + body.len();
+                ends.push(at);
+            }
+            ends
+        };
+        assert_eq!(frame_ends.len(), 3, "file header, table header, one chunk");
+        corrupt(&good[..frame_ends[1]], "rows missing".into());
+        corrupt(&good[..frame_ends[0]], "table missing".into());
+        // The log's magic is not the snapshot's.
+        corrupt(&[&MAGIC[..], &good[8..]].concat(), "a log's header".into());
 
-        // A duplicated unique cell, a missing field, a torn file, stray text.
-        let unique = text.replace("\"unique\":false", "\"unique\":true");
-        let twin = unique.replace("{\"Int\":1}", "{\"Int\":0}");
-        std::fs::write(&path, unique).unwrap();
-        assert!(Snapshot::load(&path).is_ok());
-        for damaged in [
-            twin,
-            text.replace("\"covered_seq\":6,", ""),
-            text.replace("\"next_id\":6", "\"next\":6"),
-            text[..text.len() / 2].to_string(),
-            format!("{text}]"),
+        // What the checksums cannot see is still checked on load: a
+        // duplicated unique cell, a cell of the wrong type, and — refused by
+        // the column types, as in the log — a non-finite float.
+        let unique = TableSchema::new("t", vec![Column::new("v", ValueType::Int).unique()]);
+        let float = TableSchema::new("t", vec![Column::new("v", ValueType::Float)]);
+        let rows = db.table("t").unwrap().rows.clone();
+        let with = |mut rows: Rows, id, cell| {
+            rows.insert(id, std::sync::Arc::new(vec![cell]));
+            rows
+        };
+        for (schema, rows, fine) in [
+            (&unique, rows.clone(), true),
+            (&unique, with(rows.clone(), 9, Value::Int(0)), false),
+            (&float, rows.clone(), false),
+            (&float, with(Rows::default(), 1, Value::Float(1.5)), true),
+            (
+                &float,
+                with(Rows::default(), 1, Value::Float(f64::NAN)),
+                false,
+            ),
         ] {
-            std::fs::write(&path, damaged).unwrap();
-            assert!(Snapshot::load(&path).is_err());
+            let table = Table::unindexed(schema.clone(), rows, 10);
+            Snapshot::write([&table].into_iter(), None, &BTreeMap::new(), &path, false).unwrap();
+            assert_eq!(Snapshot::load(&path).is_ok(), fine);
         }
+    }
+
+    /// The log file's creation is made durable with its first durable
+    /// flush: one directory sync, then none; none for a file that was there.
+    #[test]
+    fn a_new_logs_first_durable_flush_syncs_the_directory_once() {
+        let path = tmpdir("dirsync").join("db.wal");
+        let op = LogOp::Delete {
+            table: "t".into(),
+            id: 1,
+        };
+        let dir_syncs = |wal: &Wal| {
+            let before = DIR_SYNCS.with(|n| n.get());
+            wal.append(std::slice::from_ref(&op)).unwrap();
+            DIR_SYNCS.with(|n| n.get()) - before
+        };
+        let wal = Wal::open(&path).unwrap();
+        assert_eq!(dir_syncs(&wal), 0, "fsync is off");
+        wal.set_fsync(true);
+        assert_eq!(dir_syncs(&wal), 1, "first durable flush of a created file");
+        assert_eq!(dir_syncs(&wal), 0);
+        drop(wal);
+        let wal = Wal::open(&path).unwrap();
+        wal.set_fsync(true);
+        assert_eq!(dir_syncs(&wal), 0, "the file was there");
     }
 }

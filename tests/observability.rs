@@ -7,8 +7,8 @@
 //!
 //! Metrics are cumulative per process, so every assertion here is a
 //! "present / increased by" check, never an exact global count — except
-//! on the log-flush and log-byte counters and the tick stage timers; the
-//! tests that move any of them take turns on [`EXACT_DELTAS`].
+//! on the log-flush and log-byte counters and the tick and checkpoint stage
+//! timers; the tests that move any of them take turns on [`EXACT_DELTAS`].
 
 use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
@@ -34,7 +34,8 @@ fn truth() -> StellarParams {
 
 /// Held by a test while it flushes a write-ahead log or ticks a daemon, so
 /// that another's deltas of `simdb_wal_fsync_total`, `simdb_wal_bytes_total`
-/// and the `gridamp_tick_stage_seconds` sums are its own.
+/// and the `gridamp_tick_stage_seconds` / `simdb_checkpoint_seconds` sums are
+/// its own.
 static EXACT_DELTAS: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 fn tmpdir(tag: &str) -> PathBuf {
@@ -60,6 +61,7 @@ fn metrics_endpoint_covers_all_three_tiers() {
             let mut star = Star::from_catalog(s, "local");
             stars.create(&mut star).unwrap();
         }
+        db.compact().unwrap();
     }
 
     // --- daemon + GA tier: a tiny optimization run on simulated Kraken ---
@@ -126,6 +128,12 @@ fn metrics_endpoint_covers_all_three_tiers() {
         "simdb_rows_copied_per_write",
         "simdb_index_entries_copied_per_write",
         "simdb_group_commit_writers",
+        // where a checkpoint's wall time went, and what it wrote
+        "# TYPE simdb_checkpoint_seconds histogram",
+        "simdb_checkpoint_seconds_count{stage=\"pin\"}",
+        "simdb_checkpoint_seconds_count{stage=\"encode_write\"}",
+        "simdb_checkpoint_seconds_count{stage=\"truncate\"}",
+        "simdb_snapshot_bytes",
         // per-table lock series (replaced the whole-engine hold timer);
         // every migrated table registers its own labelled pair
         "# TYPE simdb_table_lock_hold_seconds histogram",
@@ -333,6 +341,55 @@ fn tick_stage_timers_add_up_to_the_tick() {
             "workers={workers}: stages sum to {staged:?} of {in_tick:?} in tick()"
         );
     }
+}
+
+/// The three checkpoint stage timers are contiguous: over a few compactions
+/// of a 20,000-row durable table their sums add up to the wall time spent
+/// inside `compact()`, and the gauge is the snapshot file's length.
+#[test]
+fn checkpoint_stage_timers_add_up_to_the_checkpoint() {
+    let _turn = EXACT_DELTAS.lock().unwrap_or_else(|e| e.into_inner());
+    let stage_nanos = || -> u64 {
+        ["pin", "encode_write", "truncate"]
+            .iter()
+            .map(|stage| {
+                let name = obs::labeled("simdb_checkpoint_seconds", &[("stage", stage)]);
+                let series = obs::registry().histogram(&name, obs::Unit::Seconds);
+                series.snapshot().sum
+            })
+            .sum()
+    };
+    let dir = tmpdir("checkpoint");
+    let db = Db::open(dir.join("amp.snap"), dir.join("amp.wal")).unwrap();
+    db.set_fsync(true);
+    db.define_role(amp::simdb::Role::superuser("admin"));
+    let admin = db.connect("admin").unwrap();
+    let text = |name| amp::simdb::Column::new(name, amp::simdb::ValueType::Text);
+    let schema = amp::simdb::TableSchema::new("job", vec![text("state").indexed(), text("handle")]);
+    admin.create_table(schema).unwrap();
+    let (staged_before, mut in_compact) = (stage_nanos(), Duration::ZERO);
+    for round in 0..4 {
+        admin
+            .transaction(&["job"], |tx| {
+                (0..5_000).try_for_each(|i| {
+                    let handle = format!("https://kraken/gram/{round}/{i}");
+                    let job = [("state", "DONE".into()), ("handle", handle.into())];
+                    tx.insert("job", &job).map(drop)
+                })
+            })
+            .unwrap();
+        let started = std::time::Instant::now();
+        db.compact().unwrap();
+        in_compact += started.elapsed();
+        let written = std::fs::metadata(dir.join("amp.snap")).unwrap().len();
+        assert_eq!(obs::gauge("simdb_snapshot_bytes").get(), written as i64);
+    }
+    let staged = Duration::from_nanos(stage_nanos() - staged_before);
+    let gap = in_compact.abs_diff(staged).as_secs_f64() / in_compact.as_secs_f64();
+    assert!(
+        gap <= 0.10,
+        "stages sum to {staged:?} of {in_compact:?} in compact()"
+    );
 }
 
 /// A transient storm past the retry cap escalates to HOLD; the flight
