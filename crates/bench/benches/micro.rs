@@ -121,6 +121,7 @@ fn bench_scheduler(c: &mut Criterion) {
                         walltime: SimDuration::from_minutes(30.0),
                         depends_on: vec![],
                         name: format!("j{i}"),
+                        submission_id: None,
                     },
                 )
                 .unwrap();

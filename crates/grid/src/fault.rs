@@ -38,6 +38,19 @@ pub struct OutageWindow {
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct FaultPlan {
     windows: Vec<OutageWindow>,
+    /// Windows in which GRAM does what a submission asks and the reply is
+    /// lost on its way back ([`Self::add_lost_replies`]).
+    #[serde(default)]
+    lost_replies: Vec<OutageWindow>,
+}
+
+fn covered(windows: &[OutageWindow], site: &str, service: Service, now: SimTime) -> bool {
+    windows.iter().any(|w| {
+        (w.site == "*" || w.site == site)
+            && w.service.covers(service)
+            && now >= w.from
+            && now < w.to
+    })
 }
 
 impl FaultPlan {
@@ -56,12 +69,24 @@ impl FaultPlan {
 
     /// Is `service` at `site` down at `now`?
     pub fn is_down(&self, site: &str, service: Service, now: SimTime) -> bool {
-        self.windows.iter().any(|w| {
-            (w.site == "*" || w.site == site)
-                && w.service.covers(service)
-                && now >= w.from
-                && now < w.to
-        })
+        covered(&self.windows, site, service, now)
+    }
+
+    /// Inside `[from, to)` GRAM at `site` accepts a submission, creates the
+    /// job, audits it — and answers `ServiceUnreachable`: the failure a
+    /// client cannot tell from an outage, and must be able to repeat.
+    pub fn add_lost_replies(&mut self, site: &str, from: SimTime, to: SimTime) {
+        self.lost_replies.push(OutageWindow {
+            site: site.to_string(),
+            service: Service::Gram,
+            from,
+            to,
+        });
+    }
+
+    /// Is the reply to a GRAM submission at `site` lost at `now`?
+    pub fn reply_lost(&self, site: &str, now: SimTime) -> bool {
+        covered(&self.lost_replies, site, Service::Gram, now)
     }
 
     /// Sprinkle `count` random outages of `dur` over `[0, horizon)` for a

@@ -36,6 +36,20 @@ pub struct GramJobSpec {
     pub depends_on: Vec<GramJobHandle>,
     /// Human-readable name for audit/Gantt output.
     pub name: String,
+    /// Client-chosen submission id (GT4 WS-GRAM's `-submission-id`): a site
+    /// accepts an id once and answers a repeat with the job it already has,
+    /// so a client that lost the reply — or its own record of it — submits
+    /// again and cannot create a second job. `None` is a plain submission.
+    pub submission_id: Option<String>,
+}
+
+/// One accepted submission id, as [`crate::Grid::gram_submissions`] lists it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct GramSubmission {
+    pub id: String,
+    pub handle: GramJobHandle,
+    pub service: GramService,
+    pub cores: u32,
 }
 
 /// An opaque GRAM contact string, e.g.

@@ -38,6 +38,7 @@
 //!     walltime: SimDuration::from_minutes(10.0),
 //!     depends_on: vec![],
 //!     name: "demo".into(),
+//!     submission_id: None,
 //! }).unwrap();
 //! grid.advance(SimDuration::from_minutes(30.0));
 //! assert_eq!(grid.gram_status("kraken", &proxy, &h).unwrap(), GramState::Done);
@@ -59,7 +60,9 @@ pub use crate::audit::{AuditLog, AuditRecord};
 pub use crate::error::GridError;
 pub use crate::fault::{DaemonFault, DaemonFaultEvent, DaemonFaultPlan, FaultPlan, Service};
 pub use crate::fs::SiteFs;
-pub use crate::gram::{GramJobHandle, GramJobSpec, GramService, GramState, JobTimes};
+pub use crate::gram::{
+    GramJobHandle, GramJobSpec, GramService, GramState, GramSubmission, JobTimes,
+};
 pub use crate::gss::{CommunityCredential, ProxyCertificate};
 pub use crate::scheduler::{BatchJob, JobOutcome, JobState, Scheduler};
 pub use crate::systems::SystemProfile;
@@ -79,7 +82,7 @@ pub mod prelude {
 use crate::scheduler::{BackgroundLoad, JobRequest, Payload};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
-use std::ops::{Deref, DerefMut};
+use std::ops::{Bound, Deref, DerefMut};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Lock a mutex, recovering from poison: the protected state is plain
@@ -130,6 +133,9 @@ pub struct Site {
     authorized: BTreeSet<String>,
     /// Registered credentials for proxy verification, by subject.
     trust: BTreeMap<String, CommunityCredential>,
+    /// Accepted submission ids, each with the job it created: `(service,
+    /// scheduler job id, cores)`. Ordered, so a prefix lists in one range.
+    submissions: BTreeMap<String, (GramService, u64, u32)>,
 }
 
 struct BackgroundState {
@@ -267,6 +273,7 @@ impl Grid {
                 background: None,
                 authorized: BTreeSet::new(),
                 trust: BTreeMap::new(),
+                submissions: BTreeMap::new(),
             }),
         );
     }
@@ -480,6 +487,20 @@ impl Grid {
         proxy: &ProxyCertificate,
         spec: GramJobSpec,
     ) -> Result<GramJobHandle, GridError> {
+        let reply = self.gram_submit_known(site, proxy, spec);
+        reply.map(|(handle, _known)| handle)
+    }
+
+    /// [`Self::gram_submit`], also saying whether the site already held the
+    /// spec's submission id. If it did, the handle is that job's, the
+    /// scheduler is not touched and the audit action is `"resubmit"` (with
+    /// the id), so `"submit"` records count the jobs created.
+    pub fn gram_submit_known(
+        &self,
+        site: &str,
+        proxy: &ProxyCertificate,
+        spec: GramJobSpec,
+    ) -> Result<(GramJobHandle, bool), GridError> {
         // Resolve dependency handles to local scheduler ids.
         let mut deps = Vec::with_capacity(spec.depends_on.len());
         for h in &spec.depends_on {
@@ -494,44 +515,98 @@ impl Grid {
             deps.push(id);
         }
         let now = self.now();
-        let (id, new_events) = {
+        let (handle, known, detail, new_events) = {
             let mut guard = self.check_access(site, Service::Gram, proxy, now)?;
             let s = &mut *guard;
-            if s.apps.get(&spec.executable).is_none() {
-                return Err(GridError::NoSuchApplication {
-                    site: site.to_string(),
-                    executable: spec.executable.clone(),
-                });
+            let held = spec.submission_id.as_ref().and_then(|id| {
+                let &(service, job, _cores) = s.submissions.get(id)?;
+                Some((id, GramJobHandle::new(site, service, job)))
+            });
+            if let Some((id, handle)) = held {
+                let detail = format!("{id} -> {handle}");
+                (handle, true, detail, Vec::new())
+            } else {
+                if s.apps.get(&spec.executable).is_none() {
+                    return Err(GridError::NoSuchApplication {
+                        site: site.to_string(),
+                        executable: spec.executable,
+                    });
+                }
+                let cores = match spec.service {
+                    GramService::Fork => 0,
+                    GramService::Batch => spec.cores.max(1),
+                };
+                let req = JobRequest {
+                    name: spec.name,
+                    cores,
+                    walltime: spec.walltime,
+                    deps,
+                    payload: Payload::App {
+                        executable: spec.executable.clone(),
+                        args: spec.args,
+                        workdir: spec.workdir,
+                    },
+                };
+                let job = s.scheduler.submit(req, now, false)?;
+                if let Some(id) = spec.submission_id {
+                    s.submissions.insert(id, (spec.service, job, cores));
+                }
+                let handle = GramJobHandle::new(site, spec.service, job);
+                let detail = format!("{} -> {}", spec.executable, handle);
+                let new_events = s.scheduler.schedule_pass(now, &mut s.fs, &s.apps);
+                (handle, false, detail, new_events)
             }
-            let cores = match spec.service {
-                GramService::Fork => 0,
-                GramService::Batch => spec.cores.max(1),
-            };
-            let req = JobRequest {
-                name: spec.name.clone(),
-                cores,
-                walltime: spec.walltime,
-                deps,
-                payload: Payload::App {
-                    executable: spec.executable.clone(),
-                    args: spec.args.clone(),
-                    workdir: spec.workdir.clone(),
-                },
-            };
-            let id = s.scheduler.submit(req, now, false)?;
-            (id, s.scheduler.schedule_pass(now, &mut s.fs, &s.apps))
         };
         self.queue_job_events(site, new_events);
-        let handle = GramJobHandle::new(site, spec.service, id);
-        self.record_audit(
-            now,
-            site,
-            "GRAM",
-            proxy,
-            "submit",
-            format!("{} -> {}", spec.executable, handle),
-        );
-        Ok(handle)
+        let action = if known { "resubmit" } else { "submit" };
+        self.record_audit(now, site, "GRAM", proxy, action, detail);
+        if self.faults.reply_lost(site, now) {
+            return Err(GridError::ServiceUnreachable {
+                site: site.to_string(),
+                service: "GRAM",
+                at: now,
+            });
+        }
+        Ok((handle, known))
+    }
+
+    /// The submission ids this site has accepted under `prefix`, in id
+    /// order, each with the job it created — what a client that lost its
+    /// own records asks the site's GRAM audit database for.
+    pub fn gram_submissions(
+        &self,
+        site: &str,
+        proxy: &ProxyCertificate,
+        prefix: &str,
+    ) -> Result<Vec<GramSubmission>, GridError> {
+        let s = self.check_access(site, Service::Gram, proxy, self.now())?;
+        let from = (Bound::Included(prefix), Bound::Unbounded);
+        let under = s.submissions.range::<str, _>(from);
+        Ok(under
+            .take_while(|(id, _)| id.starts_with(prefix))
+            .map(|(id, &(service, job, cores))| GramSubmission {
+                id: id.clone(),
+                handle: GramJobHandle::new(site, service, job),
+                service,
+                cores,
+            })
+            .collect())
+    }
+
+    /// Destroy a submission id (the job resource's `destroy`): the site
+    /// forgets it, and the next submission carrying it creates a job.
+    pub fn gram_release(
+        &self,
+        site: &str,
+        proxy: &ProxyCertificate,
+        id: &str,
+    ) -> Result<(), GridError> {
+        let now = self.now();
+        let mut s = self.check_access(site, Service::Gram, proxy, now)?;
+        s.submissions.remove(id);
+        drop(s);
+        self.record_audit(now, site, "GRAM", proxy, "release", id.to_string());
+        Ok(())
     }
 
     /// Poll a job's GRAM status (`globus-job-status`-equivalent).
@@ -704,6 +779,7 @@ mod tests {
             walltime: SimDuration::from_minutes(minutes + 10.0),
             depends_on: vec![],
             name: name.into(),
+            submission_id: None,
         }
     }
 
@@ -791,6 +867,92 @@ mod tests {
         assert!(grid
             .gram_submit("kraken", &proxy, sleep_spec("a", 5.0, GramService::Batch))
             .is_ok());
+    }
+
+    #[test]
+    fn a_repeated_submission_id_is_answered_with_the_job_it_created() {
+        let (grid, _cred, proxy) = setup();
+        let with_id = |id: &str| GramJobSpec {
+            submission_id: Some(id.into()),
+            ..sleep_spec("a", 30.0, GramService::Batch)
+        };
+        let submit = |id: &str| grid.gram_submit_known("kraken", &proxy, with_id(id));
+        let (first, known) = submit("sim7/stellar/WORK/r0c0").unwrap();
+        assert!(!known);
+        // Repeats are answered the same while it runs and after it ended.
+        assert_eq!(
+            submit("sim7/stellar/WORK/r0c0").unwrap(),
+            (first.clone(), true)
+        );
+        grid.advance(SimDuration::from_minutes(45.0));
+        assert_eq!(
+            submit("sim7/stellar/WORK/r0c0").unwrap(),
+            (first.clone(), true)
+        );
+        let (other, known) = submit("sim70/stellar/WORK/r0c0").unwrap();
+        assert!(!known && other != first);
+        assert_eq!(grid.site("kraken").unwrap().scheduler.jobs().count(), 2);
+
+        // "submit" records count jobs created; a "resubmit" says which.
+        let actions = |action: &str| {
+            let audit = grid.audit();
+            let of_action = audit.records().iter().filter(|r| r.action == action);
+            of_action.map(|r| r.detail.clone()).collect::<Vec<_>>()
+        };
+        assert_eq!(actions("submit").len(), 2);
+        let repeat = format!("sim7/stellar/WORK/r0c0 -> {first}");
+        assert_eq!(actions("resubmit"), vec![repeat.clone(), repeat]);
+
+        // A prefix lists a simulation's ids and no other's.
+        let held = grid.gram_submissions("kraken", &proxy, "sim7/").unwrap();
+        assert_eq!(held.len(), 1);
+        assert_eq!(
+            (held[0].id.as_str(), &held[0].handle, held[0].cores),
+            ("sim7/stellar/WORK/r0c0", &first, 128)
+        );
+        assert_eq!(
+            grid.gram_submissions("kraken", &proxy, "sim")
+                .unwrap()
+                .len(),
+            2
+        );
+        assert!(grid
+            .gram_submissions("kraken", &proxy, "sim8/")
+            .unwrap()
+            .is_empty());
+
+        // A released id is free again.
+        grid.gram_release("kraken", &proxy, "sim7/stellar/WORK/r0c0")
+            .unwrap();
+        let (fresh, known) = submit("sim7/stellar/WORK/r0c0").unwrap();
+        assert!(!known && fresh != first);
+    }
+
+    #[test]
+    fn a_lost_reply_leaves_the_job_and_a_repeat_finds_it() {
+        let (mut grid, _cred, proxy) = setup();
+        grid.faults
+            .add_lost_replies("kraken", SimTime(0), SimTime(600));
+        let spec = GramJobSpec {
+            submission_id: Some("sim1/stellar/PREJOB/r-1c0".into()),
+            ..sleep_spec("pre", 5.0, GramService::Fork)
+        };
+        let lost = grid
+            .gram_submit("kraken", &proxy, spec.clone())
+            .unwrap_err();
+        assert!(lost.is_transient());
+        assert_eq!(grid.site("kraken").unwrap().scheduler.jobs().count(), 1);
+        assert_eq!(grid.audit().records()[0].action, "submit");
+        // The reply to a repeat is lost like any other, and creates nothing.
+        assert!(grid.gram_submit("kraken", &proxy, spec.clone()).is_err());
+        grid.advance(SimDuration::from_secs(700));
+        let (handle, known) = grid.gram_submit_known("kraken", &proxy, spec).unwrap();
+        assert!(known);
+        assert_eq!(grid.site("kraken").unwrap().scheduler.jobs().count(), 1);
+        assert_eq!(
+            grid.gram_status("kraken", &proxy, &handle).unwrap(),
+            GramState::Done
+        );
     }
 
     #[test]

@@ -127,7 +127,9 @@ impl OpsLog {
     }
 }
 
-/// The `globusrun`-equivalent command line for a GRAM submission.
+/// The `globusrun`-equivalent command line for a GRAM submission. It
+/// carries the submission id, so pasting it repeats the submission without
+/// creating a second job.
 pub fn gram_submit_cmdline(site: &str, spec: &GramJobSpec) -> String {
     let manager = match spec.service {
         GramService::Fork => "jobmanager-fork",
@@ -146,7 +148,9 @@ pub fn gram_submit_cmdline(site: &str, spec: &GramJobSpec) -> String {
     for dep in &spec.depends_on {
         rsl.push_str(&format!("(dependsOn={dep})"));
     }
-    format!("globusrun -b -r {site}/{manager} '{rsl}'")
+    let id = spec.submission_id.as_deref();
+    let (flag, id) = id.map_or(("", ""), |id| (" -submission-id ", id));
+    format!("globusrun -b -r {site}/{manager}{flag}{id} '{rsl}'")
 }
 
 /// The `globus-job-status`-equivalent poll command line.
@@ -177,7 +181,8 @@ mod tests {
             cores: 128,
             walltime: SimDuration::from_hours(6.0),
             depends_on: vec![GramJobHandle::new("kraken", GramService::Batch, 9)],
-            name: "sim3-WORK-r0c1".into(),
+            name: "sim3/stellar/WORK/r0c1".into(),
+            submission_id: None,
         }
     }
 
@@ -190,6 +195,11 @@ mod tests {
         assert!(cmd.contains("(maxWallTime=360)"));
         assert!(cmd.contains("(arguments=126 200 7)"));
         assert!(cmd.contains("dependsOn=gram://kraken/jobmanager-pbs/9"));
+        let mut with_id = spec();
+        with_id.submission_id = Some(with_id.name.clone());
+        assert!(gram_submit_cmdline("kraken", &with_id).starts_with(
+            "globusrun -b -r kraken/jobmanager-pbs -submission-id sim3/stellar/WORK/r0c1 '&"
+        ));
 
         assert_eq!(
             gram_status_cmdline("gram://kraken/jobmanager-pbs/42"),

@@ -29,7 +29,7 @@
 //! (simulation-id) order, and reports are merged by [`merge_reports`], so
 //! the database ends up the same at any pool size.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::time::Instant;
 
 use amp_core::models::{AmpUser, GridJobRecord, Lease, Notification, NotifyMode, Simulation};
@@ -42,7 +42,9 @@ use crate::clilog::{gram_status_cmdline, OpOutcome, OpsEntry, OpsLog};
 use crate::error::WorkflowError;
 use crate::lease::{self, ClaimOutcome};
 use crate::optimize::PartialResults;
-use crate::workflow::{owner_username, step, DaemonConfig, StageCtx};
+use crate::workflow::{
+    commit_results, owner_username, step, unrecorded, DaemonConfig, StageCtx, StepHook,
+};
 
 /// Daemon-wide metric handles (global registry, resolved once). The
 /// per-state transition and per-site poll series are labelled, so those
@@ -281,11 +283,9 @@ fn poll_job_once(
 /// Commit a shard's dirtied job rows as one database transaction: one WAL
 /// batch and one new table version, regardless of how many of its jobs
 /// transitioned this tick. Rows are per-job disjoint (each job is polled
-/// at most once per tick). Like every daemon write but a job's creation,
-/// the batch waits for no flush of its own — the tick's closing flush (or
-/// an earlier submission's) makes it durable — because a crash loses at
-/// most one tick's poll results, which the next tick's poll re-derives
-/// from GRAM.
+/// at most once per tick). Like every daemon write, the batch waits for
+/// the tick's closing flush: a crash loses at most one tick's poll results,
+/// which the next tick's poll re-derives from GRAM.
 fn commit_job_batch(conn: &Connection, batch: &[GridJobRecord]) -> Result<(), DbError> {
     if batch.is_empty() {
         return Ok(());
@@ -325,7 +325,10 @@ struct StepProduct {
 /// waiting on the grid — commits nothing (no WAL record, no table version
 /// bump), and a transition clears the status message. The save waits for
 /// no flush: a lost transition is re-derived by the next tick from the job
-/// records, which [`StageCtx`] flushes as it creates them.
+/// records, and a lost job record from the site, which answers the
+/// submission's id with the job it already has. The one transition that
+/// carries a charge commits with it ([`commit_results`]).
+#[allow(clippy::too_many_arguments)]
 fn step_sim_once(
     conn: &Connection,
     grid: &Grid,
@@ -334,9 +337,11 @@ fn step_sim_once(
     mut sim: Simulation,
     lease_epoch: i64,
     remembered: Option<&PartialResults>,
+    reconcile: bool,
+    step_point: Option<&StepHook>,
 ) -> StepProduct {
     let (from, loaded, mut ops) = (sim.status, sim.clone(), OpsLog::new());
-    let mut partial = None;
+    let (mut partial, mut charge) = (None, None);
     let outcome = owner_username(conn, &sim).and_then(|owner_username| {
         let mut ctx = StageCtx {
             grid,
@@ -349,16 +354,24 @@ fn step_sim_once(
             lease_epoch: Some(lease_epoch),
             remembered,
             learned: None,
+            charge: None,
+            step_point,
         };
+        if reconcile {
+            ctx.reconcile()?;
+        }
         let next = step(&mut ctx)?;
-        partial = ctx.learned;
+        (partial, charge) = (ctx.learned, ctx.charge.filter(|_| next.is_some()));
         Ok(next)
     });
     let saved = outcome.as_ref().is_ok_and(|next| {
         if next.is_some() {
             sim.status_message.clear();
         }
-        sim == loaded || Manager::<Simulation>::new(conn.clone()).save(&sim).is_ok()
+        match charge {
+            Some(sus) => commit_results(conn, &mut sim, sus).is_ok(),
+            None => sim == loaded || Manager::<Simulation>::new(conn.clone()).save(&sim).is_ok(),
+        }
     });
     StepProduct {
         sim,
@@ -407,6 +420,14 @@ pub struct GridAmp {
     /// simulating a GC-style stop-the-world pause — while peers take over
     /// its leases, then let it resume into the fencing guards.
     pub pause_point: Option<Box<dyn FnMut() + Send>>,
+    /// Crash-test instrumentation inside the step phase, on whichever
+    /// thread steps the simulation: called at each
+    /// [`crate::workflow::StepPoint`] of every GRAM submission.
+    pub step_point: Option<Box<StepHook>>,
+    /// The owned simulations that have been stepped without error since
+    /// this process came to own them: the first such step reconciles the job
+    /// table with what the site accepted ([`StageCtx::reconcile`]).
+    reconciled: HashSet<i64>,
 }
 
 impl GridAmp {
@@ -429,6 +450,8 @@ impl GridAmp {
             partial: HashMap::new(),
             clock_skew_secs: 0,
             pause_point: None,
+            step_point: None,
+            reconciled: HashSet::new(),
         })
     }
 
@@ -526,6 +549,7 @@ impl GridAmp {
             }
         }
         self.partial.retain(|sim_id, _| owned.contains_key(sim_id));
+        self.reconciled.retain(|sim_id| owned.contains_key(sim_id));
         self.owned = owned;
     }
 
@@ -538,12 +562,12 @@ impl GridAmp {
     }
 
     /// One daemon cycle, and the daemon's unit of durability: its writes
-    /// are logged and visible as they happen but only two things flush the
-    /// log — a GRAM submission's job record, the moment it is written
-    /// (`StageCtx::record_submission`), and the end of the tick. Whatever
-    /// a crash takes with it since the last of those — lease renewals,
-    /// poll results, transitions, charges, notifications — the next tick
-    /// recomputes from the job records and GRAM (DESIGN §9.9).
+    /// are logged and visible as they happen, and the log is flushed once,
+    /// at the end. Whatever a crash takes with it since the last tick's
+    /// end — lease renewals, job records, poll results, transitions,
+    /// charges, notifications — the next owner recomputes from what is
+    /// durable and from the site, which answers a submission's id with the
+    /// job it already has (DESIGN §9.9).
     pub fn tick(&mut self, grid: &Grid) -> TickReport {
         self.ticks += 1;
         let metrics = obs_metrics();
@@ -735,13 +759,14 @@ impl GridAmp {
             .map(|(&sim_id, &epoch)| (sim_id, epoch));
         let shards = self.shards(due, |&(sim_id, _epoch)| sim_id);
         let (conn, config, cred, partial) = (&self.conn, &self.config, &self.cred, &self.partial);
+        let (reconciled, step_point) = (&self.reconciled, self.step_point.as_deref());
         let sims: Manager<Simulation> = self.sims();
         let parts = fan_out(shards, |shard| {
             let stepped = shard.into_iter().filter_map(|(sim_id, epoch)| {
                 let sim = sims.get(sim_id).ok()?;
-                let remembered = partial.get(&sim_id);
+                let (remembered, reconcile) = (partial.get(&sim_id), !reconciled.contains(&sim_id));
                 Some(step_sim_once(
-                    conn, grid, config, cred, sim, epoch, remembered,
+                    conn, grid, config, cred, sim, epoch, remembered, reconcile, step_point,
                 ))
             });
             stepped.collect::<Vec<StepProduct>>()
@@ -767,6 +792,9 @@ impl GridAmp {
             Some(partial) => self.partial.insert(sim_id, partial),
             None => self.partial.remove(&sim_id),
         };
+        if product.outcome.is_ok() {
+            self.reconciled.insert(sim_id);
+        }
         match product.outcome {
             Ok(Some(next)) => {
                 self.transient_streak.remove(&sim_id);
@@ -870,14 +898,27 @@ impl GridAmp {
     /// Administrator action: resume a held simulation from the state it
     /// was in ("once the problem has been resolved, the workflow resumes
     /// automatically", §4.4). An acknowledged action, not tick work: it is
-    /// durable when this returns.
-    pub fn resume_from_hold(&mut self, sim_id: i64) -> Result<SimStatus, DbError> {
+    /// durable when this returns. A job record the administrator deleted
+    /// while fixing the hold is a job to run again, so the site is told to
+    /// forget its submission id — or it would answer the resubmission with
+    /// the job that failed.
+    pub fn resume_from_hold(
+        &mut self,
+        grid: &Grid,
+        sim_id: i64,
+    ) -> Result<SimStatus, WorkflowError> {
         let mut sim = self.sims().get(sim_id)?;
         if sim.status != SimStatus::Hold {
-            return Err(DbError::Schema(format!(
+            return Err(WorkflowError::Daemon(format!(
                 "simulation {sim_id} is not held (status {})",
                 sim.status
             )));
+        }
+        let lifetime = SimDuration::from_hours(self.config.proxy_lifetime_hours);
+        let username = owner_username(&self.conn, &sim)?;
+        let proxy = self.cred.issue_proxy(&username, grid.now(), lifetime);
+        for deleted in unrecorded(grid, &self.conn, &proxy, &sim)? {
+            grid.gram_release(&sim.system, &proxy, &deleted.id)?;
         }
         let resume_to: SimStatus = sim
             .held_from

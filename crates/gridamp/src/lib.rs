@@ -47,7 +47,7 @@ pub use setup::{
     deploy, deploy_cluster, deploy_multi, seed_curvefit_fixtures, seed_fixtures, small_spec,
     ClusterDeployment, Deployment,
 };
-pub use workflow::{workflow_table, DaemonConfig, StageCtx};
+pub use workflow::{workflow_table, DaemonConfig, StageCtx, StepPoint};
 
 #[cfg(test)]
 mod end_to_end {
@@ -264,7 +264,7 @@ mod end_to_end {
                 jobs.delete(j.id.unwrap()).unwrap();
             }
         }
-        let resumed_to = dep.daemon.resume_from_hold(sim_id).unwrap();
+        let resumed_to = dep.daemon.resume_from_hold(&dep.grid, sim_id).unwrap();
         assert_eq!(resumed_to, SimStatus::Running);
 
         dep.daemon.run_until_settled(&dep.grid, 48.0);

@@ -141,11 +141,11 @@ fn try_stage_out(ctx: &mut StageCtx<'_>, path: &str) -> Result<Option<Vec<u8>>, 
     }
 }
 
-/// Stage observations and launch the ensemble (one chain per GA run).
+/// Stage observations and launch the ensemble (one chain per GA run). A
+/// retry — after a step that failed or crashed part of the way through the
+/// runs — submits the ones still missing: `submit_batch` is idempotent per
+/// job, where "some Work job exists" would leave the rest unsubmitted.
 pub fn submit_work(ctx: &mut StageCtx<'_>) -> Result<bool, WorkflowError> {
-    if !ctx.jobs_of(JobPurpose::Work)?.is_empty() {
-        return Ok(true);
-    }
     let app = ctx.app()?;
     let (spec, observation_id) = spec_of(ctx)?;
     let observations = Manager::<Observation>::new(ctx.conn.clone());

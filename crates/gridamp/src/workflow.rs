@@ -27,11 +27,11 @@ use amp_core::models::{AmpUser, GridJobRecord, Simulation};
 use amp_core::status::{JobPurpose, JobStatus, SimStatus};
 use amp_core::SimKind;
 use amp_grid::{
-    CommunityCredential, GramJobHandle, GramJobSpec, GramService, Grid, ProxyCertificate,
-    SimDuration,
+    CommunityCredential, GramJobHandle, GramJobSpec, GramService, GramSubmission, Grid, GridError,
+    ProxyCertificate, SimDuration,
 };
-use amp_simdb::orm::Manager;
-use amp_simdb::{Connection, Op, Query, Value};
+use amp_simdb::orm::{Manager, Model};
+use amp_simdb::{Connection, DbError, Op, Query, Value};
 
 use crate::apps::paths;
 use crate::clilog::{ftp_cmdline, gram_submit_cmdline, OpOutcome, OpsEntry, OpsLog};
@@ -124,6 +124,93 @@ pub struct StageCtx<'a> {
     /// What this step knows of them, for the caller to remember — but only
     /// if the whole step then ends without error.
     pub learned: Option<PartialResults>,
+    /// The service units `postprocess` found this simulation's jobs to have
+    /// used, for [`commit_results`] to charge with the transition.
+    pub charge: Option<f64>,
+    /// Test hook ([`crate::GridAmp::step_point`]).
+    pub step_point: Option<&'a StepHook>,
+}
+
+/// Where inside a step [`crate::GridAmp::step_point`] is called: the site
+/// has accepted a submission and its job record is not written yet, or the
+/// record is written and the tick's flush is still to come.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StepPoint {
+    Accepted,
+    Recorded,
+}
+
+/// A [`StepPoint`] hook; the record is the submission's.
+pub type StepHook = dyn Fn(StepPoint, &GridJobRecord) + Send + Sync;
+
+/// The job-state key `(simulation, app, purpose, ga_run, continuation)` as
+/// the client submission id its GRAM submission carries — the one rendering
+/// of it, so every daemon that ever steps the simulation asks the site for
+/// the same job. Everything a simulation submits sorts under
+/// [`submission_prefix`].
+pub(crate) fn submission_id(
+    sim_id: i64,
+    app: &str,
+    purpose: JobPurpose,
+    ga_run: i64,
+    continuation: i64,
+) -> String {
+    let purpose = purpose.as_str();
+    format!("sim{sim_id}/{app}/{purpose}/r{ga_run}c{continuation}")
+}
+
+/// What every [`submission_id`] of one simulation starts with.
+pub(crate) fn submission_prefix(sim_id: i64) -> String {
+    format!("sim{sim_id}/")
+}
+
+/// `(app, purpose, ga_run, continuation)` back out of a [`submission_id`].
+pub(crate) fn parse_submission_id(id: &str) -> Option<(&str, JobPurpose, i64, i64)> {
+    let mut parts = id.split('/').skip(1);
+    let (app, purpose) = (parts.next()?, parts.next()?.parse().ok()?);
+    let (ga_run, continuation) = parts.next()?.strip_prefix('r')?.split_once('c')?;
+    Some((
+        app,
+        purpose,
+        ga_run.parse().ok()?,
+        continuation.parse().ok()?,
+    ))
+}
+
+/// What `sim`'s site has accepted under its submission prefix that the job
+/// table has no record of.
+pub(crate) fn unrecorded(
+    grid: &Grid,
+    conn: &Connection,
+    proxy: &ProxyCertificate,
+    sim: &Simulation,
+) -> Result<Vec<GramSubmission>, WorkflowError> {
+    let sim_id = sim.id.expect("saved sim");
+    let mut held = grid.gram_submissions(&sim.system, proxy, &submission_prefix(sim_id))?;
+    if !held.is_empty() {
+        let of_sim = Query::new().eq("simulation_id", sim_id);
+        let rows = Manager::<GridJobRecord>::new(conn.clone()).filter(&of_sim)?;
+        held.retain(|s| {
+            rows.iter()
+                .all(|r| r.gram_handle.as_ref() != Some(&s.handle.0))
+        });
+    }
+    Ok(held)
+}
+
+/// `daemon_gram_submissions_total{outcome=…}`: `[accepted, known,
+/// reconciled]` — a job the site created for us, a repeat it answered with
+/// the job it already had, a record written from the site's own list.
+pub(crate) fn submission_counters() -> &'static [amp_obs::Counter; 3] {
+    static COUNTERS: std::sync::OnceLock<[amp_obs::Counter; 3]> = std::sync::OnceLock::new();
+    COUNTERS.get_or_init(|| {
+        ["accepted", "known", "reconciled"].map(|outcome| {
+            amp_obs::counter(&amp_obs::labeled(
+                "daemon_gram_submissions_total",
+                &[("outcome", outcome)],
+            ))
+        })
+    })
 }
 
 impl StageCtx<'_> {
@@ -212,30 +299,19 @@ impl StageCtx<'_> {
                 return Ok(existing);
             }
         }
-        self.check_fence()?;
-        let workdir = self.workdir();
+        let walltime = SimDuration::from_minutes(self.config.fork_walltime_minutes);
         let spec = GramJobSpec {
             service: GramService::Fork,
             executable: executable.to_string(),
             args,
-            workdir: workdir.clone(),
+            workdir: self.workdir(),
             cores: 0,
-            walltime: SimDuration::from_minutes(self.config.fork_walltime_minutes),
+            walltime,
             depends_on: vec![],
-            name: format!("sim{}-{}", self.sim.id.expect("saved"), purpose.as_str()),
+            name: String::new(), // `submit` names it
+            submission_id: None,
         };
-        let proxy = self.proxy();
-        let handle = self.log_gram_submit(&proxy, spec)?;
-        let rec = GridJobRecord::new(
-            self.sim.id.expect("saved"),
-            -1,
-            purpose,
-            0,
-            &self.sim.system,
-            0,
-            &self.sim.app,
-        );
-        self.record_submission(rec, &handle)
+        self.submit(spec, purpose, -1, 0)
     }
 
     /// Submit a batch model job and record it. Idempotent on the job-state
@@ -269,7 +345,6 @@ impl StageCtx<'_> {
                 return Ok(existing);
             }
         }
-        self.check_fence()?;
         let spec = GramJobSpec {
             service: GramService::Batch,
             executable: executable.to_string(),
@@ -278,118 +353,128 @@ impl StageCtx<'_> {
             cores,
             walltime: SimDuration::from_hours(self.config.work_walltime_hours),
             depends_on,
-            name: format!(
-                "sim{}-{}-r{}c{}",
-                self.sim.id.expect("saved"),
-                purpose.as_str(),
-                ga_run,
-                continuation
-            ),
+            name: String::new(), // `submit` names it
+            submission_id: None,
         };
-        let proxy = self.proxy();
-        let handle = self.log_gram_submit(&proxy, spec)?;
-        let rec = GridJobRecord::new(
-            self.sim.id.expect("saved"),
+        self.submit(spec, purpose, ga_run, continuation)
+    }
+
+    /// The one path to GRAM: fence, submit `spec` under the job-state key's
+    /// [`submission_id`], write the job record. The record waits for the
+    /// tick's flush like every other write, because it can be re-derived:
+    /// whoever steps this simulation next — after a crash before the record
+    /// was durable, or a reply lost after the site accepted — renders the
+    /// same id, and the site answers it with the job it already has.
+    fn submit(
+        &mut self,
+        mut spec: GramJobSpec,
+        purpose: JobPurpose,
+        ga_run: i64,
+        continuation: i64,
+    ) -> Result<GridJobRecord, WorkflowError> {
+        self.check_fence()?;
+        let sim_id = self.sim.id.expect("saved");
+        let id = submission_id(sim_id, &self.sim.app, purpose, ga_run, continuation);
+        spec.name.clone_from(&id);
+        spec.submission_id = Some(id);
+        let mut rec = GridJobRecord::new(
+            sim_id,
             ga_run,
             purpose,
             continuation,
             &self.sim.system,
-            cores as i64,
+            spec.cores as i64,
             &self.sim.app,
         );
-        self.record_submission(rec, &handle)
-    }
-
-    /// Record a GRAM submission's handle and make the record durable at
-    /// once. Of everything the daemon writes this alone cannot be
-    /// re-derived after a crash: the idempotent-submit checks above read
-    /// it, so losing it means submitting the job a second time. The flush
-    /// also covers whatever the tick logged before it — the log is durable
-    /// in commit order.
-    fn record_submission(
-        &self,
-        mut rec: GridJobRecord,
-        handle: &GramJobHandle,
-    ) -> Result<GridJobRecord, WorkflowError> {
-        rec.gram_handle = Some(handle.to_string());
+        let proxy = self.proxy();
+        rec.gram_handle = Some(self.log_gram_submit(&proxy, spec)?.0);
         rec.status = JobStatus::Pending;
         rec.submitted_at = Some(self.now());
+        self.at(StepPoint::Accepted, &rec);
         self.jobs().create(&mut rec)?;
-        self.conn.flush()?;
+        self.at(StepPoint::Recorded, &rec);
         Ok(rec)
     }
 
-    /// Submit via GRAM, recording the globusrun-equivalent command line
-    /// (§4.4's copy-paste troubleshooting log).
+    /// The first step under a new ownership — a first claim, a takeover, a
+    /// restart — writes the job record of every submission the site
+    /// accepted for the simulation and the job table lacks. Re-derivation
+    /// heals the rest: a stage that asks for a lost submission again gets
+    /// the same job (so a QUEUED simulation, whose first stage list asks for
+    /// all it can have submitted, has nothing to do here). This is for the
+    /// one nobody asks for again: a continuation accepted just before a
+    /// crash, whose run converged before anyone came back. An unreachable
+    /// site fails the step like any GRAM outage, and the next one asks again.
+    pub(crate) fn reconcile(&mut self) -> Result<(), WorkflowError> {
+        if self.sim.status == SimStatus::Queued {
+            return Ok(());
+        }
+        let (sim_id, site) = (self.sim.id.expect("saved"), &self.sim.system);
+        for sub in unrecorded(self.grid, self.conn, &self.proxy(), self.sim)? {
+            let Some((app, purpose, ga_run, continuation)) = parse_submission_id(&sub.id) else {
+                continue;
+            };
+            let cores = sub.cores as i64;
+            let mut rec =
+                GridJobRecord::new(sim_id, ga_run, purpose, continuation, site, cores, app);
+            let times = self.grid.job_times(site, &sub.handle);
+            rec.submitted_at = times.map(|t| t.submitted_at.as_secs() as i64);
+            rec.status = JobStatus::Pending;
+            rec.gram_handle = Some(sub.handle.0);
+            self.jobs().create(&mut rec)?;
+            submission_counters()[2].inc();
+            amp_obs::flight().record("reconciled", format!("sim {sim_id}: {}", sub.id));
+        }
+        Ok(())
+    }
+
+    fn at(&self, point: StepPoint, rec: &GridJobRecord) {
+        if let Some(hook) = self.step_point {
+            hook(point, rec);
+        }
+    }
+
+    /// One line of the ops log (§4.4's copy-paste troubleshooting log): a
+    /// grid call's command line and how the call ended.
+    fn log_op<T>(
+        &mut self,
+        command: String,
+        result: Result<T, GridError>,
+    ) -> Result<T, WorkflowError> {
+        let outcome = match &result {
+            Ok(_) => OpOutcome::Ok,
+            Err(e) if e.is_transient() => OpOutcome::Transient(e.to_string()),
+            Err(e) => OpOutcome::Failed(e.to_string()),
+        };
+        self.ops.record(OpsEntry {
+            at: self.now(),
+            simulation_id: self.sim.id,
+            command,
+            outcome,
+        });
+        Ok(result?)
+    }
+
+    /// Submit via GRAM, recording the globusrun-equivalent command line.
     fn log_gram_submit(
         &mut self,
         proxy: &ProxyCertificate,
         spec: GramJobSpec,
     ) -> Result<GramJobHandle, WorkflowError> {
         let command = gram_submit_cmdline(&self.sim.system, &spec);
-        let at = self.now();
-        let sim_id = self.sim.id;
-        match self.grid.gram_submit(&self.sim.system, proxy, spec) {
-            Ok(handle) => {
-                self.ops.record(OpsEntry {
-                    at,
-                    simulation_id: sim_id,
-                    command,
-                    outcome: OpOutcome::Ok,
-                });
-                Ok(handle)
-            }
-            Err(e) => {
-                let outcome = if e.is_transient() {
-                    OpOutcome::Transient(e.to_string())
-                } else {
-                    OpOutcome::Failed(e.to_string())
-                };
-                self.ops.record(OpsEntry {
-                    at,
-                    simulation_id: sim_id,
-                    command,
-                    outcome,
-                });
-                Err(e.into())
-            }
-        }
+        let reply = self.grid.gram_submit_known(&self.sim.system, proxy, spec);
+        let (handle, known) = self.log_op(command, reply)?;
+        submission_counters()[known as usize].inc();
+        Ok(handle)
     }
 
     /// Stage a text file to the remote system via GridFTP.
     pub fn stage_in(&mut self, path: &str, content: String) -> Result<(), WorkflowError> {
         let proxy = self.proxy();
         let command = ftp_cmdline(&self.sim.system, true, "/var/amp/staging", path);
-        let at = self.now();
-        let sim_id = self.sim.id;
-        match self
-            .grid
-            .ftp_put(&self.sim.system, &proxy, path, content.into_bytes())
-        {
-            Ok(_) => {
-                self.ops.record(OpsEntry {
-                    at,
-                    simulation_id: sim_id,
-                    command,
-                    outcome: OpOutcome::Ok,
-                });
-                Ok(())
-            }
-            Err(e) => {
-                let outcome = if e.is_transient() {
-                    OpOutcome::Transient(e.to_string())
-                } else {
-                    OpOutcome::Failed(e.to_string())
-                };
-                self.ops.record(OpsEntry {
-                    at,
-                    simulation_id: sim_id,
-                    command,
-                    outcome,
-                });
-                Err(e.into())
-            }
-        }
+        let data = content.into_bytes();
+        let put = self.grid.ftp_put(&self.sim.system, &proxy, path, data);
+        self.log_op(command, put).map(|_| ())
     }
 
     /// Fetch a remote file via GridFTP. (Fetch misses of optional files are
@@ -398,29 +483,9 @@ impl StageCtx<'_> {
     pub fn stage_out(&mut self, path: &str) -> Result<Vec<u8>, WorkflowError> {
         let proxy = self.proxy();
         let command = ftp_cmdline(&self.sim.system, false, "/var/amp/staging", path);
-        let at = self.now();
-        let sim_id = self.sim.id;
         match self.grid.ftp_get(&self.sim.system, &proxy, path) {
-            Ok((data, _)) => {
-                self.ops.record(OpsEntry {
-                    at,
-                    simulation_id: sim_id,
-                    command,
-                    outcome: OpOutcome::Ok,
-                });
-                Ok(data)
-            }
-            Err(e) => {
-                if e.is_transient() {
-                    self.ops.record(OpsEntry {
-                        at,
-                        simulation_id: sim_id,
-                        command,
-                        outcome: OpOutcome::Transient(e.to_string()),
-                    });
-                }
-                Err(e.into())
-            }
+            Err(e) if !e.is_transient() => Err(e.into()),
+            got => self.log_op(command, got).map(|(data, _)| data),
         }
     }
 
@@ -563,8 +628,7 @@ fn postprocess(ctx: &mut StageCtx<'_>) -> Result<bool, WorkflowError> {
         SimKind::Optimization => crate::optimize::postprocess(ctx)?,
     };
     if done {
-        charge_service_units(ctx)?;
-        mark_star_has_results(ctx)?;
+        ctx.charge = Some(service_units(ctx)?);
     }
     Ok(done)
 }
@@ -597,9 +661,8 @@ fn close_simulation(ctx: &mut StageCtx<'_>) -> Result<bool, WorkflowError> {
 
 // ---- shared accounting helpers ----
 
-/// Charge CPU-hours × SU factor for every completed computational job.
-fn charge_service_units(ctx: &mut StageCtx<'_>) -> Result<(), WorkflowError> {
-    use amp_core::models::Allocation;
+/// CPU-hours × SU factor over every completed computational job.
+fn service_units(ctx: &StageCtx<'_>) -> Result<f64, WorkflowError> {
     let su_factor = ctx
         .grid
         .site(&ctx.sim.system)
@@ -623,31 +686,46 @@ fn charge_service_units(ctx: &mut StageCtx<'_>) -> Result<(), WorkflowError> {
             cpuh += (run as f64 / 3600.0) * j.cores as f64;
         }
     }
-    let sus = cpuh * su_factor;
-    let allocs = Manager::<Allocation>::new(ctx.conn.clone());
-    let mut alloc = allocs.get(ctx.sim.allocation_id)?;
-    if alloc.charge(sus).is_err() {
-        // Over-spend is an administrative problem, not a reason to
-        // withhold the user's results.
-        ctx.sim.status_message = format!(
-            "allocation {} exhausted while charging {:.0} SUs",
-            alloc.account, sus
-        );
-        alloc.su_used = alloc.su_granted;
-    }
-    allocs.save(&alloc)?;
-    Ok(())
+    Ok(cpuh * su_factor)
 }
 
-fn mark_star_has_results(ctx: &mut StageCtx<'_>) -> Result<(), WorkflowError> {
-    use amp_core::models::Star;
-    let stars = Manager::<Star>::new(ctx.conn.clone());
-    let mut star = stars.get(ctx.sim.star_id)?;
-    if !star.has_results {
-        star.has_results = true;
-        stars.save(&star)?;
-    }
-    Ok(())
+/// Commit the transition that ends `postprocess`'s stage list: the charge
+/// of `sus`, the star's has-results flag and the simulation's row, in one
+/// transaction with the allocation read inside it. One frame in the log —
+/// a step that fails after `postprocess` (a GRAM outage at
+/// `submit_cleanup`, a fence) has charged nothing for its retry to charge
+/// again, a torn write cannot separate the charge from the state that says
+/// it was made, and a sibling shard charging the same allocation waits its
+/// turn instead of overwriting.
+pub(crate) fn commit_results(
+    conn: &Connection,
+    sim: &mut Simulation,
+    sus: f64,
+) -> Result<(), DbError> {
+    use amp_core::models::{Allocation, Star};
+    let tables = [Allocation::TABLE, Star::TABLE, Simulation::TABLE];
+    conn.transaction(&tables, |tx| {
+        let alloc_id = sim.allocation_id;
+        let mut alloc = Allocation::from_row(alloc_id, &tx.get(Allocation::TABLE, alloc_id)?)?;
+        if alloc.charge(sus).is_err() {
+            // Over-spend is an administrative problem, not a reason to
+            // withhold the user's results.
+            sim.status_message = format!(
+                "allocation {} exhausted while charging {:.0} SUs",
+                alloc.account, sus
+            );
+            alloc.su_used = alloc.su_granted;
+        }
+        tx.update(
+            Allocation::TABLE,
+            alloc_id,
+            &[("su_used", alloc.su_used.into())],
+        )?;
+        if !Star::from_row(sim.star_id, &tx.get(Star::TABLE, sim.star_id)?)?.has_results {
+            tx.update(Star::TABLE, sim.star_id, &[("has_results", true.into())])?;
+        }
+        tx.update(Simulation::TABLE, sim.id.expect("saved"), &sim.to_values())
+    })
 }
 
 /// Look up the owning user's username (for proxy SAML attribution).
@@ -703,6 +781,24 @@ mod tests {
                 ),
             ]
         );
+    }
+
+    #[test]
+    fn submission_ids_parse_back_and_sort_under_their_simulation() {
+        let id = submission_id(12, "curvefit", JobPurpose::Work, 3, 2);
+        assert_eq!(id, "sim12/curvefit/WORK/r3c2");
+        assert_eq!(
+            parse_submission_id(&id),
+            Some(("curvefit", JobPurpose::Work, 3, 2))
+        );
+        let fork = submission_id(1, "stellar", JobPurpose::PreJob, -1, 0);
+        assert_eq!(
+            parse_submission_id(&fork),
+            Some(("stellar", JobPurpose::PreJob, -1, 0))
+        );
+        assert!(fork.starts_with(&submission_prefix(1)) && !id.starts_with(&submission_prefix(1)));
+        assert_eq!(parse_submission_id("sim1/stellar/NOPE/r0c0"), None);
+        assert_eq!(parse_submission_id("demo"), None);
     }
 
     #[test]

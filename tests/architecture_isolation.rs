@@ -57,6 +57,7 @@ fn compromised_web_tier_cannot_forge_grid_requests() {
                 walltime: SimDuration::from_minutes(5.0),
                 depends_on: vec![],
                 name: "evil".into(),
+                submission_id: None,
             },
         )
         .unwrap_err();

@@ -5,9 +5,205 @@
 
 mod common;
 
+use std::collections::BTreeSet;
+
+use amp::core::models::Allocation;
 use amp::prelude::*;
+use amp_grid::SimTime;
 use amp_simdb::Op;
-use common::{deployment, truth};
+use common::{assert_no_duplicate_submissions, deployment, final_states, truth};
+
+const POLL: u64 = 300;
+
+/// Tick until every simulation is DONE, `before` each tick getting the grid
+/// (to place a fault at the tick's instant). Returns the instant of each
+/// `PostJob → Cleanup` transition.
+fn drain(
+    dep: &mut amp::gridamp::Deployment,
+    mut before: impl FnMut(&mut Grid),
+) -> Vec<(i64, SimTime)> {
+    let mut charged_at = Vec::new();
+    for _ in 0..5_000 {
+        before(&mut dep.grid);
+        let report = dep.daemon.tick(&dep.grid);
+        assert!(report.daemon_errors.is_empty(), "{report:?}");
+        assert_eq!(report.new_holds, 0, "{report:?}");
+        for (sim, from, _) in &report.transitions {
+            if *from == SimStatus::PostJob {
+                charged_at.push((*sim, dep.grid.now()));
+            }
+        }
+        if final_states(&dep.db).iter().all(|(_, s, _)| s == "DONE") {
+            return charged_at;
+        }
+        dep.grid.advance(SimDuration::from_secs(POLL));
+    }
+    panic!("campaign did not drain");
+}
+
+fn su_used(db: &Db, alloc: i64) -> f64 {
+    let admin = db.connect(amp::core::roles::ROLE_ADMIN).unwrap();
+    Manager::<Allocation>::new(admin)
+        .get(alloc)
+        .unwrap()
+        .su_used
+}
+
+/// What the finished computational jobs of a database cost, summed the way
+/// the daemon charges them.
+fn su_owed(dep: &amp::gridamp::Deployment) -> f64 {
+    let admin = dep.db.connect(amp::core::roles::ROLE_ADMIN).unwrap();
+    let factor = dep.grid.site("kraken").unwrap().profile.su_per_cpuh;
+    let jobs = Manager::<GridJobRecord>::new(admin).all().unwrap();
+    let computational = jobs
+        .iter()
+        .filter(|j| matches!(j.purpose, JobPurpose::Work | JobPurpose::SolutionEvaluation));
+    computational
+        .map(|j| j.run_secs().unwrap() as f64 / 3600.0 * j.cores as f64 * factor)
+        .sum()
+}
+
+fn queue_direct(db: &Db, star: i64, user: i64, alloc: i64, mass: f64) -> i64 {
+    let web = db.connect(amp::core::roles::ROLE_WEB).unwrap();
+    let params = StellarParams { mass, ..truth() };
+    let mut sim = Simulation::new_direct(star, user, params, "kraken", alloc, 0);
+    Manager::<Simulation>::new(web).create(&mut sim).unwrap()
+}
+
+/// `postprocess` used to commit the SU charge on the spot, with
+/// `submit_cleanup` still to run in the same stage list: a GRAM outage
+/// there failed the step and the next tick charged again. The charge now
+/// commits with the transition.
+#[test]
+fn a_gram_outage_at_the_cleanup_submission_charges_once() {
+    let run = |faulted_at: Option<SimTime>| {
+        let mut dep = deployment(6.0);
+        let (user, star, alloc, _obs) =
+            amp::gridamp::seed_fixtures(&dep.db, "kraken", &truth(), 11).unwrap();
+        let sim = queue_direct(&dep.db, star, user, alloc, 1.0);
+        if let Some(at) = faulted_at {
+            // The tick that would have made the transition cannot stage the
+            // tar out; the next one can, charges, and cannot reach GRAM.
+            let (next, after) = (
+                at + SimDuration::from_secs(POLL),
+                at + SimDuration::from_secs(2 * POLL),
+            );
+            dep.grid
+                .faults
+                .add_outage("kraken", Service::GridFtp, at, next);
+            dep.grid
+                .faults
+                .add_outage("kraken", Service::Gram, next, after);
+        }
+        let charged_at = drain(&mut dep, |_| {});
+        assert_eq!(charged_at.len(), 1);
+        assert_eq!(charged_at[0].0, sim);
+        let used = su_used(&dep.db, alloc);
+        assert!((used - su_owed(&dep)).abs() < 1e-9, "{used} charged");
+        (charged_at[0].1, used)
+    };
+    let (at, clean) = run(None);
+    assert!(clean > 0.0);
+    let (delayed_to, faulted) = run(Some(at));
+    assert_eq!(delayed_to, at + SimDuration::from_secs(2 * POLL));
+    assert_eq!(faulted, clean, "the outage changed the charge");
+}
+
+/// The charge used to be a read-modify-write outside any transaction: two
+/// shards of one tick finishing simulations of one allocation could lose an
+/// update. Eight identical runs reach the transition in the same tick.
+#[test]
+fn four_shards_charging_one_allocation_charge_the_sum() {
+    let mut dep = amp::gridamp::deploy(
+        amp::grid::systems::kraken(),
+        DaemonConfig {
+            workers: 4,
+            ..DaemonConfig::default()
+        },
+        None,
+    )
+    .unwrap();
+    let (user, star, alloc, _obs) =
+        amp::gridamp::seed_fixtures(&dep.db, "kraken", &truth(), 12).unwrap();
+    for _ in 0..8 {
+        queue_direct(&dep.db, star, user, alloc, 1.0);
+    }
+    let charged_at = drain(&mut dep, |_| {});
+    let instants: BTreeSet<SimTime> = charged_at.iter().map(|&(_, at)| at).collect();
+    assert_eq!((charged_at.len(), instants.len()), (8, 1), "{charged_at:?}");
+    let (used, owed) = (su_used(&dep.db, alloc), su_owed(&dep));
+    assert!(
+        owed > 0.0 && (used - owed).abs() < 1e-9 * owed,
+        "{used} charged of {owed}"
+    );
+}
+
+/// GRAM accepts a submission and the reply is lost: the daemon sees an
+/// outage and submits again. The first attempts of a seeded campaign are
+/// lost this way, and each job still exists once, because the repeat carries the same
+/// submission id and the site answers it with the job it has.
+#[test]
+fn lost_gram_replies_submit_nothing_twice() {
+    let run = |lossy: bool| {
+        let mut dep = deployment(1.0); // 1 h walltime: continuations too
+        let (user, star, alloc, obs) =
+            amp::gridamp::seed_fixtures(&dep.db, "kraken", &truth(), 13).unwrap();
+        queue_direct(&dep.db, star, user, alloc, 0.95);
+        let spec = OptimizationSpec {
+            ga_runs: 2,
+            population: 12,
+            generations: 10,
+            cores_per_run: 64,
+            seed: 13,
+        };
+        let mut opt = Simulation::new_optimization(star, user, spec, obs, "kraken", alloc, 0);
+        let web = dep.db.connect(amp::core::roles::ROLE_WEB).unwrap();
+        Manager::<Simulation>::new(web).create(&mut opt).unwrap();
+        queue_direct(&dep.db, star, user, alloc, 1.15);
+
+        // A tick loses its replies unless the one before it lost some.
+        let (mut submissions, mut losing) = (0, false);
+        drain(&mut dep, |grid| {
+            let of_gram = |r: &&amp_grid::AuditRecord| r.action.ends_with("submit");
+            let so_far = grid.audit().records().iter().filter(of_gram).count();
+            let last_tick = so_far - std::mem::replace(&mut submissions, so_far);
+            losing = lossy && !(losing && last_tick > 0);
+            if losing {
+                let now = grid.now();
+                let until = now + SimDuration::from_secs(1);
+                grid.faults.add_lost_replies("kraken", now, until);
+            }
+        });
+        assert_no_duplicate_submissions(&dep.db, &dep.grid);
+        let audit = dep.grid.audit();
+        let repeats = audit.records().iter().filter(|r| r.action == "resubmit");
+        // "<id> -> <handle>", the id ending in "/<purpose>/r<run>c<continuation>".
+        let repeated: BTreeSet<String> = repeats
+            .map(|r| r.detail.split(" -> ").next().unwrap().to_string())
+            .collect();
+        drop(audit);
+        (final_states(&dep.db), su_used(&dep.db, alloc), repeated)
+    };
+    let (finals, used, repeated) = run(false);
+    assert!(repeated.is_empty(), "a clean run repeated {repeated:?}");
+    let (lossy_finals, lossy_used, repeated) = run(true);
+    assert_eq!(lossy_finals, finals);
+    assert!(
+        (lossy_used - used).abs() < 1e-9 * used,
+        "{lossy_used} vs {used}"
+    );
+    for purpose in ["PREJOB", "WORK", "POSTJOB", "CLEANUP", "SOLUTION"] {
+        let hit = |id: &String| id.contains(&format!("/{purpose}/"));
+        assert!(
+            repeated.iter().any(hit),
+            "no lost {purpose} reply in {repeated:?}"
+        );
+    }
+    assert!(
+        repeated.iter().any(|id| !id.ends_with("c0")),
+        "no lost continuation"
+    );
+}
 
 #[test]
 fn random_outage_storm_is_survived_silently() {
@@ -121,7 +317,7 @@ fn corrupt_restart_file_is_a_model_failure_then_recovers() {
     {
         jobs.delete(j.id.unwrap()).unwrap();
     }
-    dep.daemon.resume_from_hold(sim_id).unwrap();
+    dep.daemon.resume_from_hold(&dep.grid, sim_id).unwrap();
     dep.daemon.run_until_settled(&dep.grid, 24.0 * 30.0);
     let done = Manager::<Simulation>::new(admin).get(sim_id).unwrap();
     assert_eq!(done.status, SimStatus::Done, "{}", done.status_message);

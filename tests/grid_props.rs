@@ -61,6 +61,7 @@ fn run_jobs(jobs: &[JobReq], seed: u64) -> (Grid, Vec<GramJobHandle>) {
                     walltime: SimDuration::from_minutes(j.minutes as f64 + 10.0),
                     depends_on,
                     name: format!("j{i}"),
+                    submission_id: None,
                 },
             )
             .unwrap();

@@ -1,23 +1,29 @@
 //! The tick is the daemon's commit: its writes are logged and visible as
-//! they happen, but only a GRAM submission's job record and the end of a
-//! tick flush the log (DESIGN §9.9). This suite checks what that leaves on
-//! the device, on a durable fsync-on database that two daemons drain a
-//! mixed backlog from:
+//! they happen, but only the end of a tick flushes the log (DESIGN §9.9).
+//! This suite checks what that leaves on the device, on a durable fsync-on
+//! database that two daemons drain a mixed backlog from:
 //!
 //! * **every instant recovers** — a copy of snapshot + log taken at every
 //!   tick boundary and in the middle of every tick (through the daemon's
 //!   `pause_point`) opens, takes a write, and holds the job record of every
-//!   GRAM handle the grid had handed out by then;
+//!   GRAM handle the grid had handed out before that tick;
 //! * **a tick boundary loses nothing** — a boundary copy's tables equal the
 //!   live database's, row for row, and a mid-tick copy is a whole-commit
 //!   prefix of the log at the boundary that follows;
 //! * **a power cut mid-append loses nothing either** — the same boundary
 //!   copy with part of one more frame after it recovers to the same tables;
-//! * **a mid-tick crash costs no submission** — abandon the deployment in
-//!   the middle of a tick, open fresh daemons on the copy (torn tail and
+//! * **a crash costs no submission, wherever it falls** — abandon the
+//!   deployment in the middle of a tick, or inside a step right after the
+//!   site accepted a submission, or after its job record was written and
+//!   before the tick's flush; open fresh daemons on the copy (torn tail and
 //!   all) against the same grid, and the campaign drains to all-DONE with no
-//!   job key submitted twice and the same final state as the run nobody
-//!   interrupted.
+//!   job key submitted twice, the same final state and the same service
+//!   units charged as the run nobody interrupted;
+//! * **nor does a long outage after it** — crash right after a GA run's last
+//!   continuation is accepted, leave the grid alone until that run has
+//!   converged, and the daemons that come back give the continuation its
+//!   job record (nobody asks for it again: they ask the site what it
+//!   accepted) and charge its CPU-hours.
 
 mod common;
 
@@ -29,7 +35,8 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use amp::gridamp::{seed_curvefit_fixtures, seed_fixtures};
+use amp::core::models::Allocation;
+use amp::gridamp::{seed_curvefit_fixtures, seed_fixtures, StepPoint};
 use amp::prelude::*;
 use amp::simdb::wal::{encode_frame, Wal, MAGIC};
 use amp::simdb::LogOp;
@@ -79,12 +86,12 @@ fn tear_tail(copy: &Path, keep: usize) {
     log.unwrap().write_all(&frame[..keep]).unwrap();
 }
 
-fn daemons(db: &Db, grid: &mut Grid, generation: &str) -> Vec<GridAmp> {
+fn daemons(db: &Db, grid: &mut Grid, generation: &str, walltime_hours: f64) -> Vec<GridAmp> {
     (0..DAEMONS)
         .map(|i| {
             let config = DaemonConfig {
                 daemon_id: format!("gridamp-{generation}{i}"),
-                work_walltime_hours: 6.0,
+                work_walltime_hours: walltime_hours,
                 ..DaemonConfig::default()
             };
             let daemon = GridAmp::new(db, config).unwrap();
@@ -199,6 +206,23 @@ fn recover_copy(copy: &Path, submitted: &[String], at: &str) -> BTreeMap<String,
     tables
 }
 
+/// Every allocation's `su_used`, in id order.
+fn su_used(db: &Db) -> Vec<f64> {
+    let admin = db.connect(amp::core::roles::ROLE_ADMIN).unwrap();
+    let mut allocations = Manager::<Allocation>::new(admin).all().unwrap();
+    allocations.sort_by_key(|a| a.id);
+    allocations.iter().map(|a| a.su_used).collect()
+}
+
+/// The same charges, whatever order they were added up in.
+fn assert_same_charges(charged: &[f64], reference: &[f64], tag: &str) {
+    assert_eq!(charged.len(), reference.len(), "{tag}");
+    for (used, expected) in charged.iter().zip(reference) {
+        let close = (used - expected).abs() <= 1e-9 * expected.abs();
+        assert!(close, "{tag}: charged {charged:?}, not {reference:?}");
+    }
+}
+
 fn all_done(db: &Db) -> bool {
     final_states(db)
         .iter()
@@ -212,6 +236,18 @@ enum Ended {
     Crashed,
 }
 
+/// Where a campaign is abandoned, as a crash would.
+#[derive(Clone, Copy)]
+enum Crash {
+    /// At this mid-tick instant (`pause_point`; counted from 1).
+    MidTick(usize),
+    /// At this point of this GRAM submission (counted from 1).
+    InStep(usize, StepPoint),
+    /// Right after the site accepted this Work job: `(simulation, ga_run,
+    /// continuation)`.
+    Accepting(i64, i64, i64),
+}
+
 /// One deployment: durable database in `dir`, simulated Kraken, two
 /// daemons, the seeded backlog.
 struct Campaign {
@@ -219,6 +255,7 @@ struct Campaign {
     db: Db,
     grid: Grid,
     daemons: Vec<GridAmp>,
+    walltime_hours: f64,
     /// Mid-tick instants passed so far, over both daemons.
     pauses: Arc<AtomicUsize>,
     /// GRAM handles handed out before each of them.
@@ -226,9 +263,7 @@ struct Campaign {
 }
 
 impl Campaign {
-    /// `crash_at`: the mid-tick instant (counted from 1) at which the tick
-    /// is abandoned, as a crash would.
-    fn deploy(tag: &str, seed: u64, crash_at: Option<usize>) -> Campaign {
+    fn deploy(tag: &str, seed: u64, walltime_hours: f64, crash: Option<Crash>) -> Campaign {
         let dir = std::env::temp_dir().join(format!("amp_tickdur_{tag}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
@@ -236,15 +271,34 @@ impl Campaign {
         let mut grid = Grid::new();
         grid.add_site(amp::grid::systems::kraken());
         amp::gridamp::apps::install_amp_stack(&mut grid, "kraken");
-        let mut daemons = daemons(&db, &mut grid, "");
+        let mut daemons = daemons(&db, &mut grid, "", walltime_hours);
         seed_backlog(&db, seed);
         let pauses = Arc::new(AtomicUsize::new(0));
+        let submissions = Arc::new(AtomicUsize::new(0));
         for daemon in &mut daemons {
-            let (dir, pauses) = (dir.clone(), Arc::clone(&pauses));
+            let (at, pauses) = (dir.clone(), Arc::clone(&pauses));
             daemon.pause_point = Some(Box::new(move || {
-                copy_files(&dir, &dir.join("mid"));
-                if Some(pauses.fetch_add(1, Ordering::SeqCst) + 1) == crash_at {
+                copy_files(&at, &at.join("mid"));
+                let instant = pauses.fetch_add(1, Ordering::SeqCst) + 1;
+                if matches!(crash, Some(Crash::MidTick(at)) if at == instant) {
                     resume_unwind(Box::new("crash")); // unwinds without the panic hook
+                }
+            }));
+            let (dir, submissions) = (dir.clone(), Arc::clone(&submissions));
+            daemon.step_point = Some(Box::new(move |point, job| {
+                let accepted = usize::from(point == StepPoint::Accepted);
+                let nth = submissions.fetch_add(accepted, Ordering::SeqCst) + accepted;
+                let key = (job.simulation_id, job.ga_run, job.continuation);
+                let here = match crash {
+                    Some(Crash::InStep(n, at)) => (n, at) == (nth, point),
+                    Some(Crash::Accepting(sim, run, c)) => {
+                        (sim, run, c) == key && accepted == 1 && job.purpose == JobPurpose::Work
+                    }
+                    _ => false,
+                };
+                if here {
+                    copy_files(&dir, &dir.join("mid"));
+                    resume_unwind(Box::new("crash"));
                 }
             }));
         }
@@ -253,6 +307,7 @@ impl Campaign {
             db,
             grid,
             daemons,
+            walltime_hours,
             pauses,
             submitted_at_pause: Vec::new(),
         }
@@ -311,39 +366,18 @@ impl Campaign {
     }
 }
 
-fn tick_granular_recovery(seed: u64) {
-    // The run nobody interrupts, with every instant of it recovered.
-    let mut reference = Campaign::deploy(&format!("ref{seed}"), seed, None);
-    assert!(matches!(reference.run(seed, true), Ended::Drained));
-    assert_no_duplicate_submissions(&reference.db, &reference.grid);
-    let finals = final_states(&reference.db);
-    assert_eq!(finals.len(), 6);
-    let _ = std::fs::remove_dir_all(&reference.dir);
-    let submitted = reference.submitted_at_pause;
-    assert_eq!(submitted.len(), reference.pauses.load(Ordering::SeqCst));
-    let total = *submitted.last().unwrap();
-    assert!(total >= 24, "only {total} GRAM submissions");
-
-    // Three crashes, each at the mid-tick instant after a tick that
-    // submitted something: one in each third of those instants.
-    let after_submit: Vec<usize> = (1..submitted.len())
-        .filter(|&p| submitted[p] > submitted[p - 1])
-        .map(|p| p + 1) // instants count from 1
-        .collect();
-    assert!(after_submit.len() >= 9, "{after_submit:?}");
-    let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x5eed);
-    for third in after_submit.chunks(after_submit.len().div_ceil(3)) {
-        let crash_at = third[rng.random_range(0..third.len())];
-        let tag = format!("crash{seed}_{crash_at}");
-        let mut crashed = Campaign::deploy(&tag, seed, Some(crash_at));
-        assert!(matches!(crashed.run(seed, false), Ended::Crashed));
-        assert_eq!(crashed.pauses.load(Ordering::SeqCst), crash_at);
-        // The deployment is gone; what survives is the grid and the files,
-        // here with the append the crash interrupted.
-        let Campaign { dir, mut grid, .. } = crashed;
-        tear_tail(&dir.join("mid"), crash_at);
+impl Campaign {
+    /// Run to the crash, then recover what it left: fresh daemons on the
+    /// `mid` copy — with the append the crash interrupted — against the grid
+    /// that survived, left alone for `outage_hours` first. Returns the
+    /// recovered database once it has drained.
+    fn crash_and_recover(mut self, seed: u64, tag: &str, outage_hours: f64) -> Db {
+        assert!(matches!(self.run(seed, false), Ended::Crashed), "{tag}");
+        let Campaign { dir, mut grid, .. } = self;
+        grid.advance(SimDuration::from_hours(outage_hours));
+        tear_tail(&dir.join("mid"), tag.len());
         let db = open(&dir.join("mid"));
-        let mut fresh = daemons(&db, &mut grid, "r");
+        let mut fresh = daemons(&db, &mut grid, "r", self.walltime_hours);
         let mut rounds = 0;
         while !all_done(&db) {
             rounds += 1;
@@ -358,9 +392,102 @@ fn tick_granular_recovery(seed: u64) {
             grid.advance(SimDuration::from_secs(300));
         }
         assert_no_duplicate_submissions(&db, &grid);
+        db
+    }
+}
+
+fn tick_granular_recovery(seed: u64) {
+    // The run nobody interrupts, with every instant of it recovered.
+    let mut reference = Campaign::deploy(&format!("ref{seed}"), seed, 6.0, None);
+    assert!(matches!(reference.run(seed, true), Ended::Drained));
+    assert_no_duplicate_submissions(&reference.db, &reference.grid);
+    let (finals, charged) = (final_states(&reference.db), su_used(&reference.db));
+    assert_eq!(finals.len(), 6);
+    assert!(charged.iter().all(|&used| used > 0.0), "{charged:?}");
+    let _ = std::fs::remove_dir_all(&reference.dir);
+    let submitted = reference.submitted_at_pause;
+    assert_eq!(submitted.len(), reference.pauses.load(Ordering::SeqCst));
+    let total = *submitted.last().unwrap();
+    assert!(total >= 24, "only {total} GRAM submissions");
+
+    // Nine crashes, three in each third of the run: at the mid-tick instant
+    // after a tick that submitted something, right after the site accepted
+    // a submission, and between its job record and the tick's flush.
+    let after_submit: Vec<usize> = (1..submitted.len())
+        .filter(|&p| submitted[p] > submitted[p - 1])
+        .map(|p| p + 1) // instants count from 1
+        .collect();
+    assert!(after_submit.len() >= 9, "{after_submit:?}");
+    let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x5eed);
+    let mut crashes = Vec::new();
+    for third in after_submit.chunks(after_submit.len().div_ceil(3)) {
+        let at = third[rng.random_range(0..third.len())];
+        crashes.push((format!("mid{at}"), Crash::MidTick(at)));
+    }
+    for third in 0..3 {
+        for (name, point) in [
+            ("accepted", StepPoint::Accepted),
+            ("recorded", StepPoint::Recorded),
+        ] {
+            let nth = 1 + third * total / 3 + rng.random_range(0..total / 3);
+            crashes.push((format!("{name}{nth}"), Crash::InStep(nth, point)));
+        }
+    }
+    for (name, crash) in crashes {
+        let tag = format!("crash{seed}_{name}");
+        let crashed = Campaign::deploy(&tag, seed, 6.0, Some(crash));
+        let dir = crashed.dir.clone();
+        let db = crashed.crash_and_recover(seed, &tag, 0.0);
         assert_eq!(final_states(&db), finals, "{tag}: finals diverged");
+        assert_same_charges(&su_used(&db), &charged, &tag);
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// A GA run's last continuation is accepted, the daemons crash before its
+/// job record is written, and nobody comes back until the run has
+/// converged: no step asks for that continuation again, so re-derivation
+/// cannot heal it. The daemons that take the simulation over ask the site
+/// what it accepted, and the continuation gets its record and its charge.
+#[test]
+fn a_continuation_accepted_before_a_long_outage_is_reconciled_and_charged() {
+    let seed = 1;
+    let mut reference = Campaign::deploy("outage_ref", seed, 1.0, None);
+    assert!(matches!(reference.run(seed, false), Ended::Drained));
+    let (finals, charged) = (final_states(&reference.db), su_used(&reference.db));
+    let admin = reference.db.connect(amp::core::roles::ROLE_ADMIN).unwrap();
+    let work = Query::new().eq("purpose", "WORK").order_by("continuation");
+    let last = Manager::<GridJobRecord>::new(admin).filter(&work).unwrap();
+    let last = last.last().expect("work jobs");
+    let key = (last.simulation_id, last.ga_run, last.continuation);
+    assert!(
+        last.continuation >= 1 && last.run_secs().unwrap() > 0,
+        "{last:?}"
+    );
+    let _ = std::fs::remove_dir_all(&reference.dir);
+
+    let crashed = Campaign::deploy(
+        "outage",
+        seed,
+        1.0,
+        Some(Crash::Accepting(key.0, key.1, key.2)),
+    );
+    let dir = crashed.dir.clone();
+    let db = crashed.crash_and_recover(seed, "outage", 48.0);
+    let admin = db.connect(amp::core::roles::ROLE_ADMIN).unwrap();
+    let of_key = Query::new()
+        .eq("simulation_id", key.0)
+        .eq("purpose", "WORK")
+        .eq("ga_run", key.1)
+        .eq("continuation", key.2);
+    let rows = Manager::<GridJobRecord>::new(admin)
+        .filter(&of_key)
+        .unwrap();
+    assert_eq!(rows.len(), 1, "{rows:?}");
+    assert_eq!(rows[0].run_secs(), last.run_secs());
+    assert_eq!(final_states(&db), finals);
+    assert_same_charges(&su_used(&db), &charged, "outage");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
