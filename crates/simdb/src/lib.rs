@@ -12,12 +12,14 @@
 //! * [`value`] / [`schema`] — typed cells, columns, constraints, FKs;
 //! * [`table`] — copy-on-write row storage and one ordered index per
 //!   indexed column;
-//! * [`db`] — the single-threaded engine + the shared mutation logic;
-//! * [`shard`] — published table versions, write-set planning, the live
-//!   engine's one write path;
+//! * [`shard`] — the engine: published table versions, write-set planning,
+//!   the one write path and its buffers;
+//! * [`db`] — what a write does to those buffers (defaults, foreign keys,
+//!   cascades) and the [`LogOp`]s it leaves;
 //! * [`query`] — Django-queryset-flavoured filters/ordering/slicing;
 //! * [`perm`] — role-based table grants (`web`, `daemon`, `admin`);
-//! * [`wal`] — durability: framed binary commit log + snapshots + recovery;
+//! * [`wal`] — durability: framed binary commit log + snapshots, and the
+//!   recovery that rebuilds the engine's tables from them;
 //! * [`orm`] — model trait, managers, migrations (the Django ORM analogue);
 //! * [`admin`] — schema/row introspection for the admin interface.
 //!
@@ -83,7 +85,7 @@ pub mod table;
 pub mod value;
 pub mod wal;
 
-pub use crate::db::{Database, LogOp};
+pub use crate::db::LogOp;
 pub use crate::error::DbError;
 pub use crate::perm::{Action, PermSet, Role};
 pub use crate::query::{Filter, Op, OrderBy, Plan, Query};
@@ -104,7 +106,6 @@ pub mod prelude {
     pub use crate::{Connection, Db, ReadView};
 }
 
-use crate::db::TableSet;
 use parking_lot::RwLock;
 use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
@@ -156,13 +157,12 @@ impl Db {
     ) -> Result<Self, DbError> {
         let snapshot = snapshot.into();
         let wal_path = wal_path.into();
-        // Recovery replays into the single-threaded engine, then the table
-        // storage is moved (not copied) into the sharded runtime catalog.
-        // The log continues above every sequence number the recovered
-        // state has used, not merely above the file's last line.
-        let (database, last_seq) = wal::recover_with_last_seq(Some(&snapshot), Some(&wal_path))?;
-        let (tables, versions, applied) = database.into_parts();
-        let catalog = shard::Catalog::from_parts(tables, &versions, &applied);
+        // Recovery builds plain tables, which move (not copy) into the
+        // catalog's shards. The log continues above every sequence number
+        // the recovered state has used, not merely above the file's last
+        // record.
+        let (tables, last_seq) = wal::recover_with_last_seq(&snapshot, &wal_path)?;
+        let catalog = shard::Catalog::from_recovered(tables);
         let wal = wal::Wal::open_at(&wal_path, last_seq.map_or(0, |seq| seq + 1))?;
         Ok(Self::new(catalog, Some(wal), Some(snapshot)))
     }
@@ -484,7 +484,7 @@ impl Connection {
         self.role.check(table, Action::Insert)?;
         let plan = self.plan(|c| c.write_plan(table))?;
         self.run_write(plan, |set| {
-            let (id, op) = db::ops::insert(set, table, values)?;
+            let (id, op) = set.insert(table, values)?;
             Ok((id, vec![op]))
         })
     }
@@ -493,7 +493,7 @@ impl Connection {
         self.role.check(table, Action::Insert)?;
         let plan = self.plan(|c| c.write_plan(table))?;
         self.run_write(plan, |set| {
-            let (id, op) = db::ops::insert_row(set, table, row)?;
+            let (id, op) = set.insert_row(table, row)?;
             Ok((id, vec![op]))
         })
     }
@@ -502,7 +502,7 @@ impl Connection {
         self.role.check(table, Action::Update)?;
         let plan = self.plan(|c| c.write_plan(table))?;
         self.run_write(plan, |set| {
-            let op = db::ops::update(set, table, id, values)?;
+            let op = set.update(table, id, values)?;
             Ok(((), vec![op]))
         })
     }
@@ -511,7 +511,7 @@ impl Connection {
         self.role.check(table, Action::Update)?;
         let plan = self.plan(|c| c.write_plan(table))?;
         self.run_write(plan, |set| {
-            let op = db::ops::update_row(set, table, id, row)?;
+            let op = set.update_row(table, id, row)?;
             Ok(((), vec![op]))
         })
     }
@@ -525,14 +525,14 @@ impl Connection {
         self.role.check(table, Action::Delete)?;
         let plan = self.plan(|c| c.txn_plan(&[table]))?;
         self.run_write(plan, |set| {
-            let ops = db::ops::delete(set, table, id)?;
+            let ops = set.delete(table, id)?;
             Ok(((), ops))
         })
     }
 
     pub fn select(&self, table: &str, query: &Query) -> Result<Vec<(i64, Row)>, DbError> {
         self.role.check(table, Action::Select)?;
-        self.run_read(table, |s| shard::select(s, query))
+        self.run_read(table, |t| query.execute(t))
     }
 
     /// Single-column projection of a query (see [`Query::project`]).
@@ -543,17 +543,17 @@ impl Connection {
         column: &str,
     ) -> Result<Vec<(i64, Value)>, DbError> {
         self.role.check(table, Action::Select)?;
-        self.run_read(table, |s| shard::select_project(s, query, column))
+        self.run_read(table, |t| query.project(t, column))
     }
 
     pub fn get(&self, table: &str, id: i64) -> Result<Row, DbError> {
         self.role.check(table, Action::Select)?;
-        self.run_read(table, |s| shard::get(s, table, id))
+        self.run_read(table, |t| t.row(id).cloned())
     }
 
     pub fn count(&self, table: &str, query: &Query) -> Result<usize, DbError> {
         self.role.check(table, Action::Select)?;
-        self.run_read(table, |s| shard::count(s, query))
+        self.run_read(table, |t| query.count(t))
     }
 
     /// Modification counter for `table` — cache-invalidation metadata, not
@@ -683,7 +683,7 @@ impl ReadView {
 
     pub fn select(&self, table: &str, query: &Query) -> Result<Vec<(i64, Row)>, DbError> {
         self.role.check(table, Action::Select)?;
-        shard::select(self.table(table)?, query)
+        query.execute(self.table(table)?)
     }
 
     /// Single-column projection of a query (see [`Query::project`]).
@@ -694,17 +694,17 @@ impl ReadView {
         column: &str,
     ) -> Result<Vec<(i64, Value)>, DbError> {
         self.role.check(table, Action::Select)?;
-        shard::select_project(self.table(table)?, query, column)
+        query.project(self.table(table)?, column)
     }
 
     pub fn get(&self, table: &str, id: i64) -> Result<Row, DbError> {
         self.role.check(table, Action::Select)?;
-        shard::get(self.table(table)?, table, id)
+        self.table(table)?.row(id).cloned()
     }
 
     pub fn count(&self, table: &str, query: &Query) -> Result<usize, DbError> {
         self.role.check(table, Action::Select)?;
-        shard::count(self.table(table)?, query)
+        query.count(self.table(table)?)
     }
 
     /// Version stamps of the viewed tables, in the order they were passed
@@ -734,14 +734,14 @@ pub struct Txn<'a> {
 impl Txn<'_> {
     pub fn insert(&mut self, table: &str, values: &[(&str, Value)]) -> Result<i64, DbError> {
         self.role.check(table, Action::Insert)?;
-        let (id, op) = db::ops::insert(&mut self.set, table, values)?;
+        let (id, op) = self.set.insert(table, values)?;
         self.ops.push(op);
         Ok(id)
     }
 
     pub fn insert_row(&mut self, table: &str, row: Row) -> Result<i64, DbError> {
         self.role.check(table, Action::Insert)?;
-        let (id, op) = db::ops::insert_row(&mut self.set, table, row)?;
+        let (id, op) = self.set.insert_row(table, row)?;
         self.ops.push(op);
         Ok(id)
     }
@@ -753,21 +753,21 @@ impl Txn<'_> {
         values: &[(&str, Value)],
     ) -> Result<(), DbError> {
         self.role.check(table, Action::Update)?;
-        let op = db::ops::update(&mut self.set, table, id, values)?;
+        let op = self.set.update(table, id, values)?;
         self.ops.push(op);
         Ok(())
     }
 
     pub fn update_row(&mut self, table: &str, id: i64, row: Row) -> Result<(), DbError> {
         self.role.check(table, Action::Update)?;
-        let op = db::ops::update_row(&mut self.set, table, id, row)?;
+        let op = self.set.update_row(table, id, row)?;
         self.ops.push(op);
         Ok(())
     }
 
     pub fn delete(&mut self, table: &str, id: i64) -> Result<(), DbError> {
         self.role.check(table, Action::Delete)?;
-        let ops = db::ops::delete(&mut self.set, table, id)?;
+        let ops = self.set.delete(table, id)?;
         self.ops.extend(ops);
         Ok(())
     }
@@ -779,14 +779,7 @@ impl Txn<'_> {
 
     pub fn get(&self, table: &str, id: i64) -> Result<Row, DbError> {
         self.role.check(table, Action::Select)?;
-        self.set
-            .table_ref(table)?
-            .get(id)
-            .cloned()
-            .ok_or_else(|| DbError::NoSuchRow {
-                table: table.to_string(),
-                id,
-            })
+        self.set.table_ref(table)?.row(id).cloned()
     }
 }
 
@@ -1032,8 +1025,8 @@ mod tests {
         // Rows of `a` and `b` a crash would leave behind right now.
         let crash = || {
             std::fs::copy(&walp, &copy).unwrap();
-            let recovered = wal::recover(None, Some(&copy)).unwrap();
-            ["a", "b"].map(|t| recovered.table(t).unwrap().len())
+            let recovered = Db::open(dir.join("no.snap"), &copy).unwrap();
+            ["a", "b"].map(|t| recovered.table_len(t).unwrap())
         };
         let flushed = std::fs::read(&walp).unwrap();
         assert_eq!(crash(), [1, 0]);

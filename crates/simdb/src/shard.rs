@@ -107,13 +107,12 @@
 //! structurally impossible regardless of which tables writers touch.
 //! Readers, and the FK checks of writers, take part in no lock at all.
 
-use crate::db::{LogOp, TableSet};
+use crate::db::LogOp;
 use crate::error::DbError;
 use crate::obs::ShardMetrics;
-use crate::query::Query;
 use crate::schema::{OnDelete, TableSchema};
-use crate::table::{Row, Table};
-use crate::value::Value;
+use crate::table::Table;
+use crate::wal::Recovered;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering::SeqCst};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -341,6 +340,32 @@ impl CommitClock {
     }
 }
 
+/// DDL's checks, for a live `CREATE TABLE` and a replayed one alike: the
+/// name is free, every FK target `exists` (or is the table itself, for
+/// self-reference) and the schema is valid. Returns the empty table.
+pub(crate) fn new_table(
+    schema: &TableSchema,
+    exists: impl Fn(&str) -> bool,
+) -> Result<Table, DbError> {
+    if exists(&schema.name) {
+        return Err(DbError::Schema(format!(
+            "table {} already exists",
+            schema.name
+        )));
+    }
+    for c in &schema.columns {
+        if let Some(fk) = &c.foreign_key {
+            if fk.references != schema.name && !exists(&fk.references) {
+                return Err(DbError::Schema(format!(
+                    "table {}: FK column {} references missing table {}",
+                    schema.name, c.name, fk.references
+                )));
+            }
+        }
+    }
+    Table::new(schema.clone())
+}
+
 /// The engine's table directory: shards plus the schema-level metadata
 /// (immutable outside the catalog write lock) that write-set planning and
 /// cascade planning need without touching any table.
@@ -366,31 +391,22 @@ impl Catalog {
         }
     }
 
-    /// Build the runtime catalog from recovered storage (snapshot + WAL
-    /// replay), carrying over the version counters and per-table WAL
-    /// coverage the replay produced.
-    pub fn from_parts(
-        tables: BTreeMap<String, Table>,
-        versions: &BTreeMap<String, u64>,
-        applied: &BTreeMap<String, u64>,
-    ) -> Catalog {
+    /// The runtime catalog over what recovery built (snapshot + WAL
+    /// replay): each table moves — is not copied — into its shard, with the
+    /// version counter and WAL coverage replay left it at.
+    pub fn from_recovered(tables: BTreeMap<String, Recovered>) -> Catalog {
         let mut catalog = Catalog::new();
-        for (name, table) in tables {
-            let version = versions.get(&name).copied().unwrap_or(0);
-            let applied_seq = applied.get(&name).copied();
-            catalog
-                .schemas
-                .insert(name.clone(), Arc::new(table.schema.clone()));
-            catalog
-                .tables
-                .insert(name.clone(), Shard::new(&name, table, version, applied_seq));
+        for (name, r) in tables {
+            let schema = Arc::new(r.table.schema.clone());
+            catalog.schemas.insert(name.clone(), schema);
+            let shard = Shard::new(&name, r.table, r.version, r.applied_seq);
+            catalog.tables.insert(name, shard);
         }
         catalog.rebuild_edges();
         catalog
     }
 
-    /// DDL: create a table (the sharded analogue of
-    /// `Database::create_table`; caller holds the catalog write lock).
+    /// DDL: create a table (caller holds the catalog write lock).
     /// `log` claims the WAL sequence of the `CreateTable` record once the
     /// schema has been accepted; the table is published carrying it, so
     /// compaction can retire the record once a snapshot includes the table.
@@ -400,24 +416,7 @@ impl Catalog {
         schema: TableSchema,
         log: impl FnOnce(&LogOp) -> Result<Option<u64>, DbError>,
     ) -> Result<Option<u64>, DbError> {
-        if self.tables.contains_key(&schema.name) {
-            return Err(DbError::Schema(format!(
-                "table {} already exists",
-                schema.name
-            )));
-        }
-        // FK targets must exist (or be the table itself, for self-reference).
-        for c in &schema.columns {
-            if let Some(fk) = &c.foreign_key {
-                if fk.references != schema.name && !self.tables.contains_key(&fk.references) {
-                    return Err(DbError::Schema(format!(
-                        "table {}: FK column {} references missing table {}",
-                        schema.name, c.name, fk.references
-                    )));
-                }
-            }
-        }
-        let table = Table::new(schema.clone())?;
+        let table = new_table(&schema, |t| self.tables.contains_key(t))?;
         let seq = log(&LogOp::CreateTable {
             schema: schema.clone(),
         })?;
@@ -581,16 +580,15 @@ impl LockPlan {
     }
 }
 
-/// An acquired write set and the **delta write-buffer** over it: the
-/// [`TableSet`] the shared mutation engine in [`crate::db::ops`] runs
-/// against for every live write.
+/// An acquired write set and the **delta write-buffer** over it: what the
+/// mutation logic in [`crate::db`] runs against for every live write.
 ///
 /// A buffer is created lazily, on the first mutation of each table, as a
 /// copy-on-write *structural* clone of the table's base — O(chunk spine)
 /// `Arc` bumps, no row data. From then on:
 ///
 /// * **reads inside the operation** resolve buffer-or-base:
-///   [`TableSet::table_ref`] returns the buffer when one exists (the
+///   [`Self::table_ref`] returns the buffer when one exists (the
 ///   operation sees its own writes) and the pinned version otherwise;
 /// * **mutations** apply to the buffer through the ordinary per-row
 ///   copy-on-write path, materializing exactly the rows touched;
@@ -613,7 +611,7 @@ struct Buffer {
     version: u64,
 }
 
-impl BufferedTables<'_> {
+impl<'a> BufferedTables<'a> {
     /// Publish a new version of every *dirty* table, stamped with
     /// `last_seq` (the batch's final WAL sequence number — every table the
     /// batch wrote is covered up to it, since other writers of those
@@ -661,10 +659,10 @@ impl BufferedTables<'_> {
             .index_entries_copied_per_write
             .observe(index_entries_copied);
     }
-}
 
-impl TableSet for BufferedTables<'_> {
-    fn table_ref(&self, name: &str) -> Result<&Table, DbError> {
+    /// A table this operation may read: one of its write set, or a pinned
+    /// FK target.
+    pub fn table_ref(&self, name: &str) -> Result<&Table, DbError> {
         if let Some((guard, buffer)) = self.writes.get(name) {
             // Buffer-or-base: the operation's own writes are visible.
             return Ok(buffer.as_ref().map_or(&guard.base.table, |b| &b.table));
@@ -678,7 +676,8 @@ impl TableSet for BufferedTables<'_> {
         )))
     }
 
-    fn table_mut(&mut self, name: &str) -> Result<&mut Table, DbError> {
+    /// The buffer of a write-set table, cloned from its base on first use.
+    pub fn table_mut(&mut self, name: &str) -> Result<&mut Table, DbError> {
         let (guard, buffer) = self.writes.get_mut(name).ok_or_else(|| {
             DbError::Schema(format!(
                 "table {name} is not in this operation's write set \
@@ -692,11 +691,18 @@ impl TableSet for BufferedTables<'_> {
         Ok(&mut buffer.table)
     }
 
-    fn referencing_columns(&self, target: &str) -> Vec<(String, usize, OnDelete)> {
-        self.referencing.get(target).cloned().unwrap_or_default()
+    /// `(referencing table, column index, on_delete)` of every FK column
+    /// in the database whose target is `target`: schema facts, immutable
+    /// after DDL, so cascade planning reads them without touching a table.
+    pub fn referencing_columns(&self, target: &str) -> &'a [(String, usize, OnDelete)] {
+        self.referencing
+            .get(target)
+            .map_or(&[][..], |refs| &refs[..])
     }
 
-    fn bump_version(&mut self, table: &str) {
+    /// Bump the table's modification counter: the buffer is dirty, and its
+    /// commit publishes the new count with the data.
+    pub fn bump_version(&mut self, table: &str) {
         match self.writes.get_mut(table) {
             Some((_, Some(buffer))) => buffer.version += 1,
             _ => debug_assert!(false, "bump_version on unbuffered table {table}"),
@@ -748,31 +754,6 @@ impl PinnedView {
     pub fn tables(&self) -> impl Iterator<Item = &str> {
         self.order.iter().map(|s| s.as_str())
     }
-}
-
-/// Read helpers shared by `Connection` single-table reads and `ReadView`:
-/// plain query execution against a pinned version's table.
-pub(crate) fn select(table: &Table, query: &Query) -> Result<Vec<(i64, Row)>, DbError> {
-    query.execute(table)
-}
-
-pub(crate) fn select_project(
-    table: &Table,
-    query: &Query,
-    column: &str,
-) -> Result<Vec<(i64, Value)>, DbError> {
-    query.project(table, column)
-}
-
-pub(crate) fn get(table: &Table, name: &str, id: i64) -> Result<Row, DbError> {
-    table.get(id).cloned().ok_or_else(|| DbError::NoSuchRow {
-        table: name.to_string(),
-        id,
-    })
-}
-
-pub(crate) fn count(table: &Table, query: &Query) -> Result<usize, DbError> {
-    query.count(table)
 }
 
 #[cfg(test)]

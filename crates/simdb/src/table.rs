@@ -488,6 +488,14 @@ impl Table {
         self.rows.iter()
     }
 
+    /// [`Self::get`], a missing row being the caller's error.
+    pub(crate) fn row(&self, id: i64) -> Result<&Row, DbError> {
+        self.get(id).ok_or_else(|| DbError::NoSuchRow {
+            table: self.schema.name.clone(),
+            id,
+        })
+    }
+
     /// Validate a candidate row's arity and per-column constraints.
     fn check_cells(&self, row: &Row) -> Result<(), DbError> {
         if row.len() != self.schema.columns.len() {
@@ -1053,21 +1061,24 @@ mod tests {
     }
 
     /// Index snapshot isolation: random insert / update / delete /
-    /// cascade-delete streams, with a clone taken every few hundred
-    /// operations. Each clone must answer as a full scan of *itself* does,
-    /// when taken, a few hundred writes later and at the end; unique
-    /// violations must
-    /// be reported exactly when a scan predicts one; and the stream must
-    /// have split chunks, spread one cell over two, and emptied some.
+    /// cascade-delete streams through the engine, with the published
+    /// version pinned every few hundred operations. Each pin must answer
+    /// as a full scan of *itself* does, when taken, a few hundred writes
+    /// later and at the end; unique violations must be reported exactly
+    /// when a scan predicts one; and the stream must have split chunks,
+    /// spread one cell over two, and emptied some.
     #[test]
     fn index_snapshots_stay_isolated_under_random_writes() {
-        use crate::db::Database;
         use crate::schema::OnDelete;
+        use crate::shard::TableVersion;
         const CLONE_EVERY: usize = 400;
 
         for seed in [1u64, 7919] {
             let mut rng = Stream(seed);
-            let mut db = Database::new();
+            let engine = crate::Db::in_memory();
+            engine.define_role(crate::Role::superuser("admin"));
+            let db = engine.connect("admin").unwrap();
+            let pin = |table: &str| engine.shared.catalog.read().shard(table).unwrap().pin();
             db.create_table(TableSchema::new(
                 "parent",
                 vec![Column::new("name", ValueType::Text).not_null().unique()],
@@ -1084,9 +1095,8 @@ mod tests {
                 ],
             ))
             .unwrap();
-            let ids = |db: &Database, table: &str| -> Vec<i64> {
-                db.table(table).unwrap().iter().map(|(id, _)| id).collect()
-            };
+            let ids =
+                |table: &str| -> Vec<i64> { pin(table).table.iter().map(|(id, _)| id).collect() };
             let child = |rng: &mut Stream, parents: &[i64]| -> Row {
                 let tag = match rng.below(5) {
                     0 => Value::Null,
@@ -1099,20 +1109,17 @@ mod tests {
                 vec![Value::Int(parents[rng.below(parents.len())]), tag, serial]
             };
             // What a scan says about a candidate row's uniqueness.
-            let collides = |db: &Database, row: &Row, own: Option<i64>| {
-                !row[2].is_null()
-                    && db
-                        .table("child")
-                        .unwrap()
-                        .iter()
-                        .any(|(id, r)| r[2] == row[2] && Some(id) != own)
+            let collides = |row: &Row, own: Option<i64>| {
+                let children = pin("child");
+                let mut rows = children.table.iter();
+                !row[2].is_null() && rows.any(|(id, r)| r[2] == row[2] && Some(id) != own)
             };
 
-            let mut clones: Vec<(Database, Vec<Entries>)> = Vec::new();
+            let mut clones: Vec<(Arc<TableVersion>, Vec<Entries>)> = Vec::new();
             let (mut most_chunks, mut violations, mut straddles) = (0, 0, false);
             for op in 0..6_000 {
-                let parents = ids(&db, "parent");
-                let children = ids(&db, "child");
+                let parents = ids("parent");
+                let children = ids("child");
                 match rng.below(200) {
                     _ if parents.is_empty() => {
                         db.insert("parent", &[("name", format!("p{op}").into())])
@@ -1129,7 +1136,7 @@ mod tests {
                     }
                     7..=129 => {
                         let row = child(&mut rng, &parents);
-                        let predicted = collides(&db, &row, None);
+                        let predicted = collides(&row, None);
                         let result = db.insert_row("child", row);
                         assert_eq!(
                             matches!(result, Err(DbError::UniqueViolation { .. })),
@@ -1141,7 +1148,7 @@ mod tests {
                     130..=169 if !children.is_empty() => {
                         let id = children[rng.below(children.len())];
                         let row = child(&mut rng, &parents);
-                        let predicted = collides(&db, &row, Some(id));
+                        let predicted = collides(&row, Some(id));
                         let result = db.update_row("child", id, row);
                         assert_eq!(
                             matches!(result, Err(DbError::UniqueViolation { .. })),
@@ -1157,7 +1164,8 @@ mod tests {
                     _ => {}
                 }
 
-                let table = db.table("child").unwrap();
+                let tip = pin("child");
+                let table = &tip.table;
                 let tags = &table.index(1).unwrap().chunks;
                 most_chunks = most_chunks.max(tags.len());
                 straddles |= tags.windows(2).any(|w| w[0].last().0 == &w[1].runs[0].0);
@@ -1166,13 +1174,12 @@ mod tests {
                     let frozen = (0..3).map(|col| entries(table, col)).collect();
                     // The clone before this one, after the writes since.
                     if let Some((clone, frozen)) = clones.last() {
-                        let table = clone.table("child").unwrap();
-                        assert_indexes_match_scan(table);
+                        assert_indexes_match_scan(&clone.table);
                         for (col, was) in frozen.iter().enumerate() {
-                            assert_eq!(&entries(table, col), was);
+                            assert_eq!(&entries(&clone.table, col), was);
                         }
                     }
-                    clones.push((db.clone(), frozen));
+                    clones.push((tip, frozen));
                 }
             }
             assert!(most_chunks >= 3, "seed {seed}: no chunk ever split");
@@ -1181,16 +1188,16 @@ mod tests {
 
             // Emptying the table empties every index, chunk by chunk, and
             // leaves the clones whole.
-            for id in ids(&db, "parent") {
+            for id in ids("parent") {
                 db.delete("parent", id).unwrap();
             }
-            let table = db.table("child").unwrap();
+            let tip = pin("child");
+            let table = &tip.table;
             assert!(table.is_empty());
             assert!((0..3).all(|col| table.index(col).unwrap().chunks.is_empty()));
             for (clone, frozen) in &clones {
-                let table = clone.table("child").unwrap();
-                assert_indexes_match_scan(table);
-                assert_eq!(&entries(table, 0), &frozen[0]);
+                assert_indexes_match_scan(&clone.table);
+                assert_eq!(&entries(&clone.table, 0), &frozen[0]);
             }
         }
     }

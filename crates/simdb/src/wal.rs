@@ -3,8 +3,11 @@
 //! The central database is the only channel between AMP's portal and the
 //! GridAMP daemon, so losing it loses all workflow state. The [`Wal`]
 //! appends each commit as one checksummed frame; [`Snapshot`] streams the
-//! whole database into a file of the same frames. Recovery = load latest
-//! snapshot, then replay the log's suffix.
+//! whole database into a file of the same frames. Recovery
+//! ([`recover_with_last_seq`]) = load the latest snapshot, then apply the
+//! log's suffix in place to the plain tables it held ([`Recovered`]), which
+//! then move into the engine's shards; a record that does not apply is
+//! `Corrupt`.
 //!
 //! # The log file (DESIGN §9.13)
 //!
@@ -47,9 +50,10 @@
 //! short of the counts it declares and bytes after the last table are all
 //! `Corrupt`, with the byte offset.
 
-use crate::db::{Database, LogOp};
+use crate::db::LogOp;
 use crate::error::DbError;
 use crate::schema::TableSchema;
+use crate::shard::new_table;
 use crate::table::{Row, Rows, Table};
 use crate::value::Value;
 use std::collections::BTreeMap;
@@ -386,9 +390,9 @@ impl Wal {
     }
 
     /// Open (or create) a WAL file whose next record is numbered
-    /// `next_seq`. The caller has read the file (see [`recover`]) and knows
-    /// that no record in it, and no record a snapshot already covers,
-    /// carries that number or a higher one.
+    /// `next_seq`. The caller has read the file (see
+    /// [`recover_with_last_seq`]) and knows that no record in it, and no
+    /// record a snapshot already covers, carries that number or a higher one.
     pub(crate) fn open_at(path: impl AsRef<Path>, next_seq: u64) -> Result<Self, DbError> {
         let path = path.as_ref().to_path_buf();
         let file = OpenOptions::new().create(true).append(true).open(&path)?;
@@ -660,23 +664,6 @@ impl Wal {
         let frames = Self::read_frames(path)?;
         Ok(frames.into_iter().flat_map(|f| f.records).collect())
     }
-
-    /// Replay records into a database, skipping those the database's
-    /// recorded per-table WAL coverage — seeded by [`Snapshot::load`] —
-    /// already includes. Refreshes the per-table coverage as it goes.
-    pub fn replay_into(db: &mut Database, records: &[WalRecord]) -> Result<usize, DbError> {
-        let mut applied = 0;
-        for rec in records {
-            let table = op_table(&rec.op).to_string();
-            if db.applied_seq(&table).is_some_and(|s| s >= rec.seq) {
-                continue;
-            }
-            db.apply_log_op(&rec.op)?;
-            db.note_applied(&table, rec.seq);
-            applied += 1;
-        }
-        Ok(applied)
-    }
 }
 
 /// Decode a log file in one pass, returning its bytes, its frames and the
@@ -845,11 +832,11 @@ impl Snapshot {
         Ok(bytes)
     }
 
-    /// Load a snapshot; returns the database (indexes rebuilt, per-table
-    /// WAL coverage seeded from the recorded map) and the highest WAL seq
-    /// claimed when it was taken.
-    pub fn load(path: impl AsRef<Path>) -> Result<(Database, Option<u64>), DbError> {
-        let data = std::fs::read(path.as_ref())?;
+    /// Load a snapshot: its tables (indexes rebuilt, each with the WAL
+    /// coverage the file recorded for it) and the highest WAL seq claimed
+    /// when it was taken.
+    pub(crate) fn load(path: &Path) -> Result<(RecoveredTables, Option<u64>), DbError> {
+        let data = std::fs::read(path)?;
         let corrupt = |at: usize, why: &str| DbError::Corrupt(format!("snapshot byte {at}: {why}"));
         if !data.starts_with(SNAPSHOT_MAGIC) {
             return Err(corrupt(0, "not a snapshot"));
@@ -899,52 +886,129 @@ impl Snapshot {
                     return Err(corrupt(start, "more rows than the table declares"));
                 }
             }
-            let (name, table) = (schema.name.clone(), Table::unindexed(schema, rows, next_id));
-            if tables.insert(name, table).is_some() {
+            let name = schema.name.clone();
+            let mut table = Table::unindexed(schema, rows, next_id);
+            table.rebuild_indexes()?;
+            let recovered = Recovered {
+                table,
+                version: 0,
+                applied_seq: applied_seqs.get(&name).copied(),
+            };
+            if tables.insert(name, recovered).is_some() {
                 return Err(corrupt(start, "a table twice"));
             }
         }
         if at < data.len() {
             return Err(corrupt(at, "bytes after the last table"));
         }
-        Ok((Database::from_snapshot(tables, applied_seqs)?, covered_seq))
+        Ok((tables, covered_seq))
     }
 }
 
-/// Recover a database from `snapshot` (if present) + `wal` (if present).
-/// Replay filtering is per table: the snapshot's recorded coverage decides,
-/// table by table, which records are already included (see
-/// [`Wal::truncate_keeping`] for why a global threshold would be unsound
-/// once compaction runs concurrently with writers). A torn tail is cut off
-/// the log file (see the module docs).
-pub fn recover(snapshot: Option<&Path>, wal: Option<&Path>) -> Result<Database, DbError> {
-    recover_with_last_seq(snapshot, wal).map(|(db, _)| db)
+/// One table as recovery builds it: plain and unshared, so the log's records
+/// apply in place, until it moves into its shard.
+pub(crate) struct Recovered {
+    pub table: Table,
+    /// Records replayed onto it: where its runtime modification counter
+    /// starts (a snapshot does not carry one).
+    pub version: u64,
+    /// Highest WAL sequence number whose effects `table` includes.
+    pub applied_seq: Option<u64>,
 }
 
-/// [`recover`], plus the highest WAL sequence number the recovered state
-/// has ever used: the maximum over the log's records, the snapshot's
-/// `covered_seq` and every table's coverage. The log must continue above
-/// it. After a compaction the file can be empty, or hold only one table's
-/// tail, while the snapshot's coverage of other tables is higher; records
-/// numbered from the file alone would sit at or below that coverage and
-/// the next recovery would skip them as already applied.
-pub(crate) fn recover_with_last_seq(
-    snapshot: Option<&Path>,
-    wal: Option<&Path>,
-) -> Result<(Database, Option<u64>), DbError> {
-    let (mut db, mut last_seq) = match snapshot {
-        Some(p) if p.exists() => Snapshot::load(p)?,
-        _ => (Database::new(), None),
-    };
-    if let Some(w) = wal {
-        if w.exists() {
-            let records = read_cutting_torn_tail(w)?;
-            Wal::replay_into(&mut db, &records)?;
-            last_seq = last_seq.max(records.last().map(|r| r.seq));
+pub(crate) type RecoveredTables = BTreeMap<String, Recovered>;
+
+/// Apply one logged op to the tables recovery holds, answering the table it
+/// changed. The log records only what committed, against exactly this
+/// state, so any refusal here means the files do not belong together.
+fn apply(tables: &mut RecoveredTables, op: LogOp) -> Result<&mut Recovered, DbError> {
+    fn held(tables: &mut RecoveredTables, name: String) -> Result<&mut Recovered, DbError> {
+        match tables.get_mut(&name) {
+            Some(r) => Ok(r),
+            None => Err(DbError::NoSuchTable(name)),
         }
     }
-    let last_seq = last_seq.max(db.max_applied_seq());
-    Ok((db, last_seq))
+    match op {
+        LogOp::CreateTable { schema } => {
+            let created = Recovered {
+                table: new_table(&schema, |t| tables.contains_key(t))?,
+                version: 0,
+                applied_seq: None,
+            };
+            Ok(tables.entry(schema.name).or_insert(created))
+        }
+        LogOp::Insert { table, id, row } => {
+            let r = held(tables, table)?;
+            r.table.insert_with_id(id, row)?;
+            Ok(r)
+        }
+        LogOp::Update { table, id, set } => {
+            let r = held(tables, table)?;
+            let mut row = r.table.row(id)?.clone();
+            for (ci, value) in set {
+                let no_column = || DbError::Schema(format!("no column {ci}"));
+                *row.get_mut(ci).ok_or_else(no_column)? = value;
+            }
+            r.table.update(id, row)?;
+            Ok(r)
+        }
+        LogOp::Delete { table, id } => {
+            let r = held(tables, table)?;
+            r.table.delete(id)?;
+            Ok(r)
+        }
+    }
+}
+
+/// Recover the tables `snapshot` (if present) + `wal` (if present) hold, and
+/// the highest WAL sequence number that state has ever used: the maximum
+/// over the log's records, the snapshot's `covered_seq` and every table's
+/// coverage. The log must continue above it. After a compaction the file
+/// can be empty, or hold only one table's tail, while the snapshot's
+/// coverage of other tables is higher; records numbered from the file alone
+/// would sit at or below that coverage and the next recovery would skip
+/// them as already applied.
+///
+/// Replay filtering is per table: each table's coverage, seeded by the
+/// snapshot and raised by every record applied, decides which records its
+/// state already includes (see [`Wal::truncate_keeping`] for why a global
+/// threshold would be unsound once compaction runs concurrently with
+/// writers). A record that is due and does not apply is `Corrupt`. A torn
+/// tail is cut off the log file (see the module docs).
+pub(crate) fn recover_with_last_seq(
+    snapshot: &Path,
+    wal: &Path,
+) -> Result<(RecoveredTables, Option<u64>), DbError> {
+    let (mut tables, mut last_seq) = if snapshot.exists() {
+        Snapshot::load(snapshot)?
+    } else {
+        Default::default()
+    };
+    if wal.exists() {
+        let records = read_cutting_torn_tail(wal)?;
+        last_seq = last_seq.max(records.last().map(|rec| rec.seq));
+        for WalRecord { seq, op } in records {
+            let name = op_table(&op).to_string();
+            if tables
+                .get(&name)
+                .is_some_and(|r| r.applied_seq >= Some(seq))
+            {
+                continue;
+            }
+            let what = match op {
+                LogOp::CreateTable { .. } => "create table",
+                LogOp::Insert { .. } => "insert",
+                LogOp::Update { .. } => "update",
+                LogOp::Delete { .. } => "delete",
+            };
+            let r = apply(&mut tables, op)
+                .map_err(|e| DbError::Corrupt(format!("wal seq {seq}: {what} on {name}: {e}")))?;
+            r.applied_seq = Some(seq);
+            r.version += 1;
+        }
+    }
+    let last_seq = last_seq.max(tables.values().filter_map(|r| r.applied_seq).max());
+    Ok((tables, last_seq))
 }
 
 #[cfg(test)]
@@ -961,26 +1025,29 @@ mod tests {
         d
     }
 
-    /// Every table of `db`, in name order, as the snapshot writer takes them.
-    fn tables(db: &Database) -> std::vec::IntoIter<&Table> {
-        let tables: Vec<&Table> = db.table_names().map(|t| db.table(t).unwrap()).collect();
-        tables.into_iter()
+    fn insert(id: i64, v: i64) -> LogOp {
+        LogOp::Insert {
+            table: "t".into(),
+            id,
+            row: vec![Value::Int(v)],
+        }
     }
 
-    fn seed_ops(db: &mut Database) -> Vec<LogOp> {
-        let mut ops = Vec::new();
-        ops.push(
-            db.create_table(TableSchema::new(
-                "t",
-                vec![Column::new("v", ValueType::Int)],
-            ))
-            .unwrap(),
-        );
-        for i in 0..5 {
-            let (_, op) = db.insert("t", &[("v", Value::Int(i))]).unwrap();
-            ops.push(op);
+    /// Table `t` holding `v` = 0..5 under ids 1..=5, and the ops that say so.
+    fn seed() -> (Table, Vec<LogOp>) {
+        let schema = TableSchema::new("t", vec![Column::new("v", ValueType::Int)]);
+        let mut table = Table::new(schema.clone()).unwrap();
+        let mut ops = vec![LogOp::CreateTable { schema }];
+        for v in 0..5 {
+            let id = table.insert(vec![Value::Int(v)]).unwrap();
+            ops.push(insert(id, v));
         }
-        ops
+        (table, ops)
+    }
+
+    /// What `Db::open` would find in these files (`snap` need not exist).
+    fn recovered(snap: &Path, wal: &Path) -> RecoveredTables {
+        recover_with_last_seq(snap, wal).unwrap().0
     }
 
     /// Every value type, the varint edges and text no escaping would survive.
@@ -1094,28 +1161,24 @@ mod tests {
     fn wal_roundtrip() {
         let dir = tmpdir("rt");
         let wal_path = dir.join("db.wal");
-        let mut db = Database::new();
-        let ops = seed_ops(&mut db);
         let wal = Wal::open(&wal_path).unwrap();
-        wal.append(&ops).unwrap();
+        wal.append(&seed().1).unwrap();
 
-        let recovered = recover(None, Some(&wal_path)).unwrap();
-        assert_eq!(recovered.table("t").unwrap().len(), 5);
+        let tables = recovered(&dir.join("db.snap"), &wal_path);
+        assert_eq!(tables["t"].table.len(), 5);
     }
 
     #[test]
     fn wal_reopen_continues_sequence() {
         let dir = tmpdir("seq");
         let wal_path = dir.join("db.wal");
-        let mut db = Database::new();
-        let ops = seed_ops(&mut db);
+        let ops = seed().1;
         {
             let wal = Wal::open(&wal_path).unwrap();
             assert_eq!(wal.append(&ops).unwrap(), (ops.len() - 1) as u64);
         }
         let wal = Wal::open(&wal_path).unwrap();
-        let (_, op) = db.insert("t", &[("v", Value::Int(9))]).unwrap();
-        let seq = wal.append(std::slice::from_ref(&op)).unwrap();
+        let seq = wal.append(&[insert(6, 9)]).unwrap();
         assert_eq!(seq, ops.len() as u64);
         let recs = Wal::read_records(&wal_path).unwrap();
         assert_eq!(recs.len(), ops.len() + 1);
@@ -1128,30 +1191,30 @@ mod tests {
         let snap_path = dir.join("db.snap");
         let wal = Wal::open(&wal_path).unwrap();
 
-        let mut db = Database::new();
-        let ops = seed_ops(&mut db);
+        let (table, ops) = seed();
         let last = wal.append(&ops).unwrap();
         let applied = [("t".to_string(), last)].into();
-        Snapshot::write(tables(&db), Some(last), &applied, &snap_path, false).unwrap();
+        Snapshot::write(
+            [&table].into_iter(),
+            Some(last),
+            &applied,
+            &snap_path,
+            false,
+        )
+        .unwrap();
 
-        // post-snapshot activity
-        let (_, op1) = db.insert("t", &[("v", Value::Int(100))]).unwrap();
-        let rows = db.select("t", &crate::query::Query::new()).unwrap();
-        let dels = db.delete("t", rows[0].0).unwrap();
-        let mut tail = vec![op1];
-        tail.extend(dels);
-        wal.append(&tail).unwrap();
+        // post-snapshot activity: a sixth row, and the first one goes
+        let first = LogOp::Delete {
+            table: "t".into(),
+            id: 1,
+        };
+        wal.append(&[insert(6, 100), first]).unwrap();
 
-        let recovered = recover(Some(&snap_path), Some(&wal_path)).unwrap();
-        assert_eq!(recovered.table("t").unwrap().len(), 5);
-        let vals: Vec<i64> = recovered
-            .select("t", &crate::query::Query::new())
-            .unwrap()
-            .iter()
+        let tables = recovered(&snap_path, &wal_path);
+        let vals: Vec<i64> = (tables["t"].table.iter())
             .map(|(_, r)| r[0].as_int().unwrap())
             .collect();
-        assert!(vals.contains(&100));
-        assert!(!vals.contains(&0));
+        assert_eq!(vals, [1, 2, 3, 4, 100]);
     }
 
     #[test]
@@ -1186,11 +1249,7 @@ mod tests {
     #[test]
     fn only_opening_the_log_cuts_a_torn_tail() {
         let wal_path = tmpdir("torn").join("db.wal");
-        let mut db = Database::new();
-        Wal::open(&wal_path)
-            .unwrap()
-            .append(&seed_ops(&mut db))
-            .unwrap();
+        Wal::open(&wal_path).unwrap().append(&seed().1).unwrap();
         let whole = std::fs::read(&wal_path).unwrap();
         let torn = [&whole[..], &whole[MAGIC.len()..MAGIC.len() + 11]].concat();
         std::fs::write(&wal_path, &torn).unwrap();
@@ -1206,8 +1265,7 @@ mod tests {
     fn a_partly_covered_frame_is_refused_and_the_log_stays_usable() {
         let wal_path = tmpdir("partial").join("db.wal");
         let wal = Wal::open(&wal_path).unwrap();
-        let mut db = Database::new();
-        wal.append(&seed_ops(&mut db)).unwrap();
+        wal.append(&seed().1).unwrap();
         let before = std::fs::read(&wal_path).unwrap();
         let half: BTreeMap<String, u64> = [("t".to_string(), 3)].into_iter().collect();
         match wal.truncate_keeping(&half) {
@@ -1215,8 +1273,7 @@ mod tests {
             other => panic!("{other:?}"),
         }
         assert_eq!(std::fs::read(&wal_path).unwrap(), before);
-        let (_, op) = db.insert("t", &[("v", Value::Int(9))]).unwrap();
-        assert_eq!(wal.append(&[op]).unwrap(), 6);
+        assert_eq!(wal.append(&[insert(6, 9)]).unwrap(), 6);
         wal.truncate_keeping(&[("t".to_string(), 6)].into_iter().collect())
             .unwrap();
         assert_eq!(std::fs::read(&wal_path).unwrap(), MAGIC);
@@ -1226,18 +1283,22 @@ mod tests {
     fn snapshot_restores_indexes() {
         let dir = tmpdir("idx");
         let snap_path = dir.join("db.snap");
-        let mut db = Database::new();
-        db.create_table(TableSchema::new(
-            "t",
-            vec![Column::new("name", ValueType::Text).unique()],
-        ))
+        let schema = TableSchema::new("t", vec![Column::new("name", ValueType::Text).unique()]);
+        let mut table = Table::new(schema).unwrap();
+        table.insert(vec!["a".into()]).unwrap();
+        Snapshot::write(
+            [&table].into_iter(),
+            None,
+            &BTreeMap::new(),
+            &snap_path,
+            false,
+        )
         .unwrap();
-        db.insert("t", &[("name", "a".into())]).unwrap();
-        Snapshot::write(tables(&db), None, &BTreeMap::new(), &snap_path, false).unwrap();
         let (mut loaded, _) = Snapshot::load(&snap_path).unwrap();
         // unique index must be live after load
-        assert!(loaded.insert("t", &[("name", "a".into())]).is_err());
-        assert!(loaded.insert("t", &[("name", "b".into())]).is_ok());
+        let loaded = &mut loaded.get_mut("t").unwrap().table;
+        assert!(loaded.insert(vec!["a".into()]).is_err());
+        assert!(loaded.insert(vec!["b".into()]).is_ok());
     }
 
     /// The encoder against the loader: every value shape in every column
@@ -1245,7 +1306,6 @@ mod tests {
     /// several storage chunks whose last chunk is partial.
     #[test]
     fn snapshot_round_trips_every_value_shape_and_chunking() {
-        let mut db = Database::new();
         let wide = every_value_shape();
         let typed = |v: &Value| match v {
             Value::Null | Value::Text(_) => ValueType::Text,
@@ -1256,28 +1316,18 @@ mod tests {
         };
         let columns =
             (wide.iter().enumerate()).map(|(i, v)| Column::new(&format!("c{i}"), typed(v)));
-        db.create_table(TableSchema::new("wide", columns.collect()))
-            .unwrap();
-        db.insert_row("wide", wide.clone()).unwrap();
-        db.insert_row("wide", vec![Value::Null; wide.len()])
-            .unwrap();
-        seed_ops(&mut db);
+        let table = |name, columns| Table::new(TableSchema::new(name, columns)).unwrap();
+        let mut wide_table = table("wide", columns.collect());
+        wide_table.insert(wide.clone()).unwrap();
+        wide_table.insert(vec![Value::Null; wide.len()]).unwrap();
         let text = |name| Column::new(name, ValueType::Text);
-        db.create_table(TableSchema::new("empty", vec![text("s")]))
-            .unwrap();
-        db.create_table(TableSchema::new("sparse", vec![text("s").unique()]))
-            .unwrap();
+        let mut sparse = table("sparse", vec![text("s").unique()]);
         let sparse_ids: Vec<i64> = (0..300).map(|i| 1 + i * 7).chain([1 << 40]).collect();
         for id in &sparse_ids {
-            let op = LogOp::Insert {
-                table: "sparse".into(),
-                id: *id,
-                row: vec![format!("row {id}").into()],
-            };
-            db.apply_log_op(&op).unwrap();
+            let row = vec![format!("row {id}").into()];
+            sparse.insert_with_id(*id, row).unwrap();
         }
-        let chunks = db.table("sparse").unwrap().rows.chunks();
-        let sizes: Vec<usize> = chunks.map(Iterator::count).collect();
+        let sizes: Vec<usize> = sparse.rows.chunks().map(Iterator::count).collect();
         assert_eq!(
             (sizes.len(), sizes.iter().sum::<usize>(), sizes[9]),
             (10, 301, 1)
@@ -1285,29 +1335,38 @@ mod tests {
 
         let path = tmpdir("snapcodec").join("db.snap");
         let applied: BTreeMap<String, u64> = [("t".to_string(), 7), ("wide".to_string(), 0)].into();
-        let bytes = Snapshot::write(tables(&db), Some(9), &applied, &path, false).unwrap();
+        // In name order, as the snapshot writer takes them.
+        let tables = [
+            table("empty", vec![text("s")]),
+            sparse,
+            seed().0,
+            wide_table,
+        ];
+        let bytes = Snapshot::write(tables.iter(), Some(9), &applied, &path, false).unwrap();
         assert_eq!(bytes, std::fs::metadata(&path).unwrap().len());
         let (loaded, covered) = Snapshot::load(&path).unwrap();
         assert_eq!(covered, Some(9));
         assert_eq!(
-            loaded.table_names().collect::<Vec<_>>(),
+            loaded.keys().collect::<Vec<_>>(),
             ["empty", "sparse", "t", "wide"]
         );
-        for name in db.table_names() {
-            let (was, is) = (db.table(name).unwrap(), loaded.table(name).unwrap());
-            assert_eq!(is.schema, was.schema);
-            assert_eq!(is.next_id, was.next_id);
-            assert!(is.iter().eq(was.iter()), "{name}: rows differ");
-            assert_eq!(loaded.applied_seq(name), applied.get(name).copied());
+        for (was, (name, is)) in tables.iter().zip(&loaded) {
+            assert_eq!(is.table.schema, was.schema);
+            assert_eq!(is.table.next_id, was.next_id);
+            assert!(is.table.iter().eq(was.iter()), "{name}: rows differ");
+            assert_eq!(
+                (is.applied_seq, is.version),
+                (applied.get(name).copied(), 0)
+            );
         }
         let float = wide.iter().position(|v| *v == Value::Float(-0.0)).unwrap();
-        let zero = loaded.get("wide", 1).unwrap()[float].as_float().unwrap();
-        assert!(zero.is_sign_negative(), "-0.0 came back as 0.0");
+        let zero = loaded["wide"].table.get(1).unwrap()[float].as_float();
+        assert!(zero.unwrap().is_sign_negative(), "-0.0 came back as 0.0");
 
         // No coverage at all is not coverage of sequence number 0.
-        Snapshot::write(tables(&db), None, &BTreeMap::new(), &path, false).unwrap();
+        Snapshot::write(tables.iter(), None, &BTreeMap::new(), &path, false).unwrap();
         let (loaded, covered) = Snapshot::load(&path).unwrap();
-        assert_eq!((covered, loaded.applied_seq("t")), (None, None));
+        assert_eq!((covered, loaded["t"].applied_seq), (None, None));
     }
 
     /// A snapshot has no legitimate torn tail and carries no unchecked
@@ -1316,14 +1375,13 @@ mod tests {
     #[test]
     fn a_damaged_or_short_snapshot_is_corrupt() {
         let path = tmpdir("snapdamage").join("db.snap");
-        let mut db = Database::new();
-        seed_ops(&mut db);
+        let seeded = seed().0;
         let applied = [("t".to_string(), 6)].into();
-        Snapshot::write(tables(&db), Some(6), &applied, &path, false).unwrap();
+        Snapshot::write([&seeded].into_iter(), Some(6), &applied, &path, false).unwrap();
         let good = std::fs::read(&path).unwrap();
         let (loaded, covered) = Snapshot::load(&path).unwrap();
-        assert_eq!((covered, loaded.applied_seq("t")), (Some(6), Some(6)));
-        assert_eq!(loaded.table("t").unwrap().len(), 5);
+        assert_eq!((covered, loaded["t"].applied_seq), (Some(6), Some(6)));
+        assert_eq!(loaded["t"].table.len(), 5);
 
         let corrupt = |bytes: &[u8], what: String| {
             std::fs::write(&path, bytes).unwrap();
@@ -1362,7 +1420,7 @@ mod tests {
         // the column types, as in the log — a non-finite float.
         let unique = TableSchema::new("t", vec![Column::new("v", ValueType::Int).unique()]);
         let float = TableSchema::new("t", vec![Column::new("v", ValueType::Float)]);
-        let rows = db.table("t").unwrap().rows.clone();
+        let rows = seeded.rows.clone();
         let with = |mut rows: Rows, id, cell| {
             rows.insert(id, std::sync::Arc::new(vec![cell]));
             rows

@@ -4,10 +4,52 @@
 
 #![allow(dead_code)]
 
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
 
 use amp::prelude::*;
+use amp::simdb::{Row, Value};
 use amp_grid::{DaemonFault, DaemonFaultEvent, DaemonFaultPlan};
+
+/// A naive model of a database of plain tables (no constraints, no foreign
+/// keys): per table its rows by id and the next id to hand out. The storage
+/// property tests compare the engine against it; it shares no code with
+/// what it checks.
+#[derive(Clone, Default)]
+pub struct ModelDb {
+    tables: BTreeMap<String, (BTreeMap<i64, Row>, i64)>,
+}
+
+impl ModelDb {
+    pub fn create_table(&mut self, name: &str) {
+        self.tables.insert(name.to_string(), (BTreeMap::new(), 1));
+    }
+
+    pub fn insert(&mut self, table: &str, row: Row) -> i64 {
+        let (rows, next_id) = self.tables.get_mut(table).expect("model table");
+        let id = *next_id;
+        *next_id += 1;
+        rows.insert(id, row);
+        id
+    }
+
+    /// Set cell `column` of a row that exists.
+    pub fn update(&mut self, table: &str, id: i64, column: usize, value: Value) {
+        let (rows, _) = self.tables.get_mut(table).expect("model table");
+        rows.get_mut(&id).expect("model row")[column] = value;
+    }
+
+    /// Remove a row that exists; its id is never handed out again.
+    pub fn delete(&mut self, table: &str, id: i64) {
+        let (rows, _) = self.tables.get_mut(table).expect("model table");
+        rows.remove(&id).expect("model row");
+    }
+
+    /// Every row of `table`, ascending by id.
+    pub fn rows(&self, table: &str) -> Vec<(i64, Row)> {
+        let (rows, _) = &self.tables[table];
+        rows.iter().map(|(id, row)| (*id, row.clone())).collect()
+    }
+}
 
 /// The canonical "truth" star the failure suites synthesize observations
 /// from.

@@ -21,13 +21,16 @@
 //! 5. the write side's delta buffer is semantically invisible: reads
 //!    inside a transaction see buffer-over-base, a commit publishes
 //!    exactly the merged state, and a rollback leaves the published spine
-//!    untouched — all equal to a single-threaded oracle applying the same
-//!    operations (property test over arbitrary transaction sequences);
+//!    untouched — all equal to a naive model (`common::ModelDb`: a map of
+//!    rows and a next id per table) applying the same operations (property
+//!    test over arbitrary transaction sequences);
 //! 6. a single statement takes that same buffered path, so one that fails
 //!    part-way leaves nothing behind for the next commit to publish.
 
+mod common;
+
 use amp::simdb::prelude::*;
-use amp::simdb::Database;
+use common::ModelDb;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::sync::mpsc;
@@ -153,7 +156,7 @@ fn arb_tx_op() -> impl Strategy<Value = TxOp> {
 }
 
 /// Drive the same transaction sequence through the buffered MVCC engine
-/// and a single-threaded [`Database`] oracle, checking three things per
+/// and the naive [`ModelDb`] oracle, checking three things per
 /// transaction:
 ///
 /// 1. *buffer-over-base reads*: mid-transaction, `Txn::select` sees the
@@ -167,11 +170,11 @@ fn check_buffered_txns_match_oracle(txns: &[(Vec<TxOp>, bool)]) {
     let db = Db::in_memory();
     db.define_role(Role::superuser("admin"));
     let admin = db.connect("admin").unwrap();
-    let mut oracle = Database::new();
+    let mut oracle = ModelDb::default();
     for t in ["bufa", "bufb"] {
         let schema = TableSchema::new(t, vec![Column::new("v", ValueType::Int)]);
-        admin.create_table(schema.clone()).unwrap();
-        oracle.create_table(schema).unwrap();
+        admin.create_table(schema).unwrap();
+        oracle.create_table(t);
     }
     let name = |t: bool| if t { "bufa" } else { "bufb" };
     let all = Query::new();
@@ -185,31 +188,26 @@ fn check_buffered_txns_match_oracle(txns: &[(Vec<TxOp>, bool)]) {
             for op in ops {
                 match op {
                     TxOp::Insert { t, v } => {
-                        let want = tentative
-                            .insert(name(*t), &[("v", Value::Int(*v as i64))])
-                            .unwrap()
-                            .0;
+                        let want = tentative.insert(name(*t), vec![Value::Int(*v as i64)]);
                         let got = tx.insert(name(*t), &[("v", Value::Int(*v as i64))])?;
                         assert_eq!(got, want, "id allocation diverged from oracle");
                     }
                     TxOp::Update { t, pick, v } => {
-                        let rows = tentative.select(name(*t), &all).unwrap();
+                        let rows = tentative.rows(name(*t));
                         if rows.is_empty() {
                             continue;
                         }
                         let id = rows[*pick as usize % rows.len()].0;
-                        tentative
-                            .update(name(*t), id, &[("v", Value::Int(*v as i64))])
-                            .unwrap();
+                        tentative.update(name(*t), id, 0, Value::Int(*v as i64));
                         tx.update(name(*t), id, &[("v", Value::Int(*v as i64))])?;
                     }
                     TxOp::Delete { t, pick } => {
-                        let rows = tentative.select(name(*t), &all).unwrap();
+                        let rows = tentative.rows(name(*t));
                         if rows.is_empty() {
                             continue;
                         }
                         let id = rows[*pick as usize % rows.len()].0;
-                        tentative.delete(name(*t), id).unwrap();
+                        tentative.delete(name(*t), id);
                         tx.delete(name(*t), id)?;
                     }
                 }
@@ -219,7 +217,7 @@ fn check_buffered_txns_match_oracle(txns: &[(Vec<TxOp>, bool)]) {
             for t in [true, false] {
                 assert_eq!(
                     tx.select(name(t), &all).unwrap(),
-                    tentative.select(name(t), &all).unwrap(),
+                    tentative.rows(name(t)),
                     "mid-transaction read diverged from buffered state"
                 );
             }
@@ -238,8 +236,8 @@ fn check_buffered_txns_match_oracle(txns: &[(Vec<TxOp>, bool)]) {
         for t in [true, false] {
             assert_eq!(
                 admin.select(name(t), &all).unwrap(),
-                oracle.select(name(t), &all).unwrap(),
-                "published state diverged from single-threaded oracle"
+                oracle.rows(name(t)),
+                "published state diverged from the model"
             );
         }
     }
@@ -250,7 +248,7 @@ proptest! {
 
     /// Property: the per-transaction delta write-buffer is invisible in
     /// the result — buffered reads, committed merges, and rollbacks all
-    /// match a single-threaded engine applying the same operations.
+    /// match a naive model applying the same operations.
     #[test]
     fn buffered_transactions_match_single_threaded_oracle(
         txns in proptest::collection::vec(

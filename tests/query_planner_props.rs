@@ -8,17 +8,18 @@
 //! a deliberately naive reference executor that scans everything, filters
 //! with its own reimplementation of the predicate semantics, sorts with a
 //! full comparator, and slices. Random schemas-worth of data and random
-//! queries drive both sides.
+//! queries drive both sides, over one bare `Table`.
 //!
 //! The WAL properties check the group-commit protocol: a log produced by
-//! batched appends (single- or multi-threaded) must have contiguous
-//! sequence numbers, and *every line prefix* of it must replay into a
+//! batched commits (single- or multi-threaded) must have contiguous
+//! sequence numbers, and *every frame prefix* of it must open as a
 //! consistent database — a crash can truncate the tail but never tear or
 //! reorder committed records.
 
-use amp::simdb::db::LogOp;
+use amp::simdb::prelude::*;
+use amp::simdb::table::Table;
 use amp::simdb::wal::Wal;
-use amp::simdb::{Column, Database, Op, OrderBy, Plan, Query, Row, TableSchema, Value, ValueType};
+use amp::simdb::{OrderBy, Plan};
 use proptest::prelude::*;
 use std::cmp::Ordering;
 use std::path::PathBuf;
@@ -35,9 +36,8 @@ const TABLE: &str = "m";
 const COLS: [&str; 4] = ["u", "s", "k", "p"];
 const COL_S: usize = 1;
 
-fn fixture() -> Database {
-    let mut db = Database::new();
-    db.create_table(TableSchema::new(
+fn schema() -> TableSchema {
+    TableSchema::new(
         TABLE,
         vec![
             Column::new("u", ValueType::Int).not_null().unique(),
@@ -45,22 +45,21 @@ fn fixture() -> Database {
             Column::new("k", ValueType::Int).indexed(),
             Column::new("p", ValueType::Int),
         ],
-    ))
-    .unwrap();
-    db
+    )
+}
+
+fn fixture() -> Table {
+    Table::new(schema()).unwrap()
 }
 
 /// One random row. `u` gets a collision-free value derived from `i`.
-fn insert_row(db: &mut Database, i: usize, s: u8, k: Option<i8>, p: Option<i8>) {
-    db.insert(
-        TABLE,
-        &[
-            ("u", Value::Int(i as i64 * 3 + 1)),
-            ("s", format!("s{}", s % 5).into()),
-            ("k", k.map_or(Value::Null, |v| Value::Int(v as i64))),
-            ("p", p.map_or(Value::Null, |v| Value::Int(v as i64))),
-        ],
-    )
+fn insert_row(t: &mut Table, i: usize, s: u8, k: Option<i8>, p: Option<i8>) {
+    t.insert(vec![
+        Value::Int(i as i64 * 3 + 1),
+        format!("s{}", s % 5).into(),
+        k.map_or(Value::Null, |v| Value::Int(v as i64)),
+        p.map_or(Value::Null, |v| Value::Int(v as i64)),
+    ])
     .unwrap();
 }
 
@@ -173,9 +172,9 @@ fn ref_matches(op: &Op, rhs: &Value, cell: &Value) -> bool {
     }
 }
 
-fn ref_execute(db: &Database, spec: &QSpec) -> Vec<(i64, Row)> {
-    let mut rows: Vec<(i64, Row)> = db
-        .select(TABLE, &Query::new())
+fn ref_execute(t: &Table, spec: &QSpec) -> Vec<(i64, Row)> {
+    let mut rows: Vec<(i64, Row)> = Query::new()
+        .execute(t)
         .unwrap()
         .into_iter()
         .filter(|(_, row)| {
@@ -218,17 +217,34 @@ fn wal_dir(tag: &str) -> PathBuf {
     d
 }
 
-/// Apply a batch of mutations to the live db, returning the LogOps the
-/// engine emitted for them. `uniq` survives across batches so re-inserts
-/// after deletes never collide on the unique column.
-fn mutate(db: &mut Database, seeds: &[(u8, i8)], uniq: &mut i64) -> Vec<LogOp> {
-    let mut ops = Vec::new();
-    for (kind, v) in seeds {
-        match kind % 3 {
-            0 => {
-                *uniq += 1;
-                let (_, op) = db
-                    .insert(
+/// The database whose log is `wal` (no snapshot), with the fixture's table
+/// created if the log does not hold it yet.
+fn open(wal: &std::path::Path) -> Connection {
+    let db = Db::open(wal.with_extension("snap"), wal).unwrap();
+    db.define_role(Role::superuser("admin"));
+    let c = db.connect("admin").unwrap();
+    if !c.has_table(TABLE) {
+        c.create_table(schema()).unwrap();
+    }
+    c
+}
+
+/// Commit a batch of mutations as one transaction: one frame of the log
+/// (none when every pick met an empty table). `uniq` survives across
+/// batches so re-inserts after deletes never collide on the unique column.
+fn mutate(db: &Connection, seeds: &[(u8, i8)], uniq: &mut i64) {
+    db.transaction(&[TABLE], |tx| {
+        for (kind, v) in seeds {
+            let ids: Vec<i64> = tx
+                .select(TABLE, &Query::new())?
+                .into_iter()
+                .map(|(id, _)| id)
+                .collect();
+            let picked = ids.get(*v as usize % ids.len().max(1));
+            match (kind % 3, picked) {
+                (0, _) => {
+                    *uniq += 1;
+                    tx.insert(
                         TABLE,
                         &[
                             ("u", Value::Int(*uniq * 3 + 1_000_000)),
@@ -236,38 +252,16 @@ fn mutate(db: &mut Database, seeds: &[(u8, i8)], uniq: &mut i64) -> Vec<LogOp> {
                             ("k", Value::Int(*v as i64)),
                             ("p", Value::Null),
                         ],
-                    )
-                    .unwrap();
-                ops.push(op);
-            }
-            1 => {
-                let ids: Vec<i64> = db
-                    .select(TABLE, &Query::new())
-                    .unwrap()
-                    .into_iter()
-                    .map(|(id, _)| id)
-                    .collect();
-                if let Some(&id) = ids.get(*v as usize % ids.len().max(1)) {
-                    ops.push(
-                        db.update(TABLE, id, &[("p", Value::Int(*v as i64))])
-                            .unwrap(),
-                    );
+                    )?;
                 }
-            }
-            _ => {
-                let ids: Vec<i64> = db
-                    .select(TABLE, &Query::new())
-                    .unwrap()
-                    .into_iter()
-                    .map(|(id, _)| id)
-                    .collect();
-                if let Some(&id) = ids.get(*v as usize % ids.len().max(1)) {
-                    ops.extend(db.delete(TABLE, id).unwrap());
-                }
+                (1, Some(&id)) => tx.update(TABLE, id, &[("p", Value::Int(*v as i64))])?,
+                (2, Some(&id)) => tx.delete(TABLE, id)?,
+                _ => {}
             }
         }
-    }
-    ops
+        Ok(())
+    })
+    .unwrap();
 }
 
 // ---------------------------------------------------------------------------
@@ -284,22 +278,22 @@ proptest! {
         rows in proptest::collection::vec((0u8..7, proptest::option::of(any::<i8>()), proptest::option::of(any::<i8>())), 0..60),
         specs in proptest::collection::vec(arb_query(), 1..8),
     ) {
-        let mut db = fixture();
+        let mut t = fixture();
         for (i, (s, k, p)) in rows.iter().enumerate() {
-            insert_row(&mut db, i, *s, *k, *p);
+            insert_row(&mut t, i, *s, *k, *p);
         }
         for spec in &specs {
             let q = build_query(spec);
-            let expected = ref_execute(&db, spec);
-            let got = db.select(TABLE, &q).unwrap();
-            let plan = q.explain(db.table(TABLE).unwrap()).unwrap();
+            let expected = ref_execute(&t, spec);
+            let got = q.execute(&t).unwrap();
+            let plan = q.explain(&t).unwrap();
             prop_assert_eq!(&got, &expected, "plan {:?} diverged for {:?}", plan, spec);
             prop_assert_eq!(
-                db.count(TABLE, &q).unwrap(),
+                q.count(&t).unwrap(),
                 expected.len(),
                 "count under plan {:?} diverged for {:?}", plan, spec
             );
-            let proj = db.select_project(TABLE, &q, "s").unwrap();
+            let proj = q.project(&t, "s").unwrap();
             let expected_proj: Vec<(i64, Value)> = expected
                 .iter()
                 .map(|(id, row)| (*id, row[COL_S].clone()))
@@ -316,11 +310,11 @@ proptest! {
         rows in proptest::collection::vec((0u8..7, proptest::option::of(any::<i8>()), proptest::option::of(any::<i8>())), 1..60),
         pivot in -140i64..140,
     ) {
-        let mut db = fixture();
+        let mut t = fixture();
         for (i, (s, k, p)) in rows.iter().enumerate() {
-            insert_row(&mut db, i, *s, *k, *p);
+            insert_row(&mut t, i, *s, *k, *p);
         }
-        let t = db.table(TABLE).unwrap();
+        let t = &t;
         prop_assert_eq!(
             Query::new().eq("u", 1).explain(t).unwrap(),
             Plan::UniqueProbe { column: "u".into() }
@@ -350,16 +344,17 @@ proptest! {
             }
         );
         for q in [Query::new().eq("s", "s2"), range] {
-            let ids: Vec<i64> = db.select(TABLE, &q).unwrap().into_iter().map(|(id, _)| id).collect();
+            let ids: Vec<i64> = q.execute(t).unwrap().into_iter().map(|(id, _)| id).collect();
             let mut sorted = ids.clone();
             sorted.sort_unstable();
             prop_assert_eq!(ids, sorted);
         }
     }
 
-    /// Group-committed WAL: batched appends produce contiguous seqs, and
-    /// every frame prefix of the log — one frame per batch — replays into a
-    /// consistent database, the full prefix being exactly the live state.
+    /// Group-committed WAL: batched commits produce contiguous seqs, and
+    /// every frame prefix of the log — one frame for the table, one per
+    /// batch — opens as a consistent database, the full prefix being exactly
+    /// the live state.
     #[test]
     fn every_wal_prefix_replays_consistently(
         batches in proptest::collection::vec(
@@ -369,17 +364,16 @@ proptest! {
         case in 0u32..1_000_000,
     ) {
         let dir = wal_dir(&format!("prefix_{case}"));
-        let wal = Wal::open(dir.join("db.wal")).unwrap();
-        let mut db = fixture();
+        let wal = dir.join("db.wal");
+        let db = open(&wal);
         let mut uniq = 0i64;
         for batch in &batches {
-            let ops = mutate(&mut db, batch, &mut uniq);
-            if !ops.is_empty() {
-                wal.append(&ops).unwrap();
-            }
+            mutate(&db, batch, &mut uniq);
         }
-        let raw = std::fs::read(wal.path()).unwrap();
-        let frames = Wal::read_frames(wal.path()).unwrap();
+        let live = db.select(TABLE, &Query::new()).unwrap();
+        drop(db);
+        let raw = std::fs::read(&wal).unwrap();
+        let frames = Wal::read_frames(&wal).unwrap();
         let mut cuts = vec![0, frames.first().map_or(raw.len(), |f| f.offset)];
         cuts.extend(frames.iter().map(|f| f.end));
         prop_assert_eq!(cuts.last(), Some(&raw.len()));
@@ -387,20 +381,16 @@ proptest! {
             let pfile = dir.join(format!("prefix_{cut}.wal"));
             std::fs::write(&pfile, &raw[..cut]).unwrap();
             let records = Wal::read_records(&pfile).unwrap();
-            // whole commits only: the first `i - 1` batches' ops
+            // whole commits only: those of the first `i - 1` frames
             let whole: usize = frames.iter().take(i.saturating_sub(1)).map(|f| f.records.len()).sum();
             prop_assert_eq!(records.len(), whole);
             // contiguous seqs from 0: nothing torn, nothing reordered
             for (i, rec) in records.iter().enumerate() {
                 prop_assert_eq!(rec.seq, i as u64);
             }
-            let mut replayed = fixture();
-            Wal::replay_into(&mut replayed, &records).unwrap();
+            let replayed = open(&pfile);
             if cut == raw.len() {
-                prop_assert_eq!(
-                    db.select(TABLE, &Query::new()).unwrap(),
-                    replayed.select(TABLE, &Query::new()).unwrap()
-                );
+                prop_assert_eq!(&live, &replayed.select(TABLE, &Query::new()).unwrap());
             }
         }
         let _ = std::fs::remove_dir_all(&dir);
@@ -409,7 +399,7 @@ proptest! {
 
 /// Concurrent committers racing through the group-commit path: all
 /// records land, seqs are contiguous, each batch's ops stay contiguous
-/// and in order, and replaying the log reproduces every insert.
+/// and in order.
 #[test]
 fn concurrent_group_commit_preserves_batches() {
     let dir = wal_dir("concurrent");
@@ -471,34 +461,29 @@ fn concurrent_group_commit_preserves_batches() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Re-opening a WAL written by group commit resumes the sequence exactly
-/// where it left off (streaming-tail `next_seq` recovery).
+/// Re-opening a log written by group commit resumes the sequence exactly
+/// where it left off, whether the bare log or the database reopens it.
 #[test]
 fn reopened_wal_resumes_sequence() {
     let dir = wal_dir("reopen");
     let path = dir.join("db.wal");
-    let mut db = fixture();
     let mut uniq = 0i64;
+    let last_seq = || Wal::read_records(&path).unwrap().last().map(|rec| rec.seq);
     {
-        let wal = Wal::open(&path).unwrap();
-        let ops = mutate(&mut db, &[(0, 1), (0, 2), (0, 3)], &mut uniq);
-        wal.append(&ops).unwrap();
-        assert_eq!(wal.last_seq(), Some(2));
+        let db = open(&path); // the table: seq 0
+        mutate(&db, &[(0, 1), (0, 2), (0, 3)], &mut uniq);
+        assert_eq!(last_seq(), Some(3));
     }
-    {
-        let wal = Wal::open(&path).unwrap();
-        assert_eq!(wal.last_seq(), Some(2));
-        let ops = mutate(&mut db, &[(0, 4)], &mut uniq);
-        wal.append(&ops).unwrap();
-        assert_eq!(wal.last_seq(), Some(3));
-    }
+    assert_eq!(Wal::open(&path).unwrap().last_seq(), Some(3));
+    let live = {
+        let db = open(&path);
+        mutate(&db, &[(0, 4)], &mut uniq);
+        assert_eq!(last_seq(), Some(4));
+        db.select(TABLE, &Query::new()).unwrap()
+    };
     let records = Wal::read_records(&path).unwrap();
-    assert_eq!(records.len(), 4);
-    let mut replayed = fixture();
-    Wal::replay_into(&mut replayed, &records).unwrap();
-    assert_eq!(
-        db.select(TABLE, &Query::new()).unwrap(),
-        replayed.select(TABLE, &Query::new()).unwrap()
-    );
+    assert!(records.iter().map(|rec| rec.seq).eq(0..5));
+    assert_eq!(live.len(), 4);
+    assert_eq!(live, open(&path).select(TABLE, &Query::new()).unwrap());
     let _ = std::fs::remove_dir_all(&dir);
 }

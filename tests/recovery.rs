@@ -231,6 +231,82 @@ fn writes_after_partial_truncation_and_reopen_survive_the_next_reopen() {
     assert_eq!(c.count("a", &Query::new()).unwrap(), 3);
 }
 
+/// Regression: a log record whose checksum holds but which does not apply
+/// to the state it meets answered as if a live caller had erred —
+/// `NoSuchTable("t")` from `Db::open` after compact, one more commit and a
+/// lost snapshot. Whatever the record and whatever refuses it, it is the
+/// files that are wrong: `Corrupt`, naming the record, and the database
+/// stays shut.
+#[test]
+fn a_log_record_that_does_not_apply_is_corrupt_and_the_database_stays_shut() {
+    use amp::simdb::wal::{encode_frame, MAGIC};
+
+    let dir = tmpdir("unappliable");
+    let refused = |why: &str| {
+        for _ in 0..2 {
+            let opened = Db::open(dir.join("db.snap"), dir.join("db.wal"));
+            assert_eq!(opened.err(), Some(DbError::Corrupt(why.into())));
+        }
+    };
+    let insert = |table: &str, id| LogOp::Insert {
+        table: table.into(),
+        id,
+        row: vec![Value::Int(0)],
+    };
+    {
+        let (db, c) = open_plain(&dir);
+        c.create_table(int_table("t")).unwrap(); // seq 0
+        c.insert("t", &[("v", Value::Int(0))]).unwrap(); // seq 1
+        db.compact().unwrap();
+        c.insert("t", &[("v", Value::Int(1))]).unwrap(); // seq 2
+    }
+    std::fs::remove_file(dir.join("db.snap")).unwrap();
+    refused("wal seq 2: insert on t: no such table: t");
+
+    // Each as seq 2 of a log that creates `t` and inserts t[1].
+    let create = |schema| LogOp::CreateTable { schema };
+    let update = |id, set| LogOp::Update {
+        table: "t".into(),
+        id,
+        set,
+    };
+    let delete = LogOp::Delete {
+        table: "t".into(),
+        id: 9,
+    };
+    let orphan = TableSchema::new(
+        "child",
+        vec![Column::new("p", ValueType::Int).references("nope", OnDelete::Cascade)],
+    );
+    let head = encode_frame(0, &[create(int_table("t")), insert("t", 1)]).unwrap();
+    for (op, why) in [
+        (insert("nope", 1), "insert on nope: no such table: nope"),
+        (update(9, vec![]), "update on t: no row t[9]"),
+        (delete, "delete on t: no row t[9]"),
+        (
+            insert("t", 1),
+            "insert on t: schema error: table t: duplicate explicit id 1",
+        ),
+        (
+            create(int_table("t")),
+            "create table on t: schema error: table t already exists",
+        ),
+        (
+            create(orphan),
+            "create table on child: schema error: table child: \
+             FK column p references missing table nope",
+        ),
+        (
+            update(1, vec![(7, Value::Int(1))]),
+            "update on t: schema error: no column 7",
+        ),
+    ] {
+        let frame = encode_frame(2, &[op]).unwrap();
+        std::fs::write(dir.join("db.wal"), [&MAGIC[..], &head, &frame].concat()).unwrap();
+        refused(&format!("wal seq 2: {why}"));
+    }
+}
+
 /// Regression: an acknowledged insert of `f64::INFINITY` wrote
 /// `{"Float":null}` to the log and the next open answered `Corrupt`; the
 /// JSON snapshot has no spelling for a non-finite float either. They are
