@@ -3,7 +3,7 @@
 //! Modeled on the Astrocomp-style lightweight codes a multi-application
 //! portal must host next to the heavyweight pipeline — five parameters,
 //! millisecond-class forward models, JSON artifacts throughout. Its job
-//! mix is what the `report_apps` bench uses to measure throughput
+//! mix is what `tests/lease_failover.rs` uses to check throughput
 //! isolation against stellar.
 
 use serde::{Deserialize, Serialize};

@@ -44,8 +44,8 @@ pub use lease::ClaimOutcome;
 pub use optimize::OptimizationResult;
 pub use problem::StellarFitProblem;
 pub use setup::{
-    deploy, deploy_cluster, deploy_multi, seed_curvefit_fixtures, seed_fixtures, small_spec,
-    ClusterDeployment, Deployment,
+    deploy, deploy_cluster, seed_curvefit_fixtures, seed_fixtures, small_spec, ClusterDeployment,
+    Deployment,
 };
 pub use workflow::{workflow_table, DaemonConfig, StageCtx, StepPoint};
 

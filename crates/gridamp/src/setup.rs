@@ -19,42 +19,24 @@ pub struct Deployment {
     pub daemon: GridAmp,
 }
 
-/// Build a deployment: initialize the DB schema + roles, register the
-/// site, install the AMP software stack, and authorize the community
-/// credential (the §4.3 "deployed as soon as the community account has
-/// been authorized" property — nothing else is needed).
-pub fn deploy(
-    profile: SystemProfile,
-    config: DaemonConfig,
-    background_seed: Option<u64>,
-) -> Result<Deployment, DbError> {
-    let db = Db::in_memory();
-    amp_core::setup::initialize(&db)?;
-    let mut grid = Grid::new();
-    let site = profile.name.clone();
-    match background_seed {
-        Some(seed) => grid.add_site_with_background(profile, seed),
-        None => grid.add_site(profile),
-    }
-    crate::apps::install_amp_stack(&mut grid, &site);
-    let daemon = GridAmp::new(&db, config)?;
-    grid.authorize(&site, daemon.credential());
-    Ok(Deployment { db, grid, daemon })
-}
-
-/// Build a deployment spanning several simulated systems — the TeraGrid
-/// shape of Figure 1, where one daemon drives simulations on frost,
-/// kraken, lonestar, and ranger at once. Every site gets the AMP stack
-/// and authorizes the same community credential.
-pub fn deploy_multi(
+/// The wiring every deployment shares: an in-memory database with the
+/// schema and roles, one daemon per config, and every site registered
+/// (with or without background load), carrying the AMP software stack and
+/// authorizing every daemon's community credential (the §4.3 "deployed as
+/// soon as the community account has been authorized" property — nothing
+/// else is needed).
+fn wire(
     profiles: Vec<SystemProfile>,
-    config: DaemonConfig,
+    configs: Vec<DaemonConfig>,
     background_seed: Option<u64>,
-) -> Result<Deployment, DbError> {
+) -> Result<(Db, Grid, Vec<GridAmp>), DbError> {
     let db = Db::in_memory();
     amp_core::setup::initialize(&db)?;
+    let daemons = configs
+        .into_iter()
+        .map(|config| GridAmp::new(&db, config))
+        .collect::<Result<Vec<_>, _>>()?;
     let mut grid = Grid::new();
-    let daemon = GridAmp::new(&db, config)?;
     for profile in profiles {
         let site = profile.name.clone();
         match background_seed {
@@ -62,8 +44,24 @@ pub fn deploy_multi(
             None => grid.add_site(profile),
         }
         crate::apps::install_amp_stack(&mut grid, &site);
-        grid.authorize(&site, daemon.credential());
+        for daemon in &daemons {
+            grid.authorize(&site, daemon.credential());
+        }
     }
+    Ok((db, grid, daemons))
+}
+
+/// Build a deployment of one daemon against one simulated system, or
+/// against several (pass a `Vec`) — the TeraGrid shape of Figure 1, where
+/// one daemon drives simulations on frost, kraken, lonestar and ranger at
+/// once.
+pub fn deploy(
+    profiles: impl Into<Vec<SystemProfile>>,
+    config: DaemonConfig,
+    background_seed: Option<u64>,
+) -> Result<Deployment, DbError> {
+    let (db, grid, mut daemons) = wire(profiles.into(), vec![config], background_seed)?;
+    let daemon = daemons.pop().expect("one config, one daemon");
     Ok(Deployment { db, grid, daemon })
 }
 
@@ -84,22 +82,13 @@ pub fn deploy_cluster(
     base_config: DaemonConfig,
     n: usize,
 ) -> Result<ClusterDeployment, DbError> {
-    let db = Db::in_memory();
-    amp_core::setup::initialize(&db)?;
-    let mut grid = Grid::new();
-    let site = profile.name.clone();
-    grid.add_site(profile);
-    crate::apps::install_amp_stack(&mut grid, &site);
-    let mut daemons = Vec::with_capacity(n);
-    for i in 0..n {
-        let config = DaemonConfig {
+    let configs = (0..n)
+        .map(|i| DaemonConfig {
             daemon_id: format!("gridamp-{i}"),
             ..base_config.clone()
-        };
-        let daemon = GridAmp::new(&db, config)?;
-        grid.authorize(&site, daemon.credential());
-        daemons.push(daemon);
-    }
+        })
+        .collect();
+    let (db, grid, daemons) = wire(vec![profile], configs, None)?;
     Ok(ClusterDeployment { db, grid, daemons })
 }
 

@@ -241,8 +241,8 @@ pub fn star_detail(p: &Portal, req: &Request, params: &Params) -> Response {
     }
     body.push_str("</ul>");
     body.push_str(&format!(
-        "<p><a href=\"/submit/direct/{id}\">Submit direct model run</a> | \
-         <a href=\"/submit/optimization/{id}\">Submit optimization run</a> | \
+        "<p><a href=\"/submit/stellar/direct/{id}\">Submit direct model run</a> | \
+         <a href=\"/submit/stellar/optimization/{id}\">Submit optimization run</a> | \
          <a href=\"/feeds/star/{id}.rss\">RSS feed</a></p>",
         id = star_id
     ));

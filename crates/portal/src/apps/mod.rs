@@ -119,15 +119,7 @@ pub fn build_router(admin_enabled: bool) -> Router {
     r.get("/apps", appstore::browse);
     r.get("/apps/<app>", appstore::detail);
 
-    // submission app — the legacy stellar routes plus the per-application
-    // generic ones (the legacy pair is an alias for app id "stellar")
-    r.get("/submit/direct/<star_id>", submit::direct_form);
-    r.post("/submit/direct/<star_id>", submit::direct_submit);
-    r.get("/submit/optimization/<star_id>", submit::optimization_form);
-    r.post(
-        "/submit/optimization/<star_id>",
-        submit::optimization_submit,
-    );
+    // submission app — one route family per registered application
     r.get("/submit/<app>/direct/<star_id>", submit::app_direct_form);
     r.post("/submit/<app>/direct/<star_id>", submit::app_direct_submit);
     r.get(

@@ -283,92 +283,34 @@ fn handle_optimization_submit(
     }
 }
 
-// ---- the legacy stellar routes (/submit/direct/<star_id> etc.) ----
-// Kept verbatim so bookmarks, the catalog's links, and the original test
-// suite keep working; they are aliases for the "stellar" application.
+// ---- the routes (/submit/<app>/direct/<star_id> etc.) ----
 
-fn stellar() -> Arc<dyn ScienceApp> {
-    app::lookup("stellar").expect("stellar app registered")
+/// Resolve the `<app>` and `<star_id>` a submission URL names and hand
+/// them to `view`; either failing to resolve is the response.
+fn with_target(
+    p: &Portal,
+    req: &Request,
+    params: &Params,
+    view: fn(&Portal, &Request, &dyn ScienceApp, &Star) -> Response,
+) -> Response {
+    match (load_app(p, req, params), load_star(p, params)) {
+        (Ok(app), Ok(star)) => view(p, req, app.as_ref(), &star),
+        (Err(r), _) | (_, Err(r)) => r,
+    }
 }
-
-pub fn direct_form(p: &Portal, req: &Request, params: &Params) -> Response {
-    let star = match load_star(p, params) {
-        Ok(s) => s,
-        Err(r) => return r,
-    };
-    render_direct_form(p, req, stellar().as_ref(), &star)
-}
-
-pub fn direct_submit(p: &Portal, req: &Request, params: &Params) -> Response {
-    let star = match load_star(p, params) {
-        Ok(s) => s,
-        Err(r) => return r,
-    };
-    handle_direct_submit(p, req, stellar().as_ref(), &star)
-}
-
-pub fn optimization_form(p: &Portal, req: &Request, params: &Params) -> Response {
-    let star = match load_star(p, params) {
-        Ok(s) => s,
-        Err(r) => return r,
-    };
-    render_optimization_form(p, req, stellar().as_ref(), &star)
-}
-
-pub fn optimization_submit(p: &Portal, req: &Request, params: &Params) -> Response {
-    let star = match load_star(p, params) {
-        Ok(s) => s,
-        Err(r) => return r,
-    };
-    handle_optimization_submit(p, req, stellar().as_ref(), &star)
-}
-
-// ---- the per-application routes (/submit/<app>/direct/<star_id> etc.) ----
 
 pub fn app_direct_form(p: &Portal, req: &Request, params: &Params) -> Response {
-    let app = match load_app(p, req, params) {
-        Ok(a) => a,
-        Err(r) => return r,
-    };
-    let star = match load_star(p, params) {
-        Ok(s) => s,
-        Err(r) => return r,
-    };
-    render_direct_form(p, req, app.as_ref(), &star)
+    with_target(p, req, params, render_direct_form)
 }
 
 pub fn app_direct_submit(p: &Portal, req: &Request, params: &Params) -> Response {
-    let app = match load_app(p, req, params) {
-        Ok(a) => a,
-        Err(r) => return r,
-    };
-    let star = match load_star(p, params) {
-        Ok(s) => s,
-        Err(r) => return r,
-    };
-    handle_direct_submit(p, req, app.as_ref(), &star)
+    with_target(p, req, params, handle_direct_submit)
 }
 
 pub fn app_optimization_form(p: &Portal, req: &Request, params: &Params) -> Response {
-    let app = match load_app(p, req, params) {
-        Ok(a) => a,
-        Err(r) => return r,
-    };
-    let star = match load_star(p, params) {
-        Ok(s) => s,
-        Err(r) => return r,
-    };
-    render_optimization_form(p, req, app.as_ref(), &star)
+    with_target(p, req, params, render_optimization_form)
 }
 
 pub fn app_optimization_submit(p: &Portal, req: &Request, params: &Params) -> Response {
-    let app = match load_app(p, req, params) {
-        Ok(a) => a,
-        Err(r) => return r,
-    };
-    let star = match load_star(p, params) {
-        Ok(s) => s,
-        Err(r) => return r,
-    };
-    handle_optimization_submit(p, req, app.as_ref(), &star)
+    with_target(p, req, params, handle_optimization_submit)
 }

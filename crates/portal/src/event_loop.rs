@@ -1,10 +1,9 @@
 //! Readiness event loop: C10K keep-alive serving without a thread per
 //! connection.
 //!
-//! The worker-pool server (DESIGN.md §10) parked one blocking thread per
-//! in-flight connection, so concurrency was hard-capped at
-//! `ServerConfig::workers` and a few thousand mostly-idle keep-alive
-//! clients would starve the queue. This module owns the sockets instead:
+//! A thread per in-flight connection caps concurrency at the thread
+//! count, and a few thousand mostly-idle keep-alive clients starve
+//! everyone else. This module owns the sockets instead (DESIGN.md §10):
 //!
 //! * a single event-loop thread runs nonblocking `accept`/`read`/`write`
 //!   under an OS readiness poller ([`Poller`]: `epoll` on Linux via thin
@@ -125,6 +124,7 @@ pub(crate) struct PollEvent {
 
 /// Registered interest for one fd (the `poll(2)` backend keeps these in
 /// a table; epoll keeps them in the kernel).
+#[cfg(any(test, not(target_os = "linux")))]
 #[derive(Clone, Copy)]
 struct Interest {
     fd: RawFd,
@@ -139,8 +139,8 @@ enum PollerImpl {
     /// Portable fallback (and a testable second implementation on
     /// Linux): interest table + `poll(2)`. O(n) per wait, which is why
     /// epoll is the default wherever it exists. On Linux only the unit
-    /// tests construct it, hence the allow.
-    #[allow(dead_code)]
+    /// tests build it.
+    #[cfg(any(test, not(target_os = "linux")))]
     Poll { interest: Mutex<Vec<Interest>> },
 }
 
@@ -174,7 +174,7 @@ impl Poller {
 
     /// The `poll(2)` backend, constructible on every platform (unit
     /// tests exercise it even where epoll is the default).
-    #[allow(dead_code)]
+    #[cfg(any(test, not(target_os = "linux")))]
     pub(crate) fn new_poll_backend() -> std::io::Result<Poller> {
         Poller::with_impl(PollerImpl::Poll {
             interest: Mutex::new(Vec::new()),
@@ -194,7 +194,14 @@ impl Poller {
         Ok(poller)
     }
 
-    fn ctl(&self, op: i32, fd: RawFd, token: u64, readable: bool, writable: bool) {
+    fn ctl(
+        &self,
+        op: i32,
+        fd: RawFd,
+        token: u64,
+        readable: bool,
+        writable: bool,
+    ) -> std::io::Result<()> {
         match &self.imp {
             #[cfg(target_os = "linux")]
             PollerImpl::Epoll { epfd } => {
@@ -203,10 +210,11 @@ impl Poller {
                         | if writable { sys::EPOLLOUT } else { 0 },
                     data: token,
                 };
-                // The only realistic failure here is EBADF after a
-                // racing close; nothing useful to do with it.
-                unsafe { sys::epoll_ctl(*epfd, op, fd, &mut ev) };
+                if unsafe { sys::epoll_ctl(*epfd, op, fd, &mut ev) } < 0 {
+                    return Err(std::io::Error::last_os_error());
+                }
             }
+            #[cfg(any(test, not(target_os = "linux")))]
             PollerImpl::Poll { interest } => {
                 let mut table = interest.lock().expect("poller interest");
                 match op {
@@ -231,8 +239,12 @@ impl Poller {
                 }
             }
         }
+        Ok(())
     }
 
+    /// Register `fd`. A registration the kernel refuses (`ENOSPC` at
+    /// `fs.epoll.max_user_watches`, `ENOMEM`) is the caller's to handle:
+    /// the loop would never hear from that fd.
     pub(crate) fn add(
         &self,
         fd: RawFd,
@@ -240,16 +252,18 @@ impl Poller {
         readable: bool,
         writable: bool,
     ) -> std::io::Result<()> {
-        self.ctl(sys::EPOLL_CTL_ADD, fd, token, readable, writable);
-        Ok(())
+        self.ctl(sys::EPOLL_CTL_ADD, fd, token, readable, writable)
     }
 
+    // `modify` and `delete` stay best-effort: on a registered fd the only
+    // realistic failure is EBADF after a racing close, and there is
+    // nothing useful to do with it.
     pub(crate) fn modify(&self, fd: RawFd, token: u64, readable: bool, writable: bool) {
-        self.ctl(sys::EPOLL_CTL_MOD, fd, token, readable, writable);
+        let _ = self.ctl(sys::EPOLL_CTL_MOD, fd, token, readable, writable);
     }
 
     pub(crate) fn delete(&self, fd: RawFd) {
-        self.ctl(sys::EPOLL_CTL_DEL, fd, 0, false, false);
+        let _ = self.ctl(sys::EPOLL_CTL_DEL, fd, 0, false, false);
     }
 
     /// Wake a blocked [`Poller::wait`] from any thread. A full pipe
@@ -292,6 +306,7 @@ impl Poller {
                     });
                 }
             }
+            #[cfg(any(test, not(target_os = "linux")))]
             PollerImpl::Poll { interest } => {
                 let snapshot: Vec<Interest> = interest.lock().expect("poller interest").clone();
                 let mut fds: Vec<sys::pollfd> = snapshot
@@ -336,9 +351,13 @@ impl Poller {
 
 impl Drop for Poller {
     fn drop(&mut self) {
-        #[cfg(target_os = "linux")]
-        if let PollerImpl::Epoll { epfd } = &self.imp {
-            unsafe { sys::close(*epfd) };
+        match &self.imp {
+            #[cfg(target_os = "linux")]
+            PollerImpl::Epoll { epfd } => {
+                unsafe { sys::close(*epfd) };
+            }
+            #[cfg(any(test, not(target_os = "linux")))]
+            PollerImpl::Poll { .. } => {}
         }
     }
 }
@@ -1178,6 +1197,14 @@ mod tests {
         let g2 = slab.get_mut(t2).unwrap().generation;
         assert_ne!(g1, g2, "generation must differ so stale completions drop");
         assert_eq!(slab.live, 1);
+    }
+
+    /// The accept path drops a connection whose registration fails; that
+    /// only works if `add` reports what the kernel said.
+    #[test]
+    fn add_reports_a_registration_the_kernel_refuses() {
+        let poller = Poller::new().unwrap();
+        assert!(poller.add(-1, 7, true, false).is_err());
     }
 
     /// The poll(2) backend (the non-Linux fallback) delivers readable /

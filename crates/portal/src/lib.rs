@@ -357,7 +357,7 @@ mod portal_tests {
         let (star_id, _) = seed_star(&db);
         let alloc = seed_allocation(&db, uid);
 
-        let path = format!("/submit/direct/{star_id}");
+        let path = format!("/submit/stellar/direct/{star_id}");
         let good = [
             ("mass", "1.1"),
             ("metallicity", "0.02"),
@@ -404,7 +404,7 @@ mod portal_tests {
 
         let resp = portal.handle(
             &Request::post(
-                &format!("/submit/direct/{star_id}"),
+                &format!("/submit/stellar/direct/{star_id}"),
                 &[
                     ("mass", "1.0"),
                     ("metallicity", "0.02"),

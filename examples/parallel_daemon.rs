@@ -13,7 +13,7 @@ use std::collections::BTreeMap;
 const SYSTEMS: [&str; 4] = ["frost", "kraken", "lonestar", "ranger"];
 
 fn run(workers: usize) -> (usize, BTreeMap<i64, String>) {
-    let mut dep = amp::gridamp::deploy_multi(
+    let mut dep = amp::gridamp::deploy(
         vec![
             amp::grid::systems::frost(),
             amp::grid::systems::kraken(),

@@ -157,7 +157,7 @@ fn main() {
         .unwrap();
     let resp = http_post(
         &server,
-        &format!("/submit/optimization/{star_id}"),
+        &format!("/submit/stellar/optimization/{star_id}"),
         &format!(
             "observation={obs_id}&ga_runs=2&generations=40&allocation={}",
             alloc.id.unwrap()

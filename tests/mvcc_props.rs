@@ -33,11 +33,12 @@ use amp::simdb::prelude::*;
 use common::ModelDb;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::time::Duration;
 
-fn fresh_db(table: &str) -> Db {
-    let db = Db::in_memory();
+/// The `admin` and `app` roles and one `v: Int` table named `table`.
+fn define_table(db: &Db, table: &str) {
     db.define_role(Role::superuser("admin"));
     db.define_role(Role::new("app").grant(table, PermSet::ALL));
     let admin = db.connect("admin").unwrap();
@@ -47,7 +48,27 @@ fn fresh_db(table: &str) -> Db {
             vec![Column::new("v", ValueType::Int)],
         ))
         .unwrap();
+}
+
+fn fresh_db(table: &str) -> Db {
+    let db = Db::in_memory();
+    define_table(&db, table);
     db
+}
+
+/// A durable database in its own temp directory, `table` holding `rows`
+/// rows.
+fn durable_db(tag: &str, table: &str, rows: i64) -> (std::path::PathBuf, Db) {
+    let dir = std::env::temp_dir().join(format!("simdb_mvcc_{tag}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let db = Db::open(dir.join("db.snap"), dir.join("db.wal")).unwrap();
+    define_table(&db, table);
+    let admin = db.connect("admin").unwrap();
+    for i in 0..rows {
+        admin.insert(table, &[("v", Value::Int(i))]).unwrap();
+    }
+    (dir, db)
 }
 
 /// Drive a writer committing transactions of the given batch sizes while
@@ -299,22 +320,8 @@ fn dropping_last_read_view_frees_superseded_versions() {
 /// truncation and recover.
 #[test]
 fn compact_does_not_block_writers() {
-    let dir = std::env::temp_dir().join(format!("simdb_mvcc_compact_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let db = Db::open(dir.join("db.snap"), dir.join("db.wal")).unwrap();
-    db.define_role(Role::superuser("admin"));
-    db.define_role(Role::new("app").grant("t", PermSet::ALL));
+    let (dir, db) = durable_db("compact", "t", 200);
     let admin = db.connect("admin").unwrap();
-    admin
-        .create_table(TableSchema::new(
-            "t",
-            vec![Column::new("v", ValueType::Int)],
-        ))
-        .unwrap();
-    for i in 0..200 {
-        admin.insert("t", &[("v", Value::Int(i))]).unwrap();
-    }
 
     // A transaction that holds t's write lock until released.
     let (started_tx, started_rx) = mpsc::channel();
@@ -407,6 +414,63 @@ fn pure_reads_never_touch_the_lock() {
         before,
         "a plain read acquired a shard lock"
     );
+}
+
+/// Nor does a checkpoint take one, or make a reader take one: with no
+/// writer, reads issued while another thread compacts over and over leave
+/// the table's lock-wait histogram where it was and all see every row.
+/// `Shard::write` records a sample per acquisition, waited or not, so the
+/// count is exact. This is "a read beside a checkpoint never waits" as a
+/// count instead of a latency (`simdb.read_stall_p99_us` in
+/// BENCHMARK.json is the latency).
+#[test]
+fn reads_beside_a_checkpoint_never_touch_the_lock() {
+    const ROWS: i64 = 2_000;
+    let table = "mv_beside_checkpoint";
+    let (dir, db) = durable_db("beside_checkpoint", table, ROWS);
+    let before = lock_wait_samples(table);
+    let checkpointing = AtomicBool::new(true);
+    let start = std::sync::Barrier::new(4);
+    let beside: usize = std::thread::scope(|s| {
+        s.spawn(|| {
+            start.wait();
+            for _ in 0..20 {
+                db.compact().unwrap();
+            }
+            checkpointing.store(false, Ordering::SeqCst);
+        });
+        let readers: Vec<_> = (0..3)
+            .map(|_| {
+                s.spawn(|| {
+                    let c = db.connect("app").unwrap();
+                    let band = Query::new().filter("v", Op::Lt, Value::Int(25));
+                    start.wait();
+                    // Passes that began with the checkpointer still at work.
+                    let mut beside = 0;
+                    loop {
+                        let running = checkpointing.load(Ordering::SeqCst);
+                        assert_eq!(c.count(table, &Query::new()).unwrap(), ROWS as usize);
+                        assert_eq!(c.select(table, &band).unwrap().len(), 25);
+                        let view = c.read_view(&[table]).unwrap();
+                        assert_eq!(view.count(table, &Query::new()).unwrap(), ROWS as usize);
+                        if !running {
+                            return beside;
+                        }
+                        beside += 1;
+                    }
+                })
+            })
+            .collect();
+        readers.into_iter().map(|r| r.join().unwrap()).sum()
+    });
+    assert!(beside > 0, "no read ran beside a checkpoint");
+    assert_eq!(
+        lock_wait_samples(table),
+        before,
+        "a checkpoint, or a read beside one, acquired the table's lock"
+    );
+    drop(db);
+    let _ = std::fs::remove_dir_all(dir);
 }
 
 /// A foreign-key check reads the parent's pinned version and takes no lock

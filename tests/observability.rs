@@ -99,9 +99,19 @@ fn metrics_endpoint_covers_all_three_tiers() {
     );
 
     // --- portal tier: a few routed requests, then scrape /metrics ---
-    let portal = Portal::new(&dep.db, PortalConfig::default()).unwrap();
+    let portal = Arc::new(Portal::new(&dep.db, PortalConfig::default()).unwrap());
     assert_eq!(portal.handle(&Request::get("/stars")).status, 200);
-    assert_eq!(portal.handle(&Request::get("/stars")).status, 200);
+    // ...one of them over a socket, so the serving layer has observed too
+    let server =
+        amp::portal::Server::spawn_with(portal.clone(), 0, amp::portal::ServerConfig::default())
+            .unwrap();
+    let resp = amp::portal::server::fetch(
+        server.addr(),
+        "GET /stars HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n",
+    )
+    .unwrap();
+    assert!(resp.starts_with("HTTP/1.1 200"), "{resp}");
+    server.stop();
     let scrape = portal.handle(&Request::get("/metrics"));
     assert_eq!(scrape.status, 200);
     let ct = scrape
@@ -118,6 +128,7 @@ fn metrics_endpoint_covers_all_three_tiers() {
         "portal_requests_total",
         "portal_request_seconds",
         "portal_cache_misses_total",
+        "portal_conn_queue_wait_seconds",
         // simdb
         "simdb_plan_total",
         "simdb_wal_fsync_total",
@@ -144,6 +155,7 @@ fn metrics_endpoint_covers_all_three_tiers() {
         // apart on one dashboard
         "daemon_transitions_total{app=\"stellar\",from=\"QUEUED\",to=\"PREJOB\"}",
         "daemon_gram_poll_seconds",
+        "daemon_transient_retries_total",
         "daemon_partial_results_total{outcome=\"fetched\"}",
         "daemon_partial_results_total{outcome=\"remembered\"}",
         "daemon_gram_submissions_total{outcome=\"accepted\"}",

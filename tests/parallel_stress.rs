@@ -23,7 +23,7 @@ struct StressOutcome {
 }
 
 fn run_stress(workers: usize) -> StressOutcome {
-    let mut dep = amp::gridamp::deploy_multi(
+    let mut dep = amp::gridamp::deploy(
         vec![
             amp::grid::systems::frost(),
             amp::grid::systems::kraken(),

@@ -182,9 +182,42 @@ fn full_user_journey() {
         .first(&Query::new().eq("star_id", star.id.unwrap()))
         .unwrap()
         .unwrap();
+    // Every local link on the star page is a route that exists; its two
+    // submit links lead to forms, and the optimization one takes the post.
+    let star_page = r
+        .portal
+        .handle(&Request::get("/star/HD%2010700").with_cookie("amp_session", &cookie))
+        .body_str();
+    let links: Vec<&str> = star_page
+        .split("href=\"")
+        .skip(1)
+        .map(|rest| rest.split('"').next().unwrap())
+        .filter(|href| href.starts_with('/') && *href != "/accounts/logout")
+        .collect();
+    for href in &links {
+        let resp = r
+            .portal
+            .handle(&Request::get(href).with_cookie("amp_session", &cookie));
+        assert_ne!(resp.status, 404, "star page links to {href}");
+    }
+    let submit_link = |text: &str| {
+        let link = links
+            .iter()
+            .find(|href| star_page.contains(&format!("<a href=\"{href}\">{text}</a>")))
+            .unwrap_or_else(|| panic!("no {text:?} link on the star page"));
+        assert_eq!(r.portal.handle(&Request::get(link)).status, 200, "{link}");
+        link.to_string()
+    };
+    submit_link("Submit direct model run");
+    let optimization_path = submit_link("Submit optimization run");
+    // the pre-application paths are gone, not aliased
+    for old in ["direct", "optimization"] {
+        let path = format!("/submit/{old}/{}", star.id.unwrap());
+        assert_eq!(r.portal.handle(&Request::get(&path)).status, 404, "{path}");
+    }
     let resp = r.portal.handle(
         &Request::post(
-            &format!("/submit/optimization/{}", star.id.unwrap()),
+            &optimization_path,
             &[
                 ("observation", &obs.id.unwrap().to_string()),
                 ("ga_runs", "2"),
@@ -306,7 +339,7 @@ fn unapproved_users_cannot_submit() {
     // logged in but NOT machine-authorized -> 403
     let resp = r.portal.handle(
         &Request::post(
-            &format!("/submit/direct/{}", star.id.unwrap()),
+            &format!("/submit/stellar/direct/{}", star.id.unwrap()),
             &[
                 ("mass", "1.0"),
                 ("metallicity", "0.02"),
