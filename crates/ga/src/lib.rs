@@ -11,9 +11,11 @@
 //! * [`encoding`] — decimal genotype encoding (digit strings);
 //! * [`operators`] — rank selection, one-point crossover, jump/creep
 //!   mutation, adaptive mutation rate;
-//! * [`ga`] — the generational engine with rayon-parallel evaluation
-//!   (data-parallel across the population, standing in for MPIKAIA's MPI
-//!   ranks) and per-generation deterministic random streams;
+//! * [`ga`] — the generational engine and per-generation deterministic
+//!   random streams. Evaluation is written data-parallel across the
+//!   population (`par_iter_mut`, where MPIKAIA has MPI ranks) and runs
+//!   **sequentially** in this workspace: `compat/rayon` is a sequential
+//!   stand-in for the crate, and results do not depend on the order;
 //! * [`checkpoint`] — the "restart progress file" enabling multi-job
 //!   continuation with bit-identical results;
 //! * [`problem`] — the fitness interface plus test landscapes.

@@ -1,8 +1,9 @@
 //! The optimization problem interface and test problems.
 
 /// A fitness landscape over normalized parameters in [0,1)^n. Implementors
-/// must be `Sync`: populations are evaluated in parallel (MPIKAIA spread
-//  its population over 128 processors; we use a rayon pool).
+/// must be `Sync`: the engine evaluates a population through rayon's
+/// `par_iter_mut` (MPIKAIA spread its population over 128 processors). In
+/// this workspace that call runs sequentially (`compat/rayon`).
 pub trait Problem: Sync {
     /// Number of normalized parameters.
     fn n_genes(&self) -> usize;

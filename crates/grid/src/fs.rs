@@ -6,7 +6,6 @@
 //! quota models the "small disk space available on Lonestar" (§2).
 
 use crate::error::GridError;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// First bytes of a results tar ([`SiteFs::tar`]).
@@ -14,11 +13,13 @@ const TAR_MAGIC: &[u8] = b"AMPTAR\x01\n";
 
 /// An in-memory file tree keyed by absolute-ish string paths
 /// (`scratch/sim42/run1/input.txt`). Directories are implicit.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SiteFs {
     site: String,
     files: BTreeMap<String, Vec<u8>>,
     quota_bytes: u64,
+    /// Sum of the files' lengths, kept by every call that changes `files`.
+    used_bytes: u64,
 }
 
 impl SiteFs {
@@ -27,11 +28,14 @@ impl SiteFs {
             site: site.to_string(),
             files: BTreeMap::new(),
             quota_bytes,
+            used_bytes: 0,
         }
     }
 
     pub fn used_bytes(&self) -> u64 {
-        self.files.values().map(|v| v.len() as u64).sum()
+        let sum = || self.files.values().map(|v| v.len() as u64).sum::<u64>();
+        debug_assert_eq!(self.used_bytes, sum(), "running total out of step");
+        self.used_bytes
     }
 
     pub fn free_bytes(&self) -> u64 {
@@ -40,16 +44,18 @@ impl SiteFs {
 
     /// Write (or overwrite) a file, enforcing the quota.
     pub fn write(&mut self, path: &str, data: Vec<u8>) -> Result<(), GridError> {
-        let existing = self.files.get(path).map(|v| v.len() as u64).unwrap_or(0);
+        let path = normalize(path);
+        let existing = self.files.get(&path).map_or(0, |v| v.len() as u64);
         let needed = data.len() as u64;
-        if self.used_bytes() - existing + needed > self.quota_bytes {
+        if self.used_bytes - existing + needed > self.quota_bytes {
             return Err(GridError::DiskQuotaExceeded {
                 site: self.site.clone(),
                 need: needed,
                 free: self.free_bytes() + existing,
             });
         }
-        self.files.insert(normalize(path), data);
+        self.used_bytes = self.used_bytes - existing + needed;
+        self.files.insert(path, data);
         Ok(())
     }
 
@@ -68,13 +74,13 @@ impl SiteFs {
     }
 
     pub fn remove(&mut self, path: &str) -> Result<(), GridError> {
-        self.files
-            .remove(&normalize(path))
-            .map(|_| ())
-            .ok_or_else(|| GridError::NoSuchFile {
-                site: self.site.clone(),
-                path: path.to_string(),
-            })
+        let gone = self.files.remove(&normalize(path));
+        let gone = gone.ok_or_else(|| GridError::NoSuchFile {
+            site: self.site.clone(),
+            path: path.to_string(),
+        })?;
+        self.used_bytes -= gone.len() as u64;
+        Ok(())
     }
 
     /// Remove every file under a prefix (the cleanup stage's `rm -rf`).
@@ -88,7 +94,8 @@ impl SiteFs {
             .cloned()
             .collect();
         for k in &doomed {
-            self.files.remove(k);
+            let gone = self.files.remove(k).expect("listed above");
+            self.used_bytes -= gone.len() as u64;
         }
         doomed.len()
     }
@@ -203,6 +210,42 @@ mod tests {
         f.write("big", vec![0u8; 950]).unwrap();
         assert_eq!(f.used_bytes(), 950);
         assert_eq!(f.free_bytes(), 50);
+    }
+
+    /// A path is one file however it is spelled: overwriting through a
+    /// leading slash frees the old bytes once, not twice.
+    #[test]
+    fn overwrite_through_a_leading_slash_at_the_quota_succeeds() {
+        let mut f = fs();
+        f.write("a/b", vec![0u8; 999]).unwrap();
+        f.write("/a/b", vec![1u8; 999]).unwrap();
+        f.write("/a/b/", vec![2u8; 1000]).unwrap();
+        assert_eq!(
+            (f.file_count(), f.used_bytes(), f.free_bytes()),
+            (1, 1000, 0)
+        );
+        assert!(matches!(
+            f.write("a/b", vec![0u8; 1001]),
+            Err(GridError::DiskQuotaExceeded { free: 1000, .. })
+        ));
+    }
+
+    #[test]
+    fn the_running_total_is_the_sum_of_the_files() {
+        let mut f = fs();
+        let sum = |f: &SiteFs| f.files.values().map(|v| v.len() as u64).sum::<u64>();
+        f.write("run1/in", vec![0; 100]).unwrap();
+        f.write("run1/out/a", vec![0; 200]).unwrap();
+        f.write("/run1/in", vec![0; 30]).unwrap(); // shrinks
+        f.write("run2/in", vec![0; 300]).unwrap();
+        f.write("run2/in/", vec![0; 310]).unwrap(); // grows
+        assert!(f.write("run3/in", vec![0; 500]).is_err()); // refused: no change
+        assert_eq!((f.used_bytes, sum(&f)), (540, 540));
+        f.remove("/run2/in").unwrap();
+        assert!(f.remove("run2/in").is_err());
+        assert_eq!((f.used_bytes, sum(&f)), (230, 230));
+        assert_eq!(f.remove_tree("run1"), 2);
+        assert_eq!((f.used_bytes, sum(&f), f.free_bytes()), (0, 0, 1000));
     }
 
     #[test]

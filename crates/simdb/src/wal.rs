@@ -56,6 +56,7 @@ use crate::schema::TableSchema;
 use crate::shard::new_table;
 use crate::table::{Row, Rows, Table};
 use crate::value::Value;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Write};
@@ -81,8 +82,11 @@ pub(crate) fn op_table(op: &LogOp) -> &str {
     }
 }
 
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// Slice-by-8 tables for CRC-32 (IEEE, reflected `0xEDB88320`): `[0]` is
+/// the classic byte table, `[k][b]` the CRC of byte `b` followed by `k`
+/// zero bytes, so eight look-ups advance the state over eight input bytes.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -91,17 +95,34 @@ const CRC_TABLE: [u32; 256] = {
             c = (c >> 1) ^ (0xEDB8_8320 & (c & 1).wrapping_neg());
             bit += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let c = tables[k - 1][i];
+            tables[k][i] = tables[0][(c & 0xff) as usize] ^ (c >> 8);
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
 /// CRC-32 (IEEE) state continued over `bytes`: start from `!0`, invert the
-/// final state.
+/// final state. Eight bytes a step, the last `len % 8` one at a time; the
+/// result does not depend on how a buffer is split between calls.
 fn crc32_update(mut crc: u32, bytes: &[u8]) -> u32 {
-    for &b in bytes {
-        crc = CRC_TABLE[((crc ^ b as u32) & 0xff) as usize] ^ (crc >> 8);
+    let t = &CRC_TABLES;
+    let mut steps = bytes.chunks_exact(8);
+    for step in &mut steps {
+        let word = u64::from_le_bytes(step.try_into().expect("eight bytes")) ^ crc as u64;
+        crc = (0..8).fold(0, |c, i| c ^ t[7 - i][(word >> (8 * i)) as u8 as usize]);
+    }
+    for &b in steps.remainder() {
+        crc = t[0][((crc ^ b as u32) & 0xff) as usize] ^ (crc >> 8);
     }
     crc
 }
@@ -197,9 +218,13 @@ fn get_int(d: &mut &[u8]) -> Option<i64> {
     Some((v >> 1) as i64 ^ -((v & 1) as i64))
 }
 
-fn get_text(d: &mut &[u8]) -> Option<String> {
+fn get_bytes<'a>(d: &mut &'a [u8]) -> Option<&'a [u8]> {
     let len = usize::try_from(get_varint(d)?).ok()?;
-    String::from_utf8(d.split_off(..len)?.to_vec()).ok()
+    d.split_off(..len)
+}
+
+fn get_text(d: &mut &[u8]) -> Option<String> {
+    String::from_utf8(get_bytes(d)?.to_vec()).ok()
 }
 
 fn get_value(d: &mut &[u8]) -> Option<Value> {
@@ -241,6 +266,37 @@ fn get_op(d: &mut &[u8]) -> Option<LogOp> {
         3 => LogOp::Delete { table, id },
         _ => return None,
     })
+}
+
+/// Step over one value by its length, building nothing.
+fn skip_value(d: &mut &[u8]) -> Option<()> {
+    match *d.split_off_first()? {
+        0..=2 => {}
+        3 | 5 => drop(get_varint(d)?),
+        4 => drop(d.split_off(..8)?),
+        6 => drop(get_bytes(d)?),
+        _ => return None,
+    }
+    Some(())
+}
+
+/// Step over one op and answer the table it targets ([`op_table`] of what
+/// [`get_op`] would build): the log cut's read of a frame, which borrows
+/// the name and skips the cells. Only a `CreateTable`, cold, is decoded.
+fn skim_op<'a>(d: &mut &'a [u8]) -> Option<Cow<'a, str>> {
+    let tag = *d.split_off_first()?;
+    if tag == 0 {
+        return Some(Cow::Owned(get_schema(d)?.name));
+    }
+    let table = std::str::from_utf8(get_bytes(d)?).ok()?;
+    get_int(d)?;
+    match tag {
+        1 => (0..get_varint(d)?).try_for_each(|_| skip_value(d))?,
+        2 => (0..get_varint(d)?).try_for_each(|_| get_varint(d).and_then(|_| skip_value(d)))?,
+        3 => {}
+        _ => return None,
+    }
+    Some(Cow::Borrowed(table))
 }
 
 /// Encode a commit's ops and start the frame's CRC over them: everything
@@ -599,6 +655,7 @@ impl Wal {
     /// Frames go or stay whole: a snapshot is cut from one untearable
     /// `pin_cut`, so it holds all of a commit or none of it. A frame only
     /// partly covered answers `Corrupt` and the file is left as it was.
+    /// Deciding builds no op ([`skim_op`]); a kept frame is copied as it is.
     pub(crate) fn truncate_keeping(&self, applied: &BTreeMap<String, u64>) -> Result<(), DbError> {
         let mut st = self.wait_no_flush();
         if let Some(e) = &st.failed {
@@ -630,21 +687,24 @@ impl Wal {
         // be dropped as snapshot-covered; either way it needs no re-flush.
         st.flushed_seq = upto;
 
-        let (data, frames, _) = scan(&self.path)?;
+        let data = std::fs::read(&self.path)?;
         let mut out = MAGIC.to_vec();
-        let covered = |r: &WalRecord| applied.get(op_table(&r.op)).is_some_and(|&s| s >= r.seq);
-        for frame in frames {
-            let keep = !covered(&frame.records[0]);
-            if frame.records.iter().any(|rec| covered(rec) == keep) {
-                return Err(DbError::Corrupt(format!(
-                    "wal byte {}: frame partly covered by the snapshot",
-                    frame.offset
-                )));
+        walk_frames(&data, |offset, end, first_seq, mut ops| {
+            let (mut count, mut uncovered) = (0, 0);
+            while !ops.is_empty() {
+                let table =
+                    skim_op(&mut ops).ok_or_else(|| corrupt_log(offset, "undecodable op"))?;
+                let seq = first_seq + count;
+                uncovered += u64::from(applied.get(&*table).is_none_or(|&s| s < seq));
+                count += 1;
             }
-            if keep {
-                out.extend_from_slice(&data[frame.offset..frame.end]);
+            if uncovered == count {
+                out.extend_from_slice(&data[offset..end]);
+            } else if uncovered != 0 {
+                return Err(corrupt_log(offset, "frame partly covered by the snapshot"));
             }
-        }
+            Ok(count)
+        })?;
         replace_file(&self.path, "wal.tmp", self.fsync(), |file| {
             Ok(file.write_all(&out)?)
         })?;
@@ -666,50 +726,68 @@ impl Wal {
     }
 }
 
-/// Decode a log file in one pass, returning its bytes, its frames and the
-/// length of its whole-frame prefix: anything after that is a torn tail.
-/// Damage before the tail is `Corrupt`. Reads only.
-fn scan(path: &Path) -> Result<(Vec<u8>, Vec<Frame>, usize), DbError> {
-    let data = std::fs::read(path)?;
-    let corrupt = |at: usize, why: &str| DbError::Corrupt(format!("wal byte {at}: {why}"));
+fn corrupt_log(at: usize, why: &str) -> DbError {
+    DbError::Corrupt(format!("wal byte {at}: {why}"))
+}
+
+/// Walk a log file's whole frames in order and return the length of its
+/// whole-frame prefix: anything after that is a torn tail. `each` gets a
+/// frame's byte range, the sequence number of its first op and its encoded
+/// ops, and answers how many ops they are. Damage before the tail — a
+/// sequence regression, a bad frame with a valid one after it — is
+/// `Corrupt`.
+fn walk_frames(
+    data: &[u8],
+    mut each: impl FnMut(usize, usize, u64, &[u8]) -> Result<u64, DbError>,
+) -> Result<usize, DbError> {
     let mut at = MAGIC.len().min(data.len());
     if data[..at] != MAGIC[..at] {
-        return Err(corrupt(0, "not a framed log"));
+        return Err(corrupt_log(0, "not a framed log"));
     }
-    let (mut frames, mut next_seq) = (Vec::new(), 0);
-    while let Some(body) = frame_at(&data, at, LOG_FRAME_MIN) {
-        let (mut ops, seq) = body.split_at(body.len() - 8);
+    let mut next_seq = 0;
+    while let Some(body) = frame_at(data, at, LOG_FRAME_MIN) {
+        let (ops, seq) = body.split_at(body.len() - 8);
         let first_seq = u64::from_le_bytes(seq.try_into().expect("eight bytes"));
         if first_seq < next_seq {
-            return Err(corrupt(at, "sequence regression"));
+            return Err(corrupt_log(at, "sequence regression"));
         }
-        let mut records = Vec::new();
-        while !ops.is_empty() {
-            let op = get_op(&mut ops).ok_or_else(|| corrupt(at, "undecodable op"))?;
-            let seq = first_seq + records.len() as u64;
-            records.push(WalRecord { seq, op });
-        }
-        next_seq = first_seq + records.len() as u64;
-        let (offset, end) = (at, at + 8 + body.len());
-        frames.push(Frame {
-            offset,
-            end,
-            records,
-        });
+        let end = at + 8 + body.len();
+        next_seq = first_seq + each(at, end, first_seq, ops)?;
         at = end;
     }
     // A header cut short holds nothing; otherwise `at` ends the last whole frame.
     let whole = if data.len() < MAGIC.len() { 0 } else { at };
     if whole < data.len() {
         if let Some(later) =
-            (at + 1..data.len()).find(|&p| frame_at(&data, p, LOG_FRAME_MIN).is_some())
+            (at + 1..data.len()).find(|&p| frame_at(data, p, LOG_FRAME_MIN).is_some())
         {
-            return Err(corrupt(
-                at,
-                &format!("bad frame; a valid one follows at {later}"),
-            ));
+            let why = format!("bad frame; a valid one follows at {later}");
+            return Err(corrupt_log(at, &why));
         }
     }
+    Ok(whole)
+}
+
+/// Decode a log file in one pass, returning its bytes, its frames and the
+/// length of its whole-frame prefix ([`walk_frames`]). Reads only.
+fn scan(path: &Path) -> Result<(Vec<u8>, Vec<Frame>, usize), DbError> {
+    let data = std::fs::read(path)?;
+    let mut frames = Vec::new();
+    let whole = walk_frames(&data, |offset, end, first_seq, mut ops| {
+        let mut records = Vec::new();
+        while !ops.is_empty() {
+            let op = get_op(&mut ops).ok_or_else(|| corrupt_log(offset, "undecodable op"))?;
+            let seq = first_seq + records.len() as u64;
+            records.push(WalRecord { seq, op });
+        }
+        let count = records.len() as u64;
+        frames.push(Frame {
+            offset,
+            end,
+            records,
+        });
+        Ok(count)
+    })?;
     Ok((data, frames, whole))
 }
 
@@ -795,16 +873,18 @@ impl Snapshot {
         let mut bytes = SNAPSHOT_MAGIC.len() as u64;
         replace_file(path, "tmp", durable, |file| {
             file.write_all(SNAPSHOT_MAGIC)?;
-            let (mut body, mut frame) = (Vec::new(), Vec::new());
+            let mut body = Vec::new();
+            // A frame goes to the file as its header, then its body.
             let mut emit = |body: &mut Vec<u8>| -> Result<(), DbError> {
-                if u32::try_from(body.len()).is_err() {
+                let Ok(len) = u32::try_from(body.len()) else {
                     return Err(DbError::Io("snapshot encode: frame over 4 GiB".into()));
-                }
-                frame.clear();
-                push_frame(&mut frame, body, crc32_update(!0, body), &[]);
+                };
+                file.write_all(&len.to_le_bytes())?;
+                file.write_all(&(!crc32_update(!0, body)).to_le_bytes())?;
+                file.write_all(body)?;
+                bytes += 8 + body.len() as u64;
                 body.clear();
-                bytes += frame.len() as u64;
-                Ok(file.write_all(&frame)?)
+                Ok(())
             };
             put_varint(&mut body, covered_seq.map_or(0, |seq| seq + 1));
             put_varint(&mut body, applied_seqs.len() as u64);
@@ -1066,6 +1146,35 @@ mod tests {
         row
     }
 
+    /// CRC-32 by its definition, a bit at a time and no table: the oracle.
+    fn crc32_bitwise(crc: u32, bytes: &[u8]) -> u32 {
+        let bit = |c: u32, _| (c >> 1) ^ (0xEDB8_8320 & (c & 1).wrapping_neg());
+        bytes
+            .iter()
+            .fold(crc, |c, &b| (0..8).fold(c ^ b as u32, bit))
+    }
+
+    /// Eight bytes a step changes no checksum: seeded bytes of every length
+    /// to 257 and around 4 KiB, at every alignment, whole and split in two
+    /// at every point (the long ones at one alignment).
+    #[test]
+    fn the_sliced_checksum_is_the_bitwise_one_at_every_length_offset_and_split() {
+        let lcg = |x: &u64| Some(x.wrapping_mul(6364136223846793005).wrapping_add(1));
+        let seeded = std::iter::successors(Some(0x9E37_79B9_7F4A_7C15_u64), lcg);
+        let pool: Vec<u8> = seeded.map(|x| (x >> 56) as u8).take(4200).collect();
+        for len in (0..=257).chain([4095, 4096, 4104]) {
+            for start in 0..8 {
+                let s = &pool[start..start + len];
+                let want = crc32_bitwise(!0, s);
+                assert_eq!(crc32_update(!0, s), want, "{len} bytes at {start}");
+                for cut in (0..=len).filter(|_| len <= 257 || start == 0) {
+                    let halves = crc32_update(crc32_update(!0, &s[..cut]), &s[cut..]);
+                    assert_eq!(halves, want, "{len} bytes at {start}, split at {cut}");
+                }
+            }
+        }
+    }
+
     /// Every op and every value shape, as one commit of five ops and as five
     /// commits of one.
     #[test]
@@ -1097,6 +1206,14 @@ mod tests {
             },
             LogOp::Delete { table, id: 42 },
         ];
+        // The log cut's skim reads each op as far as the decoder does.
+        for op in &ops {
+            let mut bytes = Vec::new();
+            put_op(&mut bytes, op);
+            let mut rest = &bytes[..];
+            assert_eq!(skim_op(&mut rest).as_deref(), Some(op_table(op)));
+            assert!(rest.is_empty(), "{op:?}: {} bytes left", rest.len());
+        }
         let path = tmpdir("codec").join("db.wal");
         let wal = Wal::open(&path).unwrap();
         wal.append(&ops).unwrap();
@@ -1259,24 +1376,65 @@ mod tests {
         assert_eq!(std::fs::read(&wal_path).unwrap(), whole);
     }
 
-    /// A snapshot cannot hold half a commit. Coverage that says it does is
+    fn delete_u(id: i64) -> LogOp {
+        let table = "u".into();
+        LogOp::Delete { table, id }
+    }
+
+    fn coverage(of: &[(&str, u64)]) -> BTreeMap<String, u64> {
+        of.iter().map(|&(t, seq)| (t.to_string(), seq)).collect()
+    }
+
+    /// A snapshot cannot hold half a commit. Coverage that says it does —
+    /// part of one table's ops, or one table's ops and not another's — is
     /// refused before the log is touched, and the log stays usable.
     #[test]
     fn a_partly_covered_frame_is_refused_and_the_log_stays_usable() {
         let wal_path = tmpdir("partial").join("db.wal");
         let wal = Wal::open(&wal_path).unwrap();
         wal.append(&seed().1).unwrap();
+        wal.append(&[insert(6, 9), delete_u(1)]).unwrap();
         let before = std::fs::read(&wal_path).unwrap();
-        let half: BTreeMap<String, u64> = [("t".to_string(), 3)].into_iter().collect();
-        match wal.truncate_keeping(&half) {
-            Err(DbError::Corrupt(why)) => assert!(why.contains("wal byte 8"), "{why}"),
-            other => panic!("{other:?}"),
+        let second = Wal::read_frames(&wal_path).unwrap()[1].offset;
+        for (half, at) in [(&[("t", 3)][..], 8), (&[("t", 5), ("u", 7)], second)] {
+            match wal.truncate_keeping(&coverage(half)) {
+                Err(DbError::Corrupt(why)) => assert!(why.contains(&format!("wal byte {at}:"))),
+                other => panic!("{other:?}"),
+            }
+            assert_eq!(std::fs::read(&wal_path).unwrap(), before);
         }
-        assert_eq!(std::fs::read(&wal_path).unwrap(), before);
-        assert_eq!(wal.append(&[insert(6, 9)]).unwrap(), 6);
-        wal.truncate_keeping(&[("t".to_string(), 6)].into_iter().collect())
-            .unwrap();
+        assert_eq!(wal.append(&[insert(7, 9)]).unwrap(), 8);
+        let all = coverage(&[("t", 8), ("u", 7)]);
+        wal.truncate_keeping(&all).unwrap();
         assert_eq!(std::fs::read(&wal_path).unwrap(), MAGIC);
+    }
+
+    /// The cut keeps a frame as the bytes it was, in the order it was, and
+    /// decides per table: a table's frames above its coverage survive
+    /// between another table's covered ones. A racing writer's commit is in
+    /// the file it leaves whether it was claimed before the cut or after.
+    #[test]
+    fn the_log_cut_keeps_whole_frames_as_they_were_and_a_racing_writers_too() {
+        let wal_path = tmpdir("cut").join("db.wal");
+        let read = || std::fs::read(&wal_path).unwrap();
+        let wal = Wal::open(&wal_path).unwrap();
+        wal.append(&seed().1).unwrap();
+        for id in 1..=3 {
+            wal.append(&[delete_u(id), delete_u(-id)]).unwrap();
+            wal.append(&[insert(5 + id, id)]).unwrap();
+        }
+        // Frames: t 0..=5, u 6-7, t 8, u 9-10, t 11, u 12-13, t 14.
+        let (before, frames) = (read(), Wal::read_frames(&wal_path).unwrap());
+        let bytes = |i: usize| &before[frames[i].offset..frames[i].end];
+        assert_eq!(wal.enqueue(&[delete_u(4)]).unwrap(), Some(15)); // not flushed
+        let applied = coverage(&[("t", 11), ("u", 7)]);
+        wal.truncate_keeping(&applied).unwrap();
+        let claimed_before = encode_frame(15, &[delete_u(4)]).unwrap();
+        let kept = [MAGIC, bytes(3), bytes(5), bytes(6), &claimed_before].concat();
+        assert_eq!(read(), kept);
+        assert_eq!(wal.append(&[insert(9, 9)]).unwrap(), 16);
+        let claimed_after = encode_frame(16, &[insert(9, 9)]).unwrap();
+        assert_eq!(read(), [kept, claimed_after].concat());
     }
 
     #[test]
