@@ -55,6 +55,14 @@ impl<T: ?Sized> RwLock<T> {
         self.0.read().unwrap_or_else(|e| e.into_inner())
     }
 
+    pub fn try_read(&self) -> Option<RwLockReadGuard<'_, T>> {
+        match self.0.try_read() {
+            Ok(g) => Some(g),
+            Err(std::sync::TryLockError::Poisoned(e)) => Some(e.into_inner()),
+            Err(std::sync::TryLockError::WouldBlock) => None,
+        }
+    }
+
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
         self.0.write().unwrap_or_else(|e| e.into_inner())
     }
@@ -81,6 +89,9 @@ mod tests {
         let l = RwLock::new(vec![1]);
         l.write().push(2);
         assert_eq!(l.read().len(), 2);
+        assert!(l.try_read().is_some());
+        let _w = l.write();
+        assert!(l.try_read().is_none());
     }
 
     #[test]

@@ -149,23 +149,18 @@ pub fn suggest(p: &Portal, req: &Request, _: &Params) -> Response {
                 .limit(50),
         )
         .unwrap_or_default();
-    let by_name: Vec<Star> = mgr
+    let seen: std::collections::HashSet<Option<i64>> = hits.iter().map(|h| h.id).collect();
+    let by_name = mgr
         .filter(
             &Query::new()
                 .filter("name", Op::IContains, q.as_str())
                 .limit(50),
         )
-        .unwrap_or_default()
-        .into_iter()
-        .filter(|n| !hits.iter().any(|h| h.id == n.id))
-        .collect();
-    hits.extend(by_name);
-    hits.sort_by_key(|s| {
-        (
-            !(s.has_results || s.in_kepler_field), // interesting first
-            s.identifier.clone(),
-        )
-    });
+        .unwrap_or_default();
+    hits.extend(by_name.into_iter().filter(|n| !seen.contains(&n.id)));
+    // interesting first, then by identifier
+    let rank = |s: &Star| !(s.has_results || s.in_kepler_field);
+    hits.sort_by(|a, b| (rank(a), &a.identifier).cmp(&(rank(b), &b.identifier)));
     hits.truncate(10);
     let items: Vec<serde_json::Value> = hits
         .iter()

@@ -18,6 +18,10 @@
 //! to make two separate `table_version` reads mutually consistent, so the
 //! view's ordered shared-lock acquisition is what keeps a multi-table
 //! transaction from splitting a stamp down the middle.
+//!
+//! A hit is answered on the event-loop thread, which must never wait: its
+//! lookup takes the lock with `try_read`, and the one long thing a writer
+//! does — freeing a full cache's entries — happens after the lock is let go.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -50,9 +54,11 @@ struct CacheEntry {
     response: Response,
 }
 
+type Entries = HashMap<String, CacheEntry>;
+
 /// The cache proper: `(path, query) → stamped response`.
 pub struct ResponseCache {
-    entries: RwLock<HashMap<String, CacheEntry>>,
+    entries: RwLock<Entries>,
     capacity: usize,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -95,14 +101,28 @@ impl ResponseCache {
     /// Look up `key`; hits require the stored stamp to equal `stamp`
     /// (the *current* versions of the dependency tables).
     pub fn get(&self, key: &str, stamp: &[u64]) -> Option<Response> {
-        let entries = self.entries.read();
+        self.lookup(key, stamp, true)
+    }
+
+    /// [`Self::get`] when `wait` is on. Off, it is the lookup of a caller
+    /// that must not wait (the event loop): a lock that is not free at once
+    /// reads as "not a hit", and no miss is counted — the worker the
+    /// request goes to next looks again.
+    pub(crate) fn lookup(&self, key: &str, stamp: &[u64], wait: bool) -> Option<Response> {
+        let entries = if wait {
+            self.entries.read()
+        } else {
+            self.entries.try_read()?
+        };
         match entries.get(key) {
             Some(e) if e.stamp == stamp => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 Some(e.response.clone())
             }
             _ => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
+                if wait {
+                    self.misses.fetch_add(1, Ordering::Relaxed);
+                }
                 None
             }
         }
@@ -119,19 +139,29 @@ impl ResponseCache {
         {
             return;
         }
+        // A full cache's entries — thousands of responses — are freed here,
+        // after `store` has let go of the lock every reader needs.
+        drop(self.store(key, stamp, response.clone()));
+    }
+
+    /// Insert under the write lock and hand back what was evicted.
+    fn store(&self, key: String, stamp: Vec<u64>, response: Response) -> Entries {
         let mut entries = self.entries.write();
-        if entries.len() >= self.capacity && !entries.contains_key(&key) {
+        let evicted = if entries.len() >= self.capacity && !entries.contains_key(&key) {
             // Wholesale eviction: stale-stamped entries dominate a full
             // cache, and the working set refills in one pass of traffic.
-            entries.clear();
-        }
-        entries.insert(
-            key,
-            CacheEntry {
-                stamp,
-                response: response.clone(),
-            },
-        );
+            std::mem::take(&mut *entries)
+        } else {
+            Entries::new()
+        };
+        entries.insert(key, CacheEntry { stamp, response });
+        evicted
+    }
+
+    /// The write lock, for tests of what a lookup does while it is taken.
+    #[cfg(test)]
+    pub(crate) fn write_locked(&self) -> impl Drop + '_ {
+        self.entries.write()
     }
 
     pub fn hits(&self) -> u64 {
@@ -217,5 +247,23 @@ mod tests {
             cache.put(format!("k{i}"), vec![1], &Response::html("x"));
             assert!(cache.len() <= 4);
         }
+    }
+
+    /// Eviction frees the old entries after the write lock is released:
+    /// with the evicted map still alive, a loop-style lookup gets the lock.
+    #[test]
+    fn eviction_hands_the_old_entries_out_of_the_lock() {
+        let cache = ResponseCache::new(4);
+        for i in 0..4 {
+            cache.put(format!("k{i}"), vec![1], &Response::html("x"));
+        }
+        let evicted = cache.store("k4".into(), vec![1], Response::html("y"));
+        assert_eq!(evicted.len(), 4, "the full map left the lock undropped");
+        assert_eq!(cache.lookup("k4", &[1], false).unwrap().body, b"y");
+        assert!(cache.lookup("k0", &[1], false).is_none());
+        assert_eq!((cache.len(), cache.misses()), (1, 0));
+        // ... and a held write lock reads as "not a hit", never a wait.
+        let _writer = cache.write_locked();
+        assert!(cache.lookup("k4", &[1], false).is_none());
     }
 }

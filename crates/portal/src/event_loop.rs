@@ -10,8 +10,13 @@
 //!   FFI, `poll(2)` elsewhere — zero external dependencies);
 //! * each connection is a small state machine (read → parse → dispatch →
 //!   buffered write → keep-alive or close) driven by the incremental
-//!   [`RequestParser`]; handler execution stays on the worker pool, so a
-//!   slow view never stalls the loop;
+//!   [`RequestParser`]; rendering stays on the worker pool, so a slow
+//!   view never stalls the loop. The one thing the loop answers itself
+//!   is a response-cache hit ([`Portal::answer_cached`]: a key, a stamp
+//!   of atomic loads and a `try_read` lookup — it never waits for a lock
+//!   a worker holds), `READS_PER_WAKEUP` of them per connection per
+//!   wakeup; a miss, a session cookie, a non-GET, a contended cache and
+//!   everything under a non-zero `handler_delay` go to the pool;
 //! * a hashed timer wheel enforces **two** deadlines: the idle timeout
 //!   between requests, and a total per-request read deadline
 //!   (headers+body) that evicts slow-loris tricklers no matter how
@@ -49,9 +54,10 @@ const DRAIN_GRACE: Duration = Duration::from_secs(10);
 /// Bytes read per `read` call on the shared scratch buffer.
 const SCRATCH_BYTES: usize = 16 * 1024;
 
-/// Max `read` calls per connection per wakeup — bounds how long one
-/// chatty connection can monopolize the loop (level-triggered polling
-/// re-delivers readiness for the remainder).
+/// Max `read` calls, and max inline cache-hit answers, per connection per
+/// wakeup — bounds how long one chatty connection can monopolize the loop
+/// (level-triggered polling re-delivers readiness for the remainder; the
+/// request after the last inline answer goes to the pool).
 const READS_PER_WAKEUP: usize = 8;
 
 // ---------------------------------------------------------------------------
@@ -416,8 +422,8 @@ pub(crate) struct Completion {
 }
 
 /// Bridge between the event loop (produces jobs, consumes completions)
-/// and the worker pool (the reverse). `Portal::handle` runs on workers
-/// only, so a slow view never blocks socket I/O.
+/// and the worker pool (the reverse). Views run on workers only, so a
+/// slow one never blocks socket I/O.
 pub(crate) struct Dispatcher {
     jobs: Mutex<VecDeque<Job>>,
     job_ready: Condvar,
@@ -459,6 +465,32 @@ impl Dispatcher {
     }
 }
 
+/// Serialize a handler's response and decide whether the connection
+/// outlives it — shared by the workers and the loop's inline cache hits.
+/// `None` keeps the connection alive; `Some(reason)` closes it after the
+/// flush, attributed to the client (`Connection: close` / HTTP 1.0) or to
+/// the server (keep-alive disabled or handler-requested close).
+fn finish_response(
+    response: &Response,
+    client_keep_alive: bool,
+    config: &ServerConfig,
+) -> (Vec<u8>, Option<CloseReason>) {
+    let handler_close = response.headers.iter().any(|(k, v)| {
+        k.eq_ignore_ascii_case("connection") && v.to_ascii_lowercase().contains("close")
+    });
+    let keep_alive = client_keep_alive && config.keep_alive && !handler_close;
+    let close = if keep_alive {
+        None
+    } else if !client_keep_alive {
+        Some(CloseReason::ClientClose)
+    } else {
+        Some(CloseReason::ServerClose)
+    };
+    let mut bytes = Vec::with_capacity(response.body.len() + 256);
+    response.write_into(&mut bytes, keep_alive);
+    (bytes, close)
+}
+
 /// Worker thread body: pop a job, run the handler, serialize the
 /// response, hand it back to the loop, wake the loop.
 pub(crate) fn worker_main(
@@ -490,23 +522,7 @@ pub(crate) fn worker_main(
             std::thread::sleep(config.handler_delay);
         }
         let response = portal.handle(&job.request);
-        let handler_close = response.headers.iter().any(|(k, v)| {
-            k.eq_ignore_ascii_case("connection") && v.to_ascii_lowercase().contains("close")
-        });
-        let keep_alive = job.client_keep_alive && config.keep_alive && !handler_close;
-        // Close-reason attribution: the client asked (Connection: close
-        // / HTTP 1.0) vs the server forced it (keep-alive disabled or
-        // handler-requested close). The old blocking server lumped both
-        // into `client_close`.
-        let close = if keep_alive {
-            None
-        } else if !job.client_keep_alive {
-            Some(CloseReason::ClientClose)
-        } else {
-            Some(CloseReason::ServerClose)
-        };
-        let mut bytes = Vec::with_capacity(response.body.len() + 256);
-        response.write_into(&mut bytes, keep_alive);
+        let (bytes, close) = finish_response(&response, job.client_keep_alive, &config);
         dispatcher
             .completions
             .lock()
@@ -703,6 +719,9 @@ const LISTENER_TOKEN: u64 = u64::MAX - 1;
 
 pub(crate) struct EventLoop {
     listener: TcpListener,
+    /// For cache hits only: the loop answers those itself, everything
+    /// else runs `Portal::handle` on a worker.
+    portal: Arc<Portal>,
     poller: Arc<Poller>,
     dispatcher: Arc<Dispatcher>,
     config: ServerConfig,
@@ -718,6 +737,7 @@ pub(crate) struct EventLoop {
 impl EventLoop {
     pub(crate) fn new(
         listener: TcpListener,
+        portal: Arc<Portal>,
         poller: Arc<Poller>,
         dispatcher: Arc<Dispatcher>,
         config: ServerConfig,
@@ -728,6 +748,7 @@ impl EventLoop {
         poller.add(listener.as_raw_fd(), LISTENER_TOKEN, true, false)?;
         Ok(EventLoop {
             listener,
+            portal,
             poller,
             dispatcher,
             config,
@@ -943,18 +964,34 @@ impl EventLoop {
                 conn.request_started = Some(now);
             }
         }
-        self.process_parsed(token, now);
+        self.serve_buffered(token, now);
     }
 
-    /// Drive the parser: dispatch at most one request (single in-flight
-    /// per connection keeps responses ordered and is the backpressure),
-    /// re-arm deadlines, or reject malformed/oversized input.
-    fn process_parsed(&mut self, token: usize, now: Instant) {
+    /// Serve what the connection has buffered: parse a request, answer it
+    /// inline if it is a cache hit, flush, and go round again for a
+    /// pipelined successor. After `READS_PER_WAKEUP` inline answers the
+    /// next request goes to the pool like a miss, so one pipelining client
+    /// holds the loop for a bounded time and resumes on its completion.
+    fn serve_buffered(&mut self, token: usize, now: Instant) {
+        let mut inline_left = READS_PER_WAKEUP;
+        while self.process_parsed(token, now, inline_left > 0) && self.flush(token, now) {
+            inline_left -= 1;
+        }
+    }
+
+    /// Drive the parser: take at most one request (single in-flight per
+    /// connection keeps responses ordered and is the backpressure), re-arm
+    /// deadlines, or reject malformed/oversized input. `true` means the
+    /// request was a cache hit whose response now waits in `conn.out`
+    /// (`Reading → Writing`, no `epoll_ctl`, no job, no wake); anything
+    /// else — a miss, a session, a non-GET, `may_answer` off — is
+    /// dispatched to the pool.
+    fn process_parsed(&mut self, token: usize, now: Instant, may_answer: bool) -> bool {
         let Some(conn) = self.slab.get_mut(token) else {
-            return;
+            return false;
         };
         if conn.state != ConnState::Reading {
-            return;
+            return false;
         }
         // Oversize checks: bytes actually buffered, and the declared
         // total of the in-flight request (no point buffering a body we
@@ -964,15 +1001,30 @@ impl EventLoop {
             || declared > self.config.max_request_bytes
         {
             self.respond_and_close(token, Response::payload_too_large(), CloseReason::TooLarge);
-            return;
+            return false;
         }
         match conn.parser.next_request() {
             Ok(Some((request, client_keep_alive))) => {
                 // The read deadline anchors per request: leftover
                 // pipelined bytes start the next request's clock now.
                 conn.request_started = (conn.parser.buffered() > 0).then_some(now);
-                conn.state = ConnState::Dispatched;
                 conn.deadline = None;
+                // A non-zero `handler_delay` stands for a slow handler:
+                // then nothing is answered here.
+                let hit = if may_answer && self.config.handler_delay.is_zero() {
+                    let start = Instant::now();
+                    self.portal.answer_cached(&request, start, false).ok()
+                } else {
+                    None
+                };
+                if let Some(response) = hit {
+                    (conn.out, conn.close_after_write) =
+                        finish_response(&response, client_keep_alive, &self.config);
+                    conn.out_pos = 0;
+                    conn.state = ConnState::Writing;
+                    return true;
+                }
+                conn.state = ConnState::Dispatched;
                 let generation = conn.generation;
                 self.set_interest(token, false, false);
                 self.dispatcher.push_job(Job {
@@ -994,7 +1046,7 @@ impl EventLoop {
                         Response::payload_too_large(),
                         CloseReason::TooLarge,
                     );
-                    return;
+                    return false;
                 }
                 let deadline = match conn.request_started {
                     // Mid-request: total budget from the first byte —
@@ -1017,6 +1069,7 @@ impl EventLoop {
                 );
             }
         }
+        false
     }
 
     /// Queue a loop-generated error response and close (with reason)
@@ -1031,7 +1084,7 @@ impl EventLoop {
         conn.state = ConnState::Writing;
         conn.close_after_write = Some(reason);
         conn.deadline = None;
-        self.conn_writable(token, Instant::now());
+        self.flush(token, Instant::now());
     }
 
     fn on_completion(&mut self, c: Completion, now: Instant) {
@@ -1049,27 +1102,37 @@ impl EventLoop {
     }
 
     fn conn_writable(&mut self, token: usize, now: Instant) {
+        if self.flush(token, now) {
+            // A pipelined request may already be buffered — serve it
+            // without waiting for socket readiness.
+            self.serve_buffered(token, now);
+        }
+    }
+
+    /// Write what is queued in `conn.out`. `true` when the response is
+    /// fully flushed and the connection is back in `Reading`.
+    fn flush(&mut self, token: usize, now: Instant) -> bool {
         let Some(conn) = self.slab.get_mut(token) else {
-            return;
+            return false;
         };
         if conn.state != ConnState::Writing {
-            return;
+            return false;
         }
         while conn.out_pos < conn.out.len() {
             match conn.stream.write(&conn.out[conn.out_pos..]) {
                 Ok(0) => {
                     self.close(token, CloseReason::Error);
-                    return;
+                    return false;
                 }
                 Ok(n) => conn.out_pos += n,
                 Err(e) if e.kind() == ErrorKind::WouldBlock => {
                     self.set_interest(token, false, true);
-                    return;
+                    return false;
                 }
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                 Err(_) => {
                     self.close(token, CloseReason::Error);
-                    return;
+                    return false;
                 }
             }
         }
@@ -1084,11 +1147,10 @@ impl EventLoop {
             None => {
                 conn.state = ConnState::Reading;
                 self.set_interest(token, true, false);
-                // A pipelined request may already be buffered — serve
-                // it without waiting for socket readiness.
-                self.process_parsed(token, now);
+                return true;
             }
         }
+        false
     }
 
     /// Send FIN (half-close) and discard client bytes until EOF or a
@@ -1197,6 +1259,92 @@ mod tests {
         let g2 = slab.get_mut(t2).unwrap().generation;
         assert_ne!(g1, g2, "generation must differ so stale completions drop");
         assert_eq!(slab.live, 1);
+    }
+
+    /// A loop with no pool behind it: whatever is answered, the loop
+    /// answered. Hits are; the request after a wakeup's budget of them, and
+    /// a hit whose cache lock is taken, wait in the queue — and the loop
+    /// goes on serving — until workers exist.
+    #[test]
+    fn loop_answers_hits_itself_within_its_budget_and_never_waits_for_the_cache() {
+        use crate::server::{fetch, read_framed_response};
+        let db = amp_simdb::Db::in_memory();
+        amp_core::setup::initialize(&db).unwrap();
+        let portal = Arc::new(Portal::new(&db, Default::default()).unwrap());
+        let mut page = Vec::new();
+        portal
+            .handle(&Request::get("/stars"))
+            .write_into(&mut page, true);
+        let page = String::from_utf8(page).unwrap();
+
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (poller, dispatcher) = (
+            Arc::new(Poller::new().unwrap()),
+            Arc::new(Dispatcher::new()),
+        );
+        let parts = || {
+            (
+                portal.clone(),
+                poller.clone(),
+                dispatcher.clone(),
+                ServerConfig::default(),
+            )
+        };
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let (p, po, d, c) = parts();
+        let event_loop = EventLoop::new(listener, p, po, d, c, shutdown.clone()).unwrap();
+        let loop_thread = std::thread::spawn(move || event_loop.run());
+        let queued = |n: usize| {
+            let give_up = Instant::now() + Duration::from_secs(5);
+            while dispatcher.queue_len() != n && Instant::now() < give_up {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            assert_eq!(dispatcher.queue_len(), n);
+        };
+
+        // One segment of budget + 1 hits: all but the last are answered.
+        let raw = "GET /stars HTTP/1.1\r\nHost: t\r\n\r\n";
+        let mut greedy = TcpStream::connect(addr).unwrap();
+        greedy
+            .write_all(raw.repeat(READS_PER_WAKEUP + 1).as_bytes())
+            .unwrap();
+        let mut buf = Vec::new();
+        for _ in 0..READS_PER_WAKEUP {
+            assert_eq!(read_framed_response(&mut greedy, &mut buf).unwrap(), page);
+        }
+        queued(1);
+
+        // The cache's write lock is taken: the hit is the pool's, and the
+        // loop still answers what it can (a 400 is its own).
+        let writer = portal.cache().write_locked();
+        let mut contended = TcpStream::connect(addr).unwrap();
+        contended.write_all(raw.as_bytes()).unwrap();
+        queued(2);
+        assert!(fetch(addr, "BROKEN\r\n\r\n").unwrap().contains(" 400 "));
+
+        // Workers arrive. Two of them wait for the lock like any reader,
+        // the third serves another connection meanwhile.
+        let workers: Vec<_> = (0..3)
+            .map(|_| {
+                let (p, po, d, c) = parts();
+                std::thread::spawn(move || worker_main(p, d, po, c))
+            })
+            .collect();
+        let other = fetch(addr, "GET /nope HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();
+        assert!(other.contains(" 404 "));
+        drop(writer);
+        assert_eq!(read_framed_response(&mut greedy, &mut buf).unwrap(), page);
+        assert_eq!(
+            read_framed_response(&mut contended, &mut buf).unwrap(),
+            page
+        );
+
+        shutdown.store(true, Ordering::SeqCst);
+        poller.wake();
+        loop_thread.join().unwrap();
+        dispatcher.stop();
+        workers.into_iter().for_each(|w| w.join().unwrap());
     }
 
     /// The accept path drops a connection whose registration fails; that

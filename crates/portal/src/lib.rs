@@ -272,15 +272,16 @@ mod portal_tests {
         let (db, portal) = setup(false);
         let conn = db.connect(amp_core::roles::ROLE_ADMIN).unwrap();
         let stars = Manager::<Star>::new(conn);
-        for (ident, has_results, kepler) in [
-            ("HD 300001", false, false),
-            ("HD 300002", true, false),
-            ("HD 300003", false, true),
+        for (ident, name, has_results, kepler) in [
+            ("HD 300001", None, false, false),
+            // matches by identifier and by name: listed once
+            ("HD 300002", Some("HD 3000 b"), true, false),
+            ("HD 300003", None, false, true),
         ] {
             let mut s = Star {
                 id: None,
                 identifier: ident.into(),
-                name: None,
+                name: name.map(String::from),
                 hd_number: None,
                 kic_number: None,
                 ra: 0.0,

@@ -2,6 +2,8 @@
 //! URL map wiring the Django-style apps together.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::OnceLock;
+use std::time::Instant;
 
 use amp_core::models::AmpUser;
 use amp_core::roles::{ROLE_ADMIN, ROLE_WEB};
@@ -30,7 +32,7 @@ const LAYOUT_TEMPLATE: &str = "<!doctype html>\n\
 /// The portal's precompiled templates, parsed once per process. Views
 /// render through here instead of re-parsing template source per request.
 pub(crate) fn registry() -> &'static TemplateRegistry {
-    static REGISTRY: std::sync::OnceLock<TemplateRegistry> = std::sync::OnceLock::new();
+    static REGISTRY: OnceLock<TemplateRegistry> = OnceLock::new();
     REGISTRY.get_or_init(|| {
         let mut reg = TemplateRegistry::new();
         reg.register("layout", LAYOUT_TEMPLATE)
@@ -140,13 +142,69 @@ impl Portal {
         self.register_nonce.fetch_add(1, Ordering::SeqCst)
     }
 
-    /// Handle one request end-to-end, serving anonymous read-only pages
-    /// from the versioned response cache when possible. Every request is
-    /// recorded in the global metrics registry (per-route count, status,
-    /// latency; cache hit/miss).
+    /// Handle one request end-to-end: answer from the versioned response
+    /// cache, else render and store. Every request is recorded in the
+    /// global metrics registry (per-route count, status, latency; cache
+    /// hit/miss).
     pub fn handle(&self, req: &Request) -> Response {
-        let start = std::time::Instant::now();
-        let response = self.handle_uninstrumented(req);
+        let start = Instant::now();
+        let slot = match self.answer_cached(req, start, true) {
+            Ok(hit) => return hit,
+            Err(slot) => slot,
+        };
+        let response = self.router.dispatch(self, req);
+        if let Some((key, stamp)) = slot {
+            self.cache.put(key, stamp, &response);
+        }
+        self.record(req, start, &response);
+        response
+    }
+
+    /// The first half of [`Self::handle`]: a cache hit, fully accounted, or
+    /// the `(key, stamp)` to store the render under (`None`: not cacheable).
+    /// The event loop calls this with `wait` off before it hands a request
+    /// to the pool: the lookup then never waits for the cache lock, and
+    /// counts no miss — `handle` looks again on the worker.
+    pub(crate) fn answer_cached(
+        &self,
+        req: &Request,
+        start: Instant,
+        wait: bool,
+    ) -> Result<Response, Option<(String, Vec<u64>)>> {
+        static CACHE_HITS: OnceLock<amp_obs::Counter> = OnceLock::new();
+        static CACHE_MISSES: OnceLock<amp_obs::Counter> = OnceLock::new();
+        let Some(deps) = ResponseCache::cacheable(req).filter(|_| self.config.cache_enabled) else {
+            return Err(None);
+        };
+        let key = ResponseCache::key(req);
+        // Stamp before rendering: a commit-clock-validated pin of each
+        // dependency table's published version — a handful of atomic
+        // loads, no lock, no writer blocked. The cut is coherent, so the
+        // stamp can never mix a pre-transaction version of one table with
+        // a post-transaction version of another. A write racing the render
+        // itself can only make the stored entry look stale, never fresh.
+        // (Not-yet-migrated tables stamp as version 0.)
+        let stamp = self.conn.table_versions(deps);
+        match self.cache.lookup(&key, &stamp, wait) {
+            Some(response) => {
+                CACHE_HITS
+                    .get_or_init(|| amp_obs::counter("portal_cache_hits_total"))
+                    .inc();
+                self.record(req, start, &response);
+                Ok(response)
+            }
+            None => {
+                if wait {
+                    CACHE_MISSES
+                        .get_or_init(|| amp_obs::counter("portal_cache_misses_total"))
+                        .inc();
+                }
+                Err(Some((key, stamp)))
+            }
+        }
+    }
+
+    fn record(&self, req: &Request, start: Instant, response: &Response) {
         let route = self.router.label(req).unwrap_or("unmatched");
         let registry = amp_obs::registry();
         registry
@@ -161,39 +219,6 @@ impl Portal {
                 amp_obs::Unit::Seconds,
             )
             .observe_duration(start.elapsed());
-        response
-    }
-
-    fn handle_uninstrumented(&self, req: &Request) -> Response {
-        static CACHE_HITS: std::sync::OnceLock<amp_obs::Counter> = std::sync::OnceLock::new();
-        static CACHE_MISSES: std::sync::OnceLock<amp_obs::Counter> = std::sync::OnceLock::new();
-        if self.config.cache_enabled {
-            if let Some(deps) = ResponseCache::cacheable(req) {
-                let key = ResponseCache::key(req);
-                // Stamp before rendering: a commit-clock-validated pin of
-                // each dependency table's published version — a handful of
-                // atomic loads, no lock, no writer blocked. The cut is
-                // coherent, so the stamp can never mix a pre-transaction
-                // version of one table with a post-transaction version of
-                // another. A write racing the render itself can only make
-                // the stored entry look stale, never fresh.
-                // (Not-yet-migrated tables stamp as version 0.)
-                let stamp = self.conn.table_versions(deps);
-                if let Some(resp) = self.cache.get(&key, &stamp) {
-                    CACHE_HITS
-                        .get_or_init(|| amp_obs::counter("portal_cache_hits_total"))
-                        .inc();
-                    return resp;
-                }
-                CACHE_MISSES
-                    .get_or_init(|| amp_obs::counter("portal_cache_misses_total"))
-                    .inc();
-                let resp = self.router.dispatch(self, req);
-                self.cache.put(key, stamp, &resp);
-                return resp;
-            }
-        }
-        self.router.dispatch(self, req)
     }
 
     /// The response cache (hit/miss counters for tests and benches).

@@ -12,7 +12,9 @@
 //!   connections cost a few bytes of state each and no threads;
 //! * a fixed pool of [`ServerConfig::workers`] threads runs
 //!   [`Portal::handle`] only — parsing, buffering, timeouts, and writes
-//!   all happen on the loop;
+//!   all happen on the loop, and so does the answer to a response-cache
+//!   hit, which needs no view (`portal_conn_queue_wait_seconds` counts
+//!   the requests that did go to the pool);
 //! * a timer wheel enforces both the idle timeout between requests and a
 //!   total per-request read deadline (the slow-loris fix), and every
 //!   close is attributed: `portal_connections_closed_total{reason=...}`;
@@ -123,7 +125,8 @@ pub struct ServerConfig {
     /// clients wait in the kernel backlog.
     pub max_connections: usize,
     /// Artificial per-request service delay (benchmarks and drain tests
-    /// only; zero in production configs).
+    /// only; zero in production configs). Non-zero, it stands for a slow
+    /// handler: every request then goes to the pool, cache hits included.
     pub handler_delay: Duration,
 }
 
@@ -183,6 +186,7 @@ impl Server {
 
         let event_loop = EventLoop::new(
             listener,
+            portal.clone(),
             poller.clone(),
             dispatcher.clone(),
             config,

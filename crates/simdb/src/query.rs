@@ -23,7 +23,9 @@ pub enum Op {
     Ge,
     /// Case-sensitive substring match (Text columns).
     Contains,
-    /// Case-insensitive substring match.
+    /// Case-insensitive substring match. ASCII cell and needle compare in
+    /// place, nothing allocated per row; a non-ASCII byte on either side
+    /// lowercases both into fresh `String`s (Unicode case mapping).
     IContains,
     /// Prefix match (Text columns).
     StartsWith,
@@ -76,9 +78,7 @@ impl Filter {
                         _ => false,
                     },
                     Op::IContains => match (cell, &self.value) {
-                        (Value::Text(c), Value::Text(n)) => {
-                            c.to_lowercase().contains(&n.to_lowercase())
-                        }
+                        (Value::Text(c), Value::Text(n)) => icontains(c, n),
                         _ => false,
                     },
                     Op::StartsWith => match (cell, &self.value) {
@@ -90,6 +90,22 @@ impl Filter {
             }
         }
     }
+}
+
+/// `Op::IContains`. Out of line: `Filter::matches` is also the loop the
+/// daemon's `Eq` / `In` worklists run through.
+#[inline(never)]
+fn icontains(cell: &str, needle: &str) -> bool {
+    if !(cell.is_ascii() && needle.is_ascii()) {
+        // `K` U+212A lowercases to ASCII `k`, `İ` to two chars: only
+        // the full mapping gives those their answers.
+        return cell.to_lowercase().contains(&needle.to_lowercase());
+    }
+    let (cell, needle) = (cell.as_bytes(), needle.as_bytes());
+    needle.is_empty()
+        || cell
+            .windows(needle.len())
+            .any(|w| w.eq_ignore_ascii_case(needle))
 }
 
 /// Sort key: column name + direction.
@@ -943,6 +959,42 @@ mod tests {
                 .len(),
             2
         );
+    }
+
+    /// Every cell of up to three and needle of up to two characters of an
+    /// alphabet whose non-ASCII members lowercase into ASCII (`K` U+212A),
+    /// into two chars (`İ`), or by position (`Σ`): the in-place comparison
+    /// answers what lowercasing both sides answers. The empty needle, a
+    /// needle longer than its cell and the first and last windows are in.
+    #[test]
+    fn icontains_equals_lowercasing_both_sides() {
+        let alphabet = [
+            "a", "A", "k", "K", "i", "1", " ", "\u{212A}", "İ", "ß", "Σ", "σ", "ς",
+        ];
+        let words = |max: usize| {
+            let mut all = vec![String::new()];
+            let mut longest = all.clone();
+            for _ in 0..max {
+                longest = longest
+                    .iter()
+                    .flat_map(|w| alphabet.iter().map(move |c| format!("{w}{c}")))
+                    .collect();
+                all.extend(longest.iter().cloned());
+            }
+            all
+        };
+        let needles = words(2);
+        for cell in words(3) {
+            for needle in &needles {
+                assert_eq!(
+                    icontains(&cell, needle),
+                    cell.to_lowercase().contains(&needle.to_lowercase()),
+                    "{cell:?} icontains {needle:?}"
+                );
+            }
+        }
+        assert!(icontains("HD 52265", "hd 52265") && icontains("Kepler", "LER"));
+        assert!(!icontains("HD 5", "HD 52"));
     }
 
     #[test]

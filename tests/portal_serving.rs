@@ -1,7 +1,9 @@
 //! Serving-layer integration: concurrent keep-alive load over the
 //! event-driven TCP server, the event-loop suite (idle-connection scale,
 //! pipelining across readiness wakeups, slow-loris eviction, readable
-//! 413s, graceful drain, byte-split arrival fuzz), and the
+//! 413s, graceful drain, byte-split arrival fuzz), the inline-hit suite
+//! (a cache hit answered by the loop equals a worker's, on the wire and
+//! in the counters), and the
 //! cache-transparency property — a portal serving from the versioned
 //! response cache is byte-identical to one rendering every request
 //! fresh, under arbitrary write/read interleavings.
@@ -602,6 +604,223 @@ fn arbitrarily_split_request_streams_serve_complete_responses() {
             assert_eq!(status, *want, "round {round} response {i}: {resp}");
         }
     }
+    server.stop();
+}
+
+// ---------------------------------------------------------------------------
+// Inline cache hits: the loop answers them itself, everything else is the
+// pool's. (That a hit needs no worker at all, the per-wakeup budget and the
+// behaviour under a held cache lock are shown inside the crate, where a
+// loop can run with no pool: `event_loop::tests`.)
+// ---------------------------------------------------------------------------
+
+fn get(path: &str, extra_headers: &str) -> String {
+    format!("GET {path} HTTP/1.1\r\nHost: t\r\n{extra_headers}\r\n")
+}
+
+/// What `portal` answers to `req`, as a keep-alive connection carries it.
+fn wire(portal: &Portal, req: &Request) -> String {
+    let mut bytes = Vec::new();
+    portal.handle(req).write_into(&mut bytes, true);
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+/// A served portal over a small catalog, and a twin on the same database
+/// that is only ever asked through `Portal::handle`.
+fn served_with_twin(stars: usize) -> (Db, Arc<Portal>, Portal, Server) {
+    let db = fresh_db();
+    let mgr = Manager::<Star>::new(db.connect(roles::ROLE_ADMIN).unwrap());
+    for i in 0..stars {
+        mgr.create(&mut star(&format!("HD {i}"))).unwrap();
+    }
+    let portal = Arc::new(Portal::new(&db, PortalConfig::default()).unwrap());
+    let twin = Portal::new(&db, PortalConfig::default()).unwrap();
+    let server = Server::spawn(portal.clone(), 0).unwrap();
+    (db, portal, twin, server)
+}
+
+/// The first request of a cacheable page is a miss, rendered by a worker;
+/// the second is a hit the loop answers. On the wire they are the same
+/// bytes, and a committed write to `star` in between makes the next
+/// answer the fresh render.
+#[test]
+fn loop_hits_pool_misses_and_fresh_renders_agree_on_the_wire() {
+    let (db, portal, twin, server) = served_with_twin(30);
+    let addr = server.addr();
+    for (n, path) in ["/", "/stars", "/stars?page=2", "/star/HD%207"]
+        .iter()
+        .enumerate()
+    {
+        let miss = fetch(addr, &get(path, "")).unwrap();
+        let hit = fetch(addr, &get(path, "")).unwrap();
+        assert_eq!(miss, hit, "{path}: hit and miss differ on the wire");
+        assert_eq!(hit, wire(&twin, &Request::get(path)), "{path}");
+        let cache = portal.cache();
+        assert_eq!((cache.misses(), cache.hits()), (n as u64 + 1, n as u64 + 1));
+    }
+    Manager::<Star>::new(db.connect(roles::ROLE_ADMIN).unwrap())
+        .create(&mut star("HD 00 fresh"))
+        .unwrap();
+    let fresh = fetch(addr, &get("/stars", "")).unwrap();
+    assert!(fresh.contains("HD 00 fresh"), "stale page after a commit");
+    assert_eq!(fresh, wire(&twin, &Request::get("/stars")));
+    assert_eq!(fresh, fetch(addr, &get("/stars", "")).unwrap());
+    server.stop();
+}
+
+/// One connection pipelines cacheable GETs (hits and misses), the same
+/// pages under a session cookie and POSTs in a seeded order — runs of hits
+/// longer than the loop's per-wakeup budget included — and gets every
+/// response, in order, equal to the twin's `Portal::handle`.
+#[test]
+fn pipelined_mix_of_loop_and_pool_requests_stays_ordered() {
+    let (_db, _portal, twin, server) = served_with_twin(30);
+    let paths = [
+        "/",
+        "/stars",
+        "/stars?page=2",
+        "/star/HD%203",
+        "/star/HD%20404",
+    ];
+    let mut rng = ChaCha8Rng::seed_from_u64(0x24);
+    let mut raw = Vec::new();
+    let mut expected = Vec::new();
+    for _ in 0..120 {
+        let path = paths[rng.random_range(0..paths.len())];
+        match rng.random_range(0..10u8) {
+            0 => {
+                raw.push(
+                    "POST /nope HTTP/1.1\r\nHost: t\r\nContent-Length: 3\r\n\r\na=b".to_string(),
+                );
+                expected.push(wire(&twin, &Request::post("/nope", &[("a", "b")])));
+            }
+            // any session cookie, valid or not, is the pool's
+            1 | 2 => {
+                raw.push(get(path, "Cookie: amp_session=nobody\r\n"));
+                expected.push(wire(
+                    &twin,
+                    &Request::get(path).with_cookie("amp_session", "nobody"),
+                ));
+            }
+            _ => {
+                raw.push(get(path, ""));
+                expected.push(wire(&twin, &Request::get(path)));
+            }
+        }
+    }
+    let refs: Vec<&str> = raw.iter().map(|s| s.as_str()).collect();
+    let got = fetch_pipelined(server.addr(), &refs).unwrap();
+    for (i, (got, want)) in got.iter().zip(&expected).enumerate() {
+        assert_eq!(got, want, "response {i} to {:?}", raw[i]);
+    }
+    server.stop();
+}
+
+/// `Connection: close` on a hit: the response says so, the server closes
+/// after it, and the close is the client's.
+#[test]
+fn connection_close_on_a_hit_closes_after_the_response() {
+    let (_db, portal, _twin, server) = served_with_twin(3);
+    let client_closes = closed_counter("client_close");
+    let kept = fetch(server.addr(), &get("/stars", "")).unwrap();
+    let before = client_closes.get();
+
+    let mut s = TcpStream::connect(server.addr()).unwrap();
+    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    s.write_all(get("/stars", "Connection: close\r\n").as_bytes())
+        .unwrap();
+    let mut all = Vec::new();
+    s.read_to_end(&mut all).expect("EOF after the response");
+    let closed = String::from_utf8_lossy(&all);
+    assert_eq!(portal.cache().hits(), 1, "the second request was a hit");
+    assert_eq!(
+        closed,
+        kept.replace("Connection: keep-alive", "Connection: close"),
+        "exactly one response, then EOF"
+    );
+    drop(s);
+    let wait_until = Instant::now() + Duration::from_secs(5);
+    while client_closes.get() == before && Instant::now() < wait_until {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert!(
+        client_closes.get() > before,
+        "close not counted as client_close"
+    );
+    server.stop();
+}
+
+/// A client pipelining 64 hits at a time cannot hold the loop: a second
+/// connection's single requests keep their latency meanwhile.
+#[test]
+fn a_pipelining_client_does_not_starve_another_connection() {
+    let (_db, _portal, _twin, server) = served_with_twin(30);
+    let addr = server.addr();
+    let page = fetch(addr, &get("/stars", "")).unwrap();
+    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let greedy = {
+        let (stop, page) = (stop.clone(), page.clone());
+        std::thread::spawn(move || {
+            let burst = get("/stars", "").repeat(64);
+            let mut s = TcpStream::connect(addr).unwrap();
+            s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+            let mut buf = Vec::new();
+            let mut bursts = 0;
+            while !stop.load(std::sync::atomic::Ordering::SeqCst) {
+                s.write_all(burst.as_bytes()).unwrap();
+                for _ in 0..64 {
+                    assert_eq!(read_framed_response(&mut s, &mut buf).unwrap(), page);
+                }
+                bursts += 1;
+            }
+            bursts
+        })
+    };
+    let mut other = TcpStream::connect(addr).unwrap();
+    other
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut buf = Vec::new();
+    let mut worst = Duration::ZERO;
+    for _ in 0..200 {
+        let t = Instant::now();
+        other.write_all(get("/", "").as_bytes()).unwrap();
+        let resp = read_framed_response(&mut other, &mut buf).unwrap();
+        worst = worst.max(t.elapsed());
+        assert!(resp.starts_with("HTTP/1.1 200"));
+    }
+    stop.store(true, std::sync::atomic::Ordering::SeqCst);
+    assert!(greedy.join().unwrap() > 0);
+    // Generous (debug build, shared box): a burst is milliseconds of work.
+    assert!(
+        worst < Duration::from_millis(250),
+        "worst round trip {worst:?}"
+    );
+    server.stop();
+}
+
+/// An inline hit is counted exactly once: per route and status, as a cache
+/// hit, and never as a miss. The 404 of an unknown star is cacheable too,
+/// and no other test of this binary produces that (route, status) series,
+/// so its process-wide counter can be compared exactly.
+#[test]
+fn inline_hits_are_counted_once() {
+    let (_db, portal, _twin, server) = served_with_twin(3);
+    let requests = obs::counter(&obs::labeled(
+        "portal_requests_total",
+        &[("route", "/star/<ident>"), ("status", "404")],
+    ));
+    let hits = obs::counter("portal_cache_hits_total");
+    let (requests_before, hits_before) = (requests.get(), hits.get());
+    let raw = get("/star/no-such-star", "");
+    let got = fetch_pipelined(server.addr(), &[raw.as_str(); 6]).unwrap();
+    assert!(got
+        .iter()
+        .all(|r| r.starts_with("HTTP/1.1 404") && *r == got[0]));
+    assert_eq!(requests.get() - requests_before, 6);
+    assert_eq!((portal.cache().misses(), portal.cache().hits()), (1, 5));
+    // process-wide, and other tests hit their caches meanwhile
+    assert!(hits.get() - hits_before >= 5);
     server.stop();
 }
 

@@ -73,6 +73,8 @@ fn arb_value() -> impl Strategy<Value = Value> {
     prop_oneof![
         (-160i64..160).prop_map(Value::Int),
         (0u8..7).prop_map(|s| format!("s{s}").into()),
+        // fragments for the text operators: hits, wrong case, the empty needle
+        prop_oneof![Just("s"), Just("S"), Just("3"), Just("S1"), Just("")].prop_map(Value::from),
         Just(Value::Null),
     ]
 }
@@ -87,8 +89,21 @@ fn arb_op() -> impl Strategy<Value = Op> {
         Just(Op::Ge),
         Just(Op::IsNull),
         Just(Op::NotNull),
+        Just(Op::Contains),
+        Just(Op::IContains),
+        Just(Op::StartsWith),
         proptest::collection::vec(arb_value(), 0..4).prop_map(Op::In),
     ]
+}
+
+/// Text over ASCII letters of both cases, digits and space, salted with
+/// `K` (U+212A), `İ`, `ß` and the three sigmas.
+fn arb_mixed_text(len: std::ops::Range<usize>) -> impl Strategy<Value = String> {
+    const ALPHABET: [char; 16] = [
+        'a', 'A', 'k', 'K', 'i', 'I', 's', 'S', '7', ' ', '\u{212A}', 'İ', 'ß', 'Σ', 'σ', 'ς',
+    ];
+    proptest::collection::vec(0usize..ALPHABET.len(), len)
+        .prop_map(|picks| picks.into_iter().map(|i| ALPHABET[i]).collect())
 }
 
 fn arb_filter() -> impl Strategy<Value = (usize, Op, Value)> {
@@ -156,7 +171,17 @@ fn build_query(spec: &QSpec) -> Query {
 // Naive reference executor — scan everything, own predicate semantics.
 // ---------------------------------------------------------------------------
 
+/// Case-insensitive containment the slow way: lowercase both sides.
+fn ref_icontains(cell: &str, needle: &str) -> bool {
+    cell.to_lowercase().contains(&needle.to_lowercase())
+}
+
 fn ref_matches(op: &Op, rhs: &Value, cell: &Value) -> bool {
+    // the text operators match Text against Text and nothing else
+    let text = |f: fn(&str, &str) -> bool| match (cell, rhs) {
+        (Value::Text(c), Value::Text(n)) => f(c, n),
+        _ => false,
+    };
     match op {
         Op::IsNull => cell.is_null(),
         Op::NotNull => !cell.is_null(),
@@ -168,7 +193,9 @@ fn ref_matches(op: &Op, rhs: &Value, cell: &Value) -> bool {
         Op::Le => cell.total_cmp(rhs).is_le(),
         Op::Gt => cell.total_cmp(rhs).is_gt(),
         Op::Ge => cell.total_cmp(rhs).is_ge(),
-        _ => unreachable!("reference oracle never generates text ops"),
+        Op::Contains => text(|c, n| c.contains(n)),
+        Op::IContains => text(ref_icontains),
+        Op::StartsWith => text(|c, n| c.starts_with(n)),
     }
 }
 
@@ -299,6 +326,51 @@ proptest! {
                 .map(|(id, row)| (*id, row[COL_S].clone()))
                 .collect();
             prop_assert_eq!(proj, expected_proj, "projection under plan {:?} diverged", plan);
+        }
+    }
+
+    /// `IContains` over cells and needles that mix ASCII of both cases
+    /// with characters whose lowercase is ASCII (`K` U+212A), two chars
+    /// (`İ`) or positional (`Σ`): the scan selects exactly the rows that
+    /// lowercasing both sides selects. Needles are random, empty, one
+    /// character longer than a cell, or a case-flipped slice of a cell
+    /// (its first window, its last, or one between).
+    #[test]
+    fn icontains_scan_matches_lowercasing_both_sides(
+        cells in proptest::collection::vec(arb_mixed_text(0..9), 1..24),
+        free in arb_mixed_text(0..4),
+        (pick, from, len, grow) in (any::<usize>(), 0usize..9, 0usize..9, any::<bool>()),
+    ) {
+        let mut t = Table::new(TableSchema::new(
+            TABLE,
+            vec![Column::new("s", ValueType::Text).not_null()],
+        ))
+        .unwrap();
+        for c in &cells {
+            t.insert(vec![c.as_str().into()]).unwrap();
+        }
+        let picked: Vec<char> = cells[pick % cells.len()].chars().collect();
+        let from = from.min(picked.len());
+        let slice = &picked[from..(from + len).min(picked.len())];
+        let flipped: String = slice
+            .iter()
+            .map(|c| if c.is_ascii_lowercase() { c.to_ascii_uppercase() } else { c.to_ascii_lowercase() })
+            .collect();
+        let longer = format!("{}x", picked.iter().collect::<String>());
+        for needle in [free.as_str(), flipped.as_str(), if grow { longer.as_str() } else { "" }] {
+            let got: Vec<i64> = Query::new()
+                .filter("s", Op::IContains, needle)
+                .execute(&t)
+                .unwrap()
+                .into_iter()
+                .map(|(id, _)| id)
+                .collect();
+            let expected: Vec<i64> = (1i64..)
+                .zip(&cells)
+                .filter(|(_, c)| ref_icontains(c, needle))
+                .map(|(id, _)| id)
+                .collect();
+            prop_assert_eq!(got, expected, "needle {:?} over {:?}", needle, cells);
         }
     }
 
