@@ -101,12 +101,6 @@ impl OpsLog {
         self.entries.is_empty()
     }
 
-    /// Drain every entry in order — how a per-worker segment empties into
-    /// the daemon's main log during the parallel-tick merge.
-    pub fn drain(&mut self) -> impl Iterator<Item = OpsEntry> + '_ {
-        self.entries.drain(..)
-    }
-
     /// Failure entries only — what a troubleshooting session greps for.
     pub fn failures(&self) -> impl Iterator<Item = &OpsEntry> {
         self.entries.iter().filter(|e| e.is_failure())

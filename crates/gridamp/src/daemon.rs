@@ -10,31 +10,24 @@
 //! for model failures, and an externally monitored heartbeat for daemon
 //! failures.
 //!
-//! ## The tick engine
+//! ## The tick
 //!
-//! There is one engine, whatever [`DaemonConfig::workers`] says: claim
-//! leases → `pause_point` → poll phase → step phase → apply → closing
-//! flush. Both work phases shard their worklist by **per-simulation
-//! ownership** (`simulation_id % workers`): a simulation — and every job
-//! record belonging to it — falls to exactly one shard per tick, so no two
-//! threads ever race on the same rows. [`fan_out`] runs the shards: a lone
-//! non-empty shard (always the case at the default `workers: 1`, and on
-//! every quiet tick of a larger pool) runs inline on the caller's thread;
-//! otherwise each non-empty shard gets one scoped thread. All shards drive
-//! grid client calls against the shared [`Grid`] (which synchronizes
-//! internally on per-site locks) and write through the daemon's one
-//! deferring [`Connection`]. Side effects whose *order* is observable —
-//! streak/backoff accounting, holds, notifications, the ops log — are
-//! applied on the daemon thread after the phase's barrier, in worklist
-//! (simulation-id) order, and reports are merged by [`merge_reports`], so
-//! the database ends up the same at any pool size.
+//! One loop, on the caller's thread: claim leases → `pause_point` → poll
+//! phase → step phase → apply → closing flush. The poll phase walks the
+//! owned simulations' pending jobs in job-id order and commits the rows it
+//! dirtied as one transaction; the step phase steps every owned simulation
+//! in simulation-id order, and the apply pass then takes the outcomes in
+//! the same order (streaks, holds, notifications, lease releases). Every
+//! write goes through the daemon's one deferring [`Connection`]. A second
+//! core is a second daemon over the same database: the lease table decides
+//! which of them steps each simulation (DESIGN §13).
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::time::Instant;
 
 use amp_core::models::{AmpUser, GridJobRecord, Lease, Notification, NotifyMode, Simulation};
 use amp_core::status::{JobStatus, SimStatus};
-use amp_grid::{CommunityCredential, GramJobHandle, GramState, Grid, SimDuration, SimTime};
+use amp_grid::{CommunityCredential, GramJobHandle, GramState, Grid, SimDuration};
 use amp_simdb::orm::{Manager, Model};
 use amp_simdb::{Connection, Db, DbError, Op, Query, Value};
 
@@ -49,11 +42,10 @@ use crate::workflow::{
 /// Daemon-wide metric handles (global registry, resolved once). The
 /// per-state transition and per-site poll series are labelled, so those
 /// go through the registry at the call site (the poll series once per site
-/// per shard, [`PollShard`]); everything with a fixed name lives here.
+/// per poll phase, [`PollPhase`]); everything with a fixed name lives here.
 struct DaemonMetrics {
     job_transitions: amp_obs::Counter,
     transient_retries: amp_obs::Counter,
-    backoffs: amp_obs::Counter,
     holds: amp_obs::Counter,
     errors: amp_obs::Counter,
     lease_claims: amp_obs::Counter,
@@ -63,8 +55,7 @@ struct DaemonMetrics {
     /// `gridamp_tick_stage_seconds{stage=…}`: where a tick's wall time
     /// goes. The five stages are contiguous, so their sums add up to the
     /// time spent in [`GridAmp::tick`] (less a `pause_point` hook, which
-    /// belongs to no stage). `apply` is the post-barrier half of the step
-    /// phase.
+    /// belongs to no stage). `apply` is the step phase's second pass.
     stage_claim: amp_obs::Histogram,
     stage_poll: amp_obs::Histogram,
     stage_step: amp_obs::Histogram,
@@ -83,7 +74,6 @@ fn obs_metrics() -> &'static DaemonMetrics {
     METRICS.get_or_init(|| DaemonMetrics {
         job_transitions: amp_obs::counter("daemon_job_transitions_total"),
         transient_retries: amp_obs::counter("daemon_transient_retries_total"),
-        backoffs: amp_obs::counter("daemon_backoffs_total"),
         holds: amp_obs::counter("daemon_holds_total"),
         errors: amp_obs::counter("daemon_errors_total"),
         lease_claims: amp_obs::counter("daemon_lease_claims_total"),
@@ -101,9 +91,8 @@ fn obs_metrics() -> &'static DaemonMetrics {
 /// Summary of one daemon tick.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TickReport {
-    pub jobs_polled: usize,
+    /// Grid jobs whose status changed this tick, a failed poll included.
     pub job_transitions: usize,
-    pub sims_stepped: usize,
     /// (simulation id, from, to) workflow transitions this tick.
     pub transitions: Vec<(i64, SimStatus, SimStatus)>,
     pub transient_errors: usize,
@@ -112,55 +101,8 @@ pub struct TickReport {
     pub daemon_errors: Vec<String>,
 }
 
-/// Merge per-shard tick reports into one tick summary: counts are
-/// summed, transitions are ordered by simulation id, and daemon errors
-/// are sorted. Commutative and lossless — any permutation of the same
-/// parts merges to the same report, and nothing is dropped.
-pub fn merge_reports<I: IntoIterator<Item = TickReport>>(parts: I) -> TickReport {
-    let mut merged = TickReport::default();
-    for part in parts {
-        merged.jobs_polled += part.jobs_polled;
-        merged.job_transitions += part.job_transitions;
-        merged.sims_stepped += part.sims_stepped;
-        merged.transient_errors += part.transient_errors;
-        merged.new_holds += part.new_holds;
-        merged.transitions.extend(part.transitions);
-        merged.daemon_errors.extend(part.daemon_errors);
-    }
-    merged
-        .transitions
-        .sort_by(|a, b| (a.0, a.1.as_str(), a.2.as_str()).cmp(&(b.0, b.1.as_str(), b.2.as_str())));
-    merged.daemon_errors.sort();
-    merged
-}
-
-/// Run `work` over every non-empty shard and collect what each returns, in
-/// shard order. With at most one non-empty shard it runs on the caller's
-/// thread — nothing is spawned; otherwise each non-empty shard gets a scoped
-/// thread. A panic in `work` leaves through the caller with its original
-/// payload either way, so a tick unwinds the same at any pool size.
-fn fan_out<T: Send, R: Send>(shards: Vec<Vec<T>>, work: impl Fn(Vec<T>) -> R + Sync) -> Vec<R> {
-    let mut busy: Vec<Vec<T>> = shards.into_iter().filter(|s| !s.is_empty()).collect();
-    if busy.len() <= 1 {
-        return busy.pop().map(&work).into_iter().collect();
-    }
-    std::thread::scope(|scope| {
-        let work = &work;
-        let handles: Vec<_> = busy
-            .into_iter()
-            .map(|shard| scope.spawn(move || work(shard)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-            .collect()
-    })
-}
-
 /// The username a simulation's proxies carry — its owner's — looked up once
-/// per simulation per poll phase (`names` lives for one shard of one phase,
-/// and a simulation's jobs all fall to one shard) instead of two row reads
-/// per polled job.
+/// per simulation per poll phase instead of two row reads per polled job.
 fn proxy_username<'a>(
     names: &'a mut HashMap<i64, String>,
     conn: &Connection,
@@ -175,113 +117,20 @@ fn proxy_username<'a>(
     })
 }
 
-/// What one shard of the poll phase (phase 1) produces.
+/// What the poll phase (phase 1) carries from one job to the next.
 #[derive(Default)]
-struct PollShard {
-    /// The shard's part of the tick report.
-    report: TickReport,
-    /// Ops-log entries by job id, replayed post-barrier in that order.
-    ops: Vec<(i64, OpsEntry)>,
+struct PollPhase {
+    /// Proxy usernames by simulation ([`proxy_username`]).
+    names: HashMap<i64, String>,
     /// Dirtied job rows, for [`commit_job_batch`].
     dirty: Vec<GridJobRecord>,
     /// The `daemon_gram_poll_seconds{site=…}` series by site: a formatted
-    /// name and a registry lookup, so each is resolved once per shard.
+    /// name and a registry lookup, so each is resolved once per phase.
     poll_seconds: HashMap<String, amp_obs::Histogram>,
 }
 
-/// Poll one job's GRAM status — the §4.4 generic status update, identical
-/// for all jobs "regardless of purpose or execution method".
-///
-/// Dirtied rows are *not* saved here: they are pushed onto `shard.dirty`,
-/// and the caller commits its shard's rows as **one transaction** (one
-/// WAL batch, one table version) via [`commit_job_batch`]. `username`
-/// names the proxy ([`proxy_username`]).
-fn poll_job_once(
-    grid: &Grid,
-    config: &DaemonConfig,
-    cred: &CommunityCredential,
-    username: &str,
-    job: &mut GridJobRecord,
-    now: SimTime,
-    shard: &mut PollShard,
-) {
-    let Some(handle_str) = job.gram_handle.clone() else {
-        return;
-    };
-    let handle = GramJobHandle(handle_str);
-    let proxy = cred.issue_proxy(
-        username,
-        now,
-        SimDuration::from_hours(config.proxy_lifetime_hours),
-    );
-    shard.report.jobs_polled += 1;
-    let poll_timer = std::time::Instant::now();
-    let status = grid.gram_status(&job.site, &proxy, &handle);
-    let elapsed = poll_timer.elapsed();
-    if !shard.poll_seconds.contains_key(&job.site) {
-        let series = amp_obs::labeled("daemon_gram_poll_seconds", &[("site", &job.site)]);
-        let series = amp_obs::registry().histogram(&series, amp_obs::Unit::Seconds);
-        shard.poll_seconds.insert(job.site.clone(), series);
-    }
-    shard.poll_seconds[&job.site].observe_duration(elapsed);
-    match status {
-        Ok(state) => {
-            let new_status = match &state {
-                GramState::Pending => JobStatus::Pending,
-                GramState::Active => JobStatus::Active,
-                GramState::Done => JobStatus::Done,
-                GramState::Failed(m) => {
-                    job.detail = m.clone();
-                    JobStatus::Failed
-                }
-            };
-            if new_status != job.status {
-                job.status = new_status;
-                if let Some(times) = grid.job_times(&job.site, &handle) {
-                    job.started_at = times.started_at.map(|t| t.as_secs() as i64);
-                    job.ended_at = times.ended_at.map(|t| t.as_secs() as i64);
-                }
-                shard.dirty.push(job.clone());
-                shard.report.job_transitions += 1;
-                obs_metrics().job_transitions.inc();
-            }
-        }
-        Err(e) if e.is_transient() => {
-            shard.report.transient_errors += 1;
-            amp_obs::flight().record(
-                "grid_fault",
-                format!(
-                    "t={} site {} sim {}: {e}",
-                    now.as_secs(),
-                    job.site,
-                    job.simulation_id
-                ),
-            );
-            // Anticipated transient: administrators notified, the
-            // user-visible display annotated, processing retried.
-            let entry = OpsEntry {
-                at: now.as_secs() as i64,
-                simulation_id: Some(job.simulation_id),
-                command: gram_status_cmdline(&handle.0),
-                outcome: OpOutcome::Transient(e.to_string()),
-            };
-            shard
-                .ops
-                .push((job.id().expect("polled jobs are persisted rows"), entry));
-            job.detail = format!("transient: {e}");
-            shard.dirty.push(job.clone());
-        }
-        Err(e) => {
-            job.status = JobStatus::Failed;
-            job.detail = e.to_string();
-            shard.dirty.push(job.clone());
-            shard.report.job_transitions += 1;
-        }
-    }
-}
-
-/// Commit a shard's dirtied job rows as one database transaction: one WAL
-/// batch and one new table version, regardless of how many of its jobs
+/// Commit the poll phase's dirtied job rows as one database transaction:
+/// one WAL batch and one new table version, regardless of how many jobs
 /// transitioned this tick. Rows are per-job disjoint (each job is polled
 /// at most once per tick). Like every daemon write, the batch waits for
 /// the tick's closing flush: a crash loses at most one tick's poll results,
@@ -299,15 +148,14 @@ fn commit_job_batch(conn: &Connection, batch: &[GridJobRecord]) -> Result<(), Db
     })
 }
 
-/// The step phase's product for one simulation, applied post-barrier on
-/// the daemon thread in simulation-id order.
+/// The step phase's product for one simulation, applied by the second pass
+/// in simulation-id order.
 struct StepProduct {
     sim: Simulation,
     from: SimStatus,
     /// The transition the step made, if any. A failed owner lookup is a
     /// daemon-class error like any other database failure inside the step.
     outcome: Result<Option<SimStatus>, WorkflowError>,
-    ops: OpsLog,
     /// True when the step succeeded and the database holds the row as it
     /// left it (also when there was nothing to save). After a failed step
     /// [`GridAmp::apply_step_outcome`] decides what to write.
@@ -315,72 +163,6 @@ struct StepProduct {
     /// What to remember of the simulation's partial results from here on:
     /// what the step knew of them if it ended without error, else nothing.
     partial: Option<PartialResults>,
-}
-
-/// Run one freshly loaded simulation's workflow step (phase 2), recording
-/// its grid calls, and persist the row if the step succeeded: it belongs
-/// to this shard alone, and saves of distinct rows commute, so the
-/// post-barrier serial section stays small. This is the save rule: a step
-/// that left the row exactly as it was loaded — most ticks of a simulation
-/// waiting on the grid — commits nothing (no WAL record, no table version
-/// bump), and a transition clears the status message. The save waits for
-/// no flush: a lost transition is re-derived by the next tick from the job
-/// records, and a lost job record from the site, which answers the
-/// submission's id with the job it already has. The one transition that
-/// carries a charge commits with it ([`commit_results`]).
-#[allow(clippy::too_many_arguments)]
-fn step_sim_once(
-    conn: &Connection,
-    grid: &Grid,
-    config: &DaemonConfig,
-    cred: &CommunityCredential,
-    mut sim: Simulation,
-    lease_epoch: i64,
-    remembered: Option<&PartialResults>,
-    reconcile: bool,
-    step_point: Option<&StepHook>,
-) -> StepProduct {
-    let (from, loaded, mut ops) = (sim.status, sim.clone(), OpsLog::new());
-    let (mut partial, mut charge) = (None, None);
-    let outcome = owner_username(conn, &sim).and_then(|owner_username| {
-        let mut ctx = StageCtx {
-            grid,
-            conn,
-            config,
-            cred,
-            sim: &mut sim,
-            owner_username,
-            ops: &mut ops,
-            lease_epoch: Some(lease_epoch),
-            remembered,
-            learned: None,
-            charge: None,
-            step_point,
-        };
-        if reconcile {
-            ctx.reconcile()?;
-        }
-        let next = step(&mut ctx)?;
-        (partial, charge) = (ctx.learned, ctx.charge.filter(|_| next.is_some()));
-        Ok(next)
-    });
-    let saved = outcome.as_ref().is_ok_and(|next| {
-        if next.is_some() {
-            sim.status_message.clear();
-        }
-        match charge {
-            Some(sus) => commit_results(conn, &mut sim, sus).is_ok(),
-            None => sim == loaded || Manager::<Simulation>::new(conn.clone()).save(&sim).is_ok(),
-        }
-    });
-    StepProduct {
-        sim,
-        from,
-        outcome,
-        ops,
-        saved,
-        partial,
-    }
 }
 
 /// The workflow daemon.
@@ -391,10 +173,6 @@ pub struct GridAmp {
     cred: CommunityCredential,
     /// Consecutive transient-failure count per simulation.
     transient_streak: HashMap<i64, u32>,
-    /// Ticks executed so far (drives the transient backoff schedule).
-    ticks: u64,
-    /// Earliest tick at which a backed-off simulation is retried.
-    next_attempt: HashMap<i64, u64>,
     /// Simulated time of the last completed tick (heartbeat).
     pub last_heartbeat: Option<i64>,
     /// §4.4: the command-line transparency log.
@@ -420,8 +198,7 @@ pub struct GridAmp {
     /// simulating a GC-style stop-the-world pause — while peers take over
     /// its leases, then let it resume into the fencing guards.
     pub pause_point: Option<Box<dyn FnMut() + Send>>,
-    /// Crash-test instrumentation inside the step phase, on whichever
-    /// thread steps the simulation: called at each
+    /// Crash-test instrumentation inside the step phase: called at each
     /// [`crate::workflow::StepPoint`] of every GRAM submission.
     pub step_point: Option<Box<StepHook>>,
     /// The owned simulations that have been stepped without error since
@@ -442,8 +219,6 @@ impl GridAmp {
             config,
             cred: CommunityCredential::new("/C=US/O=NCAR/CN=amp community"),
             transient_streak: HashMap::new(),
-            ticks: 0,
-            next_attempt: HashMap::new(),
             last_heartbeat: None,
             ops_log: OpsLog::new(),
             owned: BTreeMap::new(),
@@ -569,11 +344,8 @@ impl GridAmp {
     /// durable and from the site, which answers a submission's id with the
     /// job it already has (DESIGN §9.9).
     pub fn tick(&mut self, grid: &Grid) -> TickReport {
-        self.ticks += 1;
         let metrics = obs_metrics();
         let mut since = Instant::now();
-        // The daemon thread's own part of the report; each poll shard
-        // brings one more.
         let mut report = TickReport::default();
         self.claim_leases(grid, &mut report);
         metrics.stage_claim.lap(&mut since);
@@ -581,13 +353,10 @@ impl GridAmp {
             hook();
             since = Instant::now();
         }
-        let mut parts = self.poll_phase(grid, &mut report);
+        self.poll_phase(grid, &mut report);
         metrics.stage_poll.lap(&mut since);
-        let products = self.step_phase(grid, &mut report);
+        let products = self.step_phase(grid);
         metrics.stage_step.lap(&mut since);
-        // Post-barrier, in worklist (simulation-id) order: streaks, holds,
-        // saves, notifications and mail fire in the same sequence whatever
-        // the pool size.
         let now = grid.now().as_secs() as i64;
         for product in products {
             self.apply_step_outcome(product, now, &mut report);
@@ -597,8 +366,6 @@ impl GridAmp {
             report.daemon_errors.push(format!("tick flush: {e}"));
         }
         metrics.stage_flush.lap(&mut since);
-        parts.push(report);
-        let report = merge_reports(parts);
         self.last_heartbeat = Some(now + self.clock_skew_secs);
         // Daemon-class errors are the flight recorder's reason to exist:
         // count them and leave a breadcrumb trail for the failure dump.
@@ -614,15 +381,14 @@ impl GridAmp {
     /// `Op::In` projection: the planner unions the status-index postings
     /// for both values, so the ever-growing job table is never scanned
     /// and the result comes back already id-ordered. No row bodies are
-    /// cloned or decoded here — a job's row is fetched inside the per-item
-    /// work, which the pool shards.
+    /// cloned or decoded here — a job's row is fetched when its turn comes.
     ///
     /// The worklist is built through a read view pinning both the job and
     /// simulation tables: the `(job, owning sim)` pairs are one coherent
     /// snapshot — a multi-table transaction (e.g. cancel: sim + its jobs)
     /// is either entirely visible to this tick or not at all. The view is
-    /// a lock-free MVCC pin: holding it never stalls the shards writing
-    /// job status, no matter how long the tick takes.
+    /// a lock-free MVCC pin: holding it never stalls a writer, no matter
+    /// how long the tick takes.
     fn pending_job_ids(&self) -> Result<Vec<(i64, i64)>, DbError> {
         let statuses = vec![
             Value::from(JobStatus::Pending.as_str()),
@@ -677,115 +443,195 @@ impl GridAmp {
             .collect())
     }
 
-    /// True while a simulation waits out its transient backoff window.
-    fn backed_off(&self, sim_id: i64) -> bool {
-        self.next_attempt
-            .get(&sim_id)
-            .is_some_and(|&t| self.ticks < t)
-    }
-
-    /// The sharding rule, and the one reader of the pool size: an item
-    /// goes to shard `sim_of(item) % workers`, worklist order kept within
-    /// a shard. A pool of zero is a pool of one.
-    fn shards<T>(
-        &self,
-        items: impl IntoIterator<Item = T>,
-        sim_of: impl Fn(&T) -> i64,
-    ) -> Vec<Vec<T>> {
-        let workers = self.config.workers.max(1);
-        let mut shards: Vec<Vec<T>> = (0..workers).map(|_| Vec::new()).collect();
-        for item in items {
-            shards[sim_of(&item).rem_euclid(workers as i64) as usize].push(item);
-        }
-        shards
-    }
-
     /// Phase 1: generic grid-job status update (identical for all jobs
-    /// "regardless of purpose or execution method", §4.4), sharded by
-    /// owning simulation, one commit per shard. Returns each shard's part
-    /// of the tick report.
-    fn poll_phase(&mut self, grid: &Grid, report: &mut TickReport) -> Vec<TickReport> {
+    /// "regardless of purpose or execution method", §4.4) over the owned
+    /// simulations' pending jobs, in job-id order, committed as one
+    /// transaction ([`commit_job_batch`]).
+    fn poll_phase(&mut self, grid: &Grid, report: &mut TickReport) {
         let pending = match self.pending_job_ids() {
             Ok(v) => v,
             Err(e) => {
                 report.daemon_errors.push(e.to_string());
-                return Vec::new();
+                return;
             }
         };
-        // Only the lease holder polls a simulation's jobs.
-        let mine = pending
-            .into_iter()
-            .filter(|(_, sim_id)| self.owned.contains_key(sim_id));
-        let shards = self.shards(mine, |&(_job_id, sim_id)| sim_id);
-        let (conn, config, cred, now) = (&self.conn, &self.config, &self.cred, grid.now());
-        let jobs: Manager<GridJobRecord> = Manager::new(conn.clone());
-        let parts = fan_out(shards, |worklist| {
-            let mut shard = PollShard::default();
-            let mut names = HashMap::new();
-            for (job_id, sim_id) in worklist {
-                let Ok(mut job) = jobs.get(job_id) else {
-                    continue;
+        let jobs: Manager<GridJobRecord> = Manager::new(self.conn.clone());
+        let mut phase = PollPhase::default();
+        for (job_id, sim_id) in pending {
+            // Only the lease holder polls a simulation's jobs.
+            if !self.owned.contains_key(&sim_id) {
+                continue;
+            }
+            if let Ok(job) = jobs.get(job_id) {
+                self.poll_job(grid, job, &mut phase, report);
+            }
+        }
+        if let Err(e) = commit_job_batch(&self.conn, &phase.dirty) {
+            report.daemon_errors.push(format!("job batch commit: {e}"));
+        }
+    }
+
+    /// Poll one job's GRAM status — the §4.4 generic status update,
+    /// identical for all jobs "regardless of purpose or execution method".
+    /// A dirtied row is not saved here but pushed onto `phase.dirty`. A
+    /// failed poll is on the ops log with the line that repeats it: a
+    /// transient is retried next tick, any other error fails the job.
+    fn poll_job(
+        &mut self,
+        grid: &Grid,
+        mut job: GridJobRecord,
+        phase: &mut PollPhase,
+        report: &mut TickReport,
+    ) {
+        let Some(handle) = job.gram_handle.clone().map(GramJobHandle) else {
+            return;
+        };
+        let now = grid.now();
+        let username = proxy_username(&mut phase.names, &self.conn, job.simulation_id);
+        let lifetime = SimDuration::from_hours(self.config.proxy_lifetime_hours);
+        let proxy = self.cred.issue_proxy(username, now, lifetime);
+        let poll_timer = Instant::now();
+        let status = grid.gram_status(&job.site, &proxy, &handle);
+        let elapsed = poll_timer.elapsed();
+        if !phase.poll_seconds.contains_key(&job.site) {
+            let series = amp_obs::labeled("daemon_gram_poll_seconds", &[("site", &job.site)]);
+            let series = amp_obs::registry().histogram(&series, amp_obs::Unit::Seconds);
+            phase.poll_seconds.insert(job.site.clone(), series);
+        }
+        phase.poll_seconds[&job.site].observe_duration(elapsed);
+        let outcome = match status {
+            Ok(state) => {
+                let new_status = match &state {
+                    GramState::Pending => JobStatus::Pending,
+                    GramState::Active => JobStatus::Active,
+                    GramState::Done => JobStatus::Done,
+                    GramState::Failed(m) => {
+                        job.detail = m.clone();
+                        JobStatus::Failed
+                    }
                 };
-                let username = proxy_username(&mut names, conn, sim_id);
-                poll_job_once(grid, config, cred, username, &mut job, now, &mut shard);
+                if new_status != job.status {
+                    job.status = new_status;
+                    if let Some(times) = grid.job_times(&job.site, &handle) {
+                        job.started_at = times.started_at.map(|t| t.as_secs() as i64);
+                        job.ended_at = times.ended_at.map(|t| t.as_secs() as i64);
+                    }
+                    phase.dirty.push(job);
+                    report.job_transitions += 1;
+                    obs_metrics().job_transitions.inc();
+                }
+                return;
             }
-            if let Err(e) = commit_job_batch(conn, &shard.dirty) {
-                let msg = format!("job batch commit: {e}");
-                shard.report.daemon_errors.push(msg);
+            Err(e) if e.is_transient() => {
+                report.transient_errors += 1;
+                amp_obs::flight().record(
+                    "grid_fault",
+                    format!(
+                        "t={} site {} sim {}: {e}",
+                        now.as_secs(),
+                        job.site,
+                        job.simulation_id
+                    ),
+                );
+                // Anticipated transient: administrators notified, the
+                // user-visible display annotated, processing retried.
+                job.detail = format!("transient: {e}");
+                OpOutcome::Transient(e.to_string())
             }
-            (shard.report, shard.ops)
+            Err(e) => {
+                job.status = JobStatus::Failed;
+                job.detail = e.to_string();
+                report.job_transitions += 1;
+                obs_metrics().job_transitions.inc();
+                OpOutcome::Failed(e.to_string())
+            }
+        };
+        self.ops_log.record(OpsEntry {
+            at: now.as_secs() as i64,
+            simulation_id: Some(job.simulation_id),
+            command: gram_status_cmdline(&handle.0),
+            outcome,
         });
-        // Replay the shards' ops-log segments in worklist (job-id) order.
-        let (reports, ops): (Vec<_>, Vec<_>) = parts.into_iter().unzip();
-        let mut ops: Vec<(i64, OpsEntry)> = ops.into_iter().flatten().collect();
-        ops.sort_by_key(|(job_id, _)| *job_id);
-        for (_, entry) in ops {
-            self.ops_log.record(entry);
-        }
-        reports
+        phase.dirty.push(job);
     }
 
-    /// Phase 2: step every owned simulation's workflow, sharded by
-    /// simulation. The worklist is the claim phase's: a simulation queued
-    /// since has no lease yet, and one deleted since fails its row read and
-    /// is skipped. Returns the products in simulation-id order for
-    /// [`Self::tick`] to apply after the barrier.
-    fn step_phase(&self, grid: &Grid, report: &mut TickReport) -> Vec<StepProduct> {
-        // Not while a simulation waits out a backoff.
-        let due = self
-            .owned
-            .iter()
-            .filter(|(&sim_id, _)| !self.backed_off(sim_id))
-            .map(|(&sim_id, &epoch)| (sim_id, epoch));
-        let shards = self.shards(due, |&(sim_id, _epoch)| sim_id);
-        let (conn, config, cred, partial) = (&self.conn, &self.config, &self.cred, &self.partial);
-        let (reconciled, step_point) = (&self.reconciled, self.step_point.as_deref());
-        let sims: Manager<Simulation> = self.sims();
-        let parts = fan_out(shards, |shard| {
-            let stepped = shard.into_iter().filter_map(|(sim_id, epoch)| {
+    /// Phase 2, first pass: step every owned simulation's workflow, in
+    /// simulation-id order. The worklist is the claim phase's: a simulation
+    /// queued since has no lease yet, and one deleted since fails its row
+    /// read and is skipped. Returns the products, in the same order, for
+    /// [`Self::tick`] to apply.
+    fn step_phase(&mut self, grid: &Grid) -> Vec<StepProduct> {
+        let worklist: Vec<(i64, i64)> = self.owned.iter().map(|(&id, &e)| (id, e)).collect();
+        let sims = self.sims();
+        worklist
+            .into_iter()
+            .filter_map(|(sim_id, epoch)| {
                 let sim = sims.get(sim_id).ok()?;
-                let (remembered, reconcile) = (partial.get(&sim_id), !reconciled.contains(&sim_id));
-                Some(step_sim_once(
-                    conn, grid, config, cred, sim, epoch, remembered, reconcile, step_point,
-                ))
-            });
-            stepped.collect::<Vec<StepProduct>>()
-        });
-        let mut products: Vec<StepProduct> = parts.into_iter().flatten().collect();
-        products.sort_by_key(|p| p.sim.id);
-        report.sims_stepped += products.len();
-        products
+                Some(self.step_sim(grid, sim, epoch))
+            })
+            .collect()
     }
 
-    /// Apply one simulation's step product: replay its ops-log segment,
-    /// maintain the transient streak and backoff schedule, save and hold
-    /// on failures, and send the notifications. Runs on the daemon thread
-    /// only, after the step phase's barrier, in simulation-id order, so
-    /// its database side effects do not depend on the pool size.
-    fn apply_step_outcome(&mut self, mut product: StepProduct, now: i64, report: &mut TickReport) {
-        for entry in product.ops.drain() {
-            self.ops_log.record(entry);
+    /// Run one freshly loaded simulation's workflow step, recording its grid
+    /// calls on the ops log, and persist the row if the step succeeded. This
+    /// is the save rule: a step that left the row exactly as it was loaded —
+    /// most ticks of a simulation waiting on the grid — commits nothing (no
+    /// WAL record, no table version bump), and a transition clears the
+    /// status message. The save waits for no flush: a lost transition is
+    /// re-derived by the next tick from the job records, and a lost job
+    /// record from the site, which answers the submission's id with the job
+    /// it already has. The one transition that carries a charge commits with
+    /// it ([`commit_results`]).
+    fn step_sim(&mut self, grid: &Grid, mut sim: Simulation, lease_epoch: i64) -> StepProduct {
+        let (from, loaded) = (sim.status, sim.clone());
+        let sim_id = sim.id.expect("stepped sims are persisted rows");
+        let (mut partial, mut charge) = (None, None);
+        let conn = &self.conn;
+        let outcome = owner_username(conn, &sim).and_then(|owner_username| {
+            let mut ctx = StageCtx {
+                grid,
+                conn,
+                config: &self.config,
+                cred: &self.cred,
+                sim: &mut sim,
+                owner_username,
+                ops: &mut self.ops_log,
+                lease_epoch: Some(lease_epoch),
+                remembered: self.partial.get(&sim_id),
+                learned: None,
+                charge: None,
+                step_point: self.step_point.as_deref(),
+            };
+            if !self.reconciled.contains(&sim_id) {
+                ctx.reconcile()?;
+            }
+            let next = step(&mut ctx)?;
+            (partial, charge) = (ctx.learned, ctx.charge.filter(|_| next.is_some()));
+            Ok(next)
+        });
+        let saved = outcome.as_ref().is_ok_and(|next| {
+            if next.is_some() {
+                sim.status_message.clear();
+            }
+            match charge {
+                Some(sus) => commit_results(conn, &mut sim, sus).is_ok(),
+                None => sim == loaded || self.sims().save(&sim).is_ok(),
+            }
+        });
+        StepProduct {
+            sim,
+            from,
+            outcome,
+            saved,
+            partial,
         }
+    }
+
+    /// Phase 2, second pass: apply one simulation's step product — maintain
+    /// the transient streak, save and hold on failures, and send the
+    /// notifications — in simulation-id order, after every step of the
+    /// tick.
+    fn apply_step_outcome(&mut self, mut product: StepProduct, now: i64, report: &mut TickReport) {
         let (sim, from) = (&mut product.sim, product.from);
         let sim_id = sim.id.expect("saved sim");
         match product.partial {
@@ -798,7 +644,6 @@ impl GridAmp {
         match product.outcome {
             Ok(Some(next)) => {
                 self.transient_streak.remove(&sim_id);
-                self.next_attempt.remove(&sim_id);
                 if !product.saved {
                     return;
                 }
@@ -827,7 +672,6 @@ impl GridAmp {
             }
             Ok(None) => {
                 self.transient_streak.remove(&sim_id);
-                self.next_attempt.remove(&sim_id);
             }
             Err(WorkflowError::Transient(msg)) => {
                 report.transient_errors += 1;
@@ -850,17 +694,6 @@ impl GridAmp {
                 }
                 if streak > self.config.max_transient_retries {
                     self.hold(sim, &format!("transient storm: {msg}"), now, report);
-                } else if self.config.transient_backoff_base_ticks > 0 {
-                    // Exponential backoff: base * 2^(streak-1) ticks,
-                    // capped so the shift cannot overflow.
-                    let exp = (streak - 1).min(16);
-                    let delay = self.config.transient_backoff_base_ticks << exp;
-                    self.next_attempt.insert(sim_id, self.ticks + delay);
-                    obs_metrics().backoffs.inc();
-                    amp_obs::flight().record(
-                        "backoff",
-                        format!("t={now} sim {sim_id}: retry in {delay} ticks"),
-                    );
                 }
             }
             Err(WorkflowError::ModelFailure(msg)) => {
@@ -883,7 +716,6 @@ impl GridAmp {
             obs_metrics().holds.inc();
             amp_obs::flight().record("hold", format!("t={now} sim {sim_id}: {msg}"));
             self.transient_streak.remove(&sim_id);
-            self.next_attempt.remove(&sim_id);
             self.release_lease(sim_id);
             self.notify_user(
                 sim,
@@ -1077,53 +909,6 @@ mod tests {
         let sim_id = queue_sim(&db);
         let daemon = GridAmp::new(&db, DaemonConfig::default()).unwrap();
         (db, daemon, sim_id)
-    }
-
-    /// Runs `fan_out` and hands back the panic message it let through.
-    fn panic_message(shards: Vec<Vec<u32>>) -> String {
-        let work = |shard: Vec<u32>| {
-            assert!(!shard.contains(&13), "shard {shard:?} is unlucky");
-            shard.len()
-        };
-        let payload = std::panic::catch_unwind(|| fan_out(shards, work)).unwrap_err();
-        *payload.downcast::<String>().expect("a formatted message")
-    }
-
-    #[test]
-    fn fan_out_re_raises_a_shard_panic_inline_and_threaded() {
-        // Threaded: the other shard finishes, the panic still surfaces, and
-        // with the payload an inline shard raises.
-        let threaded = panic_message(vec![vec![1, 2], vec![13]]);
-        let inline = panic_message(vec![vec![], vec![13]]);
-        assert_eq!(threaded, "shard [13] is unlucky");
-        assert_eq!(inline, threaded);
-    }
-
-    #[test]
-    fn fan_out_spawns_nothing_for_a_lone_shard() {
-        let caller = std::thread::current().id();
-        let ran_on = |shards| fan_out(shards, |s: Vec<u8>| (s, std::thread::current().id()));
-        assert!(ran_on(vec![vec![], vec![]]).is_empty());
-        // One non-empty shard of an oversized pool: the caller's thread.
-        assert_eq!(
-            ran_on(vec![vec![], vec![7, 8], vec![]]),
-            vec![(vec![7, 8], caller)]
-        );
-        // Two: one thread each, results in shard order, empty ones skipped.
-        let two = ran_on(vec![vec![1], vec![], vec![2]]);
-        assert_eq!(two.len(), 2);
-        assert_eq!((&two[0].0, &two[1].0), (&vec![1], &vec![2]));
-        assert!(two[0].1 != caller && two[1].1 != caller && two[0].1 != two[1].1);
-    }
-
-    #[test]
-    fn a_pool_of_zero_shards_like_a_pool_of_one() {
-        let (_db, mut daemon, _sim) = fixture();
-        let shards = |daemon: &GridAmp| daemon.shards([5, -3, 8], |&sim_id| sim_id);
-        daemon.config.workers = 0;
-        assert_eq!(shards(&daemon), vec![vec![5, -3, 8]]);
-        daemon.config.workers = 4;
-        assert_eq!(shards(&daemon), vec![vec![8], vec![5, -3], vec![], vec![]]);
     }
 
     #[test]

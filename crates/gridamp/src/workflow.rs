@@ -66,18 +66,6 @@ pub struct DaemonConfig {
     pub max_transient_retries: u32,
     /// Daemon poll interval in simulated seconds.
     pub poll_interval_secs: u64,
-    /// Size of the tick's worker pool: both work phases shard their
-    /// worklist by `simulation_id % workers` (`0` counts as `1`) and merge
-    /// deterministically, so the outcome is the same at any size. A lone
-    /// non-empty shard — always the case at the default of `1`, the
-    /// configuration the paper's daemon had — runs inline on the caller's
-    /// thread; otherwise each non-empty shard gets one thread.
-    pub workers: usize,
-    /// Exponential backoff base (in ticks) for the transient retry path:
-    /// after `s` consecutive transient failures a simulation is next
-    /// attempted `base * 2^(s-1)` ticks later (capped). `0` (the default)
-    /// retries every tick — the paper's behavior.
-    pub transient_backoff_base_ticks: u64,
 }
 
 impl Default for DaemonConfig {
@@ -92,8 +80,6 @@ impl Default for DaemonConfig {
             job_chaining: false,
             max_transient_retries: 1_000,
             poll_interval_secs: 300,
-            workers: 1,
-            transient_backoff_base_ticks: 0,
         }
     }
 }
@@ -101,9 +87,8 @@ impl Default for DaemonConfig {
 /// Everything a workflow stage function can touch.
 ///
 /// The grid is shared (`&Grid`): every client call synchronizes
-/// internally on per-site locks, so stage functions for different
-/// simulations can run on parallel daemon workers against the same
-/// substrate.
+/// internally on per-site locks, so daemons on other threads can step
+/// their simulations against the same substrate.
 pub struct StageCtx<'a> {
     pub grid: &'a Grid,
     pub conn: &'a Connection,
@@ -141,7 +126,7 @@ pub enum StepPoint {
 }
 
 /// A [`StepPoint`] hook; the record is the submission's.
-pub type StepHook = dyn Fn(StepPoint, &GridJobRecord) + Send + Sync;
+pub type StepHook = dyn Fn(StepPoint, &GridJobRecord) + Send;
 
 /// The job-state key `(simulation, app, purpose, ga_run, continuation)` as
 /// the client submission id its GRAM submission carries — the one rendering
@@ -695,7 +680,7 @@ fn service_units(ctx: &StageCtx<'_>) -> Result<f64, WorkflowError> {
 /// a step that fails after `postprocess` (a GRAM outage at
 /// `submit_cleanup`, a fence) has charged nothing for its retry to charge
 /// again, a torn write cannot separate the charge from the state that says
-/// it was made, and a sibling shard charging the same allocation waits its
+/// it was made, and a peer daemon charging the same allocation waits its
 /// turn instead of overwriting.
 pub(crate) fn commit_results(
     conn: &Connection,

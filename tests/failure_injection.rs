@@ -6,8 +6,11 @@
 mod common;
 
 use std::collections::BTreeSet;
+use std::sync::mpsc;
+use std::time::Duration;
 
 use amp::core::models::Allocation;
+use amp::gridamp::StepPoint;
 use amp::prelude::*;
 use amp_grid::SimTime;
 use amp_simdb::Op;
@@ -51,9 +54,9 @@ fn su_used(db: &Db, alloc: i64) -> f64 {
 
 /// What the finished computational jobs of a database cost, summed the way
 /// the daemon charges them.
-fn su_owed(dep: &amp::gridamp::Deployment) -> f64 {
-    let admin = dep.db.connect(amp::core::roles::ROLE_ADMIN).unwrap();
-    let factor = dep.grid.site("kraken").unwrap().profile.su_per_cpuh;
+fn su_owed(db: &Db, grid: &Grid) -> f64 {
+    let admin = db.connect(amp::core::roles::ROLE_ADMIN).unwrap();
+    let factor = grid.site("kraken").unwrap().profile.su_per_cpuh;
     let jobs = Manager::<GridJobRecord>::new(admin).all().unwrap();
     let computational = jobs
         .iter()
@@ -99,7 +102,10 @@ fn a_gram_outage_at_the_cleanup_submission_charges_once() {
         assert_eq!(charged_at.len(), 1);
         assert_eq!(charged_at[0].0, sim);
         let used = su_used(&dep.db, alloc);
-        assert!((used - su_owed(&dep)).abs() < 1e-9, "{used} charged");
+        assert!(
+            (used - su_owed(&dep.db, &dep.grid)).abs() < 1e-9,
+            "{used} charged"
+        );
         (charged_at[0].1, used)
     };
     let (at, clean) = run(None);
@@ -110,28 +116,61 @@ fn a_gram_outage_at_the_cleanup_submission_charges_once() {
 }
 
 /// The charge used to be a read-modify-write outside any transaction: two
-/// shards of one tick finishing simulations of one allocation could lose an
-/// update. Eight identical runs reach the transition in the same tick.
+/// writers finishing simulations of one allocation could lose an update.
+/// The writers here are two daemons of a fleet, each ticking on its own
+/// thread, whose eight identical runs reach the transition in one round.
 #[test]
-fn four_shards_charging_one_allocation_charge_the_sum() {
-    let mut dep = amp::gridamp::deploy(
-        amp::grid::systems::kraken(),
-        DaemonConfig {
-            workers: 4,
-            ..DaemonConfig::default()
-        },
-        None,
-    )
-    .unwrap();
+fn two_daemons_charging_one_allocation_charge_the_sum() {
+    let kraken = amp::grid::systems::kraken();
+    let mut fleet = amp::gridamp::deploy_cluster(kraken, DaemonConfig::default(), 2).unwrap();
     let (user, star, alloc, _obs) =
-        amp::gridamp::seed_fixtures(&dep.db, "kraken", &truth(), 12).unwrap();
-    for _ in 0..8 {
-        queue_direct(&dep.db, star, user, alloc, 1.0);
+        amp::gridamp::seed_fixtures(&fleet.db, "kraken", &truth(), 12).unwrap();
+    // The first round: daemon A claims four runs, then B the four queued
+    // after A's tick.
+    for daemon in &mut fleet.daemons {
+        for _ in 0..4 {
+            queue_direct(&fleet.db, star, user, alloc, 1.0);
+        }
+        daemon.tick(&fleet.grid);
+        assert_eq!(daemon.owned_sims().len(), 4);
     }
-    let charged_at = drain(&mut dep, |_| {});
-    let instants: BTreeSet<SimTime> = charged_at.iter().map(|&(_, at)| at).collect();
-    assert_eq!((charged_at.len(), instants.len()), (8, 1), "{charged_at:?}");
-    let (used, owed) = (su_used(&dep.db, alloc), su_owed(&dep));
+    // A run's charge commits right after its cleanup job is recorded: the
+    // daemons meet there, k-th cleanup with k-th, so their charges race.
+    let ((to_b, from_a), (to_a, from_b)) = (mpsc::channel(), mpsc::channel());
+    let ends = [(to_b, from_b), (to_a, from_a)];
+    for (daemon, (to_peer, from_peer)) in fleet.daemons.iter_mut().zip(ends) {
+        daemon.step_point = Some(Box::new(move |point, job| {
+            if point == StepPoint::Recorded && job.purpose == JobPurpose::Cleanup {
+                to_peer.send(()).unwrap();
+                let _ = from_peer.recv_timeout(Duration::from_secs(5));
+            }
+        }));
+    }
+    let (mut charged, mut instants) = ([0; 2], BTreeSet::new());
+    for _ in 0..5_000 {
+        fleet.grid.advance(SimDuration::from_secs(POLL));
+        let grid = &fleet.grid;
+        let reports: Vec<_> = std::thread::scope(|scope| {
+            let daemons = fleet.daemons.iter_mut();
+            let ticks: Vec<_> = daemons.map(|d| scope.spawn(|| d.tick(grid))).collect();
+            ticks.into_iter().map(|t| t.join().unwrap()).collect()
+        });
+        for (daemon, report) in reports.iter().enumerate() {
+            assert!(report.daemon_errors.is_empty(), "{report:?}");
+            for (_, from, _) in &report.transitions {
+                if *from == SimStatus::PostJob {
+                    charged[daemon] += 1;
+                    instants.insert(grid.now());
+                }
+            }
+        }
+        if final_states(&fleet.db).iter().all(|(_, s, _)| s == "DONE") {
+            break;
+        }
+    }
+    assert_eq!(charged, [4, 4], "charges per daemon");
+    assert_eq!(instants.len(), 1, "{instants:?}");
+    let (used, owed) = (su_used(&fleet.db, alloc), su_owed(&fleet.db, &fleet.grid));
     assert!(
         owed > 0.0 && (used - owed).abs() < 1e-9 * owed,
         "{used} charged of {owed}"

@@ -314,8 +314,7 @@ fn wal_bytes_counter_equals_the_logs_growth() {
 }
 
 /// The five stage timers are contiguous: over a 64-simulation drain their
-/// sums add up to the wall time spent inside `tick()`, with the shards
-/// inline (`workers: 1`) and on threads (`workers: 8`) alike.
+/// sums add up to the wall time spent inside `tick()`.
 #[test]
 fn tick_stage_timers_add_up_to_the_tick() {
     let _turn = EXACT_DELTAS.lock().unwrap_or_else(|e| e.into_inner());
@@ -329,40 +328,76 @@ fn tick_stage_timers_add_up_to_the_tick() {
             })
             .sum()
     };
-    for workers in [1, 8] {
-        let config = DaemonConfig {
-            workers,
-            ..DaemonConfig::default()
+    let mut dep =
+        amp::gridamp::deploy(amp::grid::systems::kraken(), DaemonConfig::default(), None).unwrap();
+    let (user, star, alloc, _obs) =
+        amp::gridamp::seed_fixtures(&dep.db, "kraken", &truth(), 3).unwrap();
+    let sims = Manager::<Simulation>::new(dep.db.connect(amp::core::roles::ROLE_WEB).unwrap());
+    for i in 0..64 {
+        let params = StellarParams {
+            mass: 0.8 + 0.005 * i as f64,
+            ..StellarParams::sun()
         };
-        let mut dep = amp::gridamp::deploy(amp::grid::systems::kraken(), config, None).unwrap();
-        let (user, star, alloc, _obs) =
-            amp::gridamp::seed_fixtures(&dep.db, "kraken", &truth(), 3).unwrap();
-        let sims = Manager::<Simulation>::new(dep.db.connect(amp::core::roles::ROLE_WEB).unwrap());
-        for i in 0..64 {
-            let params = StellarParams {
-                mass: 0.8 + 0.005 * i as f64,
-                ..StellarParams::sun()
-            };
-            let mut sim = Simulation::new_direct(star, user, params, "kraken", alloc, 0);
-            sims.create(&mut sim).unwrap();
-        }
-        let done = Query::new().filter("status", Op::Eq, SimStatus::Done.as_str());
-        let (staged_before, mut in_tick, mut ticks) = (stage_nanos(), Duration::ZERO, 0);
-        while sims.count(&done).unwrap() < 64 {
-            ticks += 1;
-            assert!(ticks < 2_000, "drain did not settle (workers={workers})");
-            let started = std::time::Instant::now();
-            dep.daemon.tick(&dep.grid);
-            in_tick += started.elapsed();
-            dep.grid.advance(SimDuration::from_secs(300));
-        }
-        let staged = Duration::from_nanos(stage_nanos() - staged_before);
-        let gap = in_tick.abs_diff(staged).as_secs_f64() / in_tick.as_secs_f64();
-        assert!(
-            gap <= 0.10,
-            "workers={workers}: stages sum to {staged:?} of {in_tick:?} in tick()"
-        );
+        let mut sim = Simulation::new_direct(star, user, params, "kraken", alloc, 0);
+        sims.create(&mut sim).unwrap();
     }
+    let done = Query::new().filter("status", Op::Eq, SimStatus::Done.as_str());
+    let (staged_before, mut in_tick, mut ticks) = (stage_nanos(), Duration::ZERO, 0);
+    while sims.count(&done).unwrap() < 64 {
+        ticks += 1;
+        assert!(ticks < 2_000, "drain did not settle");
+        let started = std::time::Instant::now();
+        dep.daemon.tick(&dep.grid);
+        in_tick += started.elapsed();
+        dep.grid.advance(SimDuration::from_secs(300));
+    }
+    let staged = Duration::from_nanos(stage_nanos() - staged_before);
+    let gap = in_tick.abs_diff(staged).as_secs_f64() / in_tick.as_secs_f64();
+    assert!(
+        gap <= 0.10,
+        "stages sum to {staged:?} of {in_tick:?} in tick()"
+    );
+}
+
+/// A status poll that fails for good (the site never issued the handle)
+/// fails the job: `daemon_job_transitions_total` counts that transition
+/// like any other, and the ops log shows the command that failed.
+#[test]
+fn a_failed_status_poll_is_counted_and_logged() {
+    let _turn = EXACT_DELTAS.lock().unwrap_or_else(|e| e.into_inner());
+    let mut dep =
+        amp::gridamp::deploy(amp::grid::systems::kraken(), DaemonConfig::default(), None).unwrap();
+    let (user, star, alloc, _obs) =
+        amp::gridamp::seed_fixtures(&dep.db, "kraken", &truth(), 4).unwrap();
+    // Two runs, and the second one's job is broken: the run it fails is
+    // held, and a hold of sim 1 would be read as the flight-recorder
+    // test's own.
+    let sims = Manager::<Simulation>::new(dep.db.connect(amp::core::roles::ROLE_WEB).unwrap());
+    for _ in 0..2 {
+        let mut sim = Simulation::new_direct(star, user, truth(), "kraken", alloc, 0);
+        sims.create(&mut sim).unwrap();
+    }
+    // The first tick submits the pre-job scripts; their rows are pending.
+    dep.daemon.tick(&dep.grid);
+    let admin = dep.db.connect(amp::core::roles::ROLE_ADMIN).unwrap();
+    let jobs = Manager::<GridJobRecord>::new(admin);
+    let mut job = jobs.all().unwrap().pop().expect("a submitted job");
+    assert_eq!((job.simulation_id, job.status), (2, JobStatus::Pending));
+    let handle = GramJobHandle::new("kraken", GramService::Fork, 999_999).0;
+    job.gram_handle = Some(handle.clone());
+    jobs.save(&job).unwrap();
+
+    let counted = obs::counter("daemon_job_transitions_total");
+    let before = counted.get();
+    dep.grid.advance(SimDuration::from_secs(300));
+    let report = dep.daemon.tick(&dep.grid);
+    assert!(report.job_transitions >= 1, "{report:?}");
+    assert_eq!(counted.get() - before, report.job_transitions as u64);
+    assert_eq!(jobs.get(job.id.unwrap()).unwrap().status, JobStatus::Failed);
+    let log = dep.daemon.ops_log();
+    let tail = log.render_tail(log.len());
+    let line = format!("ERROR $ globus-job-status {handle}");
+    assert_eq!(tail.matches(&line).count(), 1, "{tail}");
 }
 
 /// The three checkpoint stage timers are contiguous: over a few compactions

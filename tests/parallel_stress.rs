@@ -1,11 +1,9 @@
-//! Multi-worker stress: 64 simulations spread over four TeraGrid systems
-//! (frost, kraken, lonestar, ranger) with injected faults — a permanent
-//! GRAM/GridFTP outage on ranger (escalating to HOLD through the
-//! transient-storm cap) and a recoverable outage window on lonestar.
-//! With its shards on eight threads the tick engine must reach quiescence
-//! in a bounded number of ticks (no deadlock), lose no transitions,
-//! duplicate no submissions, and account transients/holds exactly as it
-//! does with every shard inline (`workers: 1`).
+//! Stress: 64 simulations spread over four TeraGrid systems (frost,
+//! kraken, lonestar, ranger) with injected faults — a permanent GRAM/GridFTP
+//! outage on ranger (escalating to HOLD through the transient-storm cap)
+//! and a recoverable outage window on lonestar. One daemon must reach
+//! quiescence in a bounded number of ticks, lose no transitions, duplicate
+//! no submissions, and account every transient and hold exactly once.
 
 use amp::prelude::*;
 use std::collections::{BTreeMap, HashSet};
@@ -13,16 +11,8 @@ use std::collections::{BTreeMap, HashSet};
 const SIMS: usize = 64;
 const SYSTEMS: [&str; 4] = ["frost", "kraken", "lonestar", "ranger"];
 
-struct StressOutcome {
-    statuses: BTreeMap<i64, (String, Option<String>, String)>,
-    transitions: BTreeMap<i64, Vec<(String, String)>>,
-    transient_errors: usize,
-    new_holds: usize,
-    ticks: usize,
-    jobs: Vec<GridJobRecord>,
-}
-
-fn run_stress(workers: usize) -> StressOutcome {
+#[test]
+fn sixty_four_sims_four_sites_with_faults_settle_correctly_in_parallel() {
     let mut dep = amp::gridamp::deploy(
         vec![
             amp::grid::systems::frost(),
@@ -31,7 +21,6 @@ fn run_stress(workers: usize) -> StressOutcome {
             amp::grid::systems::ranger(),
         ],
         DaemonConfig {
-            workers,
             max_transient_retries: 3,
             ..DaemonConfig::default()
         },
@@ -113,62 +102,36 @@ fn run_stress(workers: usize) -> StressOutcome {
             break;
         }
         // the no-deadlock bound: quiescence or bust
-        assert!(
-            ticks < 3_000,
-            "stress run did not settle (workers={workers})"
-        );
+        assert!(ticks < 3_000, "stress run did not settle");
         dep.grid.advance(SimDuration::from_secs(300));
     }
 
-    let statuses = all_sims
-        .all()
-        .unwrap()
-        .into_iter()
-        .map(|s| {
-            (
-                s.id.unwrap(),
-                (s.status.as_str().to_string(), s.held_from.clone(), s.system),
-            )
-        })
-        .collect();
+    let finals = all_sims.all().unwrap();
     let jobs = Manager::<GridJobRecord>::new(admin).all().unwrap();
 
-    StressOutcome {
-        statuses,
-        transitions,
-        transient_errors,
-        new_holds,
-        ticks,
-        jobs,
-    }
-}
-
-#[test]
-fn sixty_four_sims_four_sites_with_faults_settle_correctly_in_parallel() {
-    let out = run_stress(8);
-
-    assert_eq!(out.statuses.len(), SIMS);
-    for (sim, (status, _held_from, system)) in &out.statuses {
+    assert_eq!(finals.len(), SIMS);
+    for sim in &finals {
+        let (id, system) = (sim.id.unwrap(), &sim.system);
         if system == "ranger" {
-            assert_eq!(status, "HOLD", "sim {sim} on downed ranger");
+            assert_eq!(sim.status, SimStatus::Hold, "sim {id} on downed ranger");
+            assert!(
+                sim.status_message.contains("transient storm"),
+                "sim {id}: {}",
+                sim.status_message
+            );
         } else {
-            assert_eq!(status, "DONE", "sim {sim} on {system}");
+            assert_eq!(sim.status, SimStatus::Done, "sim {id} on {system}");
         }
     }
     // every ranger sim burned through the transient cap: retries + the
     // escalating attempt, each counted once — nothing lost, nothing extra
-    let ranger_sims = out
-        .statuses
-        .values()
-        .filter(|(_, _, sys)| sys == "ranger")
-        .count();
+    let ranger_sims = finals.iter().filter(|s| s.system == "ranger").count();
     assert_eq!(ranger_sims, SIMS / 4);
-    assert_eq!(out.new_holds, ranger_sims);
+    assert_eq!(new_holds, ranger_sims);
     assert!(
-        out.transient_errors >= ranger_sims * 4,
-        "expected >= {} transient polls, saw {}",
+        transient_errors >= ranger_sims * 4,
+        "expected >= {} transient polls, saw {transient_errors}",
         ranger_sims * 4,
-        out.transient_errors
     );
 
     // no lost transitions: every completed simulation shows the full
@@ -177,20 +140,19 @@ fn sixty_four_sims_four_sites_with_faults_settle_correctly_in_parallel() {
         .windows(2)
         .map(|w| (w[0].as_str().to_string(), w[1].as_str().to_string()))
         .collect();
-    for (sim, (status, _, _)) in &out.statuses {
-        if status == "DONE" {
-            assert_eq!(
-                out.transitions.get(sim),
-                Some(&happy),
-                "sim {sim} lost or duplicated a transition"
-            );
-        }
+    for sim in finals.iter().filter(|s| s.status == SimStatus::Done) {
+        let sim = sim.id.unwrap();
+        assert_eq!(
+            transitions.get(&sim),
+            Some(&happy),
+            "sim {sim} lost or duplicated a transition"
+        );
     }
 
     // no duplicate submissions: (sim, purpose, ga_run, continuation) is
     // unique across every job record the daemon wrote
     let mut seen = HashSet::new();
-    for j in &out.jobs {
+    for j in &jobs {
         let key = (
             j.simulation_id,
             format!("{:?}", j.purpose),
@@ -199,65 +161,4 @@ fn sixty_four_sims_four_sites_with_faults_settle_correctly_in_parallel() {
         );
         assert!(seen.insert(key.clone()), "duplicate submission {key:?}");
     }
-}
-
-#[test]
-fn hold_and_streak_accounting_is_the_same_inline_and_threaded() {
-    let inline = run_stress(1);
-    let threaded = run_stress(8);
-
-    assert_eq!(threaded.ticks, inline.ticks, "tick counts diverged");
-    assert_eq!(threaded.statuses, inline.statuses);
-    assert_eq!(threaded.transitions, inline.transitions);
-    assert_eq!(threaded.new_holds, inline.new_holds);
-    assert_eq!(threaded.transient_errors, inline.transient_errors);
-}
-
-#[test]
-fn transient_backoff_schedules_retries_exponentially() {
-    // One simulation against a permanently-down site, backoff base 1:
-    // attempts land on ticks 1, 2, 4 and 8 (streak s retries after
-    // 1 << (s-1) ticks), and the fourth attempt crosses the cap of 3
-    // into HOLD. Ticks in between must not count the sim as stepped.
-    let mut dep = amp::gridamp::deploy(
-        amp::grid::systems::kraken(),
-        DaemonConfig {
-            max_transient_retries: 3,
-            transient_backoff_base_ticks: 1,
-            ..DaemonConfig::default()
-        },
-        None,
-    )
-    .unwrap();
-    dep.grid.faults.add_outage(
-        "kraken",
-        Service::Both,
-        amp_grid::SimTime(0),
-        amp_grid::SimTime(u64::MAX / 2),
-    );
-    let truth = StellarParams::sun();
-    let (user, star, alloc, _obs) =
-        amp::gridamp::seed_fixtures(&dep.db, "kraken", &truth, 10).unwrap();
-    let web = dep.db.connect(amp::core::roles::ROLE_WEB).unwrap();
-    let mut sim = Simulation::new_direct(star, user, StellarParams::sun(), "kraken", alloc, 0);
-    let sim_id = Manager::<Simulation>::new(web).create(&mut sim).unwrap();
-
-    let mut stepped_on: Vec<usize> = Vec::new();
-    for tick in 1..=12 {
-        let report = dep.daemon.tick(&dep.grid);
-        if report.sims_stepped > 0 {
-            stepped_on.push(tick);
-        }
-        dep.grid.advance(SimDuration::from_secs(300));
-    }
-    assert_eq!(stepped_on, vec![1, 2, 4, 8], "backoff schedule");
-
-    let admin = dep.db.connect(amp::core::roles::ROLE_ADMIN).unwrap();
-    let held = Manager::<Simulation>::new(admin).get(sim_id).unwrap();
-    assert_eq!(held.status, SimStatus::Hold);
-    assert!(
-        held.status_message.contains("transient storm"),
-        "{}",
-        held.status_message
-    );
 }

@@ -1,13 +1,10 @@
-//! Tick determinism: the daemon's one tick engine must drive the exact same
-//! workflow at any pool size (`DaemonConfig::workers`) — identical final
-//! simulation statuses, identical job records (up to row ids and GRAM
-//! handles, which depend on harmless submission interleaving), identical
-//! notification outbox, and identical per-simulation transition sequences
-//! and saved `progress` values tick by tick. A pool of one runs every shard
-//! inline on the caller's thread; larger pools spawn a thread per non-empty
-//! shard. Every scenario carries a GA ensemble, so what the daemon remembers
-//! of partial results between ticks (read by the shards, replaced after the
-//! barrier) is in play at every pool size.
+//! Tick determinism: the daemon's tick must drive the exact same workflow
+//! every time it is given the same campaign — identical final simulation
+//! statuses, job records, notification outbox, and per-simulation
+//! transition sequences and saved `progress` values tick by tick. Every
+//! scenario carries a GA ensemble, so what the daemon remembers of partial
+//! results between ticks (read by each step, replaced by the apply pass) is
+//! in play.
 
 use amp::prelude::*;
 use std::collections::BTreeMap;
@@ -44,9 +41,7 @@ type NoteKey = (Option<i64>, Option<i64>, String, String, String, i64);
 
 /// Everything DB-observable about a finished scenario, canonicalized so
 /// two equivalent runs compare equal:
-/// * job records drop row id and GRAM handle (scheduler handles encode
-///   submission interleaving, which differs across worker counts without
-///   affecting behavior) and are sorted;
+/// * job records drop row id and GRAM handle and are sorted;
 /// * notifications drop row id and are sorted by content;
 /// * transitions are the per-simulation sequences accumulated across
 ///   ticks, in tick order;
@@ -64,11 +59,10 @@ struct Outcome {
 
 /// Four direct runs plus `ensembles` GA ensembles on kraken, through one
 /// 90-minute outage, ticked to quiescence.
-fn run_scenario(workers: usize, ensembles: u64) -> Outcome {
+fn run_scenario(ensembles: u64) -> Outcome {
     let mut dep = amp::gridamp::deploy(
         amp::grid::systems::kraken(),
         DaemonConfig {
-            workers,
             work_walltime_hours: 6.0,
             ..DaemonConfig::default()
         },
@@ -77,7 +71,7 @@ fn run_scenario(workers: usize, ensembles: u64) -> Outcome {
     .unwrap();
 
     // one 90-minute two-service outage so the transient/retry path is
-    // exercised identically at every pool size
+    // exercised too
     dep.grid.faults.add_outage(
         "kraken",
         Service::Both,
@@ -99,7 +93,7 @@ fn run_scenario(workers: usize, ensembles: u64) -> Outcome {
         let mut sim = Simulation::new_direct(star, user, params, "kraken", alloc, 0);
         sims.create(&mut sim).unwrap();
     }
-    // ...plus two GA ensembles
+    // ...plus the GA ensembles
     for seed in 11..11 + ensembles {
         let mut sim = Simulation::new_optimization(
             star,
@@ -140,7 +134,7 @@ fn run_scenario(workers: usize, ensembles: u64) -> Outcome {
         if settled {
             break;
         }
-        assert!(ticks < 5_000, "scenario did not settle (workers={workers})");
+        assert!(ticks < 5_000, "scenario did not settle");
         dep.grid.advance(SimDuration::from_secs(300));
     }
 
@@ -199,67 +193,47 @@ fn run_scenario(workers: usize, ensembles: u64) -> Outcome {
     }
 }
 
-/// Every observable of `other` equals `reference`'s.
-fn assert_same(reference: &Outcome, other: &Outcome, workers: usize) {
-    assert_eq!(
-        other.ticks, reference.ticks,
-        "tick counts diverged (workers={workers})"
-    );
-    assert_eq!(other.statuses, reference.statuses, "workers={workers}");
-    assert_eq!(
-        other.transitions, reference.transitions,
-        "workers={workers}"
-    );
-    assert_eq!(other.progress, reference.progress, "workers={workers}");
-    assert_eq!(other.jobs, reference.jobs, "workers={workers}");
-    assert_eq!(
-        other.notifications, reference.notifications,
-        "workers={workers}"
-    );
-}
-
+/// The tick runs on its caller's thread, the one worker a daemon has (a
+/// second core is a second daemon): two runs of the two-ensemble scenario
+/// match in every observable.
 #[test]
 fn any_worker_count_reproduces_the_same_run_exactly() {
-    let one = run_scenario(1, 2);
+    let first = run_scenario(2);
 
     // sanity: the scenario exercised real work
-    assert!(one.statuses.len() == 6);
+    assert_eq!(first.statuses.len(), 6);
     assert!(
-        one.statuses.values().all(|s| s == "DONE"),
+        first.statuses.values().all(|s| s == "DONE"),
         "{:?}",
-        one.statuses
+        first.statuses
     );
-    assert!(!one.jobs.is_empty());
-    assert!(!one.notifications.is_empty());
+    assert!(!first.jobs.is_empty());
+    assert!(!first.notifications.is_empty());
 
-    for workers in [3, 8] {
-        assert_same(&one, &run_scenario(workers, 2), workers);
-    }
+    assert_eq!(run_scenario(2), first);
 }
 
-/// The degenerate pool sizes on a cheaper scenario: a pool of zero is a
-/// pool of one, and a pool far larger than the live set (five simulations)
-/// leaves most shards empty.
+/// The cheapest scenario, one ensemble and five simulations, reproduces
+/// exactly too.
 #[test]
 fn degenerate_pool_sizes_reproduce_the_same_run_exactly() {
-    let one = run_scenario(1, 1);
-    assert_eq!(one.statuses.len(), 5);
-    assert!(one.statuses.values().all(|s| s == "DONE"));
+    let first = run_scenario(1);
+    assert_eq!(first.statuses.len(), 5);
+    assert!(first.statuses.values().all(|s| s == "DONE"));
     // The ensemble's progress was saved on its way, not only at the end.
-    assert!(one.progress.values().any(|seen| seen.len() > 3));
-    for workers in [0, 64] {
-        assert_same(&one, &run_scenario(workers, 1), workers);
-    }
+    assert!(first.progress.values().any(|seen| seen.len() > 3));
+
+    assert_eq!(run_scenario(1), first);
 }
 
 #[test]
 fn every_simulation_walks_the_listing_1_chain_in_order() {
-    let pooled = run_scenario(8, 2);
+    let run = run_scenario(2);
     let happy: Vec<(String, String)> = SimStatus::happy_path()
         .windows(2)
         .map(|w| (w[0].as_str().to_string(), w[1].as_str().to_string()))
         .collect();
-    for (sim, seq) in &pooled.transitions {
+    for (sim, seq) in &run.transitions {
         assert_eq!(seq, &happy, "sim {sim} transition sequence");
     }
 }
