@@ -242,29 +242,89 @@ impl Query {
 
     /// Number of rows the query matches (honouring `offset`/`limit`
     /// arithmetic) without materializing, ordering, or cloning anything.
+    ///
+    /// A lone `Eq`/`In` filter over an index is counted off the index's
+    /// runs. Otherwise a row is fetched only to test the filters the plan's
+    /// index sets did not answer: when they answered every filter the count
+    /// is the candidate set's length (the table's, with no filter at all),
+    /// and a walk stops at `offset + limit` matches.
     pub fn count(&self, table: &Table) -> Result<usize, DbError> {
         let idx = self.resolve(&table.schema)?;
-        let planned = self.plan_access(table, &idx);
-        record_plan(&planned.plan);
-        let matches = |row: &Row| {
-            self.filters
-                .iter()
-                .zip(idx.iter())
-                .all(|(f, &ci)| f.matches(&row[ci]))
-        };
-        let matched = match &planned.candidates {
-            Some(ids) => ids
-                .iter()
-                .filter_map(|&id| table.get(id))
-                .filter(|r| matches(r))
-                .count(),
-            None => table.iter().filter(|(_, r)| matches(r)).count(),
+        let wanted = self
+            .limit
+            .map_or(usize::MAX, |l| self.offset.saturating_add(l));
+        let matched = match self.lone_probe(table, &idx) {
+            Some((plan, matched)) => {
+                record_plan(&plan);
+                matched
+            }
+            None => {
+                let planned = self.plan_access(table, &idx);
+                record_plan(&planned.plan);
+                let rest: Vec<(&Filter, usize)> = self
+                    .filters
+                    .iter()
+                    .zip(idx.iter().copied())
+                    .enumerate()
+                    .filter(|(i, _)| planned.answered & filter_bit(*i) == 0)
+                    .map(|(_, pair)| pair)
+                    .collect();
+                let matches = |row: &Row| rest.iter().all(|(f, ci)| f.matches(&row[*ci]));
+                match &planned.candidates {
+                    Some(ids) if rest.is_empty() => ids.len(),
+                    None if rest.is_empty() => table.len(),
+                    Some(ids) => ids
+                        .iter()
+                        .filter_map(|&id| table.get(id))
+                        .filter(|r| matches(r))
+                        .take(wanted)
+                        .count(),
+                    None => table
+                        .iter()
+                        .filter(|(_, r)| matches(r))
+                        .take(wanted)
+                        .count(),
+                }
+            }
         };
         let after_offset = matched.saturating_sub(self.offset);
         Ok(match self.limit {
             Some(l) => after_offset.min(l),
             None => after_offset,
         })
+    }
+
+    /// The count of a query whose one filter is an `Eq` or an `In` over an
+    /// indexed column, summed from the index's runs (each distinct `In`
+    /// member once) without building the id list, and the plan
+    /// [`Self::plan_access`] would have named for it. `None` for any other
+    /// query.
+    fn lone_probe(&self, table: &Table, idx: &[usize]) -> Option<(Plan, usize)> {
+        let ([f], &[ci]) = (self.filters.as_slice(), idx) else {
+            return None;
+        };
+        let index = table.index(ci)?;
+        let matched = match &f.op {
+            Op::Eq => index.count_eq(&f.value),
+            Op::In(vals) if !vals.iter().any(Value::is_null) => {
+                let mut members: Vec<&Value> = vals.iter().collect();
+                members.sort_by(|a, b| a.total_cmp(b));
+                members.dedup();
+                members.into_iter().map(|v| index.count_eq(v)).sum()
+            }
+            _ => return None,
+        };
+        let column = f.column.clone();
+        let plan = if matched == 0 {
+            Plan::Empty
+        } else if f.op == Op::Eq && table.schema.columns[ci].unique {
+            Plan::UniqueProbe { column }
+        } else {
+            Plan::IndexProbe {
+                columns: vec![column],
+            }
+        };
+        Some((plan, matched))
     }
 
     /// The access path the planner would choose for this query — an
@@ -431,9 +491,14 @@ impl Query {
     /// only shrinks the rows that get touched. A filter proven empty at
     /// the index (unique miss, all-`In`-probes miss, inverted range)
     /// short-circuits to [`Plan::Empty`] without touching a row.
+    ///
+    /// Every set used answers its filters exactly (the index compares cells
+    /// as `Filter::matches` does and holds every non-NULL one), so
+    /// [`Planned::answered`] marks them; a range filter whose set was
+    /// skipped is not among them.
     fn plan_access(&self, table: &Table, idx: &[usize]) -> Planned {
         // 1. Unique Eq probe: unbeatable when available.
-        for (f, &ci) in self.filters.iter().zip(idx.iter()) {
+        for (i, (f, &ci)) in self.filters.iter().zip(idx.iter()).enumerate() {
             if f.op == Op::Eq && table.schema.columns[ci].unique {
                 return match table.find_unique(ci, &f.value) {
                     Some(id) => Planned {
@@ -441,6 +506,7 @@ impl Query {
                             column: f.column.clone(),
                         },
                         candidates: Some(vec![id]),
+                        answered: filter_bit(i),
                         index_order: None,
                     },
                     None => Planned::empty(),
@@ -450,12 +516,14 @@ impl Query {
 
         // 2. Probe sets: Eq / In over indexed columns.
         let mut sets: Vec<(String, Vec<i64>)> = Vec::new();
-        for (f, &ci) in self.filters.iter().zip(idx.iter()) {
+        let mut answered = 0;
+        for (i, (f, &ci)) in self.filters.iter().zip(idx.iter()).enumerate() {
             match &f.op {
                 // A posting list comes back ascending by id.
                 Op::Eq => {
                     if let Some(ids) = table.find_indexed(ci, &f.value) {
                         sets.push((f.column.clone(), ids));
+                        answered |= filter_bit(i);
                     }
                 }
                 // An `In` list containing NULL matches null cells, which no
@@ -467,6 +535,7 @@ impl Query {
                         ids.sort_unstable();
                         ids.dedup();
                         sets.push((f.column.clone(), ids));
+                        answered |= filter_bit(i);
                     }
                 }
                 _ => {}
@@ -492,6 +561,13 @@ impl Query {
                             ids.sort_unstable();
                             range_cols.push(col.clone());
                             sets.push((col, ids));
+                            // The folded bounds answer every range filter
+                            // over the column.
+                            for (i, (f, &c)) in self.filters.iter().zip(idx).enumerate() {
+                                if c == ci && is_range(&f.op) {
+                                    answered |= filter_bit(i);
+                                }
+                            }
                         }
                     }
                 }
@@ -521,6 +597,7 @@ impl Query {
                     Plan::IndexProbe { columns }
                 },
                 candidates: Some(acc),
+                answered,
                 index_order: None,
             };
         }
@@ -538,6 +615,7 @@ impl Query {
                 None => Plan::FullScan,
             },
             candidates: None,
+            answered: 0,
             index_order,
         }
     }
@@ -551,8 +629,7 @@ impl Query {
     ) -> Vec<(String, usize, Bound<Value>, Bound<Value>)> {
         let mut out: Vec<(String, usize, Bound<Value>, Bound<Value>)> = Vec::new();
         for (f, &ci) in self.filters.iter().zip(idx.iter()) {
-            let is_range = matches!(f.op, Op::Lt | Op::Le | Op::Gt | Op::Ge);
-            if !is_range || !table.has_index(ci) {
+            if !is_range(&f.op) || !table.has_index(ci) {
                 continue;
             }
             let entry = match out.iter_mut().find(|(_, c, _, _)| *c == ci) {
@@ -587,6 +664,10 @@ struct Planned {
     plan: Plan,
     /// Sorted ascending candidate ids; `None` = scan every row.
     candidates: Option<Vec<i64>>,
+    /// The filters every candidate is known to pass, as
+    /// [`filter_bit`]s of their positions in `Query::filters`: a count
+    /// need not test them again.
+    answered: u64,
     /// Drive a full scan through this column's index.
     index_order: Option<usize>,
 }
@@ -596,9 +677,25 @@ impl Planned {
         Planned {
             plan: Plan::Empty,
             candidates: Some(Vec::new()),
+            answered: 0,
             index_order: None,
         }
     }
+}
+
+/// The bit of filter `i` in [`Planned::answered`]. Filters past the 64th
+/// have none and are always tested again, which costs time, never a
+/// wrong answer.
+fn filter_bit(i: usize) -> u64 {
+    u32::try_from(i)
+        .ok()
+        .and_then(|i| 1u64.checked_shl(i))
+        .unwrap_or(0)
+}
+
+/// `Lt` / `Le` / `Gt` / `Ge`: the filters a range set can drive.
+fn is_range(op: &Op) -> bool {
+    matches!(op, Op::Lt | Op::Le | Op::Gt | Op::Ge)
 }
 
 /// Count executed plans by kind in the global metrics registry (handles
@@ -1274,6 +1371,13 @@ mod tests {
             Query::new().eq("site", "s1").offset(3).limit(4),
             Query::new().eq("tag", "t9"),
             Query::new().offset(100),
+            // A lone `In` naming a member twice, and a range filter whose
+            // set is skipped beside a small probe.
+            Query::new().filter("site", Op::In(vec!["s1".into(), "s1".into()]), Value::Null),
+            Query::new()
+                .eq("site", "s1")
+                .filter("v", Op::Ge, Value::Int(30))
+                .limit(3),
         ];
         for q in queries {
             assert_eq!(

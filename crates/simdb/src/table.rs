@@ -318,6 +318,15 @@ impl Index {
         self.ids_in(Bound::Included(cell), Bound::Included(cell))
     }
 
+    /// How many rows' cell equals `cell`: the lengths of its runs, summed
+    /// without reading an id.
+    pub fn count_eq(&self, cell: &Value) -> usize {
+        self.runs_from(Bound::Included(cell))
+            .take_while(|(c, _)| *c == cell)
+            .map(|(_, ids)| ids.len())
+            .sum()
+    }
+
     /// Ids of the rows whose cell lies within the bounds, in `(cell, id)`
     /// order.
     pub fn ids_in<'a>(

@@ -205,14 +205,102 @@ fn a_waiting_run_does_not_notice_a_gridftp_outage() {
     dep.daemon.run_until_settled(&dep.grid, 24.0 * 30.0);
     let done = sim_row(&dep.db, sim_id);
     assert_eq!(done.status, SimStatus::Done, "{}", done.status_message);
-    let admin = dep.db.connect(amp::core::roles::ROLE_ADMIN).unwrap();
-    let to_admins = Manager::<Notification>::new(admin)
+    assert_eq!(
+        to_admins(&dep.db, sim_id),
+        0,
+        "nobody was told about an outage nobody met"
+    );
+}
+
+/// Notifications about `sim_id` addressed to the administrators.
+fn to_admins(db: &Db, sim_id: i64) -> usize {
+    let admin = db.connect(amp::core::roles::ROLE_ADMIN).unwrap();
+    Manager::<Notification>::new(admin)
         .filter(&Query::new().eq("simulation_id", sim_id))
         .unwrap()
         .into_iter()
         .filter(|n| n.user_id.is_none())
-        .count();
-    assert_eq!(to_admins, 0, "nobody was told about an outage nobody met");
+        .count()
+}
+
+/// Tick one daemon round by round, 300 simulated seconds apart, until the
+/// simulation is DONE; `after` sees each round's number and report.
+fn run_to_done(
+    dep: &mut amp::gridamp::Deployment,
+    sim_id: i64,
+    mut after: impl FnMut(usize, &amp::gridamp::TickReport, &Db),
+) -> Simulation {
+    for round in 0..10_000 {
+        let report = dep.daemon.tick(&dep.grid);
+        assert_eq!(report.daemon_errors, Vec::<String>::new());
+        after(round, &report, &dep.db);
+        let sim = sim_row(&dep.db, sim_id);
+        match sim.status {
+            SimStatus::Done => return sim,
+            SimStatus::Hold => panic!("held: {}", sim.status_message),
+            _ => dep.grid.advance(SimDuration::from_secs(300)),
+        }
+    }
+    panic!("simulation {sim_id} did not finish");
+}
+
+/// (b) The other side: an outage over a chain change — the first Work
+/// jobs ending, when the daemon must read the runs' files — is met and
+/// retried as before: a transient every round until GridFTP is back, one
+/// administrator notification, and then the run goes on to the result of
+/// the fault-free run. The outage opens six rounds before the change,
+/// while the run waits, and those rounds notice nothing.
+#[test]
+fn an_outage_over_a_chain_change_is_met_and_retried() {
+    const AROUND: usize = 6;
+    // Fault-free: the round in which the daemon first sees a Work job end.
+    let mut dep = deployment(6.0);
+    let sim_id = queue_ensemble(&dep.db);
+    let mut change = None;
+    let fault_free = run_to_done(&mut dep, sim_id, |round, _, db| {
+        let ended = work_jobs(db, sim_id).iter().any(|j| j.status.is_terminal());
+        if ended && change.is_none() {
+            change = Some(round);
+        }
+    });
+    let change = change.expect("a Work job ended");
+    assert!(change > AROUND, "the work ran before the outage opens");
+
+    // The same run, GridFTP out from `AROUND` rounds before the change
+    // until `AROUND` rounds after it.
+    let mut dep = deployment(6.0);
+    let sim_id = queue_ensemble(&dep.db);
+    let round_at = |round: usize| dep.grid.now() + SimDuration::from_secs(300 * round as u64);
+    let (from, to) = (round_at(change - AROUND), round_at(change + AROUND));
+    dep.grid
+        .faults
+        .add_outage("kraken", Service::GridFtp, from, to);
+    let (mut transients, mut told_before_change) = (Vec::new(), None);
+    let faulted = run_to_done(&mut dep, sim_id, |round, report, db| {
+        transients.push(report.transient_errors);
+        if round + 1 == change {
+            told_before_change = Some(to_admins(db, sim_id));
+        }
+    });
+    assert_eq!(
+        transients[change - AROUND..change],
+        [0; AROUND],
+        "the waiting run noticed the outage"
+    );
+    assert_eq!(told_before_change, Some(0));
+    assert!(
+        transients[change..change + AROUND].iter().all(|&t| t > 0),
+        "every round from the change to the end of the outage meets it: {transients:?}"
+    );
+    assert!(transients[change + AROUND..].iter().all(|&t| t == 0));
+    assert_eq!(
+        to_admins(&dep.db, sim_id),
+        1,
+        "one notification for the streak"
+    );
+    assert_no_duplicate_submissions(&dep.db, &dep.grid);
+    assert!(fault_free.result_json.is_some());
+    assert_eq!(faulted.result_json, fault_free.result_json);
 }
 
 /// (c) A daemon replaced mid-chain by a new process remembers nothing,

@@ -10,6 +10,13 @@
 //! full comparator, and slices. Random schemas-worth of data and random
 //! queries drive both sides, over one bare `Table`.
 //!
+//! That oracle's tables hold at most 60 rows. A second one, over 600–760
+//! rows, reaches what a count may leave out: filters an index set already
+//! answered, a range set the planner skipped beside a small probe, a value
+//! spread over several index chunks, `In` lists naming a member twice, and
+//! `offset`/`limit` at and past the match count — through every count
+//! entry point, with `Manager::exists` held to `first`.
+//!
 //! The WAL properties check the group-commit protocol: a log produced by
 //! batched commits (single- or multi-threaded) must have contiguous
 //! sequence numbers, and *every frame prefix* of it must open as a
@@ -231,6 +238,148 @@ fn ref_execute(t: &Table, spec: &QSpec) -> Vec<(i64, Row)> {
         .limit
         .map_or(rows.len(), |l| (start + l).min(rows.len()));
     rows[start..end].to_vec()
+}
+
+// ---------------------------------------------------------------------------
+// Large tables: what a count may leave out
+// ---------------------------------------------------------------------------
+
+/// Row counts of the large oracle. `s` is `s0` on all but every eighth
+/// row, so its posting list outgrows the planner's 256-candidate threshold
+/// (a range set is used beside it) and spans more than one 512-entry index
+/// chunk, while every other `s` and `k` posting list stays under 256 (a
+/// range set beside one is skipped, and its filters must be tested on the
+/// rows).
+const LARGE_ROWS: std::ops::Range<usize> = 600..760;
+
+fn large_row(i: usize, k: Option<i8>, p: Option<i8>) -> Row {
+    let s = match i % 8 {
+        0 => 1 + i / 8 % 4,
+        _ => 0,
+    };
+    vec![
+        Value::Int(i as i64 * 3 + 1),
+        format!("s{s}").into(),
+        k.map_or(Value::Null, |v| Value::Int(v as i64)),
+        p.map_or(Value::Null, |v| Value::Int(v as i64)),
+    ]
+}
+
+/// The fixture table as a model, for `Manager::exists` and `first`.
+#[derive(Debug)]
+struct Item {
+    id: Option<i64>,
+    row: Row,
+}
+
+impl Model for Item {
+    const TABLE: &'static str = TABLE;
+
+    fn schema() -> TableSchema {
+        schema()
+    }
+
+    fn from_row(id: i64, row: &Row) -> Result<Self, DbError> {
+        Ok(Item {
+            id: Some(id),
+            row: row.clone(),
+        })
+    }
+
+    fn to_values(&self) -> Vec<(&'static str, Value)> {
+        COLS.into_iter().zip(self.row.iter().cloned()).collect()
+    }
+
+    fn id(&self) -> Option<i64> {
+        self.id
+    }
+
+    fn set_id(&mut self, id: i64) {
+        self.id = Some(id);
+    }
+}
+
+/// Values around the large table's cells: the handful `k` and `p` take,
+/// `u`'s range, the `s` labels and one past them, and NULL.
+fn arb_large_value() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        (-4i64..5).prop_map(Value::Int),
+        (0i64..2_400).prop_map(Value::Int),
+        (0u8..6).prop_map(|s| format!("s{s}").into()),
+        Just(Value::Null),
+    ]
+}
+
+fn arb_large_filter() -> impl Strategy<Value = (usize, Op, Value)> {
+    let op = prop_oneof![
+        Just(Op::Eq),
+        Just(Op::Ne),
+        Just(Op::Lt),
+        Just(Op::Le),
+        Just(Op::Gt),
+        Just(Op::Ge),
+        Just(Op::IsNull),
+        Just(Op::NotNull),
+        // Members sometimes listed twice over.
+        (
+            proptest::collection::vec(arb_large_value(), 0..4),
+            any::<bool>()
+        )
+            .prop_map(|(mut members, twice)| {
+                if twice {
+                    members.extend(members.clone());
+                }
+                Op::In(members)
+            }),
+    ];
+    (0usize..COLS.len(), op, arb_large_value())
+}
+
+/// Filter sets the large oracle always asks, each reaching one thing a
+/// count may skip: a lone probe (over `s0`'s chunks, an `In` repeating a
+/// member, a unique column), a range set used beside a large probe or
+/// skipped beside a small one, filters only a row can answer, and no
+/// filter at all.
+fn fixed_large_filters() -> Vec<Vec<(usize, Op, Value)>> {
+    let (u, s, k, p) = (0, 1, 2, 3);
+    let text = |v: &str| Value::from(v);
+    let members = |vals: Vec<Value>| Op::In(vals);
+    vec![
+        vec![],
+        vec![(s, Op::Eq, text("s0"))],
+        vec![(
+            s,
+            members(vec![text("s0"), text("s1"), text("s0")]),
+            Value::Null,
+        )],
+        vec![(
+            k,
+            members(vec![
+                Value::Int(1),
+                Value::Int(1),
+                Value::Int(-1),
+                Value::Int(9),
+            ]),
+            Value::Null,
+        )],
+        vec![(u, Op::Eq, Value::Int(301))],
+        vec![(s, Op::Eq, text("s0")), (k, Op::Ge, Value::Int(0))],
+        vec![
+            (s, Op::Eq, text("s0")),
+            (k, Op::Ge, Value::Int(0)),
+            (k, Op::Lt, Value::Int(3)),
+        ],
+        vec![(s, Op::Eq, text("s1")), (k, Op::Ge, Value::Int(0))],
+        vec![(s, Op::Eq, text("s2")), (u, Op::Lt, Value::Int(900))],
+        vec![(k, Op::Eq, Value::Int(2)), (u, Op::Ge, Value::Int(600))],
+        vec![
+            (s, members(vec![text("s0"), text("s0")]), Value::Null),
+            (p, Op::Eq, Value::Int(1)),
+        ],
+        vec![(u, Op::Ge, Value::Int(600))],
+        vec![(k, Op::Gt, Value::Int(0)), (u, Op::Le, Value::Int(1_500))],
+        vec![(s, Op::Ne, text("s0"))],
+    ]
 }
 
 // ---------------------------------------------------------------------------
@@ -466,6 +615,89 @@ proptest! {
             }
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Over a table large enough to reach what a count may leave out (the
+    /// filters its index sets answered, a lone probe's id list, the rows
+    /// past `offset + limit`), every count entry point — the bare table,
+    /// a connection, a read view, `Manager::count` — answers the
+    /// reference's count at offsets and limits on both sides of the match
+    /// count, and `Manager::exists` answers what `first` does.
+    #[test]
+    fn counts_on_a_large_table_match_the_reference(
+        cells in proptest::collection::vec(
+            (proptest::option::of(-3i8..4), proptest::option::of(-3i8..4)),
+            LARGE_ROWS,
+        ),
+        random in proptest::collection::vec(proptest::collection::vec(arb_large_filter(), 1..4), 6),
+    ) {
+        let rows: Vec<Row> = cells
+            .iter()
+            .enumerate()
+            .map(|(i, (k, p))| large_row(i, *k, *p))
+            .collect();
+        let mut t = fixture();
+        for row in &rows {
+            t.insert(row.clone()).unwrap();
+        }
+        let db = Db::in_memory();
+        db.define_role(Role::superuser("admin"));
+        let conn = db.connect("admin").unwrap();
+        conn.create_table(schema()).unwrap();
+        conn.transaction(&[TABLE], |tx| {
+            rows.iter().try_for_each(|row| tx.insert_row(TABLE, row.clone()).map(drop))
+        })
+        .unwrap();
+        let view = conn.read_view(&[TABLE]).unwrap();
+        let items = Manager::<Item>::new(conn.clone());
+
+        // The cases the oracle is for are reached.
+        let s0 = rows.iter().filter(|r| r[COL_S] == Value::from("s0")).count();
+        prop_assert!(s0 > 512, "s0's {} entries fit one index chunk", s0);
+        let fixed = fixed_large_filters();
+        let probed = |filters: &[(usize, Op, Value)]| {
+            let spec = QSpec { filters: filters.to_vec(), order: vec![], offset: 0, limit: None };
+            match build_query(&spec).explain(&t).unwrap() {
+                Plan::IndexProbe { mut columns } => {
+                    columns.sort();
+                    columns
+                }
+                plan => panic!("{filters:?} planned as {plan:?}"),
+            }
+        };
+        prop_assert_eq!(probed(&fixed[5]), ["k", "s"], "a range set beside s0's probe is used");
+        prop_assert_eq!(probed(&fixed[7]), ["s"], "a range set beside s1's probe is skipped");
+
+        for filters in fixed.into_iter().chain(random) {
+            let spec = QSpec { filters, order: vec![], offset: 0, limit: None };
+            let all: Vec<i64> = ref_execute(&t, &spec).into_iter().map(|(id, _)| id).collect();
+            let m = all.len();
+            for offset in [0, 1, m / 2, m.saturating_sub(1), m, m + 1] {
+                for limit in [None, Some(0), Some(1), Some(m.saturating_sub(offset)), Some(m + 1)] {
+                    let spec = QSpec { offset, limit, ..spec.clone() };
+                    let q = build_query(&spec);
+                    let expected = m.saturating_sub(offset).min(limit.unwrap_or(usize::MAX));
+                    let counts = [
+                        q.count(&t).unwrap(),
+                        conn.count(TABLE, &q).unwrap(),
+                        view.count(TABLE, &q).unwrap(),
+                        items.count(&q).unwrap(),
+                    ];
+                    prop_assert_eq!(
+                        counts,
+                        [expected; 4],
+                        "{:?} under plan {:?}", spec, q.explain(&t).unwrap()
+                    );
+                    let first = items.first(&q).unwrap().and_then(|item| item.id);
+                    prop_assert_eq!(first, all.get(offset).copied(), "first of {:?}", spec);
+                    prop_assert_eq!(items.exists(&q).unwrap(), first.is_some(), "exists {:?}", spec);
+                }
+            }
+        }
     }
 }
 

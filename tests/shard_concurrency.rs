@@ -28,7 +28,7 @@ use rand::{RngExt, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 /// A three-table fixture: two independent tables (`alpha`, `beta`) for
@@ -57,19 +57,29 @@ fn setup() -> Db {
 /// multi-table transactor, all concurrent. Afterwards: no lost updates
 /// (row counts match what each writer committed) and linearizable
 /// per-table versions (creation + exactly one bump per committed write).
+///
+/// The writers wait at a barrier until every reader has read every table
+/// once: in an optimized build their 300 writes can otherwise finish before
+/// a reader thread is first scheduled.
 #[test]
 fn stress_disjoint_writers_readers_and_transactor() {
     const WRITES: i64 = 300;
     const TXNS: i64 = 150;
+    const READERS: usize = 4;
+    const TABLES: [&str; 4] = ["alpha", "beta", "ledger_a", "ledger_b"];
     let db = setup();
     let stop = Arc::new(AtomicBool::new(false));
+    // Two writers, the transactor and the readers.
+    let start = Arc::new(Barrier::new(3 + READERS));
     let mut handles = Vec::new();
 
     // Two writers on disjoint tables.
     for table in ["alpha", "beta"] {
         let db = db.clone();
+        let start = Arc::clone(&start);
         handles.push(std::thread::spawn(move || {
             let c = db.connect("app").unwrap();
+            start.wait();
             for i in 0..WRITES {
                 c.insert(table, &[("v", Value::Int(i))]).unwrap();
             }
@@ -79,8 +89,10 @@ fn stress_disjoint_writers_readers_and_transactor() {
     // One multi-table transactor over the ledger pair.
     {
         let db = db.clone();
+        let start = Arc::clone(&start);
         handles.push(std::thread::spawn(move || {
             let c = db.connect("app").unwrap();
+            start.wait();
             for i in 0..TXNS {
                 c.transaction(&["ledger_a", "ledger_b"], |tx| {
                     tx.insert("ledger_a", &[("v", Value::Int(i))])?;
@@ -94,20 +106,27 @@ fn stress_disjoint_writers_readers_and_transactor() {
 
     // Portal-style readers over everything, until the writers finish.
     let mut readers = Vec::new();
-    for _ in 0..4 {
+    for _ in 0..READERS {
         let db = db.clone();
         let stop = Arc::clone(&stop);
+        let start = Arc::clone(&start);
         readers.push(std::thread::spawn(move || {
             let c = db.connect("app").unwrap();
             let mut reads = 0u64;
-            while !stop.load(Ordering::Relaxed) {
-                for t in ["alpha", "beta", "ledger_a", "ledger_b"] {
+            loop {
+                for t in TABLES {
                     // Single-table reads and version stamps interleave
                     // with the writers; none of this can error or tear.
                     let n = c.count(t, &Query::new()).unwrap();
                     let view = c.read_view(&[t]).unwrap();
                     assert!(view.count(t, &Query::new()).unwrap() >= n);
                     reads += 1;
+                }
+                if reads == TABLES.len() as u64 {
+                    start.wait();
+                }
+                if stop.load(Ordering::Relaxed) {
+                    break;
                 }
             }
             reads
