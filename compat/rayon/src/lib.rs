@@ -1,7 +1,7 @@
 //! Offline stand-in for `rayon`. The workspace uses rayon only for
 //! `population.par_iter_mut().for_each(..)` in the GA evaluator; this
-//! stand-in runs that sequentially. Daemon-level parallelism in this
-//! codebase comes from the tick engine's worker pool, not from rayon.
+//! stand-in runs that sequentially. The daemon has no thread pool either:
+//! a second core runs a second daemon.
 
 pub mod prelude {
     /// Sequential drop-in for rayon's mutable parallel iterator.

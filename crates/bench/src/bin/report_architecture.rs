@@ -10,7 +10,8 @@ use amp_bench::{load_sim, quiet_deployment, target_star};
 use amp_core::models::Simulation;
 use amp_core::SimStatus;
 use amp_gridamp::seed_fixtures;
-use amp_simdb::{Action, Query};
+use amp_simdb::orm::Model;
+use amp_simdb::Action;
 use amp_stellar::StellarParams;
 
 fn check(label: &str, ok: bool) {
@@ -31,7 +32,7 @@ fn main() {
         web.insert(
             "simulation",
             &Simulation::new_direct(star, user, StellarParams::sun(), "kraken", alloc, 0)
-                .to_values_public(),
+                .to_values(),
         )
         .is_ok(),
     );
@@ -125,19 +126,5 @@ fn main() {
             fmt(&amp_core::roles::daemon_role()),
         );
     }
-    let _ = Query::new();
     println!("\nall isolation properties hold.");
-}
-
-/// `Simulation::to_values` returns `(&'static str, Value)`; expose it here
-/// without dragging the Model trait into main's imports.
-trait PublicValues {
-    fn to_values_public(&self) -> Vec<(&'static str, amp_simdb::Value)>;
-}
-
-impl PublicValues for Simulation {
-    fn to_values_public(&self) -> Vec<(&'static str, amp_simdb::Value)> {
-        use amp_simdb::orm::Model;
-        self.to_values()
-    }
 }

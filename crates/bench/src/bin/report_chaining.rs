@@ -8,26 +8,18 @@
 //! Usage: `cargo run --release -p amp-bench --bin report_chaining`
 
 use amp_bench::queue;
-use amp_core::OptimizationSpec;
 
 fn main() {
     println!("== G2: sequential continuations vs job chaining (section 6) ==\n");
-    let spec = OptimizationSpec {
-        ga_runs: 2,
-        population: 30,
-        generations: 60, // needs several walltime-limited jobs per run
-        cores_per_run: 128,
-        seed: 13,
-    };
     println!(
         "{:<10} {:>12} {:>16} {:>16} {:>14}",
         "system", "mode", "mean wait (min)", "total wait (h)", "makespan (h)"
     );
-    for profile in [amp_grid::systems::kraken(), amp_grid::systems::lonestar()] {
+    for profile in queue::chaining_systems() {
         let name = profile.name.clone();
-        let mut rows = Vec::new();
-        for &chaining in &[false, true] {
-            let study = queue::run_study(profile.clone(), 2, spec.clone(), chaining, 4242, 1.05);
+        let mut studies = Vec::new();
+        for chaining in [false, true] {
+            let study = queue::chaining_study(profile.clone(), chaining);
             let total_wait_h = study.stats.mean_wait_secs * study.stats.jobs as f64 / 3600.0;
             println!(
                 "{:<10} {:>12} {:>16.1} {:>16.1} {:>14.1}",
@@ -37,14 +29,13 @@ fn main() {
                 total_wait_h,
                 study.makespan_hours,
             );
-            rows.push((total_wait_h, study.makespan_hours));
+            studies.push(study);
         }
-        let (seq, chain) = (&rows[0], &rows[1]);
         println!(
             "{:<10} {:>12} makespan change {:+.1}% | cumulative wait includes overlapped queueing\n",
             name,
             "->",
-            (chain.1 - seq.1) / seq.1 * 100.0,
+            queue::makespan_change(&studies[0], &studies[1]) * 100.0,
         );
     }
     println!(

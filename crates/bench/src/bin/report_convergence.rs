@@ -4,53 +4,19 @@
 //!
 //! Usage: `cargo run --release -p amp-bench --bin report_convergence`
 
-use amp_bench::{convergence, target_star};
-use amp_stellar::StellarParams;
+use amp_bench::convergence;
 
 fn main() {
     println!("== C1: iteration-time convergence (paper: 160x-180x of first iteration) ==\n");
-    let bench = 23.6; // Kraken, the production target
-    let mut ratios = Vec::new();
-    for (label, truth, seed) in [
-        ("mid-domain target", target_star(), 5u64),
-        (
-            "young 1.2 Msun",
-            StellarParams {
-                mass: 1.2,
-                age: 2.0,
-                ..target_star()
-            },
-            21,
-        ),
-        (
-            "old subgiant",
-            StellarParams {
-                mass: 0.9,
-                age: 8.0,
-                ..target_star()
-            },
-            99,
-        ),
-        (
-            "metal-poor dwarf",
-            StellarParams {
-                metallicity: 0.008,
-                age: 5.5,
-                ..target_star()
-            },
-            12,
-        ),
-    ] {
-        let series = convergence::series(&truth, bench, 126, 200, seed);
-        let ratio = convergence::ratio(&series);
-        ratios.push(ratio);
-        let first = series[0].1;
-        let last50: f64 = series[151..].iter().map(|(_, c)| c).sum::<f64>() / 50.0;
+    let runs = convergence::study();
+    for run in &runs {
+        let (label, ratio, first, last50) = (run.label, run.ratio, run.first, run.last50_mean);
         println!(
             "{label:<18} first iter {first:>6.1} min | mean of last 50 iters {last50:>6.1} min | total/first = {ratio:>5.1}x"
         );
         // a compact sparkline of iteration cost every 10 generations
-        let marks: String = series
+        let marks: String = run
+            .series
             .iter()
             .step_by(10)
             .map(|(_, c)| {
@@ -66,10 +32,10 @@ fn main() {
             .collect();
         println!("{:<18} cost/10gen: [{marks}]", "");
     }
-    let mean = ratios.iter().sum::<f64>() / ratios.len() as f64;
+    let mean = convergence::mean_ratio(&runs);
     println!("\nmean ratio {mean:.1}x (paper: \"about 160x to 180x\")");
     println!(
         "all within the approximate band [140, 190]: {}",
-        ratios.iter().all(|r| (140.0..190.0).contains(r))
+        runs.iter().all(|r| convergence::BAND.contains(&r.ratio))
     );
 }

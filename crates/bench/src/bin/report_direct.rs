@@ -5,63 +5,22 @@
 //!
 //! Usage: `cargo run --release -p amp-bench --bin report_direct`
 
-use amp_bench::{load_jobs, load_sim, quiet_deployment, submit, target_star};
-use amp_core::models::Simulation;
-use amp_core::{JobPurpose, SimStatus};
-use amp_gridamp::seed_fixtures;
-use amp_stellar::StellarParams;
+use amp_bench::direct;
 
 fn main() {
     println!("== C2: direct model runs (paper: 10-15 min, 1 processor, few kB) ==\n");
-    // TACC systems are the 10-15 minute reference (benchmark 15.1 / 21.1).
-    let profile = amp_grid::systems::lonestar();
-    let mut dep = quiet_deployment(profile, 24.0);
-    let (user, star, alloc, _obs) =
-        seed_fixtures(&dep.db, "lonestar", &target_star(), 8).expect("fixtures");
-
-    let cases = [
-        (
-            "young dwarf",
-            StellarParams {
-                mass: 0.9,
-                age: 2.0,
-                ..target_star()
-            },
-        ),
-        ("solar analogue", StellarParams::sun()),
-        ("Kepler-like target", target_star()),
-        ("evolved benchmark", StellarParams::benchmark()),
-    ];
     println!(
         "{:<20} {:>12} {:>10} {:>14}",
         "star", "run (min)", "cores", "output (kB)"
     );
-    let mut minutes_all = Vec::new();
-    for (label, params) in cases {
-        let sim_id = submit(
-            &dep,
-            Simulation::new_direct(
-                star,
-                user,
-                params,
-                "lonestar",
-                alloc,
-                dep.grid.now().as_secs() as i64,
-            ),
+    let runs = direct::study();
+    for run in &runs {
+        println!(
+            "{:<20} {:>12.1} {:>10} {:>14.1}",
+            run.label, run.minutes, run.cores, run.output_kb
         );
-        dep.daemon.run_until_settled(&dep.grid, 24.0);
-        let sim = load_sim(&dep, sim_id);
-        assert_eq!(sim.status, SimStatus::Done, "{}", sim.status_message);
-        let work = load_jobs(&dep, sim_id)
-            .into_iter()
-            .find(|j| j.purpose == JobPurpose::Work)
-            .expect("work job");
-        let minutes = work.run_secs().unwrap() as f64 / 60.0;
-        let kb = sim.result_json.as_ref().map(|r| r.len()).unwrap_or(0) as f64 / 1024.0;
-        println!("{label:<20} {minutes:>12.1} {:>10} {kb:>14.1}", work.cores);
-        minutes_all.push(minutes);
     }
-    let lo = minutes_all.iter().cloned().fold(f64::INFINITY, f64::min);
-    let hi = minutes_all.iter().cloned().fold(0.0, f64::max);
+    let lo = runs.iter().map(|r| r.minutes).fold(f64::INFINITY, f64::min);
+    let hi = runs.iter().map(|r| r.minutes).fold(0.0, f64::max);
     println!("\nrange {lo:.1}-{hi:.1} min on 1 processor  [paper: 10-15 min]");
 }

@@ -32,13 +32,16 @@ fn main() {
     assert_eq!(sim.status, SimStatus::Done, "{}", sim.status_message);
 
     let jobs = load_jobs(&dep, sim_id);
+    let lanes: Vec<Vec<_>> = (0..spec.ga_runs as i64)
+        .map(|r| {
+            jobs.iter()
+                .filter(|j| j.purpose == JobPurpose::Work && j.ga_run == r)
+                .collect()
+        })
+        .collect();
     println!("== Figure 1: AMP asteroseismology workflow (executed trace) ==\n");
     println!("Input observables");
-    for r in 0..spec.ga_runs as i64 {
-        let chain: Vec<_> = jobs
-            .iter()
-            .filter(|j| j.purpose == JobPurpose::Work && j.ga_run == r)
-            .collect();
+    for (r, chain) in lanes.iter().enumerate() {
         let boxes: String = chain
             .iter()
             .map(|j| {
@@ -73,13 +76,7 @@ fn main() {
     println!("  (plus fork stages: {})", forks.len());
 
     println!("\nshape checks vs Figure 1:");
-    let per_run: Vec<usize> = (0..spec.ga_runs as i64)
-        .map(|r| {
-            jobs.iter()
-                .filter(|j| j.purpose == JobPurpose::Work && j.ga_run == r)
-                .count()
-        })
-        .collect();
+    let per_run: Vec<usize> = lanes.iter().map(Vec::len).collect();
     println!("  {} parallel GA runs        [figure: 4]", per_run.len());
     println!(
         "  jobs per run {:?} (chains)  [figure: '...' = several]",
@@ -90,23 +87,14 @@ fn main() {
         solution.len() == 1
     );
     // the GA runs genuinely overlapped in time
-    let starts: Vec<i64> = (0..spec.ga_runs as i64)
-        .filter_map(|r| {
-            jobs.iter()
-                .filter(|j| j.purpose == JobPurpose::Work && j.ga_run == r)
-                .filter_map(|j| j.started_at)
-                .min()
-        })
+    let starts = lanes
+        .iter()
+        .filter_map(|l| l.iter().filter_map(|j| j.started_at).min());
+    let ends: Vec<i64> = lanes
+        .iter()
+        .filter_map(|l| l.iter().filter_map(|j| j.ended_at).max())
         .collect();
-    let ends: Vec<i64> = (0..spec.ga_runs as i64)
-        .filter_map(|r| {
-            jobs.iter()
-                .filter(|j| j.purpose == JobPurpose::Work && j.ga_run == r)
-                .filter_map(|j| j.ended_at)
-                .max()
-        })
-        .collect();
-    let overlap = starts.iter().max().unwrap() < ends.iter().min().unwrap();
+    let overlap = starts.max().unwrap() < *ends.iter().min().unwrap();
     println!("  GA runs overlap in time:   {overlap}   [figure: parallel lanes]");
     // solution ran after every GA run finished
     let sol_start = solution[0].started_at.unwrap();

@@ -6,39 +6,18 @@
 //! Usage: `cargo run --release -p amp-bench --bin report_gantt`
 
 use amp_bench::queue;
-use amp_core::OptimizationSpec;
 use amp_gridamp::render_ascii;
 
 fn main() {
     println!("== G1: job wait vs execution time across systems ==\n");
-    let spec = OptimizationSpec {
-        ga_runs: 2,
-        population: 30,
-        generations: 40,
-        cores_per_run: 128,
-        seed: 77,
-    };
     let mut summaries = Vec::new();
     for profile in amp_grid::systems::table1_systems() {
-        let name = profile.name.clone();
-        let study = queue::run_study(
-            profile.clone(),
-            2,
-            spec.clone(),
-            false,
-            1234,
-            profile.background_utilization + 0.35,
-        );
+        let study = queue::gantt_study(profile);
+        let name = study.system.clone();
         println!(
             "--- {} (offered background load {:.0}% of capacity) ---",
             name,
-            (amp_grid::systems::table1_systems()
-                .iter()
-                .find(|p| p.name == name)
-                .unwrap()
-                .background_utilization
-                + 0.35)
-                * 100.0
+            study.offered_load * 100.0
         );
         // one chart per simulation
         for chart in &study.charts {

@@ -35,33 +35,24 @@ fn main() {
     );
 
     // Shape checks the paper's narrative draws from the table.
-    let frost = &measured[0];
-    let lonestar = &measured[2];
-    let cheapest_sus = measured
-        .iter()
-        .min_by(|a, b| a.sus.total_cmp(&b.sus))
-        .unwrap();
-    let fastest = measured
-        .iter()
-        .min_by(|a, b| a.opt_hours.total_cmp(&b.opt_hours))
-        .unwrap();
+    let shape = table1::shape(&measured);
     println!("shape checks:");
     println!(
         "  fastest system:      {} ({:.1} h)   [paper: lonestar]",
-        fastest.system, fastest.opt_hours
+        shape.fastest.system, shape.fastest.opt_hours
     );
     println!(
         "  fewest SUs:          {} ({:.0} SUs) [paper: lonestar]",
-        cheapest_sus.system, cheapest_sus.sus
+        shape.fewest_sus.system, shape.fewest_sus.sus
     );
     println!(
         "  frost/lonestar time: {:.1}x          [paper: {:.1}x]",
-        frost.opt_hours / lonestar.opt_hours,
-        293.3 / 40.4
+        shape.frost_over_lonestar,
+        table1::shape(&table1::paper_rows()).frost_over_lonestar
     );
     println!(
         "  frost > 12 days:     {}            [paper: 'over 12 days']",
-        frost.opt_hours > 12.0 * 24.0
+        shape.frost_over_12_days
     );
 
     // §2's deployment decision, recomputed from the measured landscape.

@@ -78,11 +78,6 @@ impl AppRun {
         self.outputs.insert(name.to_string(), data);
         self
     }
-
-    pub fn with_checkpoint(mut self, name: &str, data: Vec<u8>) -> Self {
-        self.checkpoint_outputs.insert(name.to_string(), data);
-        self
-    }
 }
 
 /// An executable installed on a site.

@@ -254,10 +254,6 @@ impl Grid {
         self.site(name)
     }
 
-    pub fn site_names(&self) -> Vec<String> {
-        self.sites.keys().cloned().collect()
-    }
-
     /// Register a quiet site (no competing load).
     pub fn add_site(&mut self, profile: SystemProfile) {
         let name = profile.name.clone();

@@ -99,17 +99,6 @@ impl BatchJob {
             JobState::Cancelled { .. } => SimDuration::ZERO,
         }
     }
-
-    pub fn run_time(&self) -> Option<SimDuration> {
-        match &self.state {
-            JobState::Done {
-                started_at,
-                ended_at,
-                ..
-            } => Some(*ended_at - *started_at),
-            _ => None,
-        }
-    }
 }
 
 /// Synthetic background workload generator: Poisson arrivals sized so the

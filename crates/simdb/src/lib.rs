@@ -370,10 +370,6 @@ pub struct Connection {
 }
 
 impl Connection {
-    pub fn role_name(&self) -> &str {
-        &self.role.name
-    }
-
     /// This connection, deferring: every commit is logged and published
     /// before it returns but waits for no flush, so a crash may lose a
     /// suffix of them — back to the last flush by *any* connection. For a

@@ -162,12 +162,6 @@ impl ReadView {
             .collect()
     }
 
-    /// One instance by primary key.
-    pub fn get_model<M: Model>(&self, id: i64) -> Result<M, DbError> {
-        let row = self.get(M::TABLE, id)?;
-        M::from_row(id, &row)
-    }
-
     /// Primary keys of the matching rows (no row clones, no decode) — the
     /// worklist-builder companion to [`Manager::ids`].
     pub fn ids<M: Model>(&self, query: &Query) -> Result<Vec<i64>, DbError> {
@@ -176,11 +170,6 @@ impl ReadView {
             .into_iter()
             .map(|(id, _)| id)
             .collect())
-    }
-
-    /// Count of matching rows of `M`.
-    pub fn count_of<M: Model>(&self, query: &Query) -> Result<usize, DbError> {
-        self.count(M::TABLE, query)
     }
 }
 

@@ -102,10 +102,6 @@ impl Role {
         self
     }
 
-    pub fn grant_mut(&mut self, table: &str, perms: PermSet) {
-        self.grants.insert(table.to_string(), perms);
-    }
-
     pub fn revoke(&mut self, table: &str) {
         self.grants.remove(table);
     }
