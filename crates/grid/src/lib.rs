@@ -58,7 +58,7 @@ pub mod time;
 pub use crate::app::{AppContext, AppRegistry, AppRun, Application};
 pub use crate::audit::{AuditLog, AuditRecord};
 pub use crate::error::GridError;
-pub use crate::fault::{DaemonFault, DaemonFaultEvent, DaemonFaultPlan, FaultPlan, Service};
+pub use crate::fault::{FaultPlan, Service};
 pub use crate::fs::SiteFs;
 pub use crate::gram::{
     GramJobHandle, GramJobSpec, GramService, GramState, GramSubmission, JobTimes,
@@ -72,7 +72,7 @@ pub use crate::time::{SimDuration, SimTime};
 pub mod prelude {
     pub use crate::app::{AppContext, AppRun, Application};
     pub use crate::error::GridError;
-    pub use crate::fault::{DaemonFault, DaemonFaultEvent, DaemonFaultPlan, Service};
+    pub use crate::fault::Service;
     pub use crate::gram::{GramJobHandle, GramJobSpec, GramService, GramState, JobTimes};
     pub use crate::gss::{CommunityCredential, ProxyCertificate};
     pub use crate::time::{SimDuration, SimTime};

@@ -36,14 +36,6 @@ pub struct SystemProfile {
     pub background_utilization: f64,
 }
 
-/// One system is a grid of one: what takes a list of systems takes a
-/// single profile as it is.
-impl From<SystemProfile> for Vec<SystemProfile> {
-    fn from(profile: SystemProfile) -> Self {
-        vec![profile]
-    }
-}
-
 impl SystemProfile {
     pub fn walltime_limit(&self) -> SimDuration {
         SimDuration::from_hours(self.walltime_limit_hours)

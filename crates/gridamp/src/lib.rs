@@ -43,10 +43,7 @@ pub use gantt::{chart_for, render_ascii, stats, GanttChart, GanttRow, WaitRunSta
 pub use lease::ClaimOutcome;
 pub use optimize::OptimizationResult;
 pub use problem::StellarFitProblem;
-pub use setup::{
-    deploy, deploy_cluster, seed_curvefit_fixtures, seed_fixtures, small_spec, ClusterDeployment,
-    Deployment,
-};
+pub use setup::{deploy, seed_curvefit_fixtures, seed_fixtures, small_spec, Deployment};
 pub use workflow::{workflow_table, DaemonConfig, StageCtx, StepPoint};
 
 #[cfg(test)]

@@ -309,7 +309,10 @@ pub fn check_work(ctx: &mut StageCtx<'_>) -> Result<bool, WorkflowError> {
             )?;
             Ok(false)
         }
-        Some(JobStatus::Done) => Ok(true),
+        // No later step asks for a continuation whose replies were all lost
+        // until its run converged: record what the site accepted before the
+        // simulation leaves its chains, so that its hours are charged.
+        Some(JobStatus::Done) => ctx.reconcile().map(|()| true),
         Some(JobStatus::Failed) => Err(WorkflowError::ModelFailure(format!(
             "solution evaluation failed: {}",
             solution[0].detail

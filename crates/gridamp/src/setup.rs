@@ -19,77 +19,28 @@ pub struct Deployment {
     pub daemon: GridAmp,
 }
 
-/// The wiring every deployment shares: an in-memory database with the
-/// schema and roles, one daemon per config, and every site registered
-/// (with or without background load), carrying the AMP software stack and
-/// authorizing every daemon's community credential (the §4.3 "deployed as
+/// Build a deployment of one daemon against one simulated system: an
+/// in-memory database with the schema and roles, the site registered (with
+/// or without background load) and carrying the AMP software stack, and the
+/// daemon's community credential authorized there (the §4.3 "deployed as
 /// soon as the community account has been authorized" property — nothing
 /// else is needed).
-fn wire(
-    profiles: Vec<SystemProfile>,
-    configs: Vec<DaemonConfig>,
-    background_seed: Option<u64>,
-) -> Result<(Db, Grid, Vec<GridAmp>), DbError> {
-    let db = Db::in_memory();
-    amp_core::setup::initialize(&db)?;
-    let daemons = configs
-        .into_iter()
-        .map(|config| GridAmp::new(&db, config))
-        .collect::<Result<Vec<_>, _>>()?;
-    let mut grid = Grid::new();
-    for profile in profiles {
-        let site = profile.name.clone();
-        match background_seed {
-            Some(seed) => grid.add_site_with_background(profile, seed),
-            None => grid.add_site(profile),
-        }
-        crate::apps::install_amp_stack(&mut grid, &site);
-        for daemon in &daemons {
-            grid.authorize(&site, daemon.credential());
-        }
-    }
-    Ok((db, grid, daemons))
-}
-
-/// Build a deployment of one daemon against one simulated system, or
-/// against several (pass a `Vec`) — the TeraGrid shape of Figure 1, where
-/// one daemon drives simulations on frost, kraken, lonestar and ranger at
-/// once.
 pub fn deploy(
-    profiles: impl Into<Vec<SystemProfile>>,
+    profile: SystemProfile,
     config: DaemonConfig,
     background_seed: Option<u64>,
 ) -> Result<Deployment, DbError> {
-    let (db, grid, mut daemons) = wire(profiles.into(), vec![config], background_seed)?;
-    let daemon = daemons.pop().expect("one config, one daemon");
+    let db = Db::in_memory();
+    amp_core::setup::initialize(&db)?;
+    let daemon = GridAmp::new(&db, config)?;
+    let (mut grid, site) = (Grid::new(), profile.name.clone());
+    match background_seed {
+        Some(seed) => grid.add_site_with_background(profile, seed),
+        None => grid.add_site(profile),
+    }
+    crate::apps::install_amp_stack(&mut grid, &site);
+    grid.authorize(&site, daemon.credential());
     Ok(Deployment { db, grid, daemon })
-}
-
-/// A multi-daemon control plane against one database and one grid: the
-/// lease-based scale-out deployment the chaos tests exercise.
-pub struct ClusterDeployment {
-    pub db: Db,
-    pub grid: Grid,
-    pub daemons: Vec<GridAmp>,
-}
-
-/// Build `n` daemons (distinct `daemon_id`s `gridamp-0..n`) sharing one
-/// database and one simulated system. Every daemon's community credential
-/// is authorized at the site, so any of them can drive any simulation —
-/// the lease table decides who actually does.
-pub fn deploy_cluster(
-    profile: SystemProfile,
-    base_config: DaemonConfig,
-    n: usize,
-) -> Result<ClusterDeployment, DbError> {
-    let configs = (0..n)
-        .map(|i| DaemonConfig {
-            daemon_id: format!("gridamp-{i}"),
-            ..base_config.clone()
-        })
-        .collect();
-    let (db, grid, daemons) = wire(vec![profile], configs, None)?;
-    Ok(ClusterDeployment { db, grid, daemons })
 }
 
 /// Seed a user (approved), a star, an allocation, and an observation set

@@ -23,7 +23,7 @@
 use std::sync::Arc;
 
 use amp_core::app::{self, ScienceApp};
-use amp_core::models::{AmpUser, GridJobRecord, Simulation};
+use amp_core::models::{AmpUser, GridJobRecord, Lease, Simulation};
 use amp_core::status::{JobPurpose, JobStatus, SimStatus};
 use amp_core::SimKind;
 use amp_grid::{
@@ -244,31 +244,67 @@ impl StageCtx<'_> {
         )?)
     }
 
-    /// Verify this step still holds the lease it started under — the
-    /// fencing-epoch guard. Re-reads the lease row immediately before any
-    /// GRAM submission: a daemon that paused past its lease expiry finds
-    /// the epoch bumped (or the row re-owned) and backs out with a
-    /// transient error instead of double-submitting. The simulation is
-    /// then retried by its new owner.
-    fn check_fence(&mut self) -> Result<(), WorkflowError> {
-        let Some(epoch) = self.lease_epoch else {
-            return Ok(());
-        };
+    /// Whether `lease` is the one this step started under — the
+    /// fencing-epoch guard (always true with fencing off).
+    fn holds(&self, lease: Option<&Lease>) -> bool {
+        self.lease_epoch.is_none_or(|epoch| {
+            lease.is_some_and(|l| l.daemon_id == self.config.daemon_id && l.epoch == epoch)
+        })
+    }
+
+    /// The transient error a fenced-out step backs out with; the
+    /// simulation is then retried by its new owner.
+    fn fenced(&self, lease: Option<Lease>) -> WorkflowError {
         let sim_id = self.sim.id.expect("saved sim");
-        let lease = crate::lease::current(self.conn, sim_id)?;
-        let ok = lease
-            .as_ref()
-            .is_some_and(|l| l.daemon_id == self.config.daemon_id && l.epoch == epoch);
-        if ok {
-            return Ok(());
-        }
+        let epoch = self.lease_epoch.expect("fencing on");
         let holder = lease
             .map(|l| format!("{} at epoch {}", l.daemon_id, l.epoch))
             .unwrap_or_else(|| "nobody".to_string());
         let msg = format!("fenced: sim {sim_id} lease moved to {holder} (we held epoch {epoch})");
         amp_obs::counter("daemon_lease_fences_total").inc();
         amp_obs::flight().record("lease_fence", format!("t={} {}", self.now(), msg));
-        Err(WorkflowError::Transient(msg))
+        WorkflowError::Transient(msg)
+    }
+
+    /// Re-read the lease row immediately before a GRAM submission: a daemon
+    /// that paused past its lease expiry finds the epoch bumped (or the row
+    /// re-owned) and backs out instead of submitting.
+    fn check_fence(&mut self) -> Result<(), WorkflowError> {
+        if self.lease_epoch.is_none() {
+            return Ok(());
+        }
+        let lease = crate::lease::current(self.conn, self.sim.id.expect("saved sim"))?;
+        match self.holds(lease.as_ref()) {
+            true => Ok(()),
+            false => Err(self.fenced(lease)),
+        }
+    }
+
+    /// Write a submission's job record in one transaction with a re-read of
+    /// the lease, so that a peer's takeover (a compare-and-swap on the
+    /// lease row) lands wholly before it — and nothing is written — or
+    /// wholly after. A daemon that stalls between the site's acceptance and
+    /// this write therefore leaves the job to the new owner, which asks the
+    /// site for it again or reconciles it.
+    fn record(&self, rec: &mut GridJobRecord) -> Result<(), WorkflowError> {
+        let values = rec.to_values();
+        let of_sim = Query::new().eq("simulation_id", rec.simulation_id);
+        let tables = [Lease::TABLE, GridJobRecord::TABLE];
+        let (lease, id) = self.conn.transaction(&tables, |tx| {
+            let leases = match self.lease_epoch {
+                Some(_) => tx.select(Lease::TABLE, &of_sim)?,
+                None => Vec::new(),
+            };
+            let lease = leases.first().map(|(id, row)| Lease::from_row(*id, row));
+            let lease = lease.transpose()?;
+            let id = match self.holds(lease.as_ref()) {
+                true => Some(tx.insert(GridJobRecord::TABLE, &values)?),
+                false => None,
+            };
+            Ok((lease, id))
+        })?;
+        rec.set_id(id.ok_or_else(|| self.fenced(lease))?);
+        Ok(())
     }
 
     /// Submit a fork script job (idempotent: returns the existing record
@@ -345,7 +381,8 @@ impl StageCtx<'_> {
     }
 
     /// The one path to GRAM: fence, submit `spec` under the job-state key's
-    /// [`submission_id`], write the job record. The record waits for the
+    /// [`submission_id`], write the job record under the fence again
+    /// ([`Self::record`]). The record waits for the
     /// tick's flush like every other write, because it can be re-derived:
     /// whoever steps this simulation next — after a crash before the record
     /// was durable, or a reply lost after the site accepted — renders the
@@ -376,7 +413,7 @@ impl StageCtx<'_> {
         rec.status = JobStatus::Pending;
         rec.submitted_at = Some(self.now());
         self.at(StepPoint::Accepted, &rec);
-        self.jobs().create(&mut rec)?;
+        self.record(&mut rec)?;
         self.at(StepPoint::Recorded, &rec);
         Ok(rec)
     }
@@ -388,8 +425,11 @@ impl StageCtx<'_> {
     /// the same job (so a QUEUED simulation, whose first stage list asks for
     /// all it can have submitted, has nothing to do here). This is for the
     /// one nobody asks for again: a continuation accepted just before a
-    /// crash, whose run converged before anyone came back. An unreachable
-    /// site fails the step like any GRAM outage, and the next one asks again.
+    /// crash, whose run converged before anyone came back — or whose replies
+    /// were all lost until it converged, which is why an optimization also
+    /// reconciles as it leaves its chains ([`crate::optimize::check_work`]).
+    /// An unreachable site fails the step
+    /// like any GRAM outage, and the next one asks again.
     pub(crate) fn reconcile(&mut self) -> Result<(), WorkflowError> {
         if self.sim.status == SimStatus::Queued {
             return Ok(());
@@ -406,7 +446,7 @@ impl StageCtx<'_> {
             rec.submitted_at = times.map(|t| t.submitted_at.as_secs() as i64);
             rec.status = JobStatus::Pending;
             rec.gram_handle = Some(sub.handle.0);
-            self.jobs().create(&mut rec)?;
+            self.record(&mut rec)?;
             submission_counters()[2].inc();
             amp_obs::flight().record("reconciled", format!("sim {sim_id}: {}", sub.id));
         }

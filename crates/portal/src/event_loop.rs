@@ -60,6 +60,13 @@ const SCRATCH_BYTES: usize = 16 * 1024;
 /// request after the last inline answer goes to the pool).
 const READS_PER_WAKEUP: usize = 8;
 
+/// Parsed requests waiting for a worker before `accept` pauses.
+const QUEUE_DEPTH: usize = 128;
+
+/// Concurrently open connections; past this, accept pauses and new clients
+/// wait in the kernel backlog.
+const MAX_CONNECTIONS: usize = 16_384;
+
 // ---------------------------------------------------------------------------
 // OS readiness poller: epoll (Linux FFI) with a portable poll(2) fallback.
 // ---------------------------------------------------------------------------
@@ -835,8 +842,8 @@ impl EventLoop {
     fn accept_ready(&mut self, now: Instant) {
         loop {
             if self.draining
-                || self.slab.live >= self.config.max_connections
-                || self.dispatcher.queue_len() >= self.config.queue_depth
+                || self.slab.live >= MAX_CONNECTIONS
+                || self.dispatcher.queue_len() >= QUEUE_DEPTH
             {
                 break;
             }
@@ -875,8 +882,8 @@ impl EventLoop {
     /// the kernel backlog instead of growing server state.
     fn update_accept_interest(&mut self) {
         let want = !self.draining
-            && self.slab.live < self.config.max_connections
-            && self.dispatcher.queue_len() < self.config.queue_depth;
+            && self.slab.live < MAX_CONNECTIONS
+            && self.dispatcher.queue_len() < QUEUE_DEPTH;
         if want != self.accepting {
             self.accepting = want;
             self.poller

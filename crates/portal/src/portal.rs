@@ -60,9 +60,10 @@ pub struct PortalConfig {
     /// (see [`crate::cache`]). Disable to force every request through a
     /// fresh render — the cache property test diffs the two.
     pub cache_enabled: bool,
-    /// Maximum cached entries before wholesale eviction.
-    pub cache_capacity: usize,
 }
+
+/// Maximum cached responses before wholesale eviction.
+const CACHE_CAPACITY: usize = 4096;
 
 impl Default for PortalConfig {
     fn default() -> Self {
@@ -72,7 +73,6 @@ impl Default for PortalConfig {
             simbad_seed: 2009,
             site_title: "Asteroseismic Modeling Portal".into(),
             cache_enabled: true,
-            cache_capacity: 4096,
         }
     }
 }
@@ -101,7 +101,7 @@ impl Portal {
         } else {
             None
         };
-        let cache = ResponseCache::new(config.cache_capacity);
+        let cache = ResponseCache::new(CACHE_CAPACITY);
         let mut portal = Portal {
             conn,
             admin_conn,

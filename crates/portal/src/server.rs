@@ -20,7 +20,7 @@
 //!   close is attributed: `portal_connections_closed_total{reason=...}`;
 //! * backpressure is layered: per-connection (read interest off while a
 //!   response is in flight), queue (accept pauses when the dispatch
-//!   queue fills), and global ([`ServerConfig::max_connections`]).
+//!   queue fills), and global (a fixed cap on open connections).
 //!
 //! The portal logic itself stays transport-independent
 //! ([`Portal::handle`]), which is also how the integration tests drive it.
@@ -107,8 +107,6 @@ pub struct ServerConfig {
     /// Worker threads running [`Portal::handle`] (socket I/O is not
     /// theirs: the event loop owns every connection).
     pub workers: usize,
-    /// Parsed requests waiting for a worker before `accept` pauses.
-    pub queue_depth: usize,
     /// Honour HTTP keep-alive (off forces `Connection: close` after the
     /// first response, the seed behaviour — useful for benchmarks).
     pub keep_alive: bool,
@@ -121,9 +119,6 @@ pub struct ServerConfig {
     /// Reject requests whose buffered or declared size exceeds this
     /// (answered `413 Payload Too Large`).
     pub max_request_bytes: usize,
-    /// Concurrently open connections; past this, accept pauses and new
-    /// clients wait in the kernel backlog.
-    pub max_connections: usize,
     /// Artificial per-request service delay (benchmarks and drain tests
     /// only; zero in production configs). Non-zero, it stands for a slow
     /// handler: every request then goes to the pool, cache hits included.
@@ -134,12 +129,10 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             workers: 4,
-            queue_depth: 128,
             keep_alive: true,
             idle_timeout: Duration::from_secs(5),
             read_deadline: Duration::from_secs(10),
             max_request_bytes: 1 << 20,
-            max_connections: 16_384,
             handler_delay: Duration::ZERO,
         }
     }

@@ -1,14 +1,27 @@
-//! Shared support for the integration suites: canonical fixtures plus
-//! the deterministic chaos scheduler the failure-injection and
-//! lease-failover tests drive their daemons with.
+//! Shared support for the integration suites: canonical fixtures, the naive
+//! storage model the property tests check against, and the seeded world the
+//! fault suites drive.
+//!
+//! A [`World`] is one deployment: a database (in memory, or durable with
+//! fsync on in a temporary directory), the simulated grid with the AMP stack
+//! on every site, and N daemons sharing both, each authorized. A
+//! [`Schedule`] says what goes wrong in it and at which round of a run;
+//! [`World::run`] is the one drive loop.
 
 #![allow(dead_code)]
 
 use std::collections::{BTreeMap, HashSet};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
+use std::sync::{Arc, Mutex};
 
+use amp::grid::systems::SystemProfile;
+use amp::gridamp::{StepPoint, TickReport};
 use amp::prelude::*;
 use amp::simdb::{Row, Value};
-use amp_grid::{DaemonFault, DaemonFaultEvent, DaemonFaultPlan};
+use rand::{RngExt, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 
 /// A naive model of a database of plain tables (no constraints, no foreign
 /// keys): per table its rows by id and the next id to hand out. The storage
@@ -51,8 +64,7 @@ impl ModelDb {
     }
 }
 
-/// The canonical "truth" star the failure suites synthesize observations
-/// from.
+/// The canonical "truth" star the suites synthesize observations from.
 pub fn truth() -> StellarParams {
     StellarParams {
         mass: 1.05,
@@ -63,17 +75,105 @@ pub fn truth() -> StellarParams {
     }
 }
 
-/// A single-daemon kraken deployment with the given work walltime.
-pub fn deployment(walltime_hours: f64) -> amp::gridamp::Deployment {
-    amp::gridamp::deploy(
-        amp::grid::systems::kraken(),
-        DaemonConfig {
-            work_walltime_hours: walltime_hours,
-            ..DaemonConfig::default()
-        },
-        None,
-    )
-    .unwrap()
+/// Ground truth for the synthetic curve-fitting campaigns.
+pub fn curve_truth() -> amp::core::app::curvefit::CurveParams {
+    amp::core::app::curvefit::CurveParams {
+        amplitude: 1.4,
+        decay: 0.25,
+        omega: 4.0,
+        phase: 0.6,
+        offset: 0.3,
+    }
+}
+
+/// The default daemon with this work walltime.
+pub fn walltime(hours: f64) -> DaemonConfig {
+    DaemonConfig {
+        work_walltime_hours: hours,
+        ..DaemonConfig::default()
+    }
+}
+
+/// An optimization of `ga_runs` GA runs of `population` × `generations`,
+/// each on `cores_per_run` cores.
+pub fn spec(
+    ga_runs: u32,
+    population: u32,
+    generations: u32,
+    cores: u32,
+    seed: u64,
+) -> OptimizationSpec {
+    OptimizationSpec {
+        ga_runs,
+        population,
+        generations,
+        cores_per_run: cores,
+        seed,
+    }
+}
+
+/// Queue `sim` through the portal's connection; returns its id.
+pub fn queue(db: &Db, mut sim: Simulation) -> i64 {
+    let web = db.connect(amp::core::roles::ROLE_WEB).unwrap();
+    Manager::<Simulation>::new(web).create(&mut sim).unwrap()
+}
+
+pub fn sim(db: &Db, sim_id: i64) -> Simulation {
+    let admin = db.connect(amp::core::roles::ROLE_ADMIN).unwrap();
+    Manager::<Simulation>::new(admin).get(sim_id).unwrap()
+}
+
+/// The simulation's row, which must be DONE.
+pub fn done(db: &Db, sim_id: i64) -> Simulation {
+    let sim = sim(db, sim_id);
+    assert_eq!(
+        sim.status,
+        SimStatus::Done,
+        "sim {sim_id}: {}",
+        sim.status_message
+    );
+    sim
+}
+
+/// Every job record of `purpose` ("WORK", …) of a simulation.
+pub fn jobs_of(db: &Db, sim_id: i64, purpose: &str) -> Vec<GridJobRecord> {
+    let admin = db.connect(amp::core::roles::ROLE_ADMIN).unwrap();
+    let of = Query::new()
+        .eq("simulation_id", sim_id)
+        .eq("purpose", purpose);
+    Manager::<GridJobRecord>::new(admin).filter(&of).unwrap()
+}
+
+/// An empty directory of its own for one test: `amp_<tag>_<pid>` under the
+/// system's temporary directory, wiped first.
+pub fn tmpdir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("amp_{tag}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// A durable world's snapshot and log, in its directory.
+pub const FILES: [&str; 2] = ["amp.snap", "amp.wal"];
+
+/// Open (or create) the database in `dir`, fsync on. `initialize` defines
+/// the roles, which live in memory, and creates only what is missing.
+pub fn open_durable(dir: &Path) -> Db {
+    let db = Db::open(dir.join(FILES[0]), dir.join(FILES[1])).unwrap();
+    db.set_fsync(true);
+    amp::core::setup::initialize(&db).unwrap();
+    db
+}
+
+/// What a crash at this instant would leave: the two files, as they are.
+pub fn copy_files(from: &Path, to: &Path) {
+    std::fs::create_dir_all(to).unwrap();
+    for file in FILES {
+        let _ = std::fs::remove_file(to.join(file));
+        if from.join(file).exists() {
+            std::fs::copy(from.join(file), to.join(file)).unwrap();
+        }
+    }
 }
 
 /// `(sim id, status, result)` for every simulation — the timing-free
@@ -82,135 +182,399 @@ pub fn final_states(db: &Db) -> Vec<(i64, String, Option<String>)> {
     let admin = db.connect(amp::core::roles::ROLE_ADMIN).unwrap();
     let mut sims = Manager::<Simulation>::new(admin).all().unwrap();
     sims.sort_by_key(|s| s.id);
-    sims.iter()
-        .map(|s| {
-            (
-                s.id.unwrap(),
-                s.status.as_str().to_string(),
-                s.result_json.clone(),
-            )
-        })
-        .collect()
+    let state = |s: &Simulation| {
+        (
+            s.id.unwrap(),
+            s.status.as_str().into(),
+            s.result_json.clone(),
+        )
+    };
+    sims.iter().map(state).collect()
+}
+
+/// Every allocation's `su_used`, in id order.
+pub fn su_used(db: &Db) -> Vec<f64> {
+    let admin = db.connect(amp::core::roles::ROLE_ADMIN).unwrap();
+    let mut allocations = Manager::<Allocation>::new(admin).all().unwrap();
+    allocations.sort_by_key(|a| a.id);
+    allocations.iter().map(|a| a.su_used).collect()
 }
 
 /// The duplicate-submission oracle: job-state keys — including the
 /// science application — are unique, and the grid saw exactly one GRAM
 /// submit per recorded job handle.
-pub fn assert_no_duplicate_submissions(db: &Db, grid: &amp::grid::Grid) {
+pub fn assert_no_duplicate_submissions(db: &Db, grid: &Grid) {
     let admin = db.connect(amp::core::roles::ROLE_ADMIN).unwrap();
     let jobs = Manager::<GridJobRecord>::new(admin).all().unwrap();
     let mut keys = HashSet::new();
     for j in &jobs {
-        assert!(
-            keys.insert((
-                j.app.as_str(),
-                j.simulation_id,
-                j.purpose.as_str(),
-                j.ga_run,
-                j.continuation
-            )),
-            "duplicate job-state row: app {} sim {} {} run {} cont {}",
-            j.app,
-            j.simulation_id,
-            j.purpose.as_str(),
-            j.ga_run,
-            j.continuation
-        );
+        let key = (&j.app, j.simulation_id, j.purpose, j.ga_run, j.continuation);
+        assert!(keys.insert(key), "duplicate job-state row {key:?}");
     }
     let handles = jobs.iter().filter(|j| j.gram_handle.is_some()).count();
     let audit = grid.audit();
-    let submits = audit
-        .records()
-        .iter()
-        .filter(|r| r.action == "submit")
-        .count();
-    assert_eq!(
-        submits, handles,
-        "every GRAM submit must map to exactly one job record handle"
-    );
+    let submits = audit.records().iter().filter(|r| r.action == "submit");
+    let why = "every GRAM submit must map to exactly one job record handle";
+    assert_eq!(submits.count(), handles, "{why}");
 }
 
-/// Drives a fleet of daemons through kill / pause / restart / clock-skew
-/// faults on a fixed, seeded schedule ([`DaemonFaultPlan`]). One
-/// `begin_round` call per harness round: it applies the faults due that
-/// round, restarts daemons whose downtime has ended (as fresh processes
-/// with fresh identities and empty memory), and returns the indices of
-/// the daemons allowed to tick.
-pub struct ChaosScheduler {
-    plan: DaemonFaultPlan,
+/// One thing that goes wrong in a [`World`].
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Fault {
+    /// `(daemon, down)`: the process dies, and `down` rounds later a new one
+    /// with a new identity and an empty memory takes its place, to re-earn
+    /// its leases through the lease table.
+    Kill(usize, u64),
+    /// `(daemon, rounds)`: a stop-the-world pause. The daemon keeps its
+    /// memory, stale beliefs about leases included, and resumes straight
+    /// into the fencing guards. Zero rounds wakes a paused daemon.
+    Pause(usize, u64),
+    /// `(daemon, secs)`: the daemon's clock runs ahead of the grid's
+    /// (behind, if negative), so it misjudges lease expiry.
+    Skew(usize, i64),
+    /// `(daemon)`: a new process under the same identity — its leases are
+    /// still its own, its memory is empty.
+    Restart(usize),
+    /// `(site, service, from, to)`: `service` at `site` is down over
+    /// `[from, to)`.
+    Outage(&'static str, Service, SimTime, SimTime),
+    /// `(site, from, to)`: over `[from, to)` GRAM at `site` does what a
+    /// submission asks, and the reply is lost.
+    LostReplies(&'static str, SimTime, SimTime),
+    /// The database checkpoints (`Db::compact`).
+    Checkpoint,
+    /// The durable world crashes at this instant.
+    Crash(Crash),
+}
+
+/// Where a durable world crashes: its files are copied to `<dir>/mid` as
+/// they are, and the tick unwinds. Instants are counted from 1, over every
+/// daemon.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Crash {
+    /// At this mid-tick instant (`pause_point`).
+    MidTick(usize),
+    /// At this point of this accepted GRAM submission (`step_point`).
+    InStep(usize, StepPoint),
+}
+
+/// What goes wrong in a world, and when: faults keyed by the round of a
+/// [`World::run`] they strike at, applied in the order they were added.
+/// Outages and lost replies are windows of grid time.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct Schedule {
+    pub events: Vec<(u64, Fault)>,
+}
+
+impl Schedule {
+    pub fn none() -> Schedule {
+        Schedule::default()
+    }
+
+    pub fn at(mut self, round: u64, fault: Fault) -> Schedule {
+        self.events.push((round, fault));
+        self
+    }
+
+    /// `count` seeded faults over daemons `0..daemons` and rounds
+    /// `0..rounds`: kills (down 1–5 rounds), pauses (1–4 rounds) and clock
+    /// skews (under 15 minutes either way) in roughly equal measure.
+    pub fn random_daemon_faults(self, daemons: u64, rounds: u64, count: usize, seed: u64) -> Self {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        (0..count).fold(self, |schedule, _| {
+            let round = rng.random_range(0..rounds);
+            let daemon = rng.random_range(0..daemons) as usize;
+            let fault = match rng.random_range(0..3u32) {
+                0 => Fault::Kill(daemon, rng.random_range(1..6u32).into()),
+                1 => Fault::Pause(daemon, rng.random_range(1..5u32).into()),
+                _ => Fault::Skew(daemon, rng.random_range(-900i64..900)),
+            };
+            schedule.at(round, fault)
+        })
+    }
+
+    /// `count` seeded windows of `dur` starting in `[0, horizon)`, each made
+    /// a fault by `window` and struck at round 0.
+    pub fn random_windows(
+        self,
+        count: usize,
+        dur: SimDuration,
+        horizon: SimTime,
+        seed: u64,
+        window: impl Fn(SimTime, SimTime) -> Fault,
+    ) -> Schedule {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        (0..count).fold(self, |schedule, _| {
+            let from = SimTime(rng.random_range(0..horizon.as_secs().max(1)));
+            schedule.at(0, window(from, from + dur))
+        })
+    }
+
+    /// The faults that strike at `round`, in the order they were added.
+    pub fn at_round(&self, round: u64) -> impl Iterator<Item = Fault> + '_ {
+        let due = self.events.iter().filter(move |(at, _)| *at == round);
+        due.map(|&(_, fault)| fault)
+    }
+}
+
+/// What [`World::run`] shows its observer.
+pub enum Seen<'r> {
+    /// A round begins: its restarts are done and its faults applied.
+    Begin(u64),
+    /// Daemon `i` ticked, without a daemon error.
+    Ticked(usize, &'r TickReport),
+    /// Every runnable daemon of the round has ticked; the clock has not
+    /// moved yet.
+    End(u64),
+}
+
+/// The unwind payload of a scheduled crash.
+struct Crashed;
+
+/// What a durable world's daemons share with their hooks.
+#[derive(Default)]
+struct Instants {
+    dir: PathBuf,
+    crash: Mutex<Option<Crash>>,
+    mid_ticks: AtomicUsize,
+    accepted: AtomicUsize,
+}
+
+impl Instants {
+    fn armed(&self, here: Crash) -> bool {
+        *self.crash.lock().unwrap() == Some(here)
+    }
+
+    /// Copy the files as they are to `<dir>/mid`, and crash if `here` is
+    /// the armed crash.
+    fn pass(&self, here: Crash) {
+        copy_files(&self.dir, &self.dir.join("mid"));
+        if self.armed(here) {
+            resume_unwind(Box::new(Crashed)); // unwinds without the panic hook
+        }
+    }
+}
+
+const MAX_ROUNDS: u64 = 20_000;
+
+/// One deployment and the faults applied to it (see the module docs).
+pub struct World {
+    pub db: Db,
+    pub grid: Grid,
+    pub daemons: Vec<GridAmp>,
+    dir: Option<PathBuf>,
+    /// Set while a durable world has not crashed: its daemons copy the files
+    /// to `<dir>/mid` at every mid-tick instant, and crash where told.
+    instants: Option<Arc<Instants>>,
     round: u64,
-    /// First round at which each daemon may run again after a kill.
-    down_until: Vec<u64>,
-    /// First round at which each daemon may run again after a pause.
+    /// Per daemon: the round a killed one comes back at, and the first
+    /// round a paused one ticks again.
+    restart_at: Vec<Option<u64>>,
     paused_until: Vec<u64>,
-    /// Killed daemons awaiting their restart-as-new-process.
-    restart_pending: Vec<bool>,
     restarts: usize,
 }
 
-impl ChaosScheduler {
-    pub fn new(n: usize, plan: DaemonFaultPlan) -> Self {
-        ChaosScheduler {
-            plan,
+impl World {
+    /// `n` daemons `gridamp-0..n` sharing an in-memory database and Kraken.
+    pub fn kraken(n: usize, config: DaemonConfig) -> World {
+        World::on(vec![amp::grid::systems::kraken()], None, config, n)
+    }
+
+    /// The same against `sites`, with background load from
+    /// `background_seed` if there is one.
+    pub fn on(sites: Vec<SystemProfile>, bg: Option<u64>, config: DaemonConfig, n: usize) -> World {
+        let db = Db::in_memory();
+        amp::core::setup::initialize(&db).unwrap();
+        World::build(db, None, sites, bg, config, n)
+    }
+
+    /// `n` daemons on Kraken sharing a durable database in `tmpdir(tag)`,
+    /// removed with the world.
+    pub fn durable(tag: &str, config: DaemonConfig, n: usize) -> World {
+        let dir = tmpdir(tag);
+        let (db, sites) = (open_durable(&dir), vec![amp::grid::systems::kraken()]);
+        World::build(db, Some(dir), sites, None, config, n)
+    }
+
+    fn build(
+        db: Db,
+        dir: Option<PathBuf>,
+        sites: Vec<SystemProfile>,
+        background_seed: Option<u64>,
+        config: DaemonConfig,
+        n: usize,
+    ) -> World {
+        let instants = dir.clone().map(|dir| {
+            Arc::new(Instants {
+                dir,
+                ..Instants::default()
+            })
+        });
+        let mut world = World {
+            instants,
+            db,
+            grid: Grid::new(),
+            daemons: Vec::new(),
+            dir,
             round: 0,
-            down_until: vec![0; n],
-            paused_until: vec![0; n],
-            restart_pending: vec![false; n],
+            restart_at: Vec::new(),
+            paused_until: Vec::new(),
             restarts: 0,
+        };
+        let configs = (0..n).map(|i| DaemonConfig {
+            daemon_id: format!("gridamp-{i}"),
+            ..config.clone()
+        });
+        world.daemons = configs.map(|config| world.spawn(config)).collect();
+        for profile in sites {
+            let site = profile.name.clone();
+            match background_seed {
+                Some(seed) => world.grid.add_site_with_background(profile, seed),
+                None => world.grid.add_site(profile),
+            }
+            amp::gridamp::apps::install_amp_stack(&mut world.grid, &site);
+            for daemon in &world.daemons {
+                world.grid.authorize(&site, daemon.credential());
+            }
         }
+        world
     }
 
-    /// The round the *next* `begin_round` call will execute.
-    pub fn round(&self) -> u64 {
-        self.round
+    /// A new daemon process on this world's database.
+    fn spawn(&self, config: DaemonConfig) -> GridAmp {
+        let mut daemon = GridAmp::new(&self.db, config).unwrap();
+        let Some(instants) = &self.instants else {
+            return daemon;
+        };
+        let shared = Arc::clone(instants);
+        daemon.pause_point = Some(Box::new(move || {
+            let instant = shared.mid_ticks.fetch_add(1, SeqCst) + 1;
+            shared.pass(Crash::MidTick(instant));
+        }));
+        let shared = Arc::clone(instants);
+        daemon.step_point = Some(Box::new(move |point, _| {
+            let accepted = usize::from(point == StepPoint::Accepted);
+            let nth = shared.accepted.fetch_add(accepted, SeqCst) + accepted;
+            if shared.armed(Crash::InStep(nth, point)) {
+                shared.pass(Crash::InStep(nth, point));
+            }
+        }));
+        daemon
     }
 
-    /// How many daemon processes have been killed and restarted so far.
-    pub fn restarts(&self) -> usize {
-        self.restarts
+    /// Replace daemon `i` by a new process with a new identity.
+    fn respawn(&mut self, i: usize) {
+        self.restarts += 1;
+        let daemon_id = format!("gridamp-{i}-r{}", self.restarts);
+        let config = DaemonConfig {
+            daemon_id,
+            ..self.daemons[i].config.clone()
+        };
+        self.daemons[i] = self.spawn(config);
     }
 
-    /// Start the next round: restart revived daemons, apply this round's
-    /// faults, and return the indices of the daemons that tick.
-    pub fn begin_round(&mut self, db: &Db, daemons: &mut [GridAmp]) -> Vec<usize> {
+    /// A durable world's directory.
+    pub fn dir(&self) -> &Path {
+        self.dir.as_deref().expect("a durable world")
+    }
+
+    /// What the last mid-tick instant, or the crash, left of the files.
+    pub fn mid(&self) -> PathBuf {
+        self.dir().join("mid")
+    }
+
+    fn instants(&self) -> &Instants {
+        self.instants
+            .as_deref()
+            .expect("a durable world, not crashed")
+    }
+
+    /// Mid-tick instants passed so far, over every daemon.
+    pub fn mid_ticks(&self) -> usize {
+        self.instants().mid_ticks.load(SeqCst)
+    }
+
+    /// `fault`, now.
+    pub fn apply(&mut self, fault: Fault) {
         let round = self.round;
-        self.round += 1;
+        match fault {
+            Fault::Kill(i, down) => self.restart_at[i] = Some(round.saturating_add(down)),
+            Fault::Pause(i, rounds) => self.paused_until[i] = round.saturating_add(rounds),
+            Fault::Skew(i, secs) => self.daemons[i].clock_skew_secs = secs,
+            Fault::Restart(i) => self.daemons[i] = self.spawn(self.daemons[i].config.clone()),
+            Fault::Outage(site, service, from, to) => {
+                self.grid.faults.add_outage(site, service, from, to)
+            }
+            Fault::LostReplies(site, from, to) => self.grid.faults.add_lost_replies(site, from, to),
+            Fault::Checkpoint => self.db.compact().unwrap(),
+            Fault::Crash(at) => *self.instants().crash.lock().unwrap() = Some(at),
+        }
+    }
 
-        // Revive killed daemons whose downtime has ended. A restart is a
-        // *new process*: fresh identity, empty ownership map, no memory
-        // of prior streaks or leases — it must re-earn everything through
-        // the lease table.
-        for (i, daemon) in daemons.iter_mut().enumerate() {
-            if self.restart_pending[i] && round >= self.down_until[i] {
-                self.restarts += 1;
-                let config = DaemonConfig {
-                    daemon_id: format!("gridamp-{i}-r{}", self.restarts),
-                    ..daemon.config.clone()
+    /// The world after its crash: the database reopened from what the crash
+    /// left in `<dir>/mid`, every daemon a new process with a new identity.
+    /// A world crashes once: the recovered one has no crash hooks.
+    pub fn recover(&mut self) {
+        self.instants = None;
+        self.db = open_durable(&self.mid());
+        (0..self.daemons.len()).for_each(|i| self.respawn(i));
+    }
+
+    /// Run round by round until every simulation is DONE or HOLD; returns
+    /// the rounds that took, or `None` if a scheduled crash unwound a tick.
+    /// A run starts at round 0 with every daemon runnable. A round restarts
+    /// the killed daemons whose downtime is over, applies the schedule's
+    /// faults for it, and ticks the daemons neither down nor paused, in an
+    /// order rotated by the round so that no daemon keeps the first claim;
+    /// no tick may report a daemon error. Then the clock advances one poll
+    /// interval. `observe` sees the run as it goes.
+    pub fn run(
+        &mut self,
+        schedule: &Schedule,
+        mut observe: impl FnMut(&mut World, Seen<'_>),
+    ) -> Option<u64> {
+        let n = self.daemons.len();
+        (self.restart_at, self.paused_until) = (vec![None; n], vec![0; n]);
+        let poll = SimDuration::from_secs(self.daemons[0].config.poll_interval_secs);
+        for round in 0..MAX_ROUNDS {
+            self.round = round;
+            for i in 0..n {
+                if self.restart_at[i].is_some_and(|at| round >= at) {
+                    self.restart_at[i] = None;
+                    self.respawn(i);
+                }
+            }
+            schedule.at_round(round).for_each(|fault| self.apply(fault));
+            observe(self, Seen::Begin(round));
+            let runs = |i: &usize| self.restart_at[*i].is_none() && round >= self.paused_until[*i];
+            let runnable: Vec<usize> = (0..n).filter(runs).collect();
+            for k in 0..runnable.len() {
+                let i = runnable[(round as usize + k) % runnable.len()];
+                let (daemon, grid) = (&mut self.daemons[i], &self.grid);
+                let report = match catch_unwind(AssertUnwindSafe(|| daemon.tick(grid))) {
+                    Ok(report) => report,
+                    Err(payload) if payload.is::<Crashed>() => return None,
+                    Err(payload) => resume_unwind(payload),
                 };
-                *daemon = GridAmp::new(db, config).expect("restart daemon");
-                self.restart_pending[i] = false;
+                let errors = &report.daemon_errors;
+                assert!(errors.is_empty(), "round {round} daemon {i}: {errors:?}");
+                observe(self, Seen::Ticked(i, &report));
             }
-        }
-
-        let due: Vec<DaemonFaultEvent> = self.plan.at_round(round).cloned().collect();
-        for event in due {
-            let i = event.daemon;
-            match event.fault {
-                DaemonFault::Kill { down_ticks } => {
-                    self.down_until[i] = round + u64::from(down_ticks);
-                    self.restart_pending[i] = true;
-                }
-                DaemonFault::Pause { ticks } => {
-                    self.paused_until[i] = round + u64::from(ticks);
-                }
-                DaemonFault::ClockSkew { offset_secs } => {
-                    daemons[i].clock_skew_secs = offset_secs;
-                }
+            observe(self, Seen::End(round));
+            let states = final_states(&self.db);
+            if states.iter().all(|(_, s, _)| s == "DONE" || s == "HOLD") {
+                return Some(round + 1);
             }
+            self.grid.advance(poll);
         }
+        panic!("the world did not settle in {MAX_ROUNDS} rounds");
+    }
+}
 
-        (0..daemons.len())
-            .filter(|&i| round >= self.down_until[i] && round >= self.paused_until[i])
-            .collect()
+impl Drop for World {
+    fn drop(&mut self) {
+        if let Some(dir) = &self.dir {
+            let _ = std::fs::remove_dir_all(dir);
+        }
     }
 }

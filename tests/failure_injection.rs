@@ -9,47 +9,45 @@ use std::collections::BTreeSet;
 use std::sync::mpsc;
 use std::time::Duration;
 
-use amp::core::models::Allocation;
-use amp::gridamp::StepPoint;
+use amp::gridamp::{seed_fixtures, small_spec, StepPoint};
 use amp::prelude::*;
-use amp_grid::SimTime;
-use amp_simdb::Op;
-use common::{assert_no_duplicate_submissions, deployment, final_states, truth};
+use common::{
+    assert_no_duplicate_submissions, done, final_states, jobs_of, queue, sim, spec, su_used, truth,
+    walltime, Fault, Schedule, Seen, World,
+};
 
 const POLL: u64 = 300;
 
-/// Tick until every simulation is DONE, `before` each tick getting the grid
-/// (to place a fault at the tick's instant). Returns the instant of each
-/// `PostJob → Cleanup` transition.
+/// Run `world` under `schedule` until every simulation is DONE, `before`
+/// each round getting the world (to place a fault at the round's instant).
+/// Returns the instant of each `PostJob → Cleanup` transition.
 fn drain(
-    dep: &mut amp::gridamp::Deployment,
-    mut before: impl FnMut(&mut Grid),
+    world: &mut World,
+    schedule: &Schedule,
+    mut before: impl FnMut(&mut World),
 ) -> Vec<(i64, SimTime)> {
     let mut charged_at = Vec::new();
-    for _ in 0..5_000 {
-        before(&mut dep.grid);
-        let report = dep.daemon.tick(&dep.grid);
-        assert!(report.daemon_errors.is_empty(), "{report:?}");
-        assert_eq!(report.new_holds, 0, "{report:?}");
-        for (sim, from, _) in &report.transitions {
-            if *from == SimStatus::PostJob {
-                charged_at.push((*sim, dep.grid.now()));
-            }
+    world.run(schedule, |w, seen| match seen {
+        Seen::Begin(_) => before(w),
+        Seen::Ticked(_, report) => {
+            assert_eq!(report.new_holds, 0, "{report:?}");
+            let charged = report
+                .transitions
+                .iter()
+                .filter(|t| t.1 == SimStatus::PostJob);
+            charged_at.extend(charged.map(|t| (t.0, w.grid.now())));
         }
-        if final_states(&dep.db).iter().all(|(_, s, _)| s == "DONE") {
-            return charged_at;
-        }
-        dep.grid.advance(SimDuration::from_secs(POLL));
-    }
-    panic!("campaign did not drain");
+        Seen::End(_) => {}
+    });
+    charged_at
 }
 
-fn su_used(db: &Db, alloc: i64) -> f64 {
-    let admin = db.connect(amp::core::roles::ROLE_ADMIN).unwrap();
-    Manager::<Allocation>::new(admin)
-        .get(alloc)
-        .unwrap()
-        .su_used
+/// Seed the fixtures of `seed` and queue one optimization of `spec` on
+/// Kraken. Returns (user id, simulation id).
+fn queue_optimization(db: &Db, seed: u64, spec: OptimizationSpec) -> (i64, i64) {
+    let (user, star, alloc, obs) = seed_fixtures(db, "kraken", &truth(), seed).unwrap();
+    let opt = Simulation::new_optimization(star, user, spec, obs, "kraken", alloc, 0);
+    (user, queue(db, opt))
 }
 
 /// What the finished computational jobs of a database cost, summed the way
@@ -67,10 +65,11 @@ fn su_owed(db: &Db, grid: &Grid) -> f64 {
 }
 
 fn queue_direct(db: &Db, star: i64, user: i64, alloc: i64, mass: f64) -> i64 {
-    let web = db.connect(amp::core::roles::ROLE_WEB).unwrap();
     let params = StellarParams { mass, ..truth() };
-    let mut sim = Simulation::new_direct(star, user, params, "kraken", alloc, 0);
-    Manager::<Simulation>::new(web).create(&mut sim).unwrap()
+    queue(
+        db,
+        Simulation::new_direct(star, user, params, "kraken", alloc, 0),
+    )
 }
 
 /// `postprocess` used to commit the SU charge on the spot, with
@@ -80,32 +79,24 @@ fn queue_direct(db: &Db, star: i64, user: i64, alloc: i64, mass: f64) -> i64 {
 #[test]
 fn a_gram_outage_at_the_cleanup_submission_charges_once() {
     let run = |faulted_at: Option<SimTime>| {
-        let mut dep = deployment(6.0);
-        let (user, star, alloc, _obs) =
-            amp::gridamp::seed_fixtures(&dep.db, "kraken", &truth(), 11).unwrap();
-        let sim = queue_direct(&dep.db, star, user, alloc, 1.0);
-        if let Some(at) = faulted_at {
+        let mut world = World::kraken(1, walltime(6.0));
+        let (user, star, alloc, _obs) = seed_fixtures(&world.db, "kraken", &truth(), 11).unwrap();
+        let sim = queue_direct(&world.db, star, user, alloc, 1.0);
+        let mut schedule = Schedule::none();
+        if let Some(from) = faulted_at {
             // The tick that would have made the transition cannot stage the
             // tar out; the next one can, charges, and cannot reach GRAM.
-            let (next, after) = (
-                at + SimDuration::from_secs(POLL),
-                at + SimDuration::from_secs(2 * POLL),
-            );
-            dep.grid
-                .faults
-                .add_outage("kraken", Service::GridFtp, at, next);
-            dep.grid
-                .faults
-                .add_outage("kraken", Service::Gram, next, after);
+            let at = |polls| from + SimDuration::from_secs(polls * POLL);
+            schedule = schedule
+                .at(0, Fault::Outage("kraken", Service::GridFtp, from, at(1)))
+                .at(0, Fault::Outage("kraken", Service::Gram, at(1), at(2)));
         }
-        let charged_at = drain(&mut dep, |_| {});
+        let charged_at = drain(&mut world, &schedule, |_| {});
         assert_eq!(charged_at.len(), 1);
         assert_eq!(charged_at[0].0, sim);
-        let used = su_used(&dep.db, alloc);
-        assert!(
-            (used - su_owed(&dep.db, &dep.grid)).abs() < 1e-9,
-            "{used} charged"
-        );
+        let used = su_used(&world.db)[0];
+        let owed = su_owed(&world.db, &world.grid);
+        assert!((used - owed).abs() < 1e-9, "{used} charged");
         (charged_at[0].1, used)
     };
     let (at, clean) = run(None);
@@ -121,24 +112,22 @@ fn a_gram_outage_at_the_cleanup_submission_charges_once() {
 /// thread, whose eight identical runs reach the transition in one round.
 #[test]
 fn two_daemons_charging_one_allocation_charge_the_sum() {
-    let kraken = amp::grid::systems::kraken();
-    let mut fleet = amp::gridamp::deploy_cluster(kraken, DaemonConfig::default(), 2).unwrap();
-    let (user, star, alloc, _obs) =
-        amp::gridamp::seed_fixtures(&fleet.db, "kraken", &truth(), 12).unwrap();
+    let mut world = World::kraken(2, DaemonConfig::default());
+    let (user, star, alloc, _obs) = seed_fixtures(&world.db, "kraken", &truth(), 12).unwrap();
     // The first round: daemon A claims four runs, then B the four queued
     // after A's tick.
-    for daemon in &mut fleet.daemons {
+    for daemon in &mut world.daemons {
         for _ in 0..4 {
-            queue_direct(&fleet.db, star, user, alloc, 1.0);
+            queue_direct(&world.db, star, user, alloc, 1.0);
         }
-        daemon.tick(&fleet.grid);
+        daemon.tick(&world.grid);
         assert_eq!(daemon.owned_sims().len(), 4);
     }
     // A run's charge commits right after its cleanup job is recorded: the
     // daemons meet there, k-th cleanup with k-th, so their charges race.
     let ((to_b, from_a), (to_a, from_b)) = (mpsc::channel(), mpsc::channel());
     let ends = [(to_b, from_b), (to_a, from_a)];
-    for (daemon, (to_peer, from_peer)) in fleet.daemons.iter_mut().zip(ends) {
+    for (daemon, (to_peer, from_peer)) in world.daemons.iter_mut().zip(ends) {
         daemon.step_point = Some(Box::new(move |point, job| {
             if point == StepPoint::Recorded && job.purpose == JobPurpose::Cleanup {
                 to_peer.send(()).unwrap();
@@ -148,10 +137,10 @@ fn two_daemons_charging_one_allocation_charge_the_sum() {
     }
     let (mut charged, mut instants) = ([0; 2], BTreeSet::new());
     for _ in 0..5_000 {
-        fleet.grid.advance(SimDuration::from_secs(POLL));
-        let grid = &fleet.grid;
+        world.grid.advance(SimDuration::from_secs(POLL));
+        let grid = &world.grid;
         let reports: Vec<_> = std::thread::scope(|scope| {
-            let daemons = fleet.daemons.iter_mut();
+            let daemons = world.daemons.iter_mut();
             let ticks: Vec<_> = daemons.map(|d| scope.spawn(|| d.tick(grid))).collect();
             ticks.into_iter().map(|t| t.join().unwrap()).collect()
         });
@@ -164,13 +153,13 @@ fn two_daemons_charging_one_allocation_charge_the_sum() {
                 }
             }
         }
-        if final_states(&fleet.db).iter().all(|(_, s, _)| s == "DONE") {
+        if final_states(&world.db).iter().all(|(_, s, _)| s == "DONE") {
             break;
         }
     }
     assert_eq!(charged, [4, 4], "charges per daemon");
     assert_eq!(instants.len(), 1, "{instants:?}");
-    let (used, owed) = (su_used(&fleet.db, alloc), su_owed(&fleet.db, &fleet.grid));
+    let (used, owed) = (su_used(&world.db)[0], su_owed(&world.db, &world.grid));
     assert!(
         owed > 0.0 && (used - owed).abs() < 1e-9 * owed,
         "{used} charged of {owed}"
@@ -184,44 +173,41 @@ fn two_daemons_charging_one_allocation_charge_the_sum() {
 #[test]
 fn lost_gram_replies_submit_nothing_twice() {
     let run = |lossy: bool| {
-        let mut dep = deployment(1.0); // 1 h walltime: continuations too
-        let (user, star, alloc, obs) =
-            amp::gridamp::seed_fixtures(&dep.db, "kraken", &truth(), 13).unwrap();
-        queue_direct(&dep.db, star, user, alloc, 0.95);
-        let spec = OptimizationSpec {
-            ga_runs: 2,
-            population: 12,
-            generations: 10,
-            cores_per_run: 64,
-            seed: 13,
-        };
-        let mut opt = Simulation::new_optimization(star, user, spec, obs, "kraken", alloc, 0);
-        let web = dep.db.connect(amp::core::roles::ROLE_WEB).unwrap();
-        Manager::<Simulation>::new(web).create(&mut opt).unwrap();
-        queue_direct(&dep.db, star, user, alloc, 1.15);
+        let mut world = World::kraken(1, walltime(1.0)); // 1 h walltime: continuations too
+        let (user, star, alloc, obs) = seed_fixtures(&world.db, "kraken", &truth(), 13).unwrap();
+        queue_direct(&world.db, star, user, alloc, 0.95);
+        let spec = spec(2, 12, 10, 64, 13);
+        queue(
+            &world.db,
+            Simulation::new_optimization(star, user, spec, obs, "kraken", alloc, 0),
+        );
+        queue_direct(&world.db, star, user, alloc, 1.15);
 
         // A tick loses its replies unless the one before it lost some.
         let (mut submissions, mut losing) = (0, false);
-        drain(&mut dep, |grid| {
+        drain(&mut world, &Schedule::none(), |w| {
             let of_gram = |r: &&amp_grid::AuditRecord| r.action.ends_with("submit");
-            let so_far = grid.audit().records().iter().filter(of_gram).count();
+            let so_far = w.grid.audit().records().iter().filter(of_gram).count();
             let last_tick = so_far - std::mem::replace(&mut submissions, so_far);
             losing = lossy && !(losing && last_tick > 0);
             if losing {
-                let now = grid.now();
-                let until = now + SimDuration::from_secs(1);
-                grid.faults.add_lost_replies("kraken", now, until);
+                let now = w.grid.now();
+                w.apply(Fault::LostReplies(
+                    "kraken",
+                    now,
+                    now + SimDuration::from_secs(1),
+                ));
             }
         });
-        assert_no_duplicate_submissions(&dep.db, &dep.grid);
-        let audit = dep.grid.audit();
+        assert_no_duplicate_submissions(&world.db, &world.grid);
+        let audit = world.grid.audit();
         let repeats = audit.records().iter().filter(|r| r.action == "resubmit");
         // "<id> -> <handle>", the id ending in "/<purpose>/r<run>c<continuation>".
         let repeated: BTreeSet<String> = repeats
             .map(|r| r.detail.split(" -> ").next().unwrap().to_string())
             .collect();
         drop(audit);
-        (final_states(&dep.db), su_used(&dep.db, alloc), repeated)
+        (final_states(&world.db), su_used(&world.db)[0], repeated)
     };
     let (finals, used, repeated) = run(false);
     assert!(repeated.is_empty(), "a clean run repeated {repeated:?}");
@@ -246,47 +232,24 @@ fn lost_gram_replies_submit_nothing_twice() {
 
 #[test]
 fn random_outage_storm_is_survived_silently() {
-    let mut dep = deployment(6.0);
+    let mut world = World::kraken(1, walltime(6.0));
+    let outage = |from, to| Fault::Outage("kraken", Service::Both, from, to);
     // ten random 45-minute GRAM/GridFTP outages over the first 3 days
-    dep.grid.faults.add_random_outages(
-        "kraken",
-        Service::Both,
-        10,
-        SimDuration::from_minutes(45.0),
-        amp_grid::SimTime(3 * 86_400),
-        42,
-    );
-    // ...and one the daemon cannot miss: a run waiting on its jobs touches
-    // GridFTP only when one of them ends, so the random windows may all pass
-    // over rounds with nothing to fetch; the first submission cannot wait.
-    dep.grid.faults.add_outage(
-        "kraken",
-        Service::Both,
-        amp_grid::SimTime(0),
-        amp_grid::SimTime(45 * 60),
-    );
-    let (user, star, alloc, obs) =
-        amp::gridamp::seed_fixtures(&dep.db, "kraken", &truth(), 1).unwrap();
-    let web = dep.db.connect(amp::core::roles::ROLE_WEB).unwrap();
-    let spec = OptimizationSpec {
-        ga_runs: 2,
-        population: 20,
-        generations: 30,
-        cores_per_run: 128,
-        seed: 5,
-    };
-    let mut sim = Simulation::new_optimization(star, user, spec, obs, "kraken", alloc, 0);
-    let sim_id = Manager::<Simulation>::new(web).create(&mut sim).unwrap();
+    let (dur, horizon) = (SimDuration::from_minutes(45.0), SimTime(3 * 86_400));
+    let schedule = Schedule::none()
+        .random_windows(10, dur, horizon, 42, outage)
+        // ...and one the daemon cannot miss: a run waiting on its jobs
+        // touches GridFTP only when one of them ends, so the random windows
+        // may all pass over rounds with nothing to fetch; the first
+        // submission cannot wait.
+        .at(0, outage(SimTime(0), SimTime(45 * 60)));
+    let (user, sim_id) = queue_optimization(&world.db, 1, small_spec(5));
 
-    dep.daemon.run_until_settled(&dep.grid, 24.0 * 30.0);
-
-    let admin = dep.db.connect(amp::core::roles::ROLE_ADMIN).unwrap();
-    let done = Manager::<Simulation>::new(admin.clone())
-        .get(sim_id)
-        .unwrap();
-    assert_eq!(done.status, SimStatus::Done, "{}", done.status_message);
+    world.run(&schedule, |_, _| {});
+    done(&world.db, sim_id);
 
     // the user never heard about the outages; only completion mail
+    let admin = world.db.connect(amp::core::roles::ROLE_ADMIN).unwrap();
     let notes = Manager::<Notification>::new(admin).all().unwrap();
     let user_mail: Vec<_> = notes.iter().filter(|n| n.user_id == Some(user)).collect();
     assert_eq!(user_mail.len(), 1);
@@ -297,69 +260,54 @@ fn random_outage_storm_is_survived_silently() {
 
 #[test]
 fn corrupt_restart_file_is_a_model_failure_then_recovers() {
-    let mut dep = deployment(6.0);
-    let (user, star, alloc, obs) =
-        amp::gridamp::seed_fixtures(&dep.db, "kraken", &truth(), 2).unwrap();
-    let web = dep.db.connect(amp::core::roles::ROLE_WEB).unwrap();
-    let spec = OptimizationSpec {
-        ga_runs: 1,
-        population: 20,
-        generations: 40,
-        cores_per_run: 128,
-        seed: 3,
-    };
-    let mut sim = Simulation::new_optimization(star, user, spec, obs, "kraken", alloc, 0);
-    let sim_id = Manager::<Simulation>::new(web).create(&mut sim).unwrap();
+    let mut world = World::kraken(1, walltime(6.0));
+    let (_, sim_id) = queue_optimization(&world.db, 2, spec(1, 20, 40, 128, 3));
 
     // run until the first continuation job's restart file exists
     let restart = format!("amp/sim{sim_id}/run0/restart.json");
+    let written = |grid: &Grid| grid.site("kraken").unwrap().fs.exists(&restart);
     for _ in 0..200 {
-        dep.daemon.tick(&dep.grid);
-        if dep.grid.site("kraken").unwrap().fs.exists(&restart) {
+        world.daemons[0].tick(&world.grid);
+        if written(&world.grid) {
             break;
         }
-        dep.grid.advance(SimDuration::from_secs(600));
+        world.grid.advance(SimDuration::from_secs(600));
     }
-    assert!(dep.grid.site("kraken").unwrap().fs.exists(&restart));
+    assert!(written(&world.grid));
 
     // corrupt it: the next continuation fails -> model failure -> HOLD
-    dep.grid
+    let corrupt = b"{corrupted".to_vec();
+    world
+        .grid
         .site_mut("kraken")
         .unwrap()
         .fs
-        .write(&restart, b"{corrupted".to_vec())
+        .write(&restart, corrupt)
         .unwrap();
-    dep.daemon.run_until_settled(&dep.grid, 24.0 * 30.0);
-
-    let admin = dep.db.connect(amp::core::roles::ROLE_ADMIN).unwrap();
-    let held = Manager::<Simulation>::new(admin.clone())
-        .get(sim_id)
-        .unwrap();
+    world.run(&Schedule::none(), |_, _| {});
+    let held = sim(&world.db, sim_id);
     assert_eq!(held.status, SimStatus::Hold, "{}", held.status_message);
 
     // administrator repairs: wipe the run directory + failed job records,
     // then resume — the workflow resubmits from scratch
-    dep.grid
+    let run_dir = format!("amp/sim{sim_id}/run0");
+    world
+        .grid
         .site_mut("kraken")
         .unwrap()
         .fs
-        .remove_tree(&format!("amp/sim{sim_id}/run0"));
+        .remove_tree(&run_dir);
     // restage observations for the fresh chain
-    let jobs = Manager::<GridJobRecord>::new(admin.clone());
-    for j in jobs
-        .filter(
-            &Query::new()
-                .eq("simulation_id", sim_id)
-                .eq("purpose", "WORK"),
-        )
-        .unwrap()
-    {
+    let jobs =
+        Manager::<GridJobRecord>::new(world.db.connect(amp::core::roles::ROLE_ADMIN).unwrap());
+    for j in jobs_of(&world.db, sim_id, "WORK") {
         jobs.delete(j.id.unwrap()).unwrap();
     }
-    dep.daemon.resume_from_hold(&dep.grid, sim_id).unwrap();
-    dep.daemon.run_until_settled(&dep.grid, 24.0 * 30.0);
-    let done = Manager::<Simulation>::new(admin).get(sim_id).unwrap();
-    assert_eq!(done.status, SimStatus::Done, "{}", done.status_message);
+    world.daemons[0]
+        .resume_from_hold(&world.grid, sim_id)
+        .unwrap();
+    world.run(&Schedule::none(), |_, _| {});
+    done(&world.db, sim_id);
 }
 
 #[test]
@@ -368,64 +316,31 @@ fn walltime_kill_recovers_via_restart_file() {
     // overrun by giving the scheduler a very short walltime. The job is
     // killed at the limit, the checkpoint survives, the workflow submits a
     // continuation and still converges.
-    let mut dep = deployment(1.0); // 1h walltime: ~2 iterations per job
-    let (user, star, alloc, obs) =
-        amp::gridamp::seed_fixtures(&dep.db, "kraken", &truth(), 3).unwrap();
-    let web = dep.db.connect(amp::core::roles::ROLE_WEB).unwrap();
-    let spec = OptimizationSpec {
-        ga_runs: 1,
-        population: 16,
-        generations: 12,
-        cores_per_run: 128,
-        seed: 4,
-    };
-    let mut sim = Simulation::new_optimization(star, user, spec, obs, "kraken", alloc, 0);
-    let sim_id = Manager::<Simulation>::new(web).create(&mut sim).unwrap();
+    let mut world = World::kraken(1, walltime(1.0)); // 1h walltime: ~2 iterations per job
+    let (_, sim_id) = queue_optimization(&world.db, 3, spec(1, 16, 12, 128, 4));
 
-    dep.daemon.run_until_settled(&dep.grid, 24.0 * 30.0);
-    let admin = dep.db.connect(amp::core::roles::ROLE_ADMIN).unwrap();
-    let done = Manager::<Simulation>::new(admin.clone())
-        .get(sim_id)
-        .unwrap();
-    assert_eq!(done.status, SimStatus::Done, "{}", done.status_message);
+    world.run(&Schedule::none(), |_, _| {});
+    done(&world.db, sim_id);
     // many short continuations were needed
-    let work = Manager::<GridJobRecord>::new(admin)
-        .filter(
-            &Query::new()
-                .eq("simulation_id", sim_id)
-                .eq("purpose", "WORK"),
-        )
-        .unwrap();
+    let work = jobs_of(&world.db, sim_id, "WORK");
     assert!(work.len() >= 4, "{} jobs", work.len());
 }
 
 #[test]
 fn transient_storm_escalates_to_hold_after_cap() {
-    let mut dep = amp::gridamp::deploy(
-        amp::grid::systems::kraken(),
-        DaemonConfig {
-            max_transient_retries: 3,
-            ..DaemonConfig::default()
-        },
-        None,
-    )
-    .unwrap();
+    let config = DaemonConfig {
+        max_transient_retries: 3,
+        ..DaemonConfig::default()
+    };
+    let mut world = World::kraken(1, config);
     // GRAM down forever
-    dep.grid.faults.add_outage(
-        "kraken",
-        Service::Both,
-        amp_grid::SimTime(0),
-        amp_grid::SimTime(u64::MAX / 2),
-    );
-    let (user, star, alloc, _obs) =
-        amp::gridamp::seed_fixtures(&dep.db, "kraken", &truth(), 4).unwrap();
-    let web = dep.db.connect(amp::core::roles::ROLE_WEB).unwrap();
-    let mut sim = Simulation::new_direct(star, user, StellarParams::sun(), "kraken", alloc, 0);
-    let sim_id = Manager::<Simulation>::new(web).create(&mut sim).unwrap();
+    let forever = Fault::Outage("kraken", Service::Both, SimTime(0), SimTime(u64::MAX / 2));
+    let (user, star, alloc, _obs) = seed_fixtures(&world.db, "kraken", &truth(), 4).unwrap();
+    let sun = Simulation::new_direct(star, user, StellarParams::sun(), "kraken", alloc, 0);
+    let sim_id = queue(&world.db, sun);
 
-    dep.daemon.run_until_settled(&dep.grid, 48.0);
-    let admin = dep.db.connect(amp::core::roles::ROLE_ADMIN).unwrap();
-    let held = Manager::<Simulation>::new(admin).get(sim_id).unwrap();
+    world.run(&Schedule::none().at(0, forever), |_, _| {});
+    let held = sim(&world.db, sim_id);
     assert_eq!(held.status, SimStatus::Hold);
     assert!(held.status_message.contains("transient storm"));
 }
@@ -433,8 +348,8 @@ fn transient_storm_escalates_to_hold_after_cap() {
 #[test]
 fn simbad_outage_degrades_search_gracefully() {
     use amp::portal::{Portal, PortalConfig, Request};
-    let dep = deployment(6.0);
-    let portal = Portal::new(&dep.db, PortalConfig::default()).unwrap();
+    let world = World::kraken(1, walltime(6.0));
+    let portal = Portal::new(&world.db, PortalConfig::default()).unwrap();
     portal.simbad.set_available(false);
     let resp = portal.handle(&Request::get("/stars/search?q=HD+10700"));
     assert_eq!(resp.status, 200);
@@ -447,54 +362,20 @@ fn simbad_outage_degrades_search_gracefully() {
 
 #[test]
 fn queue_contention_with_background_load_still_completes() {
-    let mut dep = amp::gridamp::deploy(
-        amp::grid::systems::lonestar(),
-        DaemonConfig {
-            site: "lonestar".into(),
-            work_walltime_hours: 6.0,
-            ..DaemonConfig::default()
-        },
-        Some(778),
-    )
-    .unwrap();
-    dep.grid.advance(SimDuration::from_hours(24.0));
-    let (user, star, alloc, obs) =
-        amp::gridamp::seed_fixtures(&dep.db, "lonestar", &truth(), 5).unwrap();
-    let web = dep.db.connect(amp::core::roles::ROLE_WEB).unwrap();
-    let spec = OptimizationSpec {
-        ga_runs: 2,
-        population: 20,
-        generations: 20,
-        cores_per_run: 128,
-        seed: 6,
+    let config = DaemonConfig {
+        site: "lonestar".into(),
+        ..walltime(6.0)
     };
-    let mut sim = Simulation::new_optimization(
-        star,
-        user,
-        spec,
-        obs,
-        "lonestar",
-        alloc,
-        dep.grid.now().as_secs() as i64,
-    );
-    let sim_id = Manager::<Simulation>::new(web).create(&mut sim).unwrap();
-    dep.daemon.run_until_settled(&dep.grid, 24.0 * 60.0);
-
-    let admin = dep.db.connect(amp::core::roles::ROLE_ADMIN).unwrap();
-    let done = Manager::<Simulation>::new(admin.clone())
-        .get(sim_id)
-        .unwrap();
-    assert_eq!(done.status, SimStatus::Done, "{}", done.status_message);
+    let mut world = World::on(vec![amp::grid::systems::lonestar()], Some(778), config, 1);
+    world.grid.advance(SimDuration::from_hours(24.0));
+    let (user, star, alloc, obs) = seed_fixtures(&world.db, "lonestar", &truth(), 5).unwrap();
+    let (spec, now) = (spec(2, 20, 20, 128, 6), world.grid.now().as_secs() as i64);
+    let opt = Simulation::new_optimization(star, user, spec, obs, "lonestar", alloc, now);
+    let sim_id = queue(&world.db, opt);
+    world.run(&Schedule::none(), |_, _| {});
+    done(&world.db, sim_id);
     // at least one job actually waited in the queue
-    let waited = Manager::<GridJobRecord>::new(admin)
-        .filter(
-            &Query::new()
-                .eq("simulation_id", sim_id)
-                .filter("purpose", Op::Eq, "WORK"),
-        )
-        .unwrap()
-        .iter()
-        .filter_map(|j| j.wait_secs())
-        .any(|w| w > 0);
+    let work = jobs_of(&world.db, sim_id, "WORK");
+    let waited = work.iter().filter_map(|j| j.wait_secs()).any(|w| w > 0);
     assert!(waited, "expected queue contention on busy lonestar");
 }

@@ -1,5 +1,5 @@
 //! Multi-daemon control plane under chaos: N GridAMP daemons share one
-//! database through the lease table while the harness kills, pauses,
+//! database through the lease table while the schedule kills, pauses,
 //! clock-skews, and restarts them mid-campaign — on top of transient
 //! grid outages. The safety contract, asserted via the grid's audit log
 //! and the job-state table:
@@ -9,152 +9,106 @@
 //!   and the audit log's submit count equals the recorded handles;
 //! * **same final state** — status and results match a fault-free
 //!   single-daemon reference run bit for bit.
+//!
+//! The daemons run the default lease: 1,800 s, six poll intervals — short
+//! enough that takeovers happen within a few rounds of a daemon dying, long
+//! enough that one missed tick never loses ownership.
 
 mod common;
 
 use std::collections::{HashMap, HashSet};
 use std::sync::mpsc;
 
-use amp::gridamp::{deploy_cluster, seed_fixtures, ClusterDeployment};
+use amp::gridamp::{seed_fixtures, small_spec, StepPoint};
 use amp::prelude::*;
-use common::{assert_no_duplicate_submissions, final_states, truth, ChaosScheduler};
-
-/// Shared config: short-ish leases so takeovers happen within a few
-/// rounds of a daemon dying, but several poll intervals long so one
-/// missed tick never loses ownership.
-fn cluster_config() -> DaemonConfig {
-    DaemonConfig {
-        work_walltime_hours: 6.0,
-        lease_ttl_secs: 1800,
-        poll_interval_secs: 300,
-        ..DaemonConfig::default()
-    }
-}
+use common::{
+    assert_no_duplicate_submissions, curve_truth, done, final_states, queue, sim, spec, truth,
+    walltime, Fault, Schedule, Seen, World,
+};
 
 /// Seed the canonical mixed campaign: two direct runs and one small
-/// optimization, all deterministic given `seed`.
-fn seed_campaign(db: &Db, seed: u64) -> Vec<i64> {
+/// optimization, all deterministic given `seed`. Returns the user and the
+/// allocation.
+fn seed_campaign(db: &Db, seed: u64) -> (i64, i64) {
     let (user, star, alloc, obs) = seed_fixtures(db, "kraken", &truth(), seed).unwrap();
-    let web = db.connect(amp::core::roles::ROLE_WEB).unwrap();
-    let sims = Manager::<Simulation>::new(web);
-    let mut ids = Vec::new();
-    let mut d1 = Simulation::new_direct(star, user, StellarParams::benchmark(), "kraken", alloc, 0);
-    ids.push(sims.create(&mut d1).unwrap());
-    let mut d2 = Simulation::new_direct(star, user, truth(), "kraken", alloc, 0);
-    ids.push(sims.create(&mut d2).unwrap());
-    let spec = OptimizationSpec {
-        ga_runs: 2,
-        population: 20,
-        generations: 30,
-        cores_per_run: 128,
-        seed: 5,
-    };
-    let mut opt = Simulation::new_optimization(star, user, spec, obs, "kraken", alloc, 0);
-    ids.push(sims.create(&mut opt).unwrap());
-    ids
+    let direct = |params| Simulation::new_direct(star, user, params, "kraken", alloc, 0);
+    queue(db, direct(StellarParams::benchmark()));
+    queue(db, direct(truth()));
+    let opt = Simulation::new_optimization(star, user, small_spec(5), obs, "kraken", alloc, 0);
+    queue(db, opt);
+    (user, alloc)
 }
 
-fn all_settled(db: &Db) -> bool {
-    let admin = db.connect(amp::core::roles::ROLE_ADMIN).unwrap();
-    Manager::<Simulation>::new(admin)
-        .all()
-        .map(|sims| {
-            sims.iter()
-                .all(|s| matches!(s.status, SimStatus::Done | SimStatus::Hold))
-        })
-        .unwrap_or(false)
-}
+/// The `sims` simulations `campaign` queues, on `n` daemons under
+/// `schedule`: none lost, no GRAM job submitted twice, an ownership
+/// handoff (which daemon identities ever owned each simulation), and the
+/// final state of a fault-free single-daemon run.
+fn chaos_campaign<T>(
+    campaign: impl Fn(&Db) -> T,
+    sims: usize,
+    n: usize,
+    schedule: Schedule,
+) -> World {
+    let mut reference = World::kraken(1, walltime(6.0));
+    campaign(&reference.db);
+    reference.run(&Schedule::none(), |_, _| {});
+    assert_no_duplicate_submissions(&reference.db, &reference.grid);
 
-/// Drive a daemon fleet round-robin under the chaos plan until every
-/// simulation settles. Returns which daemon identities ever owned each
-/// simulation (the takeover witness).
-fn run_chaos(
-    cluster: &mut ClusterDeployment,
-    plan: amp_grid::DaemonFaultPlan,
-    max_rounds: u64,
-) -> HashMap<i64, HashSet<String>> {
-    let mut chaos = ChaosScheduler::new(cluster.daemons.len(), plan);
+    let mut world = World::kraken(n, walltime(6.0));
+    campaign(&world.db);
     let mut owners: HashMap<i64, HashSet<String>> = HashMap::new();
-    for round in 0..max_rounds {
-        let runnable = chaos.begin_round(&cluster.db, &mut cluster.daemons);
-        // Rotate the tick order so no daemon has a standing first-claim
-        // advantage — ownership spreads across the fleet.
-        for k in 0..runnable.len() {
-            let i = runnable[(round as usize + k) % runnable.len()];
-            cluster.daemons[i].tick(&cluster.grid);
-            for sim in cluster.daemons[i].owned_sims() {
+    world.run(&schedule, |w, seen| {
+        if let Seen::Ticked(i, _) = seen {
+            for sim in w.daemons[i].owned_sims() {
                 owners
                     .entry(sim)
                     .or_default()
-                    .insert(cluster.daemons[i].daemon_id().to_string());
+                    .insert(w.daemons[i].daemon_id().into());
             }
         }
-        if all_settled(&cluster.db) {
-            return owners;
-        }
-        cluster.grid.advance(SimDuration::from_secs(300));
-    }
-    panic!("campaign did not settle within {max_rounds} chaos rounds");
-}
-
-/// Fault-free single-daemon run of the same campaign: the reference
-/// final state.
-fn reference_run(seed: u64) -> Vec<(i64, String, Option<String>)> {
-    let mut reference = deploy_cluster(amp::grid::systems::kraken(), cluster_config(), 1).unwrap();
-    seed_campaign(&reference.db, seed);
-    run_chaos(&mut reference, amp_grid::DaemonFaultPlan::none(), 10_000);
-    assert_no_duplicate_submissions(&reference.db, &reference.grid);
-    final_states(&reference.db)
-}
-
-fn chaos_campaign(seed: u64, fault_seed: u64, fault_count: usize) {
-    let reference = reference_run(seed);
-
-    let mut cluster = deploy_cluster(amp::grid::systems::kraken(), cluster_config(), 4).unwrap();
-    seed_campaign(&cluster.db, seed);
-    // grid-level chaos: six random 30-minute GRAM+GridFTP outages over
-    // the first two days
-    cluster.grid.faults.add_random_outages(
-        "kraken",
-        Service::Both,
-        6,
-        SimDuration::from_minutes(30.0),
-        amp_grid::SimTime(2 * 86_400),
-        fault_seed,
-    );
-    // daemon-level chaos: a scripted spine that guarantees a takeover
-    // (the first claimer dies outright), plus seeded random faults
-    let mut plan = amp_grid::DaemonFaultPlan::none();
-    plan.add(4, 0, DaemonFault::Kill { down_ticks: 8 });
-    plan.add(20, 1, DaemonFault::Pause { ticks: 3 });
-    plan.add(28, 2, DaemonFault::ClockSkew { offset_secs: 600 });
-    plan.add(60, 1, DaemonFault::Kill { down_ticks: 12 });
-    plan.add_random_faults(4, 150, fault_count, fault_seed);
-
-    let owners = run_chaos(&mut cluster, plan, 10_000);
-
-    // no simulation lost: everything reached DONE despite the carnage
-    let finals = final_states(&cluster.db);
-    assert_eq!(finals.len(), 3);
+    });
+    let finals = final_states(&world.db);
+    assert_eq!(finals.len(), sims);
     for (sim, status, _) in &finals {
         assert_eq!(status, SimStatus::Done.as_str(), "sim {sim} was lost");
     }
-    // no GRAM job submitted twice
-    assert_no_duplicate_submissions(&cluster.db, &cluster.grid);
-    // failover actually happened: at least one simulation changed hands
+    assert_no_duplicate_submissions(&world.db, &world.grid);
     assert!(
         owners.values().any(|ids| ids.len() >= 2),
         "chaos plan produced no ownership handoff: {owners:?}"
     );
-    // same final state as the fault-free single-daemon reference
-    assert_eq!(finals, reference, "chaos run diverged from reference");
+    assert_eq!(
+        finals,
+        final_states(&reference.db),
+        "chaos run diverged from reference"
+    );
+    world
+}
+
+/// `count` random 30-minute GRAM+GridFTP outages over the first two days.
+fn outages(schedule: Schedule, count: usize, seed: u64) -> Schedule {
+    let (dur, horizon) = (SimDuration::from_minutes(30.0), SimTime(2 * 86_400));
+    let outage = |from, to| Fault::Outage("kraken", Service::Both, from, to);
+    schedule.random_windows(count, dur, horizon, seed, outage)
+}
+
+/// The four-daemon chaos: grid outages, a scripted spine that guarantees a
+/// takeover (the first claimer dies outright), plus seeded random faults.
+fn chaos(fault_seed: u64, fault_count: usize) -> Schedule {
+    let spine = Schedule::none()
+        .at(4, Fault::Kill(0, 8))
+        .at(20, Fault::Pause(1, 3))
+        .at(28, Fault::Skew(2, 600))
+        .at(60, Fault::Kill(1, 12))
+        .random_daemon_faults(4, 150, fault_count, fault_seed);
+    outages(spine, 6, fault_seed)
 }
 
 /// The CI smoke configuration: fixed seeds, 4 daemons, scripted kills +
 /// 8 random faults.
 #[test]
 fn four_daemon_chaos_matches_single_daemon_reference() {
-    chaos_campaign(1, 4242, 8);
+    chaos_campaign(|db| seed_campaign(db, 1), 3, 4, chaos(4242, 8));
 }
 
 /// Nightly-style long-run variant: a second seed and three times the
@@ -162,68 +116,69 @@ fn four_daemon_chaos_matches_single_daemon_reference() {
 #[test]
 #[ignore = "long-running chaos soak; run explicitly or in the nightly CI step"]
 fn chaos_soak_second_seed_heavier_faults() {
-    chaos_campaign(2, 777, 24);
+    chaos_campaign(|db| seed_campaign(db, 2), 3, 4, chaos(777, 24));
 }
 
-/// Ground truth for the synthetic curve-fitting campaign.
-fn curve_truth() -> amp::core::app::curvefit::CurveParams {
-    amp::core::app::curvefit::CurveParams {
-        amplitude: 1.4,
-        decay: 0.25,
-        omega: 4.0,
-        phase: 0.6,
-        offset: 0.3,
+/// The same campaign with GRAM replies lost as well, in eight seeded
+/// one-hour windows over its first fourteen hours: daemons that fail over
+/// also repeat submissions the site already accepted, and the site answers
+/// each repeat with the job it has. One continuation's replies are lost
+/// until its run has converged, so no step asks for it again: the
+/// optimization reconciles it as it leaves its chains.
+#[test]
+fn four_daemon_chaos_with_lost_replies_matches_single_daemon_reference() {
+    let (dur, horizon) = (SimDuration::from_hours(1.0), SimTime(14 * 3600));
+    let lost = |from, to| Fault::LostReplies("kraken", from, to);
+    let lossy = chaos(4242, 8).random_windows(8, dur, horizon, 4243, lost);
+    let world = chaos_campaign(|db| seed_campaign(db, 1), 3, 4, lossy);
+    let audit = world.grid.audit();
+    let repeats = audit.records().iter().filter(|r| r.action == "resubmit");
+    assert!(repeats.count() > 0, "no reply was lost");
+}
+
+/// Same seed, same schedule; and a round sees exactly its own faults, in
+/// the order they were added.
+#[test]
+fn a_seeded_schedule_is_deterministic_and_round_scoped() {
+    let random = |seed| Schedule::none().random_daemon_faults(4, 50, 12, seed);
+    assert_eq!(random(7), random(7));
+    assert_ne!(random(7), random(8));
+    assert_eq!(random(7).events.len(), 12);
+    for (round, fault) in random(7).events {
+        assert!(round < 50);
+        match fault {
+            Fault::Kill(daemon, down) => assert!(daemon < 4 && (1..6).contains(&down)),
+            Fault::Pause(daemon, rounds) => assert!(daemon < 4 && (1..5).contains(&rounds)),
+            Fault::Skew(daemon, secs) => assert!(daemon < 4 && (-900..900).contains(&secs)),
+            other => panic!("{other:?} is no daemon fault"),
+        }
     }
+    let (pause, kill, skew) = (Fault::Pause(0, 2), Fault::Kill(1, 1), Fault::Skew(2, -60));
+    let schedule = Schedule::none().at(3, pause).at(5, kill).at(3, skew);
+    let at = |round| schedule.at_round(round).collect::<Vec<_>>();
+    assert_eq!(
+        (at(3), at(4), at(5)),
+        (vec![pause, skew], vec![], vec![kill])
+    );
 }
 
-/// Seed `pairs` curvefit direct + optimization pairs on the machine and
-/// allocation `seed_fixtures` created, all owned by its user.
-fn seed_curvefit_pairs(db: &Db, seed: u64, pairs: u64) -> Vec<i64> {
-    let admin = db.connect(amp::core::roles::ROLE_ADMIN).unwrap();
-    let user = Manager::<AmpUser>::new(admin.clone())
-        .all()
-        .unwrap()
-        .first()
-        .and_then(|u| u.id)
-        .expect("seed_fixtures created a user");
-    let alloc = Manager::<Allocation>::new(admin)
-        .all()
-        .unwrap()
-        .first()
-        .and_then(|a| a.id)
-        .expect("seed_fixtures created an allocation");
-    let web = db.connect(amp::core::roles::ROLE_WEB).unwrap();
-    let sims = Manager::<Simulation>::new(web);
+/// Seed `pairs` curvefit direct + optimization pairs on Kraken, owned by
+/// `user` and charged to `alloc`.
+fn seed_curvefit_pairs(db: &Db, (user, alloc): (i64, i64), seed: u64, pairs: u64) -> Vec<i64> {
     let mut ids = Vec::new();
     for seed in seed..seed + pairs {
-        let (cf_star, cf_obs) =
+        let (star, obs) =
             amp::gridamp::seed_curvefit_fixtures(db, user, &curve_truth(), seed).unwrap();
         let params = serde_json::json!({
             "amplitude": 1.4, "decay": 0.25, "omega": 4.0, "phase": 0.6, "offset": 0.3
         });
-        let mut cd = Simulation::direct_for("curvefit", cf_star, user, params, "kraken", alloc, 0);
-        ids.push(sims.create(&mut cd).unwrap());
-        let spec = OptimizationSpec {
-            ga_runs: 2,
-            population: 24,
-            generations: 40,
-            cores_per_run: 16,
-            seed: seed.wrapping_add(11),
-        };
-        let mut copt = Simulation::optimization_for(
-            "curvefit", cf_star, user, spec, cf_obs, "kraken", alloc, 0,
-        );
-        ids.push(sims.create(&mut copt).unwrap());
+        let direct = Simulation::direct_for("curvefit", star, user, params, "kraken", alloc, 0);
+        ids.push(queue(db, direct));
+        let spec = spec(2, 24, 40, 16, seed.wrapping_add(11));
+        let opt =
+            Simulation::optimization_for("curvefit", star, user, spec, obs, "kraken", alloc, 0);
+        ids.push(queue(db, opt));
     }
-    ids
-}
-
-/// Seed a two-application campaign: the stellar direct + optimization
-/// trio next to a curvefit direct + optimization pair on the same
-/// machine and allocation, all owned by the same user.
-fn seed_mixed_campaign(db: &Db, seed: u64) -> Vec<i64> {
-    let mut ids = seed_campaign(db, seed);
-    ids.extend(seed_curvefit_pairs(db, seed, 1));
     ids
 }
 
@@ -238,92 +193,46 @@ fn jobs_per_app(db: &Db) -> HashMap<String, usize> {
     counts
 }
 
-/// ISSUE 10 satellite: a mixed stellar + curvefit campaign through the
-/// chaos harness. Daemons must never cross-submit between applications
-/// (the job-state key now includes `app`), never lose a simulation of
-/// either kind, and land on the same final state as a fault-free
-/// single-daemon reference.
+/// A mixed stellar + curvefit campaign (the stellar
+/// trio beside a curvefit pair) through the chaos harness. Daemons must
+/// never cross-submit between applications (the job-state key now includes
+/// `app`), never lose a simulation of either kind, and land on the same
+/// final state as a fault-free single-daemon reference.
 #[test]
 fn mixed_app_campaign_survives_chaos_without_cross_app_duplicates() {
-    let seed = 11;
-    // Fault-free single-daemon reference of the same mixed campaign.
-    let reference = {
-        let mut r = deploy_cluster(amp::grid::systems::kraken(), cluster_config(), 1).unwrap();
-        seed_mixed_campaign(&r.db, seed);
-        run_chaos(&mut r, amp_grid::DaemonFaultPlan::none(), 10_000);
-        assert_no_duplicate_submissions(&r.db, &r.grid);
-        final_states(&r.db)
-    };
-
-    let mut cluster = deploy_cluster(amp::grid::systems::kraken(), cluster_config(), 3).unwrap();
-    seed_mixed_campaign(&cluster.db, seed);
-    cluster.grid.faults.add_random_outages(
-        "kraken",
-        Service::Both,
-        4,
-        SimDuration::from_minutes(30.0),
-        amp_grid::SimTime(2 * 86_400),
-        991,
-    );
-    let mut plan = amp_grid::DaemonFaultPlan::none();
-    plan.add(4, 0, DaemonFault::Kill { down_ticks: 8 });
-    plan.add(24, 1, DaemonFault::Pause { ticks: 3 });
-    plan.add_random_faults(3, 150, 6, 991);
-
-    let owners = run_chaos(&mut cluster, plan, 10_000);
-
-    // No simulation of either application was lost.
-    let finals = final_states(&cluster.db);
-    assert_eq!(finals.len(), 5);
-    for (sim, status, _) in &finals {
-        assert_eq!(status, SimStatus::Done.as_str(), "sim {sim} was lost");
-    }
-    // Both applications actually ran jobs through the shared fleet, and
-    // no GRAM job was submitted twice — within or across applications.
-    let per_app = jobs_per_app(&cluster.db);
-    assert!(
-        per_app.get("stellar").copied().unwrap_or(0) > 0,
-        "{per_app:?}"
-    );
-    assert!(
-        per_app.get("curvefit").copied().unwrap_or(0) > 0,
-        "{per_app:?}"
-    );
-    assert_no_duplicate_submissions(&cluster.db, &cluster.grid);
-    // Failover happened, and the final state matches the reference.
-    assert!(
-        owners.values().any(|ids| ids.len() >= 2),
-        "chaos plan produced no ownership handoff: {owners:?}"
-    );
-    assert_eq!(finals, reference, "mixed-app chaos run diverged");
+    let mixed = |db: &Db| seed_curvefit_pairs(db, seed_campaign(db, 11), 11, 1);
+    let schedule = Schedule::none()
+        .at(4, Fault::Kill(0, 8))
+        .at(24, Fault::Pause(1, 3))
+        .random_daemon_faults(3, 150, 6, 991);
+    let world = chaos_campaign(mixed, 5, 3, outages(schedule, 4, 991));
+    // Both applications actually ran jobs through the shared fleet.
+    let per_app = jobs_per_app(&world.db);
+    let ran = |app| per_app.get(app).is_some_and(|&jobs| jobs > 0);
+    assert!(ran("stellar") && ran("curvefit"), "{per_app:?}");
 }
 
 /// Mean curvefit turnaround, in simulated seconds, of a fault-free run of
 /// six curvefit pairs on four daemons, alone or beside the stellar trio.
 fn curvefit_turnaround(with_stellar: bool) -> f64 {
-    let mut cluster = deploy_cluster(amp::grid::systems::kraken(), cluster_config(), 4).unwrap();
-    if with_stellar {
-        seed_campaign(&cluster.db, 1);
-    } else {
-        seed_fixtures(&cluster.db, "kraken", &truth(), 1).unwrap();
-    }
-    let curvefit = seed_curvefit_pairs(&cluster.db, 101, 6);
-    run_chaos(&mut cluster, amp_grid::DaemonFaultPlan::none(), 20_000);
-    assert_eq!(
-        jobs_per_app(&cluster.db).contains_key("stellar"),
-        with_stellar
-    );
-    let admin = cluster.db.connect(amp::core::roles::ROLE_ADMIN).unwrap();
-    let sims = Manager::<Simulation>::new(admin);
-    let total: i64 = curvefit
-        .iter()
-        .map(|&id| {
-            let sim = sims.get(id).unwrap();
-            assert_eq!(sim.app, "curvefit");
-            sim.completed_at.expect("curvefit simulation is DONE") - sim.created_at
-        })
-        .sum();
-    total as f64 / curvefit.len() as f64
+    let mut world = World::kraken(4, walltime(6.0));
+    let owner = match with_stellar {
+        true => seed_campaign(&world.db, 1),
+        false => {
+            let (user, _, alloc, _) = seed_fixtures(&world.db, "kraken", &truth(), 1).unwrap();
+            (user, alloc)
+        }
+    };
+    let curvefit = seed_curvefit_pairs(&world.db, owner, 101, 6);
+    world.run(&Schedule::none(), |_, _| {});
+    let stellar_ran = jobs_per_app(&world.db).contains_key("stellar");
+    assert_eq!(stellar_ran, with_stellar);
+    let turnaround = |&id: &i64| {
+        let sim = sim(&world.db, id);
+        assert_eq!(sim.app, "curvefit");
+        sim.completed_at.expect("curvefit simulation is DONE") - sim.created_at
+    };
+    curvefit.iter().map(turnaround).sum::<i64>() as f64 / curvefit.len() as f64
 }
 
 /// Per-application isolation: every simulation is leased on its own and a
@@ -341,6 +250,28 @@ fn a_heavyweight_co_tenant_does_not_delay_the_cheap_application() {
     );
 }
 
+/// Two daemons and one queued direct run of the benchmark star.
+fn two_daemons_one_run() -> (World, i64) {
+    let world = World::kraken(2, walltime(6.0));
+    let (user, star, alloc, _obs) = seed_fixtures(&world.db, "kraken", &truth(), 9).unwrap();
+    let params = StellarParams::benchmark();
+    let sim_id = queue(
+        &world.db,
+        Simulation::new_direct(star, user, params, "kraken", alloc, 0),
+    );
+    (world, sim_id)
+}
+
+fn audit_submits(grid: &Grid) -> usize {
+    let audit = grid.audit();
+    let submits = audit.records().iter().filter(|r| r.action == "submit");
+    submits.count()
+}
+
+fn fences() -> u64 {
+    amp::obs::counter("daemon_lease_fences_total").get()
+}
+
 /// The GC-pause double-submit scenario the fencing epoch exists for: a
 /// daemon claims its leases, stalls past expiry *inside* a tick (so its
 /// in-memory ownership map goes stale), a peer takes over, and the
@@ -349,27 +280,21 @@ fn a_heavyweight_co_tenant_does_not_delay_the_cheap_application() {
 /// extra submit.
 #[test]
 fn gc_paused_daemon_is_fenced_out_of_submission() {
-    let mut cluster = deploy_cluster(amp::grid::systems::kraken(), cluster_config(), 2).unwrap();
-    let (user, star, alloc, _obs) = seed_fixtures(&cluster.db, "kraken", &truth(), 9).unwrap();
-    let web = cluster.db.connect(amp::core::roles::ROLE_WEB).unwrap();
-    let mut sim =
-        Simulation::new_direct(star, user, StellarParams::benchmark(), "kraken", alloc, 0);
-    let sim_id = Manager::<Simulation>::new(web).create(&mut sim).unwrap();
-
-    let mut d1 = cluster.daemons.pop().unwrap();
-    let mut d0 = cluster.daemons.pop().unwrap();
-
+    let (mut world, sim_id) = two_daemons_one_run();
     // Pre-schedule the GRAM/GridFTP blackout that will pin the new owner
     // while d0 sleeps: from one hour after d0's pause until the moment
     // d0 is woken. Simulated time is fully scripted, so the window is
     // known in advance: pause at t=300, blackout [3900, 7500).
-    cluster.grid.faults.add_outage(
+    world.apply(Fault::Outage(
         "kraken",
         Service::Both,
-        amp_grid::SimTime(3900),
-        amp_grid::SimTime(7500),
-    );
-    let grid = &cluster.grid;
+        SimTime(3900),
+        SimTime(7500),
+    ));
+    let grid = &world.grid;
+    let [d0, d1] = &mut world.daemons[..] else {
+        unreachable!("two daemons")
+    };
 
     // t=0: d0 alone drives the sim QUEUED -> PREJOB and submits the fork
     // script — the only GRAM submit this test should ever see.
@@ -388,13 +313,9 @@ fn gc_paused_daemon_is_fenced_out_of_submission() {
         let _ = resume_rx.recv();
     }));
 
-    let fences_before = amp::obs::counter("daemon_lease_fences_total").get();
-    let (d0, submits_during_pause) = std::thread::scope(|scope| {
-        let handle = scope.spawn(move || {
-            let mut d0 = d0;
-            d0.tick(grid); // t=300: renew, then block in the hook
-            d0
-        });
+    let fences_before = fences();
+    let submits_during_pause = std::thread::scope(|scope| {
+        let paused = scope.spawn(|| d0.tick(grid)); // t=300: renew, then block in the hook
         entered_rx.recv().expect("d0 reached its pause point");
         // t=3900: d0's lease is long expired; d1 takes over (a database
         // operation, immune to the blackout) but cannot poll the fork
@@ -403,48 +324,71 @@ fn gc_paused_daemon_is_fenced_out_of_submission() {
         grid.advance(SimDuration::from_secs(3600));
         d1.tick(grid);
         assert_eq!(d1.owned_sims(), vec![sim_id]);
-        let audit_submits = grid
-            .audit()
-            .records()
-            .iter()
-            .filter(|r| r.action == "submit")
-            .count();
+        let audit_submits = audit_submits(grid);
         // t=7500: blackout over. Wake d0: it polls the fork job to DONE
         // and walks straight into the WORK submission point carrying its
         // stale epoch-1 belief. The fence must stop it.
         grid.advance(SimDuration::from_secs(3600));
         resume_tx.send(()).expect("resume d0");
-        let d0 = handle.join().expect("d0 tick thread");
-        (d0, audit_submits)
+        paused.join().expect("d0 tick thread");
+        audit_submits
     });
 
     // The fence fired, and d0 submitted nothing: the audit log still
     // shows exactly the one fork submit from before the pause.
     assert!(
-        amp::obs::counter("daemon_lease_fences_total").get() > fences_before,
+        fences() > fences_before,
         "expected the fencing guard to fire"
     );
-    let submits_after = cluster
-        .grid
-        .audit()
-        .records()
-        .iter()
-        .filter(|r| r.action == "submit")
-        .count();
-    assert_eq!(submits_after, submits_during_pause);
-    assert_eq!(submits_after, 1, "only the pre-pause fork submit");
-    drop(d0);
+    assert_eq!(audit_submits(&world.grid), submits_during_pause);
+    assert_eq!(submits_during_pause, 1, "only the pre-pause fork submit");
 
     // d1 now owns the campaign outright and drives it to completion.
-    for _ in 0..200 {
-        d1.tick(&cluster.grid);
-        if all_settled(&cluster.db) {
-            break;
+    drop(world.daemons.remove(0));
+    world.run(&Schedule::none(), |_, _| {});
+    done(&world.db, sim_id);
+    assert_no_duplicate_submissions(&world.db, &world.grid);
+}
+
+/// The window after the fence: daemon A is frozen between the site
+/// accepting its first submission and the job row, past its lease. B takes
+/// over, submits the same id, is handed the same job and writes its row.
+/// A wakes into the insert, and the lease it re-reads in the insert's own
+/// transaction says the simulation is B's: A writes no second row.
+#[test]
+fn a_daemon_frozen_between_acceptance_and_its_job_row_writes_no_second_row() {
+    let (mut world, sim_id) = two_daemons_one_run();
+    let (entered_tx, entered_rx) = mpsc::channel::<()>();
+    let (resume_tx, resume_rx) = mpsc::channel::<()>();
+    world.daemons[0].step_point = Some(Box::new(move |point, _| {
+        if point == StepPoint::Accepted {
+            let _ = entered_tx.send(());
+            let _ = resume_rx.recv();
         }
-        cluster.grid.advance(SimDuration::from_secs(300));
-    }
-    let admin = cluster.db.connect(amp::core::roles::ROLE_ADMIN).unwrap();
-    let done = Manager::<Simulation>::new(admin).get(sim_id).unwrap();
-    assert_eq!(done.status, SimStatus::Done, "{}", done.status_message);
-    assert_no_duplicate_submissions(&cluster.db, &cluster.grid);
+    }));
+
+    let grid = &world.grid;
+    let [a, b] = &mut world.daemons[..] else {
+        unreachable!("two daemons")
+    };
+    let woken = std::thread::scope(|scope| {
+        let frozen = scope.spawn(|| a.tick(grid)); // t=0: claim, submit the fork job
+        entered_rx
+            .recv()
+            .expect("A reached the accepted submission");
+        let ttl = walltime(6.0).lease_ttl_secs as u64;
+        grid.advance(SimDuration::from_secs(ttl + 300));
+        b.tick(grid);
+        assert_eq!(b.owned_sims(), vec![sim_id], "B took the simulation over");
+        drop(resume_tx); // wakes A, and parks it at no later submission
+        frozen.join().expect("A's tick thread")
+    });
+    assert_no_duplicate_submissions(&world.db, &world.grid);
+    // A's step backed out, fenced by the lease it re-read with the row.
+    assert_eq!(woken.transient_errors, 1, "{woken:?}");
+
+    world.daemons[0].step_point = None;
+    world.run(&Schedule::none(), |_, _| {});
+    done(&world.db, sim_id);
+    assert_no_duplicate_submissions(&world.db, &world.grid);
 }

@@ -25,6 +25,8 @@
 //!   (a seeded sample of 2,000 positions; every byte in the nightly soak);
 //! * **whatever recovers, reopens**: it takes a write and opens again with it.
 
+mod common;
+
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
@@ -111,9 +113,8 @@ struct Run {
 
 impl Run {
     fn start(tag: &str, seed: u64) -> Run {
-        let dir = std::env::temp_dir().join(format!("amp_torture_{tag}_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(dir.join("scratch")).unwrap();
+        let dir = common::tmpdir(&format!("torture_{tag}"));
+        std::fs::create_dir(dir.join("scratch")).unwrap();
         let (db, waiting) = open(&dir).unwrap();
         db.set_fsync(true);
         create_schema(&waiting);

@@ -59,9 +59,7 @@ fn fresh_db(table: &str) -> Db {
 /// A durable database in its own temp directory, `table` holding `rows`
 /// rows.
 fn durable_db(tag: &str, table: &str, rows: i64) -> (std::path::PathBuf, Db) {
-    let dir = std::env::temp_dir().join(format!("simdb_mvcc_{tag}_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = common::tmpdir(&format!("mvcc_{tag}"));
     let db = Db::open(dir.join("db.snap"), dir.join("db.wal")).unwrap();
     define_table(&db, table);
     let admin = db.connect("admin").unwrap();

@@ -12,38 +12,23 @@
 
 use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
+
+mod common;
 
 use amp::grid::{Service, SimTime};
 use amp::obs;
 use amp::portal::Request;
 use amp::prelude::*;
 use amp::simdb::{Db, Op};
-
-fn truth() -> StellarParams {
-    StellarParams {
-        mass: 1.05,
-        metallicity: 0.02,
-        helium: 0.27,
-        alpha: 2.0,
-        age: 4.0,
-    }
-}
+use common::{spec, tmpdir, truth};
 
 /// Held by a test while it flushes a write-ahead log or ticks a daemon, so
 /// that another's deltas of `simdb_wal_fsync_total`, `simdb_wal_bytes_total`
 /// and the `gridamp_tick_stage_seconds` / `simdb_checkpoint_seconds` sums are
 /// its own.
 static EXACT_DELTAS: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-fn tmpdir(tag: &str) -> PathBuf {
-    let d = std::env::temp_dir().join(format!("amp_obs_{tag}_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&d);
-    std::fs::create_dir_all(&d).unwrap();
-    d
-}
 
 /// Drive a small end-to-end workload through every tier, then assert the
 /// portal's `/metrics` route renders series from each of them.
@@ -70,13 +55,7 @@ fn metrics_endpoint_covers_all_three_tiers() {
     let (user, star, alloc, obs_id) =
         amp::gridamp::seed_fixtures(&dep.db, "kraken", &truth(), 1).unwrap();
     let web = dep.db.connect(amp::core::roles::ROLE_WEB).unwrap();
-    let spec = OptimizationSpec {
-        ga_runs: 1,
-        population: 10,
-        generations: 5,
-        cores_per_run: 128,
-        seed: 7,
-    };
+    let spec = spec(1, 10, 5, 128, 7);
     let mut sim = Simulation::new_optimization(star, user, spec, obs_id, "kraken", alloc, 0);
     let sim_id = Manager::<Simulation>::new(web).create(&mut sim).unwrap();
     let partial_results = |outcome| {
@@ -223,13 +202,7 @@ fn deferred_commits_flush_once_per_tick() {
     let sims = Manager::<Simulation>::new(db.connect(amp::core::roles::ROLE_WEB).unwrap());
     let mut direct = Simulation::new_direct(star, user, truth(), "kraken", alloc, 0);
     sims.create(&mut direct).unwrap();
-    let spec = OptimizationSpec {
-        ga_runs: 1,
-        population: 10,
-        generations: 5,
-        cores_per_run: 128,
-        seed: 7,
-    };
+    let spec = spec(1, 10, 5, 128, 7);
     let mut opt = Simulation::new_optimization(star, user, spec, obs_id, "kraken", alloc, 0);
     sims.create(&mut opt).unwrap();
 

@@ -5,43 +5,34 @@
 //! quiescence in a bounded number of ticks, lose no transitions, duplicate
 //! no submissions, and account every transient and hold exactly once.
 
+mod common;
+
 use amp::prelude::*;
-use std::collections::{BTreeMap, HashSet};
+use common::{assert_no_duplicate_submissions, Fault, Schedule, Seen, World};
+use std::collections::BTreeMap;
 
 const SIMS: usize = 64;
 const SYSTEMS: [&str; 4] = ["frost", "kraken", "lonestar", "ranger"];
 
 #[test]
 fn sixty_four_sims_four_sites_with_faults_settle_correctly_in_parallel() {
-    let mut dep = amp::gridamp::deploy(
-        vec![
-            amp::grid::systems::frost(),
-            amp::grid::systems::kraken(),
-            amp::grid::systems::lonestar(),
-            amp::grid::systems::ranger(),
-        ],
-        DaemonConfig {
-            max_transient_retries: 3,
-            ..DaemonConfig::default()
-        },
-        None,
-    )
-    .unwrap();
-
-    // ranger: down for good — its simulations must storm out to HOLD
-    dep.grid.faults.add_outage(
-        "ranger",
-        Service::Both,
-        amp_grid::SimTime(0),
-        amp_grid::SimTime(u64::MAX / 2),
-    );
-    // lonestar: a 2.5-hour outage window — transient, must recover
-    dep.grid.faults.add_outage(
-        "lonestar",
-        Service::Both,
-        amp_grid::SimTime(1_800),
-        amp_grid::SimTime(10_800),
-    );
+    let sites = vec![
+        amp::grid::systems::frost(),
+        amp::grid::systems::kraken(),
+        amp::grid::systems::lonestar(),
+        amp::grid::systems::ranger(),
+    ];
+    let config = DaemonConfig {
+        max_transient_retries: 3,
+        ..DaemonConfig::default()
+    };
+    let mut world = World::on(sites, None, config, 1);
+    let outage = |site, from, to| Fault::Outage(site, Service::Both, SimTime(from), SimTime(to));
+    let schedule = Schedule::none()
+        // ranger: down for good — its simulations must storm out to HOLD
+        .at(0, outage("ranger", 0, u64::MAX / 2))
+        // lonestar: a 2.5-hour outage window — transient, must recover
+        .at(0, outage("lonestar", 1_800, 10_800));
 
     let truth = StellarParams {
         mass: 1.0,
@@ -51,10 +42,10 @@ fn sixty_four_sims_four_sites_with_faults_settle_correctly_in_parallel() {
         age: 4.0,
     };
     let (user, star, frost_alloc, _obs) =
-        amp::gridamp::seed_fixtures(&dep.db, "frost", &truth, 9).unwrap();
+        amp::gridamp::seed_fixtures(&world.db, "frost", &truth, 9).unwrap();
 
     // seed_fixtures granted frost; the other three systems get their own
-    let admin = dep.db.connect(amp::core::roles::ROLE_ADMIN).unwrap();
+    let admin = world.db.connect(amp::core::roles::ROLE_ADMIN).unwrap();
     let allocs = Manager::<Allocation>::new(admin.clone());
     let mut alloc_by_system: BTreeMap<&str, i64> = BTreeMap::new();
     alloc_by_system.insert("frost", frost_alloc);
@@ -64,7 +55,7 @@ fn sixty_four_sims_four_sites_with_faults_settle_correctly_in_parallel() {
         alloc_by_system.insert(system, alloc.id.unwrap());
     }
 
-    let web = dep.db.connect(amp::core::roles::ROLE_WEB).unwrap();
+    let web = world.db.connect(amp::core::roles::ROLE_WEB).unwrap();
     let sims = Manager::<Simulation>::new(web);
     for i in 0..SIMS {
         let system = SYSTEMS[i % SYSTEMS.len()];
@@ -77,37 +68,22 @@ fn sixty_four_sims_four_sites_with_faults_settle_correctly_in_parallel() {
         sims.create(&mut sim).unwrap();
     }
 
-    let all_sims = Manager::<Simulation>::new(admin.clone());
     let mut transitions: BTreeMap<i64, Vec<(String, String)>> = BTreeMap::new();
-    let mut transient_errors = 0;
-    let mut new_holds = 0;
-    let mut ticks = 0;
-    loop {
-        let report = dep.daemon.tick(&dep.grid);
-        ticks += 1;
-        transient_errors += report.transient_errors;
-        new_holds += report.new_holds;
-        for (id, from, to) in &report.transitions {
-            transitions
-                .entry(*id)
-                .or_default()
-                .push((from.as_str().into(), to.as_str().into()));
+    let (mut transient_errors, mut new_holds) = (0, 0);
+    let ended = world.run(&schedule, |_, seen| {
+        if let Seen::Ticked(_, report) = seen {
+            transient_errors += report.transient_errors;
+            new_holds += report.new_holds;
+            for (id, from, to) in &report.transitions {
+                let step = (from.as_str().into(), to.as_str().into());
+                transitions.entry(*id).or_default().push(step);
+            }
         }
-        let settled = all_sims
-            .all()
-            .unwrap()
-            .iter()
-            .all(|s| matches!(s.status, SimStatus::Done | SimStatus::Hold));
-        if settled {
-            break;
-        }
-        // the no-deadlock bound: quiescence or bust
-        assert!(ticks < 3_000, "stress run did not settle");
-        dep.grid.advance(SimDuration::from_secs(300));
-    }
+    });
+    // the no-deadlock bound: quiescence or bust
+    assert!(ended.unwrap() <= 3_000, "stress run did not settle");
 
-    let finals = all_sims.all().unwrap();
-    let jobs = Manager::<GridJobRecord>::new(admin).all().unwrap();
+    let finals = Manager::<Simulation>::new(admin).all().unwrap();
 
     assert_eq!(finals.len(), SIMS);
     for sim in &finals {
@@ -149,16 +125,7 @@ fn sixty_four_sims_four_sites_with_faults_settle_correctly_in_parallel() {
         );
     }
 
-    // no duplicate submissions: (sim, purpose, ga_run, continuation) is
-    // unique across every job record the daemon wrote
-    let mut seen = HashSet::new();
-    for j in &jobs {
-        let key = (
-            j.simulation_id,
-            format!("{:?}", j.purpose),
-            j.ga_run,
-            j.continuation,
-        );
-        assert!(seen.insert(key.clone()), "duplicate submission {key:?}");
-    }
+    // no duplicate submissions: job-state keys are unique, and every GRAM
+    // submit has its one job record
+    assert_no_duplicate_submissions(&world.db, &world.grid);
 }

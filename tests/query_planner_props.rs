@@ -23,13 +23,15 @@
 //! consistent database — a crash can truncate the tail but never tear or
 //! reorder committed records.
 
+mod common;
+
 use amp::simdb::prelude::*;
 use amp::simdb::table::Table;
 use amp::simdb::wal::Wal;
 use amp::simdb::{OrderBy, Plan};
+use common::tmpdir;
 use proptest::prelude::*;
 use std::cmp::Ordering;
-use std::path::PathBuf;
 
 // ---------------------------------------------------------------------------
 // Fixture: one table exercising every index shape the planner knows about.
@@ -386,13 +388,6 @@ fn fixed_large_filters() -> Vec<Vec<(usize, Op, Value)>> {
 // WAL helpers
 // ---------------------------------------------------------------------------
 
-fn wal_dir(tag: &str) -> PathBuf {
-    let d = std::env::temp_dir().join(format!("amp_qp_wal_{tag}_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&d);
-    std::fs::create_dir_all(&d).unwrap();
-    d
-}
-
 /// The database whose log is `wal` (no snapshot), with the fixture's table
 /// created if the log does not hold it yet.
 fn open(wal: &std::path::Path) -> Connection {
@@ -584,7 +579,7 @@ proptest! {
         ),
         case in 0u32..1_000_000,
     ) {
-        let dir = wal_dir(&format!("prefix_{case}"));
+        let dir = tmpdir(&format!("prefix_{case}"));
         let wal = dir.join("db.wal");
         let db = open(&wal);
         let mut uniq = 0i64;
@@ -706,7 +701,7 @@ proptest! {
 /// and in order.
 #[test]
 fn concurrent_group_commit_preserves_batches() {
-    let dir = wal_dir("concurrent");
+    let dir = tmpdir("concurrent");
     let wal = std::sync::Arc::new(Wal::open(dir.join("db.wal")).unwrap());
     const THREADS: usize = 8;
     const BATCHES: usize = 20;
@@ -769,7 +764,7 @@ fn concurrent_group_commit_preserves_batches() {
 /// where it left off, whether the bare log or the database reopens it.
 #[test]
 fn reopened_wal_resumes_sequence() {
-    let dir = wal_dir("reopen");
+    let dir = tmpdir("reopen");
     let path = dir.join("db.wal");
     let mut uniq = 0i64;
     let last_seq = || Wal::read_records(&path).unwrap().last().map(|rec| rec.seq);

@@ -4,20 +4,12 @@
 //! the workflow continues. Also exercises the database's own durability
 //! (snapshot + WAL recovery).
 
+mod common;
+
 use amp::prelude::*;
 use amp::simdb::prelude::*;
 use amp_gridamp::DaemonMonitor;
-use std::path::PathBuf;
-
-fn truth() -> StellarParams {
-    StellarParams {
-        mass: 1.05,
-        metallicity: 0.02,
-        helium: 0.27,
-        alpha: 2.0,
-        age: 4.0,
-    }
-}
+use common::{tmpdir, truth};
 
 #[test]
 fn replacement_daemon_resumes_midflight_simulation() {
@@ -33,13 +25,7 @@ fn replacement_daemon_resumes_midflight_simulation() {
     let (user, star, alloc, obs) =
         amp::gridamp::seed_fixtures(&dep.db, "kraken", &truth(), 1).unwrap();
     let web = dep.db.connect(amp::core::roles::ROLE_WEB).unwrap();
-    let spec = OptimizationSpec {
-        ga_runs: 2,
-        population: 20,
-        generations: 30,
-        cores_per_run: 128,
-        seed: 2,
-    };
+    let spec = amp::gridamp::small_spec(2);
     let mut sim = Simulation::new_optimization(star, user, spec, obs, "kraken", alloc, 0);
     let sim_id = Manager::<Simulation>::new(web).create(&mut sim).unwrap();
 
@@ -81,13 +67,6 @@ fn replacement_daemon_resumes_midflight_simulation() {
     let done = sims.get(sim_id).unwrap();
     assert_eq!(done.status, SimStatus::Done, "{}", done.status_message);
     assert!(done.result_json.is_some());
-}
-
-fn tmpdir(tag: &str) -> PathBuf {
-    let d = std::env::temp_dir().join(format!("amp_recovery_{tag}_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&d);
-    std::fs::create_dir_all(&d).unwrap();
-    d
 }
 
 #[test]

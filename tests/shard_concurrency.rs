@@ -23,6 +23,8 @@
 //! regression (see `tests/mvcc_props.rs` for the MVCC-specific
 //! properties: frozen views, version retention, non-blocking compact).
 
+mod common;
+
 use amp::simdb::prelude::*;
 use rand::{RngExt, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -242,9 +244,7 @@ fn read_view_never_observes_torn_transactions() {
 /// open*, which deadlocked under the old exclusive-lock compaction.
 #[test]
 fn snapshot_and_compact_do_not_block_readers() {
-    let dir = std::env::temp_dir().join(format!("simdb_snap_conc_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = common::tmpdir("snap_conc");
     let db = Db::open(dir.join("db.snap"), dir.join("db.wal")).unwrap();
     db.define_role(Role::superuser("admin"));
     db.define_role(Role::new("app").grant("t", PermSet::ALL));

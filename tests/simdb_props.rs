@@ -3,6 +3,8 @@
 //! arbitrary operation sequences, a reopened database is exactly the one
 //! that was dropped, and query pagination tiles the full result set.
 
+mod common;
+
 use amp::simdb::prelude::*;
 use proptest::prelude::*;
 
@@ -147,9 +149,7 @@ proptest! {
         actions in proptest::collection::vec(arb_action(), 1..80),
         case in 0u32..1_000_000,
     ) {
-        let dir = std::env::temp_dir().join(format!("amp_simdb_props_{case}_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = common::tmpdir(&format!("simdb_props_{case}"));
         let open = || Db::open(dir.join("db.snap"), dir.join("db.wal")).unwrap();
         let twin = fixture();
         let durable = fixture_in(open());

@@ -15,21 +15,17 @@
 //! the checkpoint — a four-op transaction over both tables, a
 //! `CREATE TABLE`, an insert, and a delete with the delete it cascades to.
 
+mod common;
+
 use std::path::{Path, PathBuf};
 
 use amp::simdb::wal::{encode_frame, Wal, MAGIC};
 use amp::simdb::{
     Column, Connection, Db, LogOp, OnDelete, Query, Role, Row, TableSchema, Value, ValueType,
 };
+use common::tmpdir;
 
 const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/simdb_format");
-
-fn tmpdir(tag: &str) -> PathBuf {
-    let d = std::env::temp_dir().join(format!("amp_storage_format_{tag}_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&d);
-    std::fs::create_dir_all(&d).unwrap();
-    d
-}
 
 fn open(dir: &Path) -> (Db, Connection) {
     let db = Db::open(dir.join("snapshot"), dir.join("wal")).unwrap();

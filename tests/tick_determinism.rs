@@ -6,18 +6,12 @@
 //! results between ticks (read by each step, replaced by the apply pass) is
 //! in play.
 
-use amp::prelude::*;
-use std::collections::BTreeMap;
+mod common;
 
-fn truth() -> StellarParams {
-    StellarParams {
-        mass: 1.05,
-        metallicity: 0.02,
-        helium: 0.27,
-        alpha: 2.0,
-        age: 4.0,
-    }
-}
+use amp::gridamp::{seed_fixtures, small_spec};
+use amp::prelude::*;
+use common::{final_states, queue, truth, walltime, Fault, Schedule, Seen, World};
+use std::collections::BTreeMap;
 
 /// A job record minus row id and GRAM handle: simulation_id, ga_run,
 /// purpose, continuation, site, status, cores, submitted_at, started_at,
@@ -60,91 +54,60 @@ struct Outcome {
 /// Four direct runs plus `ensembles` GA ensembles on kraken, through one
 /// 90-minute outage, ticked to quiescence.
 fn run_scenario(ensembles: u64) -> Outcome {
-    let mut dep = amp::gridamp::deploy(
-        amp::grid::systems::kraken(),
-        DaemonConfig {
-            work_walltime_hours: 6.0,
-            ..DaemonConfig::default()
-        },
-        None,
-    )
-    .unwrap();
-
-    // one 90-minute two-service outage so the transient/retry path is
-    // exercised too
-    dep.grid.faults.add_outage(
-        "kraken",
-        Service::Both,
-        amp_grid::SimTime(1_800),
-        amp_grid::SimTime(7_200),
-    );
-
-    let (user, star, alloc, obs) =
-        amp::gridamp::seed_fixtures(&dep.db, "kraken", &truth(), 7).unwrap();
-    let web = dep.db.connect(amp::core::roles::ROLE_WEB).unwrap();
-    let sims = Manager::<Simulation>::new(web);
-
+    let mut world = World::kraken(1, walltime(6.0));
+    let db = &world.db;
+    let (user, star, alloc, obs) = seed_fixtures(db, "kraken", &truth(), 7).unwrap();
     // four direct simulations with distinct parameters...
     for i in 0..4 {
+        let mass = 0.9 + 0.05 * i as f64;
         let params = StellarParams {
-            mass: 0.9 + 0.05 * i as f64,
+            mass,
             ..StellarParams::sun()
         };
-        let mut sim = Simulation::new_direct(star, user, params, "kraken", alloc, 0);
-        sims.create(&mut sim).unwrap();
+        queue(
+            db,
+            Simulation::new_direct(star, user, params, "kraken", alloc, 0),
+        );
     }
     // ...plus the GA ensembles
     for seed in 11..11 + ensembles {
-        let mut sim = Simulation::new_optimization(
-            star,
-            user,
-            amp::gridamp::small_spec(seed),
-            obs,
-            "kraken",
-            alloc,
-            0,
+        let spec = small_spec(seed);
+        queue(
+            db,
+            Simulation::new_optimization(star, user, spec, obs, "kraken", alloc, 0),
         );
-        sims.create(&mut sim).unwrap();
     }
 
-    let admin = dep.db.connect(amp::core::roles::ROLE_ADMIN).unwrap();
-    let all_sims = Manager::<Simulation>::new(admin.clone());
+    // one 90-minute two-service outage so the transient/retry path is
+    // exercised too
+    let outage = Fault::Outage("kraken", Service::Both, SimTime(1_800), SimTime(7_200));
     let mut transitions: BTreeMap<i64, Vec<(String, String)>> = BTreeMap::new();
     let mut progress: BTreeMap<i64, Vec<(usize, f64)>> = BTreeMap::new();
     let mut ticks = 0;
-    loop {
-        let report = dep.daemon.tick(&dep.grid);
+    world.run(&Schedule::none().at(0, outage), |w, seen| {
+        let Seen::Ticked(_, report) = seen else {
+            return;
+        };
         ticks += 1;
         for (id, from, to) in &report.transitions {
-            transitions
-                .entry(*id)
-                .or_default()
-                .push((from.as_str().into(), to.as_str().into()));
+            let step = (from.as_str().into(), to.as_str().into());
+            transitions.entry(*id).or_default().push(step);
         }
-        let now = all_sims.all().unwrap();
-        for sim in &now {
+        let admin = w.db.connect(amp::core::roles::ROLE_ADMIN).unwrap();
+        for sim in Manager::<Simulation>::new(admin).all().unwrap() {
             let seen = progress.entry(sim.id.unwrap()).or_default();
             if seen.last().map(|&(_, p)| p) != Some(sim.progress) {
                 seen.push((ticks, sim.progress));
             }
         }
-        let settled = now
-            .iter()
-            .all(|s| matches!(s.status, SimStatus::Done | SimStatus::Hold));
-        if settled {
-            break;
-        }
-        assert!(ticks < 5_000, "scenario did not settle");
-        dep.grid.advance(SimDuration::from_secs(300));
-    }
+    });
+    assert!(ticks <= 5_000, "scenario did not settle");
 
-    let statuses = all_sims
-        .all()
-        .unwrap()
+    let admin = world.db.connect(amp::core::roles::ROLE_ADMIN).unwrap();
+    let statuses = final_states(&world.db)
         .into_iter()
-        .map(|s| (s.id.unwrap(), s.status.as_str().to_string()))
+        .map(|(id, s, _)| (id, s))
         .collect();
-
     let mut jobs: Vec<_> = Manager::<GridJobRecord>::new(admin.clone())
         .all()
         .unwrap()

@@ -30,44 +30,18 @@ mod common;
 use std::collections::{BTreeMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::io::Write;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::path::Path;
 
-use amp::core::models::Allocation;
 use amp::gridamp::{seed_curvefit_fixtures, seed_fixtures, StepPoint};
 use amp::prelude::*;
 use amp::simdb::wal::{encode_frame, Wal, MAGIC};
 use amp::simdb::LogOp;
-use common::{assert_no_duplicate_submissions, final_states, truth};
+use common::{
+    assert_no_duplicate_submissions, copy_files, curve_truth, final_states, jobs_of, open_durable,
+    queue, spec, su_used, truth, walltime, Crash, Fault, Schedule, Seen, World, FILES,
+};
 use rand::{RngExt, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-
-const FILES: [&str; 2] = ["amp.snap", "amp.wal"];
-const DAEMONS: usize = 2;
-const MAX_ROUNDS: usize = 5_000;
-
-/// Open (or create) the database under `dir`, fsync on. `initialize`
-/// defines the roles, which live in memory, and creates only what is
-/// missing.
-fn open(dir: &Path) -> Db {
-    let db = Db::open(dir.join(FILES[0]), dir.join(FILES[1])).unwrap();
-    db.set_fsync(true);
-    amp::core::setup::initialize(&db).unwrap();
-    db
-}
-
-/// What a crash at this instant would leave: the two files, as they are.
-fn copy_files(from: &Path, to: &Path) {
-    std::fs::create_dir_all(to).unwrap();
-    for file in FILES {
-        let _ = std::fs::remove_file(to.join(file));
-        if from.join(file).exists() {
-            std::fs::copy(from.join(file), to.join(file)).unwrap();
-        }
-    }
-}
 
 /// Leave the first `keep % len` (at least one, never all) bytes of one more
 /// frame after the copy's log: what a power cut in the middle of an append
@@ -86,48 +60,22 @@ fn tear_tail(copy: &Path, keep: usize) {
     log.unwrap().write_all(&frame[..keep]).unwrap();
 }
 
-fn daemons(db: &Db, grid: &mut Grid, generation: &str, walltime_hours: f64) -> Vec<GridAmp> {
-    (0..DAEMONS)
-        .map(|i| {
-            let config = DaemonConfig {
-                daemon_id: format!("gridamp-{generation}{i}"),
-                work_walltime_hours: walltime_hours,
-                ..DaemonConfig::default()
-            };
-            let daemon = GridAmp::new(db, config).unwrap();
-            grid.authorize("kraken", daemon.credential());
-            daemon
-        })
-        .collect()
-}
-
-/// Queue a seeded backlog of all four kinds — direct and optimization runs
-/// of both applications — in a seeded order.
-fn seed_backlog(db: &Db, seed: u64) {
+/// A durable world of two daemons with `walltime_hours` and a seeded
+/// backlog of all four kinds — direct and optimization runs of both
+/// applications — queued in a seeded order.
+fn campaign(tag: &str, seed: u64, walltime_hours: f64) -> World {
+    let world = World::durable(&format!("tickdur_{tag}"), walltime(walltime_hours), 2);
+    let db = &world.db;
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let (user, star, alloc, obs) = seed_fixtures(db, "kraken", &truth(), seed).unwrap();
-    let curve = amp::core::app::curvefit::CurveParams {
-        amplitude: 1.4,
-        decay: 0.25,
-        omega: 4.0,
-        phase: 0.6,
-        offset: 0.3,
-    };
-    let (cf_star, cf_obs) = seed_curvefit_fixtures(db, user, &curve, seed).unwrap();
+    let (cf_star, cf_obs) = seed_curvefit_fixtures(db, user, &curve_truth(), seed).unwrap();
     let mut kinds = [0, 0, 1, 2, 2, 3];
     for i in (1..kinds.len()).rev() {
         kinds.swap(i, rng.random_range(0..=i));
     }
-    let sims = Manager::<Simulation>::new(db.connect(amp::core::roles::ROLE_WEB).unwrap());
     for kind in kinds {
-        let spec = OptimizationSpec {
-            ga_runs: 2,
-            population: 12,
-            generations: 12,
-            cores_per_run: 16,
-            seed: rng.random_range(1..1_000),
-        };
-        let mut sim = match kind {
+        let spec = spec(2, 12, 12, 16, rng.random_range(1..1_000));
+        let sim = match kind {
             0 => {
                 let params = StellarParams {
                     mass: rng.random_range(0.9..1.2),
@@ -147,7 +95,18 @@ fn seed_backlog(db: &Db, seed: u64) {
                 "curvefit", cf_star, user, spec, cf_obs, "kraken", alloc, 0,
             ),
         };
-        sims.create(&mut sim).unwrap();
+        queue(db, sim);
+    }
+    world
+}
+
+/// A checkpoint a few rounds in, so that the copies carry a snapshot too,
+/// and the crash, if there is one.
+fn schedule(seed: u64, crash: Option<Crash>) -> Schedule {
+    let schedule = Schedule::none().at(4 + seed % 5, Fault::Checkpoint);
+    match crash {
+        Some(crash) => schedule.at(0, Fault::Crash(crash)),
+        None => schedule,
     }
 }
 
@@ -183,15 +142,11 @@ fn submitted_handles(grid: &Grid) -> Vec<String> {
 fn recover_copy(copy: &Path, submitted: &[String], at: &str) -> BTreeMap<String, (usize, u64)> {
     let scratch = copy.with_extension("check");
     copy_files(copy, &scratch);
-    let db = open(&scratch);
+    let db = open_durable(&scratch);
     let tables = fingerprint(&db);
     let admin = db.connect(amp::core::roles::ROLE_ADMIN).unwrap();
-    let recorded: HashSet<String> = Manager::<GridJobRecord>::new(admin.clone())
-        .all()
-        .unwrap()
-        .into_iter()
-        .filter_map(|job| job.gram_handle)
-        .collect();
+    let jobs = Manager::<GridJobRecord>::new(admin.clone()).all().unwrap();
+    let recorded: HashSet<String> = jobs.into_iter().filter_map(|j| j.gram_handle).collect();
     for handle in submitted {
         assert!(
             recorded.contains(handle),
@@ -206,14 +161,6 @@ fn recover_copy(copy: &Path, submitted: &[String], at: &str) -> BTreeMap<String,
     tables
 }
 
-/// Every allocation's `su_used`, in id order.
-fn su_used(db: &Db) -> Vec<f64> {
-    let admin = db.connect(amp::core::roles::ROLE_ADMIN).unwrap();
-    let mut allocations = Manager::<Allocation>::new(admin).all().unwrap();
-    allocations.sort_by_key(|a| a.id);
-    allocations.iter().map(|a| a.su_used).collect()
-}
-
 /// The same charges, whatever order they were added up in.
 fn assert_same_charges(charged: &[f64], reference: &[f64], tag: &str) {
     assert_eq!(charged.len(), reference.len(), "{tag}");
@@ -223,192 +170,90 @@ fn assert_same_charges(charged: &[f64], reference: &[f64], tag: &str) {
     }
 }
 
-fn all_done(db: &Db) -> bool {
-    final_states(db)
-        .iter()
-        .all(|(_, status, _)| status == "DONE")
+/// The `k`-th tick of `round`, by daemon `i`, has just ended; `submitted`
+/// were the GRAM handles out before it. Recover its mid-tick copy and a
+/// copy of the files now, whole and with a torn append after them.
+fn check_tick(w: &World, submitted: &[String], (round, k, i): (usize, usize, usize)) {
+    let at = format!("round {round} daemon {i}");
+    let (mid, boundary) = (w.mid(), w.dir().join("boundary"));
+    recover_copy(&mid, submitted, &format!("{at}, mid-tick"));
+    copy_files(w.dir(), &boundary);
+    let copied = recover_copy(&boundary, &submitted_handles(&w.grid), &at);
+    assert_eq!(copied, fingerprint(&w.db), "{at}: boundary copy != live");
+    let log = |dir: &Path| std::fs::read(dir.join(FILES[1])).unwrap();
+    let (early, late) = (log(&mid), log(&boundary));
+    assert!(late.starts_with(&early), "{at}: mid-tick log is no prefix");
+    let frames = Wal::read_frames(boundary.join(FILES[1])).unwrap();
+    let ends = frames.iter().map(|f| f.end);
+    let mut whole = [0, MAGIC.len()].into_iter().chain(ends);
+    assert!(whole.any(|end| end == early.len()), "{at}: torn commit");
+    tear_tail(&boundary, round * 31 + k * 17);
+    assert!(log(&boundary).len() > late.len());
+    let torn = recover_copy(&boundary, &submitted_handles(&w.grid), &at);
+    assert_eq!(torn, copied, "{at}: torn boundary copy != clean one");
 }
 
-/// How a campaign ended: drained, or abandoned in the middle of a tick with
-/// the files as they were in `<dir>/mid`.
-enum Ended {
-    Drained,
-    Crashed,
-}
-
-/// Where a campaign is abandoned, as a crash would.
-#[derive(Clone, Copy)]
-enum Crash {
-    /// At this mid-tick instant (`pause_point`; counted from 1).
-    MidTick(usize),
-    /// At this point of this GRAM submission (counted from 1).
-    InStep(usize, StepPoint),
-    /// Right after the site accepted this Work job: `(simulation, ga_run,
-    /// continuation)`.
-    Accepting(i64, i64, i64),
-}
-
-/// One deployment: durable database in `dir`, simulated Kraken, two
-/// daemons, the seeded backlog.
-struct Campaign {
-    dir: PathBuf,
-    db: Db,
-    grid: Grid,
-    daemons: Vec<GridAmp>,
-    walltime_hours: f64,
-    /// Mid-tick instants passed so far, over both daemons.
-    pauses: Arc<AtomicUsize>,
-    /// GRAM handles handed out before each of them.
-    submitted_at_pause: Vec<usize>,
-}
-
-impl Campaign {
-    fn deploy(tag: &str, seed: u64, walltime_hours: f64, crash: Option<Crash>) -> Campaign {
-        let dir = std::env::temp_dir().join(format!("amp_tickdur_{tag}_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let db = open(&dir);
-        let mut grid = Grid::new();
-        grid.add_site(amp::grid::systems::kraken());
-        amp::gridamp::apps::install_amp_stack(&mut grid, "kraken");
-        let mut daemons = daemons(&db, &mut grid, "", walltime_hours);
-        seed_backlog(&db, seed);
-        let pauses = Arc::new(AtomicUsize::new(0));
-        let submissions = Arc::new(AtomicUsize::new(0));
-        for daemon in &mut daemons {
-            let (at, pauses) = (dir.clone(), Arc::clone(&pauses));
-            daemon.pause_point = Some(Box::new(move || {
-                copy_files(&at, &at.join("mid"));
-                let instant = pauses.fetch_add(1, Ordering::SeqCst) + 1;
-                if matches!(crash, Some(Crash::MidTick(at)) if at == instant) {
-                    resume_unwind(Box::new("crash")); // unwinds without the panic hook
-                }
-            }));
-            let (dir, submissions) = (dir.clone(), Arc::clone(&submissions));
-            daemon.step_point = Some(Box::new(move |point, job| {
-                let accepted = usize::from(point == StepPoint::Accepted);
-                let nth = submissions.fetch_add(accepted, Ordering::SeqCst) + accepted;
-                let key = (job.simulation_id, job.ga_run, job.continuation);
-                let here = match crash {
-                    Some(Crash::InStep(n, at)) => (n, at) == (nth, point),
-                    Some(Crash::Accepting(sim, run, c)) => {
-                        (sim, run, c) == key && accepted == 1 && job.purpose == JobPurpose::Work
-                    }
-                    _ => false,
-                };
-                if here {
-                    copy_files(&dir, &dir.join("mid"));
-                    resume_unwind(Box::new("crash"));
-                }
-            }));
+/// Run a campaign until it drains (true) or crashes. The claim phase
+/// submits nothing, so the GRAM handles out before a tick are the audit log
+/// at its mid-tick instant: also returns how many there were before each
+/// tick. With `check`, every tick's mid-tick and boundary copies are
+/// recovered and compared; a crash's copy always is.
+fn drive(world: &mut World, seed: u64, crash: Option<Crash>, check: bool) -> (bool, Vec<usize>) {
+    let (mut submitted, mut before_tick) = (submitted_handles(&world.grid), Vec::new());
+    let (mut round, mut k) = (0, 0);
+    let ended = world.run(&schedule(seed, crash), |w, seen| match seen {
+        Seen::Begin(r) => (round, k) = (r as usize, 0),
+        Seen::Ticked(i, _) => {
+            before_tick.push(submitted.len());
+            if check {
+                check_tick(w, &submitted, (round, k, i));
+            }
+            submitted = submitted_handles(&w.grid);
+            k += 1;
         }
-        Campaign {
-            dir,
-            db,
-            grid,
-            daemons,
-            walltime_hours,
-            pauses,
-            submitted_at_pause: Vec::new(),
-        }
+        Seen::End(_) => {}
+    });
+    if ended.is_none() {
+        recover_copy(&world.mid(), &submitted, &format!("round {round}, crash"));
     }
-
-    /// Tick the daemons round-robin until the backlog is drained or a tick
-    /// crashes. With `check`, every mid-tick and boundary copy is recovered
-    /// and compared; a crash copy always is.
-    fn run(&mut self, seed: u64, check: bool) -> Ended {
-        let compact_at = 3 + seed as usize % 5;
-        let (mid, boundary) = (self.dir.join("mid"), self.dir.join("boundary"));
-        for round in 0..MAX_ROUNDS {
-            for k in 0..DAEMONS {
-                let i = (round + k) % DAEMONS;
-                let at = format!("round {round} daemon {i}");
-                // The claim phase submits nothing, so the audit log at the
-                // mid-tick instant is the audit log now.
-                let submitted = submitted_handles(&self.grid);
-                self.submitted_at_pause.push(submitted.len());
-                let (daemon, grid) = (&mut self.daemons[i], &self.grid);
-                let tick = catch_unwind(AssertUnwindSafe(|| daemon.tick(grid)));
-                if check || tick.is_err() {
-                    recover_copy(&mid, &submitted, &format!("{at}, mid-tick"));
-                }
-                let Ok(report) = tick else {
-                    return Ended::Crashed;
-                };
-                assert!(report.daemon_errors.is_empty(), "{at}: {report:?}");
-                if !check {
-                    continue;
-                }
-                copy_files(&self.dir, &boundary);
-                let copied = recover_copy(&boundary, &submitted_handles(&self.grid), &at);
-                assert_eq!(copied, fingerprint(&self.db), "{at}: boundary copy != live");
-                let log = |dir: &Path| std::fs::read(dir.join(FILES[1])).unwrap();
-                let (early, late) = (log(&mid), log(&boundary));
-                assert!(late.starts_with(&early), "{at}: mid-tick log is no prefix");
-                let frames = Wal::read_frames(boundary.join(FILES[1])).unwrap();
-                let ends = frames.iter().map(|f| f.end);
-                let mut whole = [0, MAGIC.len()].into_iter().chain(ends);
-                assert!(whole.any(|end| end == early.len()), "{at}: torn commit");
-                tear_tail(&boundary, round * 31 + k * 17);
-                assert!(log(&boundary).len() > late.len());
-                let torn = recover_copy(&boundary, &submitted_handles(&self.grid), &at);
-                assert_eq!(torn, copied, "{at}: torn boundary copy != clean one");
-            }
-            if all_done(&self.db) {
-                return Ended::Drained;
-            }
-            if round == compact_at {
-                self.db.compact().unwrap(); // so the copies carry a snapshot too
-            }
-            self.grid.advance(SimDuration::from_secs(300));
-        }
-        panic!("backlog did not drain in {MAX_ROUNDS} rounds");
-    }
+    (ended.is_some(), before_tick)
 }
 
-impl Campaign {
-    /// Run to the crash, then recover what it left: fresh daemons on the
-    /// `mid` copy — with the append the crash interrupted — against the grid
-    /// that survived, left alone for `outage_hours` first. Returns the
-    /// recovered database once it has drained.
-    fn crash_and_recover(mut self, seed: u64, tag: &str, outage_hours: f64) -> Db {
-        assert!(matches!(self.run(seed, false), Ended::Crashed), "{tag}");
-        let Campaign { dir, mut grid, .. } = self;
-        grid.advance(SimDuration::from_hours(outage_hours));
-        tear_tail(&dir.join("mid"), tag.len());
-        let db = open(&dir.join("mid"));
-        let mut fresh = daemons(&db, &mut grid, "r", self.walltime_hours);
-        let mut rounds = 0;
-        while !all_done(&db) {
-            rounds += 1;
-            assert!(
-                rounds < MAX_ROUNDS,
-                "{tag}: recovered backlog did not drain"
-            );
-            for daemon in &mut fresh {
-                let report = daemon.tick(&grid);
-                assert!(report.daemon_errors.is_empty(), "{tag}: {report:?}");
-            }
-            grid.advance(SimDuration::from_secs(300));
-        }
-        assert_no_duplicate_submissions(&db, &grid);
-        db
-    }
+/// Run to the crash, then recover what it left: fresh daemons on the `mid`
+/// copy — with the append the crash interrupted — against the grid that
+/// survived, left alone for `outage_hours` first. Returns the recovered
+/// world once it has drained.
+fn crash_and_recover(
+    mut world: World,
+    seed: u64,
+    crash: Crash,
+    tag: &str,
+    outage_hours: f64,
+) -> World {
+    let (drained, _) = drive(&mut world, seed, Some(crash), false);
+    assert!(!drained, "{tag}: no crash");
+    world.grid.advance(SimDuration::from_hours(outage_hours));
+    tear_tail(&world.mid(), tag.len());
+    world.recover();
+    world.run(&Schedule::none(), |_, _| {});
+    assert_no_duplicate_submissions(&world.db, &world.grid);
+    world
 }
 
 fn tick_granular_recovery(seed: u64) {
     // The run nobody interrupts, with every instant of it recovered.
-    let mut reference = Campaign::deploy(&format!("ref{seed}"), seed, 6.0, None);
-    assert!(matches!(reference.run(seed, true), Ended::Drained));
+    let mut reference = campaign(&format!("ref{seed}"), seed, 6.0);
+    let (drained, submitted) = drive(&mut reference, seed, None, true);
+    assert!(drained);
     assert_no_duplicate_submissions(&reference.db, &reference.grid);
     let (finals, charged) = (final_states(&reference.db), su_used(&reference.db));
     assert_eq!(finals.len(), 6);
+    assert!(finals.iter().all(|(_, s, _)| s == "DONE"), "{finals:?}");
     assert!(charged.iter().all(|&used| used > 0.0), "{charged:?}");
-    let _ = std::fs::remove_dir_all(&reference.dir);
-    let submitted = reference.submitted_at_pause;
-    assert_eq!(submitted.len(), reference.pauses.load(Ordering::SeqCst));
+    assert_eq!(submitted.len(), reference.mid_ticks());
     let total = *submitted.last().unwrap();
     assert!(total >= 24, "only {total} GRAM submissions");
+    drop(reference);
 
     // Nine crashes, three in each third of the run: at the mid-tick instant
     // after a tick that submitted something, right after the site accepted
@@ -435,12 +280,9 @@ fn tick_granular_recovery(seed: u64) {
     }
     for (name, crash) in crashes {
         let tag = format!("crash{seed}_{name}");
-        let crashed = Campaign::deploy(&tag, seed, 6.0, Some(crash));
-        let dir = crashed.dir.clone();
-        let db = crashed.crash_and_recover(seed, &tag, 0.0);
-        assert_eq!(final_states(&db), finals, "{tag}: finals diverged");
-        assert_same_charges(&su_used(&db), &charged, &tag);
-        let _ = std::fs::remove_dir_all(&dir);
+        let world = crash_and_recover(campaign(&tag, seed, 6.0), seed, crash, &tag, 0.0);
+        assert_eq!(final_states(&world.db), finals, "{tag}: finals diverged");
+        assert_same_charges(&su_used(&world.db), &charged, &tag);
     }
 }
 
@@ -452,42 +294,36 @@ fn tick_granular_recovery(seed: u64) {
 #[test]
 fn a_continuation_accepted_before_a_long_outage_is_reconciled_and_charged() {
     let seed = 1;
-    let mut reference = Campaign::deploy("outage_ref", seed, 1.0, None);
-    assert!(matches!(reference.run(seed, false), Ended::Drained));
+    let mut reference = campaign("outage_ref", seed, 1.0);
+    assert!(drive(&mut reference, seed, None, false).0);
     let (finals, charged) = (final_states(&reference.db), su_used(&reference.db));
     let admin = reference.db.connect(amp::core::roles::ROLE_ADMIN).unwrap();
     let work = Query::new().eq("purpose", "WORK").order_by("continuation");
     let last = Manager::<GridJobRecord>::new(admin).filter(&work).unwrap();
-    let last = last.last().expect("work jobs");
-    let key = (last.simulation_id, last.ga_run, last.continuation);
+    let last = last.last().expect("work jobs").clone();
     assert!(
         last.continuation >= 1 && last.run_secs().unwrap() > 0,
         "{last:?}"
     );
-    let _ = std::fs::remove_dir_all(&reference.dir);
-
-    let crashed = Campaign::deploy(
-        "outage",
-        seed,
-        1.0,
-        Some(Crash::Accepting(key.0, key.1, key.2)),
-    );
-    let dir = crashed.dir.clone();
-    let db = crashed.crash_and_recover(seed, "outage", 48.0);
-    let admin = db.connect(amp::core::roles::ROLE_ADMIN).unwrap();
-    let of_key = Query::new()
-        .eq("simulation_id", key.0)
-        .eq("purpose", "WORK")
-        .eq("ga_run", key.1)
-        .eq("continuation", key.2);
-    let rows = Manager::<GridJobRecord>::new(admin)
-        .filter(&of_key)
+    // Nothing is submitted twice in a run nobody interrupts: the accepted
+    // submissions are the audit log's, in order.
+    let handles = submitted_handles(&reference.grid);
+    let nth = 1 + handles
+        .iter()
+        .position(|h| Some(h) == last.gram_handle.as_ref())
         .unwrap();
+    drop(reference);
+
+    let crash = Crash::InStep(nth, StepPoint::Accepted);
+    let world = crash_and_recover(campaign("outage", seed, 1.0), seed, crash, "outage", 48.0);
+    let rows = jobs_of(&world.db, last.simulation_id, "WORK");
+    let of_key =
+        |j: &&GridJobRecord| (j.ga_run, j.continuation) == (last.ga_run, last.continuation);
+    let rows: Vec<_> = rows.iter().filter(of_key).collect();
     assert_eq!(rows.len(), 1, "{rows:?}");
     assert_eq!(rows[0].run_secs(), last.run_secs());
-    assert_eq!(final_states(&db), finals);
-    assert_same_charges(&su_used(&db), &charged, "outage");
-    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(final_states(&world.db), finals);
+    assert_same_charges(&su_used(&world.db), &charged, "outage");
 }
 
 #[test]

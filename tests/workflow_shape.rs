@@ -2,17 +2,10 @@
 //! shape of Figure 1, and simulations move through exactly the Listing-1
 //! state sequence.
 
-use amp::prelude::*;
+mod common;
 
-fn truth() -> StellarParams {
-    StellarParams {
-        mass: 1.05,
-        metallicity: 0.02,
-        helium: 0.27,
-        alpha: 2.0,
-        age: 4.0,
-    }
-}
+use amp::prelude::*;
+use common::{queue, spec, truth, walltime, Schedule, Seen, World};
 
 fn deploy_kraken(walltime_hours: f64, chaining: bool) -> amp::gridamp::Deployment {
     amp::gridamp::deploy(
@@ -39,13 +32,7 @@ fn submit_opt(dep: &amp::gridamp::Deployment, spec: OptimizationSpec) -> i64 {
 #[test]
 fn figure1_shape_holds() {
     let mut dep = deploy_kraken(6.0, false);
-    let spec = OptimizationSpec {
-        ga_runs: 4,
-        population: 24,
-        generations: 40,
-        cores_per_run: 128,
-        seed: 5,
-    };
+    let spec = spec(4, 24, 40, 128, 5);
     let sim_id = submit_opt(&dep, spec.clone());
     dep.daemon.run_until_settled(&dep.grid, 24.0 * 30.0);
 
@@ -114,35 +101,20 @@ fn figure1_shape_holds() {
 
 #[test]
 fn listing1_state_sequence_exact() {
-    let mut dep = deploy_kraken(24.0, false);
+    let mut world = World::kraken(1, walltime(24.0));
     let (user, star, alloc, _obs) =
-        amp::gridamp::seed_fixtures(&dep.db, "kraken", &truth(), 3).unwrap();
-    let web = dep.db.connect(amp::core::roles::ROLE_WEB).unwrap();
-    let mut sim = Simulation::new_direct(star, user, StellarParams::sun(), "kraken", alloc, 0);
-    let sim_id = Manager::<Simulation>::new(web).create(&mut sim).unwrap();
+        amp::gridamp::seed_fixtures(&world.db, "kraken", &truth(), 3).unwrap();
+    let sun = Simulation::new_direct(star, user, StellarParams::sun(), "kraken", alloc, 0);
+    let sim_id = queue(&world.db, sun);
 
     // collect every transition the daemon reports
     let mut transitions = Vec::new();
-    for _ in 0..200 {
-        let report = dep.daemon.tick(&dep.grid);
-        transitions.extend(
-            report
-                .transitions
-                .iter()
-                .filter(|(id, _, _)| *id == sim_id)
-                .map(|(_, from, to)| (*from, *to)),
-        );
-        let admin = dep.db.connect(amp::core::roles::ROLE_ADMIN).unwrap();
-        if Manager::<Simulation>::new(admin)
-            .get(sim_id)
-            .unwrap()
-            .status
-            == SimStatus::Done
-        {
-            break;
+    world.run(&Schedule::none(), |_, seen| {
+        if let Seen::Ticked(_, report) = seen {
+            let of_sim = report.transitions.iter().filter(|t| t.0 == sim_id);
+            transitions.extend(of_sim.map(|&(_, from, to)| (from, to)));
         }
-        dep.grid.advance(SimDuration::from_secs(300));
-    }
+    });
     assert_eq!(
         transitions,
         vec![
@@ -159,13 +131,7 @@ fn listing1_state_sequence_exact() {
 #[test]
 fn chaining_submits_dependent_jobs_upfront() {
     let mut dep = deploy_kraken(6.0, true);
-    let spec = OptimizationSpec {
-        ga_runs: 2,
-        population: 24,
-        generations: 40,
-        cores_per_run: 128,
-        seed: 5,
-    };
+    let spec = spec(2, 24, 40, 128, 5);
     let sim_id = submit_opt(&dep, spec);
     // a couple of ticks: chains should already be fully submitted
     dep.daemon.tick(&dep.grid);
@@ -208,13 +174,7 @@ fn two_simulations_share_the_machine() {
     let sims = Manager::<Simulation>::new(web);
     let mut ids = Vec::new();
     for seed in [1u64, 2] {
-        let spec = OptimizationSpec {
-            ga_runs: 2,
-            population: 20,
-            generations: 20,
-            cores_per_run: 128,
-            seed,
-        };
+        let spec = spec(2, 20, 20, 128, seed);
         let mut sim = Simulation::new_optimization(star, user, spec, obs, "kraken", alloc, 0);
         ids.push(sims.create(&mut sim).unwrap());
     }
