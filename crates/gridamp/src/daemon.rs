@@ -696,6 +696,9 @@ impl GridAmp {
                     self.hold(sim, &format!("transient storm: {msg}"), now, report);
                 }
             }
+            // The lease moved on mid-step: the row, its notes, its streak
+            // and any hold are the new owner's, so nothing is written here.
+            Err(WorkflowError::Fenced(_)) => report.transient_errors += 1,
             Err(WorkflowError::ModelFailure(msg)) => {
                 self.hold(sim, &msg, now, report);
             }

@@ -15,6 +15,9 @@ use std::fmt;
 pub enum WorkflowError {
     /// Anticipated transient: retried automatically next tick.
     Transient(String),
+    /// The step's lease moved to another daemon mid-step: it backs out and
+    /// writes nothing more, because the simulation is the new owner's.
+    Fenced(String),
     /// Model processing failure: simulation goes to HOLD, user and
     /// administrator are notified.
     ModelFailure(String),
@@ -54,6 +57,7 @@ impl fmt::Display for WorkflowError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             WorkflowError::Transient(m) => write!(f, "transient: {m}"),
+            WorkflowError::Fenced(m) => write!(f, "fenced: {m}"),
             WorkflowError::ModelFailure(m) => write!(f, "model failure: {m}"),
             WorkflowError::Daemon(m) => write!(f, "daemon failure: {m}"),
         }

@@ -252,18 +252,20 @@ impl StageCtx<'_> {
         })
     }
 
-    /// The transient error a fenced-out step backs out with; the
-    /// simulation is then retried by its new owner.
+    /// The error a fenced-out step backs out with; the simulation is then
+    /// stepped by its new owner.
     fn fenced(&self, lease: Option<Lease>) -> WorkflowError {
         let sim_id = self.sim.id.expect("saved sim");
         let epoch = self.lease_epoch.expect("fencing on");
         let holder = lease
             .map(|l| format!("{} at epoch {}", l.daemon_id, l.epoch))
             .unwrap_or_else(|| "nobody".to_string());
-        let msg = format!("fenced: sim {sim_id} lease moved to {holder} (we held epoch {epoch})");
+        let err = WorkflowError::Fenced(format!(
+            "sim {sim_id} lease moved to {holder} (we held epoch {epoch})"
+        ));
         amp_obs::counter("daemon_lease_fences_total").inc();
-        amp_obs::flight().record("lease_fence", format!("t={} {}", self.now(), msg));
-        WorkflowError::Transient(msg)
+        amp_obs::flight().record("lease_fence", format!("t={} {err}", self.now()));
+        err
     }
 
     /// Re-read the lease row immediately before a GRAM submission: a daemon

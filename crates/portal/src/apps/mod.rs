@@ -17,21 +17,6 @@ pub mod submit;
 
 use crate::router::Router;
 
-/// The home page, rendered through the Django-style template engine
-/// (most views build HTML directly; this demonstrates the template path
-/// with live data, as AMP's Django templates did). Compiled once into the
-/// portal-wide [`crate::portal::registry`].
-pub(crate) const HOME_TEMPLATE: &str = "\
-<p>Derive the properties of Sun-like stars from observations of their \
-pulsation frequencies.</p>\
-<ul><li><a href=\"/stars\">Browse the star catalog</a> ({{ stars }} stars, \
-{{ with_results }} with results)</li>\
-<li><a href=\"/stars/search\">Search for a target</a></li>\
-<li><a href=\"/simulations\">View simulations</a> ({{ done }} completed)</li></ul>\
-{% if recent %}<h3>Recently completed</h3><ul>\
-{% for s in recent %}<li><a href=\"/simulation/{{ s.id }}\">#{{ s.id }} {{ s.kind }} of {{ s.star }}</a></li>{% endfor %}\
-</ul>{% endif %}";
-
 /// Wire the full URL map. Admin routes exist only on admin-enabled
 /// deploys — on the public portal they are not merely forbidden, they are
 /// absent.
@@ -55,6 +40,7 @@ pub fn build_router(admin_enabled: bool) -> Router {
 
     // home
     r.get("/", |p, req, _| {
+        use crate::http::html_escape;
         use amp_core::models::{Simulation, Star};
         use amp_simdb::orm::Manager;
         use amp_simdb::Query;
@@ -65,31 +51,38 @@ pub fn build_router(admin_enabled: bool) -> Router {
         // never clones a row, and the recent-5 list is a top-k over the
         // probe's candidates rather than a full-table sort.
         let done_q = Query::new().eq("status", amp_core::SimStatus::Done.as_str());
-        let recent: Vec<serde_json::Value> = sims
-            .filter(&done_q.clone().order_by_desc("id").limit(5))
-            .unwrap_or_default()
-            .iter()
-            .map(|s| {
+        let mut body = format!(
+            "<p>Derive the properties of Sun-like stars from observations of their \
+             pulsation frequencies.</p>\
+             <ul><li><a href=\"/stars\">Browse the star catalog</a> ({} stars, \
+             {} with results)</li>\
+             <li><a href=\"/stars/search\">Search for a target</a></li>\
+             <li><a href=\"/simulations\">View simulations</a> ({} completed)</li></ul>",
+            stars.count(&Query::new()).unwrap_or(0),
+            stars
+                .count(&Query::new().eq("has_results", true))
+                .unwrap_or(0),
+            sims.count(&done_q).unwrap_or(0),
+        );
+        let recent = sims
+            .filter(&done_q.order_by_desc("id").limit(5))
+            .unwrap_or_default();
+        if !recent.is_empty() {
+            body.push_str("<h3>Recently completed</h3><ul>");
+            for s in &recent {
                 let star = stars
                     .get(s.star_id)
                     .map(|st| st.identifier)
                     .unwrap_or_default();
-                serde_json::json!({
-                    "id": s.id.unwrap_or(0),
-                    "kind": s.kind.as_str(),
-                    "star": star,
-                })
-            })
-            .collect();
-        let ctx = serde_json::json!({
-            "stars": stars.count(&Query::new()).unwrap_or(0),
-            "with_results": stars
-                .count(&Query::new().eq("has_results", true))
-                .unwrap_or(0),
-            "done": sims.count(&done_q).unwrap_or(0),
-            "recent": recent,
-        });
-        let body = crate::portal::registry().render("home", &ctx);
+                body.push_str(&format!(
+                    "<li><a href=\"/simulation/{id}\">#{id} {} of {}</a></li>",
+                    html_escape(s.kind.as_str()),
+                    html_escape(&star),
+                    id = s.id.unwrap_or(0),
+                ));
+            }
+            body.push_str("</ul>");
+        }
         p.page("Home", user.as_ref(), &body)
     });
 

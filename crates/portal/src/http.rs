@@ -541,7 +541,8 @@ impl Response {
     }
 }
 
-/// HTML-escape (used by templates and handlers echoing user input).
+/// HTML-escape text for a page: every view and the site layout pass the
+/// database's and the user's strings through here.
 pub fn html_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {

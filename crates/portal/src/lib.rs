@@ -8,8 +8,9 @@
 //!
 //! * [`http`] / [`server`] — hand-rolled HTTP/1.1 (no web framework on the
 //!   offline crate list);
-//! * [`templates`] — a small Django-flavoured template engine;
-//! * [`router`] — URL patterns → view functions;
+//! * [`router`] — URL patterns → view functions, each of which writes its
+//!   HTML directly, escaping text with [`http::html_escape`];
+//!   [`Portal::page`] wraps it in the site layout;
 //! * [`auth`] — from-scratch SHA-256, salted iterated password hashing,
 //!   session store;
 //! * [`captcha`] — the §4.2 accessibility CAPTCHA ("What is the HD number
@@ -28,7 +29,6 @@ pub mod portal;
 pub mod router;
 pub mod server;
 pub mod simbad;
-pub mod templates;
 
 pub use auth::{hash_password, sha256, verify_password, SessionStore};
 pub use cache::ResponseCache;
@@ -38,7 +38,6 @@ pub use portal::{Portal, PortalConfig};
 pub use router::{Params, Router};
 pub use server::{Server, ServerConfig};
 pub use simbad::{Simbad, SimbadError};
-pub use templates::{render, Template, TemplateRegistry};
 
 #[cfg(test)]
 mod portal_tests {

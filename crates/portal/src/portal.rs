@@ -16,32 +16,10 @@ use crate::captcha::Captcha;
 use crate::http::{html_escape, Request, Response};
 use crate::router::Router;
 use crate::simbad::Simbad;
-use crate::templates::TemplateRegistry;
 
-/// The site layout, compiled once into the shared [`registry`]. `body`
-/// and `nav_user` are pre-rendered HTML (`|safe`); `title` and `site`
-/// are escaped by the engine exactly as the old `format!` path did.
-const LAYOUT_TEMPLATE: &str = "<!doctype html>\n\
-     <html><head><title>{{ title }} — {{ site }}</title></head>\n\
-     <body>\n\
-     <header><h1><a href=\"/\">{{ site }}</a></h1>\
-     <nav><a href=\"/stars\">stars</a> | <a href=\"/simulations\">simulations</a> | {{ nav_user|safe }}</nav></header>\n\
-     <main>\n{{ body|safe }}\n</main>\n\
-     <footer>AMP — simulations, computational jobs, allocations and supercomputers.</footer>\n</body></html>";
-
-/// The portal's precompiled templates, parsed once per process. Views
-/// render through here instead of re-parsing template source per request.
-pub(crate) fn registry() -> &'static TemplateRegistry {
-    static REGISTRY: OnceLock<TemplateRegistry> = OnceLock::new();
-    REGISTRY.get_or_init(|| {
-        let mut reg = TemplateRegistry::new();
-        reg.register("layout", LAYOUT_TEMPLATE)
-            .expect("layout template parses");
-        reg.register("home", crate::apps::HOME_TEMPLATE)
-            .expect("home template parses");
-        reg
-    })
-}
+/// Site title shown in the layout's `<title>` and header. It goes into the
+/// page as it is, so it holds nothing `html_escape` would change.
+const SITE_TITLE: &str = "Asteroseismic Modeling Portal";
 
 /// Portal configuration.
 #[derive(Debug, Clone)]
@@ -54,8 +32,6 @@ pub struct PortalConfig {
     /// Synthetic-SIMBAD size and seed.
     pub simbad_stars: usize,
     pub simbad_seed: u64,
-    /// Site title shown in the layout.
-    pub site_title: String,
     /// Serve anonymous read-only pages from the versioned response cache
     /// (see [`crate::cache`]). Disable to force every request through a
     /// fresh render — the cache property test diffs the two.
@@ -71,7 +47,6 @@ impl Default for PortalConfig {
             admin_enabled: false,
             simbad_stars: 200,
             simbad_seed: 2009,
-            site_title: "Asteroseismic Modeling Portal".into(),
             cache_enabled: true,
         }
     }
@@ -240,23 +215,39 @@ impl Portal {
             .ok()
     }
 
-    /// Render a page in the site layout.
+    /// Render a page in the site layout. `title` is text and is escaped;
+    /// `body` is the view's HTML and goes in as it is.
     pub fn page(&self, title: &str, user: Option<&AmpUser>, body: &str) -> Response {
-        let nav_user = match user {
-            Some(u) => format!(
-                "<a href=\"/accounts/profile\">{}</a> | <a href=\"/accounts/logout\">log out</a>",
-                html_escape(&u.username)
+        // The layout's own bytes are ~450, plus the title and the username.
+        let mut html = String::with_capacity(body.len() + 640);
+        html.push_str("<!doctype html>\n<html><head><title>");
+        html.push_str(&html_escape(title));
+        html.push_str(" — ");
+        html.push_str(SITE_TITLE);
+        html.push_str("</title></head>\n<body>\n<header><h1><a href=\"/\">");
+        html.push_str(SITE_TITLE);
+        html.push_str(
+            "</a></h1><nav><a href=\"/stars\">stars</a> | \
+             <a href=\"/simulations\">simulations</a> | ",
+        );
+        match user {
+            Some(u) => {
+                html.push_str("<a href=\"/accounts/profile\">");
+                html.push_str(&html_escape(&u.username));
+                html.push_str("</a> | <a href=\"/accounts/logout\">log out</a>");
+            }
+            None => html.push_str(
+                "<a href=\"/accounts/login\">log in</a> | \
+                 <a href=\"/accounts/register\">register</a>",
             ),
-            None => "<a href=\"/accounts/login\">log in</a> | <a href=\"/accounts/register\">register</a>"
-                .to_string(),
-        };
-        let ctx = serde_json::json!({
-            "title": title,
-            "site": self.config.site_title,
-            "nav_user": nav_user,
-            "body": body,
-        });
-        Response::html(registry().render("layout", &ctx))
+        }
+        html.push_str("</nav></header>\n<main>\n");
+        html.push_str(body);
+        html.push_str(
+            "\n</main>\n<footer>AMP — simulations, computational jobs, \
+             allocations and supercomputers.</footer>\n</body></html>",
+        );
+        Response::html(html)
     }
 
     /// A 404 rendered in the site layout — used when a route exists but

@@ -354,7 +354,8 @@ fn gc_paused_daemon_is_fenced_out_of_submission() {
 /// accepting its first submission and the job row, past its lease. B takes
 /// over, submits the same id, is handed the same job and writes its row.
 /// A wakes into the insert, and the lease it re-reads in the insert's own
-/// transaction says the simulation is B's: A writes no second row.
+/// transaction says the simulation is B's: A writes no second row, and
+/// leaves the simulation row and the notifications as B left them.
 #[test]
 fn a_daemon_frozen_between_acceptance_and_its_job_row_writes_no_second_row() {
     let (mut world, sim_id) = two_daemons_one_run();
@@ -367,11 +368,14 @@ fn a_daemon_frozen_between_acceptance_and_its_job_row_writes_no_second_row() {
         }
     }));
 
+    let admin = world.db.connect(amp::core::roles::ROLE_ADMIN).unwrap();
+    let sims = Manager::<Simulation>::new(admin.clone());
+    let notes = Manager::<Notification>::new(admin);
     let grid = &world.grid;
     let [a, b] = &mut world.daemons[..] else {
         unreachable!("two daemons")
     };
-    let woken = std::thread::scope(|scope| {
+    let (woken, b_left, b_notes) = std::thread::scope(|scope| {
         let frozen = scope.spawn(|| a.tick(grid)); // t=0: claim, submit the fork job
         entered_rx
             .recv()
@@ -380,12 +384,17 @@ fn a_daemon_frozen_between_acceptance_and_its_job_row_writes_no_second_row() {
         grid.advance(SimDuration::from_secs(ttl + 300));
         b.tick(grid);
         assert_eq!(b.owned_sims(), vec![sim_id], "B took the simulation over");
+        let b_left = sims.get(sim_id).unwrap();
+        let b_notes = notes.count(&Query::new()).unwrap();
         drop(resume_tx); // wakes A, and parks it at no later submission
-        frozen.join().expect("A's tick thread")
+        (frozen.join().expect("A's tick thread"), b_left, b_notes)
     });
     assert_no_duplicate_submissions(&world.db, &world.grid);
-    // A's step backed out, fenced by the lease it re-read with the row.
+    // A's step backed out, fenced by the lease it re-read with the row,
+    // and wrote nothing over B's transition: no stale row, no admin note.
     assert_eq!(woken.transient_errors, 1, "{woken:?}");
+    assert_eq!(sims.get(sim_id).unwrap(), b_left);
+    assert_eq!(notes.count(&Query::new()).unwrap(), b_notes);
 
     world.daemons[0].step_point = None;
     world.run(&Schedule::none(), |_, _| {});

@@ -371,6 +371,172 @@ fn app_browser_lists_installed_applications() {
     assert!(body.contains("/submit/curvefit/direct/"), "{body}");
 }
 
+// Page bytes. Every page is the site layout around a view's body: text
+// from the database or the user is escaped (`&`, `<`, `>`, `"`, `'`) and
+// a view's HTML goes in as it is. These pin the layout and the home page
+// byte for byte.
+
+const ANONYMOUS_NAV: &str =
+    "<a href=\"/accounts/login\">log in</a> | <a href=\"/accounts/register\">register</a>";
+
+const LOGIN_BODY: &str = "<h2>Log in</h2>\
+     <form method=\"post\" action=\"/accounts/login\">\
+     <label>Username <input name=\"username\"></label><br>\
+     <label>Password <input type=\"password\" name=\"password\"></label><br>\
+     <button>Log in</button></form>";
+
+/// The site layout as served: `title` already escaped, `nav` and `body` HTML.
+fn layout(title: &str, nav: &str, body: &str) -> String {
+    format!(
+        "<!doctype html>\n\
+         <html><head><title>{title} — Asteroseismic Modeling Portal</title></head>\n\
+         <body>\n\
+         <header><h1><a href=\"/\">Asteroseismic Modeling Portal</a></h1>\
+         <nav><a href=\"/stars\">stars</a> | <a href=\"/simulations\">simulations</a> | {nav}</nav></header>\n\
+         <main>\n{body}\n</main>\n\
+         <footer>AMP — simulations, computational jobs, allocations and supercomputers.</footer>\n\
+         </body></html>"
+    )
+}
+
+/// The home page's body down to its "View simulations" line.
+fn home_counts(stars: usize, with_results: usize, done: usize) -> String {
+    format!(
+        "<p>Derive the properties of Sun-like stars from observations of their \
+         pulsation frequencies.</p>\
+         <ul><li><a href=\"/stars\">Browse the star catalog</a> ({stars} stars, \
+         {with_results} with results)</li>\
+         <li><a href=\"/stars/search\">Search for a target</a></li>\
+         <li><a href=\"/simulations\">View simulations</a> ({done} completed)</li></ul>"
+    )
+}
+
+/// A star whose identifier needs every escape, plus an owner and an
+/// allocation for simulations of it.
+fn awkward_star(r: &Rig) -> (i64, i64, i64) {
+    let admin = r.dep.db.connect(amp::core::roles::ROLE_ADMIN).unwrap();
+    let mut star = Star::from_catalog(&amp::stellar::famous_stars()[0], "local");
+    star.identifier = "HD <&\"'> 1".into();
+    star.has_results = true;
+    Manager::<Star>::new(admin.clone())
+        .create(&mut star)
+        .unwrap();
+    let mut user = AmpUser::new("owner", "o@x.edu", "h", 0);
+    Manager::<AmpUser>::new(admin.clone())
+        .create(&mut user)
+        .unwrap();
+    let mut alloc = Allocation::new("kraken", "TG-PIN", 1000.0);
+    Manager::<Allocation>::new(admin)
+        .create(&mut alloc)
+        .unwrap();
+    (star.id.unwrap(), user.id.unwrap(), alloc.id.unwrap())
+}
+
+#[test]
+fn home_page_bytes_on_an_empty_catalogue() {
+    let r = rig();
+    let resp = r.portal.handle(&Request::get("/"));
+    assert_eq!(resp.status, 200);
+    assert_eq!(
+        resp.body_str(),
+        layout("Home", ANONYMOUS_NAV, &home_counts(0, 0, 0))
+    );
+}
+
+#[test]
+fn home_page_bytes_list_five_recent_simulations_escaped() {
+    let r = rig();
+    let (star_id, owner_id, alloc_id) = awkward_star(&r);
+    let admin = r.dep.db.connect(amp::core::roles::ROLE_ADMIN).unwrap();
+    let sims = Manager::<Simulation>::new(admin);
+    for i in 0..7 {
+        let mut sim = Simulation::new_direct(
+            star_id,
+            owner_id,
+            StellarParams::benchmark(),
+            "kraken",
+            alloc_id,
+            0,
+        );
+        if i % 2 == 1 {
+            sim.kind = SimKind::Optimization;
+        }
+        // six DONE, then one still queued
+        if i < 6 {
+            sim.status = SimStatus::Done;
+        }
+        sims.create(&mut sim).unwrap();
+    }
+    let resp = r.portal.handle(&Request::get("/"));
+    assert_eq!(resp.status, 200);
+    let recent = "<h3>Recently completed</h3><ul>\
+         <li><a href=\"/simulation/6\">#6 optimization of HD &lt;&amp;&quot;&#x27;&gt; 1</a></li>\
+         <li><a href=\"/simulation/5\">#5 direct of HD &lt;&amp;&quot;&#x27;&gt; 1</a></li>\
+         <li><a href=\"/simulation/4\">#4 optimization of HD &lt;&amp;&quot;&#x27;&gt; 1</a></li>\
+         <li><a href=\"/simulation/3\">#3 direct of HD &lt;&amp;&quot;&#x27;&gt; 1</a></li>\
+         <li><a href=\"/simulation/2\">#2 optimization of HD &lt;&amp;&quot;&#x27;&gt; 1</a></li>\
+         </ul>";
+    assert_eq!(
+        resp.body_str(),
+        layout("Home", ANONYMOUS_NAV, &(home_counts(1, 1, 6) + recent))
+    );
+}
+
+#[test]
+fn layout_bytes_for_an_anonymous_user() {
+    let r = rig();
+    let resp = r.portal.handle(&Request::get("/accounts/login"));
+    assert_eq!(resp.status, 200);
+    assert_eq!(resp.body_str(), layout("Log in", ANONYMOUS_NAV, LOGIN_BODY));
+}
+
+#[test]
+fn layout_bytes_escape_a_logged_in_username() {
+    let r = rig();
+    let admin = r.dep.db.connect(amp::core::roles::ROLE_ADMIN).unwrap();
+    let mut user = AmpUser::new(
+        "o'<b>&\"x",
+        "x@x.edu",
+        &amp::portal::hash_password("password1", "s"),
+        0,
+    );
+    user.approved = true;
+    Manager::<AmpUser>::new(admin).create(&mut user).unwrap();
+    let login = r.portal.handle(&Request::post(
+        "/accounts/login",
+        &[("username", "o'<b>&\"x"), ("password", "password1")],
+    ));
+    assert_eq!(login.status, 302, "{}", login.body_str());
+    let resp = r
+        .portal
+        .handle(&Request::get("/accounts/login").with_cookie("amp_session", &cookie_of(&login)));
+    let nav = "<a href=\"/accounts/profile\">o&#x27;&lt;b&gt;&amp;&quot;x</a> | \
+               <a href=\"/accounts/logout\">log out</a>";
+    assert_eq!(resp.body_str(), layout("Log in", nav, LOGIN_BODY));
+}
+
+#[test]
+fn layout_bytes_escape_the_title() {
+    let r = rig();
+    let (star_id, _, _) = awkward_star(&r);
+    let resp = r.portal.handle(&Request::get(&format!("/star/{star_id}")));
+    assert_eq!(resp.status, 200);
+    let page = resp.body_str();
+    let body = page
+        .split_once("<main>\n")
+        .and_then(|(_, rest)| rest.rsplit_once("\n</main>"))
+        .map(|(body, _)| body)
+        .expect("a layout page");
+    assert!(
+        body.starts_with("<h2>HD &lt;&amp;&quot;&#x27;&gt; 1</h2>"),
+        "{body}"
+    );
+    assert_eq!(
+        page,
+        layout("HD &lt;&amp;&quot;&#x27;&gt; 1", ANONYMOUS_NAV, body)
+    );
+}
+
 #[test]
 fn unknown_app_ids_get_a_clean_404_page() {
     let r = rig();
