@@ -8,7 +8,8 @@
 //! input-file formats, the forward model, the GA search-space coupling,
 //! artifact formats, result rendering, and the job resource template. The
 //! engine (direct/optimization workflows, the daemon, the portal) treats
-//! artifacts as opaque bytes and dispatches through the [`registry`].
+//! artifacts as opaque bytes and dispatches through [`lookup`] over the
+//! [`builtin`] applications.
 
 pub mod curvefit;
 pub mod stellar;

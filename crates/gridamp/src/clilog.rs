@@ -10,14 +10,17 @@
 //!
 //! Every grid client call the daemon makes is recorded here with its
 //! Globus-CLI-equivalent command line; failures are highlighted and keep
-//! the exact line to paste.
+//! the exact line to paste. Beside the command lines, in the order they
+//! happened, are what the daemon decided about each simulation: its
+//! transitions, transient retries, holds, lease takeovers, fences and
+//! reconciled submissions, and the daemon's own errors.
 
+use amp_core::status::SimStatus;
 use amp_grid::{GramJobSpec, GramService};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
-/// Outcome of one logged operation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Outcome of one logged grid call.
+#[derive(Debug, Clone, PartialEq)]
 pub enum OpOutcome {
     Ok,
     /// Anticipated transient (silently retried; admins notified).
@@ -26,36 +29,94 @@ pub enum OpOutcome {
     Failed(String),
 }
 
+/// What one operations-log entry tells.
+#[derive(Debug, Clone, PartialEq)]
+pub enum OpsEvent {
+    /// A grid call: the copy-pasteable command line and how it ended.
+    Command { command: String, outcome: OpOutcome },
+    /// The simulation moved from one Listing-1 state to the next.
+    Transition { from: SimStatus, to: SimStatus },
+    /// A step failed transiently, the `streak`-th time in a row.
+    Transient { streak: u32, message: String },
+    /// The simulation was parked in HOLD.
+    Hold { reason: String },
+    /// This daemon took the simulation's expired lease over from `from`,
+    /// at fencing epoch `epoch`.
+    Takeover { from: String, epoch: i64 },
+    /// The lease moved to another daemon mid-step: the step backed out.
+    Fence { message: String },
+    /// A submission the site had accepted got the job row it lacked.
+    Reconciled { submission_id: String },
+    /// A daemon-class failure (surfaced to the external monitor).
+    DaemonError { message: String },
+}
+
 /// One operations-log entry.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OpsEntry {
-    /// Simulated time of the call (seconds).
+    /// Simulated time of the call or decision (seconds).
     pub at: i64,
-    /// Simulation this call served, if any.
+    /// Simulation this entry is about, if any.
     pub simulation_id: Option<i64>,
-    /// The copy-pasteable command line.
-    pub command: String,
-    pub outcome: OpOutcome,
+    pub event: OpsEvent,
 }
 
 impl OpsEntry {
+    /// `ok`, `WARN` or `ERROR`: how the entry is highlighted.
+    fn level(&self) -> &'static str {
+        match &self.event {
+            OpsEvent::Command {
+                outcome: OpOutcome::Ok,
+                ..
+            }
+            | OpsEvent::Transition { .. }
+            | OpsEvent::Takeover { .. }
+            | OpsEvent::Reconciled { .. } => "ok",
+            OpsEvent::Command {
+                outcome: OpOutcome::Transient(_),
+                ..
+            }
+            | OpsEvent::Transient { .. }
+            | OpsEvent::Fence { .. } => "WARN",
+            OpsEvent::Command { .. } | OpsEvent::Hold { .. } | OpsEvent::DaemonError { .. } => {
+                "ERROR"
+            }
+        }
+    }
+
     pub fn is_failure(&self) -> bool {
-        !matches!(self.outcome, OpOutcome::Ok)
+        self.level() != "ok"
     }
 
     /// Render one log line, highlighting warnings/errors as the paper
     /// describes.
     pub fn render(&self) -> String {
-        match &self.outcome {
-            OpOutcome::Ok => format!("t={} ok    $ {}", self.at, self.command),
-            OpOutcome::Transient(m) => format!(
-                "t={} WARN  $ {}\n            transient: {m} (will retry; paste the line above to retry manually)",
-                self.at, self.command
-            ),
-            OpOutcome::Failed(m) => format!(
-                "t={} ERROR $ {}\n            failed: {m} (paste the line above to reproduce)",
-                self.at, self.command
-            ),
+        let head = format!("t={} {:<5}", self.at, self.level());
+        let sim = self.simulation_id.map(|id| format!("sim {id}: "));
+        let sim = sim.unwrap_or_default();
+        match &self.event {
+            OpsEvent::Command { command, outcome } => match outcome {
+                OpOutcome::Ok => format!("{head} $ {command}"),
+                OpOutcome::Transient(m) => format!(
+                    "{head} $ {command}\n            transient: {m} (will retry; paste the line above to retry manually)"
+                ),
+                OpOutcome::Failed(m) => format!(
+                    "{head} $ {command}\n            failed: {m} (paste the line above to reproduce)"
+                ),
+            },
+            OpsEvent::Transition { from, to } => format!("{head} {sim}{from} -> {to}"),
+            OpsEvent::Transient { streak, message } => {
+                format!("{head} {sim}transient #{streak}: {message}")
+            }
+            OpsEvent::Hold { reason } => format!("{head} {sim}HOLD: {reason}"),
+            OpsEvent::Takeover { from, epoch } => {
+                format!("{head} {sim}lease taken over from {from} (epoch {epoch})")
+            }
+            OpsEvent::Fence { message } => format!("{head} {sim}fenced: {message}"),
+            OpsEvent::Reconciled { submission_id } => {
+                format!("{head} {sim}reconciled {submission_id}")
+            }
+            OpsEvent::DaemonError { message } => format!("{head} {sim}daemon: {message}"),
         }
     }
 }
@@ -82,11 +143,15 @@ impl OpsLog {
         }
     }
 
-    pub fn record(&mut self, entry: OpsEntry) {
+    pub fn record(&mut self, at: i64, simulation_id: Option<i64>, event: OpsEvent) {
         if self.entries.len() == self.capacity {
             self.entries.pop_front();
         }
-        self.entries.push_back(entry);
+        self.entries.push_back(OpsEntry {
+            at,
+            simulation_id,
+            event,
+        });
     }
 
     pub fn entries(&self) -> impl Iterator<Item = &OpsEntry> {
@@ -108,16 +173,9 @@ impl OpsLog {
 
     /// Render the tail of the log (most recent `n` entries).
     pub fn render_tail(&self, n: usize) -> String {
-        self.entries
-            .iter()
-            .rev()
-            .take(n)
-            .collect::<Vec<_>>()
-            .into_iter()
-            .rev()
-            .map(|e| e.render())
-            .collect::<Vec<_>>()
-            .join("\n")
+        let skip = self.entries.len().saturating_sub(n);
+        let lines: Vec<String> = self.entries.iter().skip(skip).map(|e| e.render()).collect();
+        lines.join("\n")
     }
 }
 
@@ -208,26 +266,23 @@ mod tests {
         .contains("gsiftp://kraken/amp/sim3/run0/observations.in"));
     }
 
+    fn command(command: &str, outcome: OpOutcome) -> OpsEvent {
+        let command = command.to_string();
+        OpsEvent::Command { command, outcome }
+    }
+
     #[test]
     fn log_is_bounded_and_highlights_failures() {
         let mut log = OpsLog::with_capacity(3);
         for i in 0..5 {
-            log.record(OpsEntry {
-                at: i,
-                simulation_id: Some(1),
-                command: format!("cmd{i}"),
-                outcome: OpOutcome::Ok,
-            });
+            log.record(i, Some(1), command(&format!("cmd{i}"), OpOutcome::Ok));
         }
         assert_eq!(log.len(), 3);
-        assert!(log.entries().next().unwrap().command == "cmd2");
+        assert_eq!(log.entries().next().unwrap().at, 2);
 
-        log.record(OpsEntry {
-            at: 9,
-            simulation_id: None,
-            command: "globusrun -b -r kraken/jobmanager-pbs '&(...)'".into(),
-            outcome: OpOutcome::Transient("GRAM on kraken unreachable".into()),
-        });
+        let unreachable = OpOutcome::Transient("GRAM on kraken unreachable".into());
+        let pbs = "globusrun -b -r kraken/jobmanager-pbs '&(...)'";
+        log.record(9, None, command(pbs, unreachable));
         assert_eq!(log.failures().count(), 1);
         let tail = log.render_tail(2);
         assert!(tail.contains("WARN"));
@@ -237,19 +292,33 @@ mod tests {
 
     #[test]
     fn render_formats() {
-        let ok = OpsEntry {
+        let entry = |event| OpsEntry {
             at: 5,
-            simulation_id: None,
-            command: "globus-job-status x".into(),
-            outcome: OpOutcome::Ok,
+            simulation_id: Some(3),
+            event,
         };
-        assert!(ok.render().starts_with("t=5 ok"));
-        let failed = OpsEntry {
-            outcome: OpOutcome::Failed("no such job".into()),
-            ..ok.clone()
-        };
-        assert!(failed.render().contains("ERROR"));
-        assert!(failed.is_failure());
-        assert!(!ok.is_failure());
+        let ok = entry(command("globus-job-status x", OpOutcome::Ok));
+        assert_eq!(ok.render(), "t=5 ok    $ globus-job-status x");
+        let failed = entry(command("x", OpOutcome::Failed("no such job".into())));
+        assert!(failed
+            .render()
+            .starts_with("t=5 ERROR $ x\n            failed: no such job"));
+        assert!(failed.is_failure() && !ok.is_failure());
+
+        let (from, to) = (SimStatus::PreJob, SimStatus::Running);
+        let moved = entry(OpsEvent::Transition { from, to });
+        assert_eq!(moved.render(), "t=5 ok    sim 3: PREJOB -> RUNNING");
+        let held = entry(OpsEvent::Hold {
+            reason: "transient storm: GRAM down".into(),
+        });
+        assert_eq!(
+            held.render(),
+            "t=5 ERROR sim 3: HOLD: transient storm: GRAM down"
+        );
+        let fenced = entry(OpsEvent::Fence {
+            message: "lease moved".into(),
+        });
+        assert!(fenced.render().starts_with("t=5 WARN  sim 3: fenced"));
+        assert!(held.is_failure() && fenced.is_failure() && !moved.is_failure());
     }
 }

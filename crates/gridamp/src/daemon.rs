@@ -31,7 +31,7 @@ use amp_grid::{CommunityCredential, GramJobHandle, GramState, Grid, SimDuration}
 use amp_simdb::orm::{Manager, Model};
 use amp_simdb::{Connection, Db, DbError, Op, Query, Value};
 
-use crate::clilog::{gram_status_cmdline, OpOutcome, OpsEntry, OpsLog};
+use crate::clilog::{gram_status_cmdline, OpOutcome, OpsEvent, OpsLog};
 use crate::error::WorkflowError;
 use crate::lease::{self, ClaimOutcome};
 use crate::optimize::PartialResults;
@@ -175,7 +175,8 @@ pub struct GridAmp {
     transient_streak: HashMap<i64, u32>,
     /// Simulated time of the last completed tick (heartbeat).
     pub last_heartbeat: Option<i64>,
-    /// §4.4: the command-line transparency log.
+    /// §4.4: the command-line transparency log, and what the daemon
+    /// decided about each simulation beside it.
     ops_log: OpsLog,
     /// Simulations this daemon currently holds leases on, with the held
     /// epoch — rebuilt by the claim phase of every tick. Both work phases
@@ -248,7 +249,9 @@ impl GridAmp {
     }
 
     /// The operations log: every grid call with its Globus-CLI-equivalent
-    /// command line, failures highlighted (§4.4).
+    /// command line, failures highlighted (§4.4), and, in the order they
+    /// happened, every transition, transient retry, hold, lease takeover,
+    /// fence, reconciled submission and daemon error.
     pub fn ops_log(&self) -> &OpsLog {
         &self.ops_log
     }
@@ -292,7 +295,8 @@ impl GridAmp {
             }
         };
         // The daemon's own (possibly skewed) clock drives lease expiry.
-        let now = grid.now().as_secs() as i64 + self.clock_skew_secs;
+        let at = grid.now().as_secs() as i64;
+        let now = at + self.clock_skew_secs;
         let ttl = self.config.lease_ttl_secs;
         let mut owned = BTreeMap::new();
         for (sim_id, app) in live {
@@ -303,13 +307,9 @@ impl GridAmp {
                         ClaimOutcome::Renewed { .. } => obs_metrics().lease_renewals.inc(),
                         ClaimOutcome::TakenOver { epoch, from } => {
                             obs_metrics().lease_takeovers.inc();
-                            amp_obs::flight().record(
-                                "lease_takeover",
-                                format!(
-                                    "t={now} sim {sim_id}: {} -> {} (epoch {epoch})",
-                                    from, self.config.daemon_id
-                                ),
-                            );
+                            let (from, epoch) = (from.clone(), *epoch);
+                            let takeover = OpsEvent::Takeover { from, epoch };
+                            self.ops_log.record(at, Some(sim_id), takeover);
                         }
                         ClaimOutcome::Lost => obs_metrics().lease_losses.inc(),
                         ClaimOutcome::Kept { .. } | ClaimOutcome::Held { .. } => {}
@@ -367,11 +367,13 @@ impl GridAmp {
         }
         metrics.stage_flush.lap(&mut since);
         self.last_heartbeat = Some(now + self.clock_skew_secs);
-        // Daemon-class errors are the flight recorder's reason to exist:
-        // count them and leave a breadcrumb trail for the failure dump.
-        for msg in &report.daemon_errors {
+        // Daemon-class errors go to the external monitor: count them, and
+        // log them beside the commands and decisions that led up to them.
+        for message in &report.daemon_errors {
             metrics.errors.inc();
-            amp_obs::flight().record("daemon_error", format!("t={now}: {msg}"));
+            let message = message.clone();
+            self.ops_log
+                .record(now, None, OpsEvent::DaemonError { message });
         }
         report
     }
@@ -524,15 +526,6 @@ impl GridAmp {
             }
             Err(e) if e.is_transient() => {
                 report.transient_errors += 1;
-                amp_obs::flight().record(
-                    "grid_fault",
-                    format!(
-                        "t={} site {} sim {}: {e}",
-                        now.as_secs(),
-                        job.site,
-                        job.simulation_id
-                    ),
-                );
                 // Anticipated transient: administrators notified, the
                 // user-visible display annotated, processing retried.
                 job.detail = format!("transient: {e}");
@@ -546,12 +539,10 @@ impl GridAmp {
                 OpOutcome::Failed(e.to_string())
             }
         };
-        self.ops_log.record(OpsEntry {
-            at: now.as_secs() as i64,
-            simulation_id: Some(job.simulation_id),
-            command: gram_status_cmdline(&handle.0),
-            outcome,
-        });
+        let command = gram_status_cmdline(&handle.0);
+        let (at, sim_id) = (now.as_secs() as i64, Some(job.simulation_id));
+        self.ops_log
+            .record(at, sim_id, OpsEvent::Command { command, outcome });
         phase.dirty.push(job);
     }
 
@@ -657,14 +648,8 @@ impl GridAmp {
                     ],
                 ))
                 .inc();
-                amp_obs::flight().record(
-                    "transition",
-                    format!(
-                        "t={now} sim {sim_id}: {} -> {}",
-                        from.as_str(),
-                        next.as_str()
-                    ),
-                );
+                let transition = OpsEvent::Transition { from, to: next };
+                self.ops_log.record(now, Some(sim_id), transition);
                 self.send_transition_mail(sim, from, next, now);
                 if next.is_terminal() {
                     self.release_lease(sim_id);
@@ -681,10 +666,9 @@ impl GridAmp {
                     *s
                 };
                 obs_metrics().transient_retries.inc();
-                amp_obs::flight().record(
-                    "transient",
-                    format!("t={now} sim {sim_id} streak {streak}: {msg}"),
-                );
+                let message = msg.clone();
+                let transient = OpsEvent::Transient { streak, message };
+                self.ops_log.record(now, Some(sim_id), transient);
                 // Silent for users; a plain-text note on the status
                 // display and an admin notification on first sight.
                 sim.status_message = msg.clone();
@@ -698,7 +682,11 @@ impl GridAmp {
             }
             // The lease moved on mid-step: the row, its notes, its streak
             // and any hold are the new owner's, so nothing is written here.
-            Err(WorkflowError::Fenced(_)) => report.transient_errors += 1,
+            Err(WorkflowError::Fenced(message)) => {
+                report.transient_errors += 1;
+                let fence = OpsEvent::Fence { message };
+                self.ops_log.record(now, Some(sim_id), fence);
+            }
             Err(WorkflowError::ModelFailure(msg)) => {
                 self.hold(sim, &msg, now, report);
             }
@@ -717,7 +705,9 @@ impl GridAmp {
             report.new_holds += 1;
             let sim_id = sim.id.expect("saved");
             obs_metrics().holds.inc();
-            amp_obs::flight().record("hold", format!("t={now} sim {sim_id}: {msg}"));
+            let reason = msg.to_string();
+            self.ops_log
+                .record(now, Some(sim_id), OpsEvent::Hold { reason });
             self.transient_streak.remove(&sim_id);
             self.release_lease(sim_id);
             self.notify_user(

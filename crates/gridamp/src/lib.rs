@@ -15,10 +15,15 @@
 //! * [`problem`] — the GA↔stellar-model fitness coupling;
 //! * [`daemon`] — the poll loop, failure taxonomy (transient / model /
 //!   daemon), hold-and-resume, notifications, heartbeat monitor;
+//! * [`error`] — that taxonomy as [`WorkflowError`], plus the fenced step;
+//! * [`clilog`] — the daemon's §4.4 operations log: every grid call as its
+//!   copy-pasteable Globus command line, and beside it every transition,
+//!   retry, hold, lease takeover, fence and reconciliation;
 //! * [`lease`] — the multi-daemon lease protocol: CAS claim/renew/
 //!   takeover with fencing epochs, so several daemons share one database
 //!   without ever double-driving a simulation;
 //! * [`gantt`] — the §6 queue-wait analysis tool;
+//! * [`advisor`] — the §2 deployment decision: which system to run on;
 //! * [`setup`] — deployment wiring for tests, examples, and benches.
 
 pub mod advisor;
@@ -36,7 +41,7 @@ pub mod workflow;
 
 pub use advisor::{assess, recommend, Assessment};
 pub use apps::GaRunResult;
-pub use clilog::{OpOutcome, OpsEntry, OpsLog};
+pub use clilog::{OpOutcome, OpsEntry, OpsEvent, OpsLog};
 pub use daemon::{DaemonMonitor, GridAmp, LeaseHealth, TickReport};
 pub use error::WorkflowError;
 pub use gantt::{chart_for, render_ascii, stats, GanttChart, GanttRow, WaitRunStats};
@@ -329,34 +334,38 @@ mod end_to_end {
         dep.daemon.run_until_settled(&dep.grid, 48.0);
 
         let log = dep.daemon.ops_log();
-        assert!(!log.is_empty());
-        // every entry is a pasteable Globus CLI line
-        for e in log.entries() {
+        let commands: Vec<_> = log
+            .entries()
+            .filter_map(|e| match &e.event {
+                OpsEvent::Command { command, outcome } => Some((command, outcome)),
+                _ => None,
+            })
+            .collect();
+        assert!(!commands.is_empty());
+        // every command entry is a pasteable Globus CLI line
+        for (command, _) in &commands {
             assert!(
-                e.command.starts_with("globusrun")
-                    || e.command.starts_with("globus-url-copy")
-                    || e.command.starts_with("globus-job-status"),
-                "{}",
-                e.command
+                command.starts_with("globusrun")
+                    || command.starts_with("globus-url-copy")
+                    || command.starts_with("globus-job-status"),
+                "{command}"
             );
         }
         // the outage produced highlighted transient entries with the exact
         // command to retry
-        let failures: Vec<_> = log.failures().collect();
-        assert!(!failures.is_empty());
-        assert!(failures
+        assert!(commands
             .iter()
-            .any(|e| matches!(e.outcome, OpOutcome::Transient(_))));
+            .any(|(_, outcome)| matches!(outcome, OpOutcome::Transient(_))));
         let tail = log.render_tail(log.len());
         assert!(tail.contains("WARN"));
         assert!(tail.contains("$ globus"));
         // successful submissions carry full RSL
-        assert!(log
-            .entries()
-            .any(|e| e.command.contains("jobmanager-fork") && !e.is_failure()));
-        assert!(log
-            .entries()
-            .any(|e| e.command.contains("(executable=/amp/bin/astec)")));
+        assert!(commands
+            .iter()
+            .any(|(c, outcome)| c.contains("jobmanager-fork") && **outcome == OpOutcome::Ok));
+        assert!(commands
+            .iter()
+            .any(|(c, _)| c.contains("(executable=/amp/bin/astec)")));
     }
 
     #[test]

@@ -34,7 +34,7 @@ use amp_simdb::orm::{Manager, Model};
 use amp_simdb::{Connection, DbError, Op, Query, Value};
 
 use crate::apps::paths;
-use crate::clilog::{ftp_cmdline, gram_submit_cmdline, OpOutcome, OpsEntry, OpsLog};
+use crate::clilog::{ftp_cmdline, gram_submit_cmdline, OpOutcome, OpsEvent, OpsLog};
 use crate::error::WorkflowError;
 use crate::optimize::PartialResults;
 
@@ -253,19 +253,14 @@ impl StageCtx<'_> {
     }
 
     /// The error a fenced-out step backs out with; the simulation is then
-    /// stepped by its new owner.
+    /// stepped by its new owner. The apply pass puts it on the ops log.
     fn fenced(&self, lease: Option<Lease>) -> WorkflowError {
-        let sim_id = self.sim.id.expect("saved sim");
         let epoch = self.lease_epoch.expect("fencing on");
         let holder = lease
             .map(|l| format!("{} at epoch {}", l.daemon_id, l.epoch))
             .unwrap_or_else(|| "nobody".to_string());
-        let err = WorkflowError::Fenced(format!(
-            "sim {sim_id} lease moved to {holder} (we held epoch {epoch})"
-        ));
         amp_obs::counter("daemon_lease_fences_total").inc();
-        amp_obs::flight().record("lease_fence", format!("t={} {err}", self.now()));
-        err
+        WorkflowError::Fenced(format!("lease moved to {holder} (we held epoch {epoch})"))
     }
 
     /// Re-read the lease row immediately before a GRAM submission: a daemon
@@ -450,7 +445,10 @@ impl StageCtx<'_> {
             rec.gram_handle = Some(sub.handle.0);
             self.record(&mut rec)?;
             submission_counters()[2].inc();
-            amp_obs::flight().record("reconciled", format!("sim {sim_id}: {}", sub.id));
+            let reconciled = OpsEvent::Reconciled {
+                submission_id: sub.id,
+            };
+            self.ops.record(self.now(), Some(sim_id), reconciled);
         }
         Ok(())
     }
@@ -473,12 +471,9 @@ impl StageCtx<'_> {
             Err(e) if e.is_transient() => OpOutcome::Transient(e.to_string()),
             Err(e) => OpOutcome::Failed(e.to_string()),
         };
-        self.ops.record(OpsEntry {
-            at: self.now(),
-            simulation_id: self.sim.id,
-            command,
-            outcome,
-        });
+        let (at, sim_id) = (self.now(), self.sim.id);
+        self.ops
+            .record(at, sim_id, OpsEvent::Command { command, outcome });
         Ok(result?)
     }
 

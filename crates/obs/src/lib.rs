@@ -1,52 +1,36 @@
-//! Observability substrate for the AMP stack.
+//! The metrics substrate of the AMP stack.
 //!
-//! The paper's operational story (§4.4) is that AMP works because its
-//! operators can *see* what the daemon and the grid are doing — the
-//! Globus-CLI transparency log existed purely for troubleshooting. This
-//! crate is the reproduction's equivalent, shaped like a modern serving
-//! stack's instrumentation layer:
+//! Metrics say *how much*: how many requests, transitions, retries and
+//! flushes, and how long they took. *What happened* to one simulation is
+//! on the §4.4 operations log of the daemon that drove it
+//! (`amp_gridamp::OpsLog`), not here. This crate is shaped like a modern
+//! serving stack's instrumentation layer:
 //!
 //! * a [`Registry`] of lock-free metrics — [`Counter`]s, [`Gauge`]s and
 //!   fixed-bucket [`Histogram`]s with p50/p99 extraction — where the hot
 //!   path is a single relaxed atomic op on a cached handle (registration
 //!   takes a lock once; observation never does);
-//! * a bounded ring-buffer [`FlightRecorder`] of structured events (the
-//!   last N daemon state transitions, grid faults, retries, lease
-//!   takeovers and fence rejections) that can be dumped when something
-//!   goes wrong;
 //! * Prometheus text exposition ([`Registry::render_prometheus`]) so the
 //!   portal can serve `GET /metrics`.
 //!
 //! The crate sits at the very bottom of the workspace graph (std only, no
 //! dependencies) so every tier — simdb, the gridamp daemon, the GA, the
-//! portal — can report into one process-wide registry ([`registry()`],
-//! [`flight()`]).
+//! portal — can report into one process-wide registry ([`registry()`]).
 
 mod metrics;
-mod recorder;
 
 pub use metrics::{
     count_buckets, latency_buckets, Counter, Gauge, Histogram, HistogramSnapshot, Registry, Unit,
 };
-pub use recorder::{FlightEvent, FlightRecorder};
 
 use std::sync::OnceLock;
 
-/// Default capacity of the global flight recorder.
-pub const FLIGHT_CAPACITY: usize = 256;
-
 static REGISTRY: OnceLock<Registry> = OnceLock::new();
-static FLIGHT: OnceLock<FlightRecorder> = OnceLock::new();
 
 /// The process-wide metrics registry. Instantiated lazily; a process that
 /// never records a metric never allocates one.
 pub fn registry() -> &'static Registry {
     REGISTRY.get_or_init(Registry::new)
-}
-
-/// The process-wide flight recorder (capacity [`FLIGHT_CAPACITY`]).
-pub fn flight() -> &'static FlightRecorder {
-    FLIGHT.get_or_init(|| FlightRecorder::new(FLIGHT_CAPACITY))
 }
 
 /// Register (or look up) a counter in the global registry.
@@ -125,12 +109,10 @@ mod tests {
     }
 
     #[test]
-    fn global_registry_and_flight_are_singletons() {
+    fn global_registry_is_a_singleton() {
         let c = counter("obs_test_global_total");
         c.inc();
         let again = counter("obs_test_global_total");
         assert!(again.get() >= 1);
-        flight().record("test", "global flight recorder works");
-        assert!(flight().events().iter().any(|e| e.category == "test"));
     }
 }

@@ -54,7 +54,7 @@ fn schema_table(a: &dyn ScienceApp) -> String {
     t
 }
 
-/// GET /apps/<app> — one application's schema, resources, and entry points.
+/// `GET /apps/<app>` — one application's schema, resources, and entry points.
 pub fn detail(p: &Portal, req: &Request, params: &Params) -> Response {
     let id = params.get("app").unwrap_or_default();
     let Some(a) = app::lookup(id) else {

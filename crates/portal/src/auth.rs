@@ -9,6 +9,7 @@
 
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::hash::{BuildHasher, RandomState};
 
 /// SHA-256 (FIPS 180-4). Straightforward, test-vector-verified.
 pub fn sha256(data: &[u8]) -> [u8; 32] {
@@ -143,10 +144,24 @@ pub struct Session {
 
 /// In-memory session store keyed by cookie token. (AMP used Django's DB
 /// sessions; in-memory with expiry gives the same observable behaviour
-/// for a single portal process.)
-#[derive(Default)]
+/// for a single portal process.) Sessions vanish when the process does:
+/// after a restart every cookie reads as anonymous until its user logs in
+/// again.
 pub struct SessionStore {
     inner: Mutex<SessionInner>,
+    /// Random per store, so that a restarted portal, whose counter starts
+    /// over, never issues a token the one before it issued.
+    salt: u64,
+}
+
+impl Default for SessionStore {
+    fn default() -> Self {
+        let salt = RandomState::new().hash_one("amp_session");
+        SessionStore {
+            inner: Mutex::default(),
+            salt,
+        }
+    }
 }
 
 #[derive(Default)]
@@ -168,7 +183,7 @@ impl SessionStore {
         let mut inner = self.inner.lock();
         inner.counter += 1;
         let token = hex(&sha256(
-            format!("session:{}:{}:{}", inner.counter, username, now).as_bytes(),
+            format!("session:{}:{}:{username}:{now}", self.salt, inner.counter).as_bytes(),
         ));
         inner.sessions.insert(
             token.clone(),

@@ -14,6 +14,8 @@ pub(crate) struct SimdbMetrics {
     pub wal_fsyncs: Counter,
     /// Bytes those flushes appended to the log file.
     pub wal_bytes: Counter,
+    /// Bytes of torn tail recovery cut off the log file.
+    pub wal_torn_tail_bytes: Counter,
     /// Records made durable per group-commit drain.
     pub wal_batch: Histogram,
     /// Distinct writer threads whose commits one leader's fsync made
@@ -50,6 +52,7 @@ pub(crate) fn metrics() -> &'static SimdbMetrics {
     METRICS.get_or_init(|| SimdbMetrics {
         wal_fsyncs: amp_obs::counter("simdb_wal_fsync_total"),
         wal_bytes: amp_obs::counter("simdb_wal_bytes_total"),
+        wal_torn_tail_bytes: amp_obs::counter("simdb_wal_torn_tail_bytes_total"),
         wal_batch: amp_obs::registry().histogram("simdb_wal_commit_batch_records", Unit::Count),
         group_commit_writers: amp_obs::registry()
             .histogram("simdb_group_commit_writers", Unit::Count),

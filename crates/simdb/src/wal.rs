@@ -32,9 +32,10 @@
 //! A crash mid-append leaves a torn last frame: a short header, a short
 //! body or a CRC mismatch with no valid frame anywhere after it. Recovery
 //! ([`Wal::open`], `Db::open`) cuts the file back to its last whole frame and
-//! says so in the flight recorder; [`Wal::read_frames`] only leaves the tail
-//! out. A bad frame *followed by a valid one* is damage, never a torn tail,
-//! and answers `Corrupt` with its byte offset.
+//! counts the bytes cut in `simdb_wal_torn_tail_bytes_total`;
+//! [`Wal::read_frames`] only leaves the tail out. A bad frame *followed by a
+//! valid one* is damage, never a torn tail, and answers `Corrupt` with its
+//! byte offset.
 //!
 //! # The snapshot file (DESIGN §9.8)
 //!
@@ -792,18 +793,15 @@ fn scan(path: &Path) -> Result<(Vec<u8>, Vec<Frame>, usize), DbError> {
 }
 
 /// Recovery's read of the log it is about to append to: the records of
-/// [`scan`], with a torn tail cut off the file and noted in the flight
-/// recorder. Only [`Wal::open`] and [`recover_with_last_seq`] come here.
+/// [`scan`], with a torn tail cut off the file and its bytes counted. Only
+/// [`Wal::open`] and [`recover_with_last_seq`] come here.
 fn read_cutting_torn_tail(path: &Path) -> Result<Vec<WalRecord>, DbError> {
     let (data, frames, whole) = scan(path)?;
     if whole < data.len() {
-        let (name, len) = (path.display(), data.len());
-        amp_obs::flight().record(
-            "simdb",
-            format!("wal {name}: torn tail, {len} bytes cut to {whole}"),
-        );
         let file = OpenOptions::new().write(true).open(path)?;
         file.set_len(whole as u64)?;
+        let cut = (data.len() - whole) as u64;
+        crate::obs::metrics().wal_torn_tail_bytes.add(cut);
     }
     Ok(frames.into_iter().flat_map(|f| f.records).collect())
 }
@@ -1362,18 +1360,25 @@ mod tests {
     }
 
     /// Reading a log is free of side effects; opening it for appending is
-    /// what cuts a torn tail.
+    /// what cuts a torn tail, and `simdb_wal_torn_tail_bytes_total` grows by
+    /// exactly the bytes cut. (No other test here opens a torn log.)
     #[test]
     fn only_opening_the_log_cuts_a_torn_tail() {
+        let cut = &crate::obs::metrics().wal_torn_tail_bytes;
         let wal_path = tmpdir("torn").join("db.wal");
         Wal::open(&wal_path).unwrap().append(&seed().1).unwrap();
         let whole = std::fs::read(&wal_path).unwrap();
+        let before = cut.get();
+        assert_eq!(Wal::open(&wal_path).unwrap().last_seq(), Some(5));
+        assert_eq!(cut.get(), before, "a clean log was cut");
         let torn = [&whole[..], &whole[MAGIC.len()..MAGIC.len() + 11]].concat();
         std::fs::write(&wal_path, &torn).unwrap();
         assert_eq!(Wal::read_frames(&wal_path).unwrap().len(), 1);
         assert_eq!(std::fs::read(&wal_path).unwrap(), torn);
+        assert_eq!(cut.get(), before, "reading cut the log");
         assert_eq!(Wal::open(&wal_path).unwrap().last_seq(), Some(5));
         assert_eq!(std::fs::read(&wal_path).unwrap(), whole);
+        assert_eq!(cut.get() - before, 11);
     }
 
     fn delete_u(id: i64) -> LogOp {

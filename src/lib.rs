@@ -15,7 +15,7 @@
 //! | [`core`] | shared AMP data models, marshaling, role matrix |
 //! | [`gridamp`] | the workflow daemon (Listing 1, failure taxonomy, Gantt tool) |
 //! | [`portal`] | the web gateway (HTTP, auth + CAPTCHA, catalog, admin, RSS) |
-//! | [`obs`] | lock-free metrics registry, Prometheus rendering, flight recorder |
+//! | [`obs`] | lock-free metrics registry, Prometheus rendering |
 //!
 //! ## Quickstart
 //!

@@ -19,7 +19,7 @@ mod common;
 use std::collections::{HashMap, HashSet};
 use std::sync::mpsc;
 
-use amp::gridamp::{seed_fixtures, small_spec, StepPoint};
+use amp::gridamp::{seed_fixtures, small_spec, OpsEvent, StepPoint};
 use amp::prelude::*;
 use common::{
     assert_no_duplicate_submissions, curve_truth, done, final_states, queue, sim, spec, truth,
@@ -272,6 +272,21 @@ fn fences() -> u64 {
     amp::obs::counter("daemon_lease_fences_total").get()
 }
 
+/// What `daemon`'s ops log tells of `sim_id`, in order.
+fn story(daemon: &GridAmp, sim_id: i64) -> Vec<OpsEvent> {
+    let of_sim = daemon.ops_log().entries();
+    let of_sim = of_sim.filter(|e| e.simulation_id == Some(sim_id));
+    of_sim.map(|e| e.event.clone()).collect()
+}
+
+/// Where `story` first shows a fork-script submission.
+fn fork_submit(story: &[OpsEvent]) -> Option<usize> {
+    story.iter().position(|e| {
+        matches!(e, OpsEvent::Command { command, .. }
+            if command.starts_with("globusrun") && command.contains("jobmanager-fork"))
+    })
+}
+
 /// The GC-pause double-submit scenario the fencing epoch exists for: a
 /// daemon claims its leases, stalls past expiry *inside* a tick (so its
 /// in-memory ownership map goes stale), a peer takes over, and the
@@ -355,7 +370,9 @@ fn gc_paused_daemon_is_fenced_out_of_submission() {
 /// over, submits the same id, is handed the same job and writes its row.
 /// A wakes into the insert, and the lease it re-reads in the insert's own
 /// transaction says the simulation is B's: A writes no second row, and
-/// leaves the simulation row and the notifications as B left them.
+/// leaves the simulation row and the notifications as B left them. Each
+/// daemon's log tells its side: A submitted and was fenced, B took over
+/// and submitted, and the owner's log walks the simulation to DONE.
 #[test]
 fn a_daemon_frozen_between_acceptance_and_its_job_row_writes_no_second_row() {
     let (mut world, sim_id) = two_daemons_one_run();
@@ -396,8 +413,38 @@ fn a_daemon_frozen_between_acceptance_and_its_job_row_writes_no_second_row() {
     assert_eq!(sims.get(sim_id).unwrap(), b_left);
     assert_eq!(notes.count(&Query::new()).unwrap(), b_notes);
 
+    let told_by_a = story(&world.daemons[0], sim_id);
+    let submitted = fork_submit(&told_by_a).expect("A's fork submit");
+    let fenced = told_by_a.len() - 1;
+    assert!(
+        matches!(told_by_a[fenced], OpsEvent::Fence { .. }) && submitted < fenced,
+        "{told_by_a:?}"
+    );
+    let told_by_b = story(&world.daemons[1], sim_id);
+    let took_over = told_by_b
+        .iter()
+        .position(|e| matches!(e, OpsEvent::Takeover { from, .. } if from.as_str() == "gridamp-0"));
+    let took_over = took_over.expect("B's takeover from gridamp-0");
+    assert!(
+        fork_submit(&told_by_b).is_some_and(|submitted| took_over < submitted),
+        "{told_by_b:?}"
+    );
+
     world.daemons[0].step_point = None;
     world.run(&Schedule::none(), |_, _| {});
     done(&world.db, sim_id);
     assert_no_duplicate_submissions(&world.db, &world.grid);
+    // The owner's log walks the simulation through Listing 1 to DONE.
+    let transitions = |daemon| -> Vec<(SimStatus, SimStatus)> {
+        let told = story(daemon, sim_id).into_iter();
+        let moved = told.filter_map(|e| match e {
+            OpsEvent::Transition { from, to } => Some((from, to)),
+            _ => None,
+        });
+        moved.collect()
+    };
+    let happy = SimStatus::happy_path();
+    let walk: Vec<_> = happy.windows(2).map(|w| (w[0], w[1])).collect();
+    assert_eq!(transitions(&world.daemons[1]), walk);
+    assert_eq!(transitions(&world.daemons[0]), []);
 }

@@ -1,9 +1,9 @@
 //! Observability integration: the process-wide metrics registry is fed by
 //! all three tiers (portal, simdb, gridamp daemon + GA), the portal's
-//! `GET /metrics` route exposes them in Prometheus text format, the
-//! flight recorder retains the last-N structured events across a daemon
-//! failure, and the keep-alive server closes idle connections cleanly
-//! (idle timeout is bookkept as `idle_timeout`, never as an I/O error).
+//! `GET /metrics` route exposes them in Prometheus text format, a daemon's
+//! own ops log tells one simulation's failure in order, and the keep-alive
+//! server closes idle connections cleanly (idle timeout is bookkept as
+//! `idle_timeout`, never as an I/O error).
 //!
 //! Metrics are cumulative per process, so every assertion here is a
 //! "present / increased by" check, never an exact global count — except
@@ -18,6 +18,7 @@ use std::time::Duration;
 mod common;
 
 use amp::grid::{Service, SimTime};
+use amp::gridamp::{OpOutcome, OpsEvent};
 use amp::obs;
 use amp::portal::Request;
 use amp::prelude::*;
@@ -342,20 +343,18 @@ fn a_failed_status_poll_is_counted_and_logged() {
         amp::gridamp::deploy(amp::grid::systems::kraken(), DaemonConfig::default(), None).unwrap();
     let (user, star, alloc, _obs) =
         amp::gridamp::seed_fixtures(&dep.db, "kraken", &truth(), 4).unwrap();
-    // Two runs, and the second one's job is broken: the run it fails is
-    // held, and a hold of sim 1 would be read as the flight-recorder
-    // test's own.
     let sims = Manager::<Simulation>::new(dep.db.connect(amp::core::roles::ROLE_WEB).unwrap());
-    for _ in 0..2 {
-        let mut sim = Simulation::new_direct(star, user, truth(), "kraken", alloc, 0);
-        sims.create(&mut sim).unwrap();
-    }
-    // The first tick submits the pre-job scripts; their rows are pending.
+    let mut sim = Simulation::new_direct(star, user, truth(), "kraken", alloc, 0);
+    let sim_id = sims.create(&mut sim).unwrap();
+    // The first tick submits the pre-job script; its row is pending.
     dep.daemon.tick(&dep.grid);
     let admin = dep.db.connect(amp::core::roles::ROLE_ADMIN).unwrap();
     let jobs = Manager::<GridJobRecord>::new(admin);
     let mut job = jobs.all().unwrap().pop().expect("a submitted job");
-    assert_eq!((job.simulation_id, job.status), (2, JobStatus::Pending));
+    assert_eq!(
+        (job.simulation_id, job.status),
+        (sim_id, JobStatus::Pending)
+    );
     let handle = GramJobHandle::new("kraken", GramService::Fork, 999_999).0;
     job.gram_handle = Some(handle.clone());
     jobs.save(&job).unwrap();
@@ -422,11 +421,11 @@ fn checkpoint_stage_timers_add_up_to_the_checkpoint() {
     );
 }
 
-/// A transient storm past the retry cap escalates to HOLD; the flight
-/// recorder retains the recent transient / hold event sequence and its
-/// dump names what went wrong.
+/// A transient storm past the retry cap escalates to HOLD, and the
+/// daemon's own log tells it in order: a failed grid call, one transient
+/// retry per step with its streak, then the hold, whose line names the storm.
 #[test]
-fn flight_recorder_dumps_recent_events_on_daemon_failure() {
+fn a_transient_storm_then_its_hold_are_told_on_the_daemons_log() {
     let _turn = EXACT_DELTAS.lock().unwrap_or_else(|e| e.into_inner());
     let mut dep = amp::gridamp::deploy(
         amp::grid::systems::kraken(),
@@ -453,40 +452,40 @@ fn flight_recorder_dumps_recent_events_on_daemon_failure() {
     let held = Manager::<Simulation>::new(admin).get(sim_id).unwrap();
     assert_eq!(held.status, SimStatus::Hold, "{}", held.status_message);
 
-    // The ring buffer holds the story: transient retries, then the hold.
-    let events = obs::flight().events();
-    assert!(!events.is_empty());
-    assert!(events.len() <= obs::FLIGHT_CAPACITY);
-    let sim_tag = format!("sim {sim_id}");
+    let log = dep.daemon.ops_log();
+    let story: Vec<&OpsEvent> = log
+        .entries()
+        .filter(|e| e.simulation_id == Some(sim_id))
+        .map(|e| &e.event)
+        .collect();
     assert!(
-        events
-            .iter()
-            .any(|e| e.category == "transient" && e.detail.contains(&sim_tag)),
-        "no transient events for {sim_tag}"
+        matches!(
+            story[0],
+            OpsEvent::Command {
+                outcome: OpOutcome::Transient(_),
+                ..
+            }
+        ),
+        "{story:?}"
     );
+    // Three retries are allowed; the fourth transient in a row holds.
+    let streaks: Vec<u32> = story
+        .iter()
+        .filter_map(|e| match e {
+            OpsEvent::Transient { streak, .. } => Some(*streak),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(streaks, [1, 2, 3, 4], "{story:?}");
     assert!(
-        events
-            .iter()
-            .any(|e| e.category == "hold" && e.detail.contains(&sim_tag)),
-        "no hold event for {sim_tag}"
+        matches!(story.last(), Some(OpsEvent::Hold { .. })),
+        "the hold ends the story: {story:?}"
     );
-    // Sequence numbers are monotone, so the dump reads in order: the
-    // hold comes after at least one of its transients.
-    let first_transient = events
-        .iter()
-        .find(|e| e.category == "transient" && e.detail.contains(&sim_tag))
-        .unwrap()
-        .seq;
-    let hold = events
-        .iter()
-        .find(|e| e.category == "hold" && e.detail.contains(&sim_tag))
-        .unwrap()
-        .seq;
-    assert!(hold > first_transient);
-
-    let dump = obs::flight().render();
-    assert!(dump.contains("flight recorder:"), "{dump}");
-    assert!(dump.contains("transient storm"), "{dump}");
+    let tail = log.render_tail(log.len());
+    assert!(
+        tail.contains(&format!("ERROR sim {sim_id}: HOLD: transient storm")),
+        "{tail}"
+    );
     // And the metrics side agrees an escalation happened.
     assert!(obs::counter("daemon_holds_total").get() >= 1);
     assert!(obs::counter("daemon_transient_retries_total").get() >= 3);

@@ -354,6 +354,49 @@ fn unapproved_users_cannot_submit() {
     assert_eq!(resp.status, 403);
 }
 
+/// Sessions live in the portal process, not in the database: a restarted
+/// portal (a second `Portal::new` on the same `Db`) reads the old cookie as
+/// anonymous and sends it from a protected page to the login form. A fresh
+/// login gets a new cookie that reaches the page; the old one stays dead.
+#[test]
+fn a_restarted_portal_forgets_sessions_and_a_fresh_login_reaches_the_page() {
+    let r = rig();
+    let admin = r.dep.db.connect(amp::core::roles::ROLE_ADMIN).unwrap();
+    let hash = amp::portal::hash_password("pulsations", "s");
+    let mut user = AmpUser::new("astro2", "a2@obs.edu", &hash, 0);
+    user.approved = true;
+    Manager::<AmpUser>::new(admin).create(&mut user).unwrap();
+    let login = |portal: &Portal| {
+        let form = [("username", "astro2"), ("password", "pulsations")];
+        let resp = portal.handle(&Request::post("/accounts/login", &form));
+        assert_eq!(resp.status, 302, "{}", resp.body_str());
+        cookie_of(&resp)
+    };
+    let profile = |portal: &Portal, cookie: &str| {
+        let req = Request::get("/accounts/profile").with_cookie("amp_session", cookie);
+        portal.handle(&req)
+    };
+    let to_login = |resp: amp::portal::Response| {
+        let location = resp.headers.iter().find(|(k, _)| k == "Location");
+        (resp.status, location.map(|(_, v)| v.clone()))
+    };
+    let old = login(&r.portal);
+    assert_eq!(profile(&r.portal, &old).status, 200);
+
+    let restarted = Portal::new(&r.dep.db, PortalConfig::default()).unwrap();
+    let signed_out = (302, Some("/accounts/login".to_string()));
+    assert_eq!(to_login(profile(&restarted, &old)), signed_out);
+    let fresh = login(&restarted);
+    assert_ne!(fresh, old, "the restarted portal re-issued the old token");
+    let page = profile(&restarted, &fresh);
+    assert!(
+        page.body_str().contains("<h2>Profile: astro2</h2>"),
+        "{}",
+        page.body_str()
+    );
+    assert_eq!(to_login(profile(&restarted, &old)), signed_out);
+}
+
 #[test]
 fn app_browser_lists_installed_applications() {
     let r = rig();
