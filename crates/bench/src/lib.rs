@@ -27,7 +27,6 @@ pub fn target_star() -> StellarParams {
 /// Deploy a quiet (no background load) AMP installation on one system.
 pub fn quiet_deployment(profile: SystemProfile, walltime_hours: f64) -> Deployment {
     let config = DaemonConfig {
-        site: profile.name.clone(),
         work_walltime_hours: walltime_hours,
         poll_interval_secs: 300,
         ..DaemonConfig::default()
@@ -459,7 +458,6 @@ pub mod queue {
         profile.background_utilization = offered_load;
         let site = profile.name.clone();
         let config = DaemonConfig {
-            site: site.clone(),
             work_walltime_hours: 6.0,
             job_chaining: chaining,
             poll_interval_secs: 300,

@@ -210,6 +210,12 @@ pub fn gram_status_cmdline(handle: &str) -> String {
     format!("globus-job-status {handle}")
 }
 
+/// The `globus-job-clean`-equivalent command line that makes a site forget
+/// a submission id, so that the next submission under it creates a new job.
+pub fn gram_release_cmdline(site: &str, submission_id: &str) -> String {
+    format!("globus-job-clean -r {site} {submission_id}")
+}
+
 /// The `globus-url-copy`-equivalent transfer command line.
 pub fn ftp_cmdline(site: &str, put: bool, local: &str, remote: &str) -> String {
     if put {
@@ -256,6 +262,10 @@ mod tests {
         assert_eq!(
             gram_status_cmdline("gram://kraken/jobmanager-pbs/42"),
             "globus-job-status gram://kraken/jobmanager-pbs/42"
+        );
+        assert_eq!(
+            gram_release_cmdline("kraken", "sim3/stellar/WORK/r0c1"),
+            "globus-job-clean -r kraken sim3/stellar/WORK/r0c1"
         );
         assert!(ftp_cmdline(
             "kraken",

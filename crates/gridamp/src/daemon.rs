@@ -36,7 +36,7 @@ use crate::error::WorkflowError;
 use crate::lease::{self, ClaimOutcome};
 use crate::optimize::PartialResults;
 use crate::workflow::{
-    commit_results, owner_username, step, unrecorded, DaemonConfig, StageCtx, StepHook,
+    commit_results, owner_username, step, DaemonConfig, StageCtx, StepHook, PROXY_LIFETIME,
 };
 
 /// Daemon-wide metric handles (global registry, resolved once). The
@@ -490,8 +490,7 @@ impl GridAmp {
         };
         let now = grid.now();
         let username = proxy_username(&mut phase.names, &self.conn, job.simulation_id);
-        let lifetime = SimDuration::from_hours(self.config.proxy_lifetime_hours);
-        let proxy = self.cred.issue_proxy(username, now, lifetime);
+        let proxy = self.cred.issue_proxy(username, now, PROXY_LIFETIME);
         let poll_timer = Instant::now();
         let status = grid.gram_status(&job.site, &proxy, &handle);
         let elapsed = poll_timer.elapsed();
@@ -572,7 +571,10 @@ impl GridAmp {
     /// re-derived by the next tick from the job records, and a lost job
     /// record from the site, which answers the submission's id with the job
     /// it already has. The one transition that carries a charge commits with
-    /// it ([`commit_results`]).
+    /// it ([`commit_results`]). A live row with `held_from` still set is an
+    /// administrator's resume: its step applies that and nothing else
+    /// ([`StageCtx::resume`]), ahead of any reconciliation, which would
+    /// otherwise give the job rows deleted during the hold back.
     fn step_sim(&mut self, grid: &Grid, mut sim: Simulation, lease_epoch: i64) -> StepProduct {
         let (from, loaded) = (sim.status, sim.clone());
         let sim_id = sim.id.expect("stepped sims are persisted rows");
@@ -587,12 +589,16 @@ impl GridAmp {
                 sim: &mut sim,
                 owner_username,
                 ops: &mut self.ops_log,
-                lease_epoch: Some(lease_epoch),
+                lease_epoch,
                 remembered: self.partial.get(&sim_id),
                 learned: None,
                 charge: None,
                 step_point: self.step_point.as_deref(),
             };
+            if ctx.sim.held_from.is_some() {
+                ctx.resume()?;
+                return Ok(None);
+            }
             if !self.reconciled.contains(&sim_id) {
                 ctx.reconcile()?;
             }
@@ -718,44 +724,6 @@ impl GridAmp {
             );
             self.notify_admins(Some(sim_id), "model failure (HOLD)", msg, now);
         }
-    }
-
-    /// Administrator action: resume a held simulation from the state it
-    /// was in ("once the problem has been resolved, the workflow resumes
-    /// automatically", §4.4). An acknowledged action, not tick work: it is
-    /// durable when this returns. A job record the administrator deleted
-    /// while fixing the hold is a job to run again, so the site is told to
-    /// forget its submission id — or it would answer the resubmission with
-    /// the job that failed.
-    pub fn resume_from_hold(
-        &mut self,
-        grid: &Grid,
-        sim_id: i64,
-    ) -> Result<SimStatus, WorkflowError> {
-        let mut sim = self.sims().get(sim_id)?;
-        if sim.status != SimStatus::Hold {
-            return Err(WorkflowError::Daemon(format!(
-                "simulation {sim_id} is not held (status {})",
-                sim.status
-            )));
-        }
-        let lifetime = SimDuration::from_hours(self.config.proxy_lifetime_hours);
-        let username = owner_username(&self.conn, &sim)?;
-        let proxy = self.cred.issue_proxy(&username, grid.now(), lifetime);
-        for deleted in unrecorded(grid, &self.conn, &proxy, &sim)? {
-            grid.gram_release(&sim.system, &proxy, &deleted.id)?;
-        }
-        let resume_to: SimStatus = sim
-            .held_from
-            .as_deref()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(SimStatus::Queued);
-        sim.status = resume_to;
-        sim.held_from = None;
-        sim.status_message = "resumed by administrator".to_string();
-        self.sims().save(&sim)?;
-        self.conn.flush()?;
-        Ok(resume_to)
     }
 
     fn send_transition_mail(&self, sim: &Simulation, from: SimStatus, to: SimStatus, now: i64) {

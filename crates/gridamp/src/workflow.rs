@@ -34,7 +34,9 @@ use amp_simdb::orm::{Manager, Model};
 use amp_simdb::{Connection, DbError, Op, Query, Value};
 
 use crate::apps::paths;
-use crate::clilog::{ftp_cmdline, gram_submit_cmdline, OpOutcome, OpsEvent, OpsLog};
+use crate::clilog::{
+    ftp_cmdline, gram_release_cmdline, gram_submit_cmdline, OpOutcome, OpsEvent, OpsLog,
+};
 use crate::error::WorkflowError;
 use crate::optimize::PartialResults;
 
@@ -49,15 +51,9 @@ pub struct DaemonConfig {
     /// renewed once half of it is gone, so this should be at least four
     /// poll intervals for one missed tick never to lose ownership.
     pub lease_ttl_secs: i64,
-    /// Target system (AMP's production target was Kraken).
-    pub site: String,
     /// Walltime requested for model (batch) jobs — "usually 6 or 24
     /// hours" (§6).
     pub work_walltime_hours: f64,
-    /// Walltime for fork scripts.
-    pub fork_walltime_minutes: f64,
-    /// Proxy certificate lifetime.
-    pub proxy_lifetime_hours: f64,
     /// §6 extension: submit continuation jobs up-front with scheduler
     /// dependencies instead of sequentially after each completion.
     pub job_chaining: bool,
@@ -73,16 +69,16 @@ impl Default for DaemonConfig {
         DaemonConfig {
             daemon_id: "gridamp-0".into(),
             lease_ttl_secs: 1800,
-            site: "kraken".into(),
             work_walltime_hours: 24.0,
-            fork_walltime_minutes: 10.0,
-            proxy_lifetime_hours: 12.0,
             job_chaining: false,
             max_transient_retries: 1_000,
             poll_interval_secs: 300,
         }
     }
 }
+
+/// Lifetime of the short-lived proxy each grid call is made with.
+pub(crate) const PROXY_LIFETIME: SimDuration = SimDuration(12 * 3600);
 
 /// Everything a workflow stage function can touch.
 ///
@@ -99,9 +95,8 @@ pub struct StageCtx<'a> {
     pub owner_username: String,
     /// The command-line transparency log (§4.4).
     pub ops: &'a mut OpsLog,
-    /// The lease epoch under which this step runs (fencing token). `None`
-    /// disables fencing — direct invocations outside the daemon loop.
-    pub lease_epoch: Option<i64>,
+    /// The lease epoch under which this step runs (fencing token).
+    pub lease_epoch: i64,
     /// What the caller remembers of this simulation's partial results from
     /// an earlier step, if anything ([`crate::optimize::check_work`]). With
     /// `None` every look fetches.
@@ -164,7 +159,7 @@ pub(crate) fn parse_submission_id(id: &str) -> Option<(&str, JobPurpose, i64, i6
 
 /// What `sim`'s site has accepted under its submission prefix that the job
 /// table has no record of.
-pub(crate) fn unrecorded(
+fn unrecorded(
     grid: &Grid,
     conn: &Connection,
     proxy: &ProxyCertificate,
@@ -206,11 +201,8 @@ impl StageCtx<'_> {
     /// Fresh short-lived proxy attributed to the simulation owner
     /// (GridShib SAML, §3).
     pub fn proxy(&self) -> ProxyCertificate {
-        self.cred.issue_proxy(
-            &self.owner_username,
-            self.grid.now(),
-            SimDuration::from_hours(self.config.proxy_lifetime_hours),
-        )
+        self.cred
+            .issue_proxy(&self.owner_username, self.grid.now(), PROXY_LIFETIME)
     }
 
     /// Remote scratch root for this simulation.
@@ -245,21 +237,19 @@ impl StageCtx<'_> {
     }
 
     /// Whether `lease` is the one this step started under — the
-    /// fencing-epoch guard (always true with fencing off).
+    /// fencing-epoch guard.
     fn holds(&self, lease: Option<&Lease>) -> bool {
-        self.lease_epoch.is_none_or(|epoch| {
-            lease.is_some_and(|l| l.daemon_id == self.config.daemon_id && l.epoch == epoch)
-        })
+        lease.is_some_and(|l| l.daemon_id == self.config.daemon_id && l.epoch == self.lease_epoch)
     }
 
     /// The error a fenced-out step backs out with; the simulation is then
     /// stepped by its new owner. The apply pass puts it on the ops log.
     fn fenced(&self, lease: Option<Lease>) -> WorkflowError {
-        let epoch = self.lease_epoch.expect("fencing on");
         let holder = lease
             .map(|l| format!("{} at epoch {}", l.daemon_id, l.epoch))
             .unwrap_or_else(|| "nobody".to_string());
         amp_obs::counter("daemon_lease_fences_total").inc();
+        let epoch = self.lease_epoch;
         WorkflowError::Fenced(format!("lease moved to {holder} (we held epoch {epoch})"))
     }
 
@@ -267,9 +257,6 @@ impl StageCtx<'_> {
     /// that paused past its lease expiry finds the epoch bumped (or the row
     /// re-owned) and backs out instead of submitting.
     fn check_fence(&mut self) -> Result<(), WorkflowError> {
-        if self.lease_epoch.is_none() {
-            return Ok(());
-        }
         let lease = crate::lease::current(self.conn, self.sim.id.expect("saved sim"))?;
         match self.holds(lease.as_ref()) {
             true => Ok(()),
@@ -288,10 +275,7 @@ impl StageCtx<'_> {
         let of_sim = Query::new().eq("simulation_id", rec.simulation_id);
         let tables = [Lease::TABLE, GridJobRecord::TABLE];
         let (lease, id) = self.conn.transaction(&tables, |tx| {
-            let leases = match self.lease_epoch {
-                Some(_) => tx.select(Lease::TABLE, &of_sim)?,
-                None => Vec::new(),
-            };
+            let leases = tx.select(Lease::TABLE, &of_sim)?;
             let lease = leases.first().map(|(id, row)| Lease::from_row(*id, row));
             let lease = lease.transpose()?;
             let id = match self.holds(lease.as_ref()) {
@@ -317,14 +301,14 @@ impl StageCtx<'_> {
                 return Ok(existing);
             }
         }
-        let walltime = SimDuration::from_minutes(self.config.fork_walltime_minutes);
+        const FORK_WALLTIME: SimDuration = SimDuration(10 * 60);
         let spec = GramJobSpec {
             service: GramService::Fork,
             executable: executable.to_string(),
             args,
             workdir: self.workdir(),
             cores: 0,
-            walltime,
+            walltime: FORK_WALLTIME,
             depends_on: vec![],
             name: String::new(), // `submit` names it
             submission_id: None,
@@ -450,6 +434,28 @@ impl StageCtx<'_> {
             };
             self.ops.record(self.now(), Some(sim_id), reconciled);
         }
+        Ok(())
+    }
+
+    /// The step that applies an administrator's resume (§4.4: "once the
+    /// problem has been resolved, the workflow resumes automatically"). The
+    /// portal sets a held row's status back and leaves `held_from` set, so a
+    /// live row with `held_from` is a resume not yet applied. A job row the
+    /// administrator deleted while fixing the hold is a job to run again, so
+    /// the site is told to forget every submission id it holds with no row —
+    /// or it would answer the resubmission with the job that failed. Each
+    /// release is fenced like a submission. Then `held_from` is cleared and
+    /// nothing else is stepped: the tick's flush makes the resume durable
+    /// before anything is submitted again.
+    pub(crate) fn resume(&mut self) -> Result<(), WorkflowError> {
+        let (proxy, site) = (self.proxy(), self.sim.system.clone());
+        for sub in unrecorded(self.grid, self.conn, &proxy, self.sim)? {
+            self.check_fence()?;
+            let command = gram_release_cmdline(&site, &sub.id);
+            let released = self.grid.gram_release(&site, &proxy, &sub.id);
+            self.log_op(command, released)?;
+        }
+        self.sim.held_from = None;
         Ok(())
     }
 

@@ -10,11 +10,11 @@
 //! (see [`crate::apps::build_router`]) and additionally require a
 //! logged-in administrator.
 
-use amp_core::models::{AmpUser, SystemAuthorization};
+use amp_core::models::{AmpUser, Simulation, SystemAuthorization};
 use amp_core::status::SimStatus;
 use amp_simdb::admin as dbadmin;
-use amp_simdb::orm::Manager;
-use amp_simdb::{Connection, Query};
+use amp_simdb::orm::{Manager, Model};
+use amp_simdb::{Connection, DbError, Query, Row};
 
 use crate::http::{html_escape, Request, Response};
 use crate::portal::Portal;
@@ -59,7 +59,7 @@ pub fn dashboard(p: &Portal, req: &Request, _: &Params) -> Response {
         ));
     }
     body.push_str("</ul><h3>Held simulations</h3><ul>");
-    let held = Manager::<amp_core::models::Simulation>::new(conn.clone())
+    let held = Manager::<Simulation>::new(conn.clone())
         .filter(&Query::new().eq("status", SimStatus::Hold.as_str()))
         .unwrap_or_default();
     for s in &held {
@@ -107,7 +107,10 @@ pub fn table_list(p: &Portal, req: &Request, params: &Params) -> Response {
     )
 }
 
-/// Generic single-field edit (the change form).
+/// Generic single-field edit (the change form). A simulation's row is
+/// edited only while it is HOLD or DONE: a live one is written only under
+/// its lease, by the daemon holding it, which saves the whole row it loaded
+/// and would undo the edit.
 pub fn set_field(p: &Portal, req: &Request, params: &Params) -> Response {
     let conn = match require_admin(p, req) {
         Ok(c) => c,
@@ -120,7 +123,18 @@ pub fn set_field(p: &Portal, req: &Request, params: &Params) -> Response {
     let (Some(column), Some(value)) = (form.get("column"), form.get("value")) else {
         return Response::bad_request("need column and value");
     };
-    match dbadmin::set_field(conn, name, id, column, value) {
+    let settled = |row: &Row| {
+        if name != Simulation::TABLE {
+            return Ok(());
+        }
+        match Simulation::from_row(id, row)?.status {
+            SimStatus::Hold | SimStatus::Done => Ok(()),
+            live => Err(DbError::TxnAborted(format!(
+                "simulation {id} is {live}: only a HOLD or DONE simulation is edited here"
+            ))),
+        }
+    };
+    match dbadmin::set_field(conn, name, id, column, value, settled) {
         Ok(()) => Response::redirect(&format!("/admin/table/{name}")),
         Err(e) => Response::bad_request(&e.to_string()),
     }
@@ -169,10 +183,13 @@ pub fn authorize(p: &Portal, req: &Request, _: &Params) -> Response {
     }
 }
 
-/// Release a held simulation back to its pre-failure state. The portal
-/// only flips the DB state; the daemon notices on its next poll (§4.4:
+/// Ask for a held simulation to resume from its pre-failure state (§4.4:
 /// "once the problem has been resolved, the workflow resumes
-/// automatically").
+/// automatically"). The portal holds no grid credential, so it only asks,
+/// on the row: the status goes back and `held_from` stays set. The daemon
+/// that next claims the simulation finds `held_from` on a live row, makes
+/// the site forget the submissions whose job rows were deleted while it
+/// was held, and clears it.
 pub fn resume_hold(p: &Portal, req: &Request, params: &Params) -> Response {
     let conn = match require_admin(p, req) {
         Ok(c) => c,
@@ -181,7 +198,7 @@ pub fn resume_hold(p: &Portal, req: &Request, params: &Params) -> Response {
     let Some(id) = params.id("id") else {
         return Response::not_found();
     };
-    let mgr = Manager::<amp_core::models::Simulation>::new(conn.clone());
+    let mgr = Manager::<Simulation>::new(conn.clone());
     match mgr.get(id) {
         Ok(mut sim) if sim.status == SimStatus::Hold => {
             let back: SimStatus = sim
@@ -190,7 +207,6 @@ pub fn resume_hold(p: &Portal, req: &Request, params: &Params) -> Response {
                 .and_then(|s| s.parse().ok())
                 .unwrap_or(SimStatus::Queued);
             sim.status = back;
-            sim.held_from = None;
             sim.status_message = "resumed by administrator".into();
             match mgr.save(&sim) {
                 Ok(()) => Response::redirect("/admin"),

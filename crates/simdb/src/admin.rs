@@ -76,13 +76,16 @@ pub fn parse_value(ty: ValueType, raw: &str) -> Result<Value, DbError> {
     }
 }
 
-/// Generic single-field edit used by the admin change form.
+/// Generic single-field edit used by the admin change form. `check` sees
+/// the row as it stands and may refuse the write: the read and the write
+/// are one transaction.
 pub fn set_field(
     conn: &Connection,
     table: &str,
     id: i64,
     column: &str,
     raw: &str,
+    check: impl FnOnce(&Row) -> Result<(), DbError>,
 ) -> Result<(), DbError> {
     let schema = table_schema(conn, table)?;
     let col = schema.column(column).ok_or_else(|| DbError::NoSuchColumn {
@@ -90,7 +93,10 @@ pub fn set_field(
         column: column.to_string(),
     })?;
     let value = parse_value(col.ty, raw)?;
-    conn.update(table, id, &[(column, value)])
+    conn.transaction(&[table], |tx| {
+        check(&tx.get(table, id)?)?;
+        tx.update(table, id, &[(column, value)])
+    })
 }
 
 /// Dump a whole table as display strings (debugging / fixtures).
@@ -182,17 +188,21 @@ mod tests {
     fn set_field_roundtrip() {
         let db = setup();
         let admin = db.connect("admin").unwrap();
-        set_field(&admin, "star", 1, "mass", "2.5").unwrap();
+        let any = |_: &Row| Ok(());
+        set_field(&admin, "star", 1, "mass", "2.5", any).unwrap();
         assert_eq!(admin.get("star", 1).unwrap()[1], Value::Float(2.5));
-        assert!(set_field(&admin, "star", 1, "mass", "heavy").is_err());
-        assert!(set_field(&admin, "star", 1, "nope", "1").is_err());
+        assert!(set_field(&admin, "star", 1, "mass", "heavy", any).is_err());
+        assert!(set_field(&admin, "star", 1, "nope", "1", any).is_err());
+        let refuse = |_: &Row| Err(DbError::TxnAborted("refused".into()));
+        assert!(set_field(&admin, "star", 1, "mass", "3.5", refuse).is_err());
+        assert_eq!(admin.get("star", 1).unwrap()[1], Value::Float(2.5));
     }
 
     #[test]
     fn set_field_respects_role() {
         let db = setup();
         let web = db.connect("web").unwrap();
-        assert!(set_field(&web, "star", 1, "mass", "2.5").is_err());
+        assert!(set_field(&web, "star", 1, "mass", "2.5", |_| Ok(())).is_err());
     }
 
     #[test]

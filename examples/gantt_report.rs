@@ -10,7 +10,6 @@ use amp::prelude::*;
 
 fn main() {
     let config = DaemonConfig {
-        site: "lonestar".into(),
         work_walltime_hours: 6.0,
         ..DaemonConfig::default()
     };

@@ -21,7 +21,6 @@ fn main() {
 
     // 6-hour walltime forces several continuation jobs per GA run.
     let config = DaemonConfig {
-        site: "kraken".into(),
         work_walltime_hours: 6.0,
         ..DaemonConfig::default()
     };

@@ -19,7 +19,6 @@ const GOLDEN: &str = "tests/golden/stellar_campaign.json";
 
 fn fast_config() -> DaemonConfig {
     DaemonConfig {
-        site: "kraken".into(),
         work_walltime_hours: 6.0,
         ..DaemonConfig::default()
     }

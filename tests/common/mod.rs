@@ -18,6 +18,7 @@ use std::sync::{Arc, Mutex};
 
 use amp::grid::systems::SystemProfile;
 use amp::gridamp::{StepPoint, TickReport};
+use amp::portal::{Request, Response};
 use amp::prelude::*;
 use amp::simdb::{Row, Value};
 use rand::{RngExt, SeedableRng};
@@ -142,6 +143,42 @@ pub fn jobs_of(db: &Db, sim_id: i64, purpose: &str) -> Vec<GridJobRecord> {
         .eq("simulation_id", sim_id)
         .eq("purpose", purpose);
     Manager::<GridJobRecord>::new(admin).filter(&of).unwrap()
+}
+
+/// An administrator signed in to an admin-enabled portal on a database
+/// (the portal of AMP's non-public deploys), to act as an operator would:
+/// through the routes.
+pub struct Admin {
+    portal: Portal,
+    cookie: String,
+}
+
+impl Admin {
+    /// Make the administrator `ops` and sign in.
+    pub fn on(db: &Db) -> Admin {
+        let hash = amp::portal::hash_password("ops-password", "ops");
+        let mut ops = AmpUser::new("ops", "ops@amp.example", &hash, 0);
+        (ops.approved, ops.is_admin) = (true, true);
+        let admin = db.connect(amp::core::roles::ROLE_ADMIN).unwrap();
+        Manager::<AmpUser>::new(admin).create(&mut ops).unwrap();
+        let config = PortalConfig {
+            admin_enabled: true,
+            ..PortalConfig::default()
+        };
+        let portal = Portal::new(db, config).unwrap();
+        let login = [("username", "ops"), ("password", "ops-password")];
+        let resp = portal.handle(&Request::post("/accounts/login", &login));
+        let cookie = resp.headers.iter().find(|(k, _)| k == "Set-Cookie");
+        let cookie = cookie.expect("signed in").1.split(';').next().unwrap();
+        let cookie = cookie.trim_start_matches("amp_session=").to_string();
+        Admin { portal, cookie }
+    }
+
+    /// POST `form` to `path` in the administrator's session.
+    pub fn post(&self, path: &str, form: &[(&str, &str)]) -> Response {
+        let req = Request::post(path, form).with_cookie("amp_session", &self.cookie);
+        self.portal.handle(&req)
+    }
 }
 
 /// An empty directory of its own for one test: `amp_<tag>_<pid>` under the

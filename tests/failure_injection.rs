@@ -6,14 +6,14 @@
 mod common;
 
 use std::collections::BTreeSet;
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
-use amp::gridamp::{seed_fixtures, small_spec, StepPoint};
+use amp::gridamp::{seed_fixtures, small_spec, OpOutcome, OpsEvent, StepPoint};
 use amp::prelude::*;
 use common::{
     assert_no_duplicate_submissions, done, final_states, jobs_of, queue, sim, spec, su_used, truth,
-    walltime, Fault, Schedule, Seen, World,
+    walltime, Admin, Crash, Fault, Schedule, Seen, World,
 };
 
 const POLL: u64 = 300;
@@ -258,9 +258,13 @@ fn random_outage_storm_is_survived_silently() {
     assert!(notes.iter().any(|n| n.user_id.is_none()));
 }
 
-#[test]
-fn corrupt_restart_file_is_a_model_failure_then_recovers() {
-    let mut world = World::kraken(1, walltime(6.0));
+/// The corrupt-restart scenario up to the operator's repair: an
+/// optimization runs until its first continuation's restart file exists, the
+/// file is corrupted, the next continuation fails — a model failure — and
+/// the simulation is held. The operator wipes the run directory and deletes
+/// the WORK job rows, so that the workflow resubmits from scratch. Returns
+/// the simulation and the submission ids of the deleted rows.
+fn hold_on_a_corrupt_restart_and_repair(world: &mut World) -> (i64, Vec<String>) {
     let (_, sim_id) = queue_optimization(&world.db, 2, spec(1, 20, 40, 128, 3));
 
     // run until the first continuation job's restart file exists
@@ -277,19 +281,17 @@ fn corrupt_restart_file_is_a_model_failure_then_recovers() {
 
     // corrupt it: the next continuation fails -> model failure -> HOLD
     let corrupt = b"{corrupted".to_vec();
-    world
+    let write = world
         .grid
         .site_mut("kraken")
         .unwrap()
         .fs
-        .write(&restart, corrupt)
-        .unwrap();
+        .write(&restart, corrupt);
+    write.unwrap();
     world.run(&Schedule::none(), |_, _| {});
     let held = sim(&world.db, sim_id);
     assert_eq!(held.status, SimStatus::Hold, "{}", held.status_message);
 
-    // administrator repairs: wipe the run directory + failed job records,
-    // then resume — the workflow resubmits from scratch
     let run_dir = format!("amp/sim{sim_id}/run0");
     world
         .grid
@@ -297,17 +299,179 @@ fn corrupt_restart_file_is_a_model_failure_then_recovers() {
         .unwrap()
         .fs
         .remove_tree(&run_dir);
-    // restage observations for the fresh chain
+    let jobs =
+        Manager::<GridJobRecord>::new(world.db.connect(amp::core::roles::ROLE_ADMIN).unwrap());
+    let deleted = jobs_of(&world.db, sim_id, "WORK").into_iter().map(|j| {
+        jobs.delete(j.id.unwrap()).unwrap();
+        let run = format!("r{}c{}", j.ga_run, j.continuation);
+        format!("sim{sim_id}/{}/WORK/{run}", j.app)
+    });
+    (sim_id, deleted.collect())
+}
+
+/// What the repaired run must come to: DONE, the deleted WORK jobs run
+/// again as new jobs (nine jobs created, none answered from the site's
+/// memory of the failed ones, whose two ids were released), and the
+/// charge of the clean rerun.
+fn assert_rerun_from_scratch(world: &World, sim_id: i64) {
+    done(&world.db, sim_id);
+    let audit = world.grid.audit();
+    let count = |action| {
+        audit
+            .records()
+            .iter()
+            .filter(|r| r.action == action)
+            .count()
+    };
+    let counts = (count("submit"), count("resubmit"), count("release"));
+    assert_eq!(counts, (9, 0, 2), "(submit, resubmit, release)");
+    let used = su_used(&world.db)[0];
+    assert!((used - 3_175.315_645).abs() < 1e-6, "{used} charged");
+}
+
+#[test]
+fn corrupt_restart_file_is_a_model_failure_then_recovers() {
+    let mut world = World::kraken(1, walltime(6.0));
+    let (sim_id, deleted) = hold_on_a_corrupt_restart_and_repair(&mut world);
+    assert_eq!(deleted.len(), 2);
+
+    // the operator resumes it from the admin page
+    let admin = Admin::on(&world.db);
+    let resume = format!("/admin/simulations/{sim_id}/resume");
+    assert_eq!(admin.post(&resume, &[]).status, 302);
+    let asked = sim(&world.db, sim_id);
+    assert_eq!(asked.status, SimStatus::Running);
+    // asked again before a daemon acted: refused, and nothing written
+    assert_eq!(admin.post(&resume, &[]).status, 400);
+    assert_eq!(sim(&world.db, sim_id), asked);
+
+    world.run(&Schedule::none(), |_, _| {});
+    assert_rerun_from_scratch(&world, sim_id);
+    assert_eq!(sim(&world.db, sim_id).held_from, None);
+    // each release is on the owner's §4.4 log, as the line that repeats it
+    let log: Vec<OpsEvent> = world.daemons[0]
+        .ops_log()
+        .entries()
+        .map(|e| e.event.clone())
+        .collect();
+    for id in &deleted {
+        let command = amp::gridamp::clilog::gram_release_cmdline("kraken", id);
+        let outcome = OpOutcome::Ok;
+        assert!(
+            log.contains(&OpsEvent::Command { command, outcome }),
+            "{id}"
+        );
+    }
+}
+
+/// The daemon applies a resume in a tick of its own and submits nothing in
+/// it, so a crash anywhere in that tick loses neither the operator's request
+/// nor what the site was told: at its mid-tick instant, before anything is
+/// released, or after the releases, with the tick's flush lost.
+#[test]
+fn a_crash_in_the_tick_that_applies_a_resume_loses_nothing() {
+    for released in [false, true] {
+        let tag = format!("resume_crash_{released}");
+        let mut world = World::durable(&tag, walltime(6.0), 1);
+        let (sim_id, _) = hold_on_a_corrupt_restart_and_repair(&mut world);
+        let resume = format!("/admin/simulations/{sim_id}/resume");
+        assert_eq!(Admin::on(&world.db).post(&resume, &[]).status, 302);
+        if released {
+            world.daemons[0].tick(&world.grid);
+            assert_eq!(sim(&world.db, sim_id).held_from, None);
+        } else {
+            world.apply(Fault::Crash(Crash::MidTick(world.mid_ticks() + 1)));
+            assert_eq!(world.run(&Schedule::none(), |_, _| {}), None);
+        }
+        world.recover();
+        assert!(
+            sim(&world.db, sim_id).held_from.is_some(),
+            "the request was lost"
+        );
+        world.run(&Schedule::none(), |_, _| {});
+        assert_rerun_from_scratch(&world, sim_id);
+    }
+}
+
+/// §4.4 model failure on a direct run: out-of-grid parameters fail the
+/// model and the run is held. The operator fixes the parameters with the
+/// change form, deletes the failed WORK job row and resumes the run from
+/// the admin page, and it completes.
+#[test]
+fn a_held_run_fixed_and_resumed_through_the_portal_completes() {
+    let mut world = World::kraken(1, walltime(6.0));
+    let (user, star, alloc, _obs) = seed_fixtures(&world.db, "kraken", &truth(), 4).unwrap();
+    let bad = StellarParams {
+        mass: 1.75,
+        age: 0.1,
+        ..StellarParams::benchmark()
+    };
+    let sim_id = queue(
+        &world.db,
+        Simulation::new_direct(star, user, bad, "kraken", alloc, 0),
+    );
+    world.run(&Schedule::none(), |_, _| {});
+    let held = sim(&world.db, sim_id);
+    assert_eq!(held.status, SimStatus::Hold);
+    assert_eq!(held.held_from.as_deref(), Some("RUNNING"));
+
+    let admin = Admin::on(&world.db);
+    let good = StellarParams::benchmark();
+    let fixed = Simulation::new_direct(star, user, good, "kraken", alloc, 0).payload_json;
+    let set = format!("/admin/table/simulation/{sim_id}/set");
+    let form = [("column", "payload_json"), ("value", fixed.as_str())];
+    assert_eq!(admin.post(&set, &form).status, 302);
     let jobs =
         Manager::<GridJobRecord>::new(world.db.connect(amp::core::roles::ROLE_ADMIN).unwrap());
     for j in jobs_of(&world.db, sim_id, "WORK") {
         jobs.delete(j.id.unwrap()).unwrap();
     }
-    world.daemons[0]
-        .resume_from_hold(&world.grid, sim_id)
-        .unwrap();
+    let resume = format!("/admin/simulations/{sim_id}/resume");
+    assert_eq!(admin.post(&resume, &[]).status, 302);
+
     world.run(&Schedule::none(), |_, _| {});
-    done(&world.db, sim_id);
+    assert_eq!(done(&world.db, sim_id).payload_json, fixed);
+}
+
+/// A daemon saves the whole simulation row it loaded, so a change-form edit
+/// of a live simulation landing mid-step was undone by the step's save. The
+/// form now edits a simulation only while it is HOLD or DONE. Here the edit
+/// moves a simulation to a second allocation as its PREJOB submission is
+/// accepted.
+#[test]
+fn the_change_form_leaves_a_live_simulation_to_its_daemon() {
+    let mut world = World::kraken(1, walltime(6.0));
+    let (user, star, alloc, _obs) = seed_fixtures(&world.db, "kraken", &truth(), 13).unwrap();
+    let admin_conn = world.db.connect(amp::core::roles::ROLE_ADMIN).unwrap();
+    let mut second = Allocation::new("kraken", "TG-AST-CHANGE-FORM", 1_000.0);
+    let second = Manager::<Allocation>::new(admin_conn)
+        .create(&mut second)
+        .unwrap();
+    let sim_id = queue_direct(&world.db, star, user, alloc, 1.0);
+
+    let admin = Arc::new(Admin::on(&world.db));
+    let set = format!("/admin/table/simulation/{sim_id}/set");
+    let to_second = second.to_string();
+    let answers = Arc::new(Mutex::new(Vec::new()));
+    let (hook_admin, hook_answers) = (Arc::clone(&admin), Arc::clone(&answers));
+    world.daemons[0].step_point = Some(Box::new(move |point, rec| {
+        if point == StepPoint::Accepted && rec.purpose == JobPurpose::PreJob {
+            let form = [("column", "allocation_id"), ("value", to_second.as_str())];
+            hook_answers
+                .lock()
+                .unwrap()
+                .push(hook_admin.post(&set, &form).status);
+        }
+    }));
+    world.run(&Schedule::none(), |_, _| {});
+    assert_eq!(*answers.lock().unwrap(), [400]);
+    assert_eq!(done(&world.db, sim_id).allocation_id, alloc);
+
+    // settled, the simulation is the form's to edit
+    let form = [("column", "allocation_id"), ("value", &second.to_string())];
+    let set = format!("/admin/table/simulation/{sim_id}/set");
+    assert_eq!(admin.post(&set, &form).status, 302);
+    assert_eq!(sim(&world.db, sim_id).allocation_id, second);
 }
 
 #[test]
@@ -362,11 +526,8 @@ fn simbad_outage_degrades_search_gracefully() {
 
 #[test]
 fn queue_contention_with_background_load_still_completes() {
-    let config = DaemonConfig {
-        site: "lonestar".into(),
-        ..walltime(6.0)
-    };
-    let mut world = World::on(vec![amp::grid::systems::lonestar()], Some(778), config, 1);
+    let lonestar = vec![amp::grid::systems::lonestar()];
+    let mut world = World::on(lonestar, Some(778), walltime(6.0), 1);
     world.grid.advance(SimDuration::from_hours(24.0));
     let (user, star, alloc, obs) = seed_fixtures(&world.db, "lonestar", &truth(), 5).unwrap();
     let (spec, now) = (spec(2, 20, 20, 128, 6), world.grid.now().as_secs() as i64);

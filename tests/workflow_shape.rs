@@ -11,7 +11,6 @@ fn deploy_kraken(walltime_hours: f64, chaining: bool) -> amp::gridamp::Deploymen
     amp::gridamp::deploy(
         amp::grid::systems::kraken(),
         DaemonConfig {
-            site: "kraken".into(),
             work_walltime_hours: walltime_hours,
             job_chaining: chaining,
             ..DaemonConfig::default()
