@@ -40,7 +40,7 @@ fn main() {
         println!("{name:<10} {ratio:>10.2} {makespan:>14.1}");
     }
     println!(
-        "\n(the oversubscribed TACC systems should show the largest wait/run — the\n\
-         paper's §2 reason for preferring Kraken despite TACC's faster processors)"
+        "\n(Lonestar shows the largest wait/run — the paper's §2 reason for\n\
+         preferring Kraken despite TACC's faster processors)"
     );
 }

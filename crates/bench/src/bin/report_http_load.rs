@@ -63,7 +63,6 @@ fn portal() -> Arc<Portal> {
 fn spawn_server() -> Server {
     let config = ServerConfig {
         workers: WORKERS,
-        keep_alive: true,
         ..ServerConfig::default()
     };
     Server::spawn_with(portal(), 0, config).expect("spawn")

@@ -5,13 +5,12 @@
 //! interface does not need to analyze the state of many individual grid
 //! jobs", while constituent grid jobs carry a generic job status.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
 /// Workflow states of a simulation — exactly Listing 1's vocabulary plus
 /// the failure-handling states of §4.4.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SimStatus {
     /// Submitted by the user, not yet picked up.
     Queued,
@@ -84,7 +83,7 @@ impl FromStr for SimStatus {
 
 /// Generic status of one constituent grid job (purpose-independent, §4.4:
 /// "this process is identical for all grid jobs regardless of purpose").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum JobStatus {
     /// Created in the DB, not yet submitted to GRAM.
     Unsubmitted,
@@ -136,7 +135,7 @@ impl FromStr for JobStatus {
 }
 
 /// The purpose of a constituent grid job inside a simulation workflow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum JobPurpose {
     /// Fork script creating the runtime directory tree (§4.3).
     PreJob,

@@ -53,7 +53,7 @@ pub fn crossover(rng: &mut ChaCha8Rng, a: &Genome, b: &Genome, pcross: f64) -> (
 }
 
 /// Mutation mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MutationMode {
     /// Replace a digit with a uniform random digit.
     Jump,

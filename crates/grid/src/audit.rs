@@ -8,10 +8,9 @@
 //! credentials".
 
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// One audited grid operation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AuditRecord {
     pub time: SimTime,
     pub site: String,
@@ -27,7 +26,7 @@ pub struct AuditRecord {
 }
 
 /// Append-only audit log.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct AuditLog {
     records: Vec<AuditRecord>,
 }

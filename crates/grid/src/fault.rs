@@ -8,10 +8,9 @@
 use crate::time::{SimDuration, SimTime};
 use rand::{RngExt, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 /// Which grid service an outage affects.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Service {
     Gram,
     GridFtp,
@@ -25,7 +24,7 @@ impl Service {
 }
 
 /// A half-open outage window `[from, to)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OutageWindow {
     /// Site name, or "*" for all sites.
     pub site: String,
@@ -35,12 +34,11 @@ pub struct OutageWindow {
 }
 
 /// The fault schedule consulted by every grid client call.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
     windows: Vec<OutageWindow>,
     /// Windows in which GRAM does what a submission asks and the reply is
     /// lost on its way back ([`Self::add_lost_replies`]).
-    #[serde(default)]
     lost_replies: Vec<OutageWindow>,
 }
 

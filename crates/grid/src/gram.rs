@@ -7,11 +7,10 @@
 
 use crate::scheduler::{JobOutcome, JobState};
 use crate::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Which GRAM job service to use (§4.3: setup/teardown scripts run via the
 /// fork service; the model runs through the scheduler interface).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GramService {
     /// Immediate execution on the login node.
     Fork,
@@ -20,7 +19,7 @@ pub enum GramService {
 }
 
 /// A GRAM job description.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GramJobSpec {
     pub service: GramService,
     /// Path of the installed executable on the remote site.
@@ -54,7 +53,7 @@ pub struct GramSubmission {
 
 /// An opaque GRAM contact string, e.g.
 /// `gram://kraken/jobmanager-pbs/42`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct GramJobHandle(pub String);
 
 impl GramJobHandle {
@@ -84,7 +83,7 @@ impl std::fmt::Display for GramJobHandle {
 }
 
 /// The GRAM status vocabulary the daemon's generic poll understands.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum GramState {
     /// Queued (or held on dependencies).
     Pending,
@@ -114,7 +113,7 @@ impl GramState {
 }
 
 /// Submit/start/end record for one job — the raw data of the §6 Gantt tool.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobTimes {
     pub name: String,
     pub cores: u32,

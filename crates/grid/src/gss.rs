@@ -8,11 +8,10 @@
 //! proxies carrying the acting user's identity are derived.
 
 use crate::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// The long-lived community credential (never leaves the daemon host —
 /// the portal has no type-level access to this at all).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CommunityCredential {
     /// Distinguished name, e.g. "/C=US/O=NCAR/CN=amp community".
     pub subject: String,
@@ -77,7 +76,7 @@ fn fingerprint(s: &str) -> u64 {
 }
 
 /// A derived proxy certificate with SAML user attribution.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProxyCertificate {
     pub subject: String,
     pub issuer: String,

@@ -8,10 +8,9 @@
 //! | TACC Ranger   | 21.1              | 1.644    | no WS-GRAM                  |
 
 use crate::time::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Static description of one TeraGrid compute resource.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SystemProfile {
     /// Short site name used in GRAM/GridFTP contact strings.
     pub name: String,

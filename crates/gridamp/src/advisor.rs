@@ -12,10 +12,9 @@
 
 use amp_core::OptimizationSpec;
 use amp_grid::SystemProfile;
-use serde::{Deserialize, Serialize};
 
 /// Why a system was penalized (or not).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Assessment {
     pub system: String,
     /// Predicted optimization run time \[h] (the astronomer's headline

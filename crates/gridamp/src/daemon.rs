@@ -20,7 +20,7 @@
 //! the same order (streaks, holds, notifications, lease releases). Every
 //! write goes through the daemon's one deferring [`Connection`]. A second
 //! core is a second daemon over the same database: the lease table decides
-//! which of them steps each simulation (DESIGN §13).
+//! which of them steps each simulation (DESIGN §12).
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::time::Instant;
@@ -43,7 +43,7 @@ use crate::workflow::{
 /// per-state transition and per-site poll series are labelled, so those
 /// go through the registry at the call site (the poll series once per site
 /// per poll phase, [`PollPhase`]); everything with a fixed name lives here.
-struct DaemonMetrics {
+pub(crate) struct DaemonMetrics {
     job_transitions: amp_obs::Counter,
     transient_retries: amp_obs::Counter,
     holds: amp_obs::Counter,
@@ -52,6 +52,7 @@ struct DaemonMetrics {
     lease_renewals: amp_obs::Counter,
     lease_takeovers: amp_obs::Counter,
     lease_losses: amp_obs::Counter,
+    pub(crate) lease_fences: amp_obs::Counter,
     /// `gridamp_tick_stage_seconds{stage=…}`: where a tick's wall time
     /// goes. The five stages are contiguous, so their sums add up to the
     /// time spent in [`GridAmp::tick`] (less a `pause_point` hook, which
@@ -63,7 +64,7 @@ struct DaemonMetrics {
     stage_flush: amp_obs::Histogram,
 }
 
-fn obs_metrics() -> &'static DaemonMetrics {
+pub(crate) fn obs_metrics() -> &'static DaemonMetrics {
     static METRICS: std::sync::OnceLock<DaemonMetrics> = std::sync::OnceLock::new();
     let stage = |name| {
         amp_obs::registry().histogram(
@@ -80,6 +81,7 @@ fn obs_metrics() -> &'static DaemonMetrics {
         lease_renewals: amp_obs::counter("daemon_lease_renewals_total"),
         lease_takeovers: amp_obs::counter("daemon_lease_takeovers_total"),
         lease_losses: amp_obs::counter("daemon_lease_losses_total"),
+        lease_fences: amp_obs::counter("daemon_lease_fences_total"),
         stage_claim: stage("claim"),
         stage_poll: stage("poll"),
         stage_step: stage("step"),
@@ -342,7 +344,7 @@ impl GridAmp {
     /// end — lease renewals, job records, poll results, transitions,
     /// charges, notifications — the next owner recomputes from what is
     /// durable and from the site, which answers a submission's id with the
-    /// job it already has (DESIGN §9.9).
+    /// job it already has (DESIGN §9).
     pub fn tick(&mut self, grid: &Grid) -> TickReport {
         let metrics = obs_metrics();
         let mut since = Instant::now();

@@ -248,7 +248,7 @@ impl StageCtx<'_> {
         let holder = lease
             .map(|l| format!("{} at epoch {}", l.daemon_id, l.epoch))
             .unwrap_or_else(|| "nobody".to_string());
-        amp_obs::counter("daemon_lease_fences_total").inc();
+        crate::daemon::obs_metrics().lease_fences.inc();
         let epoch = self.lease_epoch;
         WorkflowError::Fenced(format!("lease moved to {holder} (we held epoch {epoch})"))
     }

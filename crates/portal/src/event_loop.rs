@@ -394,9 +394,6 @@ pub(crate) enum CloseReason {
     /// The client negotiated the close (`Connection: close` or
     /// HTTP/1.0 without keep-alive).
     ClientClose,
-    /// The server forced the close: `ServerConfig::keep_alive` off, or
-    /// the handler answered with `Connection: close`.
-    ServerClose,
     /// Unparseable request; answered 400.
     BadRequest,
     /// Request exceeded `max_request_bytes`; answered 413.
@@ -474,27 +471,12 @@ impl Dispatcher {
 
 /// Serialize a handler's response and decide whether the connection
 /// outlives it — shared by the workers and the loop's inline cache hits.
-/// `None` keeps the connection alive; `Some(reason)` closes it after the
-/// flush, attributed to the client (`Connection: close` / HTTP 1.0) or to
-/// the server (keep-alive disabled or handler-requested close).
-fn finish_response(
-    response: &Response,
-    client_keep_alive: bool,
-    config: &ServerConfig,
-) -> (Vec<u8>, Option<CloseReason>) {
-    let handler_close = response.headers.iter().any(|(k, v)| {
-        k.eq_ignore_ascii_case("connection") && v.to_ascii_lowercase().contains("close")
-    });
-    let keep_alive = client_keep_alive && config.keep_alive && !handler_close;
-    let close = if keep_alive {
-        None
-    } else if !client_keep_alive {
-        Some(CloseReason::ClientClose)
-    } else {
-        Some(CloseReason::ServerClose)
-    };
+/// `None` keeps the connection alive; `Some(ClientClose)` closes it after
+/// the flush, because the client asked (`Connection: close` / HTTP 1.0).
+fn finish_response(response: &Response, client_keep_alive: bool) -> (Vec<u8>, Option<CloseReason>) {
+    let close = (!client_keep_alive).then_some(CloseReason::ClientClose);
     let mut bytes = Vec::with_capacity(response.body.len() + 256);
-    response.write_into(&mut bytes, keep_alive);
+    response.write_into(&mut bytes, client_keep_alive);
     (bytes, close)
 }
 
@@ -529,7 +511,7 @@ pub(crate) fn worker_main(
             std::thread::sleep(config.handler_delay);
         }
         let response = portal.handle(&job.request);
-        let (bytes, close) = finish_response(&response, job.client_keep_alive, &config);
+        let (bytes, close) = finish_response(&response, job.client_keep_alive);
         dispatcher
             .completions
             .lock()
@@ -1026,7 +1008,7 @@ impl EventLoop {
                 };
                 if let Some(response) = hit {
                     (conn.out, conn.close_after_write) =
-                        finish_response(&response, client_keep_alive, &self.config);
+                        finish_response(&response, client_keep_alive);
                     conn.out_pos = 0;
                     conn.state = ConnState::Writing;
                     return true;

@@ -50,7 +50,6 @@ pub(crate) struct ServerMetrics {
     closed_read_deadline: Counter,
     closed_eof: Counter,
     closed_client: Counter,
-    closed_server: Counter,
     closed_bad_request: Counter,
     closed_too_large: Counter,
     closed_error: Counter,
@@ -66,7 +65,6 @@ impl ServerMetrics {
             CloseReason::ReadDeadline => &self.closed_read_deadline,
             CloseReason::Eof => &self.closed_eof,
             CloseReason::ClientClose => &self.closed_client,
-            CloseReason::ServerClose => &self.closed_server,
             CloseReason::BadRequest => &self.closed_bad_request,
             CloseReason::TooLarge => &self.closed_too_large,
             CloseReason::Error => &self.closed_error,
@@ -92,7 +90,6 @@ pub(crate) fn metrics() -> &'static ServerMetrics {
             closed_read_deadline: closed("read_deadline"),
             closed_eof: closed("eof"),
             closed_client: closed("client_close"),
-            closed_server: closed("server_close"),
             closed_bad_request: closed("bad_request"),
             closed_too_large: closed("too_large"),
             closed_error: closed("error"),
@@ -107,9 +104,6 @@ pub struct ServerConfig {
     /// Worker threads running [`Portal::handle`] (socket I/O is not
     /// theirs: the event loop owns every connection).
     pub workers: usize,
-    /// Honour HTTP keep-alive (off forces `Connection: close` after the
-    /// first response, the seed behaviour — useful for benchmarks).
-    pub keep_alive: bool,
     /// How long a persistent connection may sit idle between requests.
     pub idle_timeout: Duration,
     /// Total time budget for receiving one request, headers and body,
@@ -129,7 +123,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             workers: 4,
-            keep_alive: true,
             idle_timeout: Duration::from_secs(5),
             read_deadline: Duration::from_secs(10),
             max_request_bytes: 1 << 20,

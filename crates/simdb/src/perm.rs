@@ -8,11 +8,10 @@
 //! §3's isolation argument). `admin` bypasses all checks.
 
 use crate::error::DbError;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// The four grantable operations on a table.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PermSet {
     pub select: bool,
     pub insert: bool,
@@ -71,7 +70,7 @@ impl Action {
 }
 
 /// A named role with per-table grants.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Role {
     pub name: String,
     /// True for the superuser role: all checks pass, including on tables

@@ -8,12 +8,11 @@ use crate::error::DbError;
 use crate::schema::TableSchema;
 use crate::table::{Row, Table};
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::ops::Bound;
 
 /// Comparison operators available in filters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Op {
     Eq,
     Ne,
@@ -36,7 +35,7 @@ pub enum Op {
 }
 
 /// A single column predicate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Filter {
     pub column: String,
     pub op: Op,
@@ -109,14 +108,14 @@ fn icontains(cell: &str, needle: &str) -> bool {
 }
 
 /// Sort key: column name + direction.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OrderBy {
     pub column: String,
     pub descending: bool,
 }
 
 /// A complete query over one table. Filters are conjunctive (AND).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Query {
     pub filters: Vec<Filter>,
     pub order_by: Vec<OrderBy>,
@@ -726,7 +725,7 @@ fn record_plan(plan: &Plan) {
 }
 
 /// The access path chosen by the query planner (`EXPLAIN` output).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Plan {
     /// Proven empty from the indexes alone; no row is touched.
     Empty,

@@ -9,7 +9,7 @@
 //! then move into the engine's shards; a record that does not apply is
 //! `Corrupt`.
 //!
-//! # The log file (DESIGN §9.13)
+//! # The log file (DESIGN §8.7)
 //!
 //! [`MAGIC`], then frames: `[u32 body length][u32 CRC-32 of the body][body]`,
 //! little-endian. One frame is **one commit** — everything one
@@ -37,7 +37,7 @@
 //! valid one* is damage, never a torn tail, and answers `Corrupt` with its
 //! byte offset.
 //!
-//! # The snapshot file (DESIGN §9.8)
+//! # The snapshot file (DESIGN §8.8)
 //!
 //! [`SNAPSHOT_MAGIC`], then the same frames with the same value codec, in a
 //! fixed order: one file header (`covered_seq`, the per-table `applied_seqs`,

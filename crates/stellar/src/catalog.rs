@@ -8,12 +8,11 @@
 
 use rand::{RngExt, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::params::{Domain, StellarParams};
 
 /// One catalog entry.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CatalogStar {
     /// Common name, if any ("Alpha Centauri A").
     pub name: Option<String>,

@@ -84,7 +84,7 @@ pub fn mean_small_separation(modes: &[Mode]) -> f64 {
 
 /// A point in the Echelle diagram: frequency modulo Δν vs frequency (§2:
 /// "an Echelle plot summarizing the star's oscillation frequencies").
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EchellePoint {
     pub l: u8,
     pub frequency: f64,

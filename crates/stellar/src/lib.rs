@@ -33,12 +33,11 @@ pub use observe::{chi_squared, fitness, synthesize, Constraint, ObservedMode, Ob
 pub use params::{Bound, Domain, StellarParams};
 pub use plots::{render_echelle_ascii, render_hr_ascii};
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Failures of the forward model. These become AMP "model failures" (the
 /// daemon's hold-state class) as opposed to grid transients.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ModelError {
     /// Parameters outside the supported search domain.
     OutOfDomain(StellarParams),

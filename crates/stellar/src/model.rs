@@ -44,7 +44,7 @@ pub struct ModelOutput {
 
 /// A point on the evolution track (for the Hertzsprung–Russell diagram the
 /// portal plots, §2).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrackPoint {
     pub age_gyr: f64,
     pub teff: f64,

@@ -26,7 +26,7 @@ pub struct StellarParams {
 }
 
 /// Inclusive lower/upper bound for one parameter.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Bound {
     pub lo: f64,
     pub hi: f64,
@@ -54,7 +54,7 @@ impl Bound {
 
 /// The search domain used by the AMP optimization pipeline (Sun-like stars
 /// observable by Kepler).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Domain {
     pub mass: Bound,
     pub metallicity: Bound,

@@ -1,5 +1,5 @@
 //! Seeded log torture: what any crash, and any single flipped bit, leaves
-//! of a durable simdb (DESIGN §9.13).
+//! of a durable simdb (DESIGN §8.7).
 //!
 //! A run drives one fsync-on `Db` through the daemon's commit shapes — a
 //! one-row update, an insert, a 64-row transaction, a lease compare-and-swap,

@@ -3,15 +3,19 @@
 //! `GET /metrics` route exposes them in Prometheus text format, a daemon's
 //! own ops log tells one simulation's failure in order, and the keep-alive
 //! server closes idle connections cleanly (idle timeout is bookkept as
-//! `idle_timeout`, never as an I/O error).
+//! `idle_timeout`, never as an I/O error). The documents are held to the
+//! tree here too: the paths and design sections they cite exist, and the
+//! metric families DESIGN.md lists are the ones a scrape shows.
 //!
 //! Metrics are cumulative per process, so every assertion here is a
 //! "present / increased by" check, never an exact global count — except
 //! on the log-flush and log-byte counters and the tick and checkpoint stage
 //! timers; the tests that move any of them take turns on [`EXACT_DELTAS`].
 
+use std::collections::BTreeSet;
 use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -80,7 +84,10 @@ fn metrics_endpoint_covers_all_three_tiers() {
 
     // --- portal tier: a few routed requests, then scrape /metrics ---
     let portal = Arc::new(Portal::new(&dep.db, PortalConfig::default()).unwrap());
-    assert_eq!(portal.handle(&Request::get("/stars")).status, 200);
+    // A miss that stores the page, then a hit on it.
+    for _ in 0..2 {
+        assert_eq!(portal.handle(&Request::get("/stars")).status, 200);
+    }
     // ...one of them over a socket, so the serving layer has observed too
     let server =
         amp::portal::Server::spawn_with(portal.clone(), 0, amp::portal::ServerConfig::default())
@@ -102,55 +109,25 @@ fn metrics_endpoint_covers_all_three_tiers() {
         .unwrap_or_default();
     assert!(ct.starts_with("text/plain"), "Content-Type: {ct}");
 
+    // The families on the scrape are the families DESIGN §11's table lists,
+    // no more and no fewer, each with the type the table gives it.
     let body = scrape.body_str();
-    for family in [
-        // portal
-        "portal_requests_total",
-        "portal_request_seconds",
-        "portal_cache_misses_total",
-        "portal_conn_queue_wait_seconds",
-        // simdb
-        "simdb_plan_total",
-        "simdb_wal_fsync_total",
-        "simdb_wal_bytes_total",
-        "simdb_wal_commit_batch_records",
-        // write-path cost metrics: rows and index entries materialized
-        // per commit, and writers covered per group-commit flush
-        "simdb_rows_copied_per_write",
-        "simdb_index_entries_copied_per_write",
-        "simdb_group_commit_writers",
-        // where a checkpoint's wall time went, and what it wrote
-        "# TYPE simdb_checkpoint_seconds histogram",
-        "simdb_checkpoint_seconds_count{stage=\"pin\"}",
-        "simdb_checkpoint_seconds_count{stage=\"encode_write\"}",
-        "simdb_checkpoint_seconds_count{stage=\"truncate\"}",
-        "simdb_snapshot_bytes",
-        // per-table lock series (replaced the whole-engine hold timer);
-        // every migrated table registers its own labelled pair
-        "# TYPE simdb_table_lock_hold_seconds histogram",
-        "simdb_table_lock_hold_seconds_count{table=\"grid_job\"}",
-        "simdb_table_lock_wait_seconds_count{table=\"star\"}",
-        // daemon + GA — per-transition and per-eval series carry the
-        // science-application label, so mixed-app campaigns can be told
-        // apart on one dashboard
-        "daemon_transitions_total{app=\"stellar\",from=\"QUEUED\",to=\"PREJOB\"}",
-        "daemon_gram_poll_seconds",
-        "daemon_transient_retries_total",
-        "daemon_partial_results_total{outcome=\"fetched\"}",
-        "daemon_partial_results_total{outcome=\"remembered\"}",
-        "daemon_gram_submissions_total{outcome=\"accepted\"}",
-        // where a tick's wall time went, one series per stage
-        "# TYPE gridamp_tick_stage_seconds histogram",
-        "gridamp_tick_stage_seconds_count{stage=\"claim\"}",
-        "gridamp_tick_stage_seconds_count{stage=\"poll\"}",
-        "gridamp_tick_stage_seconds_count{stage=\"step\"}",
-        "gridamp_tick_stage_seconds_count{stage=\"apply\"}",
-        "gridamp_tick_stage_seconds_count{stage=\"flush\"}",
-        "ga_evals_total{app=\"stellar\"}",
-        "ga_cached_skips_total{app=\"stellar\"}",
-    ] {
-        assert!(body.contains(family), "/metrics missing {family}:\n{body}");
-    }
+    let scraped: BTreeSet<(&str, &str)> = body
+        .lines()
+        .filter_map(|line| line.strip_prefix("# TYPE "))
+        .filter_map(|typed| typed.split_once(' '))
+        .collect();
+    let listed = design_metric_families();
+    let unscraped: Vec<_> = listed.difference(&scraped).collect();
+    assert!(
+        unscraped.is_empty(),
+        "listed, not on /metrics: {unscraped:?}\n{body}"
+    );
+    let unlisted: Vec<_> = scraped.difference(&listed).collect();
+    assert!(
+        unlisted.is_empty(),
+        "on /metrics, not listed in DESIGN §11: {unlisted:?}"
+    );
     // Spot-check the exposition shape: TYPE lines and histogram suffixes.
     assert!(body.contains("# TYPE portal_requests_total counter"));
     assert!(body.contains("# TYPE daemon_gram_poll_seconds histogram"));
@@ -491,36 +468,21 @@ fn a_transient_storm_then_its_hold_are_told_on_the_daemons_log() {
     assert!(obs::counter("daemon_transient_retries_total").get() >= 3);
 }
 
-/// Regression for the close-accounting bugfix: a close the *client*
-/// negotiated (`Connection: close`) and a close the *server* forced
-/// (`keep_alive` disabled in config) are attributed to different
-/// counter families — the old worker-pool server lumped both into
-/// `client_close`, making "are clients hanging up on us?" unanswerable.
+/// A close the client negotiated (`Connection: close`) is counted as
+/// `client_close`, and every close-reason series (and the serving gauges)
+/// is registered the moment a server runs, so a scrape can always see the
+/// full set.
 #[test]
-fn close_reasons_distinguish_client_from_server_initiated() {
+fn a_client_negotiated_close_is_counted_as_client_close() {
     let client_closes = obs::counter(&obs::labeled(
         "portal_connections_closed_total",
         &[("reason", "client_close")],
     ));
-    let server_closes = obs::counter(&obs::labeled(
-        "portal_connections_closed_total",
-        &[("reason", "server_close")],
-    ));
-    let await_at_least = |counter: &amp::obs::Counter, target: u64, what: &str| {
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while counter.get() < target && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        assert!(counter.get() >= target, "{what} not recorded");
-    };
-
     let db = Db::in_memory();
     amp::core::setup::initialize(&db).unwrap();
     let portal = Arc::new(Portal::new(&db, PortalConfig::default()).unwrap());
 
-    // Phase 1: server honours keep-alive; the client asks to close.
     let c0 = client_closes.get();
-    let s0 = server_closes.get();
     let server = amp::portal::Server::spawn_with(
         portal.clone(),
         0,
@@ -536,45 +498,18 @@ fn close_reasons_distinguish_client_from_server_initiated() {
     )
     .unwrap();
     assert!(resp.starts_with("HTTP/1.1 200"));
-    await_at_least(&client_closes, c0 + 1, "client-negotiated close");
-    assert_eq!(
-        server_closes.get(),
-        s0,
-        "client-negotiated close miscounted as server_close"
-    );
-    server.stop();
-
-    // Phase 2: keep-alive disabled server-side; the client wanted to
-    // keep the connection.
-    let c1 = client_closes.get();
-    let s1 = server_closes.get();
-    let server = amp::portal::Server::spawn_with(
-        portal.clone(),
-        0,
-        amp::portal::ServerConfig {
-            workers: 1,
-            keep_alive: false,
-            ..amp::portal::ServerConfig::default()
-        },
-    )
-    .unwrap();
-    let resp = amp::portal::server::fetch(server.addr(), "GET /stars HTTP/1.1\r\nHost: t\r\n\r\n")
-        .unwrap();
-    assert!(resp.starts_with("HTTP/1.1 200"));
-    assert!(resp.to_ascii_lowercase().contains("connection: close"));
-    await_at_least(&server_closes, s1 + 1, "server-forced close");
-    assert_eq!(
-        client_closes.get(),
-        c1,
-        "server-forced close miscounted as client_close"
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while client_closes.get() == c0 && std::time::Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert!(
+        client_closes.get() > c0,
+        "client-negotiated close not recorded"
     );
 
-    // All close-reason families (and the serving gauges) are registered
-    // the moment a server runs, so a scrape can always see the full set.
     let scrape = portal.handle(&Request::get("/metrics")).body_str();
     for family in [
         "reason=\"client_close\"",
-        "reason=\"server_close\"",
         "reason=\"read_deadline\"",
         "reason=\"idle_timeout\"",
         "reason=\"too_large\"",
@@ -648,5 +583,175 @@ fn idle_keep_alive_connection_closes_cleanly_on_timeout() {
         errs.get(),
         errs_before,
         "idle close was miscounted as a connection error"
+    );
+}
+
+// --- The documents are held to the code -----------------------------------
+
+const DESIGN: &str = include_str!("../DESIGN.md");
+
+/// `(family, type)` of every row of the metric table in DESIGN §11: the
+/// block of that section whose header starts `| family | type |`.
+fn design_metric_families() -> BTreeSet<(&'static str, &'static str)> {
+    let section = DESIGN
+        .split("\n## ")
+        .find(|s| s.starts_with("11. "))
+        .expect("DESIGN.md has a section 11");
+    let table = section
+        .split("\n\n")
+        .find(|block| block.starts_with("| family | type |"))
+        .expect("section 11 has the metric family table");
+    table
+        .lines()
+        .skip(2)
+        .map(|row| {
+            let cells: Vec<&str> = row.split('|').map(str::trim).collect();
+            (cells[1].trim_matches('`'), cells[2])
+        })
+        .collect()
+}
+
+fn repo_root() -> &'static Path {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+}
+
+fn read(path: &Path) -> String {
+    std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}
+
+/// Every file, directory and test that DESIGN.md, README.md and
+/// EXPERIMENTS.md cite under `crates/`, `tests/`, `examples/` or
+/// `benchmark/` exists; a `tests/x.rs::name` citation names a function of
+/// that file.
+#[test]
+fn the_documents_cite_only_paths_that_exist() {
+    let mut missing = Vec::new();
+    for doc in ["DESIGN.md", "README.md", "EXPERIMENTS.md"] {
+        let text = read(&repo_root().join(doc));
+        for top in ["crates/", "tests/", "examples/", "benchmark/"] {
+            for (at, _) in text.match_indices(top) {
+                let inside_a_word = text[..at]
+                    .chars()
+                    .next_back()
+                    .is_some_and(|c| c.is_alphanumeric() || "/_-.".contains(c));
+                if inside_a_word {
+                    continue;
+                }
+                let rest = &text[at..];
+                let len = rest
+                    .find(|c: char| !(c.is_alphanumeric() || "_./-".contains(c)))
+                    .unwrap_or(rest.len());
+                let path = rest[..len].trim_end_matches(['.', '/']);
+                let file = repo_root().join(path);
+                if !file.exists() {
+                    missing.push(format!("{doc}: {path}"));
+                    continue;
+                }
+                let Some(item) = rest[len..].strip_prefix("::") else {
+                    continue;
+                };
+                let name: String = item
+                    .chars()
+                    .take_while(|c| c.is_alphanumeric() || *c == '_')
+                    .collect();
+                let defined = || read(&file).contains(&format!("fn {name}("));
+                if top == "tests/" && path.ends_with(".rs") && !defined() {
+                    missing.push(format!("{doc}: {path}::{name}"));
+                }
+            }
+        }
+    }
+    assert!(missing.is_empty(), "cited, not in the tree: {missing:#?}");
+}
+
+/// The text before a run of section numbers: from the `§` that `before`
+/// leads up to, back over the list entries `§x, ` and `§x and `.
+fn before_the_list(before: &str) -> &str {
+    let list = (before.strip_suffix(", ")).or(before.strip_suffix(" and "));
+    if let Some(list) = list {
+        let number = list.trim_end_matches(|c: char| c.is_ascii_digit() || c == '.');
+        if let Some(earlier) = number
+            .strip_suffix('§')
+            .filter(|_| number.len() < list.len())
+        {
+            return before_the_list(earlier);
+        }
+    }
+    before
+}
+
+/// DESIGN.md's sections are numbered 1..N, and each one's subsections
+/// 1..k, with no gaps. Every reference to one of them names a heading that
+/// exists: a `§x.y` inside DESIGN.md (which writes a section of the paper
+/// as `paper §x`), and the document's name followed by `§x.y` in README.md,
+/// EXPERIMENTS.md and every `.rs` and `.md` file below the root. The root's
+/// other documents record changes, past and planned, and cite sections as
+/// they were numbered then.
+#[test]
+fn design_section_references_name_headings_that_exist() {
+    let headings: Vec<&str> = DESIGN
+        .lines()
+        .filter_map(|line| line.strip_prefix("## ").or(line.strip_prefix("### ")))
+        .map(|title| title.split(' ').next().unwrap().trim_end_matches('.'))
+        .collect();
+    let (mut section, mut sub) = (0, 0);
+    for number in &headings {
+        let expected = if number.contains('.') {
+            sub += 1;
+            format!("{section}.{sub}")
+        } else {
+            (section, sub) = (section + 1, 0);
+            section.to_string()
+        };
+        assert_eq!(*number, expected, "DESIGN.md headings: {headings:?}");
+    }
+
+    let mut sources = vec![("DESIGN.md".to_string(), DESIGN.to_string())];
+    for doc in ["README.md", "EXPERIMENTS.md"] {
+        sources.push((doc.to_string(), read(&repo_root().join(doc))));
+    }
+    let below_the_root = std::fs::read_dir(repo_root()).unwrap();
+    let mut dirs: Vec<PathBuf> = below_the_root.map(|e| e.unwrap().path()).collect();
+    while let Some(dir) = dirs.pop() {
+        let skipped = dir.ends_with("target") || dir.ends_with(".git");
+        if !dir.is_dir() || skipped {
+            continue;
+        }
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                dirs.push(path);
+            } else if path.extension().is_some_and(|e| e == "rs" || e == "md") {
+                let name = path.strip_prefix(repo_root()).unwrap().display();
+                sources.push((name.to_string(), read(&path)));
+            }
+        }
+    }
+
+    let mut dangling = Vec::new();
+    for (name, text) in &sources {
+        for (at, _) in text.match_indices('§') {
+            let owner = before_the_list(&text[..at]);
+            let cites_design = if name == "DESIGN.md" {
+                !(owner.ends_with("paper ") || owner.ends_with("Paper "))
+            } else {
+                owner.ends_with("DESIGN ") || owner.ends_with("DESIGN.md ")
+            };
+            if !cites_design {
+                continue;
+            }
+            let after = &text[at + '§'.len_utf8()..];
+            let end = after
+                .find(|c: char| !(c.is_ascii_digit() || c == '.'))
+                .unwrap_or(after.len());
+            let number = after[..end].trim_end_matches('.');
+            if !headings.contains(&number) {
+                dangling.push(format!("{name}: §{number}"));
+            }
+        }
+    }
+    assert!(
+        dangling.is_empty(),
+        "no such DESIGN.md section: {dangling:?}"
     );
 }

@@ -1,6 +1,6 @@
 //! The on-disk format, pinned: `tests/golden/simdb_format/{snapshot,wal}`
 //! are a snapshot and a log that today's code must open, and must write
-//! again byte for byte (DESIGN §9.8, §9.13).
+//! again byte for byte (DESIGN §8.7, §8.8).
 //!
 //! **How the fixtures were produced.** By [`build`] below, run at commit
 //! 8480341 (PR 22: the bytewise CRC-32, before the slice-by-8 tables), and

@@ -1,5 +1,5 @@
 //! The tick is the daemon's commit: its writes are logged and visible as
-//! they happen, but only the end of a tick flushes the log (DESIGN §9.9).
+//! they happen, but only the end of a tick flushes the log (DESIGN §9).
 //! This suite checks what that leaves on the device, on a durable fsync-on
 //! database that two daemons drain a mixed backlog from:
 //!
