@@ -86,6 +86,7 @@ fn main() {
         "requests attributable to the submitting astronomer",
         audit.by_user("astro1").count() >= 4,
     );
+    drop(audit);
     check(
         "execution environment removed after completion",
         dep.grid

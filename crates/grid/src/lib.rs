@@ -18,6 +18,11 @@
 //!   makes, with outage-window fault injection ([`fault`]) and full request
 //!   attribution ([`audit`]).
 //!
+//! A [`Grid`] keeps its clock, event queue, sites and audit log behind one
+//! lock, held for the whole of each client call and of `advance`. The
+//! guards [`Grid::site`] and [`Grid::audit`] return hold that lock too:
+//! drop one before the next `Grid` call.
+//!
 //! ```
 //! use amp_grid::prelude::*;
 //! use std::sync::Arc;
@@ -83,24 +88,18 @@ use crate::scheduler::{BackgroundLoad, JobRequest, Payload};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 use std::ops::{Bound, Deref, DerefMut};
-use std::sync::{Arc, Mutex, MutexGuard};
-
-/// Lock a mutex, recovering from poison: the protected state is plain
-/// simulator data, and a panicking worker thread must not wedge every
-/// other worker (or the test harness that observes the failure).
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|p| p.into_inner())
-}
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Simulated GridFTP throughput (bytes per simulated second) and per-call
 /// latency — only used for transfer accounting; calls complete inline.
 const FTP_BANDWIDTH_BPS: u64 = 50 * 1024 * 1024;
 const FTP_LATENCY_SECS: u64 = 2;
 
+/// What a due event does, to the site at an index of [`State::sites`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum EventKind {
-    JobFinish { site: String, job: u64 },
-    BgArrival { site: String },
+    JobFinish { site: usize, job: u64 },
+    BgArrival { site: usize },
 }
 
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -153,67 +152,142 @@ pub struct TransferStats {
     pub duration: SimDuration,
 }
 
-/// The virtual clock and event queue, one lock domain. Everything that
-/// orders the simulation globally lives here: `seq` makes event ordering
-/// at equal timestamps deterministic per insertion.
-struct ClockState {
+fn transfer(bytes: u64) -> TransferStats {
+    let duration = SimDuration::from_secs(FTP_LATENCY_SECS + bytes / FTP_BANDWIDTH_BPS);
+    TransferStats { bytes, duration }
+}
+
+/// Everything the simulation mutates, behind the grid's one lock: the
+/// virtual clock, the event queue (`seq` orders events at equal timestamps
+/// by insertion), the sites and the attribution log.
+struct State {
     now: SimTime,
     seq: u64,
     events: BinaryHeap<Reverse<Event>>,
+    sites: Vec<Site>,
+    audit: AuditLog,
 }
 
-/// A locked view of one [`Site`].
-///
-/// Concurrency model (the shards of a daemon tick share one `Grid`, on
-/// threads when more than one has work):
-///
-/// * every site sits behind its own mutex — the sharding unit;
-/// * the clock (now + event queue) is a second, independent lock;
-/// * the audit log is a third.
-///
-/// Lock order: a thread may hold at most one site lock, and must release
-/// it before touching the clock or audit locks (client calls collect
-/// their new events and audit records while holding the site, then apply
-/// them after dropping it). The clock lock is never held while acquiring
-/// a site lock — `advance_to` pops each due event, releases the clock,
-/// and only then dispatches into the event's site.
-pub struct SiteGuard<'a>(MutexGuard<'a, Site>);
+impl State {
+    fn site_index(&self, name: &str) -> Option<usize> {
+        self.sites.iter().position(|s| s.profile.name == name)
+    }
+
+    fn push_event(&mut self, at: SimTime, kind: EventKind) {
+        let seq = self.seq;
+        self.seq += 1;
+        self.events.push(Reverse(Event { at, seq, kind }));
+    }
+
+    /// Run a scheduler pass on a site and queue the JobFinish events of
+    /// the jobs it started.
+    fn schedule(&mut self, site: usize) {
+        let s = &mut self.sites[site];
+        for (at, job) in s.scheduler.schedule_pass(self.now, &mut s.fs, &s.apps) {
+            self.push_event(at, EventKind::JobFinish { site, job });
+        }
+    }
+
+    /// Process every event due by `target` in `(at, seq)` order, then
+    /// leave the clock at `target`.
+    fn advance_to(&mut self, target: SimTime) {
+        while self
+            .events
+            .peek()
+            .is_some_and(|Reverse(ev)| ev.at <= target)
+        {
+            let Reverse(ev) = self.events.pop().expect("peeked");
+            self.now = ev.at;
+            self.dispatch(ev.kind);
+        }
+        self.now = self.now.max(target);
+    }
+
+    fn dispatch(&mut self, kind: EventKind) {
+        let now = self.now;
+        match kind {
+            EventKind::JobFinish { site, job } => {
+                let s = &mut self.sites[site];
+                s.scheduler.finish_job(job, now, &mut s.fs);
+                self.schedule(site);
+            }
+            EventKind::BgArrival { site } => {
+                let s = &mut self.sites[site];
+                let Some(bg) = s.background.as_mut() else {
+                    return;
+                };
+                let (delay, upcoming) = bg.generator.next_arrival();
+                let req = std::mem::replace(&mut bg.next_request, upcoming);
+                // Background load submits outside the GRAM surface.
+                let _ = s.scheduler.submit(req, now, true);
+                self.schedule(site);
+                self.push_event(now + delay, EventKind::BgArrival { site });
+            }
+        }
+    }
+
+    fn record(
+        &mut self,
+        site: &str,
+        service: &str,
+        proxy: &ProxyCertificate,
+        action: &str,
+        detail: String,
+    ) {
+        self.audit.record(AuditRecord {
+            time: self.now,
+            site: site.to_string(),
+            service: service.to_string(),
+            subject: proxy.issuer.clone(),
+            saml_user: proxy.saml_user.clone(),
+            action: action.to_string(),
+            detail,
+        });
+    }
+}
+
+/// A view of one [`Site`] that holds the grid's one lock: drop it before
+/// the next [`Grid`] call, which would wait for that lock forever.
+pub struct SiteGuard<'a> {
+    state: MutexGuard<'a, State>,
+    site: usize,
+}
 
 impl Deref for SiteGuard<'_> {
     type Target = Site;
     fn deref(&self) -> &Site {
-        &self.0
+        &self.state.sites[self.site]
     }
 }
 
 impl DerefMut for SiteGuard<'_> {
     fn deref_mut(&mut self) -> &mut Site {
-        &mut self.0
+        &mut self.state.sites[self.site]
     }
 }
 
-/// A locked view of the attribution log.
-pub struct AuditGuard<'a>(MutexGuard<'a, AuditLog>);
+/// A view of the attribution log that holds the grid's one lock: drop it
+/// before the next [`Grid`] call, which would wait for that lock forever.
+pub struct AuditGuard<'a>(MutexGuard<'a, State>);
 
 impl Deref for AuditGuard<'_> {
     type Target = AuditLog;
     fn deref(&self) -> &AuditLog {
-        &self.0
+        &self.0.audit
     }
 }
 
-/// The simulation: virtual clock, event queue, and all sites.
+/// The simulation: virtual clock, event queue, all sites and the audit
+/// log, behind one lock.
 ///
-/// Client calls (`gram_*`, `ftp_*`, `job_times`, `advance`) take `&self`
-/// and synchronize internally (see [`SiteGuard`] for the lock order), so
-/// a `Grid` can be shared across daemon worker threads. The site map
-/// itself is fixed after setup: `add_site` / `install_app` / `authorize`
-/// keep `&mut self`, which statically excludes concurrent clients.
+/// Client calls (`gram_*`, `ftp_*`, `job_times`) and `advance` take
+/// `&self` and hold the lock for the whole call, so daemons on other
+/// threads can share a `Grid` by reference. [`Grid::site`] and
+/// [`Grid::audit`] return guards that hold the same lock. Setup
+/// (`add_site`, `install_app`, `authorize`) takes `&mut self`.
 pub struct Grid {
-    clock: Mutex<ClockState>,
-    sites: BTreeMap<String, Mutex<Site>>,
+    state: Mutex<State>,
     pub faults: FaultPlan,
-    audit: Mutex<AuditLog>,
 }
 
 impl Default for Grid {
@@ -225,208 +299,123 @@ impl Default for Grid {
 impl Grid {
     pub fn new() -> Self {
         Grid {
-            clock: Mutex::new(ClockState {
+            state: Mutex::new(State {
                 now: SimTime::ZERO,
                 seq: 0,
                 events: BinaryHeap::new(),
+                sites: Vec::new(),
+                audit: AuditLog::default(),
             }),
-            sites: BTreeMap::new(),
             faults: FaultPlan::none(),
-            audit: Mutex::new(AuditLog::default()),
         }
     }
 
+    /// Take the lock. A panic on another thread leaves plain simulator
+    /// data behind, so a poisoned lock is taken all the same.
+    fn state(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The state during setup, when `&mut self` rules out other callers.
+    fn state_mut(&mut self) -> &mut State {
+        self.state.get_mut().unwrap_or_else(PoisonError::into_inner)
+    }
+
     pub fn now(&self) -> SimTime {
-        lock(&self.clock).now
+        self.state().now
     }
 
     pub fn audit(&self) -> AuditGuard<'_> {
-        AuditGuard(lock(&self.audit))
+        AuditGuard(self.state())
     }
 
     pub fn site(&self, name: &str) -> Option<SiteGuard<'_>> {
-        self.sites.get(name).map(|m| SiteGuard(lock(m)))
-    }
-
-    /// Locked mutable access to a site (same lock as [`Grid::site`]; the
-    /// `_mut` name is kept for the pre-refactor call sites).
-    pub fn site_mut(&self, name: &str) -> Option<SiteGuard<'_>> {
-        self.site(name)
+        let state = self.state();
+        let site = state.site_index(name)?;
+        Some(SiteGuard { state, site })
     }
 
     /// Register a quiet site (no competing load).
     pub fn add_site(&mut self, profile: SystemProfile) {
-        let name = profile.name.clone();
-        let fs = SiteFs::new(&name, profile.scratch_quota_bytes);
-        let scheduler = Scheduler::new(profile.clone());
-        self.sites.insert(
-            name,
-            Mutex::new(Site {
-                profile,
-                scheduler,
-                fs,
-                apps: AppRegistry::new(),
-                background: None,
-                authorized: BTreeSet::new(),
-                trust: BTreeMap::new(),
-                submissions: BTreeMap::new(),
-            }),
-        );
+        let site = Site {
+            fs: SiteFs::new(&profile.name, profile.scratch_quota_bytes),
+            scheduler: Scheduler::new(profile.clone()),
+            profile,
+            apps: AppRegistry::new(),
+            background: None,
+            authorized: BTreeSet::new(),
+            trust: BTreeMap::new(),
+            submissions: BTreeMap::new(),
+        };
+        let state = self.state_mut();
+        match state.site_index(&site.profile.name) {
+            Some(i) => state.sites[i] = site,
+            None => state.sites.push(site),
+        }
     }
 
     /// Register a site with synthetic background load (queue contention).
     pub fn add_site_with_background(&mut self, profile: SystemProfile, seed: u64) {
+        let mut generator = BackgroundLoad::new(&profile, seed);
+        let (delay, next_request) = generator.next_arrival();
         let name = profile.name.clone();
         self.add_site(profile);
-        let site = self
-            .sites
-            .get_mut(&name)
-            .expect("just added")
-            .get_mut()
-            .unwrap_or_else(|p| p.into_inner());
-        let mut generator = BackgroundLoad::new(&site.profile, seed);
-        let (delay, next_request) = generator.next_arrival();
-        site.background = Some(BackgroundState {
+        let state = self.state_mut();
+        let site = state.site_index(&name).expect("just added");
+        state.sites[site].background = Some(BackgroundState {
             generator,
             next_request,
         });
-        let at = self.now() + delay;
-        self.push_event(at, EventKind::BgArrival { site: name });
+        state.push_event(state.now + delay, EventKind::BgArrival { site });
     }
 
     pub fn install_app(&mut self, site: &str, executable: &str, app: Arc<dyn Application>) {
-        if let Some(s) = self.sites.get_mut(site) {
-            s.get_mut()
-                .unwrap_or_else(|p| p.into_inner())
-                .apps
-                .install(executable, app);
+        let state = self.state_mut();
+        if let Some(i) = state.site_index(site) {
+            state.sites[i].apps.install(executable, app);
         }
     }
 
     /// Enable a community credential on a site (the "community account has
     /// been authorized" step, §4.3).
     pub fn authorize(&mut self, site: &str, cred: &CommunityCredential) {
-        if let Some(s) = self.sites.get_mut(site) {
-            let s = s.get_mut().unwrap_or_else(|p| p.into_inner());
+        let state = self.state_mut();
+        if let Some(i) = state.site_index(site) {
+            let s = &mut state.sites[i];
             s.authorized.insert(cred.subject.clone());
             s.trust.insert(cred.subject.clone(), cred.clone());
         }
     }
 
-    fn push_event(&self, at: SimTime, kind: EventKind) {
-        let mut clock = lock(&self.clock);
-        let seq = clock.seq;
-        clock.seq += 1;
-        clock.events.push(Reverse(Event { at, seq, kind }));
-    }
-
-    /// Queue the JobFinish events produced by a scheduler pass.
-    fn queue_job_events(&self, site: &str, new_events: Vec<(SimTime, u64)>) {
-        if new_events.is_empty() {
-            return;
-        }
-        let mut clock = lock(&self.clock);
-        for (at, id) in new_events {
-            let seq = clock.seq;
-            clock.seq += 1;
-            clock.events.push(Reverse(Event {
-                at,
-                seq,
-                kind: EventKind::JobFinish {
-                    site: site.to_string(),
-                    job: id,
-                },
-            }));
-        }
-    }
-
     /// Advance the clock by `dur`, processing all events in order.
     pub fn advance(&self, dur: SimDuration) {
-        let target = self.now() + dur;
-        self.advance_to(target);
+        let mut state = self.state();
+        let target = state.now + dur;
+        state.advance_to(target);
     }
 
     /// Advance the clock to `target`, processing all events in order.
-    ///
-    /// Takes `&self`, but is meant to be called from a single driving
-    /// thread between daemon ticks; worker threads only issue client
-    /// calls, which never move the clock.
     pub fn advance_to(&self, target: SimTime) {
-        loop {
-            // Pop one due event under the clock lock, release, dispatch.
-            let (at, kind) = {
-                let mut clock = lock(&self.clock);
-                match clock.events.peek() {
-                    Some(Reverse(ev)) if ev.at <= target => {
-                        let Reverse(ev) = clock.events.pop().expect("peeked");
-                        clock.now = ev.at;
-                        (ev.at, ev.kind)
-                    }
-                    _ => {
-                        if target > clock.now {
-                            clock.now = target;
-                        }
-                        return;
-                    }
-                }
-            };
-            self.dispatch(at, kind);
-        }
+        self.state().advance_to(target);
     }
 
-    fn dispatch(&self, now: SimTime, kind: EventKind) {
-        match kind {
-            EventKind::JobFinish { site, job } => {
-                let mut new_events = Vec::new();
-                if let Some(m) = self.sites.get(&site) {
-                    let mut guard = lock(m);
-                    let s = &mut *guard;
-                    s.scheduler.finish_job(job, now, &mut s.fs);
-                    new_events = s.scheduler.schedule_pass(now, &mut s.fs, &s.apps);
-                }
-                self.queue_job_events(&site, new_events);
-            }
-            EventKind::BgArrival { site } => {
-                let mut new_events = Vec::new();
-                let mut next: Option<SimTime> = None;
-                if let Some(m) = self.sites.get(&site) {
-                    let mut guard = lock(m);
-                    let s = &mut *guard;
-                    if let Some(bg) = s.background.as_mut() {
-                        let req = bg.next_request.clone();
-                        let (delay, upcoming) = bg.generator.next_arrival();
-                        bg.next_request = upcoming;
-                        next = Some(now + delay);
-                        // Background load submits outside the GRAM surface.
-                        let _ = s.scheduler.submit(req, now, true);
-                        new_events = s.scheduler.schedule_pass(now, &mut s.fs, &s.apps);
-                    }
-                }
-                self.queue_job_events(&site, new_events);
-                if let Some(at) = next {
-                    self.push_event(at, EventKind::BgArrival { site });
-                }
-            }
-        }
-    }
-
-    /// Outage + credential + authorization gate shared by every client
-    /// call. Returns the locked site on success.
+    /// Take the lock and pass the outage + credential + authorization gate
+    /// shared by every client call: the locked state and the site's index.
     fn check_access(
         &self,
         site: &str,
         service: Service,
         proxy: &ProxyCertificate,
-        now: SimTime,
-    ) -> Result<MutexGuard<'_, Site>, GridError> {
+    ) -> Result<(MutexGuard<'_, State>, usize), GridError> {
         let service_name = match service {
             Service::Gram => "GRAM",
             Service::GridFtp => "GridFTP",
             Service::Both => "grid",
         };
-        let m = self
-            .sites
-            .get(site)
+        let state = self.state();
+        let now = state.now;
+        let i = state
+            .site_index(site)
             .ok_or_else(|| GridError::NoSuchSite(site.to_string()))?;
         if self.faults.is_down(site, service, now) {
             return Err(GridError::ServiceUnreachable {
@@ -441,7 +430,7 @@ impl Grid {
                 at: now,
             });
         }
-        let s = lock(m);
+        let s = &state.sites[i];
         let trusted = s
             .trust
             .get(&proxy.issuer)
@@ -453,27 +442,7 @@ impl Grid {
                 subject: proxy.subject.clone(),
             });
         }
-        Ok(s)
-    }
-
-    fn record_audit(
-        &self,
-        now: SimTime,
-        site: &str,
-        service: &'static str,
-        proxy: &ProxyCertificate,
-        action: &str,
-        detail: String,
-    ) {
-        lock(&self.audit).record(AuditRecord {
-            time: now,
-            site: site.to_string(),
-            service: service.to_string(),
-            subject: proxy.issuer.clone(),
-            saml_user: proxy.saml_user.clone(),
-            action: action.to_string(),
-            detail,
-        });
+        Ok((state, i))
     }
 
     /// Submit a GRAM job (`globusrun`-equivalent).
@@ -510,52 +479,49 @@ impl Grid {
             }
             deps.push(id);
         }
-        let now = self.now();
-        let (handle, known, detail, new_events) = {
-            let mut guard = self.check_access(site, Service::Gram, proxy, now)?;
-            let s = &mut *guard;
-            let held = spec.submission_id.as_ref().and_then(|id| {
-                let &(service, job, _cores) = s.submissions.get(id)?;
-                Some((id, GramJobHandle::new(site, service, job)))
-            });
-            if let Some((id, handle)) = held {
-                let detail = format!("{id} -> {handle}");
-                (handle, true, detail, Vec::new())
-            } else {
-                if s.apps.get(&spec.executable).is_none() {
-                    return Err(GridError::NoSuchApplication {
-                        site: site.to_string(),
-                        executable: spec.executable,
-                    });
-                }
-                let cores = match spec.service {
-                    GramService::Fork => 0,
-                    GramService::Batch => spec.cores.max(1),
-                };
-                let req = JobRequest {
-                    name: spec.name,
-                    cores,
-                    walltime: spec.walltime,
-                    deps,
-                    payload: Payload::App {
-                        executable: spec.executable.clone(),
-                        args: spec.args,
-                        workdir: spec.workdir,
-                    },
-                };
-                let job = s.scheduler.submit(req, now, false)?;
-                if let Some(id) = spec.submission_id {
-                    s.submissions.insert(id, (spec.service, job, cores));
-                }
-                let handle = GramJobHandle::new(site, spec.service, job);
-                let detail = format!("{} -> {}", spec.executable, handle);
-                let new_events = s.scheduler.schedule_pass(now, &mut s.fs, &s.apps);
-                (handle, false, detail, new_events)
+        let (mut state, i) = self.check_access(site, Service::Gram, proxy)?;
+        let now = state.now;
+        let s = &mut state.sites[i];
+        let held = spec.submission_id.as_ref().and_then(|id| {
+            let &(service, job, _cores) = s.submissions.get(id)?;
+            Some((id, GramJobHandle::new(site, service, job)))
+        });
+        let (handle, known, detail) = if let Some((id, handle)) = held {
+            let detail = format!("{id} -> {handle}");
+            (handle, true, detail)
+        } else {
+            if s.apps.get(&spec.executable).is_none() {
+                return Err(GridError::NoSuchApplication {
+                    site: site.to_string(),
+                    executable: spec.executable,
+                });
             }
+            let cores = match spec.service {
+                GramService::Fork => 0,
+                GramService::Batch => spec.cores.max(1),
+            };
+            let req = JobRequest {
+                name: spec.name,
+                cores,
+                walltime: spec.walltime,
+                deps,
+                payload: Payload::App {
+                    executable: spec.executable.clone(),
+                    args: spec.args,
+                    workdir: spec.workdir,
+                },
+            };
+            let job = s.scheduler.submit(req, now, false)?;
+            if let Some(id) = spec.submission_id {
+                s.submissions.insert(id, (spec.service, job, cores));
+            }
+            let handle = GramJobHandle::new(site, spec.service, job);
+            let detail = format!("{} -> {}", spec.executable, handle);
+            state.schedule(i);
+            (handle, false, detail)
         };
-        self.queue_job_events(site, new_events);
         let action = if known { "resubmit" } else { "submit" };
-        self.record_audit(now, site, "GRAM", proxy, action, detail);
+        state.record(site, "GRAM", proxy, action, detail);
         if self.faults.reply_lost(site, now) {
             return Err(GridError::ServiceUnreachable {
                 site: site.to_string(),
@@ -575,9 +541,9 @@ impl Grid {
         proxy: &ProxyCertificate,
         prefix: &str,
     ) -> Result<Vec<GramSubmission>, GridError> {
-        let s = self.check_access(site, Service::Gram, proxy, self.now())?;
+        let (state, i) = self.check_access(site, Service::Gram, proxy)?;
         let from = (Bound::Included(prefix), Bound::Unbounded);
-        let under = s.submissions.range::<str, _>(from);
+        let under = state.sites[i].submissions.range::<str, _>(from);
         Ok(under
             .take_while(|(id, _)| id.starts_with(prefix))
             .map(|(id, &(service, job, cores))| GramSubmission {
@@ -597,11 +563,9 @@ impl Grid {
         proxy: &ProxyCertificate,
         id: &str,
     ) -> Result<(), GridError> {
-        let now = self.now();
-        let mut s = self.check_access(site, Service::Gram, proxy, now)?;
-        s.submissions.remove(id);
-        drop(s);
-        self.record_audit(now, site, "GRAM", proxy, "release", id.to_string());
+        let (mut state, i) = self.check_access(site, Service::Gram, proxy)?;
+        state.sites[i].submissions.remove(id);
+        state.record(site, "GRAM", proxy, "release", id.to_string());
         Ok(())
     }
 
@@ -612,12 +576,11 @@ impl Grid {
         proxy: &ProxyCertificate,
         handle: &GramJobHandle,
     ) -> Result<GramState, GridError> {
-        let now = self.now();
-        let s = self.check_access(site, Service::Gram, proxy, now)?;
+        let (state, i) = self.check_access(site, Service::Gram, proxy)?;
         let (_, id) = handle
             .parse()
             .ok_or_else(|| GridError::NoSuchJob(handle.to_string()))?;
-        let job = s
+        let job = state.sites[i]
             .scheduler
             .job(id)
             .ok_or_else(|| GridError::NoSuchJob(handle.to_string()))?;
@@ -634,22 +597,17 @@ impl Grid {
         let (_, id) = handle
             .parse()
             .ok_or_else(|| GridError::NoSuchJob(handle.to_string()))?;
-        let now = self.now();
-        let new_events = {
-            let mut guard = self.check_access(site, Service::Gram, proxy, now)?;
-            let s = &mut *guard;
-            s.scheduler.cancel(id, "cancelled via GRAM")?;
-            s.scheduler.schedule_pass(now, &mut s.fs, &s.apps)
-        };
-        self.queue_job_events(site, new_events);
-        self.record_audit(now, site, "GRAM", proxy, "cancel", handle.to_string());
+        let (mut state, i) = self.check_access(site, Service::Gram, proxy)?;
+        state.sites[i].scheduler.cancel(id, "cancelled via GRAM")?;
+        state.schedule(i);
+        state.record(site, "GRAM", proxy, "cancel", handle.to_string());
         Ok(())
     }
 
     /// Submit/start/end record for the Gantt tool (§6) — introspection,
     /// not a grid client call.
     pub fn job_times(&self, site: &str, handle: &GramJobHandle) -> Option<JobTimes> {
-        let s = SiteGuard(lock(self.sites.get(site)?));
+        let s = self.site(site)?;
         let (_, id) = handle.parse()?;
         let job = s.scheduler.job(id)?;
         let (started, ended) = match &job.state {
@@ -679,25 +637,12 @@ impl Grid {
         path: &str,
         data: Vec<u8>,
     ) -> Result<TransferStats, GridError> {
-        let now = self.now();
         let bytes = data.len() as u64;
-        {
-            let mut s = self.check_access(site, Service::GridFtp, proxy, now)?;
-            s.fs.write(path, data)?;
-        }
-        let stats = TransferStats {
-            bytes,
-            duration: SimDuration::from_secs(FTP_LATENCY_SECS + bytes / FTP_BANDWIDTH_BPS),
-        };
-        self.record_audit(
-            now,
-            site,
-            "GridFTP",
-            proxy,
-            "put",
-            format!("{path} ({bytes} B)"),
-        );
-        Ok(stats)
+        let (mut state, i) = self.check_access(site, Service::GridFtp, proxy)?;
+        state.sites[i].fs.write(path, data)?;
+        let detail = format!("{path} ({bytes} B)");
+        state.record(site, "GridFTP", proxy, "put", detail);
+        Ok(transfer(bytes))
     }
 
     /// List remote files under a prefix (`uberftp ls`-equivalent) — used
@@ -708,9 +653,8 @@ impl Grid {
         proxy: &ProxyCertificate,
         prefix: &str,
     ) -> Result<Vec<String>, GridError> {
-        let now = self.now();
-        let s = self.check_access(site, Service::GridFtp, proxy, now)?;
-        Ok(s.fs.list_tree(prefix))
+        let (state, i) = self.check_access(site, Service::GridFtp, proxy)?;
+        Ok(state.sites[i].fs.list_tree(prefix))
     }
 
     /// Fetch a file from a site (`globus-url-copy` get).
@@ -720,30 +664,16 @@ impl Grid {
         proxy: &ProxyCertificate,
         path: &str,
     ) -> Result<(Vec<u8>, TransferStats), GridError> {
-        let now = self.now();
-        let data = {
-            let s = self.check_access(site, Service::GridFtp, proxy, now)?;
-            s.fs.read(path)?.to_vec()
-        };
+        let (mut state, i) = self.check_access(site, Service::GridFtp, proxy)?;
+        let data = state.sites[i].fs.read(path)?.to_vec();
         let bytes = data.len() as u64;
-        let stats = TransferStats {
-            bytes,
-            duration: SimDuration::from_secs(FTP_LATENCY_SECS + bytes / FTP_BANDWIDTH_BPS),
-        };
-        self.record_audit(
-            now,
-            site,
-            "GridFTP",
-            proxy,
-            "get",
-            format!("{path} ({bytes} B)"),
-        );
-        Ok((data, stats))
+        let detail = format!("{path} ({bytes} B)");
+        state.record(site, "GridFTP", proxy, "get", detail);
+        Ok((data, transfer(bytes)))
     }
 }
 
-/// The whole point of the per-site sharding: a `Grid` can be shared by
-/// reference across daemon worker threads.
+/// Daemons on other threads share a `Grid` by reference.
 const _: () = {
     const fn assert_shareable<T: Send + Sync>() {}
     assert_shareable::<Grid>();

@@ -25,7 +25,7 @@
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::time::Instant;
 
-use amp_core::models::{AmpUser, GridJobRecord, Lease, Notification, NotifyMode, Simulation};
+use amp_core::models::{AmpUser, GridJobRecord, Notification, NotifyMode, Simulation};
 use amp_core::status::{JobStatus, SimStatus};
 use amp_grid::{CommunityCredential, GramJobHandle, GramState, Grid, SimDuration};
 use amp_simdb::orm::{Manager, Model};
@@ -241,13 +241,6 @@ impl GridAmp {
     /// The simulations this daemon owned as of its last claim phase.
     pub fn owned_sims(&self) -> Vec<i64> {
         self.owned.keys().copied().collect()
-    }
-
-    /// All lease rows currently naming this daemon as holder — the
-    /// monitor's view, read from the database rather than from in-memory
-    /// state, so it stays truthful across restarts.
-    pub fn held_leases(&self) -> Result<Vec<Lease>, DbError> {
-        lease::held_by(&self.conn, &self.config.daemon_id)
     }
 
     /// The operations log: every grid call with its Globus-CLI-equivalent
@@ -805,20 +798,6 @@ pub struct DaemonMonitor {
     pub max_silence_secs: i64,
 }
 
-/// The monitor's verdict on a daemon's lease posture.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LeaseHealth {
-    /// The daemon holds no leases — idle, freshly started, or fully
-    /// fenced out by peers. Not by itself a fault.
-    NoLeases,
-    /// Every held lease is unexpired at `now`.
-    Active { held: usize },
-    /// `stale` of the held leases are past expiry and unrenewed — the
-    /// daemon has stopped renewing (wedged or paused) and peers will
-    /// take its simulations over.
-    Expired { stale: usize },
-}
-
 impl DaemonMonitor {
     /// True if the daemon looks alive at `now` (the monitor's clock).
     ///
@@ -831,22 +810,6 @@ impl DaemonMonitor {
         match daemon.last_heartbeat {
             Some(hb) => now - hb <= self.max_silence_secs,
             None => false,
-        }
-    }
-
-    /// Classify the daemon's lease rows at `now`. Reads the database, not
-    /// the daemon's in-memory ownership map, so a wedged daemon that
-    /// *believes* it owns simulations is still reported truthfully.
-    pub fn lease_health(&self, daemon: &GridAmp, now: i64) -> Result<LeaseHealth, DbError> {
-        let leases = daemon.held_leases()?;
-        if leases.is_empty() {
-            return Ok(LeaseHealth::NoLeases);
-        }
-        let stale = leases.iter().filter(|l| !l.valid_at(now)).count();
-        if stale > 0 {
-            Ok(LeaseHealth::Expired { stale })
-        } else {
-            Ok(LeaseHealth::Active { held: leases.len() })
         }
     }
 }
@@ -890,36 +853,6 @@ mod tests {
         daemon.clock_skew_secs = 500;
         daemon.last_heartbeat = Some(1500); // monitor clock says 1000
         assert!(monitor.healthy(&daemon, 1000));
-    }
-
-    #[test]
-    fn lease_health_distinguishes_idle_active_and_expired() {
-        let (_db, daemon, sim_id) = fixture();
-        let monitor = DaemonMonitor {
-            max_silence_secs: 100,
-        };
-        // zero-lease daemon: idle, not faulty
-        assert_eq!(
-            monitor.lease_health(&daemon, 0).unwrap(),
-            LeaseHealth::NoLeases
-        );
-        let conn = daemon.conn.clone();
-        lease::claim(&conn, daemon.daemon_id(), sim_id, "stellar", 0, 60).unwrap();
-        assert_eq!(
-            monitor.lease_health(&daemon, 30).unwrap(),
-            LeaseHealth::Active { held: 1 }
-        );
-        // expired-but-unrenewed: the daemon stopped renewing
-        assert_eq!(
-            monitor.lease_health(&daemon, 61).unwrap(),
-            LeaseHealth::Expired { stale: 1 }
-        );
-        // a peer takeover moves the row off this daemon entirely
-        lease::claim(&conn, "peer", sim_id, "stellar", 61, 60).unwrap();
-        assert_eq!(
-            monitor.lease_health(&daemon, 62).unwrap(),
-            LeaseHealth::NoLeases
-        );
     }
 
     #[test]

@@ -167,11 +167,6 @@ pub fn current(conn: &Connection, sim_id: i64) -> Result<Option<Lease>, DbError>
     Manager::<Lease>::new(conn.clone()).first(&Query::new().eq("simulation_id", sim_id))
 }
 
-/// All leases held by `daemon_id`.
-pub fn held_by(conn: &Connection, daemon_id: &str) -> Result<Vec<Lease>, DbError> {
-    Manager::<Lease>::new(conn.clone()).filter(&Query::new().eq("daemon_id", daemon_id))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

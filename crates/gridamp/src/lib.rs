@@ -42,7 +42,7 @@ pub mod workflow;
 pub use advisor::{assess, recommend, Assessment};
 pub use apps::GaRunResult;
 pub use clilog::{OpOutcome, OpsEntry, OpsEvent, OpsLog};
-pub use daemon::{DaemonMonitor, GridAmp, LeaseHealth, TickReport};
+pub use daemon::{DaemonMonitor, GridAmp, TickReport};
 pub use error::WorkflowError;
 pub use gantt::{chart_for, render_ascii, stats, GanttChart, GanttRow, WaitRunStats};
 pub use lease::ClaimOutcome;

@@ -82,9 +82,10 @@ pub(crate) const PROXY_LIFETIME: SimDuration = SimDuration(12 * 3600);
 
 /// Everything a workflow stage function can touch.
 ///
-/// The grid is shared (`&Grid`): every client call synchronizes
-/// internally on per-site locks, so daemons on other threads can step
-/// their simulations against the same substrate.
+/// The grid is shared (`&Grid`): every client call holds the grid's one
+/// lock for its duration, so daemons on other threads can step their
+/// simulations against the same substrate. A `grid.site(..)` guard holds
+/// that lock too: drop it before the next grid call.
 pub struct StageCtx<'a> {
     pub grid: &'a Grid,
     pub conn: &'a Connection,
@@ -674,7 +675,7 @@ fn check_cleanup(ctx: &mut StageCtx<'_>) -> Result<bool, WorkflowError> {
     // been removed" — verify-and-remove on the remote scratch.
     let root = ctx.workdir();
     let system = ctx.sim.system.clone();
-    if let Some(mut site) = ctx.grid.site_mut(&system) {
+    if let Some(mut site) = ctx.grid.site(&system) {
         crate::apps::cleanup_tree(&mut site.fs, &root);
     }
     Ok(true)

@@ -3,21 +3,20 @@
 //! The portal's hottest pages — the home page, the `/stars` catalog, and
 //! `/star/<ident>` detail pages — are pure functions of a handful of
 //! database tables. Each cache entry is stamped with the modification
-//! counters of exactly the tables the page reads, taken through a
-//! coherent multi-table read view
-//! ([`Connection::read_view`](amp_simdb::Connection::read_view)); any
-//! committed write to one of those tables changes its counter and
+//! counters of exactly the tables the page reads
+//! ([`Connection::table_versions`](amp_simdb::Connection::table_versions));
+//! any committed write to one of those tables changes its counter and
 //! invalidates dependent entries on the next lookup, so a cache hit is
 //! always byte-identical to a fresh render (property-tested in
 //! `tests/portal_serving.rs`).
 //!
 //! Stamps are read *before* rendering: a write racing the render can only
 //! make the stored entry look stale (harmless over-invalidation), never
-//! let a stale body match a fresh stamp. The read view makes the stamp
-//! itself untearable — under the sharded engine there is no global lock
-//! to make two separate `table_version` reads mutually consistent, so the
-//! view's ordered shared-lock acquisition is what keeps a multi-table
-//! transaction from splitting a stamp down the middle.
+//! let a stale body match a fresh stamp. The stamp itself cannot tear:
+//! `table_versions` pins every table's published version in one cut
+//! validated against the engine's commit clock (DESIGN §8.3), so a
+//! multi-table transaction is in the stamp entirely or not at all. It
+//! takes no table's lock, so no writer waits on it.
 //!
 //! A hit is answered on the event-loop thread, which must never wait: its
 //! lookup takes the lock with `try_read`, and the one long thing a writer

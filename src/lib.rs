@@ -61,9 +61,7 @@ pub mod prelude {
     pub use amp_core::{JobPurpose, JobStatus, OptimizationSpec, SimKind, SimStatus};
     pub use amp_ga::{Ga, GaConfig, Problem};
     pub use amp_grid::prelude::*;
-    pub use amp_gridamp::{
-        ClaimOutcome, DaemonConfig, DaemonMonitor, Deployment, GridAmp, LeaseHealth,
-    };
+    pub use amp_gridamp::{ClaimOutcome, DaemonConfig, DaemonMonitor, Deployment, GridAmp};
     pub use amp_portal::{Portal, PortalConfig};
     pub use amp_simdb::orm::{Manager, Model};
     pub use amp_simdb::{Db, Query};

@@ -283,7 +283,7 @@ fn hold_on_a_corrupt_restart_and_repair(world: &mut World) -> (i64, Vec<String>)
     let corrupt = b"{corrupted".to_vec();
     let write = world
         .grid
-        .site_mut("kraken")
+        .site("kraken")
         .unwrap()
         .fs
         .write(&restart, corrupt);
@@ -293,12 +293,7 @@ fn hold_on_a_corrupt_restart_and_repair(world: &mut World) -> (i64, Vec<String>)
     assert_eq!(held.status, SimStatus::Hold, "{}", held.status_message);
 
     let run_dir = format!("amp/sim{sim_id}/run0");
-    world
-        .grid
-        .site_mut("kraken")
-        .unwrap()
-        .fs
-        .remove_tree(&run_dir);
+    world.grid.site("kraken").unwrap().fs.remove_tree(&run_dir);
     let jobs =
         Manager::<GridJobRecord>::new(world.db.connect(amp::core::roles::ROLE_ADMIN).unwrap());
     let deleted = jobs_of(&world.db, sim_id, "WORK").into_iter().map(|j| {

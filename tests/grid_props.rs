@@ -89,8 +89,8 @@ proptest! {
             }
         }
         // include background jobs in the occupancy audit
-        // (guard taken after the job_times calls above: the site mutex is
-        // non-reentrant, so never hold it across another Grid call)
+        // (guard taken after the job_times calls above: it holds the grid's
+        // one lock, so it must not be held across another Grid call)
         let site = grid.site("lonestar").unwrap();
         for j in site.scheduler.jobs() {
             if j.background {

@@ -15,7 +15,7 @@ const SIMS: usize = 64;
 const SYSTEMS: [&str; 4] = ["frost", "kraken", "lonestar", "ranger"];
 
 #[test]
-fn sixty_four_sims_four_sites_with_faults_settle_correctly_in_parallel() {
+fn sixty_four_sims_four_sites_with_faults_settle_correctly() {
     let sites = vec![
         amp::grid::systems::frost(),
         amp::grid::systems::kraken(),

@@ -156,11 +156,9 @@ fn run_scenario(ensembles: u64) -> Outcome {
     }
 }
 
-/// The tick runs on its caller's thread, the one worker a daemon has (a
-/// second core is a second daemon): two runs of the two-ensemble scenario
-/// match in every observable.
+/// Two runs of the two-ensemble scenario match in every observable.
 #[test]
-fn any_worker_count_reproduces_the_same_run_exactly() {
+fn the_two_ensemble_scenario_reproduces_exactly() {
     let first = run_scenario(2);
 
     // sanity: the scenario exercised real work
@@ -179,7 +177,7 @@ fn any_worker_count_reproduces_the_same_run_exactly() {
 /// The cheapest scenario, one ensemble and five simulations, reproduces
 /// exactly too.
 #[test]
-fn degenerate_pool_sizes_reproduce_the_same_run_exactly() {
+fn the_one_ensemble_scenario_reproduces_exactly() {
     let first = run_scenario(1);
     assert_eq!(first.statuses.len(), 5);
     assert!(first.statuses.values().all(|s| s == "DONE"));
