@@ -673,12 +673,15 @@ pub struct ReadView {
 }
 
 impl ReadView {
-    fn table(&self, name: &str) -> Result<&table::Table, DbError> {
+    /// The pinned table itself, read-only: for what a query does not
+    /// phrase, such as an index's contents
+    /// ([`Table::range_indexed`](table::Table::range_indexed)).
+    pub fn table(&self, name: &str) -> Result<&table::Table, DbError> {
+        self.role.check(name, Action::Select)?;
         Ok(&self.view.version(name)?.table)
     }
 
     pub fn select(&self, table: &str, query: &Query) -> Result<Vec<(i64, Row)>, DbError> {
-        self.role.check(table, Action::Select)?;
         query.execute(self.table(table)?)
     }
 
@@ -689,17 +692,14 @@ impl ReadView {
         query: &Query,
         column: &str,
     ) -> Result<Vec<(i64, Value)>, DbError> {
-        self.role.check(table, Action::Select)?;
         query.project(self.table(table)?, column)
     }
 
     pub fn get(&self, table: &str, id: i64) -> Result<Row, DbError> {
-        self.role.check(table, Action::Select)?;
         self.table(table)?.row(id).cloned()
     }
 
     pub fn count(&self, table: &str, query: &Query) -> Result<usize, DbError> {
-        self.role.check(table, Action::Select)?;
         query.count(self.table(table)?)
     }
 

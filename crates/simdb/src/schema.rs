@@ -159,6 +159,23 @@ impl TableSchema {
         self.columns.iter().find(|c| c.name == name)
     }
 
+    /// Validate a candidate row's arity and per-column constraints (see
+    /// [`Column::check_value`]); uniqueness is the table's check.
+    pub(crate) fn check_cells(&self, row: &[Value]) -> Result<(), DbError> {
+        if row.len() != self.columns.len() {
+            return Err(DbError::Schema(format!(
+                "table {}: row arity {} != schema arity {}",
+                self.name,
+                row.len(),
+                self.columns.len()
+            )));
+        }
+        for (col, val) in self.columns.iter().zip(row) {
+            col.check_value(&self.name, val)?;
+        }
+        Ok(())
+    }
+
     /// Validate internal consistency: unique column names, FK targets that
     /// use `SetNull` must be nullable, sensible defaults.
     pub fn validate(&self) -> Result<(), DbError> {

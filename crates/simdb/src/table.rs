@@ -60,6 +60,22 @@ impl Rows {
         id >> CHUNK_SHIFT
     }
 
+    /// Rows in strictly ascending id order, as a snapshot lists them: each
+    /// 256-id span becomes one chunk, built whole, with no per-row lookup.
+    fn from_ascending(rows: Vec<(i64, Arc<Row>)>) -> Rows {
+        let len = rows.len();
+        let mut rows = rows.into_iter().peekable();
+        let chunks = std::iter::from_fn(|| {
+            let key = Self::chunk_key(rows.peek()?.0);
+            let span = std::iter::from_fn(|| rows.next_if(|(id, _)| Self::chunk_key(*id) == key));
+            Some((key, Arc::new(span.collect())))
+        });
+        Rows {
+            chunks: chunks.collect(),
+            len,
+        }
+    }
+
     pub fn len(&self) -> usize {
         self.len
     }
@@ -400,9 +416,10 @@ impl Clone for Copied {
 
 /// A single table: schema, row storage, and indexes.
 ///
-/// Indexes are rebuilt on load; a snapshot holds only the schema, the rows
-/// and `next_id`. Cloning shares all row and index chunks structurally —
-/// see the module docs for the copy-on-write granularity.
+/// A snapshot holds only the schema, the rows and `next_id`; loading one
+/// builds the indexes ([`Self::from_ascending`]). Cloning shares all row
+/// and index chunks structurally — see the module docs for the
+/// copy-on-write granularity.
 #[derive(Debug, Clone)]
 pub struct Table {
     pub schema: TableSchema,
@@ -432,53 +449,53 @@ impl Table {
         })
     }
 
-    /// A table as a snapshot holds it. Indexes come back empty —
-    /// [`Self::rebuild_indexes`] loads them, checking every row.
-    pub(crate) fn unindexed(schema: TableSchema, rows: Rows, next_id: i64) -> Table {
-        Table {
-            indexes: vec![None; schema.columns.len()],
-            schema,
-            rows,
-            next_id,
-            copied: Copied::default(),
-        }
-    }
-
-    /// Rebuild all indexes from row storage (after a snapshot load),
-    /// checking every row as an insert would: each index is bulk-loaded
-    /// from one sorted pass over its column.
-    pub fn rebuild_indexes(&mut self) -> Result<(), DbError> {
-        for (_, row) in self.rows.iter() {
-            self.check_cells(row)?;
-        }
-        let mut indexes = Vec::with_capacity(self.schema.columns.len());
-        for (ci, col) in self.schema.columns.iter().enumerate() {
-            if !col.has_index() {
-                indexes.push(None);
-                continue;
-            }
-            let mut entries: Vec<(&Value, i64)> = self
-                .rows
-                .iter()
-                .filter(|(_, r)| !r[ci].is_null())
-                .map(|(id, r)| (&r[ci], id))
-                .collect();
-            // Rows iterate by ascending id, so a stable sort by cell alone
-            // yields `(cell, id)` order.
-            entries.sort_by(|a, b| a.0.total_cmp(b.0));
-            if col.unique {
-                if let Some(dup) = entries.windows(2).find(|w| w[0].0 == w[1].0) {
-                    return Err(DbError::UniqueViolation {
-                        table: self.schema.name.clone(),
-                        column: col.name.clone(),
-                        value: dup[1].0.clone(),
-                    });
+    /// A table as a snapshot holds it: `rows` decoded, each already through
+    /// [`TableSchema::check_cells`], in strictly ascending id order. Every
+    /// index is built in one pass over them: each id is appended to its
+    /// cell's bucket (kept in [`Value`]'s order), so a bucket is a
+    /// `(cell, id)` run and nothing is sorted. A unique column holding a cell twice is a `UniqueViolation`.
+    pub(crate) fn from_ascending(
+        schema: TableSchema,
+        next_id: i64,
+        rows: Vec<(i64, Arc<Row>)>,
+    ) -> Result<Table, DbError> {
+        debug_assert!(rows.windows(2).all(|w| w[0].0 < w[1].0));
+        let mut buckets: Vec<Option<BTreeMap<&Value, Vec<i64>>>> = (schema.columns.iter())
+            .map(|c| c.has_index().then(BTreeMap::new))
+            .collect();
+        for (id, row) in &rows {
+            for (bucket, cell) in buckets.iter_mut().zip(row.iter()) {
+                if let (Some(bucket), false) = (bucket, cell.is_null()) {
+                    bucket.entry(cell).or_default().push(*id);
                 }
             }
-            indexes.push(Some(Arc::new(Index::from_sorted(entries))));
         }
-        self.indexes = indexes;
-        Ok(())
+        let indexes = (schema.columns.iter().zip(buckets))
+            .map(|(col, bucket)| {
+                let Some(bucket) = bucket else {
+                    return Ok(None);
+                };
+                let twice = bucket.iter().find(|(_, ids)| col.unique && ids.len() > 1);
+                if let Some((cell, _)) = twice {
+                    return Err(DbError::UniqueViolation {
+                        table: schema.name.clone(),
+                        column: col.name.clone(),
+                        value: (*cell).clone(),
+                    });
+                }
+                let entries = bucket
+                    .iter()
+                    .flat_map(|(cell, ids)| ids.iter().map(|&id| (*cell, id)));
+                Ok(Some(Arc::new(Index::from_sorted(entries))))
+            })
+            .collect::<Result<_, DbError>>()?;
+        Ok(Table {
+            schema,
+            rows: Rows::from_ascending(rows),
+            next_id,
+            indexes,
+            copied: Copied::default(),
+        })
     }
 
     pub fn len(&self) -> usize {
@@ -505,26 +522,10 @@ impl Table {
         })
     }
 
-    /// Validate a candidate row's arity and per-column constraints.
-    fn check_cells(&self, row: &Row) -> Result<(), DbError> {
-        if row.len() != self.schema.columns.len() {
-            return Err(DbError::Schema(format!(
-                "table {}: row arity {} != schema arity {}",
-                self.schema.name,
-                row.len(),
-                self.schema.columns.len()
-            )));
-        }
-        for (col, val) in self.schema.columns.iter().zip(row.iter()) {
-            col.check_value(&self.schema.name, val)?;
-        }
-        Ok(())
-    }
-
     /// Validate per-column constraints and uniqueness for a candidate row,
     /// excluding row `exclude` from uniqueness checks (for updates).
     fn check_row(&self, row: &Row, exclude: Option<i64>) -> Result<(), DbError> {
-        self.check_cells(row)?;
+        self.schema.check_cells(row)?;
         for (i, (col, val)) in self.schema.columns.iter().zip(row.iter()).enumerate() {
             if col.unique && !val.is_null() {
                 if let Some(other) = self.find_unique(i, val) {
@@ -739,24 +740,6 @@ mod tests {
             t.insert(vec!["a".into()]),
             Err(DbError::Schema(_))
         ));
-    }
-
-    #[test]
-    fn rebuild_indexes_matches_fresh() {
-        let mut t = table();
-        t.insert(vec!["a".into(), Value::Int(1)]).unwrap();
-        t.insert(vec!["b".into(), Value::Int(1)]).unwrap();
-        let mut t2 = Table::unindexed(t.schema.clone(), t.rows.clone(), t.next_id);
-        assert!(!t2.has_index(0), "decoded tables come back unindexed");
-        t2.rebuild_indexes().unwrap();
-        assert_eq!(
-            t2.find_unique(0, &"a".into()),
-            t.find_unique(0, &"a".into())
-        );
-        assert_eq!(
-            t2.find_indexed(1, &Value::Int(1)),
-            t.find_indexed(1, &Value::Int(1))
-        );
     }
 
     #[test]

@@ -158,6 +158,19 @@ impl PartialEq for Value {
 
 impl Eq for Value {}
 
+/// [`Value::total_cmp`]: the order indexes keep.
+impl Ord for Value {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.total_cmp(other)
+    }
+}
+
+impl PartialOrd for Value {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -45,24 +45,25 @@
 //! the row count) followed by its rows, one frame per storage chunk of at
 //! most 256 rows, a row being its zigzag id and one value per column.
 //! [`Snapshot::write`] streams those frames into the temporary file, so it
-//! never holds more than one chunk's bytes; [`Snapshot::load`] decodes them
-//! one by one. A snapshot only ever appears by rename, so it has no
-//! legitimate torn tail: a frame that fails its checksum, a file that ends
-//! short of the counts it declares and bytes after the last table are all
+//! never holds more than one chunk's bytes, and lists a table's row ids in
+//! ascending order; [`Snapshot::load`] decodes them one by one. A snapshot
+//! only ever appears by rename, so it has no legitimate torn tail: a frame
+//! that fails its checksum, a file that ends short of the counts it
+//! declares, row ids out of order and bytes after the last table are all
 //! `Corrupt`, with the byte offset.
 
 use crate::db::LogOp;
 use crate::error::DbError;
 use crate::schema::TableSchema;
 use crate::shard::new_table;
-use crate::table::{Row, Rows, Table};
+use crate::table::{Row, Table};
 use crate::value::Value;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 
 /// The first bytes of every log file: format name and version.
 pub const MAGIC: &[u8; 8] = b"AMPLOG\x00\x01";
@@ -244,6 +245,17 @@ fn get_schema(d: &mut &[u8]) -> Option<TableSchema> {
     serde_json::from_str(&get_text(d)?).ok()
 }
 
+/// `n` values into a row of exactly that size. Every value takes at least
+/// a byte, so no more than the bytes left are reserved for them: a count
+/// the bytes cannot hold fails at the first missing value.
+fn get_row(d: &mut &[u8], n: u64) -> Option<Row> {
+    let mut row = Vec::with_capacity(n.min(d.len() as u64) as usize);
+    for _ in 0..n {
+        row.push(get_value(d)?);
+    }
+    Some(row)
+}
+
 fn get_op(d: &mut &[u8]) -> Option<LogOp> {
     let tag = *d.split_off_first()?;
     if tag == 0 {
@@ -253,15 +265,18 @@ fn get_op(d: &mut &[u8]) -> Option<LogOp> {
     let (table, id) = (get_text(d)?, get_int(d)?);
     Some(match tag {
         1 => {
-            let row = (0..get_varint(d)?)
-                .map(|_| get_value(d))
-                .collect::<Option<_>>()?;
+            let n = get_varint(d)?;
+            let row = get_row(d, n)?;
             LogOp::Insert { table, id, row }
         }
         2 => {
-            let set = (0..get_varint(d)?)
-                .map(|_| Some((usize::try_from(get_varint(d)?).ok()?, get_value(d)?)))
-                .collect::<Option<_>>()?;
+            // A changed cell is its column's varint and a value: two bytes
+            // at least.
+            let n = get_varint(d)?;
+            let mut set = Vec::with_capacity(n.min(d.len() as u64 / 2) as usize);
+            for _ in 0..n {
+                set.push((usize::try_from(get_varint(d)?).ok()?, get_value(d)?));
+            }
             LogOp::Update { table, id, set }
         }
         3 => LogOp::Delete { table, id },
@@ -910,9 +925,12 @@ impl Snapshot {
         Ok(bytes)
     }
 
-    /// Load a snapshot: its tables (indexes rebuilt, each with the WAL
-    /// coverage the file recorded for it) and the highest WAL seq claimed
-    /// when it was taken.
+    /// Load a snapshot: its tables (each with the WAL coverage the file
+    /// recorded for it) and the highest WAL seq claimed when it was taken.
+    /// One pass decodes a table's rows, checking each as it is read
+    /// ([`TableSchema::check_cells`]) and that ids ascend, as
+    /// [`Rows::chunks`](crate::table::Rows::chunks) writes them; one more
+    /// builds its chunks and indexes ([`Table::from_ascending`]).
     pub(crate) fn load(path: &Path) -> Result<(RecoveredTables, Option<u64>), DbError> {
         let data = std::fs::read(path)?;
         let corrupt = |at: usize, why: &str| DbError::Corrupt(format!("snapshot byte {at}: {why}"));
@@ -948,25 +966,29 @@ impl Snapshot {
             });
             let (schema, next_id, row_count) =
                 header.ok_or_else(|| corrupt(start, "undecodable table header"))?;
-            let mut rows = Rows::default();
+            // A row is its id and one value per column, a byte each at
+            // least: the bytes after this header bound what the count may
+            // reserve.
+            let columns = schema.columns.len() as u64;
+            let left = (data.len() - (start + 8 + body.len())) as u64;
+            let mut rows = Vec::with_capacity(row_count.min(left / (1 + columns)) as usize);
             while (rows.len() as u64) < row_count {
                 let (start, mut body) = next_frame()?;
                 while !body.is_empty() {
-                    let id = get_int(&mut body);
-                    let cells = (0..schema.columns.len()).map(|_| get_value(&mut body));
-                    let row = id.zip(cells.collect::<Option<Row>>());
+                    let row = get_int(&mut body).zip(get_row(&mut body, columns));
                     let (id, row) = row.ok_or_else(|| corrupt(start, "undecodable row"))?;
-                    if rows.insert(id, std::sync::Arc::new(row)).is_some() {
-                        return Err(corrupt(start, "a row id twice"));
+                    if rows.last().is_some_and(|&(last, _)| last >= id) {
+                        return Err(corrupt(start, "row ids not ascending"));
                     }
+                    schema.check_cells(&row)?;
+                    rows.push((id, Arc::new(row)));
                 }
                 if rows.len() as u64 > row_count {
                     return Err(corrupt(start, "more rows than the table declares"));
                 }
             }
             let name = schema.name.clone();
-            let mut table = Table::unindexed(schema, rows, next_id);
-            table.rebuild_indexes()?;
+            let table = Table::from_ascending(schema, next_id, rows)?;
             let recovered = Recovered {
                 table,
                 version: 0,
@@ -1094,6 +1116,7 @@ mod tests {
     use super::*;
     use crate::db::Cells;
     use crate::schema::{Column, TableSchema};
+    use crate::table::Rows;
     use crate::value::{Value, ValueType};
 
     fn tmpdir(name: &str) -> PathBuf {
@@ -1121,6 +1144,13 @@ mod tests {
             ops.push(insert(id, v));
         }
         (table, ops)
+    }
+
+    /// One frame around `body`, its checksum valid.
+    fn framed(body: &[u8]) -> Vec<u8> {
+        let mut frame = Vec::new();
+        push_frame(&mut frame, &[], !0, body);
+        frame
     }
 
     /// What `Db::open` would find in these files (`snap` need not exist).
@@ -1585,7 +1615,7 @@ mod tests {
         let float = TableSchema::new("t", vec![Column::new("v", ValueType::Float)]);
         let rows = seeded.rows.clone();
         let with = |mut rows: Rows, id, cell| {
-            rows.insert(id, std::sync::Arc::new(vec![cell]));
+            rows.insert(id, Arc::new(vec![cell]));
             rows
         };
         for (schema, rows, fine) in [
@@ -1599,9 +1629,89 @@ mod tests {
                 false,
             ),
         ] {
-            let table = Table::unindexed(schema.clone(), rows, 10);
+            // Rows set past the insert path's checks, as only a damaged
+            // file could hold them.
+            let mut table = Table::new(schema.clone()).unwrap();
+            (table.rows, table.next_id) = (rows, 10);
             Snapshot::write([&table].into_iter(), None, &BTreeMap::new(), &path, false).unwrap();
             assert_eq!(Snapshot::load(&path).is_ok(), fine);
+        }
+
+        // Row ids out of order in a chunk, every frame checksum-clean: the
+        // writer lists them ascending, so only damage could. In order, the
+        // same frames load.
+        let two_rows = |ids: [i64; 2]| {
+            let (mut header, mut rows) = (Vec::new(), Vec::new());
+            put_schema(&mut header, &seeded.schema);
+            put_int(&mut header, 3);
+            put_varint(&mut header, 2);
+            for id in ids {
+                put_int(&mut rows, id);
+                put_value(&mut rows, &Value::Int(id));
+            }
+            [&good[..frame_ends[0]], &framed(&header), &framed(&rows)].concat()
+        };
+        std::fs::write(&path, two_rows([1, 2])).unwrap();
+        assert_eq!(Snapshot::load(&path).unwrap().0["t"].table.len(), 2);
+        corrupt(&two_rows([2, 1]), "ids 2 then 1".into());
+        match Snapshot::load(&path) {
+            Err(DbError::Corrupt(why)) => assert!(why.contains("not ascending"), "{why}"),
+            other => panic!("ids 2 then 1: {:?}", other.map(|(_, seq)| seq)),
+        }
+    }
+
+    /// A count the bytes after it cannot hold — 2^40 rows, tables, table
+    /// coverages, inserted cells or changed cells — in a checksum-clean
+    /// frame is `Corrupt`, never an allocation of that size. The same
+    /// frames with a count of one decode.
+    #[test]
+    fn counts_past_the_bytes_left_are_corrupt_not_allocations() {
+        const HUGE: u64 = 1 << 40;
+        let dir = tmpdir("huge");
+        let (snap, log) = (dir.join("db.snap"), dir.join("db.wal"));
+        let snapshot = |coverages: u64, tables: u64, rows: u64| {
+            let (mut file, mut table, mut chunk) = (Vec::new(), Vec::new(), Vec::new());
+            put_varint(&mut file, 0);
+            put_varint(&mut file, coverages);
+            put_varint(&mut file, tables);
+            put_schema(&mut table, &seed().0.schema);
+            put_int(&mut table, 2);
+            put_varint(&mut table, rows);
+            put_int(&mut chunk, 1);
+            put_value(&mut chunk, &Value::Int(0));
+            let frames = [framed(&file), framed(&table), framed(&chunk)];
+            std::fs::write(&snap, [&SNAPSHOT_MAGIC[..], &frames.concat()].concat()).unwrap();
+            Snapshot::load(&snap)
+        };
+        assert_eq!(snapshot(0, 1, 1).unwrap().0["t"].table.len(), 1);
+        for (coverages, tables, rows) in [(HUGE, 1, 1), (0, HUGE, 1), (0, 1, HUGE)] {
+            match snapshot(coverages, tables, rows) {
+                Err(DbError::Corrupt(why)) => assert!(why.starts_with("snapshot byte "), "{why}"),
+                other => panic!("{coverages}/{tables}/{rows}: {:?}", other.map(|_| ())),
+            }
+        }
+
+        // An insert's cells and an update's changed cells, one frame each.
+        let logged = |tag: u8, count: u64| {
+            let mut op = vec![tag];
+            put_bytes(&mut op, b"t");
+            put_int(&mut op, 1);
+            put_varint(&mut op, count);
+            if tag == 2 {
+                put_varint(&mut op, 0);
+            }
+            put_value(&mut op, &Value::Int(0));
+            let mut file = MAGIC.to_vec();
+            push_frame(&mut file, &op, crc32_update(!0, &op), &0u64.to_le_bytes());
+            std::fs::write(&log, file).unwrap();
+            Wal::read_records(&log)
+        };
+        for tag in [1, 2] {
+            assert_eq!(logged(tag, 1).unwrap().len(), 1);
+            match logged(tag, HUGE) {
+                Err(DbError::Corrupt(why)) => assert!(why.starts_with("wal byte 8: "), "{why}"),
+                other => panic!("op {tag}: {other:?}"),
+            }
         }
     }
 

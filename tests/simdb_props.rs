@@ -128,6 +128,99 @@ fn invariants_hold(db: &Connection) -> Result<(), String> {
     Ok(())
 }
 
+/// A random write against the `ledger` fixture, whose four indexed columns
+/// cover what an index must order: a unique text key (drawn from a small
+/// pool, so some writes are refused), a low-cardinality status, an integer
+/// with NULLs and a float holding both zeros.
+#[derive(Debug, Clone)]
+enum Write {
+    Insert(LedgerRow),
+    Update { pick: u8, row: LedgerRow },
+    Delete { pick: u8 },
+}
+
+#[derive(Debug, Clone)]
+struct LedgerRow {
+    /// `k0`..`k199`, or NULL from 200 up.
+    key: u8,
+    status: u8,
+    n: Option<i8>,
+    x: u8,
+}
+
+impl LedgerRow {
+    fn cells(&self) -> Row {
+        const STATUS: [&str; 4] = ["ACTIVE", "DONE", "HOLD", "QUEUED"];
+        const X: [f64; 5] = [-0.0, 0.0, 1.5, -2.25, 1e300];
+        vec![
+            (self.key < 200).then(|| format!("k{}", self.key)).into(),
+            STATUS[self.status as usize % STATUS.len()].into(),
+            self.n.map(i64::from).into(),
+            X[self.x as usize % X.len()].into(),
+        ]
+    }
+}
+
+fn arb_row() -> impl Strategy<Value = LedgerRow> {
+    (
+        any::<u8>(),
+        any::<u8>(),
+        proptest::option::of(-3i8..3),
+        any::<u8>(),
+    )
+        .prop_map(|(key, status, n, x)| LedgerRow { key, status, n, x })
+}
+
+fn arb_write() -> impl Strategy<Value = Write> {
+    prop_oneof![
+        arb_row().prop_map(Write::Insert),
+        arb_row().prop_map(Write::Insert),
+        (any::<u8>(), arb_row()).prop_map(|(pick, row)| Write::Update { pick, row }),
+        any::<u8>().prop_map(|pick| Write::Delete { pick }),
+    ]
+}
+
+/// Apply `write` where it has a row to act on; a refused one (a taken key)
+/// leaves nothing behind.
+fn write(db: &Connection, write: &Write) {
+    let _refused = match write {
+        Write::Insert(row) => db.insert_row("ledger", row.cells()).map(drop),
+        Write::Update { pick, row } => match pick_id(db, "ledger", *pick) {
+            Some(id) => db.update_row("ledger", id, row.cells()),
+            None => Ok(()),
+        },
+        Write::Delete { pick } => match pick_id(db, "ledger", *pick) {
+            Some(id) => db.delete("ledger", id),
+            None => Ok(()),
+        },
+    };
+}
+
+/// Per indexed column: every entry in index order, then, for every
+/// distinct cell the column holds (NULL included), its posting list and
+/// unique probe.
+type IndexAnswers = Vec<(Vec<i64>, Vec<(Value, Vec<i64>, Option<i64>)>)>;
+
+fn index_answers(db: &Connection) -> IndexAnswers {
+    use std::ops::Bound::Unbounded;
+    let view = db.read_view(&["ledger"]).unwrap();
+    let table = view.table("ledger").unwrap();
+    (0..table.schema.columns.len())
+        .map(|col| {
+            let all = table.range_indexed(col, Unbounded, Unbounded).unwrap();
+            let mut cells: Vec<Value> = table.iter().map(|(_, r)| r[col].clone()).collect();
+            cells.sort_by(|a, b| a.total_cmp(b));
+            cells.dedup();
+            let probes = cells.into_iter().map(|cell| {
+                let ids = table.find_indexed(col, &cell).unwrap();
+                let first = table.find_unique(col, &cell);
+                (cell, ids, first)
+            });
+            (all, probes.collect())
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -170,6 +263,39 @@ proptest! {
             (parent, child)
         };
         prop_assert_eq!(fresh_ids(&twin), fresh_ids(&reopened), "id allocation diverged");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Random writes, `compact()`, a short tail, reopen: the indexes a
+    /// snapshot load builds in bulk (and the tail's replay then maintains)
+    /// answer exactly as the live ones maintained write by write did.
+    #[test]
+    fn bulk_built_indexes_equal_live_maintained_ones(
+        head in proptest::collection::vec(arb_write(), 1..1200),
+        tail in proptest::collection::vec(arb_write(), 0..20),
+        case in 0u32..1_000_000,
+    ) {
+        let dir = common::tmpdir(&format!("simdb_props_index_{case}"));
+        let open = || Db::open(dir.join("db.snap"), dir.join("db.wal")).unwrap();
+        let db = open();
+        let conn = connect(db.clone());
+        conn.create_table(TableSchema::new(
+            "ledger",
+            vec![
+                Column::new("key", ValueType::Text).unique(),
+                Column::new("status", ValueType::Text).not_null().indexed(),
+                Column::new("n", ValueType::Int).indexed(),
+                Column::new("x", ValueType::Float).not_null().indexed(),
+            ],
+        ))
+        .unwrap();
+        head.iter().for_each(|w| write(&conn, w));
+        db.compact().unwrap();
+        tail.iter().for_each(|w| write(&conn, w));
+        let live = index_answers(&conn);
+        drop((conn, db));
+        let reopened = index_answers(&connect(open()));
+        prop_assert_eq!(live, reopened);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
