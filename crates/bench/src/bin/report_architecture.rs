@@ -6,6 +6,8 @@
 //!
 //! Usage: `cargo run --release -p amp-bench --bin report_architecture`
 
+#![forbid(unsafe_code)]
+
 use amp_bench::{load_sim, quiet_deployment, target_star};
 use amp_core::models::Simulation;
 use amp_core::SimStatus;

@@ -7,6 +7,8 @@
 //!
 //! Usage: `cargo run --release -p amp-bench --bin report_chaining`
 
+#![forbid(unsafe_code)]
+
 use amp_bench::queue;
 
 fn main() {

@@ -4,6 +4,8 @@
 //!
 //! Usage: `cargo run --release -p amp-bench --bin report_convergence`
 
+#![forbid(unsafe_code)]
+
 use amp_bench::convergence;
 
 fn main() {

@@ -5,6 +5,8 @@
 //!
 //! Usage: `cargo run --release -p amp-bench --bin report_direct`
 
+#![forbid(unsafe_code)]
+
 use amp_bench::direct;
 
 fn main() {

@@ -5,6 +5,8 @@
 //!
 //! Usage: `cargo run --release -p amp-bench --bin report_figure1`
 
+#![forbid(unsafe_code)]
+
 use amp_bench::{load_jobs, load_sim, quiet_deployment, submit, target_star};
 use amp_core::models::Simulation;
 use amp_core::{JobPurpose, OptimizationSpec, SimStatus};

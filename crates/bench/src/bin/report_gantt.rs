@@ -5,6 +5,8 @@
 //!
 //! Usage: `cargo run --release -p amp-bench --bin report_gantt`
 
+#![forbid(unsafe_code)]
+
 use amp_bench::queue;
 use amp_gridamp::render_ascii;
 

@@ -18,6 +18,8 @@
 //!
 //! It prints; it gates nothing and CI does not run it.
 
+#![forbid(unsafe_code)]
+
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;

@@ -4,6 +4,8 @@
 //! Usage: `cargo run --release -p amp-bench --bin report_table1 [--quick]`
 //! (`--quick` uses a reduced ensemble to finish in seconds).
 
+#![forbid(unsafe_code)]
+
 use amp_bench::table1;
 use amp_core::OptimizationSpec;
 

@@ -4,6 +4,8 @@
 //! and the tests pin the measured ones, so a change that moves a paper
 //! number updates `EXPERIMENTS.md` in the same change.
 
+#![forbid(unsafe_code)]
+
 use amp_core::models::{GridJobRecord, Simulation};
 use amp_core::roles::{ROLE_ADMIN, ROLE_WEB};
 use amp_core::{JobPurpose, OptimizationSpec, SimStatus};

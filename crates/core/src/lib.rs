@@ -14,6 +14,8 @@
 //! * [`roles`] — the `web` / `daemon` / `admin` permission matrix;
 //! * [`setup`] — database bootstrap (migrate all models, define roles).
 
+#![forbid(unsafe_code)]
+
 pub mod app;
 pub mod marshal;
 pub mod models;

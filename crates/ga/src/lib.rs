@@ -29,6 +29,8 @@
 //! assert!(ga.best().fitness > 0.9);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod checkpoint;
 pub mod encoding;
 pub mod ga;

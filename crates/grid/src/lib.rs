@@ -49,6 +49,8 @@
 //! assert_eq!(grid.gram_status("kraken", &proxy, &h).unwrap(), GramState::Done);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod app;
 pub mod audit;
 pub mod error;

@@ -26,6 +26,8 @@
 //! * [`advisor`] — the §2 deployment decision: which system to run on;
 //! * [`setup`] — deployment wiring for tests, examples, and benches.
 
+#![forbid(unsafe_code)]
+
 pub mod advisor;
 pub mod apps;
 pub mod clilog;

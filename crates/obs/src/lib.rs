@@ -17,6 +17,8 @@
 //! dependencies) so every tier — simdb, the gridamp daemon, the GA, the
 //! portal — can report into one process-wide registry ([`registry()`]).
 
+#![forbid(unsafe_code)]
+
 mod metrics;
 
 pub use metrics::{

@@ -13,10 +13,10 @@
 //! Stamps are read *before* rendering: a write racing the render can only
 //! make the stored entry look stale (harmless over-invalidation), never
 //! let a stale body match a fresh stamp. The stamp itself cannot tear:
-//! `table_versions` pins every table's published version in one cut
-//! validated against the engine's commit clock (DESIGN §8.3), so a
-//! multi-table transaction is in the stamp entirely or not at all. It
-//! takes no table's lock, so no writer waits on it.
+//! `table_versions` is one pin of the database's published version
+//! (DESIGN §8.3), and a commit is one publish, so a multi-table transaction
+//! is in the stamp entirely or not at all. It takes no lock, so no writer
+//! waits on it.
 //!
 //! A hit is answered on the event-loop thread, which must never wait: its
 //! lookup takes the lock with `try_read`, and the one long thing a writer

@@ -19,10 +19,13 @@
 //! * [`apps`] — the Django-style applications: accounts, catalog, results,
 //!   submission, admin (non-public deploys only), RSS feeds.
 
+#![deny(unsafe_code)]
+
 pub mod apps;
 pub mod auth;
 pub mod cache;
 pub mod captcha;
+#[allow(unsafe_code)]
 pub(crate) mod event_loop;
 pub mod http;
 pub mod portal;

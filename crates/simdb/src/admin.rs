@@ -121,7 +121,7 @@ pub fn dump_table(conn: &Connection, table: &str) -> Result<String, DbError> {
     Ok(out)
 }
 
-// Admin introspection reads schema metadata (catalog-level, no row locks),
+// Admin introspection reads schema metadata (one version pin, no lock),
 // not row data; it never returns row contents without a SELECT check
 // (browse/dump go through conn.select above).
 

@@ -3,8 +3,8 @@
 //! for the write-ahead log.
 //!
 //! There is one engine, so this logic has one home: methods on
-//! [`BufferedTables`], the acquired write set every live write — one
-//! statement or a transaction — runs against (see [`crate::shard`]). A
+//! [`BufferedTables`], the writer and buffers every live write — one
+//! statement or a transaction — runs against (see [`crate::version`]). A
 //! method reads buffer-or-base, mutates the buffer, and returns the ops for
 //! the caller to log once the whole write has applied. Recovery does not
 //! come through here: it applies logged ops to plain tables
@@ -12,9 +12,9 @@
 
 use crate::error::DbError;
 use crate::schema::{OnDelete, TableSchema};
-use crate::shard::BufferedTables;
 use crate::table::Row;
 use crate::value::Value;
+use crate::version::BufferedTables;
 
 /// A committed mutation, as recorded in the write-ahead log. An `Update`
 /// carries in `set` the cells that differ from the row it replaced and

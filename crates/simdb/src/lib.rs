@@ -12,8 +12,8 @@
 //! * [`value`] / [`schema`] — typed cells, columns, constraints, FKs;
 //! * [`table`] — copy-on-write row storage and one ordered index per
 //!   indexed column;
-//! * [`shard`] — the engine: published table versions, write-set planning,
-//!   the one write path and its buffers;
+//! * [`version`] — the engine: the published version of the whole
+//!   database, the one writer and its buffers;
 //! * [`db`] — what a write does to those buffers (defaults, foreign keys,
 //!   cascades) and the [`LogOp`]s it leaves;
 //! * [`query`] — Django-queryset-flavoured filters/ordering/slicing;
@@ -25,31 +25,28 @@
 //!
 //! # Concurrency model
 //!
-//! The engine is sharded per table with an MVCC read path. Readers take
-//! **no locks at all**: every shard publishes an immutable version of its
-//! table that reads pin with a couple of atomic operations, so the
-//! portal's worker threads reading `star` never wait on anyone — not even
-//! the daemon writing `star`. Every write, one statement or a
-//! transaction, takes the same path: one plain mutex per table it may
-//! mutate (the table itself, or the reverse-FK closure when a delete can
-//! cascade), acquired in canonical sorted order, which makes deadlock
-//! structurally impossible; then a pin of those tables' published versions
-//! and of their FK targets; mutations into copy-on-write buffers over
-//! those versions; and at commit one atomic install per dirty table. A
-//! rolled-back write simply drops its buffers. FK existence checks read
-//! the pinned parent and take no lock on it (see [`shard`] for why that is
-//! sound, and for the deadlock proof sketch).
+//! The engine publishes one immutable version of the whole database, and
+//! readers take **no locks at all**: a read pins that version with a
+//! couple of atomic operations, so the portal's worker threads reading
+//! `star` never wait on anyone — not even the daemon writing `star`. Every
+//! write — a statement, a transaction or a `create_table` — takes the same
+//! path: the database's one writer mutex; mutations into copy-on-write
+//! buffers over the published version; and at commit one atomic install of
+//! the next version, sharing every table the write did not touch. A
+//! rolled-back write simply drops its buffers. With one writer there is no
+//! lock order to keep and nothing to deadlock on (see [`version`]).
 //!
 //! Multi-table consistency is explicit:
 //!
 //! * [`Connection::read_view`] pins a coherent snapshot of several tables
-//!   — one atomic version pin per table, validated against the engine's
-//!   commit clock so a multi-table transaction is seen entirely or not at
-//!   all. Page renders, daemon worklists, and cache version stamps read
-//!   multi-table state without tearing, and without blocking any writer;
-//! * [`Connection::transaction`] declares its table set up front, takes
-//!   the writer mutexes in one ordered pass, and publishes-or-rolls-back,
-//!   so transactions on disjoint tables commit fully in parallel.
+//!   — one pin of the whole version, so a multi-table transaction is seen
+//!   entirely or not at all. Page renders, daemon worklists, and cache
+//!   version stamps read multi-table state without tearing, and without
+//!   blocking any writer;
+//! * [`Connection::transaction`] declares the tables it writes up front,
+//!   holds the writer for its closure, and publishes-or-rolls-back. Its
+//!   closure writes only through its [`Txn`]: a [`Connection`] write from
+//!   inside it waits for the writer the closure holds, for ever.
 //!
 //! Entry point: build a [`Db`], define roles, [`Db::connect`] per component.
 //!
@@ -72,6 +69,8 @@
 //! assert!(web.delete("star", 1).is_err()); // read-only role
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod admin;
 pub mod db;
 pub mod error;
@@ -80,9 +79,9 @@ pub mod orm;
 pub mod perm;
 pub mod query;
 pub mod schema;
-pub(crate) mod shard;
 pub mod table;
 pub mod value;
+pub(crate) mod version;
 pub mod wal;
 
 pub use crate::db::LogOp;
@@ -114,11 +113,8 @@ use std::time::Instant;
 
 /// Shared state behind a [`Db`] handle.
 struct DbShared {
-    /// The table directory. Its `RwLock` is the *catalog lock* — the top
-    /// of the locking hierarchy: read to resolve table names and plan write
-    /// sets, write only for DDL. Row data lives in each table's own shard,
-    /// so holding the catalog read lock blocks nobody's DML.
-    catalog: RwLock<shard::Catalog>,
+    /// The published version of every table, and the one writer mutex.
+    slot: version::Slot,
     /// Roles are resolved once per [`Db::connect`] and shared by `Arc` —
     /// connections never re-enter this lock on the per-operation path.
     roles: RwLock<HashMap<String, Arc<Role>>>,
@@ -133,10 +129,14 @@ pub struct Db {
 }
 
 impl Db {
-    fn new(catalog: shard::Catalog, wal: Option<wal::Wal>, snapshot_path: Option<PathBuf>) -> Self {
+    fn new(
+        first: version::DbVersion,
+        wal: Option<wal::Wal>,
+        snapshot_path: Option<PathBuf>,
+    ) -> Self {
         Db {
             shared: Arc::new(DbShared {
-                catalog: RwLock::new(catalog),
+                slot: version::Slot::new(first),
                 roles: RwLock::new(HashMap::new()),
                 wal,
                 snapshot_path,
@@ -146,7 +146,7 @@ impl Db {
 
     /// A purely in-memory database (no WAL, no snapshots).
     pub fn in_memory() -> Self {
-        Self::new(shard::Catalog::new(), None, None)
+        Self::new(version::DbVersion::empty(), None, None)
     }
 
     /// Open a durable database: recover from `snapshot` + `wal` if they
@@ -158,13 +158,13 @@ impl Db {
         let snapshot = snapshot.into();
         let wal_path = wal_path.into();
         // Recovery builds plain tables, which move (not copy) into the
-        // catalog's shards. The log continues above every sequence number
-        // the recovered state has used, not merely above the file's last
-        // record.
+        // first published version. The log continues above every sequence
+        // number the recovered state has used, not merely above the file's
+        // last record.
         let (tables, last_seq) = wal::recover_with_last_seq(&snapshot, &wal_path)?;
-        let catalog = shard::Catalog::from_recovered(tables);
+        let first = version::DbVersion::from_recovered(tables);
         let wal = wal::Wal::open_at(&wal_path, last_seq.map_or(0, |seq| seq + 1))?;
-        Ok(Self::new(catalog, Some(wal), Some(snapshot)))
+        Ok(Self::new(first, Some(wal), Some(snapshot)))
     }
 
     /// Register (or replace) a role.
@@ -192,31 +192,23 @@ impl Db {
     }
 
     /// Write the snapshot file from one consistent cut of every table and
-    /// return that cut's per-table WAL coverage. Pinning takes no lock but
-    /// the catalog read lock that resolves the shard list (which blocks
-    /// only DDL), and the encoder then streams the pinned immutable
-    /// versions to the file chunk by chunk: neither readers nor writers
-    /// ever wait on it. `since` is moved to when it returned.
+    /// return that cut's per-table WAL coverage. The cut is one pin of the
+    /// published version, and the encoder then streams its immutable tables
+    /// to the file chunk by chunk: neither readers nor writers ever wait on
+    /// it. `since` is moved to when it returned.
     fn write_snapshot(&self, since: &mut Instant) -> Result<BTreeMap<String, u64>, DbError> {
         let path = self.shared.snapshot_path.as_deref();
         let path = path.ok_or_else(|| DbError::Io("no snapshot path configured".into()))?;
-        let cut = {
-            let catalog = self.shared.catalog.read();
-            let shards: BTreeMap<String, Arc<shard::Shard>> = catalog
-                .all_shards()
-                .map(|(n, s)| (n.to_string(), Arc::clone(s)))
-                .collect();
-            catalog.pin_cut(&shards)
-        };
-        let applied = (cut.iter())
-            .filter_map(|(name, version)| Some((name.clone(), version.applied_seq?)))
+        let cut = self.shared.slot.pin();
+        let applied = (cut.tables())
+            .filter_map(|v| Some((v.table.schema.name.clone(), v.applied_seq?)))
             .collect();
         let metrics = obs::metrics();
         metrics.checkpoint_pin.lap(since);
         let wal = self.shared.wal.as_ref();
         let covered = wal.and_then(|w| w.last_seq());
         let durable = wal.is_some_and(|w| w.fsync());
-        let tables = cut.values().map(|version| &version.table);
+        let tables = cut.tables().map(|version| &version.table);
         let bytes = wal::Snapshot::write(tables, covered, &applied, path, durable)?;
         metrics.snapshot_bytes.set(bytes as i64);
         metrics.checkpoint_encode_write.lap(since);
@@ -229,10 +221,10 @@ impl Db {
     /// surviving suffix — keeping restart time bounded on long-lived
     /// gateways.
     ///
-    /// Fully non-blocking for both readers *and* writers: the cut is a set
-    /// of pinned immutable versions, so no table lock is held across the
-    /// file I/O (the seed engine stalled the whole gateway behind an
-    /// exclusive lock here; the PR 5 engine still queued every writer).
+    /// Fully non-blocking for both readers *and* writers: the cut is one
+    /// pinned immutable version, so no lock is held across the file I/O
+    /// (the seed engine stalled the whole gateway behind an exclusive lock
+    /// here).
     /// Writers racing the compaction keep appending; their records have
     /// sequence numbers above the pinned coverage and survive the
     /// truncation untouched (see [`wal::Wal::truncate_keeping`]).
@@ -273,67 +265,37 @@ impl Db {
     /// atomically with every committed mutation of the table. Unknown
     /// tables report 0. Lock-free: one version pin.
     pub fn table_version(&self, table: &str) -> u64 {
-        let shard = {
-            let catalog = self.shared.catalog.read();
-            match catalog.shard(table) {
-                Ok(s) => Arc::clone(s),
-                Err(_) => return 0,
-            }
-        };
-        shard.pin().version
+        self.shared.slot.pin().get(table).map_or(0, |v| v.version)
     }
 
     /// Read several tables' modification counters at one consistent point:
-    /// a commit-clock-validated pin of each table's published version — no
-    /// lock taken, no writer blocked. Unknown tables report 0, as in
-    /// [`Self::table_version`].
+    /// one pin of the published version — no lock taken, no writer
+    /// blocked. Unknown tables report 0, as in [`Self::table_version`].
     pub fn table_versions(&self, tables: &[&str]) -> Vec<u64> {
-        let catalog = self.shared.catalog.read();
-        let shards: BTreeMap<String, Arc<shard::Shard>> = tables
-            .iter()
-            .filter_map(|t| {
-                catalog
-                    .shard(t)
-                    .ok()
-                    .map(|s| (t.to_string(), Arc::clone(s)))
-            })
-            .collect();
-        let cut = catalog.pin_cut(&shards);
-        tables
-            .iter()
-            .map(|t| cut.get(*t).map(|v| v.version).unwrap_or(0))
-            .collect()
+        let cut = self.shared.slot.pin();
+        let version = |t| cut.get(t).map_or(0, |v| v.version);
+        tables.iter().map(|t| version(t)).collect()
     }
 
-    /// Names of all tables, sorted (catalog metadata; no row locks).
+    /// Names of all tables, sorted (lock-free: one version pin).
     pub fn table_names(&self) -> Vec<String> {
-        self.shared
-            .catalog
-            .read()
-            .table_names()
-            .map(str::to_string)
-            .collect()
+        let cut = self.shared.slot.pin();
+        cut.tables().map(|v| v.table.schema.name.clone()).collect()
     }
 
-    /// The stored schema of a table (catalog metadata; no row locks).
+    /// The stored schema of a table (lock-free: one version pin).
     pub fn table_schema(&self, table: &str) -> Result<TableSchema, DbError> {
-        let schema = self.shared.catalog.read().schema(table)?;
-        Ok((*schema).clone())
+        Ok(self.shared.slot.pin().get(table)?.table.schema.clone())
     }
 
     /// Row count of a table (lock-free: one version pin).
     pub fn table_len(&self, table: &str) -> Result<usize, DbError> {
-        let shard = {
-            let catalog = self.shared.catalog.read();
-            Arc::clone(catalog.shard(table)?)
-        };
-        Ok(shard.pin().table.len())
+        Ok(self.shared.slot.pin().get(table)?.table.len())
     }
 
     /// Claim WAL sequence numbers for `ops` and buffer them. Must be
-    /// called while the table mutexes (or the catalog write lock, for DDL)
-    /// covering the ops are still held and before the ops are published,
-    /// so WAL order matches apply order.
+    /// called while the writer mutex is still held and before the ops are
+    /// published, so WAL order matches apply order.
     fn enqueue_wal(&self, ops: &[LogOp]) -> Result<Option<u64>, DbError> {
         match &self.shared.wal {
             Some(w) => w.enqueue(ops),
@@ -342,8 +304,8 @@ impl Db {
     }
 
     /// Make everything up to `last` durable (group commit). Called after
-    /// guards are released for single ops — the flush batches with
-    /// commits from *other* tables' writers.
+    /// the writer is released for single ops — the flush batches with the
+    /// commits of the writers that queued behind it.
     fn sync_wal(&self, last: Option<u64>) -> Result<(), DbError> {
         match (&self.shared.wal, last) {
             (Some(w), Some(last)) => w.sync_to(last),
@@ -405,10 +367,10 @@ impl Connection {
     }
 
     /// DDL: create a table (superuser only, mirroring AMP where only the
-    /// migration/admin path may alter schema). Runs under the catalog
-    /// *write* lock — the only operation that does — and claims its WAL
-    /// sequence there, so the `CreateTable` record always precedes the
-    /// first insert into the new table.
+    /// migration/admin path may alter schema). A writer like any other: it
+    /// claims its WAL sequence under the writer mutex, so the `CreateTable`
+    /// record always precedes the first insert into the new table, then
+    /// publishes, lets the writer go and flushes.
     pub fn create_table(&self, schema: TableSchema) -> Result<(), DbError> {
         if !self.role.superuser {
             return Err(DbError::PermissionDenied {
@@ -417,42 +379,28 @@ impl Connection {
                 action: "CREATE TABLE",
             });
         }
-        let last = self
-            .db
-            .shared
-            .catalog
-            .write()
-            .create_table(schema, |op| self.db.enqueue_wal(std::slice::from_ref(op)))?;
+        let writer = self.db.shared.slot.write();
+        let last =
+            writer.create_table(schema, |op| self.db.enqueue_wal(std::slice::from_ref(op)))?;
         self.sync_wal(last)
     }
 
     pub fn has_table(&self, name: &str) -> bool {
-        self.db.shared.catalog.read().has_table(name)
+        self.db.shared.slot.pin().get(name).is_ok()
     }
 
-    /// Compute the write set for a plan under the catalog read lock, then
-    /// release it before blocking on any table mutex.
-    fn plan(
-        &self,
-        build: impl FnOnce(&shard::Catalog) -> Result<shard::LockPlan, DbError>,
-    ) -> Result<shard::LockPlan, DbError> {
-        let catalog = self.db.shared.catalog.read();
-        build(&catalog)
-    }
-
-    /// One single-statement write: acquire the plan's write set in order,
-    /// apply to its buffers, claim WAL sequence numbers *under the guards*
-    /// (so WAL order matches apply order), publish the new version(s) and
-    /// release, then group-commit the flush (unless this connection
-    /// defers it) — so writers queued on the same table share an fsync. A
-    /// failed `apply` returns with the buffers dropped: nothing was
-    /// published and nothing is left behind.
+    /// One single-statement write: take the writer, apply to its buffers,
+    /// claim WAL sequence numbers *under the writer* (so WAL order matches
+    /// apply order), publish the next version and let the writer go, then
+    /// group-commit the flush (unless this connection defers it) — so
+    /// writers queued behind it share an fsync. A failed `apply` returns
+    /// with the buffers dropped: nothing was published and nothing is left
+    /// behind.
     fn run_write<T>(
         &self,
-        plan: shard::LockPlan,
-        apply: impl FnOnce(&mut shard::BufferedTables<'_>) -> Result<(T, Vec<LogOp>), DbError>,
+        apply: impl FnOnce(&mut version::BufferedTables<'_>) -> Result<(T, Vec<LogOp>), DbError>,
     ) -> Result<T, DbError> {
-        let mut set = plan.acquire();
+        let mut set = version::BufferedTables::new(self.db.shared.slot.write());
         let (out, ops) = apply(&mut set)?;
         let last = self.db.enqueue_wal(&ops)?;
         set.commit(last);
@@ -468,18 +416,12 @@ impl Connection {
         table: &str,
         read: impl FnOnce(&table::Table) -> Result<T, DbError>,
     ) -> Result<T, DbError> {
-        let shard = {
-            let catalog = self.db.shared.catalog.read();
-            Arc::clone(catalog.shard(table)?)
-        };
-        let version = shard.pin();
-        read(&version.table)
+        read(&self.db.shared.slot.pin().get(table)?.table)
     }
 
     pub fn insert(&self, table: &str, values: &[(&str, Value)]) -> Result<i64, DbError> {
         self.role.check(table, Action::Insert)?;
-        let plan = self.plan(|c| c.write_plan(table))?;
-        self.run_write(plan, |set| {
+        self.run_write(|set| {
             let (id, op) = set.insert(table, values)?;
             Ok((id, vec![op]))
         })
@@ -487,8 +429,7 @@ impl Connection {
 
     pub fn insert_row(&self, table: &str, row: Row) -> Result<i64, DbError> {
         self.role.check(table, Action::Insert)?;
-        let plan = self.plan(|c| c.write_plan(table))?;
-        self.run_write(plan, |set| {
+        self.run_write(|set| {
             let (id, op) = set.insert_row(table, row)?;
             Ok((id, vec![op]))
         })
@@ -496,8 +437,7 @@ impl Connection {
 
     pub fn update(&self, table: &str, id: i64, values: &[(&str, Value)]) -> Result<(), DbError> {
         self.role.check(table, Action::Update)?;
-        let plan = self.plan(|c| c.write_plan(table))?;
-        self.run_write(plan, |set| {
+        self.run_write(|set| {
             let op = set.update(table, id, values)?;
             Ok(((), vec![op]))
         })
@@ -505,8 +445,7 @@ impl Connection {
 
     pub fn update_row(&self, table: &str, id: i64, row: Row) -> Result<(), DbError> {
         self.role.check(table, Action::Update)?;
-        let plan = self.plan(|c| c.write_plan(table))?;
-        self.run_write(plan, |set| {
+        self.run_write(|set| {
             let op = set.update_row(table, id, row)?;
             Ok(((), vec![op]))
         })
@@ -514,13 +453,9 @@ impl Connection {
 
     /// Delete a row. Referential actions (cascades, SET NULL) execute with
     /// definer rights, as in SQL — only the named table needs the grant.
-    /// The write set is the table's whole reverse-FK closure, since that
-    /// is exactly the set of tables the cascade may mutate — the same plan
-    /// a transaction declaring the table gets.
     pub fn delete(&self, table: &str, id: i64) -> Result<(), DbError> {
         self.role.check(table, Action::Delete)?;
-        let plan = self.plan(|c| c.txn_plan(&[table]))?;
-        self.run_write(plan, |set| {
+        self.run_write(|set| {
             let ops = set.delete(table, id)?;
             Ok(((), ops))
         })
@@ -563,22 +498,22 @@ impl Connection {
         self.db.table_versions(tables)
     }
 
-    /// Pin a coherent snapshot of several tables: one atomic version pin
-    /// per table, validated against the engine's commit clock so a
-    /// multi-table transaction is observed entirely or not at all. Every
-    /// read (and [`ReadView::versions`] stamp) through the view observes
-    /// the same instant.
+    /// Pin a coherent snapshot of several tables: one pin of the published
+    /// version, so a multi-table transaction is observed entirely or not at
+    /// all. Every read (and [`ReadView::versions`] stamp) through the view
+    /// observes the same instant. Naming a table that does not exist is
+    /// `NoSuchTable`.
     ///
     /// The view takes **no locks**: it never blocks writers (or anything
     /// else), and holding one indefinitely costs only the memory of the
     /// superseded versions it keeps alive (observable as the
     /// `simdb_table_live_versions` gauge).
     pub fn read_view(&self, tables: &[&str]) -> Result<ReadView, DbError> {
-        let catalog = self.db.shared.catalog.read();
-        let view = shard::PinnedView::pin(&catalog, tables)?;
-        drop(catalog);
+        let version = self.db.shared.slot.pin();
+        let tables = tables.iter().map(|t| version.position(t));
         Ok(ReadView {
-            view,
+            tables: tables.collect::<Result<_, _>>()?,
+            version,
             role: Arc::clone(&self.role),
         })
     }
@@ -586,43 +521,42 @@ impl Connection {
     /// Run several mutations atomically over a declared table set: either
     /// every operation commits (WAL-logged as one batch) or none do.
     ///
-    /// `tables` declares what the transaction may touch; the engine
-    /// expands it to the full write closure (FK cascades included) and
-    /// acquires all its mutexes in one canonical-order pass — transactions
-    /// over disjoint tables run fully in parallel, and mutating an
-    /// undeclared table inside `f` fails with a descriptive error instead
-    /// of deadlocking. Readers of the involved tables see no intermediate
-    /// state.
+    /// `tables` declares what the transaction writes: an insert, update or
+    /// delete in `f` naming another table is an error, and rolls the
+    /// transaction back. Reads inside `f`, and the cascades of a delete,
+    /// may reach any table. The transaction holds the database's one
+    /// writer from before `f` runs until it has published, so readers see
+    /// none of its intermediate state and no other write interleaves.
     ///
     /// Mutations accumulate in the same **delta write-buffer**
-    /// ([`shard::BufferedTables`]) a single statement uses, layered over
-    /// the versions published when the transaction began: reads inside `f`
-    /// see buffer-or-base, commit moves the buffers into new published
-    /// versions in one pass, and rollback — on `f`'s error or a durability
-    /// failure — just drops the buffers; nothing shared was ever touched,
-    /// so there is no journal to restore. A foreign key may reference only
-    /// a *published* parent row: one inserted by another transaction that
-    /// has not committed yet fails the check, it is not waited for.
+    /// ([`version::BufferedTables`]) a single statement uses, layered over
+    /// the version published when the transaction began: reads inside `f`
+    /// see buffer-or-base, commit publishes the buffers as the next
+    /// version, and rollback — on `f`'s error or a durability failure —
+    /// just drops the buffers; nothing shared was ever touched, so there is
+    /// no journal to restore.
     pub fn transaction<T>(
         &self,
         tables: &[&str],
         f: impl FnOnce(&mut Txn<'_>) -> Result<T, DbError>,
     ) -> Result<T, DbError> {
-        let plan = self.plan(|c| c.txn_plan(tables))?;
+        let set = version::BufferedTables::new(self.db.shared.slot.write());
+        for t in tables {
+            set.table_ref(t)?; // an unknown table is NoSuchTable
+        }
         let mut txn = Txn {
-            set: plan.acquire(),
+            set,
+            tables,
             role: &self.role,
             ops: Vec::new(),
         };
         let out = f(&mut txn)?; // on error the buffers drop with `txn`: rollback
         let Txn { set, ops, .. } = txn;
-        // Enqueue *and* flush while the write guards are held: if
-        // durability fails, `set` drops unpublished — no reader (and no
-        // later writer of these tables) ever sees the aborted state.
-        // Publication happens only after the batch is durable, as one
-        // commit-clock-protected unit. (A deferring connection has no
-        // flush to wait for: it publishes after the enqueue, as a single
-        // statement does.)
+        // Enqueue *and* flush while the writer is held: if durability
+        // fails, `set` drops unpublished — no reader (and no later writer)
+        // ever sees the aborted state. Publication happens only after the
+        // batch is durable. (A deferring connection has no flush to wait
+        // for: it publishes after the enqueue, as a single statement does.)
         let last = self.db.enqueue_wal(&ops)?;
         self.sync_wal(last)?;
         set.commit(last);
@@ -638,9 +572,9 @@ impl Connection {
     /// This is the linearization primitive for optimistic coordination
     /// rows — e.g. the daemon lease table, where concurrent claimers race
     /// on `(daemon_id, epoch)` and exactly one CAS per epoch can succeed.
-    /// The check and the update run inside one declared-table-set
-    /// [`Connection::transaction`], i.e. under the table's writer mutex,
-    /// so no writer can interleave between them.
+    /// The check and the update run inside one
+    /// [`Connection::transaction`], i.e. under the writer mutex, so no
+    /// writer can interleave between them.
     pub fn compare_and_swap(
         &self,
         table: &str,
@@ -663,12 +597,15 @@ impl Connection {
     }
 }
 
-/// A coherent multi-table snapshot (see [`Connection::read_view`]): pinned
-/// immutable versions, one per table — it holds no lock and blocks nobody.
-/// Reads are permission-checked per table against the connection's role;
-/// version stamps are cache metadata and need no grant.
+/// A coherent multi-table snapshot (see [`Connection::read_view`]): one
+/// pinned immutable version — it holds no lock and blocks nobody. Reads are
+/// permission-checked per table against the connection's role, and reach
+/// only the tables the view named; version stamps are cache metadata and
+/// need no grant.
 pub struct ReadView {
-    view: shard::PinnedView,
+    version: Arc<version::DbVersion>,
+    /// Positions of the named tables in `version`, in requested order.
+    tables: Vec<usize>,
     role: Arc<Role>,
 }
 
@@ -678,7 +615,10 @@ impl ReadView {
     /// ([`Table::range_indexed`](table::Table::range_indexed)).
     pub fn table(&self, name: &str) -> Result<&table::Table, DbError> {
         self.role.check(name, Action::Select)?;
-        Ok(&self.view.version(name)?.table)
+        let mut named = self.tables.iter().map(|&pos| &self.version.at(pos).table);
+        named
+            .find(|t| t.schema.name == name)
+            .ok_or_else(|| DbError::Schema(format!("table {name} is not part of this read view")))
     }
 
     pub fn select(&self, table: &str, query: &Query) -> Result<Vec<(i64, Row)>, DbError> {
@@ -708,35 +648,50 @@ impl ReadView {
     /// the stamp is exactly as old as every row read through the view —
     /// the invariant the portal's response cache relies on.
     pub fn versions(&self) -> Vec<u64> {
-        self.view.versions()
+        let version = |&pos| self.version.at(pos).version;
+        self.tables.iter().map(version).collect()
     }
 
     /// The viewed table names, in requested order.
     pub fn tables(&self) -> impl Iterator<Item = &str> {
-        self.view.tables()
+        let name = |&pos| self.version.at(pos).table.schema.name.as_str();
+        self.tables.iter().map(name)
     }
 }
 
 /// In-flight transaction handle. Mutations accumulate in the transaction's
-/// delta write-buffer ([`shard::BufferedTables`]); reads see buffer-or-base.
-/// Rollback drops the buffers — nothing is shared until commit publishes
-/// them.
+/// delta write-buffer ([`version::BufferedTables`]); reads see
+/// buffer-or-base. Rollback drops the buffers — nothing is shared until
+/// commit publishes them.
 pub struct Txn<'a> {
-    set: shard::BufferedTables<'a>,
+    set: version::BufferedTables<'a>,
+    /// The declared table list: the tables this transaction may write.
+    tables: &'a [&'a str],
     role: &'a Role,
     ops: Vec<LogOp>,
 }
 
 impl Txn<'_> {
+    /// The role may do `action` on `table`, and the transaction declared it.
+    fn check(&self, table: &str, action: Action) -> Result<(), DbError> {
+        self.role.check(table, action)?;
+        if !self.tables.contains(&table) {
+            return Err(DbError::Schema(format!(
+                "table {table} is not in this transaction's declared table list"
+            )));
+        }
+        Ok(())
+    }
+
     pub fn insert(&mut self, table: &str, values: &[(&str, Value)]) -> Result<i64, DbError> {
-        self.role.check(table, Action::Insert)?;
+        self.check(table, Action::Insert)?;
         let (id, op) = self.set.insert(table, values)?;
         self.ops.push(op);
         Ok(id)
     }
 
     pub fn insert_row(&mut self, table: &str, row: Row) -> Result<i64, DbError> {
-        self.role.check(table, Action::Insert)?;
+        self.check(table, Action::Insert)?;
         let (id, op) = self.set.insert_row(table, row)?;
         self.ops.push(op);
         Ok(id)
@@ -748,21 +703,21 @@ impl Txn<'_> {
         id: i64,
         values: &[(&str, Value)],
     ) -> Result<(), DbError> {
-        self.role.check(table, Action::Update)?;
+        self.check(table, Action::Update)?;
         let op = self.set.update(table, id, values)?;
         self.ops.push(op);
         Ok(())
     }
 
     pub fn update_row(&mut self, table: &str, id: i64, row: Row) -> Result<(), DbError> {
-        self.role.check(table, Action::Update)?;
+        self.check(table, Action::Update)?;
         let op = self.set.update_row(table, id, row)?;
         self.ops.push(op);
         Ok(())
     }
 
     pub fn delete(&mut self, table: &str, id: i64) -> Result<(), DbError> {
-        self.role.check(table, Action::Delete)?;
+        self.check(table, Action::Delete)?;
         let ops = self.set.delete(table, id)?;
         self.ops.extend(ops);
         Ok(())
@@ -868,13 +823,19 @@ mod tests {
         let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             admin.transaction::<()>(&["star"], |tx| {
                 tx.insert("star", &[("name", "A".into())])?;
-                panic!("closure panicked while holding star's writer mutex")
+                panic!("closure panicked while holding the writer mutex")
             })
         }));
         assert!(unwound.is_err());
         assert_eq!(admin.count("star", &Query::new()).unwrap(), 0);
-        // The mutex was poisoned by the unwind; the next writer recovers it.
+        // The one mutex was poisoned by the unwind; the next writer
+        // recovers it, whichever table it writes, and so does DDL.
         assert_eq!(admin.insert("star", &[("name", "B".into())]).unwrap(), 1);
+        assert_eq!(admin.insert("request", &[("body", "x".into())]).unwrap(), 1);
+        admin
+            .create_table(TableSchema::new("after_panic", vec![]))
+            .unwrap();
+        assert!(admin.has_table("after_panic"));
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! simdb's handles into the process-wide metrics registry (`amp-obs`).
 //!
-//! Engine-wide handles are resolved once per process through `OnceLock`s;
-//! per-table handles are resolved once per shard at table creation and
-//! cached inside the shard, so the storage engine's hot paths carry no
-//! registry lookups — every observation is a relaxed atomic op.
+//! Engine-wide handles are resolved once per process through `OnceLock`s,
+//! the writer-lock histograms once per `Db` (`version::Slot`), and the
+//! per-table gauge once per table at its creation, so the storage engine's
+//! hot paths carry no registry lookups — every observation is a relaxed
+//! atomic op.
 
 use std::sync::OnceLock;
 
@@ -67,44 +68,11 @@ pub(crate) fn metrics() -> &'static SimdbMetrics {
     })
 }
 
-/// Per-table lock observability. With one writer mutex per table, "who is
-/// contended" is a per-table question, so each shard carries
-/// `{table}`-labeled wait and hold histograms.
-///
-/// Both are **writer-only**: the mutex is taken by writers of the table
-/// and by nothing else. Plain reads, and a writer's FK existence checks
-/// against a parent table, pin a published version with two atomic ops
-/// and record nothing — so any `lock_wait` sample on a table nobody wrote
-/// means something took a lock it should not have; the contention bench
-/// and `tests/mvcc_props.rs` assert exactly that.
-pub(crate) struct ShardMetrics {
-    /// Time a writer spent waiting to acquire the table's mutex.
-    pub lock_wait: Histogram,
-    /// Time the table's mutex was held — the window during which other
-    /// writers of this table (and only this table) waited.
-    pub lock_hold: Histogram,
-    /// Published versions of this table still alive: the current one plus
-    /// superseded versions kept reachable by long-lived `ReadView`s.
-    /// Sustained growth means a reader is pinning history.
-    pub live_versions: Gauge,
-}
-
-impl ShardMetrics {
-    pub fn for_table(table: &str) -> ShardMetrics {
-        let registry = amp_obs::registry();
-        ShardMetrics {
-            lock_wait: registry.histogram(
-                &amp_obs::labeled("simdb_table_lock_wait_seconds", &[("table", table)]),
-                Unit::Seconds,
-            ),
-            lock_hold: registry.histogram(
-                &amp_obs::labeled("simdb_table_lock_hold_seconds", &[("table", table)]),
-                Unit::Seconds,
-            ),
-            live_versions: registry.gauge(&amp_obs::labeled(
-                "simdb_table_live_versions",
-                &[("table", table)],
-            )),
-        }
-    }
+/// `simdb_table_live_versions{table}`: published versions of `table` still
+/// alive — the current one plus superseded versions kept reachable by
+/// long-lived `ReadView`s. Sustained growth means a reader is pinning
+/// history. Resolved once per table, when it is created or recovered.
+pub(crate) fn live_versions(table: &str) -> Gauge {
+    let series = amp_obs::labeled("simdb_table_live_versions", &[("table", table)]);
+    amp_obs::registry().gauge(&series)
 }

@@ -149,7 +149,7 @@ impl<M: Model> Manager<M> {
 
 /// Typed reads against a pinned multi-table snapshot
 /// ([`Connection::read_view`]) — the model-level face of the coherent
-/// read-view API. Where a [`Manager`] takes each table's lock per call, a
+/// read-view API. Where a [`Manager`] pins the latest version per call, a
 /// view's reads all observe the same instant, so a page render (or daemon
 /// worklist) that decodes several related models can never see table A
 /// after a transaction and table B before it.

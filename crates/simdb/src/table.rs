@@ -1,7 +1,7 @@
 //! In-memory table storage: rows, primary keys, and one ordered index per
 //! indexed column.
 //!
-//! Storage is **copy-on-write** so the MVCC layer ([`crate::shard`]) can
+//! Storage is **copy-on-write** so the MVCC layer ([`crate::version`]) can
 //! publish immutable snapshots cheaply, and rows and indexes share one
 //! shape: a spine of `Arc`-shared chunks.
 //!
@@ -1062,7 +1062,7 @@ mod tests {
     #[test]
     fn index_snapshots_stay_isolated_under_random_writes() {
         use crate::schema::OnDelete;
-        use crate::shard::TableVersion;
+        use crate::version::TableVersion;
         const CLONE_EVERY: usize = 400;
 
         for seed in [1u64, 7919] {
@@ -1070,7 +1070,7 @@ mod tests {
             let engine = crate::Db::in_memory();
             engine.define_role(crate::Role::superuser("admin"));
             let db = engine.connect("admin").unwrap();
-            let pin = |table: &str| engine.shared.catalog.read().shard(table).unwrap().pin();
+            let pin = |table: &str| Arc::clone(engine.shared.slot.pin().get(table).unwrap());
             db.create_table(TableSchema::new(
                 "parent",
                 vec![Column::new("name", ValueType::Text).not_null().unique()],

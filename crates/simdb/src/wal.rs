@@ -6,8 +6,8 @@
 //! whole database into a file of the same frames. Recovery
 //! ([`recover_with_last_seq`]) = load the latest snapshot, then apply the
 //! log's suffix in place to the plain tables it held ([`Recovered`]), which
-//! then move into the engine's shards; a record that does not apply is
-//! `Corrupt`.
+//! then move into the engine's first published version; a record that
+//! does not apply is `Corrupt`.
 //!
 //! # The log file (DESIGN §8.7)
 //!
@@ -55,9 +55,9 @@
 use crate::db::LogOp;
 use crate::error::DbError;
 use crate::schema::TableSchema;
-use crate::shard::new_table;
 use crate::table::{Row, Table};
 use crate::value::Value;
+use crate::version::new_table;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
@@ -533,11 +533,11 @@ impl Wal {
     /// (phases 1–2 of a commit; no durability yet). Returns the last
     /// claimed sequence number, or `None` for an empty batch.
     ///
-    /// The sharded engine calls this while still holding the table (or
-    /// catalog) write guards covering the ops, so sequence order always
-    /// matches apply order — replay cannot reorder ops on the same table.
-    /// The flush ([`Self::sync_to`]) happens after the guards are
-    /// released, where it group-commits with other tables' writers.
+    /// The engine calls this while still holding its one writer mutex, so
+    /// sequence order always matches apply order — replay cannot reorder
+    /// ops. The flush ([`Self::sync_to`]) happens after a statement has
+    /// let the writer go, where it group-commits with the writers that
+    /// queued behind it.
     pub fn enqueue(&self, ops: &[LogOp]) -> Result<Option<u64>, DbError> {
         if ops.is_empty() {
             return Ok(None);
@@ -662,15 +662,16 @@ impl Wal {
     /// snapshot already contains *per table* — a record survives unless
     /// `applied[table] >= seq`. Safe while writers are running: an
     /// in-flight op that claimed a sequence number but was not yet
-    /// published when the snapshot's versions were pinned has
-    /// `seq > applied[table]` (claims and publications of one table are
-    /// serialized by its writer mutex), so it is preserved. The sequence
+    /// published when the snapshot's version was pinned has
+    /// `seq > applied[table]` (claims and publications are serialized by
+    /// the engine's one writer mutex), so it is preserved. The sequence
     /// counter keeps increasing, so records appended later still sort
     /// strictly after everything the snapshot covers.
     ///
-    /// Frames go or stay whole: a snapshot is cut from one untearable
-    /// `pin_cut`, so it holds all of a commit or none of it. A frame only
-    /// partly covered answers `Corrupt` and the file is left as it was.
+    /// Frames go or stay whole: a snapshot is cut from one pin of the
+    /// published version, and a commit is one publish, so the snapshot
+    /// holds all of a commit or none of it. A frame only partly covered
+    /// answers `Corrupt` and the file is left as it was.
     /// Deciding builds no op ([`skim_op`]); a kept frame is copied as it is.
     pub(crate) fn truncate_keeping(&self, applied: &BTreeMap<String, u64>) -> Result<(), DbError> {
         let mut st = self.wait_no_flush();
@@ -1006,7 +1007,7 @@ impl Snapshot {
 }
 
 /// One table as recovery builds it: plain and unshared, so the log's records
-/// apply in place, until it moves into its shard.
+/// apply in place, until it moves into the first published version.
 pub(crate) struct Recovered {
     pub table: Table,
     /// Records replayed onto it: where its runtime modification counter
@@ -1272,7 +1273,7 @@ mod tests {
     fn a_dead_log_refuses_commits_instead_of_publishing_them() {
         use crate::{query::Query, Db, Role};
         let log = Wal::open_at("/dev/full", 0).unwrap();
-        let db = Db::new(crate::shard::Catalog::new(), Some(log), None);
+        let db = Db::new(crate::version::DbVersion::empty(), Some(log), None);
         db.define_role(Role::superuser("admin"));
         let conn = db.connect("admin").unwrap();
         // The first commit's flush fails. (DDL, like any single statement,

@@ -17,6 +17,8 @@
 //! assert!(sun.frequencies.len() > 30);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod catalog;
 pub mod cost;
 pub mod freqs;

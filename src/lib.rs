@@ -43,6 +43,8 @@
 //! assert_eq!(done.status, SimStatus::Done);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use amp_core as core;
 pub use amp_ga as ga;
 pub use amp_grid as grid;

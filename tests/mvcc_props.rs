@@ -1,8 +1,8 @@
 //! MVCC read-path properties and regressions.
 //!
-//! The engine's read side is lock-free: readers pin a published immutable
-//! version of each table instead of taking the shard lock. These tests pin
-//! down the contract that makes that safe to build on:
+//! The engine's read side is lock-free: readers pin the published immutable
+//! version of the database instead of taking the writer lock. These tests
+//! pin down the contract that makes that safe to build on:
 //!
 //! 1. a pinned `ReadView` is *frozen* — its version stamps never move and
 //!    its rows never tear, no matter how many transactions commit while it
@@ -12,12 +12,10 @@
 //!    `simdb_table_live_versions` gauge);
 //! 3. `compact()` never blocks writers: it snapshots a pinned cut and
 //!    truncates the WAL per table, so it completes even while an open
-//!    transaction holds a table's write lock — and the in-flight
-//!    transaction's records survive the truncation and recover;
-//! 4. plain reads never touch the shard lock: the writer-path lock-wait
-//!    histogram records nothing during a pure-read phase — and neither
-//!    does a writer's foreign-key check against a parent table, which a
-//!    long transaction on that parent therefore cannot delay;
+//!    transaction holds the writer lock — and the in-flight transaction's
+//!    records survive the truncation and recover;
+//! 4. plain reads never touch the writer lock: its wait histogram records
+//!    nothing during a pure-read phase, or beside a checkpoint;
 //! 5. the write side's delta buffer is semantically invisible: reads
 //!    inside a transaction see buffer-over-base, a commit publishes
 //!    exactly the merged state, and a rollback leaves the published spine
@@ -34,8 +32,22 @@ use common::ModelDb;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
+use std::sync::{mpsc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Duration;
+
+/// The writer-lock histograms are process-wide, and this file's tests share
+/// a process: a test that writes holds a shared turn, and one that counts
+/// writer-lock samples holds the turn alone, so no other test's writer can
+/// land a sample in its count.
+static TURN: RwLock<()> = RwLock::new(());
+
+fn writing_turn() -> RwLockReadGuard<'static, ()> {
+    TURN.read().unwrap_or_else(|e| e.into_inner())
+}
+
+fn counting_turn() -> RwLockWriteGuard<'static, ()> {
+    TURN.write().unwrap_or_else(|e| e.into_inner())
+}
 
 /// The `admin` and `app` roles and one `v: Int` table named `table`.
 fn define_table(db: &Db, table: &str) {
@@ -73,6 +85,7 @@ fn durable_db(tag: &str, table: &str, rows: i64) -> (std::path::PathBuf, Db) {
 /// readers continuously pin views, and assert every view is a frozen,
 /// untorn commit-boundary state.
 fn check_frozen_views(batches: &[usize]) {
+    let _turn = writing_turn();
     let db = fresh_db("mv");
     // Valid observable states: creation only, or any whole-batch prefix.
     let mut prefix_sums = BTreeSet::new();
@@ -186,6 +199,7 @@ fn arb_tx_op() -> impl Strategy<Value = TxOp> {
 ///    state (including id allocation) is exactly what it was before —
 ///    the write buffer is dropped, the spine untouched.
 fn check_buffered_txns_match_oracle(txns: &[(Vec<TxOp>, bool)]) {
+    let _turn = writing_turn();
     let db = Db::in_memory();
     db.define_role(Role::superuser("admin"));
     let admin = db.connect("admin").unwrap();
@@ -284,6 +298,7 @@ proptest! {
 /// the `simdb_table_live_versions{table}` gauge.
 #[test]
 fn dropping_last_read_view_frees_superseded_versions() {
+    let _turn = writing_turn();
     // The metrics registry is process-global and these integration tests
     // share one process, so this table name must be unique to this test.
     let table = "mv_retain";
@@ -313,15 +328,16 @@ fn dropping_last_read_view_frees_superseded_versions() {
 
 /// Regression: `compact()` never blocks writers (it used to take every
 /// table's shared lock across file I/O, queueing all writers). It must
-/// complete while an open transaction holds a table's *write* lock, and
-/// the in-flight transaction's WAL records must survive the per-table
+/// complete while an open transaction holds the writer lock, and the
+/// in-flight transaction's WAL records must survive the per-table
 /// truncation and recover.
 #[test]
 fn compact_does_not_block_writers() {
+    let _turn = writing_turn();
     let (dir, db) = durable_db("compact", "t", 200);
     let admin = db.connect("admin").unwrap();
 
-    // A transaction that holds t's write lock until released.
+    // A transaction that holds the writer lock until released.
     let (started_tx, started_rx) = mpsc::channel();
     let (release_tx, release_rx) = mpsc::channel::<()>();
     let txn = {
@@ -331,7 +347,7 @@ fn compact_does_not_block_writers() {
             c.transaction(&["t"], |tx| {
                 tx.insert("t", &[("v", Value::Int(1000))])?;
                 started_tx.send(()).unwrap();
-                release_rx.recv().unwrap(); // hold the write lock
+                release_rx.recv().unwrap(); // hold the writer lock
                 Ok(())
             })
             .unwrap();
@@ -339,8 +355,8 @@ fn compact_does_not_block_writers() {
     };
     started_rx.recv().unwrap();
 
-    // Compaction completes while the write lock is held: it reads pinned
-    // versions, not the transaction's buffer. Run it on a helper thread
+    // Compaction completes while the writer lock is held: it reads the
+    // pinned version, not the transaction's buffer. Run it on a helper thread
     // with a timeout so a regression fails instead of hanging the suite.
     let (done_tx, done_rx) = mpsc::channel();
     let compactor = {
@@ -381,26 +397,24 @@ fn compact_does_not_block_writers() {
     );
 }
 
-fn lock_wait_samples(table: &str) -> u64 {
+fn lock_wait_samples() -> u64 {
     amp::obs::registry()
-        .histogram(
-            &amp::obs::labeled("simdb_table_lock_wait_seconds", &[("table", table)]),
-            amp::obs::Unit::Seconds,
-        )
+        .histogram("simdb_writer_lock_wait_seconds", amp::obs::Unit::Seconds)
         .count()
 }
 
 /// The read path takes no lock at all: a pure-read phase records nothing
-/// in the (writer-path-only) per-table lock-wait histogram.
+/// in the (writer-path-only) writer lock-wait histogram.
 #[test]
 fn pure_reads_never_touch_the_lock() {
+    let _turn = counting_turn();
     let table = "mv_lockfree";
     let db = fresh_db(table);
     let c = db.connect("app").unwrap();
     for i in 0..50 {
         c.insert(table, &[("v", Value::Int(i))]).unwrap();
     }
-    let before = lock_wait_samples(table);
+    let before = lock_wait_samples();
     for _ in 0..500 {
         assert_eq!(c.count(table, &Query::new()).unwrap(), 50);
         let view = c.read_view(&[table]).unwrap();
@@ -408,25 +422,26 @@ fn pure_reads_never_touch_the_lock() {
         assert_eq!(db.table_version(table), 51);
     }
     assert_eq!(
-        lock_wait_samples(table),
+        lock_wait_samples(),
         before,
-        "a plain read acquired a shard lock"
+        "a plain read acquired the writer lock"
     );
 }
 
 /// Nor does a checkpoint take one, or make a reader take one: with no
 /// writer, reads issued while another thread compacts over and over leave
-/// the table's lock-wait histogram where it was and all see every row.
-/// `Shard::write` records a sample per acquisition, waited or not, so the
+/// the writer lock-wait histogram where it was and all see every row.
+/// `Slot::write` records a sample per acquisition, waited or not, so the
 /// count is exact. This is "a read beside a checkpoint never waits" as a
 /// count instead of a latency (`simdb.read_stall_p99_us` in
 /// BENCHMARK.json is the latency).
 #[test]
 fn reads_beside_a_checkpoint_never_touch_the_lock() {
     const ROWS: i64 = 2_000;
+    let _turn = counting_turn();
     let table = "mv_beside_checkpoint";
     let (dir, db) = durable_db("beside_checkpoint", table, ROWS);
-    let before = lock_wait_samples(table);
+    let before = lock_wait_samples();
     let checkpointing = AtomicBool::new(true);
     let start = std::sync::Barrier::new(4);
     let beside: usize = std::thread::scope(|s| {
@@ -463,97 +478,12 @@ fn reads_beside_a_checkpoint_never_touch_the_lock() {
     });
     assert!(beside > 0, "no read ran beside a checkpoint");
     assert_eq!(
-        lock_wait_samples(table),
+        lock_wait_samples(),
         before,
-        "a checkpoint, or a read beside one, acquired the table's lock"
+        "a checkpoint, or a read beside one, acquired the writer lock"
     );
     drop(db);
     let _ = std::fs::remove_dir_all(dir);
-}
-
-/// A foreign-key check reads the parent's pinned version and takes no lock
-/// on the parent: child inserts record no lock wait there, and a long
-/// transaction that merely *references* the parent (it writes a sibling
-/// child table) delays neither a writer of the parent nor, behind that
-/// writer, an insert into another child. Under the old reader/writer lock
-/// the transaction held the parent's read side, the parent's writer queued
-/// behind it, and — writer preference — every other FK check queued behind
-/// the writer. (A transaction declaring the parent itself still excludes
-/// child inserts, rightly: it may delete, so its write set holds the
-/// children.)
-#[test]
-fn foreign_key_checks_never_touch_the_parents_lock() {
-    let (parent, child, sibling) = ("mv_fk_parent", "mv_fk_child", "mv_fk_sibling");
-    let db = Db::in_memory();
-    db.define_role(Role::superuser("admin"));
-    let admin = db.connect("admin").unwrap();
-    admin
-        .create_table(TableSchema::new(
-            parent,
-            vec![Column::new("v", ValueType::Int)],
-        ))
-        .unwrap();
-    for t in [child, sibling] {
-        admin
-            .create_table(TableSchema::new(
-                t,
-                vec![Column::new("p", ValueType::Int)
-                    .not_null()
-                    .references(parent, OnDelete::Restrict)],
-            ))
-            .unwrap();
-    }
-    let pid = admin.insert(parent, &[("v", Value::Int(0))]).unwrap();
-
-    let before = lock_wait_samples(parent);
-    for _ in 0..50 {
-        admin.insert(child, &[("p", Value::Int(pid))]).unwrap();
-    }
-    assert_eq!(
-        lock_wait_samples(parent),
-        before,
-        "a child insert acquired its parent's lock"
-    );
-
-    // A transaction over `sibling` that has checked a key against the
-    // parent and then stays open until released.
-    let (started_tx, started_rx) = mpsc::channel();
-    let (release_tx, release_rx) = mpsc::channel::<()>();
-    let holder = {
-        let db = db.clone();
-        std::thread::spawn(move || {
-            let c = db.connect("admin").unwrap();
-            c.transaction(&[sibling], |tx| {
-                tx.insert(sibling, &[("p", Value::Int(pid))])?;
-                started_tx.send(()).unwrap();
-                release_rx.recv().unwrap();
-                Ok(())
-            })
-            .unwrap();
-        })
-    };
-    started_rx.recv().unwrap();
-    // On a helper thread with a timeout, so a regression fails instead of
-    // hanging the suite: write the parent, then reference the new row.
-    let (done_tx, done_rx) = mpsc::channel();
-    let writer = {
-        let db = db.clone();
-        std::thread::spawn(move || {
-            let c = db.connect("admin").unwrap();
-            let res = c
-                .insert(parent, &[("v", Value::Int(1))])
-                .and_then(|new_parent| c.insert(child, &[("p", Value::Int(new_parent))]));
-            let _ = done_tx.send(res);
-        })
-    };
-    let done = done_rx.recv_timeout(Duration::from_secs(30));
-    release_tx.send(()).unwrap();
-    holder.join().unwrap();
-    writer.join().unwrap();
-    done.expect("a transaction referencing the parent blocked the parent's writers")
-        .unwrap();
-    assert_eq!(admin.count(child, &Query::new()).unwrap(), 51);
-    assert_eq!(admin.count(sibling, &Query::new()).unwrap(), 1);
 }
 
 /// A statement that fails part-way is dropped with its buffer: the next
@@ -561,6 +491,7 @@ fn foreign_key_checks_never_touch_the_parents_lock() {
 /// version by exactly one.
 #[test]
 fn failed_statements_leave_nothing_for_the_next_commit() {
+    let _turn = writing_turn();
     let db = Db::in_memory();
     db.define_role(Role::superuser("admin"));
     let c = db.connect("admin").unwrap();

@@ -1,27 +1,30 @@
-//! Concurrency tests for the sharded storage engine.
+//! Concurrency tests for the storage engine: one published version of the
+//! whole database, pinned by readers, and one writer mutex.
 //!
-//! The engine promises four things the old global `RwLock<Database>`
-//! could give only by serializing everyone:
+//! The engine promises five things the old global `RwLock<Database>`
+//! could give only by making readers wait:
 //!
-//! 1. writers to *disjoint* tables run in parallel, and readers are never
-//!    blocked by a writer on an unrelated table;
+//! 1. readers are never blocked by a writer, and writers of different
+//!    tables, multi-table transactors and DDL all take turns on the one
+//!    writer without losing a row;
 //! 2. per-table version counters are linearizable — every committed write
-//!    bumps its table's counter exactly once, under the same exclusive
-//!    lock as the data change, so `versions == creation + commits`;
+//!    bumps its table's counter exactly once, in the same publish as the
+//!    data change, so `versions == creation + commits`;
 //! 3. a multi-table `read_view` observes an untearable snapshot — a
-//!    transaction writing tables A and B together can never be seen
-//!    half-applied across them;
-//! 4. referential integrity without a lock on the parent — a child insert
-//!    checks its foreign key against the parent's *pinned* version, and
-//!    stays correct against racing parent deletes because every such
-//!    delete must first win the child table's writer mutex;
+//!    transaction writing tables A and B together is one publish, and can
+//!    never be seen half-applied across them;
+//! 4. referential integrity — a child insert checks its foreign key
+//!    against the published parent, and stays correct against racing
+//!    parent deletes because the two are serialised by the writer;
+//! 5. a table created while others write is there, with its rows, for
+//!    every later read, view and reopen;
 //!
 //! plus (regression for the snapshot/compact fix) that snapshotting never
-//! blocks readers. Since the MVCC read path landed, readers don't take
-//! shard locks at all — they pin published table versions — so the first
-//! three hold by construction; the tests keep them pinned down against
-//! regression (see `tests/mvcc_props.rs` for the MVCC-specific
-//! properties: frozen views, version retention, non-blocking compact).
+//! blocks readers. Readers take no lock at all — they pin the published
+//! version — so the read-side properties hold by construction; the tests
+//! keep them pinned down against regression (see `tests/mvcc_props.rs` for
+//! the MVCC-specific properties: frozen views, version retention,
+//! non-blocking compact).
 
 mod common;
 
@@ -55,10 +58,11 @@ fn setup() -> Db {
     db
 }
 
-/// Portal-style readers + two writer threads on disjoint tables + one
-/// multi-table transactor, all concurrent. Afterwards: no lost updates
-/// (row counts match what each writer committed) and linearizable
-/// per-table versions (creation + exactly one bump per committed write).
+/// Portal-style readers + two writer threads on different tables + one
+/// multi-table transactor, all concurrent and all queueing on the one
+/// writer. Afterwards: no lost updates (row counts match what each writer
+/// committed) and linearizable per-table versions (creation + exactly one
+/// bump per committed write).
 ///
 /// The writers wait at a barrier until every reader has read every table
 /// once: in an optimized build their 300 writes can otherwise finish before
@@ -75,7 +79,7 @@ fn stress_disjoint_writers_readers_and_transactor() {
     let start = Arc::new(Barrier::new(3 + READERS));
     let mut handles = Vec::new();
 
-    // Two writers on disjoint tables.
+    // Two writers on different tables.
     for table in ["alpha", "beta"] {
         let db = db.clone();
         let start = Arc::clone(&start);
@@ -303,9 +307,10 @@ fn snapshot_and_compact_do_not_block_readers() {
     assert_eq!(c.count("t", &Query::new()).unwrap(), 200);
 }
 
-/// Transactions on disjoint tables commit in parallel without deadlock
-/// even when their declared sets overlap pairwise in opposite orders —
-/// canonical-order acquisition makes the classic AB/BA interleaving safe.
+/// Transactions that declare the same two tables in opposite orders never
+/// deadlock: a transaction takes the one writer mutex, whatever it
+/// declares, so the classic AB/BA interleaving has no second lock to wait
+/// for.
 #[test]
 fn opposite_order_transactions_cannot_deadlock() {
     const ROUNDS: i64 = 200;
@@ -329,8 +334,8 @@ fn opposite_order_transactions_cannot_deadlock() {
         std::thread::spawn(move || {
             let c = db.connect("app").unwrap();
             for i in 0..ROUNDS {
-                // Declared in the opposite order — the engine sorts the
-                // lock set, so this cannot deadlock against `ab`.
+                // Declared in the opposite order: there is one lock, so
+                // this cannot deadlock against `ab`.
                 c.transaction(&["beta", "alpha"], |tx| {
                     tx.insert("beta", &[("v", Value::Int(-i))])?;
                     tx.insert("alpha", &[("v", Value::Int(-i))])?;
@@ -354,9 +359,9 @@ fn opposite_order_transactions_cannot_deadlock() {
 /// `child` rows under randomly chosen parents while a deleter walks every
 /// parent in a shuffled order, its deletes paced by the inserters' attempt
 /// count so they spread over the whole insert stream. The insert checks
-/// its foreign key against a pinned parent version, with no lock on
-/// `parent`; what keeps that sound is the delete's write set, which holds
-/// `child` too. Afterwards:
+/// its foreign key against the parent table as the writer found it, and a
+/// delete can only land before or after it, never between the check and
+/// the publish. Afterwards:
 ///
 /// * no committed child references a missing parent;
 /// * an insert that returned `Ok` is still there, unless (Cascade only)
@@ -511,4 +516,109 @@ fn child_inserts_race_restricted_parent_deletes() {
     for seed in [1, 7919] {
         race_child_inserts_against_parent_deletes(OnDelete::Restrict, seed);
     }
+}
+
+/// DDL is a writer like any other. Two threads insert into an existing
+/// table and readers loop read views while a third thread creates fresh
+/// tables and writes one row into each. Afterwards every committed insert
+/// is present, every table's version is its creation plus its commits, a
+/// view naming a fresh table failed before its `create_table` returned and
+/// succeeded after, and a reopen of the durable files recovers every table
+/// and row.
+#[test]
+fn tables_created_beside_writers_and_readers() {
+    const WRITES: i64 = 300;
+    const FRESH: usize = 24;
+    const READERS: usize = 2;
+    let dir = common::tmpdir("ddl_traffic");
+    let files = (dir.join("db.snap"), dir.join("db.wal"));
+    let db = Db::open(&files.0, &files.1).unwrap();
+    db.define_role(Role::superuser("admin"));
+    let admin = db.connect("admin").unwrap();
+    admin
+        .create_table(TableSchema::new(
+            "alpha",
+            vec![Column::new("v", ValueType::Int)],
+        ))
+        .unwrap();
+    let fresh = |i: usize| format!("fresh_{i}");
+    let created = AtomicUsize::new(0);
+    let start = Barrier::new(3 + READERS);
+    std::thread::scope(|scope| {
+        for w in 0..2 {
+            let (db, start) = (&db, &start);
+            scope.spawn(move || {
+                let c = db.connect("admin").unwrap();
+                start.wait();
+                for i in 0..WRITES {
+                    c.insert("alpha", &[("v", Value::Int(w * WRITES + i))])
+                        .unwrap();
+                }
+            });
+        }
+        scope.spawn(|| {
+            let c = db.connect("admin").unwrap();
+            start.wait();
+            for i in 0..FRESH {
+                let name = fresh(i);
+                assert!(matches!(
+                    c.read_view(&["alpha", &name]),
+                    Err(DbError::NoSuchTable(_))
+                ));
+                c.create_table(TableSchema::new(
+                    &name,
+                    vec![Column::new("v", ValueType::Int)],
+                ))
+                .unwrap();
+                created.store(i + 1, Ordering::SeqCst);
+                let view = c.read_view(&["alpha", &name]).unwrap();
+                assert_eq!(view.count(&name, &Query::new()).unwrap(), 0);
+                c.insert(&name, &[("v", Value::Int(i as i64))]).unwrap();
+            }
+        });
+        for _ in 0..READERS {
+            scope.spawn(|| {
+                let c = db.connect("admin").unwrap();
+                start.wait();
+                let mut last = 0;
+                while created.load(Ordering::SeqCst) < FRESH {
+                    // A table whose creation has returned is in every later
+                    // view; the one after it is there or not, never torn.
+                    let known = created.load(Ordering::SeqCst);
+                    if known > 0 {
+                        c.read_view(&[&fresh(known - 1)]).unwrap();
+                    }
+                    let view = c.read_view(&["alpha"]).unwrap();
+                    let n = view.count("alpha", &Query::new()).unwrap();
+                    assert!(n >= last, "alpha went backwards: {last} -> {n}");
+                    assert_eq!(view.versions(), vec![1 + n as u64]);
+                    last = n;
+                    match c.read_view(&[&fresh(known)]) {
+                        Ok(view) => assert!(view.count(&fresh(known), &Query::new()).unwrap() <= 1),
+                        Err(e) => assert!(matches!(e, DbError::NoSuchTable(_)), "{e}"),
+                    }
+                }
+            });
+        }
+    });
+
+    let expect = |db: &Db| {
+        let c = db.connect("admin").unwrap();
+        assert_eq!(
+            c.count("alpha", &Query::new()).unwrap(),
+            2 * WRITES as usize
+        );
+        assert_eq!(db.table_version("alpha"), 1 + 2 * WRITES as u64);
+        for i in 0..FRESH {
+            let rows = c.select(&fresh(i), &Query::new()).unwrap();
+            assert_eq!(rows, vec![(1, vec![Value::Int(i as i64)])]);
+            assert_eq!(db.table_version(&fresh(i)), 2);
+        }
+        assert_eq!(db.table_names().len(), 1 + FRESH);
+    };
+    expect(&db);
+    drop((admin, db));
+    let db = Db::open(&files.0, &files.1).unwrap();
+    db.define_role(Role::superuser("admin"));
+    expect(&db);
 }
