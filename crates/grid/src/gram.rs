@@ -10,16 +10,17 @@ use crate::time::{SimDuration, SimTime};
 
 /// Which GRAM job service to use (§4.3: setup/teardown scripts run via the
 /// fork service; the model runs through the scheduler interface).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum GramService {
     /// Immediate execution on the login node.
+    #[default]
     Fork,
     /// Submission to the site batch scheduler.
     Batch,
 }
 
 /// A GRAM job description.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct GramJobSpec {
     pub service: GramService,
     /// Path of the installed executable on the remote site.

@@ -647,6 +647,21 @@ impl Grid {
         Ok(transfer(bytes))
     }
 
+    /// Remove a remote tree (`uberftp rm -r`-equivalent); returns how many
+    /// files went.
+    pub fn ftp_remove(
+        &self,
+        site: &str,
+        proxy: &ProxyCertificate,
+        prefix: &str,
+    ) -> Result<usize, GridError> {
+        let (mut state, i) = self.check_access(site, Service::GridFtp, proxy)?;
+        let removed = state.sites[i].fs.remove_tree(prefix);
+        let detail = format!("{prefix} ({removed} files)");
+        state.record(site, "GridFTP", proxy, "remove", detail);
+        Ok(removed)
+    }
+
     /// List remote files under a prefix (`uberftp ls`-equivalent) — used
     /// for troubleshooting staged trees.
     pub fn ftp_list(

@@ -244,22 +244,14 @@ impl Application for PostJobScript {
     }
 }
 
-/// Cleanup fork script: reports success; the daemon removes the tree via
-/// the returned marker (the simulator applies outputs at completion, so
-/// deletion happens in [`cleanup_tree`] driven by the workflow).
+/// Cleanup fork script: reports success, and the daemon then removes the
+/// simulation's tree over GridFTP (§4.3), its results committed by then.
 pub struct CleanupScript;
 
 impl Application for CleanupScript {
     fn run(&self, _ctx: &AppContext<'_>) -> AppRun {
-        AppRun::success(0.02).with_output("CLEANUP_DONE", b"ok".to_vec())
+        AppRun::success(0.02)
     }
-}
-
-/// Remove a simulation's execution environment — invoked by the workflow
-/// after the cleanup job reports success (§4.3: "a final cleanup stage
-/// ensures that the execution environment has been removed").
-pub fn cleanup_tree(fs: &mut SiteFs, root: &str) -> usize {
-    fs.remove_tree(root)
 }
 
 /// Install the full AMP software stack on a site (what the science PI does
@@ -487,7 +479,7 @@ mod tests {
     }
 
     #[test]
-    fn postjob_tars_and_cleanup_marks() {
+    fn postjob_tars_and_cleanup_succeeds() {
         let mut fs = SiteFs::new("kraken", 1 << 20);
         let profile = kraken();
         fs.write("amp/sim1/run0/final.json", b"{}".to_vec())
@@ -500,8 +492,6 @@ mod tests {
 
         let c = CleanupScript.run(&ctx(&fs, &profile, vec![], 5.0));
         assert!(c.failure.is_none());
-        assert_eq!(cleanup_tree(&mut fs, "amp/sim1"), 2);
-        assert_eq!(fs.file_count(), 0);
     }
 
     #[test]

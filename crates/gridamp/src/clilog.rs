@@ -16,7 +16,7 @@
 //! reconciled submissions, and the daemon's own errors.
 
 use amp_core::status::SimStatus;
-use amp_grid::{GramJobSpec, GramService};
+use amp_grid::{GramJobSpec, GramService, GridError};
 use std::collections::VecDeque;
 
 /// Outcome of one logged grid call.
@@ -49,6 +49,18 @@ pub enum OpsEvent {
     Reconciled { submission_id: String },
     /// A daemon-class failure (surfaced to the external monitor).
     DaemonError { message: String },
+}
+
+impl OpsEvent {
+    /// A grid call's line: its command line and how `result` says it ended.
+    pub fn command<T>(command: String, result: &Result<T, GridError>) -> OpsEvent {
+        let outcome = match result {
+            Ok(_) => OpOutcome::Ok,
+            Err(e) if e.is_transient() => OpOutcome::Transient(e.to_string()),
+            Err(e) => OpOutcome::Failed(e.to_string()),
+        };
+        OpsEvent::Command { command, outcome }
+    }
 }
 
 /// One operations-log entry.
@@ -214,6 +226,11 @@ pub fn gram_status_cmdline(handle: &str) -> String {
 /// a submission id, so that the next submission under it creates a new job.
 pub fn gram_release_cmdline(site: &str, submission_id: &str) -> String {
     format!("globus-job-clean -r {site} {submission_id}")
+}
+
+/// The `uberftp`-equivalent command line that removes a remote tree.
+pub fn ftp_remove_cmdline(site: &str, remote: &str) -> String {
+    format!("uberftp {site} \"rm -r {remote}\"")
 }
 
 /// The `globus-url-copy`-equivalent transfer command line.

@@ -13,36 +13,38 @@
 //! ## The tick
 //!
 //! One loop, on the caller's thread: claim leases → `pause_point` → poll
-//! phase → step phase → apply → closing flush. The poll phase walks the
-//! owned simulations' pending jobs in job-id order and commits the rows it
-//! dirtied as one transaction; the step phase steps every owned simulation
-//! in simulation-id order, and the apply pass then takes the outcomes in
-//! the same order (streaks, holds, notifications, lease releases). Every
-//! write goes through the daemon's one deferring [`Connection`]. A second
-//! core is a second daemon over the same database: the lease table decides
-//! which of them steps each simulation (DESIGN §12).
+//! phase → step phase → closing flush (DESIGN §7). A step is a [`Decision`]
+//! made from reads only ([`crate::workflow`]) and applied here, by one
+//! applier: the effects in order, one write of the simulation row, the
+//! outcome. Every write goes through the daemon's one deferring
+//! [`Connection`]. A second core is a second daemon over the same database
+//! (DESIGN §12).
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::time::Instant;
 
-use amp_core::models::{AmpUser, GridJobRecord, Notification, NotifyMode, Simulation};
+use amp_core::models::{
+    Allocation, AmpUser, GridJobRecord, Lease, Notification, NotifyMode, Simulation, Star,
+};
 use amp_core::status::{JobStatus, SimStatus};
-use amp_grid::{CommunityCredential, GramJobHandle, GramState, Grid, SimDuration};
+use amp_grid::{CommunityCredential, GramJobHandle, GramState, Grid, GridError, SimDuration};
 use amp_simdb::orm::{Manager, Model};
 use amp_simdb::{Connection, Db, DbError, Op, Query, Value};
 
-use crate::clilog::{gram_status_cmdline, OpOutcome, OpsEvent, OpsLog};
+use crate::clilog::{
+    ftp_cmdline, ftp_remove_cmdline, gram_release_cmdline, gram_status_cmdline,
+    gram_submit_cmdline, OpsEvent, OpsLog,
+};
 use crate::error::WorkflowError;
 use crate::lease::{self, ClaimOutcome};
 use crate::optimize::PartialResults;
 use crate::workflow::{
-    commit_results, owner_username, step, DaemonConfig, StageCtx, StepHook, PROXY_LIFETIME,
+    self, owner_username, submission_id, DaemonConfig, Decision, Effect, View, PROXY_LIFETIME,
+    STAGING,
 };
 
-/// Daemon-wide metric handles (global registry, resolved once). The
-/// per-state transition and per-site poll series are labelled, so those
-/// go through the registry at the call site (the poll series once per site
-/// per poll phase, [`PollPhase`]); everything with a fixed name lives here.
+/// Daemon-wide metric handles with a fixed name, resolved once (the per-state
+/// transition and per-site poll series are resolved at their call sites).
 pub(crate) struct DaemonMetrics {
     job_transitions: amp_obs::Counter,
     transient_retries: amp_obs::Counter,
@@ -52,15 +54,18 @@ pub(crate) struct DaemonMetrics {
     lease_renewals: amp_obs::Counter,
     lease_takeovers: amp_obs::Counter,
     lease_losses: amp_obs::Counter,
-    pub(crate) lease_fences: amp_obs::Counter,
+    lease_fences: amp_obs::Counter,
+    /// `daemon_gram_submissions_total{outcome=…}`: `[accepted, known,
+    /// reconciled]` — a job the site created for us, a repeat it answered
+    /// with the job it already had, a record from the site's own list.
+    submissions: [amp_obs::Counter; 3],
     /// `gridamp_tick_stage_seconds{stage=…}`: where a tick's wall time
-    /// goes. The five stages are contiguous, so their sums add up to the
+    /// goes. The four stages are contiguous, so their sums add up to the
     /// time spent in [`GridAmp::tick`] (less a `pause_point` hook, which
-    /// belongs to no stage). `apply` is the step phase's second pass.
+    /// belongs to no stage).
     stage_claim: amp_obs::Histogram,
     stage_poll: amp_obs::Histogram,
     stage_step: amp_obs::Histogram,
-    stage_apply: amp_obs::Histogram,
     stage_flush: amp_obs::Histogram,
 }
 
@@ -82,10 +87,15 @@ pub(crate) fn obs_metrics() -> &'static DaemonMetrics {
         lease_takeovers: amp_obs::counter("daemon_lease_takeovers_total"),
         lease_losses: amp_obs::counter("daemon_lease_losses_total"),
         lease_fences: amp_obs::counter("daemon_lease_fences_total"),
+        submissions: ["accepted", "known", "reconciled"].map(|outcome| {
+            amp_obs::counter(&amp_obs::labeled(
+                "daemon_gram_submissions_total",
+                &[("outcome", outcome)],
+            ))
+        }),
         stage_claim: stage("claim"),
         stage_poll: stage("poll"),
         stage_step: stage("step"),
-        stage_apply: stage("apply"),
         stage_flush: stage("flush"),
     })
 }
@@ -131,12 +141,9 @@ struct PollPhase {
     poll_seconds: HashMap<String, amp_obs::Histogram>,
 }
 
-/// Commit the poll phase's dirtied job rows as one database transaction:
-/// one WAL batch and one new table version, regardless of how many jobs
-/// transitioned this tick. Rows are per-job disjoint (each job is polled
-/// at most once per tick). Like every daemon write, the batch waits for
-/// the tick's closing flush: a crash loses at most one tick's poll results,
-/// which the next tick's poll re-derives from GRAM.
+/// Commit the poll phase's dirtied job rows as one transaction: one WAL
+/// batch, however many jobs moved. A crash before the tick's flush loses
+/// them, and the next poll re-derives them from GRAM.
 fn commit_job_batch(conn: &Connection, batch: &[GridJobRecord]) -> Result<(), DbError> {
     if batch.is_empty() {
         return Ok(());
@@ -150,22 +157,19 @@ fn commit_job_batch(conn: &Connection, batch: &[GridJobRecord]) -> Result<(), Db
     })
 }
 
-/// The step phase's product for one simulation, applied by the second pass
-/// in simulation-id order.
-struct StepProduct {
-    sim: Simulation,
-    from: SimStatus,
-    /// The transition the step made, if any. A failed owner lookup is a
-    /// daemon-class error like any other database failure inside the step.
-    outcome: Result<Option<SimStatus>, WorkflowError>,
-    /// True when the step succeeded and the database holds the row as it
-    /// left it (also when there was nothing to save). After a failed step
-    /// [`GridAmp::apply_step_outcome`] decides what to write.
-    saved: bool,
-    /// What to remember of the simulation's partial results from here on:
-    /// what the step knew of them if it ended without error, else nothing.
-    partial: Option<PartialResults>,
+/// An instant inside a step, just after the applier did one thing, named by
+/// `kind`: `staged_in`, `accepted` (a submission whose record is not written
+/// yet), `recorded` (a job record), `released`, `removed`, or `written`
+/// (the simulation row, with its charge).
+#[derive(Debug, Clone, Copy)]
+pub struct StepPoint<'a> {
+    pub kind: &'static str,
+    /// The job of an `accepted` or `recorded` point.
+    pub job: Option<&'a GridJobRecord>,
 }
+
+/// A [`StepPoint`] hook.
+pub type StepHook = dyn Fn(StepPoint<'_>) + Send;
 
 /// The workflow daemon.
 pub struct GridAmp {
@@ -180,33 +184,27 @@ pub struct GridAmp {
     /// §4.4: the command-line transparency log, and what the daemon
     /// decided about each simulation beside it.
     ops_log: OpsLog,
-    /// Simulations this daemon currently holds leases on, with the held
-    /// epoch — rebuilt by the claim phase of every tick. Both work phases
-    /// step only owned simulations; in id order it is the step phase's
-    /// worklist.
+    /// The simulations this daemon holds leases on, with the held epoch,
+    /// rebuilt by every claim phase: in id order, the step phase's worklist.
     owned: BTreeMap<i64, i64>,
-    /// What the last step of each owned optimization simulation knew of its
-    /// partial results ([`PartialResults`]). Replaced or dropped after every
-    /// step of the simulation (the step that ends in DONE or HOLD leaves
-    /// nothing), dropped by the claim phase with a lease that is gone, never
-    /// written to the database: a daemon that remembers nothing fetches.
+    /// What the last step of each owned optimization knew of its partial
+    /// results ([`PartialResults`]): replaced or dropped by every step, dropped
+    /// with a lost lease, never written to the database.
     partial: HashMap<i64, PartialResults>,
-    /// Clock-skew fault injection: offset (simulated seconds) added to
-    /// this daemon's view of the clock for lease accounting. A daemon
-    /// running fast sees peers' leases expire early and attempts takeovers
-    /// the epoch fencing must absorb.
+    /// Clock-skew fault injection: seconds added to this daemon's clock for
+    /// lease accounting (a fast daemon attempts takeovers the fencing must
+    /// absorb).
     pub clock_skew_secs: i64,
-    /// Chaos-test instrumentation: invoked after the lease-claim phase and
-    /// before any work phase. A harness can park the daemon here —
-    /// simulating a GC-style stop-the-world pause — while peers take over
-    /// its leases, then let it resume into the fencing guards.
+    /// Chaos-test instrumentation, invoked between the claim phase and the
+    /// work phases: a harness can park the daemon here (a GC-style pause)
+    /// while peers take its leases over.
     pub pause_point: Option<Box<dyn FnMut() + Send>>,
-    /// Crash-test instrumentation inside the step phase: called at each
-    /// [`crate::workflow::StepPoint`] of every GRAM submission.
+    /// Crash-test instrumentation inside the step phase: called at every
+    /// [`StepPoint`], after each effect the applier performs.
     pub step_point: Option<Box<StepHook>>,
     /// The owned simulations that have been stepped without error since
     /// this process came to own them: the first such step reconciles the job
-    /// table with what the site accepted ([`StageCtx::reconcile`]).
+    /// table with what the site accepted ([`workflow::decide_reconcile`]).
     reconciled: HashSet<i64>,
 }
 
@@ -243,10 +241,8 @@ impl GridAmp {
         self.owned.keys().copied().collect()
     }
 
-    /// The operations log: every grid call with its Globus-CLI-equivalent
-    /// command line, failures highlighted (§4.4), and, in the order they
-    /// happened, every transition, transient retry, hold, lease takeover,
-    /// fence, reconciled submission and daemon error.
+    /// The operations log: every grid call as its Globus command line (§4.4)
+    /// and, in order beside them, what the daemon decided and what failed.
     pub fn ops_log(&self) -> &OpsLog {
         &self.ops_log
     }
@@ -331,13 +327,10 @@ impl GridAmp {
         let _ = lease::release(&self.conn, &self.config.daemon_id, sim_id);
     }
 
-    /// One daemon cycle, and the daemon's unit of durability: its writes
-    /// are logged and visible as they happen, and the log is flushed once,
-    /// at the end. Whatever a crash takes with it since the last tick's
-    /// end — lease renewals, job records, poll results, transitions,
-    /// charges, notifications — the next owner recomputes from what is
-    /// durable and from the site, which answers a submission's id with the
-    /// job it already has (DESIGN §9).
+    /// One daemon cycle, and the daemon's unit of durability: its writes are
+    /// visible as they happen and flushed once, at the end. What a crash
+    /// loses, the next owner recomputes from what is durable and from the
+    /// site (DESIGN §9).
     pub fn tick(&mut self, grid: &Grid) -> TickReport {
         let metrics = obs_metrics();
         let mut since = Instant::now();
@@ -350,13 +343,9 @@ impl GridAmp {
         }
         self.poll_phase(grid, &mut report);
         metrics.stage_poll.lap(&mut since);
-        let products = self.step_phase(grid);
+        self.step_phase(grid, &mut report);
         metrics.stage_step.lap(&mut since);
         let now = grid.now().as_secs() as i64;
-        for product in products {
-            self.apply_step_outcome(product, now, &mut report);
-        }
-        metrics.stage_apply.lap(&mut since);
         if let Err(e) = self.conn.flush() {
             report.daemon_errors.push(format!("tick flush: {e}"));
         }
@@ -373,33 +362,31 @@ impl GridAmp {
         report
     }
 
-    /// The poll phase's worklist: `(job id, owning simulation id)` of every
-    /// pending/active job record, in primary-key order. A single
-    /// `Op::In` projection: the planner unions the status-index postings
-    /// for both values, so the ever-growing job table is never scanned
-    /// and the result comes back already id-ordered. No row bodies are
-    /// cloned or decoded here — a job's row is fetched when its turn comes.
-    ///
-    /// The worklist is built through a read view pinning both the job and
-    /// simulation tables: the `(job, owning sim)` pairs are one coherent
-    /// snapshot — a multi-table transaction (e.g. cancel: sim + its jobs)
-    /// is either entirely visible to this tick or not at all. The view is
-    /// a lock-free MVCC pin: holding it never stalls a writer, no matter
-    /// how long the tick takes.
-    fn pending_job_ids(&self) -> Result<Vec<(i64, i64)>, DbError> {
-        let statuses = vec![
-            Value::from(JobStatus::Pending.as_str()),
-            Value::from(JobStatus::Active.as_str()),
-        ];
+    /// `(id, column)` of every row of `table` that `query` selects, in
+    /// primary-key order: one projection over the query's index postings (an
+    /// `Op::In` unions them), no row body decoded. It reads through a view
+    /// pinning both the job and the simulation tables, so that a transaction
+    /// over both is wholly visible to the tick or not at all; the pin is
+    /// lock-free and never stalls a writer.
+    fn project(
+        &self,
+        table: &str,
+        query: &Query,
+        column: &str,
+    ) -> Result<Vec<(i64, Value)>, DbError> {
         let view = self
             .conn
             .read_view(&[GridJobRecord::TABLE, Simulation::TABLE])?;
-        Ok(view
-            .select_project(
-                GridJobRecord::TABLE,
-                &Query::new().filter("status", Op::In(statuses), Value::Null),
-                "simulation_id",
-            )?
+        view.select_project(table, query, column)
+    }
+
+    /// The poll phase's worklist: `(job id, owning simulation id)` of every
+    /// pending or active job record.
+    fn pending_job_ids(&self) -> Result<Vec<(i64, i64)>, DbError> {
+        let statuses = [JobStatus::Pending, JobStatus::Active].map(|s| Value::from(s.as_str()));
+        let pending = Query::new().filter("status", Op::In(statuses.into()), Value::Null);
+        let owners = self.project(GridJobRecord::TABLE, &pending, "simulation_id")?;
+        Ok(owners
             .into_iter()
             .filter_map(|(job_id, owner)| match owner {
                 Value::Int(sim_id) => Some((job_id, sim_id)),
@@ -419,19 +406,11 @@ impl GridAmp {
         Query::new().filter("status", Op::In(statuses), Value::Null)
     }
 
-    /// The claim phase's worklist (what it leaves in `owned` is the step
-    /// phase's): `(id, app)` of every live simulation, in primary-key
-    /// order — the app rides along so lease rows carry per-application
-    /// ownership. The same single-`In`
-    /// projection over the status index and the same coherent
-    /// job+simulation read view as [`Self::pending_job_ids`]: no row body
-    /// is decoded.
+    /// The claim phase's worklist: `(id, app)` of every live simulation (the
+    /// app rides along so lease rows carry per-application ownership).
     fn live_sims(&self) -> Result<Vec<(i64, String)>, DbError> {
-        let view = self
-            .conn
-            .read_view(&[GridJobRecord::TABLE, Simulation::TABLE])?;
-        Ok(view
-            .select_project(Simulation::TABLE, &Self::live_query(), "app")?
+        let apps = self.project(Simulation::TABLE, &Self::live_query(), "app")?;
+        Ok(apps
             .into_iter()
             .filter_map(|(sim_id, app)| match app {
                 Value::Text(app) => Some((sim_id, app)),
@@ -468,11 +447,9 @@ impl GridAmp {
         }
     }
 
-    /// Poll one job's GRAM status — the §4.4 generic status update,
-    /// identical for all jobs "regardless of purpose or execution method".
-    /// A dirtied row is not saved here but pushed onto `phase.dirty`. A
-    /// failed poll is on the ops log with the line that repeats it: a
-    /// transient is retried next tick, any other error fails the job.
+    /// Poll one job's GRAM status, pushing a dirtied row onto `phase.dirty`.
+    /// A failed poll goes on the ops log: a transient is retried next tick,
+    /// any other error fails the job.
     fn poll_job(
         &mut self,
         grid: &Grid,
@@ -495,9 +472,9 @@ impl GridAmp {
             phase.poll_seconds.insert(job.site.clone(), series);
         }
         phase.poll_seconds[&job.site].observe_duration(elapsed);
-        let outcome = match status {
+        match &status {
             Ok(state) => {
-                let new_status = match &state {
+                let new_status = match state {
                     GramState::Pending => JobStatus::Pending,
                     GramState::Active => JobStatus::Active,
                     GramState::Done => JobStatus::Done,
@@ -523,201 +500,344 @@ impl GridAmp {
                 // Anticipated transient: administrators notified, the
                 // user-visible display annotated, processing retried.
                 job.detail = format!("transient: {e}");
-                OpOutcome::Transient(e.to_string())
             }
             Err(e) => {
                 job.status = JobStatus::Failed;
                 job.detail = e.to_string();
                 report.job_transitions += 1;
                 obs_metrics().job_transitions.inc();
-                OpOutcome::Failed(e.to_string())
             }
-        };
-        let command = gram_status_cmdline(&handle.0);
+        }
+        let line = OpsEvent::command(gram_status_cmdline(&handle.0), &status);
         let (at, sim_id) = (now.as_secs() as i64, Some(job.simulation_id));
-        self.ops_log
-            .record(at, sim_id, OpsEvent::Command { command, outcome });
+        self.ops_log.record(at, sim_id, line);
         phase.dirty.push(job);
     }
 
-    /// Phase 2, first pass: step every owned simulation's workflow, in
-    /// simulation-id order. The worklist is the claim phase's: a simulation
-    /// queued since has no lease yet, and one deleted since fails its row
-    /// read and is skipped. Returns the products, in the same order, for
-    /// [`Self::tick`] to apply.
-    fn step_phase(&mut self, grid: &Grid) -> Vec<StepProduct> {
+    /// Phase 2: step every owned simulation, in simulation-id order: decide
+    /// its step from reads only, then apply the decision before the next
+    /// simulation is read. The worklist is the claim phase's (a simulation
+    /// deleted since fails its row read and is skipped). A pending resume is
+    /// decided alone ([`workflow::decide_resume`]); the first step under this
+    /// process's ownership performs its reconciliation
+    /// ([`workflow::decide_reconcile`]) first, so that Listing 1 sees it.
+    fn step_phase(&mut self, grid: &Grid, report: &mut TickReport) {
         let worklist: Vec<(i64, i64)> = self.owned.iter().map(|(&id, &e)| (id, e)).collect();
-        let sims = self.sims();
-        worklist
-            .into_iter()
-            .filter_map(|(sim_id, epoch)| {
-                let sim = sims.get(sim_id).ok()?;
-                Some(self.step_sim(grid, sim, epoch))
-            })
-            .collect()
-    }
-
-    /// Run one freshly loaded simulation's workflow step, recording its grid
-    /// calls on the ops log, and persist the row if the step succeeded. This
-    /// is the save rule: a step that left the row exactly as it was loaded —
-    /// most ticks of a simulation waiting on the grid — commits nothing (no
-    /// WAL record, no table version bump), and a transition clears the
-    /// status message. The save waits for no flush: a lost transition is
-    /// re-derived by the next tick from the job records, and a lost job
-    /// record from the site, which answers the submission's id with the job
-    /// it already has. The one transition that carries a charge commits with
-    /// it ([`commit_results`]). A live row with `held_from` still set is an
-    /// administrator's resume: its step applies that and nothing else
-    /// ([`StageCtx::resume`]), ahead of any reconciliation, which would
-    /// otherwise give the job rows deleted during the hold back.
-    fn step_sim(&mut self, grid: &Grid, mut sim: Simulation, lease_epoch: i64) -> StepProduct {
-        let (from, loaded) = (sim.status, sim.clone());
-        let sim_id = sim.id.expect("stepped sims are persisted rows");
-        let (mut partial, mut charge) = (None, None);
-        let conn = &self.conn;
-        let outcome = owner_username(conn, &sim).and_then(|owner_username| {
-            let mut ctx = StageCtx {
-                grid,
-                conn,
-                config: &self.config,
-                cred: &self.cred,
-                sim: &mut sim,
-                owner_username,
-                ops: &mut self.ops_log,
-                lease_epoch,
-                remembered: self.partial.get(&sim_id),
-                learned: None,
-                charge: None,
-                step_point: self.step_point.as_deref(),
+        for (sim_id, epoch) in worklist {
+            let Ok(sim) = self.sims().get(sim_id) else {
+                continue;
             };
-            if ctx.sim.held_from.is_some() {
-                ctx.resume()?;
-                return Ok(None);
-            }
-            if !self.reconciled.contains(&sim_id) {
-                ctx.reconcile()?;
-            }
-            let next = step(&mut ctx)?;
-            (partial, charge) = (ctx.learned, ctx.charge.filter(|_| next.is_some()));
-            Ok(next)
-        });
-        let saved = outcome.as_ref().is_ok_and(|next| {
-            if next.is_some() {
-                sim.status_message.clear();
-            }
-            match charge {
-                Some(sus) => commit_results(conn, &mut sim, sus).is_ok(),
-                None => sim == loaded || self.sims().save(&sim).is_ok(),
-            }
-        });
-        StepProduct {
-            sim,
-            from,
-            outcome,
-            saved,
-            partial,
+            let decision = match (sim.held_from.is_some(), self.reconciled.contains(&sim_id)) {
+                (true, _) => self.deciding(grid, &sim, workflow::decide_resume),
+                (false, true) => self.decide(grid, &sim),
+                (false, false) => {
+                    let reconcile = self.deciding(grid, &sim, workflow::decide_reconcile);
+                    match self.perform(grid, &reconcile, epoch) {
+                        Ok(()) => self.decide(grid, &sim),
+                        Err(e) => Decision::new(&sim).failing(e),
+                    }
+                }
+            };
+            self.apply(grid, decision, epoch, report);
         }
     }
 
-    /// Phase 2, second pass: apply one simulation's step product — maintain
-    /// the transient streak, save and hold on failures, and send the
-    /// notifications — in simulation-id order, after every step of the
-    /// tick.
-    fn apply_step_outcome(&mut self, mut product: StepProduct, now: i64, report: &mut TickReport) {
-        let (sim, from) = (&mut product.sim, product.from);
-        let sim_id = sim.id.expect("saved sim");
-        match product.partial {
+    fn deciding(&self, grid: &Grid, sim: &Simulation, decide: fn(&View) -> Decision) -> Decision {
+        let remembered = self.partial.get(&sim.id.expect("saved sim"));
+        match View::new(grid, &self.conn, &self.config, &self.cred, sim, remembered) {
+            Ok(view) => decide(&view),
+            Err(e) => Decision::new(sim).failing(e),
+        }
+    }
+
+    /// Listing 1's decision for `sim` at the grid's instant, as the step
+    /// phase makes it (with what this daemon remembers), writing nothing.
+    pub fn decide(&self, grid: &Grid, sim: &Simulation) -> Decision {
+        self.deciding(grid, sim, workflow::decide)
+    }
+
+    /// Apply a decision under lease epoch `lease_epoch`: its effects in order
+    /// ([`Self::perform`]), one write of the simulation row
+    /// ([`Self::write_row`]), then the outcome: streak, ops-log lines,
+    /// notifications, mail, lease release. A failed step keeps what it had
+    /// decided of the row but not its move: it stays in its state (a resume
+    /// request included) with the transient's note, or is parked in HOLD. A
+    /// fenced or daemon-class failure writes nothing.
+    pub fn apply(&mut self, grid: &Grid, d: Decision, lease_epoch: i64, report: &mut TickReport) {
+        let result = self.perform(grid, &d, lease_epoch);
+        let (loaded, now) = (d.loaded, grid.now().as_secs() as i64);
+        let (sim_id, from) = (loaded.id.expect("saved sim"), loaded.status);
+        match d.learned.filter(|_| result.is_ok()) {
             Some(partial) => self.partial.insert(sim_id, partial),
             None => self.partial.remove(&sim_id),
         };
-        if product.outcome.is_ok() {
-            self.reconciled.insert(sim_id);
-        }
-        match product.outcome {
-            Ok(Some(next)) => {
-                self.transient_streak.remove(&sim_id);
-                if !product.saved {
-                    return;
-                }
-                report.transitions.push((sim_id, from, next));
-                amp_obs::counter(&amp_obs::labeled(
-                    "daemon_transitions_total",
-                    &[
-                        ("app", &sim.app),
-                        ("from", from.as_str()),
-                        ("to", next.as_str()),
-                    ],
-                ))
-                .inc();
-                let transition = OpsEvent::Transition { from, to: next };
-                self.ops_log.record(now, Some(sim_id), transition);
-                self.send_transition_mail(sim, from, next, now);
-                if next.is_terminal() {
-                    self.release_lease(sim_id);
-                }
+        let streak = match &result {
+            Err(WorkflowError::Transient(_)) => {
+                let streak = self.transient_streak.entry(sim_id).or_insert(0);
+                *streak += 1;
+                *streak
             }
-            Ok(None) => {
-                self.transient_streak.remove(&sim_id);
+            _ => 0,
+        };
+        let hold = match &result {
+            Err(WorkflowError::ModelFailure(why)) => Some(why.clone()),
+            Err(WorkflowError::Transient(why)) if streak > self.config.max_transient_retries => {
+                Some(format!("transient storm: {why}"))
             }
-            Err(WorkflowError::Transient(msg)) => {
+            _ => None,
+        };
+        let mut row = match (&result, hold) {
+            (Ok(()), _) => d.sim,
+            (_, Some(reason)) => Simulation {
+                status: SimStatus::Hold,
+                held_from: Some(from.as_str().to_string()),
+                status_message: reason,
+                ..d.sim
+            },
+            (Err(WorkflowError::Transient(note)), None) => Simulation {
+                status: from,
+                held_from: loaded.held_from.clone(),
+                status_message: note.clone(),
+                ..d.sim
+            },
+            (Err(_), None) => loaded.clone(),
+        };
+        let charge = d.charge.filter(|_| result.is_ok());
+        let written = self.write_row(&loaded, &mut row, charge);
+        let error = |e| report.daemon_errors.push(format!("sim {sim_id}: {e}"));
+        let written = written.map_err(error).is_ok();
+        let event = match result {
+            Ok(()) => {
+                self.reconciled.insert(sim_id);
+                self.transient_streak.remove(&sim_id);
+                None
+            }
+            Err(WorkflowError::Transient(message)) => {
                 report.transient_errors += 1;
-                let streak = {
-                    let s = self.transient_streak.entry(sim_id).or_insert(0);
-                    *s += 1;
-                    *s
-                };
                 obs_metrics().transient_retries.inc();
-                let message = msg.clone();
-                let transient = OpsEvent::Transient { streak, message };
-                self.ops_log.record(now, Some(sim_id), transient);
-                // Silent for users; a plain-text note on the status
-                // display and an admin notification on first sight.
-                sim.status_message = msg.clone();
-                let _ = self.sims().save(sim);
                 if streak == 1 {
-                    self.notify_admins(Some(sim_id), "transient grid failure", &msg, now);
+                    self.notify_admins(Some(sim_id), "transient grid failure", &message, now);
                 }
-                if streak > self.config.max_transient_retries {
-                    self.hold(sim, &format!("transient storm: {msg}"), now, report);
-                }
+                Some(OpsEvent::Transient { streak, message })
             }
             // The lease moved on mid-step: the row, its notes, its streak
-            // and any hold are the new owner's, so nothing is written here.
+            // and any hold are the new owner's.
             Err(WorkflowError::Fenced(message)) => {
                 report.transient_errors += 1;
-                let fence = OpsEvent::Fence { message };
-                self.ops_log.record(now, Some(sim_id), fence);
+                Some(OpsEvent::Fence { message })
             }
-            Err(WorkflowError::ModelFailure(msg)) => {
-                self.hold(sim, &msg, now, report);
-            }
+            Err(WorkflowError::ModelFailure(_)) => None,
             Err(WorkflowError::Daemon(msg)) => {
                 report.daemon_errors.push(format!("sim {sim_id}: {msg}"));
+                None
             }
+        };
+        if let Some(event) = event {
+            self.ops_log.record(now, Some(sim_id), event);
+        }
+        if written && row.status != from {
+            self.moved(&row, from, now, report);
         }
     }
 
-    /// Park a simulation in the hold state (§4.4 model-failure handling).
-    fn hold(&mut self, sim: &mut Simulation, msg: &str, now: i64, report: &mut TickReport) {
-        sim.held_from = Some(sim.status.as_str().to_string());
-        sim.status = SimStatus::Hold;
-        sim.status_message = msg.to_string();
-        if self.sims().save(sim).is_ok() {
+    /// Log the decision's reads, then perform its effects in order, each seen
+    /// by [`Self::step_point`]. A submission or release is fenced
+    /// ([`Self::check_fence`]); a job record is written under the fence again
+    /// ([`Self::record`]). The first failure ends the step.
+    fn perform(&mut self, grid: &Grid, d: &Decision, epoch: i64) -> Result<(), WorkflowError> {
+        let (sim, now) = (&d.sim, grid.now().as_secs() as i64);
+        let (sim_id, site) = (sim.id.expect("saved sim"), sim.system.as_str());
+        for read in &d.reads {
+            self.ops_log.record(now, Some(sim_id), read.clone());
+        }
+        if let Some(e) = &d.failed {
+            return Err(e.clone());
+        }
+        if d.effects.is_empty() {
+            return Ok(());
+        }
+        let no_view = || WorkflowError::Daemon("effects decided without a view".into());
+        let proxy = d.proxy.as_ref().ok_or_else(no_view)?;
+        let mut previous = None;
+        for effect in &d.effects {
+            match effect {
+                Effect::StageIn { path, content } => {
+                    let put = grid.ftp_put(site, proxy, path, content.clone().into_bytes());
+                    self.log_op(now, sim_id, ftp_cmdline(site, true, STAGING, path), put)?;
+                    self.at("staged_in", None);
+                }
+                Effect::Submit(sub) => {
+                    self.check_fence(sim_id, epoch)?;
+                    let mut spec = sub.spec.clone();
+                    spec.depends_on
+                        .extend(previous.take().filter(|_| sub.after_previous));
+                    let command = gram_submit_cmdline(site, &spec);
+                    let reply = grid.gram_submit_known(site, proxy, spec);
+                    let (handle, known) = self.log_op(now, sim_id, command, reply)?;
+                    obs_metrics().submissions[known as usize].inc();
+                    let mut rec = GridJobRecord {
+                        gram_handle: Some(handle.0.clone()),
+                        status: JobStatus::Pending,
+                        submitted_at: Some(now),
+                        ..sub.record.clone()
+                    };
+                    self.at("accepted", Some(&rec));
+                    self.record(epoch, &mut rec)?;
+                    self.at("recorded", Some(&rec));
+                    previous = Some(handle);
+                }
+                Effect::Reconcile(rec) => {
+                    let mut rec = rec.clone();
+                    self.record(epoch, &mut rec)?;
+                    obs_metrics().submissions[2].inc();
+                    let (purpose, run, continuation) = (rec.purpose, rec.ga_run, rec.continuation);
+                    let submission_id = submission_id(sim_id, &rec.app, purpose, run, continuation);
+                    let reconciled = OpsEvent::Reconciled { submission_id };
+                    self.ops_log.record(now, Some(sim_id), reconciled);
+                    self.at("recorded", Some(&rec));
+                }
+                Effect::Release(id) => {
+                    self.check_fence(sim_id, epoch)?;
+                    let released = grid.gram_release(site, proxy, id);
+                    self.log_op(now, sim_id, gram_release_cmdline(site, id), released)?;
+                    self.at("released", None);
+                }
+                Effect::Remove(tree) => {
+                    let removed = grid.ftp_remove(site, proxy, tree);
+                    self.log_op(now, sim_id, ftp_remove_cmdline(site, tree), removed)?;
+                    self.at("removed", None);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The one write of a step's simulation row, saved unless it is the row as
+    /// loaded. A charge commits in one transaction with it, the allocation
+    /// read inside: no torn write separates the charge from its state, a
+    /// failed step has charged nothing, and a peer charging the same
+    /// allocation waits its turn.
+    fn write_row(
+        &self,
+        loaded: &Simulation,
+        sim: &mut Simulation,
+        charge: Option<f64>,
+    ) -> Result<(), DbError> {
+        let tables = [Allocation::TABLE, Star::TABLE, Simulation::TABLE];
+        match charge {
+            None if sim == loaded => return Ok(()),
+            None => self.sims().save(sim)?,
+            Some(sus) => self.conn.transaction(&tables, |tx| {
+                let alloc_id = sim.allocation_id;
+                let mut alloc =
+                    Allocation::from_row(alloc_id, &tx.get(Allocation::TABLE, alloc_id)?)?;
+                if alloc.charge(sus).is_err() {
+                    // Over-spend is an administrative problem, not a reason
+                    // to withhold the user's results.
+                    let account = &alloc.account;
+                    sim.status_message =
+                        format!("allocation {account} exhausted while charging {sus:.0} SUs");
+                    alloc.su_used = alloc.su_granted;
+                }
+                let su_used = [("su_used", alloc.su_used.into())];
+                tx.update(Allocation::TABLE, alloc_id, &su_used)?;
+                if !Star::from_row(sim.star_id, &tx.get(Star::TABLE, sim.star_id)?)?.has_results {
+                    tx.update(Star::TABLE, sim.star_id, &[("has_results", true.into())])?;
+                }
+                tx.update(Simulation::TABLE, sim.id.expect("saved"), &sim.to_values())
+            })?,
+        }
+        self.at("written", None);
+        Ok(())
+    }
+
+    fn at(&self, kind: &'static str, job: Option<&GridJobRecord>) {
+        if let Some(hook) = &self.step_point {
+            hook(StepPoint { kind, job });
+        }
+    }
+
+    /// Put a grid call's §4.4 line on the ops log: its command line and how
+    /// the call ended.
+    fn log_op<T>(
+        &mut self,
+        at: i64,
+        sim_id: i64,
+        command: String,
+        result: Result<T, GridError>,
+    ) -> Result<T, WorkflowError> {
+        let line = OpsEvent::command(command, &result);
+        self.ops_log.record(at, Some(sim_id), line);
+        Ok(result?)
+    }
+
+    /// The fencing-epoch guard: unless `lease` is the one the step runs
+    /// under, the step backs out; the simulation is its new owner's.
+    fn fence(&self, lease: Option<Lease>, epoch: i64) -> Result<(), WorkflowError> {
+        let ours = |l: &Lease| l.daemon_id == self.config.daemon_id && l.epoch == epoch;
+        if lease.as_ref().is_some_and(ours) {
+            return Ok(());
+        }
+        obs_metrics().lease_fences.inc();
+        let holder = lease.map(|l| format!("{} at epoch {}", l.daemon_id, l.epoch));
+        let holder = holder.unwrap_or("nobody".into());
+        let moved = format!("lease moved to {holder} (we held epoch {epoch})");
+        Err(WorkflowError::Fenced(moved))
+    }
+
+    /// Re-read the lease row just before a GRAM call that changes the site: a
+    /// daemon paused past its lease finds the epoch moved and backs out.
+    fn check_fence(&self, sim_id: i64, epoch: i64) -> Result<(), WorkflowError> {
+        self.fence(lease::current(&self.conn, sim_id)?, epoch)
+    }
+
+    /// Write a job record in one transaction with a re-read of the lease: a
+    /// peer's takeover (a compare-and-swap on that row) lands wholly before
+    /// it, and nothing is written, or wholly after. A daemon stalled between
+    /// the site's acceptance and this write leaves the job to the new owner,
+    /// which asks the site for it again or reconciles it.
+    fn record(&self, epoch: i64, rec: &mut GridJobRecord) -> Result<(), WorkflowError> {
+        let values = rec.to_values();
+        let of_sim = Query::new().eq("simulation_id", rec.simulation_id);
+        let tables = [Lease::TABLE, GridJobRecord::TABLE];
+        let inserted = self.conn.transaction(&tables, |tx| {
+            let leases = tx.select(Lease::TABLE, &of_sim)?;
+            let lease = leases.first().map(|(id, row)| Lease::from_row(*id, row));
+            Ok(match self.fence(lease.transpose()?, epoch) {
+                Ok(()) => Ok(tx.insert(GridJobRecord::TABLE, &values)?),
+                Err(fenced) => Err(fenced),
+            })
+        })?;
+        rec.set_id(inserted?);
+        Ok(())
+    }
+
+    /// The outcome of a row written in a new state: a transition, or a
+    /// simulation parked in HOLD (§4.4 model-failure handling).
+    fn moved(&mut self, sim: &Simulation, from: SimStatus, now: i64, report: &mut TickReport) {
+        let (sim_id, to) = (sim.id.expect("saved sim"), sim.status);
+        if to == SimStatus::Hold {
             report.new_holds += 1;
-            let sim_id = sim.id.expect("saved");
             obs_metrics().holds.inc();
-            let reason = msg.to_string();
-            self.ops_log
-                .record(now, Some(sim_id), OpsEvent::Hold { reason });
+            let (reason, id) = (sim.status_message.clone(), Some(sim_id));
+            self.ops_log.record(now, id, OpsEvent::Hold { reason });
             self.transient_streak.remove(&sim_id);
             self.release_lease(sim_id);
-            self.notify_user(
-                sim,
-                "simulation needs attention",
-                "Your simulation hit a processing problem; AMP staff are investigating.",
-                now,
-            );
-            self.notify_admins(Some(sim_id), "model failure (HOLD)", msg, now);
+            let why = "Your simulation hit a processing problem; AMP staff are investigating.";
+            self.notify_user(sim, "simulation needs attention", why, now);
+            let reason = &sim.status_message;
+            self.notify_admins(Some(sim_id), "model failure (HOLD)", reason, now);
+            return;
+        }
+        report.transitions.push((sim_id, from, to));
+        let (app, was, is) = (sim.app.as_str(), from.as_str(), to.as_str());
+        let labels = [("app", app), ("from", was), ("to", is)];
+        amp_obs::counter(&amp_obs::labeled("daemon_transitions_total", &labels)).inc();
+        let moved = OpsEvent::Transition { from, to };
+        self.ops_log.record(now, Some(sim_id), moved);
+        self.send_transition_mail(sim, from, to, now);
+        if to.is_terminal() {
+            self.release_lease(sim_id);
         }
     }
 
@@ -749,15 +869,10 @@ impl GridAmp {
         }
     }
 
-    /// Convenience driver: tick, advance simulated time by the poll
-    /// interval, repeat — until every simulation is terminal (DONE or
-    /// HOLD) or `max_sim_hours` of simulated time elapse. Returns the
-    /// number of ticks executed.
-    ///
-    /// With `poll_interval_secs == 0` the simulated clock never moves, so
-    /// the deadline alone cannot terminate the loop; a no-progress bailout
-    /// (no clock motion and a tick that changed nothing, many times in a
-    /// row) guards against spinning forever on a stuck campaign.
+    /// Convenience driver: tick and advance the clock by the poll interval
+    /// until every simulation is DONE or HOLD or `max_sim_hours` pass;
+    /// returns the ticks. A frozen clock (`poll_interval_secs == 0`) ends
+    /// after many ticks in a row that changed nothing.
     pub fn run_until_settled(&mut self, grid: &Grid, max_sim_hours: f64) -> usize {
         const MAX_STALLED_TICKS: usize = 1000;
         let deadline = grid.now() + SimDuration::from_hours(max_sim_hours);

@@ -12,17 +12,14 @@
 
 use amp_core::status::{JobPurpose, JobStatus};
 use amp_core::SimPayload;
+use amp_grid::{GramService, GridError};
 
 use crate::apps::files;
 use crate::error::WorkflowError;
-use crate::workflow::StageCtx;
+use crate::workflow::{submit, After, Decision, Effect, View};
 
-fn params_of(ctx: &StageCtx<'_>) -> Result<serde_json::Value, WorkflowError> {
-    match ctx
-        .sim
-        .payload()
-        .map_err(|e| WorkflowError::ModelFailure(e.to_string()))?
-    {
+fn params_of(view: &View) -> Result<serde_json::Value, WorkflowError> {
+    match view.payload()? {
         SimPayload::Direct { params } => Ok(params),
         _ => Err(WorkflowError::Daemon(
             "direct workflow on non-direct simulation".into(),
@@ -31,46 +28,45 @@ fn params_of(ctx: &StageCtx<'_>) -> Result<serde_json::Value, WorkflowError> {
 }
 
 /// Stage the parameter file and submit the model job.
-pub fn submit_work(ctx: &mut StageCtx<'_>) -> Result<bool, WorkflowError> {
-    if !ctx.jobs_of(JobPurpose::Work)?.is_empty() {
+pub fn submit_work(view: &View, d: &mut Decision) -> Result<bool, WorkflowError> {
+    if !view.jobs_of(JobPurpose::Work)?.is_empty() {
         return Ok(true); // already submitted (retried transition)
     }
-    let app = ctx.app()?;
-    let params = params_of(ctx)?;
+    let app = view.app()?;
     let input = app
-        .model_input(&params)
+        .model_input(&params_of(view)?)
         .map_err(WorkflowError::ModelFailure)?;
-    let workdir = format!("{}/direct", ctx.workdir());
-    ctx.stage_in(&format!("{workdir}/{}", files::PARAMS_IN), input)?;
-    ctx.submit_batch(
-        JobPurpose::Work,
-        -1,
-        0,
+    let workdir = format!("{}/direct", view.workdir());
+    let (path, content) = (format!("{workdir}/{}", files::PARAMS_IN), input);
+    d.effects.push(Effect::StageIn { path, content });
+    let cores = app.resources().model_cores;
+    let spec = view.job(
+        GramService::Batch,
         &app.model_path(),
         vec![],
-        app.resources().model_cores,
+        cores,
         workdir,
-        vec![],
-    )?;
+    );
+    submit(view, d, (JobPurpose::Work, -1, 0), spec, After::Nothing)?;
     Ok(true)
 }
 
 /// Wait for the model job; failure is a model failure.
-pub fn check_work(ctx: &mut StageCtx<'_>) -> Result<bool, WorkflowError> {
-    let Some(job) = ctx.jobs_of(JobPurpose::Work)?.into_iter().next() else {
+pub fn check_work(view: &View, d: &mut Decision) -> Result<bool, WorkflowError> {
+    let Some(job) = view.jobs_of(JobPurpose::Work)?.into_iter().next() else {
         // No job on record (e.g. an administrator deleted a failed one
         // while the simulation was held): resubmit and keep waiting.
-        submit_work(ctx)?;
+        submit_work(view, d)?;
         return Ok(false);
     };
     match job.status {
         JobStatus::Done => {
-            ctx.sim.progress = 1.0;
+            d.sim.progress = 1.0;
             Ok(true)
         }
         JobStatus::Failed => Err(WorkflowError::ModelFailure(job.detail)),
         JobStatus::Active => {
-            ctx.sim.progress = 0.5;
+            d.sim.progress = 0.5;
             Ok(false)
         }
         _ => Ok(false),
@@ -80,12 +76,12 @@ pub fn check_work(ctx: &mut StageCtx<'_>) -> Result<bool, WorkflowError> {
 /// Pull the consolidated tar and extract the model output. The artifact is
 /// stored verbatim — the engine validates it through the app but never
 /// re-serializes it, so results are byte-identical to what the model wrote.
-pub fn postprocess(ctx: &mut StageCtx<'_>) -> Result<bool, WorkflowError> {
-    let app = ctx.app()?;
-    let tar = ctx.stage_out(&format!("{}/{}", ctx.workdir(), files::RESULTS_TAR))?;
+pub fn postprocess(view: &View, d: &mut Decision) -> Result<bool, WorkflowError> {
+    let app = view.app()?;
+    let tar = results_tar(view, d)?;
     let entries = amp_grid::SiteFs::untar(&tar)
         .map_err(|e| WorkflowError::ModelFailure(format!("corrupt results tar: {e}")))?;
-    let out_path = format!("{}/direct/{}", ctx.workdir(), files::MODEL_OUT);
+    let out_path = format!("{}/direct/{}", view.workdir(), files::MODEL_OUT);
     let data = entries
         .iter()
         .find(|(p, _)| *p == out_path)
@@ -97,6 +93,17 @@ pub fn postprocess(ctx: &mut StageCtx<'_>) -> Result<bool, WorkflowError> {
         })?;
     app.check_model_output(data)
         .map_err(|e| WorkflowError::ModelFailure(format!("result failed to parse: {e}")))?;
-    ctx.sim.result_json = Some(String::from_utf8_lossy(data).into_owned());
+    d.sim.result_json = Some(String::from_utf8_lossy(data).into_owned());
     Ok(true)
+}
+
+/// The post-job's consolidated tar, which must exist.
+pub(crate) fn results_tar(view: &View, d: &mut Decision) -> Result<Vec<u8>, WorkflowError> {
+    let path = format!("{}/{}", view.workdir(), files::RESULTS_TAR);
+    let site = view.sim.system.clone();
+    let missing = GridError::NoSuchFile {
+        site,
+        path: path.clone(),
+    };
+    view.get(&path, d)?.ok_or_else(|| missing.into())
 }

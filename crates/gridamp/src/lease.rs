@@ -23,9 +23,9 @@
 //!
 //! The epoch is a fencing token. A daemon that pauses (GC-style) past its
 //! lease expiry and then resumes still *believes* it owns its simulations;
-//! before any GRAM submission the workflow re-reads the lease row
-//! ([`crate::workflow::StageCtx`]) and refuses to submit when the epoch has
-//! moved — so the new owner and the stale one can never both submit.
+//! before any GRAM submission the daemon's applier re-reads the lease row
+//! ([`crate::daemon`]) and refuses to submit when the epoch has moved — so
+//! the new owner and the stale one can never both submit.
 
 use amp_core::models::Lease;
 use amp_simdb::orm::{Manager, Model};

@@ -6,22 +6,20 @@
 //! GridFTP client calls, and writes statuses back — never talking to the
 //! web portal directly (Figure 2).
 //!
-//! * [`workflow`] — the Listing-1 state machine (state → checks → next)
-//!   plus the base-class stages shared by both job types;
+//! * [`workflow`] — the Listing-1 state machine (state → checks → next),
+//!   whose stages read a [`View`] and return a [`Decision`];
 //! * [`direct`] / [`optimize`] — the two small derived workflows (job
 //!   definitions + postprocessing only, as the paper prescribes);
 //! * [`apps`] — the remote executables (pre/post/cleanup scripts, the
 //!   ASTEC forward model, the MPIKAIA GA with restart files);
 //! * [`problem`] — the GA↔stellar-model fitness coupling;
-//! * [`daemon`] — the poll loop, failure taxonomy (transient / model /
-//!   daemon), hold-and-resume, notifications, heartbeat monitor;
+//! * [`daemon`] — the tick, the one applier of decisions, the failure
+//!   taxonomy, hold-and-resume, notifications, heartbeat monitor;
 //! * [`error`] — that taxonomy as [`WorkflowError`], plus the fenced step;
-//! * [`clilog`] — the daemon's §4.4 operations log: every grid call as its
-//!   copy-pasteable Globus command line, and beside it every transition,
-//!   retry, hold, lease takeover, fence and reconciliation;
-//! * [`lease`] — the multi-daemon lease protocol: CAS claim/renew/
-//!   takeover with fencing epochs, so several daemons share one database
-//!   without ever double-driving a simulation;
+//! * [`clilog`] — the §4.4 operations log: every grid call as its Globus
+//!   command line, and beside it what the daemon decided;
+//! * [`lease`] — the multi-daemon lease protocol: CAS claim/renew/takeover
+//!   with fencing epochs;
 //! * [`gantt`] — the §6 queue-wait analysis tool;
 //! * [`advisor`] — the §2 deployment decision: which system to run on;
 //! * [`setup`] — deployment wiring for tests, examples, and benches.
@@ -44,14 +42,14 @@ pub mod workflow;
 pub use advisor::{assess, recommend, Assessment};
 pub use apps::GaRunResult;
 pub use clilog::{OpOutcome, OpsEntry, OpsEvent, OpsLog};
-pub use daemon::{DaemonMonitor, GridAmp, TickReport};
+pub use daemon::{DaemonMonitor, GridAmp, StepPoint, TickReport};
 pub use error::WorkflowError;
 pub use gantt::{chart_for, render_ascii, stats, GanttChart, GanttRow, WaitRunStats};
 pub use lease::ClaimOutcome;
 pub use optimize::OptimizationResult;
 pub use problem::StellarFitProblem;
 pub use setup::{deploy, seed_curvefit_fixtures, seed_fixtures, small_spec, Deployment};
-pub use workflow::{workflow_table, DaemonConfig, StageCtx, StepPoint};
+pub use workflow::{workflow_table, DaemonConfig, Decision, Effect, View};
 
 #[cfg(test)]
 mod end_to_end {
@@ -320,12 +318,13 @@ mod end_to_end {
             })
             .collect();
         assert!(!commands.is_empty());
-        // every command entry is a pasteable Globus CLI line
+        // every command entry is a pasteable Globus (or GridFTP client) line
         for (command, _) in &commands {
             assert!(
                 command.starts_with("globusrun")
                     || command.starts_with("globus-url-copy")
-                    || command.starts_with("globus-job-status"),
+                    || command.starts_with("globus-job-status")
+                    || command.starts_with("uberftp kraken \"rm -r amp/sim"),
                 "{command}"
             );
         }

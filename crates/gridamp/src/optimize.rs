@@ -14,19 +14,18 @@
 //!
 //! [`ScienceApp`]: amp_core::app::ScienceApp
 
-use amp_core::models::Observation;
+use amp_core::app::ScienceApp;
 use amp_core::status::{JobPurpose, JobStatus};
 use amp_core::OptimizationSpec;
 use amp_core::SimPayload;
 use amp_ga::Checkpoint;
-use amp_grid::{GramJobHandle, GridError, SiteFs};
-use amp_simdb::orm::Manager;
+use amp_grid::{GramService, SiteFs};
 use amp_stellar::ModelOutput;
 use serde::{Deserialize, Serialize};
 
 use crate::apps::{files, GaRunResult};
 use crate::error::WorkflowError;
-use crate::workflow::StageCtx;
+use crate::workflow::{reconcile, submit, After, Decision, Effect, View};
 
 /// The stellar final payload shape (kept for typed access by existing
 /// consumers; the engine itself assembles `result_json` by raw splice and
@@ -61,12 +60,10 @@ impl RunState {
 }
 
 /// A simulation's partial results as the daemon remembers them between
-/// ticks: every GA run's [`RunState`], and the job chain they were read
-/// under. A run's `restart.json` and `final.json` are written only when one
-/// of its jobs ends, so while no Work job is added, removed or turns
-/// terminal the files say what they said, and [`check_work`] answers from
-/// here without a GridFTP call. Never stored in the database: a daemon that
-/// remembers nothing fetches.
+/// ticks: every GA run's [`RunState`] and the job chain they were read
+/// under. A run's files change only when one of its jobs ends, so while the
+/// chain is the same [`check_work`] answers from here without a GridFTP
+/// call. Never stored in the database.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PartialResults {
     /// `(job id, terminal?)` of every Work job, in `jobs_of` order.
@@ -89,12 +86,8 @@ fn partial_results_counters() -> &'static (amp_obs::Counter, amp_obs::Counter) {
     COUNTERS.get_or_init(|| (outcome("fetched"), outcome("remembered")))
 }
 
-fn spec_of(ctx: &StageCtx<'_>) -> Result<(OptimizationSpec, i64), WorkflowError> {
-    match ctx
-        .sim
-        .payload()
-        .map_err(|e| WorkflowError::ModelFailure(e.to_string()))?
-    {
+fn spec_of(view: &View) -> Result<(OptimizationSpec, i64), WorkflowError> {
+    match view.payload()? {
         SimPayload::Optimization {
             spec,
             observation_id,
@@ -105,107 +98,82 @@ fn spec_of(ctx: &StageCtx<'_>) -> Result<(OptimizationSpec, i64), WorkflowError>
     }
 }
 
-fn run_dir(ctx: &StageCtx<'_>, run: u32) -> String {
-    format!("{}/run{run}", ctx.workdir())
+fn run_dir(view: &View, run: u32) -> String {
+    format!("{}/run{run}", view.workdir())
 }
 
-fn ga_args(spec: &OptimizationSpec, run: u32) -> Vec<String> {
-    vec![
+/// Decide continuation `c` of GA run `r`, waiting for `after`.
+fn submit_ga(
+    view: &View,
+    d: &mut Decision,
+    app: &dyn ScienceApp,
+    spec: &OptimizationSpec,
+    (r, c): (u32, i64),
+    after: After,
+) -> Result<After, WorkflowError> {
+    let args = vec![
         spec.population.to_string(),
         spec.generations.to_string(),
-        (spec.seed + run as u64).to_string(),
-    ]
+        (spec.seed + r as u64).to_string(),
+    ];
+    let (cores, dir) = (spec.cores_per_run, run_dir(view, r));
+    let job = view.job(GramService::Batch, &app.ga_path(), args, cores, dir);
+    submit(view, d, (JobPurpose::Work, r as i64, c), job, after)
 }
 
 /// Expected jobs per GA run when chaining (§6): total GA time over the
 /// per-job walltime budget, plus one for safety.
-fn chain_length(ctx: &StageCtx<'_>, spec: &OptimizationSpec) -> i64 {
-    let bench = ctx
-        .grid
-        .site(&ctx.sim.system)
-        .map(|s| s.profile.model_benchmark_minutes)
-        .unwrap_or(20.0);
+fn chain_length(view: &View, spec: &OptimizationSpec) -> i64 {
+    let bench = view.profile(|p| p.model_benchmark_minutes).unwrap_or(20.0);
     let total_minutes = bench * (spec.generations as f64 + 1.0) * 1.1;
-    let budget = ctx.config.work_walltime_hours * 60.0 * 0.97;
+    let budget = view.config.work_walltime_hours * 60.0 * 0.97;
     (total_minutes / budget).ceil() as i64 + 1
 }
 
-/// Fetch a remote file, mapping "no such file" to `None` (an expected
-/// outcome while a run has not converged) and transients to retry.
-fn try_stage_out(ctx: &mut StageCtx<'_>, path: &str) -> Result<Option<Vec<u8>>, WorkflowError> {
-    let proxy = ctx.proxy();
-    match ctx.grid.ftp_get(&ctx.sim.system, &proxy, path) {
-        Ok((data, _)) => Ok(Some(data)),
-        Err(GridError::NoSuchFile { .. }) => Ok(None),
-        Err(e) => Err(e.into()),
-    }
-}
-
 /// Stage observations and launch the ensemble (one chain per GA run). A
-/// retry — after a step that failed or crashed part of the way through the
-/// runs — submits the ones still missing: `submit_batch` is idempotent per
-/// job, where "some Work job exists" would leave the rest unsubmitted.
-pub fn submit_work(ctx: &mut StageCtx<'_>) -> Result<bool, WorkflowError> {
-    let app = ctx.app()?;
-    let (spec, observation_id) = spec_of(ctx)?;
-    let observations = Manager::<Observation>::new(ctx.conn.clone());
-    let obs_rec = observations.get(observation_id)?;
+/// retry after a crash part of the way through submits the ones still
+/// missing: [`submit`] skips a recorded key, where "some Work job exists"
+/// would skip them all.
+pub fn submit_work(view: &View, d: &mut Decision) -> Result<bool, WorkflowError> {
+    let app = view.app()?;
+    let (spec, observation_id) = spec_of(view)?;
+    let obs_rec = view.observation(observation_id)?;
     let obs_text = app
         .observation_input(&obs_rec.data_json)
         .map_err(WorkflowError::ModelFailure)?;
-
+    // §6: with chaining, submit the whole continuation chain up-front with
+    // scheduler dependencies so the queue waits overlap.
+    let links = match view.config.job_chaining {
+        true => chain_length(view, &spec),
+        false => 1,
+    };
     for r in 0..spec.ga_runs {
-        let dir = run_dir(ctx, r);
-        ctx.stage_in(&format!("{dir}/{}", files::OBS_IN), obs_text.clone())?;
-        if ctx.config.job_chaining {
-            // §6: submit the whole continuation chain up-front with
-            // scheduler dependencies so the queue waits overlap.
-            let k = chain_length(ctx, &spec);
-            let mut prev: Option<GramJobHandle> = None;
-            for c in 0..k {
-                let deps = prev.iter().cloned().collect();
-                let rec = ctx.submit_batch(
-                    JobPurpose::Work,
-                    r as i64,
-                    c,
-                    &app.ga_path(),
-                    ga_args(&spec, r),
-                    spec.cores_per_run,
-                    dir.clone(),
-                    deps,
-                )?;
-                prev = rec.gram_handle.clone().map(GramJobHandle);
-            }
-        } else {
-            ctx.submit_batch(
-                JobPurpose::Work,
-                r as i64,
-                0,
-                &app.ga_path(),
-                ga_args(&spec, r),
-                spec.cores_per_run,
-                dir.clone(),
-                vec![],
-            )?;
+        let (path, content) = (
+            format!("{}/{}", run_dir(view, r), files::OBS_IN),
+            obs_text.clone(),
+        );
+        d.effects.push(Effect::StageIn { path, content });
+        let mut after = After::Nothing;
+        for c in 0..links {
+            after = submit_ga(view, d, app.as_ref(), &spec, (r, c), after)?;
         }
     }
     Ok(true)
 }
 
 /// Interpret partial results, submit continuations, and run the solution
-/// evaluation once every GA run has converged.
-///
-/// The remote files are read only when `ctx.remembered` is missing or was
-/// taken under another job chain than the rows just loaded show; what this
-/// pass knows is left in `ctx.learned` unless it failed or submitted a
-/// continuation itself, so the pass after either looks afresh.
-pub fn check_work(ctx: &mut StageCtx<'_>) -> Result<bool, WorkflowError> {
-    let app = ctx.app()?;
-    let (spec, _) = spec_of(ctx)?;
-    let work = ctx.jobs_of(JobPurpose::Work)?;
+/// evaluation once every GA run has converged. The remote files are read
+/// only when `view.remembered` is missing or was taken under another job
+/// chain; what this pass knows goes into `d.learned` unless it submits a
+/// continuation. A failed read fails the whole decision: nothing is
+/// submitted.
+pub fn check_work(view: &View, d: &mut Decision) -> Result<bool, WorkflowError> {
+    let app = view.app()?;
+    let (spec, _) = spec_of(view)?;
+    let work = view.jobs_of(JobPurpose::Work)?;
     if work.is_empty() {
         // Records wiped during an administrator hold-fix: resubmit.
-        submit_work(ctx)?;
+        submit_work(view, d)?;
         return Ok(false);
     }
 
@@ -213,7 +181,7 @@ pub fn check_work(ctx: &mut StageCtx<'_>) -> Result<bool, WorkflowError> {
         .iter()
         .map(|j| (j.id.expect("selected job has id"), j.status.is_terminal()))
         .collect();
-    let remembered = ctx
+    let remembered = view
         .remembered
         .filter(|m| m.chain == chain && m.runs.len() == spec.ga_runs as usize);
     let (fetched_total, remembered_total) = partial_results_counters();
@@ -235,10 +203,10 @@ pub fn check_work(ctx: &mut StageCtx<'_>) -> Result<bool, WorkflowError> {
         };
 
         // Converged as soon as a final.json exists remotely.
-        let dir = run_dir(ctx, r);
+        let dir = run_dir(view, r);
         let converged = match known {
             Some(state) => state == RunState::Converged,
-            None => try_stage_out(ctx, &format!("{dir}/{}", files::FINAL))?.is_some(),
+            None => view.get(&format!("{dir}/{}", files::FINAL), d)?.is_some(),
         };
         if converged {
             runs.push(RunState::Converged);
@@ -257,29 +225,21 @@ pub fn check_work(ctx: &mut StageCtx<'_>) -> Result<bool, WorkflowError> {
         // Partial progress from the last *finished* continuation.
         let progress = match known {
             Some(RunState::Unfinished { progress }) => progress,
-            _ => run_progress(ctx, &dir)?,
+            _ => run_progress(view, d, &dir)?,
         };
         runs.push(RunState::Unfinished { progress });
         if run_jobs.iter().all(|j| j.status.is_terminal()) {
             // Chain exhausted without convergence: extend it.
-            ctx.submit_batch(
-                JobPurpose::Work,
-                r as i64,
-                last.continuation + 1,
-                &app.ga_path(),
-                ga_args(&spec, r),
-                spec.cores_per_run,
-                dir,
-                vec![],
-            )?;
+            let next = (r, last.continuation + 1);
+            submit_ga(view, d, app.as_ref(), &spec, next, After::Nothing)?;
             submitted = true;
         }
     }
     let progress_sum: f64 = runs.iter().map(|run| run.progress()).sum();
-    ctx.sim.progress = (progress_sum / spec.ga_runs as f64).clamp(0.0, 0.99);
+    d.sim.progress = (progress_sum / spec.ga_runs as f64).clamp(0.0, 0.99);
 
     if !submitted {
-        ctx.learned = Some(PartialResults { chain, runs });
+        d.learned = Some(PartialResults { chain, runs });
     }
     if !all_converged {
         return Ok(false);
@@ -287,32 +247,36 @@ pub fn check_work(ctx: &mut StageCtx<'_>) -> Result<bool, WorkflowError> {
 
     // Solution evaluation (§2: "the best solution is evaluated using the
     // forward model to produce detailed output").
-    let solution = ctx.jobs_of(JobPurpose::SolutionEvaluation)?;
+    let solution = view.jobs_of(JobPurpose::SolutionEvaluation)?;
     match solution.first().map(|j| j.status) {
         None => {
-            let best_raw = best_of_ensemble(ctx, &spec)?;
-            let input = ctx
-                .app()?
+            let best_raw = best_of_ensemble(view, d, &spec)?;
+            let input = app
                 .solution_input(&best_raw)
                 .map_err(WorkflowError::ModelFailure)?;
-            let dir = format!("{}/solution", ctx.workdir());
-            ctx.stage_in(&format!("{dir}/{}", files::PARAMS_IN), input)?;
-            ctx.submit_batch(
-                JobPurpose::SolutionEvaluation,
-                -1,
-                0,
-                &app.model_path(),
-                vec![],
-                app.resources().model_cores,
-                dir,
-                vec![],
+            let dir = format!("{}/solution", view.workdir());
+            let (path, content) = (format!("{dir}/{}", files::PARAMS_IN), input);
+            d.effects.push(Effect::StageIn { path, content });
+            let cores = app.resources().model_cores;
+            let job = view.job(GramService::Batch, &app.model_path(), vec![], cores, dir);
+            submit(
+                view,
+                d,
+                (JobPurpose::SolutionEvaluation, -1, 0),
+                job,
+                After::Nothing,
             )?;
             Ok(false)
         }
         // No later step asks for a continuation whose replies were all lost
         // until its run converged: record what the site accepted before the
-        // simulation leaves its chains, so that its hours are charged.
-        Some(JobStatus::Done) => ctx.reconcile().map(|()| true),
+        // simulation leaves its chains, so that its hours are charged. Only
+        // the chains' own jobs: the post-job submission decided next reads
+        // its own key, and a repeat of it is answered by the site.
+        Some(JobStatus::Done) => {
+            let chains = |p| matches!(p, JobPurpose::Work | JobPurpose::SolutionEvaluation);
+            reconcile(view, d, chains).map(|()| true)
+        }
         Some(JobStatus::Failed) => Err(WorkflowError::ModelFailure(format!(
             "solution evaluation failed: {}",
             solution[0].detail
@@ -322,9 +286,9 @@ pub fn check_work(ctx: &mut StageCtx<'_>) -> Result<bool, WorkflowError> {
 }
 
 /// Progress of one GA run from its last staged-out restart file.
-fn run_progress(ctx: &mut StageCtx<'_>, dir: &str) -> Result<f64, WorkflowError> {
+fn run_progress(view: &View, d: &mut Decision, dir: &str) -> Result<f64, WorkflowError> {
     let restart_path = format!("{dir}/{}", files::RESTART);
-    match try_stage_out(ctx, &restart_path)? {
+    match view.get(&restart_path, d)? {
         None => Ok(0.0), // nothing staged out yet
         Some(raw) => {
             let text = String::from_utf8_lossy(&raw);
@@ -340,14 +304,16 @@ fn run_progress(ctx: &mut StageCtx<'_>, dir: &str) -> Result<f64, WorkflowError>
 /// wins ties, matching the original typed comparison). Returns the raw
 /// artifact bytes for verbatim solution staging.
 fn best_of_ensemble(
-    ctx: &mut StageCtx<'_>,
+    view: &View,
+    d: &mut Decision,
     spec: &OptimizationSpec,
 ) -> Result<Vec<u8>, WorkflowError> {
-    let app = ctx.app()?;
+    let app = view.app()?;
     let mut best: Option<(f64, Vec<u8>)> = None;
     for r in 0..spec.ga_runs {
-        let path = format!("{}/{}", run_dir(ctx, r), files::FINAL);
-        let data = try_stage_out(ctx, &path)?
+        let path = format!("{}/{}", run_dir(view, r), files::FINAL);
+        let data = view
+            .get(&path, d)?
             .ok_or_else(|| WorkflowError::ModelFailure(format!("run {r} final result vanished")))?;
         let fitness = app.final_fitness(&data).map_err(|e| {
             WorkflowError::ModelFailure(format!("run {r} result failed to parse: {e}"))
@@ -366,15 +332,15 @@ fn best_of_ensemble(
 /// `{"best":...,"detail":...,"runs":[...]}` — no re-serialization, so the
 /// stored bytes match a typed round-trip of [`OptimizationResult`] exactly
 /// for well-formed artifacts while staying application-agnostic.
-pub fn postprocess(ctx: &mut StageCtx<'_>) -> Result<bool, WorkflowError> {
-    let app = ctx.app()?;
-    let (spec, _) = spec_of(ctx)?;
-    let tar = ctx.stage_out(&format!("{}/{}", ctx.workdir(), files::RESULTS_TAR))?;
+pub fn postprocess(view: &View, d: &mut Decision) -> Result<bool, WorkflowError> {
+    let app = view.app()?;
+    let (spec, _) = spec_of(view)?;
+    let tar = crate::direct::results_tar(view, d)?;
     let entries = SiteFs::untar(&tar)
         .map_err(|e| WorkflowError::ModelFailure(format!("corrupt results tar: {e}")))?;
     let find = |path: &str| entries.iter().find(|(p, _)| *p == path).map(|&(_, d)| d);
 
-    let detail_path = format!("{}/solution/{}", ctx.workdir(), files::MODEL_OUT);
+    let detail_path = format!("{}/solution/{}", view.workdir(), files::MODEL_OUT);
     let detail = find(&detail_path).ok_or_else(|| {
         WorkflowError::ModelFailure(format!("mandatory output {detail_path} missing"))
     })?;
@@ -384,7 +350,7 @@ pub fn postprocess(ctx: &mut StageCtx<'_>) -> Result<bool, WorkflowError> {
     let mut runs: Vec<&[u8]> = Vec::with_capacity(spec.ga_runs as usize);
     let mut fitnesses = Vec::with_capacity(spec.ga_runs as usize);
     for r in 0..spec.ga_runs {
-        let path = format!("{}/{}", run_dir(ctx, r), files::FINAL);
+        let path = format!("{}/{}", run_dir(view, r), files::FINAL);
         let data = find(&path).ok_or_else(|| {
             WorkflowError::ModelFailure(format!("run {r} final missing from tar"))
         })?;
@@ -405,7 +371,7 @@ pub fn postprocess(ctx: &mut StageCtx<'_>) -> Result<bool, WorkflowError> {
 
     let splice = |raw: &[u8]| String::from_utf8_lossy(raw).into_owned();
     let runs_json: Vec<String> = runs.iter().map(|r| splice(r)).collect();
-    ctx.sim.result_json = Some(format!(
+    d.sim.result_json = Some(format!(
         "{{\"best\":{},\"detail\":{},\"runs\":[{}]}}",
         splice(best),
         splice(detail),

@@ -19,24 +19,28 @@
 //! `postprocess` dispatch to the model-specific derived workflows
 //! ([`crate::direct`], [`crate::optimize`]) — the paper's
 //! inheritance-with-small-derived-classes design.
+//!
+//! A stage only decides: it reads through a [`View`] and puts the row as the
+//! step leaves it and the ordered [`Effect`]s into a [`Decision`], which the
+//! daemon's applier performs ([`crate::daemon`]). No stage reads what an
+//! earlier stage of the step wants written, so a step reads before it
+//! writes, and a step whose reads fail has written nothing.
 
 use std::sync::Arc;
 
 use amp_core::app::{self, ScienceApp};
-use amp_core::models::{AmpUser, GridJobRecord, Lease, Simulation};
+use amp_core::models::{AmpUser, GridJobRecord, Observation, Simulation};
 use amp_core::status::{JobPurpose, JobStatus, SimStatus};
-use amp_core::SimKind;
+use amp_core::{SimKind, SimPayload};
 use amp_grid::{
     CommunityCredential, GramJobHandle, GramJobSpec, GramService, GramSubmission, Grid, GridError,
-    ProxyCertificate, SimDuration,
+    ProxyCertificate, SimDuration, SystemProfile,
 };
-use amp_simdb::orm::{Manager, Model};
-use amp_simdb::{Connection, DbError, Op, Query, Value};
+use amp_simdb::orm::Manager;
+use amp_simdb::{Connection, Op, Query, Value};
 
 use crate::apps::paths;
-use crate::clilog::{
-    ftp_cmdline, gram_release_cmdline, gram_submit_cmdline, OpOutcome, OpsEvent, OpsLog,
-};
+use crate::clilog::{ftp_cmdline, OpsEvent};
 use crate::error::WorkflowError;
 use crate::optimize::PartialResults;
 
@@ -80,55 +84,10 @@ impl Default for DaemonConfig {
 /// Lifetime of the short-lived proxy each grid call is made with.
 pub(crate) const PROXY_LIFETIME: SimDuration = SimDuration(12 * 3600);
 
-/// Everything a workflow stage function can touch.
-///
-/// The grid is shared (`&Grid`): every client call holds the grid's one
-/// lock for its duration, so daemons on other threads can step their
-/// simulations against the same substrate. A `grid.site(..)` guard holds
-/// that lock too: drop it before the next grid call.
-pub struct StageCtx<'a> {
-    pub grid: &'a Grid,
-    pub conn: &'a Connection,
-    pub config: &'a DaemonConfig,
-    pub cred: &'a CommunityCredential,
-    pub sim: &'a mut Simulation,
-    /// Username the proxy's SAML attribute carries (the sim owner).
-    pub owner_username: String,
-    /// The command-line transparency log (§4.4).
-    pub ops: &'a mut OpsLog,
-    /// The lease epoch under which this step runs (fencing token).
-    pub lease_epoch: i64,
-    /// What the caller remembers of this simulation's partial results from
-    /// an earlier step, if anything ([`crate::optimize::check_work`]). With
-    /// `None` every look fetches.
-    pub remembered: Option<&'a PartialResults>,
-    /// What this step knows of them, for the caller to remember — but only
-    /// if the whole step then ends without error.
-    pub learned: Option<PartialResults>,
-    /// The service units `postprocess` found this simulation's jobs to have
-    /// used, for [`commit_results`] to charge with the transition.
-    pub charge: Option<f64>,
-    /// Test hook ([`crate::GridAmp::step_point`]).
-    pub step_point: Option<&'a StepHook>,
-}
-
-/// Where inside a step [`crate::GridAmp::step_point`] is called: the site
-/// has accepted a submission and its job record is not written yet, or the
-/// record is written and the tick's flush is still to come.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StepPoint {
-    Accepted,
-    Recorded,
-}
-
-/// A [`StepPoint`] hook; the record is the submission's.
-pub type StepHook = dyn Fn(StepPoint, &GridJobRecord) + Send;
-
 /// The job-state key `(simulation, app, purpose, ga_run, continuation)` as
 /// the client submission id its GRAM submission carries — the one rendering
 /// of it, so every daemon that ever steps the simulation asks the site for
-/// the same job. Everything a simulation submits sorts under
-/// [`submission_prefix`].
+/// the same job. Everything a simulation submits sorts under `sim<id>/`.
 pub(crate) fn submission_id(
     sim_id: i64,
     app: &str,
@@ -138,11 +97,6 @@ pub(crate) fn submission_id(
 ) -> String {
     let purpose = purpose.as_str();
     format!("sim{sim_id}/{app}/{purpose}/r{ga_run}c{continuation}")
-}
-
-/// What every [`submission_id`] of one simulation starts with.
-pub(crate) fn submission_prefix(sim_id: i64) -> String {
-    format!("sim{sim_id}/")
 }
 
 /// `(app, purpose, ga_run, continuation)` back out of a [`submission_id`].
@@ -158,52 +112,53 @@ pub(crate) fn parse_submission_id(id: &str) -> Option<(&str, JobPurpose, i64, i6
     ))
 }
 
-/// What `sim`'s site has accepted under its submission prefix that the job
-/// table has no record of.
-fn unrecorded(
-    grid: &Grid,
-    conn: &Connection,
-    proxy: &ProxyCertificate,
-    sim: &Simulation,
-) -> Result<Vec<GramSubmission>, WorkflowError> {
-    let sim_id = sim.id.expect("saved sim");
-    let mut held = grid.gram_submissions(&sim.system, proxy, &submission_prefix(sim_id))?;
-    if !held.is_empty() {
-        let of_sim = Query::new().eq("simulation_id", sim_id);
-        let rows = Manager::<GridJobRecord>::new(conn.clone()).filter(&of_sim)?;
-        held.retain(|s| {
-            rows.iter()
-                .all(|r| r.gram_handle.as_ref() != Some(&s.handle.0))
-        });
-    }
-    Ok(held)
+/// What a step decides from: the simulation's row as loaded, and read-only
+/// access to its job rows and its site. Nothing here writes, so deciding
+/// twice at one instant decides the same.
+pub struct View<'a> {
+    grid: &'a Grid,
+    conn: &'a Connection,
+    pub config: &'a DaemonConfig,
+    /// The simulation's row as it was loaded.
+    pub sim: &'a Simulation,
+    /// A short-lived proxy in the simulation owner's name (GridShib, §3).
+    proxy: ProxyCertificate,
+    /// What the daemon remembers of the simulation's partial results, if
+    /// anything ([`crate::optimize::check_work`]); with `None` every look
+    /// fetches.
+    pub remembered: Option<&'a PartialResults>,
 }
 
-/// `daemon_gram_submissions_total{outcome=…}`: `[accepted, known,
-/// reconciled]` — a job the site created for us, a repeat it answered with
-/// the job it already had, a record written from the site's own list.
-pub(crate) fn submission_counters() -> &'static [amp_obs::Counter; 3] {
-    static COUNTERS: std::sync::OnceLock<[amp_obs::Counter; 3]> = std::sync::OnceLock::new();
-    COUNTERS.get_or_init(|| {
-        ["accepted", "known", "reconciled"].map(|outcome| {
-            amp_obs::counter(&amp_obs::labeled(
-                "daemon_gram_submissions_total",
-                &[("outcome", outcome)],
-            ))
+impl<'a> View<'a> {
+    /// A view of `sim` at the grid's instant, its proxy in its owner's name.
+    pub fn new(
+        grid: &'a Grid,
+        conn: &'a Connection,
+        config: &'a DaemonConfig,
+        cred: &CommunityCredential,
+        sim: &'a Simulation,
+        remembered: Option<&'a PartialResults>,
+    ) -> Result<Self, WorkflowError> {
+        let owner = owner_username(conn, sim)?;
+        let proxy = cred.issue_proxy(&owner, grid.now(), PROXY_LIFETIME);
+        Ok(View {
+            grid,
+            conn,
+            config,
+            sim,
+            proxy,
+            remembered,
         })
-    })
-}
+    }
 
-impl StageCtx<'_> {
     pub fn now(&self) -> i64 {
         self.grid.now().as_secs() as i64
     }
 
-    /// Fresh short-lived proxy attributed to the simulation owner
-    /// (GridShib SAML, §3).
-    pub fn proxy(&self) -> ProxyCertificate {
-        self.cred
-            .issue_proxy(&self.owner_username, self.grid.now(), PROXY_LIFETIME)
+    /// The simulation's request; one that does not decode is a model failure.
+    pub fn payload(&self) -> Result<SimPayload, WorkflowError> {
+        let payload = self.sim.payload();
+        payload.map_err(|e| WorkflowError::ModelFailure(e.to_string()))
     }
 
     /// Remote scratch root for this simulation.
@@ -211,24 +166,16 @@ impl StageCtx<'_> {
         format!("amp/sim{}", self.sim.id.expect("saved sim"))
     }
 
-    pub fn jobs(&self) -> Manager<GridJobRecord> {
-        Manager::new(self.conn.clone())
-    }
-
-    pub fn sims(&self) -> Manager<Simulation> {
-        Manager::new(self.conn.clone())
-    }
-
-    /// Resolve this simulation's science application from the registry. A
-    /// simulation carrying an unregistered app id is a model failure (it
-    /// can never make progress) rather than a transient.
+    /// This simulation's science application, from the registry. An
+    /// unregistered app id is a model failure (it can never make progress)
+    /// rather than a transient.
     pub fn app(&self) -> Result<Arc<dyn ScienceApp>, WorkflowError> {
         app_of(self.sim)
     }
 
     /// All job records of one purpose for this simulation.
     pub fn jobs_of(&self, purpose: JobPurpose) -> Result<Vec<GridJobRecord>, WorkflowError> {
-        Ok(self.jobs().filter(
+        Ok(Manager::new(self.conn.clone()).filter(
             &Query::new()
                 .eq("simulation_id", self.sim.id.expect("saved"))
                 .eq("purpose", purpose.as_str())
@@ -237,309 +184,319 @@ impl StageCtx<'_> {
         )?)
     }
 
-    /// Whether `lease` is the one this step started under — the
-    /// fencing-epoch guard.
-    fn holds(&self, lease: Option<&Lease>) -> bool {
-        lease.is_some_and(|l| l.daemon_id == self.config.daemon_id && l.epoch == self.lease_epoch)
+    /// The submitted record of a job-state key of this simulation, if any,
+    /// found among its own rows (its app is the key's).
+    pub fn recorded(
+        &self,
+        key: (JobPurpose, i64, i64),
+    ) -> Result<Option<GridJobRecord>, WorkflowError> {
+        let existing = Manager::<GridJobRecord>::new(self.conn.clone()).first(
+            &Query::new()
+                .eq("simulation_id", self.sim.id.expect("saved"))
+                .eq("purpose", key.0.as_str())
+                .eq("ga_run", key.1)
+                .eq("continuation", key.2),
+        )?;
+        Ok(existing.filter(|rec| rec.app == self.sim.app && rec.gram_handle.is_some()))
     }
 
-    /// The error a fenced-out step backs out with; the simulation is then
-    /// stepped by its new owner. The apply pass puts it on the ops log.
-    fn fenced(&self, lease: Option<Lease>) -> WorkflowError {
-        let holder = lease
-            .map(|l| format!("{} at epoch {}", l.daemon_id, l.epoch))
-            .unwrap_or_else(|| "nobody".to_string());
-        crate::daemon::obs_metrics().lease_fences.inc();
-        let epoch = self.lease_epoch;
-        WorkflowError::Fenced(format!("lease moved to {holder} (we held epoch {epoch})"))
+    /// An observation row (the input an optimization stages).
+    pub fn observation(&self, id: i64) -> Result<Observation, WorkflowError> {
+        Ok(Manager::new(self.conn.clone()).get(id)?)
     }
 
-    /// Re-read the lease row immediately before a GRAM submission: a daemon
-    /// that paused past its lease expiry finds the epoch bumped (or the row
-    /// re-owned) and backs out instead of submitting.
-    fn check_fence(&mut self) -> Result<(), WorkflowError> {
-        let lease = crate::lease::current(self.conn, self.sim.id.expect("saved sim"))?;
-        match self.holds(lease.as_ref()) {
-            true => Ok(()),
-            false => Err(self.fenced(lease)),
-        }
-    }
-
-    /// Write a submission's job record in one transaction with a re-read of
-    /// the lease, so that a peer's takeover (a compare-and-swap on the
-    /// lease row) lands wholly before it — and nothing is written — or
-    /// wholly after. A daemon that stalls between the site's acceptance and
-    /// this write therefore leaves the job to the new owner, which asks the
-    /// site for it again or reconciles it.
-    fn record(&self, rec: &mut GridJobRecord) -> Result<(), WorkflowError> {
-        let values = rec.to_values();
-        let of_sim = Query::new().eq("simulation_id", rec.simulation_id);
-        let tables = [Lease::TABLE, GridJobRecord::TABLE];
-        let (lease, id) = self.conn.transaction(&tables, |tx| {
-            let leases = tx.select(Lease::TABLE, &of_sim)?;
-            let lease = leases.first().map(|(id, row)| Lease::from_row(*id, row));
-            let lease = lease.transpose()?;
-            let id = match self.holds(lease.as_ref()) {
-                true => Some(tx.insert(GridJobRecord::TABLE, &values)?),
-                false => None,
-            };
-            Ok((lease, id))
-        })?;
-        rec.set_id(id.ok_or_else(|| self.fenced(lease))?);
-        Ok(())
-    }
-
-    /// Submit a fork script job (idempotent: returns the existing record
-    /// if one was already submitted for this purpose).
-    pub fn submit_fork(
-        &mut self,
-        purpose: JobPurpose,
-        executable: &str,
-        args: Vec<String>,
-    ) -> Result<GridJobRecord, WorkflowError> {
-        if let Some(existing) = self.jobs_of(purpose)?.into_iter().next() {
-            if existing.gram_handle.is_some() {
-                return Ok(existing);
-            }
-        }
-        const FORK_WALLTIME: SimDuration = SimDuration(10 * 60);
-        let spec = GramJobSpec {
-            service: GramService::Fork,
-            executable: executable.to_string(),
-            args,
-            workdir: self.workdir(),
-            cores: 0,
-            walltime: FORK_WALLTIME,
-            depends_on: vec![],
-            name: String::new(), // `submit` names it
-            submission_id: None,
-        };
-        self.submit(spec, purpose, -1, 0)
-    }
-
-    /// Submit a batch model job and record it. Idempotent on the job-state
-    /// key `(simulation, app, purpose, ga_run, continuation)`: if a
-    /// submitted record already exists — e.g. written by this simulation's
-    /// new owner while we were paused — it is returned instead of
-    /// re-submitting. The app qualifier keeps two applications' job chains
-    /// from ever colliding on one key.
-    #[allow(clippy::too_many_arguments)]
-    pub fn submit_batch(
-        &mut self,
-        purpose: JobPurpose,
-        ga_run: i64,
-        continuation: i64,
+    /// A job description: a fork script's 10 minutes, or a batch job's
+    /// configured walltime. [`submit`] gives it its submission id.
+    pub(crate) fn job(
+        &self,
+        service: GramService,
         executable: &str,
         args: Vec<String>,
         cores: u32,
         workdir: String,
-        depends_on: Vec<GramJobHandle>,
-    ) -> Result<GridJobRecord, WorkflowError> {
-        let existing = self.jobs().first(
-            &Query::new()
-                .eq("simulation_id", self.sim.id.expect("saved"))
-                .eq("app", self.sim.app.as_str())
-                .eq("purpose", purpose.as_str())
-                .eq("ga_run", ga_run)
-                .eq("continuation", continuation),
-        )?;
-        if let Some(existing) = existing {
-            if existing.gram_handle.is_some() {
-                return Ok(existing);
-            }
-        }
-        let spec = GramJobSpec {
-            service: GramService::Batch,
+    ) -> GramJobSpec {
+        let walltime = match service {
+            GramService::Fork => SimDuration(10 * 60),
+            GramService::Batch => SimDuration::from_hours(self.config.work_walltime_hours),
+        };
+        GramJobSpec {
+            service,
             executable: executable.to_string(),
             args,
             workdir,
             cores,
-            walltime: SimDuration::from_hours(self.config.work_walltime_hours),
-            depends_on,
-            name: String::new(), // `submit` names it
-            submission_id: None,
-        };
-        self.submit(spec, purpose, ga_run, continuation)
+            walltime,
+            ..GramJobSpec::default()
+        }
     }
 
-    /// The one path to GRAM: fence, submit `spec` under the job-state key's
-    /// [`submission_id`], write the job record under the fence again
-    /// ([`Self::record`]). The record waits for the
-    /// tick's flush like every other write, because it can be re-derived:
-    /// whoever steps this simulation next — after a crash before the record
-    /// was durable, or a reply lost after the site accepted — renders the
-    /// same id, and the site answers it with the job it already has.
-    fn submit(
-        &mut self,
-        mut spec: GramJobSpec,
-        purpose: JobPurpose,
-        ga_run: i64,
-        continuation: i64,
-    ) -> Result<GridJobRecord, WorkflowError> {
-        self.check_fence()?;
-        let sim_id = self.sim.id.expect("saved");
-        let id = submission_id(sim_id, &self.sim.app, purpose, ga_run, continuation);
-        spec.name.clone_from(&id);
-        spec.submission_id = Some(id);
-        let mut rec = GridJobRecord::new(
-            sim_id,
-            ga_run,
-            purpose,
-            continuation,
-            &self.sim.system,
-            spec.cores as i64,
-            &self.sim.app,
-        );
-        let proxy = self.proxy();
-        rec.gram_handle = Some(self.log_gram_submit(&proxy, spec)?.0);
-        rec.status = JobStatus::Pending;
-        rec.submitted_at = Some(self.now());
-        self.at(StepPoint::Accepted, &rec);
-        self.record(&mut rec)?;
-        self.at(StepPoint::Recorded, &rec);
-        Ok(rec)
+    /// One number of the site's profile, if the site exists.
+    pub fn profile<T>(&self, number: impl FnOnce(&SystemProfile) -> T) -> Option<T> {
+        self.grid.site(&self.sim.system).map(|s| number(&s.profile))
     }
 
-    /// The first step under a new ownership — a first claim, a takeover, a
-    /// restart — writes the job record of every submission the site
-    /// accepted for the simulation and the job table lacks. Re-derivation
-    /// heals the rest: a stage that asks for a lost submission again gets
-    /// the same job (so a QUEUED simulation, whose first stage list asks for
-    /// all it can have submitted, has nothing to do here). This is for the
-    /// one nobody asks for again: a continuation accepted just before a
-    /// crash, whose run converged before anyone came back — or whose replies
-    /// were all lost until it converged, which is why an optimization also
-    /// reconciles as it leaves its chains ([`crate::optimize::check_work`]).
-    /// An unreachable site fails the step
-    /// like any GRAM outage, and the next one asks again.
-    pub(crate) fn reconcile(&mut self) -> Result<(), WorkflowError> {
-        if self.sim.status == SimStatus::Queued {
+    /// Fetch a remote file via GridFTP, its §4.4 line into `d`; `None` (and
+    /// no line) if there is no such file, as while a run has not converged.
+    pub fn get(&self, path: &str, d: &mut Decision) -> Result<Option<Vec<u8>>, WorkflowError> {
+        let got = self.grid.ftp_get(&self.sim.system, &self.proxy, path);
+        if let Err(GridError::NoSuchFile { .. }) = got {
+            return Ok(None);
+        }
+        let command = ftp_cmdline(&self.sim.system, false, STAGING, path);
+        d.reads.push(OpsEvent::command(command, &got));
+        Ok(Some(got?.0))
+    }
+
+    /// What the site has accepted under this simulation's submission prefix
+    /// that the job table has no record of.
+    pub fn unrecorded(&self) -> Result<Vec<GramSubmission>, WorkflowError> {
+        let sim_id = self.sim.id.expect("saved sim");
+        let prefix = format!("sim{sim_id}/");
+        let mut held = self
+            .grid
+            .gram_submissions(&self.sim.system, &self.proxy, &prefix)?;
+        if !held.is_empty() {
+            let of_sim = Query::new().eq("simulation_id", sim_id);
+            let rows = Manager::<GridJobRecord>::new(self.conn.clone()).filter(&of_sim)?;
+            held.retain(|s| {
+                rows.iter()
+                    .all(|r| r.gram_handle.as_ref() != Some(&s.handle.0))
+            });
+        }
+        Ok(held)
+    }
+}
+
+/// The local directory the §4.4 transfer lines name.
+pub(crate) const STAGING: &str = "/var/amp/staging";
+
+/// One thing a decision asks the daemon to do at the site or in the job
+/// table, in the order the decision lists them.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Effect {
+    /// Stage a text file to the site (a GridFTP put).
+    StageIn { path: String, content: String },
+    /// Submit a GRAM job and write its job record.
+    Submit(Submission),
+    /// Write the record of a job the site accepted and the job table lacks.
+    Reconcile(GridJobRecord),
+    /// Make the site forget a submission id that has no job row.
+    Release(String),
+    /// Remove a tree of the site's scratch space (GridFTP).
+    Remove(String),
+}
+
+/// A GRAM submission: the job description (its [`submission_id`] set), the
+/// job record to write once the site accepts it, and whether the job also
+/// waits for the one the submission before it creates (§6 chaining).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Submission {
+    pub spec: GramJobSpec,
+    pub record: GridJobRecord,
+    pub after_previous: bool,
+}
+
+/// What one step of a simulation decided from its [`View`]: the row as the
+/// step leaves it and the effects that get it there, in order.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Decision {
+    /// The row as the step leaves it (its status the next state, after a
+    /// transition).
+    pub sim: Simulation,
+    pub effects: Vec<Effect>,
+    /// The service units to charge with the row.
+    pub charge: Option<f64>,
+    /// What the step knows of the simulation's partial results, to remember
+    /// if the whole step succeeds.
+    pub learned: Option<PartialResults>,
+    /// The §4.4 lines of the grid reads the decision was made from.
+    pub reads: Vec<OpsEvent>,
+    /// Why no decision could be made; then no effect is performed.
+    pub failed: Option<WorkflowError>,
+    /// The row as it was loaded.
+    pub(crate) loaded: Simulation,
+    /// The view's proxy, for the effects (none if no view could be made).
+    pub(crate) proxy: Option<ProxyCertificate>,
+}
+
+impl Decision {
+    /// Nothing decided yet about `sim`.
+    pub fn new(sim: &Simulation) -> Self {
+        Decision {
+            sim: sim.clone(),
+            effects: Vec::new(),
+            charge: None,
+            learned: None,
+            reads: Vec::new(),
+            failed: None,
+            loaded: sim.clone(),
+            proxy: None,
+        }
+    }
+
+    /// This decision, failed with `error`.
+    pub(crate) fn failing(mut self, error: WorkflowError) -> Self {
+        self.failed = Some(error);
+        self
+    }
+}
+
+/// Run `decide` on a fresh [`Decision`], keeping its error in it.
+fn deciding(
+    view: &View,
+    decide: impl FnOnce(&View, &mut Decision) -> Result<(), WorkflowError>,
+) -> Decision {
+    let mut d = Decision::new(view.sim);
+    d.proxy = Some(view.proxy.clone());
+    match decide(view, &mut d) {
+        Ok(()) => d,
+        Err(e) => d.failing(e),
+    }
+}
+
+/// Listing 1's decision for the view's simulation: run the stage list of its
+/// state; if every stage returns true, the row moves to the next state and
+/// its status message is cleared. DONE and HOLD decide nothing.
+pub fn decide(view: &View) -> Decision {
+    deciding(view, |view, d| {
+        let status = view.sim.status;
+        let Some(&(_, stages, next)) = WORKFLOW.iter().find(|(s, _, _)| *s == status) else {
             return Ok(());
-        }
-        let (sim_id, site) = (self.sim.id.expect("saved"), &self.sim.system);
-        for sub in unrecorded(self.grid, self.conn, &self.proxy(), self.sim)? {
-            let Some((app, purpose, ga_run, continuation)) = parse_submission_id(&sub.id) else {
-                continue;
-            };
-            let cores = sub.cores as i64;
-            let mut rec =
-                GridJobRecord::new(sim_id, ga_run, purpose, continuation, site, cores, app);
-            let times = self.grid.job_times(site, &sub.handle);
-            rec.submitted_at = times.map(|t| t.submitted_at.as_secs() as i64);
-            rec.status = JobStatus::Pending;
-            rec.gram_handle = Some(sub.handle.0);
-            self.record(&mut rec)?;
-            submission_counters()[2].inc();
-            let reconciled = OpsEvent::Reconciled {
-                submission_id: sub.id,
-            };
-            self.ops.record(self.now(), Some(sim_id), reconciled);
-        }
-        Ok(())
-    }
-
-    /// The step that applies an administrator's resume (§4.4: "once the
-    /// problem has been resolved, the workflow resumes automatically"). The
-    /// portal sets a held row's status back and leaves `held_from` set, so a
-    /// live row with `held_from` is a resume not yet applied. A job row the
-    /// administrator deleted while fixing the hold is a job to run again, so
-    /// the site is told to forget every submission id it holds with no row —
-    /// or it would answer the resubmission with the job that failed. Each
-    /// release is fenced like a submission. Then `held_from` is cleared and
-    /// nothing else is stepped: the tick's flush makes the resume durable
-    /// before anything is submitted again.
-    pub(crate) fn resume(&mut self) -> Result<(), WorkflowError> {
-        let (proxy, site) = (self.proxy(), self.sim.system.clone());
-        for sub in unrecorded(self.grid, self.conn, &proxy, self.sim)? {
-            self.check_fence()?;
-            let command = gram_release_cmdline(&site, &sub.id);
-            let released = self.grid.gram_release(&site, &proxy, &sub.id);
-            self.log_op(command, released)?;
-        }
-        self.sim.held_from = None;
-        Ok(())
-    }
-
-    fn at(&self, point: StepPoint, rec: &GridJobRecord) {
-        if let Some(hook) = self.step_point {
-            hook(point, rec);
-        }
-    }
-
-    /// One line of the ops log (§4.4's copy-paste troubleshooting log): a
-    /// grid call's command line and how the call ended.
-    fn log_op<T>(
-        &mut self,
-        command: String,
-        result: Result<T, GridError>,
-    ) -> Result<T, WorkflowError> {
-        let outcome = match &result {
-            Ok(_) => OpOutcome::Ok,
-            Err(e) if e.is_transient() => OpOutcome::Transient(e.to_string()),
-            Err(e) => OpOutcome::Failed(e.to_string()),
         };
-        let (at, sim_id) = (self.now(), self.sim.id);
-        self.ops
-            .record(at, sim_id, OpsEvent::Command { command, outcome });
-        Ok(result?)
-    }
-
-    /// Submit via GRAM, recording the globusrun-equivalent command line.
-    fn log_gram_submit(
-        &mut self,
-        proxy: &ProxyCertificate,
-        spec: GramJobSpec,
-    ) -> Result<GramJobHandle, WorkflowError> {
-        let command = gram_submit_cmdline(&self.sim.system, &spec);
-        let reply = self.grid.gram_submit_known(&self.sim.system, proxy, spec);
-        let (handle, known) = self.log_op(command, reply)?;
-        submission_counters()[known as usize].inc();
-        Ok(handle)
-    }
-
-    /// Stage a text file to the remote system via GridFTP.
-    pub fn stage_in(&mut self, path: &str, content: String) -> Result<(), WorkflowError> {
-        let proxy = self.proxy();
-        let command = ftp_cmdline(&self.sim.system, true, "/var/amp/staging", path);
-        let data = content.into_bytes();
-        let put = self.grid.ftp_put(&self.sim.system, &proxy, path, data);
-        self.log_op(command, put).map(|_| ())
-    }
-
-    /// Fetch a remote file via GridFTP. (Fetch misses of optional files are
-    /// routine — see `optimize::try_stage_out` — so only transport-level
-    /// failures are highlighted in the ops log.)
-    pub fn stage_out(&mut self, path: &str) -> Result<Vec<u8>, WorkflowError> {
-        let proxy = self.proxy();
-        let command = ftp_cmdline(&self.sim.system, false, "/var/amp/staging", path);
-        match self.grid.ftp_get(&self.sim.system, &proxy, path) {
-            Err(e) if !e.is_transient() => Err(e.into()),
-            got => self.log_op(command, got).map(|(data, _)| data),
+        for stage in stages {
+            if !(stage.run)(view, d)? {
+                return Ok(());
+            }
         }
-    }
+        d.sim.status = next;
+        d.sim.status_message.clear();
+        Ok(())
+    })
+}
 
-    /// Check a fork-job purpose: Ok(true) done, Ok(false) still going,
-    /// model failure on a failed script.
-    fn fork_done(&self, purpose: JobPurpose) -> Result<bool, WorkflowError> {
-        let Some(rec) = self.jobs_of(purpose)?.into_iter().next() else {
-            return Ok(false);
+/// The decision that applies an administrator's resume (§4.4), which the
+/// portal leaves as a live row with `held_from` set: the site forgets every
+/// submission id whose job row was deleted during the hold (or it would
+/// answer a resubmission with the failed job), `held_from` is cleared, and
+/// nothing else is decided, so the resume is durable before anything is
+/// submitted again.
+pub fn decide_resume(view: &View) -> Decision {
+    deciding(view, |view, d| {
+        let held = view.unrecorded()?.into_iter();
+        d.effects.extend(held.map(|s| Effect::Release(s.id)));
+        d.sim.held_from = None;
+        Ok(())
+    })
+}
+
+/// The decision of the first step under a new ownership: record every
+/// submission the site accepted and the job table lacks — the one nobody
+/// asks for again, a continuation accepted just before a crash whose run
+/// converged before anyone came back. Whatever a stage asks for again heals
+/// by itself (the site answers with the same job), so QUEUED has none.
+pub fn decide_reconcile(view: &View) -> Decision {
+    deciding(view, |view, d| match view.sim.status {
+        SimStatus::Queued => Ok(()),
+        _ => reconcile(view, d, |_| true),
+    })
+}
+
+/// Decide the record of every submission the site accepted and the job
+/// table lacks whose purpose is one to `keep`.
+pub(crate) fn reconcile(
+    view: &View,
+    d: &mut Decision,
+    keep: impl Fn(JobPurpose) -> bool,
+) -> Result<(), WorkflowError> {
+    let (sim_id, site) = (view.sim.id.expect("saved"), &view.sim.system);
+    for sub in view.unrecorded()? {
+        let key = parse_submission_id(&sub.id).filter(|key| keep(key.1));
+        let Some((app, purpose, ga_run, continuation)) = key else {
+            continue;
         };
-        match rec.status {
-            JobStatus::Done => Ok(true),
-            JobStatus::Failed => Err(WorkflowError::ModelFailure(format!(
-                "{} script failed: {}",
-                purpose.as_str(),
-                rec.detail
-            ))),
-            _ => Ok(false),
-        }
+        let cores = sub.cores as i64;
+        let mut rec = GridJobRecord::new(sim_id, ga_run, purpose, continuation, site, cores, app);
+        let times = view.grid.job_times(site, &sub.handle);
+        rec.submitted_at = times.map(|t| t.submitted_at.as_secs() as i64);
+        rec.status = JobStatus::Pending;
+        rec.gram_handle = Some(sub.handle.0);
+        d.effects.push(Effect::Reconcile(rec));
+    }
+    Ok(())
+}
+
+/// What a chained job waits for (§6): nothing, a recorded job, or the job
+/// the submission decided just before it creates.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum After {
+    Nothing,
+    Recorded(GramJobHandle),
+    Previous,
+}
+
+/// Decide the submission of `spec` under a job-state key, waiting for
+/// `after`, unless the key has a submitted record. The key is its
+/// [`submission_id`], so whoever steps the simulation next asks the site for
+/// the same job. Returns what the next link of a chain waits for.
+pub(crate) fn submit(
+    view: &View,
+    d: &mut Decision,
+    (purpose, ga_run, continuation): (JobPurpose, i64, i64),
+    mut spec: GramJobSpec,
+    after: After,
+) -> Result<After, WorkflowError> {
+    if let Some(rec) = view.recorded((purpose, ga_run, continuation))? {
+        let handle = rec.gram_handle.expect("submitted");
+        return Ok(After::Recorded(GramJobHandle(handle)));
+    }
+    let (sim_id, site, app) = (view.sim.id.expect("saved"), &view.sim.system, &view.sim.app);
+    let id = submission_id(sim_id, app, purpose, ga_run, continuation);
+    (spec.name, spec.submission_id) = (id.clone(), Some(id));
+    if let After::Recorded(handle) = &after {
+        spec.depends_on.push(handle.clone());
+    }
+    let cores = spec.cores as i64;
+    let record = GridJobRecord::new(sim_id, ga_run, purpose, continuation, site, cores, app);
+    let after_previous = after == After::Previous;
+    d.effects.push(Effect::Submit(Submission {
+        spec,
+        record,
+        after_previous,
+    }));
+    Ok(After::Previous)
+}
+
+/// Decide a fork script's submission, run in the scratch root.
+fn fork_script(
+    view: &View,
+    d: &mut Decision,
+    purpose: JobPurpose,
+    executable: &str,
+    args: Vec<String>,
+) -> Result<bool, WorkflowError> {
+    let spec = view.job(GramService::Fork, executable, args, 0, view.workdir());
+    submit(view, d, (purpose, -1, 0), spec, After::Nothing)?;
+    Ok(true)
+}
+
+/// Check a fork-job purpose: Ok(true) done, Ok(false) still going, model
+/// failure on a failed script.
+fn fork_done(view: &View, purpose: JobPurpose) -> Result<bool, WorkflowError> {
+    let Some(rec) = view.jobs_of(purpose)?.into_iter().next() else {
+        return Ok(false);
+    };
+    let failed = || format!("{} script failed: {}", purpose.as_str(), rec.detail);
+    match rec.status {
+        JobStatus::Done => Ok(true),
+        JobStatus::Failed => Err(WorkflowError::ModelFailure(failed())),
+        _ => Ok(false),
     }
 }
 
 /// A named stage function — names mirror Listing 1.
 pub struct StageDef {
     pub name: &'static str,
-    pub run: fn(&mut StageCtx<'_>) -> Result<bool, WorkflowError>,
+    pub run: fn(&View, &mut Decision) -> Result<bool, WorkflowError>,
 }
 
 /// One row of Listing 1: in this state, call these; if all return true,
@@ -586,120 +543,91 @@ pub fn workflow_table() -> &'static [WorkflowRow] {
     &WORKFLOW
 }
 
-/// Run one workflow step for a simulation: execute the stage list for its
-/// current state; if every function returns true, transition. Returns the
-/// new state on transition.
-pub fn step(ctx: &mut StageCtx<'_>) -> Result<Option<SimStatus>, WorkflowError> {
-    let Some(&(_, stages, next)) = WORKFLOW.iter().find(|(s, _, _)| *s == ctx.sim.status) else {
-        return Ok(None); // DONE or HOLD: nothing to run
-    };
-    for stage in stages {
-        if !(stage.run)(ctx)? {
-            return Ok(None);
-        }
-    }
-    ctx.sim.status = next;
-    Ok(Some(next))
-}
-
 // ---- base stages (the paper's workflow-manager base class) ----
 
-fn check_queued_sim(ctx: &mut StageCtx<'_>) -> Result<bool, WorkflowError> {
+fn check_queued_sim(view: &View, _: &mut Decision) -> Result<bool, WorkflowError> {
     // Sanity: payload must decode and the app must be registered; a
     // corrupt request is a model failure.
-    ctx.sim
-        .payload()
-        .map_err(|e| WorkflowError::ModelFailure(e.to_string()))?;
-    ctx.app()?;
-    Ok(ctx.sim.status == SimStatus::Queued)
+    view.payload()?;
+    view.app()?;
+    Ok(view.sim.status == SimStatus::Queued)
 }
 
-fn submit_pre_job(ctx: &mut StageCtx<'_>) -> Result<bool, WorkflowError> {
-    ctx.submit_fork(JobPurpose::PreJob, paths::PREJOB, vec![])?;
-    Ok(true)
+fn submit_pre_job(view: &View, d: &mut Decision) -> Result<bool, WorkflowError> {
+    fork_script(view, d, JobPurpose::PreJob, paths::PREJOB, vec![])
 }
 
-fn check_pre_job(ctx: &mut StageCtx<'_>) -> Result<bool, WorkflowError> {
-    ctx.fork_done(JobPurpose::PreJob)
+fn check_pre_job(view: &View, _: &mut Decision) -> Result<bool, WorkflowError> {
+    fork_done(view, JobPurpose::PreJob)
 }
 
-fn submit_workjob(ctx: &mut StageCtx<'_>) -> Result<bool, WorkflowError> {
-    let started = match ctx.sim.kind {
-        SimKind::Direct => crate::direct::submit_work(ctx)?,
-        SimKind::Optimization => crate::optimize::submit_work(ctx)?,
+fn submit_workjob(view: &View, d: &mut Decision) -> Result<bool, WorkflowError> {
+    let started = match view.sim.kind {
+        SimKind::Direct => crate::direct::submit_work(view, d)?,
+        SimKind::Optimization => crate::optimize::submit_work(view, d)?,
     };
     if started {
-        ctx.sim.started_at = Some(ctx.now());
+        d.sim.started_at = Some(view.now());
     }
     Ok(started)
 }
 
-fn check_workjob(ctx: &mut StageCtx<'_>) -> Result<bool, WorkflowError> {
-    match ctx.sim.kind {
-        SimKind::Direct => crate::direct::check_work(ctx),
-        SimKind::Optimization => crate::optimize::check_work(ctx),
+fn check_workjob(view: &View, d: &mut Decision) -> Result<bool, WorkflowError> {
+    match view.sim.kind {
+        SimKind::Direct => crate::direct::check_work(view, d),
+        SimKind::Optimization => crate::optimize::check_work(view, d),
     }
 }
 
-fn submit_post_job(ctx: &mut StageCtx<'_>) -> Result<bool, WorkflowError> {
-    let root = ctx.workdir();
-    ctx.submit_fork(JobPurpose::PostJob, paths::POSTJOB, vec![root])?;
-    Ok(true)
+fn submit_post_job(view: &View, d: &mut Decision) -> Result<bool, WorkflowError> {
+    let root = vec![view.workdir()];
+    fork_script(view, d, JobPurpose::PostJob, paths::POSTJOB, root)
 }
 
-fn check_post_job(ctx: &mut StageCtx<'_>) -> Result<bool, WorkflowError> {
-    ctx.fork_done(JobPurpose::PostJob)
+fn check_post_job(view: &View, _: &mut Decision) -> Result<bool, WorkflowError> {
+    fork_done(view, JobPurpose::PostJob)
 }
 
-fn postprocess(ctx: &mut StageCtx<'_>) -> Result<bool, WorkflowError> {
-    let done = match ctx.sim.kind {
-        SimKind::Direct => crate::direct::postprocess(ctx)?,
-        SimKind::Optimization => crate::optimize::postprocess(ctx)?,
+fn postprocess(view: &View, d: &mut Decision) -> Result<bool, WorkflowError> {
+    let done = match view.sim.kind {
+        SimKind::Direct => crate::direct::postprocess(view, d)?,
+        SimKind::Optimization => crate::optimize::postprocess(view, d)?,
     };
     if done {
-        ctx.charge = Some(service_units(ctx)?);
+        d.charge = Some(service_units(view)?);
     }
     Ok(done)
 }
 
-fn submit_cleanup(ctx: &mut StageCtx<'_>) -> Result<bool, WorkflowError> {
-    ctx.submit_fork(JobPurpose::Cleanup, paths::CLEANUP, vec![])?;
-    Ok(true)
+fn submit_cleanup(view: &View, d: &mut Decision) -> Result<bool, WorkflowError> {
+    fork_script(view, d, JobPurpose::Cleanup, paths::CLEANUP, vec![])
 }
 
-fn check_cleanup(ctx: &mut StageCtx<'_>) -> Result<bool, WorkflowError> {
-    if !ctx.fork_done(JobPurpose::Cleanup)? {
+/// "A final cleanup stage ensures that the execution environment has been
+/// removed": once the cleanup job is done, the scratch tree goes.
+fn check_cleanup(view: &View, d: &mut Decision) -> Result<bool, WorkflowError> {
+    if !fork_done(view, JobPurpose::Cleanup)? {
         return Ok(false);
     }
-    // "A final cleanup stage ensures that the execution environment has
-    // been removed" — verify-and-remove on the remote scratch.
-    let root = ctx.workdir();
-    let system = ctx.sim.system.clone();
-    if let Some(mut site) = ctx.grid.site(&system) {
-        crate::apps::cleanup_tree(&mut site.fs, &root);
-    }
+    d.effects.push(Effect::Remove(view.workdir()));
     Ok(true)
 }
 
-fn close_simulation(ctx: &mut StageCtx<'_>) -> Result<bool, WorkflowError> {
-    ctx.sim.completed_at = Some(ctx.now());
-    ctx.sim.progress = 1.0;
-    ctx.sim.status_message.clear();
+fn close_simulation(view: &View, d: &mut Decision) -> Result<bool, WorkflowError> {
+    d.sim.completed_at = Some(view.now());
+    d.sim.progress = 1.0;
+    d.sim.status_message.clear();
     Ok(true)
 }
 
 // ---- shared accounting helpers ----
 
 /// CPU-hours × SU factor over every completed computational job.
-fn service_units(ctx: &StageCtx<'_>) -> Result<f64, WorkflowError> {
-    let su_factor = ctx
-        .grid
-        .site(&ctx.sim.system)
-        .map(|s| s.profile.su_per_cpuh)
-        .unwrap_or(0.0);
-    let jobs = ctx.jobs().filter(
+fn service_units(view: &View) -> Result<f64, WorkflowError> {
+    let su_factor = view.profile(|p| p.su_per_cpuh).unwrap_or(0.0);
+    let jobs = Manager::<GridJobRecord>::new(view.conn.clone()).filter(
         &Query::new()
-            .eq("simulation_id", ctx.sim.id.expect("saved"))
+            .eq("simulation_id", view.sim.id.expect("saved"))
             .filter(
                 "purpose",
                 Op::In(vec![
@@ -716,45 +644,6 @@ fn service_units(ctx: &StageCtx<'_>) -> Result<f64, WorkflowError> {
         }
     }
     Ok(cpuh * su_factor)
-}
-
-/// Commit the transition that ends `postprocess`'s stage list: the charge
-/// of `sus`, the star's has-results flag and the simulation's row, in one
-/// transaction with the allocation read inside it. One frame in the log —
-/// a step that fails after `postprocess` (a GRAM outage at
-/// `submit_cleanup`, a fence) has charged nothing for its retry to charge
-/// again, a torn write cannot separate the charge from the state that says
-/// it was made, and a peer daemon charging the same allocation waits its
-/// turn instead of overwriting.
-pub(crate) fn commit_results(
-    conn: &Connection,
-    sim: &mut Simulation,
-    sus: f64,
-) -> Result<(), DbError> {
-    use amp_core::models::{Allocation, Star};
-    let tables = [Allocation::TABLE, Star::TABLE, Simulation::TABLE];
-    conn.transaction(&tables, |tx| {
-        let alloc_id = sim.allocation_id;
-        let mut alloc = Allocation::from_row(alloc_id, &tx.get(Allocation::TABLE, alloc_id)?)?;
-        if alloc.charge(sus).is_err() {
-            // Over-spend is an administrative problem, not a reason to
-            // withhold the user's results.
-            sim.status_message = format!(
-                "allocation {} exhausted while charging {:.0} SUs",
-                alloc.account, sus
-            );
-            alloc.su_used = alloc.su_granted;
-        }
-        tx.update(
-            Allocation::TABLE,
-            alloc_id,
-            &[("su_used", alloc.su_used.into())],
-        )?;
-        if !Star::from_row(sim.star_id, &tx.get(Star::TABLE, sim.star_id)?)?.has_results {
-            tx.update(Star::TABLE, sim.star_id, &[("has_results", true.into())])?;
-        }
-        tx.update(Simulation::TABLE, sim.id.expect("saved"), &sim.to_values())
-    })
 }
 
 /// Look up the owning user's username (for proxy SAML attribution).
@@ -825,7 +714,7 @@ mod tests {
             parse_submission_id(&fork),
             Some(("stellar", JobPurpose::PreJob, -1, 0))
         );
-        assert!(fork.starts_with(&submission_prefix(1)) && !id.starts_with(&submission_prefix(1)));
+        assert!(fork.starts_with("sim1/") && !id.starts_with("sim1/"));
         assert_eq!(parse_submission_id("sim1/stellar/NOPE/r0c0"), None);
         assert_eq!(parse_submission_id("demo"), None);
     }

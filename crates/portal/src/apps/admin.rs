@@ -186,10 +186,10 @@ pub fn authorize(p: &Portal, req: &Request, _: &Params) -> Response {
 /// Ask for a held simulation to resume from its pre-failure state (§4.4:
 /// "once the problem has been resolved, the workflow resumes
 /// automatically"). The portal holds no grid credential, so it only asks,
-/// on the row: the status goes back and `held_from` stays set. The daemon
-/// that next claims the simulation finds `held_from` on a live row, makes
-/// the site forget the submissions whose job rows were deleted while it
-/// was held, and clears it.
+/// on the row: the status goes back and `held_from` stays set (`QUEUED`,
+/// if the hold had none). The daemon that next claims the simulation finds
+/// `held_from` on a live row, makes the site forget the submissions whose
+/// job rows were deleted while it was held, and clears it.
 pub fn resume_hold(p: &Portal, req: &Request, params: &Params) -> Response {
     let conn = match require_admin(p, req) {
         Ok(c) => c,
@@ -201,12 +201,10 @@ pub fn resume_hold(p: &Portal, req: &Request, params: &Params) -> Response {
     let mgr = Manager::<Simulation>::new(conn.clone());
     match mgr.get(id) {
         Ok(mut sim) if sim.status == SimStatus::Hold => {
-            let back: SimStatus = sim
-                .held_from
-                .as_deref()
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(SimStatus::Queued);
-            sim.status = back;
+            // A hold with no `held_from` (an edit of a DONE row) reruns from
+            // the start, and asks the daemon for its releases all the same.
+            let from = sim.held_from.get_or_insert_with(|| "QUEUED".into());
+            sim.status = from.parse().unwrap_or(SimStatus::Queued);
             sim.status_message = "resumed by administrator".into();
             match mgr.save(&sim) {
                 Ok(()) => Response::redirect("/admin"),

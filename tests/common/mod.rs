@@ -291,8 +291,9 @@ pub enum Fault {
 pub enum Crash {
     /// At this mid-tick instant (`pause_point`).
     MidTick(usize),
-    /// At this point of this accepted GRAM submission (`step_point`).
-    InStep(usize, StepPoint),
+    /// At the n-th step point of this kind (`step_point`, `StepPoint.kind`):
+    /// right after the n-th effect of that kind a daemon performed.
+    InStep(usize, &'static str),
 }
 
 /// What goes wrong in a world, and when: faults keyed by the round of a
@@ -374,7 +375,8 @@ struct Instants {
     dir: PathBuf,
     crash: Mutex<Option<Crash>>,
     mid_ticks: AtomicUsize,
-    accepted: AtomicUsize,
+    /// Step points passed so far, by kind.
+    step_points: Mutex<BTreeMap<&'static str, usize>>,
 }
 
 impl Instants {
@@ -489,11 +491,16 @@ impl World {
             shared.pass(Crash::MidTick(instant));
         }));
         let shared = Arc::clone(instants);
-        daemon.step_point = Some(Box::new(move |point, _| {
-            let accepted = usize::from(point == StepPoint::Accepted);
-            let nth = shared.accepted.fetch_add(accepted, SeqCst) + accepted;
-            if shared.armed(Crash::InStep(nth, point)) {
-                shared.pass(Crash::InStep(nth, point));
+        daemon.step_point = Some(Box::new(move |point: StepPoint<'_>| {
+            let kind = point.kind;
+            let nth = {
+                let mut passed = shared.step_points.lock().unwrap();
+                let nth = passed.entry(kind).or_insert(0);
+                *nth += 1;
+                *nth
+            };
+            if shared.armed(Crash::InStep(nth, kind)) {
+                shared.pass(Crash::InStep(nth, kind));
             }
         }));
         daemon
@@ -529,6 +536,11 @@ impl World {
     /// Mid-tick instants passed so far, over every daemon.
     pub fn mid_ticks(&self) -> usize {
         self.instants().mid_ticks.load(SeqCst)
+    }
+
+    /// Step points passed so far over every daemon, by kind.
+    pub fn step_points(&self) -> BTreeMap<&'static str, usize> {
+        self.instants().step_points.lock().unwrap().clone()
     }
 
     /// `fault`, now.

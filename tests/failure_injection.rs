@@ -128,8 +128,11 @@ fn two_daemons_charging_one_allocation_charge_the_sum() {
     let ((to_b, from_a), (to_a, from_b)) = (mpsc::channel(), mpsc::channel());
     let ends = [(to_b, from_b), (to_a, from_a)];
     for (daemon, (to_peer, from_peer)) in world.daemons.iter_mut().zip(ends) {
-        daemon.step_point = Some(Box::new(move |point, job| {
-            if point == StepPoint::Recorded && job.purpose == JobPurpose::Cleanup {
+        daemon.step_point = Some(Box::new(move |point: StepPoint<'_>| {
+            let cleanup = point
+                .job
+                .is_some_and(|job| job.purpose == JobPurpose::Cleanup);
+            if point.kind == "recorded" && cleanup {
                 to_peer.send(()).unwrap();
                 let _ = from_peer.recv_timeout(Duration::from_secs(5));
             }
@@ -362,30 +365,108 @@ fn corrupt_restart_file_is_a_model_failure_then_recovers() {
 /// The daemon applies a resume in a tick of its own and submits nothing in
 /// it, so a crash anywhere in that tick loses neither the operator's request
 /// nor what the site was told: at its mid-tick instant, before anything is
-/// released, or after the releases, with the tick's flush lost.
+/// released, between the first release and the second, or after the
+/// releases, with the tick's flush lost.
 #[test]
 fn a_crash_in_the_tick_that_applies_a_resume_loses_nothing() {
-    for released in [false, true] {
-        let tag = format!("resume_crash_{released}");
+    for crash in ["mid_tick", "first_release", "after_releases"] {
+        let tag = format!("resume_crash_{crash}");
         let mut world = World::durable(&tag, walltime(6.0), 1);
-        let (sim_id, _) = hold_on_a_corrupt_restart_and_repair(&mut world);
+        let (sim_id, deleted) = hold_on_a_corrupt_restart_and_repair(&mut world);
+        assert_eq!(deleted.len(), 2);
         let resume = format!("/admin/simulations/{sim_id}/resume");
         assert_eq!(Admin::on(&world.db).post(&resume, &[]).status, 302);
-        if released {
-            world.daemons[0].tick(&world.grid);
-            assert_eq!(sim(&world.db, sim_id).held_from, None);
-        } else {
-            world.apply(Fault::Crash(Crash::MidTick(world.mid_ticks() + 1)));
-            assert_eq!(world.run(&Schedule::none(), |_, _| {}), None);
+        match crash {
+            "mid_tick" => world.apply(Fault::Crash(Crash::MidTick(world.mid_ticks() + 1))),
+            "first_release" => world.apply(Fault::Crash(Crash::InStep(1, "released"))),
+            _ => {
+                world.daemons[0].tick(&world.grid);
+                assert_eq!(sim(&world.db, sim_id).held_from, None);
+            }
         }
+        if crash != "after_releases" {
+            assert_eq!(world.run(&Schedule::none(), |_, _| {}), None, "{crash}");
+        }
+        let released = world
+            .grid
+            .audit()
+            .records()
+            .iter()
+            .filter(|r| r.action == "release")
+            .count();
+        let expected = match crash {
+            "mid_tick" => 0,
+            "first_release" => 1,
+            _ => 2,
+        };
+        assert_eq!(released, expected, "{crash}");
         world.recover();
         assert!(
             sim(&world.db, sim_id).held_from.is_some(),
-            "the request was lost"
+            "{crash}: the request was lost"
         );
         world.run(&Schedule::none(), |_, _| {});
         assert_rerun_from_scratch(&world, sim_id);
     }
+}
+
+/// A HOLD row with no `held_from` — made here the one way there is, an
+/// administrator's change-form edit of a DONE simulation — resumes from
+/// QUEUED, and the resume makes the site forget every submission the
+/// administrator deleted the row of: the run is done again from scratch,
+/// each job a new one.
+#[test]
+fn a_resume_of_a_hold_with_no_held_from_reruns_from_scratch() {
+    let mut world = World::kraken(1, walltime(6.0));
+    let (user, star, alloc, _obs) = seed_fixtures(&world.db, "kraken", &truth(), 9).unwrap();
+    let sim_id = queue_direct(&world.db, star, user, alloc, 1.0);
+    world.run(&Schedule::none(), |_, _| {});
+    let first = done(&world.db, sim_id);
+
+    let admin = Admin::on(&world.db);
+    let set = format!("/admin/table/simulation/{sim_id}/set");
+    assert_eq!(
+        admin
+            .post(&set, &[("column", "status"), ("value", "HOLD")])
+            .status,
+        302
+    );
+    let held = sim(&world.db, sim_id);
+    assert_eq!((held.status, held.held_from), (SimStatus::Hold, None));
+    let jobs =
+        Manager::<GridJobRecord>::new(world.db.connect(amp::core::roles::ROLE_ADMIN).unwrap());
+    let rows = jobs
+        .filter(&Query::new().eq("simulation_id", sim_id))
+        .unwrap();
+    for row in &rows {
+        jobs.delete(row.id.unwrap()).unwrap();
+    }
+    let resume = format!("/admin/simulations/{sim_id}/resume");
+    assert_eq!(admin.post(&resume, &[]).status, 302);
+    let asked = sim(&world.db, sim_id);
+    assert_eq!(asked.status, SimStatus::Queued);
+    assert_eq!(asked.held_from.as_deref(), Some("QUEUED"));
+
+    world.run(&Schedule::none(), |_, _| {});
+    let again = done(&world.db, sim_id);
+    assert_eq!(again.result_json, first.result_json);
+    assert_eq!(again.held_from, None);
+    let audit = world.grid.audit();
+    let count = |action| {
+        audit
+            .records()
+            .iter()
+            .filter(|r| r.action == action)
+            .count()
+    };
+    let twice = 2 * rows.len();
+    let counts = (count("submit"), count("resubmit"), count("release"));
+    assert_eq!(
+        counts,
+        (twice, 0, rows.len()),
+        "(submit, resubmit, release)"
+    );
+    assert_eq!(jobs_of(&world.db, sim_id, "WORK").len(), 1);
 }
 
 /// §4.4 model failure on a direct run: out-of-grid parameters fail the
@@ -449,8 +530,11 @@ fn the_change_form_leaves_a_live_simulation_to_its_daemon() {
     let to_second = second.to_string();
     let answers = Arc::new(Mutex::new(Vec::new()));
     let (hook_admin, hook_answers) = (Arc::clone(&admin), Arc::clone(&answers));
-    world.daemons[0].step_point = Some(Box::new(move |point, rec| {
-        if point == StepPoint::Accepted && rec.purpose == JobPurpose::PreJob {
+    world.daemons[0].step_point = Some(Box::new(move |point: StepPoint<'_>| {
+        let prejob = point
+            .job
+            .is_some_and(|rec| rec.purpose == JobPurpose::PreJob);
+        if point.kind == "accepted" && prejob {
             let form = [("column", "allocation_id"), ("value", to_second.as_str())];
             hook_answers
                 .lock()

@@ -378,8 +378,8 @@ fn a_daemon_frozen_between_acceptance_and_its_job_row_writes_no_second_row() {
     let (mut world, sim_id) = two_daemons_one_run();
     let (entered_tx, entered_rx) = mpsc::channel::<()>();
     let (resume_tx, resume_rx) = mpsc::channel::<()>();
-    world.daemons[0].step_point = Some(Box::new(move |point, _| {
-        if point == StepPoint::Accepted {
+    world.daemons[0].step_point = Some(Box::new(move |point: StepPoint<'_>| {
+        if point.kind == "accepted" {
             let _ = entered_tx.send(());
             let _ = resume_rx.recv();
         }

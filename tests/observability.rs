@@ -264,13 +264,13 @@ fn wal_bytes_counter_equals_the_logs_growth() {
     assert_eq!(counted, grown, "counter vs file growth");
 }
 
-/// The five stage timers are contiguous: over a 64-simulation drain their
+/// The four stage timers are contiguous: over a 64-simulation drain their
 /// sums add up to the wall time spent inside `tick()`.
 #[test]
 fn tick_stage_timers_add_up_to_the_tick() {
     let _turn = EXACT_DELTAS.lock().unwrap_or_else(|e| e.into_inner());
     let stage_nanos = || -> u64 {
-        ["claim", "poll", "step", "apply", "flush"]
+        ["claim", "poll", "step", "flush"]
             .iter()
             .map(|stage| {
                 let name = obs::labeled("gridamp_tick_stage_seconds", &[("stage", stage)]);

@@ -3,7 +3,7 @@
 //! statuses, job records, notification outbox, and per-simulation
 //! transition sequences and saved `progress` values tick by tick. Every
 //! scenario carries a GA ensemble, so what the daemon remembers of partial
-//! results between ticks (read by each step, replaced by the apply pass) is
+//! results between ticks (read by each decision, replaced by the applier) is
 //! in play.
 
 mod common;

@@ -1,9 +1,15 @@
 //! F1/L1 integration: the executed optimization workflow has exactly the
 //! shape of Figure 1, and simulations move through exactly the Listing-1
-//! state sequence.
+//! state sequence. And Listing 1 on its own, without a tick: over every
+//! state × every outcome of the job it awaits, a decision is total, reads
+//! only, repeats itself, is not repeated once applied, and moves a row only
+//! to its next state in `workflow_table()`.
 
 mod common;
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+use amp::gridamp::workflow::{self, Decision, Effect, View};
 use amp::prelude::*;
 use common::{queue, spec, truth, walltime, Schedule, Seen, World};
 
@@ -185,4 +191,177 @@ fn two_simulations_share_the_machine() {
         assert_eq!(s.status, SimStatus::Done, "sim {id}: {}", s.status_message);
         assert!(s.result_json.is_some());
     }
+}
+
+/// Every table's version, the submission ids the site holds, and its files.
+type Untouched = (Vec<u64>, Vec<String>, Vec<(String, Vec<u8>)>);
+
+/// What a decision must not change: every table's version, what the site
+/// holds under the simulations' submission ids, and its filesystem.
+fn untouched(dep: &amp::gridamp::Deployment) -> Untouched {
+    let names = dep.db.table_names();
+    let names: Vec<&str> = names.iter().map(String::as_str).collect();
+    let now = dep.grid.now();
+    let proxy = dep
+        .daemon
+        .credential()
+        .issue_proxy("astro1", now, SimDuration::from_hours(1.0));
+    let held = dep.grid.gram_submissions("kraken", &proxy, "sim").unwrap();
+    let site = dep.grid.site("kraken").unwrap();
+    let files = site.fs.list_tree("");
+    let files = files.into_iter().map(|f| {
+        let data = site.fs.read(&f).unwrap().to_vec();
+        (f, data)
+    });
+    let held = held.into_iter().map(|s| s.id).collect();
+    (dep.db.table_versions(&names), held, files.collect())
+}
+
+/// The submission ids of a decision's submissions, in order.
+fn submission_ids(d: &Decision) -> Vec<&str> {
+    let ids = d.effects.iter().filter_map(|e| match e {
+        Effect::Submit(sub) => sub.spec.submission_id.as_deref(),
+        _ => None,
+    });
+    ids.collect()
+}
+
+/// The job a simulation in `state` waits on (QUEUED waits on none).
+fn awaited(state: SimStatus) -> Option<JobPurpose> {
+    match state {
+        SimStatus::PreJob => Some(JobPurpose::PreJob),
+        SimStatus::Running => Some(JobPurpose::Work),
+        SimStatus::PostJob => Some(JobPurpose::PostJob),
+        SimStatus::Cleanup => Some(JobPurpose::Cleanup),
+        _ => None,
+    }
+}
+
+/// Place a fresh simulation of `kind` (0 direct, 1 optimization) in `state`
+/// with its awaited job — one per GA run for an optimization's Work — in
+/// `outcome` (`None`: no row). Returns the simulation row.
+fn placed(
+    dep: &amp::gridamp::Deployment,
+    kind: usize,
+    state: SimStatus,
+    outcome: Option<(JobStatus, &str)>,
+) -> Simulation {
+    let (user, star, alloc, obs) =
+        amp::gridamp::seed_fixtures(&dep.db, "kraken", &truth(), 5).unwrap();
+    let sim = match kind {
+        0 => Simulation::new_direct(star, user, StellarParams::sun(), "kraken", alloc, 0),
+        _ => {
+            Simulation::new_optimization(star, user, spec(2, 8, 8, 16, 3), obs, "kraken", alloc, 0)
+        }
+    };
+    let sim_id = queue(&dep.db, sim);
+    let admin = dep.db.connect(amp::core::roles::ROLE_ADMIN).unwrap();
+    let sims = Manager::<Simulation>::new(admin.clone());
+    let mut sim = sims.get(sim_id).unwrap();
+    sim.status = state;
+    sims.save(&sim).unwrap();
+    if let (Some(purpose), Some((status, detail))) = (awaited(state), outcome) {
+        let runs = match (purpose, kind) {
+            (JobPurpose::Work, 1) => vec![0, 1],
+            _ => vec![-1],
+        };
+        for (k, ga_run) in runs.into_iter().enumerate() {
+            let mut job = GridJobRecord::new(sim_id, ga_run, purpose, 0, "kraken", 16, &sim.app);
+            job.gram_handle = Some(format!("gram://kraken/jobmanager-pbs/{}", 900 + k));
+            (job.status, job.detail) = (status, detail.to_string());
+            job.submitted_at = Some(0);
+            if status.is_terminal() {
+                (job.started_at, job.ended_at) = (Some(0), Some(3600));
+            }
+            Manager::<GridJobRecord>::new(admin.clone())
+                .create(&mut job)
+                .unwrap();
+        }
+    }
+    sim
+}
+
+#[test]
+fn listing_1_decides_every_state_and_job_outcome_from_reads_alone() {
+    let outcomes = [
+        None,
+        Some((JobStatus::Pending, "")),
+        Some((JobStatus::Active, "")),
+        Some((JobStatus::Done, "")),
+        Some((JobStatus::Failed, "exit status 1")),
+        Some((JobStatus::Failed, "walltime exceeded")),
+    ];
+    let kinds = [(0, false), (1, false), (1, true)];
+    let mut cases = 0;
+    for (kind, chaining) in kinds {
+        for &(state, stages, next) in workflow::workflow_table() {
+            for outcome in outcomes {
+                let walltime_kill = outcome.is_some_and(|(_, d)| d.contains("walltime"));
+                let awaits = awaited(state);
+                if (awaits.is_none() && outcome.is_some())
+                    || (walltime_kill && awaits != Some(JobPurpose::Work))
+                {
+                    continue;
+                }
+                cases += 1;
+                let case = format!("kind {kind} chaining {chaining} {state} {outcome:?}");
+                let mut dep = deploy_kraken(6.0, chaining);
+                let sim = placed(&dep, kind, state, outcome);
+
+                // 1. Total: deciding never panics.
+                let before = untouched(&dep);
+                let decide = || dep.daemon.decide(&dep.grid, &sim);
+                let first = catch_unwind(AssertUnwindSafe(decide))
+                    .unwrap_or_else(|_| panic!("{case}: decide panicked"));
+                // 2. Deciding twice decides the same, and writes nothing.
+                let again = dep.daemon.decide(&dep.grid, &sim);
+                assert_eq!(first, again, "{case}");
+                assert_eq!(submission_ids(&first), submission_ids(&again), "{case}");
+                assert_eq!(untouched(&dep), before, "{case}: deciding wrote");
+
+                // 4. The row moves iff every stage of its row returns true,
+                // and then to that row's next state.
+                let conn = dep.db.connect(amp::core::roles::ROLE_DAEMON).unwrap();
+                let cred = dep.daemon.credential().clone();
+                let config = dep.daemon.config.clone();
+                let view = View::new(&dep.grid, &conn, &config, &cred, &sim, None).unwrap();
+                let mut scratch = Decision::new(&sim);
+                let all = stages
+                    .iter()
+                    .all(|stage| (stage.run)(&view, &mut scratch) == Ok(true));
+                let expected = if all { next } else { state };
+                assert_eq!(first.sim.status, expected, "{case}: {:?}", first.failed);
+                assert_eq!(workflow::decide(&view), first, "{case}");
+                drop(view);
+
+                // 3. Once applied, deciding again at the same instant asks
+                // for none of the keys it just submitted.
+                let (sim_id, now) = (sim.id.unwrap(), dep.grid.now().as_secs() as i64);
+                let daemon_id = dep.daemon.daemon_id().to_string();
+                let claim =
+                    amp::gridamp::lease::claim(&conn, &daemon_id, sim_id, &sim.app, now, 1800);
+                let epoch = claim.unwrap().held_epoch().unwrap();
+                let mut report = amp::gridamp::TickReport::default();
+                dep.daemon
+                    .apply(&dep.grid, first.clone(), epoch, &mut report);
+                assert!(report.daemon_errors.is_empty(), "{case}: {report:?}");
+                let (_, held, _) = untouched(&dep);
+                let submitted: Vec<&str> = submission_ids(&first)
+                    .into_iter()
+                    .filter(|id| held.iter().any(|h| h == id))
+                    .collect();
+                assert_eq!(
+                    submitted.is_empty(),
+                    first.failed.is_some() || submission_ids(&first).is_empty(),
+                    "{case}"
+                );
+                let reloaded = common::sim(&dep.db, sim_id);
+                let decided = dep.daemon.decide(&dep.grid, &reloaded);
+                for id in submission_ids(&decided) {
+                    assert!(!submitted.contains(&id), "{case}: {id} asked for twice");
+                }
+            }
+        }
+    }
+    assert_eq!(cases, 3 * (1 + 5 + 6 + 5 + 5));
 }
