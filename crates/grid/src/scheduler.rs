@@ -495,7 +495,7 @@ impl Scheduler {
         self.free_cores += cores;
     }
 
-    /// Aggregate utilization snapshot (cores busy / total).
+    /// Whole-machine utilization snapshot (cores busy / total).
     pub fn utilization(&self) -> f64 {
         1.0 - self.free_cores as f64 / self.profile.cores as f64
     }

@@ -38,7 +38,7 @@ pub struct GanttChart {
     pub rows: Vec<GanttRow>,
 }
 
-/// Aggregate wait/run statistics over a set of rows.
+/// Summary wait/run statistics over a set of rows.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WaitRunStats {
     pub jobs: usize,
@@ -85,7 +85,7 @@ pub fn chart_for(conn: &Connection, simulation_id: i64) -> Result<GanttChart, Db
     })
 }
 
-/// Aggregate statistics over completed rows.
+/// Summary statistics over completed rows.
 pub fn stats(rows: &[GanttRow]) -> WaitRunStats {
     let mut waits: Vec<i64> = rows.iter().filter_map(|r| r.wait_secs()).collect();
     let runs: Vec<i64> = rows.iter().filter_map(|r| r.run_secs()).collect();

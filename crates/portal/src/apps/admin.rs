@@ -86,7 +86,8 @@ pub fn table_list(p: &Portal, req: &Request, params: &Params) -> Response {
         return Response::not_found();
     };
     let page: usize = req.q("page").and_then(|s| s.parse().ok()).unwrap_or(1);
-    let rows = dbadmin::browse(conn, name, (page - 1) * 50, 50).unwrap_or_default();
+    let offset = page.saturating_sub(1).saturating_mul(50);
+    let rows = dbadmin::browse(conn, name, offset, 50).unwrap_or_default();
     let mut body = format!("<h2>Table {name}</h2><table><tr><th>id</th>");
     for c in &schema.columns {
         body.push_str(&format!("<th>{}</th>", html_escape(&c.name)));

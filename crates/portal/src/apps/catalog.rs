@@ -34,7 +34,7 @@ pub fn browse(p: &Portal, req: &Request, _: &Params) -> Response {
         .filter(
             &Query::new()
                 .order_by("identifier")
-                .offset((page.saturating_sub(1)) * PAGE_SIZE)
+                .offset(page.saturating_sub(1).saturating_mul(PAGE_SIZE))
                 .limit(PAGE_SIZE),
         )
         .unwrap_or_default();
@@ -57,7 +57,7 @@ pub fn browse(p: &Portal, req: &Request, _: &Params) -> Response {
          <form action=\"/stars/search\"><input name=\"q\" placeholder=\"HD 52265\">\
          <button>Search</button></form>{list}\
          <p>page {page} — <a href=\"/stars?page={next}\">next</a></p>",
-        next = page + 1,
+        next = page.saturating_add(1),
     );
     p.page("Stars", p.current_user(req).as_ref(), &body)
 }

@@ -506,8 +506,8 @@ pub(crate) fn worker_main(
             .queue_wait
             .observe_duration(job.enqueued.elapsed());
         if !config.handler_delay.is_zero() {
-            // Load-test knob: simulate a slow backend so overload and
-            // drain behaviour can be exercised deterministically.
+            // Test knob: a slow handler, so a test can hold requests in
+            // flight while the server shuts down and drains them.
             std::thread::sleep(config.handler_delay);
         }
         let response = portal.handle(&job.request);

@@ -113,9 +113,10 @@ pub struct ServerConfig {
     /// Reject requests whose buffered or declared size exceeds this
     /// (answered `413 Payload Too Large`).
     pub max_request_bytes: usize,
-    /// Artificial per-request service delay (benchmarks and drain tests
-    /// only; zero in production configs). Non-zero, it stands for a slow
-    /// handler: every request then goes to the pool, cache hits included.
+    /// Artificial per-request service delay, zero in production configs;
+    /// `tests/portal_serving.rs`'s shutdown-drain test sets it to hold
+    /// requests in flight. Non-zero, it stands for a slow handler: every
+    /// request then goes to the pool, cache hits included.
     pub handler_delay: Duration,
 }
 

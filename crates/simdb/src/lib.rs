@@ -612,7 +612,7 @@ pub struct ReadView {
 impl ReadView {
     /// The pinned table itself, read-only: for what a query does not
     /// phrase, such as an index's contents
-    /// ([`Table::range_indexed`](table::Table::range_indexed)).
+    /// ([`Table::indexed_ids`](table::Table::indexed_ids)).
     pub fn table(&self, name: &str) -> Result<&table::Table, DbError> {
         self.role.check(name, Action::Select)?;
         let mut named = self.tables.iter().map(|&pos| &self.version.at(pos).table);

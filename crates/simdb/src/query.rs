@@ -9,7 +9,6 @@ use crate::schema::TableSchema;
 use crate::table::{Row, Table};
 use crate::value::Value;
 use std::cmp::Ordering;
-use std::ops::Bound;
 
 /// Comparison operators available in filters.
 #[derive(Debug, Clone, PartialEq)]
@@ -191,11 +190,11 @@ impl Query {
     /// Execute against a table, returning (id, row) pairs.
     ///
     /// Access path selection is cost-based (see [`Self::explain`]): unique
-    /// probes beat secondary probes beat range scans beat full scans, and
-    /// every index-drivable filter's candidate set is intersected before
-    /// any row is touched. Rows are filtered *borrowed*; only the final
-    /// page is cloned. Results without `order_by` come back in primary-key
-    /// order.
+    /// probes beat secondary probes beat full scans, and every
+    /// index-drivable filter's candidate set is intersected before any row
+    /// is touched; every other filter is tested on the rows. Rows are
+    /// filtered *borrowed*; only the final page is cloned. Results without
+    /// `order_by` come back in primary-key order.
     pub fn execute(&self, table: &Table) -> Result<Vec<(i64, Row)>, DbError> {
         Ok(self
             .run(table)?
@@ -355,7 +354,7 @@ impl Query {
         };
 
         // Rows the caller can actually receive; `Some(0)` short-circuits.
-        let wanted = self.limit.map(|l| self.offset + l);
+        let wanted = self.limit.map(|l| self.offset.saturating_add(l));
         if wanted == Some(0) {
             return Ok(Vec::new());
         }
@@ -482,19 +481,16 @@ impl Query {
     /// Cost lattice (cheapest first): a unique `Eq` probe is one index
     /// seek and yields ≤ 1 row, so it always wins. Otherwise every
     /// probe-drivable filter (`Eq`/`In` over an indexed column, cost =
-    /// posting size) contributes a sorted candidate set; range-drivable
-    /// filters (`Lt`/`Le`/`Gt`/`Ge` over an indexed column, cost =
-    /// matching-key volume) are materialized only when no probe set is
-    /// already tiny.
-    /// All collected sets are intersected, so each extra indexed filter
-    /// only shrinks the rows that get touched. A filter proven empty at
-    /// the index (unique miss, all-`In`-probes miss, inverted range)
-    /// short-circuits to [`Plan::Empty`] without touching a row.
+    /// posting size) contributes a sorted candidate set, and the sets are
+    /// intersected, so each extra indexed filter only shrinks the rows
+    /// that get touched. A filter proven empty at the index (unique miss,
+    /// all-`In`-probes miss) short-circuits to [`Plan::Empty`] without
+    /// touching a row. Every other filter (`Lt`/`Le`/`Gt`/`Ge` and the
+    /// text operators included) is tested on the rows.
     ///
     /// Every set used answers its filters exactly (the index compares cells
     /// as `Filter::matches` does and holds every non-NULL one), so
-    /// [`Planned::answered`] marks them; a range filter whose set was
-    /// skipped is not among them.
+    /// [`Planned::answered`] marks them.
     fn plan_access(&self, table: &Table, idx: &[usize]) -> Planned {
         // 1. Unique Eq probe: unbeatable when available.
         for (i, (f, &ci)) in self.filters.iter().zip(idx.iter()).enumerate() {
@@ -544,38 +540,6 @@ impl Query {
             return Planned::empty();
         }
 
-        // 3. Range sets, unless a probe set is already selective enough
-        // that walking a range would cost more than it saves.
-        let min_probe = sets.iter().map(|(_, s)| s.len()).min();
-        let mut range_cols: Vec<String> = Vec::new();
-        if min_probe.is_none_or(|m| m > 256) {
-            for (col, ci, lower, upper) in self.range_bounds(table, idx) {
-                match bounds_feasible(&lower, &upper) {
-                    Feasibility::Empty => return Planned::empty(),
-                    Feasibility::Scan => {
-                        if let Some(ids) =
-                            table.range_indexed(ci, borrow_bound(&lower), borrow_bound(&upper))
-                        {
-                            let mut ids = ids;
-                            ids.sort_unstable();
-                            range_cols.push(col.clone());
-                            sets.push((col, ids));
-                            // The folded bounds answer every range filter
-                            // over the column.
-                            for (i, (f, &c)) in self.filters.iter().zip(idx).enumerate() {
-                                if c == ci && is_range(&f.op) {
-                                    answered |= filter_bit(i);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        if sets.iter().any(|(_, s)| s.is_empty()) {
-            return Planned::empty();
-        }
-
         if !sets.is_empty() {
             // Intersect smallest-first so the working set only shrinks.
             sets.sort_by_key(|(_, s)| s.len());
@@ -588,20 +552,15 @@ impl Query {
                     break;
                 }
             }
-            let only_ranges = columns.len() == range_cols.len();
             return Planned {
-                plan: if only_ranges {
-                    Plan::RangeScan { columns }
-                } else {
-                    Plan::IndexProbe { columns }
-                },
+                plan: Plan::IndexProbe { columns },
                 candidates: Some(acc),
                 answered,
                 index_order: None,
             };
         }
 
-        // 4. Full scan; in index order if that serves the leading sort key.
+        // 3. Full scan; in index order if that serves the leading sort key.
         let index_order = self.order_by.first().and_then(|o| {
             let ci = table.schema.column_index(&o.column)?;
             (table.has_index(ci) && table.schema.columns[ci].not_null).then_some(ci)
@@ -617,44 +576,6 @@ impl Query {
             answered: 0,
             index_order,
         }
-    }
-
-    /// Fold `Lt/Le/Gt/Ge` filters over indexed columns into one
-    /// (lower, upper) bound pair per column, tightest bounds winning.
-    fn range_bounds(
-        &self,
-        table: &Table,
-        idx: &[usize],
-    ) -> Vec<(String, usize, Bound<Value>, Bound<Value>)> {
-        let mut out: Vec<(String, usize, Bound<Value>, Bound<Value>)> = Vec::new();
-        for (f, &ci) in self.filters.iter().zip(idx.iter()) {
-            if !is_range(&f.op) || !table.has_index(ci) {
-                continue;
-            }
-            let entry = match out.iter_mut().find(|(_, c, _, _)| *c == ci) {
-                Some(e) => e,
-                None => {
-                    out.push((f.column.clone(), ci, Bound::Unbounded, Bound::Unbounded));
-                    out.last_mut().expect("just pushed")
-                }
-            };
-            match f.op {
-                Op::Lt => {
-                    entry.3 = tighten_upper(entry.3.clone(), Bound::Excluded(f.value.clone()))
-                }
-                Op::Le => {
-                    entry.3 = tighten_upper(entry.3.clone(), Bound::Included(f.value.clone()))
-                }
-                Op::Gt => {
-                    entry.2 = tighten_lower(entry.2.clone(), Bound::Excluded(f.value.clone()))
-                }
-                Op::Ge => {
-                    entry.2 = tighten_lower(entry.2.clone(), Bound::Included(f.value.clone()))
-                }
-                _ => unreachable!(),
-            }
-        }
-        out
     }
 }
 
@@ -692,15 +613,10 @@ fn filter_bit(i: usize) -> u64 {
         .unwrap_or(0)
 }
 
-/// `Lt` / `Le` / `Gt` / `Ge`: the filters a range set can drive.
-fn is_range(op: &Op) -> bool {
-    matches!(op, Op::Lt | Op::Le | Op::Gt | Op::Ge)
-}
-
 /// Count executed plans by kind in the global metrics registry (handles
 /// resolved once; each execution is a single relaxed atomic increment).
 fn record_plan(plan: &Plan) {
-    static COUNTERS: std::sync::OnceLock<[amp_obs::Counter; 6]> = std::sync::OnceLock::new();
+    static COUNTERS: std::sync::OnceLock<[amp_obs::Counter; 5]> = std::sync::OnceLock::new();
     let counters = COUNTERS.get_or_init(|| {
         let c =
             |kind: &str| amp_obs::counter(&amp_obs::labeled("simdb_plan_total", &[("kind", kind)]));
@@ -708,7 +624,6 @@ fn record_plan(plan: &Plan) {
             c("empty"),
             c("unique_probe"),
             c("index_probe"),
-            c("range_scan"),
             c("index_ordered_scan"),
             c("full_scan"),
         ]
@@ -717,9 +632,8 @@ fn record_plan(plan: &Plan) {
         Plan::Empty => 0,
         Plan::UniqueProbe { .. } => 1,
         Plan::IndexProbe { .. } => 2,
-        Plan::RangeScan { .. } => 3,
-        Plan::IndexOrderedScan { .. } => 4,
-        Plan::FullScan => 5,
+        Plan::IndexOrderedScan { .. } => 3,
+        Plan::FullScan => 4,
     };
     counters[idx].inc();
 }
@@ -731,11 +645,8 @@ pub enum Plan {
     Empty,
     /// Single unique-index probe (≤ 1 candidate).
     UniqueProbe { column: String },
-    /// Index probe sets (Eq/In over indexed columns, possibly combined
-    /// with range sets), intersected.
+    /// Index probe sets (Eq/In over indexed columns), intersected.
     IndexProbe { columns: Vec<String> },
-    /// Index range scan(s) only.
-    RangeScan { columns: Vec<String> },
     /// Full scan streamed in index order to serve `ORDER BY`.
     IndexOrderedScan { column: String },
     /// Filter every row in primary-key order.
@@ -790,7 +701,7 @@ fn top_k<T>(items: &mut Vec<T>, k: usize, mut cmp: impl FnMut(&T, &T) -> Orderin
 fn paginate<T>(mut items: Vec<T>, offset: usize, limit: Option<usize>) -> Vec<T> {
     let start = offset.min(items.len());
     let end = match limit {
-        Some(l) => (start + l).min(items.len()),
+        Some(l) => start.saturating_add(l).min(items.len()),
         None => items.len(),
     };
     items.truncate(end);
@@ -813,137 +724,6 @@ fn intersect_sorted(a: &[i64], b: &[i64]) -> Vec<i64> {
         }
     }
     out
-}
-
-fn tighten_lower(a: Bound<Value>, b: Bound<Value>) -> Bound<Value> {
-    match (&a, &b) {
-        (Bound::Unbounded, _) => b,
-        (_, Bound::Unbounded) => a,
-        (Bound::Included(x) | Bound::Excluded(x), Bound::Included(y) | Bound::Excluded(y)) => {
-            match x.total_cmp(y) {
-                Ordering::Less => b,
-                Ordering::Greater => a,
-                // Equal values: Excluded is the tighter lower bound.
-                Ordering::Equal => {
-                    if matches!(a, Bound::Excluded(_)) {
-                        a
-                    } else {
-                        b
-                    }
-                }
-            }
-        }
-    }
-}
-
-fn tighten_upper(a: Bound<Value>, b: Bound<Value>) -> Bound<Value> {
-    match (&a, &b) {
-        (Bound::Unbounded, _) => b,
-        (_, Bound::Unbounded) => a,
-        (Bound::Included(x) | Bound::Excluded(x), Bound::Included(y) | Bound::Excluded(y)) => {
-            match x.total_cmp(y) {
-                Ordering::Less => a,
-                Ordering::Greater => b,
-                Ordering::Equal => {
-                    if matches!(a, Bound::Excluded(_)) {
-                        a
-                    } else {
-                        b
-                    }
-                }
-            }
-        }
-    }
-}
-
-enum Feasibility {
-    Empty,
-    Scan,
-}
-
-/// Detect contradictory bounds (`> 5 AND < 3`) before handing them to
-/// `BTreeMap::range`, which panics on inverted ranges.
-fn bounds_feasible(lower: &Bound<Value>, upper: &Bound<Value>) -> Feasibility {
-    let (lv, l_excl) = match lower {
-        Bound::Unbounded => return Feasibility::Scan,
-        Bound::Included(v) => (v, false),
-        Bound::Excluded(v) => (v, true),
-    };
-    let (uv, u_excl) = match upper {
-        Bound::Unbounded => return Feasibility::Scan,
-        Bound::Included(v) => (v, false),
-        Bound::Excluded(v) => (v, true),
-    };
-    match lv.total_cmp(uv) {
-        Ordering::Greater => Feasibility::Empty,
-        Ordering::Equal if l_excl || u_excl => Feasibility::Empty,
-        _ => Feasibility::Scan,
-    }
-}
-
-fn borrow_bound(b: &Bound<Value>) -> Bound<&Value> {
-    match b {
-        Bound::Included(v) => Bound::Included(v),
-        Bound::Excluded(v) => Bound::Excluded(v),
-        Bound::Unbounded => Bound::Unbounded,
-    }
-}
-
-/// Column aggregates over a query's result set (Django's `aggregate()`).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct Aggregate {
-    pub count: usize,
-    pub sum: f64,
-    pub min: Option<f64>,
-    pub max: Option<f64>,
-}
-
-impl Aggregate {
-    pub fn mean(&self) -> Option<f64> {
-        if self.count == 0 {
-            None
-        } else {
-            Some(self.sum / self.count as f64)
-        }
-    }
-}
-
-impl Query {
-    /// Aggregate a numeric column (Int/Float/Timestamp) over the matching
-    /// rows. NULL cells are skipped (SQL semantics); non-numeric columns
-    /// produce a column error.
-    pub fn aggregate(&self, table: &Table, column: &str) -> Result<Aggregate, DbError> {
-        let ci = table
-            .schema
-            .column_index(column)
-            .ok_or_else(|| DbError::NoSuchColumn {
-                table: table.schema.name.clone(),
-                column: column.to_string(),
-            })?;
-        let rows = self.run(table)?;
-        let mut agg = Aggregate::default();
-        for (_, row) in &rows {
-            let v = match &row[ci] {
-                Value::Null => continue,
-                Value::Int(i) => *i as f64,
-                Value::Float(f) => *f,
-                Value::Timestamp(t) => *t as f64,
-                other => {
-                    return Err(DbError::TypeMismatch {
-                        table: table.schema.name.clone(),
-                        column: column.to_string(),
-                        expected: crate::value::ValueType::Float,
-                        got: other.clone(),
-                    })
-                }
-            };
-            agg.count += 1;
-            agg.sum += v;
-            agg.min = Some(agg.min.map_or(v, |m| m.min(v)));
-            agg.max = Some(agg.max.map_or(v, |m| m.max(v)));
-        }
-        Ok(agg)
-    }
 }
 
 #[cfg(test)]
@@ -1004,7 +784,7 @@ mod tests {
     }
 
     #[test]
-    fn range_scan_and_order_desc() {
+    fn range_filter_and_order_desc() {
         let t = table();
         let rows = Query::new()
             .filter("mass", Op::Ge, Value::Float(1.0))
@@ -1229,40 +1009,15 @@ mod tests {
         assert_eq!(rows[0].1[2], Value::Int(5));
     }
 
+    /// Range filters are tested on the rows, so contradictory bounds over
+    /// an indexed column simply match nothing.
     #[test]
-    fn explain_range_scan_and_combined_bounds() {
-        let t = indexed_table(100);
-        let q =
-            Query::new()
-                .filter("v", Op::Ge, Value::Int(10))
-                .filter("v", Op::Lt, Value::Int(20));
-        assert_eq!(
-            q.explain(&t).unwrap(),
-            Plan::RangeScan {
-                columns: vec!["v".into()]
-            }
-        );
-        let rows = q.execute(&t).unwrap();
-        assert_eq!(rows.len(), 10);
-        assert!(rows.iter().all(|(_, r)| {
-            let v = r[2].as_int().unwrap();
-            (10..20).contains(&v)
-        }));
-        // ids come back in pk order without an explicit order_by
-        let ids: Vec<i64> = rows.iter().map(|(id, _)| *id).collect();
-        let mut sorted = ids.clone();
-        sorted.sort_unstable();
-        assert_eq!(ids, sorted);
-    }
-
-    #[test]
-    fn inverted_range_is_proven_empty() {
+    fn inverted_range_matches_no_row() {
         let t = indexed_table(30);
         let q =
             Query::new()
                 .filter("v", Op::Gt, Value::Int(20))
                 .filter("v", Op::Lt, Value::Int(10));
-        assert_eq!(q.explain(&t).unwrap(), Plan::Empty);
         assert!(q.execute(&t).unwrap().is_empty());
         assert_eq!(q.count(&t).unwrap(), 0);
     }
@@ -1370,8 +1125,8 @@ mod tests {
             Query::new().eq("site", "s1").offset(3).limit(4),
             Query::new().eq("tag", "t9"),
             Query::new().offset(100),
-            // A lone `In` naming a member twice, and a range filter whose
-            // set is skipped beside a small probe.
+            // A lone `In` naming a member twice, and a range filter
+            // tested on the rows beside a probe.
             Query::new().filter("site", Op::In(vec!["s1".into(), "s1".into()]), Value::Null),
             Query::new()
                 .eq("site", "s1")
@@ -1387,34 +1142,28 @@ mod tests {
         }
     }
 
+    /// An offset a URL could ask for, next to `usize::MAX`: every access
+    /// path pages past the end instead of overflowing `offset + limit`.
     #[test]
-    fn aggregates() {
-        let mut t = table();
-        t.insert(vec!["HD5".into(), Value::Null, "dwarf".into()])
-            .unwrap();
-        let a = Query::new().aggregate(&t, "mass").unwrap();
-        assert_eq!(a.count, 4, "NULL skipped");
-        assert!((a.sum - 5.3).abs() < 1e-9);
-        assert_eq!(a.min, Some(0.8));
-        assert_eq!(a.max, Some(2.0));
-        assert!((a.mean().unwrap() - 1.325).abs() < 1e-9);
-        // filtered aggregate
-        let a = Query::new()
-            .eq("kind", "giant")
-            .aggregate(&t, "mass")
-            .unwrap();
-        assert_eq!(a.count, 2);
-        assert!((a.sum - 3.5).abs() < 1e-9);
-        // empty set
-        let a = Query::new()
-            .eq("kind", "nova")
-            .aggregate(&t, "mass")
-            .unwrap();
-        assert_eq!(a.count, 0);
-        assert_eq!(a.mean(), None);
-        assert_eq!(a.min, None);
-        // text column rejected
-        assert!(Query::new().aggregate(&t, "name").is_err());
-        assert!(Query::new().aggregate(&t, "nope").is_err());
+    fn an_offset_near_usize_max_pages_past_the_end() {
+        let t = indexed_table(30);
+        let far = |q: Query| q.offset(usize::MAX - 1).limit(25);
+        assert_eq!(
+            far(Query::new().order_by("site")).explain(&t).unwrap(),
+            Plan::IndexOrderedScan {
+                column: "site".into()
+            }
+        );
+        for q in [
+            Query::new(),
+            Query::new().eq("site", "s1"),
+            Query::new().order_by("site"),
+            Query::new().order_by_desc("plain"),
+        ] {
+            let q = far(q);
+            assert!(q.execute(&t).unwrap().is_empty(), "{q:?}");
+            assert!(q.project(&t, "tag").unwrap().is_empty(), "{q:?}");
+            assert_eq!(q.count(&t).unwrap(), 0, "{q:?}");
+        }
     }
 }

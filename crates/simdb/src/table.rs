@@ -13,9 +13,9 @@
 //!   [`Index`]: every non-NULL cell as a `(value, row id)` entry, globally
 //!   sorted, in chunks of at most [`INDEX_CHUNK_CAP`] entries. That one
 //!   structure answers the unique probe, the equality posting list (already
-//!   ascending by id), `Lt/Le/Gt/Ge` ranges and index-ordered scans in both
-//!   directions. A point mutation re-links the one chunk holding the entry,
-//!   and only in the indexes whose cell actually changed.
+//!   ascending by id) and index-ordered scans in both directions. A point
+//!   mutation re-links the one chunk holding the entry, and only in the
+//!   indexes whose cell actually changed.
 //!
 //! `Table::clone` is therefore a *structural* clone — the row spine plus
 //! one `Arc` bump per index — and a committed write costs O(rows touched)
@@ -29,7 +29,6 @@ use crate::error::DbError;
 use crate::schema::TableSchema;
 use crate::value::Value;
 use std::collections::BTreeMap;
-use std::ops::Bound;
 use std::sync::Arc;
 
 /// A stored row: cell values aligned with `TableSchema::columns` order.
@@ -308,55 +307,31 @@ impl Index {
         self.chunks.iter().flat_map(|c| c.runs_from(0))
     }
 
-    /// [`Self::runs`] from the first run whose cell is not below `lower`.
-    fn runs_from<'a>(
-        &'a self,
-        lower: Bound<&'a Value>,
-    ) -> impl Iterator<Item = (&'a Value, &'a [i64])> {
-        let below = move |cell: &Value| match lower {
-            Bound::Included(v) => cell.total_cmp(v).is_lt(),
-            Bound::Excluded(v) => cell.total_cmp(v).is_le(),
-            Bound::Unbounded => false,
-        };
+    /// The runs holding `cell`: one, several when its entries cross chunk
+    /// boundaries, none when no row holds it. One seek, then a walk.
+    fn runs_of<'a>(&'a self, cell: &'a Value) -> impl Iterator<Item = (&'a Value, &'a [i64])> {
+        let below = |c: &Value| c.total_cmp(cell).is_lt();
         let first = self.chunks.partition_point(|c| below(c.last().0));
         let skip = self
             .chunks
             .get(first)
-            .map_or(0, |c| c.runs.partition_point(|(cell, _)| below(cell)));
+            .map_or(0, |c| c.runs.partition_point(|(c, _)| below(c)));
         self.chunks[first..]
             .iter()
             .enumerate()
             .flat_map(move |(i, c)| c.runs_from(if i == 0 { skip } else { 0 }))
+            .take_while(move |(c, _)| *c == cell)
     }
 
     /// Ids of the rows whose cell equals `cell`, ascending.
     pub fn ids_eq<'a>(&'a self, cell: &'a Value) -> impl Iterator<Item = i64> + 'a {
-        self.ids_in(Bound::Included(cell), Bound::Included(cell))
+        self.runs_of(cell).flat_map(|(_, ids)| ids.iter().copied())
     }
 
     /// How many rows' cell equals `cell`: the lengths of its runs, summed
     /// without reading an id.
     pub fn count_eq(&self, cell: &Value) -> usize {
-        self.runs_from(Bound::Included(cell))
-            .take_while(|(c, _)| *c == cell)
-            .map(|(_, ids)| ids.len())
-            .sum()
-    }
-
-    /// Ids of the rows whose cell lies within the bounds, in `(cell, id)`
-    /// order.
-    pub fn ids_in<'a>(
-        &'a self,
-        lower: Bound<&'a Value>,
-        upper: Bound<&'a Value>,
-    ) -> impl Iterator<Item = i64> + 'a {
-        self.runs_from(lower)
-            .take_while(move |(cell, _)| match upper {
-                Bound::Included(v) => cell.total_cmp(v).is_le(),
-                Bound::Excluded(v) => cell.total_cmp(v).is_lt(),
-                Bound::Unbounded => true,
-            })
-            .flat_map(|(_, ids)| ids.iter().copied())
+        self.runs_of(cell).map(|(_, ids)| ids.len()).sum()
     }
 
     /// Add `(cell, id)`, which must not be present. Returns the entries
@@ -648,16 +623,11 @@ impl Table {
         Some(self.index(col)?.ids_eq(value).collect())
     }
 
-    /// Row ids whose `col` value falls within the bounds, ascending by
-    /// `(value, id)`. `None` means `col` has no index. NULL cells are
-    /// never indexed, matching SQL comparison semantics.
-    pub fn range_indexed(
-        &self,
-        col: usize,
-        lower: Bound<&Value>,
-        upper: Bound<&Value>,
-    ) -> Option<Vec<i64>> {
-        Some(self.index(col)?.ids_in(lower, upper).collect())
+    /// Ids of every row whose `col` cell is not NULL, in the index's
+    /// `(cell, id)` order: the whole index. `None` means no index on `col`.
+    pub fn indexed_ids(&self, col: usize) -> Option<Vec<i64>> {
+        let runs = self.index(col)?.runs();
+        Some(runs.flat_map(|(_, ids)| ids.iter().copied()).collect())
     }
 }
 
@@ -743,7 +713,7 @@ mod tests {
     }
 
     #[test]
-    fn ordered_index_serves_ranges() {
+    fn ordered_index_lists_ids_by_cell_then_id() {
         let mut t = table();
         let mut ids = Vec::new();
         for age in [30, 10, 20, 30, 40] {
@@ -752,31 +722,19 @@ mod tests {
                     .unwrap(),
             );
         }
-        // [10, 30) in (value, id) order
+        // (value, id) order; a duplicate key lists ascending ids
         assert_eq!(
-            t.range_indexed(
-                1,
-                Bound::Included(&Value::Int(10)),
-                Bound::Excluded(&Value::Int(30))
-            )
-            .unwrap(),
-            vec![ids[1], ids[2]]
+            t.indexed_ids(1).unwrap(),
+            vec![ids[1], ids[2], ids[0], ids[3], ids[4]]
         );
-        // duplicate key lists ascending ids
         assert_eq!(
-            t.range_indexed(
-                1,
-                Bound::Included(&Value::Int(30)),
-                Bound::Included(&Value::Int(30))
-            )
-            .unwrap(),
+            t.find_indexed(1, &Value::Int(30)).unwrap(),
             vec![ids[0], ids[3]]
         );
         t.delete(ids[0]).unwrap();
         assert_eq!(
-            t.range_indexed(1, Bound::Included(&Value::Int(30)), Bound::Unbounded)
-                .unwrap(),
-            vec![ids[3], ids[4]]
+            t.indexed_ids(1).unwrap(),
+            vec![ids[1], ids[2], ids[3], ids[4]]
         );
         // no ordered index on a plain column
         let plain = Table::new(TableSchema::new(
@@ -784,9 +742,7 @@ mod tests {
             vec![Column::new("v", ValueType::Int)],
         ))
         .unwrap();
-        assert!(plain
-            .range_indexed(0, Bound::Unbounded, Bound::Unbounded)
-            .is_none());
+        assert!(plain.indexed_ids(0).is_none());
         assert!(!plain.has_index(0));
         assert!(t.has_index(1));
     }
@@ -824,8 +780,8 @@ mod tests {
     }
 
     /// Everything an index answers, held against a full scan of the same
-    /// table: structure, probes, ranges, and the planner's `In` and
-    /// index-ordered paths.
+    /// table: structure, the whole index, probes and counts, and the
+    /// planner's `In` and index-ordered paths.
     fn assert_indexes_match_scan(t: &Table) {
         use crate::query::{Op, Plan, Query};
         for (col, column) in t.schema.columns.iter().enumerate() {
@@ -847,6 +803,7 @@ mod tests {
                 "{}",
                 column.name
             );
+            assert_eq!(t.indexed_ids(col).unwrap(), all, "{}", column.name);
             assert!(t.find_indexed(col, &Value::Null).unwrap().is_empty());
 
             // A dozen of the distinct cells, evenly spread, and a miss.
@@ -858,33 +815,11 @@ mod tests {
                 .cloned()
                 .collect();
             cells.push(Value::Int(i64::MAX)); // above or below every cell
-            for (i, cell) in cells.iter().enumerate() {
+            for cell in &cells {
                 let eq = scan(t, col, |c| c == cell);
                 assert_eq!(t.find_indexed(col, cell).unwrap(), eq);
                 assert_eq!(t.find_unique(col, cell), eq.first().copied());
-                let hi = &cells[(i + 2).min(cells.len() - 1)];
-                for (lower, upper) in [
-                    (Bound::Included(cell), Bound::Excluded(hi)),
-                    (Bound::Excluded(cell), Bound::Included(hi)),
-                    (Bound::Unbounded, Bound::Excluded(cell)),
-                    (Bound::Included(cell), Bound::Unbounded),
-                ] {
-                    let within = |c: &Value| {
-                        (match lower {
-                            Bound::Included(v) => c.total_cmp(v).is_ge(),
-                            Bound::Excluded(v) => c.total_cmp(v).is_gt(),
-                            Bound::Unbounded => true,
-                        }) && (match upper {
-                            Bound::Included(v) => c.total_cmp(v).is_le(),
-                            Bound::Excluded(v) => c.total_cmp(v).is_lt(),
-                            Bound::Unbounded => true,
-                        })
-                    };
-                    assert_eq!(
-                        t.range_indexed(col, lower, upper).unwrap(),
-                        scan(t, col, within)
-                    );
-                }
+                assert_eq!(index.count_eq(cell), eq.len());
             }
 
             let some: Vec<Value> = cells.iter().step_by(2).cloned().collect();

@@ -636,3 +636,49 @@ fn unknown_app_ids_get_a_clean_404_page() {
     assert_eq!(resp.status, 404);
     assert!(resp.body_str().contains("warpdrive"));
 }
+
+/// Page numbers come straight from the URL: `?page=0` and the largest
+/// `usize` answer a page, on the public catalog and the admin table
+/// browser, instead of overflowing the offset arithmetic; the huge page
+/// lists no star.
+#[test]
+fn page_numbers_at_the_ends_of_usize_answer_a_page() {
+    let r = rig();
+    let admin = r.dep.db.connect(amp::core::roles::ROLE_ADMIN).unwrap();
+    let mut star = Star::from_catalog(&amp::stellar::famous_stars()[0], "local");
+    Manager::<Star>::new(admin.clone())
+        .create(&mut star)
+        .unwrap();
+    let link = format!(
+        "href=\"/star/{}\"",
+        amp::portal::http::urlencode_path(&star.identifier)
+    );
+    let mut boss = AmpUser::new(
+        "boss",
+        "b@x.edu",
+        &amp::portal::hash_password("sup3rs3cret", "s"),
+        0,
+    );
+    boss.approved = true;
+    boss.is_admin = true;
+    Manager::<AmpUser>::new(admin).create(&mut boss).unwrap();
+
+    let first = r.portal.handle(&Request::get("/stars?page=0"));
+    assert_eq!(first.status, 200);
+    assert!(first.body_str().contains(&link), "{}", first.body_str());
+    let huge = r
+        .portal
+        .handle(&Request::get("/stars?page=18446744073709551615"));
+    assert_eq!(huge.status, 200);
+    assert!(!huge.body_str().contains(&link), "{}", huge.body_str());
+
+    let login = r.portal.handle(&Request::post(
+        "/accounts/login",
+        &[("username", "boss"), ("password", "sup3rs3cret")],
+    ));
+    let table = r.portal.handle(
+        &Request::get("/admin/table/star?page=0").with_cookie("amp_session", &cookie_of(&login)),
+    );
+    assert_eq!(table.status, 200, "{}", table.body_str());
+    assert!(table.body_str().contains(&star.identifier));
+}

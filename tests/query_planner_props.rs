@@ -2,17 +2,18 @@
 //! crash-replay properties.
 //!
 //! The planner (`crates/simdb/src/query.rs`) picks among unique probes,
-//! secondary-index probes, ordered-index range scans, index-ordered
-//! scans, and full scans. Whatever plan it picks, the observable results
-//! must be byte-identical — ids, row contents, ordering, pagination — to
-//! a deliberately naive reference executor that scans everything, filters
-//! with its own reimplementation of the predicate semantics, sorts with a
-//! full comparator, and slices. Random schemas-worth of data and random
-//! queries drive both sides, over one bare `Table`.
+//! secondary-index probes, index-ordered scans, and full scans; range
+//! and text filters are tested on the rows of whichever it picks. Whatever
+//! plan it picks, the observable results must be byte-identical — ids,
+//! row contents, ordering, pagination — to a deliberately naive reference
+//! executor that scans everything, filters with its own reimplementation
+//! of the predicate semantics, sorts with a full comparator, and slices.
+//! Random schemas-worth of data and random queries drive both sides, over
+//! one bare `Table`.
 //!
 //! That oracle's tables hold at most 60 rows. A second one, over 600–760
 //! rows, reaches what a count may leave out: filters an index set already
-//! answered, a range set the planner skipped beside a small probe, a value
+//! answered, range filters tested on the rows beside a probe, a value
 //! spread over several index chunks, `In` lists naming a member twice, and
 //! `offset`/`limit` at and past the match count — through every count
 //! entry point, with `Manager::exists` held to `first`.
@@ -247,11 +248,9 @@ fn ref_execute(t: &Table, spec: &QSpec) -> Vec<(i64, Row)> {
 // ---------------------------------------------------------------------------
 
 /// Row counts of the large oracle. `s` is `s0` on all but every eighth
-/// row, so its posting list outgrows the planner's 256-candidate threshold
-/// (a range set is used beside it) and spans more than one 512-entry index
-/// chunk, while every other `s` and `k` posting list stays under 256 (a
-/// range set beside one is skipped, and its filters must be tested on the
-/// rows).
+/// row, so its posting list spans more than one 512-entry index chunk,
+/// while every other `s` and `k` posting list is a few dozen ids. A range
+/// filter beside either kind of probe is tested on the rows.
 const LARGE_ROWS: std::ops::Range<usize> = 600..760;
 
 fn large_row(i: usize, k: Option<i8>, p: Option<i8>) -> Row {
@@ -339,9 +338,8 @@ fn arb_large_filter() -> impl Strategy<Value = (usize, Op, Value)> {
 
 /// Filter sets the large oracle always asks, each reaching one thing a
 /// count may skip: a lone probe (over `s0`'s chunks, an `In` repeating a
-/// member, a unique column), a range set used beside a large probe or
-/// skipped beside a small one, filters only a row can answer, and no
-/// filter at all.
+/// member, a unique column), a range filter beside a large or a small
+/// probe, filters only a row can answer, and no filter at all.
 fn fixed_large_filters() -> Vec<Vec<(usize, Op, Value)>> {
     let (u, s, k, p) = (0, 1, 2, 3);
     let text = |v: &str| Value::from(v);
@@ -535,7 +533,7 @@ proptest! {
             Query::new().eq("u", 1).explain(t).unwrap(),
             Plan::UniqueProbe { column: "u".into() }
         );
-        // when the probed/ranged key set is provably empty the planner is
+        // when the probed key set is provably empty the planner is
         // allowed (encouraged) to answer Plan::Empty instead
         let s_hits = rows.iter().filter(|(s, _, _)| s % 5 == 1).count();
         prop_assert_eq!(
@@ -546,18 +544,13 @@ proptest! {
                 Plan::Empty
             }
         );
+        // A range over an indexed column is tested on the rows: a scan
+        // without an order, a probe when an `Eq` beside it has one.
         let range = Query::new().filter("k", Op::Ge, Value::Int(pivot));
-        let k_hits = rows
-            .iter()
-            .filter(|(_, k, _)| k.is_some_and(|k| k as i64 >= pivot))
-            .count();
+        prop_assert_eq!(range.explain(t).unwrap(), Plan::FullScan);
         prop_assert_eq!(
-            range.explain(t).unwrap(),
-            if k_hits > 0 {
-                Plan::RangeScan { columns: vec!["k".into()] }
-            } else {
-                Plan::Empty
-            }
+            range.clone().eq("s", "s1").explain(t).unwrap(),
+            Query::new().eq("s", "s1").explain(t).unwrap()
         );
         for q in [Query::new().eq("s", "s2"), range] {
             let ids: Vec<i64> = q.execute(t).unwrap().into_iter().map(|(id, _)| id).collect();
@@ -664,8 +657,8 @@ proptest! {
                 plan => panic!("{filters:?} planned as {plan:?}"),
             }
         };
-        prop_assert_eq!(probed(&fixed[5]), ["k", "s"], "a range set beside s0's probe is used");
-        prop_assert_eq!(probed(&fixed[7]), ["s"], "a range set beside s1's probe is skipped");
+        prop_assert_eq!(probed(&fixed[5]), ["s"], "a range beside s0's probe is tested on the rows");
+        prop_assert_eq!(probed(&fixed[7]), ["s"], "a range beside s1's probe is tested on the rows");
 
         for filters in fixed.into_iter().chain(random) {
             let spec = QSpec { filters, order: vec![], offset: 0, limit: None };

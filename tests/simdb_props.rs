@@ -202,12 +202,11 @@ fn write(db: &Connection, write: &Write) {
 type IndexAnswers = Vec<(Vec<i64>, Vec<(Value, Vec<i64>, Option<i64>)>)>;
 
 fn index_answers(db: &Connection) -> IndexAnswers {
-    use std::ops::Bound::Unbounded;
     let view = db.read_view(&["ledger"]).unwrap();
     let table = view.table("ledger").unwrap();
     (0..table.schema.columns.len())
         .map(|col| {
-            let all = table.range_indexed(col, Unbounded, Unbounded).unwrap();
+            let all = table.indexed_ids(col).unwrap();
             let mut cells: Vec<Value> = table.iter().map(|(_, r)| r[col].clone()).collect();
             cells.sort_by(|a, b| a.total_cmp(b));
             cells.dedup();
