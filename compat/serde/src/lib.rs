@@ -14,6 +14,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::sync::Arc;
 
 pub use serde_derive::{Deserialize, Serialize};
 
@@ -288,6 +289,20 @@ impl<T: Deserialize> Deserialize for Box<T> {
     }
 }
 
+impl<T: Serialize + ?Sized> Serialize for Arc<T> {
+    fn to_content(&self) -> Content {
+        (**self).to_content()
+    }
+}
+
+impl Deserialize for Arc<str> {
+    fn from_content(c: &Content) -> Result<Self, DeError> {
+        c.as_str()
+            .map(Arc::from)
+            .ok_or_else(|| DeError(format!("expected string, found {}", c.kind())))
+    }
+}
+
 impl<T: Serialize> Serialize for Option<T> {
     fn to_content(&self) -> Content {
         match self {
@@ -451,6 +466,19 @@ mod tests {
             Vec::<u8>::from_content(&vec![1u8, 2].to_content()).unwrap(),
             vec![1, 2]
         );
+    }
+
+    /// Shared text serializes as the string it points at and reads back
+    /// into a fresh `Arc<str>`.
+    #[test]
+    fn arc_str_roundtrip() {
+        let shared: Arc<str> = Arc::from("HD 52265");
+        assert_eq!(shared.to_content(), Content::Str("HD 52265".into()));
+        let back = Arc::<str>::from_content(&shared.to_content()).unwrap();
+        assert_eq!(back, shared);
+        assert!(Arc::<str>::from_content(&Content::I64(1)).is_err());
+        let boxed: Arc<Vec<u8>> = Arc::new(vec![1, 2]);
+        assert_eq!(boxed.to_content(), vec![1u8, 2].to_content());
     }
 
     #[test]

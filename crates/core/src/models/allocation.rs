@@ -8,7 +8,7 @@
 
 use super::{get_bool, get_float, get_int, get_text};
 use amp_simdb::orm::{Manager, Model};
-use amp_simdb::{Column, DbError, OnDelete, Row, TableSchema, Value, ValueType};
+use amp_simdb::{Column, DbError, OnDelete, TableSchema, Value, ValueType};
 
 /// A service-unit allocation on one TeraGrid system.
 #[derive(Debug, Clone, PartialEq)]
@@ -84,7 +84,7 @@ impl Model for Allocation {
         )
     }
 
-    fn from_row(id: i64, row: &Row) -> Result<Self, DbError> {
+    fn from_row(id: i64, row: &[Value]) -> Result<Self, DbError> {
         Ok(Allocation {
             id: Some(id),
             system: get_text::<Self>(row, "system")?,
@@ -97,8 +97,8 @@ impl Model for Allocation {
 
     fn to_values(&self) -> Vec<(&'static str, Value)> {
         vec![
-            ("system", self.system.clone().into()),
-            ("account", self.account.clone().into()),
+            ("system", self.system.as_str().into()),
+            ("account", self.account.as_str().into()),
             ("su_granted", self.su_granted.into()),
             ("su_used", self.su_used.into()),
             ("active", self.active.into()),
@@ -169,7 +169,7 @@ impl Model for SystemAuthorization {
         )
     }
 
-    fn from_row(id: i64, row: &Row) -> Result<Self, DbError> {
+    fn from_row(id: i64, row: &[Value]) -> Result<Self, DbError> {
         Ok(SystemAuthorization {
             id: Some(id),
             user_id: get_int::<Self>(row, "user_id")?,

@@ -9,7 +9,7 @@
 use super::{get_int, get_opt_ts, get_text, opt_ts};
 use crate::status::{JobPurpose, JobStatus};
 use amp_simdb::orm::Model;
-use amp_simdb::{Column, DbError, OnDelete, Row, TableSchema, Value, ValueType};
+use amp_simdb::{Column, DbError, OnDelete, TableSchema, Value, ValueType};
 
 /// One grid job belonging to a simulation.
 #[derive(Debug, Clone, PartialEq)]
@@ -120,7 +120,7 @@ impl Model for GridJobRecord {
         )
     }
 
-    fn from_row(id: i64, row: &Row) -> Result<Self, DbError> {
+    fn from_row(id: i64, row: &[Value]) -> Result<Self, DbError> {
         Ok(GridJobRecord {
             id: Some(id),
             simulation_id: get_int::<Self>(row, "simulation_id")?,
@@ -149,15 +149,15 @@ impl Model for GridJobRecord {
             ("ga_run", self.ga_run.into()),
             ("purpose", self.purpose.as_str().into()),
             ("continuation", self.continuation.into()),
-            ("app", self.app.clone().into()),
-            ("gram_handle", self.gram_handle.clone().into()),
-            ("site", self.site.clone().into()),
+            ("app", self.app.as_str().into()),
+            ("gram_handle", self.gram_handle.as_deref().into()),
+            ("site", self.site.as_str().into()),
             ("status", self.status.as_str().into()),
             ("cores", self.cores.into()),
             ("submitted_at", opt_ts(self.submitted_at)),
             ("started_at", opt_ts(self.started_at)),
             ("ended_at", opt_ts(self.ended_at)),
-            ("detail", self.detail.clone().into()),
+            ("detail", self.detail.as_str().into()),
         ]
     }
 

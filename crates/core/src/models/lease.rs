@@ -10,7 +10,7 @@
 
 use super::{get_int, get_opt_ts, get_text};
 use amp_simdb::orm::Model;
-use amp_simdb::{Column, DbError, OnDelete, Row, TableSchema, Value, ValueType};
+use amp_simdb::{Column, DbError, OnDelete, TableSchema, Value, ValueType};
 
 /// One daemon's claim on one simulation.
 #[derive(Debug, Clone, PartialEq)]
@@ -79,7 +79,7 @@ impl Model for Lease {
         )
     }
 
-    fn from_row(id: i64, row: &Row) -> Result<Self, DbError> {
+    fn from_row(id: i64, row: &[Value]) -> Result<Self, DbError> {
         Ok(Lease {
             id: Some(id),
             simulation_id: get_int::<Self>(row, "simulation_id")?,
@@ -93,8 +93,8 @@ impl Model for Lease {
     fn to_values(&self) -> Vec<(&'static str, Value)> {
         vec![
             ("simulation_id", self.simulation_id.into()),
-            ("daemon_id", self.daemon_id.clone().into()),
-            ("app", self.app.clone().into()),
+            ("daemon_id", self.daemon_id.as_str().into()),
+            ("app", self.app.as_str().into()),
             ("epoch", self.epoch.into()),
             ("expires_at", Value::Timestamp(self.expires_at)),
         ]
@@ -124,7 +124,7 @@ mod tests {
     #[test]
     fn round_trips_through_row() {
         let l = Lease::new(7, "gridamp-3", "curvefit", 4, 86_400);
-        let row: Row = l.to_values().into_iter().map(|(_, v)| v).collect();
+        let row: Vec<Value> = l.to_values().into_iter().map(|(_, v)| v).collect();
         let back = Lease::from_row(42, &row).unwrap();
         assert_eq!(back.id, Some(42));
         assert_eq!(back.simulation_id, 7);

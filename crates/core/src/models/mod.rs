@@ -24,38 +24,38 @@ pub use star::{Observation, Star};
 pub use user::AmpUser;
 
 use amp_simdb::orm::{row_value, Model};
-use amp_simdb::{DbError, Row, Value};
+use amp_simdb::{DbError, Value};
 
 // Typed row readers shared by the Model implementations below.
 
-pub(crate) fn get_text<M: Model>(row: &Row, col: &str) -> Result<String, DbError> {
+pub(crate) fn get_text<M: Model>(row: &[Value], col: &str) -> Result<String, DbError> {
     Ok(row_value::<M>(row, col)?
         .as_text()
         .unwrap_or_default()
         .to_string())
 }
 
-pub(crate) fn get_opt_text<M: Model>(row: &Row, col: &str) -> Result<Option<String>, DbError> {
+pub(crate) fn get_opt_text<M: Model>(row: &[Value], col: &str) -> Result<Option<String>, DbError> {
     Ok(row_value::<M>(row, col)?.as_text().map(str::to_string))
 }
 
-pub(crate) fn get_int<M: Model>(row: &Row, col: &str) -> Result<i64, DbError> {
+pub(crate) fn get_int<M: Model>(row: &[Value], col: &str) -> Result<i64, DbError> {
     Ok(row_value::<M>(row, col)?.as_int().unwrap_or_default())
 }
 
-pub(crate) fn get_opt_int<M: Model>(row: &Row, col: &str) -> Result<Option<i64>, DbError> {
+pub(crate) fn get_opt_int<M: Model>(row: &[Value], col: &str) -> Result<Option<i64>, DbError> {
     Ok(row_value::<M>(row, col)?.as_int())
 }
 
-pub(crate) fn get_float<M: Model>(row: &Row, col: &str) -> Result<f64, DbError> {
+pub(crate) fn get_float<M: Model>(row: &[Value], col: &str) -> Result<f64, DbError> {
     Ok(row_value::<M>(row, col)?.as_float().unwrap_or_default())
 }
 
-pub(crate) fn get_bool<M: Model>(row: &Row, col: &str) -> Result<bool, DbError> {
+pub(crate) fn get_bool<M: Model>(row: &[Value], col: &str) -> Result<bool, DbError> {
     Ok(row_value::<M>(row, col)?.as_bool().unwrap_or_default())
 }
 
-pub(crate) fn get_opt_ts<M: Model>(row: &Row, col: &str) -> Result<Option<i64>, DbError> {
+pub(crate) fn get_opt_ts<M: Model>(row: &[Value], col: &str) -> Result<Option<i64>, DbError> {
     Ok(row_value::<M>(row, col)?.as_timestamp())
 }
 

@@ -8,7 +8,7 @@
 
 use super::{get_bool, get_int, get_opt_int, get_text};
 use amp_simdb::orm::Model;
-use amp_simdb::{Column, DbError, OnDelete, Row, TableSchema, Value, ValueType};
+use amp_simdb::{Column, DbError, OnDelete, TableSchema, Value, ValueType};
 use std::str::FromStr;
 
 /// A user's e-mail preference.
@@ -148,7 +148,7 @@ impl Model for Notification {
         )
     }
 
-    fn from_row(id: i64, row: &Row) -> Result<Self, DbError> {
+    fn from_row(id: i64, row: &[Value]) -> Result<Self, DbError> {
         Ok(Notification {
             id: Some(id),
             user_id: get_opt_int::<Self>(row, "user_id")?,
@@ -168,8 +168,8 @@ impl Model for Notification {
             ("user_id", self.user_id.into()),
             ("simulation_id", self.simulation_id.into()),
             ("audience", self.audience.as_str().into()),
-            ("subject", self.subject.clone().into()),
-            ("body", self.body.clone().into()),
+            ("subject", self.subject.as_str().into()),
+            ("body", self.body.as_str().into()),
             ("created_at", self.created_at.into()),
             ("sent", self.sent.into()),
         ]

@@ -9,7 +9,7 @@
 use super::{get_float, get_int, get_opt_ts, get_text, opt_ts};
 use crate::status::SimStatus;
 use amp_simdb::orm::Model;
-use amp_simdb::{Column, DbError, OnDelete, Row, TableSchema, Value, ValueType};
+use amp_simdb::{Column, DbError, OnDelete, TableSchema, Value, ValueType};
 use amp_stellar::StellarParams;
 use serde::{Deserialize, Serialize};
 use std::str::FromStr;
@@ -281,7 +281,7 @@ impl Model for Simulation {
         )
     }
 
-    fn from_row(id: i64, row: &Row) -> Result<Self, DbError> {
+    fn from_row(id: i64, row: &[Value]) -> Result<Self, DbError> {
         Ok(Simulation {
             id: Some(id),
             star_id: get_int::<Self>(row, "star_id")?,
@@ -311,18 +311,18 @@ impl Model for Simulation {
             ("star_id", self.star_id.into()),
             ("owner_id", self.owner_id.into()),
             ("kind", self.kind.as_str().into()),
-            ("app", self.app.clone().into()),
-            ("payload_json", self.payload_json.clone().into()),
+            ("app", self.app.as_str().into()),
+            ("payload_json", self.payload_json.as_str().into()),
             ("status", self.status.as_str().into()),
-            ("status_message", self.status_message.clone().into()),
-            ("system", self.system.clone().into()),
+            ("status_message", self.status_message.as_str().into()),
+            ("system", self.system.as_str().into()),
             ("allocation_id", self.allocation_id.into()),
             ("created_at", self.created_at.into()),
             ("started_at", opt_ts(self.started_at)),
             ("completed_at", opt_ts(self.completed_at)),
             ("progress", self.progress.into()),
-            ("result_json", self.result_json.clone().into()),
-            ("held_from", self.held_from.clone().into()),
+            ("result_json", self.result_json.as_deref().into()),
+            ("held_from", self.held_from.as_deref().into()),
         ]
     }
 

@@ -7,7 +7,7 @@
 
 use super::{get_bool, get_float, get_int, get_opt_int, get_opt_text, get_text};
 use amp_simdb::orm::Model;
-use amp_simdb::{Column, DbError, OnDelete, Row, TableSchema, Value, ValueType};
+use amp_simdb::{Column, DbError, OnDelete, TableSchema, Value, ValueType};
 use amp_stellar::ObservedStar;
 
 /// A catalog star as stored by the gateway.
@@ -78,7 +78,7 @@ impl Model for Star {
         )
     }
 
-    fn from_row(id: i64, row: &Row) -> Result<Self, DbError> {
+    fn from_row(id: i64, row: &[Value]) -> Result<Self, DbError> {
         Ok(Star {
             id: Some(id),
             identifier: get_text::<Self>(row, "identifier")?,
@@ -96,15 +96,15 @@ impl Model for Star {
 
     fn to_values(&self) -> Vec<(&'static str, Value)> {
         vec![
-            ("identifier", self.identifier.clone().into()),
-            ("name", self.name.clone().into()),
+            ("identifier", self.identifier.as_str().into()),
+            ("name", self.name.as_deref().into()),
             ("hd_number", self.hd_number.into()),
             ("kic_number", self.kic_number.into()),
             ("ra", self.ra.into()),
             ("dec", self.dec.into()),
             ("vmag", self.vmag.into()),
             ("in_kepler_field", self.in_kepler_field.into()),
-            ("source", self.source.clone().into()),
+            ("source", self.source.as_str().into()),
             ("has_results", self.has_results.into()),
         ]
     }
@@ -194,7 +194,7 @@ impl Model for Observation {
         )
     }
 
-    fn from_row(id: i64, row: &Row) -> Result<Self, DbError> {
+    fn from_row(id: i64, row: &[Value]) -> Result<Self, DbError> {
         Ok(Observation {
             id: Some(id),
             star_id: get_int::<Self>(row, "star_id")?,
@@ -208,7 +208,7 @@ impl Model for Observation {
         vec![
             ("star_id", self.star_id.into()),
             ("uploaded_by", self.uploaded_by.into()),
-            ("data_json", self.data_json.clone().into()),
+            ("data_json", self.data_json.as_str().into()),
             ("created_at", self.created_at.into()),
         ]
     }

@@ -10,7 +10,7 @@
 use super::{get_bool, get_int, get_text};
 use crate::models::notification::NotifyMode;
 use amp_simdb::orm::Model;
-use amp_simdb::{Column, DbError, Row, TableSchema, Value, ValueType};
+use amp_simdb::{Column, DbError, TableSchema, Value, ValueType};
 
 /// A registered gateway user.
 #[derive(Debug, Clone, PartialEq)]
@@ -84,7 +84,7 @@ impl Model for AmpUser {
         )
     }
 
-    fn from_row(id: i64, row: &Row) -> Result<Self, DbError> {
+    fn from_row(id: i64, row: &[Value]) -> Result<Self, DbError> {
         Ok(AmpUser {
             id: Some(id),
             username: get_text::<Self>(row, "username")?,
@@ -102,12 +102,12 @@ impl Model for AmpUser {
 
     fn to_values(&self) -> Vec<(&'static str, Value)> {
         vec![
-            ("username", self.username.clone().into()),
-            ("email", self.email.clone().into()),
-            ("password_hash", self.password_hash.clone().into()),
+            ("username", self.username.as_str().into()),
+            ("email", self.email.as_str().into()),
+            ("password_hash", self.password_hash.as_str().into()),
             ("approved", self.approved.into()),
             ("is_admin", self.is_admin.into()),
-            ("provenance", self.provenance.clone().into()),
+            ("provenance", self.provenance.as_str().into()),
             ("notify_mode", self.notify_mode.as_str().into()),
             ("created_at", self.created_at.into()),
         ]

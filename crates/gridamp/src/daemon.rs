@@ -21,6 +21,7 @@
 //! (DESIGN §12).
 
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::sync::Arc;
 use std::time::Instant;
 
 use amp_core::models::{
@@ -408,7 +409,7 @@ impl GridAmp {
 
     /// The claim phase's worklist: `(id, app)` of every live simulation (the
     /// app rides along so lease rows carry per-application ownership).
-    fn live_sims(&self) -> Result<Vec<(i64, String)>, DbError> {
+    fn live_sims(&self) -> Result<Vec<(i64, Arc<str>)>, DbError> {
         let apps = self.project(Simulation::TABLE, &Self::live_query(), "app")?;
         Ok(apps
             .into_iter()

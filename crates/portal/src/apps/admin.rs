@@ -14,7 +14,7 @@ use amp_core::models::{AmpUser, Simulation, SystemAuthorization};
 use amp_core::status::SimStatus;
 use amp_simdb::admin as dbadmin;
 use amp_simdb::orm::{Manager, Model};
-use amp_simdb::{Connection, DbError, Query, Row};
+use amp_simdb::{Connection, DbError, Query, Value};
 
 use crate::http::{html_escape, Request, Response};
 use crate::portal::Portal;
@@ -124,7 +124,7 @@ pub fn set_field(p: &Portal, req: &Request, params: &Params) -> Response {
     let (Some(column), Some(value)) = (form.get("column"), form.get("value")) else {
         return Response::bad_request("need column and value");
     };
-    let settled = |row: &Row| {
+    let settled = |row: &[Value]| {
         if name != Simulation::TABLE {
             return Ok(());
         }

@@ -103,6 +103,12 @@ impl Portal {
         self.clock.load(Ordering::SeqCst)
     }
 
+    /// The routing table, for an embedding that serves pages of its own
+    /// beside AMP's: a route added here is matched after the built-in ones.
+    pub fn router_mut(&mut self) -> &mut Router {
+        &mut self.router
+    }
+
     /// The web-role connection (what every public view uses).
     pub fn conn(&self) -> &Connection {
         &self.conn

@@ -67,7 +67,7 @@ pub fn parse_value(ty: ValueType, raw: &str) -> Result<Value, DbError> {
             "false" | "0" | "no" | "off" => Ok(Value::Bool(false)),
             _ => Err(err("expected true/false")),
         },
-        ValueType::Text => Ok(Value::Text(raw.to_string())),
+        ValueType::Text => Ok(Value::Text(raw.into())),
         ValueType::Timestamp => raw
             .trim_start_matches('@')
             .parse::<i64>()
@@ -85,7 +85,7 @@ pub fn set_field(
     id: i64,
     column: &str,
     raw: &str,
-    check: impl FnOnce(&Row) -> Result<(), DbError>,
+    check: impl FnOnce(&[Value]) -> Result<(), DbError>,
 ) -> Result<(), DbError> {
     let schema = table_schema(conn, table)?;
     let col = schema.column(column).ok_or_else(|| DbError::NoSuchColumn {
@@ -188,12 +188,12 @@ mod tests {
     fn set_field_roundtrip() {
         let db = setup();
         let admin = db.connect("admin").unwrap();
-        let any = |_: &Row| Ok(());
+        let any = |_: &[Value]| Ok(());
         set_field(&admin, "star", 1, "mass", "2.5", any).unwrap();
         assert_eq!(admin.get("star", 1).unwrap()[1], Value::Float(2.5));
         assert!(set_field(&admin, "star", 1, "mass", "heavy", any).is_err());
         assert!(set_field(&admin, "star", 1, "nope", "1", any).is_err());
-        let refuse = |_: &Row| Err(DbError::TxnAborted("refused".into()));
+        let refuse = |_: &[Value]| Err(DbError::TxnAborted("refused".into()));
         assert!(set_field(&admin, "star", 1, "mass", "3.5", refuse).is_err());
         assert_eq!(admin.get("star", 1).unwrap()[1], Value::Float(2.5));
     }

@@ -60,10 +60,18 @@ impl BufferedTables<'_> {
         Ok(row)
     }
 
-    /// Check all FK columns of `row` reference existing rows.
-    fn check_foreign_keys(&self, table: &str, row: &Row) -> Result<(), DbError> {
+    /// Check that the FK cells among `cells` — `(column index, value)` —
+    /// reference existing rows.
+    fn check_foreign_keys<'v>(
+        &self,
+        table: &str,
+        cells: impl IntoIterator<Item = (usize, &'v Value)>,
+    ) -> Result<(), DbError> {
         let t = self.table_ref(table)?;
-        for (col, val) in t.schema.columns.iter().zip(row.iter()) {
+        for (ci, val) in cells {
+            let Some(col) = t.schema.columns.get(ci) else {
+                continue; // the table refuses the column
+            };
             if let (Some(fk), Value::Int(id)) = (&col.foreign_key, val) {
                 let target = self.table_ref(&fk.references)?;
                 if target.get(*id).is_none() {
@@ -81,8 +89,8 @@ impl BufferedTables<'_> {
     }
 
     pub(crate) fn insert_row(&mut self, table: &str, row: Row) -> Result<(i64, LogOp), DbError> {
-        self.check_foreign_keys(table, &row)?;
-        let id = self.table_mut(table)?.insert(row.clone())?;
+        self.check_foreign_keys(table, row.iter().enumerate())?;
+        let id = self.table_mut(table)?.insert(&row[..])?;
         self.bump_version(table);
         Ok((
             id,
@@ -104,19 +112,16 @@ impl BufferedTables<'_> {
         self.insert_row(table, row)
     }
 
-    /// Replace a whole row.
-    pub(crate) fn update_row(&mut self, table: &str, id: i64, row: Row) -> Result<LogOp, DbError> {
-        self.check_foreign_keys(table, &row)?;
-        // The log takes the cells that change, not the row (see `LogOp`).
-        let old = self
-            .table_ref(table)?
-            .get(id)
-            .map_or(&[][..], |old| &old[..]);
-        let set = (old.iter().zip(&row).enumerate())
-            .filter(|(_, (was, now))| was != now)
-            .map(|(ci, (_, now))| (ci, now.clone()))
-            .collect();
-        self.table_mut(table)?.update(id, row)?;
+    /// Set the cells of `set` that differ from the stored row, through the
+    /// table's one update path ([`crate::table::Table::update_cells`]), and
+    /// log exactly those (see `LogOp`), in column order. An update that
+    /// changes nothing still counts as a write and logs an empty `set`.
+    fn update_cells(&mut self, table: &str, id: i64, mut set: Cells) -> Result<LogOp, DbError> {
+        let old = self.table_ref(table)?.row(id)?;
+        set.retain(|(ci, now)| old.get(*ci) != Some(now));
+        set.sort_by_key(|(ci, _)| *ci);
+        self.check_foreign_keys(table, set.iter().map(|(ci, v)| (*ci, v)))?;
+        self.table_mut(table)?.update_cells(id, &set)?;
         self.bump_version(table);
         Ok(LogOp::Update {
             table: table.to_string(),
@@ -125,7 +130,22 @@ impl BufferedTables<'_> {
         })
     }
 
-    /// Update selected columns of a row.
+    /// Replace a whole row.
+    pub(crate) fn update_row(&mut self, table: &str, id: i64, row: Row) -> Result<LogOp, DbError> {
+        let t = self.table_ref(table)?;
+        let arity = t.schema.columns.len();
+        t.row(id)?;
+        if row.len() != arity {
+            return Err(DbError::Schema(format!(
+                "table {table}: row arity {} != schema arity {arity}",
+                row.len()
+            )));
+        }
+        self.update_cells(table, id, row.into_iter().enumerate().collect())
+    }
+
+    /// Update selected columns of a row. A column named twice takes the
+    /// last value given.
     pub(crate) fn update(
         &mut self,
         table: &str,
@@ -133,7 +153,8 @@ impl BufferedTables<'_> {
         values: &[(&str, Value)],
     ) -> Result<LogOp, DbError> {
         let t = self.table_ref(table)?;
-        let mut row = t.row(id)?.clone();
+        t.row(id)?;
+        let mut set: Cells = Vec::with_capacity(values.len());
         for (name, v) in values {
             let ci = t
                 .schema
@@ -142,9 +163,12 @@ impl BufferedTables<'_> {
                     table: table.to_string(),
                     column: name.to_string(),
                 })?;
-            row[ci] = v.clone();
+            match set.iter_mut().find(|(c, _)| *c == ci) {
+                Some(cell) => cell.1 = v.clone(),
+                None => set.push((ci, v.clone())),
+            }
         }
-        self.update_row(table, id, row)
+        self.update_cells(table, id, set)
     }
 
     /// Plan the full effect of deleting `(table, id)`: the ordered list of
@@ -209,13 +233,12 @@ impl BufferedTables<'_> {
             if deletes.iter().any(|(dt, di)| *dt == t && *di == rid) {
                 continue;
             }
-            let mut row = self.table_ref(&t)?.row(rid)?.clone();
-            row[ci] = Value::Null;
-            self.table_mut(&t)?.update(rid, row)?;
+            let set = vec![(ci, Value::Null)];
+            self.table_mut(&t)?.update_cells(rid, &set)?;
             log.push(LogOp::Update {
                 table: t,
                 id: rid,
-                set: vec![(ci, Value::Null)],
+                set,
             });
         }
         // Delete leaf-first (reverse plan order).

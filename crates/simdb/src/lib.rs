@@ -479,7 +479,7 @@ impl Connection {
 
     pub fn get(&self, table: &str, id: i64) -> Result<Row, DbError> {
         self.role.check(table, Action::Select)?;
-        self.run_read(table, |t| t.row(id).cloned())
+        self.run_read(table, |t| t.row(id).map(<[Value]>::to_vec))
     }
 
     pub fn count(&self, table: &str, query: &Query) -> Result<usize, DbError> {
@@ -636,7 +636,7 @@ impl ReadView {
     }
 
     pub fn get(&self, table: &str, id: i64) -> Result<Row, DbError> {
-        self.table(table)?.row(id).cloned()
+        self.table(table)?.row(id).map(<[Value]>::to_vec)
     }
 
     pub fn count(&self, table: &str, query: &Query) -> Result<usize, DbError> {
@@ -730,7 +730,7 @@ impl Txn<'_> {
 
     pub fn get(&self, table: &str, id: i64) -> Result<Row, DbError> {
         self.role.check(table, Action::Select)?;
-        self.set.table_ref(table)?.row(id).cloned()
+        self.set.table_ref(table)?.row(id).map(<[Value]>::to_vec)
     }
 }
 
@@ -1135,6 +1135,35 @@ mod tests {
         // duplicate table names are tolerated (single guard, both stamps)
         let view = web.read_view(&["star", "star"]).unwrap();
         assert_eq!(view.versions().len(), 2);
+    }
+
+    /// A read hands out the stored text, not a copy of it: the cells of a
+    /// `get` or `select` answer, through a connection, a transaction or a
+    /// read view, point at the allocation the table holds.
+    #[test]
+    fn read_text_cells_share_the_stored_allocation() {
+        let db = setup();
+        let admin = db.connect("admin").unwrap();
+        let id = admin
+            .insert("star", &[("name", "HD 52265".into())])
+            .unwrap();
+        let pinned = db.shared.slot.pin();
+        let Value::Text(stored) = &pinned.get("star").unwrap().table.get(id).unwrap()[0] else {
+            panic!("a text cell")
+        };
+        let shares = |row: &[Value]| matches!(&row[0], Value::Text(t) if Arc::ptr_eq(t, stored));
+        assert!(shares(&admin.get("star", id).unwrap()));
+        assert!(shares(&admin.select("star", &Query::new()).unwrap()[0].1));
+        let view = admin.read_view(&["star"]).unwrap();
+        assert!(shares(&view.get("star", id).unwrap()));
+        assert!(shares(&view.select("star", &Query::new()).unwrap()[0].1));
+        admin
+            .transaction(&["star"], |tx| {
+                assert!(shares(&tx.get("star", id)?));
+                assert!(shares(&tx.select("star", &Query::new())?[0].1));
+                Ok(())
+            })
+            .unwrap();
     }
 
     #[test]

@@ -9,7 +9,6 @@
 use crate::error::DbError;
 use crate::query::Query;
 use crate::schema::TableSchema;
-use crate::table::Row;
 use crate::value::Value;
 use crate::{Connection, ReadView};
 use std::marker::PhantomData;
@@ -24,8 +23,8 @@ pub trait Model: Sized {
     /// Declarative schema — the single source of truth for the table.
     fn schema() -> TableSchema;
 
-    /// Hydrate from a stored row.
-    fn from_row(id: i64, row: &Row) -> Result<Self, DbError>;
+    /// Hydrate from a row's cells.
+    fn from_row(id: i64, row: &[Value]) -> Result<Self, DbError>;
 
     /// Dehydrate to named column values (omitting the primary key).
     fn to_values(&self) -> Vec<(&'static str, Value)>;
@@ -39,7 +38,7 @@ pub trait Model: Sized {
 
 /// Read a named column out of a row using the model's schema. Helper for
 /// `Model::from_row` implementations.
-pub fn row_value<'r, M: Model>(row: &'r Row, column: &str) -> Result<&'r Value, DbError> {
+pub fn row_value<'r, M: Model>(row: &'r [Value], column: &str) -> Result<&'r Value, DbError> {
     let schema = M::schema();
     let idx = schema
         .column_index(column)
@@ -259,7 +258,7 @@ mod tests {
             )
         }
 
-        fn from_row(id: i64, row: &Row) -> Result<Self, DbError> {
+        fn from_row(id: i64, row: &[Value]) -> Result<Self, DbError> {
             Ok(Star {
                 id: Some(id),
                 name: row_value::<Self>(row, "name")?

@@ -72,7 +72,7 @@ impl Filter {
                     Op::Gt => cell.total_cmp(&self.value).is_gt(),
                     Op::Ge => cell.total_cmp(&self.value).is_ge(),
                     Op::Contains => match (cell, &self.value) {
-                        (Value::Text(c), Value::Text(n)) => c.contains(n.as_str()),
+                        (Value::Text(c), Value::Text(n)) => c.contains(&**n),
                         _ => false,
                     },
                     Op::IContains => match (cell, &self.value) {
@@ -80,7 +80,7 @@ impl Filter {
                         _ => false,
                     },
                     Op::StartsWith => match (cell, &self.value) {
-                        (Value::Text(c), Value::Text(n)) => c.starts_with(n.as_str()),
+                        (Value::Text(c), Value::Text(n)) => c.starts_with(&**n),
                         _ => false,
                     },
                     Op::In(_) | Op::IsNull | Op::NotNull => unreachable!(),
@@ -199,7 +199,7 @@ impl Query {
         Ok(self
             .run(table)?
             .into_iter()
-            .map(|(id, row)| (id, row.clone()))
+            .map(|(id, row)| (id, row.to_vec()))
             .collect())
     }
 
@@ -267,7 +267,7 @@ impl Query {
                     .filter(|(i, _)| planned.answered & filter_bit(*i) == 0)
                     .map(|(_, pair)| pair)
                     .collect();
-                let matches = |row: &Row| rest.iter().all(|(f, ci)| f.matches(&row[*ci]));
+                let matches = |row: &[Value]| rest.iter().all(|(f, ci)| f.matches(&row[*ci]));
                 match &planned.candidates {
                     Some(ids) if rest.is_empty() => ids.len(),
                     None if rest.is_empty() => table.len(),
@@ -342,11 +342,11 @@ impl Query {
     }
 
     /// Plan + filter + order + paginate, returning borrowed rows.
-    fn run<'t>(&self, table: &'t Table) -> Result<Vec<(i64, &'t Row)>, DbError> {
+    fn run<'t>(&self, table: &'t Table) -> Result<Vec<(i64, &'t [Value])>, DbError> {
         let idx = self.resolve(&table.schema)?;
         let planned = self.plan_access(table, &idx);
         record_plan(&planned.plan);
-        let matches = |row: &Row| {
+        let matches = |row: &[Value]| {
             self.filters
                 .iter()
                 .zip(idx.iter())
@@ -367,7 +367,7 @@ impl Query {
             }
 
             let keys = self.order_keys(&table.schema);
-            let cmp = |a: &(i64, &Row), b: &(i64, &Row)| cmp_rows(&keys, a, b);
+            let cmp = |a: &(i64, &[Value]), b: &(i64, &[Value])| cmp_rows(&keys, a, b);
             let mut out = match &planned.candidates {
                 Some(ids) => collect_filtered(
                     ids.iter().filter_map(|&id| table.get(id).map(|r| (id, r))),
@@ -423,8 +423,8 @@ impl Query {
         table: &'t Table,
         ci: usize,
         wanted: Option<usize>,
-        matches: &dyn Fn(&Row) -> bool,
-    ) -> Vec<(i64, &'t Row)> {
+        matches: &dyn Fn(&[Value]) -> bool,
+    ) -> Vec<(i64, &'t [Value])> {
         let runs = table.index(ci).expect("planner checked index").runs();
         let out = if self.order_by[0].descending {
             self.collect_groups(runs.rev(), table, wanted, matches)
@@ -441,10 +441,10 @@ impl Query {
         runs: impl Iterator<Item = (&'i Value, &'i [i64])>,
         table: &'t Table,
         wanted: Option<usize>,
-        matches: &dyn Fn(&Row) -> bool,
-    ) -> Vec<(i64, &'t Row)> {
+        matches: &dyn Fn(&[Value]) -> bool,
+    ) -> Vec<(i64, &'t [Value])> {
         let keys = self.order_keys(&table.schema);
-        let mut out: Vec<(i64, &Row)> = Vec::new();
+        let mut out: Vec<(i64, &[Value])> = Vec::new();
         let mut runs = runs.peekable();
         while let Some((key, mut ids)) = runs.next() {
             // One group: every run sharing `key` (a key's entries may cross
@@ -653,7 +653,7 @@ pub enum Plan {
     FullScan,
 }
 
-fn cmp_rows(keys: &[(Option<usize>, bool)], a: &(i64, &Row), b: &(i64, &Row)) -> Ordering {
+fn cmp_rows(keys: &[(Option<usize>, bool)], a: &(i64, &[Value]), b: &(i64, &[Value])) -> Ordering {
     let (aid, arow) = a;
     let (bid, brow) = b;
     for (ci, desc) in keys {
@@ -670,9 +670,9 @@ fn cmp_rows(keys: &[(Option<usize>, bool)], a: &(i64, &Row), b: &(i64, &Row)) ->
 }
 
 fn collect_filtered<'t>(
-    iter: impl Iterator<Item = (i64, &'t Row)>,
-    matches: &dyn Fn(&Row) -> bool,
-) -> Vec<(i64, &'t Row)> {
+    iter: impl Iterator<Item = (i64, &'t [Value])>,
+    matches: &dyn Fn(&[Value]) -> bool,
+) -> Vec<(i64, &'t [Value])> {
     iter.filter(|(_, r)| matches(r)).collect()
 }
 

@@ -6,9 +6,11 @@
 //! shape: a spine of `Arc`-shared chunks.
 //!
 //! * **Rows** live in fixed-span chunks behind `Arc`s, and every row inside
-//!   a chunk is behind its *own* `Arc`. A point mutation re-links one
-//!   chunk's row *pointers* (256 `Arc` bumps, no row data) and materializes
-//!   exactly the row written.
+//!   a chunk is *one* allocation of its own: an `Arc<[Value]>` whose text
+//!   cells are `Arc<str>`. A point mutation re-links one chunk's row
+//!   *pointers* (256 `Arc` bumps, no row data) and materializes exactly the
+//!   row written; copying that row bumps its text cells' counts and copies
+//!   no string.
 //! * **Each indexed column** (unique, indexed, or foreign key) has one
 //!   [`Index`]: every non-NULL cell as a `(value, row id)` entry, globally
 //!   sorted, in chunks of at most [`INDEX_CHUNK_CAP`] entries. That one
@@ -31,15 +33,17 @@ use crate::value::Value;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// A stored row: cell values aligned with `TableSchema::columns` order.
-/// The primary key lives in the table's row map, not in the row itself.
+/// A row as callers build and receive it: cell values aligned with
+/// `TableSchema::columns` order. The primary key lives in the table's row
+/// map, not in the row itself. Stored, a row is one `Arc<[Value]>`, and
+/// the table lends it out as `&[Value]`.
 pub type Row = Vec<Value>;
 
 /// Rows per chunk = 2^CHUNK_SHIFT. 256 balances point-write cost (one
 /// chunk copy) against spine size (rows/256 `Arc` bumps per table clone).
 const CHUNK_SHIFT: u32 = 8;
 
-type Chunk = BTreeMap<i64, Arc<Row>>;
+type Chunk = BTreeMap<i64, Arc<[Value]>>;
 
 /// Chunked copy-on-write row storage: `id >> CHUNK_SHIFT` keys a shared,
 /// immutable-when-shared chunk of up to 256 row *pointers*. Iteration order
@@ -61,7 +65,7 @@ impl Rows {
 
     /// Rows in strictly ascending id order, as a snapshot lists them: each
     /// 256-id span becomes one chunk, built whole, with no per-row lookup.
-    fn from_ascending(rows: Vec<(i64, Arc<Row>)>) -> Rows {
+    fn from_ascending(rows: Vec<(i64, Arc<[Value]>)>) -> Rows {
         let len = rows.len();
         let mut rows = rows.into_iter().peekable();
         let chunks = std::iter::from_fn(|| {
@@ -83,17 +87,21 @@ impl Rows {
         self.len == 0
     }
 
-    pub fn get(&self, id: i64) -> Option<&Row> {
+    pub fn get(&self, id: i64) -> Option<&[Value]> {
         self.chunks
             .get(&Self::chunk_key(id))?
             .get(&id)
-            .map(|r| r.as_ref())
+            .map(|r| &r[..])
     }
 
-    /// The shared handle for `id`, for callers that need to keep the old
-    /// row alive (update's index diff) without deep-copying it.
-    pub fn get_arc(&self, id: i64) -> Option<Arc<Row>> {
-        self.chunks.get(&Self::chunk_key(id))?.get(&id).cloned()
+    /// The stored row `id`, writable: its chunk is re-linked if shared, the
+    /// row itself is left shared for the caller's `Arc::make_mut`.
+    fn get_mut(&mut self, id: i64) -> Option<&mut Arc<[Value]>> {
+        let chunk = self.chunks.get_mut(&Self::chunk_key(id))?;
+        if !chunk.contains_key(&id) {
+            return None;
+        }
+        Arc::make_mut(chunk).get_mut(&id)
     }
 
     pub fn contains_key(&self, id: i64) -> bool {
@@ -103,7 +111,7 @@ impl Rows {
     /// Insert or replace. A shared destination chunk is re-linked (`Arc`
     /// bumps per resident row, no data copies); exactly one row — the one
     /// written — is materialized.
-    pub fn insert(&mut self, id: i64, row: Arc<Row>) -> Option<Arc<Row>> {
+    pub fn insert(&mut self, id: i64, row: Arc<[Value]>) -> Option<Arc<[Value]>> {
         let chunk = self
             .chunks
             .entry(Self::chunk_key(id))
@@ -116,7 +124,7 @@ impl Rows {
     }
 
     /// Remove; re-links only the containing chunk if shared.
-    pub fn remove(&mut self, id: i64) -> Option<Arc<Row>> {
+    pub fn remove(&mut self, id: i64) -> Option<Arc<[Value]>> {
         let key = Self::chunk_key(id);
         let chunk = self.chunks.get_mut(&key)?;
         if !chunk.contains_key(&id) {
@@ -132,13 +140,13 @@ impl Rows {
 
     /// The storage chunks in id order, each its rows in id order: the unit
     /// a snapshot writes at a time.
-    pub fn chunks(&self) -> impl Iterator<Item = impl Iterator<Item = (i64, &Row)>> {
+    pub fn chunks(&self) -> impl Iterator<Item = impl Iterator<Item = (i64, &[Value])>> {
         self.chunks
             .values()
-            .map(|c| c.iter().map(|(id, r)| (*id, r.as_ref())))
+            .map(|c| c.iter().map(|(id, r)| (*id, &r[..])))
     }
 
-    pub fn iter(&self) -> impl Iterator<Item = (i64, &Row)> {
+    pub fn iter(&self) -> impl Iterator<Item = (i64, &[Value])> {
         self.chunks().flatten()
     }
 }
@@ -432,7 +440,7 @@ impl Table {
     pub(crate) fn from_ascending(
         schema: TableSchema,
         next_id: i64,
-        rows: Vec<(i64, Arc<Row>)>,
+        rows: Vec<(i64, Arc<[Value]>)>,
     ) -> Result<Table, DbError> {
         debug_assert!(rows.windows(2).all(|w| w[0].0 < w[1].0));
         let mut buckets: Vec<Option<BTreeMap<&Value, Vec<i64>>>> = (schema.columns.iter())
@@ -477,74 +485,79 @@ impl Table {
         self.rows.len()
     }
 
+    /// The id the next [`Self::insert`] assigns: above every id the table
+    /// has ever held, deleted rows' included.
+    pub fn next_id(&self) -> i64 {
+        self.next_id
+    }
+
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
     }
 
-    pub fn get(&self, id: i64) -> Option<&Row> {
+    pub fn get(&self, id: i64) -> Option<&[Value]> {
         self.rows.get(id)
     }
 
-    pub fn iter(&self) -> impl Iterator<Item = (i64, &Row)> {
+    pub fn iter(&self) -> impl Iterator<Item = (i64, &[Value])> {
         self.rows.iter()
     }
 
     /// [`Self::get`], a missing row being the caller's error.
-    pub(crate) fn row(&self, id: i64) -> Result<&Row, DbError> {
+    pub(crate) fn row(&self, id: i64) -> Result<&[Value], DbError> {
         self.get(id).ok_or_else(|| DbError::NoSuchRow {
             table: self.schema.name.clone(),
             id,
         })
     }
 
-    /// Validate per-column constraints and uniqueness for a candidate row,
-    /// excluding row `exclude` from uniqueness checks (for updates).
-    fn check_row(&self, row: &Row, exclude: Option<i64>) -> Result<(), DbError> {
-        self.schema.check_cells(row)?;
-        for (i, (col, val)) in self.schema.columns.iter().zip(row.iter()).enumerate() {
-            if col.unique && !val.is_null() {
-                if let Some(other) = self.find_unique(i, val) {
-                    if Some(other) != exclude {
-                        return Err(DbError::UniqueViolation {
-                            table: self.schema.name.clone(),
-                            column: col.name.clone(),
-                            value: val.clone(),
-                        });
-                    }
-                }
-            }
+    /// Column `col` may hold `val` beside the other rows: a unique column
+    /// holds each non-NULL cell once, in row `own` (`None` for a new row)
+    /// or in no row.
+    fn check_unique(&self, col: usize, val: &Value, own: Option<i64>) -> Result<(), DbError> {
+        let column = &self.schema.columns[col];
+        if !column.unique || val.is_null() {
+            return Ok(());
         }
-        Ok(())
-    }
-
-    /// Enter every non-NULL indexed cell of a (validated) row.
-    fn index_row(&mut self, id: i64, row: &Row) {
-        for (slot, val) in self.indexes.iter_mut().zip(row) {
-            if let (Some(index), false) = (slot, val.is_null()) {
-                self.copied.index_entries += Arc::make_mut(index).insert(val, id);
-            }
+        match self.find_unique(col, val) {
+            Some(other) if Some(other) != own => Err(DbError::UniqueViolation {
+                table: self.schema.name.clone(),
+                column: column.name.clone(),
+                value: val.clone(),
+            }),
+            _ => Ok(()),
         }
     }
 
     /// Insert a row, assigning a fresh primary key. FK existence is checked
     /// by the database layer before calling this.
-    pub fn insert(&mut self, row: Row) -> Result<i64, DbError> {
+    pub fn insert(&mut self, row: impl Into<Arc<[Value]>>) -> Result<i64, DbError> {
         let id = self.next_id;
         self.insert_with_id(id, row)?;
         Ok(id)
     }
 
     /// Insert a row with an explicit id (WAL replay / snapshot restore).
-    pub fn insert_with_id(&mut self, id: i64, row: Row) -> Result<(), DbError> {
+    /// The row is stored as the one allocation `row` converts into: a
+    /// slice is copied into it (its text shared), a `Vec` moved.
+    pub fn insert_with_id(&mut self, id: i64, row: impl Into<Arc<[Value]>>) -> Result<(), DbError> {
         if self.rows.contains_key(id) {
             return Err(DbError::Schema(format!(
                 "table {}: duplicate explicit id {}",
                 self.schema.name, id
             )));
         }
-        self.check_row(&row, None)?;
-        self.index_row(id, &row);
-        self.rows.insert(id, Arc::new(row));
+        let row = row.into();
+        self.schema.check_cells(&row)?;
+        for (col, val) in row.iter().enumerate() {
+            self.check_unique(col, val, None)?;
+        }
+        for (slot, val) in self.indexes.iter_mut().zip(row.iter()) {
+            if let (Some(index), false) = (slot, val.is_null()) {
+                self.copied.index_entries += Arc::make_mut(index).insert(val, id);
+            }
+        }
+        self.rows.insert(id, row);
         self.copied.rows += 1;
         if id >= self.next_id {
             self.next_id = id + 1;
@@ -552,36 +565,55 @@ impl Table {
         Ok(())
     }
 
-    /// Replace an entire row. Only the indexes whose cell changed are
-    /// touched; the superseded row is held by `Arc` handle — never
-    /// deep-copied — for that comparison.
-    pub fn update(&mut self, id: i64, row: Row) -> Result<(), DbError> {
-        let old = self.rows.get_arc(id).ok_or_else(|| DbError::NoSuchRow {
-            table: self.schema.name.clone(),
-            id,
-        })?;
-        self.check_row(&row, Some(id))?;
-        for ((slot, was), now) in self.indexes.iter_mut().zip(old.iter()).zip(&row) {
-            let Some(index) = slot else { continue };
+    /// Set some cells of row `id`: the one update path, for a live write and
+    /// a replayed log record alike. Only the named cells are checked — the
+    /// column exists, type, NOT NULL, length, and uniqueness against the
+    /// other rows — and all of them before anything changes, so a refused
+    /// update leaves the table as it was. Only the indexes whose cell
+    /// changed are re-linked. The cells are set through `Arc::make_mut`: a
+    /// fresh row is made only while a published version still shares the
+    /// stored one, and an unshared row (a transaction's second write of it,
+    /// recovery's replay) is written in place.
+    pub fn update_cells(&mut self, id: i64, cells: &[(usize, Value)]) -> Result<(), DbError> {
+        let old = self.row(id)?;
+        for (ci, now) in cells {
+            let Some(column) = self.schema.columns.get(*ci) else {
+                return Err(DbError::Schema(format!("no column {ci}")));
+            };
+            column.check_value(&self.schema.name, now)?;
+        }
+        for (ci, now) in cells {
+            self.check_unique(*ci, now, Some(id))?;
+        }
+        if cells.iter().all(|(ci, now)| old[*ci] == *now) {
+            return Ok(());
+        }
+        let stored = self.rows.get_mut(id).expect("the row was just read");
+        if Arc::get_mut(stored).is_none() {
+            self.copied.rows += 1;
+        }
+        let row = Arc::make_mut(stored);
+        for (ci, now) in cells {
+            let was = &mut row[*ci];
             if was == now {
                 continue;
             }
-            let index = Arc::make_mut(index);
-            if !was.is_null() {
-                self.copied.index_entries += index.remove(was, id);
+            if let Some(index) = &mut self.indexes[*ci] {
+                let index = Arc::make_mut(index);
+                if !was.is_null() {
+                    self.copied.index_entries += index.remove(was, id);
+                }
+                if !now.is_null() {
+                    self.copied.index_entries += index.insert(now, id);
+                }
             }
-            if !now.is_null() {
-                self.copied.index_entries += index.insert(now, id);
-            }
+            *was = now.clone();
         }
-        self.rows.insert(id, Arc::new(row));
-        self.copied.rows += 1;
         Ok(())
     }
 
-    /// Delete a row, returning it. FK restrictions are handled by the
-    /// database layer.
-    pub fn delete(&mut self, id: i64) -> Result<Row, DbError> {
+    /// Delete a row. FK restrictions are handled by the database layer.
+    pub fn delete(&mut self, id: i64) -> Result<(), DbError> {
         let row = self.rows.remove(id).ok_or_else(|| DbError::NoSuchRow {
             table: self.schema.name.clone(),
             id,
@@ -591,7 +623,7 @@ impl Table {
                 self.copied.index_entries += Arc::make_mut(index).remove(val, id);
             }
         }
-        Ok(Arc::try_unwrap(row).unwrap_or_else(|shared| (*shared).clone()))
+        Ok(())
     }
 
     /// Drain the write-amplification counters: what mutations materialized
@@ -673,7 +705,8 @@ mod tests {
     fn unique_allows_self_update() {
         let mut t = table();
         let id = t.insert(vec!["a".into(), Value::Int(1)]).unwrap();
-        t.update(id, vec!["a".into(), Value::Int(2)]).unwrap();
+        t.update_cells(id, &[(0, "a".into()), (1, Value::Int(2))])
+            .unwrap();
         assert_eq!(t.get(id).unwrap()[1], Value::Int(2));
     }
 
@@ -681,7 +714,7 @@ mod tests {
     fn update_reindexes() {
         let mut t = table();
         let id = t.insert(vec!["a".into(), Value::Int(1)]).unwrap();
-        t.update(id, vec!["b".into(), Value::Int(1)]).unwrap();
+        t.update_cells(id, &[(0, "b".into())]).unwrap();
         // old name must be free again
         assert!(t.insert(vec!["a".into(), Value::Int(9)]).is_ok());
         let name_col = 0;
@@ -698,9 +731,54 @@ mod tests {
         assert_eq!(hits, [a, b]);
         t.delete(a).unwrap();
         assert_eq!(t.find_indexed(1, &Value::Int(30)).unwrap(), [b]);
-        t.update(b, vec!["b".into(), Value::Null]).unwrap();
+        t.update_cells(b, &[(1, Value::Null)]).unwrap();
         assert!(t.find_indexed(1, &Value::Int(30)).unwrap().is_empty());
         assert!(t.find_indexed(1, &Value::Null).unwrap().is_empty());
+    }
+
+    /// The one update path copies a row only while a published version
+    /// shares it: the first write after a clone makes one fresh row (text
+    /// cells shared, not copied) and the clone keeps the old one; a second
+    /// write of the now unshared row changes it in place. Every cell is
+    /// checked before any is set.
+    #[test]
+    fn update_cells_copies_a_shared_row_once_and_writes_an_unshared_one_in_place() {
+        let mut t = table();
+        let id = t.insert(vec!["a".into(), Value::Int(1)]).unwrap();
+        let at = |t: &Table| t.get(id).unwrap().as_ptr();
+        let published = t.clone();
+        t.take_copied();
+
+        t.update_cells(id, &[(1, Value::Int(2))]).unwrap();
+        assert_eq!(t.take_copied().rows, 1);
+        assert_ne!(at(&t), at(&published), "a shared row was written in place");
+        let (Value::Text(name), Value::Text(was)) =
+            (&t.get(id).unwrap()[0], &published.get(id).unwrap()[0])
+        else {
+            panic!("text cells")
+        };
+        assert!(Arc::ptr_eq(name, was), "the copy copied the text");
+        assert_eq!(published.get(id).unwrap()[1], Value::Int(1));
+
+        let before = at(&t);
+        t.update_cells(id, &[(1, Value::Int(3))]).unwrap();
+        assert_eq!((t.take_copied().rows, at(&t)), (0, before));
+        assert_eq!(t.find_indexed(1, &Value::Int(3)).unwrap(), [id]);
+        assert!(t.find_indexed(1, &Value::Int(2)).unwrap().is_empty());
+
+        // A refused update, its second cell bad, sets neither cell.
+        let other = t.insert(vec!["b".into(), Value::Null]).unwrap();
+        for bad in [
+            (0, "b".into()),
+            (1, "x".into()),
+            (0, Value::Null),
+            (9, Value::Int(0)),
+        ] {
+            assert!(t.update_cells(id, &[(1, Value::Int(4)), bad]).is_err());
+            assert_eq!(t.get(id).unwrap(), &["a".into(), Value::Int(3)][..]);
+            assert_eq!(t.find_unique(0, &"b".into()), Some(other));
+        }
+        assert!(t.update_cells(99, &[]).is_err());
     }
 
     #[test]
@@ -938,11 +1016,12 @@ mod tests {
             let row = |status: &str, detail: &str| -> Row {
                 vec![Value::Int((id - 1) / 100), status.into(), detail.into()]
             };
+            let set = |status: &str, detail: &str| [(1, status.into()), (2, detail.into())];
             let per_index = 2 * INDEX_CHUNK_CAP as u64 + 1;
 
             let published = t.clone();
             t.take_copied();
-            t.update(id, row("ACTIVE", "")).unwrap();
+            t.update_cells(id, &set("ACTIVE", "")).unwrap();
             let copied = t.take_copied();
             assert_eq!(copied.rows, 1);
             assert!(
@@ -953,11 +1032,11 @@ mod tests {
 
             // The same write again, now that its chunks are private: only
             // the entry itself.
-            t.update(id, row("DONE", "")).unwrap();
+            t.update_cells(id, &set("DONE", "")).unwrap();
             assert_eq!(t.take_copied().index_entries, 1);
 
             let published_again = t.clone();
-            t.update(id, row("DONE", "polled")).unwrap();
+            t.update_cells(id, &set("DONE", "polled")).unwrap();
             let copied = t.take_copied();
             assert_eq!((copied.rows, copied.index_entries), (1, 0));
 

@@ -230,13 +230,27 @@ fn get_text(d: &mut &[u8]) -> Option<String> {
 }
 
 fn get_value(d: &mut &[u8]) -> Option<Value> {
+    get_value_like(d, None)
+}
+
+/// One value. A text cell whose bytes are those of `like`'s text shares
+/// its `Arc`, and needs no UTF-8 check: they are a `str`'s bytes.
+fn get_value_like(d: &mut &[u8], like: Option<&Value>) -> Option<Value> {
     Some(match *d.split_off_first()? {
         0 => Value::Null,
         tag @ 1..=2 => Value::Bool(tag == 2),
         3 => Value::Int(get_int(d)?),
         4 => Value::Float(f64::from_le_bytes(d.split_off(..8)?.try_into().ok()?)),
         5 => Value::Timestamp(get_int(d)?),
-        6 => Value::Text(get_text(d)?),
+        6 => {
+            let bytes = get_bytes(d)?;
+            match like {
+                Some(Value::Text(same)) if same.as_bytes() == bytes => {
+                    Value::Text(Arc::clone(same))
+                }
+                _ => Value::Text(std::str::from_utf8(bytes).ok()?.into()),
+            }
+        }
         _ => return None,
     })
 }
@@ -254,6 +268,24 @@ fn get_row(d: &mut &[u8], n: u64) -> Option<Row> {
         row.push(get_value(d)?);
     }
     Some(row)
+}
+
+/// One snapshot row of `columns` cells, decoded into `buf` (reused from
+/// row to row) and moved into the row's one allocation. A text cell equal
+/// to the same column's cell of `prev`, the row listed before it, shares
+/// that cell's `Arc` ([`get_value_like`]): a run of rows with one status,
+/// site or application holds the text once.
+fn get_stored_row(
+    d: &mut &[u8],
+    columns: usize,
+    buf: &mut Vec<Value>,
+    prev: Option<&[Value]>,
+) -> Option<Arc<[Value]>> {
+    buf.clear();
+    for ci in 0..columns {
+        buf.push(get_value_like(d, prev.map(|row| &row[ci]))?);
+    }
+    Some(buf.drain(..).collect())
 }
 
 fn get_op(d: &mut &[u8]) -> Option<LogOp> {
@@ -970,19 +1002,25 @@ impl Snapshot {
             // A row is its id and one value per column, a byte each at
             // least: the bytes after this header bound what the count may
             // reserve.
-            let columns = schema.columns.len() as u64;
+            let columns = schema.columns.len();
             let left = (data.len() - (start + 8 + body.len())) as u64;
-            let mut rows = Vec::with_capacity(row_count.min(left / (1 + columns)) as usize);
+            let reserve = row_count.min(left / (1 + columns as u64));
+            let mut rows: Vec<(i64, Arc<[Value]>)> = Vec::with_capacity(reserve as usize);
+            let mut buf = Vec::with_capacity(columns);
             while (rows.len() as u64) < row_count {
                 let (start, mut body) = next_frame()?;
                 while !body.is_empty() {
-                    let row = get_int(&mut body).zip(get_row(&mut body, columns));
-                    let (id, row) = row.ok_or_else(|| corrupt(start, "undecodable row"))?;
+                    let prev = rows.last().map(|(_, row)| &row[..]);
+                    let id = get_int(&mut body);
+                    let row = id.and_then(|_| get_stored_row(&mut body, columns, &mut buf, prev));
+                    let (id, row) = id
+                        .zip(row)
+                        .ok_or_else(|| corrupt(start, "undecodable row"))?;
                     if rows.last().is_some_and(|&(last, _)| last >= id) {
                         return Err(corrupt(start, "row ids not ascending"));
                     }
                     schema.check_cells(&row)?;
-                    rows.push((id, Arc::new(row)));
+                    rows.push((id, row));
                 }
                 if rows.len() as u64 > row_count {
                     return Err(corrupt(start, "more rows than the table declares"));
@@ -1044,13 +1082,9 @@ fn apply(tables: &mut RecoveredTables, op: LogOp) -> Result<&mut Recovered, DbEr
             Ok(r)
         }
         LogOp::Update { table, id, set } => {
+            // In place: the recovered table is unshared, so the row is too.
             let r = held(tables, table)?;
-            let mut row = r.table.row(id)?.clone();
-            for (ci, value) in set {
-                let no_column = || DbError::Schema(format!("no column {ci}"));
-                *row.get_mut(ci).ok_or_else(no_column)? = value;
-            }
-            r.table.update(id, row)?;
+            r.table.update_cells(id, &set)?;
             Ok(r)
         }
         LogOp::Delete { table, id } => {
@@ -1167,7 +1201,7 @@ mod tests {
             "quo\"te back\\slash\nnew\tline\r\u{1}",
             "∑ßé日本語🌀",
         ];
-        let mut row: Vec<Value> = text.iter().map(|s| Value::Text(s.to_string())).collect();
+        let mut row: Vec<Value> = text.iter().map(|&s| Value::from(s)).collect();
         row.extend([Value::Null, Value::Bool(true), Value::Bool(false)]);
         row.extend([0, 1, -1, 63, -64, 64, i64::MAX, i64::MIN].map(Value::Int));
         row.extend([1.5, -0.0, 0.1, 1e300, f64::MIN_POSITIVE].map(Value::Float));
@@ -1563,6 +1597,48 @@ mod tests {
         assert_eq!((covered, loaded["t"].applied_seq), (None, None));
     }
 
+    /// Loading a snapshot, a text cell equal to the same column's cell in
+    /// the row listed just before it shares that row's allocation — across
+    /// a frame boundary too — and any other text gets its own.
+    #[test]
+    fn a_loaded_text_cell_equal_to_the_previous_rows_shares_its_allocation() {
+        let path = tmpdir("snapshare").join("db.snap");
+        let text = |name| Column::new(name, ValueType::Text);
+        let schema = TableSchema::new("job", vec![text("status"), text("site")]);
+        let mut table = Table::new(schema).unwrap();
+        let statuses = ["DONE", "DONE", "ACTIVE", "DONE", "DONE"];
+        for status in statuses {
+            table.insert(vec![status.into(), "kraken".into()]).unwrap();
+        }
+        // Id 256 starts the next storage chunk, so the next frame.
+        table
+            .insert_with_id(255, vec!["DONE".into(), "kraken".into()])
+            .unwrap();
+        table
+            .insert_with_id(256, vec!["DONE".into(), "kraken".into()])
+            .unwrap();
+        Snapshot::write([&table].into_iter(), None, &BTreeMap::new(), &path, false).unwrap();
+        let (loaded, _) = Snapshot::load(&path).unwrap();
+        let rows: Vec<&[Value]> = loaded["job"].table.iter().map(|(_, r)| r).collect();
+        let shared = |a: &[Value], b: &[Value], col: usize| match (&a[col], &b[col]) {
+            (Value::Text(a), Value::Text(b)) => Arc::ptr_eq(a, b),
+            _ => panic!("text cells"),
+        };
+        let status_shared: Vec<bool> = rows.windows(2).map(|w| shared(w[0], w[1], 0)).collect();
+        assert_eq!(status_shared, [true, false, false, true, true, true]);
+        assert!(
+            rows.windows(2).all(|w| shared(w[0], w[1], 1)),
+            "one site, one allocation"
+        );
+        // DONE after ACTIVE is a fresh allocation, not the DONE before it.
+        assert!(!shared(rows[1], rows[3], 0));
+        assert!(loaded["job"]
+            .table
+            .iter()
+            .map(|(_, r)| r)
+            .eq(table.iter().map(|(_, r)| r)));
+    }
+
     /// A snapshot has no legitimate torn tail and carries no unchecked
     /// byte: every cut and every flipped bit answers `Corrupt` with a byte
     /// offset, as do contents the checksums cannot vouch for.
@@ -1616,7 +1692,7 @@ mod tests {
         let float = TableSchema::new("t", vec![Column::new("v", ValueType::Float)]);
         let rows = seeded.rows.clone();
         let with = |mut rows: Rows, id, cell| {
-            rows.insert(id, Arc::new(vec![cell]));
+            rows.insert(id, Arc::new([cell]));
             rows
         };
         for (schema, rows, fine) in [

@@ -10,13 +10,13 @@
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use amp::core::{roles, setup};
 use amp::obs;
 use amp::portal::server::{fetch, fetch_pipelined, read_framed_response};
-use amp::portal::{hash_password, Portal, PortalConfig, Request, Server, ServerConfig};
+use amp::portal::{hash_password, Portal, PortalConfig, Request, Response, Server, ServerConfig};
 use amp::prelude::*;
 use amp::simdb::Db;
 use proptest::prelude::*;
@@ -524,6 +524,71 @@ fn graceful_shutdown_drains_in_flight_responses() {
         );
     }
     stopper.join().unwrap();
+}
+
+/// A handler that panics fails its own request, not the server: the worker
+/// catches the unwind and answers 500 on the connection, which stays open,
+/// and the pool keeps every worker. Each of `WORKERS` connections gets a
+/// 500 at once, then the same connections' next requests only finish when
+/// `WORKERS` handlers are running together — so no worker was lost.
+#[test]
+fn a_panicking_handler_gets_a_500_and_the_full_pool_keeps_serving() {
+    const WORKERS: usize = 3;
+    let db = fresh_db();
+    let mut portal = Portal::new(&db, PortalConfig::default()).unwrap();
+    portal
+        .router_mut()
+        .get("/boom", |_, _, _| panic!("a handler's bug"));
+    let arrivals = Arc::new((Mutex::new(0), Condvar::new()));
+    let gate = arrivals.clone();
+    portal.router_mut().get("/together", move |_, _, _| {
+        let (count, arrived) = &*gate;
+        let mut here = count.lock().unwrap();
+        *here += 1;
+        arrived.notify_all();
+        let (_here, waited) = arrived
+            .wait_timeout_while(here, Duration::from_secs(10), |n| *n < WORKERS)
+            .unwrap();
+        Response::html(if waited.timed_out() {
+            "alone"
+        } else {
+            "together"
+        })
+    });
+    let config = ServerConfig {
+        workers: WORKERS,
+        ..ServerConfig::default()
+    };
+    let server = Server::spawn_with(Arc::new(portal), 0, config).unwrap();
+    let addr = server.addr();
+
+    let answers: Vec<(String, String)> = std::thread::scope(|s| {
+        let clients: Vec<_> = (0..WORKERS)
+            .map(|_| {
+                s.spawn(move || {
+                    let mut conn = TcpStream::connect(addr).unwrap();
+                    conn.set_read_timeout(Some(Duration::from_secs(20)))
+                        .unwrap();
+                    let mut buf = Vec::new();
+                    let mut ask = |path: &str| {
+                        conn.write_all(get(path, "").as_bytes()).unwrap();
+                        read_framed_response(&mut conn, &mut buf).expect("an answer")
+                    };
+                    (ask("/boom"), ask("/together"))
+                })
+            })
+            .collect();
+        clients.into_iter().map(|c| c.join().unwrap()).collect()
+    });
+    for (boom, together) in answers {
+        assert!(boom.starts_with("HTTP/1.1 500"), "{boom}");
+        assert!(together.starts_with("HTTP/1.1 200"), "{together}");
+        assert!(
+            together.ends_with("together"),
+            "a worker was lost: {together}"
+        );
+    }
+    server.stop();
 }
 
 /// Network-level byte-split fuzz: a seeded stream of request batches is

@@ -280,10 +280,10 @@ impl Model for Item {
         schema()
     }
 
-    fn from_row(id: i64, row: &Row) -> Result<Self, DbError> {
+    fn from_row(id: i64, row: &[Value]) -> Result<Self, DbError> {
         Ok(Item {
             id: Some(id),
-            row: row.clone(),
+            row: row.to_vec(),
         })
     }
 

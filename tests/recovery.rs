@@ -279,11 +279,33 @@ fn a_log_record_that_does_not_apply_is_corrupt_and_the_database_stays_shut() {
             update(1, vec![(7, Value::Int(1))]),
             "update on t: schema error: no column 7",
         ),
+        (
+            update(1, vec![(0, "one".into())]),
+            "update on t: type mismatch on t.v: expected INT, got Text(\"one\")",
+        ),
     ] {
         let frame = encode_frame(2, &[op]).unwrap();
         std::fs::write(dir.join("db.wal"), [&MAGIC[..], &head, &frame].concat()).unwrap();
         refused(&format!("wal seq 2: {why}"));
     }
+
+    // An update that gives row 2 the unique cell row 1 holds, as seq 3 of
+    // a log that creates `u` and inserts u[1] and u[2].
+    let unique = TableSchema::new("u", vec![Column::new("v", ValueType::Int).unique()]);
+    let row = |id, v| LogOp::Insert {
+        table: "u".into(),
+        id,
+        row: vec![Value::Int(v)],
+    };
+    let head = encode_frame(0, &[create(unique), row(1, 10), row(2, 20)]).unwrap();
+    let twice = LogOp::Update {
+        table: "u".into(),
+        id: 2,
+        set: vec![(0, Value::Int(10))],
+    };
+    let frame = encode_frame(3, &[twice]).unwrap();
+    std::fs::write(dir.join("db.wal"), [&MAGIC[..], &head, &frame].concat()).unwrap();
+    refused("wal seq 3: update on u: unique violation on u.v = 10");
 }
 
 /// Regression: an acknowledged insert of `f64::INFINITY` wrote
