@@ -34,7 +34,6 @@ use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
-use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -482,8 +481,7 @@ fn finish_response(response: &Response, client_keep_alive: bool) -> (Vec<u8>, Op
 }
 
 /// Worker thread body: pop a job, run the handler, serialize the
-/// response, hand it back to the loop, wake the loop. A handler's panic is
-/// caught and answered with a 500.
+/// response, hand it back to the loop, wake the loop.
 pub(crate) fn worker_main(
     portal: Arc<Portal>,
     dispatcher: Arc<Dispatcher>,
@@ -512,10 +510,9 @@ pub(crate) fn worker_main(
             // flight while the server shuts down and drains them.
             std::thread::sleep(config.handler_delay);
         }
-        // A handler that panics fails its own request, not the worker: the
-        // connection is answered and the pool keeps its size.
-        let handled = panic::catch_unwind(AssertUnwindSafe(|| portal.handle(&job.request)));
-        let response = handled.unwrap_or_else(|_| Response::server_error("500 handler failed"));
+        // A view that panics is answered with a 500 inside `handle`, so the
+        // worker lives on and the pool keeps its size.
+        let response = portal.handle(&job.request);
         let (bytes, close) = finish_response(&response, job.client_keep_alive);
         dispatcher
             .completions

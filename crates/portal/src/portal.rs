@@ -1,6 +1,7 @@
 //! The portal application object: configuration, shared services, and the
 //! URL map wiring the Django-style apps together.
 
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -126,14 +127,20 @@ impl Portal {
     /// Handle one request end-to-end: answer from the versioned response
     /// cache, else render and store. Every request is recorded in the
     /// global metrics registry (per-route count, status, latency; cache
-    /// hit/miss).
+    /// hit/miss). A view that panics fails its own request, not its caller:
+    /// the request is answered, and recorded, as a 500.
     pub fn handle(&self, req: &Request) -> Response {
         let start = Instant::now();
         let slot = match self.answer_cached(req, start, true) {
             Ok(hit) => return hit,
             Err(slot) => slot,
         };
-        let response = self.router.dispatch(self, req);
+        let dispatched = panic::catch_unwind(AssertUnwindSafe(|| self.router.dispatch(self, req)));
+        let Ok(response) = dispatched else {
+            let response = Response::server_error("500 handler failed");
+            self.record(req, start, &response);
+            return response;
+        };
         if let Some((key, stamp)) = slot {
             self.cache.put(key, stamp, &response);
         }

@@ -106,7 +106,7 @@ pub mod prelude {
 }
 
 use parking_lot::RwLock;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
@@ -158,12 +158,12 @@ impl Db {
         let snapshot = snapshot.into();
         let wal_path = wal_path.into();
         // Recovery builds plain tables, which move (not copy) into the
-        // first published version. The log continues above every sequence
-        // number the recovered state has used, not merely above the file's
-        // last record.
-        let (tables, last_seq) = wal::recover_with_last_seq(&snapshot, &wal_path)?;
-        let first = version::DbVersion::from_recovered(tables);
-        let wal = wal::Wal::open_at(&wal_path, last_seq.map_or(0, |seq| seq + 1))?;
+        // first published version under the watermark replay reached. The
+        // log numbers on from it: it is the snapshot's watermark or the
+        // log's last record, whichever is higher.
+        let (tables, applied_seq) = wal::recover_with_last_seq(&snapshot, &wal_path)?;
+        let first = version::DbVersion::from_recovered(tables, applied_seq);
+        let wal = wal::Wal::open_at(&wal_path, applied_seq.map_or(0, |seq| seq + 1))?;
         Ok(Self::new(first, Some(wal), Some(snapshot)))
     }
 
@@ -192,42 +192,37 @@ impl Db {
     }
 
     /// Write the snapshot file from one consistent cut of every table and
-    /// return that cut's per-table WAL coverage. The cut is one pin of the
-    /// published version, and the encoder then streams its immutable tables
-    /// to the file chunk by chunk: neither readers nor writers ever wait on
-    /// it. `since` is moved to when it returned.
-    fn write_snapshot(&self, since: &mut Instant) -> Result<BTreeMap<String, u64>, DbError> {
+    /// return the cut's watermark: the last sequence number of the last
+    /// commit it holds. The cut is one pin of the published version, and
+    /// the encoder then streams its immutable tables to the file chunk by
+    /// chunk: neither readers nor writers ever wait on it. `since` is moved
+    /// to when it returned.
+    fn write_snapshot(&self, since: &mut Instant) -> Result<Option<u64>, DbError> {
         let path = self.shared.snapshot_path.as_deref();
         let path = path.ok_or_else(|| DbError::Io("no snapshot path configured".into()))?;
         let cut = self.shared.slot.pin();
-        let applied = (cut.tables())
-            .filter_map(|v| Some((v.table.schema.name.clone(), v.applied_seq?)))
-            .collect();
         let metrics = obs::metrics();
         metrics.checkpoint_pin.lap(since);
-        let wal = self.shared.wal.as_ref();
-        let covered = wal.and_then(|w| w.last_seq());
-        let durable = wal.is_some_and(|w| w.fsync());
+        let durable = self.shared.wal.as_ref().is_some_and(|w| w.fsync());
         let tables = cut.tables().map(|version| &version.table);
-        let bytes = wal::Snapshot::write(tables, covered, &applied, path, durable)?;
+        let bytes = wal::Snapshot::write(tables, cut.applied_seq, path, durable)?;
         metrics.snapshot_bytes.set(bytes as i64);
         metrics.checkpoint_encode_write.lap(since);
-        Ok(applied)
+        Ok(cut.applied_seq)
     }
 
     /// Compact durability state: write a snapshot of a pinned consistent
-    /// cut, then drop every WAL record the snapshot's per-table coverage
-    /// makes redundant. Recovery afterwards reads the snapshot plus the
-    /// surviving suffix — keeping restart time bounded on long-lived
-    /// gateways.
+    /// cut, then drop every WAL record at or below the cut's watermark.
+    /// Recovery afterwards reads the snapshot plus the surviving suffix —
+    /// keeping restart time bounded on long-lived gateways.
     ///
     /// Fully non-blocking for both readers *and* writers: the cut is one
     /// pinned immutable version, so no lock is held across the file I/O
     /// (the seed engine stalled the whole gateway behind an exclusive lock
     /// here).
     /// Writers racing the compaction keep appending; their records have
-    /// sequence numbers above the pinned coverage and survive the
-    /// truncation untouched (see [`wal::Wal::truncate_keeping`]).
+    /// sequence numbers above the watermark and survive the truncation
+    /// untouched (see [`wal::Wal::truncate_keeping`]).
     ///
     /// `simdb_checkpoint_seconds{stage=pin|encode_write|truncate}` say where
     /// its time went, `simdb_snapshot_bytes` what it wrote.
@@ -235,8 +230,8 @@ impl Db {
         let mut since = Instant::now();
         let wal = self.shared.wal.as_ref();
         let wal = wal.ok_or_else(|| DbError::Io("no WAL configured".into()))?;
-        let applied = self.write_snapshot(&mut since)?;
-        wal.truncate_keeping(&applied)?;
+        let watermark = self.write_snapshot(&mut since)?;
+        wal.truncate_keeping(watermark)?;
         obs::metrics().checkpoint_truncate.lap(&mut since);
         Ok(())
     }

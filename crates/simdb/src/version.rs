@@ -2,8 +2,9 @@
 //! take **no lock at all**, and one writer at a time.
 //!
 //! A [`DbVersion`] is an immutable snapshot of every table: one
-//! [`Arc<TableVersion>`] per table (its rows, indexes, modification counter
-//! and WAL coverage) plus the schema facts only DDL changes ([`Catalog`]).
+//! [`Arc<TableVersion>`] per table (its rows, indexes and modification
+//! counter), the schema facts only DDL changes ([`Catalog`]) and one WAL
+//! watermark, [`DbVersion::applied_seq`].
 //! The engine's [`Slot`] publishes the latest one, and readers pin it with
 //! two atomic operations ([`Slot::pin`]). A read, a read view, a set of
 //! version stamps and a checkpoint's cut are each one pin, so every cut is
@@ -68,10 +69,6 @@ pub(crate) struct TableVersion {
     pub table: Table,
     /// Monotone per-table modification counter (see `Db::table_version`).
     pub version: u64,
-    /// Highest WAL sequence number whose effects this version includes
-    /// (`None` until the table's first logged op). Compaction uses these,
-    /// per table, to decide which WAL records a snapshot makes redundant.
-    pub applied_seq: Option<u64>,
     /// Shared handle on the table's `simdb_table_live_versions` gauge.
     /// Each version counts itself in at construction and out on `Drop`, so
     /// the gauge decrements the moment a superseded version's last pin
@@ -80,20 +77,19 @@ pub(crate) struct TableVersion {
 }
 
 impl TableVersion {
-    fn new(table: Table, version: u64, applied_seq: Option<u64>, live: Gauge) -> Arc<TableVersion> {
+    fn new(table: Table, version: u64, live: Gauge) -> Arc<TableVersion> {
         live.add(1);
         Arc::new(TableVersion {
             table,
             version,
-            applied_seq,
             live,
         })
     }
 
     /// A table's first version, with its gauge resolved.
-    fn first(table: Table, version: u64, applied_seq: Option<u64>) -> Arc<TableVersion> {
+    fn first(table: Table, version: u64) -> Arc<TableVersion> {
         let live = crate::obs::live_versions(&table.schema.name);
-        TableVersion::new(table, version, applied_seq, live)
+        TableVersion::new(table, version, live)
     }
 }
 
@@ -139,23 +135,33 @@ impl Catalog {
 pub(crate) struct DbVersion {
     catalog: Arc<Catalog>,
     tables: Vec<Arc<TableVersion>>,
+    /// The last WAL sequence number of the last commit this version
+    /// includes (`None` before the first logged commit). The one writer
+    /// claims a commit's numbers and then publishes it, and every logged
+    /// commit publishes, so a version holds exactly the commits numbered at
+    /// or below this watermark: a checkpoint's cut is this one number.
+    pub applied_seq: Option<u64>,
 }
 
 impl DbVersion {
     pub fn empty() -> DbVersion {
-        DbVersion::from_recovered(BTreeMap::new())
+        DbVersion::from_recovered(BTreeMap::new(), None)
     }
 
     /// The first version over what recovery built (snapshot + WAL replay):
     /// each table moves — is not copied — into it, with the version counter
-    /// and WAL coverage replay left it at.
-    pub fn from_recovered(recovered: BTreeMap<String, Recovered>) -> DbVersion {
+    /// replay left it at, under the watermark replay reached.
+    pub fn from_recovered(
+        recovered: BTreeMap<String, Recovered>,
+        applied_seq: Option<u64>,
+    ) -> DbVersion {
         let tables: Vec<Arc<TableVersion>> = (recovered.into_values())
-            .map(|r| TableVersion::first(r.table, r.version, r.applied_seq))
+            .map(|r| TableVersion::first(r.table, r.version))
             .collect();
         DbVersion {
             catalog: Catalog::new(tables.iter().map(|v| &v.table.schema)),
             tables,
+            applied_seq,
         }
     }
 
@@ -298,10 +304,9 @@ impl Writer<'_> {
     }
 
     /// DDL: create a table. `log` claims the WAL sequence of the
-    /// `CreateTable` record once the schema has been accepted; the table is
-    /// published carrying it, so compaction can retire the record once a
-    /// snapshot includes the table. Returns that sequence number for the
-    /// caller to flush after letting the writer go.
+    /// `CreateTable` record once the schema has been accepted; the version
+    /// that publishes the table carries it as its watermark. Returns that
+    /// sequence number for the caller to flush after letting the writer go.
     pub fn create_table(
         mut self,
         schema: TableSchema,
@@ -311,9 +316,14 @@ impl Writer<'_> {
         let seq = log(&LogOp::CreateTable { schema })?;
         let mut tables = self.base.tables.clone();
         // Table creation counts as version 1, as in the seed engine.
-        tables.push(TableVersion::first(table, 1, seq));
+        tables.push(TableVersion::first(table, 1));
         let catalog = Catalog::new(tables.iter().map(|v| &v.table.schema));
-        self.publish(DbVersion { catalog, tables });
+        let applied_seq = seq.or(self.base.applied_seq);
+        self.publish(DbVersion {
+            catalog,
+            tables,
+            applied_seq,
+        });
         Ok(seq)
     }
 }
@@ -387,11 +397,11 @@ impl<'a> BufferedTables<'a> {
     }
 
     /// Publish the next version: the base with every *dirty* table
-    /// replaced, each stamped with `last_seq` (the batch's final WAL
-    /// sequence number — the one writer claimed it, so every table the
-    /// batch wrote is covered up to it), then let the writer go. Clean
+    /// replaced, stamped with `last_seq` (the batch's final WAL sequence
+    /// number, claimed by this writer), then let the writer go. Clean
     /// buffers are simply dropped, and a write that dirtied nothing
-    /// publishes nothing.
+    /// publishes nothing: it logged nothing either, since every logged op
+    /// bumps its table's version.
     ///
     /// Also drains each dirty table's write-amplification counters into the
     /// `simdb_rows_copied_per_write` and
@@ -413,14 +423,20 @@ impl<'a> BufferedTables<'a> {
             let copied = buffer.table.take_copied();
             rows_copied += copied.rows;
             index_entries_copied += copied.index_entries;
-            let applied_seq = last_seq.or(was.applied_seq);
-            let next =
-                TableVersion::new(buffer.table, buffer.version, applied_seq, was.live.clone());
+            let next = TableVersion::new(buffer.table, buffer.version, was.live.clone());
             tables.get_or_insert_with(|| base.tables.clone())[pos] = next;
         }
-        let Some(tables) = tables else { return };
+        let Some(tables) = tables else {
+            debug_assert!(last_seq.is_none(), "a logged commit dirtied no table");
+            return;
+        };
         let catalog = Arc::clone(&base.catalog);
-        writer.publish(DbVersion { catalog, tables });
+        let applied_seq = last_seq.or(base.applied_seq);
+        writer.publish(DbVersion {
+            catalog,
+            tables,
+            applied_seq,
+        });
         let metrics = crate::obs::metrics();
         metrics.rows_copied_per_write.observe(rows_copied);
         metrics
@@ -545,6 +561,29 @@ mod tests {
             after.get("a").unwrap()
         ));
         assert!(Arc::ptr_eq(&before.catalog, &after.catalog));
+    }
+
+    /// Every logged commit publishes, stamped with its last sequence
+    /// number; an unlogged one keeps the watermark it found, and a write
+    /// that dirtied nothing publishes nothing.
+    #[test]
+    fn a_published_version_carries_the_last_commits_watermark() {
+        let s = Slot::new(DbVersion::empty());
+        let schema = TableSchema::new("t", vec![Column::new("v", ValueType::Int)]);
+        s.write().create_table(schema, |_| Ok(Some(0))).unwrap();
+        assert_eq!(s.pin().applied_seq, Some(0));
+        let mut set = BufferedTables::new(s.write());
+        set.table_mut("t").unwrap();
+        set.bump_version("t");
+        set.commit(Some(3));
+        assert_eq!((s.pin().applied_seq, version(&s, "t")), (Some(3), 2));
+        bump(&s, "t");
+        assert_eq!((s.pin().applied_seq, version(&s, "t")), (Some(3), 3));
+        let before = s.pin();
+        let mut clean = BufferedTables::new(s.write());
+        clean.table_mut("t").unwrap();
+        clean.commit(None);
+        assert!(Arc::ptr_eq(&before, &s.pin()), "a clean write published");
     }
 
     #[test]

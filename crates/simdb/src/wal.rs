@@ -5,9 +5,18 @@
 //! appends each commit as one checksummed frame; [`Snapshot`] streams the
 //! whole database into a file of the same frames. Recovery
 //! ([`recover_with_last_seq`]) = load the latest snapshot, then apply the
-//! log's suffix in place to the plain tables it held ([`Recovered`]), which
-//! then move into the engine's first published version; a record that
-//! does not apply is `Corrupt`.
+//! log's records above its watermark in place to the plain tables it held
+//! ([`Recovered`]), which then move into the engine's first published
+//! version; a record that does not apply, or a gap in the records above the
+//! watermark, is `Corrupt`.
+//!
+//! One number marks a checkpoint. The engine's one writer claims a commit's
+//! sequence numbers and then publishes it, and every logged commit
+//! publishes, so a published version holds exactly the commits numbered at
+//! or below its watermark (`DbVersion::applied_seq`, the last number of the
+//! last commit it includes). A snapshot records that watermark;
+//! [`Wal::truncate_keeping`] drops the frames at or below it and replay
+//! skips them.
 //!
 //! # The log file (DESIGN §8.7)
 //!
@@ -23,11 +32,10 @@
 //! `Timestamp`s zigzag varints; a `Float` its eight raw bytes; text
 //! length-prefixed UTF-8; each value leads with a type tag. An `Update`
 //! carries only the cells that changed ([`LogOp`]), which is sound because
-//! replay is an exact, per-table, sequence-ordered prefix over a snapshot
-//! that records each table's `applied_seq` and [`Wal::truncate_keeping`]
-//! keeps exactly the commits above it: the row a surviving `Update` finds is
-//! the row its diff was taken against. `CreateTable`, cold, keeps the
-//! schema's JSON as its body.
+//! replay applies, in sequence order, exactly the commits above the
+//! snapshot's watermark, and [`Wal::truncate_keeping`] keeps exactly those:
+//! the row a surviving `Update` finds is the row its diff was taken
+//! against. `CreateTable`, cold, keeps the schema's JSON as its body.
 //!
 //! A crash mid-append leaves a torn last frame: a short header, a short
 //! body or a CRC mismatch with no valid frame anywhere after it. Recovery
@@ -40,7 +48,7 @@
 //! # The snapshot file (DESIGN §8.8)
 //!
 //! [`SNAPSHOT_MAGIC`], then the same frames with the same value codec, in a
-//! fixed order: one file header (`covered_seq`, the per-table `applied_seqs`,
+//! fixed order: one file header (the watermark plus one, or 0 for none, and
 //! the table count); then per table a header (the schema's JSON, `next_id`,
 //! the row count) followed by its rows, one frame per storage chunk of at
 //! most 256 rows, a row being its zigzag id and one value per column.
@@ -58,7 +66,6 @@ use crate::schema::TableSchema;
 use crate::table::{Row, Table};
 use crate::value::Value;
 use crate::version::new_table;
-use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Write};
@@ -69,20 +76,10 @@ use std::sync::{Arc, Condvar, Mutex};
 pub const MAGIC: &[u8; 8] = b"AMPLOG\x00\x01";
 
 /// The first bytes of every snapshot file: format name and version.
-pub const SNAPSHOT_MAGIC: &[u8; 8] = b"AMPSNP\x00\x01";
+pub const SNAPSHOT_MAGIC: &[u8; 8] = b"AMPSNP\x00\x02";
 
 /// The shortest body of a log frame: one op's tag and the sequence number.
 const LOG_FRAME_MIN: usize = 9;
-
-/// The table a logged op targets (per-table WAL coverage accounting).
-pub(crate) fn op_table(op: &LogOp) -> &str {
-    match op {
-        LogOp::CreateTable { schema } => &schema.name,
-        LogOp::Insert { table, .. } | LogOp::Update { table, .. } | LogOp::Delete { table, .. } => {
-            table
-        }
-    }
-}
 
 /// Slice-by-8 tables for CRC-32 (IEEE, reflected `0xEDB88320`): `[0]` is
 /// the classic byte table, `[k][b]` the CRC of byte `b` followed by `k`
@@ -316,37 +313,6 @@ fn get_op(d: &mut &[u8]) -> Option<LogOp> {
     })
 }
 
-/// Step over one value by its length, building nothing.
-fn skip_value(d: &mut &[u8]) -> Option<()> {
-    match *d.split_off_first()? {
-        0..=2 => {}
-        3 | 5 => drop(get_varint(d)?),
-        4 => drop(d.split_off(..8)?),
-        6 => drop(get_bytes(d)?),
-        _ => return None,
-    }
-    Some(())
-}
-
-/// Step over one op and answer the table it targets ([`op_table`] of what
-/// [`get_op`] would build): the log cut's read of a frame, which borrows
-/// the name and skips the cells. Only a `CreateTable`, cold, is decoded.
-fn skim_op<'a>(d: &mut &'a [u8]) -> Option<Cow<'a, str>> {
-    let tag = *d.split_off_first()?;
-    if tag == 0 {
-        return Some(Cow::Owned(get_schema(d)?.name));
-    }
-    let table = std::str::from_utf8(get_bytes(d)?).ok()?;
-    get_int(d)?;
-    match tag {
-        1 => (0..get_varint(d)?).try_for_each(|_| skip_value(d))?,
-        2 => (0..get_varint(d)?).try_for_each(|_| get_varint(d).and_then(|_| skip_value(d)))?,
-        3 => {}
-        _ => return None,
-    }
-    Some(Cow::Borrowed(table))
-}
-
 /// Encode a commit's ops and start the frame's CRC over them: everything
 /// of a frame that does not need the sequence number.
 fn encode_commit(ops: &[LogOp]) -> Result<(Vec<u8>, u32), DbError> {
@@ -482,7 +448,7 @@ impl Wal {
     ///
     /// The file alone does not say where numbering must continue once
     /// compaction has truncated it: a database opens its log with
-    /// [`Self::open_at`], past everything its snapshot covers.
+    /// [`Self::open_at`], past its snapshot's watermark.
     pub fn open(path: impl AsRef<Path>) -> Result<Self, DbError> {
         let path = path.as_ref();
         let records = if path.exists() {
@@ -496,7 +462,7 @@ impl Wal {
     /// Open (or create) a WAL file whose next record is numbered
     /// `next_seq`. The caller has read the file (see
     /// [`recover_with_last_seq`]) and knows that no record in it, and no
-    /// record a snapshot already covers, carries that number or a higher one.
+    /// commit its snapshot holds, carries that number or a higher one.
     pub(crate) fn open_at(path: impl AsRef<Path>, next_seq: u64) -> Result<Self, DbError> {
         let path = path.as_ref().to_path_buf();
         let file = OpenOptions::new().create(true).append(true).open(&path)?;
@@ -690,31 +656,30 @@ impl Wal {
         st
     }
 
-    /// Compaction truncation: drop every record whose effects the covering
-    /// snapshot already contains *per table* — a record survives unless
-    /// `applied[table] >= seq`. Safe while writers are running: an
-    /// in-flight op that claimed a sequence number but was not yet
-    /// published when the snapshot's version was pinned has
-    /// `seq > applied[table]` (claims and publications are serialized by
-    /// the engine's one writer mutex), so it is preserved. The sequence
-    /// counter keeps increasing, so records appended later still sort
-    /// strictly after everything the snapshot covers.
+    /// Compaction truncation: drop every frame at or below `watermark`,
+    /// the last sequence number of the last commit the covering snapshot
+    /// holds (`None`: it holds none). Safe while writers are running: a
+    /// commit that claimed its numbers but was not yet published when the
+    /// snapshot's version was pinned is numbered above the watermark
+    /// (claims and publications are serialized by the engine's one writer
+    /// mutex), so it is kept. The sequence counter keeps increasing, so
+    /// records appended later sort strictly after everything kept.
     ///
-    /// Frames go or stay whole: a snapshot is cut from one pin of the
-    /// published version, and a commit is one publish, so the snapshot
-    /// holds all of a commit or none of it. A frame only partly covered
+    /// A frame goes or stays by the first sequence number in its header,
+    /// and a kept frame is copied as the bytes it was. A snapshot holds all
+    /// of a commit or none of it, so the first kept frame starts at
+    /// `watermark + 1`, or nothing is kept and the watermark is the last
+    /// number claimed. Anything else means a frame is partly covered: it
     /// answers `Corrupt` and the file is left as it was.
-    /// Deciding builds no op ([`skim_op`]); a kept frame is copied as it is.
-    pub(crate) fn truncate_keeping(&self, applied: &BTreeMap<String, u64>) -> Result<(), DbError> {
+    pub(crate) fn truncate_keeping(&self, watermark: Option<u64>) -> Result<(), DbError> {
         let mut st = self.wait_no_flush();
         if let Some(e) = &st.failed {
             return Err(dead_log(e));
         }
         let mut file = self.file.lock().expect("wal file lock");
         // Flush whatever is buffered so the rewrite below sees every
-        // claimed record. Frames enqueued after this point have sequence
-        // numbers above anything the snapshot covers and simply flush to
-        // the rewritten file later.
+        // claimed record. Frames enqueued after this point are numbered
+        // above the watermark and simply flush to the rewritten file later.
         let (chunk, upto) = {
             let mut q = self.queue.lock().expect("wal queue lock");
             q.pending = 0;
@@ -737,25 +702,29 @@ impl Wal {
         st.flushed_seq = upto;
 
         let data = std::fs::read(&self.path)?;
-        let mut out = MAGIC.to_vec();
-        walk_frames(&data, |offset, end, first_seq, mut ops| {
-            let (mut count, mut uncovered) = (0, 0);
-            while !ops.is_empty() {
-                let table =
-                    skim_op(&mut ops).ok_or_else(|| corrupt_log(offset, "undecodable op"))?;
-                let seq = first_seq + count;
-                uncovered += u64::from(applied.get(&*table).is_none_or(|&s| s < seq));
-                count += 1;
+        let keep_from = watermark.map_or(0, |seq| seq + 1);
+        // The last dropped frame's offset, and the first kept frame's.
+        let (mut dropped, mut kept) = (MAGIC.len(), None);
+        let whole = walk_frames(&data, |offset, _, first_seq, _| {
+            if first_seq < keep_from {
+                dropped = offset;
+            } else {
+                kept.get_or_insert((offset, first_seq));
             }
-            if uncovered == count {
-                out.extend_from_slice(&data[offset..end]);
-            } else if uncovered != 0 {
-                return Err(corrupt_log(offset, "frame partly covered by the snapshot"));
-            }
-            Ok(count)
+            // A frame holds one op at least; the cut counts none.
+            Ok(1)
         })?;
+        let whole_frames = match kept {
+            Some((_, first_seq)) => first_seq == keep_from,
+            None => watermark == upto,
+        };
+        if !whole_frames {
+            return Err(corrupt_log(dropped, "frame partly covered by the snapshot"));
+        }
+        let from = kept.map_or(whole, |(offset, _)| offset);
         replace_file(&self.path, "wal.tmp", self.fsync(), |file| {
-            Ok(file.write_all(&out)?)
+            file.write_all(MAGIC)?;
+            Ok(file.write_all(&data[from..whole])?)
         })?;
         file.writer = BufWriter::new(OpenOptions::new().append(true).open(&self.path)?);
         Ok(())
@@ -904,15 +873,13 @@ pub struct Snapshot;
 
 impl Snapshot {
     /// Stream `tables` — one consistent cut — into the snapshot file at
-    /// `path`, frame by frame, and return the file's length. `covered_seq`
-    /// is the highest WAL sequence number claimed when the cut was taken,
-    /// `applied_seqs` the highest whose effects each table's state includes:
-    /// without the latter replay could not tell which records the state
-    /// already contains. `durable`: see [`replace_file`].
+    /// `path`, frame by frame, and return the file's length. `applied_seq`
+    /// is the cut's watermark: the cut holds exactly the commits numbered
+    /// at or below it, so replay skips those records and applies the rest.
+    /// `durable`: see [`replace_file`].
     pub(crate) fn write<'a>(
         tables: impl ExactSizeIterator<Item = &'a Table>,
-        covered_seq: Option<u64>,
-        applied_seqs: &BTreeMap<String, u64>,
+        applied_seq: Option<u64>,
         path: &Path,
         durable: bool,
     ) -> Result<u64, DbError> {
@@ -932,12 +899,7 @@ impl Snapshot {
                 body.clear();
                 Ok(())
             };
-            put_varint(&mut body, covered_seq.map_or(0, |seq| seq + 1));
-            put_varint(&mut body, applied_seqs.len() as u64);
-            for (table, seq) in applied_seqs {
-                put_bytes(&mut body, table.as_bytes());
-                put_varint(&mut body, *seq);
-            }
+            put_varint(&mut body, applied_seq.map_or(0, |seq| seq + 1));
             put_varint(&mut body, tables.len() as u64);
             emit(&mut body)?;
             for table in tables {
@@ -958,9 +920,8 @@ impl Snapshot {
         Ok(bytes)
     }
 
-    /// Load a snapshot: its tables (each with the WAL coverage the file
-    /// recorded for it) and the highest WAL seq claimed when it was taken.
-    /// One pass decodes a table's rows, checking each as it is read
+    /// Load a snapshot: its tables and its watermark. One pass decodes a
+    /// table's rows, checking each as it is read
     /// ([`TableSchema::check_cells`]) and that ids ascend, as
     /// [`Rows::chunks`](crate::table::Rows::chunks) writes them; one more
     /// builds its chunks and indexes ([`Table::from_ascending`]).
@@ -982,13 +943,9 @@ impl Snapshot {
 
         let (start, body) = next_frame()?;
         let header = whole(body, |d| {
-            let covered_seq = get_varint(d)?.checked_sub(1);
-            let applied_seqs = (0..get_varint(d)?)
-                .map(|_| Some((get_text(d)?, get_varint(d)?)))
-                .collect::<Option<BTreeMap<_, _>>>()?;
-            Some((covered_seq, applied_seqs, get_varint(d)?))
+            Some((get_varint(d)?.checked_sub(1), get_varint(d)?))
         });
-        let (covered_seq, applied_seqs, table_count) =
+        let (applied_seq, table_count) =
             header.ok_or_else(|| corrupt(start, "undecodable file header"))?;
 
         let mut tables = BTreeMap::new();
@@ -1028,11 +985,7 @@ impl Snapshot {
             }
             let name = schema.name.clone();
             let table = Table::from_ascending(schema, next_id, rows)?;
-            let recovered = Recovered {
-                table,
-                version: 0,
-                applied_seq: applied_seqs.get(&name).copied(),
-            };
+            let recovered = Recovered { table, version: 0 };
             if tables.insert(name, recovered).is_some() {
                 return Err(corrupt(start, "a table twice"));
             }
@@ -1040,7 +993,7 @@ impl Snapshot {
         if at < data.len() {
             return Err(corrupt(at, "bytes after the last table"));
         }
-        Ok((tables, covered_seq))
+        Ok((tables, applied_seq))
     }
 }
 
@@ -1051,99 +1004,84 @@ pub(crate) struct Recovered {
     /// Records replayed onto it: where its runtime modification counter
     /// starts (a snapshot does not carry one).
     pub version: u64,
-    /// Highest WAL sequence number whose effects `table` includes.
-    pub applied_seq: Option<u64>,
 }
 
 pub(crate) type RecoveredTables = BTreeMap<String, Recovered>;
 
-/// Apply one logged op to the tables recovery holds, answering the table it
-/// changed. The log records only what committed, against exactly this
-/// state, so any refusal here means the files do not belong together.
-fn apply(tables: &mut RecoveredTables, op: LogOp) -> Result<&mut Recovered, DbError> {
-    fn held(tables: &mut RecoveredTables, name: String) -> Result<&mut Recovered, DbError> {
-        match tables.get_mut(&name) {
-            Some(r) => Ok(r),
-            None => Err(DbError::NoSuchTable(name)),
-        }
-    }
-    match op {
+/// Apply record `seq`, `op`, to the tables recovery holds. The log records
+/// only what committed, against exactly this state, so any refusal here
+/// means the files do not belong together: `Corrupt`, naming the record.
+fn apply(tables: &mut RecoveredTables, seq: u64, op: LogOp) -> Result<(), DbError> {
+    let (what, table, applied) = match op {
         LogOp::CreateTable { schema } => {
-            let created = Recovered {
-                table: new_table(&schema, |t| tables.contains_key(t))?,
-                version: 0,
-                applied_seq: None,
-            };
-            Ok(tables.entry(schema.name).or_insert(created))
+            let applied = new_table(&schema, |t| tables.contains_key(t)).map(|table| {
+                let created = Recovered { table, version: 1 };
+                tables.insert(schema.name.clone(), created);
+            });
+            ("create table", schema.name, applied)
         }
         LogOp::Insert { table, id, row } => {
-            let r = held(tables, table)?;
-            r.table.insert_with_id(id, row)?;
-            Ok(r)
+            let applied = held(tables, &table).and_then(|t| t.insert_with_id(id, row));
+            ("insert", table, applied.map(drop))
         }
         LogOp::Update { table, id, set } => {
             // In place: the recovered table is unshared, so the row is too.
-            let r = held(tables, table)?;
-            r.table.update_cells(id, &set)?;
-            Ok(r)
+            let applied = held(tables, &table).and_then(|t| t.update_cells(id, &set));
+            ("update", table, applied)
         }
         LogOp::Delete { table, id } => {
-            let r = held(tables, table)?;
-            r.table.delete(id)?;
-            Ok(r)
+            let applied = held(tables, &table).and_then(|t| t.delete(id));
+            ("delete", table, applied.map(drop))
         }
-    }
+    };
+    applied.map_err(|e| DbError::Corrupt(format!("wal seq {seq}: {what} on {table}: {e}")))
+}
+
+/// The table a record names, its modification counter moved on by one.
+fn held<'a>(tables: &'a mut RecoveredTables, name: &str) -> Result<&'a mut Table, DbError> {
+    let r = (tables.get_mut(name)).ok_or_else(|| DbError::NoSuchTable(name.to_string()))?;
+    r.version += 1;
+    Ok(&mut r.table)
 }
 
 /// Recover the tables `snapshot` (if present) + `wal` (if present) hold, and
-/// the highest WAL sequence number that state has ever used: the maximum
-/// over the log's records, the snapshot's `covered_seq` and every table's
-/// coverage. The log must continue above it. After a compaction the file
-/// can be empty, or hold only one table's tail, while the snapshot's
-/// coverage of other tables is higher; records numbered from the file alone
-/// would sit at or below that coverage and the next recovery would skip
-/// them as already applied.
+/// their watermark: the last sequence number of the last commit they hold,
+/// which is the snapshot's watermark or the log's last record, whichever is
+/// higher. The log must number on from it. After a compaction the file can
+/// be empty while the snapshot holds commits; records numbered from the
+/// file alone would sit at or below its watermark, and the next recovery
+/// would skip them as applied.
 ///
-/// Replay filtering is per table: each table's coverage, seeded by the
-/// snapshot and raised by every record applied, decides which records its
-/// state already includes (see [`Wal::truncate_keeping`] for why a global
-/// threshold would be unsound once compaction runs concurrently with
-/// writers). A record that is due and does not apply is `Corrupt`. A torn
-/// tail is cut off the log file (see the module docs).
+/// Records at or below the snapshot's watermark are skipped: the snapshot
+/// holds exactly those commits (see [`Wal::truncate_keeping`]), and gaps
+/// among them are legal. The records above it must run contiguously from
+/// the watermark plus one, or from 0 with no snapshot: a gap there is
+/// commits missing, and is `Corrupt`. So is a record that does not apply.
+/// A torn tail is cut off the log file (see the module docs).
 pub(crate) fn recover_with_last_seq(
     snapshot: &Path,
     wal: &Path,
 ) -> Result<(RecoveredTables, Option<u64>), DbError> {
-    let (mut tables, mut last_seq) = if snapshot.exists() {
+    let (mut tables, mut applied_seq) = if snapshot.exists() {
         Snapshot::load(snapshot)?
     } else {
         Default::default()
     };
     if wal.exists() {
-        let records = read_cutting_torn_tail(wal)?;
-        last_seq = last_seq.max(records.last().map(|rec| rec.seq));
-        for WalRecord { seq, op } in records {
-            let name = op_table(&op).to_string();
-            if tables
-                .get(&name)
-                .is_some_and(|r| r.applied_seq >= Some(seq))
-            {
+        for WalRecord { seq, op } in read_cutting_torn_tail(wal)? {
+            if applied_seq.is_some_and(|applied| seq <= applied) {
                 continue;
             }
-            let what = match op {
-                LogOp::CreateTable { .. } => "create table",
-                LogOp::Insert { .. } => "insert",
-                LogOp::Update { .. } => "update",
-                LogOp::Delete { .. } => "delete",
-            };
-            let r = apply(&mut tables, op)
-                .map_err(|e| DbError::Corrupt(format!("wal seq {seq}: {what} on {name}: {e}")))?;
-            r.applied_seq = Some(seq);
-            r.version += 1;
+            let next = applied_seq.map_or(0, |applied| applied + 1);
+            if seq != next {
+                let why = format!("wal seq {seq}: a gap, the log should go on at seq {next}");
+                return Err(DbError::Corrupt(why));
+            }
+            apply(&mut tables, seq, op)?;
+            applied_seq = Some(seq);
         }
     }
-    let last_seq = last_seq.max(tables.values().filter_map(|r| r.applied_seq).max());
-    Ok((tables, last_seq))
+    Ok((tables, applied_seq))
 }
 
 #[cfg(test)]
@@ -1269,14 +1207,6 @@ mod tests {
             },
             LogOp::Delete { table, id: 42 },
         ];
-        // The log cut's skim reads each op as far as the decoder does.
-        for op in &ops {
-            let mut bytes = Vec::new();
-            put_op(&mut bytes, op);
-            let mut rest = &bytes[..];
-            assert_eq!(skim_op(&mut rest).as_deref(), Some(op_table(op)));
-            assert!(rest.is_empty(), "{op:?}: {} bytes left", rest.len());
-        }
         let path = tmpdir("codec").join("db.wal");
         let wal = Wal::open(&path).unwrap();
         wal.append(&ops).unwrap();
@@ -1373,15 +1303,7 @@ mod tests {
 
         let (table, ops) = seed();
         let last = wal.append(&ops).unwrap();
-        let applied = [("t".to_string(), last)].into();
-        Snapshot::write(
-            [&table].into_iter(),
-            Some(last),
-            &applied,
-            &snap_path,
-            false,
-        )
-        .unwrap();
+        Snapshot::write([&table].into_iter(), Some(last), &snap_path, false).unwrap();
 
         // post-snapshot activity: a sixth row, and the first one goes
         let first = LogOp::Delete {
@@ -1451,13 +1373,10 @@ mod tests {
         LogOp::Delete { table, id }
     }
 
-    fn coverage(of: &[(&str, u64)]) -> BTreeMap<String, u64> {
-        of.iter().map(|&(t, seq)| (t.to_string(), seq)).collect()
-    }
-
-    /// A snapshot cannot hold half a commit. Coverage that says it does —
-    /// part of one table's ops, or one table's ops and not another's — is
-    /// refused before the log is touched, and the log stays usable.
+    /// A snapshot cannot hold half a commit. A watermark that says it does —
+    /// inside the first frame, so the next one starts past it, or inside the
+    /// last, so the last number claimed lies past it — is refused before
+    /// the log is touched, and the log stays usable.
     #[test]
     fn a_partly_covered_frame_is_refused_and_the_log_stays_usable() {
         let wal_path = tmpdir("partial").join("db.wal");
@@ -1466,23 +1385,22 @@ mod tests {
         wal.append(&[insert(6, 9), delete_u(1)]).unwrap();
         let before = std::fs::read(&wal_path).unwrap();
         let second = Wal::read_frames(&wal_path).unwrap()[1].offset;
-        for (half, at) in [(&[("t", 3)][..], 8), (&[("t", 5), ("u", 7)], second)] {
-            match wal.truncate_keeping(&coverage(half)) {
+        // Frames: 0..=5 at byte 8, 6-7 at `second`.
+        for (watermark, at) in [(3, 8), (6, second)] {
+            match wal.truncate_keeping(Some(watermark)) {
                 Err(DbError::Corrupt(why)) => assert!(why.contains(&format!("wal byte {at}:"))),
                 other => panic!("{other:?}"),
             }
             assert_eq!(std::fs::read(&wal_path).unwrap(), before);
         }
         assert_eq!(wal.append(&[insert(7, 9)]).unwrap(), 8);
-        let all = coverage(&[("t", 8), ("u", 7)]);
-        wal.truncate_keeping(&all).unwrap();
+        wal.truncate_keeping(Some(8)).unwrap();
         assert_eq!(std::fs::read(&wal_path).unwrap(), MAGIC);
     }
 
-    /// The cut keeps a frame as the bytes it was, in the order it was, and
-    /// decides per table: a table's frames above its coverage survive
-    /// between another table's covered ones. A racing writer's commit is in
-    /// the file it leaves whether it was claimed before the cut or after.
+    /// The cut keeps every frame above the watermark as the bytes it was,
+    /// in the order it was. A racing writer's commit is in the file it
+    /// leaves whether it was claimed before the cut or after.
     #[test]
     fn the_log_cut_keeps_whole_frames_as_they_were_and_a_racing_writers_too() {
         let wal_path = tmpdir("cut").join("db.wal");
@@ -1493,14 +1411,13 @@ mod tests {
             wal.append(&[delete_u(id), delete_u(-id)]).unwrap();
             wal.append(&[insert(5 + id, id)]).unwrap();
         }
-        // Frames: t 0..=5, u 6-7, t 8, u 9-10, t 11, u 12-13, t 14.
+        // Frames: 0..=5, 6-7, 8, 9-10, 11, 12-13, 14.
         let (before, frames) = (read(), Wal::read_frames(&wal_path).unwrap());
         let bytes = |i: usize| &before[frames[i].offset..frames[i].end];
         assert_eq!(wal.enqueue(&[delete_u(4)]).unwrap(), Some(15)); // not flushed
-        let applied = coverage(&[("t", 11), ("u", 7)]);
-        wal.truncate_keeping(&applied).unwrap();
+        wal.truncate_keeping(Some(10)).unwrap();
         let claimed_before = encode_frame(15, &[delete_u(4)]).unwrap();
-        let kept = [MAGIC, bytes(3), bytes(5), bytes(6), &claimed_before].concat();
+        let kept = [MAGIC, bytes(4), bytes(5), bytes(6), &claimed_before].concat();
         assert_eq!(read(), kept);
         assert_eq!(wal.append(&[insert(9, 9)]).unwrap(), 16);
         let claimed_after = encode_frame(16, &[insert(9, 9)]).unwrap();
@@ -1514,14 +1431,7 @@ mod tests {
         let schema = TableSchema::new("t", vec![Column::new("name", ValueType::Text).unique()]);
         let mut table = Table::new(schema).unwrap();
         table.insert(vec!["a".into()]).unwrap();
-        Snapshot::write(
-            [&table].into_iter(),
-            None,
-            &BTreeMap::new(),
-            &snap_path,
-            false,
-        )
-        .unwrap();
+        Snapshot::write([&table].into_iter(), None, &snap_path, false).unwrap();
         let (mut loaded, _) = Snapshot::load(&snap_path).unwrap();
         // unique index must be live after load
         let loaded = &mut loaded.get_mut("t").unwrap().table;
@@ -1562,7 +1472,6 @@ mod tests {
         );
 
         let path = tmpdir("snapcodec").join("db.snap");
-        let applied: BTreeMap<String, u64> = [("t".to_string(), 7), ("wide".to_string(), 0)].into();
         // In name order, as the snapshot writer takes them.
         let tables = [
             table("empty", vec![text("s")]),
@@ -1570,10 +1479,10 @@ mod tests {
             seed().0,
             wide_table,
         ];
-        let bytes = Snapshot::write(tables.iter(), Some(9), &applied, &path, false).unwrap();
+        let bytes = Snapshot::write(tables.iter(), Some(9), &path, false).unwrap();
         assert_eq!(bytes, std::fs::metadata(&path).unwrap().len());
-        let (loaded, covered) = Snapshot::load(&path).unwrap();
-        assert_eq!(covered, Some(9));
+        let (loaded, applied_seq) = Snapshot::load(&path).unwrap();
+        assert_eq!(applied_seq, Some(9));
         assert_eq!(
             loaded.keys().collect::<Vec<_>>(),
             ["empty", "sparse", "t", "wide"]
@@ -1582,19 +1491,17 @@ mod tests {
             assert_eq!(is.table.schema, was.schema);
             assert_eq!(is.table.next_id, was.next_id);
             assert!(is.table.iter().eq(was.iter()), "{name}: rows differ");
-            assert_eq!(
-                (is.applied_seq, is.version),
-                (applied.get(name).copied(), 0)
-            );
+            assert_eq!(is.version, 0);
         }
         let float = wide.iter().position(|v| *v == Value::Float(-0.0)).unwrap();
         let zero = loaded["wide"].table.get(1).unwrap()[float].as_float();
         assert!(zero.unwrap().is_sign_negative(), "-0.0 came back as 0.0");
 
-        // No coverage at all is not coverage of sequence number 0.
-        Snapshot::write(tables.iter(), None, &BTreeMap::new(), &path, false).unwrap();
-        let (loaded, covered) = Snapshot::load(&path).unwrap();
-        assert_eq!((covered, loaded["t"].applied_seq), (None, None));
+        // No commit at all is not sequence number 0.
+        for applied_seq in [None, Some(0)] {
+            Snapshot::write(tables.iter(), applied_seq, &path, false).unwrap();
+            assert_eq!(Snapshot::load(&path).unwrap().1, applied_seq);
+        }
     }
 
     /// Loading a snapshot, a text cell equal to the same column's cell in
@@ -1617,7 +1524,7 @@ mod tests {
         table
             .insert_with_id(256, vec!["DONE".into(), "kraken".into()])
             .unwrap();
-        Snapshot::write([&table].into_iter(), None, &BTreeMap::new(), &path, false).unwrap();
+        Snapshot::write([&table].into_iter(), None, &path, false).unwrap();
         let (loaded, _) = Snapshot::load(&path).unwrap();
         let rows: Vec<&[Value]> = loaded["job"].table.iter().map(|(_, r)| r).collect();
         let shared = |a: &[Value], b: &[Value], col: usize| match (&a[col], &b[col]) {
@@ -1646,11 +1553,10 @@ mod tests {
     fn a_damaged_or_short_snapshot_is_corrupt() {
         let path = tmpdir("snapdamage").join("db.snap");
         let seeded = seed().0;
-        let applied = [("t".to_string(), 6)].into();
-        Snapshot::write([&seeded].into_iter(), Some(6), &applied, &path, false).unwrap();
+        Snapshot::write([&seeded].into_iter(), Some(6), &path, false).unwrap();
         let good = std::fs::read(&path).unwrap();
-        let (loaded, covered) = Snapshot::load(&path).unwrap();
-        assert_eq!((covered, loaded["t"].applied_seq), (Some(6), Some(6)));
+        let (loaded, applied_seq) = Snapshot::load(&path).unwrap();
+        assert_eq!(applied_seq, Some(6));
         assert_eq!(loaded["t"].table.len(), 5);
 
         let corrupt = |bytes: &[u8], what: String| {
@@ -1710,7 +1616,7 @@ mod tests {
             // file could hold them.
             let mut table = Table::new(schema.clone()).unwrap();
             (table.rows, table.next_id) = (rows, 10);
-            Snapshot::write([&table].into_iter(), None, &BTreeMap::new(), &path, false).unwrap();
+            Snapshot::write([&table].into_iter(), None, &path, false).unwrap();
             assert_eq!(Snapshot::load(&path).is_ok(), fine);
         }
 
@@ -1737,8 +1643,8 @@ mod tests {
         }
     }
 
-    /// A count the bytes after it cannot hold — 2^40 rows, tables, table
-    /// coverages, inserted cells or changed cells — in a checksum-clean
+    /// A count the bytes after it cannot hold — 2^40 rows, tables,
+    /// inserted cells or changed cells — in a checksum-clean
     /// frame is `Corrupt`, never an allocation of that size. The same
     /// frames with a count of one decode.
     #[test]
@@ -1746,10 +1652,9 @@ mod tests {
         const HUGE: u64 = 1 << 40;
         let dir = tmpdir("huge");
         let (snap, log) = (dir.join("db.snap"), dir.join("db.wal"));
-        let snapshot = |coverages: u64, tables: u64, rows: u64| {
+        let snapshot = |tables: u64, rows: u64| {
             let (mut file, mut table, mut chunk) = (Vec::new(), Vec::new(), Vec::new());
             put_varint(&mut file, 0);
-            put_varint(&mut file, coverages);
             put_varint(&mut file, tables);
             put_schema(&mut table, &seed().0.schema);
             put_int(&mut table, 2);
@@ -1760,11 +1665,11 @@ mod tests {
             std::fs::write(&snap, [&SNAPSHOT_MAGIC[..], &frames.concat()].concat()).unwrap();
             Snapshot::load(&snap)
         };
-        assert_eq!(snapshot(0, 1, 1).unwrap().0["t"].table.len(), 1);
-        for (coverages, tables, rows) in [(HUGE, 1, 1), (0, HUGE, 1), (0, 1, HUGE)] {
-            match snapshot(coverages, tables, rows) {
+        assert_eq!(snapshot(1, 1).unwrap().0["t"].table.len(), 1);
+        for (tables, rows) in [(HUGE, 1), (1, HUGE)] {
+            match snapshot(tables, rows) {
                 Err(DbError::Corrupt(why)) => assert!(why.starts_with("snapshot byte "), "{why}"),
-                other => panic!("{coverages}/{tables}/{rows}: {:?}", other.map(|_| ())),
+                other => panic!("{tables}/{rows}: {:?}", other.map(|_| ())),
             }
         }
 

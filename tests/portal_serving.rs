@@ -561,6 +561,17 @@ fn a_panicking_handler_gets_a_500_and_the_full_pool_keeps_serving() {
     };
     let server = Server::spawn_with(Arc::new(portal), 0, config).unwrap();
     let addr = server.addr();
+    // Process-wide series, so the panics are counted as deltas.
+    let route = [("route", "/boom")];
+    let failed = obs::counter(&obs::labeled(
+        "portal_requests_total",
+        &[route[0], ("status", "500")],
+    ));
+    let timed = obs::registry().histogram(
+        &obs::labeled("portal_request_seconds", &route),
+        obs::Unit::Seconds,
+    );
+    let (failed_before, timed_before) = (failed.get(), timed.count());
 
     let answers: Vec<(String, String)> = std::thread::scope(|s| {
         let clients: Vec<_> = (0..WORKERS)
@@ -588,6 +599,9 @@ fn a_panicking_handler_gets_a_500_and_the_full_pool_keeps_serving() {
             "a worker was lost: {together}"
         );
     }
+    // Each panic was recorded as its route's 500, and timed.
+    assert_eq!(failed.get() - failed_before, WORKERS as u64);
+    assert_eq!(timed.count() - timed_before, WORKERS as u64);
     server.stop();
 }
 

@@ -169,13 +169,13 @@ fn writes_after_compaction_and_reopen_survive_the_next_reopen() {
     assert_eq!(c.count("t", &Query::new()).unwrap(), 15);
 }
 
-/// The same, for a log compaction truncated only in part: table `a`'s tail
-/// survives (its writer had claimed sequence 5 but not yet published when
-/// the compaction pinned its cut) while table `b`'s coverage reaches 12.
-/// The log's last record says 5; numbering must still continue past 12.
+/// The same, for a log compaction truncated only in part: a racing writer
+/// claimed sequence 13 after the compaction pinned its cut at watermark 12,
+/// so its frame is the one the cut kept. Numbering must continue past it,
+/// and both reopens must replay it exactly once.
 #[test]
 fn writes_after_partial_truncation_and_reopen_survive_the_next_reopen() {
-    use amp::simdb::wal::{encode_frame, MAGIC};
+    use amp::simdb::wal::{encode_frame, Wal, MAGIC};
 
     let dir = tmpdir("compact_partial");
     {
@@ -188,34 +188,93 @@ fn writes_after_partial_truncation_and_reopen_survive_the_next_reopen() {
         }
         db.compact().unwrap();
     }
-    // The record compaction would have kept for `a`: above `a`'s coverage
-    // (2), below `b`'s (12).
+    // The racing writer's commit, as the cut left it: the log's only frame.
     let tail = LogOp::Insert {
         table: "a".into(),
         id: 2,
         row: vec![Value::Int(1)],
     };
-    let frame = encode_frame(5, &[tail]).unwrap();
+    let frame = encode_frame(13, &[tail]).unwrap();
     std::fs::write(dir.join("db.wal"), [&MAGIC[..], &frame].concat()).unwrap();
     {
         let (_db, c) = open_plain(&dir);
         assert_eq!(c.count("a", &Query::new()).unwrap(), 2, "tail replayed");
         for v in 10..15 {
-            c.insert("b", &[("v", Value::Int(v))]).unwrap();
+            c.insert("b", &[("v", Value::Int(v))]).unwrap(); // seq 14..=18
         }
-        c.insert("a", &[("v", Value::Int(2))]).unwrap();
+        c.insert("a", &[("v", Value::Int(2))]).unwrap(); // seq 19
     }
+    let seqs: Vec<u64> = (Wal::read_records(dir.join("db.wal")).unwrap().iter())
+        .map(|r| r.seq)
+        .collect();
+    assert_eq!(seqs, (13..=19).collect::<Vec<_>>());
     let (_db, c) = open_plain(&dir);
     assert_eq!(c.count("b", &Query::new()).unwrap(), 15);
     assert_eq!(c.count("a", &Query::new()).unwrap(), 3);
 }
 
+/// Regression (silent data loss): a snapshot at watermark 12 and a log
+/// whose first frame is 15 opened as a database without commits 13 and 14.
+/// The snapshot holds exactly the commits numbered up to its watermark, so
+/// the records above it must run on from 13: a gap there is commits
+/// missing, `Corrupt`, and the database stays shut. A gap at or below the
+/// watermark is legal: a snapshot of deferred commits that never reached
+/// the log holds more than the log does, and the log numbers on past it.
+#[test]
+fn a_gap_above_the_snapshot_is_corrupt_and_one_below_it_is_not() {
+    use amp::simdb::wal::{encode_frame, Wal, MAGIC};
+
+    let dir = tmpdir("gap_above");
+    {
+        let (db, c) = open_plain(&dir);
+        c.create_table(int_table("t")).unwrap(); // seq 0
+        for v in 1..=12 {
+            c.insert("t", &[("v", Value::Int(v))]).unwrap(); // seq 1..=12
+        }
+        db.snapshot().unwrap();
+    }
+    let fifteenth = LogOp::Insert {
+        table: "t".into(),
+        id: 15,
+        row: vec![Value::Int(15)],
+    };
+    let frame = encode_frame(15, &[fifteenth]).unwrap();
+    std::fs::write(dir.join("db.wal"), [&MAGIC[..], &frame].concat()).unwrap();
+    for _ in 0..2 {
+        let opened = Db::open(dir.join("db.snap"), dir.join("db.wal"));
+        let why = "wal seq 15: a gap, the log should go on at seq 13";
+        assert_eq!(opened.err(), Some(DbError::Corrupt(why.into())));
+    }
+
+    let dir = tmpdir("gap_below");
+    {
+        let (db, c) = open_plain(&dir);
+        c.create_table(int_table("t")).unwrap(); // seq 0, flushed
+        let deferred = c.deferred();
+        for v in 1..=5 {
+            deferred.insert("t", &[("v", Value::Int(v))]).unwrap(); // seq 1..=5
+        }
+        db.snapshot().unwrap(); // watermark 5; the log holds seq 0 alone
+    }
+    {
+        let (_db, c) = open_plain(&dir);
+        assert_eq!(c.count("t", &Query::new()).unwrap(), 5);
+        c.insert("t", &[("v", Value::Int(6))]).unwrap();
+    }
+    let seqs: Vec<u64> = (Wal::read_records(dir.join("db.wal")).unwrap().iter())
+        .map(|r| r.seq)
+        .collect();
+    assert_eq!(seqs, [0, 6]);
+    let (_db, c) = open_plain(&dir);
+    assert_eq!(c.count("t", &Query::new()).unwrap(), 6);
+}
+
 /// Regression: a log record whose checksum holds but which does not apply
 /// to the state it meets answered as if a live caller had erred —
 /// `NoSuchTable("t")` from `Db::open` after compact, one more commit and a
-/// lost snapshot. Whatever the record and whatever refuses it, it is the
-/// files that are wrong: `Corrupt`, naming the record, and the database
-/// stays shut.
+/// lost snapshot (that pair is now refused as a gap first). Whatever the
+/// record and whatever refuses it, it is the files that are wrong:
+/// `Corrupt`, naming the record, and the database stays shut.
 #[test]
 fn a_log_record_that_does_not_apply_is_corrupt_and_the_database_stays_shut() {
     use amp::simdb::wal::{encode_frame, MAGIC};
@@ -240,7 +299,9 @@ fn a_log_record_that_does_not_apply_is_corrupt_and_the_database_stays_shut() {
         c.insert("t", &[("v", Value::Int(1))]).unwrap(); // seq 2
     }
     std::fs::remove_file(dir.join("db.snap")).unwrap();
-    refused("wal seq 2: insert on t: no such table: t");
+    // With no snapshot the log must start at seq 0, so the lost snapshot is
+    // refused as a gap before the record meets the state it cannot apply to.
+    refused("wal seq 2: a gap, the log should go on at seq 0");
 
     // Each as seq 2 of a log that creates `t` and inserts t[1].
     let create = |schema| LogOp::CreateTable { schema };

@@ -2,16 +2,25 @@
 //! are a snapshot and a log that today's code must open, and must write
 //! again byte for byte (DESIGN §8.7, §8.8).
 //!
-//! **How the fixtures were produced.** By [`build`] below, run at commit
-//! 8480341 (PR 22: the bytewise CRC-32, before the slice-by-8 tables), and
-//! the two files it leaves copied here unedited. `build` stays part of the
-//! suite, so a fixture is never taken on trust: the same calls against
-//! today's engine must leave the same bytes. To change the format on
-//! purpose, bump the files' magics and regenerate both with `build`.
+//! **How the fixtures were produced.** By [`build`] below, through
+//!
+//! ```text
+//! cargo test --release --test storage_format -- --ignored write_the_fixtures
+//! ```
+//!
+//! which writes both files into `tests/golden/simdb_format/`. The log is
+//! as `build` first wrote it at commit 8480341 (the bytewise CRC-32, before
+//! the slice-by-8 tables). The snapshot was rewritten when its header
+//! became one watermark (magic `AMPSNP\0\x02`); that run wrote the log
+//! again byte for byte. `build` stays part of the suite, so a fixture is
+//! never taken on trust: the same calls against today's engine must leave
+//! the same bytes. To change a format on purpose, bump that file's magic
+//! and rerun `write_the_fixtures`; a file whose format did not move must
+//! come out unchanged.
 //!
 //! What they hold: a snapshot of two tables (`star`, a column of every
 //! type and every [`Value`] shape, NULLs included; `obs`, a foreign key into
-//! it) covering the first eight log records, and a log of what came after
+//! it) holding the first eight log records, and a log of what came after
 //! the checkpoint — a four-op transaction over both tables, a
 //! `CREATE TABLE`, an insert, and a delete with the delete it cascades to.
 
@@ -19,9 +28,10 @@ mod common;
 
 use std::path::{Path, PathBuf};
 
-use amp::simdb::wal::{encode_frame, Wal, MAGIC};
+use amp::simdb::wal::{encode_frame, Wal, MAGIC, SNAPSHOT_MAGIC};
 use amp::simdb::{
-    Column, Connection, Db, LogOp, OnDelete, Query, Role, Row, TableSchema, Value, ValueType,
+    Column, Connection, Db, DbError, LogOp, OnDelete, Query, Role, Row, TableSchema, Value,
+    ValueType,
 };
 use common::tmpdir;
 
@@ -138,6 +148,19 @@ fn copy_of(tag: &str, files: &[&str]) -> PathBuf {
     dir
 }
 
+/// Regenerate the fixtures: run [`build`] in a fresh directory and copy
+/// the two files it leaves over `tests/golden/simdb_format/`. Not part of
+/// the suite; the module docs say when to run it.
+#[test]
+#[ignore]
+fn write_the_fixtures() {
+    let dir = tmpdir("fixtures");
+    build(&dir);
+    for name in ["snapshot", "wal"] {
+        std::fs::copy(dir.join(name), Path::new(GOLDEN).join(name)).unwrap();
+    }
+}
+
 #[test]
 fn todays_engine_writes_the_fixtures_byte_for_byte() {
     let dir = tmpdir("build");
@@ -223,4 +246,20 @@ fn a_snapshot_of_the_loaded_fixture_is_the_fixture() {
         rewritten == golden("snapshot"),
         "the rewritten snapshot differs"
     );
+}
+
+/// The snapshot's format before its header became one watermark is not
+/// read: no reader of it is kept. The fixture under the old magic answers
+/// `Corrupt`, and the database stays shut.
+#[test]
+fn a_snapshot_of_the_previous_format_is_corrupt_and_the_database_stays_shut() {
+    assert_eq!(SNAPSHOT_MAGIC, b"AMPSNP\x00\x02");
+    let dir = copy_of("v1", &["snapshot", "wal"]);
+    let v1 = [&b"AMPSNP\x00\x01"[..], &golden("snapshot")[8..]].concat();
+    std::fs::write(dir.join("snapshot"), v1).unwrap();
+    for _ in 0..2 {
+        let opened = Db::open(dir.join("snapshot"), dir.join("wal"));
+        let why = "snapshot byte 0: not a snapshot";
+        assert_eq!(opened.err(), Some(DbError::Corrupt(why.into())));
+    }
 }
