@@ -16,30 +16,34 @@ use crate::table::Row;
 use crate::value::Value;
 use crate::version::BufferedTables;
 
-/// A committed mutation, as recorded in the write-ahead log. An `Update`
-/// carries in `set` the cells that differ from the row it replaced and
-/// nothing else: replay applies them over the row the recovered state holds
-/// (see [`crate::wal`] for why that is the row the diff was taken against).
+/// A committed mutation, as recorded in the write-ahead log. `table` is the
+/// table's number: its position in the database's table list, which is
+/// creation order (a `CreateTable` takes the next number; DESIGN §8.7). An
+/// `Update` carries in `set` the cells that differ from the row it replaced
+/// and nothing else: replay applies them over the row the recovered state
+/// holds (see [`crate::wal`] for why that is the row the diff was taken
+/// against).
 #[derive(Debug, Clone, PartialEq)]
 pub enum LogOp {
     CreateTable { schema: TableSchema },
-    Insert { table: String, id: i64, row: Row },
-    Update { table: String, id: i64, set: Cells },
-    Delete { table: String, id: i64 },
+    Insert { table: usize, id: i64, row: Row },
+    Update { table: usize, id: i64, set: Cells },
+    Delete { table: usize, id: i64 },
 }
 
 /// Cells of one row, as `(column index, value)` pairs.
 pub type Cells = Vec<(usize, Value)>;
 
 impl BufferedTables<'_> {
-    /// Build a full row from named values, applying defaults and Null for
-    /// omitted columns, and rejecting unknown column names.
-    fn build_row(&self, table: &str, values: &[(&str, Value)]) -> Result<Row, DbError> {
-        let t = self.table_ref(table)?;
+    /// Build a full row of table number `table` from named values, applying
+    /// defaults and Null for omitted columns, and rejecting unknown column
+    /// names.
+    fn build_row(&self, table: usize, values: &[(&str, Value)]) -> Result<Row, DbError> {
+        let t = self.table_at(table);
         for (name, _) in values {
             if t.schema.column_index(name).is_none() {
                 return Err(DbError::NoSuchColumn {
-                    table: table.to_string(),
+                    table: t.schema.name.clone(),
                     column: name.to_string(),
                 });
             }
@@ -61,13 +65,13 @@ impl BufferedTables<'_> {
     }
 
     /// Check that the FK cells among `cells` — `(column index, value)` —
-    /// reference existing rows.
+    /// of table number `table` reference existing rows.
     fn check_foreign_keys<'v>(
         &self,
-        table: &str,
+        table: usize,
         cells: impl IntoIterator<Item = (usize, &'v Value)>,
     ) -> Result<(), DbError> {
-        let t = self.table_ref(table)?;
+        let t = self.table_at(table);
         for (ci, val) in cells {
             let Some(col) = t.schema.columns.get(ci) else {
                 continue; // the table refuses the column
@@ -75,11 +79,12 @@ impl BufferedTables<'_> {
             if let (Some(fk), Value::Int(id)) = (&col.foreign_key, val) {
                 let target = self.table_ref(&fk.references)?;
                 if target.get(*id).is_none() {
+                    let name = &t.schema.name;
                     return Err(DbError::ForeignKeyViolation {
-                        table: table.to_string(),
+                        table: name.clone(),
                         detail: format!(
                             "{}.{} = {} has no match in {}",
-                            table, col.name, id, fk.references
+                            name, col.name, id, fk.references
                         ),
                     });
                 }
@@ -89,17 +94,8 @@ impl BufferedTables<'_> {
     }
 
     pub(crate) fn insert_row(&mut self, table: &str, row: Row) -> Result<(i64, LogOp), DbError> {
-        self.check_foreign_keys(table, row.iter().enumerate())?;
-        let id = self.table_mut(table)?.insert(&row[..])?;
-        self.bump_version(table);
-        Ok((
-            id,
-            LogOp::Insert {
-                table: table.to_string(),
-                id,
-                row,
-            },
-        ))
+        let table = self.position(table)?;
+        self.insert_at(table, row)
     }
 
     /// Insert from named values (defaults applied).
@@ -108,31 +104,36 @@ impl BufferedTables<'_> {
         table: &str,
         values: &[(&str, Value)],
     ) -> Result<(i64, LogOp), DbError> {
+        let table = self.position(table)?;
         let row = self.build_row(table, values)?;
-        self.insert_row(table, row)
+        self.insert_at(table, row)
+    }
+
+    fn insert_at(&mut self, table: usize, row: Row) -> Result<(i64, LogOp), DbError> {
+        self.check_foreign_keys(table, row.iter().enumerate())?;
+        let id = self.table_mut(table).insert(&row[..])?;
+        self.bump_version(table);
+        Ok((id, LogOp::Insert { table, id, row }))
     }
 
     /// Set the cells of `set` that differ from the stored row, through the
     /// table's one update path ([`crate::table::Table::update_cells`]), and
     /// log exactly those (see `LogOp`), in column order. An update that
     /// changes nothing still counts as a write and logs an empty `set`.
-    fn update_cells(&mut self, table: &str, id: i64, mut set: Cells) -> Result<LogOp, DbError> {
-        let old = self.table_ref(table)?.row(id)?;
+    fn update_cells(&mut self, table: usize, id: i64, mut set: Cells) -> Result<LogOp, DbError> {
+        let old = self.table_at(table).row(id)?;
         set.retain(|(ci, now)| old.get(*ci) != Some(now));
         set.sort_by_key(|(ci, _)| *ci);
         self.check_foreign_keys(table, set.iter().map(|(ci, v)| (*ci, v)))?;
-        self.table_mut(table)?.update_cells(id, &set)?;
+        self.table_mut(table).update_cells(id, &set)?;
         self.bump_version(table);
-        Ok(LogOp::Update {
-            table: table.to_string(),
-            id,
-            set,
-        })
+        Ok(LogOp::Update { table, id, set })
     }
 
     /// Replace a whole row.
     pub(crate) fn update_row(&mut self, table: &str, id: i64, row: Row) -> Result<LogOp, DbError> {
-        let t = self.table_ref(table)?;
+        let pos = self.position(table)?;
+        let t = self.table_at(pos);
         let arity = t.schema.columns.len();
         t.row(id)?;
         if row.len() != arity {
@@ -141,7 +142,7 @@ impl BufferedTables<'_> {
                 row.len()
             )));
         }
-        self.update_cells(table, id, row.into_iter().enumerate().collect())
+        self.update_cells(pos, id, row.into_iter().enumerate().collect())
     }
 
     /// Update selected columns of a row. A column named twice takes the
@@ -152,7 +153,8 @@ impl BufferedTables<'_> {
         id: i64,
         values: &[(&str, Value)],
     ) -> Result<LogOp, DbError> {
-        let t = self.table_ref(table)?;
+        let pos = self.position(table)?;
+        let t = self.table_at(pos);
         t.row(id)?;
         let mut set: Cells = Vec::with_capacity(values.len());
         for (name, v) in values {
@@ -168,30 +170,31 @@ impl BufferedTables<'_> {
                 None => set.push((ci, v.clone())),
             }
         }
-        self.update_cells(table, id, set)
+        self.update_cells(pos, id, set)
     }
 
-    /// Plan the full effect of deleting `(table, id)`: the ordered list of
-    /// cascade deletes (leaf-first) and SET NULL updates. Fails on
-    /// `Restrict` references without mutating anything.
+    /// Plan the full effect of deleting row `id` of table number `table`:
+    /// the ordered list of cascade deletes (leaf-first) and SET NULL
+    /// updates, by table number. Fails on `Restrict` references without
+    /// mutating anything.
     fn plan_delete(
         &self,
-        table: &str,
+        table: usize,
         id: i64,
-        deletes: &mut Vec<(String, i64)>,
-        set_nulls: &mut Vec<(String, i64, usize)>,
+        deletes: &mut Vec<(usize, i64)>,
+        set_nulls: &mut Vec<(usize, i64, usize)>,
     ) -> Result<(), DbError> {
-        if deletes.iter().any(|(t, i)| t == table && *i == id) {
+        if deletes.contains(&(table, id)) {
             return Ok(()); // already planned (self-referential cycles)
         }
-        deletes.push((table.to_string(), id));
-        for (ref_table, ci, on_delete) in self.referencing_columns(table) {
-            let t = self.table_ref(ref_table)?;
-            let refs: Vec<i64> = match t.find_indexed(*ci, &Value::Int(id)) {
+        deletes.push((table, id));
+        for &(ref_table, ci, on_delete) in self.referencing_columns(table) {
+            let t = self.table_at(ref_table);
+            let refs: Vec<i64> = match t.find_indexed(ci, &Value::Int(id)) {
                 Some(hits) => hits,
                 None => t
                     .iter()
-                    .filter(|(_, r)| r[*ci] == Value::Int(id))
+                    .filter(|(_, r)| r[ci] == Value::Int(id))
                     .map(|(rid, _)| rid)
                     .collect(),
             };
@@ -199,9 +202,10 @@ impl BufferedTables<'_> {
                 match on_delete {
                     OnDelete::Restrict => {
                         return Err(DbError::ForeignKeyViolation {
-                            table: table.to_string(),
+                            table: self.table_at(table).schema.name.clone(),
                             detail: format!(
-                                "row {id} is referenced by {ref_table}[{rid}] (RESTRICT)"
+                                "row {id} is referenced by {}[{rid}] (RESTRICT)",
+                                t.schema.name
                             ),
                         });
                     }
@@ -209,7 +213,7 @@ impl BufferedTables<'_> {
                         self.plan_delete(ref_table, rid, deletes, set_nulls)?;
                     }
                     OnDelete::SetNull => {
-                        set_nulls.push((ref_table.clone(), rid, *ci));
+                        set_nulls.push((ref_table, rid, ci));
                     }
                 }
             }
@@ -221,7 +225,8 @@ impl BufferedTables<'_> {
     /// whole cascade is planned (and `Restrict` violations detected) before
     /// any mutation happens.
     pub(crate) fn delete(&mut self, table: &str, id: i64) -> Result<Vec<LogOp>, DbError> {
-        self.table_ref(table)?.row(id)?;
+        let table = self.position(table)?;
+        self.table_at(table).row(id)?;
         let mut deletes = Vec::new();
         let mut set_nulls = Vec::new();
         self.plan_delete(table, id, &mut deletes, &mut set_nulls)?;
@@ -230,11 +235,11 @@ impl BufferedTables<'_> {
         // SET NULLs first so no dangling references appear mid-way; skip
         // rows that are themselves being deleted.
         for (t, rid, ci) in set_nulls {
-            if deletes.iter().any(|(dt, di)| *dt == t && *di == rid) {
+            if deletes.contains(&(t, rid)) {
                 continue;
             }
             let set = vec![(ci, Value::Null)];
-            self.table_mut(&t)?.update_cells(rid, &set)?;
+            self.table_mut(t).update_cells(rid, &set)?;
             log.push(LogOp::Update {
                 table: t,
                 id: rid,
@@ -243,13 +248,13 @@ impl BufferedTables<'_> {
         }
         // Delete leaf-first (reverse plan order).
         for (t, rid) in deletes.into_iter().rev() {
-            self.table_mut(&t)?.delete(rid)?;
+            self.table_mut(t).delete(rid)?;
             log.push(LogOp::Delete { table: t, id: rid });
         }
         for op in &log {
             match op {
                 LogOp::Update { table, .. } | LogOp::Delete { table, .. } => {
-                    self.bump_version(table)
+                    self.bump_version(*table)
                 }
                 _ => {}
             }

@@ -120,6 +120,11 @@ struct DbShared {
     roles: RwLock<HashMap<String, Arc<Role>>>,
     wal: Option<wal::Wal>,
     snapshot_path: Option<PathBuf>,
+    /// One checkpoint at a time: [`Db::compact`] and [`Db::snapshot`] hold
+    /// it from the cut's pin to the end of the log cut. Two at once would
+    /// share the temporary files they rename from, and an older cut's
+    /// snapshot could land after a newer cut had trimmed the log.
+    checkpoint: std::sync::Mutex<()>,
 }
 
 /// A thread-safe database handle. Cheap to clone; all clones share state.
@@ -140,6 +145,7 @@ impl Db {
                 roles: RwLock::new(HashMap::new()),
                 wal,
                 snapshot_path,
+                checkpoint: std::sync::Mutex::new(()),
             }),
         }
     }
@@ -191,11 +197,12 @@ impl Db {
         })
     }
 
-    /// Write the snapshot file from one consistent cut of every table and
-    /// return the cut's watermark: the last sequence number of the last
-    /// commit it holds. The cut is one pin of the published version, and
-    /// the encoder then streams its immutable tables to the file chunk by
-    /// chunk: neither readers nor writers ever wait on it. `since` is moved
+    /// Write the snapshot file from one consistent cut of every table, in
+    /// table-number order, and return the cut's watermark: the last
+    /// sequence number of the last commit it holds. The cut is one pin of
+    /// the published version, and the encoder then streams its immutable
+    /// tables to the file chunk by chunk: neither readers nor writers ever
+    /// wait on it. The caller holds the checkpoint lock. `since` is moved
     /// to when it returned.
     fn write_snapshot(&self, since: &mut Instant) -> Result<Option<u64>, DbError> {
         let path = self.shared.snapshot_path.as_deref();
@@ -217,19 +224,21 @@ impl Db {
     /// keeping restart time bounded on long-lived gateways.
     ///
     /// Fully non-blocking for both readers *and* writers: the cut is one
-    /// pinned immutable version, so no lock is held across the file I/O
-    /// (the seed engine stalled the whole gateway behind an exclusive lock
-    /// here).
+    /// pinned immutable version, so no lock they take is held across the
+    /// file I/O (the seed engine stalled the whole gateway behind an
+    /// exclusive lock here).
     /// Writers racing the compaction keep appending; their records have
     /// sequence numbers above the watermark and survive the truncation
-    /// untouched (see [`wal::Wal::truncate_keeping`]).
+    /// untouched (see [`wal::Wal::truncate_keeping`]). A second compaction
+    /// or snapshot waits for this one to finish.
     ///
     /// `simdb_checkpoint_seconds{stage=pin|encode_write|truncate}` say where
     /// its time went, `simdb_snapshot_bytes` what it wrote.
     pub fn compact(&self) -> Result<(), DbError> {
-        let mut since = Instant::now();
         let wal = self.shared.wal.as_ref();
         let wal = wal.ok_or_else(|| DbError::Io("no WAL configured".into()))?;
+        let _one = self.checkpoint_lock();
+        let mut since = Instant::now();
         let watermark = self.write_snapshot(&mut since)?;
         wal.truncate_keeping(watermark)?;
         obs::metrics().checkpoint_truncate.lap(&mut since);
@@ -251,9 +260,18 @@ impl Db {
     }
 
     /// Write a snapshot covering a pinned consistent cut of every table:
-    /// [`Self::compact`] without the log truncation, and as lock-free.
+    /// [`Self::compact`] without the log truncation. Like it, it blocks no
+    /// reader or writer and waits for a checkpoint already running.
     pub fn snapshot(&self) -> Result<(), DbError> {
+        let _one = self.checkpoint_lock();
         self.write_snapshot(&mut Instant::now()).map(drop)
+    }
+
+    /// The checkpoint lock. It guards no data, only the files a checkpoint
+    /// writes, so a checkpoint that panicked leaves nothing to repair.
+    fn checkpoint_lock(&self) -> std::sync::MutexGuard<'_, ()> {
+        let lock = self.shared.checkpoint.lock();
+        lock.unwrap_or_else(|e| e.into_inner())
     }
 
     /// Current modification counter for `table`. Monotone; bumped
@@ -275,7 +293,9 @@ impl Db {
     /// Names of all tables, sorted (lock-free: one version pin).
     pub fn table_names(&self) -> Vec<String> {
         let cut = self.shared.slot.pin();
-        cut.tables().map(|v| v.table.schema.name.clone()).collect()
+        let mut names: Vec<String> = cut.tables().map(|v| v.table.schema.name.clone()).collect();
+        names.sort_unstable();
+        names
     }
 
     /// The stored schema of a table (lock-free: one version pin).
@@ -1039,10 +1059,10 @@ mod tests {
             for i in 0..50 {
                 c.insert("t", &[("v", Value::Int(i))]).unwrap();
             }
-            let before = std::fs::metadata(&walp).unwrap().len();
+            let frames = wal::Wal::read_frames(&walp).unwrap();
+            assert_eq!(frames.len(), 51, "one frame per commit");
             db.compact().unwrap();
             let after = std::fs::metadata(&walp).unwrap().len();
-            assert!(before > 1000);
             assert_eq!(after, wal::MAGIC.len() as u64, "WAL truncated");
             // writes continue after compaction
             c.insert("t", &[("v", Value::Int(999))]).unwrap();

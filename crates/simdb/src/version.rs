@@ -99,15 +99,19 @@ impl Drop for TableVersion {
     }
 }
 
-/// What only DDL changes: where each table sits in [`DbVersion::tables`],
-/// and the reverse-FK list. Shared by `Arc` between versions, so a commit
-/// copies none of it.
+/// What only DDL changes: each table's number, and the reverse-FK list.
+/// Shared by `Arc` between versions, so a commit copies none of it.
+///
+/// A table's number is its position in [`DbVersion::tables`]: creation
+/// order, since `create_table` appends and nothing removes a table. The
+/// log names a table by it (DESIGN §8.7), and a snapshot lists its tables
+/// in that order, so recovery rebuilds the same numbers.
 pub(crate) struct Catalog {
-    /// Table name → position, iterated in name order.
+    /// Table name → number.
     positions: BTreeMap<String, usize>,
-    /// Per position: `(referencing table, column index, on_delete)` of
-    /// every FK column whose target is that table.
-    referencing: Vec<Vec<(String, usize, OnDelete)>>,
+    /// Per number: `(referencing table's number, column index, on_delete)`
+    /// of every FK column whose target is that table.
+    referencing: Vec<Vec<(usize, usize, OnDelete)>>,
 }
 
 impl Catalog {
@@ -116,11 +120,11 @@ impl Catalog {
             .map(|(pos, schema)| (schema.name.clone(), pos))
             .collect();
         let mut referencing = vec![Vec::new(); positions.len()];
-        for schema in schemas {
+        for (pos, schema) in schemas.enumerate() {
             for (ci, c) in schema.columns.iter().enumerate() {
                 let Some(fk) = &c.foreign_key else { continue };
                 if let Some(&target) = positions.get(&fk.references) {
-                    referencing[target].push((schema.name.clone(), ci, fk.on_delete));
+                    referencing[target].push((pos, ci, fk.on_delete));
                 }
             }
         }
@@ -145,17 +149,15 @@ pub(crate) struct DbVersion {
 
 impl DbVersion {
     pub fn empty() -> DbVersion {
-        DbVersion::from_recovered(BTreeMap::new(), None)
+        DbVersion::from_recovered(Vec::new(), None)
     }
 
-    /// The first version over what recovery built (snapshot + WAL replay):
-    /// each table moves — is not copied — into it, with the version counter
-    /// replay left it at, under the watermark replay reached.
-    pub fn from_recovered(
-        recovered: BTreeMap<String, Recovered>,
-        applied_seq: Option<u64>,
-    ) -> DbVersion {
-        let tables: Vec<Arc<TableVersion>> = (recovered.into_values())
+    /// The first version over what recovery built (snapshot + WAL replay),
+    /// in table-number order: each table moves — is not copied — into it,
+    /// with the version counter replay left it at, under the watermark
+    /// replay reached.
+    pub fn from_recovered(recovered: Vec<Recovered>, applied_seq: Option<u64>) -> DbVersion {
+        let tables: Vec<Arc<TableVersion>> = (recovered.into_iter())
             .map(|r| TableVersion::first(r.table, r.version))
             .collect();
         DbVersion {
@@ -165,7 +167,7 @@ impl DbVersion {
         }
     }
 
-    /// Where `name` sits in this version: an argument for [`Self::at`].
+    /// The number of the table called `name`: an argument for [`Self::at`].
     pub fn position(&self, name: &str) -> Result<usize, DbError> {
         let found = self.catalog.positions.get(name).copied();
         found.ok_or_else(|| DbError::NoSuchTable(name.to_string()))
@@ -179,9 +181,9 @@ impl DbVersion {
         Ok(&self.tables[self.position(name)?])
     }
 
-    /// Every table, in name order.
+    /// Every table, in number order (creation order).
     pub fn tables(&self) -> impl ExactSizeIterator<Item = &TableVersion> {
-        (self.catalog.positions.values()).map(|&pos| &*self.tables[pos])
+        self.tables.iter().map(|v| &**v)
     }
 }
 
@@ -444,18 +446,27 @@ impl<'a> BufferedTables<'a> {
             .observe(index_entries_copied);
     }
 
-    /// A table as this operation sees it: its buffer, or the base.
-    pub fn table_ref(&self, name: &str) -> Result<&Table, DbError> {
-        let pos = self.writer.base.position(name)?;
-        Ok(match self.buffers.iter().find(|(p, _)| *p == pos) {
-            Some((_, buffer)) => &buffer.table,
-            None => &self.writer.base.tables[pos].table,
-        })
+    /// The number of the table called `name`.
+    pub fn position(&self, name: &str) -> Result<usize, DbError> {
+        self.writer.base.position(name)
     }
 
-    /// The buffer of a table, cloned from its base on first use.
-    pub fn table_mut(&mut self, name: &str) -> Result<&mut Table, DbError> {
-        let pos = self.writer.base.position(name)?;
+    /// Table number `pos` as this operation sees it: its buffer, or the
+    /// base.
+    pub fn table_at(&self, pos: usize) -> &Table {
+        match self.buffers.iter().find(|(p, _)| *p == pos) {
+            Some((_, buffer)) => &buffer.table,
+            None => &self.writer.base.tables[pos].table,
+        }
+    }
+
+    /// [`Self::table_at`], by name.
+    pub fn table_ref(&self, name: &str) -> Result<&Table, DbError> {
+        Ok(self.table_at(self.position(name)?))
+    }
+
+    /// The buffer of table number `pos`, cloned from its base on first use.
+    pub fn table_mut(&mut self, pos: usize) -> &mut Table {
         let at = match self.buffers.iter().position(|(p, _)| *p == pos) {
             Some(at) => at,
             None => {
@@ -468,26 +479,23 @@ impl<'a> BufferedTables<'a> {
                 self.buffers.len() - 1
             }
         };
-        Ok(&mut self.buffers[at].1.table)
+        &mut self.buffers[at].1.table
     }
 
-    /// `(referencing table, column index, on_delete)` of every FK column
-    /// in the database whose target is `target`: schema facts, so cascade
-    /// planning reads them without touching a table.
-    pub fn referencing_columns(&self, target: &str) -> &[(String, usize, OnDelete)] {
-        match self.writer.base.position(target) {
-            Ok(pos) => &self.writer.base.catalog.referencing[pos],
-            Err(_) => &[],
-        }
+    /// `(referencing table's number, column index, on_delete)` of every FK
+    /// column in the database whose target is table number `target`:
+    /// schema facts, so cascade planning reads them without touching a
+    /// table.
+    pub fn referencing_columns(&self, target: usize) -> &[(usize, usize, OnDelete)] {
+        &self.writer.base.catalog.referencing[target]
     }
 
-    /// Bump the table's modification counter: the buffer is dirty, and its
-    /// commit publishes the new count with the data.
-    pub fn bump_version(&mut self, table: &str) {
-        let pos = self.writer.base.position(table).ok();
-        match self.buffers.iter_mut().find(|(p, _)| Some(*p) == pos) {
+    /// Bump table number `pos`'s modification counter: the buffer is
+    /// dirty, and its commit publishes the new count with the data.
+    pub fn bump_version(&mut self, pos: usize) {
+        match self.buffers.iter_mut().find(|(p, _)| *p == pos) {
             Some((_, buffer)) => buffer.version += 1,
-            None => debug_assert!(false, "bump_version on unbuffered table {table}"),
+            None => debug_assert!(false, "bump_version on unbuffered table {pos}"),
         }
     }
 }
@@ -510,8 +518,9 @@ mod tests {
     /// One writer that republishes `name`'s rows under the next version.
     fn bump(slot: &Slot, name: &str) {
         let mut set = BufferedTables::new(slot.write());
-        set.table_mut(name).unwrap();
-        set.bump_version(name);
+        let pos = set.position(name).unwrap();
+        set.table_mut(pos);
+        set.bump_version(pos);
         set.commit(None);
     }
 
@@ -523,8 +532,8 @@ mod tests {
     fn pin_sees_only_published_state() {
         let s = slot_with(&["t"]);
         let mut set = BufferedTables::new(s.write());
-        set.table_mut("t").unwrap();
-        set.bump_version("t");
+        set.table_mut(0);
+        set.bump_version(0);
         // Holding the writer mutex and a dirty buffer changes nothing
         // readers can see.
         assert_eq!(version(&s, "t"), 1);
@@ -573,15 +582,15 @@ mod tests {
         s.write().create_table(schema, |_| Ok(Some(0))).unwrap();
         assert_eq!(s.pin().applied_seq, Some(0));
         let mut set = BufferedTables::new(s.write());
-        set.table_mut("t").unwrap();
-        set.bump_version("t");
+        set.table_mut(0);
+        set.bump_version(0);
         set.commit(Some(3));
         assert_eq!((s.pin().applied_seq, version(&s, "t")), (Some(3), 2));
         bump(&s, "t");
         assert_eq!((s.pin().applied_seq, version(&s, "t")), (Some(3), 3));
         let before = s.pin();
         let mut clean = BufferedTables::new(s.write());
-        clean.table_mut("t").unwrap();
+        clean.table_mut(0);
         clean.commit(None);
         assert!(Arc::ptr_eq(&before, &s.pin()), "a clean write published");
     }

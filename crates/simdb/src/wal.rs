@@ -20,19 +20,29 @@
 //!
 //! # The log file (DESIGN §8.7)
 //!
-//! [`MAGIC`], then frames: `[u32 body length][u32 CRC-32 of the body][body]`,
-//! little-endian. One frame is **one commit** — everything one
-//! [`Wal::enqueue`] call receives — so a recovered log is a prefix of whole
-//! commits. The body is the commit's ops, then the sequence number of the
-//! first of them as eight bytes: last, so that the CRC over the ops is taken
-//! before the queue lock and only finished under it.
+//! [`MAGIC`], then frames: `[varint body length][u32 CRC-32][body]`, the
+//! body being `[varint first sequence number][ops]`. One frame is **one
+//! commit** — everything one [`Wal::enqueue`] call receives — so a
+//! recovered log is a prefix of whole commits, and its ops are numbered on
+//! from the one in its header. The CRC covers the whole body, taken over
+//! the ops first and the sequence number after them, so that it is begun
+//! before the queue lock and only finished under it. A one-op commit
+//! numbered below 2^21 whose body is under 16 KiB spends 9 bytes on its
+//! frame: 2 of length, 4 of CRC, 3 of sequence number.
 //!
-//! An op is a tag byte, the table name, the row id and typed values. Counts,
-//! lengths and column indexes are LEB128 varints; ids, `Int`s and
-//! `Timestamp`s zigzag varints; a `Float` its eight raw bytes; text
-//! length-prefixed UTF-8; each value leads with a type tag. An `Update`
-//! carries only the cells that changed ([`LogOp`]), which is sound because
-//! replay applies, in sequence order, exactly the commits above the
+//! An op is a tag byte, the table's number, the row id and typed values. A
+//! table's number is its position in the database's table list, which is
+//! creation order: a `CreateTable` takes the next number, and a snapshot
+//! lists its tables in number order, so recovery rebuilds the same numbers
+//! (a record naming a number the recovered state does not have is
+//! `Corrupt`). Counts, lengths, table numbers and column indexes are LEB128
+//! varints; ids, `Int`s and `Timestamp`s zigzag varints; a `Float` its
+//! eight raw bytes; text length-prefixed UTF-8; each value leads with a
+//! type tag. An `Insert` carries no cell count: the type tag of its row's
+//! last cell carries a mark (`LAST_CELL`), so a frame still decodes without
+//! the schemas, and replay checks the row's length against its table's. An
+//! `Update` carries only the cells that changed ([`LogOp`]), which is sound
+//! because replay applies, in sequence order, exactly the commits above the
 //! snapshot's watermark, and [`Wal::truncate_keeping`] keeps exactly those:
 //! the row a surviving `Update` finds is the row its diff was taken
 //! against. `CreateTable`, cold, keeps the schema's JSON as its body.
@@ -47,11 +57,13 @@
 //!
 //! # The snapshot file (DESIGN §8.8)
 //!
-//! [`SNAPSHOT_MAGIC`], then the same frames with the same value codec, in a
-//! fixed order: one file header (the watermark plus one, or 0 for none, and
-//! the table count); then per table a header (the schema's JSON, `next_id`,
-//! the row count) followed by its rows, one frame per storage chunk of at
-//! most 256 rows, a row being its zigzag id and one value per column.
+//! [`SNAPSHOT_MAGIC`], then frames `[u32 body length][u32 CRC-32 of the
+//! body][body]`, little-endian, with the log's value codec, in a fixed
+//! order: one file header (the watermark plus one, or 0 for none, and the
+//! table count); then per table, in table-number order, a header (the
+//! schema's JSON, `next_id`, the row count) followed by its rows, one frame
+//! per storage chunk of at most 256 rows, a row being its zigzag id and one
+//! value per column.
 //! [`Snapshot::write`] streams those frames into the temporary file, so it
 //! never holds more than one chunk's bytes, and lists a table's row ids in
 //! ascending order; [`Snapshot::load`] decodes them one by one. A snapshot
@@ -66,20 +78,27 @@ use crate::schema::TableSchema;
 use crate::table::{Row, Table};
 use crate::value::Value;
 use crate::version::new_table;
-use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex};
 
 /// The first bytes of every log file: format name and version.
-pub const MAGIC: &[u8; 8] = b"AMPLOG\x00\x01";
+pub const MAGIC: &[u8; 8] = b"AMPLOG\x00\x02";
 
 /// The first bytes of every snapshot file: format name and version.
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"AMPSNP\x00\x02";
 
-/// The shortest body of a log frame: one op's tag and the sequence number.
-const LOG_FRAME_MIN: usize = 9;
+/// Set on the type tag of an `Insert`'s last cell: the row ends there.
+const LAST_CELL: u8 = 0x80;
+
+/// Op tags. An `Insert` of a row with no cells (a table of no columns) has
+/// no last cell to mark, and a tag of its own.
+const CREATE_TABLE: u8 = 0;
+const INSERT: u8 = 1;
+const UPDATE: u8 = 2;
+const DELETE: u8 = 3;
+const INSERT_EMPTY: u8 = 4;
 
 /// Slice-by-8 tables for CRC-32 (IEEE, reflected `0xEDB88320`): `[0]` is
 /// the classic byte table, `[k][b]` the CRC of byte `b` followed by `k`
@@ -173,30 +192,35 @@ fn put_schema(buf: &mut Vec<u8>, schema: &TableSchema) {
 }
 
 fn put_op(buf: &mut Vec<u8>, op: &LogOp) {
-    let mut head = |tag: u8, table: &str, id: i64| {
+    let mut head = |tag: u8, table: usize, id: i64| {
         buf.push(tag);
-        put_bytes(buf, table.as_bytes());
+        put_varint(buf, table as u64);
         put_int(buf, id);
     };
     match op {
         LogOp::CreateTable { schema } => {
-            buf.push(0);
+            buf.push(CREATE_TABLE);
             put_schema(buf, schema);
         }
+        LogOp::Insert { table, id, row } if row.is_empty() => head(INSERT_EMPTY, *table, *id),
         LogOp::Insert { table, id, row } => {
-            head(1, table, *id);
-            put_varint(buf, row.len() as u64);
-            row.iter().for_each(|v| put_value(buf, v));
+            head(INSERT, *table, *id);
+            let mut last = buf.len();
+            for v in row {
+                last = buf.len();
+                put_value(buf, v);
+            }
+            buf[last] |= LAST_CELL;
         }
         LogOp::Update { table, id, set } => {
-            head(2, table, *id);
+            head(UPDATE, *table, *id);
             put_varint(buf, set.len() as u64);
             for (ci, v) in set {
                 put_varint(buf, *ci as u64);
                 put_value(buf, v);
             }
         }
-        LogOp::Delete { table, id } => head(3, table, *id),
+        LogOp::Delete { table, id } => head(DELETE, *table, *id),
     }
 }
 
@@ -233,7 +257,13 @@ fn get_value(d: &mut &[u8]) -> Option<Value> {
 /// One value. A text cell whose bytes are those of `like`'s text shares
 /// its `Arc`, and needs no UTF-8 check: they are a `str`'s bytes.
 fn get_value_like(d: &mut &[u8], like: Option<&Value>) -> Option<Value> {
-    Some(match *d.split_off_first()? {
+    let tag = *d.split_off_first()?;
+    get_value_tagged(tag, d, like)
+}
+
+/// [`get_value_like`] for a value whose type tag has been read.
+fn get_value_tagged(tag: u8, d: &mut &[u8], like: Option<&Value>) -> Option<Value> {
+    Some(match tag {
         0 => Value::Null,
         tag @ 1..=2 => Value::Bool(tag == 2),
         3 => Value::Int(get_int(d)?),
@@ -256,15 +286,17 @@ fn get_schema(d: &mut &[u8]) -> Option<TableSchema> {
     serde_json::from_str(&get_text(d)?).ok()
 }
 
-/// `n` values into a row of exactly that size. Every value takes at least
-/// a byte, so no more than the bytes left are reserved for them: a count
-/// the bytes cannot hold fails at the first missing value.
-fn get_row(d: &mut &[u8], n: u64) -> Option<Row> {
-    let mut row = Vec::with_capacity(n.min(d.len() as u64) as usize);
-    for _ in 0..n {
-        row.push(get_value(d)?);
+/// An `Insert`'s cells: values up to the one whose type tag carries
+/// `LAST_CELL`.
+fn get_cells(d: &mut &[u8]) -> Option<Row> {
+    let mut row = Vec::new();
+    loop {
+        let tag = *d.split_off_first()?;
+        row.push(get_value_tagged(tag & !LAST_CELL, d, None)?);
+        if tag & LAST_CELL != 0 {
+            return Some(row);
+        }
     }
-    Some(row)
 }
 
 /// One snapshot row of `columns` cells, decoded into `buf` (reused from
@@ -287,18 +319,23 @@ fn get_stored_row(
 
 fn get_op(d: &mut &[u8]) -> Option<LogOp> {
     let tag = *d.split_off_first()?;
-    if tag == 0 {
+    if tag == CREATE_TABLE {
         let schema = get_schema(d)?;
         return Some(LogOp::CreateTable { schema });
     }
-    let (table, id) = (get_text(d)?, get_int(d)?);
+    let table = usize::try_from(get_varint(d)?).ok()?;
+    let id = get_int(d)?;
     Some(match tag {
-        1 => {
-            let n = get_varint(d)?;
-            let row = get_row(d, n)?;
+        INSERT => {
+            let row = get_cells(d)?;
             LogOp::Insert { table, id, row }
         }
-        2 => {
+        INSERT_EMPTY => LogOp::Insert {
+            table,
+            id,
+            row: Vec::new(),
+        },
+        UPDATE => {
             // A changed cell is its column's varint and a value: two bytes
             // at least.
             let n = get_varint(d)?;
@@ -308,49 +345,68 @@ fn get_op(d: &mut &[u8]) -> Option<LogOp> {
             }
             LogOp::Update { table, id, set }
         }
-        3 => LogOp::Delete { table, id },
+        DELETE => LogOp::Delete { table, id },
         _ => return None,
     })
 }
 
 /// Encode a commit's ops and start the frame's CRC over them: everything
 /// of a frame that does not need the sequence number.
-fn encode_commit(ops: &[LogOp]) -> Result<(Vec<u8>, u32), DbError> {
+fn encode_commit(ops: &[LogOp]) -> (Vec<u8>, u32) {
     let mut body = Vec::with_capacity(64 * ops.len());
     ops.iter().for_each(|op| put_op(&mut body, op));
-    if u32::try_from(body.len() + 8).is_err() {
-        return Err(DbError::Io("wal encode: commit over 4 GiB".into()));
-    }
     let crc = crc32_update(!0, &body);
-    Ok((body, crc))
+    (body, crc)
 }
 
-/// Append one frame whose body is `head` then `tail`; `crc` is the CRC
-/// state after `head` (a commit's comes from [`encode_commit`]). The
-/// caller has checked that the body's length fits the `u32`.
-fn push_frame(buf: &mut Vec<u8>, head: &[u8], crc: u32, tail: &[u8]) {
-    buf.extend_from_slice(&((head.len() + tail.len()) as u32).to_le_bytes());
-    buf.extend_from_slice(&(!crc32_update(crc, tail)).to_le_bytes());
-    buf.extend_from_slice(head);
-    buf.extend_from_slice(tail);
+/// The bytes `v` takes as a LEB128 varint.
+fn varint_len(v: u64) -> usize {
+    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
+}
+
+/// Append one log frame: encoded `ops` numbered from `first_seq`, whose
+/// CRC state after the ops is `crc` (from [`encode_commit`]).
+fn push_frame(buf: &mut Vec<u8>, first_seq: u64, ops: &[u8], crc: u32) {
+    put_varint(buf, (varint_len(first_seq) + ops.len()) as u64);
+    let crc_at = buf.len();
+    buf.extend_from_slice(&[0; 4]);
+    put_varint(buf, first_seq);
+    let crc = !crc32_update(crc, &buf[crc_at + 4..]);
+    buf[crc_at..crc_at + 4].copy_from_slice(&crc.to_le_bytes());
+    buf.extend_from_slice(ops);
 }
 
 /// One commit as the bytes of its frame, its ops numbered from `first_seq`:
 /// for tests and tools that build a log file by hand (after [`MAGIC`]).
-pub fn encode_frame(first_seq: u64, ops: &[LogOp]) -> Result<Vec<u8>, DbError> {
-    let (mut frame, (body, crc)) = (Vec::new(), encode_commit(ops)?);
-    push_frame(&mut frame, &body, crc, &first_seq.to_le_bytes());
-    Ok(frame)
+pub fn encode_frame(first_seq: u64, ops: &[LogOp]) -> Vec<u8> {
+    let (mut frame, (body, crc)) = (Vec::new(), encode_commit(ops));
+    push_frame(&mut frame, first_seq, &body, crc);
+    frame
 }
 
-/// The body, at least `min` bytes of it, of the whole and checksum-clean
+/// The whole and checksum-clean log frame that starts at byte `at`: its
+/// first sequence number, its encoded ops (one byte at least) and the
+/// offset where it ends.
+fn log_frame_at(data: &[u8], at: usize) -> Option<(u64, &[u8], usize)> {
+    let mut rest = data.get(at..)?;
+    let len = usize::try_from(get_varint(&mut rest)?).ok()?;
+    let crc = u32::from_le_bytes(rest.split_off(..4)?.try_into().ok()?);
+    let body = rest.split_off(..len)?;
+    let mut ops = body;
+    let first_seq = get_varint(&mut ops)?;
+    let seq = &body[..body.len() - ops.len()];
+    let clean = !ops.is_empty() && !crc32_update(crc32_update(!0, ops), seq) == crc;
+    clean.then_some((first_seq, ops, data.len() - rest.len()))
+}
+
+/// The body, one byte at least, of the whole and checksum-clean snapshot
 /// frame that starts at byte `at`.
-fn frame_at(data: &[u8], at: usize, min: usize) -> Option<&[u8]> {
+fn snapshot_frame_at(data: &[u8], at: usize) -> Option<&[u8]> {
     let mut rest = data.get(at..)?;
     let len = u32::from_le_bytes(rest.split_off(..4)?.try_into().ok()?);
     let crc = u32::from_le_bytes(rest.split_off(..4)?.try_into().ok()?);
     let body = rest.split_off(..len as usize)?;
-    (body.len() >= min && !crc32_update(!0, body) == crc).then_some(body)
+    (!body.is_empty() && !crc32_update(!0, body) == crc).then_some(body)
 }
 
 /// The error every commit gets once a flush has failed (see
@@ -541,7 +597,7 @@ impl Wal {
             return Ok(None);
         }
         // Phase 1: encode and checksum before the queue lock.
-        let (body, crc) = encode_commit(ops)?;
+        let (body, crc) = encode_commit(ops);
         // A failed flush lost records and nothing drains the buffer any
         // more: refuse, so the caller publishes nothing that can never be
         // made durable. (Records enqueued while the failing flush was in
@@ -553,7 +609,7 @@ impl Wal {
         // Phase 2: claim sequence numbers and buffer the finished frame.
         let mut q = self.queue.lock().expect("wal queue lock");
         let first_seq = q.next_seq;
-        push_frame(&mut q.buf, &body, crc, &first_seq.to_le_bytes());
+        push_frame(&mut q.buf, first_seq, &body, crc);
         q.next_seq += ops.len() as u64;
         q.pending += ops.len();
         Ok(Some(q.next_seq - 1))
@@ -763,22 +819,17 @@ fn walk_frames(
         return Err(corrupt_log(0, "not a framed log"));
     }
     let mut next_seq = 0;
-    while let Some(body) = frame_at(data, at, LOG_FRAME_MIN) {
-        let (ops, seq) = body.split_at(body.len() - 8);
-        let first_seq = u64::from_le_bytes(seq.try_into().expect("eight bytes"));
+    while let Some((first_seq, ops, end)) = log_frame_at(data, at) {
         if first_seq < next_seq {
             return Err(corrupt_log(at, "sequence regression"));
         }
-        let end = at + 8 + body.len();
         next_seq = first_seq + each(at, end, first_seq, ops)?;
         at = end;
     }
     // A header cut short holds nothing; otherwise `at` ends the last whole frame.
     let whole = if data.len() < MAGIC.len() { 0 } else { at };
     if whole < data.len() {
-        if let Some(later) =
-            (at + 1..data.len()).find(|&p| frame_at(data, p, LOG_FRAME_MIN).is_some())
-        {
+        if let Some(later) = (at + 1..data.len()).find(|&p| log_frame_at(data, p).is_some()) {
             let why = format!("bad frame; a valid one follows at {later}");
             return Err(corrupt_log(at, &why));
         }
@@ -872,11 +923,11 @@ fn whole<T>(mut body: &[u8], f: impl FnOnce(&mut &[u8]) -> Option<T>) -> Option<
 pub struct Snapshot;
 
 impl Snapshot {
-    /// Stream `tables` — one consistent cut — into the snapshot file at
-    /// `path`, frame by frame, and return the file's length. `applied_seq`
-    /// is the cut's watermark: the cut holds exactly the commits numbered
-    /// at or below it, so replay skips those records and applies the rest.
-    /// `durable`: see [`replace_file`].
+    /// Stream `tables` — one consistent cut, in table-number order — into
+    /// the snapshot file at `path`, frame by frame, and return the file's
+    /// length. `applied_seq` is the cut's watermark: the cut holds exactly
+    /// the commits numbered at or below it, so replay skips those records
+    /// and applies the rest. `durable`: see [`replace_file`].
     pub(crate) fn write<'a>(
         tables: impl ExactSizeIterator<Item = &'a Table>,
         applied_seq: Option<u64>,
@@ -920,11 +971,11 @@ impl Snapshot {
         Ok(bytes)
     }
 
-    /// Load a snapshot: its tables and its watermark. One pass decodes a
-    /// table's rows, checking each as it is read
-    /// ([`TableSchema::check_cells`]) and that ids ascend, as
-    /// [`Rows::chunks`](crate::table::Rows::chunks) writes them; one more
-    /// builds its chunks and indexes ([`Table::from_ascending`]).
+    /// Load a snapshot: its tables, in the order it lists them (table-number
+    /// order), and its watermark. One pass decodes a table's rows, checking
+    /// each as it is read ([`TableSchema::check_cells`]) and that ids
+    /// ascend, as [`Rows::chunks`](crate::table::Rows::chunks) writes them;
+    /// one more builds its chunks and indexes ([`Table::from_ascending`]).
     pub(crate) fn load(path: &Path) -> Result<(RecoveredTables, Option<u64>), DbError> {
         let data = std::fs::read(path)?;
         let corrupt = |at: usize, why: &str| DbError::Corrupt(format!("snapshot byte {at}: {why}"));
@@ -935,7 +986,7 @@ impl Snapshot {
         // The next frame: where it starts, and its body.
         let mut next_frame = || {
             let start = at;
-            let body = frame_at(&data, start, 1)
+            let body = snapshot_frame_at(&data, start)
                 .ok_or_else(|| corrupt(start, "damaged, or cut short of what it declares"))?;
             at += 8 + body.len();
             Ok::<_, DbError>((start, body))
@@ -948,7 +999,7 @@ impl Snapshot {
         let (applied_seq, table_count) =
             header.ok_or_else(|| corrupt(start, "undecodable file header"))?;
 
-        let mut tables = BTreeMap::new();
+        let mut tables: RecoveredTables = Vec::new();
         for _ in 0..table_count {
             let (start, body) = next_frame()?;
             let header = whole(body, |d| {
@@ -983,12 +1034,11 @@ impl Snapshot {
                     return Err(corrupt(start, "more rows than the table declares"));
                 }
             }
-            let name = schema.name.clone();
-            let table = Table::from_ascending(schema, next_id, rows)?;
-            let recovered = Recovered { table, version: 0 };
-            if tables.insert(name, recovered).is_some() {
+            if tables.iter().any(|r| r.table.schema.name == schema.name) {
                 return Err(corrupt(start, "a table twice"));
             }
+            let table = Table::from_ascending(schema, next_id, rows)?;
+            tables.push(Recovered { table, version: 0 });
         }
         if at < data.len() {
             return Err(corrupt(at, "bytes after the last table"));
@@ -1006,42 +1056,42 @@ pub(crate) struct Recovered {
     pub version: u64,
 }
 
-pub(crate) type RecoveredTables = BTreeMap<String, Recovered>;
+/// The tables recovery holds, indexed by table number.
+pub(crate) type RecoveredTables = Vec<Recovered>;
 
 /// Apply record `seq`, `op`, to the tables recovery holds. The log records
 /// only what committed, against exactly this state, so any refusal here
 /// means the files do not belong together: `Corrupt`, naming the record.
 fn apply(tables: &mut RecoveredTables, seq: u64, op: LogOp) -> Result<(), DbError> {
-    let (what, table, applied) = match op {
-        LogOp::CreateTable { schema } => {
-            let applied = new_table(&schema, |t| tables.contains_key(t)).map(|table| {
-                let created = Recovered { table, version: 1 };
-                tables.insert(schema.name.clone(), created);
-            });
-            ("create table", schema.name, applied)
-        }
-        LogOp::Insert { table, id, row } => {
-            let applied = held(tables, &table).and_then(|t| t.insert_with_id(id, row));
-            ("insert", table, applied.map(drop))
-        }
-        LogOp::Update { table, id, set } => {
-            // In place: the recovered table is unshared, so the row is too.
-            let applied = held(tables, &table).and_then(|t| t.update_cells(id, &set));
-            ("update", table, applied)
-        }
-        LogOp::Delete { table, id } => {
-            let applied = held(tables, &table).and_then(|t| t.delete(id));
-            ("delete", table, applied.map(drop))
-        }
+    let refused = |what: &str, table: &str, e: DbError| {
+        DbError::Corrupt(format!("wal seq {seq}: {what} on {table}: {e}"))
     };
-    applied.map_err(|e| DbError::Corrupt(format!("wal seq {seq}: {what} on {table}: {e}")))
-}
-
-/// The table a record names, its modification counter moved on by one.
-fn held<'a>(tables: &'a mut RecoveredTables, name: &str) -> Result<&'a mut Table, DbError> {
-    let r = (tables.get_mut(name)).ok_or_else(|| DbError::NoSuchTable(name.to_string()))?;
-    r.version += 1;
-    Ok(&mut r.table)
+    let (what, number) = match op {
+        LogOp::CreateTable { schema } => {
+            let exists = |name: &str| tables.iter().any(|r| r.table.schema.name == name);
+            let table =
+                new_table(&schema, exists).map_err(|e| refused("create table", &schema.name, e))?;
+            tables.push(Recovered { table, version: 1 });
+            return Ok(());
+        }
+        LogOp::Insert { table, .. } => ("insert", table),
+        LogOp::Update { table, .. } => ("update", table),
+        LogOp::Delete { table, .. } => ("delete", table),
+    };
+    let Some(held) = tables.get_mut(number) else {
+        let why = format!("wal seq {seq}: {what} on table {number}: no such table");
+        return Err(DbError::Corrupt(why));
+    };
+    held.version += 1;
+    let t = &mut held.table;
+    let applied = match op {
+        LogOp::Insert { id, row, .. } => t.insert_with_id(id, row),
+        // In place: the recovered table is unshared, so the row is too.
+        LogOp::Update { id, set, .. } => t.update_cells(id, &set),
+        LogOp::Delete { id, .. } => t.delete(id),
+        LogOp::CreateTable { .. } => unreachable!("applied above"),
+    };
+    applied.map_err(|e| refused(what, &t.schema.name, e))
 }
 
 /// Recover the tables `snapshot` (if present) + `wal` (if present) hold, and
@@ -1099,15 +1149,17 @@ mod tests {
         d
     }
 
+    /// An insert into table 0.
     fn insert(id: i64, v: i64) -> LogOp {
         LogOp::Insert {
-            table: "t".into(),
+            table: 0,
             id,
             row: vec![Value::Int(v)],
         }
     }
 
-    /// Table `t` holding `v` = 0..5 under ids 1..=5, and the ops that say so.
+    /// Table `t` holding `v` = 0..5 under ids 1..=5, and the ops that say so
+    /// (it is table 0).
     fn seed() -> (Table, Vec<LogOp>) {
         let schema = TableSchema::new("t", vec![Column::new("v", ValueType::Int)]);
         let mut table = Table::new(schema.clone()).unwrap();
@@ -1119,11 +1171,11 @@ mod tests {
         (table, ops)
     }
 
-    /// One frame around `body`, its checksum valid.
+    /// One snapshot frame around `body`, its checksum valid.
     fn framed(body: &[u8]) -> Vec<u8> {
-        let mut frame = Vec::new();
-        push_frame(&mut frame, &[], !0, body);
-        frame
+        let len = u32::try_from(body.len()).unwrap().to_le_bytes();
+        let crc = (!crc32_update(!0, body)).to_le_bytes();
+        [&len[..], &crc, body].concat()
     }
 
     /// What `Db::open` would find in these files (`snap` need not exist).
@@ -1187,44 +1239,45 @@ mod tests {
             .map(|(i, v)| (i * 97, v))
             .collect();
         let schema = TableSchema::new("x", vec![Column::new("a", ValueType::Int).indexed()]);
-        let (table, id) = (String::from("a\"b"), i64::MIN);
+        let (table, id) = (1 << 40, i64::MIN);
         let ops = [
             LogOp::CreateTable { schema },
-            LogOp::Update {
-                table: table.clone(),
-                id,
-                set,
-            },
+            LogOp::Update { table, id, set },
             LogOp::Insert {
-                table: String::new(),
+                table: 0,
                 id: i64::MAX,
                 row,
             },
             LogOp::Update {
-                table: table.clone(),
+                table: 127,
                 id: -7,
                 set: vec![],
             },
             LogOp::Delete { table, id: 42 },
+            LogOp::Insert {
+                table: 128,
+                id: 1,
+                row: vec![],
+            },
         ];
         let path = tmpdir("codec").join("db.wal");
         let wal = Wal::open(&path).unwrap();
         wal.append(&ops).unwrap();
         for (i, op) in ops.iter().enumerate() {
-            assert_eq!(wal.append(std::slice::from_ref(op)).unwrap(), 5 + i as u64);
+            assert_eq!(wal.append(std::slice::from_ref(op)).unwrap(), 6 + i as u64);
         }
         let frames = Wal::read_frames(&path).unwrap();
         let sizes: Vec<usize> = frames.iter().map(|f| f.records.len()).collect();
-        assert_eq!(sizes, [5, 1, 1, 1, 1, 1]);
+        assert_eq!(sizes, [6, 1, 1, 1, 1, 1, 1]);
         assert_eq!(frames[0].offset, MAGIC.len());
-        assert_eq!(frames[5].end, std::fs::read(&path).unwrap().len());
+        assert_eq!(frames[6].end, std::fs::read(&path).unwrap().len());
         for (i, rec) in Wal::read_records(&path).unwrap().iter().enumerate() {
-            assert_eq!((rec.seq, &rec.op), (i as u64, &ops[i % 5]));
+            assert_eq!((rec.seq, &rec.op), (i as u64, &ops[i % 6]));
         }
         // The public frame writer produces the same bytes.
-        let mut by_hand = [&MAGIC[..], &encode_frame(0, &ops).unwrap()].concat();
+        let mut by_hand = [&MAGIC[..], &encode_frame(0, &ops)].concat();
         for (i, op) in ops.iter().enumerate() {
-            by_hand.extend(encode_frame(5 + i as u64, std::slice::from_ref(op)).unwrap());
+            by_hand.extend(encode_frame(6 + i as u64, std::slice::from_ref(op)));
         }
         assert_eq!(std::fs::read(&path).unwrap(), by_hand);
     }
@@ -1275,7 +1328,7 @@ mod tests {
         wal.append(&seed().1).unwrap();
 
         let tables = recovered(&dir.join("db.snap"), &wal_path);
-        assert_eq!(tables["t"].table.len(), 5);
+        assert_eq!(tables[0].table.len(), 5);
     }
 
     #[test]
@@ -1306,14 +1359,11 @@ mod tests {
         Snapshot::write([&table].into_iter(), Some(last), &snap_path, false).unwrap();
 
         // post-snapshot activity: a sixth row, and the first one goes
-        let first = LogOp::Delete {
-            table: "t".into(),
-            id: 1,
-        };
+        let first = LogOp::Delete { table: 0, id: 1 };
         wal.append(&[insert(6, 100), first]).unwrap();
 
         let tables = recovered(&snap_path, &wal_path);
-        let vals: Vec<i64> = (tables["t"].table.iter())
+        let vals: Vec<i64> = (tables[0].table.iter())
             .map(|(_, r)| r[0].as_int().unwrap())
             .collect();
         assert_eq!(vals, [1, 2, 3, 4, 100]);
@@ -1334,11 +1384,7 @@ mod tests {
     fn sequence_regression_detected() {
         let dir = tmpdir("reg");
         let wal_path = dir.join("db.wal");
-        let op = LogOp::Delete {
-            table: "t".into(),
-            id: 1,
-        };
-        let frame = encode_frame(5, &[op]).unwrap();
+        let frame = encode_frame(5, &[LogOp::Delete { table: 0, id: 1 }]);
         std::fs::write(&wal_path, [&MAGIC[..], &frame, &frame].concat()).unwrap();
         assert!(matches!(
             Wal::read_records(&wal_path),
@@ -1369,8 +1415,7 @@ mod tests {
     }
 
     fn delete_u(id: i64) -> LogOp {
-        let table = "u".into();
-        LogOp::Delete { table, id }
+        LogOp::Delete { table: 1, id }
     }
 
     /// A snapshot cannot hold half a commit. A watermark that says it does —
@@ -1416,11 +1461,11 @@ mod tests {
         let bytes = |i: usize| &before[frames[i].offset..frames[i].end];
         assert_eq!(wal.enqueue(&[delete_u(4)]).unwrap(), Some(15)); // not flushed
         wal.truncate_keeping(Some(10)).unwrap();
-        let claimed_before = encode_frame(15, &[delete_u(4)]).unwrap();
+        let claimed_before = encode_frame(15, &[delete_u(4)]);
         let kept = [MAGIC, bytes(4), bytes(5), bytes(6), &claimed_before].concat();
         assert_eq!(read(), kept);
         assert_eq!(wal.append(&[insert(9, 9)]).unwrap(), 16);
-        let claimed_after = encode_frame(16, &[insert(9, 9)]).unwrap();
+        let claimed_after = encode_frame(16, &[insert(9, 9)]);
         assert_eq!(read(), [kept, claimed_after].concat());
     }
 
@@ -1434,7 +1479,7 @@ mod tests {
         Snapshot::write([&table].into_iter(), None, &snap_path, false).unwrap();
         let (mut loaded, _) = Snapshot::load(&snap_path).unwrap();
         // unique index must be live after load
-        let loaded = &mut loaded.get_mut("t").unwrap().table;
+        let loaded = &mut loaded[0].table;
         assert!(loaded.insert(vec!["a".into()]).is_err());
         assert!(loaded.insert(vec!["b".into()]).is_ok());
     }
@@ -1472,29 +1517,28 @@ mod tests {
         );
 
         let path = tmpdir("snapcodec").join("db.snap");
-        // In name order, as the snapshot writer takes them.
+        // In table-number order, which the loader keeps: not name order.
         let tables = [
+            wide_table,
+            seed().0,
             table("empty", vec![text("s")]),
             sparse,
-            seed().0,
-            wide_table,
         ];
         let bytes = Snapshot::write(tables.iter(), Some(9), &path, false).unwrap();
         assert_eq!(bytes, std::fs::metadata(&path).unwrap().len());
         let (loaded, applied_seq) = Snapshot::load(&path).unwrap();
         assert_eq!(applied_seq, Some(9));
-        assert_eq!(
-            loaded.keys().collect::<Vec<_>>(),
-            ["empty", "sparse", "t", "wide"]
-        );
-        for (was, (name, is)) in tables.iter().zip(&loaded) {
+        let names: Vec<&str> = loaded.iter().map(|r| &r.table.schema.name[..]).collect();
+        assert_eq!(names, ["wide", "t", "empty", "sparse"]);
+        for (was, is) in tables.iter().zip(&loaded) {
             assert_eq!(is.table.schema, was.schema);
             assert_eq!(is.table.next_id, was.next_id);
+            let name = &was.schema.name;
             assert!(is.table.iter().eq(was.iter()), "{name}: rows differ");
             assert_eq!(is.version, 0);
         }
         let float = wide.iter().position(|v| *v == Value::Float(-0.0)).unwrap();
-        let zero = loaded["wide"].table.get(1).unwrap()[float].as_float();
+        let zero = loaded[0].table.get(1).unwrap()[float].as_float();
         assert!(zero.unwrap().is_sign_negative(), "-0.0 came back as 0.0");
 
         // No commit at all is not sequence number 0.
@@ -1526,7 +1570,7 @@ mod tests {
             .unwrap();
         Snapshot::write([&table].into_iter(), None, &path, false).unwrap();
         let (loaded, _) = Snapshot::load(&path).unwrap();
-        let rows: Vec<&[Value]> = loaded["job"].table.iter().map(|(_, r)| r).collect();
+        let rows: Vec<&[Value]> = loaded[0].table.iter().map(|(_, r)| r).collect();
         let shared = |a: &[Value], b: &[Value], col: usize| match (&a[col], &b[col]) {
             (Value::Text(a), Value::Text(b)) => Arc::ptr_eq(a, b),
             _ => panic!("text cells"),
@@ -1539,7 +1583,7 @@ mod tests {
         );
         // DONE after ACTIVE is a fresh allocation, not the DONE before it.
         assert!(!shared(rows[1], rows[3], 0));
-        assert!(loaded["job"]
+        assert!(loaded[0]
             .table
             .iter()
             .map(|(_, r)| r)
@@ -1557,7 +1601,7 @@ mod tests {
         let good = std::fs::read(&path).unwrap();
         let (loaded, applied_seq) = Snapshot::load(&path).unwrap();
         assert_eq!(applied_seq, Some(6));
-        assert_eq!(loaded["t"].table.len(), 5);
+        assert_eq!(loaded[0].table.len(), 5);
 
         let corrupt = |bytes: &[u8], what: String| {
             std::fs::write(&path, bytes).unwrap();
@@ -1579,7 +1623,7 @@ mod tests {
         // after the table header, and after the file header.
         let frame_ends: Vec<usize> = {
             let (mut at, mut ends) = (SNAPSHOT_MAGIC.len(), Vec::new());
-            while let Some(body) = frame_at(&good, at, 1) {
+            while let Some(body) = snapshot_frame_at(&good, at) {
                 at += 8 + body.len();
                 ends.push(at);
             }
@@ -1635,7 +1679,7 @@ mod tests {
             [&good[..frame_ends[0]], &framed(&header), &framed(&rows)].concat()
         };
         std::fs::write(&path, two_rows([1, 2])).unwrap();
-        assert_eq!(Snapshot::load(&path).unwrap().0["t"].table.len(), 2);
+        assert_eq!(Snapshot::load(&path).unwrap().0[0].table.len(), 2);
         corrupt(&two_rows([2, 1]), "ids 2 then 1".into());
         match Snapshot::load(&path) {
             Err(DbError::Corrupt(why)) => assert!(why.contains("not ascending"), "{why}"),
@@ -1643,10 +1687,11 @@ mod tests {
         }
     }
 
-    /// A count the bytes after it cannot hold — 2^40 rows, tables,
-    /// inserted cells or changed cells — in a checksum-clean
-    /// frame is `Corrupt`, never an allocation of that size. The same
-    /// frames with a count of one decode.
+    /// A count the bytes after it cannot hold — 2^40 rows, tables or
+    /// changed cells — in a checksum-clean frame is `Corrupt`, never an
+    /// allocation of that size, and so is an insert whose cells run past
+    /// its frame. The same frames with a count of one, or the last cell
+    /// marked, decode.
     #[test]
     fn counts_past_the_bytes_left_are_corrupt_not_allocations() {
         const HUGE: u64 = 1 << 40;
@@ -1665,7 +1710,7 @@ mod tests {
             std::fs::write(&snap, [&SNAPSHOT_MAGIC[..], &frames.concat()].concat()).unwrap();
             Snapshot::load(&snap)
         };
-        assert_eq!(snapshot(1, 1).unwrap().0["t"].table.len(), 1);
+        assert_eq!(snapshot(1, 1).unwrap().0[0].table.len(), 1);
         for (tables, rows) in [(HUGE, 1), (1, HUGE)] {
             match snapshot(tables, rows) {
                 Err(DbError::Corrupt(why)) => assert!(why.starts_with("snapshot byte "), "{why}"),
@@ -1673,28 +1718,71 @@ mod tests {
             }
         }
 
-        // An insert's cells and an update's changed cells, one frame each.
-        let logged = |tag: u8, count: u64| {
-            let mut op = vec![tag];
-            put_bytes(&mut op, b"t");
+        // An update of table 0's row 1 that declares `count` changed cells
+        // and holds one; an insert of one cell, its mark `last` or none.
+        let update = |count: u64| {
+            let mut op = vec![UPDATE, 0];
             put_int(&mut op, 1);
             put_varint(&mut op, count);
-            if tag == 2 {
-                put_varint(&mut op, 0);
-            }
+            put_varint(&mut op, 0);
             put_value(&mut op, &Value::Int(0));
+            op
+        };
+        let insert = |last: u8| {
+            let mut op = vec![INSERT, 0];
+            put_int(&mut op, 1);
+            put_value(&mut op, &Value::Int(0));
+            op[3] |= last;
+            op
+        };
+        let logged = |op: Vec<u8>| {
             let mut file = MAGIC.to_vec();
-            push_frame(&mut file, &op, crc32_update(!0, &op), &0u64.to_le_bytes());
+            push_frame(&mut file, 0, &op, crc32_update(!0, &op));
             std::fs::write(&log, file).unwrap();
             Wal::read_records(&log)
         };
-        for tag in [1, 2] {
-            assert_eq!(logged(tag, 1).unwrap().len(), 1);
-            match logged(tag, HUGE) {
+        for (fine, damaged) in [(update(1), update(HUGE)), (insert(LAST_CELL), insert(0))] {
+            assert_eq!(logged(fine).unwrap().len(), 1);
+            match logged(damaged) {
                 Err(DbError::Corrupt(why)) => assert!(why.starts_with("wal byte 8: "), "{why}"),
-                other => panic!("op {tag}: {other:?}"),
+                other => panic!("{other:?}"),
             }
         }
+    }
+
+    /// A one-op commit spends at most 9 bytes on its frame while its number
+    /// is below 2^21 and its body under 16 KiB (2 of length, 4 of CRC, 3 of
+    /// number), and an op names any of the first 128 tables in one byte.
+    /// Every header reads back, at each varint's edges too.
+    #[test]
+    fn a_one_op_frame_spends_at_most_nine_bytes_beyond_its_op() {
+        let encoded = |op: &LogOp| {
+            let mut bytes = Vec::new();
+            put_op(&mut bytes, op);
+            bytes
+        };
+        for text in [0, 100, 16 * 1024 - 40] {
+            let row = vec![Value::from("x".repeat(text))];
+            let op = LogOp::Insert {
+                table: 127,
+                id: 1 << 30,
+                row,
+            };
+            let own = encoded(&op);
+            for seq in [0, 127, 128, (1 << 14) - 1, 1 << 14, (1 << 21) - 1] {
+                let frame = encode_frame(seq, std::slice::from_ref(&op));
+                assert!(frame.len() - own.len() <= 9, "{text} B of text, seq {seq}");
+                let read = log_frame_at(&frame, 0);
+                assert_eq!(read, Some((seq, &own[..], frame.len())));
+            }
+        }
+        let op = LogOp::Delete { table: 0, id: 0 };
+        for seq in [1 << 21, 1 << 35, u64::MAX] {
+            let frame = encode_frame(seq, std::slice::from_ref(&op));
+            assert_eq!(log_frame_at(&frame, 0).map(|(seq, ..)| seq), Some(seq));
+        }
+        let table_bytes = |table| encoded(&LogOp::Delete { table, id: 0 }).len() - 2;
+        assert_eq!([0, 127, 128].map(table_bytes), [1, 1, 2]);
     }
 
     /// The log file's creation is made durable with its first durable
@@ -1702,10 +1790,7 @@ mod tests {
     #[test]
     fn a_new_logs_first_durable_flush_syncs_the_directory_once() {
         let path = tmpdir("dirsync").join("db.wal");
-        let op = LogOp::Delete {
-            table: "t".into(),
-            id: 1,
-        };
+        let op = LogOp::Delete { table: 0, id: 1 };
         let dir_syncs = |wal: &Wal| {
             let before = DIR_SYNCS.with(|n| n.get());
             wal.append(std::slice::from_ref(&op)).unwrap();

@@ -706,7 +706,7 @@ fn concurrent_group_commit_preserves_batches() {
             for b in 0..BATCHES {
                 let ops: Vec<LogOp> = (0..BATCH)
                     .map(|i| LogOp::Insert {
-                        table: TABLE.into(),
+                        table: 0,
                         id: (t * BATCHES * BATCH + b * BATCH + i) as i64 + 1,
                         row: vec![
                             Value::Int((t * BATCHES * BATCH + b * BATCH + i) as i64),

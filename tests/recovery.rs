@@ -169,6 +169,57 @@ fn writes_after_compaction_and_reopen_survive_the_next_reopen() {
     assert_eq!(c.count("t", &Query::new()).unwrap(), 15);
 }
 
+/// Regression: two `compact()` calls at once shared the temporary files
+/// they rename from and failed each other — `No such file or directory`, or
+/// a log cut finding a frame the other's snapshot only partly covered. One
+/// checkpoint runs at a time: two threads compacting 30 times each beside a
+/// writer all succeed, and a reopen holds every row the writer committed.
+#[test]
+fn compactions_at_once_take_turns_and_lose_no_commit() {
+    let dir = tmpdir("compact_race");
+    let (db, c) = open_plain(&dir);
+    c.create_table(int_table("t")).unwrap();
+    let stop = std::sync::atomic::AtomicBool::new(false);
+    // The writer and both compactors start together.
+    let start = std::sync::Barrier::new(3);
+    let (failed, written) = std::thread::scope(|s| {
+        let writer = s.spawn(|| {
+            start.wait();
+            let mut n = 0;
+            while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                c.insert("t", &[("v", Value::Int(n))]).unwrap();
+                n += 1;
+            }
+            n
+        });
+        let compactor = || {
+            s.spawn(|| {
+                start.wait();
+                (0..30)
+                    .filter_map(|_| db.compact().err())
+                    .collect::<Vec<_>>()
+            })
+        };
+        let compactors = [compactor(), compactor()];
+        let failed: Vec<DbError> = compactors
+            .into_iter()
+            .flat_map(|t| t.join().unwrap())
+            .collect();
+        stop.store(true, std::sync::atomic::Ordering::Relaxed);
+        (failed, writer.join().unwrap())
+    });
+    assert!(
+        failed.is_empty(),
+        "{} of 60 compactions failed: {failed:?}",
+        failed.len()
+    );
+    drop((db, c));
+    let (_db, c) = open_plain(&dir);
+    let rows = c.select_project("t", &Query::new().order_by("id"), "v");
+    let values: Vec<Value> = rows.unwrap().into_iter().map(|(_, v)| v).collect();
+    assert_eq!(values, (0..written).map(Value::Int).collect::<Vec<_>>());
+}
+
 /// The same, for a log compaction truncated only in part: a racing writer
 /// claimed sequence 13 after the compaction pinned its cut at watermark 12,
 /// so its frame is the one the cut kept. Numbering must continue past it,
@@ -189,12 +240,13 @@ fn writes_after_partial_truncation_and_reopen_survive_the_next_reopen() {
         db.compact().unwrap();
     }
     // The racing writer's commit, as the cut left it: the log's only frame.
+    // `a` was created first: it is table 0.
     let tail = LogOp::Insert {
-        table: "a".into(),
+        table: 0,
         id: 2,
         row: vec![Value::Int(1)],
     };
-    let frame = encode_frame(13, &[tail]).unwrap();
+    let frame = encode_frame(13, &[tail]);
     std::fs::write(dir.join("db.wal"), [&MAGIC[..], &frame].concat()).unwrap();
     {
         let (_db, c) = open_plain(&dir);
@@ -234,11 +286,11 @@ fn a_gap_above_the_snapshot_is_corrupt_and_one_below_it_is_not() {
         db.snapshot().unwrap();
     }
     let fifteenth = LogOp::Insert {
-        table: "t".into(),
+        table: 0,
         id: 15,
         row: vec![Value::Int(15)],
     };
-    let frame = encode_frame(15, &[fifteenth]).unwrap();
+    let frame = encode_frame(15, &[fifteenth]);
     std::fs::write(dir.join("db.wal"), [&MAGIC[..], &frame].concat()).unwrap();
     for _ in 0..2 {
         let opened = Db::open(dir.join("db.snap"), dir.join("db.wal"));
@@ -286,8 +338,8 @@ fn a_log_record_that_does_not_apply_is_corrupt_and_the_database_stays_shut() {
             assert_eq!(opened.err(), Some(DbError::Corrupt(why.into())));
         }
     };
-    let insert = |table: &str, id| LogOp::Insert {
-        table: table.into(),
+    let insert = |table, id| LogOp::Insert {
+        table,
         id,
         row: vec![Value::Int(0)],
     };
@@ -303,28 +355,32 @@ fn a_log_record_that_does_not_apply_is_corrupt_and_the_database_stays_shut() {
     // refused as a gap before the record meets the state it cannot apply to.
     refused("wal seq 2: a gap, the log should go on at seq 0");
 
-    // Each as seq 2 of a log that creates `t` and inserts t[1].
+    // Each as seq 2 of a log that creates `t`, table 0, and inserts t[1].
+    // A table is named by its number, so one the state does not have is
+    // refused by number.
     let create = |schema| LogOp::CreateTable { schema };
-    let update = |id, set| LogOp::Update {
-        table: "t".into(),
-        id,
-        set,
-    };
-    let delete = LogOp::Delete {
-        table: "t".into(),
-        id: 9,
-    };
+    let update = |id, set| LogOp::Update { table: 0, id, set };
+    let delete = |table| LogOp::Delete { table, id: 9 };
     let orphan = TableSchema::new(
         "child",
         vec![Column::new("p", ValueType::Int).references("nope", OnDelete::Cascade)],
     );
-    let head = encode_frame(0, &[create(int_table("t")), insert("t", 1)]).unwrap();
+    let head = encode_frame(0, &[create(int_table("t")), insert(0, 1)]);
     for (op, why) in [
-        (insert("nope", 1), "insert on nope: no such table: nope"),
-        (update(9, vec![]), "update on t: no row t[9]"),
-        (delete, "delete on t: no row t[9]"),
+        (insert(7, 1), "insert on table 7: no such table"),
+        (delete(1), "delete on table 1: no such table"),
         (
-            insert("t", 1),
+            LogOp::Insert {
+                table: 0,
+                id: 2,
+                row: vec![Value::Int(0), Value::Int(1)],
+            },
+            "insert on t: schema error: table t: row arity 2 != schema arity 1",
+        ),
+        (update(9, vec![]), "update on t: no row t[9]"),
+        (delete(0), "delete on t: no row t[9]"),
+        (
+            insert(0, 1),
             "insert on t: schema error: table t: duplicate explicit id 1",
         ),
         (
@@ -345,26 +401,26 @@ fn a_log_record_that_does_not_apply_is_corrupt_and_the_database_stays_shut() {
             "update on t: type mismatch on t.v: expected INT, got Text(\"one\")",
         ),
     ] {
-        let frame = encode_frame(2, &[op]).unwrap();
+        let frame = encode_frame(2, &[op]);
         std::fs::write(dir.join("db.wal"), [&MAGIC[..], &head, &frame].concat()).unwrap();
         refused(&format!("wal seq 2: {why}"));
     }
 
     // An update that gives row 2 the unique cell row 1 holds, as seq 3 of
-    // a log that creates `u` and inserts u[1] and u[2].
+    // a log that creates `u`, table 0, and inserts u[1] and u[2].
     let unique = TableSchema::new("u", vec![Column::new("v", ValueType::Int).unique()]);
     let row = |id, v| LogOp::Insert {
-        table: "u".into(),
+        table: 0,
         id,
         row: vec![Value::Int(v)],
     };
-    let head = encode_frame(0, &[create(unique), row(1, 10), row(2, 20)]).unwrap();
+    let head = encode_frame(0, &[create(unique), row(1, 10), row(2, 20)]);
     let twice = LogOp::Update {
-        table: "u".into(),
+        table: 0,
         id: 2,
         set: vec![(0, Value::Int(10))],
     };
-    let frame = encode_frame(3, &[twice]).unwrap();
+    let frame = encode_frame(3, &[twice]);
     std::fs::write(dir.join("db.wal"), [&MAGIC[..], &head, &frame].concat()).unwrap();
     refused("wal seq 3: update on u: unique violation on u.v = 10");
 }

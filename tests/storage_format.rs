@@ -8,15 +8,18 @@
 //! cargo test --release --test storage_format -- --ignored write_the_fixtures
 //! ```
 //!
-//! which writes both files into `tests/golden/simdb_format/`. The log is
-//! as `build` first wrote it at commit 8480341 (the bytewise CRC-32, before
-//! the slice-by-8 tables). The snapshot was rewritten when its header
-//! became one watermark (magic `AMPSNP\0\x02`); that run wrote the log
-//! again byte for byte. `build` stays part of the suite, so a fixture is
-//! never taken on trust: the same calls against today's engine must leave
-//! the same bytes. To change a format on purpose, bump that file's magic
-//! and rerun `write_the_fixtures`; a file whose format did not move must
-//! come out unchanged.
+//! which writes both files into `tests/golden/simdb_format/`. The snapshot
+//! was rewritten when its header became one watermark (magic
+//! `AMPSNP\0\x02`), and again, under the same magic, when a snapshot came
+//! to list its tables in table-number order (creation order: `star`, then
+//! `obs`) rather than by name: the same bytes, two tables swapped. The log
+//! was rewritten in that second run, when a frame's length and sequence
+//! number became varints and an op came to name its table by number (magic
+//! `AMPLOG\0\x02`). `build` stays part of the suite, so a fixture is never
+//! taken on trust: the same calls against today's engine must leave the
+//! same bytes. To change a format on purpose, bump that file's magic and
+//! rerun `write_the_fixtures`; a file whose format did not move must come
+//! out unchanged.
 //!
 //! What they hold: a snapshot of two tables (`star`, a column of every
 //! type and every [`Value`] shape, NULLs included; `obs`, a foreign key into
@@ -210,21 +213,26 @@ fn the_fixture_log_lists_its_commits_and_re_encodes_to_itself() {
         .map(|f| (f.offset, f.end, f.records[0].seq, f.records.len()))
         .collect();
     let expected = [
-        (8, 102, 8, 4),
-        (102, 406, 12, 1),
-        (406, 445, 13, 1),
-        (445, 474, 14, 2),
+        (8, 76, 8, 4),
+        (76, 371, 12, 1),
+        (371, 396, 13, 1),
+        (396, 408, 14, 2),
     ];
     assert_eq!(shape, expected);
     assert!(matches!(frames[1].records[0].op, LogOp::CreateTable { .. }));
+    // `run`, created after `star` (0) and `obs` (1), is table 2.
+    assert!(matches!(
+        frames[2].records[0].op,
+        LogOp::Insert { table: 2, .. }
+    ));
     let bytes = golden("wal");
-    assert_eq!((MAGIC.len(), bytes.len()), (8, 474));
+    assert_eq!((MAGIC.len(), bytes.len()), (8, 408));
 
     let mut rebuilt = MAGIC.to_vec();
     for frame in frames {
         let first_seq = frame.records[0].seq;
         let ops: Vec<LogOp> = frame.records.into_iter().map(|rec| rec.op).collect();
-        rebuilt.extend(encode_frame(first_seq, &ops).unwrap());
+        rebuilt.extend(encode_frame(first_seq, &ops));
     }
     assert!(
         rebuilt == bytes,
@@ -261,5 +269,22 @@ fn a_snapshot_of_the_previous_format_is_corrupt_and_the_database_stays_shut() {
         let opened = Db::open(dir.join("snapshot"), dir.join("wal"));
         let why = "snapshot byte 0: not a snapshot";
         assert_eq!(opened.err(), Some(DbError::Corrupt(why.into())));
+    }
+}
+
+/// Nor is the log's format before its frames took varints and its ops table
+/// numbers: a log under the old magic answers `Corrupt`, is left as it
+/// was, and the database stays shut.
+#[test]
+fn a_log_of_the_previous_format_is_corrupt_and_the_database_stays_shut() {
+    assert_eq!(MAGIC, b"AMPLOG\x00\x02");
+    let dir = copy_of("log_v1", &["snapshot", "wal"]);
+    let v1 = [&b"AMPLOG\x00\x01"[..], &golden("wal")[8..]].concat();
+    std::fs::write(dir.join("wal"), &v1).unwrap();
+    for _ in 0..2 {
+        let opened = Db::open(dir.join("snapshot"), dir.join("wal"));
+        let why = "wal byte 0: not a framed log";
+        assert_eq!(opened.err(), Some(DbError::Corrupt(why.into())));
+        assert_eq!(std::fs::read(dir.join("wal")).unwrap(), v1);
     }
 }
