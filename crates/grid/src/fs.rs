@@ -112,7 +112,7 @@ impl SiteFs {
 
     /// Bundle files into one (the post-job stage "uses tar to consolidate
     /// output and log files into a single file", §4.3). Format:
-    /// [`TAR_MAGIC`], then per entry `[u32 path length][u32 data length]`
+    /// `TAR_MAGIC`, then per entry `[u32 path length][u32 data length]`
     /// (little-endian) followed by the path and the data, verbatim.
     pub fn tar<'a>(entries: impl IntoIterator<Item = (&'a str, &'a [u8])>) -> Vec<u8> {
         let mut out = TAR_MAGIC.to_vec();

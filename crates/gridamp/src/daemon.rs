@@ -558,8 +558,8 @@ impl GridAmp {
     }
 
     /// Apply a decision under lease epoch `lease_epoch`: its effects in order
-    /// ([`Self::perform`]), one write of the simulation row
-    /// ([`Self::write_row`]), then the outcome: streak, ops-log lines,
+    /// (`Self::perform`), one write of the simulation row
+    /// (`Self::write_row`), then the outcome: streak, ops-log lines,
     /// notifications, mail, lease release. A failed step keeps what it had
     /// decided of the row but not its move: it stays in its state (a resume
     /// request included) with the transient's note, or is parked in HOLD. A

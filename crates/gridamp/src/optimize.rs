@@ -60,7 +60,7 @@ impl RunState {
 }
 
 /// A simulation's partial results as the daemon remembers them between
-/// ticks: every GA run's [`RunState`] and the job chain they were read
+/// ticks: every GA run's `RunState` and the job chain they were read
 /// under. A run's files change only when one of its jobs ends, so while the
 /// chain is the same [`check_work`] answers from here without a GridFTP
 /// call. Never stored in the database.
@@ -132,7 +132,7 @@ fn chain_length(view: &View, spec: &OptimizationSpec) -> i64 {
 
 /// Stage observations and launch the ensemble (one chain per GA run). A
 /// retry after a crash part of the way through submits the ones still
-/// missing: [`submit`] skips a recorded key, where "some Work job exists"
+/// missing: `submit` skips a recorded key, where "some Work job exists"
 /// would skip them all.
 pub fn submit_work(view: &View, d: &mut Decision) -> Result<bool, WorkflowError> {
     let app = view.app()?;

@@ -286,7 +286,7 @@ pub enum Effect {
     Remove(String),
 }
 
-/// A GRAM submission: the job description (its [`submission_id`] set), the
+/// A GRAM submission: the job description (its `submission_id` set), the
 /// job record to write once the site accepts it, and whether the job also
 /// waits for the one the submission before it creates (§6 chaining).
 #[derive(Debug, Clone, PartialEq)]
@@ -538,7 +538,7 @@ static WORKFLOW: [WorkflowRow; 5] = [
     ),
 ];
 
-/// The workflow definition ([`WORKFLOW`]).
+/// The workflow definition (`WORKFLOW`).
 pub fn workflow_table() -> &'static [WorkflowRow] {
     &WORKFLOW
 }

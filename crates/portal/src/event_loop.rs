@@ -13,10 +13,10 @@
 //!   [`RequestParser`]; rendering stays on the worker pool, so a slow
 //!   view never stalls the loop. The one thing the loop answers itself
 //!   is a response-cache hit ([`Portal::answer_cached`]: a key, a stamp
-//!   of atomic loads and a `try_read` lookup — it never waits for a lock
-//!   a worker holds), `READS_PER_WAKEUP` of them per connection per
-//!   wakeup; a miss, a session cookie, a non-GET, a contended cache and
-//!   everything under a non-zero `handler_delay` go to the pool;
+//!   from one version pin and a `try_read` lookup — it never waits for a
+//!   lock a worker holds), `READS_PER_WAKEUP` of them per connection per
+//!   wakeup; a miss, a session cookie, a non-GET and a contended cache go
+//!   to the pool;
 //! * a hashed timer wheel enforces **two** deadlines: the idle timeout
 //!   between requests, and a total per-request read deadline
 //!   (headers+body) that evicts slow-loris tricklers no matter how
@@ -482,12 +482,7 @@ fn finish_response(response: &Response, client_keep_alive: bool) -> (Vec<u8>, Op
 
 /// Worker thread body: pop a job, run the handler, serialize the
 /// response, hand it back to the loop, wake the loop.
-pub(crate) fn worker_main(
-    portal: Arc<Portal>,
-    dispatcher: Arc<Dispatcher>,
-    poller: Arc<Poller>,
-    config: ServerConfig,
-) {
+pub(crate) fn worker_main(portal: Arc<Portal>, dispatcher: Arc<Dispatcher>, poller: Arc<Poller>) {
     loop {
         let job = {
             let mut jobs = dispatcher.jobs.lock().expect("job queue");
@@ -505,11 +500,6 @@ pub(crate) fn worker_main(
         metrics()
             .queue_wait
             .observe_duration(job.enqueued.elapsed());
-        if !config.handler_delay.is_zero() {
-            // Test knob: a slow handler, so a test can hold requests in
-            // flight while the server shuts down and drains them.
-            std::thread::sleep(config.handler_delay);
-        }
         // A view that panics is answered with a 500 inside `handle`, so the
         // worker lives on and the pool keeps its size.
         let response = portal.handle(&job.request);
@@ -1000,11 +990,10 @@ impl EventLoop {
                 // pipelined bytes start the next request's clock now.
                 conn.request_started = (conn.parser.buffered() > 0).then_some(now);
                 conn.deadline = None;
-                // A non-zero `handler_delay` stands for a slow handler:
-                // then nothing is answered here.
-                let hit = if may_answer && self.config.handler_delay.is_zero() {
-                    let start = Instant::now();
-                    self.portal.answer_cached(&request, start, false).ok()
+                let hit = if may_answer {
+                    self.portal
+                        .answer_cached(&request, Instant::now(), false)
+                        .ok()
                 } else {
                     None
                 };
@@ -1318,8 +1307,8 @@ mod tests {
         // the third serves another connection meanwhile.
         let workers: Vec<_> = (0..3)
             .map(|_| {
-                let (p, po, d, c) = parts();
-                std::thread::spawn(move || worker_main(p, d, po, c))
+                let (p, po, d, _) = parts();
+                std::thread::spawn(move || worker_main(p, d, po))
             })
             .collect();
         let other = fetch(addr, "GET /nope HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();

@@ -89,19 +89,6 @@ impl Request {
         self
     }
 
-    /// Parse a raw HTTP/1.x request (start line + headers + body).
-    pub fn parse(raw: &[u8]) -> Result<Request, HttpError> {
-        let header_end = find_header_end(raw).ok_or(HttpError::Incomplete)?;
-        let head = parse_head(&raw[..header_end])?;
-        let body_start = header_end + 4;
-        if raw.len() < body_start + head.content_length {
-            return Err(HttpError::Incomplete);
-        }
-        let mut request = head.request;
-        request.body = raw[body_start..body_start + head.content_length].to_vec();
-        Ok(request)
-    }
-
     /// Decode an `application/x-www-form-urlencoded` body.
     pub fn form(&self) -> BTreeMap<String, String> {
         parse_urlencoded(&String::from_utf8_lossy(&self.body))
@@ -116,7 +103,6 @@ impl Request {
 /// Parse failures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HttpError {
-    Incomplete,
     BadEncoding,
     BadStartLine,
     BadHeader,
@@ -134,10 +120,6 @@ pub enum HttpError {
 /// serves forms and API calls, not uploads, and an attacker-controlled
 /// length otherwise feeds unchecked arithmetic in the framing layer.
 pub const MAX_CONTENT_LENGTH: usize = 1 << 30;
-
-fn find_header_end(raw: &[u8]) -> Option<usize> {
-    raw.windows(4).position(|w| w == b"\r\n\r\n")
-}
 
 /// A fully parsed request head (everything before the body).
 struct Head {
@@ -227,9 +209,9 @@ fn parse_head(raw: &[u8]) -> Result<Head, HttpError> {
 ///
 /// Feed raw bytes with [`extend`](RequestParser::extend) as they arrive and
 /// drain complete requests with [`next_request`](RequestParser::next_request).
-/// Unlike [`Request::parse`] over a growing buffer, this never rescans: the
-/// `\r\n\r\n` search resumes from a saved offset, the head is parsed exactly
-/// once, and after that only the body-completeness check runs per chunk.
+/// It never rescans: the `\r\n\r\n` search resumes from a saved offset, the
+/// head is parsed exactly once, and after that only the body-completeness
+/// check runs per chunk.
 /// Bytes following a complete request stay buffered, so pipelined requests
 /// parse back-to-back without another read.
 #[derive(Default)]
@@ -504,13 +486,6 @@ impl Response {
         String::from_utf8_lossy(&self.body).into_owned()
     }
 
-    /// Serialize to raw HTTP/1.1 bytes, closing the connection afterwards.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.body.len() + 256);
-        self.write_into(&mut out, false);
-        out
-    }
-
     /// Serialize into a reusable buffer. `keep_alive` selects the
     /// `Connection:` header; the body is always Content-Length framed, so a
     /// keep-alive client knows exactly where the response ends.
@@ -562,10 +537,25 @@ pub fn html_escape(s: &str) -> String {
 mod tests {
     use super::*;
 
+    /// The first request in `raw`, parsed as the server parses it: `None`
+    /// while the bytes are not a whole request yet.
+    fn parse(raw: &[u8]) -> Result<Option<Request>, HttpError> {
+        let mut parser = RequestParser::new();
+        parser.extend(raw);
+        Ok(parser.next_request()?.map(|(request, _)| request))
+    }
+
+    /// `r` on the wire to a client that asked to close.
+    fn closing(r: &Response) -> String {
+        let mut out = Vec::new();
+        r.write_into(&mut out, false);
+        String::from_utf8(out).unwrap()
+    }
+
     #[test]
     fn parse_get_with_query_and_cookies() {
         let raw = b"GET /star/search?q=HD+52265&page=2 HTTP/1.1\r\nHost: amp.ucar.edu\r\nCookie: sid=abc123; theme=dark\r\n\r\n";
-        let req = Request::parse(raw).unwrap();
+        let req = parse(raw).unwrap().unwrap();
         assert_eq!(req.method, Method::Get);
         assert_eq!(req.path, "/star/search");
         assert_eq!(req.q("q"), Some("HD 52265"));
@@ -582,7 +572,7 @@ mod tests {
             body.len(),
             body
         );
-        let req = Request::parse(raw.as_bytes()).unwrap();
+        let req = parse(raw.as_bytes()).unwrap().unwrap();
         let form = req.form();
         assert_eq!(form["username"], "astro1");
         assert_eq!(form["password"], "p@ss word");
@@ -590,20 +580,18 @@ mod tests {
 
     #[test]
     fn parse_rejects_garbage() {
-        assert_eq!(Request::parse(b"HELLO"), Err(HttpError::Incomplete));
+        // No head terminator yet, and a declared body longer than provided:
+        // both wait for more bytes.
+        assert_eq!(parse(b"HELLO"), Ok(None));
         assert_eq!(
-            Request::parse(b"DELETE / HTTP/1.1\r\n\r\n"),
+            parse(b"POST / HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc"),
+            Ok(None)
+        );
+        assert_eq!(
+            parse(b"DELETE / HTTP/1.1\r\n\r\n"),
             Err(HttpError::UnsupportedMethod)
         );
-        assert_eq!(
-            Request::parse(b"GET /\r\n\r\n"),
-            Err(HttpError::BadStartLine)
-        );
-        // declared body longer than provided
-        assert_eq!(
-            Request::parse(b"POST / HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc"),
-            Err(HttpError::Incomplete)
-        );
+        assert_eq!(parse(b"GET /\r\n\r\n"), Err(HttpError::BadStartLine));
     }
 
     impl PartialEq for Request {
@@ -643,14 +631,14 @@ mod tests {
         ] {
             let raw = format!("POST / HTTP/1.1\r\nContent-Length: {cl}\r\n\r\n");
             assert_eq!(
-                Request::parse(raw.as_bytes()),
+                parse(raw.as_bytes()),
                 Err(HttpError::BadContentLength),
                 "Content-Length: {cl}"
             );
         }
         // Duplicate Content-Length is rejected even when values agree.
         let raw = b"POST / HTTP/1.1\r\nContent-Length: 3\r\nContent-Length: 3\r\n\r\nabc";
-        assert_eq!(Request::parse(raw), Err(HttpError::BadContentLength));
+        assert_eq!(parse(raw), Err(HttpError::BadContentLength));
     }
 
     #[test]
@@ -699,16 +687,6 @@ mod tests {
     }
 
     #[test]
-    fn incremental_parser_rejects_garbage() {
-        let mut p = RequestParser::new();
-        p.extend(b"DELETE / HTTP/1.1\r\n\r\n");
-        assert_eq!(p.next_request(), Err(HttpError::UnsupportedMethod));
-        let mut p = RequestParser::new();
-        p.extend(b"GET /\r\n\r\n");
-        assert_eq!(p.next_request(), Err(HttpError::BadStartLine));
-    }
-
-    #[test]
     fn response_keep_alive_framing() {
         let r = Response::html("<p>hi</p>");
         let mut out = Vec::new();
@@ -716,16 +694,13 @@ mod tests {
         let raw = String::from_utf8(out).unwrap();
         assert!(raw.contains("Connection: keep-alive\r\n"));
         assert!(raw.contains("Content-Length: 9\r\n"));
-        // to_bytes() remains the closing form
-        assert!(String::from_utf8(r.to_bytes())
-            .unwrap()
-            .contains("Connection: close\r\n"));
+        assert!(closing(&r).contains("Connection: close\r\n"));
     }
 
     #[test]
     fn response_serialization() {
         let r = Response::html("<p>hi</p>").set_cookie("sid", "x1");
-        let raw = String::from_utf8(r.to_bytes()).unwrap();
+        let raw = closing(&r);
         assert!(raw.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(raw.contains("Set-Cookie: sid=x1; Path=/; HttpOnly\r\n"));
         assert!(raw.contains("Content-Length: 9\r\n"));

@@ -165,11 +165,11 @@ impl Portal {
             return Err(None);
         };
         let key = ResponseCache::key(req);
-        // Stamp before rendering: a commit-clock-validated pin of each
-        // dependency table's published version — a handful of atomic
-        // loads, no lock, no writer blocked. The cut is coherent, so the
-        // stamp can never mix a pre-transaction version of one table with
-        // a post-transaction version of another. A write racing the render
+        // Stamp before rendering: the dependency tables' counters, read
+        // from one pin of the published version — a couple of atomic
+        // operations, no lock, no writer blocked. The cut is coherent, so
+        // the stamp can never mix a pre-transaction version of one table
+        // with a post-transaction version of another. A write racing the render
         // itself can only make the stored entry look stale, never fresh.
         // (Not-yet-migrated tables stamp as version 0.)
         let stamp = self.conn.table_versions(deps);

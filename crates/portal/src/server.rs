@@ -6,7 +6,7 @@
 //! concurrency at `workers` and letting a slow-loris client pin a worker
 //! forever. This version separates connection count from thread count:
 //!
-//! * one event-loop thread ([`crate::event_loop`]) owns every socket via
+//! * one event-loop thread (`crate::event_loop`) owns every socket via
 //!   OS readiness polling (epoll on Linux, `poll(2)` elsewhere, both
 //!   zero-dependency), so tens of thousands of idle keep-alive
 //!   connections cost a few bytes of state each and no threads;
@@ -113,11 +113,6 @@ pub struct ServerConfig {
     /// Reject requests whose buffered or declared size exceeds this
     /// (answered `413 Payload Too Large`).
     pub max_request_bytes: usize,
-    /// Artificial per-request service delay, zero in production configs;
-    /// `tests/portal_serving.rs`'s shutdown-drain test sets it to hold
-    /// requests in flight. Non-zero, it stands for a slow handler: every
-    /// request then goes to the pool, cache hits included.
-    pub handler_delay: Duration,
 }
 
 impl Default for ServerConfig {
@@ -127,7 +122,6 @@ impl Default for ServerConfig {
             idle_timeout: Duration::from_secs(5),
             read_deadline: Duration::from_secs(10),
             max_request_bytes: 1 << 20,
-            handler_delay: Duration::ZERO,
         }
     }
 }
@@ -166,8 +160,7 @@ impl Server {
                 let portal = portal.clone();
                 let dispatcher = dispatcher.clone();
                 let poller = poller.clone();
-                let config = config.clone();
-                std::thread::spawn(move || worker_main(portal, dispatcher, poller, config))
+                std::thread::spawn(move || worker_main(portal, dispatcher, poller))
             })
             .collect();
 

@@ -3,8 +3,8 @@
 //! for the write-ahead log.
 //!
 //! There is one engine, so this logic has one home: methods on
-//! [`BufferedTables`], the writer and buffers every live write — one
-//! statement or a transaction — runs against (see [`crate::version`]). A
+//! `BufferedTables`, the writer and buffers every live write — one
+//! statement or a transaction — runs against (see `crate::version`). A
 //! method reads buffer-or-base, mutates the buffer, and returns the ops for
 //! the caller to log once the whole write has applied. Recovery does not
 //! come through here: it applies logged ops to plain tables
@@ -37,7 +37,8 @@ pub type Cells = Vec<(usize, Value)>;
 impl BufferedTables<'_> {
     /// Build a full row of table number `table` from named values, applying
     /// defaults and Null for omitted columns, and rejecting unknown column
-    /// names.
+    /// names. A column named twice takes the last value given, as in
+    /// [`Self::update`].
     fn build_row(&self, table: usize, values: &[(&str, Value)]) -> Result<Row, DbError> {
         let t = self.table_at(table);
         for (name, _) in values {
@@ -55,7 +56,7 @@ impl BufferedTables<'_> {
             .map(|c| {
                 values
                     .iter()
-                    .find(|(n, _)| *n == c.name)
+                    .rfind(|(n, _)| *n == c.name)
                     .map(|(_, v)| v.clone())
                     .or_else(|| c.default.clone())
                     .unwrap_or(Value::Null)
@@ -93,11 +94,6 @@ impl BufferedTables<'_> {
         Ok(())
     }
 
-    pub(crate) fn insert_row(&mut self, table: &str, row: Row) -> Result<(i64, LogOp), DbError> {
-        let table = self.position(table)?;
-        self.insert_at(table, row)
-    }
-
     /// Insert from named values (defaults applied).
     pub(crate) fn insert(
         &mut self,
@@ -106,10 +102,6 @@ impl BufferedTables<'_> {
     ) -> Result<(i64, LogOp), DbError> {
         let table = self.position(table)?;
         let row = self.build_row(table, values)?;
-        self.insert_at(table, row)
-    }
-
-    fn insert_at(&mut self, table: usize, row: Row) -> Result<(i64, LogOp), DbError> {
         self.check_foreign_keys(table, row.iter().enumerate())?;
         let id = self.table_mut(table).insert(&row[..])?;
         self.bump_version(table);
@@ -128,21 +120,6 @@ impl BufferedTables<'_> {
         self.table_mut(table).update_cells(id, &set)?;
         self.bump_version(table);
         Ok(LogOp::Update { table, id, set })
-    }
-
-    /// Replace a whole row.
-    pub(crate) fn update_row(&mut self, table: &str, id: i64, row: Row) -> Result<LogOp, DbError> {
-        let pos = self.position(table)?;
-        let t = self.table_at(pos);
-        let arity = t.schema.columns.len();
-        t.row(id)?;
-        if row.len() != arity {
-            return Err(DbError::Schema(format!(
-                "table {table}: row arity {} != schema arity {arity}",
-                row.len()
-            )));
-        }
-        self.update_cells(pos, id, row.into_iter().enumerate().collect())
     }
 
     /// Update selected columns of a row. A column named twice takes the
@@ -319,6 +296,67 @@ mod tests {
             db.insert("catalog", &[("nope", Value::Int(1))]),
             Err(DbError::NoSuchColumn { .. })
         ));
+    }
+
+    /// The named write path's own rules, for an insert and an update, as a
+    /// statement and in a transaction: an omitted column takes its default,
+    /// or NULL; a column named twice takes the last value given; an unknown
+    /// column is `NoSuchColumn`, and leaves no row, no version bump and no
+    /// log record behind.
+    #[test]
+    fn named_writes_default_omitted_cells_keep_the_last_and_refuse_unknown_columns() {
+        let dir = std::env::temp_dir().join(format!("simdb_named_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let wal = dir.join("db.wal");
+        let db = Db::open(dir.join("db.snap"), &wal).unwrap();
+        db.define_role(Role::superuser("admin"));
+        let c = db.connect("admin").unwrap();
+        let columns = vec![
+            Column::new("a", ValueType::Int).default(Value::Int(7)),
+            Column::new("b", ValueType::Text),
+        ];
+        c.create_table(TableSchema::new("t", columns)).unwrap();
+        let insert = |in_txn: bool, values: &[(&str, Value)]| match in_txn {
+            true => c.transaction(&["t"], |tx| tx.insert("t", values)),
+            false => c.insert("t", values),
+        };
+        let update = |in_txn: bool, id: i64, values: &[(&str, Value)]| match in_txn {
+            true => c.transaction(&["t"], |tx| tx.update("t", id, values)),
+            false => c.update("t", id, values),
+        };
+        let row = |id| c.get("t", id).unwrap();
+        let logged = || {
+            let records = crate::wal::Wal::read_records(&wal).unwrap();
+            let records: Vec<_> = records.into_iter().map(|r| (r.seq, r.op)).collect();
+            (records, db.shared.wal.as_ref().unwrap().last_seq())
+        };
+        let (a, b) = (|v: i64| ("a", Value::Int(v)), |v: &str| ("b", v.into()));
+        for in_txn in [false, true] {
+            let id = insert(in_txn, &[]).unwrap();
+            assert_eq!(row(id), [Value::Int(7), Value::Null], "defaults");
+            let id = insert(in_txn, &[a(1), b("x"), a(2)]).unwrap();
+            assert_eq!(row(id), [Value::Int(2), "x".into()], "insert, a twice");
+            update(in_txn, id, &[b("y"), b("z")]).unwrap();
+            assert_eq!(row(id), [Value::Int(2), "z".into()], "update, b twice");
+
+            let before = (c.count("t", &Query::new()).unwrap(), db.table_version("t"));
+            let log = logged();
+            let unknown = ("nope", Value::Int(1));
+            for refused in [
+                insert(in_txn, &[a(3), unknown.clone()]).map(drop),
+                update(in_txn, id, &[a(3), unknown.clone()]),
+            ] {
+                assert!(
+                    matches!(&refused, Err(DbError::NoSuchColumn { column, .. }) if column == "nope"),
+                    "{refused:?}"
+                );
+            }
+            let after = (c.count("t", &Query::new()).unwrap(), db.table_version("t"));
+            assert_eq!(after, before, "a row or a version bump was left behind");
+            assert_eq!(logged(), log, "a log record was left behind");
+            assert_eq!(row(id), [Value::Int(2), "z".into()]);
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! * [`value`] / [`schema`] — typed cells, columns, constraints, FKs;
 //! * [`table`] — copy-on-write row storage and one ordered index per
 //!   indexed column;
-//! * [`version`] — the engine: the published version of the whole
+//! * `version` — the engine: the published version of the whole
 //!   database, the one writer and its buffers;
 //! * [`db`] — what a write does to those buffers (defaults, foreign keys,
 //!   cascades) and the [`LogOp`]s it leaves;
@@ -34,7 +34,7 @@
 //! buffers over the published version; and at commit one atomic install of
 //! the next version, sharing every table the write did not touch. A
 //! rolled-back write simply drops its buffers. With one writer there is no
-//! lock order to keep and nothing to deadlock on (see [`version`]).
+//! lock order to keep and nothing to deadlock on (see `version`).
 //!
 //! Multi-table consistency is explicit:
 //!
@@ -120,10 +120,10 @@ struct DbShared {
     roles: RwLock<HashMap<String, Arc<Role>>>,
     wal: Option<wal::Wal>,
     snapshot_path: Option<PathBuf>,
-    /// One checkpoint at a time: [`Db::compact`] and [`Db::snapshot`] hold
-    /// it from the cut's pin to the end of the log cut. Two at once would
-    /// share the temporary files they rename from, and an older cut's
-    /// snapshot could land after a newer cut had trimmed the log.
+    /// One checkpoint at a time: [`Db::compact`] holds it from the cut's
+    /// pin to the end of the log cut. Two at once would share the
+    /// temporary files they rename from, and an older cut's snapshot could
+    /// land after a newer cut had trimmed the log.
     checkpoint: std::sync::Mutex<()>,
 }
 
@@ -197,51 +197,41 @@ impl Db {
         })
     }
 
-    /// Write the snapshot file from one consistent cut of every table, in
-    /// table-number order, and return the cut's watermark: the last
-    /// sequence number of the last commit it holds. The cut is one pin of
-    /// the published version, and the encoder then streams its immutable
-    /// tables to the file chunk by chunk: neither readers nor writers ever
-    /// wait on it. The caller holds the checkpoint lock. `since` is moved
-    /// to when it returned.
-    fn write_snapshot(&self, since: &mut Instant) -> Result<Option<u64>, DbError> {
-        let path = self.shared.snapshot_path.as_deref();
-        let path = path.ok_or_else(|| DbError::Io("no snapshot path configured".into()))?;
-        let cut = self.shared.slot.pin();
-        let metrics = obs::metrics();
-        metrics.checkpoint_pin.lap(since);
-        let durable = self.shared.wal.as_ref().is_some_and(|w| w.fsync());
-        let tables = cut.tables().map(|version| &version.table);
-        let bytes = wal::Snapshot::write(tables, cut.applied_seq, path, durable)?;
-        metrics.snapshot_bytes.set(bytes as i64);
-        metrics.checkpoint_encode_write.lap(since);
-        Ok(cut.applied_seq)
-    }
-
     /// Compact durability state: write a snapshot of a pinned consistent
     /// cut, then drop every WAL record at or below the cut's watermark.
     /// Recovery afterwards reads the snapshot plus the surviving suffix —
     /// keeping restart time bounded on long-lived gateways.
     ///
     /// Fully non-blocking for both readers *and* writers: the cut is one
-    /// pinned immutable version, so no lock they take is held across the
-    /// file I/O (the seed engine stalled the whole gateway behind an
-    /// exclusive lock here).
-    /// Writers racing the compaction keep appending; their records have
-    /// sequence numbers above the watermark and survive the truncation
-    /// untouched (see [`wal::Wal::truncate_keeping`]). A second compaction
-    /// or snapshot waits for this one to finish.
+    /// pin of the published version, and the encoder streams its immutable
+    /// tables to the file chunk by chunk in table-number order, so no lock
+    /// they take is held across the file I/O (the seed engine stalled the
+    /// whole gateway behind an exclusive lock here). Writers racing the
+    /// compaction keep appending; their records have sequence numbers
+    /// above the watermark and survive the truncation untouched (see
+    /// `wal::Wal::truncate_keeping`). A second compaction waits for this
+    /// one to finish.
     ///
     /// `simdb_checkpoint_seconds{stage=pin|encode_write|truncate}` say where
     /// its time went, `simdb_snapshot_bytes` what it wrote.
     pub fn compact(&self) -> Result<(), DbError> {
-        let wal = self.shared.wal.as_ref();
-        let wal = wal.ok_or_else(|| DbError::Io("no WAL configured".into()))?;
+        let shared = &*self.shared;
+        let (Some(wal), Some(path)) = (&shared.wal, &shared.snapshot_path) else {
+            return Err(DbError::Io("no WAL configured".into()));
+        };
         let _one = self.checkpoint_lock();
+        let metrics = obs::metrics();
         let mut since = Instant::now();
-        let watermark = self.write_snapshot(&mut since)?;
+        let cut = shared.slot.pin();
+        metrics.checkpoint_pin.lap(&mut since);
+        let tables = cut.tables().map(|version| &version.table);
+        let bytes = wal::Snapshot::write(tables, cut.applied_seq, path, wal.fsync())?;
+        metrics.snapshot_bytes.set(bytes as i64);
+        metrics.checkpoint_encode_write.lap(&mut since);
+        let watermark = cut.applied_seq;
+        drop(cut);
         wal.truncate_keeping(watermark)?;
-        obs::metrics().checkpoint_truncate.lap(&mut since);
+        metrics.checkpoint_truncate.lap(&mut since);
         Ok(())
     }
 
@@ -257,14 +247,6 @@ impl Db {
         if let Some(wal) = &self.shared.wal {
             wal.set_fsync(on);
         }
-    }
-
-    /// Write a snapshot covering a pinned consistent cut of every table:
-    /// [`Self::compact`] without the log truncation. Like it, it blocks no
-    /// reader or writer and waits for a checkpoint already running.
-    pub fn snapshot(&self) -> Result<(), DbError> {
-        let _one = self.checkpoint_lock();
-        self.write_snapshot(&mut Instant::now()).map(drop)
     }
 
     /// The checkpoint lock. It guards no data, only the files a checkpoint
@@ -442,26 +424,10 @@ impl Connection {
         })
     }
 
-    pub fn insert_row(&self, table: &str, row: Row) -> Result<i64, DbError> {
-        self.role.check(table, Action::Insert)?;
-        self.run_write(|set| {
-            let (id, op) = set.insert_row(table, row)?;
-            Ok((id, vec![op]))
-        })
-    }
-
     pub fn update(&self, table: &str, id: i64, values: &[(&str, Value)]) -> Result<(), DbError> {
         self.role.check(table, Action::Update)?;
         self.run_write(|set| {
             let op = set.update(table, id, values)?;
-            Ok(((), vec![op]))
-        })
-    }
-
-    pub fn update_row(&self, table: &str, id: i64, row: Row) -> Result<(), DbError> {
-        self.role.check(table, Action::Update)?;
-        self.run_write(|set| {
-            let op = set.update_row(table, id, row)?;
             Ok(((), vec![op]))
         })
     }
@@ -544,7 +510,7 @@ impl Connection {
     /// none of its intermediate state and no other write interleaves.
     ///
     /// Mutations accumulate in the same **delta write-buffer**
-    /// ([`version::BufferedTables`]) a single statement uses, layered over
+    /// (`version::BufferedTables`) a single statement uses, layered over
     /// the version published when the transaction began: reads inside `f`
     /// see buffer-or-base, commit publishes the buffers as the next
     /// version, and rollback — on `f`'s error or a durability failure —
@@ -675,7 +641,7 @@ impl ReadView {
 }
 
 /// In-flight transaction handle. Mutations accumulate in the transaction's
-/// delta write-buffer ([`version::BufferedTables`]); reads see
+/// delta write-buffer (`version::BufferedTables`); reads see
 /// buffer-or-base. Rollback drops the buffers — nothing is shared until
 /// commit publishes them.
 pub struct Txn<'a> {
@@ -705,13 +671,6 @@ impl Txn<'_> {
         Ok(id)
     }
 
-    pub fn insert_row(&mut self, table: &str, row: Row) -> Result<i64, DbError> {
-        self.check(table, Action::Insert)?;
-        let (id, op) = self.set.insert_row(table, row)?;
-        self.ops.push(op);
-        Ok(id)
-    }
-
     pub fn update(
         &mut self,
         table: &str,
@@ -720,13 +679,6 @@ impl Txn<'_> {
     ) -> Result<(), DbError> {
         self.check(table, Action::Update)?;
         let op = self.set.update(table, id, values)?;
-        self.ops.push(op);
-        Ok(())
-    }
-
-    pub fn update_row(&mut self, table: &str, id: i64, row: Row) -> Result<(), DbError> {
-        self.check(table, Action::Update)?;
-        let op = self.set.update_row(table, id, row)?;
         self.ops.push(op);
         Ok(())
     }
@@ -959,7 +911,7 @@ mod tests {
             ))
             .unwrap();
             c.insert("t", &[("v", Value::Int(1))]).unwrap();
-            db.snapshot().unwrap();
+            db.compact().unwrap();
             c.insert("t", &[("v", Value::Int(2))]).unwrap();
         }
         let db = Db::open(&snap, &walp).unwrap();

@@ -1,7 +1,7 @@
 //! In-memory table storage: rows, primary keys, and one ordered index per
 //! indexed column.
 //!
-//! Storage is **copy-on-write** so the MVCC layer ([`crate::version`]) can
+//! Storage is **copy-on-write** so the MVCC layer (`crate::version`) can
 //! publish immutable snapshots cheaply, and rows and indexes share one
 //! shape: a spine of `Arc`-shared chunks.
 //!
@@ -12,8 +12,8 @@
 //!   row written; copying that row bumps its text cells' counts and copies
 //!   no string.
 //! * **Each indexed column** (unique, indexed, or foreign key) has one
-//!   [`Index`]: every non-NULL cell as a `(value, row id)` entry, globally
-//!   sorted, in chunks of at most [`INDEX_CHUNK_CAP`] entries. That one
+//!   `Index`: every non-NULL cell as a `(value, row id)` entry, globally
+//!   sorted, in chunks of at most `INDEX_CHUNK_CAP` entries. That one
 //!   structure answers the unique probe, the equality posting list (already
 //!   ascending by id) and index-ordered scans in both directions. A point
 //!   mutation re-links the one chunk holding the entry, and only in the
@@ -22,7 +22,7 @@
 //! `Table::clone` is therefore a *structural* clone — the row spine plus
 //! one `Arc` bump per index — and a committed write costs O(rows touched)
 //! for rows **and** indexes, whatever the table's size or a posting list's
-//! length. [`Table::take_copied`] drains what the mutations materialized so
+//! length. `Table::take_copied` drains what the mutations materialized so
 //! the `simdb_rows_copied_per_write` and
 //! `simdb_index_entries_copied_per_write` histograms can watch that
 //! invariant in production.
@@ -400,7 +400,7 @@ impl Clone for Copied {
 /// A single table: schema, row storage, and indexes.
 ///
 /// A snapshot holds only the schema, the rows and `next_id`; loading one
-/// builds the indexes ([`Self::from_ascending`]). Cloning shares all row
+/// builds the indexes (`Self::from_ascending`). Cloning shares all row
 /// and index chunks structurally — see the module docs for the
 /// copy-on-write granularity.
 #[derive(Debug, Clone)]
@@ -1114,6 +1114,13 @@ mod tests {
                 };
                 vec![Value::Int(parents[rng.below(parents.len())]), tag, serial]
             };
+            // A whole row, written as a writer names its cells.
+            let named = |row: Row| -> Vec<(&str, Value)> {
+                ["parent_id", "tag", "serial"]
+                    .into_iter()
+                    .zip(row)
+                    .collect()
+            };
             // What a scan says about a candidate row's uniqueness.
             let collides = |row: &Row, own: Option<i64>| {
                 let children = pin("child");
@@ -1143,7 +1150,7 @@ mod tests {
                     7..=129 => {
                         let row = child(&mut rng, &parents);
                         let predicted = collides(&row, None);
-                        let result = db.insert_row("child", row);
+                        let result = db.insert("child", &named(row));
                         assert_eq!(
                             matches!(result, Err(DbError::UniqueViolation { .. })),
                             predicted,
@@ -1155,7 +1162,7 @@ mod tests {
                         let id = children[rng.below(children.len())];
                         let row = child(&mut rng, &parents);
                         let predicted = collides(&row, Some(id));
-                        let result = db.update_row("child", id, row);
+                        let result = db.update("child", id, &named(row));
                         assert_eq!(
                             matches!(result, Err(DbError::UniqueViolation { .. })),
                             predicted,

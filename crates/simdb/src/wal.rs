@@ -4,9 +4,9 @@
 //! GridAMP daemon, so losing it loses all workflow state. The [`Wal`]
 //! appends each commit as one checksummed frame; [`Snapshot`] streams the
 //! whole database into a file of the same frames. Recovery
-//! ([`recover_with_last_seq`]) = load the latest snapshot, then apply the
+//! (`recover_with_last_seq`) = load the latest snapshot, then apply the
 //! log's records above its watermark in place to the plain tables it held
-//! ([`Recovered`]), which then move into the engine's first published
+//! (`Recovered`), which then move into the engine's first published
 //! version; a record that does not apply, or a gap in the records above the
 //! watermark, is `Corrupt`.
 //!
@@ -15,14 +15,14 @@
 //! publishes, so a published version holds exactly the commits numbered at
 //! or below its watermark (`DbVersion::applied_seq`, the last number of the
 //! last commit it includes). A snapshot records that watermark;
-//! [`Wal::truncate_keeping`] drops the frames at or below it and replay
+//! `Wal::truncate_keeping` drops the frames at or below it and replay
 //! skips them.
 //!
 //! # The log file (DESIGN §8.7)
 //!
 //! [`MAGIC`], then frames: `[varint body length][u32 CRC-32][body]`, the
 //! body being `[varint first sequence number][ops]`. One frame is **one
-//! commit** — everything one [`Wal::enqueue`] call receives — so a
+//! commit** — everything one `Wal::enqueue` call receives — so a
 //! recovered log is a prefix of whole commits, and its ops are numbered on
 //! from the one in its header. The CRC covers the whole body, taken over
 //! the ops first and the sequence number after them, so that it is begun
@@ -43,14 +43,15 @@
 //! the schemas, and replay checks the row's length against its table's. An
 //! `Update` carries only the cells that changed ([`LogOp`]), which is sound
 //! because replay applies, in sequence order, exactly the commits above the
-//! snapshot's watermark, and [`Wal::truncate_keeping`] keeps exactly those:
+//! snapshot's watermark, and `Wal::truncate_keeping` keeps exactly those:
 //! the row a surviving `Update` finds is the row its diff was taken
 //! against. `CreateTable`, cold, keeps the schema's JSON as its body.
 //!
 //! A crash mid-append leaves a torn last frame: a short header, a short
 //! body or a CRC mismatch with no valid frame anywhere after it. Recovery
-//! ([`Wal::open`], `Db::open`) cuts the file back to its last whole frame and
-//! counts the bytes cut in `simdb_wal_torn_tail_bytes_total`;
+//! (`recover_with_last_seq`, which `Db::open` runs before it opens the
+//! log to append) cuts the file back to its last whole frame and counts
+//! the bytes cut in `simdb_wal_torn_tail_bytes_total`;
 //! [`Wal::read_frames`] only leaves the tail out. A bad frame *followed by a
 //! valid one* is damage, never a torn tail, and answers `Corrupt` with its
 //! byte offset.
@@ -64,9 +65,9 @@
 //! schema's JSON, `next_id`, the row count) followed by its rows, one frame
 //! per storage chunk of at most 256 rows, a row being its zigzag id and one
 //! value per column.
-//! [`Snapshot::write`] streams those frames into the temporary file, so it
+//! `Snapshot::write` streams those frames into the temporary file, so it
 //! never holds more than one chunk's bytes, and lists a table's row ids in
-//! ascending order; [`Snapshot::load`] decodes them one by one. A snapshot
+//! ascending order; `Snapshot::load` decodes them one by one. A snapshot
 //! only ever appears by rename, so it has no legitimate torn tail: a frame
 //! that fails its checksum, a file that ends short of the counts it
 //! declares, row ids out of order and bytes after the last table are all
@@ -437,7 +438,7 @@ pub struct Frame {
 /// part — entirely outside any lock; (2) take the cheap `queue` lock just
 /// long enough to claim sequence numbers and splice the finished frame
 /// into the shared in-memory buffer; (3) make the batch durable through the
-/// leader/follower protocol in [`Self::sync_to`]. Phase 3 is the group
+/// leader/follower protocol in `Self::sync_to`. Phase 3 is the group
 /// commit: at most one thread — the *leader* — is elected per flush window
 /// under the `commit` mutex; it drains *everything* buffered so far
 /// (including frames from writers that arrived while the previous flush was
@@ -500,25 +501,12 @@ struct WalFile {
 }
 
 impl Wal {
-    /// Open (or create) a WAL file, continuing after any existing records.
-    ///
-    /// The file alone does not say where numbering must continue once
-    /// compaction has truncated it: a database opens its log with
-    /// [`Self::open_at`], past its snapshot's watermark.
-    pub fn open(path: impl AsRef<Path>) -> Result<Self, DbError> {
-        let path = path.as_ref();
-        let records = if path.exists() {
-            read_cutting_torn_tail(path)?
-        } else {
-            Vec::new()
-        };
-        Self::open_at(path, records.last().map_or(0, |rec| rec.seq + 1))
-    }
-
     /// Open (or create) a WAL file whose next record is numbered
-    /// `next_seq`. The caller has read the file (see
+    /// `next_seq`. The caller has recovered the file (see
     /// [`recover_with_last_seq`]) and knows that no record in it, and no
-    /// commit its snapshot holds, carries that number or a higher one.
+    /// commit its snapshot holds, carries that number or a higher one: the
+    /// file alone does not say where numbering must continue once
+    /// compaction has truncated it.
     pub(crate) fn open_at(path: impl AsRef<Path>, next_seq: u64) -> Result<Self, DbError> {
         let path = path.as_ref().to_path_buf();
         let file = OpenOptions::new().create(true).append(true).open(&path)?;
@@ -548,7 +536,7 @@ impl Wal {
     }
 
     /// Enable or disable per-commit `fdatasync` (see the `fsync` field).
-    pub fn set_fsync(&self, on: bool) {
+    pub(crate) fn set_fsync(&self, on: bool) {
         self.fsync.store(on, std::sync::atomic::Ordering::Relaxed);
     }
 
@@ -556,31 +544,15 @@ impl Wal {
         self.fsync.load(std::sync::atomic::Ordering::Relaxed)
     }
 
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
     /// Highest sequence number assigned so far, or `None` if no record was
     /// ever appended. Tracked in memory so snapshot/checkpoint never has to
     /// re-read the log to learn where it ends.
-    pub fn last_seq(&self) -> Option<u64> {
+    pub(crate) fn last_seq(&self) -> Option<u64> {
         self.queue
             .lock()
             .expect("wal queue lock")
             .next_seq
             .checked_sub(1)
-    }
-
-    /// Append ops and make them durable (group commit). Returns the
-    /// sequence number of the last record.
-    pub fn append(&self, ops: &[LogOp]) -> Result<u64, DbError> {
-        match self.enqueue(ops)? {
-            Some(last) => {
-                self.sync_to(last)?;
-                Ok(last)
-            }
-            None => Ok(self.queue.lock().expect("wal queue lock").next_seq),
-        }
     }
 
     /// Claim sequence numbers for `ops` and buffer them as one frame
@@ -592,7 +564,7 @@ impl Wal {
     /// ops. The flush ([`Self::sync_to`]) happens after a statement has
     /// let the writer go, where it group-commits with the writers that
     /// queued behind it.
-    pub fn enqueue(&self, ops: &[LogOp]) -> Result<Option<u64>, DbError> {
+    pub(crate) fn enqueue(&self, ops: &[LogOp]) -> Result<Option<u64>, DbError> {
         if ops.is_empty() {
             return Ok(None);
         }
@@ -631,7 +603,7 @@ impl Wal {
     /// covers it (enqueue happens-before park happens-before drain). That
     /// count feeds the `simdb_group_commit_writers` histogram: 1 means the
     /// leader flushed alone; N means one fsync made N writers durable.
-    pub fn sync_to(&self, target: u64) -> Result<(), DbError> {
+    pub(crate) fn sync_to(&self, target: u64) -> Result<(), DbError> {
         let mut st = self.commit.lock().expect("wal commit lock");
         loop {
             if let Some(e) = &st.failed {
@@ -862,7 +834,7 @@ fn scan(path: &Path) -> Result<(Vec<u8>, Vec<Frame>, usize), DbError> {
 
 /// Recovery's read of the log it is about to append to: the records of
 /// [`scan`], with a torn tail cut off the file and its bytes counted. Only
-/// [`Wal::open`] and [`recover_with_last_seq`] come here.
+/// [`recover_with_last_seq`] comes here.
 fn read_cutting_torn_tail(path: &Path) -> Result<Vec<WalRecord>, DbError> {
     let (data, frames, whole) = scan(path)?;
     if whole < data.len() {
@@ -1183,6 +1155,22 @@ mod tests {
         recover_with_last_seq(snap, wal).unwrap().0
     }
 
+    /// Open the log at `path` for appending as `Db::open` does: recover it
+    /// (with the snapshot `db.snap` beside it, if there is one), which cuts
+    /// a torn tail, and number on from the watermark recovery reached.
+    fn reopen(path: &Path) -> Wal {
+        let (_, applied) = recover_with_last_seq(&path.with_file_name("db.snap"), path).unwrap();
+        Wal::open_at(path, applied.map_or(0, |seq| seq + 1)).unwrap()
+    }
+
+    /// Commit `ops` as the engine does: buffer them as one frame, then wait
+    /// for the flush covering it. The last sequence number claimed.
+    fn commit(wal: &Wal, ops: &[LogOp]) -> u64 {
+        let last = wal.enqueue(ops).unwrap().expect("a commit holds an op");
+        wal.sync_to(last).unwrap();
+        last
+    }
+
     /// Every value type, the varint edges and text no escaping would survive.
     fn every_value_shape() -> Vec<Value> {
         let text = [
@@ -1261,10 +1249,10 @@ mod tests {
             },
         ];
         let path = tmpdir("codec").join("db.wal");
-        let wal = Wal::open(&path).unwrap();
-        wal.append(&ops).unwrap();
+        let wal = reopen(&path);
+        commit(&wal, &ops);
         for (i, op) in ops.iter().enumerate() {
-            assert_eq!(wal.append(std::slice::from_ref(op)).unwrap(), 6 + i as u64);
+            assert_eq!(commit(&wal, std::slice::from_ref(op)), 6 + i as u64);
         }
         let frames = Wal::read_frames(&path).unwrap();
         let sizes: Vec<usize> = frames.iter().map(|f| f.records.len()).collect();
@@ -1324,8 +1312,7 @@ mod tests {
     fn wal_roundtrip() {
         let dir = tmpdir("rt");
         let wal_path = dir.join("db.wal");
-        let wal = Wal::open(&wal_path).unwrap();
-        wal.append(&seed().1).unwrap();
+        commit(&reopen(&wal_path), &seed().1);
 
         let tables = recovered(&dir.join("db.snap"), &wal_path);
         assert_eq!(tables[0].table.len(), 5);
@@ -1336,12 +1323,8 @@ mod tests {
         let dir = tmpdir("seq");
         let wal_path = dir.join("db.wal");
         let ops = seed().1;
-        {
-            let wal = Wal::open(&wal_path).unwrap();
-            assert_eq!(wal.append(&ops).unwrap(), (ops.len() - 1) as u64);
-        }
-        let wal = Wal::open(&wal_path).unwrap();
-        let seq = wal.append(&[insert(6, 9)]).unwrap();
+        assert_eq!(commit(&reopen(&wal_path), &ops), (ops.len() - 1) as u64);
+        let seq = commit(&reopen(&wal_path), &[insert(6, 9)]);
         assert_eq!(seq, ops.len() as u64);
         let recs = Wal::read_records(&wal_path).unwrap();
         assert_eq!(recs.len(), ops.len() + 1);
@@ -1352,15 +1335,15 @@ mod tests {
         let dir = tmpdir("snap");
         let wal_path = dir.join("db.wal");
         let snap_path = dir.join("db.snap");
-        let wal = Wal::open(&wal_path).unwrap();
+        let wal = reopen(&wal_path);
 
         let (table, ops) = seed();
-        let last = wal.append(&ops).unwrap();
+        let last = commit(&wal, &ops);
         Snapshot::write([&table].into_iter(), Some(last), &snap_path, false).unwrap();
 
         // post-snapshot activity: a sixth row, and the first one goes
         let first = LogOp::Delete { table: 0, id: 1 };
-        wal.append(&[insert(6, 100), first]).unwrap();
+        commit(&wal, &[insert(6, 100), first]);
 
         let tables = recovered(&snap_path, &wal_path);
         let vals: Vec<i64> = (tables[0].table.iter())
@@ -1392,24 +1375,25 @@ mod tests {
         ));
     }
 
-    /// Reading a log is free of side effects; opening it for appending is
-    /// what cuts a torn tail, and `simdb_wal_torn_tail_bytes_total` grows by
-    /// exactly the bytes cut. (No other test here opens a torn log.)
+    /// Reading a log is free of side effects; the recovery that opens it
+    /// for appending is what cuts a torn tail, and
+    /// `simdb_wal_torn_tail_bytes_total` grows by exactly the bytes cut.
+    /// (No other test here recovers a torn log.)
     #[test]
-    fn only_opening_the_log_cuts_a_torn_tail() {
+    fn only_recovery_cuts_a_torn_tail() {
         let cut = &crate::obs::metrics().wal_torn_tail_bytes;
         let wal_path = tmpdir("torn").join("db.wal");
-        Wal::open(&wal_path).unwrap().append(&seed().1).unwrap();
+        commit(&reopen(&wal_path), &seed().1);
         let whole = std::fs::read(&wal_path).unwrap();
         let before = cut.get();
-        assert_eq!(Wal::open(&wal_path).unwrap().last_seq(), Some(5));
+        assert_eq!(reopen(&wal_path).last_seq(), Some(5));
         assert_eq!(cut.get(), before, "a clean log was cut");
         let torn = [&whole[..], &whole[MAGIC.len()..MAGIC.len() + 11]].concat();
         std::fs::write(&wal_path, &torn).unwrap();
         assert_eq!(Wal::read_frames(&wal_path).unwrap().len(), 1);
         assert_eq!(std::fs::read(&wal_path).unwrap(), torn);
         assert_eq!(cut.get(), before, "reading cut the log");
-        assert_eq!(Wal::open(&wal_path).unwrap().last_seq(), Some(5));
+        assert_eq!(reopen(&wal_path).last_seq(), Some(5));
         assert_eq!(std::fs::read(&wal_path).unwrap(), whole);
         assert_eq!(cut.get() - before, 11);
     }
@@ -1425,9 +1409,9 @@ mod tests {
     #[test]
     fn a_partly_covered_frame_is_refused_and_the_log_stays_usable() {
         let wal_path = tmpdir("partial").join("db.wal");
-        let wal = Wal::open(&wal_path).unwrap();
-        wal.append(&seed().1).unwrap();
-        wal.append(&[insert(6, 9), delete_u(1)]).unwrap();
+        let wal = reopen(&wal_path);
+        commit(&wal, &seed().1);
+        commit(&wal, &[insert(6, 9), delete_u(1)]);
         let before = std::fs::read(&wal_path).unwrap();
         let second = Wal::read_frames(&wal_path).unwrap()[1].offset;
         // Frames: 0..=5 at byte 8, 6-7 at `second`.
@@ -1438,7 +1422,7 @@ mod tests {
             }
             assert_eq!(std::fs::read(&wal_path).unwrap(), before);
         }
-        assert_eq!(wal.append(&[insert(7, 9)]).unwrap(), 8);
+        assert_eq!(commit(&wal, &[insert(7, 9)]), 8);
         wal.truncate_keeping(Some(8)).unwrap();
         assert_eq!(std::fs::read(&wal_path).unwrap(), MAGIC);
     }
@@ -1450,11 +1434,11 @@ mod tests {
     fn the_log_cut_keeps_whole_frames_as_they_were_and_a_racing_writers_too() {
         let wal_path = tmpdir("cut").join("db.wal");
         let read = || std::fs::read(&wal_path).unwrap();
-        let wal = Wal::open(&wal_path).unwrap();
-        wal.append(&seed().1).unwrap();
+        let wal = reopen(&wal_path);
+        commit(&wal, &seed().1);
         for id in 1..=3 {
-            wal.append(&[delete_u(id), delete_u(-id)]).unwrap();
-            wal.append(&[insert(5 + id, id)]).unwrap();
+            commit(&wal, &[delete_u(id), delete_u(-id)]);
+            commit(&wal, &[insert(5 + id, id)]);
         }
         // Frames: 0..=5, 6-7, 8, 9-10, 11, 12-13, 14.
         let (before, frames) = (read(), Wal::read_frames(&wal_path).unwrap());
@@ -1464,7 +1448,7 @@ mod tests {
         let claimed_before = encode_frame(15, &[delete_u(4)]);
         let kept = [MAGIC, bytes(4), bytes(5), bytes(6), &claimed_before].concat();
         assert_eq!(read(), kept);
-        assert_eq!(wal.append(&[insert(9, 9)]).unwrap(), 16);
+        assert_eq!(commit(&wal, &[insert(9, 9)]), 16);
         let claimed_after = encode_frame(16, &[insert(9, 9)]);
         assert_eq!(read(), [kept, claimed_after].concat());
     }
@@ -1790,20 +1774,20 @@ mod tests {
     #[test]
     fn a_new_logs_first_durable_flush_syncs_the_directory_once() {
         let path = tmpdir("dirsync").join("db.wal");
-        let op = LogOp::Delete { table: 0, id: 1 };
-        let dir_syncs = |wal: &Wal| {
+        let dir_syncs = |wal: &Wal, ops: &[LogOp]| {
             let before = DIR_SYNCS.with(|n| n.get());
-            wal.append(std::slice::from_ref(&op)).unwrap();
+            commit(wal, ops);
             DIR_SYNCS.with(|n| n.get()) - before
         };
-        let wal = Wal::open(&path).unwrap();
-        assert_eq!(dir_syncs(&wal), 0, "fsync is off");
+        let wal = reopen(&path);
+        assert_eq!(dir_syncs(&wal, &seed().1), 0, "fsync is off");
         wal.set_fsync(true);
-        assert_eq!(dir_syncs(&wal), 1, "first durable flush of a created file");
-        assert_eq!(dir_syncs(&wal), 0);
+        let first = dir_syncs(&wal, &[insert(6, 6)]);
+        assert_eq!(first, 1, "first durable flush of a created file");
+        assert_eq!(dir_syncs(&wal, &[insert(7, 7)]), 0);
         drop(wal);
-        let wal = Wal::open(&path).unwrap();
+        let wal = reopen(&path);
         wal.set_fsync(true);
-        assert_eq!(dir_syncs(&wal), 0, "the file was there");
+        assert_eq!(dir_syncs(&wal, &[insert(8, 8)]), 0, "the file was there");
     }
 }

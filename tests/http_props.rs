@@ -10,17 +10,49 @@
 //! are reinterpreted as a pipelined request (request smuggling).
 
 use amp::portal::http::{
-    parse_urlencoded, urldecode, urldecode_query, urlencode, urlencode_path, HttpError, Request,
-    RequestParser, Response,
+    parse_urlencoded, urldecode, urldecode_query, urlencode, urlencode_path, HttpError, Method,
+    Request, RequestParser, Response,
 };
 use proptest::prelude::*;
+
+/// What a stream parsed to: each request's method, path, body and
+/// keep-alive decision, then the error that stopped the parser, if one did.
+type Parsed = (Vec<(Method, String, Vec<u8>, bool)>, Option<HttpError>);
+
+/// Feed `bytes` to a fresh parser in chunks ending at `cuts` (offsets in
+/// any order, taken modulo the length), draining it after each chunk as
+/// the server does.
+fn feed(bytes: &[u8], cuts: &[usize]) -> Parsed {
+    let mut ends: Vec<usize> = cuts.iter().map(|c| c % bytes.len().max(1)).collect();
+    ends.sort_unstable();
+    ends.push(bytes.len());
+    let (mut parser, mut requests, mut at) = (RequestParser::new(), Vec::new(), 0);
+    ends.dedup();
+    for end in ends.into_iter().filter(|&end| end > 0) {
+        parser.extend(&bytes[at..end]);
+        at = end;
+        loop {
+            match parser.next_request() {
+                Ok(Some((req, keep))) => requests.push((req.method, req.path, req.body, keep)),
+                Ok(None) => break,
+                Err(e) => return (requests, Some(e)),
+            }
+        }
+    }
+    (requests, None)
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
+    /// Arbitrary bytes in arbitrary chunks never panic the parser, and
+    /// parse to what the same bytes fed whole do.
     #[test]
-    fn request_parser_is_total(bytes in proptest::collection::vec(any::<u8>(), 0..600)) {
-        let _ = Request::parse(&bytes);
+    fn request_parser_is_total(
+        bytes in proptest::collection::vec(any::<u8>(), 0..600),
+        cuts in proptest::collection::vec(any::<usize>(), 0..8),
+    ) {
+        prop_assert_eq!(feed(&bytes, &cuts), feed(&bytes, &[]));
     }
 
     /// `urlencode` produces form/query encoding (space -> `+`), so it
@@ -84,8 +116,12 @@ proptest! {
             format!("{path}?{q}")
         };
         let raw = format!("GET {target} HTTP/1.1\r\nHost: amp\r\n\r\n");
-        let req = Request::parse(raw.as_bytes()).unwrap();
+        let mut parser = RequestParser::new();
+        parser.extend(raw.as_bytes());
+        let (req, keep_alive) = parser.next_request().unwrap().unwrap();
         prop_assert_eq!(&req.path, &path);
+        prop_assert!(keep_alive);
+        prop_assert_eq!(parser.buffered(), 0);
     }
 
     /// A request with an unparseable Content-Length followed by a
@@ -155,36 +191,10 @@ proptest! {
              GET /{path}/second HTTP/1.1\r\nHost: amp\r\n\r\n",
             body.len()
         );
-        let bytes = raw.as_bytes();
-
-        let drain = |parser: &mut RequestParser| {
-            let mut out = Vec::new();
-            while let Ok(Some((req, keep))) = parser.next_request() {
-                out.push((req.method, req.path, req.body, keep));
-            }
-            out
-        };
-
-        let mut whole = RequestParser::new();
-        whole.extend(bytes);
-        let expected = drain(&mut whole);
-        prop_assert_eq!(expected.len(), 2);
-
-        let mut chunked = RequestParser::new();
-        let mut got = Vec::new();
-        let mut at = 0;
-        let mut offsets: Vec<usize> = cuts.iter().map(|c| c % bytes.len().max(1)).collect();
-        offsets.sort_unstable();
-        offsets.push(bytes.len());
-        for end in offsets {
-            if end <= at {
-                continue;
-            }
-            chunked.extend(&bytes[at..end]);
-            at = end;
-            got.extend(drain(&mut chunked));
-        }
-        prop_assert_eq!(got, expected);
+        let expected = feed(raw.as_bytes(), &[]);
+        prop_assert_eq!(expected.0.len(), 2);
+        prop_assert_eq!(expected.1, None);
+        prop_assert_eq!(feed(raw.as_bytes(), &cuts), expected);
     }
 
     #[test]
@@ -193,7 +203,8 @@ proptest! {
         let mut r = Response::html("");
         r.status = status;
         r.body = body.clone();
-        let raw = r.to_bytes();
+        let mut raw = Vec::new();
+        r.write_into(&mut raw, false);
         let text = String::from_utf8_lossy(&raw);
         let start = format!("HTTP/1.1 {status} ");
         prop_assert!(text.starts_with(&start));

@@ -457,28 +457,23 @@ fn oversized_requests_get_a_readable_413_not_a_reset() {
 #[test]
 fn graceful_shutdown_drains_in_flight_responses() {
     let db = fresh_db();
-    let admin = db.connect(roles::ROLE_ADMIN).unwrap();
-    Manager::<Star>::new(admin)
-        .create(&mut star("HD 77"))
-        .unwrap();
-    let portal = Arc::new(Portal::new(&db, PortalConfig::default()).unwrap());
-    let server = Server::spawn_with(
-        portal,
-        0,
-        ServerConfig {
-            workers: 4,
-            // Hold each request in the handler long enough that stop()
-            // provably lands while they are in flight.
-            handler_delay: Duration::from_millis(300),
-            ..ServerConfig::default()
-        },
-    )
-    .unwrap();
+    let mut portal = Portal::new(&db, PortalConfig::default()).unwrap();
+    // A slow view: it holds each request in the handler long enough that
+    // stop() provably lands while they are in flight.
+    portal.router_mut().get("/slow", |_, _, _| {
+        std::thread::sleep(Duration::from_millis(300));
+        Response::html("<p>done</p>")
+    });
+    let config = ServerConfig {
+        workers: 4,
+        ..ServerConfig::default()
+    };
+    let server = Server::spawn_with(Arc::new(portal), 0, config).unwrap();
     let addr = server.addr();
 
     let mut conns: Vec<TcpStream> = (0..3).map(|_| TcpStream::connect(addr).unwrap()).collect();
     for c in &mut conns {
-        c.write_all(b"GET /stars HTTP/1.1\r\nHost: t\r\n\r\n")
+        c.write_all(b"GET /slow HTTP/1.1\r\nHost: t\r\n\r\n")
             .unwrap();
     }
     // Give the loop time to dispatch all three to workers, then pull the

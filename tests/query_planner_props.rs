@@ -28,7 +28,7 @@ mod common;
 
 use amp::simdb::prelude::*;
 use amp::simdb::table::Table;
-use amp::simdb::wal::Wal;
+use amp::simdb::wal::{Wal, WalRecord};
 use amp::simdb::{OrderBy, Plan};
 use common::tmpdir;
 use proptest::prelude::*;
@@ -637,7 +637,10 @@ proptest! {
         let conn = db.connect("admin").unwrap();
         conn.create_table(schema()).unwrap();
         conn.transaction(&[TABLE], |tx| {
-            rows.iter().try_for_each(|row| tx.insert_row(TABLE, row.clone()).map(drop))
+            rows.iter().try_for_each(|row| {
+                let named: Vec<_> = COLS.into_iter().zip(row.iter().cloned()).collect();
+                tx.insert(TABLE, &named).map(drop)
+            })
         })
         .unwrap();
         let view = conn.read_view(&[TABLE]).unwrap();
@@ -689,72 +692,59 @@ proptest! {
     }
 }
 
-/// Concurrent committers racing through the group-commit path: all
-/// records land, seqs are contiguous, each batch's ops stay contiguous
-/// and in order.
+/// Concurrent transactions on one durable database, each committing its
+/// inserts as one frame through the group-commit path: all records land,
+/// seqs are contiguous, and each transaction's inserts stay adjacent and
+/// in order.
 #[test]
 fn concurrent_group_commit_preserves_batches() {
     let dir = tmpdir("concurrent");
-    let wal = std::sync::Arc::new(Wal::open(dir.join("db.wal")).unwrap());
+    let path = dir.join("db.wal");
+    let db = open(&path); // the table: seq 0
     const THREADS: usize = 8;
     const BATCHES: usize = 20;
     const BATCH: usize = 8;
-    let mut handles = Vec::new();
-    for t in 0..THREADS {
-        let wal = wal.clone();
-        handles.push(std::thread::spawn(move || {
-            for b in 0..BATCHES {
-                let ops: Vec<LogOp> = (0..BATCH)
-                    .map(|i| LogOp::Insert {
-                        table: 0,
-                        id: (t * BATCHES * BATCH + b * BATCH + i) as i64 + 1,
-                        row: vec![
-                            Value::Int((t * BATCHES * BATCH + b * BATCH + i) as i64),
-                            format!("s{}", i % 5).into(),
-                            Value::Null,
-                            Value::Null,
-                        ],
+    std::thread::scope(|s| {
+        for t in 0..THREADS {
+            let db = db.clone();
+            s.spawn(move || {
+                for b in 0..BATCHES {
+                    db.transaction(&[TABLE], |tx| {
+                        for i in 0..BATCH {
+                            let u = (t * BATCHES * BATCH + b * BATCH + i) as i64;
+                            let tag = format!("s{}", i % 5).into();
+                            tx.insert(TABLE, &[("u", Value::Int(u)), ("s", tag)])?;
+                        }
+                        Ok(())
                     })
-                    .collect();
-                wal.append(&ops).unwrap();
-            }
-        }));
-    }
-    for h in handles {
-        h.join().unwrap();
-    }
-    let records = Wal::read_records(wal.path()).unwrap();
-    assert_eq!(records.len(), THREADS * BATCHES * BATCH);
+                    .unwrap();
+                }
+            });
+        }
+    });
+    let records = Wal::read_records(&path).unwrap();
+    assert_eq!(records.len(), 1 + THREADS * BATCHES * BATCH);
     for (i, rec) in records.iter().enumerate() {
         assert_eq!(rec.seq, i as u64, "seq gap at record {i}");
     }
-    // ops of one batch must be adjacent and in submission order: batches
-    // are identified by consecutive row ids within one thread's range
-    let mut i = 0;
-    while i < records.len() {
-        let LogOp::Insert { id, .. } = &records[i].op else {
-            panic!("unexpected op");
-        };
-        let start = *id;
-        assert_eq!(
-            (start - 1) % BATCH as i64,
-            0,
-            "batch does not start on a batch boundary at record {i}"
-        );
-        for j in 1..BATCH {
-            let LogOp::Insert { id, .. } = &records[i + j].op else {
-                panic!("unexpected op");
-            };
-            assert_eq!(*id, start + j as i64, "batch torn at record {}", i + j);
-        }
-        i += BATCH;
+    // A transaction's inserts must be adjacent and in submission order: its
+    // `u` values run on from a multiple of the batch size.
+    let u = |rec: &WalRecord| match &rec.op {
+        LogOp::Insert { row, .. } => row[0].as_int().unwrap(),
+        op => panic!("unexpected op {op:?}"),
+    };
+    for (n, batch) in records[1..].chunks(BATCH).enumerate() {
+        let start = u(&batch[0]);
+        assert_eq!(start % BATCH as i64, 0, "transaction {n} starts mid-batch");
+        let us: Vec<i64> = batch.iter().map(u).collect();
+        let expected: Vec<i64> = (start..start + BATCH as i64).collect();
+        assert_eq!(us, expected, "transaction {n} torn");
     }
-    assert_eq!(wal.last_seq(), Some((THREADS * BATCHES * BATCH) as u64 - 1));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Re-opening a log written by group commit resumes the sequence exactly
-/// where it left off, whether the bare log or the database reopens it.
+/// where it left off.
 #[test]
 fn reopened_wal_resumes_sequence() {
     let dir = tmpdir("reopen");
@@ -766,7 +756,6 @@ fn reopened_wal_resumes_sequence() {
         mutate(&db, &[(0, 1), (0, 2), (0, 3)], &mut uniq);
         assert_eq!(last_seq(), Some(3));
     }
-    assert_eq!(Wal::open(&path).unwrap().last_seq(), Some(3));
     let live = {
         let db = open(&path);
         mutate(&db, &[(0, 4)], &mut uniq);

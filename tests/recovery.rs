@@ -93,7 +93,7 @@ fn durable_database_survives_process_restart() {
         Manager::<Allocation>::new(admin.clone())
             .create(&mut alloc)
             .unwrap();
-        db.snapshot().unwrap(); // snapshot covers the fixtures
+        db.compact().unwrap(); // the snapshot covers the fixtures
 
         // post-snapshot work lands only in the WAL
         let mut sim = Simulation::new_direct(
@@ -283,7 +283,7 @@ fn a_gap_above_the_snapshot_is_corrupt_and_one_below_it_is_not() {
         for v in 1..=12 {
             c.insert("t", &[("v", Value::Int(v))]).unwrap(); // seq 1..=12
         }
-        db.snapshot().unwrap();
+        db.compact().unwrap();
     }
     let fifteenth = LogOp::Insert {
         table: 0,
@@ -306,7 +306,11 @@ fn a_gap_above_the_snapshot_is_corrupt_and_one_below_it_is_not() {
         for v in 1..=5 {
             deferred.insert("t", &[("v", Value::Int(v))]).unwrap(); // seq 1..=5
         }
-        db.snapshot().unwrap(); // watermark 5; the log holds seq 0 alone
+        let log = std::fs::read(dir.join("db.wal")).unwrap(); // seq 0 alone
+        db.compact().unwrap(); // watermark 5
+                               // A crash after the snapshot's rename, before the log cut, leaves
+                               // the log as it was.
+        std::fs::write(dir.join("db.wal"), log).unwrap();
     }
     {
         let (_db, c) = open_plain(&dir);
@@ -441,9 +445,8 @@ fn non_finite_floats_are_refused_at_the_door_and_the_database_reopens() {
             let cell = [("x", Value::Float(bad))];
             for refused in [
                 c.insert("t", &cell).map(drop),
-                c.insert_row("t", vec![Value::Float(bad)]).map(drop),
                 c.update("t", id, &cell),
-                c.update_row("t", id, vec![Value::Float(bad)]),
+                c.transaction(&["t"], |tx| tx.insert("t", &cell).map(drop)),
                 c.transaction(&["t"], |tx| tx.update("t", id, &cell)),
             ] {
                 assert!(

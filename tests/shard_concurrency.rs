@@ -243,7 +243,7 @@ fn read_view_never_observes_torn_transactions() {
 }
 
 /// Regression (snapshot/compact held the engine lock across file I/O):
-/// a concurrent read completes while a snapshot is in flight, and —
+/// a concurrent read completes while a compaction is in flight, and —
 /// stronger — compaction completes while a reader *holds a read view
 /// open*, which deadlocked under the old exclusive-lock compaction.
 #[test]
@@ -263,12 +263,12 @@ fn snapshot_and_compact_do_not_block_readers() {
         admin.insert("t", &[("v", Value::Int(i))]).unwrap();
     }
 
-    // Reads complete while snapshots are continuously in flight.
+    // Reads complete while compactions are continuously in flight.
     let snapper = {
         let db = db.clone();
         std::thread::spawn(move || {
             for _ in 0..50 {
-                db.snapshot().unwrap();
+                db.compact().unwrap();
             }
         })
     };

@@ -149,14 +149,16 @@ struct LedgerRow {
 }
 
 impl LedgerRow {
-    fn cells(&self) -> Row {
+    /// Every cell, by column name.
+    fn named(&self) -> [(&'static str, Value); 4] {
         const STATUS: [&str; 4] = ["ACTIVE", "DONE", "HOLD", "QUEUED"];
         const X: [f64; 5] = [-0.0, 0.0, 1.5, -2.25, 1e300];
-        vec![
-            (self.key < 200).then(|| format!("k{}", self.key)).into(),
-            STATUS[self.status as usize % STATUS.len()].into(),
-            self.n.map(i64::from).into(),
-            X[self.x as usize % X.len()].into(),
+        let key = (self.key < 200).then(|| format!("k{}", self.key));
+        [
+            ("key", key.into()),
+            ("status", STATUS[self.status as usize % STATUS.len()].into()),
+            ("n", self.n.map(i64::from).into()),
+            ("x", X[self.x as usize % X.len()].into()),
         ]
     }
 }
@@ -184,9 +186,9 @@ fn arb_write() -> impl Strategy<Value = Write> {
 /// leaves nothing behind.
 fn write(db: &Connection, write: &Write) {
     let _refused = match write {
-        Write::Insert(row) => db.insert_row("ledger", row.cells()).map(drop),
+        Write::Insert(row) => db.insert("ledger", &row.named()).map(drop),
         Write::Update { pick, row } => match pick_id(db, "ledger", *pick) {
-            Some(id) => db.update_row("ledger", id, row.cells()),
+            Some(id) => db.update("ledger", id, &row.named()),
             None => Ok(()),
         },
         Write::Delete { pick } => match pick_id(db, "ledger", *pick) {
@@ -221,10 +223,10 @@ fn index_answers(db: &Connection) -> IndexAnswers {
 }
 
 /// A random write against the `owner` / `item` fixture, through each
-/// caller of the table's one update path: a whole-row `update_row`, a
-/// named-cell `update`, two updates of one row in one transaction (the
-/// second finds the row unshared and writes it in place), and the SET NULL
-/// a deleted owner leaves in its items.
+/// caller of the table's one update path: an `update` naming every column,
+/// one naming some, two updates of one row in one transaction (the second
+/// finds the row unshared and writes it in place), and the SET NULL a
+/// deleted owner leaves in its items.
 #[derive(Debug, Clone)]
 enum Edit {
     Owner {
@@ -270,23 +272,24 @@ struct Item {
 const ITEM_COLUMNS: [&str; 5] = ["key", "status", "n", "note", "owner_id"];
 
 impl Item {
-    fn cells(&self, db: &Connection) -> Row {
+    /// Every cell, by column name.
+    fn all(&self, db: &Connection) -> Vec<(&'static str, Value)> {
         const STATUS: [&str; 3] = ["ACTIVE", "DONE", "HOLD"];
         let owner = self.owner.and_then(|pick| pick_id(db, "owner", pick));
-        vec![
+        let cells: [Value; 5] = [
             (self.key < 40).then(|| format!("k{}", self.key)).into(),
             STATUS[self.status as usize % STATUS.len()].into(),
             self.n.map(i64::from).into(),
             self.note.map(|n| format!("note {}", n % 4)).into(),
             owner.into(),
-        ]
+        ];
+        ITEM_COLUMNS.into_iter().zip(cells).collect()
     }
 
     /// The cells `mask` names, by column name (at least one).
     fn named(&self, db: &Connection, mask: u8) -> Vec<(&'static str, Value)> {
-        let cells = self.cells(db);
         let keep = |i: usize| mask & (1 << i) != 0 || mask.is_multiple_of(32) && i == 0;
-        (ITEM_COLUMNS.into_iter().zip(cells).enumerate())
+        (self.all(db).into_iter().enumerate())
             .filter(|(i, _)| keep(*i))
             .map(|(_, cell)| cell)
             .collect()
@@ -347,9 +350,9 @@ fn edit(db: &Db, conn: &Connection, edit: &Edit) {
             Some(id) => conn.delete("owner", id),
             None => Ok(()),
         },
-        Edit::Insert(row) => conn.insert_row("item", row.cells(conn)).map(drop),
+        Edit::Insert(row) => conn.insert("item", &row.all(conn)).map(drop),
         Edit::Replace { pick, item: row } => match item(*pick) {
-            Some(id) => conn.update_row("item", id, row.cells(conn)),
+            Some(id) => conn.update("item", id, &row.all(conn)),
             None => Ok(()),
         },
         Edit::Set {
@@ -367,9 +370,9 @@ fn edit(db: &Db, conn: &Connection, edit: &Edit) {
             mask,
         } => match item(*pick) {
             Some(id) => {
-                let (first, then) = (first.cells(conn), then.named(conn, *mask));
+                let (first, then) = (first.all(conn), then.named(conn, *mask));
                 conn.transaction(&["item"], |tx| {
-                    tx.update_row("item", id, first)?;
+                    tx.update("item", id, &first)?;
                     tx.update("item", id, &then)
                 })
             }
@@ -574,7 +577,7 @@ proptest! {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Every caller of the one update path — whole rows, named cells, a
+    /// Every caller of the one update path — every column named, some, a
     /// row written twice in one transaction, SET NULL — on a durable
     /// database with checkpoints between the writes; then drop and reopen.
     /// Replay applies each logged update through the same path, in place:

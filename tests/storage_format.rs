@@ -47,14 +47,22 @@ fn open(dir: &Path) -> (Db, Connection) {
     (db, admin)
 }
 
-fn star_row(name: &str, hd: i64, mag: f64, variable: bool, seen: i64, note: Value) -> Row {
-    vec![
-        name.into(),
-        Value::Int(hd),
-        Value::Float(mag),
-        Value::Bool(variable),
-        Value::Timestamp(seen),
-        note,
+/// A `star` row, every column named.
+fn star_row(
+    name: &str,
+    hd: i64,
+    mag: f64,
+    variable: bool,
+    seen: i64,
+    note: Value,
+) -> [(&'static str, Value); 6] {
+    [
+        ("name", name.into()),
+        ("hd", Value::Int(hd)),
+        ("mag", Value::Float(mag)),
+        ("variable", Value::Bool(variable)),
+        ("seen", Value::Timestamp(seen)),
+        ("note", note),
     ]
 }
 
@@ -92,11 +100,11 @@ fn build(dir: &Path) {
         ),
     ];
     for row in stars {
-        admin.insert_row("star", row).unwrap();
+        admin.insert("star", &row).unwrap();
     }
     for (star_id, freq) in [(1, Value::Float(3090.0)), (3, Value::Null)] {
-        let row = vec![Value::Int(star_id), freq];
-        admin.insert_row("obs", row).unwrap();
+        let row = [("star_id", Value::Int(star_id)), ("freq", freq)];
+        admin.insert("obs", &row).unwrap();
     }
     db.compact().unwrap();
 
@@ -110,8 +118,11 @@ fn build(dir: &Path) {
                 1_254_000_000,
                 Value::Null,
             );
-            let id = tx.insert_row("star", kic)?;
-            tx.insert_row("obs", vec![Value::Int(id), Value::Float(3574.7)])?;
+            let id = tx.insert("star", &kic)?;
+            tx.insert(
+                "obs",
+                &[("star_id", Value::Int(id)), ("freq", 3574.7.into())],
+            )?;
             tx.update(
                 "star",
                 2,
@@ -248,7 +259,7 @@ fn a_snapshot_of_the_loaded_fixture_is_the_fixture() {
     assert_eq!(db.table_names(), ["obs", "star"]);
     assert_eq!(admin.count("star", &Query::new()).unwrap(), 4);
     std::fs::remove_file(dir.join("snapshot")).unwrap();
-    db.snapshot().unwrap();
+    db.compact().unwrap();
     let rewritten = std::fs::read(dir.join("snapshot")).unwrap();
     assert!(
         rewritten == golden("snapshot"),
