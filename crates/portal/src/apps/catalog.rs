@@ -62,43 +62,49 @@ pub fn browse(p: &Portal, req: &Request, _: &Params) -> Response {
     p.page("Stars", p.current_user(req).as_ref(), &body)
 }
 
-/// Local catalog lookup by identifier-ish query.
-fn local_search(p: &Portal, q: &str) -> Vec<Star> {
+/// Local catalog lookup by identifier-ish query: the identifiers of the
+/// hits, read as one column (the page prints nothing else of a star).
+fn local_search(p: &Portal, q: &str) -> Vec<String> {
     let mgr = stars(p);
+    let identifiers = |query: Query| -> Vec<String> {
+        mgr.project(&query, "identifier")
+            .unwrap_or_default()
+            .into_iter()
+            .filter_map(|(_, v)| v.as_text().map(str::to_string))
+            .collect()
+    };
     // exact identifier first
-    if let Ok(Some(hit)) = mgr.first(&Query::new().eq("identifier", q)) {
-        return vec![hit];
+    let exact = identifiers(Query::new().eq("identifier", q).limit(1));
+    if !exact.is_empty() {
+        return exact;
     }
-    let mut out = mgr
-        .filter(
-            &Query::new()
-                .filter("identifier", Op::IContains, q)
-                .limit(PAGE_SIZE),
-        )
-        .unwrap_or_default();
-    if out.is_empty() {
-        out = mgr
-            .filter(
-                &Query::new()
-                    .filter("name", Op::IContains, q)
-                    .limit(PAGE_SIZE),
-            )
-            .unwrap_or_default();
+    let out = identifiers(
+        Query::new()
+            .filter("identifier", Op::IContains, q)
+            .limit(PAGE_SIZE),
+    );
+    if !out.is_empty() {
+        return out;
     }
-    out
+    identifiers(
+        Query::new()
+            .filter("name", Op::IContains, q)
+            .limit(PAGE_SIZE),
+    )
 }
 
-/// Import an external catalog entry into the local catalog.
-fn import_from_simbad(p: &Portal, q: &str) -> Option<Star> {
+/// Import an external catalog entry into the local catalog; the
+/// identifier it is listed under.
+fn import_from_simbad(p: &Portal, q: &str) -> Option<String> {
     let entry = p.simbad.resolve(q).ok()?;
     let mgr = stars(p);
+    let identifier = entry.identifier();
     // Someone may have imported it since the local miss.
-    if let Ok(Some(existing)) = mgr.first(&Query::new().eq("identifier", entry.identifier())) {
-        return Some(existing);
+    let query = Query::new().eq("identifier", identifier.as_str());
+    if !mgr.exists(&query).unwrap_or(false) {
+        mgr.create(&mut Star::from_catalog(&entry, "simbad")).ok()?;
     }
-    let mut star = Star::from_catalog(&entry, "simbad");
-    mgr.create(&mut star).ok()?;
-    Some(star)
+    Some(identifier)
 }
 
 pub fn search(p: &Portal, req: &Request, _: &Params) -> Response {
@@ -109,8 +115,8 @@ pub fn search(p: &Portal, req: &Request, _: &Params) -> Response {
     let mut hits = local_search(p, &q);
     let mut imported = false;
     if hits.is_empty() {
-        if let Some(star) = import_from_simbad(p, &q) {
-            hits.push(star);
+        if let Some(identifier) = import_from_simbad(p, &q) {
+            hits.push(identifier);
             imported = true;
         }
     }
@@ -122,11 +128,11 @@ pub fn search(p: &Portal, req: &Request, _: &Params) -> Response {
         body.push_str("<p>No matching targets, locally or in SIMBAD.</p>");
     } else {
         body.push_str("<ul>");
-        for s in &hits {
+        for identifier in &hits {
             body.push_str(&format!(
                 "<li><a href=\"/star/{}\">{}</a></li>",
-                urlencode_path(&s.identifier),
-                html_escape(&s.identifier)
+                urlencode_path(identifier),
+                html_escape(identifier)
             ));
         }
         body.push_str("</ul>");
@@ -135,10 +141,12 @@ pub fn search(p: &Portal, req: &Request, _: &Params) -> Response {
 }
 
 /// AJAX suggest endpoint — JSON, ranked so stars with results or in the
-/// Kepler catalog come first (§4.2).
+/// Kepler catalog come first (§4.2). It reads the `star` table alone, so an
+/// anonymous answer is kept in the response cache ([`crate::cache`]) until
+/// the next write to `star`: each keystroke's repeat of a fragment is a hit.
 pub fn suggest(p: &Portal, req: &Request, _: &Params) -> Response {
     let q = req.q("q").unwrap_or("").trim().to_string();
-    if q.len() < 2 {
+    if q.chars().count() < 2 {
         return Response::json(&serde_json::json!([]));
     }
     let mgr = stars(p);

@@ -1,7 +1,8 @@
 //! Versioned response cache for anonymous read-only pages.
 //!
-//! The portal's hottest pages — the home page, the `/stars` catalog, and
-//! `/star/<ident>` detail pages — are pure functions of a handful of
+//! The portal's hottest pages — the home page, the `/stars` catalog,
+//! `/star/<ident>` detail pages, and the `/api/suggest` answers the catalog
+//! search asks for on every keystroke — are pure functions of a handful of
 //! database tables. Each cache entry is stamped with the modification
 //! counters of exactly the tables the page reads
 //! ([`Connection::table_versions`](amp_simdb::Connection::table_versions));
@@ -36,7 +37,7 @@ pub fn dependencies(path: &str) -> Option<&'static [&'static str]> {
         // counts + recent-5 list join simulations to star identifiers
         return Some(&["star", "simulation"]);
     }
-    if path == "/stars" {
+    if path == "/stars" || path == "/api/suggest" {
         return Some(&["star"]);
     }
     if let Some(rest) = path.strip_prefix("/star/") {
@@ -188,6 +189,7 @@ mod tests {
     fn route_dependencies() {
         assert_eq!(dependencies("/"), Some(["star", "simulation"].as_slice()));
         assert_eq!(dependencies("/stars"), Some(["star"].as_slice()));
+        assert_eq!(dependencies("/api/suggest"), Some(["star"].as_slice()));
         assert!(dependencies("/star/HD%2052265").is_some());
         assert_eq!(dependencies("/star/HD1/observations"), None);
         assert_eq!(dependencies("/star/"), None);

@@ -275,7 +275,7 @@ mod portal_tests {
         let conn = db.connect(amp_core::roles::ROLE_ADMIN).unwrap();
         let stars = Manager::<Star>::new(conn);
         for (ident, name, has_results, kepler) in [
-            ("HD 300001", None, false, false),
+            ("HD 300001", Some("Névé"), false, false),
             // matches by identifier and by name: listed once
             ("HD 300002", Some("HD 3000 b"), true, false),
             ("HD 300003", None, false, true),
@@ -302,9 +302,83 @@ mod portal_tests {
         assert_eq!(items[0]["identifier"], "HD 300002");
         assert_eq!(items[1]["identifier"], "HD 300003");
         assert_eq!(items[2]["identifier"], "HD 300001");
-        // too-short query returns empty
+        // too-short query returns empty, counted in characters: one
+        // two-byte "é" is too short too, though a name contains it
         let resp = portal.handle(&Request::get("/api/suggest?q=H"));
         assert_eq!(resp.body_str(), "[]");
+        let resp = portal.handle(&Request::get("/api/suggest?q=%C3%A9"));
+        assert_eq!(resp.body_str(), "[]");
+    }
+
+    /// Suggest is answered from the response cache, and a write to `star`
+    /// by another view (a search's SIMBAD import) makes the next one fresh.
+    #[test]
+    fn suggest_is_cached_until_a_search_imports_a_star() {
+        let (_db, portal) = setup(false);
+        let suggest = Request::get("/api/suggest?q=HD+1286");
+        assert_eq!(portal.handle(&suggest).body_str(), "[]");
+        let hits = portal.cache().hits();
+        assert_eq!(portal.handle(&suggest).body_str(), "[]");
+        assert_eq!(portal.cache().hits(), hits + 1, "the repeat is a hit");
+
+        let resp = portal.handle(&Request::get("/stars/search?q=HD+128620"));
+        assert!(resp.body_str().contains("added to the AMP catalog"));
+        let (hits, misses) = (portal.cache().hits(), portal.cache().misses());
+        let items: Vec<serde_json::Value> =
+            serde_json::from_str(&portal.handle(&suggest).body_str()).unwrap();
+        assert_eq!(items.len(), 1);
+        assert_eq!(items[0]["identifier"], "HD 128620");
+        assert_eq!(portal.cache().hits(), hits, "the import invalidated it");
+        assert_eq!(portal.cache().misses(), misses + 1);
+    }
+
+    /// The search page's bytes for an exact identifier, an identifier
+    /// fragment (its hits in id order, not identifier order) and a name
+    /// matched by no identifier.
+    #[test]
+    fn search_pages_list_identifiers() {
+        let (db, portal) = setup(false);
+        let conn = db.connect(amp_core::roles::ROLE_ADMIN).unwrap();
+        let stars = Manager::<Star>::new(conn);
+        for (ident, name) in [
+            ("HD 7002", None),
+            ("HD 7001", Some("Alpha Trianguli")),
+            ("HD 70003", None),
+            ("KIC 8006161", Some("Kepler-21")),
+        ] {
+            let mut s = Star::from_catalog(&amp_stellar::famous_stars()[0], "local");
+            s.identifier = ident.into();
+            s.name = name.map(String::from);
+            stars.create(&mut s).unwrap();
+        }
+        let search = |q: &str| portal.handle(&Request::get(&format!("/stars/search?q={q}")));
+        let page = |body: &str| portal.page("Search", None, body);
+        for (q, body) in [
+            (
+                "HD+7001",
+                "<h2>Search results for “HD 7001”</h2>\
+                 <ul><li><a href=\"/star/HD%207001\">HD 7001</a></li></ul>",
+            ),
+            (
+                "hd+700",
+                "<h2>Search results for “hd 700”</h2><ul>\
+                 <li><a href=\"/star/HD%207002\">HD 7002</a></li>\
+                 <li><a href=\"/star/HD%207001\">HD 7001</a></li>\
+                 <li><a href=\"/star/HD%2070003\">HD 70003</a></li></ul>",
+            ),
+            (
+                "kepler",
+                "<h2>Search results for “kepler”</h2>\
+                 <ul><li><a href=\"/star/KIC%208006161\">KIC 8006161</a></li></ul>",
+            ),
+        ] {
+            let resp = search(q);
+            let want = page(body);
+            assert_eq!(resp.status, 200, "{q}");
+            assert_eq!(resp.headers, want.headers, "{q}");
+            assert_eq!(resp.body_str(), want.body_str(), "{q}");
+        }
+        assert_eq!(portal.simbad.query_count(), 0, "every query hit locally");
     }
 
     #[test]

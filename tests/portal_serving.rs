@@ -993,14 +993,17 @@ proptest! {
                     }
                 }
                 Step::Read { route } => {
-                    let detail = format!(
-                        "/star/{}",
-                        known[*route as usize % known.len()].replace(' ', "%20")
-                    );
-                    let path = match route % 4 {
+                    let ident = &known[*route as usize % known.len()];
+                    let detail = format!("/star/{}", ident.replace(' ', "%20"));
+                    // the last 4 characters: "HD 7", " 123" (by identifier
+                    // and by the name "Name 123"), "D 12" (by identifier)
+                    let tail: String = ident.chars().skip(ident.chars().count() - 4).collect();
+                    let suggest = format!("/api/suggest?q={}", tail.replace(' ', "+"));
+                    let path = match route % 5 {
                         0 => "/",
                         1 => "/stars",
                         2 => "/stars?page=2",
+                        3 => suggest.as_str(),
                         _ => detail.as_str(),
                     };
                     let req = Request::get(path);
