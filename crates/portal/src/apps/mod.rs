@@ -70,14 +70,10 @@ pub fn build_router(admin_enabled: bool) -> Router {
         if !recent.is_empty() {
             body.push_str("<h3>Recently completed</h3><ul>");
             for s in &recent {
-                let star = stars
-                    .get(s.star_id)
-                    .map(|st| st.identifier)
-                    .unwrap_or_default();
                 body.push_str(&format!(
                     "<li><a href=\"/simulation/{id}\">#{id} {} of {}</a></li>",
                     html_escape(s.kind.as_str()),
-                    html_escape(&star),
+                    html_escape(&results::star_identifier(p, s.star_id)),
                     id = s.id.unwrap_or(0),
                 ));
             }

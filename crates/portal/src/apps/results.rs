@@ -5,8 +5,8 @@ use amp_core::app;
 use amp_core::models::{GridJobRecord, Simulation, Star};
 use amp_core::status::SimStatus;
 use amp_core::SimKind;
-use amp_simdb::orm::Manager;
-use amp_simdb::Query;
+use amp_simdb::orm::{row_value, Manager, Model};
+use amp_simdb::{Query, Value};
 use amp_stellar::{
     echelle, evolution_track, render_echelle_ascii, render_hr_ascii, Domain, ModelOutput,
 };
@@ -39,16 +39,11 @@ pub fn list(p: &Portal, req: &Request, _: &Params) -> Response {
             )
             .unwrap_or_default(),
     };
-    let stars = Manager::<Star>::new(p.conn().clone());
     let mut body = String::from("<h2>Simulations</h2><table><tr><th>id</th><th>star</th><th>kind</th><th>status</th><th>progress</th></tr>");
     for s in &rows {
-        let star_name = stars
-            .get(s.star_id)
-            .map(|st| st.identifier)
-            .unwrap_or_else(|_| format!("star {}", s.star_id));
         body.push_str(&format!(
             "<tr><td><a href=\"/simulation/{id}\">#{id}</a></td><td>{}</td><td>{}</td><td>{}</td><td>{:.0}%</td></tr>",
-            html_escape(&star_name),
+            html_escape(&star_identifier(p, s.star_id)),
             s.kind.as_str(),
             s.status,
             s.progress * 100.0,
@@ -62,6 +57,17 @@ pub fn list(p: &Portal, req: &Request, _: &Params) -> Response {
         );
     }
     p.page("Simulations", user.as_ref(), &body)
+}
+
+/// The identifier of a simulation's star, for the lists of simulations
+/// here and on `/`: one cell of the star's row, not a decoded [`Star`].
+pub(crate) fn star_identifier(p: &Portal, star_id: i64) -> String {
+    if let Ok(row) = p.conn().get(Star::TABLE, star_id) {
+        if let Ok(Value::Text(identifier)) = row_value::<Star>(&row, "identifier") {
+            return identifier.to_string();
+        }
+    }
+    format!("star {star_id}")
 }
 
 pub fn detail(p: &Portal, req: &Request, params: &Params) -> Response {

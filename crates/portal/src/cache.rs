@@ -1,10 +1,15 @@
-//! Versioned response cache for anonymous read-only pages.
+//! Versioned response cache for read-only answers that are the same for
+//! everyone who asks.
 //!
 //! The portal's hottest pages — the home page, the `/stars` catalog,
-//! `/star/<ident>` detail pages, and the `/api/suggest` answers the catalog
-//! search asks for on every keystroke — are pure functions of a handful of
-//! database tables. Each cache entry is stamped with the modification
-//! counters of exactly the tables the page reads
+//! `/star/<ident>` detail pages — and its two JSON endpoints — the
+//! `/api/suggest` answers the catalog search asks for on every keystroke
+//! and a results page's `/simulation/<id>/plots.json` — are pure functions
+//! of a handful of database tables. A page also names the logged-in user
+//! in its layout, so a page is cached only for requests without a session
+//! cookie; the JSON endpoints read no session and are cached for every
+//! requester, with a session or without. Each cache entry is stamped with
+//! the modification counters of exactly the tables the answer reads
 //! ([`Connection::table_versions`](amp_simdb::Connection::table_versions));
 //! any committed write to one of those tables changes its counter and
 //! invalidates dependent entries on the next lookup, so a cache hit is
@@ -30,23 +35,39 @@ use parking_lot::RwLock;
 
 use crate::http::{Method, Request, Response};
 
-/// The tables an eligible path reads, or `None` if the path is not
-/// cacheable (mutating handlers, per-user pages, everything else).
-pub fn dependencies(path: &str) -> Option<&'static [&'static str]> {
-    if path == "/" {
+/// What a cacheable path's answer depends on.
+struct Route {
+    /// The tables it reads.
+    tables: &'static [&'static str],
+    /// Whether it is a page in the site layout, which names the logged-in
+    /// user (the JSON endpoints read no session).
+    page: bool,
+}
+
+/// The route of an eligible path, or `None` if the path is not cacheable
+/// (mutating handlers, per-user pages, everything else).
+fn route(path: &str) -> Option<Route> {
+    // one non-empty path segment: the resource itself, not nested routes
+    // like …/observations
+    let segment = |s: &str| !s.is_empty() && !s.contains('/');
+    let (tables, page): (&'static [&'static str], bool) = match path {
         // counts + recent-5 list join simulations to star identifiers
-        return Some(&["star", "simulation"]);
-    }
-    if path == "/stars" || path == "/api/suggest" {
-        return Some(&["star"]);
-    }
-    if let Some(rest) = path.strip_prefix("/star/") {
-        // the detail page itself, not nested routes like …/observations
-        if !rest.is_empty() && !rest.contains('/') {
-            return Some(&["star", "observation", "simulation"]);
+        "/" => (&["star", "simulation"], true),
+        "/stars" => (&["star"], true),
+        "/api/suggest" => (&["star"], false),
+        _ if path.strip_prefix("/star/").is_some_and(segment) => {
+            (&["star", "observation", "simulation"], true)
         }
-    }
-    None
+        _ if path
+            .strip_prefix("/simulation/")
+            .and_then(|rest| rest.strip_suffix("/plots.json"))
+            .is_some_and(segment) =>
+        {
+            (&["simulation"], false)
+        }
+        _ => return None,
+    };
+    Some(Route { tables, page })
 }
 
 struct CacheEntry {
@@ -75,14 +96,20 @@ impl ResponseCache {
     }
 
     /// Whether `req` may be served from (and stored into) the cache, and
-    /// if so which tables its response depends on. Only anonymous GETs of
-    /// the known read-only routes qualify — any `amp_session` cookie
-    /// bypasses the cache entirely, valid or not.
+    /// if so which tables its response depends on. Only GETs of the known
+    /// read-only routes qualify. A page's layout names the logged-in user,
+    /// so any `amp_session` cookie, valid or not, sends a page past the
+    /// cache; the JSON endpoints (`/api/suggest`, `…/plots.json`) read no
+    /// session and are cached whoever asks.
     pub fn cacheable(req: &Request) -> Option<&'static [&'static str]> {
-        if req.method != Method::Get || req.cookies.contains_key("amp_session") {
+        if req.method != Method::Get {
             return None;
         }
-        dependencies(&req.path)
+        let route = route(&req.path)?;
+        if route.page && req.cookies.contains_key("amp_session") {
+            return None;
+        }
+        Some(route.tables)
     }
 
     /// Canonical cache key. `Request::query` is a `BTreeMap`, so two URLs
@@ -185,6 +212,10 @@ impl ResponseCache {
 mod tests {
     use super::*;
 
+    fn dependencies(path: &str) -> Option<&'static [&'static str]> {
+        route(path).map(|r| r.tables)
+    }
+
     #[test]
     fn route_dependencies() {
         assert_eq!(dependencies("/"), Some(["star", "simulation"].as_slice()));
@@ -196,14 +227,28 @@ mod tests {
         assert_eq!(dependencies("/stars/search"), None);
         assert_eq!(dependencies("/accounts/login"), None);
         assert_eq!(dependencies("/simulations"), None);
+        assert_eq!(
+            dependencies("/simulation/7/plots.json"),
+            Some(["simulation"].as_slice())
+        );
+        assert_eq!(dependencies("/simulation/7/plots.json/x"), None);
+        assert_eq!(dependencies("/simulation//plots.json"), None);
+        assert_eq!(dependencies("/simulation/7"), None);
     }
 
     #[test]
     fn cacheability_rules() {
         assert!(ResponseCache::cacheable(&Request::get("/stars")).is_some());
-        // sessions bypass the cache
-        let with_session = Request::get("/stars").with_cookie("amp_session", "x");
-        assert!(ResponseCache::cacheable(&with_session).is_none());
+        // a session sends every page past the cache...
+        for page in ["/", "/stars", "/star/HD%201", "/simulation/7"] {
+            let with_session = Request::get(page).with_cookie("amp_session", "x");
+            assert!(ResponseCache::cacheable(&with_session).is_none(), "{page}");
+        }
+        // ... but not the JSON endpoints, which read no session
+        for json in ["/simulation/7/plots.json", "/api/suggest?q=HD"] {
+            let with_session = Request::get(json).with_cookie("amp_session", "x");
+            assert!(ResponseCache::cacheable(&with_session).is_some(), "{json}");
+        }
         // non-session cookies don't
         let with_other = Request::get("/stars").with_cookie("theme", "dark");
         assert!(ResponseCache::cacheable(&with_other).is_some());

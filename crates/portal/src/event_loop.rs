@@ -15,8 +15,8 @@
 //!   is a response-cache hit ([`Portal::answer_cached`]: a key, a stamp
 //!   from one version pin and a `try_read` lookup — it never waits for a
 //!   lock a worker holds), `READS_PER_WAKEUP` of them per connection per
-//!   wakeup; a miss, a session cookie, a non-GET and a contended cache go
-//!   to the pool;
+//!   wakeup; a miss, a page asked with a session cookie, a non-GET and a
+//!   contended cache go to the pool;
 //! * a hashed timer wheel enforces **two** deadlines: the idle timeout
 //!   between requests, and a total per-request read deadline
 //!   (headers+body) that evicts slow-loris tricklers no matter how
@@ -965,7 +965,7 @@ impl EventLoop {
     /// deadlines, or reject malformed/oversized input. `true` means the
     /// request was a cache hit whose response now waits in `conn.out`
     /// (`Reading → Writing`, no `epoll_ctl`, no job, no wake); anything
-    /// else — a miss, a session, a non-GET, `may_answer` off — is
+    /// else — a miss, a page with a session, a non-GET, `may_answer` off — is
     /// dispatched to the pool.
     fn process_parsed(&mut self, token: usize, now: Instant, may_answer: bool) -> bool {
         let Some(conn) = self.slab.get_mut(token) else {
@@ -1241,10 +1241,76 @@ mod tests {
         assert_eq!(slab.live, 1);
     }
 
-    /// A loop with no pool behind it: whatever is answered, the loop
-    /// answered. Hits are; the request after a wakeup's budget of them, and
-    /// a hit whose cache lock is taken, wait in the queue — and the loop
-    /// goes on serving — until workers exist.
+    /// An event loop over `portal` on a fresh port, with no pool behind it
+    /// until a test starts workers: whatever is answered meanwhile, the
+    /// loop answered.
+    struct TestLoop {
+        addr: std::net::SocketAddr,
+        portal: Arc<Portal>,
+        poller: Arc<Poller>,
+        dispatcher: Arc<Dispatcher>,
+        shutdown: Arc<AtomicBool>,
+        thread: std::thread::JoinHandle<()>,
+    }
+
+    impl TestLoop {
+        fn start(portal: &Arc<Portal>) -> TestLoop {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap();
+            let (poller, dispatcher) = (
+                Arc::new(Poller::new().unwrap()),
+                Arc::new(Dispatcher::new()),
+            );
+            let shutdown = Arc::new(AtomicBool::new(false));
+            let event_loop = EventLoop::new(
+                listener,
+                portal.clone(),
+                poller.clone(),
+                dispatcher.clone(),
+                ServerConfig::default(),
+                shutdown.clone(),
+            )
+            .unwrap();
+            TestLoop {
+                addr,
+                portal: portal.clone(),
+                poller,
+                dispatcher,
+                shutdown,
+                thread: std::thread::spawn(move || event_loop.run()),
+            }
+        }
+
+        /// Wait until `n` requests wait for the pool.
+        fn queued(&self, n: usize) {
+            let give_up = Instant::now() + Duration::from_secs(5);
+            while self.dispatcher.queue_len() != n && Instant::now() < give_up {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            assert_eq!(self.dispatcher.queue_len(), n);
+        }
+
+        fn worker(&self) -> std::thread::JoinHandle<()> {
+            let (p, d, po) = (
+                self.portal.clone(),
+                self.dispatcher.clone(),
+                self.poller.clone(),
+            );
+            std::thread::spawn(move || worker_main(p, d, po))
+        }
+
+        fn stop(self, workers: Vec<std::thread::JoinHandle<()>>) {
+            self.shutdown.store(true, Ordering::SeqCst);
+            self.poller.wake();
+            self.thread.join().unwrap();
+            self.dispatcher.stop();
+            workers.into_iter().for_each(|w| w.join().unwrap());
+        }
+    }
+
+    /// Hits are answered by the loop; the request after a wakeup's budget
+    /// of them, and a hit whose cache lock is taken, wait in the queue —
+    /// and the loop goes on serving — until workers exist.
     #[test]
     fn loop_answers_hits_itself_within_its_budget_and_never_waits_for_the_cache() {
         use crate::server::{fetch, read_framed_response};
@@ -1256,36 +1322,11 @@ mod tests {
             .handle(&Request::get("/stars"))
             .write_into(&mut page, true);
         let page = String::from_utf8(page).unwrap();
-
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let (poller, dispatcher) = (
-            Arc::new(Poller::new().unwrap()),
-            Arc::new(Dispatcher::new()),
-        );
-        let parts = || {
-            (
-                portal.clone(),
-                poller.clone(),
-                dispatcher.clone(),
-                ServerConfig::default(),
-            )
-        };
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let (p, po, d, c) = parts();
-        let event_loop = EventLoop::new(listener, p, po, d, c, shutdown.clone()).unwrap();
-        let loop_thread = std::thread::spawn(move || event_loop.run());
-        let queued = |n: usize| {
-            let give_up = Instant::now() + Duration::from_secs(5);
-            while dispatcher.queue_len() != n && Instant::now() < give_up {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            assert_eq!(dispatcher.queue_len(), n);
-        };
+        let served = TestLoop::start(&portal);
 
         // One segment of budget + 1 hits: all but the last are answered.
         let raw = "GET /stars HTTP/1.1\r\nHost: t\r\n\r\n";
-        let mut greedy = TcpStream::connect(addr).unwrap();
+        let mut greedy = TcpStream::connect(served.addr).unwrap();
         greedy
             .write_all(raw.repeat(READS_PER_WAKEUP + 1).as_bytes())
             .unwrap();
@@ -1293,25 +1334,22 @@ mod tests {
         for _ in 0..READS_PER_WAKEUP {
             assert_eq!(read_framed_response(&mut greedy, &mut buf).unwrap(), page);
         }
-        queued(1);
+        served.queued(1);
 
         // The cache's write lock is taken: the hit is the pool's, and the
         // loop still answers what it can (a 400 is its own).
         let writer = portal.cache().write_locked();
-        let mut contended = TcpStream::connect(addr).unwrap();
+        let mut contended = TcpStream::connect(served.addr).unwrap();
         contended.write_all(raw.as_bytes()).unwrap();
-        queued(2);
-        assert!(fetch(addr, "BROKEN\r\n\r\n").unwrap().contains(" 400 "));
+        served.queued(2);
+        assert!(fetch(served.addr, "BROKEN\r\n\r\n")
+            .unwrap()
+            .contains(" 400 "));
 
         // Workers arrive. Two of them wait for the lock like any reader,
         // the third serves another connection meanwhile.
-        let workers: Vec<_> = (0..3)
-            .map(|_| {
-                let (p, po, d, _) = parts();
-                std::thread::spawn(move || worker_main(p, d, po))
-            })
-            .collect();
-        let other = fetch(addr, "GET /nope HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();
+        let workers: Vec<_> = (0..3).map(|_| served.worker()).collect();
+        let other = fetch(served.addr, "GET /nope HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();
         assert!(other.contains(" 404 "));
         drop(writer);
         assert_eq!(read_framed_response(&mut greedy, &mut buf).unwrap(), page);
@@ -1319,12 +1357,77 @@ mod tests {
             read_framed_response(&mut contended, &mut buf).unwrap(),
             page
         );
+        served.stop(workers);
+    }
 
-        shutdown.store(true, Ordering::SeqCst);
-        poller.wake();
-        loop_thread.join().unwrap();
-        dispatcher.stop();
-        workers.into_iter().for_each(|w| w.join().unwrap());
+    /// A session cookie sends a page to the pool, but not a JSON endpoint:
+    /// a fresh plots.json entry, stored for an anonymous request, is
+    /// answered by the loop (with no pool behind it) to a logged-in one.
+    #[test]
+    fn loop_answers_plots_to_a_session_and_leaves_its_page_to_the_pool() {
+        use crate::server::{fetch, read_framed_response};
+        use amp_core::models::{Allocation, AmpUser, Simulation, Star};
+        use amp_core::SimStatus;
+        use amp_simdb::orm::Manager;
+        let db = amp_simdb::Db::in_memory();
+        amp_core::setup::initialize(&db).unwrap();
+        let admin = db.connect(amp_core::roles::ROLE_ADMIN).unwrap();
+        let star_id = Manager::<Star>::new(admin.clone())
+            .create(&mut Star::from_catalog(
+                &amp_stellar::famous_stars()[0],
+                "local",
+            ))
+            .unwrap();
+        let user_id = Manager::<AmpUser>::new(admin.clone())
+            .create(&mut AmpUser::new("astro", "a@x.edu", "h", 0))
+            .unwrap();
+        let alloc_id = Manager::<Allocation>::new(admin.clone())
+            .create(&mut Allocation::new("kraken", "TG-LOOP", 1000.0))
+            .unwrap();
+        let params = amp_stellar::StellarParams::benchmark();
+        let model = amp_stellar::evolve(&params, &amp_stellar::Domain::default()).unwrap();
+        let mut sim = Simulation::new_direct(star_id, user_id, params, "kraken", alloc_id, 0);
+        sim.status = SimStatus::Done;
+        sim.result_json = Some(serde_json::to_string(&model).unwrap());
+        let sim_id = Manager::<Simulation>::new(admin).create(&mut sim).unwrap();
+
+        let portal = Arc::new(Portal::new(&db, Default::default()).unwrap());
+        let session = portal
+            .sessions
+            .create(user_id, "astro", false, portal.now());
+        let plots = format!("/simulation/{sim_id}/plots.json");
+        let mut page = Vec::new();
+        let stored = portal.handle(&Request::get(&plots));
+        assert_eq!(stored.status, 200);
+        stored.write_into(&mut page, true);
+        let page = String::from_utf8(page).unwrap();
+
+        let served = TestLoop::start(&portal);
+        let with_session = |path: &str| {
+            format!("GET {path} HTTP/1.1\r\nHost: t\r\nCookie: amp_session={session}\r\n\r\n")
+        };
+
+        let hits = portal.cache().hits();
+        assert_eq!(fetch(served.addr, &with_session(&plots)).unwrap(), page);
+        assert_eq!(portal.cache().hits(), hits + 1, "the loop's hit is counted");
+        assert_eq!(
+            served.dispatcher.queue_len(),
+            0,
+            "and no job was dispatched"
+        );
+
+        // The simulation's page names the user: it is the pool's.
+        let mut detail = TcpStream::connect(served.addr).unwrap();
+        detail
+            .write_all(with_session(&format!("/simulation/{sim_id}")).as_bytes())
+            .unwrap();
+        served.queued(1);
+        let worker = served.worker();
+        let mut buf = Vec::new();
+        let rendered = read_framed_response(&mut detail, &mut buf).unwrap();
+        assert!(rendered.contains("<a href=\"/accounts/profile\">astro</a>"));
+        assert_eq!(portal.cache().hits(), hits + 1);
+        served.stop(vec![worker]);
     }
 
     /// The accept path drops a connection whose registration fails; that

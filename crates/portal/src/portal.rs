@@ -33,8 +33,8 @@ pub struct PortalConfig {
     /// Synthetic-SIMBAD size and seed.
     pub simbad_stars: usize,
     pub simbad_seed: u64,
-    /// Serve anonymous read-only pages from the versioned response cache
-    /// (see [`crate::cache`]). Disable to force every request through a
+    /// Serve read-only answers from the versioned response cache (see
+    /// [`crate::cache`]). Disable to force every request through a
     /// fresh render — the cache property test diffs the two.
     pub cache_enabled: bool,
 }

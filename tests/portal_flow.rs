@@ -416,8 +416,8 @@ fn app_browser_lists_installed_applications() {
 
 // Page bytes. Every page is the site layout around a view's body: text
 // from the database or the user is escaped (`&`, `<`, `>`, `"`, `'`) and
-// a view's HTML goes in as it is. These pin the layout and the home page
-// byte for byte.
+// a view's HTML goes in as it is. These pin the layout, the home page and
+// `/simulations` byte for byte.
 
 const ANONYMOUS_NAV: &str =
     "<a href=\"/accounts/login\">log in</a> | <a href=\"/accounts/register\">register</a>";
@@ -523,6 +523,118 @@ fn home_page_bytes_list_five_recent_simulations_escaped() {
         resp.body_str(),
         layout("Home", ANONYMOUS_NAV, &(home_counts(1, 1, 6) + recent))
     );
+}
+
+/// Two users' simulations of the awkward star and of a plain one: the
+/// owner's three (queued, running, done) and another user's finished one.
+/// Returns the owner's session cookie.
+fn two_owners_simulations(r: &Rig) -> String {
+    let (awkward_id, other_id, alloc_id) = awkward_star(r);
+    let admin = r.dep.db.connect(amp::core::roles::ROLE_ADMIN).unwrap();
+    let mut plain = Star::from_catalog(&amp::stellar::famous_stars()[1], "local");
+    plain.identifier = "KIC 8006161".into();
+    Manager::<Star>::new(admin.clone())
+        .create(&mut plain)
+        .unwrap();
+    let mut owner = AmpUser::new(
+        "astro",
+        "a@x.edu",
+        &amp::portal::hash_password("password1", "s"),
+        0,
+    );
+    owner.approved = true;
+    Manager::<AmpUser>::new(admin.clone())
+        .create(&mut owner)
+        .unwrap();
+    let owner_id = owner.id.unwrap();
+    let sims = Manager::<Simulation>::new(admin);
+    for (star_id, user_id, kind, status, progress) in [
+        (awkward_id, owner_id, SimKind::Direct, SimStatus::Done, 1.0),
+        (
+            awkward_id,
+            other_id,
+            SimKind::Optimization,
+            SimStatus::Done,
+            1.0,
+        ),
+        (
+            plain.id.unwrap(),
+            owner_id,
+            SimKind::Optimization,
+            SimStatus::Running,
+            0.25,
+        ),
+        (
+            awkward_id,
+            owner_id,
+            SimKind::Direct,
+            SimStatus::Queued,
+            0.0,
+        ),
+    ] {
+        let mut sim = Simulation::new_direct(
+            star_id,
+            user_id,
+            StellarParams::benchmark(),
+            "kraken",
+            alloc_id,
+            0,
+        );
+        (sim.kind, sim.status, sim.progress) = (kind, status, progress);
+        sims.create(&mut sim).unwrap();
+    }
+    let login = r.portal.handle(&Request::post(
+        "/accounts/login",
+        &[("username", "astro"), ("password", "password1")],
+    ));
+    assert_eq!(login.status, 302, "{}", login.body_str());
+    cookie_of(&login)
+}
+
+/// One row of `/simulations`.
+fn simulation_row(id: i64, star: &str, kind: &str, status: &str, percent: u32) -> String {
+    format!(
+        "<tr><td><a href=\"/simulation/{id}\">#{id}</a></td><td>{star}</td>\
+         <td>{kind}</td><td>{status}</td><td>{percent}%</td></tr>"
+    )
+}
+
+const SIMULATIONS_HEAD: &str = "<h2>Simulations</h2><table><tr><th>id</th><th>star</th>\
+     <th>kind</th><th>status</th><th>progress</th></tr>";
+
+const AWKWARD: &str = "HD &lt;&amp;&quot;&#x27;&gt; 1";
+
+#[test]
+fn simulations_page_bytes_list_an_owners_runs_escaped() {
+    let r = rig();
+    let cookie = two_owners_simulations(&r);
+    let resp = r
+        .portal
+        .handle(&Request::get("/simulations").with_cookie("amp_session", &cookie));
+    assert_eq!(resp.status, 200);
+    let body = format!(
+        "{SIMULATIONS_HEAD}{}{}{}</table>",
+        simulation_row(4, AWKWARD, "direct", "QUEUED", 0),
+        simulation_row(3, "KIC 8006161", "optimization", "RUNNING", 25),
+        simulation_row(1, AWKWARD, "direct", "DONE", 100),
+    );
+    let nav = "<a href=\"/accounts/profile\">astro</a> | <a href=\"/accounts/logout\">log out</a>";
+    assert_eq!(resp.body_str(), layout("Simulations", nav, &body));
+}
+
+#[test]
+fn simulations_page_bytes_list_finished_runs_anonymously() {
+    let r = rig();
+    two_owners_simulations(&r);
+    let resp = r.portal.handle(&Request::get("/simulations"));
+    assert_eq!(resp.status, 200);
+    let body = format!(
+        "{SIMULATIONS_HEAD}{}{}</table>\
+         <p>Showing recently completed public results. Log in to see your own runs.</p>",
+        simulation_row(2, AWKWARD, "optimization", "DONE", 100),
+        simulation_row(1, AWKWARD, "direct", "DONE", 100),
+    );
+    assert_eq!(resp.body_str(), layout("Simulations", ANONYMOUS_NAV, &body));
 }
 
 #[test]

@@ -768,7 +768,7 @@ fn pipelined_mix_of_loop_and_pool_requests_stays_ordered() {
                 );
                 expected.push(wire(&twin, &Request::post("/nope", &[("a", "b")])));
             }
-            // any session cookie, valid or not, is the pool's
+            // any session cookie, valid or not, sends a page to the pool
             1 | 2 => {
                 raw.push(get(path, "Cookie: amp_session=nobody\r\n"));
                 expected.push(wire(
@@ -921,23 +921,49 @@ fn framed_reader_rejects_unparseable_content_length() {
 }
 
 /// A random step against the shared database / the two portals.
+/// `WriteSimulation` creates a finished stellar simulation, rewrites one's
+/// result or flips one between DONE and HOLD; a `Read` is asked with no
+/// cookie, a live session or a bogus `amp_session`, as `who` says.
 #[derive(Debug, Clone)]
 enum Step {
     InsertStar(u16),
     RenameStar { pick: u8, name: u16 },
     ToggleResults { pick: u8 },
-    Read { route: u8 },
+    WriteSimulation { pick: u8, what: u8 },
+    Read { route: u8, who: u8 },
 }
 
 fn arb_step() -> impl Strategy<Value = Step> {
+    let write_simulation =
+        || (any::<u8>(), any::<u8>()).prop_map(|(pick, what)| Step::WriteSimulation { pick, what });
+    let read = || (any::<u8>(), any::<u8>()).prop_map(|(route, who)| Step::Read { route, who });
     prop_oneof![
         (0u16..400).prop_map(Step::InsertStar),
         (any::<u8>(), 0u16..400).prop_map(|(pick, name)| Step::RenameStar { pick, name }),
         any::<u8>().prop_map(|pick| Step::ToggleResults { pick }),
+        // as many writes to `simulation` as to `star`, so that a run of
+        // steps often writes one table and not the other
+        write_simulation(),
+        write_simulation(),
+        write_simulation(),
         // reads dominate, as they would in production traffic
-        (any::<u8>(), any::<u8>()).prop_map(|(route, _)| Step::Read { route }),
-        (any::<u8>(), any::<u8>()).prop_map(|(route, _)| Step::Read { route }),
+        read(),
+        read(),
+        read(),
+        read(),
     ]
+}
+
+/// Two different direct-run results of the stellar model, as the daemon
+/// records them in `result_json`.
+fn stellar_results() -> [String; 2] {
+    [1.0, 1.1].map(|mass| {
+        let params = StellarParams {
+            mass,
+            ..StellarParams::benchmark()
+        };
+        serde_json::to_string(&amp::stellar::evolve(&params, &Domain::default()).unwrap()).unwrap()
+    })
 }
 
 proptest! {
@@ -946,15 +972,24 @@ proptest! {
     /// Cache transparency: a cache-enabled portal and a cache-disabled
     /// portal over the SAME database return byte-identical responses
     /// (status, headers, body) at every read, no matter how writes and
-    /// reads interleave.
+    /// reads interleave, and whoever asks: an entry stored for an
+    /// anonymous request may be served to one with a session, and back.
     #[test]
     fn cached_responses_are_byte_identical_to_fresh_renders(
         steps in proptest::collection::vec(arb_step(), 1..60)
     ) {
         let db = fresh_db();
         let admin = db.connect(roles::ROLE_ADMIN).unwrap();
-        let stars = Manager::<Star>::new(admin);
-        stars.create(&mut star("HD 0")).unwrap();
+        let stars = Manager::<Star>::new(admin.clone());
+        let star_id = stars.create(&mut star("HD 0")).unwrap();
+        let mut owner = AmpUser::new("astro", "a@x.edu", "h", 0);
+        owner.approved = true;
+        let owner_id = Manager::<AmpUser>::new(admin.clone()).create(&mut owner).unwrap();
+        let alloc_id = Manager::<Allocation>::new(admin.clone())
+            .create(&mut Allocation::new("kraken", "TG-PROP", 1000.0))
+            .unwrap();
+        let sims = Manager::<Simulation>::new(admin);
+        let results = stellar_results();
 
         let cached = Portal::new(&db, PortalConfig::default()).unwrap();
         let fresh = Portal::new(
@@ -963,8 +998,12 @@ proptest! {
         )
         .unwrap();
         prop_assert!(cached.config.cache_enabled);
+        // one live session per portal, for the same user
+        let session = |p: &Portal| p.sessions.create(owner_id, "astro", false, p.now());
+        let (cached_session, fresh_session) = (session(&cached), session(&fresh));
 
         let mut known: Vec<String> = vec!["HD 0".into()];
+        let mut finished: Vec<i64> = Vec::new();
         for step in &steps {
             match step {
                 Step::InsertStar(n) => {
@@ -992,23 +1031,68 @@ proptest! {
                         stars.save(&s).unwrap();
                     }
                 }
-                Step::Read { route } => {
+                Step::WriteSimulation { pick, what } => match (finished.len(), what % 3) {
+                    // a few simulations, so that reads of one often follow
+                    // a write to it
+                    (0, _) | (1..=2, 0) => {
+                        let mut sim = Simulation::new_direct(
+                            star_id,
+                            owner_id,
+                            StellarParams::benchmark(),
+                            "kraken",
+                            alloc_id,
+                            0,
+                        );
+                        sim.status = SimStatus::Done;
+                        sim.result_json = Some(results[*what as usize % 2].clone());
+                        finished.push(sims.create(&mut sim).unwrap());
+                    }
+                    (n, flip) => {
+                        let mut sim = sims.get(finished[*pick as usize % n]).unwrap();
+                        if flip == 2 {
+                            sim.status = match sim.status {
+                                SimStatus::Done => SimStatus::Hold,
+                                _ => SimStatus::Done,
+                            };
+                        } else {
+                            // the other result: its plots differ
+                            let other = results.iter().find(|r| sim.result_json.as_ref() != Some(*r));
+                            sim.result_json = other.cloned();
+                        }
+                        sims.save(&sim).unwrap();
+                    }
+                },
+                Step::Read { route, who } => {
                     let ident = &known[*route as usize % known.len()];
                     let detail = format!("/star/{}", ident.replace(' ', "%20"));
                     // the last 4 characters: "HD 7", " 123" (by identifier
                     // and by the name "Name 123"), "D 12" (by identifier)
                     let tail: String = ident.chars().skip(ident.chars().count() - 4).collect();
                     let suggest = format!("/api/suggest?q={}", tail.replace(' ', "+"));
-                    let path = match route % 5 {
+                    // before the first simulation exists, a cacheable 404
+                    let sim_id = finished.get(*route as usize / 6 % finished.len().max(1)).unwrap_or(&1);
+                    let plots = format!("/simulation/{sim_id}/plots.json");
+                    let path = match route % 6 {
                         0 => "/",
                         1 => "/stars",
                         2 => "/stars?page=2",
                         3 => suggest.as_str(),
+                        4 => plots.as_str(),
                         _ => detail.as_str(),
                     };
-                    let req = Request::get(path);
-                    let a = cached.handle(&req);
-                    let b = fresh.handle(&req);
+                    let (a, b) = match who % 3 {
+                        0 => (Request::get(path), Request::get(path)),
+                        1 => (
+                            Request::get(path).with_cookie("amp_session", &cached_session),
+                            Request::get(path).with_cookie("amp_session", &fresh_session),
+                        ),
+                        _ => {
+                            let bogus = Request::get(path).with_cookie("amp_session", "nobody");
+                            (bogus.clone(), bogus)
+                        }
+                    };
+                    let a = cached.handle(&a);
+                    let b = fresh.handle(&b);
                     prop_assert_eq!(a.status, b.status, "status diverged on {}", path);
                     prop_assert_eq!(&a.headers, &b.headers, "headers diverged on {}", path);
                     prop_assert_eq!(&a.body, &b.body, "body diverged on {}", path);
