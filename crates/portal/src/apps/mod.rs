@@ -35,6 +35,7 @@ pub fn build_router(admin_enabled: bool) -> Router {
                 "text/plain; version=0.0.4; charset=utf-8".into(),
             )],
             body: amp_obs::render_prometheus().into_bytes(),
+            user_slot: None,
         }
     });
 

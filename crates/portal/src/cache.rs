@@ -1,15 +1,19 @@
-//! Versioned response cache for read-only answers that are the same for
-//! everyone who asks.
+//! Versioned response cache for read-only answers, one entry per URL
+//! whoever asks.
 //!
 //! The portal's hottest pages — the home page, the `/stars` catalog,
-//! `/star/<ident>` detail pages — and its two JSON endpoints — the
-//! `/api/suggest` answers the catalog search asks for on every keystroke
-//! and a results page's `/simulation/<id>/plots.json` — are pure functions
-//! of a handful of database tables. A page also names the logged-in user
-//! in its layout, so a page is cached only for requests without a session
-//! cookie; the JSON endpoints read no session and are cached for every
-//! requester, with a session or without. Each cache entry is stamped with
-//! the modification counters of exactly the tables the answer reads
+//! `/star/<ident>` detail pages and a simulation's results page
+//! `/simulation/<id>` — and its two JSON endpoints — the `/api/suggest`
+//! answers the catalog search asks for on every keystroke and a results
+//! page's `/simulation/<id>/plots.json` — are pure functions of a handful
+//! of database tables. A page also names the requester in its layout, in
+//! one place: the user slot (`Response::user_slot`). An entry holds no
+//! user: a page is stored with its slot cut out, and a hit fills the slot
+//! for whoever asks — the log-in links without a session, the session's
+//! user otherwise, read as a fresh render reads it. So every requester,
+//! with a session, with a bogus one or without, shares one entry per URL.
+//! Each entry is stamped with the modification counters of exactly the
+//! tables the answer reads
 //! ([`Connection::table_versions`](amp_simdb::Connection::table_versions));
 //! any committed write to one of those tables changes its counter and
 //! invalidates dependent entries on the next lookup, so a cache hit is
@@ -25,23 +29,29 @@
 //! waits on it.
 //!
 //! A hit is answered on the event-loop thread, which must never wait: its
-//! lookup takes the lock with `try_read`, and the one long thing a writer
-//! does — freeing a full cache's entries — happens after the lock is let go.
+//! lookup takes the lock with `try_read` and holds it only to clone the
+//! entry's `Arc`, and the one long thing a writer does — freeing a full
+//! cache's entries — happens after the lock is let go. The loop never
+//! resolves a session (that takes the session store's lock), so a page
+//! asked with an `amp_session` cookie is answered from the same entry on
+//! a worker.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use parking_lot::RwLock;
 
 use crate::http::{Method, Request, Response};
 
 /// What a cacheable path's answer depends on.
-struct Route {
+#[derive(Debug, Clone, Copy)]
+pub struct Route {
     /// The tables it reads.
-    tables: &'static [&'static str],
-    /// Whether it is a page in the site layout, which names the logged-in
-    /// user (the JSON endpoints read no session).
-    page: bool,
+    pub tables: &'static [&'static str],
+    /// Whether it is a page in the site layout, whose user slot names the
+    /// requester (the JSON endpoints read no session).
+    pub page: bool,
 }
 
 /// The route of an eligible path, or `None` if the path is not cacheable
@@ -50,6 +60,7 @@ fn route(path: &str) -> Option<Route> {
     // one non-empty path segment: the resource itself, not nested routes
     // like …/observations
     let segment = |s: &str| !s.is_empty() && !s.contains('/');
+    let simulation = path.strip_prefix("/simulation/");
     let (tables, page): (&'static [&'static str], bool) = match path {
         // counts + recent-5 list join simulations to star identifiers
         "/" => (&["star", "simulation"], true),
@@ -58,24 +69,54 @@ fn route(path: &str) -> Option<Route> {
         _ if path.strip_prefix("/star/").is_some_and(segment) => {
             (&["star", "observation", "simulation"], true)
         }
-        _ if path
-            .strip_prefix("/simulation/")
+        _ if simulation
             .and_then(|rest| rest.strip_suffix("/plots.json"))
             .is_some_and(segment) =>
         {
             (&["simulation"], false)
         }
+        // the simulation and its job table (installed applications are
+        // built in: no table)
+        _ if simulation.is_some_and(segment) => (&["simulation", "grid_job"], true),
         _ => return None,
     };
     Some(Route { tables, page })
 }
 
-struct CacheEntry {
+/// A stored answer and the stamp it was stored under. A page's body is
+/// kept without its user slot: the bytes before the slot, then the bytes
+/// after it, split at `slot`.
+pub(crate) struct Entry {
     stamp: Vec<u64>,
     response: Response,
+    slot: Option<usize>,
 }
 
-type Entries = HashMap<String, CacheEntry>;
+impl Entry {
+    /// The answer for one requester: the stored response, a page's user
+    /// slot filled with what `fill` returns (called only for a page): one
+    /// copy of the body.
+    pub(crate) fn answer<S: AsRef<str>>(&self, fill: impl FnOnce() -> S) -> Response {
+        let Some(at) = self.slot else {
+            return self.response.clone();
+        };
+        let (before, after) = self.response.body.split_at(at);
+        let links = fill();
+        let links = links.as_ref().as_bytes();
+        let mut body = Vec::with_capacity(before.len() + links.len() + after.len());
+        body.extend_from_slice(before);
+        body.extend_from_slice(links);
+        body.extend_from_slice(after);
+        Response {
+            status: self.response.status,
+            headers: self.response.headers.clone(),
+            body,
+            user_slot: Some(at..at + links.len()),
+        }
+    }
+}
+
+type Entries = HashMap<String, Arc<Entry>>;
 
 /// The cache proper: `(path, query) → stamped response`.
 pub struct ResponseCache {
@@ -96,20 +137,14 @@ impl ResponseCache {
     }
 
     /// Whether `req` may be served from (and stored into) the cache, and
-    /// if so which tables its response depends on. Only GETs of the known
-    /// read-only routes qualify. A page's layout names the logged-in user,
-    /// so any `amp_session` cookie, valid or not, sends a page past the
-    /// cache; the JSON endpoints (`/api/suggest`, `…/plots.json`) read no
-    /// session and are cached whoever asks.
-    pub fn cacheable(req: &Request) -> Option<&'static [&'static str]> {
+    /// if so which tables its response depends on and whether it is a page.
+    /// Only GETs of the known read-only routes qualify, whoever asks: an
+    /// entry holds no user, so a cookie changes nothing here.
+    pub fn cacheable(req: &Request) -> Option<Route> {
         if req.method != Method::Get {
             return None;
         }
-        let route = route(&req.path)?;
-        if route.page && req.cookies.contains_key("amp_session") {
-            return None;
-        }
-        Some(route.tables)
+        route(&req.path)
     }
 
     /// Canonical cache key. `Request::query` is a `BTreeMap`, so two URLs
@@ -126,16 +161,11 @@ impl ResponseCache {
     }
 
     /// Look up `key`; hits require the stored stamp to equal `stamp`
-    /// (the *current* versions of the dependency tables).
-    pub fn get(&self, key: &str, stamp: &[u64]) -> Option<Response> {
-        self.lookup(key, stamp, true)
-    }
-
-    /// [`Self::get`] when `wait` is on. Off, it is the lookup of a caller
-    /// that must not wait (the event loop): a lock that is not free at once
-    /// reads as "not a hit", and no miss is counted — the worker the
-    /// request goes to next looks again.
-    pub(crate) fn lookup(&self, key: &str, stamp: &[u64], wait: bool) -> Option<Response> {
+    /// (the *current* versions of the dependency tables). With `wait` off
+    /// it is the lookup of a caller that must not wait (the event loop):
+    /// a lock that is not free at once reads as "not a hit", and no miss
+    /// is counted — the worker the request goes to next looks again.
+    pub(crate) fn lookup(&self, key: &str, stamp: &[u64], wait: bool) -> Option<Arc<Entry>> {
         let entries = if wait {
             self.entries.read()
         } else {
@@ -144,7 +174,7 @@ impl ResponseCache {
         match entries.get(key) {
             Some(e) if e.stamp == stamp => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(e.response.clone())
+                Some(e.clone())
             }
             _ => {
                 if wait {
@@ -155,9 +185,10 @@ impl ResponseCache {
         }
     }
 
-    /// Store a rendered response under `key` with the pre-render `stamp`.
-    /// Responses carrying `Set-Cookie` are never stored — replaying a
-    /// cookie to another client would leak state.
+    /// Store a rendered response under `key` with the pre-render `stamp`;
+    /// a page is stored without its user slot. Responses carrying
+    /// `Set-Cookie` are never stored — replaying a cookie to another
+    /// client would leak state.
     pub fn put(&self, key: String, stamp: Vec<u64>, response: &Response) {
         if response
             .headers
@@ -166,13 +197,32 @@ impl ResponseCache {
         {
             return;
         }
+        let (body, slot) = match &response.user_slot {
+            Some(slot) => {
+                let mut body = Vec::with_capacity(response.body.len() - slot.len());
+                body.extend_from_slice(&response.body[..slot.start]);
+                body.extend_from_slice(&response.body[slot.end..]);
+                (body, Some(slot.start))
+            }
+            None => (response.body.clone(), None),
+        };
+        let entry = Entry {
+            stamp,
+            response: Response {
+                status: response.status,
+                headers: response.headers.clone(),
+                body,
+                user_slot: None,
+            },
+            slot,
+        };
         // A full cache's entries — thousands of responses — are freed here,
         // after `store` has let go of the lock every reader needs.
-        drop(self.store(key, stamp, response.clone()));
+        drop(self.store(key, entry));
     }
 
     /// Insert under the write lock and hand back what was evicted.
-    fn store(&self, key: String, stamp: Vec<u64>, response: Response) -> Entries {
+    fn store(&self, key: String, entry: Entry) -> Entries {
         let mut entries = self.entries.write();
         let evicted = if entries.len() >= self.capacity && !entries.contains_key(&key) {
             // Wholesale eviction: stale-stamped entries dominate a full
@@ -181,8 +231,15 @@ impl ResponseCache {
         } else {
             Entries::new()
         };
-        entries.insert(key, CacheEntry { stamp, response });
+        entries.insert(key, Arc::new(entry));
         evicted
+    }
+
+    /// Every stored body, for tests of what an entry holds.
+    #[cfg(test)]
+    pub(crate) fn stored_bodies(&self) -> Vec<Vec<u8>> {
+        let entries = self.entries.read();
+        entries.values().map(|e| e.response.body.clone()).collect()
     }
 
     /// The write lock, for tests of what a lookup does while it is taken.
@@ -216,6 +273,11 @@ mod tests {
         route(path).map(|r| r.tables)
     }
 
+    fn hit(cache: &ResponseCache, key: &str, stamp: &[u64]) -> Option<Vec<u8>> {
+        let entry = cache.lookup(key, stamp, true)?;
+        Some(entry.answer(|| "<me>").body)
+    }
+
     #[test]
     fn route_dependencies() {
         assert_eq!(dependencies("/"), Some(["star", "simulation"].as_slice()));
@@ -226,6 +288,7 @@ mod tests {
         assert_eq!(dependencies("/star/"), None);
         assert_eq!(dependencies("/stars/search"), None);
         assert_eq!(dependencies("/accounts/login"), None);
+        // the list's rows depend on who asks
         assert_eq!(dependencies("/simulations"), None);
         assert_eq!(
             dependencies("/simulation/7/plots.json"),
@@ -233,26 +296,33 @@ mod tests {
         );
         assert_eq!(dependencies("/simulation/7/plots.json/x"), None);
         assert_eq!(dependencies("/simulation//plots.json"), None);
-        assert_eq!(dependencies("/simulation/7"), None);
+        assert_eq!(
+            dependencies("/simulation/7"),
+            Some(["simulation", "grid_job"].as_slice())
+        );
+        assert_eq!(dependencies("/simulation/"), None);
+        assert_eq!(dependencies("/simulation/7/jobs"), None);
     }
 
     #[test]
     fn cacheability_rules() {
-        assert!(ResponseCache::cacheable(&Request::get("/stars")).is_some());
-        // a session sends every page past the cache...
-        for page in ["/", "/stars", "/star/HD%201", "/simulation/7"] {
-            let with_session = Request::get(page).with_cookie("amp_session", "x");
-            assert!(ResponseCache::cacheable(&with_session).is_none(), "{page}");
+        let page = |req: &Request| ResponseCache::cacheable(req).map(|r| r.page);
+        assert_eq!(page(&Request::get("/stars")), Some(true));
+        // an entry holds no user: a session, valid or not, changes nothing,
+        // for the pages as for the JSON endpoints
+        for path in ["/", "/stars", "/star/HD%201", "/simulation/7"] {
+            let with_session = Request::get(path).with_cookie("amp_session", "x");
+            assert_eq!(page(&with_session), Some(true), "{path}");
         }
-        // ... but not the JSON endpoints, which read no session
         for json in ["/simulation/7/plots.json", "/api/suggest?q=HD"] {
             let with_session = Request::get(json).with_cookie("amp_session", "x");
-            assert!(ResponseCache::cacheable(&with_session).is_some(), "{json}");
+            assert_eq!(page(&with_session), Some(false), "{json}");
         }
-        // non-session cookies don't
         let with_other = Request::get("/stars").with_cookie("theme", "dark");
-        assert!(ResponseCache::cacheable(&with_other).is_some());
-        // POSTs never cache
+        assert_eq!(page(&with_other), Some(true));
+        // per-user pages and POSTs never cache
+        let mine = Request::get("/simulations").with_cookie("amp_session", "x");
+        assert!(ResponseCache::cacheable(&mine).is_none());
         assert!(ResponseCache::cacheable(&Request::post("/stars", &[])).is_none());
     }
 
@@ -266,16 +336,43 @@ mod tests {
     }
 
     #[test]
-    fn stamped_get_put_and_invalidation() {
+    fn stamped_lookup_put_and_invalidation() {
         let cache = ResponseCache::new(8);
         let resp = Response::html("v1");
         cache.put("k".into(), vec![1, 7], &resp);
-        assert_eq!(cache.get("k", &[1, 7]).unwrap().body, resp.body);
+        assert_eq!(hit(&cache, "k", &[1, 7]).unwrap(), resp.body);
         // any dependency bump misses
-        assert!(cache.get("k", &[2, 7]).is_none());
-        assert!(cache.get("k", &[1, 8]).is_none());
+        assert!(hit(&cache, "k", &[2, 7]).is_none());
+        assert!(hit(&cache, "k", &[1, 8]).is_none());
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.misses(), 2);
+    }
+
+    /// A page is stored with its user slot cut out and answered with the
+    /// slot filled per request; an answer without a slot is served as
+    /// stored and its fill is never called.
+    #[test]
+    fn a_page_is_stored_without_its_user_slot() {
+        let cache = ResponseCache::new(8);
+        let mut page = Response::html("<nav>astro</nav><main>x</main>");
+        page.user_slot = Some(5..10);
+        cache.put("page".into(), vec![1], &page);
+        assert_eq!(
+            cache.stored_bodies(),
+            [b"<nav></nav><main>x</main>".to_vec()]
+        );
+        let filled = cache
+            .lookup("page", &[1], true)
+            .unwrap()
+            .answer(|| "someone else");
+        assert_eq!(filled.body, b"<nav>someone else</nav><main>x</main>");
+        assert_eq!(filled.user_slot, Some(5..17));
+        assert_eq!(filled.headers, page.headers);
+
+        cache.put("bare".into(), vec![1], &Response::not_found());
+        let bare = cache.lookup("bare", &[1], true).unwrap();
+        let unfilled = bare.answer(|| -> &str { panic!("no slot to fill") });
+        assert_eq!(unfilled.body, b"404 not found");
     }
 
     #[test]
@@ -303,9 +400,15 @@ mod tests {
         for i in 0..4 {
             cache.put(format!("k{i}"), vec![1], &Response::html("x"));
         }
-        let evicted = cache.store("k4".into(), vec![1], Response::html("y"));
+        let entry = Entry {
+            stamp: vec![1],
+            response: Response::html("y"),
+            slot: None,
+        };
+        let evicted = cache.store("k4".into(), entry);
         assert_eq!(evicted.len(), 4, "the full map left the lock undropped");
-        assert_eq!(cache.lookup("k4", &[1], false).unwrap().body, b"y");
+        let found = cache.lookup("k4", &[1], false).unwrap();
+        assert_eq!(found.answer(|| "").body, b"y");
         assert!(cache.lookup("k0", &[1], false).is_none());
         assert_eq!((cache.len(), cache.misses()), (1, 0));
         // ... and a held write lock reads as "not a hit", never a wait.

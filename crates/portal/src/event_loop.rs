@@ -15,8 +15,11 @@
 //!   is a response-cache hit ([`Portal::answer_cached`]: a key, a stamp
 //!   from one version pin and a `try_read` lookup — it never waits for a
 //!   lock a worker holds), `READS_PER_WAKEUP` of them per connection per
-//!   wakeup; a miss, a page asked with a session cookie, a non-GET and a
-//!   contended cache go to the pool;
+//!   wakeup; a miss, a non-GET and a contended cache go to the pool. A
+//!   cache entry holds no user, but filling a page's user slot for a
+//!   session takes the session store's lock, which the loop never takes:
+//!   a page asked with an `amp_session` cookie goes to the pool too, and
+//!   a worker answers it from the same entry;
 //! * a hashed timer wheel enforces **two** deadlines: the idle timeout
 //!   between requests, and a total per-request read deadline
 //!   (headers+body) that evicts slow-loris tricklers no matter how
@@ -1360,9 +1363,12 @@ mod tests {
         served.stop(workers);
     }
 
-    /// A session cookie sends a page to the pool, but not a JSON endpoint:
-    /// a fresh plots.json entry, stored for an anonymous request, is
-    /// answered by the loop (with no pool behind it) to a logged-in one.
+    /// An entry holds no user, and the loop never resolves a session: a
+    /// fresh plots.json entry, stored for an anonymous request, is
+    /// answered by the loop (with no pool behind it) to a logged-in one; a
+    /// fresh results page is answered by the loop to no cookie, while the
+    /// same page asked with a session waits for a worker, which answers it
+    /// from the same entry with the user's links.
     #[test]
     fn loop_answers_plots_to_a_session_and_leaves_its_page_to_the_pool() {
         use crate::server::{fetch, read_framed_response};
@@ -1396,11 +1402,16 @@ mod tests {
             .sessions
             .create(user_id, "astro", false, portal.now());
         let plots = format!("/simulation/{sim_id}/plots.json");
-        let mut page = Vec::new();
-        let stored = portal.handle(&Request::get(&plots));
-        assert_eq!(stored.status, 200);
-        stored.write_into(&mut page, true);
-        let page = String::from_utf8(page).unwrap();
+        let results = format!("/simulation/{sim_id}");
+        let wire = |path: &str| {
+            let mut bytes = Vec::new();
+            let stored = portal.handle(&Request::get(path));
+            assert_eq!(stored.status, 200);
+            stored.write_into(&mut bytes, true);
+            String::from_utf8(bytes).unwrap()
+        };
+        let (page, results_page) = (wire(&plots), wire(&results));
+        assert!(results_page.contains("<a href=\"/accounts/login\">log in</a>"));
 
         let served = TestLoop::start(&portal);
         let with_session = |path: &str| {
@@ -1410,23 +1421,36 @@ mod tests {
         let hits = portal.cache().hits();
         assert_eq!(fetch(served.addr, &with_session(&plots)).unwrap(), page);
         assert_eq!(portal.cache().hits(), hits + 1, "the loop's hit is counted");
+        let anonymous = format!("GET {results} HTTP/1.1\r\nHost: t\r\n\r\n");
+        assert_eq!(fetch(served.addr, &anonymous).unwrap(), results_page);
+        assert_eq!(portal.cache().hits(), hits + 2);
         assert_eq!(
             served.dispatcher.queue_len(),
             0,
             "and no job was dispatched"
         );
 
-        // The simulation's page names the user: it is the pool's.
+        // The results page with a session is the pool's, and a hit there.
         let mut detail = TcpStream::connect(served.addr).unwrap();
-        detail
-            .write_all(with_session(&format!("/simulation/{sim_id}")).as_bytes())
-            .unwrap();
+        detail.write_all(with_session(&results).as_bytes()).unwrap();
         served.queued(1);
         let worker = served.worker();
         let mut buf = Vec::new();
         let rendered = read_framed_response(&mut detail, &mut buf).unwrap();
+        let uncached = crate::PortalConfig {
+            cache_enabled: false,
+            ..Default::default()
+        };
+        let fresh = Portal::new(&db, uncached).unwrap();
+        let fresh_session = fresh.sessions.create(user_id, "astro", false, fresh.now());
+        let mut want = Vec::new();
+        fresh
+            .handle(&Request::get(&results).with_cookie("amp_session", &fresh_session))
+            .write_into(&mut want, true);
+        assert_eq!(rendered, String::from_utf8(want).unwrap());
         assert!(rendered.contains("<a href=\"/accounts/profile\">astro</a>"));
-        assert_eq!(portal.cache().hits(), hits + 1);
+        assert_eq!(portal.cache().hits(), hits + 3);
+        assert_eq!(portal.cache().misses(), 2, "the two stores before the loop");
         served.stop(vec![worker]);
     }
 

@@ -7,6 +7,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Range;
 
 /// Request method (the portal only serves GET and POST).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -390,6 +391,13 @@ pub struct Response {
     pub status: u16,
     pub headers: Vec<(String, String)>,
     pub body: Vec<u8>,
+    /// For a page in the site layout ([`Portal::page`]): the bytes of
+    /// `body` that name the requester — their profile and log-out links,
+    /// or the log-in and register links. The response cache stores a page
+    /// without them and fills them in per request (`crate::cache`).
+    ///
+    /// [`Portal::page`]: crate::Portal::page
+    pub(crate) user_slot: Option<Range<usize>>,
 }
 
 impl Response {
@@ -398,6 +406,7 @@ impl Response {
             status: 200,
             headers: vec![("Content-Type".into(), "text/html; charset=utf-8".into())],
             body: body.into().into_bytes(),
+            user_slot: None,
         }
     }
 
@@ -406,6 +415,7 @@ impl Response {
             status: 200,
             headers: vec![("Content-Type".into(), "application/json".into())],
             body: serde_json::to_vec(value).expect("json serializes"),
+            user_slot: None,
         }
     }
 
@@ -414,6 +424,7 @@ impl Response {
             status: 200,
             headers: vec![("Content-Type".into(), "application/xml".into())],
             body: body.into().into_bytes(),
+            user_slot: None,
         }
     }
 
@@ -422,6 +433,7 @@ impl Response {
             status: 302,
             headers: vec![("Location".into(), location.into())],
             body: Vec::new(),
+            user_slot: None,
         }
     }
 
@@ -430,6 +442,7 @@ impl Response {
             status: 404,
             headers: vec![("Content-Type".into(), "text/plain".into())],
             body: b"404 not found".to_vec(),
+            user_slot: None,
         }
     }
 
@@ -438,6 +451,7 @@ impl Response {
             status: 403,
             headers: vec![("Content-Type".into(), "text/plain".into())],
             body: msg.as_bytes().to_vec(),
+            user_slot: None,
         }
     }
 
@@ -446,6 +460,7 @@ impl Response {
             status: 400,
             headers: vec![("Content-Type".into(), "text/plain".into())],
             body: msg.as_bytes().to_vec(),
+            user_slot: None,
         }
     }
 
@@ -457,6 +472,7 @@ impl Response {
             status: 413,
             headers: vec![("Content-Type".into(), "text/plain".into())],
             body: b"413 payload too large".to_vec(),
+            user_slot: None,
         }
     }
 
@@ -465,6 +481,7 @@ impl Response {
             status: 500,
             headers: vec![("Content-Type".into(), "text/plain".into())],
             body: msg.as_bytes().to_vec(),
+            user_slot: None,
         }
     }
 

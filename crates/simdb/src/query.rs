@@ -54,6 +54,16 @@ impl Filter {
         Self::new(column, Op::Eq, value)
     }
 
+    /// Whether row `id`, whose cells are `row`, passes the filter, its
+    /// column resolved to `ci` (`None`: the primary key, tested against
+    /// the row id itself).
+    fn passes(&self, ci: Option<usize>, id: i64, row: &[Value]) -> bool {
+        match ci {
+            Some(ci) => self.matches(&row[ci]),
+            None => self.matches(&Value::Int(id)),
+        }
+    }
+
     fn matches(&self, cell: &Value) -> bool {
         match &self.op {
             Op::IsNull => cell.is_null(),
@@ -163,28 +173,20 @@ impl Query {
     }
 
     /// Check every referenced column exists; returns resolved column indexes
-    /// for filters (parallel to `self.filters`).
-    fn resolve(&self, schema: &TableSchema) -> Result<Vec<usize>, DbError> {
-        let mut idx = Vec::with_capacity(self.filters.len());
-        for f in &self.filters {
-            idx.push(
-                schema
-                    .column_index(&f.column)
-                    .ok_or_else(|| DbError::NoSuchColumn {
-                        table: schema.name.clone(),
-                        column: f.column.clone(),
-                    })?,
-            );
-        }
+    /// for filters (parallel to `self.filters`; `None` is the primary key,
+    /// `"id"`, as in [`Self::order_keys`]).
+    fn resolve(&self, schema: &TableSchema) -> Result<Vec<Option<usize>>, DbError> {
+        let column = |name: &str| match schema.column_index(name) {
+            None if name != "id" => Err(DbError::NoSuchColumn {
+                table: schema.name.clone(),
+                column: name.to_string(),
+            }),
+            ci => Ok(ci),
+        };
         for o in &self.order_by {
-            if o.column != "id" && schema.column_index(&o.column).is_none() {
-                return Err(DbError::NoSuchColumn {
-                    table: schema.name.clone(),
-                    column: o.column.clone(),
-                });
-            }
+            column(&o.column)?;
         }
-        Ok(idx)
+        self.filters.iter().map(|f| column(&f.column)).collect()
     }
 
     /// Execute against a table, returning (id, row) pairs.
@@ -259,7 +261,7 @@ impl Query {
             None => {
                 let planned = self.plan_access(table, &idx);
                 record_plan(&planned.plan);
-                let rest: Vec<(&Filter, usize)> = self
+                let rest: Vec<(&Filter, Option<usize>)> = self
                     .filters
                     .iter()
                     .zip(idx.iter().copied())
@@ -267,19 +269,19 @@ impl Query {
                     .filter(|(i, _)| planned.answered & filter_bit(*i) == 0)
                     .map(|(_, pair)| pair)
                     .collect();
-                let matches = |row: &[Value]| rest.iter().all(|(f, ci)| f.matches(&row[*ci]));
+                let matches =
+                    |id: i64, row: &[Value]| rest.iter().all(|(f, ci)| f.passes(*ci, id, row));
                 match &planned.candidates {
                     Some(ids) if rest.is_empty() => ids.len(),
                     None if rest.is_empty() => table.len(),
                     Some(ids) => ids
                         .iter()
-                        .filter_map(|&id| table.get(id))
-                        .filter(|r| matches(r))
+                        .filter(|&&id| table.get(id).is_some_and(|r| matches(id, r)))
                         .take(wanted)
                         .count(),
                     None => table
                         .iter()
-                        .filter(|(_, r)| matches(r))
+                        .filter(|(id, r)| matches(*id, r))
                         .take(wanted)
                         .count(),
                 }
@@ -296,9 +298,9 @@ impl Query {
     /// indexed column, summed from the index's runs (each distinct `In`
     /// member once) without building the id list, and the plan
     /// [`Self::plan_access`] would have named for it. `None` for any other
-    /// query.
-    fn lone_probe(&self, table: &Table, idx: &[usize]) -> Option<(Plan, usize)> {
-        let ([f], &[ci]) = (self.filters.as_slice(), idx) else {
+    /// query (one on the primary key included: its id set is the count).
+    fn lone_probe(&self, table: &Table, idx: &[Option<usize>]) -> Option<(Plan, usize)> {
+        let ([f], &[Some(ci)]) = (self.filters.as_slice(), idx) else {
             return None;
         };
         let index = table.index(ci)?;
@@ -346,11 +348,11 @@ impl Query {
         let idx = self.resolve(&table.schema)?;
         let planned = self.plan_access(table, &idx);
         record_plan(&planned.plan);
-        let matches = |row: &[Value]| {
+        let matches = |id: i64, row: &[Value]| {
             self.filters
                 .iter()
                 .zip(idx.iter())
-                .all(|(f, &ci)| f.matches(&row[ci]))
+                .all(|(f, &ci)| f.passes(ci, id, row))
         };
 
         // Rows the caller can actually receive; `Some(0)` short-circuits.
@@ -391,7 +393,7 @@ impl Query {
             Some(ids) => {
                 for &id in ids {
                     if let Some(r) = table.get(id) {
-                        if matches(r) {
+                        if matches(id, r) {
                             out.push((id, r));
                             if Some(out.len()) == wanted {
                                 break;
@@ -402,7 +404,7 @@ impl Query {
             }
             None => {
                 for (id, r) in table.iter() {
-                    if matches(r) {
+                    if matches(id, r) {
                         out.push((id, r));
                         if Some(out.len()) == wanted {
                             break;
@@ -423,7 +425,7 @@ impl Query {
         table: &'t Table,
         ci: usize,
         wanted: Option<usize>,
-        matches: &dyn Fn(&[Value]) -> bool,
+        matches: &dyn Fn(i64, &[Value]) -> bool,
     ) -> Vec<(i64, &'t [Value])> {
         let runs = table.index(ci).expect("planner checked index").runs();
         let out = if self.order_by[0].descending {
@@ -441,7 +443,7 @@ impl Query {
         runs: impl Iterator<Item = (&'i Value, &'i [i64])>,
         table: &'t Table,
         wanted: Option<usize>,
-        matches: &dyn Fn(&[Value]) -> bool,
+        matches: &dyn Fn(i64, &[Value]) -> bool,
     ) -> Vec<(i64, &'t [Value])> {
         let keys = self.order_keys(&table.schema);
         let mut out: Vec<(i64, &[Value])> = Vec::new();
@@ -454,7 +456,7 @@ impl Query {
             loop {
                 out.extend(
                     ids.iter()
-                        .filter_map(|&id| Some((id, table.get(id).filter(|r| matches(r))?))),
+                        .filter_map(|&id| Some((id, table.get(id).filter(|r| matches(id, r))?))),
                 );
                 pieces += 1;
                 match runs.next_if(|(k, _)| *k == key) {
@@ -490,50 +492,58 @@ impl Query {
     ///
     /// Every set used answers its filters exactly (the index compares cells
     /// as `Filter::matches` does and holds every non-NULL one), so
-    /// [`Planned::answered`] marks them.
-    fn plan_access(&self, table: &Table, idx: &[usize]) -> Planned {
+    /// [`Planned::answered`] marks them. A filter on the primary key is
+    /// answered by the ids themselves: `Eq` is a unique probe, `In` an id
+    /// set, each id kept if the table holds its row.
+    fn plan_access(&self, table: &Table, idx: &[Option<usize>]) -> Planned {
         // 1. Unique Eq probe: unbeatable when available.
         for (i, (f, &ci)) in self.filters.iter().zip(idx.iter()).enumerate() {
-            if f.op == Op::Eq && table.schema.columns[ci].unique {
-                return match table.find_unique(ci, &f.value) {
-                    Some(id) => Planned {
-                        plan: Plan::UniqueProbe {
-                            column: f.column.clone(),
-                        },
-                        candidates: Some(vec![id]),
-                        answered: filter_bit(i),
-                        index_order: None,
+            let found = match ci {
+                _ if f.op != Op::Eq => continue,
+                None => held_id(table, &f.value),
+                Some(ci) if table.schema.columns[ci].unique => table.find_unique(ci, &f.value),
+                Some(_) => continue,
+            };
+            return match found {
+                Some(id) => Planned {
+                    plan: Plan::UniqueProbe {
+                        column: f.column.clone(),
                     },
-                    None => Planned::empty(),
-                };
-            }
+                    candidates: Some(vec![id]),
+                    answered: filter_bit(i),
+                    index_order: None,
+                },
+                None => Planned::empty(),
+            };
         }
 
-        // 2. Probe sets: Eq / In over indexed columns.
+        // 2. Probe sets: Eq / In over indexed columns, In over the ids.
         let mut sets: Vec<(String, Vec<i64>)> = Vec::new();
         let mut answered = 0;
         for (i, (f, &ci)) in self.filters.iter().zip(idx.iter()).enumerate() {
-            match &f.op {
+            let ids = match (&f.op, ci) {
                 // A posting list comes back ascending by id.
-                Op::Eq => {
-                    if let Some(ids) = table.find_indexed(ci, &f.value) {
-                        sets.push((f.column.clone(), ids));
-                        answered |= filter_bit(i);
-                    }
+                (Op::Eq, Some(ci)) => table.find_indexed(ci, &f.value),
+                // The primary key is never NULL, so a NULL member matches
+                // no row and the id set answers the whole list.
+                (Op::In(vals), None) => {
+                    Some(vals.iter().filter_map(|v| held_id(table, v)).collect())
                 }
                 // An `In` list containing NULL matches null cells, which no
                 // index covers — such filters are not index-drivable. Every
                 // member missing the index ⇒ provably empty.
-                Op::In(vals) if !vals.iter().any(|v| v.is_null()) => {
-                    if let Some(index) = table.index(ci) {
-                        let mut ids: Vec<i64> = vals.iter().flat_map(|v| index.ids_eq(v)).collect();
-                        ids.sort_unstable();
-                        ids.dedup();
-                        sets.push((f.column.clone(), ids));
-                        answered |= filter_bit(i);
-                    }
+                (Op::In(vals), Some(ci)) if !vals.iter().any(|v| v.is_null()) => table
+                    .index(ci)
+                    .map(|index| vals.iter().flat_map(|v| index.ids_eq(v)).collect()),
+                _ => None,
+            };
+            if let Some(mut ids) = ids {
+                if matches!(f.op, Op::In(_)) {
+                    ids.sort_unstable();
+                    ids.dedup();
                 }
-                _ => {}
+                sets.push((f.column.clone(), ids));
+                answered |= filter_bit(i);
             }
         }
         if sets.iter().any(|(_, s)| s.is_empty()) {
@@ -600,6 +610,15 @@ impl Planned {
             answered: 0,
             index_order: None,
         }
+    }
+}
+
+/// The row id `value` names, if it is an `Int` and the table holds that
+/// row: what an `Eq` on the primary key matches.
+fn held_id(table: &Table, value: &Value) -> Option<i64> {
+    match *value {
+        Value::Int(id) => table.get(id).is_some().then_some(id),
+        _ => None,
     }
 }
 
@@ -671,9 +690,9 @@ fn cmp_rows(keys: &[(Option<usize>, bool)], a: &(i64, &[Value]), b: &(i64, &[Val
 
 fn collect_filtered<'t>(
     iter: impl Iterator<Item = (i64, &'t [Value])>,
-    matches: &dyn Fn(&[Value]) -> bool,
+    matches: &dyn Fn(i64, &[Value]) -> bool,
 ) -> Vec<(i64, &'t [Value])> {
-    iter.filter(|(_, r)| matches(r)).collect()
+    iter.filter(|(id, r)| matches(*id, r)).collect()
 }
 
 /// Keep the `k` smallest elements under `cmp` using a bounded buffer:
@@ -949,6 +968,72 @@ mod tests {
         let t = table();
         let rows = Query::new().order_by_desc("id").execute(&t).unwrap();
         assert_eq!(rows[0].0, 4);
+    }
+
+    /// A filter on the primary key is tested against the row id: `Eq` is
+    /// a unique probe, `In` an id set, and other operators compare the id.
+    #[test]
+    fn filters_on_the_primary_key_test_the_row_id() {
+        let mut t = table();
+        t.delete(2).unwrap();
+        let ids = |q: &Query| -> Vec<i64> {
+            let ids: Vec<i64> = q
+                .execute(&t)
+                .unwrap()
+                .into_iter()
+                .map(|(id, _)| id)
+                .collect();
+            assert_eq!(q.count(&t).unwrap(), ids.len(), "{q:?}");
+            ids
+        };
+        let probe = Query::new().eq("id", 3);
+        assert_eq!(ids(&probe), [3]);
+        assert_eq!(
+            probe.explain(&t).unwrap(),
+            Plan::UniqueProbe {
+                column: "id".into()
+            }
+        );
+        assert_eq!(
+            probe.project(&t, "name").unwrap(),
+            [(3, Value::from("HD3"))]
+        );
+        // a deleted row, an id never held, a value of another type
+        for missing in [
+            Value::Int(2),
+            Value::Int(9),
+            Value::from("3"),
+            Value::Float(3.0),
+        ] {
+            let q = Query::new().eq("id", missing);
+            assert_eq!(ids(&q), [] as [i64; 0]);
+            assert_eq!(q.explain(&t).unwrap(), Plan::Empty);
+        }
+        let set = Query::new().filter(
+            "id",
+            Op::In(vec![
+                Value::Int(4),
+                Value::Int(2),
+                Value::Null,
+                Value::Int(1),
+                Value::Int(4),
+            ]),
+            Value::Null,
+        );
+        assert_eq!(ids(&set), [1, 4]);
+        assert_eq!(
+            set.explain(&t).unwrap(),
+            Plan::IndexProbe {
+                columns: vec!["id".into()]
+            }
+        );
+        assert_eq!(ids(&set.clone().eq("kind", "giant")), [4]);
+        assert_eq!(ids(&Query::new().filter("id", Op::Gt, 1)), [3, 4]);
+        assert_eq!(ids(&Query::new().filter("id", Op::Ne, 3)), [1, 4]);
+        assert_eq!(
+            ids(&Query::new().filter("id", Op::IsNull, Value::Null)),
+            [] as [i64; 0]
+        );
     }
 
     fn indexed_table(n: i64) -> Table {

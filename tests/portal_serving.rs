@@ -922,20 +922,27 @@ fn framed_reader_rejects_unparseable_content_length() {
 
 /// A random step against the shared database / the two portals.
 /// `WriteSimulation` creates a finished stellar simulation, rewrites one's
-/// result or flips one between DONE and HOLD; a `Read` is asked with no
-/// cookie, a live session or a bogus `amp_session`, as `who` says.
+/// result or flips one between DONE and HOLD; `WriteJob` inserts a job row
+/// for a finished simulation or moves one's status and times on;
+/// `RenameUser` renames one of the two users through the admin connection;
+/// a `Read` is asked with no cookie, either user's live session or a bogus
+/// `amp_session`, as `who` says.
 #[derive(Debug, Clone)]
 enum Step {
     InsertStar(u16),
     RenameStar { pick: u8, name: u16 },
     ToggleResults { pick: u8 },
     WriteSimulation { pick: u8, what: u8 },
+    WriteJob { pick: u8, what: u8 },
+    RenameUser { pick: u8, name: u16 },
     Read { route: u8, who: u8 },
 }
 
 fn arb_step() -> impl Strategy<Value = Step> {
     let write_simulation =
         || (any::<u8>(), any::<u8>()).prop_map(|(pick, what)| Step::WriteSimulation { pick, what });
+    let write_job =
+        || (any::<u8>(), any::<u8>()).prop_map(|(pick, what)| Step::WriteJob { pick, what });
     let read = || (any::<u8>(), any::<u8>()).prop_map(|(route, who)| Step::Read { route, who });
     prop_oneof![
         (0u16..400).prop_map(Step::InsertStar),
@@ -946,6 +953,11 @@ fn arb_step() -> impl Strategy<Value = Step> {
         write_simulation(),
         write_simulation(),
         write_simulation(),
+        // and to `grid_job`, which only a results page reads
+        write_job(),
+        write_job(),
+        write_job(),
+        (any::<u8>(), 0u16..400).prop_map(|(pick, name)| Step::RenameUser { pick, name }),
         // reads dominate, as they would in production traffic
         read(),
         read(),
@@ -972,8 +984,9 @@ proptest! {
     /// Cache transparency: a cache-enabled portal and a cache-disabled
     /// portal over the SAME database return byte-identical responses
     /// (status, headers, body) at every read, no matter how writes and
-    /// reads interleave, and whoever asks: an entry stored for an
-    /// anonymous request may be served to one with a session, and back.
+    /// reads interleave, and whoever asks: an entry stored for one user's
+    /// request may be served to the other user, to no cookie, to a bogus
+    /// cookie, and back.
     #[test]
     fn cached_responses_are_byte_identical_to_fresh_renders(
         steps in proptest::collection::vec(arb_step(), 1..60)
@@ -984,7 +997,10 @@ proptest! {
         let star_id = stars.create(&mut star("HD 0")).unwrap();
         let mut owner = AmpUser::new("astro", "a@x.edu", "h", 0);
         owner.approved = true;
-        let owner_id = Manager::<AmpUser>::new(admin.clone()).create(&mut owner).unwrap();
+        let users = Manager::<AmpUser>::new(admin.clone());
+        let owner_id = users.create(&mut owner).unwrap();
+        let other_id = users.create(&mut AmpUser::new("other", "o@x.edu", "h", 0)).unwrap();
+        let jobs = Manager::<GridJobRecord>::new(admin.clone());
         let alloc_id = Manager::<Allocation>::new(admin.clone())
             .create(&mut Allocation::new("kraken", "TG-PROP", 1000.0))
             .unwrap();
@@ -998,9 +1014,12 @@ proptest! {
         )
         .unwrap();
         prop_assert!(cached.config.cache_enabled);
-        // one live session per portal, for the same user
-        let session = |p: &Portal| p.sessions.create(owner_id, "astro", false, p.now());
-        let (cached_session, fresh_session) = (session(&cached), session(&fresh));
+        // one live session per portal for each user: (cached, fresh)
+        let sessions = |user_id: i64| {
+            let session = |p: &Portal| p.sessions.create(user_id, "", false, p.now());
+            (session(&cached), session(&fresh))
+        };
+        let user_sessions = [sessions(owner_id), sessions(other_id)];
 
         let mut known: Vec<String> = vec!["HD 0".into()];
         let mut finished: Vec<i64> = Vec::new();
@@ -1062,6 +1081,36 @@ proptest! {
                         sims.save(&sim).unwrap();
                     }
                 },
+                Step::WriteJob { pick, what } => {
+                    let all = jobs.filter(&Query::new()).unwrap();
+                    if what % 2 == 0 || all.is_empty() {
+                        if let Some(&sim_id) = finished.get(*pick as usize % finished.len().max(1)) {
+                            let mut job = GridJobRecord::new(
+                                sim_id, (*what % 3) as i64 - 1, JobPurpose::Work, 0, "kraken", 16, "stellar",
+                            );
+                            job.status = JobStatus::Pending;
+                            job.submitted_at = Some(*what as i64);
+                            jobs.create(&mut job).unwrap();
+                        }
+                    } else {
+                        let mut job = all[*pick as usize % all.len()].clone();
+                        job.status = match job.status {
+                            JobStatus::Pending => JobStatus::Active,
+                            JobStatus::Active => JobStatus::Done,
+                            _ => JobStatus::Pending,
+                        };
+                        job.started_at = job.submitted_at.map(|t| t + 60);
+                        job.ended_at = (job.status == JobStatus::Done).then_some(*what as i64 + 600);
+                        jobs.save(&job).unwrap();
+                    }
+                }
+                Step::RenameUser { pick, name } => {
+                    let id = [owner_id, other_id][*pick as usize % 2];
+                    let mut user = users.get(id).unwrap();
+                    // unique per user, and escaped in the layout
+                    user.username = format!("<u{}> & \"{name}'", pick % 2);
+                    users.save(&user).unwrap();
+                }
                 Step::Read { route, who } => {
                     let ident = &known[*route as usize % known.len()];
                     let detail = format!("/star/{}", ident.replace(' ', "%20"));
@@ -1070,22 +1119,27 @@ proptest! {
                     let tail: String = ident.chars().skip(ident.chars().count() - 4).collect();
                     let suggest = format!("/api/suggest?q={}", tail.replace(' ', "+"));
                     // before the first simulation exists, a cacheable 404
-                    let sim_id = finished.get(*route as usize / 6 % finished.len().max(1)).unwrap_or(&1);
+                    let sim_id = finished.get(*route as usize / 8 % finished.len().max(1)).unwrap_or(&1);
                     let plots = format!("/simulation/{sim_id}/plots.json");
-                    let path = match route % 6 {
+                    let results = format!("/simulation/{sim_id}");
+                    let path = match route % 8 {
                         0 => "/",
                         1 => "/stars",
                         2 => "/stars?page=2",
                         3 => suggest.as_str(),
                         4 => plots.as_str(),
+                        5 | 6 => results.as_str(),
                         _ => detail.as_str(),
                     };
-                    let (a, b) = match who % 3 {
+                    let (a, b) = match who % 4 {
                         0 => (Request::get(path), Request::get(path)),
-                        1 => (
-                            Request::get(path).with_cookie("amp_session", &cached_session),
-                            Request::get(path).with_cookie("amp_session", &fresh_session),
-                        ),
+                        user @ (1 | 2) => {
+                            let (cached_session, fresh_session) = &user_sessions[user as usize - 1];
+                            (
+                                Request::get(path).with_cookie("amp_session", cached_session),
+                                Request::get(path).with_cookie("amp_session", fresh_session),
+                            )
+                        }
                         _ => {
                             let bogus = Request::get(path).with_cookie("amp_session", "nobody");
                             (bogus.clone(), bogus)

@@ -116,8 +116,14 @@ fn arb_mixed_text(len: std::ops::Range<usize>) -> impl Strategy<Value = String> 
         .prop_map(|picks| picks.into_iter().map(|i| ALPHABET[i]).collect())
 }
 
+/// A filter on one of `COLS`, or on the primary key (index `COLS.len()`).
 fn arb_filter() -> impl Strategy<Value = (usize, Op, Value)> {
-    (0usize..COLS.len(), arb_op(), arb_value())
+    (0usize..=COLS.len(), arb_op(), arb_value())
+}
+
+/// The column a filter's index names: `COLS[ci]`, or `"id"` past them.
+fn filter_column(ci: usize) -> &'static str {
+    COLS.get(ci).copied().unwrap_or("id")
 }
 
 fn arb_order() -> impl Strategy<Value = Vec<OrderBy>> {
@@ -161,7 +167,7 @@ fn arb_query() -> impl Strategy<Value = QSpec> {
 fn build_query(spec: &QSpec) -> Query {
     let mut q = Query::new();
     for (ci, op, v) in &spec.filters {
-        q = q.filter(COLS[*ci], op.clone(), v.clone());
+        q = q.filter(filter_column(*ci), op.clone(), v.clone());
     }
     for o in &spec.order {
         q = if o.descending {
@@ -214,10 +220,11 @@ fn ref_execute(t: &Table, spec: &QSpec) -> Vec<(i64, Row)> {
         .execute(t)
         .unwrap()
         .into_iter()
-        .filter(|(_, row)| {
-            spec.filters
-                .iter()
-                .all(|(ci, op, rhs)| ref_matches(op, rhs, &row[*ci]))
+        .filter(|(id, row)| {
+            spec.filters.iter().all(|(ci, op, rhs)| match row.get(*ci) {
+                Some(cell) => ref_matches(op, rhs, cell),
+                None => ref_matches(op, rhs, &Value::Int(*id)),
+            })
         })
         .collect();
     let cmp = |a: &(i64, Row), b: &(i64, Row)| -> Ordering {
@@ -557,6 +564,60 @@ proptest! {
             let mut sorted = ids.clone();
             sorted.sort_unstable();
             prop_assert_eq!(ids, sorted);
+        }
+    }
+
+    /// A filter on the primary key reads what `Connection::get` reads: `Eq`
+    /// on an id is that row or nothing (a deleted row, an id never held, a
+    /// value of another type), `In` on ids the rows `get` finds, ascending
+    /// and once each, and `Manager::project` of an `Eq` exactly its cell.
+    #[test]
+    fn primary_key_filters_agree_with_connection_get(
+        rows in proptest::collection::vec((0u8..7, proptest::option::of(any::<i8>())), 1..40),
+        deleted in proptest::collection::vec(any::<usize>(), 0..10),
+        lists in proptest::collection::vec(proptest::collection::vec(-2i64..45, 0..6), 1..5),
+    ) {
+        let db = Db::in_memory();
+        db.define_role(Role::superuser("admin"));
+        let conn = db.connect("admin").unwrap();
+        conn.create_table(schema()).unwrap();
+        for (i, (s, k)) in rows.iter().enumerate() {
+            conn.insert(TABLE, &[
+                ("u", Value::Int(i as i64 * 3 + 1)),
+                ("s", format!("s{}", s % 5).into()),
+                ("k", k.map_or(Value::Null, |v| Value::Int(v as i64))),
+                ("p", Value::Null),
+            ]).unwrap();
+        }
+        for pick in &deleted {
+            let _ = conn.delete(TABLE, (pick % rows.len()) as i64 + 1);
+        }
+        let items = Manager::<Item>::new(conn.clone());
+        let get = |id: i64| conn.get(TABLE, id).ok().map(|row| (id, row));
+        for id in -1..rows.len() as i64 + 3 {
+            let q = Query::new().eq("id", id);
+            let expected: Vec<(i64, Row)> = get(id).into_iter().collect();
+            prop_assert_eq!(conn.select(TABLE, &q).unwrap(), expected.clone(), "id {}", id);
+            prop_assert_eq!(conn.count(TABLE, &q).unwrap(), expected.len());
+            let cell: Vec<(i64, Value)> =
+                expected.iter().map(|(id, row)| (*id, row[0].clone())).collect();
+            prop_assert_eq!(items.project(&q, "u").unwrap(), cell);
+            for other in [Value::from(id.to_string()), Value::Float(id as f64)] {
+                prop_assert!(conn.select(TABLE, &Query::new().eq("id", other)).unwrap().is_empty());
+            }
+        }
+        for list in &lists {
+            let q = Query::new().filter(
+                "id",
+                Op::In(list.iter().map(|&id| Value::Int(id)).collect()),
+                Value::Null,
+            );
+            let mut ids = list.clone();
+            ids.sort_unstable();
+            ids.dedup();
+            let expected: Vec<(i64, Row)> = ids.into_iter().filter_map(get).collect();
+            prop_assert_eq!(conn.count(TABLE, &q).unwrap(), expected.len());
+            prop_assert_eq!(conn.select(TABLE, &q).unwrap(), expected, "ids {:?}", list);
         }
     }
 
